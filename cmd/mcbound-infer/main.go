@@ -1,7 +1,8 @@
 // Command mcbound-infer is the Inference Workflow script of Figure 1: it
 // asks a running mcbound-server to classify either one job by id or all
 // jobs submitted in a time range, and prints the memory/compute-bound
-// predictions.
+// predictions. A range is read page by page (the server caps a page at
+// 1000 jobs) and printed as one {"items": [...]} document.
 //
 // Usage:
 //
@@ -10,6 +11,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,36 +31,75 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*server, *jobID, *start, *end, *timeout); err != nil {
+	if err := run(os.Stdout, *server, *jobID, *start, *end, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "mcbound-infer:", err)
 		os.Exit(1)
 	}
 }
 
-func run(server, jobID, start, end string, timeout time.Duration) error {
-	var target string
+func run(out io.Writer, server, jobID, start, end string, timeout time.Duration) error {
+	client := &http.Client{Timeout: timeout}
 	switch {
 	case jobID != "":
-		target = server + "/v1/classify/" + url.PathEscape(jobID)
+		payload, err := get(client, server+"/v1/classify/"+url.PathEscape(jobID))
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(out, "%s\n", payload)
+		return err
 	case start != "" && end != "":
-		target = fmt.Sprintf("%s/v1/classify?start=%s&end=%s",
-			server, url.QueryEscape(start), url.QueryEscape(end))
+		items, err := classifyRange(client, server, start, end)
+		if err != nil {
+			return err
+		}
+		return json.NewEncoder(out).Encode(map[string]any{"items": items})
 	default:
 		return fmt.Errorf("either -job or both -start and -end are required")
 	}
-	client := &http.Client{Timeout: timeout}
+}
+
+// classifyRange walks the cursor pages of GET /v1/classify and returns
+// the predictions of every job submitted in [start, end), in page order.
+func classifyRange(client *http.Client, server, start, end string) ([]json.RawMessage, error) {
+	first := fmt.Sprintf("%s/v1/classify?start=%s&end=%s",
+		server, url.QueryEscape(start), url.QueryEscape(end))
+	items := []json.RawMessage{}
+	for target := first; ; {
+		payload, err := get(client, target)
+		if err != nil {
+			return nil, err
+		}
+		var page struct {
+			Items      []json.RawMessage `json:"items"`
+			NextCursor string            `json:"next_cursor"`
+			HasMore    bool              `json:"has_more"`
+		}
+		if err := json.Unmarshal(payload, &page); err != nil {
+			return nil, fmt.Errorf("decode page: %w", err)
+		}
+		items = append(items, page.Items...)
+		if !page.HasMore {
+			return items, nil
+		}
+		if page.NextCursor == "" {
+			return nil, fmt.Errorf("server reported more pages without a next_cursor")
+		}
+		target = first + "&cursor=" + url.QueryEscape(page.NextCursor)
+	}
+}
+
+func get(client *http.Client, target string) ([]byte, error) {
 	resp, err := client.Get(target)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server returned %s: %s", resp.Status, payload)
+		return nil, fmt.Errorf("server returned %s: %s", resp.Status, payload)
 	}
-	fmt.Printf("%s\n", payload)
-	return nil
+	return payload, nil
 }

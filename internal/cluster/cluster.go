@@ -60,10 +60,12 @@ func New(selfID string, members []Member) (Membership, error) {
 	return m, nil
 }
 
-// ParsePeers parses the -peers flag ("id=url,id=url,...") into a
-// membership. The list is the full cluster, so it must include selfID.
-func ParsePeers(selfID, spec string) (Membership, error) {
+// ParseMemberList parses an "id=url,id=url,..." spec into a member
+// slice without requiring a self entry — the front door's view of the
+// fleet, where the router itself is not a member.
+func ParseMemberList(spec string) ([]Member, error) {
 	var members []Member
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -71,12 +73,30 @@ func ParsePeers(selfID, spec string) (Membership, error) {
 		}
 		id, url, ok := strings.Cut(part, "=")
 		if !ok {
-			return Membership{}, fmt.Errorf("cluster: bad peer %q, want id=url", part)
+			return nil, fmt.Errorf("cluster: bad peer %q, want id=url", part)
 		}
-		members = append(members, Member{ID: strings.TrimSpace(id), URL: strings.TrimSpace(url)})
+		m := Member{ID: strings.TrimSpace(id), URL: strings.TrimRight(strings.TrimSpace(url), "/")}
+		if m.ID == "" || m.URL == "" {
+			return nil, fmt.Errorf("cluster: bad peer %q, want id=url", part)
+		}
+		if seen[m.ID] {
+			return nil, fmt.Errorf("cluster: duplicate member id %q", m.ID)
+		}
+		seen[m.ID] = true
+		members = append(members, m)
 	}
 	if len(members) == 0 {
-		return Membership{}, fmt.Errorf("cluster: empty peer list")
+		return nil, fmt.Errorf("cluster: empty peer list")
+	}
+	return members, nil
+}
+
+// ParsePeers parses the -peers flag ("id=url,id=url,...") into a
+// membership. The list is the full cluster, so it must include selfID.
+func ParsePeers(selfID, spec string) (Membership, error) {
+	members, err := ParseMemberList(spec)
+	if err != nil {
+		return Membership{}, err
 	}
 	return New(selfID, members)
 }
@@ -104,6 +124,23 @@ func (m Membership) Size() int { return len(m.all) }
 // Quorum is the majority size: floor(n/2)+1. A one-node cluster has
 // quorum 1, so a solo leader is always quorate.
 func (m Membership) Quorum() int { return len(m.all)/2 + 1 }
+
+// ContainsURL reports whether u names a configured member's base URL
+// (trailing slashes ignored). It is the membership allowlist behind
+// redirect chasing: a Location header pointing anywhere else must be
+// refused, not followed.
+func (m Membership) ContainsURL(u string) bool {
+	u = strings.TrimRight(u, "/")
+	if u == "" {
+		return false
+	}
+	for _, mem := range m.all {
+		if mem.URL == u {
+			return true
+		}
+	}
+	return false
+}
 
 // Lookup resolves a member by ID.
 func (m Membership) Lookup(id string) (Member, bool) {

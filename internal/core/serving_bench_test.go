@@ -13,8 +13,8 @@ import (
 
 // Serving-path benchmarks for the non-blocking inference stack: batch
 // classification across the worker pool, the sharded embedding cache
-// hot/cold split, and a full Training Workflow pass. cmd/mcbound-bench
-// runs the same workloads standalone and records BENCH_serving.json.
+// hot/cold split, and a full Training Workflow pass. benchmark/ reports
+// the same layers standalone as its core.* per-layer metrics.
 
 // benchBatch builds n submitted-but-unexecuted jobs spread over a fixed
 // number of distinct feature strings, mirroring a live submission

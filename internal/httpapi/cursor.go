@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"time"
@@ -15,7 +16,8 @@ import (
 // cursor names the (sort-time, id) key of the last record a page
 // returned, so the next page starts strictly after it regardless of
 // what was inserted meanwhile. Offset pagination re-scans from zero
-// and silently skews under concurrent inserts; cursors do neither.
+// and silently skews under concurrent inserts; cursors do neither, so
+// they are the only scheme.
 //
 // Wire format (inside the opaque base64url): "c1|<unixnano>|<id>".
 // The version prefix lets the codec evolve without breaking clients
@@ -70,7 +72,7 @@ func decodeCursor(s string) (store.Pos, error) {
 	return store.Pos{Time: time.Unix(0, nanos).UTC(), ID: parts[2]}, nil
 }
 
-// cursorEnvelope is the response of a cursor-mode range read.
+// cursorEnvelope is the response of a range read.
 // NextCursor is present exactly when HasMore is true; passing it back
 // as ?cursor= resumes the scan after the last returned record.
 type cursorEnvelope struct {
@@ -80,15 +82,27 @@ type cursorEnvelope struct {
 	Skipped    int    `json:"skipped,omitempty"`
 }
 
-// defaultPageSize caps a cursor page when the client sends no limit:
+// defaultPageSize caps a page when the client sends no limit:
 // unbounded pages would defeat the point of resumable reads.
 const defaultPageSize = 1000
 
-// cursorParams parses the cursor-mode query parameters: the opaque
-// position and the page size (limit, default defaultPageSize).
-func cursorParams(limit int) int {
-	if limit <= 0 {
-		return defaultPageSize
+// pageParams parses the pagination query of a range read: the opaque
+// position (absent or empty = from the beginning) and the page size
+// (limit; absent or 0 = defaultPageSize).
+func pageParams(r *http.Request) (after store.Pos, limit int, err error) {
+	q := r.URL.Query()
+	if q.Has("offset") {
+		return after, 0, badRequest(fmt.Errorf("offset pagination is gone: pass the previous page's next_cursor as cursor"))
 	}
-	return limit
+	if v := q.Get("limit"); v != "" {
+		limit, err = strconv.Atoi(v)
+		if err != nil || limit < 0 {
+			return after, 0, badRequest(fmt.Errorf("bad limit %q: non-negative integer required", v))
+		}
+	}
+	if limit == 0 {
+		limit = defaultPageSize
+	}
+	after, err = decodeCursor(q.Get("cursor"))
+	return after, limit, err
 }

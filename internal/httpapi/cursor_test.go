@@ -95,22 +95,18 @@ func FuzzCursor(f *testing.F) {
 	})
 }
 
-// classifyCursorWalk walks GET /v1/classify in cursor mode, returning
-// every job_id in page order.
+// classifyCursorWalk walks GET /v1/classify from the bare range URL (no
+// cursor parameter on the first request, next_cursor on every later
+// one), returning every job_id in page order.
 func classifyCursorWalk(t *testing.T, base string, pageSize int, onPage func(page int)) []string {
 	t.Helper()
 	var ids []string
+	u := fmt.Sprintf("%s/v1/classify?start=%s&end=%s&limit=%d",
+		base, url.QueryEscape("2024-01-01T00:00:00Z"), url.QueryEscape("2024-03-01T00:00:00Z"), pageSize)
 	cursor := ""
 	for page := 0; ; page++ {
-		u := fmt.Sprintf("%s/v1/classify?start=%s&end=%s&limit=%d&cursor=%s",
-			base, url.QueryEscape("2024-01-01T00:00:00Z"), url.QueryEscape("2024-03-01T00:00:00Z"),
-			pageSize, url.QueryEscape(cursor))
-		var env struct {
-			Items      []map[string]any `json:"items"`
-			NextCursor string           `json:"next_cursor"`
-			HasMore    bool             `json:"has_more"`
-		}
-		if code := getJSON(t, u, &env); code != http.StatusOK {
+		var env envelope
+		if code := getJSON(t, u+cursor, &env); code != http.StatusOK {
 			t.Fatalf("page %d: status %d", page, code)
 		}
 		for _, it := range env.Items {
@@ -125,7 +121,7 @@ func classifyCursorWalk(t *testing.T, base string, pageSize int, onPage func(pag
 		if env.NextCursor == "" {
 			t.Fatalf("has_more without next_cursor")
 		}
-		cursor = env.NextCursor
+		cursor = "&cursor=" + url.QueryEscape(env.NextCursor)
 		if onPage != nil {
 			onPage(page)
 		}
@@ -214,11 +210,7 @@ func TestCharacterizeCursor(t *testing.T) {
 		u := fmt.Sprintf("%s/v1/characterize?start=%s&end=%s&limit=60&cursor=%s",
 			srv.URL, url.QueryEscape("2024-01-01T00:00:00Z"), url.QueryEscape("2024-03-01T00:00:00Z"),
 			url.QueryEscape(cursor))
-		var env struct {
-			Items      []map[string]any `json:"items"`
-			NextCursor string           `json:"next_cursor"`
-			HasMore    bool             `json:"has_more"`
-		}
+		var env envelope
 		if code := getJSON(t, u, &env); code != http.StatusOK {
 			t.Fatalf("page %d: status %d", page, code)
 		}
@@ -249,24 +241,80 @@ func TestCursorBadRequests(t *testing.T) {
 	}
 }
 
-// TestOffsetDeprecationHeader: legacy offset pagination still works but
-// is flagged; cursor mode is not.
-func TestOffsetDeprecationHeader(t *testing.T) {
-	srv, _ := testServer(t)
-	get := func(q string) *http.Response {
-		resp, err := http.Get(srv.URL + "/v1/classify?start=2024-01-01T00:00:00Z&end=2024-02-01T00:00:00Z" + q)
-		if err != nil {
+// TestRangeFirstPageWithoutCursor: a range request that names no cursor
+// is the first cursor page — same document as ?cursor= — capped at
+// defaultPageSize when it names no limit either.
+func TestRangeFirstPageWithoutCursor(t *testing.T) {
+	srv, st := testServer(t)
+	const window = "?start=2024-01-01T00:00:00Z&end=2024-03-01T00:00:00Z"
+	for _, tc := range []struct {
+		name, path string
+		items      int
+		more       bool
+	}{
+		{"classify", "/v1/classify" + window + "&limit=7", 7, true},
+		{"characterize", "/v1/characterize" + window + "&limit=7", 7, true},
+		{"limit 0 is the default size", "/v1/classify" + window + "&limit=0", 200, false},
+	} {
+		var bare, explicit envelope
+		if code := getJSON(t, srv.URL+tc.path, &bare); code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, code)
+		}
+		if code := getJSON(t, srv.URL+tc.path+"&cursor=", &explicit); code != http.StatusOK {
+			t.Fatalf("%s with empty cursor: status %d", tc.name, code)
+		}
+		if len(bare.Items) != tc.items || bare.HasMore != tc.more || (bare.NextCursor != "") != tc.more {
+			t.Errorf("%s: items=%d has_more=%v next_cursor=%q, want %d items, has_more=%v",
+				tc.name, len(bare.Items), bare.HasMore, bare.NextCursor, tc.items, tc.more)
+		}
+		if bare.NextCursor != explicit.NextCursor || len(bare.Items) != len(explicit.Items) {
+			t.Errorf("%s: bare URL and ?cursor= disagree: %q/%d vs %q/%d", tc.name,
+				bare.NextCursor, len(bare.Items), explicit.NextCursor, len(explicit.Items))
+		}
+	}
+
+	// Past defaultPageSize jobs in range, a request with neither cursor
+	// nor limit must not return them all.
+	submit := time.Date(2024, 2, 10, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < defaultPageSize; i++ {
+		at := submit.Add(time.Duration(i) * time.Second)
+		if err := st.Insert(&job.Job{
+			ID: fmt.Sprintf("bulk%04d", i), User: "u0003", Name: "memapp", Environment: "gcc/12.2",
+			CoresRequested: 48, NodesRequested: 1, FreqRequested: job.FreqBoost, SubmitTime: at,
+		}); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp
 	}
-	if resp := get("&limit=5&offset=10"); resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("offset mode: missing Deprecation header")
-	} else if resp.Header.Get("Link") == "" {
-		t.Fatalf("offset mode: missing successor-version Link header")
+	var env envelope
+	if code := getJSON(t, srv.URL+"/v1/classify"+window, &env); code != http.StatusOK {
+		t.Fatalf("unbounded request: status %d", code)
 	}
-	if resp := get("&limit=5&cursor="); resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("cursor mode: unexpected Deprecation header")
+	if len(env.Items) != defaultPageSize || !env.HasMore || env.NextCursor == "" {
+		t.Errorf("unbounded request over %d jobs: items=%d has_more=%v, want one %d-item page with a next_cursor",
+			200+defaultPageSize, len(env.Items), env.HasMore, defaultPageSize)
+	}
+}
+
+// TestRangeRejectsBadPaging: offset pagination is gone — the parameter
+// answers a typed 400 that points at cursor, on both range endpoints and
+// whatever it is combined with — and a malformed limit is a 400 too.
+func TestRangeRejectsBadPaging(t *testing.T) {
+	srv, _ := testServer(t)
+	const window = "?start=2024-01-10T00:00:00Z&end=2024-01-12T00:00:00Z"
+	for _, q := range []string{
+		"/v1/classify" + window + "&offset=0",
+		"/v1/classify" + window + "&limit=5&offset=5",
+		"/v1/classify" + window + "&cursor=&offset=1",
+		"/v1/characterize" + window + "&offset=100",
+		"/v1/classify" + window + "&limit=-1",
+		"/v1/characterize" + window + "&limit=x",
+	} {
+		var e ErrorBody
+		if code := getJSON(t, srv.URL+q, &e); code != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Errorf("%s: status %d code %q, want 400 bad_request", q, code, e.Code)
+		}
+		if strings.Contains(q, "offset") && !strings.Contains(e.Error, "cursor") {
+			t.Errorf("%s: error %q does not point the caller at cursor", q, e.Error)
+		}
 	}
 }

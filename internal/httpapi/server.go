@@ -27,10 +27,10 @@
 //
 // All payloads are JSON; timestamps are RFC 3339. Range endpoints
 // paginate with opaque resumable cursors (?cursor=, {items, next_cursor,
-// has_more} envelopes) that stay stable under concurrent inserts;
-// limit/offset remains a deprecated alias for one release and answers
-// with a Deprecation header. Errors carry a stable machine-readable
-// code next to the message: {"error": "...", "code": "not_found"}.
+// has_more} envelopes) that stay stable under concurrent inserts; a
+// request without a cursor gets the first page. Errors carry a stable
+// machine-readable code next to the message:
+// {"error": "...", "code": "not_found"}.
 // The prediction stream carries only write-path classifications
 // (GET /v1/classify/{id}, POST /v1/classify — including replay-driven
 // inference, which posts through the latter); range reads are pure
@@ -556,55 +556,22 @@ func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, preds)
 }
 
-// listEnvelope is the paginated response of the range endpoints. Total
-// counts every produced item before pagination; Skipped counts jobs in
-// the range that could not be processed (e.g. uncharacterizable).
-type listEnvelope struct {
-	Items   any `json:"items"`
-	Total   int `json:"total"`
-	Skipped int `json:"skipped"`
-}
-
+// handleClassifyRange serves one cursor page of GET /v1/classify: the
+// page of jobs is selected by (SubmitTime, ID) keyset position, then
+// classified as a batch. The minted next_cursor names the last job of
+// the page, so resumption is exact under concurrent inserts.
 func (s *Server) handleClassifyRange(w http.ResponseWriter, r *http.Request) {
 	start, end, err := timeRange(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	limit, offset, err := pageParams(r)
+	after, limit, err := pageParams(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if r.URL.Query().Has("cursor") {
-		s.classifyCursorPage(w, r, start, end, limit)
-		return
-	}
-	markOffsetDeprecated(w, r)
-	t0 := time.Now()
-	preds, err := s.fw.ClassifySubmitted(r.Context(), start, end)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.metrics.observeClassify(len(preds), time.Since(t0))
-	s.writeJSON(w, http.StatusOK, listEnvelope{
-		Items: paginate(preds, limit, offset),
-		Total: len(preds),
-	})
-}
-
-// classifyCursorPage serves one cursor page of GET /v1/classify: the
-// page of jobs is selected by (SubmitTime, ID) keyset position, then
-// classified as a batch. The minted next_cursor names the last job of
-// the page, so resumption is exact under concurrent inserts.
-func (s *Server) classifyCursorPage(w http.ResponseWriter, r *http.Request, start, end time.Time, limit int) {
-	after, err := decodeCursor(r.URL.Query().Get("cursor"))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	jobs, more := s.store.SubmittedPage(start, end, after, cursorParams(limit))
+	jobs, more := s.store.SubmittedPage(start, end, after, limit)
 	env := cursorEnvelope{Items: []core.Prediction{}, HasMore: more}
 	if len(jobs) > 0 {
 		t0 := time.Now()
@@ -631,46 +598,22 @@ type charBody struct {
 	Intensity float64 `json:"op_intensity"`
 }
 
+// handleCharacterize serves one cursor page of GET /v1/characterize
+// over the (EndTime, ID) keyset. Uncharacterizable jobs still advance
+// the cursor (they are part of the keyset) but are only counted in
+// skipped, never silently swallowed between pages.
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	start, end, err := timeRange(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	limit, offset, err := pageParams(r)
+	after, limit, err := pageParams(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if r.URL.Query().Has("cursor") {
-		s.characterizeCursorPage(w, r, start, end, limit)
-		return
-	}
-	markOffsetDeprecated(w, r)
-	jobs, err := s.fw.Fetcher().FetchExecuted(r.Context(), start, end)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	out, skipped := s.characterizeJobs(jobs)
-	s.writeJSON(w, http.StatusOK, listEnvelope{
-		Items:   paginate(out, limit, offset),
-		Total:   len(out),
-		Skipped: skipped,
-	})
-}
-
-// characterizeCursorPage serves one cursor page of GET /v1/characterize
-// over the (EndTime, ID) keyset. Uncharacterizable jobs still advance
-// the cursor (they are part of the keyset) but are only counted in
-// skipped, never silently swallowed between pages.
-func (s *Server) characterizeCursorPage(w http.ResponseWriter, r *http.Request, start, end time.Time, limit int) {
-	after, err := decodeCursor(r.URL.Query().Get("cursor"))
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	jobs, more := s.store.ExecutedPage(start, end, after, cursorParams(limit))
+	jobs, more := s.store.ExecutedPage(start, end, after, limit)
 	out, skipped := s.characterizeJobs(jobs)
 	env := cursorEnvelope{Items: out, HasMore: more, Skipped: skipped}
 	if more && len(jobs) > 0 {
@@ -701,18 +644,6 @@ func (s *Server) characterizeJobs(jobs []*job.Job) (out []charBody, skipped int)
 	return out, skipped
 }
 
-// markOffsetDeprecated flags legacy offset-pagination responses. The
-// limit/offset parameters remain a working alias for one release; the
-// header gives clients a machine-readable migration nudge toward
-// ?cursor= (RFC 8594 style).
-func markOffsetDeprecated(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Has("offset") || q.Has("limit") {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1>; rel="successor-version"; title="use cursor pagination"`)
-	}
-}
-
 func timeRange(r *http.Request) (start, end time.Time, err error) {
 	q := r.URL.Query()
 	if q.Get("start") == "" || q.Get("end") == "" {
@@ -730,38 +661,6 @@ func timeRange(r *http.Request) (start, end time.Time, err error) {
 		return start, end, badRequest(fmt.Errorf("end must be after start"))
 	}
 	return start, end, nil
-}
-
-// pageParams parses limit/offset. limit = -1 (absent) means no cap.
-func pageParams(r *http.Request) (limit, offset int, err error) {
-	limit = -1
-	q := r.URL.Query()
-	if v := q.Get("limit"); v != "" {
-		limit, err = strconv.Atoi(v)
-		if err != nil || limit < 0 {
-			return 0, 0, badRequest(fmt.Errorf("bad limit %q: non-negative integer required", v))
-		}
-	}
-	if v := q.Get("offset"); v != "" {
-		offset, err = strconv.Atoi(v)
-		if err != nil || offset < 0 {
-			return 0, 0, badRequest(fmt.Errorf("bad offset %q: non-negative integer required", v))
-		}
-	}
-	return limit, offset, nil
-}
-
-// paginate slices items by offset/limit; the result is never nil so it
-// encodes as [] rather than null.
-func paginate[T any](items []T, limit, offset int) []T {
-	if offset >= len(items) {
-		return []T{}
-	}
-	items = items[offset:]
-	if limit >= 0 && limit < len(items) {
-		items = items[:limit]
-	}
-	return items
 }
 
 // decodeBody tolerates an empty request body.

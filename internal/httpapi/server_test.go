@@ -97,11 +97,12 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// envelope mirrors listEnvelope for decoding in tests.
+// envelope mirrors cursorEnvelope for decoding in tests.
 type envelope struct {
-	Items   []map[string]any `json:"items"`
-	Total   int              `json:"total"`
-	Skipped int              `json:"skipped"`
+	Items      []map[string]any `json:"items"`
+	NextCursor string           `json:"next_cursor"`
+	HasMore    bool             `json:"has_more"`
+	Skipped    int              `json:"skipped"`
 }
 
 func TestHealthz(t *testing.T) {
@@ -178,8 +179,9 @@ func TestClassifyRangeEnvelope(t *testing.T) {
 	if code := getJSON(t, u, &env); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if env.Total != 12 || len(env.Items) != 12 { // 2 days * 6 jobs/day
-		t.Errorf("total=%d items=%d, want 12/12", env.Total, len(env.Items))
+	if len(env.Items) != 12 || env.HasMore || env.NextCursor != "" { // 2 days * 6 jobs/day
+		t.Errorf("items=%d has_more=%v next_cursor=%q, want the whole 12-job range in one final page",
+			len(env.Items), env.HasMore, env.NextCursor)
 	}
 	// Missing parameters → 400 bad_request.
 	var e ErrorBody
@@ -193,43 +195,6 @@ func TestClassifyRangeEnvelope(t *testing.T) {
 	u = srv.URL + "/v1/classify?start=2024-01-12T00:00:00Z&end=2024-01-10T00:00:00Z"
 	if code := getJSON(t, u, nil); code != http.StatusBadRequest {
 		t.Errorf("reversed range status = %d", code)
-	}
-}
-
-func TestPagination(t *testing.T) {
-	srv, _ := testServer(t)
-	base := srv.URL + "/v1/classify?start=2024-01-10T00:00:00Z&end=2024-01-12T00:00:00Z"
-
-	var env envelope
-	if code := getJSON(t, base+"&limit=5", &env); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if env.Total != 12 || len(env.Items) != 5 {
-		t.Errorf("limit=5: total=%d items=%d, want 12/5", env.Total, len(env.Items))
-	}
-	first := env.Items[0]["job_id"]
-
-	if code := getJSON(t, base+"&limit=5&offset=5", &env); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if env.Total != 12 || len(env.Items) != 5 || env.Items[0]["job_id"] == first {
-		t.Errorf("offset=5 page wrong: total=%d items=%d first=%v", env.Total, len(env.Items), env.Items[0]["job_id"])
-	}
-
-	// Offset past the end → empty items, total intact.
-	if code := getJSON(t, base+"&offset=100", &env); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if env.Total != 12 || len(env.Items) != 0 {
-		t.Errorf("offset past end: total=%d items=%d", env.Total, len(env.Items))
-	}
-
-	// Bad pagination params → 400.
-	for _, q := range []string{"&limit=-1", "&limit=x", "&offset=-2"} {
-		var e ErrorBody
-		if code := getJSON(t, base+q, &e); code != http.StatusBadRequest || e.Code != "bad_request" {
-			t.Errorf("%s: status %d code %q", q, code, e.Code)
-		}
 	}
 }
 
@@ -474,8 +439,8 @@ func TestCharacterizeEnvelope(t *testing.T) {
 	if code := getJSON(t, u, &env); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if env.Total != 12 || len(env.Items) != 12 {
-		t.Fatalf("characterized total=%d items=%d, want 12", env.Total, len(env.Items))
+	if len(env.Items) != 12 || env.HasMore {
+		t.Fatalf("characterized items=%d has_more=%v, want 12 in one final page", len(env.Items), env.HasMore)
 	}
 	if env.Skipped != 1 {
 		t.Errorf("skipped = %d, want 1 (the counter-less job)", env.Skipped)
@@ -593,25 +558,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// slowBackend delays range fetches so a request can be caught in
-// flight during shutdown.
-type slowBackend struct {
-	fetch.Backend
-	delay time.Duration
-}
-
-func (b slowBackend) SubmittedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
-	select {
-	case <-time.After(b.delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return b.Backend.SubmittedBetween(ctx, start, end)
-}
-
 func TestGracefulShutdownDrains(t *testing.T) {
 	st := seedStore(t)
-	api := newAPI(t, st, slowBackend{Backend: fetch.StoreBackend{Store: st}, delay: 300 * time.Millisecond}, true, Options{})
+	api := newAPI(t, st, &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: 300 * time.Millisecond}, true, Options{})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -626,32 +575,31 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// shutdown starts.
 	type reply struct {
 		code int
-		env  envelope
+		pred core.Prediction
 		err  error
 	}
 	replies := make(chan reply, 1)
 	go func() {
-		resp, err := http.Get("http://" + ln.Addr().String() +
-			"/v1/classify?start=2024-01-10T00:00:00Z&end=2024-01-12T00:00:00Z")
+		resp, err := http.Get("http://" + ln.Addr().String() + "/v1/classify/s0060")
 		if err != nil {
 			replies <- reply{err: err}
 			return
 		}
 		defer resp.Body.Close()
-		var env envelope
-		err = json.NewDecoder(resp.Body).Decode(&env)
-		replies <- reply{code: resp.StatusCode, env: env, err: err}
+		var pred core.Prediction
+		err = json.NewDecoder(resp.Body).Decode(&pred)
+		replies <- reply{code: resp.StatusCode, pred: pred, err: err}
 	}()
 
-	time.Sleep(100 * time.Millisecond) // let the request reach the slow fetch
+	time.Sleep(100 * time.Millisecond) // let the request reach the laggy lookup
 	cancel()                           // SIGTERM equivalent
 
 	r := <-replies
 	if r.err != nil {
 		t.Fatalf("in-flight request failed during drain: %v", r.err)
 	}
-	if r.code != http.StatusOK || r.env.Total != 12 {
-		t.Errorf("in-flight request: status %d total %d, want 200/12", r.code, r.env.Total)
+	if r.code != http.StatusOK || r.pred.JobID != "s0060" {
+		t.Errorf("in-flight request: status %d job %q, want 200/s0060", r.code, r.pred.JobID)
 	}
 	if err := <-serveDone; err != nil {
 		t.Errorf("Serve returned %v, want nil after clean drain", err)

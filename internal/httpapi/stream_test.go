@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -322,26 +323,21 @@ func TestPredictionStreamResume(t *testing.T) {
 	}
 }
 
-// TestRangeReadsDoNotPublish: GET /v1/classify range and cursor pages
-// are pure reads — polling them must not push duplicate events to
-// prediction-stream subscribers. Only the write path publishes.
+// TestRangeReadsDoNotPublish: GET /v1/classify range pages, first or
+// resumed, are pure reads — polling them must not push duplicate events
+// to prediction-stream subscribers. Only the write path publishes.
 func TestRangeReadsDoNotPublish(t *testing.T) {
 	st := seedStore(t)
 	api := newAPI(t, st, nil, true, Options{})
 	srv := httptest.NewServer(api)
 	defer srv.Close()
-	for _, u := range []string{
-		"/v1/classify?start=2024-01-01T00:00:00Z&end=2024-03-01T00:00:00Z&limit=5",
-		"/v1/classify?start=2024-01-01T00:00:00Z&end=2024-03-01T00:00:00Z&cursor=&limit=5",
-	} {
-		resp, err := http.Get(srv.URL + u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", u, resp.StatusCode)
-		}
+	page := srv.URL + "/v1/classify?start=2024-01-01T00:00:00Z&end=2024-03-01T00:00:00Z&limit=5"
+	var first, second envelope
+	if code := getJSON(t, page, &first); code != http.StatusOK || first.NextCursor == "" {
+		t.Fatalf("first page: status %d next_cursor %q", code, first.NextCursor)
+	}
+	if code := getJSON(t, page+"&cursor="+url.QueryEscape(first.NextCursor), &second); code != http.StatusOK || len(second.Items) != 5 {
+		t.Fatalf("second page: status %d items %d", code, len(second.Items))
 	}
 	if n := api.hub.published.Load(); n != 0 {
 		t.Fatalf("range reads published %d stream events, want 0", n)

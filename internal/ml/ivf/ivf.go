@@ -7,7 +7,7 @@
 // O(nclusters·dim + scanned·dim/4 + rerank·dim) instead of the brute
 // O(n·dim) — sub-linear for nclusters ≈ √n — while the re-ranking step
 // keeps the returned top-k within a measured recall ≥ 0.95 of brute
-// force at the default knobs (gated by `mcbound-bench -scenario index`).
+// force at the default knobs (gated by knn's TestRecallGateAtScale).
 //
 // Exactness limit: with NProbe ≥ NClusters and Rerank ≥ Len the search
 // degenerates to an exact scan and returns exactly the brute-force

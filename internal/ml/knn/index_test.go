@@ -190,9 +190,10 @@ func TestSetNProbeOnLiveModel(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundTripBitIdentical is the serialization property for
-// both formats: marshal → unmarshal → marshal must reproduce the exact
-// bytes, and the restored model must predict identically.
+// TestMarshalRoundTripBitIdentical is the serialization property with
+// and without an index section: marshal → unmarshal → marshal must
+// reproduce the exact bytes, and the restored model must predict
+// identically.
 func TestMarshalRoundTripBitIdentical(t *testing.T) {
 	prop := func(seed uint64, indexed bool) bool {
 		x, y := trainSet(120, 7, seed)
@@ -208,12 +209,8 @@ func TestMarshalRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMagic := marshalMagic
-		if indexed {
-			wantMagic = marshalMagicV3
-		}
-		if string(first[:8]) != wantMagic {
-			t.Fatalf("magic %q, want %q", first[:8], wantMagic)
+		if string(first[:8]) != marshalMagic {
+			t.Fatalf("magic %q, want %q", first[:8], marshalMagic)
 		}
 
 		restored := New(DefaultConfig())
@@ -257,7 +254,7 @@ func TestMarshalRoundTripBitIdentical(t *testing.T) {
 // fields and payload — the shape an attacker controls on disk.
 func legacyHeader(k int64, p float64, dim, n, groups int64, payload []byte) []byte {
 	var buf bytes.Buffer
-	buf.WriteString(marshalMagic)
+	buf.WriteString(marshalMagicV2)
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
 	w(k)
 	w(p)
@@ -313,15 +310,8 @@ func TestUnmarshalRejectsAdversarialHeaders(t *testing.T) {
 // TestUnmarshalRejectsCountMismatch: counts summing to something other
 // than the header's n is structural corruption, not a valid model.
 func TestUnmarshalRejectsCountMismatch(t *testing.T) {
-	x, y := trainSet(20, 4, 5)
-	c := New(Config{K: 3, P: 2})
-	if err := c.Train(x, y); err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The legacy layout has no checksum in front of the structural check.
+	b := legacyFixture(t)
 	// Bump the last count (a little-endian int32 at the tail).
 	b[len(b)-4]++
 	if err := New(DefaultConfig()).UnmarshalBinary(b); !errors.Is(err, ErrCorruptModel) {

@@ -239,7 +239,7 @@ type neighbor struct {
 // group holds at least one point, the k nearest points are contained in
 // the k nearest groups, so a bounded top-k over groups suffices. With an
 // index built, the group scan is replaced by an IVF search (approximate:
-// the recall gate in mcbound-bench bounds the neighbor-set difference).
+// TestRecallGateAtScale bounds the neighbor-set difference).
 func (c *Classifier) predictOne(q []float32, top []neighbor) job.Label {
 	k := c.cfg.K
 	if k > c.n {
@@ -432,8 +432,8 @@ func parallelFor(n int, f func(i int)) {
 }
 
 const (
-	marshalMagic   = "MCBKNN02" // brute-force model: header + matrix + counts
-	marshalMagicV3 = "MCBKNN03" // indexed model: crc32 + V2 payload + index section
+	marshalMagicV2 = "MCBKNN02" // legacy, read only: header + matrix + counts, no checksum
+	marshalMagic   = "MCBKNN03" // crc32 + header + matrix + counts [+ index section]
 )
 
 // ErrCorruptModel is wrapped by UnmarshalBinary on every reject path —
@@ -456,10 +456,9 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // MarshalBinary serializes the trained model (encoding.BinaryMarshaler),
-// playing the role of the paper's skops model files. Brute-force models
-// keep the MCBKNN02 layout byte-for-byte; indexed models use MCBKNN03,
-// which prefixes a crc32 over everything after the checksum field and
-// appends the IVF section after the counts.
+// playing the role of the paper's skops model files. The MCBKNN03
+// layout prefixes a crc32 over everything after the checksum field;
+// indexed models append the IVF section after the counts.
 func (c *Classifier) MarshalBinary() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -477,32 +476,31 @@ func (c *Classifier) MarshalBinary() ([]byte, error) {
 	}
 	w(flat)
 
-	var out bytes.Buffer
-	if c.index == nil {
-		out.WriteString(marshalMagic)
-		out.Write(payload.Bytes())
-		return out.Bytes(), nil
+	if c.index != nil {
+		c.index.AppendBinary(&payload)
 	}
-	c.index.AppendBinary(&payload)
-	out.WriteString(marshalMagicV3)
+	var out bytes.Buffer
+	out.WriteString(marshalMagic)
 	binary.Write(&out, binary.LittleEndian, crc32.Checksum(payload.Bytes(), crcTable))
 	out.Write(payload.Bytes())
 	return out.Bytes(), nil
 }
 
-// UnmarshalBinary restores a model serialized by MarshalBinary, either
-// format. Every reject path returns an error wrapping ErrCorruptModel;
-// adversarial input must never panic or allocate unboundedly.
+// UnmarshalBinary restores a model serialized by MarshalBinary, or an
+// un-indexed MCBKNN02 model an earlier release wrote. Every reject path
+// returns an error wrapping ErrCorruptModel; adversarial input must
+// never panic or allocate unboundedly.
 func (c *Classifier) UnmarshalBinary(b []byte) error {
 	if len(b) < len(marshalMagic) {
 		return fmt.Errorf("%w: short header", ErrCorruptModel)
 	}
-	indexed := false
+	legacy := false
 	switch string(b[:len(marshalMagic)]) {
+	case marshalMagicV2:
+		b = b[len(marshalMagicV2):]
+		legacy = true
 	case marshalMagic:
-		b = b[len(marshalMagic):]
-	case marshalMagicV3:
-		rest := b[len(marshalMagicV3):]
+		rest := b[len(marshalMagic):]
 		if len(rest) < 4 {
 			return fmt.Errorf("%w: missing checksum", ErrCorruptModel)
 		}
@@ -511,7 +509,6 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 		if crc32.Checksum(b, crcTable) != want {
 			return fmt.Errorf("%w: checksum mismatch", ErrCorruptModel)
 		}
-		indexed = true
 	default:
 		return fmt.Errorf("%w: bad magic", ErrCorruptModel)
 	}
@@ -536,8 +533,6 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 		return fmt.Errorf("%w: groups = %d", ErrCorruptModel, groups)
 	case n < groups || n > maxN:
 		return fmt.Errorf("%w: n = %d for %d groups", ErrCorruptModel, n, groups)
-	case indexed && groups == 0:
-		return fmt.Errorf("%w: indexed model without groups", ErrCorruptModel)
 	}
 	// All factors are individually capped above, so this fits in int64.
 	if need := groups*dim*4 + groups*8; need > int64(buf.Len()) {
@@ -565,8 +560,9 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 		return fmt.Errorf("%w: counts sum to %d, header says %d", ErrCorruptModel, total, n)
 	}
 
+	// Whatever follows the counts is the index section.
 	var index *ivf.Index
-	if indexed {
+	if !legacy && buf.Len() != 0 {
 		var err error
 		if index, err = ivf.Load(buf, data, int(dim)); err != nil {
 			return fmt.Errorf("%w: %w", ErrCorruptModel, err)

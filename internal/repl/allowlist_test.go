@@ -20,18 +20,21 @@ func TestClientRefusesRedirectOutsideMembership(t *testing.T) {
 	evil := serve421(t, func() string { return "" }) // stands in for an attacker's box
 	follower := serve421(t, func() string { return evil.URL })
 
-	members := []cluster.Member{
+	members, err := cluster.New("n1", []cluster.Member{
 		{ID: "n1", URL: follower.URL},
 		{ID: "n2", URL: leader.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cl := repl.NewClient(repl.ClientConfig{
 		BaseURL: follower.URL,
 		Seed:    3,
-		Allowed: func(base string) bool { return cluster.MembersContainURL(members, base) },
+		Allowed: members.ContainsURL,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, err := cl.Manifest(ctx)
+	_, err = cl.Manifest(ctx)
 	if !errors.Is(err, repl.ErrRedirectDenied) {
 		t.Fatalf("redirect to non-member: %v, want ErrRedirectDenied", err)
 	}
@@ -49,14 +52,17 @@ func TestClientRefusesRedirectOutsideMembership(t *testing.T) {
 func TestClientFollowsRedirectWithinMembership(t *testing.T) {
 	d, leader := newLeaderServer(t, 3)
 	follower := serve421(t, func() string { return leader.URL })
-	members := []cluster.Member{
+	members, err := cluster.New("n1", []cluster.Member{
 		{ID: "n1", URL: follower.URL},
 		{ID: "n2", URL: leader.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cl := repl.NewClient(repl.ClientConfig{
 		BaseURL: follower.URL,
 		Seed:    3,
-		Allowed: func(base string) bool { return cluster.MembersContainURL(members, base) },
+		Allowed: members.ContainsURL,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
