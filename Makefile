@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check bench bench-all
+.PHONY: all build test race vet fmt fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check bench bench-record bench-gate bench-all
 
 all: check
 
@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzWALFrame$$ -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run=^$$ -fuzz=^FuzzCursor$$ -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run=^$$ -fuzz=^FuzzIndexModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/knn
+	$(GO) test -run=^$$ -fuzz=^FuzzForestModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
 
 # Replication chaos suite: a crashfs-backed leader is killed at seeded
 # byte offsets mid-group-commit, mid-compaction and mid-retrain; the
@@ -112,6 +113,23 @@ bench:
 	bash benchmark/run.sh --workload qsub_knn_s30 --seed 1 --seconds 25 --trace 0
 	bash benchmark/run.sh --workload qsub_rf_routed_s30 --seed 1 --seconds 25 --trace 0
 	bash benchmark/run.sh --workload window_rf_s30 --seed 1 --seconds 25 --trace 0
+
+# The regression gate in two steps, on the harness's own flags: record
+# the three contract workloads of a checkout into a JSON-lines file
+# (appended, environment-stamped), then compare two such files — exit 1
+# when an end-to-end metric of HEAD is worse than BASE beyond its bound.
+#   make bench-record OUT=/tmp/base.jsonl   (on the base checkout)
+#   make bench-record OUT=/tmp/head.jsonl   (on the change)
+#   make bench-gate BASE=/tmp/base.jsonl HEAD=/tmp/head.jsonl
+bench-record:
+	@test -n "$(OUT)" || { echo "usage: make bench-record OUT=<file>"; exit 2; }
+	bash benchmark/run.sh --workload qsub_knn_s30 --seed 1 --seconds 25 --trace 0 -out $(OUT)
+	bash benchmark/run.sh --workload qsub_rf_routed_s30 --seed 1 --seconds 25 --trace 0 -out $(OUT)
+	bash benchmark/run.sh --workload window_rf_s30 --seed 1 --seconds 25 --trace 0 -out $(OUT)
+
+bench-gate:
+	@test -n "$(BASE)" -a -n "$(HEAD)" || { echo "usage: make bench-gate BASE=<file> HEAD=<file>"; exit 2; }
+	bash benchmark/run.sh -compare $(BASE) $(HEAD)
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

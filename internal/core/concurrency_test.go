@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/encode"
 	"mcbound/internal/job"
 	"mcbound/internal/ml"
 	"mcbound/internal/ml/knn"
+	"mcbound/internal/stats"
 )
 
 // raceModel is a Classifier instrumented to detect hot-swap invariant
@@ -452,8 +455,8 @@ func TestTrainSingleFlightCoalesces(t *testing.T) {
 }
 
 // TestClassifyBatchParallelMatchesSerial pins order preservation: the
-// fanned-out batch must produce exactly the per-job predictions of the
-// serial path, row for row.
+// deduplicated, fanned-out batch must produce exactly the per-job
+// predictions of single-job calls, row for row.
 func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 	st := seedStore(t)
 	fw := newFramework(t, DefaultConfig(), st)
@@ -462,9 +465,6 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := st.All()
-	if len(all) < 2*minPredictChunk {
-		t.Fatalf("store too small to force the parallel path: %d jobs", len(all))
-	}
 	batch, err := fw.ClassifyJobs(ctx, all)
 	if err != nil {
 		t.Fatal(err)
@@ -481,8 +481,75 @@ func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchCanceledContext asserts the worker pool honours
-// cancellation before fanning out.
+// dupHeavyBatch interleaves runs of jobs that share a feature string
+// under different IDs (the trace's batch submissions) with jobs no other
+// row equals, so a batch exercises first-seen, repeated and unique rows
+// in every order.
+func dupHeavyBatch(n int) []*job.Job {
+	rng := stats.NewRNG(11)
+	apps := []string{"membound_app", "compbound_app", "membound_app2", "solver", "compbound"}
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		j := &job.Job{
+			ID:             fmt.Sprintf("d%05d", i),
+			User:           fmt.Sprintf("u%04d", rng.Intn(3)),
+			Name:           apps[rng.Intn(len(apps))],
+			Environment:    "gcc/12.2",
+			CoresRequested: 48 * (1 + rng.Intn(2)),
+			NodesRequested: 1,
+			FreqRequested:  job.FreqNormal,
+		}
+		if rng.Intn(3) == 0 {
+			j.Name = fmt.Sprintf("%s_run%d", j.Name, i) // unique row
+		}
+		jobs[i] = j
+	}
+	return jobs
+}
+
+// TestClassifyBatchDedupeMatchesSingles is the differential test of the
+// distinct pass: classifying a duplicate-heavy batch must equal
+// classifying each of its jobs alone — ID, label and model version, row
+// for row — for both models and whatever the embedding cache holds
+// (default, disabled, and small enough to evict in the middle of the
+// batch).
+func TestClassifyBatchDedupeMatchesSingles(t *testing.T) {
+	batch := dupHeavyBatch(700)
+	ctx := context.Background()
+	for _, kind := range []ModelKind{ModelKNN, ModelRF} {
+		for _, capacity := range []int{encode.DefaultCacheCapacity, 0, 32} {
+			t.Run(fmt.Sprintf("%s/cache=%d", kind, capacity), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Model = kind
+				cfg.ModelDir = t.TempDir() // a non-zero ModelVersion to compare
+				fw := newFramework(t, cfg, seedStore(t))
+				fw.Encoder().SetCacheCapacity(capacity)
+				if _, err := fw.Train(ctx, time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := fw.ClassifyJobs(ctx, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(batch) {
+					t.Fatalf("%d predictions for %d jobs", len(got), len(batch))
+				}
+				for i, j := range batch {
+					single, err := fw.ClassifyJobs(ctx, []*job.Job{j})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != single[0] || got[i].JobID != j.ID || got[i].ModelVersion == 0 {
+						t.Fatalf("row %d: batch %+v vs single %+v", i, got[i], single[0])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestClassifyBatchCanceledContext asserts a batch classify honours
+// cancellation before doing the model's work.
 func TestClassifyBatchCanceledContext(t *testing.T) {
 	st := seedStore(t)
 	fw := newFramework(t, DefaultConfig(), st)

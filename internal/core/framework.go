@@ -520,10 +520,13 @@ func (f *Framework) ModelInfo() (name string, version int, trainedAt time.Time) 
 }
 
 // ClassifyJobs runs the Inference Workflow on explicit job records
-// (e.g. just-submitted jobs pushed by the scheduler hook). The batch is
-// encoded and predicted across a GOMAXPROCS-sized worker pool; result
-// order matches input order, and every prediction in the batch comes
-// from the same model snapshot.
+// (e.g. just-submitted jobs pushed by the scheduler hook). The model's
+// work is done once per distinct submission: jobs with equal feature
+// strings are encoded and predicted as one row and the label is
+// scattered back, so result order matches input order. The encoder and
+// the model each split their rows across the cores themselves; the
+// context is checked before each of the two. Every prediction in the
+// batch comes from the same model snapshot.
 func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Prediction, error) {
 	st := f.state.Load()
 	if !st.trained && st.fallback == nil {
@@ -549,14 +552,19 @@ func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Predic
 		}
 		return out, nil
 	}
-	labels, err := predictBatch(ctx, st.model, f.encoder.Encode(jobs))
+	vecs, rows := f.encoder.EncodeDistinct(jobs)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	labels, err := st.model.Predict(vecs)
 	if err != nil {
 		return nil, fmt.Errorf("core: predict: %w", err)
 	}
 	out := make([]Prediction, len(jobs))
 	for i, j := range jobs {
+		l := labels[rows[i]]
 		out[i] = Prediction{
-			JobID: j.ID, Label: labels[i], Class: labels[i].String(),
+			JobID: j.ID, Label: l, Class: l.String(),
 			ModelVersion: st.version,
 		}
 	}

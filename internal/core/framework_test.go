@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -178,6 +180,40 @@ func TestPersistenceAndLoadLatest(t *testing.T) {
 	}
 	if pred.Label != job.MemoryBound {
 		t.Errorf("restored model classified %v", pred.Label)
+	}
+}
+
+// TestLoadLatestRestoresParentModelDir: a model directory written before
+// the forest went flat (testdata, MCBRF001 as PR 12 wrote it) is
+// restored by LoadLatest and predicts what the writing commit recorded.
+func TestLoadLatestRestoresParentModelDir(t *testing.T) {
+	var golden struct {
+		ModelVersion int          `json:"model_version"`
+		Predictions  []Prediction `json:"predictions"`
+	}
+	doc, err := os.ReadFile("testdata/parent_pr12_modeldir.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc, &golden); err != nil || len(golden.Predictions) == 0 {
+		t.Fatalf("golden: %d predictions, %v", len(golden.Predictions), err)
+	}
+	cfg := DefaultConfig()
+	cfg.ModelDir = "testdata/parent_pr12_modeldir" // LoadLatest only reads it
+	fw := newFramework(t, cfg, seedStore(t))
+	rep, err := fw.LoadLatest()
+	if err != nil || rep.Version != golden.ModelVersion || len(rep.Quarantined) != 0 {
+		t.Fatalf("LoadLatest = %+v, %v; want version %d, nothing quarantined", rep, err, golden.ModelVersion)
+	}
+	for _, want := range golden.Predictions {
+		got, err := fw.ClassifyByID(context.Background(), want.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Class != want.Class || got.ModelVersion != want.ModelVersion {
+			t.Errorf("job %s: restored model says %s v%d, parent recorded %s v%d",
+				want.JobID, got.Class, got.ModelVersion, want.Class, want.ModelVersion)
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // Serving-path benchmarks for the non-blocking inference stack: batch
-// classification across the worker pool, the sharded embedding cache
-// hot/cold split, and a full Training Workflow pass. benchmark/ reports
+// classification (distinct pass, one fan-out inside the model), the
+// sharded embedding cache hot/cold split, and a full Training Workflow
+// pass. benchmark/ reports
 // the same layers standalone as its core.* per-layer metrics.
 
 // benchBatch builds n submitted-but-unexecuted jobs spread over a fixed
@@ -48,10 +49,11 @@ func benchServingFramework(b *testing.B) *Framework {
 	return fw
 }
 
-// BenchmarkClassifyBatch measures a 1000-job ClassifyJobs call. The
-// workers-1 variant pins GOMAXPROCS to 1 (the serial fallback path);
+// BenchmarkClassifyBatch measures a 1000-job ClassifyJobs call over 850
+// distinct feature strings. The workers-1 variant pins GOMAXPROCS to 1
+// (every kernel runs its one chunk on the caller's goroutine);
 // workers-max uses every core, so the ratio between the two is the
-// worker-pool speedup on this machine.
+// fan-out speedup on this machine.
 func BenchmarkClassifyBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

@@ -1,10 +1,8 @@
 package encode
 
 import (
-	"runtime"
-	"sync"
-
 	"mcbound/internal/job"
+	"mcbound/internal/linalg"
 )
 
 // Encoder is the MCBound Feature Encoder component: it filters the job
@@ -49,7 +47,10 @@ func (e *Encoder) Dim() int { return e.embedder.Dim() }
 // identical feature string was seen before. The returned slice is shared
 // with the cache and must not be mutated.
 func (e *Encoder) EncodeJob(j *job.Job) []float32 {
-	key := FeatureString(j, e.features)
+	return e.encodeKey(FeatureString(j, e.features))
+}
+
+func (e *Encoder) encodeKey(key string) []float32 {
 	if v, ok := e.cache.get(key); ok {
 		return v
 	}
@@ -60,43 +61,50 @@ func (e *Encoder) EncodeJob(j *job.Job) []float32 {
 	return v
 }
 
-// Encode embeds a batch of jobs, splitting the work across all cores.
-// Result row i corresponds to jobs[i].
-func (e *Encoder) Encode(jobs []*job.Job) [][]float32 {
-	out := make([][]float32, len(jobs))
-	if len(jobs) == 0 {
-		return out
+// EncodeDistinct embeds a batch once per distinct feature string — the
+// trace's defining structure is batch submission of identical jobs, so
+// a window of submissions holds far fewer strings than jobs. It returns
+// the distinct vectors in order of first appearance and, for every job,
+// the index of its vector: jobs[i] encodes to vecs[rows[i]]. Keying is
+// one serial pass; the cache lookups and embeddings of the distinct
+// strings are split across all cores.
+func (e *Encoder) EncodeDistinct(jobs []*job.Job) (vecs [][]float32, rows []int) {
+	rows = make([]int, len(jobs))
+	keys := make([]string, 0, len(jobs))
+	var seen map[string]int
+	if len(jobs) > 1 { // a lone job has nothing to collide with
+		seen = make(map[string]int, len(jobs))
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, j := range jobs {
-			out[i] = e.EncodeJob(j)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(jobs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = e.EncodeJob(jobs[i])
+	var buf [featureStringHint]byte
+	for i, j := range jobs {
+		b := appendFeatureString(buf[:0], j, e.features)
+		d, ok := seen[string(b)]
+		if !ok {
+			d = len(keys)
+			keys = append(keys, string(b))
+			if seen != nil {
+				seen[keys[d]] = d
 			}
-		}(lo, hi)
+		}
+		rows[i] = d
 	}
-	wg.Wait()
+	out := make([][]float32, len(keys))
+	linalg.ParallelFor(len(keys), func(lo, hi int) {
+		for d := lo; d < hi; d++ {
+			out[d] = e.encodeKey(keys[d])
+		}
+	})
+	return out, rows
+}
+
+// Encode embeds a batch of jobs; result row i corresponds to jobs[i].
+// Jobs with equal feature strings share one vector.
+func (e *Encoder) Encode(jobs []*job.Job) [][]float32 {
+	vecs, rows := e.EncodeDistinct(jobs)
+	out := make([][]float32, len(jobs))
+	for i, d := range rows {
+		out[i] = vecs[d]
+	}
 	return out
 }
 

@@ -34,6 +34,103 @@ func TestFeatureString(t *testing.T) {
 	}
 }
 
+// TestFeatureStringMatchesSprintfRendering pins the feature string byte
+// for byte against the fmt.Sprintf rendering it had before the ints went
+// through strconv: it keys the embedding cache and feeds the embedder,
+// so one differing byte would silently change every prediction.
+func TestFeatureStringMatchesSprintfRendering(t *testing.T) {
+	sprintf := func(j *job.Job, feats []Feature) string {
+		out := ""
+		for i, f := range feats {
+			if i > 0 {
+				out += ","
+			}
+			switch f {
+			case FeatUser:
+				out += j.User
+			case FeatJobName:
+				out += j.Name
+			case FeatCoresRequested:
+				out += fmt.Sprintf("%d", j.CoresRequested)
+			case FeatNodesRequested:
+				out += fmt.Sprintf("%d", j.NodesRequested)
+			case FeatEnvironment:
+				out += j.Environment
+			case FeatFrequency:
+				out += fmt.Sprintf("%dMHz", int(j.FreqRequested))
+			}
+		}
+		return out
+	}
+	long := make([]byte, 3*featureStringHint)
+	for i := range long {
+		long[i] = 'a' + byte(i%26)
+	}
+	jobs := []*job.Job{
+		testJob(0),
+		{}, // every int 0, every string empty
+		{User: "u", Name: "n", Environment: "e", CoresRequested: -48, NodesRequested: -1, FreqRequested: -2000},
+		{User: "a,b", Name: "späce name", CoresRequested: 1 << 40, NodesRequested: 158976, FreqRequested: job.FreqBoost},
+		{User: string(long), Name: string(long), Environment: string(long), CoresRequested: 7}, // spills the stack buffer
+	}
+	featureSets := [][]Feature{
+		DefaultFeatures(), BaselineFeatures(), {}, {FeatFrequency}, {FeatNodesRequested, FeatNodesRequested},
+		{FeatUser, Feature(99), FeatCoresRequested}, // unknown features render empty
+	}
+	for ji, j := range jobs {
+		for fi, feats := range featureSets {
+			want := sprintf(j, feats)
+			if got := FeatureString(j, feats); got != want {
+				t.Errorf("job %d, feature set %d: FeatureString = %q, Sprintf rendering %q", ji, fi, got, want)
+			}
+		}
+	}
+}
+
+// TestEncodeDistinct: one vector per distinct feature string, in order
+// of first appearance, and a row index that maps every job — whatever
+// its ID — to the vector EncodeJob gives it; with the cache on, off, and
+// too small to hold the batch.
+func TestEncodeDistinct(t *testing.T) {
+	jobs := make([]*job.Job, 300)
+	for i := range jobs {
+		jobs[i] = testJob((i * 7) % 40)       // 40 distinct strings, interleaved
+		jobs[i].ID = fmt.Sprintf("id%03d", i) // each under its own ID
+	}
+	for _, capacity := range []int{DefaultCacheCapacity, 0, 16} {
+		e := NewEncoder(nil, nil)
+		e.SetCacheCapacity(capacity)
+		vecs, rows := e.EncodeDistinct(jobs)
+		if len(rows) != len(jobs) {
+			t.Fatalf("capacity %d: %d rows for %d jobs", capacity, len(rows), len(jobs))
+		}
+		seen := map[string]int{}
+		for i, j := range jobs {
+			key := FeatureString(j, e.Features())
+			d, ok := seen[key]
+			if !ok {
+				d = len(seen)
+				seen[key] = d
+			}
+			if rows[i] != d {
+				t.Fatalf("capacity %d: job %d maps to vector %d, want %d (first appearance order)", capacity, i, rows[i], d)
+			}
+			want := e.EncodeJob(j)
+			for k := range want {
+				if vecs[d][k] != want[k] {
+					t.Fatalf("capacity %d: job %d: vector differs from EncodeJob at %d", capacity, i, k)
+				}
+			}
+		}
+		if len(vecs) != len(seen) {
+			t.Fatalf("capacity %d: %d vectors for %d distinct strings", capacity, len(vecs), len(seen))
+		}
+	}
+	if vecs, rows := NewEncoder(nil, nil).EncodeDistinct(nil); len(vecs) != 0 || len(rows) != 0 {
+		t.Errorf("empty batch: %d vectors, %d rows", len(vecs), len(rows))
+	}
+}
+
 func TestFeatureValueCoversAll(t *testing.T) {
 	j := testJob(3)
 	for f := Feature(0); f < numFeatures; f++ {

@@ -12,7 +12,7 @@ package encode
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"mcbound/internal/job"
 )
@@ -98,35 +98,50 @@ func BaselineFeatures() []Feature {
 	return []Feature{FeatJobName, FeatCoresRequested}
 }
 
-// FeatureValue renders one feature of a job as a string.
-func FeatureValue(j *job.Job, f Feature) string {
+// appendFeatureValue renders one feature of a job onto dst.
+func appendFeatureValue(dst []byte, j *job.Job, f Feature) []byte {
 	switch f {
 	case FeatUser:
-		return j.User
+		return append(dst, j.User...)
 	case FeatJobName:
-		return j.Name
+		return append(dst, j.Name...)
 	case FeatCoresRequested:
-		return fmt.Sprintf("%d", j.CoresRequested)
+		return strconv.AppendInt(dst, int64(j.CoresRequested), 10)
 	case FeatNodesRequested:
-		return fmt.Sprintf("%d", j.NodesRequested)
+		return strconv.AppendInt(dst, int64(j.NodesRequested), 10)
 	case FeatEnvironment:
-		return j.Environment
+		return append(dst, j.Environment...)
 	case FeatFrequency:
-		return fmt.Sprintf("%dMHz", int(j.FreqRequested))
+		return append(strconv.AppendInt(dst, int64(j.FreqRequested), 10), "MHz"...)
 	default:
-		return ""
+		return dst
 	}
+}
+
+// appendFeatureString renders the comma-separated feature string of j
+// onto dst.
+func appendFeatureString(dst []byte, j *job.Job, feats []Feature) []byte {
+	for i, f := range feats {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFeatureValue(dst, j, f)
+	}
+	return dst
+}
+
+// FeatureValue renders one feature of a job as a string.
+func FeatureValue(j *job.Job, f Feature) string {
+	return string(appendFeatureValue(nil, j, f))
 }
 
 // FeatureString concatenates the selected feature values into the
 // comma-separated representation the embedder consumes (paper §III-B).
 func FeatureString(j *job.Job, feats []Feature) string {
-	var b strings.Builder
-	for i, f := range feats {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(FeatureValue(j, f))
-	}
-	return b.String()
+	var buf [featureStringHint]byte
+	return string(appendFeatureString(buf[:0], j, feats))
 }
+
+// featureStringHint sizes the stack buffers feature strings are rendered
+// in; a longer string just spills to the heap.
+const featureStringHint = 128

@@ -51,37 +51,41 @@ func newPredHub(ringCap int) *predHub {
 	return &predHub{ring: make([]hubEvent, ringCap), subs: make(map[*hubSub]struct{})}
 }
 
-// publish assigns the next event ID and delivers to every subscriber.
-// data must not be mutated afterwards. Eviction is O(1): a full ring
-// overwrites its oldest slot and advances head, so the classify hot
-// path never shifts the buffer under the hub mutex.
-func (h *predHub) publish(data []byte) {
+// publish assigns the next event IDs to batch, in order, and delivers
+// them to every subscriber under one acquisition of the hub mutex, so a
+// batch's IDs are consecutive whatever else publishes concurrently. The
+// data slices must not be mutated afterwards. Eviction is O(1): a full
+// ring overwrites its oldest slot and advances head, so the classify
+// hot path never shifts the buffer under the hub mutex.
+func (h *predHub) publish(batch ...[]byte) {
 	h.mu.Lock()
-	h.seq++
-	ev := hubEvent{id: h.seq, data: data}
-	if h.n == len(h.ring) {
-		h.ring[h.head] = ev
-		h.head = (h.head + 1) % len(h.ring)
-	} else {
-		h.ring[(h.head+h.n)%len(h.ring)] = ev
-		h.n++
-	}
-	for s := range h.subs {
-		if s.closed {
-			continue
+	for _, data := range batch {
+		h.seq++
+		ev := hubEvent{id: h.seq, data: data}
+		if h.n == len(h.ring) {
+			h.ring[h.head] = ev
+			h.head = (h.head + 1) % len(h.ring)
+		} else {
+			h.ring[(h.head+h.n)%len(h.ring)] = ev
+			h.n++
 		}
-		select {
-		case s.ch <- ev:
-		default:
-			// Consumer stalled: cut it loose rather than buffer.
-			s.closed = true
-			close(s.ch)
-			delete(h.subs, s)
-			h.dropped.Add(1)
+		for s := range h.subs {
+			if s.closed {
+				continue
+			}
+			select {
+			case s.ch <- ev:
+			default:
+				// Consumer stalled: cut it loose rather than buffer.
+				s.closed = true
+				close(s.ch)
+				delete(h.subs, s)
+				h.dropped.Add(1)
+			}
 		}
 	}
 	h.mu.Unlock()
-	h.published.Add(1)
+	h.published.Add(int64(len(batch)))
 }
 
 // subscribe registers a consumer resuming after event ID afterID

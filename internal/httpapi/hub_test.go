@@ -3,6 +3,7 @@ package httpapi
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -95,4 +96,65 @@ func TestHubRingWrap(t *testing.T) {
 		}
 	}
 	h.unsubscribe(s)
+}
+
+// TestHubPublishBatchIsOneCriticalSection: a batch is published under a
+// single acquisition of the hub mutex, so its event IDs are consecutive
+// and in input order however many other publishers race it, and a
+// subscriber resuming from an ID in the middle of a batch replays
+// exactly the rest.
+func TestHubPublishBatchIsOneCriticalSection(t *testing.T) {
+	const publishers, batches, size = 4, 50, 20
+	h := newPredHub(publishers * batches * size)
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				batch := make([][]byte, size)
+				for i := range batch {
+					batch[i] = []byte(fmt.Sprintf("%d/%d/%d", p, b, i))
+				}
+				h.publish(batch...)
+			}
+		}(p)
+	}
+	wg.Wait()
+	if got := h.published.Load(); got != publishers*batches*size {
+		t.Fatalf("published %d events, want %d", got, publishers*batches*size)
+	}
+
+	const mid = size/2 + 3*size // an ID inside the fourth batch
+	s := h.subscribe(mid, 1)
+	defer h.unsubscribe(s)
+	if s.gap {
+		t.Fatal("resume inside a retained batch reported a gap")
+	}
+	if got, want := len(s.ch), publishers*batches*size-mid; got != want {
+		t.Fatalf("replayed %d events after id %d, want %d", got, mid, want)
+	}
+	// Walk the whole ring: IDs are dense, and every run of `size` events
+	// starting at a batch boundary is one publisher's batch in order.
+	h.mu.Lock()
+	events := append([]hubEvent(nil), h.ring[:h.n]...) // never wrapped: head is 0
+	h.mu.Unlock()
+	for k, ev := range events {
+		if ev.id != uint64(k+1) {
+			t.Fatalf("event %d has id %d", k, ev.id)
+		}
+		var p, b, i int
+		if _, err := fmt.Sscanf(string(ev.data), "%d/%d/%d", &p, &b, &i); err != nil {
+			t.Fatal(err)
+		}
+		if i != k%size {
+			t.Fatalf("event id %d is element %d of batch %d/%d: batches interleaved", ev.id, i, p, b)
+		}
+		if i > 0 && string(events[k-1].data) != fmt.Sprintf("%d/%d/%d", p, b, i-1) {
+			t.Fatalf("event id %d (%s) follows %s", ev.id, ev.data, events[k-1].data)
+		}
+	}
+	if ev := <-s.ch; ev.id != mid+1 {
+		t.Fatalf("first replayed id %d, want %d", ev.id, mid+1)
+	}
 }

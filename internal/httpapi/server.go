@@ -45,12 +45,15 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"time"
 
@@ -338,6 +341,21 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// writeRawJSON writes a value that is already marshaled, byte for byte
+// what writeJSON would send for it (json.Encoder ends a value with a
+// newline). It does not modify encoded.
+func (s *Server) writeRawJSON(w http.ResponseWriter, status int, encoded []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, err := w.Write(encoded)
+	if err == nil {
+		_, err = io.WriteString(w, "\n")
+	}
+	if err != nil {
+		s.log.Printf("httpapi: write response: %v", err)
+	}
+}
+
 // writeError maps err through errToStatus and emits the error envelope.
 // Breaker and admission rejections carry their cooldown as a
 // Retry-After header so well-behaved clients back off instead of
@@ -535,8 +553,12 @@ func (s *Server) handleClassifyByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeClassify(1, time.Since(t0))
-	s.publishPredictions([]core.Prediction{pred})
-	s.writeJSON(w, http.StatusOK, pred)
+	enc, err := s.publishPredictions([]core.Prediction{pred})
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	s.writeRawJSON(w, http.StatusOK, enc[0])
 }
 
 func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
@@ -552,8 +574,12 @@ func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeClassify(len(preds), time.Since(t0))
-	s.publishPredictions(preds)
-	s.writeJSON(w, http.StatusOK, preds)
+	enc, err := s.publishPredictions(preds)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	s.writeRawJSON(w, http.StatusOK, slices.Concat([]byte{'['}, bytes.Join(enc, []byte{','}), []byte{']'}))
 }
 
 // handleClassifyRange serves one cursor page of GET /v1/classify: the

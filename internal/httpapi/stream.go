@@ -309,16 +309,18 @@ func parseLastEventID(r *http.Request) (uint64, error) {
 	return id, nil
 }
 
-// publishPredictions pushes a batch of classification results to the
-// SSE hub. Marshaling happens once per prediction, outside any
-// subscriber lock contention.
-func (s *Server) publishPredictions(preds []core.Prediction) {
+// publishPredictions marshals every prediction exactly once, pushes the
+// batch to the SSE hub under one hub lock and returns the encodings, so
+// the response body is spliced from the same bytes the subscribers get.
+func (s *Server) publishPredictions(preds []core.Prediction) ([][]byte, error) {
+	enc := make([][]byte, len(preds))
 	for i := range preds {
 		data, err := json.Marshal(&preds[i])
 		if err != nil {
-			s.log.Printf("httpapi: marshal prediction: %v", err)
-			continue
+			return nil, fmt.Errorf("httpapi: marshal prediction %d: %w", i, err)
 		}
-		s.hub.publish(data)
+		enc[i] = data
 	}
+	s.hub.publish(enc...)
+	return enc, nil
 }

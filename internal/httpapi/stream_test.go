@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mcbound/internal/core"
 	"mcbound/internal/job"
 	"mcbound/internal/store"
 )
@@ -373,5 +376,64 @@ func TestPredictionStreamBadResumeID(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad resume id: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClassifyBatchMarshalsOncePublishesOnce: a POSTed batch answers
+// with exactly the bytes json.Encoder writes for its predictions, the
+// prediction stream carries the same element bytes under consecutive
+// event IDs in input order, and a subscriber resuming from an ID in the
+// middle of the batch gets an exact replay of the rest.
+func TestClassifyBatchMarshalsOncePublishesOnce(t *testing.T) {
+	const n = 40
+	st := seedStore(t)
+	api := newAPI(t, st, nil, true, Options{SSEBufferSize: 2 * n})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	classifySome(t, srv.URL, 0, 2) // the batch does not start at event 1
+
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		jobs[i] = &job.Job{
+			ID: fmt.Sprintf("b<%02d>", i), User: "u0001", Name: []string{"memapp", "cpuapp"}[i%2],
+			Environment: "gcc/12.2", CoresRequested: 48, NodesRequested: 1, FreqRequested: job.FreqBoost,
+		}
+	}
+	payload, _ := json.Marshal(jobs)
+	resp, err := http.Post(srv.URL+"/v1/classify", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+	}
+	var preds []core.Prediction
+	if err := json.Unmarshal(body, &preds); err != nil || len(preds) != n {
+		t.Fatalf("decoded %d predictions: %v", len(preds), err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(preds); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("body is not json.Encoder's encoding:\n got %q\nwant %q", body, want.Bytes())
+	}
+	if got := api.hub.published.Load(); got != 2+n {
+		t.Fatalf("published %d events, want %d", got, 2+n)
+	}
+
+	const resumeAt = 2 + n/2 // an ID inside the batch
+	events := readSSE(t, srv.URL, strconv.Itoa(resumeAt), 2+n-resumeAt)
+	for k, ev := range events {
+		row := resumeAt - 2 + k // batch row of event resumeAt+1+k
+		if ev.id != strconv.Itoa(resumeAt+1+k) {
+			t.Fatalf("replayed event %d has id %s, want %d", k, ev.id, resumeAt+1+k)
+		}
+		elem, _ := json.Marshal(&preds[row])
+		if ev.data != string(elem) || preds[row].JobID != jobs[row].ID {
+			t.Fatalf("event id %s carries %s, want row %d = %s", ev.id, ev.data, row, elem)
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -276,8 +275,10 @@ func (ix *Index) calibrateNProbe(target float64, seed uint64) int {
 
 	// Exact ground truth per query, parallel across cores.
 	truth := make([][]int32, nq)
-	parallelFor(nq, func(i int) {
-		truth[i] = exactTopK(ix.data, ix.dim, ix.row(int(rows[i])), k)
+	linalg.ParallelFor(nq, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			truth[i] = exactTopK(ix.data, ix.dim, ix.row(int(rows[i])), k)
+		}
 	})
 
 	recallAt := func(np int) float64 {
@@ -436,16 +437,18 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 // out, fanned out across GOMAXPROCS workers.
 func assignRows(data []float32, dim int, rows []int32, cents []float32, out []int32) {
 	k := len(cents) / dim
-	parallelFor(len(rows), func(i int) {
-		row := rowOf(data, dim, int(rows[i]))
-		best, bestD := 0, math.Inf(1)
-		for c := 0; c < k; c++ {
-			d := linalg.SqEuclidean(row, cents[c*dim:(c+1)*dim])
-			if d < bestD {
-				best, bestD = c, d
+	linalg.ParallelFor(len(rows), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := rowOf(data, dim, int(rows[i]))
+			best, bestD := 0, math.Inf(1)
+			for c := 0; c < k; c++ {
+				d := linalg.SqEuclidean(row, cents[c*dim:(c+1)*dim])
+				if d < bestD {
+					best, bestD = c, d
+				}
 			}
+			out[i] = int32(best)
 		}
-		out[i] = int32(best)
 	})
 }
 
@@ -646,39 +649,6 @@ func selectNearestClusters(cdist []float64, nprobe int, dst []int32) []int32 {
 		dst = append(dst, t.c)
 	}
 	return dst
-}
-
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ErrCorruptIndex is wrapped by Load on any malformed index section.

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"sync"
 
 	"mcbound/internal/job"
@@ -222,9 +221,11 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 		}
 	}
 	out := make([]job.Label, len(x))
-	parallelFor(len(x), func(i int) {
+	linalg.ParallelFor(len(x), func(lo, hi int) {
 		top := make([]neighbor, 0, c.cfg.K)
-		out[i] = c.predictOne(x[i], top)
+		for i := lo; i < hi; i++ {
+			out[i] = c.predictOne(x[i], top)
+		}
 	})
 	return out, nil
 }
@@ -396,39 +397,6 @@ func equalVec(a, b []float32) bool {
 		}
 	}
 	return true
-}
-
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 const (

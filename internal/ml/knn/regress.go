@@ -127,8 +127,10 @@ func (r *Regressor) PredictValues(x [][]float32) ([]float64, error) {
 		}
 	}
 	out := make([]float64, len(x))
-	parallelFor(len(x), func(i int) {
-		out[i] = r.predictOne(x[i])
+	linalg.ParallelFor(len(x), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = r.predictOne(x[i])
+		}
 	})
 	return out, nil
 }

@@ -87,21 +87,26 @@ func BenchmarkTrainSize(b *testing.B) {
 	}
 }
 
-// BenchmarkPredict measures per-query inference (Fig. 8's RF series:
-// constant in the training window).
+// BenchmarkPredict measures inference on the fitted forest (Fig. 8's RF
+// series: constant in the training window): batch=1 is the per-qsub
+// call, batch=1000 the periodic window, where the tree-major kernel
+// amortizes each tree over the whole chunk.
 func BenchmarkPredict(b *testing.B) {
 	x, y := benchData(20000, 384, 4)
 	c := New(DefaultConfig())
 	if err := c.Train(x, y); err != nil {
 		b.Fatal(err)
 	}
-	queries, _ := benchData(64, 384, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Predict(queries[:1]); err != nil {
-			b.Fatal(err)
-		}
+	queries, _ := benchData(1000, 384, 5)
+	for _, batch := range []int{1, 1000} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Predict(queries[:batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package rf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"sync"
 
 	"mcbound/internal/job"
+	"mcbound/internal/linalg"
 	"mcbound/internal/ml"
 	"mcbound/internal/stats"
 )
@@ -43,9 +43,14 @@ func DefaultConfig() Config {
 type Classifier struct {
 	cfg Config
 
-	mu    sync.RWMutex
-	dim   int
-	trees []tree
+	mu  sync.RWMutex
+	dim int
+	// The fitted forest is one contiguous array: tree t starts at
+	// nodes[roots[t]] and runs, in preorder (see node), to the next root
+	// or the end; right-child indices are absolute. Predict trusts every
+	// index in it; Train builds it and UnmarshalBinary validates it.
+	nodes []node
+	roots []int32
 }
 
 // New builds an untrained forest. Non-positive config fields fall back to
@@ -77,7 +82,7 @@ func (c *Classifier) Config() Config { return c.cfg }
 func (c *Classifier) NumTrees() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.trees)
+	return len(c.roots)
 }
 
 // Train implements ml.Classifier: it quantizes the data once, then grows
@@ -119,7 +124,7 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	binr := newBinner(xs, cfg.Bins)
 	binned := binr.quantize(xs)
 
-	trees := make([]tree, cfg.NumTrees)
+	trees := make([][]node, cfg.NumTrees)
 	master := stats.NewRNG(cfg.Seed)
 	seeds := make([]uint64, cfg.NumTrees)
 	for i := range seeds {
@@ -152,19 +157,46 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	}
 	wg.Wait()
 
+	total := 0
+	for _, t := range trees {
+		total += len(t)
+	}
+	if total > math.MaxInt32 {
+		return fmt.Errorf("rf: forest of %d nodes exceeds the node index range", total)
+	}
+	nodes := make([]node, 0, total)
+	roots := make([]int32, 0, len(trees))
+	for _, t := range trees {
+		base := int32(len(nodes))
+		roots = append(roots, base)
+		nodes = append(nodes, t...)
+		for i := base; i < int32(len(nodes)); i++ {
+			if nodes[i].feature >= 0 {
+				nodes[i].right += base
+			}
+		}
+	}
+
 	c.mu.Lock()
-	c.dim, c.trees = dim, trees
+	c.dim, c.nodes, c.roots = dim, nodes, roots
 	c.mu.Unlock()
 	return nil
 }
 
+// voteBlock is how many queries walk a tree back to back: the votes of
+// a block live in a fixed array on the worker's stack, so Predict
+// allocates nothing but its result.
+const voteBlock = 1024
+
 // Predict implements ml.Classifier: majority vote across trees, ties
-// resolved to memory-bound (the majority class of the domain),
-// parallelized over queries.
+// resolved to memory-bound (the majority class of the domain). The
+// batch is split once across workers; each walks its chunk tree-outer,
+// query-inner, so one tree's nodes stay in L1 while the queries stream
+// through it.
 func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if len(c.trees) == 0 {
+	if len(c.roots) == 0 {
 		return nil, ml.ErrNotTrained
 	}
 	for i, v := range x {
@@ -173,121 +205,149 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 		}
 	}
 	out := make([]job.Label, len(x))
-	parallelFor(len(x), func(i int) {
-		votes := [numClasses]int{}
-		for t := range c.trees {
-			votes[c.trees[t].predict(x[i])]++
-		}
-		if votes[1] > votes[0] {
-			out[i] = classLabel(1)
-		} else {
-			out[i] = classLabel(0)
+	nodes, roots := c.nodes, c.roots
+	linalg.ParallelFor(len(x), func(lo, hi int) {
+		var votes [voteBlock]int32 // trees voting compute-bound, per query
+		for ; lo < hi; lo += voteBlock {
+			rows := x[lo:min(hi, lo+voteBlock)]
+			clear(votes[:len(rows)])
+			for _, root := range roots {
+				for q, row := range rows {
+					i := root
+					nd := &nodes[i]
+					for nd.feature >= 0 {
+						if row[nd.feature] < nd.threshold {
+							i++
+						} else {
+							i = nd.right
+						}
+						nd = &nodes[i]
+					}
+					votes[q] += ^nd.feature
+				}
+			}
+			for q := range rows {
+				class := 0
+				if 2*int(votes[q]) > len(roots) {
+					class = 1
+				}
+				out[lo+q] = classLabel(class)
+			}
 		}
 	})
 	return out, nil
 }
 
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-const marshalMagic = "MCBRF001"
+// The MCBRF001 wire format: magic, dim and tree count as int64, then per
+// tree a node count (int64) and its nodes as {Feature int32, Threshold
+// float32, Left int32, Right int32, Class int8}, little-endian, child
+// indices relative to the tree, a leaf being Left = Right = -1. The flat
+// array is derived from it on load and rendered back into it on save.
+const (
+	marshalMagic  = "MCBRF001"
+	wireNodeBytes = 17
+)
 
 // MarshalBinary serializes the trained forest.
 func (c *Classifier) MarshalBinary() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.WriteString(marshalMagic)
-	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(int64(c.dim))
-	w(int64(len(c.trees)))
-	for _, t := range c.trees {
-		w(int64(len(t.Nodes)))
-		for _, nd := range t.Nodes {
-			w(nd.Feature)
-			w(nd.Threshold)
-			w(nd.Left)
-			w(nd.Right)
-			w(nd.Class)
+	le := binary.LittleEndian
+	buf := make([]byte, 0, len(marshalMagic)+16+8*len(c.roots)+wireNodeBytes*len(c.nodes))
+	buf = append(buf, marshalMagic...)
+	buf = le.AppendUint64(buf, uint64(c.dim))
+	buf = le.AppendUint64(buf, uint64(len(c.roots)))
+	for t, base := range c.roots {
+		end := int32(len(c.nodes))
+		if t+1 < len(c.roots) {
+			end = c.roots[t+1]
+		}
+		buf = le.AppendUint64(buf, uint64(end-base))
+		for i := base; i < end; i++ {
+			nd := c.nodes[i]
+			feature, left, right, class := nd.feature, i+1-base, nd.right-base, int32(0)
+			if nd.feature < 0 {
+				feature, left, right, class = 0, -1, -1, ^nd.feature
+			}
+			buf = le.AppendUint32(buf, uint32(feature))
+			buf = le.AppendUint32(buf, math.Float32bits(nd.threshold))
+			buf = le.AppendUint32(buf, uint32(left))
+			buf = le.AppendUint32(buf, uint32(right))
+			buf = append(buf, byte(class))
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// UnmarshalBinary restores a forest serialized by MarshalBinary.
+// UnmarshalBinary restores a forest serialized by MarshalBinary. The
+// payload comes from disk, so everything Predict will trust is checked
+// here: split features inside [0, dim), leaf classes binary, and every
+// tree a strict preorder layout (left child next, right child where the
+// left subtree ends, nothing unreachable) — a corrupt file is rejected
+// at load, never discovered as a panic or a spin on the serving path.
 func (c *Classifier) UnmarshalBinary(b []byte) error {
-	buf := bytes.NewReader(b)
-	magic := make([]byte, len(marshalMagic))
-	if _, err := buf.Read(magic); err != nil || string(magic) != marshalMagic {
+	le := binary.LittleEndian
+	if len(b) < len(marshalMagic)+16 || string(b[:len(marshalMagic)]) != marshalMagic {
 		return fmt.Errorf("rf: bad model header")
 	}
-	r := func(v any) error { return binary.Read(buf, binary.LittleEndian, v) }
-	var dim, ntrees int64
-	if err := r(&dim); err != nil {
-		return fmt.Errorf("rf: %w", err)
-	}
-	if err := r(&ntrees); err != nil {
-		return fmt.Errorf("rf: %w", err)
-	}
-	if dim <= 0 || ntrees <= 0 || ntrees > 1<<20 {
+	b = b[len(marshalMagic):]
+	dim, ntrees := int64(le.Uint64(b)), int64(le.Uint64(b[8:]))
+	b = b[16:]
+	// Every tree takes at least its count and one node.
+	if dim <= 0 || dim > math.MaxInt32 || ntrees <= 0 || ntrees > int64(len(b))/(8+wireNodeBytes) {
 		return fmt.Errorf("rf: corrupt model dimensions")
 	}
-	trees := make([]tree, ntrees)
-	for t := range trees {
-		var nn int64
-		if err := r(&nn); err != nil {
-			return fmt.Errorf("rf: tree %d: %w", t, err)
+	nodes := make([]node, 0, len(b)/wireNodeBytes)
+	roots := make([]int32, 0, ntrees)
+	// pending holds, for each split whose left subtree is being read,
+	// where its right subtree must start.
+	var pending []int32
+	for t := int64(0); t < ntrees; t++ {
+		if len(b) < 8 {
+			return fmt.Errorf("rf: tree %d: truncated", t)
 		}
-		if nn <= 0 || nn > int64(len(b)) {
+		nn := int64(le.Uint64(b))
+		b = b[8:]
+		if nn <= 0 || nn > int64(len(b))/wireNodeBytes || int64(len(nodes))+nn > math.MaxInt32 {
 			return fmt.Errorf("rf: tree %d: corrupt node count", t)
 		}
-		nodes := make([]node, nn)
-		for i := range nodes {
-			nd := &nodes[i]
-			if err := r(&nd.Feature); err != nil {
-				return fmt.Errorf("rf: %w", err)
+		base := int32(len(nodes))
+		roots = append(roots, base)
+		pending = pending[:0]
+		for i := int32(0); i < int32(nn); i++ {
+			feature := int32(le.Uint32(b))
+			threshold := math.Float32frombits(le.Uint32(b[4:]))
+			left, right := int32(le.Uint32(b[8:])), int32(le.Uint32(b[12:]))
+			class := int8(b[16])
+			b = b[wireNodeBytes:]
+			if left != -1 {
+				if feature < 0 || int64(feature) >= dim {
+					return fmt.Errorf("rf: tree %d node %d: feature %d outside [0, %d)", t, i, feature, dim)
+				}
+				if left != i+1 || right <= left || int64(right) >= nn {
+					return fmt.Errorf("rf: tree %d node %d: children (%d, %d) break preorder", t, i, left, right)
+				}
+				pending = append(pending, right)
+				nodes = append(nodes, node{threshold: threshold, feature: feature, right: base + right})
+				continue
 			}
-			r(&nd.Threshold)
-			r(&nd.Left)
-			r(&nd.Right)
-			if err := r(&nd.Class); err != nil {
-				return fmt.Errorf("rf: %w", err)
+			if class != 0 && class != 1 {
+				return fmt.Errorf("rf: tree %d node %d: class %d", t, i, class)
 			}
+			// After a leaf comes the innermost pending right subtree, or
+			// nothing at all.
+			next := int32(nn)
+			if n := len(pending); n > 0 {
+				next, pending = pending[n-1], pending[:n-1]
+			}
+			if next != i+1 {
+				return fmt.Errorf("rf: tree %d node %d: leaf breaks preorder", t, i)
+			}
+			nodes = append(nodes, leafNode(int(class)))
 		}
-		trees[t].Nodes = nodes
 	}
 	c.mu.Lock()
-	c.dim, c.trees = int(dim), trees
+	c.dim, c.nodes, c.roots = int(dim), nodes, roots
 	c.mu.Unlock()
 	return nil
 }

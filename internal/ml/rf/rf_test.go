@@ -146,9 +146,12 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for i, tr := range c.trees {
-		if len(tr.Nodes) != 1 || tr.Nodes[0].Left != -1 {
-			t.Errorf("tree %d not a single leaf: %d nodes", i, len(tr.Nodes))
+	if len(c.roots) != 3 || len(c.nodes) != 3 {
+		t.Fatalf("%d trees over %d nodes, want 3 single-node trees", len(c.roots), len(c.nodes))
+	}
+	for i, nd := range c.nodes {
+		if nd.feature >= 0 {
+			t.Errorf("tree %d is not a single leaf", i)
 		}
 	}
 }

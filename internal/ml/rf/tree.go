@@ -36,36 +36,19 @@ func classLabel(i int) job.Label {
 	return job.MemoryBound
 }
 
-// node is one tree node in the flat array representation. Leaves have
-// left == -1 and carry the predicted class.
+// node is one entry of the forest's preorder node array. grow appends a
+// node and then its whole left subtree, so the left child of node i is
+// always i+1 and only the right child is stored. A leaf has a negative
+// feature and carries its class in-band as ^feature. 12 bytes, so a
+// typical ~1 900-node tree is ~22 KB and stays in L1 while a chunk of
+// queries streams through it.
 type node struct {
-	Feature   int32
-	Threshold float32
-	Left      int32 // index of left child, -1 for leaf
-	Right     int32
-	Class     int8
+	threshold float32
+	feature   int32 // split feature; in a leaf, ^class
+	right     int32 // index of the right child; 0 in a leaf
 }
 
-// tree is a single trained CART.
-type tree struct {
-	Nodes []node
-}
-
-// predict walks the tree for one raw feature vector.
-func (t *tree) predict(x []float32) int {
-	i := int32(0)
-	for {
-		nd := &t.Nodes[i]
-		if nd.Left < 0 {
-			return int(nd.Class)
-		}
-		if x[nd.Feature] < nd.Threshold {
-			i = nd.Left
-		} else {
-			i = nd.Right
-		}
-	}
-}
+func leafNode(class int) node { return node{feature: ^int32(class)} }
 
 // binner quantizes each feature into B uniform bins between the observed
 // per-feature min and max.
@@ -155,19 +138,21 @@ type treeBuilder struct {
 	hist  []int32
 }
 
-func (tb *treeBuilder) build() tree {
+// build grows the tree and returns its nodes in preorder, right-child
+// indices relative to the tree's own root.
+func (tb *treeBuilder) build() []node {
 	tb.feats = make([]int, tb.dim)
 	for i := range tb.feats {
 		tb.feats[i] = i
 	}
 	tb.hist = make([]int32, tb.cfg.Bins*numClasses)
 	tb.grow(0, len(tb.idx), 0)
-	return tree{Nodes: tb.nodes}
+	return tb.nodes
 }
 
-// grow builds the subtree over idx[lo:hi] at the given depth and returns
-// the node index.
-func (tb *treeBuilder) grow(lo, hi, depth int) int32 {
+// grow appends the subtree over idx[lo:hi] at the given depth: the
+// split node, then its left subtree, then its right subtree.
+func (tb *treeBuilder) grow(lo, hi, depth int) {
 	n := hi - lo
 	counts := [numClasses]int32{}
 	for _, i := range tb.idx[lo:hi] {
@@ -179,36 +164,33 @@ func (tb *treeBuilder) grow(lo, hi, depth int) int32 {
 	}
 	pure := counts[0] == 0 || counts[1] == 0
 
-	leaf := func() int32 {
-		id := int32(len(tb.nodes))
-		tb.nodes = append(tb.nodes, node{Left: -1, Right: -1, Class: int8(majority)})
-		return id
-	}
+	leaf := func() { tb.nodes = append(tb.nodes, leafNode(majority)) }
 	if pure || n < tb.cfg.MinSamplesSplit || (tb.cfg.MaxDepth > 0 && depth >= tb.cfg.MaxDepth) {
-		return leaf()
+		leaf()
+		return
 	}
 
 	feat, splitBin, gain := tb.bestSplit(lo, hi, counts)
 	if feat < 0 || gain <= 1e-12 {
-		return leaf()
+		leaf()
+		return
 	}
 
 	mid := tb.partition(lo, hi, feat, splitBin)
 	if mid == lo || mid == hi ||
 		mid-lo < tb.cfg.MinSamplesLeaf || hi-mid < tb.cfg.MinSamplesLeaf {
-		return leaf()
+		leaf()
+		return
 	}
 
-	id := int32(len(tb.nodes))
+	id := len(tb.nodes)
 	tb.nodes = append(tb.nodes, node{
-		Feature:   int32(feat),
-		Threshold: tb.binr.threshold(feat, splitBin),
+		threshold: tb.binr.threshold(feat, splitBin),
+		feature:   int32(feat),
 	})
-	left := tb.grow(lo, mid, depth+1)
-	right := tb.grow(mid, hi, depth+1)
-	tb.nodes[id].Left = left
-	tb.nodes[id].Right = right
-	return id
+	tb.grow(lo, mid, depth+1)
+	tb.nodes[id].right = int32(len(tb.nodes))
+	tb.grow(mid, hi, depth+1)
 }
 
 // bestSplit evaluates mtry random features and returns the (feature,
