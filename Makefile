@@ -44,6 +44,9 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzCursor$$ -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run=^$$ -fuzz=^FuzzIndexModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/knn
 	$(GO) test -run=^$$ -fuzz=^FuzzForestModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
+	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArray$$ -fuzztime=$(FUZZTIME) ./internal/job
+	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalJob$$ -fuzztime=$(FUZZTIME) ./internal/job
+	$(GO) test -run=^$$ -fuzz=^FuzzAppendPrediction$$ -fuzztime=$(FUZZTIME) ./internal/core
 
 # Replication chaos suite: a crashfs-backed leader is killed at seeded
 # byte offsets mid-group-commit, mid-compaction and mid-retrain; the

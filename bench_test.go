@@ -10,11 +10,15 @@
 package mcbound_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"sync"
 	"testing"
 
+	"mcbound/internal/core"
 	"mcbound/internal/experiments"
+	"mcbound/internal/job"
 	"mcbound/internal/online"
 	"mcbound/internal/workload"
 )
@@ -178,6 +182,88 @@ func BenchmarkImpactReports(b *testing.B) {
 		sum.WriteFig4(io.Discard)
 		sum.WriteFig5(io.Discard)
 		sum.WriteTable2(io.Discard)
+	}
+}
+
+// BenchmarkDecodeJobs1k covers the request half of the classify path's
+// wire codec on its own: the periodic trigger's body — the trace's first
+// 1 000 jobs as submissions — through encoding/json as the handlers
+// called it before, and through job.UnmarshalArray.
+func BenchmarkDecodeJobs1k(b *testing.B) {
+	window := make([]*job.Job, 1000)
+	for i, j := range benchEnv(b).Jobs[:len(window)] {
+		window[i] = &job.Job{
+			ID: j.ID, User: j.User, Name: j.Name, Environment: j.Environment,
+			CoresRequested: j.CoresRequested, NodesRequested: j.NodesRequested,
+			FreqRequested: j.FreqRequested, SubmitTime: j.SubmitTime,
+		}
+	}
+	body, err := json.Marshal(window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dec := range []struct {
+		name   string
+		decode func([]byte) ([]*job.Job, error)
+	}{
+		{"std", func(data []byte) (jobs []*job.Job, err error) {
+			return jobs, json.NewDecoder(bytes.NewReader(data)).Decode(&jobs)
+		}},
+		{"codec", job.UnmarshalArray},
+	} {
+		b.Run(dec.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if jobs, err := dec.decode(body); err != nil || len(jobs) != len(window) {
+					b.Fatalf("decoded %d jobs: %v", len(jobs), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodePredictions1k covers the response half: 1 000
+// predictions rendered as one JSON array, element by element through
+// json.Marshal and joined as the handler did before, and appended into
+// one buffer with Prediction.AppendJSON.
+func BenchmarkEncodePredictions1k(b *testing.B) {
+	preds := make([]core.Prediction, 1000)
+	for i, j := range benchEnv(b).Jobs[:len(preds)] {
+		l := job.Label(1 + i%2)
+		preds[i] = core.Prediction{JobID: j.ID, Label: l, Class: l.String(), ModelVersion: 3}
+	}
+	for _, enc := range []struct {
+		name   string
+		encode func() []byte
+	}{
+		{"std", func() []byte {
+			elems := make([][]byte, len(preds))
+			for i := range preds {
+				elems[i], _ = json.Marshal(&preds[i])
+			}
+			return append(append(append([]byte{'['}, bytes.Join(elems, []byte{','})...), ']'), '\n')
+		}},
+		{"append", func() []byte {
+			buf := make([]byte, 0, 96*len(preds))
+			buf = append(buf, '[')
+			for i := range preds {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				buf = preds[i].AppendJSON(buf)
+			}
+			return append(buf, ']', '\n')
+		}},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := enc.encode(); len(out) < len(preds) {
+					b.Fatal("short encoding")
+				}
+			}
+		})
 	}
 }
 

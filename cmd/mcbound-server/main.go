@@ -29,7 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -327,7 +326,7 @@ func run(o options) error {
 			Client: replClient,
 			Apply: func(payload []byte) error {
 				var j job.Job
-				if jerr := json.Unmarshal(payload, &j); jerr != nil {
+				if jerr := job.Unmarshal(payload, &j); jerr != nil {
 					return jerr
 				}
 				return st.Insert(&j)

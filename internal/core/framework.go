@@ -16,11 +16,14 @@ package core
 import (
 	"context"
 	"encoding"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"mcbound/internal/encode"
 	"mcbound/internal/fetch"
@@ -477,6 +480,37 @@ type Prediction struct {
 	Class        string    `json:"class"`
 	ModelVersion int       `json:"model_version"`
 	Degraded     bool      `json:"degraded,omitempty"`
+}
+
+// AppendJSON appends to dst the bytes json.Marshal(p) returns and
+// returns the extended slice. It is the encoder of the classify
+// responses and of the prediction stream, which render thousands of
+// these per request; json.Marshal stays the reference it is fuzzed
+// against (FuzzAppendPrediction).
+func (p Prediction) AppendJSON(dst []byte) []byte {
+	dst = appendJSONString(append(dst, `{"job_id":`...), p.JobID)
+	dst = appendJSONString(append(dst, `,"class":`...), p.Class)
+	dst = strconv.AppendInt(append(dst, `,"model_version":`...), int64(p.ModelVersion), 10)
+	if p.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	return append(dst, '}')
+}
+
+// appendJSONString quotes s. Printable ASCII other than the five bytes
+// encoding/json escapes (it is HTML-safe by default) is copied as it
+// stands; a string with anything else is the library's to render.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < ' ', c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Trained reports whether a model instance is available for inference.

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mcbound/internal/core"
+	"mcbound/internal/job"
 	"mcbound/internal/ml/ivf"
 	"mcbound/internal/replay"
 	"mcbound/internal/store"
@@ -76,6 +77,11 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 			}
 			return 0
 		})
+	// Like the ivf totals, the job codec's count is process-wide: it also
+	// moves for WAL-replay and bootstrap records that needed the fallback.
+	reg.CounterFunc("mcbound_http_decode_fallback_total",
+		"Job bodies and records outside the strict wire codec's subset, decoded by encoding/json instead.", nil,
+		job.Fallbacks)
 	enc := fw.Encoder()
 	reg.GaugeFunc("mcbound_encode_cache_hits", "Embedding cache hits since start.",
 		nil, func() float64 { return float64(enc.CacheStats().Hits) })

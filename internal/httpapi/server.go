@@ -47,14 +47,15 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"mcbound/internal/admission"
@@ -341,17 +342,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// writeRawJSON writes a value that is already marshaled, byte for byte
-// what writeJSON would send for it (json.Encoder ends a value with a
-// newline). It does not modify encoded.
-func (s *Server) writeRawJSON(w http.ResponseWriter, status int, encoded []byte) {
+// writeRawJSON writes a body that is already encoded, newline included,
+// byte for byte what writeJSON would send for its value (json.Encoder
+// ends a value with a newline), in one Write. It does not modify body.
+func (s *Server) writeRawJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, err := w.Write(encoded)
-	if err == nil {
-		_, err = io.WriteString(w, "\n")
-	}
-	if err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.log.Printf("httpapi: write response: %v", err)
 	}
 }
@@ -508,16 +505,11 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 // batch is validated first, and one invalid record rejects everything
 // with the index of the first offender.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var jobs []*job.Job
-	if err := json.NewDecoder(r.Body).Decode(&jobs); err != nil {
-		s.writeError(w, badRequest(fmt.Errorf("bad jobs payload: %w", err)))
+	jobs, ok := s.decodeJobs(w, r)
+	if !ok {
 		return
 	}
 	for i, j := range jobs {
-		if j == nil {
-			s.writeInvalidJob(w, fmt.Errorf("null record: %w", job.ErrInvalid), i)
-			return
-		}
 		if err := j.Validate(); err != nil {
 			s.writeInvalidJob(w, err, i)
 			return
@@ -553,18 +545,15 @@ func (s *Server) handleClassifyByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeClassify(1, time.Since(t0))
-	enc, err := s.publishPredictions([]core.Prediction{pred})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeRawJSON(w, http.StatusOK, enc[0])
+	body := append(pred.AppendJSON(make([]byte, 0, 128)), '\n')
+	event := len(body) - 1
+	s.hub.publish(body[:event:event])
+	s.writeRawJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
-	var jobs []*job.Job
-	if err := json.NewDecoder(r.Body).Decode(&jobs); err != nil {
-		s.writeError(w, badRequest(fmt.Errorf("bad jobs payload: %w", err)))
+	jobs, ok := s.decodeJobs(w, r)
+	if !ok {
 		return
 	}
 	t0 := time.Now()
@@ -574,12 +563,7 @@ func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeClassify(len(preds), time.Since(t0))
-	enc, err := s.publishPredictions(preds)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeRawJSON(w, http.StatusOK, slices.Concat([]byte{'['}, bytes.Join(enc, []byte{','}), []byte{']'}))
+	s.writeRawJSON(w, http.StatusOK, s.publishPredictions(preds))
 }
 
 // handleClassifyRange serves one cursor page of GET /v1/classify: the
@@ -687,6 +671,52 @@ func timeRange(r *http.Request) (start, end time.Time, err error) {
 		return start, end, badRequest(fmt.Errorf("end must be after start"))
 	}
 	return start, end, nil
+}
+
+// bodyBufs recycles the buffers decodeJobs reads request bodies into.
+// Reuse is safe because a decoded job.Job never points into the bytes it
+// was decoded from (the job codec's contract).
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeJobs reads the (already capped) body of a batch POST and decodes
+// its job records; on failure it has written the error response and
+// returns false. A null record is rejected here, for insert and classify
+// alike, with the index of the first one.
+func (s *Server) decodeJobs(w http.ResponseWriter, r *http.Request) ([]*job.Job, bool) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		// A buffer that outgrew the body cap (a chunked body doubling past
+		// it) would pin that much memory per pooled buffer for nothing.
+		if int64(buf.Cap()) <= s.maxBody+bytes.MinRead {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
+	}()
+	// Sized from Content-Length, ReadFrom never regrows the buffer; with no
+	// length given (-1, a chunked body) it doubles as it reads.
+	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, readErr := buf.ReadFrom(r.Body)
+	jobs, err := job.UnmarshalArray(buf.Bytes())
+	if readErr != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+		// The body broke off inside the array: the cause (the cap, a lost
+		// connection) is the error, as it was when encoding/json read the
+		// body itself. A read that fails after the closing bracket, or
+		// after a syntax error, does not change the answer either way.
+		err = readErr
+	}
+	if err != nil {
+		s.writeError(w, badRequest(fmt.Errorf("bad jobs payload: %w", err)))
+		return nil, false
+	}
+	for i, j := range jobs {
+		if j == nil {
+			s.writeInvalidJob(w, fmt.Errorf("null record: %w", job.ErrInvalid), i)
+			return nil, false
+		}
+	}
+	return jobs, true
 }
 
 // decodeBody tolerates an empty request body.

@@ -386,12 +386,17 @@ func TestInsertAtomicRejection(t *testing.T) {
 	}
 }
 
+// TestBodyCap: a body past -max-body-bytes is 413 body_too_large on both
+// batch endpoints, whether its length was declared (the buffer is sized
+// from Content-Length) or not (chunked: the buffer grows until the cap
+// cuts the read off). The MaxBytesError has to survive the bad-request
+// wrap for the mapping to hold.
 func TestBodyCap(t *testing.T) {
 	st := seedStore(t)
 	srv := httptest.NewServer(newAPI(t, st, nil, true, Options{MaxBodyBytes: 256}))
 	defer srv.Close()
-	// A syntactically valid batch well past the cap, so the decoder
-	// consumes the body until MaxBytesReader cuts it off.
+	// A syntactically valid batch well past the cap, so the body is read
+	// until MaxBytesReader cuts it off.
 	submit := time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC)
 	var batch []*job.Job
 	for i := 0; i < 50; i++ {
@@ -405,20 +410,29 @@ func TestBodyCap(t *testing.T) {
 	if len(big) <= 256 {
 		t.Fatalf("test payload too small: %d bytes", len(big))
 	}
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	var e ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != "body_too_large" {
-		t.Errorf("code = %q, want body_too_large", e.Code)
+	for _, path := range []string{"/v1/jobs", "/v1/classify"} {
+		for _, chunked := range []bool{false, true} {
+			var body io.Reader = bytes.NewReader(big)
+			if chunked {
+				body = io.MultiReader(body) // not a type net/http knows the length of
+			}
+			resp, err := http.Post(srv.URL+path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e ErrorBody
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Code != "body_too_large" {
+				t.Errorf("%s chunked=%v: status %d code %q, want 413 body_too_large", path, chunked, resp.StatusCode, e.Code)
+			}
+			if want := "bad request: bad jobs payload: http: request body too large"; e.Error != want {
+				t.Errorf("%s chunked=%v: message %q, want %q", path, chunked, e.Error, want)
+			}
+		}
 	}
 }
 

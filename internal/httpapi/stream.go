@@ -194,7 +194,7 @@ func (s *Server) handleInsertStream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var j job.Job
-		if err := json.Unmarshal(raw, &j); err != nil {
+		if err := job.Unmarshal(raw, &j); err != nil {
 			rejected++
 			s.metrics.streamRejected.Inc()
 			_, code := errToStatus(badRequest(err))
@@ -309,18 +309,36 @@ func parseLastEventID(r *http.Request) (uint64, error) {
 	return id, nil
 }
 
-// publishPredictions marshals every prediction exactly once, pushes the
-// batch to the SSE hub under one hub lock and returns the encodings, so
-// the response body is spliced from the same bytes the subscribers get.
-func (s *Server) publishPredictions(preds []core.Prediction) ([][]byte, error) {
-	enc := make([][]byte, len(preds))
+// publishPredictions renders the predictions of one request into one
+// buffer laid out [e0,e1,…]\n — the response body, newline included —
+// publishes the elements e_i to the SSE hub under one hub lock and
+// returns the buffer, so subscribers get the very bytes the response is
+// made of. The buffer is allocated per request, never pooled: the hub's
+// resume ring keeps the element slices long after the response is sent.
+func (s *Server) publishPredictions(preds []core.Prediction) []byte {
+	// An upper bound unless an ID needs escaping; the elements are sliced
+	// out after the last append, so a regrown buffer costs only the copy.
+	size := len("[]\n")
 	for i := range preds {
-		data, err := json.Marshal(&preds[i])
-		if err != nil {
-			return nil, fmt.Errorf("httpapi: marshal prediction %d: %w", i, err)
-		}
-		enc[i] = data
+		size += len(`{"job_id":"","class":"","model_version":2147483647,"degraded":true},`) +
+			len(preds[i].JobID) + len(preds[i].Class)
 	}
-	s.hub.publish(enc...)
-	return enc, nil
+	buf := append(make([]byte, 0, size), '[')
+	ends := make([]int, len(preds))
+	for i := range preds {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = preds[i].AppendJSON(buf)
+		ends[i] = len(buf)
+	}
+	buf = append(buf, ']', '\n')
+	events := make([][]byte, len(preds))
+	start := len("[")
+	for i, end := range ends {
+		events[i] = buf[start:end:end]
+		start = end + len(",")
+	}
+	s.hub.publish(events...)
+	return buf
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -379,13 +378,25 @@ func TestPredictionStreamBadResumeID(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchMarshalsOncePublishesOnce: a POSTed batch answers
-// with exactly the bytes json.Encoder writes for its predictions, the
-// prediction stream carries the same element bytes under consecutive
-// event IDs in input order, and a subscriber resuming from an ID in the
-// middle of the batch gets an exact replay of the rest.
-func TestClassifyBatchMarshalsOncePublishesOnce(t *testing.T) {
-	const n = 40
+// countingWriter is a recorder that also counts Write calls.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestClassifyBatchResponseBytes: a POSTed 1 000-job window answers, in
+// one Write, with exactly the bytes json.Encoder writes for its
+// predictions (IDs that need escaping included); the prediction stream
+// carries the same element bytes under consecutive event IDs in input
+// order, and a subscriber resuming from an ID in the middle of the batch
+// gets an exact replay of the rest.
+func TestClassifyBatchResponseBytes(t *testing.T) {
+	const n = 1000
 	st := seedStore(t)
 	api := newAPI(t, st, nil, true, Options{SSEBufferSize: 2 * n})
 	srv := httptest.NewServer(api)
@@ -394,20 +405,21 @@ func TestClassifyBatchMarshalsOncePublishesOnce(t *testing.T) {
 
 	jobs := make([]*job.Job, n)
 	for i := range jobs {
+		id := fmt.Sprintf("b%04d", i)
+		if i%7 == 0 {
+			id = fmt.Sprintf("b<%04d>\"é\x01", i) // not the append encoder's to render
+		}
 		jobs[i] = &job.Job{
-			ID: fmt.Sprintf("b<%02d>", i), User: "u0001", Name: []string{"memapp", "cpuapp"}[i%2],
+			ID: id, User: "u0001", Name: []string{"memapp", "cpuapp"}[i%2],
 			Environment: "gcc/12.2", CoresRequested: 48, NodesRequested: 1, FreqRequested: job.FreqBoost,
 		}
 	}
 	payload, _ := json.Marshal(jobs)
-	resp, err := http.Post(srv.URL+"/v1/classify", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+	rec := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
+	api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(payload)))
+	body := rec.Body.Bytes()
+	if rec.Code != http.StatusOK || rec.writes != 1 {
+		t.Fatalf("status %d in %d writes, want 200 in 1", rec.Code, rec.writes)
 	}
 	var preds []core.Prediction
 	if err := json.Unmarshal(body, &preds); err != nil || len(preds) != n {
@@ -418,7 +430,7 @@ func TestClassifyBatchMarshalsOncePublishesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("body is not json.Encoder's encoding:\n got %q\nwant %q", body, want.Bytes())
+		t.Fatalf("body is not json.Encoder's encoding:\n got %.300q\nwant %.300q", body, want.Bytes())
 	}
 	if got := api.hub.published.Load(); got != 2+n {
 		t.Fatalf("published %d events, want %d", got, 2+n)

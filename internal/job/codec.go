@@ -1,0 +1,352 @@
+package job
+
+import (
+	"bytes"
+	"encoding/json"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"time"
+	"unicode/utf8"
+)
+
+// The wire codec: a one-pass parser for the fixed Job/PerfCounters shape
+// that accepts a strict subset of what encoding/json accepts and decodes
+// it to the same value. Everything outside the subset — a string with an
+// escape, a control byte or invalid UTF-8; an unknown, case-variant or
+// repeated key; null anywhere; a literal of the wrong type or out of the
+// field's range; any syntax error; an empty input — is "not mine": the
+// parse is abandoned and encoding/json decodes the whole input from its
+// first byte, so every such body, every error and every error string is
+// the library's. The parser therefore has no error vocabulary, only ok.
+//
+// Nothing a decoded Job holds points into the input: strings are copied
+// out (the four of one record into one allocation) and time.Time carries
+// no reference to the bytes it was parsed from, so callers may reuse the
+// buffer at once.
+
+var fallbacks atomic.Int64
+
+// Fallbacks returns how many inputs, process-wide, the strict parser
+// handed to encoding/json (mcbound_http_decode_fallback_total).
+func Fallbacks() int64 { return fallbacks.Load() }
+
+// UnmarshalArray decodes a JSON array of job records to the value, and
+// on malformed input the error, json.NewDecoder(r).Decode(&jobs) gives
+// for a nil jobs and an r that yields data: leading white space is
+// skipped and bytes after the array's closing bracket are not looked at.
+func UnmarshalArray(data []byte) ([]*Job, error) {
+	if jobs, ok := parseArray(data); ok {
+		return jobs, nil
+	}
+	fallbacks.Add(1)
+	var jobs []*Job
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&jobs)
+	return jobs, err
+}
+
+// Unmarshal decodes one job record into j exactly as
+// json.Unmarshal(data, j) does: fields absent from data keep their
+// value, and anything but white space after the object is an error.
+func Unmarshal(data []byte, j *Job) error {
+	p := parser{data: data}
+	tmp := *j // a parse abandoned half-way must leave j to encoding/json untouched
+	p.skipSpace()
+	if p.job(&tmp) {
+		if p.skipSpace(); p.pos == len(data) {
+			*j = tmp
+			return nil
+		}
+	}
+	fallbacks.Add(1)
+	return json.Unmarshal(data, j)
+}
+
+func parseArray(data []byte) ([]*Job, bool) {
+	p := parser{data: data}
+	p.skipSpace()
+	if !p.consume('[') {
+		return nil, false
+	}
+	jobs := []*Job{} // "[]" decodes to an empty slice, not a nil one
+	p.skipSpace()
+	if p.consume(']') {
+		return jobs, true
+	}
+	for {
+		j := new(Job)
+		if !p.job(j) {
+			return nil, false
+		}
+		jobs = append(jobs, j)
+		switch p.delim() {
+		case ',':
+		case ']':
+			return jobs, true
+		default:
+			return nil, false
+		}
+	}
+}
+
+// parser is a cursor over one input. Every method reports whether the
+// bytes at the cursor were in the strict subset; after a false the
+// cursor is meaningless and the caller falls back.
+type parser struct {
+	data []byte
+	pos  int
+}
+
+func (p *parser) skipSpace() {
+	for p.pos < len(p.data) {
+		switch p.data[p.pos] {
+		case ' ', '\t', '\r', '\n':
+			p.pos++
+		default:
+			return
+		}
+	}
+}
+
+func (p *parser) consume(c byte) bool {
+	if p.pos < len(p.data) && p.data[p.pos] == c {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+// delim reads the byte that follows a value — a comma or the closing
+// bracket of the enclosing composite, white space around it skipped —
+// and returns 0 at the end of the input.
+func (p *parser) delim() byte {
+	p.skipSpace()
+	if p.pos == len(p.data) {
+		return 0
+	}
+	c := p.data[p.pos]
+	p.pos++
+	p.skipSpace()
+	return c
+}
+
+// members walks the members of the object at the cursor, calling field
+// with each key and the cursor on the member's value. field parses the
+// value and reports the key's bit (0 for a key that is not the
+// struct's); a bit seen twice is a repeated key.
+func (p *parser) members(field func(key []byte) (bit uint16, ok bool)) bool {
+	if !p.consume('{') {
+		return false
+	}
+	p.skipSpace()
+	if p.consume('}') {
+		return true
+	}
+	var seen uint16
+	for {
+		if !p.consume('"') {
+			return false
+		}
+		// A key with an escaped quote ends early here and then matches no
+		// field name, which is what its escape calls for anyway.
+		n := bytes.IndexByte(p.data[p.pos:], '"')
+		if n < 0 {
+			return false
+		}
+		key := p.data[p.pos : p.pos+n]
+		p.pos += n + 1
+		if p.delim() != ':' {
+			return false
+		}
+		bit, ok := field(key)
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		switch p.delim() {
+		case ',':
+		case '}':
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// job parses one record. Keys match exactly: encoding/json also accepts
+// them in any case, so a case variant is its to decode.
+func (p *parser) job(j *Job) bool {
+	var id, user, name, env span
+	ok := p.members(func(key []byte) (bit uint16, ok bool) {
+		switch string(key) {
+		case "id":
+			bit, ok = 1<<0, p.str(&id)
+		case "user":
+			bit, ok = 1<<1, p.str(&user)
+		case "name":
+			bit, ok = 1<<2, p.str(&name)
+		case "env":
+			bit, ok = 1<<3, p.str(&env)
+		case "cores_req":
+			bit, ok = 1<<4, integer(p, &j.CoresRequested, strconv.IntSize)
+		case "nodes_req":
+			bit, ok = 1<<5, integer(p, &j.NodesRequested, strconv.IntSize)
+		case "freq_req":
+			bit, ok = 1<<6, integer(p, &j.FreqRequested, 32)
+		case "submit":
+			bit, ok = 1<<7, p.time(&j.SubmitTime)
+		case "start":
+			bit, ok = 1<<8, p.time(&j.StartTime)
+		case "end":
+			bit, ok = 1<<9, p.time(&j.EndTime)
+		case "nodes_alloc":
+			bit, ok = 1<<10, integer(p, &j.NodesAllocated, strconv.IntSize)
+		case "exit":
+			bit, ok = 1<<11, integer(p, &j.ExitCode, strconv.IntSize)
+		case "counters":
+			bit, ok = 1<<12, p.counters(&j.Counters)
+		case "true_label":
+			bit, ok = 1<<13, integer(p, &j.TrueLabel, 8)
+		}
+		return bit, ok
+	})
+	if !ok {
+		return false
+	}
+	// The record's strings are copied out together: one allocation holds
+	// all four, which live and die with the record anyway.
+	var all strings.Builder
+	all.Grow(id.len() + user.len() + name.len() + env.len())
+	for _, f := range [...]struct {
+		src span
+		dst *string
+	}{{id, &j.ID}, {user, &j.User}, {name, &j.Name}, {env, &j.Environment}} {
+		if f.src.set {
+			start := all.Len()
+			all.Write(p.data[f.src.start:f.src.end])
+			*f.dst = all.String()[start:]
+		}
+	}
+	return true
+}
+
+func (p *parser) counters(c *PerfCounters) bool {
+	return p.members(func(key []byte) (bit uint16, ok bool) {
+		switch string(key) {
+		case "perf2":
+			bit, ok = 1<<0, p.float(&c.Perf2)
+		case "perf3":
+			bit, ok = 1<<1, p.float(&c.Perf3)
+		case "perf4":
+			bit, ok = 1<<2, p.float(&c.Perf4)
+		case "perf5":
+			bit, ok = 1<<3, p.float(&c.Perf5)
+		case "tofu_bytes":
+			bit, ok = 1<<4, p.float(&c.TofuBytes)
+		}
+		return bit, ok
+	})
+}
+
+// span locates a string value's contents in the input; set tells an
+// empty string from an absent member.
+type span struct {
+	start, end int
+	set        bool
+}
+
+func (s span) len() int { return s.end - s.start }
+
+// str scans the string literal at the cursor. A backslash or a control
+// byte ends the strict parse: the first needs unquoting, the second is a
+// syntax error.
+func (p *parser) str(dst *span) bool {
+	if !p.consume('"') {
+		return false
+	}
+	start, ascii := p.pos, true
+	for i := start; i < len(p.data); i++ {
+		switch c := p.data[i]; {
+		case c == '"':
+			*dst = span{start, i, true}
+			p.pos = i + 1
+			// encoding/json replaces invalid UTF-8 with U+FFFD.
+			return ascii || utf8.Valid(p.data[start:i])
+		case c == '\\' || c < ' ':
+			return false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return false
+}
+
+// time hands the literal, quotes included, to the method encoding/json
+// itself calls, so what counts as RFC 3339 is the library's decision.
+func (p *parser) time(dst *time.Time) bool {
+	var lit span
+	return p.str(&lit) && dst.UnmarshalJSON(p.data[lit.start-1:lit.end+1]) == nil
+}
+
+// number scans one literal of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether
+// it has neither fraction nor exponent.
+func (p *parser) number() (lit []byte, integral, ok bool) {
+	start := p.pos
+	p.consume('-')
+	switch {
+	case p.consume('0'):
+	case p.digits():
+	default:
+		return nil, false, false
+	}
+	integral = true
+	if p.consume('.') {
+		integral = false
+		if !p.digits() {
+			return nil, false, false
+		}
+	}
+	if p.consume('e') || p.consume('E') {
+		integral = false
+		if !p.consume('+') {
+			p.consume('-')
+		}
+		if !p.digits() {
+			return nil, false, false
+		}
+	}
+	return p.data[start:p.pos], integral, true
+}
+
+// digits consumes a run of at least one decimal digit.
+func (p *parser) digits() bool {
+	start := p.pos
+	for p.pos < len(p.data) && p.data[p.pos]-'0' <= 9 {
+		p.pos++
+	}
+	return p.pos > start
+}
+
+// integer parses a number into a signed field bits wide; a fraction,
+// an exponent or a value out of range is encoding/json's
+// UnmarshalTypeError to report.
+func integer[T ~int | ~int32 | ~int8](p *parser, dst *T, bits int) bool {
+	lit, integral, ok := p.number()
+	if !ok || !integral {
+		return false
+	}
+	n, err := strconv.ParseInt(string(lit), 10, bits)
+	*dst = T(n)
+	return err == nil
+}
+
+func (p *parser) float(dst *float64) bool {
+	lit, _, ok := p.number()
+	if !ok {
+		return false
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	*dst = f
+	return err == nil
+}

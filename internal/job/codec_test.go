@@ -1,0 +1,206 @@
+package job
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// stdArray is the reference UnmarshalArray must be indistinguishable
+// from on every input (Unmarshal's is json.Unmarshal itself).
+func stdArray(data []byte) ([]*Job, error) {
+	var jobs []*Job
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&jobs)
+	return jobs, err
+}
+
+func errString(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// completedJob is the benchmark's second body shape: a finished record
+// with counters and a characterizer label.
+func completedJob() *Job {
+	j := validJob()
+	j.ExitCode = 1
+	j.Counters = PerfCounters{Perf2: 1.5e14, Perf3: 3e12, Perf4: 2.25e11, Perf5: 7e10, TofuBytes: 4096}
+	j.TrueLabel = ComputeBound
+	return j
+}
+
+// submissionJob is the first: submission-time fields only, the rest
+// marshaled at their zero values.
+func submissionJob() *Job {
+	j := validJob()
+	j.StartTime, j.EndTime, j.NodesAllocated = time.Time{}, time.Time{}, 0
+	return j
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// recordSeeds are single records; the array fuzzer wraps each in
+// brackets. Most are outside the strict subset on purpose: they pin
+// that the fallback, not the parser, answers them.
+var recordSeeds = []string{
+	`{}`,
+	`{"id":"a"}`,
+	"{ \"user\" : \"u1\" ,\n\t\"id\":\"a\" , \"counters\" : { \"perf5\" : 2 , \"perf2\":1e3 }\r\n, \"cores_req\"\t:\t48 }",
+	`{"submit":"2024-02-01T12:00:00+09:00","end":"2024-02-01T12:00:00.123456789Z","id":"tz"}`,
+	`{"id":"a<b"}`, `{"id":"a\u003cb"}`, `{"id":"say \"hi\""}`, `{"i\u0064":"a"}`,
+	`{"name":"流体解析"}`, "{\"name\":\"bad\xffutf8\"}", "{\"name\":\"tab\there\"}", `{"name":"del` + "\x7f" + `"}`,
+	`{"id":"a","id":"b"}`, `{"ID":"a"}`, `{"Id":"a","id":"b"}`, `{"unknown":1,"id":"a"}`,
+	`{"counters":{"perf2":1,"perf2":2}}`, `{"counters":{"PERF2":1}}`, `{"counters":null}`, `{"counters":[]}`,
+	`{"cores_req":1e3}`, `{"cores_req":4.0}`, `{"cores_req":01}`, `{"cores_req":-0}`, `{"cores_req":+1}`, `{"cores_req":-}`,
+	`{"cores_req":9223372036854775807}`, `{"cores_req":9223372036854775808}`, `{"cores_req":"48"}`, `{"cores_req":null}`, `{"cores_req":true}`,
+	`{"freq_req":2147483647}`, `{"freq_req":2147483648}`, `{"true_label":127}`, `{"true_label":128}`, `{"true_label":-129}`,
+	`{"counters":{"perf2":NaN}}`, `{"counters":{"perf2":1e999}}`, `{"counters":{"perf2":-0.0,"perf3":1E-400,"perf4":0.1e+2}}`, `{"counters":{"perf2":1.}}`,
+	`{"submit":"0001-01-01T00:00:00Z"}`, `{"submit":"2024-02-30T00:00:00Z"}`, `{"submit":"2024-02-01 12:00:00"}`, `{"submit":1706788800}`, `{"submit":null}`,
+	`{"id":null}`, `{"id":"a",}`, `{"id" "a"}`, `{"id":"a"`, `{"id":"a`, `{`, ``, ` `, `null`, `nul`, `"id"`, `12`,
+	`{"id":"a"} x`, `{"id":"a"}{"id":"b"}`, "{\"id\":\"a\"}\n",
+}
+
+var arraySeeds = []string{
+	`[]`, ` [ ] `, `null`, `[null]`, `[{"id":"a"},null]`, `[{"id":"a"},{"id":"b"}]`, "[\n {\"id\":\"a\"} ,\r\n {\"id\":\"b\"}\t]",
+	`[{"id":"a"}] trailing garbage`, `[{"id":"a"}]]`, `[{"id":"a"},]`, `[,{"id":"a"}]`, `[{"id":"a"} {"id":"b"}]`,
+	`[{"id":"a"},{"id":"b"`, `[{"id":"a"},`, `[`, `[[{"id":"a"}]]`, `[1]`, `["a"]`, `{"id":"a"}`, "\ufeff[]",
+}
+
+func seedBodies(t testing.TB) (records, arrays [][]byte) {
+	sub, done := mustMarshal(t, submissionJob()), mustMarshal(t, completedJob())
+	records = append(records, sub, done)
+	for _, s := range recordSeeds {
+		records = append(records, []byte(s))
+	}
+	arrays = append(arrays,
+		mustMarshal(t, []*Job{submissionJob(), submissionJob()}),
+		mustMarshal(t, []*Job{completedJob(), submissionJob(), completedJob()}))
+	for _, s := range arraySeeds {
+		arrays = append(arrays, []byte(s))
+	}
+	for _, r := range records {
+		arrays = append(arrays, append(append([]byte{'['}, r...), ']'))
+	}
+	return records, arrays
+}
+
+func FuzzUnmarshalArray(f *testing.F) {
+	_, arrays := seedBodies(f)
+	for _, a := range arrays {
+		f.Add(a)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := stdArray(data)
+		got, gotErr := UnmarshalArray(data)
+		if errString(gotErr) != errString(wantErr) {
+			t.Fatalf("error %q, encoding/json says %q", errString(gotErr), errString(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded %s, encoding/json decodes %s", dump(got), dump(want))
+		}
+	})
+}
+
+func FuzzUnmarshalJob(f *testing.F) {
+	records, _ := seedBodies(f)
+	for _, r := range records {
+		f.Add(r)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Once into a zero record and once into a filled one: absent
+		// fields keep their value, and a rejected input leaves the same
+		// partial writes encoding/json leaves.
+		for _, into := range []*Job{{}, completedJob()} {
+			want, got := *into, *into
+			wantErr := json.Unmarshal(data, &want)
+			gotErr := Unmarshal(data, &got)
+			if errString(gotErr) != errString(wantErr) {
+				t.Fatalf("error %q, encoding/json says %q", errString(gotErr), errString(wantErr))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoded %+v, encoding/json decodes %+v", got, want)
+			}
+		}
+	})
+}
+
+func dump(jobs []*Job) string {
+	if jobs == nil {
+		return "nil"
+	}
+	s := "["
+	for _, j := range jobs {
+		if j == nil {
+			s += " <nil>"
+		} else {
+			s += fmt.Sprintf(" %+v", *j)
+		}
+	}
+	return s + " ]"
+}
+
+// TestStrictPathDecodesEncoderOutput: the bodies every client in this
+// repository sends — json.Marshal of records with plain names — are
+// decoded by the parser itself. Without this the differential fuzzers
+// would pass on a parser that rejects everything.
+func TestStrictPathDecodesEncoderOutput(t *testing.T) {
+	records, arrays := seedBodies(t)
+	before := Fallbacks()
+	for _, body := range arrays[:2] {
+		if _, err := UnmarshalArray(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, body := range records[:2] {
+		if err := Unmarshal(body, new(Job)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := Fallbacks() - before; n != 0 {
+		t.Fatalf("%d of 4 encoder-shaped inputs fell back to encoding/json", n)
+	}
+	if _, err := UnmarshalArray([]byte(`[{"id":"a\u003cb"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	if n := Fallbacks() - before; n != 1 {
+		t.Fatalf("an escaped string moved the fallback counter by %d, want 1", n)
+	}
+}
+
+// TestDecodedJobsDoNotAliasInput: the HTTP layer reads bodies into
+// pooled buffers and the store keeps inserted records for ever, so a
+// decoded record must own every byte it refers to.
+func TestDecodedJobsDoNotAliasInput(t *testing.T) {
+	src := []*Job{completedJob(), submissionJob()}
+	src[1].Name = "流体解析" // beyond ASCII, still the strict path's
+	body, record := mustMarshal(t, src), mustMarshal(t, src[0])
+	before := Fallbacks()
+	jobs, err := UnmarshalArray(body)
+	var one Job
+	if err == nil {
+		err = Unmarshal(record, &one)
+	}
+	if err != nil || Fallbacks() != before {
+		t.Fatalf("strict path not taken: err %v, %d fallbacks", err, Fallbacks()-before)
+	}
+	for _, buf := range [][]byte{body, record} {
+		for i := range buf {
+			buf[i] = 0xff
+		}
+	}
+	if !reflect.DeepEqual(jobs, src) || !reflect.DeepEqual(&one, src[0]) {
+		t.Fatalf("records changed with the buffer:\n got %s and %+v\nwant %s", dump(jobs), one, dump(src))
+	}
+}

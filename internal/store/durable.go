@@ -70,7 +70,7 @@ func OpenDurable(dir string, seed *Store, opts DurableOptions) (*Durable, error)
 		BumpEpoch:      opts.BumpEpoch,
 	}, func(payload []byte) error {
 		var j job.Job
-		if err := json.Unmarshal(payload, &j); err != nil {
+		if err := job.Unmarshal(payload, &j); err != nil {
 			return fmt.Errorf("store: replay record: %w", err)
 		}
 		return s.Insert(&j)
@@ -244,7 +244,7 @@ func LoadReadOnly(dir string, fsys wal.FS) (*Store, wal.Recovery, error) {
 	s := New()
 	w, rec, err := wal.Open(dir, wal.Options{FS: fsys, ReadOnly: true}, func(payload []byte) error {
 		var j job.Job
-		if err := json.Unmarshal(payload, &j); err != nil {
+		if err := job.Unmarshal(payload, &j); err != nil {
 			return fmt.Errorf("store: replay record: %w", err)
 		}
 		return s.Insert(&j)

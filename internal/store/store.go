@@ -280,7 +280,7 @@ func ReadJSONL(r io.Reader) (*Store, error) {
 	for sc.Scan() {
 		line++
 		var j job.Job
-		if err := json.Unmarshal(sc.Bytes(), &j); err != nil {
+		if err := job.Unmarshal(sc.Bytes(), &j); err != nil {
 			return nil, fmt.Errorf("store: line %d: %w", line, err)
 		}
 		if err := s.Insert(&j); err != nil {
