@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check bench bench-record bench-gate bench-all
+.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check bench bench-record bench-gate bench-all
 
 all: check
 
@@ -19,6 +19,18 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The distance kernels of internal/linalg have an assembly backend on
+# amd64. `purego` runs the packages built on them with the Go reference
+# in its place (the same golden hashes must come out), and `cross`
+# builds everything for an architecture that has only the reference and
+# vets the package there, so neither fallback can rot unnoticed.
+purego:
+	$(GO) test -tags purego ./internal/linalg ./internal/ml/...
+
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/linalg
 
 # gofmt -l prints offending files; fail if any.
 fmt:
@@ -47,6 +59,9 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArray$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalJob$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzAppendPrediction$$ -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=^FuzzSqDistInt8$$ -fuzztime=$(FUZZTIME) ./internal/linalg
+	$(GO) test -run=^$$ -fuzz=^FuzzSqEuclidean$$ -fuzztime=$(FUZZTIME) ./internal/linalg
+	$(GO) test -run=^$$ -fuzz=^FuzzSqEuclideanRows$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 
 # Replication chaos suite: a crashfs-backed leader is killed at seeded
 # byte offsets mid-group-commit, mid-compaction and mid-retrain; the
@@ -108,7 +123,7 @@ recall-gate:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate bench-smoke
+check: build vet fmt purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate bench-smoke
 
 # The repo benchmark's three contract workloads (BENCHMARK.json), one
 # 25 s run each, untraced; see benchmark/README.md for the output shape.

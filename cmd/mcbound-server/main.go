@@ -48,6 +48,7 @@ import (
 	"mcbound/internal/fetch/chaos"
 	"mcbound/internal/httpapi"
 	"mcbound/internal/job"
+	"mcbound/internal/linalg"
 	"mcbound/internal/ml/knn"
 	"mcbound/internal/repl"
 	"mcbound/internal/replay"
@@ -190,6 +191,10 @@ func run(o options) error {
 	if o.promoteOnStart && o.dataDir == "" {
 		return fmt.Errorf("-promote-on-start requires -data-dir (the inherited durable state to lead over)")
 	}
+
+	// A node whose CPU lacks AVX2 serves the same answers on the Go
+	// reference kernels, several times slower on the KNN path; say so once.
+	log.Printf("linalg distance kernels: %s", linalg.Kernel())
 
 	var st *store.Store
 	switch {

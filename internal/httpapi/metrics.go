@@ -5,6 +5,7 @@ import (
 
 	"mcbound/internal/core"
 	"mcbound/internal/job"
+	"mcbound/internal/linalg"
 	"mcbound/internal/ml/ivf"
 	"mcbound/internal/replay"
 	"mcbound/internal/store"
@@ -77,6 +78,12 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 			}
 			return 0
 		})
+	// Which distance kernels this process runs: a node on a CPU (or a
+	// build) without AVX2 serves the same answers several times slower,
+	// and this is where its mcbound_index_* latency explains itself.
+	reg.Gauge("mcbound_linalg_kernel_info",
+		"Backend of the linalg distance kernels (impl: avx2 or generic); always 1.",
+		telemetry.Labels{"impl": linalg.Kernel()}).Set(1)
 	// Like the ivf totals, the job codec's count is process-wide: it also
 	// moves for WAL-replay and bootstrap records that needed the fallback.
 	reg.CounterFunc("mcbound_http_decode_fallback_total",

@@ -19,6 +19,7 @@ import (
 	"mcbound/internal/core"
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
+	"mcbound/internal/linalg"
 	"mcbound/internal/resilience"
 	"mcbound/internal/store"
 )
@@ -565,6 +566,7 @@ func TestMetricsExposition(t *testing.T) {
 		"mcbound_store_jobs 200",
 		"mcbound_classify_jobs_total 13", // 1 by-ID + 12 in the range
 		"# TYPE mcbound_http_request_duration_seconds histogram",
+		fmt.Sprintf("mcbound_linalg_kernel_info{impl=%q} 1", linalg.Kernel()),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)

@@ -61,7 +61,13 @@ func SqDistInt8(a, b []int8) int64 {
 	if len(a) != len(b) {
 		panic("linalg: vector length mismatch")
 	}
-	// Per-component squares fit comfortably in int32 (≤ 254² = 64516);
+	return sqDistInt8(a, b)
+}
+
+// sqDistInt8Generic is the reference kernel, and the tail handler of
+// the vector one (integer sums are exact in any order).
+func sqDistInt8Generic(a, b []int8) int64 {
+	// Per-component squares fit comfortably in int32 (≤ 255² = 65025);
 	// accumulate in two independent int64 lanes so the CPU can pipeline.
 	var s0, s1 int64
 	n := len(a)

@@ -94,16 +94,3 @@ func TestMaxAbs32(t *testing.T) {
 		t.Fatalf("MaxAbs32 = %v, want 3", got)
 	}
 }
-
-func BenchmarkSqDistInt8(b *testing.B) {
-	const dim = 384
-	x, y := make([]int8, dim), make([]int8, dim)
-	for i := range x {
-		x[i] = int8(i % 127)
-		y[i] = int8((i * 7) % 127)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SqDistInt8(x, y)
-	}
-}

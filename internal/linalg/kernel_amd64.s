@@ -1,0 +1,186 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// func sqDistInt8AVX2(a, b []int8) int64
+//
+// Sixteen codes at a time: sign-extend both sides to int16, subtract
+// (|d| ≤ 255), VPMADDWD the differences with themselves (adjacent pairs
+// d²+d'² ≤ 130 050 into int32 lanes), add. Two accumulators take
+// alternate 16-byte steps; the caller bounds len(a) so no lane can reach
+// 2³¹ (int8Block), and the lanes are widened to int64 before they are
+// summed across. Every load is a 16-byte VPMOVSXBW inside the first
+// len(a)&^15 bytes.
+TEXT ·sqDistInt8AVX2(SB), NOSPLIT, $0-56
+	MOVQ  a_base+0(FP), SI
+	MOVQ  a_len+8(FP), CX
+	MOVQ  b_base+24(FP), DI
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	MOVQ  CX, DX
+	SHRQ  $5, DX
+	JZ    int8tail
+
+int8loop:
+	VPMOVSXBW (SI), Y2
+	VPMOVSXBW (DI), Y3
+	VPMOVSXBW 16(SI), Y4
+	VPMOVSXBW 16(DI), Y5
+	VPSUBW    Y3, Y2, Y2
+	VPSUBW    Y5, Y4, Y4
+	VPMADDWD  Y2, Y2, Y2
+	VPMADDWD  Y4, Y4, Y4
+	VPADDD    Y2, Y0, Y0
+	VPADDD    Y4, Y1, Y1
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	DECQ      DX
+	JNZ       int8loop
+
+int8tail:
+	TESTQ     $16, CX
+	JZ        int8sum
+	VPMOVSXBW (SI), Y2
+	VPMOVSXBW (DI), Y3
+	VPSUBW    Y3, Y2, Y2
+	VPMADDWD  Y2, Y2, Y2
+	VPADDD    Y2, Y0, Y0
+
+int8sum:
+	VPADDD       Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMOVZXDQ    X0, Y2
+	VPMOVZXDQ    X1, Y3
+	VPADDQ       Y3, Y2, Y2
+	VEXTRACTI128 $1, Y2, X3
+	VPADDQ       X3, X2, X2
+	VPSRLDQ      $8, X2, X3
+	VPADDQ       X3, X2, X2
+	VMOVQ        X2, AX
+	MOVQ         AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func sqEuclideanAVX2(a, b []float32) (s0, s1 float64)
+//
+// Four components per step: widen to float64, subtract and square all
+// four at once (element-wise, so exact to the reference), then add the
+// low pair and the high pair into the one two-lane accumulator in that
+// order — lane 0 sees components 0, 2, 4, … and lane 1 sees 1, 3, 5, …
+// one at a time, as the reference's s0 and s1 do. No FMA.
+TEXT ·sqEuclideanAVX2(SB), NOSPLIT, $0-64
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	VXORPD X0, X0, X0
+	SHRQ   $2, CX
+	JZ     f32done
+
+f32loop:
+	VCVTPS2PD    (SI), Y1
+	VCVTPS2PD    (DI), Y2
+	VSUBPD       Y2, Y1, Y1
+	VMULPD       Y1, Y1, Y1
+	VEXTRACTF128 $1, Y1, X2
+	VADDPD       X1, X0, X0
+	VADDPD       X2, X0, X0
+	ADDQ         $16, SI
+	ADDQ         $16, DI
+	DECQ         CX
+	JNZ          f32loop
+
+f32done:
+	VMOVLPD X0, s0+48(FP)
+	VMOVHPD X0, s1+56(FP)
+	VZEROUPPER
+	RET
+
+// func sqEuclideanRows4AVX2(q, mat []float32, out []float64)
+//
+// The single-row kernel above is bound by the latency of its two adds
+// per step; here four rows run their chains side by side against one
+// widened load of q. Per row the operations and their order are those
+// of sqEuclideanAVX2 followed by s0 + s1.
+TEXT ·sqEuclideanRows4AVX2(SB), NOSPLIT, $0-72
+	MOVQ q_base+0(FP), R8
+	MOVQ q_len+8(FP), R9
+	MOVQ mat_base+24(FP), SI
+	MOVQ out_base+48(FP), DI
+	MOVQ out_len+56(FP), R10
+	LEAQ (R9*4), R11             // row stride in bytes
+	SHRQ $2, R9                  // steps per row
+	SHRQ $2, R10                 // groups of four rows
+	JZ   rowsdone
+
+rowsgroup:
+	LEAQ   (SI)(R11*1), R12
+	LEAQ   (R12)(R11*1), R13
+	LEAQ   (R13)(R11*1), BX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	XORQ   AX, AX
+	MOVQ   R9, CX
+
+rowsstep:
+	VCVTPS2PD    (R8)(AX*1), Y8
+	VCVTPS2PD    (SI)(AX*1), Y4
+	VCVTPS2PD    (R12)(AX*1), Y5
+	VCVTPS2PD    (R13)(AX*1), Y6
+	VCVTPS2PD    (BX)(AX*1), Y7
+	VSUBPD       Y4, Y8, Y4
+	VSUBPD       Y5, Y8, Y5
+	VSUBPD       Y6, Y8, Y6
+	VSUBPD       Y7, Y8, Y7
+	VMULPD       Y4, Y4, Y4
+	VMULPD       Y5, Y5, Y5
+	VMULPD       Y6, Y6, Y6
+	VMULPD       Y7, Y7, Y7
+	VEXTRACTF128 $1, Y4, X9
+	VEXTRACTF128 $1, Y5, X10
+	VEXTRACTF128 $1, Y6, X11
+	VEXTRACTF128 $1, Y7, X12
+	VADDPD       X4, X0, X0
+	VADDPD       X5, X1, X1
+	VADDPD       X6, X2, X2
+	VADDPD       X7, X3, X3
+	VADDPD       X9, X0, X0
+	VADDPD       X10, X1, X1
+	VADDPD       X11, X2, X2
+	VADDPD       X12, X3, X3
+	ADDQ         $16, AX
+	DECQ         CX
+	JNZ          rowsstep
+
+	VHADDPD X1, X0, X0           // [s0+s1 of row 0, s0+s1 of row 1]
+	VHADDPD X3, X2, X2
+	VMOVUPD X0, (DI)
+	VMOVUPD X2, 16(DI)
+	LEAQ    (BX)(R11*1), SI
+	ADDQ    $32, DI
+	DECQ    R10
+	JNZ     rowsgroup
+
+rowsdone:
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -1,0 +1,275 @@
+package linalg
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mcbound/internal/stats"
+)
+
+// The tests in this file compare the exported distance kernels — the
+// AVX2 backend where Kernel() says "avx2" — against the Go reference
+// (sqDistInt8Generic, sqEuclideanFrom) on the same inputs. Under
+// -tags purego, off amd64 or on a CPU without AVX2 both sides are the
+// reference and the tests check only the Rows bookkeeping.
+
+func TestKernelName(t *testing.T) {
+	k := Kernel()
+	if k != "avx2" && k != "generic" {
+		t.Fatalf("Kernel() = %q, want avx2 or generic", k)
+	}
+	t.Logf("linalg kernel: %s", k)
+}
+
+func randInt8s(rng *stats.RNG, n int) []int8 {
+	v := make([]int8, n)
+	for i := range v {
+		v[i] = int8(rng.Uint64())
+	}
+	return v
+}
+
+// randFloat32s draws components of mixed magnitude so sums round.
+func randFloat32s(rng *stats.RNG, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		u := rng.Uint64()
+		v[i] = (float32(u>>40)/(1<<23) - 1) * float32(math.Pow(10, float64(u%7)-3))
+	}
+	return v
+}
+
+// sameBits is the float contract: identical bits, any NaN equal to any
+// NaN (the payload of a propagated NaN is the one thing the reference
+// leaves to the instruction selection).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkFloatKernels compares SqEuclidean and SqEuclideanRows (the latter
+// over rows copies of b, some perturbed) against the reference.
+func checkFloatKernels(t testing.TB, a, b []float32, rows int) {
+	t.Helper()
+	want := sqEuclideanFrom(a, b, 0, 0)
+	if got := SqEuclidean(a, b); !sameBits(got, want) {
+		t.Fatalf("SqEuclidean len %d: %x (%g), reference %x (%g)", len(a),
+			math.Float64bits(got), got, math.Float64bits(want), want)
+	}
+	dim := len(a)
+	mat := make([]float32, rows*dim)
+	for r := 0; r < rows; r++ {
+		row := mat[r*dim : (r+1)*dim]
+		copy(row, b)
+		if r > 0 && dim > 0 {
+			row[r%dim] += float32(r) // distinct rows, so a row mix-up shows
+		}
+	}
+	out := make([]float64, rows)
+	SqEuclideanRows(a, mat, out)
+	for r := range out {
+		want := sqEuclideanFrom(a, mat[r*dim:(r+1)*dim], 0, 0)
+		if !sameBits(out[r], want) {
+			t.Fatalf("SqEuclideanRows %dx%d row %d: %x (%g), reference %x (%g)", rows, dim, r,
+				math.Float64bits(out[r]), out[r], math.Float64bits(want), want)
+		}
+	}
+}
+
+func TestKernelsEveryLength(t *testing.T) {
+	rng := stats.NewRNG(1)
+	for n := 0; n <= 800; n++ {
+		a, b := randInt8s(rng, n), randInt8s(rng, n)
+		if got, want := SqDistInt8(a, b), sqDistInt8Generic(a, b); got != want {
+			t.Fatalf("SqDistInt8 len %d: %d, reference %d", n, got, want)
+		}
+		checkFloatKernels(t, randFloat32s(rng, n), randFloat32s(rng, n), 1+n%9)
+	}
+}
+
+// TestKernelsUnalignedSubSlices runs the kernels on slices that start
+// 1 and 3 elements into their arrays and end exactly at the end of an
+// allocation of their own, at the lengths around the vector steps.
+func TestKernelsUnalignedSubSlices(t *testing.T) {
+	rng := stats.NewRNG(2)
+	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 383, 384, 385} {
+		ai, bi := randInt8s(rng, n+1)[1:], randInt8s(rng, n+3)[3:]
+		if got, want := SqDistInt8(ai, bi), sqDistInt8Generic(ai, bi); got != want {
+			t.Fatalf("SqDistInt8 unaligned len %d: %d, reference %d", n, got, want)
+		}
+		checkFloatKernels(t, randFloat32s(rng, n+1)[1:], randFloat32s(rng, n+3)[3:], 5)
+	}
+}
+
+// TestSqDistInt8ExtremeCodes puts the largest difference, 127 against
+// -128, at every position of vectors around the step sizes, and fills
+// whole vectors with it.
+func TestSqDistInt8ExtremeCodes(t *testing.T) {
+	for _, n := range []int{1, 15, 16, 17, 33, 384, 385} {
+		for pos := 0; pos < n; pos++ {
+			a, b := make([]int8, n), make([]int8, n)
+			a[pos], b[pos] = 127, -128
+			if got := SqDistInt8(a, b); got != 255*255 {
+				t.Fatalf("len %d pos %d: %d, want %d", n, pos, got, 255*255)
+			}
+			if got := SqDistInt8(b, a); got != 255*255 {
+				t.Fatalf("len %d pos %d swapped: %d, want %d", n, pos, got, 255*255)
+			}
+		}
+		a, b := make([]int8, n), make([]int8, n)
+		for i := range a {
+			a[i], b[i] = 127, -128
+		}
+		if got, want := SqDistInt8(a, b), int64(n)*255*255; got != want {
+			t.Fatalf("len %d all extreme: %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestSqDistInt8PastInt32 sums 2²⁰ maximal squares — 6.8e10, thirty
+// times what an int32 lane holds — and the same one element short of
+// and past a vector step.
+func TestSqDistInt8PastInt32(t *testing.T) {
+	const n = 1 << 20
+	a, b := make([]int8, n+1), make([]int8, n+1)
+	for i := range a {
+		a[i], b[i] = 127, -128
+	}
+	for _, m := range []int{n - 1, n, n + 1} {
+		if got, want := SqDistInt8(a[:m], b[:m]), int64(m)*255*255; got != want {
+			t.Fatalf("len %d: %d, want %d", m, got, want)
+		}
+	}
+}
+
+func TestSqEuclideanSpecialValues(t *testing.T) {
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	denorm := math.Float32frombits(1)
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{0, negZero, denorm, -denorm, math.MaxFloat32, -math.MaxFloat32, inf, -inf, nan, 1, -1.5}
+	rng := stats.NewRNG(3)
+	for _, n := range []int{1, 3, 4, 7, 8, 17, 384} {
+		for _, sa := range specials {
+			for _, sb := range specials {
+				a, b := randFloat32s(rng, n), randFloat32s(rng, n)
+				pos := int(rng.Uint64() % uint64(n))
+				a[pos], b[pos] = sa, sb
+				checkFloatKernels(t, a, b, 6)
+			}
+		}
+	}
+	// All-zero and all-negative-zero inputs keep the sign of the sum.
+	z, nz := make([]float32, 9), make([]float32, 9)
+	for i := range nz {
+		nz[i] = negZero
+	}
+	checkFloatKernels(t, z, nz, 4)
+	checkFloatKernels(t, nz, nz, 4)
+}
+
+func TestSqEuclideanRowsShapes(t *testing.T) {
+	rng := stats.NewRNG(4)
+	for _, dim := range []int{0, 1, 3, 4, 5, 8, 384} {
+		for rows := 0; rows <= 9; rows++ {
+			checkFloatKernels(t, randFloat32s(rng, dim), randFloat32s(rng, dim), rows)
+		}
+	}
+	checkFloatKernels(t, randFloat32s(rng, 384), randFloat32s(rng, 384), 142) // the centroid table
+}
+
+func mustPanicWith(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	f()
+}
+
+// TestKernelLengthPanics pins the mismatch panics of the exported
+// kernels at lengths that would otherwise reach the vector code.
+func TestKernelLengthPanics(t *testing.T) {
+	const msg = "linalg: vector length mismatch"
+	mustPanicWith(t, msg, func() { SqDistInt8(make([]int8, 384), make([]int8, 383)) })
+	mustPanicWith(t, msg, func() { SqDistInt8(make([]int8, 16), make([]int8, 32)) })
+	mustPanicWith(t, msg, func() { SqEuclidean(make([]float32, 384), make([]float32, 380)) })
+	mustPanicWith(t, msg, func() { SqEuclidean(make([]float32, 4), make([]float32, 8)) })
+	const shape = "linalg: matrix shape mismatch"
+	mustPanicWith(t, shape, func() { SqEuclideanRows(make([]float32, 4), make([]float32, 15), make([]float64, 4)) })
+	mustPanicWith(t, shape, func() { SqEuclideanRows(make([]float32, 4), make([]float32, 16), make([]float64, 3)) })
+}
+
+func TestKernelsDoNotAllocate(t *testing.T) {
+	rng := stats.NewRNG(5)
+	qa, qb := randInt8s(rng, 384), randInt8s(rng, 384)
+	a, b := randFloat32s(rng, 384), randFloat32s(rng, 384)
+	mat, out := randFloat32s(rng, 142*384), make([]float64, 142)
+	if n := testing.AllocsPerRun(100, func() {
+		sinkI += SqDistInt8(qa, qb)
+		sinkF += SqEuclidean(a, b)
+		SqEuclideanRows(a, mat, out)
+	}); n != 0 {
+		t.Fatalf("distance kernels allocate %v times per call", n)
+	}
+}
+
+var (
+	sinkI int64
+	sinkF float64
+)
+
+// The benchmarks run at the serving shape (384-dim rows, the 142-cell
+// centroid table of qsub_knn_s30). "/asm" is the exported kernel, skipped
+// where it is the reference anyway; "/generic" is the reference.
+func benchBackends(b *testing.B, asm, generic func()) {
+	b.Run("asm", func(b *testing.B) {
+		if Kernel() == "generic" {
+			b.Skip("no vector backend in this build or on this CPU")
+		}
+		for i := 0; i < b.N; i++ {
+			asm()
+		}
+	})
+	b.Run("generic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			generic()
+		}
+	})
+}
+
+func BenchmarkSqDistInt8(b *testing.B) {
+	rng := stats.NewRNG(6)
+	x, y := randInt8s(rng, 384), randInt8s(rng, 384)
+	b.Run("384", func(b *testing.B) {
+		benchBackends(b,
+			func() { sinkI += SqDistInt8(x, y) },
+			func() { sinkI += sqDistInt8Generic(x, y) })
+	})
+}
+
+func BenchmarkSqEuclidean(b *testing.B) {
+	rng := stats.NewRNG(7)
+	x, y := randFloat32s(rng, 384), randFloat32s(rng, 384)
+	b.Run("384", func(b *testing.B) {
+		benchBackends(b,
+			func() { sinkF += SqEuclidean(x, y) },
+			func() { sinkF += sqEuclideanFrom(x, y, 0, 0) })
+	})
+}
+
+func BenchmarkSqEuclideanRows(b *testing.B) {
+	const rows, dim = 142, 384
+	rng := stats.NewRNG(8)
+	q, mat, out := randFloat32s(rng, dim), randFloat32s(rng, rows*dim), make([]float64, rows)
+	b.Run(fmt.Sprintf("%dx%d", rows, dim), func(b *testing.B) {
+		benchBackends(b,
+			func() { SqEuclideanRows(q, mat, out) },
+			func() {
+				for r := range out {
+					out[r] = sqEuclideanFrom(q, mat[r*dim:(r+1)*dim], 0, 0)
+				}
+			})
+	})
+}

@@ -44,22 +44,61 @@ func Normalize(a []float32) {
 
 // SqEuclidean returns the squared Euclidean distance between a and b.
 // KNN uses the squared form: it preserves ordering and skips the sqrt.
+// It panics if lengths differ.
+//
+// The summation order is part of the contract: float64 differences,
+// squares accumulated into two lanes (even indices, odd indices, an odd
+// last element into the even lane), returned as even + odd, no fused
+// multiply-add. sqEuclideanFrom below is that definition; the AVX2
+// backend reproduces it operation for operation, so every build returns
+// the same bits and an index calibrated by one serves under the other.
 func SqEuclidean(a, b []float32) float64 {
 	checkLen(a, b)
-	var s0, s1 float64
+	return sqEuclidean(a, b)
+}
+
+// sqEuclideanFrom is the reference kernel, continuing from the lane
+// sums (s0, s1) of an even-length prefix: the whole computation from
+// (0, 0), or the tail after the vector kernel.
+func sqEuclideanFrom(a, b []float32, s0, s1 float64) float64 {
 	n := len(a)
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		d0 := float64(a[i]) - float64(b[i])
 		d1 := float64(a[i+1]) - float64(b[i+1])
-		s0 += d0 * d0
-		s1 += d1 * d1
+		// The conversions forbid fusing the square into the add (the
+		// compiler may otherwise, on arm64 or GOAMD64=v3), which would
+		// round once where the contract rounds twice.
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
 	}
 	if i < n {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1
+}
+
+// SqEuclideanRows writes the squared Euclidean distance from q to each
+// row of the contiguous row-major matrix mat (len(out) rows of len(q)
+// components) into out; out[r] has exactly the bits of
+// SqEuclidean(q, row r). One row's sum is a dependent chain of adds, so
+// the vector backend interleaves the chains of several rows — the form
+// to use wherever the rows are already adjacent in memory. It panics if
+// len(mat) != len(out)*len(q).
+func SqEuclideanRows(q, mat []float32, out []float64) {
+	if len(mat) != len(out)*len(q) {
+		panic("linalg: matrix shape mismatch")
+	}
+	sqEuclideanRows(q, mat, out)
+}
+
+// sqEuclideanRowsEach is SqEuclideanRows one row at a time.
+func sqEuclideanRowsEach(q, mat []float32, out []float64) {
+	dim := len(q)
+	for r := range out {
+		out[r] = sqEuclidean(q, mat[r*dim:(r+1)*dim])
+	}
 }
 
 // Minkowski returns the order-p Minkowski distance between a and b

@@ -106,10 +106,15 @@ type Index struct {
 }
 
 type searchBuf struct {
-	qq    []int8      // quantized query
-	cdist []float64   // centroid distances
-	probe []int32     // probed cluster ids
-	cand  []quantCand // bounded top-R quantized candidates
+	qq    []int8        // quantized query
+	cdist []float64     // centroid distances
+	probe []clusterDist // the nprobe nearest cells, nearest first
+	cand  []quantCand   // bounded top-R quantized candidates
+}
+
+type clusterDist struct {
+	d float64
+	c int32
 }
 
 type quantCand struct {
@@ -325,6 +330,10 @@ func (ix *Index) row(i int) []float32 {
 	return ix.data[i*ix.dim : (i+1)*ix.dim]
 }
 
+// exactBlock is how many rows of the matrix exactTopK measures per
+// SqEuclideanRows call: the distances live on the stack.
+const exactBlock = 256
+
 // exactTopK is the brute-force reference used by calibration: row ids
 // of the k nearest rows under exact squared Euclidean distance.
 func exactTopK(data []float32, dim int, q []float32, k int) []int32 {
@@ -338,23 +347,27 @@ func exactTopK(data []float32, dim int, q []float32, k int) []int32 {
 	}
 	top := make([]nd, 0, k)
 	worst := math.Inf(1)
-	for i := 0; i < n; i++ {
-		d := linalg.SqEuclidean(q, data[i*dim:(i+1)*dim])
-		if len(top) == k && d >= worst {
-			continue
+	var block [exactBlock]float64
+	for lo := 0; lo < n; lo += exactBlock {
+		dist := block[:min(exactBlock, n-lo)]
+		linalg.SqEuclideanRows(q, data[lo*dim:(lo+len(dist))*dim], dist)
+		for j, d := range dist {
+			if len(top) == k && d >= worst {
+				continue
+			}
+			pos := len(top)
+			if pos < k {
+				top = append(top, nd{})
+			} else {
+				pos--
+			}
+			for pos > 0 && top[pos-1].d > d {
+				top[pos] = top[pos-1]
+				pos--
+			}
+			top[pos] = nd{d: d, id: int32(lo + j)}
+			worst = top[len(top)-1].d
 		}
-		pos := len(top)
-		if pos < k {
-			top = append(top, nd{})
-		} else {
-			pos--
-		}
-		for pos > 0 && top[pos-1].d > d {
-			top[pos] = top[pos-1]
-			pos--
-		}
-		top[pos] = nd{d: d, id: int32(i)}
-		worst = top[len(top)-1].d
 	}
 	out := make([]int32, len(top))
 	for i, t := range top {
@@ -438,11 +451,11 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 func assignRows(data []float32, dim int, rows []int32, cents []float32, out []int32) {
 	k := len(cents) / dim
 	linalg.ParallelFor(len(rows), func(lo, hi int) {
+		cdist := make([]float64, k)
 		for i := lo; i < hi; i++ {
-			row := rowOf(data, dim, int(rows[i]))
+			linalg.SqEuclideanRows(rowOf(data, dim, int(rows[i])), cents, cdist)
 			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				d := linalg.SqEuclidean(row, cents[c*dim:(c+1)*dim])
+			for c, d := range cdist {
 				if d < bestD {
 					best, bestD = c, d
 				}
@@ -541,10 +554,8 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 		b.cdist = make([]float64, nclusters)
 	}
 	cdist := b.cdist[:nclusters]
-	for c := 0; c < nclusters; c++ {
-		cdist[c] = linalg.SqEuclidean(q, ix.cents[c*ix.dim:(c+1)*ix.dim])
-	}
-	b.probe = selectNearestClusters(cdist, nprobe, b.probe[:0])
+	linalg.SqEuclideanRows(q, ix.cents, cdist)
+	b.selectNearestClusters(cdist, nprobe)
 
 	// Quantized scan of the probed cells with a bounded top-pool.
 	linalg.QuantizeInt8(b.qq, q, ix.scale)
@@ -559,7 +570,8 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 	// population (once k candidates exist) instead of blowing the tail
 	// latency. Calibration measures recall with the budget in force.
 	budget := nprobe * ((ix.n + nclusters - 1) / nclusters) * 5 / 4
-	for _, c := range b.probe {
+	for _, p := range b.probe {
+		c := p.c
 		for _, id := range ix.member[ix.starts[c]:ix.starts[c+1]] {
 			d := linalg.SqDistInt8(b.qq, ix.codes[int(id)*ix.dim:(int(id)+1)*ix.dim])
 			if len(cand) == pool && d >= worst {
@@ -616,17 +628,16 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 	return dst
 }
 
-// selectNearestClusters appends the ids of the nprobe smallest
-// distances into dst (ascending by distance) via bounded insertion.
-func selectNearestClusters(cdist []float64, nprobe int, dst []int32) []int32 {
+// selectNearestClusters fills b.probe with the nprobe smallest
+// distances (ascending by distance) via bounded insertion.
+func (b *searchBuf) selectNearestClusters(cdist []float64, nprobe int) {
 	if nprobe > len(cdist) {
 		nprobe = len(cdist)
 	}
-	type cd struct {
-		d float64
-		c int32
+	if cap(b.probe) < nprobe {
+		b.probe = make([]clusterDist, 0, nprobe)
 	}
-	top := make([]cd, 0, nprobe)
+	top := b.probe[:0]
 	worst := math.Inf(1)
 	for c, d := range cdist {
 		if len(top) == nprobe && d >= worst {
@@ -634,7 +645,7 @@ func selectNearestClusters(cdist []float64, nprobe int, dst []int32) []int32 {
 		}
 		pos := len(top)
 		if pos < nprobe {
-			top = append(top, cd{})
+			top = append(top, clusterDist{})
 		} else {
 			pos--
 		}
@@ -642,13 +653,10 @@ func selectNearestClusters(cdist []float64, nprobe int, dst []int32) []int32 {
 			top[pos] = top[pos-1]
 			pos--
 		}
-		top[pos] = cd{d: d, c: int32(c)}
+		top[pos] = clusterDist{d: d, c: int32(c)}
 		worst = top[len(top)-1].d
 	}
-	for _, t := range top {
-		dst = append(dst, t.c)
-	}
-	return dst
+	b.probe = top
 }
 
 // ErrCorruptIndex is wrapped by Load on any malformed index section.

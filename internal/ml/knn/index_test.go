@@ -318,3 +318,28 @@ func TestUnmarshalRejectsCountMismatch(t *testing.T) {
 		t.Fatalf("count mismatch: got %v", err)
 	}
 }
+
+// TestPredictAllocationBudget pins the heap traffic of a single-query
+// Predict: the label slice, the fan-out closure and the chunk's one
+// candidate scratch, with the index (whose per-query buffers are pooled)
+// and without it (whose block of distances lives on the stack). The
+// search itself adds none. The pool may lose its buffer between two
+// queries (a GC; under the race detector a quarter of all Puts), so the
+// budget is held by the cheapest of several runs.
+func TestPredictAllocationBudget(t *testing.T) {
+	x, y := trainSet(600, 16, 5)
+	for _, mode := range []IndexMode{IndexOn, IndexOff} {
+		c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, Seed: 1}})
+		if err := c.Train(x, y); err != nil {
+			t.Fatal(err)
+		}
+		q := x[3:4]
+		least := math.Inf(1)
+		for i := 0; i < 20; i++ {
+			least = min(least, testing.AllocsPerRun(10, func() { c.Predict(q) }))
+		}
+		if least > 3 {
+			t.Errorf("index %s: Predict of one query allocates %v times, budget 3", mode, least)
+		}
+	}
+}

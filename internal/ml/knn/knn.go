@@ -222,7 +222,7 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	}
 	out := make([]job.Label, len(x))
 	linalg.ParallelFor(len(x), func(lo, hi int) {
-		top := make([]neighbor, 0, c.cfg.K)
+		top := make([]ml.Candidate, 0, c.cfg.K)
 		for i := lo; i < hi; i++ {
 			out[i] = c.predictOne(x[i], top)
 		}
@@ -230,75 +230,78 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	return out, nil
 }
 
-// neighbor is one candidate group in the top-k selection.
-type neighbor struct {
-	dist  float64
-	group int
-}
-
-// predictOne finds the k nearest training points of q. Because every
-// group holds at least one point, the k nearest points are contained in
-// the k nearest groups, so a bounded top-k over groups suffices. With an
-// index built, the group scan is replaced by an IVF search (approximate:
+// predictOne finds the k nearest training points of q, using top as
+// scratch. Because every group holds at least one point, the k nearest
+// points are contained in the k nearest groups, so a bounded top-k over
+// groups (Candidate.ID is the group) suffices. With an index built, the
+// group scan is replaced by an IVF search (approximate:
 // TestRecallGateAtScale bounds the neighbor-set difference).
-func (c *Classifier) predictOne(q []float32, top []neighbor) job.Label {
-	k := c.cfg.K
-	if k > c.n {
-		k = c.n
-	}
-	kg := k
-	if kg > c.groups {
-		kg = c.groups
-	}
+func (c *Classifier) predictOne(q []float32, top []ml.Candidate) job.Label {
+	k := min(c.cfg.K, c.n)
+	kg := min(k, c.groups)
 	if c.index != nil {
-		cand := c.index.Search(q, kg, make([]ml.Candidate, 0, kg))
-		top = top[:0]
-		for _, cd := range cand {
-			top = append(top, neighbor{dist: cd.Dist, group: cd.ID})
-		}
-		return c.vote(top, k)
-	}
-	top = top[:0]
-	worst := math.Inf(1)
-	for g := 0; g < c.groups; g++ {
-		row := c.data[g*c.dim : (g+1)*c.dim]
-		var d float64
-		if c.cfg.P == 2 {
-			d = linalg.SqEuclidean(q, row) // monotone in the true distance
-		} else {
-			d = linalg.Minkowski(q, row, c.cfg.P)
-		}
-		if len(top) == kg && d >= worst {
-			continue
-		}
-		pos := len(top)
-		if len(top) < kg {
-			top = append(top, neighbor{})
-		}
-		for pos > 0 && top[pos-1].dist > d {
-			if pos < len(top) {
-				top[pos] = top[pos-1]
-			}
-			pos--
-		}
-		top[pos] = neighbor{dist: d, group: g}
-		worst = top[len(top)-1].dist
+		top = c.index.Search(q, kg, top)
+	} else {
+		top = scanGroups(c.data, c.dim, c.groups, q, c.cfg.P, kg, top)
 	}
 	return c.vote(top, k)
+}
+
+// scanBlock is how many groups scanGroups measures per distance call:
+// the block's distances live on the stack.
+const scanBlock = 256
+
+// scanGroups is the exact search the classifier and the regressor
+// share: the kg groups of the row-major matrix nearest to q under the
+// order-p Minkowski distance, nearest first, in top[:0]. The matrix is
+// contiguous, so the Euclidean case measures a block of rows per call.
+func scanGroups(data []float32, dim, groups int, q []float32, p float64, kg int, top []ml.Candidate) []ml.Candidate {
+	top = top[:0]
+	worst := math.Inf(1)
+	var block [scanBlock]float64
+	for lo := 0; lo < groups; lo += scanBlock {
+		dist := block[:min(scanBlock, groups-lo)]
+		rows := data[lo*dim : (lo+len(dist))*dim]
+		if p == 2 {
+			linalg.SqEuclideanRows(q, rows, dist) // monotone in the true distance
+		} else {
+			for j := range dist {
+				dist[j] = linalg.Minkowski(q, rows[j*dim:(j+1)*dim], p)
+			}
+		}
+		for j, d := range dist {
+			if len(top) == kg && d >= worst {
+				continue
+			}
+			pos := len(top)
+			if pos < kg {
+				top = append(top, ml.Candidate{})
+			} else {
+				pos--
+			}
+			for pos > 0 && top[pos-1].Dist > d {
+				top[pos] = top[pos-1]
+				pos--
+			}
+			top[pos] = ml.Candidate{ID: lo + j, Dist: d}
+			worst = top[len(top)-1].Dist
+		}
+	}
+	return top
 }
 
 // vote consumes k votes walking the groups from nearest to farthest;
 // within a group (equidistant duplicates) majority label first. It is
 // shared by the brute-force and index search paths so both vote under
 // identical semantics.
-func (c *Classifier) vote(top []neighbor, k int) job.Label {
+func (c *Classifier) vote(top []ml.Candidate, k int) job.Label {
 	var votes [2]int
 	remaining := k
 	for _, nb := range top {
 		if remaining <= 0 {
 			break
 		}
-		cnt := c.counts[nb.group]
+		cnt := c.counts[nb.ID]
 		maj, min := 0, 1
 		if cnt[1] > cnt[0] {
 			maj, min = 1, 0
@@ -323,7 +326,7 @@ func (c *Classifier) vote(top []neighbor, k int) job.Label {
 		return job.MemoryBound
 	}
 	// Exact tie: side with the nearest group's majority.
-	cnt := c.counts[top[0].group]
+	cnt := c.counts[top[0].ID]
 	if cnt[1] > cnt[0] {
 		return job.ComputeBound
 	}

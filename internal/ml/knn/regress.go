@@ -128,48 +128,17 @@ func (r *Regressor) PredictValues(x [][]float32) ([]float64, error) {
 	}
 	out := make([]float64, len(x))
 	linalg.ParallelFor(len(x), func(lo, hi int) {
+		top := make([]ml.Candidate, 0, r.cfg.K)
 		for i := lo; i < hi; i++ {
-			out[i] = r.predictOne(x[i])
+			out[i] = r.predictOne(x[i], top)
 		}
 	})
 	return out, nil
 }
 
-func (r *Regressor) predictOne(q []float32) float64 {
-	k := r.cfg.K
-	if k > r.n {
-		k = r.n
-	}
-	kg := k
-	if kg > r.groups {
-		kg = r.groups
-	}
-	top := make([]neighbor, 0, kg)
-	worst := math.Inf(1)
-	for g := 0; g < r.groups; g++ {
-		row := r.data[g*r.dim : (g+1)*r.dim]
-		var d float64
-		if r.cfg.P == 2 {
-			d = linalg.SqEuclidean(q, row)
-		} else {
-			d = linalg.Minkowski(q, row, r.cfg.P)
-		}
-		if len(top) == kg && d >= worst {
-			continue
-		}
-		pos := len(top)
-		if len(top) < kg {
-			top = append(top, neighbor{})
-		}
-		for pos > 0 && top[pos-1].dist > d {
-			if pos < len(top) {
-				top[pos] = top[pos-1]
-			}
-			pos--
-		}
-		top[pos] = neighbor{dist: d, group: g}
-		worst = top[len(top)-1].dist
-	}
+func (r *Regressor) predictOne(q []float32, top []ml.Candidate) float64 {
+	k := min(r.cfg.K, r.n)
+	top = scanGroups(r.data, r.dim, r.groups, q, r.cfg.P, min(k, r.groups), top)
 
 	// Average k targets walking the groups from nearest to farthest;
 	// a partially consumed group contributes its mean per point.
@@ -180,11 +149,11 @@ func (r *Regressor) predictOne(q []float32) float64 {
 		if remaining <= 0 {
 			break
 		}
-		take := int(r.count[nb.group])
+		take := int(r.count[nb.ID])
 		if take > remaining {
 			take = remaining
 		}
-		mean := r.sum[nb.group] / float64(r.count[nb.group])
+		mean := r.sum[nb.ID] / float64(r.count[nb.ID])
 		total += mean * float64(take)
 		used += take
 		remaining -= take
