@@ -87,26 +87,114 @@ func BenchmarkTrainSize(b *testing.B) {
 	}
 }
 
-// BenchmarkPredict measures inference on the fitted forest (Fig. 8's RF
-// series: constant in the training window): batch=1 is the per-qsub
-// call, batch=1000 the periodic window, where the tree-major kernel
-// amortizes each tree over the whole chunk.
-func BenchmarkPredict(b *testing.B) {
-	x, y := benchData(20000, 384, 4)
-	c := New(DefaultConfig())
-	if err := c.Train(x, y); err != nil {
-		b.Fatal(err)
-	}
-	queries, _ := benchData(1000, 384, 5)
-	for _, batch := range []int{1, 1000} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Predict(queries[:batch]); err != nil {
-					b.Fatal(err)
-				}
+// deepData is a training set whose forest has the served forest's shape
+// (s30: 188 K nodes, a row crosses 28 splits a tree, left and right
+// equally often), which clean clusters do not give — benchData fits 100
+// stumps. Rows are sparse like the encoder's: each of 2 000 "apps" is
+// 32 tokens out of dim with weights of either sign, popular apps drawn
+// more often, a row its app plus a little jitter; the label is the
+// app's, flipped one time in five so no split purifies a node.
+// Uniform-bin splits then peel one token's rows off the rest at a time
+// — to the left for a negative weight, to the right for a positive one
+// — and the trees grow long and unpredictable.
+func deepData(n, dim int, seed uint64) ([][]float32, []job.Label) {
+	const apps, tokens = 2000, 32
+	rng := stats.NewRNG(seed)
+	centre := make([][]float32, apps)
+	label := make([]job.Label, apps)
+	for a := range centre {
+		centre[a] = make([]float32, dim)
+		for t := 0; t < tokens; t++ {
+			w := float32(0.2 + 0.8*rng.Float64())
+			if rng.Bool(0.5) {
+				w = -w
 			}
-		})
+			centre[a][rng.Intn(dim)] = w
+		}
+		label[a] = job.MemoryBound
+		if rng.Bool(0.5) {
+			label[a] = job.ComputeBound
+		}
+	}
+	x := make([][]float32, n)
+	y := make([]job.Label, n)
+	for i := range x {
+		u := rng.Float64()
+		a := int(apps * u * u)
+		x[i] = make([]float32, dim)
+		for d, c := range centre[a] {
+			x[i][d] = c + float32(0.01*(rng.Float64()-0.5))
+		}
+		y[i] = label[a]
+		if rng.Intn(5) == 0 {
+			y[i] = job.MemoryBound + job.ComputeBound - y[i]
+		}
+	}
+	return x, y
+}
+
+// walkedDepth is the mean number of splits a query crosses per tree.
+func walkedDepth(c *Classifier, queries [][]float32) float64 {
+	steps := 0
+	for _, q := range queries {
+		for _, i := range c.roots {
+			for c.nodes[i].feature >= 0 {
+				if q[c.nodes[i].feature] < c.nodes[i].threshold() {
+					i++
+				} else {
+					i = c.nodes[i].right
+				}
+				steps++
+			}
+		}
+	}
+	return float64(steps) / float64(len(queries)*len(c.roots))
+}
+
+// BenchmarkPredict measures inference on the fitted forest (Fig. 8's RF
+// series: constant in the training window) at the three batch sizes the
+// server sees: 1 is the per-qsub call, 360 the distinct rows of a
+// 1 000-job window, 1 000 a window without duplicates. The shallow
+// forest is what clean synthetic clusters fit (a walk is one or two
+// levels and the call is all overhead); the deep one has the served
+// forest's size and depth, where the walk is the cost.
+func BenchmarkPredict(b *testing.B) {
+	shallowX, shallowY := benchData(21000, 384, 4)
+	deepX, deepY := deepData(11000, 384, 4)
+	for _, forest := range []struct {
+		name string
+		x    [][]float32
+		y    []job.Label
+	}{
+		{"shallow", shallowX, shallowY},
+		{"deep", deepX, deepY},
+	} {
+		// The last 1 000 rows are the queries and are not trained on.
+		n := len(forest.x) - 1000
+		queries := forest.x[n:]
+		c := New(DefaultConfig())
+		if err := c.Train(forest.x[:n], forest.y[:n]); err != nil {
+			b.Fatal(err)
+		}
+		depth := walkedDepth(c, queries)
+		if forest.name == "deep" && (len(c.nodes) < 150_000 || depth < 25) {
+			b.Fatalf("the deep forest has %d nodes walked %.1f levels deep, want ≥ 150 000 and ≥ 25", len(c.nodes), depth)
+		}
+		for _, batch := range []int{1, 360, 1000} {
+			b.Run(fmt.Sprintf("%s/batch=%d", forest.name, batch), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					// A new window of the queries every call: the same rows
+					// again would be walked from the branch predictor's memory.
+					lo := i * batch % (len(queries) - batch + 1)
+					if _, err := c.Predict(queries[lo : lo+batch]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(c.nodes)), "nodes")
+				b.ReportMetric(depth, "levels/tree")
+			})
+		}
 	}
 }
 

@@ -80,17 +80,22 @@ func parseRef(t testing.TB, blob []byte) refForest {
 	return f
 }
 
-// growRef appends a random subtree in preorder. shape picks how it
-// splits: "chain" keeps one child a leaf all the way down, "bushy"
-// splits both sides until depth runs out or a coin says stop.
-func growRef(rng *stats.RNG, nodes []refNode, dim, depth int, shape string) []refNode {
+// coarseThresholds are the split values of the random forests unless a
+// test brings its own: few enough that queries hit them exactly.
+var coarseThresholds = []float32{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875}
+
+// growRef appends a random subtree in preorder, its split values drawn
+// from thresholds. shape picks how it splits: "chain" keeps one child a
+// leaf all the way down, "bushy" splits both sides until depth runs out
+// or a coin says stop.
+func growRef(rng *stats.RNG, nodes []refNode, dim, depth int, shape string, thresholds []float32) []refNode {
 	if depth == 0 || (shape == "bushy" && rng.Intn(4) == 0) {
 		return append(nodes, refNode{Left: -1, Right: -1, Class: int8(rng.Intn(2))})
 	}
 	id := len(nodes)
 	nodes = append(nodes, refNode{
 		Feature:   int32(rng.Intn(dim)),
-		Threshold: float32(rng.Intn(8)) / 8, // coarse: queries hit thresholds exactly
+		Threshold: thresholds[rng.Intn(len(thresholds))],
 		Left:      int32(id + 1),
 	})
 	leftDepth, rightDepth := depth-1, depth-1
@@ -101,16 +106,20 @@ func growRef(rng *stats.RNG, nodes []refNode, dim, depth int, shape string) []re
 			rightDepth = 0
 		}
 	}
-	nodes = growRef(rng, nodes, dim, leftDepth, shape)
+	nodes = growRef(rng, nodes, dim, leftDepth, shape, thresholds)
 	nodes[id].Right = int32(len(nodes))
-	return growRef(rng, nodes, dim, rightDepth, shape)
+	return growRef(rng, nodes, dim, rightDepth, shape, thresholds)
 }
 
 func randomRef(seed uint64, dim, ntrees, depth int, shape string) refForest {
+	return saltedRef(seed, dim, ntrees, depth, shape, coarseThresholds)
+}
+
+func saltedRef(seed uint64, dim, ntrees, depth int, shape string, thresholds []float32) refForest {
 	rng := stats.NewRNG(seed)
 	f := refForest{dim: dim, trees: make([][]refNode, ntrees)}
 	for i := range f.trees {
-		f.trees[i] = growRef(rng, nil, dim, depth, shape)
+		f.trees[i] = growRef(rng, nil, dim, depth, shape, thresholds)
 	}
 	return f
 }
@@ -151,9 +160,9 @@ func assertMatchesRef(t *testing.T, what string, c *Classifier, ref refForest, x
 }
 
 // TestKernelMatchesReferenceWalker is the differential test of the
-// tree-major kernel: over seeded random forests of every awkward shape
-// and batch sizes on both sides of the vote block and of the per-worker
-// chunk, Predict equals the per-query walker row for row — as loaded,
+// kernel: over seeded random forests of every awkward shape and batch
+// sizes on both sides of the row block and of the per-worker chunk,
+// Predict equals the per-query walker row for row — as loaded,
 // and again after a marshal round trip, which must also reproduce the
 // payload byte for byte.
 func TestKernelMatchesReferenceWalker(t *testing.T) {
@@ -181,13 +190,126 @@ func TestKernelMatchesReferenceWalker(t *testing.T) {
 				if err := restored.UnmarshalBinary(again); err != nil {
 					t.Fatal(err)
 				}
-				for _, n := range []int{0, 1, 63, 64, 65, 1000, 1025, 2049} { // 2049: three vote blocks on one worker
+				for _, n := range []int{0, 1, 63, 64, 65, 1000, 1025, 2049} {
 					x := randomQueries(uint64(n), n, ref.dim)
 					assertMatchesRef(t, "loaded", c, ref, x)
 					assertMatchesRef(t, "round-tripped", restored, ref, x)
 				}
 			})
 		}
+	}
+}
+
+// The values on which an integer order key and the float compare could
+// part: both NaNs, both infinities, both zeros, the smallest and the
+// largest magnitudes of either sign. Every one but the NaNs is also a
+// split threshold of the salted forests, so rows sit exactly on
+// thresholds of every kind.
+var (
+	negNaN = math.Float32frombits(0xffc00001)
+	salts  = []float32{
+		float32(math.NaN()), negNaN,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32,
+		0.5, -0.5, 1, -1,
+	}
+	saltedThresholds = salts[2:]
+)
+
+// saltedQueries draws rows half of whose values are salts.
+func saltedQueries(seed uint64, n, dim int) [][]float32 {
+	rng := stats.NewRNG(seed)
+	x := make([][]float32, n)
+	for i := range x {
+		x[i] = make([]float32, dim)
+		for d := range x[i] {
+			if rng.Bool(0.5) {
+				x[i][d] = salts[rng.Intn(len(salts))]
+			} else {
+				x[i][d] = float32(rng.Float64()*4 - 2)
+			}
+		}
+	}
+	return x
+}
+
+// TestKernelMatchesReferenceOnSaltedInputs: the order keys send every
+// row where the float compare sends it. Tree counts on both sides of a
+// lane group (and one that is all leftover), trees that are a lone
+// leaf next to trees at the depth cap so that lanes of one group finish
+// far apart, batches on both sides of one and two row blocks.
+func TestKernelMatchesReferenceOnSaltedInputs(t *testing.T) {
+	const dim = 6
+	for _, ntrees := range []int{1, 7, 8, 9, 100} {
+		forests := map[string]refForest{
+			"root is a leaf": saltedRef(uint64(ntrees), dim, ntrees, 0, "bushy", saltedThresholds),
+			"bushy":          saltedRef(uint64(ntrees)+1, dim, ntrees, 7, "bushy", saltedThresholds),
+			"depth 40":       saltedRef(uint64(ntrees)+2, dim, ntrees, 40, "chain", saltedThresholds),
+		}
+		mixed := saltedRef(uint64(ntrees)+3, dim, ntrees, 40, "chain", saltedThresholds)
+		for i := range mixed.trees {
+			if i%3 == 1 {
+				mixed.trees[i] = []refNode{{Left: -1, Right: -1, Class: int8(i % 2)}}
+			}
+		}
+		forests["leaves beside depth 40"] = mixed
+		for name, ref := range forests {
+			t.Run(fmt.Sprintf("%s/trees=%d", name, ntrees), func(t *testing.T) {
+				c := New(DefaultConfig())
+				if err := c.UnmarshalBinary(ref.marshal()); err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1000} {
+					assertMatchesRef(t, fmt.Sprintf("%d rows", n), c, ref, saltedQueries(uint64(n), n, dim))
+				}
+			})
+		}
+	}
+}
+
+// TestRowKeyOrderIsFloatOrder checks the claim the kernel rests on,
+// pair by pair: rowKey(v) < splitKey(t) exactly when v < t, for every
+// salt against every salt that may be a threshold, and splitKey gives
+// the threshold back bit for bit.
+func TestRowKeyOrderIsFloatOrder(t *testing.T) {
+	rng := stats.NewRNG(3)
+	values := append([]float32(nil), salts...)
+	for i := 0; i < 200; i++ {
+		values = append(values, math.Float32frombits(uint32(rng.Uint64())))
+	}
+	for _, th := range values {
+		if th != th {
+			continue
+		}
+		nd := splitNode(th, 0)
+		if got := nd.threshold(); math.Float32bits(got) != math.Float32bits(th) {
+			t.Fatalf("threshold %g (%#x) came back as %g (%#x)", th, math.Float32bits(th), got, math.Float32bits(got))
+		}
+		for _, v := range values {
+			if got, want := rowKey(v) < nd.key, v < th; got != want {
+				t.Fatalf("v = %g (%#x), t = %g (%#x): keys say %v, floats say %v",
+					v, math.Float32bits(v), th, math.Float32bits(th), got, want)
+			}
+		}
+	}
+}
+
+// TestLoneRowKeysStayOnTheStack: the single-job request's Predict
+// allocates its result and the fan-out closure, as it did before the
+// kernel had keys to put anywhere; the keys of a row of the served
+// dimension fit the worker's stack buffer.
+func TestLoneRowKeysStayOnTheStack(t *testing.T) {
+	const dim = 384
+	ref := randomRef(6, dim, 100, 12, "chain")
+	c := New(DefaultConfig())
+	if err := c.UnmarshalBinary(ref.marshal()); err != nil {
+		t.Fatal(err)
+	}
+	x := randomQueries(7, 1, dim)
+	if n := testing.AllocsPerRun(200, func() { c.Predict(x) }); n > 2 {
+		t.Fatalf("Predict of one %d-dim row allocates %v times, want ≤ 2", dim, n)
 	}
 }
 
@@ -282,6 +404,8 @@ func TestUnmarshalRejectsInvalidForest(t *testing.T) {
 		"right past the tree":       func(f *refForest) { f.trees[0][0].Right = 5 },
 		"right into the next tree":  func(f *refForest) { f.trees[0][0].Right = 6 },
 		"right inside left subtree": func(f *refForest) { f.trees[0][0].Right = 3 },
+		"NaN threshold":             func(f *refForest) { f.trees[0][1].Threshold = float32(math.NaN()) },
+		"negative NaN threshold":    func(f *refForest) { f.trees[0][0].Threshold = negNaN },
 		"leaf class 2":              func(f *refForest) { f.trees[0][3].Class = 2 },
 		"leaf class negative":       func(f *refForest) { f.trees[1][0].Class = -1 },
 		"last node is a split": func(f *refForest) {
@@ -336,6 +460,9 @@ func FuzzForestModel(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(validRef().marshal())
+	nanSplit := validRef()
+	nanSplit.trees[0][0].Threshold = float32(math.NaN())
+	f.Add(nanSplit.marshal())
 	f.Add([]byte("nope"))
 	f.Add([]byte("MCBRF001xxxxxxx"))
 	for _, n := range []int{len(marshalMagic), len(marshalMagic) + 16, len(valid) / 2, len(valid) - 1} {
@@ -370,5 +497,54 @@ func FuzzForestModel(f *testing.F) {
 		if got, err := restored.Predict(zero); err != nil || got[0] != want[0] {
 			t.Fatalf("round trip changed the prediction: %v vs %v (err %v)", got, want, err)
 		}
+	})
+}
+
+// FuzzPredictMatchesReference: whatever forest shape, thresholds and
+// row values the fuzzer finds — the two byte strings are read as raw
+// float32 bit patterns, so every NaN payload, denormal and signed zero
+// is within reach — Predict answers as the reference walker does.
+func FuzzPredictMatchesReference(f *testing.F) {
+	le := binary.LittleEndian
+	floats := func(vs ...float32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = le.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	f.Add(uint64(1), uint8(9), uint8(5), false, floats(saltedThresholds...), floats(salts...))
+	f.Add(uint64(2), uint8(100), uint8(40), true, floats(0, float32(math.Copysign(0, -1))), floats(salts...))
+	f.Add(uint64(3), uint8(8), uint8(0), false, []byte{}, floats(0.3, 0.6, negNaN))
+	f.Add(uint64(4), uint8(17), uint8(12), true, floats(math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32), []byte{1, 0, 0, 0, 1, 0, 0, 128})
+	f.Fuzz(func(t *testing.T, seed uint64, ntrees, depth uint8, chain bool, rawThresholds, rawRows []byte) {
+		const dim = 4
+		thresholds := append([]float32(nil), coarseThresholds...)
+		for ; len(rawThresholds) >= 4; rawThresholds = rawThresholds[4:] {
+			if v := math.Float32frombits(le.Uint32(rawThresholds)); v == v {
+				thresholds = append(thresholds, v)
+			}
+		}
+		shape := "bushy"
+		if chain {
+			shape = "chain"
+		}
+		// A bushy tree doubles with every level; keep it a few thousand nodes.
+		if !chain && depth > 10 {
+			depth = 10
+		}
+		ref := saltedRef(seed, dim, 1+int(ntrees)%120, int(depth)%48, shape, thresholds)
+		c := New(DefaultConfig())
+		if err := c.UnmarshalBinary(ref.marshal()); err != nil {
+			t.Fatalf("generated forest rejected: %v", err)
+		}
+		x := [][]float32{make([]float32, dim)}
+		for d := 0; len(rawRows) >= 4; rawRows = rawRows[4:] {
+			x[len(x)-1][d] = math.Float32frombits(le.Uint32(rawRows))
+			if d++; d == dim {
+				x, d = append(x, make([]float32, dim)), 0
+			}
+		}
+		assertMatchesRef(t, "fuzzed", c, ref, x)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -23,6 +24,12 @@ const (
 // plus everything the health poller and the data path learn about it.
 type backend struct {
 	member cluster.Member
+	// base is member.URL parsed, once; cloneRequest copies it per forward.
+	base *url.URL
+
+	// requestsOK is this backend's backend_requests{outcome="ok"} series,
+	// looked up once instead of on every forward.
+	requestsOK *telemetry.Counter
 
 	// res samples this backend's successful-read latencies (seconds);
 	// its p95 feeds the adaptive hedge delay.

@@ -43,8 +43,8 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 	if dur >= 400*time.Millisecond {
 		t.Fatalf("hedged read took %v — it waited out the slow primary", dur)
 	}
-	if rt.hedges.load() != 1 {
-		t.Fatalf("hedges = %d, want 1", rt.hedges.load())
+	if rt.hedges.Load() != 1 {
+		t.Fatalf("hedges = %d, want 1", rt.hedges.Load())
 	}
 	if rt.met.hedgeWins.Value() != 1 {
 		t.Fatalf("hedge wins = %d, want 1", rt.met.hedgeWins.Value())

@@ -13,6 +13,7 @@ func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 // registry (New falls back to a private one), so every field is live.
 type metrics struct {
 	reg            *telemetry.Registry
+	readOK         *telemetry.Counter // requests{type="read",outcome="ok"}: every read's, so resolved once
 	hedges         *telemetry.Counter
 	hedgeWins      *telemetry.Counter
 	ejections      *telemetry.Counter
@@ -36,6 +37,10 @@ func newMetrics(reg *telemetry.Registry, rt *Router) *metrics {
 			"Reads served past the bounded-staleness cut (brownout reads).", nil),
 		forwardSeconds: reg.Histogram("mcbound_router_forward_seconds",
 			"Latency of successful proxied attempts.", nil, nil),
+	}
+	m.readOK = m.requests("read", "ok")
+	for _, b := range rt.backends {
+		b.requestsOK = m.backendRequests(b.member.ID, "ok")
 	}
 	reg.GaugeFunc("mcbound_router_backends", "Configured backends.", nil,
 		func() float64 { return float64(len(rt.backends)) })
@@ -76,11 +81,13 @@ func newMetrics(reg *telemetry.Registry, rt *Router) *metrics {
 	reg.CounterFunc("mcbound_router_retry_budget_exhausted_total", "Retries denied by the budget.", nil,
 		func() int64 { return rt.budget.Exhausted() })
 	reg.CounterFunc("mcbound_router_leader_repoints_total", "Leader changes adopted from 421 chases.", nil,
-		func() int64 { return rt.repoints.load() })
+		func() int64 { return rt.repoints.Load() })
 	return m
 }
 
-// requests counts one front-door request by type and outcome.
+// requests counts one front-door request by type and outcome. The
+// lookup renders a label set and takes two locks; the outcomes of a
+// healthy fleet (readOK, backend.requestsOK) are resolved at New.
 func (m *metrics) requests(typ, outcome string) *telemetry.Counter {
 	return m.reg.Counter("mcbound_router_requests_total",
 		"Front-door requests by type and outcome.",

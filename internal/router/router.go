@@ -17,10 +17,12 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mcbound/internal/admission"
@@ -140,27 +142,9 @@ type Router struct {
 	leaderMu sync.Mutex
 	adopted  string
 
-	repoints atomic64
-	hedges   atomic64
-}
-
-// atomic64 is a tiny counter (metrics hold the authoritative copies;
-// these back the CounterFuncs).
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) inc() {
-	a.mu.Lock()
-	a.v++
-	a.mu.Unlock()
-}
-
-func (a *atomic64) load() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	// repoints and hedges back the CounterFunc and the accessors.
+	repoints atomic.Int64
+	hedges   atomic.Int64
 }
 
 // New validates cfg, applies defaults and builds the router.
@@ -197,10 +181,15 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = &http.Client{}
+	// The router's own copy of the client: a backend's 3xx is relayed to
+	// the caller, never followed — a redirect could lead outside the
+	// membership, and only the write path's 421 chase (which checks
+	// isMember) may move a request to another host.
+	hc := &http.Client{}
+	if cfg.HTTP != nil {
+		*hc = *cfg.HTTP
 	}
+	hc.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
 	rt := &Router{
 		cfg:    cfg,
 		hc:     hc,
@@ -219,8 +208,13 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate backend %s (%s)", m.ID, m.URL)
 		}
 		seen[m.ID] = true
+		base, err := url.Parse(m.URL)
+		if err != nil || base.Host == "" {
+			return nil, fmt.Errorf("router: backend %s: %q is not an absolute URL", m.ID, m.URL)
+		}
 		b := &backend{
 			member: m,
+			base:   base,
 			res:    telemetry.NewReservoir(reservoirCap, cfg.Seed+uint64(i)+1),
 		}
 		rt.backends = append(rt.backends, b)
@@ -235,10 +229,10 @@ func New(cfg Config) (*Router, error) {
 func (rt *Router) Budget() *resilience.Budget { return rt.budget }
 
 // Hedges reports how many hedge attempts have been launched.
-func (rt *Router) Hedges() int64 { return rt.hedges.load() }
+func (rt *Router) Hedges() int64 { return rt.hedges.Load() }
 
 // Repoints reports how many times a 421 chase re-pointed the leader.
-func (rt *Router) Repoints() int64 { return rt.repoints.load() }
+func (rt *Router) Repoints() int64 { return rt.repoints.Load() }
 
 // isMember is the redirect allowlist: only configured backend URLs may
 // be chased.
@@ -382,7 +376,7 @@ func (rt *Router) adopt(base string) {
 	rt.adopted = base
 	rt.leaderMu.Unlock()
 	if changed {
-		rt.repoints.inc()
+		rt.repoints.Add(1)
 		rt.logf("router: adopted leader %s from redirect chase", base)
 	}
 }
@@ -405,16 +399,19 @@ func clientKey(r *http.Request) string {
 // read: fresh followers by rendezvous order, then the leader as
 // fallback, and — only when that set is empty — the freshest stale
 // follower (brownout read, stale=true). An unprobed backend counts as
-// fresh: at startup optimism beats serving nothing.
-func (rt *Router) readCandidates(key string) (cands []*backend, stale bool, lag float64) {
+// fresh: at startup optimism beats serving nothing. The list is built
+// in buf (the caller's stack, for any fleet it holds).
+func (rt *Router) readCandidates(key string, buf []*backend) (cands []*backend, stale bool, lag float64) {
 	now := rt.now()
-	var fresh []*backend
+	fresh := buf[:0]
+	var scoreBuf [8]uint64
+	scores := scoreBuf[:0]
 	var leader *backend
 	var bestStale *backend
 	bestLag := math.Inf(1)
 	for _, b := range rt.backends {
 		s := b.snapshot()
-		if (s.probed && !s.alive) || b.ejected(now) {
+		if (s.probed && !s.alive) || now.Before(s.ejectedUntil) {
 			continue
 		}
 		if s.isLeader() {
@@ -422,22 +419,26 @@ func (rt *Router) readCandidates(key string) (cands []*backend, stale bool, lag 
 			continue
 		}
 		if s.followState != "disconnected" && s.lagSeconds <= rt.cfg.MaxReadLag.Seconds() {
-			fresh = append(fresh, b)
+			// Insert by descending score; equal scores keep ID order.
+			score := rendezvousScore(b.member.ID, key)
+			at := len(fresh)
+			fresh, scores = append(fresh, b), append(scores, score)
+			for ; at > 0 && scores[at-1] < score; at-- {
+				fresh[at], scores[at] = fresh[at-1], scores[at-1]
+			}
+			fresh[at], scores[at] = b, score
 			continue
 		}
 		if s.lagSeconds < bestLag {
 			bestStale, bestLag = b, s.lagSeconds
 		}
 	}
-	sort.SliceStable(fresh, func(i, j int) bool {
-		return rendezvousScore(fresh[i].member.ID, key) > rendezvousScore(fresh[j].member.ID, key)
-	})
 	cands = fresh
 	if leader != nil {
 		cands = append(cands, leader)
 	}
 	if len(cands) == 0 && bestStale != nil {
-		return []*backend{bestStale}, true, bestLag
+		return append(cands, bestStale), true, bestLag
 	}
 	return cands, false, 0
 }
@@ -446,7 +447,8 @@ func (rt *Router) readCandidates(key string) (cands []*backend, stale bool, lag 
 // p95 among the candidate backends (any of them could serve the hedge),
 // floored at HedgeAfterMin. Keying on the *fleet's* best p95 rather
 // than the primary's own means a uniformly slow backend still gets
-// hedged around — its own p95 would never fire.
+// hedged around — its own p95 would never fire. Every read asks, so the
+// reservoir answers from its sorted mirror: an index, not a sort.
 func (rt *Router) hedgeDelay(cands []*backend) time.Duration {
 	best := math.Inf(1)
 	for _, b := range cands {
@@ -480,9 +482,6 @@ func (rt *Router) noteSuccess(b *backend) { b.observeSuccess() }
 // the streak crosses the threshold — unless ejecting would leave too
 // little of the fleet in service (MaxEjectFraction floor).
 func (rt *Router) noteFailure(b *backend) {
-	if b == nil {
-		return
-	}
 	streak := b.observeFailure()
 	rt.refreshSoon()
 	if streak < rt.cfg.EjectThreshold {
@@ -599,7 +598,8 @@ func writeJSONValue(w io.Writer, v any) {
 // forwardRead serves GET/HEAD: candidate selection, hedging, budgeted
 // retries across distinct backends.
 func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
-	cands, stale, lag := rt.readCandidates(clientKey(r))
+	var buf [8]*backend
+	cands, stale, lag := rt.readCandidates(clientKey(r), buf[:0])
 	if len(cands) == 0 {
 		rt.met.requests("read", "no_backend").Inc()
 		rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeNoBackend,
@@ -620,7 +620,7 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
 		if !stale && attempt+1 < len(cands) {
 			hedge = cands[attempt+1]
 		}
-		resp, by, release, err := rt.attemptRead(r, primary, hedge, hedgeAfter)
+		res, err := rt.attemptRead(r, primary, hedge, hedgeAfter)
 		if err != nil {
 			lastErr = err
 			continue
@@ -630,9 +630,9 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(StalenessHeader, strconv.FormatFloat(lag, 'f', 3, 64))
 			rt.met.staleReads.Inc()
 		}
-		rt.met.requests("read", "ok").Inc()
-		rt.relay(w, resp, by.member.ID, false)
-		release()
+		rt.met.readOK.Inc()
+		rt.relay(w, res.resp, res.b.member.ID, false)
+		res.cancel()
 		return
 	}
 	rt.met.requests("read", "upstream_error").Inc()
@@ -649,72 +649,160 @@ type tryResult struct {
 	dur    time.Duration
 }
 
-// attemptRead runs one (possibly hedged) read attempt. On success the
-// returned release func must be called after the response body has been
-// consumed — it cancels the winner's context. Losers are canceled and
-// drained here. A response ≥ 500 counts as failure.
-func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) (*http.Response, *backend, func(), error) {
-	ch := make(chan tryResult, 2)
-	// cancels is touched only from this goroutine (launches happen in
-	// the select loop below), so it needs no lock.
-	cancels := make(map[*backend]context.CancelFunc, 2)
-	launch := func(b *backend) {
-		actx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
-		cancels[b] = cancel
-		req, err := rt.cloneRequest(actx, r, b.member.URL, nil)
-		if err != nil {
-			ch <- tryResult{err: err, b: b, cancel: cancel}
-			return
-		}
-		go func() {
-			start := time.Now()
-			resp, err := rt.hc.Do(req)
-			ch <- tryResult{resp: resp, err: err, b: b, cancel: cancel, dur: time.Since(start)}
-		}()
-	}
-	launch(primary)
-	inFlight := 1
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
+// answered reports whether the backend gave an answer to relay: any
+// response below 500. A transport error or a 5xx is a failed attempt.
+func (res tryResult) answered() bool {
+	return res.err == nil && res.resp.StatusCode < http.StatusInternalServerError
+}
+
+// try sends r to b on ctx and waits for the response headers. cancel
+// is ctx's and travels with the result: whoever ends up owning the
+// response calls it once the body is consumed.
+func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Request, b *backend) tryResult {
+	start := time.Now()
+	resp, err := rt.hc.Do(rt.cloneRequest(ctx, r, b, nil))
+	return tryResult{resp: resp, err: err, b: b, cancel: cancel, dur: time.Since(start)}
+}
+
+// attemptRead runs one read attempt: the primary on the request's own
+// goroutine, and — if hedge is non-nil and the primary has not answered
+// within hedgeAfter — a second request to hedge, raced against it. The
+// common read, whose hedge never fires, is a straight line: one timer
+// armed and stopped, no goroutine, no channel. On success the caller
+// relays the result's response and then calls its cancel; on failure
+// err is the last failed attempt's. A response ≥ 500 counts as failure.
+//
+// Once the hedge is in flight the race has three outcomes. The primary
+// answers first: the hedge is canceled at once and cleans up after
+// itself. The hedge answers first: the primary is canceled at once, its
+// Do returns on this goroutine and whatever it returns is discarded,
+// and the hedge's response is relayed. Or the first one back has
+// failed: the failure is counted against its backend and the other
+// attempt decides alone.
+func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) (tryResult, error) {
+	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+	var race *hedgeRace
 	if hedge != nil {
-		hedgeTimer = time.NewTimer(hedgeAfter)
-		hedgeC = hedgeTimer.C
-		defer hedgeTimer.Stop()
+		race = &hedgeRace{rt: rt, r: r, b: hedge, cancelPrimary: cancel}
+		defer time.AfterFunc(hedgeAfter, race.run).Stop()
 	}
-	var lastErr error
-	for inFlight > 0 {
-		select {
-		case res := <-ch:
-			inFlight--
-			if res.err == nil && res.resp.StatusCode < http.StatusInternalServerError {
-				// Winner. Cancel anything still in flight right now — the
-				// loser's transport aborts instead of running to completion
-				// — and leave a drainer to close whatever it returns, so no
-				// goroutine or connection outlives the request.
-				rt.observeWin(res)
-				if res.b == hedge {
-					rt.met.hedgeWins.Inc()
-				}
-				for b, cancel := range cancels {
-					if b != res.b {
-						cancel()
-					}
-				}
-				if inFlight > 0 {
-					rt.drainLosers(ch, inFlight)
-				}
-				return res.resp, res.b, res.cancel, nil
-			}
-			lastErr = rt.observeLoss(res)
-		case <-hedgeC:
-			hedgeC = nil
-			launch(hedge)
-			inFlight++
-			rt.hedges.inc()
-			rt.met.hedges.Inc()
+	res := rt.try(ctx, cancel, r, primary)
+	switch race.primaryBack(res) {
+	case hedgeWon:
+		rt.discardLoser(res)
+		return rt.hedgeWin(<-race.done), nil
+	case hedgePending:
+		err := rt.observeLoss(res)
+		hres := <-race.done
+		if hres.answered() {
+			return rt.hedgeWin(hres), nil
 		}
+		if !race.failedFirst { // ordered by the receive above
+			err = hres.err
+		}
+		return tryResult{}, err
 	}
-	return nil, nil, nil, lastErr
+	if res.answered() {
+		rt.observeWin(res)
+		return res, nil
+	}
+	return tryResult{}, rt.observeLoss(res)
+}
+
+// hedgeRace is what a primary attempt and its hedge share; it is
+// allocated with the hedge timer and only used once the timer fires.
+// mu orders the two events that matter — the primary coming back, the
+// hedge coming back — so exactly one side wins and the other knows.
+type hedgeRace struct {
+	rt            *Router
+	r             *http.Request
+	b             *backend
+	cancelPrimary context.CancelFunc
+
+	mu          sync.Mutex
+	primaryDone bool               // the primary is back, answered or failed
+	primaryWon  bool               // ... answered, before the hedge had
+	won         bool               // the hedge answered while the primary was out
+	failedFirst bool               // the hedge failed while the primary was out
+	cancel      context.CancelFunc // the hedge's own
+	done        chan tryResult     // made when the hedge is sent; carries its result, unless primaryWon
+}
+
+// What the hedge means to a primary that has just come back.
+type hedgeState int
+
+const (
+	hedgeIdle    hedgeState = iota // never launched, or just canceled: the primary decides alone
+	hedgeWon                       // answered first: the primary lost
+	hedgePending                   // in flight or failed, and the primary has failed: the hedge decides
+)
+
+// run is the timer's func: the primary has been out for the whole hedge
+// delay, so send the hedge — on this, the timer's, goroutine.
+func (h *hedgeRace) run() {
+	h.mu.Lock()
+	if h.primaryDone {
+		h.mu.Unlock()
+		return // fired as the primary came back: nothing left to hedge
+	}
+	ctx, cancel := context.WithTimeout(h.r.Context(), h.rt.cfg.ForwardTimeout)
+	h.cancel, h.done = cancel, make(chan tryResult, 1)
+	h.mu.Unlock()
+	h.rt.hedges.Add(1)
+	h.rt.met.hedges.Inc()
+
+	res := h.rt.try(ctx, cancel, h.r, h.b)
+
+	h.mu.Lock()
+	lost := h.primaryWon
+	switch {
+	case lost:
+	case !res.answered():
+		h.failedFirst = !h.primaryDone
+	case !h.primaryDone:
+		h.won = true
+		h.cancelPrimary()
+	}
+	h.mu.Unlock()
+	// Bodies are drained and closed outside the lock.
+	if lost {
+		h.rt.discardLoser(res)
+		return
+	}
+	if !res.answered() {
+		res.err = h.rt.observeLoss(res)
+	}
+	h.done <- res
+}
+
+// primaryBack records that the primary has returned res and reports
+// what the hedge means for it. A primary that answers before the hedge
+// has wins here and now, and cancels the hedge.
+func (h *hedgeRace) primaryBack(res tryResult) hedgeState {
+	if h == nil {
+		return hedgeIdle
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.primaryDone = true
+	switch {
+	case h.done == nil: // never sent
+		return hedgeIdle
+	case h.won:
+		return hedgeWon
+	case res.answered():
+		h.primaryWon = true
+		h.cancel()
+		return hedgeIdle
+	}
+	return hedgePending
+}
+
+// hedgeWin records a hedge that answered and returns it for relaying.
+func (rt *Router) hedgeWin(res tryResult) tryResult {
+	rt.observeWin(res)
+	rt.met.hedgeWins.Inc()
+	return res
 }
 
 // observeWin records a successful attempt: latency sample, streak
@@ -722,7 +810,7 @@ func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAft
 func (rt *Router) observeWin(res tryResult) {
 	res.b.res.Observe(res.dur.Seconds())
 	rt.noteSuccess(res.b)
-	rt.met.backendRequests(res.b.member.ID, "ok").Inc()
+	res.b.requestsOK.Inc()
 	rt.met.forwardSeconds.Observe(res.dur.Seconds())
 }
 
@@ -740,23 +828,18 @@ func (rt *Router) observeLoss(res tryResult) error {
 	return err
 }
 
-// drainLosers reaps already-canceled in-flight attempts after a
-// winner: collect their results off the buffered channel, release
-// their contexts, close any bodies. Runs async so the winner relays
-// without waiting for the loser's transport to notice the cancellation.
-func (rt *Router) drainLosers(ch chan tryResult, n int) {
-	go func() {
-		for i := 0; i < n; i++ {
-			res := <-ch
-			res.cancel()
-			if res.resp != nil {
-				res.resp.Body.Close()
-				if res.err == nil && res.resp.StatusCode < http.StatusInternalServerError {
-					rt.met.backendRequests(res.b.member.ID, "hedge_loser").Inc()
-				}
-			}
+// discardLoser reaps the attempt that lost a hedge race: its context
+// was canceled the moment the winner answered, so res is usually that
+// cancellation's error; if the backend managed to answer anyway, the
+// response is closed unread and counted.
+func (rt *Router) discardLoser(res tryResult) {
+	res.cancel()
+	if res.resp != nil {
+		res.resp.Body.Close()
+		if res.answered() {
+			rt.met.backendRequests(res.b.member.ID, "hedge_loser").Inc()
 		}
-	}()
+	}
 }
 
 // --- write path --------------------------------------------------------
@@ -789,21 +872,15 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	chase := resilience.NewChase(leader, maxWriteHops, rt.isMember)
 	for {
+		b := rt.byURL[leader] // leaderURL and the chase name members only
 		actx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
-		req, rerr := rt.cloneRequest(actx, r, leader, bytes.NewReader(body))
-		if rerr != nil {
-			cancel()
-			rt.met.requests("write", "internal").Inc()
-			rt.writeError(w, http.StatusInternalServerError, "internal", rerr.Error())
-			return
-		}
 		start := time.Now()
-		resp, derr := rt.hc.Do(req)
+		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, b, bytes.NewReader(body)))
 		if derr != nil {
 			cancel()
-			rt.noteFailure(rt.byURL[leader])
+			rt.noteFailure(b)
 			rt.met.requests("write", "upstream_error").Inc()
-			rt.met.backendRequests(backendID(rt.byURL[leader]), "error").Inc()
+			rt.met.backendRequests(b.member.ID, "error").Inc()
 			// The write may or may not have landed; only the client knows
 			// whether it is idempotent. 502, not a silent retry.
 			rt.writeError(w, http.StatusBadGateway, httpapi.CodeUpstream,
@@ -838,29 +915,21 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			rt.refreshSoon()
 		}
-		b := rt.byURL[leader]
 		if resp.StatusCode < http.StatusInternalServerError {
 			rt.noteSuccess(b)
 			rt.budget.OnSuccess()
-			rt.met.backendRequests(backendID(b), "ok").Inc()
+			b.requestsOK.Inc()
 			rt.met.requests("write", "ok").Inc()
 			rt.met.forwardSeconds.Observe(time.Since(start).Seconds())
 		} else {
 			rt.noteFailure(b)
-			rt.met.backendRequests(backendID(b), "error").Inc()
+			rt.met.backendRequests(b.member.ID, "error").Inc()
 			rt.met.requests("write", "upstream_5xx").Inc()
 		}
-		rt.relay(w, resp, backendID(b), false)
+		rt.relay(w, resp, b.member.ID, false)
 		cancel()
 		return
 	}
-}
-
-func backendID(b *backend) string {
-	if b == nil {
-		return "unknown"
-	}
-	return b.member.ID
 }
 
 // brownoutWrite is the typed fail-fast when no leader is known: 503 +
@@ -884,7 +953,7 @@ func (rt *Router) brownoutWrite(w http.ResponseWriter, cause error) {
 // timeout. A mid-stream backend death ends the response; the client
 // reconnects with Last-Event-ID and lands on another backend.
 func (rt *Router) forwardReadStream(w http.ResponseWriter, r *http.Request) {
-	cands, stale, lag := rt.readCandidates(clientKey(r))
+	cands, stale, lag := rt.readCandidates(clientKey(r), nil)
 	if len(cands) == 0 {
 		rt.met.requests("stream", "no_backend").Inc()
 		rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeNoBackend, "no backend can serve this stream")
@@ -898,12 +967,7 @@ func (rt *Router) forwardReadStream(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("retry budget exhausted after: %v", lastErr))
 			return
 		}
-		req, err := rt.cloneRequest(r.Context(), r, b.member.URL, nil)
-		if err != nil {
-			rt.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		resp, err := rt.hc.Do(req)
+		resp, err := rt.hc.Do(rt.cloneRequest(r.Context(), r, b, nil))
 		if err != nil {
 			lastErr = err
 			rt.noteFailure(b)
@@ -920,7 +984,7 @@ func (rt *Router) forwardReadStream(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.noteSuccess(b)
 		rt.budget.OnSuccess()
-		rt.met.backendRequests(b.member.ID, "ok").Inc()
+		b.requestsOK.Inc()
 		rt.met.requests("stream", "ok").Inc()
 		if stale {
 			w.Header().Set(StalenessHeader, strconv.FormatFloat(lag, 'f', 3, 64))
@@ -947,20 +1011,15 @@ func (rt *Router) forwardWriteStream(w http.ResponseWriter, r *http.Request) {
 		rt.brownoutWrite(w, nil)
 		return
 	}
-	req, err := rt.cloneRequest(r.Context(), r, leader, r.Body)
+	b := rt.byURL[leader] // leaderURL names members only
+	resp, err := rt.hc.Do(rt.cloneRequest(r.Context(), r, b, r.Body))
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		rt.noteFailure(rt.byURL[leader])
+		rt.noteFailure(b)
 		rt.met.requests("stream_write", "upstream_error").Inc()
 		rt.writeError(w, http.StatusBadGateway, httpapi.CodeUpstream,
 			"leader unreachable mid-ingest (a prefix may have been applied): "+err.Error())
 		return
 	}
-	b := rt.byURL[leader]
 	if resp.StatusCode < http.StatusInternalServerError {
 		rt.noteSuccess(b)
 		rt.met.requests("stream_write", "ok").Inc()
@@ -968,7 +1027,7 @@ func (rt *Router) forwardWriteStream(w http.ResponseWriter, r *http.Request) {
 		rt.noteFailure(b)
 		rt.met.requests("stream_write", "upstream_5xx").Inc()
 	}
-	rt.relay(w, resp, backendID(b), true)
+	rt.relay(w, resp, b.member.ID, true)
 }
 
 // --- proxy plumbing ----------------------------------------------------
@@ -985,12 +1044,35 @@ var hopByHop = map[string]bool{
 	"Upgrade":             true,
 }
 
-// cloneRequest rebuilds r against a backend base URL, carrying method,
-// URI, headers (minus hop-by-hop) and the provided body.
-func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, base string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, base+r.URL.RequestURI(), body)
-	if err != nil {
-		return nil, err
+// cloneRequest rebuilds r against backend b, carrying method, path and
+// query, headers (minus hop-by-hop) and the provided body. The target
+// is b's base URL — parsed once, at New — with the incoming path and
+// query put on it; nothing is rendered to a string and parsed back.
+func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend, body io.Reader) *http.Request {
+	u := *b.base
+	u.Path += r.URL.Path
+	if r.URL.RawPath != "" || u.RawPath != "" {
+		u.RawPath = b.base.EscapedPath() + r.URL.EscapedPath()
+	}
+	u.RawQuery, u.ForceQuery = r.URL.RawQuery, r.URL.ForceQuery
+	req := (&http.Request{
+		Method: r.Method, URL: &u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, len(r.Header)+1),
+	}).WithContext(ctx)
+	switch body := body.(type) {
+	case nil:
+	case *bytes.Reader:
+		// The buffered write body: sized, and replayable should the
+		// transport find its idle connection dead before a byte is sent.
+		if body.Len() > 0 {
+			buf := *body
+			req.ContentLength = int64(body.Len())
+			req.Body = io.NopCloser(body)
+			req.GetBody = func() (io.ReadCloser, error) { again := buf; return io.NopCloser(&again), nil }
+		}
+	default:
+		req.Body = io.NopCloser(body)
 	}
 	for k, vs := range r.Header {
 		if hopByHop[http.CanonicalHeaderKey(k)] {
@@ -999,7 +1081,7 @@ func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, base string
 		req.Header[k] = vs
 	}
 	req.Header.Set("X-Forwarded-For", remoteHost(r))
-	return req, nil
+	return req
 }
 
 func remoteHost(r *http.Request) string {

@@ -97,7 +97,7 @@ func TestWriteChases421AndAdoptsNewLeader(t *testing.T) {
 	if b := resp.Header.Get(BackendHeader); b != "n2" {
 		t.Fatalf("chased write served by %q, want n2", b)
 	}
-	if rt.repoints.load() == 0 {
+	if rt.repoints.Load() == 0 {
 		t.Fatal("chase adopted no leader")
 	}
 	// The adoption sticks: the next write goes straight to n2.

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -182,9 +183,31 @@ func AccessLog(logger *log.Logger) Middleware {
 //
 //	mcbound_http_requests_total{route,method,code}
 //	mcbound_http_request_duration_seconds{route}
+//
+// A route answers with a handful of (method, code) pairs, so each
+// pair's counter is looked up in the registry once, when first seen —
+// not rendered from a label map on every request.
 func Instrument(reg *Registry, route string) Middleware {
 	hist := reg.Histogram("mcbound_http_request_duration_seconds",
 		"HTTP request latency by route.", nil, Labels{"route": route})
+	type outcome struct {
+		method string
+		code   int
+	}
+	var mu sync.Mutex
+	seen := make(map[outcome]*Counter)
+	counter := func(o outcome) *Counter {
+		mu.Lock()
+		defer mu.Unlock()
+		c := seen[o]
+		if c == nil {
+			c = reg.Counter("mcbound_http_requests_total",
+				"HTTP requests by route, method and status code.",
+				Labels{"route": route, "method": o.method, "code": strconv.Itoa(o.code)})
+			seen[o] = c
+		}
+		return c
+	}
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			rec := NewResponseRecorder(w)
@@ -195,9 +218,7 @@ func Instrument(reg *Registry, route string) Middleware {
 				status = http.StatusOK
 			}
 			hist.Observe(time.Since(t0).Seconds())
-			reg.Counter("mcbound_http_requests_total",
-				"HTTP requests by route, method and status code.",
-				Labels{"route": route, "method": r.Method, "code": strconv.Itoa(status)}).Inc()
+			counter(outcome{r.Method, status}).Inc()
 		})
 	}
 }

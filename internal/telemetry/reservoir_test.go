@@ -2,9 +2,138 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
+
+	"mcbound/internal/stats"
 )
+
+// refQuantile is Quantile as it was before the reservoir kept a sorted
+// mirror — copy the sample, sort it, index by nearest rank — and the
+// reference the mirror is tested against.
+func refQuantile(r *Reservoir, q float64) (float64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.vals) == 0 {
+		return 0, false
+	}
+	sorted := make([]float64, len(r.vals))
+	copy(sorted, r.vals)
+	sort.Float64s(sorted)
+	q = math.Max(0, math.Min(1, q))
+	i := int(q * float64(len(sorted)-1))
+	return sorted[i], true
+}
+
+// TestReservoirQuantileMatchesSortReference drives 50 000 seeded
+// samples — heavy duplication, both zeros, denormals, negatives —
+// through a full reservoir and checks after every one that the mirror
+// is sorted, holds exactly the sample's values (bit for bit, so a −0
+// is not traded for a +0), and answers every quantile as the
+// copy-and-sort reference does.
+func TestReservoirQuantileMatchesSortReference(t *testing.T) {
+	const capacity, steps = 96, 50000
+	r := NewReservoir(capacity, 11)
+	rng := stats.NewRNG(12)
+	negZero := math.Copysign(0, -1)
+	draw := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		case 2:
+			return math.SmallestNonzeroFloat64 * float64(rng.Intn(4))
+		case 3:
+			return -math.SmallestNonzeroFloat64 * float64(1+rng.Intn(3))
+		case 4:
+			return float64(rng.Intn(6)) / 4 // few distinct values: long runs of duplicates
+		case 5:
+			return -rng.Float64()
+		default:
+			return rng.Float64() * 1e-3
+		}
+	}
+	bits := make(map[uint64]int, capacity)
+	for step := 0; step < steps; step++ {
+		r.Observe(draw())
+
+		if !sort.Float64sAreSorted(r.sorted) {
+			t.Fatalf("step %d: mirror is not sorted: %v", step, r.sorted)
+		}
+		clear(bits)
+		for _, v := range r.vals {
+			bits[math.Float64bits(v)]++
+		}
+		for _, v := range r.sorted {
+			bits[math.Float64bits(v)]--
+		}
+		for b, n := range bits {
+			if n != 0 {
+				t.Fatalf("step %d: value %g (bits %#x) is %+d times more often in the sample than in the mirror",
+					step, math.Float64frombits(b), b, n)
+			}
+		}
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			got, gok := r.Quantile(q)
+			want, wok := refQuantile(r, q)
+			if got != want || gok != wok {
+				t.Fatalf("step %d: Quantile(%g) = %g, %v; sort reference %g, %v", step, q, got, gok, want, wok)
+			}
+		}
+	}
+	if r.Count() != steps || len(r.vals) != capacity {
+		t.Fatalf("Count %d, retained %d; want %d, %d", r.Count(), len(r.vals), steps, capacity)
+	}
+}
+
+func TestReservoirQuantileDoesNotAllocate(t *testing.T) {
+	r := NewReservoir(512, 5)
+	for i := 0; i < 2000; i++ {
+		r.Observe(float64(i%701) * 1e-4)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Quantile(0.95) }); n != 0 {
+		t.Fatalf("Quantile allocates %v times a call, want 0", n)
+	}
+}
+
+// The two reservoir benchmarks at the router's capacity: Quantile is
+// what every routed read pays (once per candidate), Observe what a
+// completed one pays. Observe restarts its reservoir every 8×cap
+// samples so that the op stays the young reservoir's — an insert or a
+// likely replacement, each with its memmove — and does not decay into
+// the rejected draw of an old one.
+func BenchmarkReservoirObserve(b *testing.B) {
+	const capacity = 512
+	rng := stats.NewRNG(2)
+	vals := make([]float64, 8*capacity)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1e-3
+	}
+	var r *Reservoir
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(vals) == 0 {
+			r = NewReservoir(capacity, 1)
+		}
+		r.Observe(vals[i%len(vals)])
+	}
+}
+
+func BenchmarkReservoirQuantile(b *testing.B) {
+	r := NewReservoir(512, 1)
+	rng := stats.NewRNG(2)
+	for i := 0; i < 4096; i++ {
+		r.Observe(rng.Float64() * 1e-3)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Quantile(0.95)
+	}
+}
 
 func TestReservoirQuantileExactWhileUnderCapacity(t *testing.T) {
 	r := NewReservoir(128, 1)
