@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check bench bench-record bench-gate bench-all
+.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check loc bench bench-record bench-gate bench-all
 
 all: check
 
@@ -11,11 +11,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The recall sweep is pure number crunching (minutes under the detector,
+# Every test runs in exactly one target of `check`: the named suites
+# below own the tests with these name prefixes (each in its own packages,
+# under -race with -count=1), and `race` runs everything else. The
+# recall sweep is pure number crunching (minutes under the detector,
 # starving the latency-asserting suites that run beside it); recall-gate
 # runs it uninstrumented.
+OWNED = RecallGateAtScale|Chaos|ReplChaos|ElectChaos|RouterChaos|Overload|AccountingIdentityUnderStress|Crash|ReplayE2E
+
 race:
-	$(GO) test -race -skip TestRecallGateAtScale ./...
+	$(GO) test -race -skip '^Test($(OWNED))' ./...
 
 vet:
 	$(GO) vet ./...
@@ -43,7 +48,7 @@ fmt:
 # mid-replay crash + registry restore) and checks the degraded-mode
 # accounting, under the race detector.
 chaos:
-	$(GO) test -race -run 'Chaos' ./internal/...
+	$(GO) test -race -count=1 -run '^TestChaos' ./internal/online ./internal/fetch/...
 
 # Short smoke runs of every fuzz target (go allows one -fuzz pattern
 # per invocation, so one line each).
@@ -71,7 +76,7 @@ fuzz:
 # insert on the new leader (and nothing never attempted), under the
 # race detector.
 chaos-repl:
-	$(GO) test -race -count=1 -run 'ReplChaos' ./internal/repl
+	$(GO) test -race -count=1 -run '^TestReplChaos' ./internal/repl
 
 # Election chaos suite: three live nodes under seeded heartbeat
 # blackholes, wedged leader disks (mid-group-commit / mid-compaction),
@@ -80,7 +85,7 @@ chaos-repl:
 # every unassisted failover, and bounded time-to-new-leader, under the
 # race detector.
 chaos-elect:
-	$(GO) test -race -count=1 -run 'ElectChaos' ./internal/election
+	$(GO) test -race -count=1 -run '^TestElectChaos' ./internal/election
 
 # Front-door chaos suite: seeded dead-backend + 10×-slow-backend reads
 # with zero client-observed errors and a bounded p99, a leader kill
@@ -88,20 +93,20 @@ chaos-elect:
 # re-points, a backend kill mid-SSE, and a router restart mid-SSE with
 # Last-Event-ID continuity — all under the race detector.
 chaos-router:
-	$(GO) test -race -count=1 -run 'RouterChaos' ./internal/router
+	$(GO) test -race -count=1 -run '^TestRouterChaos' ./internal/router
 
 # Overload stress: drives the admission controller and the full HTTP
 # serving path through a 10x concurrency burst under the race detector
 # and checks the shed-accounting identity holds exactly.
 stress:
-	$(GO) test -race -count=1 -run 'Overload|AccountingIdentityUnderStress' ./internal/admission ./internal/httpapi
+	$(GO) test -race -count=1 -run '^Test(Overload|AccountingIdentityUnderStress)' ./internal/admission ./internal/httpapi
 
 # Crash-consistency suite: seeded kill points at arbitrary byte offsets
 # over a fault-injecting filesystem (torn writes, bit flips, lost
 # unsynced tails); checks acknowledged inserts survive recovery exactly,
 # under the race detector.
 crash:
-	$(GO) test -race -count=1 -run 'Crash' ./internal/wal ./internal/store
+	$(GO) test -race -count=1 -run '^TestCrash' ./internal/wal ./internal/store
 
 # Golden replay equivalence: a ×100 replay through the live HTTP path
 # (NDJSON ingest, classify, train) must reproduce the offline
@@ -109,14 +114,14 @@ crash:
 # and a paused replay must resume without duplicating or dropping
 # records.
 replay-e2e:
-	$(GO) test -race -count=1 -run 'ReplayE2E' ./internal/replay
+	$(GO) test -race -count=1 -run '^TestReplayE2E' ./internal/replay
 
 # Recall gate of the IVF index: one exact and one indexed KNN trained on
 # identical internal/workload traces at ×1/×10/×100 (≈ 117 K jobs at
 # ×100, ≈ 20 s); fails if measured recall@k against the brute-force scan
 # drops below 0.95 at any scale.
 recall-gate:
-	$(GO) test -count=1 -run RecallGateAtScale ./internal/ml/knn
+	$(GO) test -count=1 -run '^TestRecallGateAtScale' ./internal/ml/knn
 
 # The benchmark is a nested module (benchmark/go.mod) that the root
 # ./... patterns do not descend into; vet and test it here so API drift
@@ -125,6 +130,11 @@ bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 check: build vet fmt purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate bench-smoke
+
+# Non-test Go outside the benchmark module: the number ROADMAP's
+# consolidation item is judged by.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # The repo benchmark's three contract workloads (BENCHMARK.json), one
 # 25 s run each, untraced; see benchmark/README.md for the output shape.

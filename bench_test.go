@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -112,7 +113,7 @@ func BenchmarkFig6LargeBeta(b *testing.B) {
 // y-value; the bench wall time tracks it).
 func BenchmarkFig7TrainingTime(b *testing.B) {
 	for _, alpha := range []int{15, 30, 60} {
-		b.Run("alpha="+itoa(alpha), func(b *testing.B) {
+		b.Run("alpha="+strconv.Itoa(alpha), func(b *testing.B) {
 			benchOnlineCell(b, experiments.RF, online.Params{Alpha: alpha, Beta: 5, Seed: 7})
 		})
 	}
@@ -122,7 +123,7 @@ func BenchmarkFig7TrainingTime(b *testing.B) {
 // (encoding included) for KNN at growing α.
 func BenchmarkFig8InferenceTime(b *testing.B) {
 	for _, alpha := range []int{15, 30, 60} {
-		b.Run("alpha="+itoa(alpha), func(b *testing.B) {
+		b.Run("alpha="+strconv.Itoa(alpha), func(b *testing.B) {
 			benchOnlineCell(b, experiments.KNN, online.Params{Alpha: alpha, Beta: 5, Seed: 7})
 		})
 	}
@@ -148,22 +149,6 @@ func BenchmarkFig9Fig10Theta(b *testing.B) {
 				Alpha: 15, Beta: 1, Theta: 200, ThetaMode: mode, Seed: 520,
 			})
 		})
-	}
-}
-
-// BenchmarkTraceGeneration covers the substrate itself: synthesizing the
-// evaluation trace (the F-DATA stand-in).
-func BenchmarkTraceGeneration(b *testing.B) {
-	cfg := workload.EvalConfig(benchScale)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		jobs, err := workload.NewGenerator(cfg, uint64(i)).Generate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(jobs) == 0 {
-			b.Fatal("empty trace")
-		}
 	}
 }
 
@@ -265,18 +250,4 @@ func BenchmarkEncodePredictions1k(b *testing.B) {
 			}
 		})
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -8,6 +8,8 @@
 //	mcbound-eval -exp alpha-plus            # §V.C.b
 //	mcbound-eval -exp theta                 # Figs. 9–10
 //	mcbound-eval -exp baseline              # §V.C.a comparison
+//	mcbound-eval -exp features              # §V-A feature ablation
+//	mcbound-eval -exp impact                # §V.C.d impact estimate
 //	mcbound-eval -exp all
 //
 // The -scale flag shrinks the trace (1 = the paper's ≈25K jobs/day).
@@ -16,15 +18,29 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mcbound/internal/experiments"
 	"mcbound/internal/workload"
 )
 
+// reports lists the experiments in the order -exp all runs them.
+var reports = []struct {
+	name string
+	run  func(io.Writer, *experiments.Env, uint64) error
+}{
+	{"alpha-beta", experiments.ReportAlphaBeta},
+	{"baseline", experiments.ReportBaseline},
+	{"features", experiments.ReportFeatures},
+	{"alpha-plus", experiments.ReportAlphaPlus},
+	{"theta", experiments.ReportTheta},
+	{"impact", experiments.ReportImpact},
+}
+
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment: alpha-beta, alpha-plus, theta, baseline, features, all")
+		exp   = flag.String("exp", "all", "experiment: alpha-beta, alpha-plus, theta, baseline, features, impact, all")
 		scale = flag.Float64("scale", 0.02, "trace scale relative to the paper's job volume")
 		seed  = flag.Uint64("seed", 7, "master RNG seed")
 	)
@@ -44,31 +60,17 @@ func run(exp string, scale float64, seed uint64) error {
 	}
 	fmt.Printf("trace: %d jobs, %d days\n\n", len(env.Jobs), int(env.Cfg.End.Sub(env.Cfg.Start).Hours()/24))
 
-	switch exp {
-	case "alpha-beta":
-		return experiments.ReportAlphaBeta(os.Stdout, env, seed)
-	case "alpha-plus":
-		return experiments.ReportAlphaPlus(os.Stdout, env, seed)
-	case "theta":
-		return experiments.ReportTheta(os.Stdout, env, seed)
-	case "baseline":
-		return experiments.ReportBaseline(os.Stdout, env, seed)
-	case "features":
-		return experiments.ReportFeatures(os.Stdout, env, seed)
-	case "all":
-		for _, f := range []func() error{
-			func() error { return experiments.ReportAlphaBeta(os.Stdout, env, seed) },
-			func() error { return experiments.ReportBaseline(os.Stdout, env, seed) },
-			func() error { return experiments.ReportFeatures(os.Stdout, env, seed) },
-			func() error { return experiments.ReportAlphaPlus(os.Stdout, env, seed) },
-			func() error { return experiments.ReportTheta(os.Stdout, env, seed) },
-		} {
-			if err := f(); err != nil {
+	ran := false
+	for _, r := range reports {
+		if exp == r.name || exp == "all" {
+			if err := r.run(os.Stdout, env, seed); err != nil {
 				return err
 			}
+			ran = true
 		}
-		return nil
-	default:
+	}
+	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	return nil
 }

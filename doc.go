@@ -5,5 +5,5 @@
 // The root package only anchors the module-level benchmarks in
 // bench_test.go; the implementation lives under internal/ (one package
 // per subsystem, see DESIGN.md) and the runnable entry points under
-// cmd/ and examples/.
+// cmd/ (examples/quickstart is the one worked example).
 package mcbound

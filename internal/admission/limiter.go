@@ -2,12 +2,11 @@ package admission
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mcbound/internal/stats"
+	"mcbound/internal/telemetry"
 )
 
 // reservoirCap bounds the per-window latency sample reservoir.
@@ -23,8 +22,8 @@ const reservoirCap = 128
 // while a congestion spike does not. The same reservoir yields the
 // p95 service time that drives doomed-request shedding.
 //
-// The reservoir uses the repository's seeded stats.RNG so a replayed
-// schedule adapts identically run to run.
+// The reservoir is seeded (Config.Seed) so a replayed schedule adapts
+// identically run to run.
 type Limiter struct {
 	min, max    int
 	tolerance   float64
@@ -33,11 +32,9 @@ type Limiter struct {
 
 	mu       sync.Mutex
 	limit    float64
-	window   []float64 // reservoir of service times (seconds)
-	seen     int       // samples offered to the current window
-	baseline float64   // EWMA of healthy window p50s (seconds)
-	demand   bool      // a request queued since the last adjustment
-	rng      *stats.RNG
+	window   *telemetry.Reservoir // service times of the current window (seconds)
+	baseline float64              // EWMA of healthy window p50s (seconds)
+	demand   bool                 // a request queued since the last adjustment
 
 	p95bits  atomic.Uint64 // cached p95 (seconds, float bits)
 	limitInt atomic.Int64  // cached rounded limit for lock-free reads
@@ -52,8 +49,7 @@ func newLimiter(cfg Config) *Limiter {
 		decrease:    cfg.DecreaseFactor,
 		adjustEvery: cfg.AdjustEvery,
 		limit:       float64(cfg.InitialConcurrency),
-		window:      make([]float64, 0, reservoirCap),
-		rng:         stats.NewRNG(cfg.Seed),
+		window:      telemetry.NewReservoir(reservoirCap, cfg.Seed),
 	}
 	l.clampLocked()
 	return l
@@ -92,13 +88,8 @@ func (l *Limiter) Observe(service time.Duration) bool {
 	defer l.mu.Unlock()
 	// Reservoir sampling keeps the window a uniform draw over the
 	// whole adjustment interval even under heavy traffic.
-	if len(l.window) < reservoirCap {
-		l.window = append(l.window, s)
-	} else if i := l.rng.Intn(l.seen + 1); i < reservoirCap {
-		l.window[i] = s
-	}
-	l.seen++
-	if l.seen < l.adjustEvery {
+	l.window.Observe(s)
+	if l.window.Count() < int64(l.adjustEvery) {
 		return false
 	}
 	return l.adjustLocked()
@@ -106,10 +97,8 @@ func (l *Limiter) Observe(service time.Duration) bool {
 
 // adjustLocked evaluates the completed window: AIMD step + p95 refresh.
 func (l *Limiter) adjustLocked() bool {
-	sorted := append([]float64(nil), l.window...)
-	sort.Float64s(sorted)
-	p50 := quantile(sorted, 0.50)
-	p95 := quantile(sorted, 0.95)
+	p50, _ := l.window.Quantile(0.50)
+	p95, _ := l.window.Quantile(0.95)
 	l.p95bits.Store(math.Float64bits(p95))
 	l.adjusts.Add(1)
 
@@ -128,8 +117,7 @@ func (l *Limiter) adjustLocked() bool {
 		}
 	}
 	l.demand = false
-	l.seen = 0
-	l.window = l.window[:0]
+	l.window.Reset()
 	l.clampLocked()
 	return l.Limit() != before
 }
@@ -142,13 +130,4 @@ func (l *Limiter) clampLocked() {
 		l.limit = float64(l.max)
 	}
 	l.limitInt.Store(int64(math.Round(l.limit)))
-}
-
-// quantile reads the q-th quantile from an ascending-sorted slice.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

@@ -51,7 +51,6 @@ func NewEnv(cfg workload.Config, seed uint64) (*Env, error) {
 
 // Paper period boundaries used across the evaluation experiments.
 var (
-	TrainPeriodStart = time.Date(2023, 12, 1, 0, 0, 0, 0, time.UTC)
-	TestPeriodStart  = time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC)
-	TestPeriodEnd    = time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	TestPeriodStart = time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC)
+	TestPeriodEnd   = time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 )

@@ -73,9 +73,8 @@ type PerfCounters struct {
 	Perf5 float64 `json:"perf5"` // BUS_WRITE_TOTAL_MEM: memory write requests (summed per CMG core)
 
 	// TofuBytes is the total bytes the job injected into the Tofu-D
-	// interconnect. It feeds the multi-roof Job Characterizer extension
-	// (interconnect-bound labels, paper §III-C); the classic two-way
-	// characterization ignores it.
+	// interconnect. It is part of the record and of the trace; the
+	// two-way characterization (Eq. 1–5) does not read it.
 	TofuBytes float64 `json:"tofu_bytes,omitempty"`
 }
 

@@ -478,16 +478,6 @@ func (ix *Index) Dim() int { return ix.dim }
 // Clusters returns the number of (non-empty) coarse-quantizer cells.
 func (ix *Index) Clusters() int { return len(ix.starts) - 1 }
 
-// ClusterSizes returns the member count of every cell — the scan-cost
-// profile a probe pays per cell.
-func (ix *Index) ClusterSizes() []int {
-	sizes := make([]int, ix.Clusters())
-	for c := range sizes {
-		sizes[c] = int(ix.starts[c+1] - ix.starts[c])
-	}
-	return sizes
-}
-
 // NProbe returns the current cells-per-query knob.
 func (ix *Index) NProbe() int { return int(ix.nprobe.Load()) }
 

@@ -4,8 +4,7 @@ import "mcbound/internal/job"
 
 // JobClassifier is the job-level contract the online workflows use: some
 // models (the lookup baseline) consume raw jobs, others (KNN, RF) consume
-// encodings produced by a Feature Encoder. Encoded adapts the latter to
-// this interface.
+// encodings produced by a Feature Encoder.
 type JobClassifier interface {
 	// TrainJobs fits the model on raw jobs and their ground-truth labels.
 	TrainJobs(jobs []*job.Job, labels []job.Label) error
@@ -13,31 +12,4 @@ type JobClassifier interface {
 	PredictJobs(jobs []*job.Job) ([]job.Label, error)
 	// Name identifies the algorithm.
 	Name() string
-}
-
-// JobEncoder is the slice of the Feature Encoder the adapter needs;
-// encode.Encoder satisfies it.
-type JobEncoder interface {
-	Encode(jobs []*job.Job) [][]float32
-}
-
-// Encoded adapts a vector Classifier plus a Feature Encoder into a
-// JobClassifier: exactly the composition of the Feature Encoder and
-// Classification Model components in the MCBound workflows.
-type Encoded struct {
-	Encoder JobEncoder
-	Model   Classifier
-}
-
-// Name implements JobClassifier.
-func (e Encoded) Name() string { return e.Model.Name() }
-
-// TrainJobs implements JobClassifier.
-func (e Encoded) TrainJobs(jobs []*job.Job, labels []job.Label) error {
-	return e.Model.Train(e.Encoder.Encode(jobs), labels)
-}
-
-// PredictJobs implements JobClassifier.
-func (e Encoded) PredictJobs(jobs []*job.Job) ([]job.Label, error) {
-	return e.Model.Predict(e.Encoder.Encode(jobs))
 }

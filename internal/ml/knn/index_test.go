@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 	"testing/quick"
@@ -265,6 +266,28 @@ func legacyHeader(k int64, p float64, dim, n, groups int64, payload []byte) []by
 	return buf.Bytes()
 }
 
+// sealV3 frames a payload (header, matrix, counts and maybe an index
+// section) as a MCBKNN03 model with a correct checksum, so that a
+// crafted body reaches the structural checks behind it.
+func sealV3(payload []byte) []byte {
+	out := []byte(marshalMagic)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	return append(out, payload...)
+}
+
+// indexedWithOrder is a valid indexed model whose header claims the
+// Minkowski order p: Train builds an index for p == 2 only.
+func indexedWithOrder(t testing.TB, p float64) []byte {
+	t.Helper()
+	valid, err := fuzzSeedModel(IndexOn).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), valid[len(marshalMagic)+4:]...)
+	binary.LittleEndian.PutUint64(payload[8:], math.Float64bits(p)) // after k
+	return sealV3(payload)
+}
+
 // TestUnmarshalRejectsAdversarialHeaders is the regression test for the
 // groups*dim*4 overflow: header fields big enough to wrap int64 used to
 // slip past the size check and drive a huge or negative allocation.
@@ -290,6 +313,11 @@ func TestUnmarshalRejectsAdversarialHeaders(t *testing.T) {
 		{"negative groups", legacyHeader(5, 2, 4, 1, -1, nil)},
 		{"n below groups", legacyHeader(5, 2, 4, 1, 2, make([]byte, 100))},
 		{"truncated payload", legacyHeader(5, 2, 4, 2, 2, make([]byte, 10))},
+		// Checksum and all: it used to load, be published as trained,
+		// and fail every Predict with ml.ErrNotTrained.
+		{"empty model", sealV3(legacyHeader(5, 2, 4, 0, 0, nil)[len(marshalMagicV2):])},
+		// It used to load, and Predict searched an L2 index for it.
+		{"index on a non-euclidean model", indexedWithOrder(t, 3)},
 		{"bad magic", []byte("MCBKNN99xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")},
 		{"short", []byte("MCB")},
 		{"empty", nil},

@@ -206,9 +206,10 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	return nil
 }
 
-// Predict implements ml.Classifier: a parallel brute-force scan over the
-// unique vectors with a bounded top-k selection per query, then majority
-// vote among the k nearest points (ties broken toward the nearest).
+// Predict implements ml.Classifier: queries fan out across cores; each
+// finds its k nearest groups (predictOne: the IVF index when the model
+// carries one, the exact scan otherwise) and takes the majority vote
+// among the k nearest points (ties broken toward the nearest).
 func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -242,7 +243,7 @@ func (c *Classifier) predictOne(q []float32, top []ml.Candidate) job.Label {
 	if c.index != nil {
 		top = c.index.Search(q, kg, top)
 	} else {
-		top = scanGroups(c.data, c.dim, c.groups, q, c.cfg.P, kg, top)
+		top = c.scanGroups(q, kg, top)
 	}
 	return c.vote(top, k)
 }
@@ -251,11 +252,12 @@ func (c *Classifier) predictOne(q []float32, top []ml.Candidate) job.Label {
 // the block's distances live on the stack.
 const scanBlock = 256
 
-// scanGroups is the exact search the classifier and the regressor
-// share: the kg groups of the row-major matrix nearest to q under the
-// order-p Minkowski distance, nearest first, in top[:0]. The matrix is
-// contiguous, so the Euclidean case measures a block of rows per call.
-func scanGroups(data []float32, dim, groups int, q []float32, p float64, kg int, top []ml.Candidate) []ml.Candidate {
+// scanGroups is the exact search: the kg groups of the model's matrix
+// nearest to q under its Minkowski distance, nearest first, in top[:0].
+// The matrix is contiguous, so the Euclidean case measures a block of
+// rows per call.
+func (c *Classifier) scanGroups(q []float32, kg int, top []ml.Candidate) []ml.Candidate {
+	data, dim, groups, p := c.data, c.dim, c.groups, c.cfg.P
 	top = top[:0]
 	worst := math.Inf(1)
 	var block [scanBlock]float64
@@ -500,7 +502,7 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 		return fmt.Errorf("%w: minkowski order %v", ErrCorruptModel, p)
 	case dim <= 0 || dim > maxDim:
 		return fmt.Errorf("%w: dim = %d", ErrCorruptModel, dim)
-	case groups < 0 || groups > maxGroups:
+	case groups <= 0 || groups > maxGroups: // an empty model would load as trained and never predict
 		return fmt.Errorf("%w: groups = %d", ErrCorruptModel, groups)
 	case n < groups || n > maxN:
 		return fmt.Errorf("%w: n = %d for %d groups", ErrCorruptModel, n, groups)
@@ -534,6 +536,11 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 	// Whatever follows the counts is the index section.
 	var index *ivf.Index
 	if !legacy && buf.Len() != 0 {
+		// Train builds an index for the Euclidean metric only, and
+		// predictOne would search this one whatever p says.
+		if p != 2 {
+			return fmt.Errorf("%w: index section on a model of minkowski order %v", ErrCorruptModel, p)
+		}
 		var err error
 		if index, err = ivf.Load(buf, data, int(dim)); err != nil {
 			return fmt.Errorf("%w: %w", ErrCorruptModel, err)

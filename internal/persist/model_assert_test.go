@@ -12,5 +12,4 @@ import (
 func TestProductionModelsArePersistable(t *testing.T) {
 	var _ Model = knn.New(knn.DefaultConfig())
 	var _ Model = rf.New(rf.DefaultConfig())
-	var _ Model = (*knn.Regressor)(nil) // compile-time only? regressor lacks marshal
 }

@@ -14,11 +14,8 @@ import (
 	"mcbound/internal/telemetry"
 )
 
-// Role strings a probe can report for a backend.
-const (
-	roleLeader   = "leader"
-	roleFollower = "follower"
-)
+// roleLeader is the role string a probe reports for the lease holder.
+const roleLeader = "leader"
 
 // backend is the router's view of one cluster member: static identity
 // plus everything the health poller and the data path learn about it.

@@ -231,9 +231,6 @@ func (rt *Router) Budget() *resilience.Budget { return rt.budget }
 // Hedges reports how many hedge attempts have been launched.
 func (rt *Router) Hedges() int64 { return rt.hedges.Load() }
 
-// Repoints reports how many times a 421 chase re-pointed the leader.
-func (rt *Router) Repoints() int64 { return rt.repoints.Load() }
-
 // isMember is the redirect allowlist: only configured backend URLs may
 // be chased.
 func (rt *Router) isMember(base string) bool {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -26,12 +27,39 @@ func refQuantile(r *Reservoir, q float64) (float64, bool) {
 	return sorted[i], true
 }
 
+// checkMirror fails unless the sorted mirror is sorted, holds exactly
+// the sample's values (bit for bit, so a −0 is not traded for a +0) and
+// answers every quantile as the copy-and-sort reference does.
+func checkMirror(t *testing.T, r *Reservoir, step int) {
+	t.Helper()
+	if !sort.Float64sAreSorted(r.sorted) {
+		t.Fatalf("step %d: mirror is not sorted: %v", step, r.sorted)
+	}
+	bits := make(map[uint64]int, len(r.vals))
+	for _, v := range r.vals {
+		bits[math.Float64bits(v)]++
+	}
+	for _, v := range r.sorted {
+		bits[math.Float64bits(v)]--
+	}
+	for b, n := range bits {
+		if n != 0 {
+			t.Fatalf("step %d: value %g (bits %#x) is %+d times more often in the sample than in the mirror",
+				step, math.Float64frombits(b), b, n)
+		}
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+		got, gok := r.Quantile(q)
+		want, wok := refQuantile(r, q)
+		if got != want || gok != wok {
+			t.Fatalf("step %d: Quantile(%g) = %g, %v; sort reference %g, %v", step, q, got, gok, want, wok)
+		}
+	}
+}
+
 // TestReservoirQuantileMatchesSortReference drives 50 000 seeded
 // samples — heavy duplication, both zeros, denormals, negatives —
-// through a full reservoir and checks after every one that the mirror
-// is sorted, holds exactly the sample's values (bit for bit, so a −0
-// is not traded for a +0), and answers every quantile as the
-// copy-and-sort reference does.
+// through a full reservoir and checks the mirror after every one.
 func TestReservoirQuantileMatchesSortReference(t *testing.T) {
 	const capacity, steps = 96, 50000
 	r := NewReservoir(capacity, 11)
@@ -55,36 +83,52 @@ func TestReservoirQuantileMatchesSortReference(t *testing.T) {
 			return rng.Float64() * 1e-3
 		}
 	}
-	bits := make(map[uint64]int, capacity)
 	for step := 0; step < steps; step++ {
 		r.Observe(draw())
-
-		if !sort.Float64sAreSorted(r.sorted) {
-			t.Fatalf("step %d: mirror is not sorted: %v", step, r.sorted)
-		}
-		clear(bits)
-		for _, v := range r.vals {
-			bits[math.Float64bits(v)]++
-		}
-		for _, v := range r.sorted {
-			bits[math.Float64bits(v)]--
-		}
-		for b, n := range bits {
-			if n != 0 {
-				t.Fatalf("step %d: value %g (bits %#x) is %+d times more often in the sample than in the mirror",
-					step, math.Float64frombits(b), b, n)
-			}
-		}
-		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-			got, gok := r.Quantile(q)
-			want, wok := refQuantile(r, q)
-			if got != want || gok != wok {
-				t.Fatalf("step %d: Quantile(%g) = %g, %v; sort reference %g, %v", step, q, got, gok, want, wok)
-			}
-		}
+		checkMirror(t, r, step)
 	}
 	if r.Count() != steps || len(r.vals) != capacity {
 		t.Fatalf("Count %d, retained %d; want %d, %d", r.Count(), len(r.vals), steps, capacity)
+	}
+}
+
+// Reset starts a new window on the same random stream: after it the
+// reservoir is empty, and a run of windows — shorter and longer than the
+// capacity — retains, slot for slot, what a plain algorithm R that is
+// cleared between windows but never reseeded retains, with the mirror
+// intact throughout.
+func TestReservoirReset(t *testing.T) {
+	const capacity = 32
+	r := NewReservoir(capacity, 9)
+	refRNG := stats.NewRNG(9)
+	in := stats.NewRNG(10)
+	step := 0
+	for _, window := range []int{5, 200, capacity, 1, capacity + 1, 3000, 40} {
+		var ref []float64
+		for n := 1; n <= window; n++ {
+			v := float64(in.Intn(50)) / 8
+			r.Observe(v)
+			if len(ref) < capacity {
+				ref = append(ref, v)
+			} else if j := refRNG.Intn(n); j < capacity {
+				ref[j] = v
+			}
+			checkMirror(t, r, step)
+			step++
+		}
+		if r.Count() != int64(window) {
+			t.Fatalf("window of %d: Count = %d", window, r.Count())
+		}
+		if !slices.Equal(r.vals, ref) {
+			t.Fatalf("window of %d: sample %v, reference on the same stream %v", window, r.vals, ref)
+		}
+		r.Reset()
+		if _, ok := r.Quantile(0.5); ok || r.Count() != 0 {
+			t.Fatalf("after Reset: Count = %d, Quantile ok = %v; want 0, false", r.Count(), ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Reset() }); n != 0 {
+		t.Fatalf("Reset allocates %v times a call, want 0", n)
 	}
 }
 

@@ -81,14 +81,6 @@ func (f *FS) Killed() bool {
 	return f.killed
 }
 
-// BytesWritten returns the cumulative bytes ever written, the scale on
-// which kill points are chosen.
-func (f *FS) BytesWritten() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.written
-}
-
 // Crash simulates power loss: the volatile namespace collapses to the
 // durable one, and every file keeps its fsynced prefix plus a random
 // portion of its unsynced tail — possibly with a flipped bit, the way a

@@ -884,9 +884,6 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// LastRecovery returns the report of the Open that produced this WAL.
-func (w *WAL) LastRecovery() Recovery { return w.lastRecovery }
-
 // Stats snapshots the operational counters.
 func (w *WAL) Stats() Stats {
 	s := Stats{
