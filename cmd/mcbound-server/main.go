@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"mcbound/internal/admission"
+	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/core"
 	"mcbound/internal/election"
@@ -53,6 +54,7 @@ import (
 	"mcbound/internal/repl"
 	"mcbound/internal/replay"
 	"mcbound/internal/resilience"
+	"mcbound/internal/stats"
 	"mcbound/internal/store"
 	"mcbound/internal/telemetry"
 	"mcbound/internal/wal"
@@ -164,7 +166,7 @@ func main() {
 	flag.DurationVar(&o.followPoll, "follow-poll", 250*time.Millisecond, "manifest poll cadence in follower mode")
 	flag.DurationVar(&o.maxLag, "max-lag", 15*time.Second, "replication lag before follower /healthz reports lagging")
 	flag.BoolVar(&o.promoteOnStart, "promote-on-start", false, "boot as leader over an inherited -data-dir with a bumped fencing epoch (fences the previous leader)")
-	flag.Float64Var(&o.retrainJitter, "retrain-jitter", core.DefaultRetrainJitter, "fraction of -retrain-every each cron interval is jittered by (seeded; 0 = fixed period)")
+	flag.Float64Var(&o.retrainJitter, "retrain-jitter", clock.DefaultJitter, "fraction of -retrain-every each cron interval is jittered by (seeded; 0 = fixed period)")
 	flag.StringVar(&o.nodeID, "node-id", "", "this node's stable ID in the -peers list (enables the lease-based elector)")
 	flag.StringVar(&o.peers, "peers", "", "static cluster membership as id=url,id=url,... (must include -node-id)")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "leadership lease TTL: quorum acks older than this fence the write path")
@@ -542,48 +544,44 @@ func run(o options) error {
 	// Cron-equivalent retraining ticker: retrain on the newest completed
 	// data (a live store advances as POST /v1/jobs delivers records, or
 	// as the replication stream applies the leader's). Each interval is
-	// drawn from the seeded jittered schedule so a fleet of replicas
-	// started together never retrains in lockstep. Stopped by the same
-	// signal context that drains the server.
+	// drawn from the seeded jittered schedule: a fleet of replicas
+	// started together with one -retrain-every would otherwise fire its
+	// Training Workflows in lockstep — every node burning background
+	// concurrency at the same instant, a follower fleet hammering the
+	// leader's fetch path together. Stopped by the same signal context
+	// that drains the server.
 	var wg sync.WaitGroup
 	if o.retrainEvery > 0 {
-		sched := core.NewRetrainSchedule(o.retrainEvery, o.retrainJitter, o.seed)
+		next := retrainIntervals(o)
+		retrain := func(ctx context.Context) {
+			at := newestEnd(st)
+			if at.IsZero() {
+				at = time.Now().UTC()
+			}
+			// Retraining competes with inference for the same cores:
+			// admit it at background priority so it holds at most a
+			// quarter of the concurrency budget.
+			tk, admErr := adm.Admit(ctx, admission.Background, "cron")
+			if admErr != nil {
+				log.Printf("cron retraining not admitted: %v", admErr)
+				return
+			}
+			rep, err := fw.Train(ctx, at)
+			tk.Release()
+			api.ObserveTrain(rep, err)
+			if err != nil {
+				log.Printf("cron retraining failed: %v", err)
+				return
+			}
+			log.Printf("cron retraining: window [%s, %s), %d labeled jobs, version %d",
+				rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
+				rep.LabeledJobs, rep.ModelVersion)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			timer := time.NewTimer(sched.Next())
-			defer timer.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					log.Printf("retraining ticker stopped")
-					return
-				case <-timer.C:
-					timer.Reset(sched.Next())
-					at := newestEnd(st)
-					if at.IsZero() {
-						at = time.Now().UTC()
-					}
-					// Retraining competes with inference for the same
-					// cores: admit it at background priority so it holds
-					// at most a quarter of the concurrency budget.
-					tk, admErr := adm.Admit(ctx, admission.Background, "cron")
-					if admErr != nil {
-						log.Printf("cron retraining not admitted: %v", admErr)
-						continue
-					}
-					rep, err := fw.Train(ctx, at)
-					tk.Release()
-					api.ObserveTrain(rep, err)
-					if err != nil {
-						log.Printf("cron retraining failed: %v", err)
-						continue
-					}
-					log.Printf("cron retraining: window [%s, %s), %d labeled jobs, version %d",
-						rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
-						rep.LabeledJobs, rep.ModelVersion)
-				}
-			}
+			clock.NewLoop(clock.Wall{}, next, retrain).Run(ctx, next())
+			log.Printf("retraining ticker stopped")
 		}()
 	}
 
@@ -606,6 +604,13 @@ func run(o options) error {
 	}
 	log.Printf("shutdown complete")
 	return nil
+}
+
+// retrainIntervals draws the cron's intervals: -retrain-every spread
+// over ± -retrain-jitter, deterministic per -seed.
+func retrainIntervals(o options) func() time.Duration {
+	rng := stats.NewRNG(o.seed)
+	return func() time.Duration { return clock.Jitter(o.retrainEvery, o.retrainJitter, rng.Float64()) }
 }
 
 func newestEnd(st *store.Store) time.Time {

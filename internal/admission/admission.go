@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mcbound/internal/clock"
 )
 
 // Priority orders request tiers. Higher values admit first when slots
@@ -138,14 +140,14 @@ type Config struct {
 
 	// RateLimit is the per-client steady admission rate in requests
 	// per second; 0 disables rate limiting. RateBurst is the bucket
-	// capacity (0 selects 2×RateLimit); ClientCap bounds the bucket
-	// LRU (default 1024 clients).
+	// capacity (0 selects 2×RateLimit); the bucket LRU holds
+	// DefaultClientCap clients.
 	RateLimit float64
 	RateBurst float64
-	ClientCap int
 
-	// Clock is the time source, injectable for tests. Default time.Now.
-	Clock func() time.Time
+	// Clock is the time source, injectable for tests. Default the wall
+	// clock.
+	Clock clock.Clock
 
 	// Seed feeds the stats.RNG behind the limiter's latency reservoir,
 	// keeping replays deterministic. Default 1.
@@ -184,11 +186,8 @@ func (c Config) withDefaults() Config {
 	if c.RateBurst <= 0 {
 		c.RateBurst = 2 * c.RateLimit
 	}
-	if c.ClientCap <= 0 {
-		c.ClientCap = 1024
-	}
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = clock.Wall{}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -224,7 +223,7 @@ type Controller struct {
 	cfg   Config
 	lim   *Limiter
 	rl    *RateLimiter
-	clock func() time.Time
+	clock clock.Clock
 
 	mu       sync.Mutex
 	inflight int // slots held, all tiers except Critical
@@ -245,7 +244,7 @@ func NewController(cfg Config) *Controller {
 		clock: cfg.Clock,
 	}
 	if cfg.RateLimit > 0 {
-		c.rl = NewRateLimiter(cfg.RateLimit, cfg.RateBurst, cfg.ClientCap, cfg.Clock)
+		c.rl = NewRateLimiter(cfg.RateLimit, cfg.RateBurst, DefaultClientCap, cfg.Clock)
 	}
 	return c
 }
@@ -322,7 +321,7 @@ func (t *Ticket) Release() {
 	}
 	c := t.c
 	if !t.streaming {
-		c.lim.Observe(c.clock().Sub(t.granted))
+		c.lim.Observe(c.clock.Now().Sub(t.granted))
 	}
 	c.mu.Lock()
 	c.inflight--
@@ -372,7 +371,7 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 		// Health probes and other must-answer traffic: no slot, no
 		// queue, no shedding — only accounting.
 		c.bypassed.Add(1)
-		return &Ticket{c: c, pri: pri, granted: c.clock(), streaming: streaming}, nil
+		return &Ticket{c: c, pri: pri, granted: c.clock.Now(), streaming: streaming}, nil
 	}
 	c.offered.Add(1)
 
@@ -383,7 +382,7 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 		}
 	}
 
-	now := c.clock()
+	now := c.clock.Now()
 	deadline, hasDeadline := ctx.Deadline()
 	if streaming {
 		// A stream's deadline bounds the connection, not a service
@@ -469,7 +468,7 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 				return nil, err
 			}
 			c.admitted.Add(1)
-			return &Ticket{c: c, pri: pri, granted: w.grantedAt}, nil
+			return &Ticket{c: c, pri: pri, granted: w.grantedAt, streaming: streaming}, nil
 		}
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			// The deadline expired while waiting: the request was doomed,
@@ -512,7 +511,7 @@ func (c *Controller) takeSlotLocked(pri Priority) {
 // shed as doomed instead of being granted a slot it cannot use.
 func (c *Controller) grantLocked() {
 	p95 := c.lim.P95()
-	now := c.clock()
+	now := c.clock.Now()
 	for {
 		limit := c.lim.Limit()
 		if c.inflight >= limit {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mcbound/internal/clock"
 )
 
 // checkIdentity asserts the exact accounting equation the bench and the
@@ -300,6 +302,50 @@ func TestCancelWhileQueuedCountsAsCanceled(t *testing.T) {
 		t.Fatalf("shed(canceled) = %d, want 1", s.ShedCanceled)
 	}
 	checkIdentity(t, s)
+}
+
+// TestStreamTicketKeepsItsFlagThroughCancelGrantRace: a stream granted
+// while its context ends must still be a stream ticket, or Release feeds
+// the connection lifetime into the limiter's p95. The race is forced,
+// not awaited: a parked background waiter at its cap keeps the queue
+// non-empty, so an AdmitStream with an already-canceled context is
+// queued and granted inside the same call and finds both its grant and
+// ctx.Done() ready — select then takes the ctx.Done() arm (the racing
+// path) about every other round.
+func TestStreamTicketKeepsItsFlagThroughCancelGrantRace(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1700000000, 0))
+	c := NewController(Config{MaxConcurrency: 4, QueueDepth: 4, AdjustEvery: 1, Clock: clk})
+	bg, err := c.Admit(context.Background(), Background, "")
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	parkedCtx, unpark := context.WithCancel(context.Background())
+	parked := make(chan error, 1)
+	go func() {
+		_, err := c.Admit(parkedCtx, Background, "")
+		parked <- err
+	}()
+	waitFor(t, func() bool { return c.QueueLen() == 1 })
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 64; i++ {
+		tk, err := c.AdmitStream(gone, Interactive, "")
+		if err != nil {
+			t.Fatalf("round %d: a grantable stream was shed: %v", i, err)
+		}
+		clk.Advance(time.Hour) // the connection's lifetime
+		tk.Release()
+	}
+	if n := c.Limiter().Adjustments(); n != 0 {
+		t.Fatalf("%d stream releases reached the limiter as service times (p95 now %v)", n, c.Limiter().P95())
+	}
+	unpark()
+	if err := <-parked; !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked waiter: %v, want context.Canceled", err)
+	}
+	bg.Release()
+	checkIdentity(t, c.Stats())
 }
 
 func TestBackgroundCappedAtQuarterOfLimit(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/stats"
 )
 
@@ -261,9 +262,8 @@ func TestLimiterMatchesWindowedReference(t *testing.T) {
 }
 
 func TestRateLimiterRefillAndRetryAfter(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	rl := NewRateLimiter(10, 2, 8, clock)
+	clk := clock.NewManual(time.Unix(0, 0))
+	rl := NewRateLimiter(10, 2, 8, clk)
 
 	for i := 0; i < 2; i++ {
 		if ok, _ := rl.Allow("a"); !ok {
@@ -278,15 +278,14 @@ func TestRateLimiterRefillAndRetryAfter(t *testing.T) {
 		t.Fatalf("retryAfter = %v, want (0, 100ms] at 10 rps", retry)
 	}
 	// After the hinted wait, one token is back.
-	now = now.Add(retry)
+	clk.Advance(retry)
 	if ok, _ := rl.Allow("a"); !ok {
 		t.Fatal("request denied after waiting the hinted Retry-After")
 	}
 }
 
 func TestRateLimiterLRUEviction(t *testing.T) {
-	now := time.Unix(0, 0)
-	rl := NewRateLimiter(1, 1, 2, func() time.Time { return now })
+	rl := NewRateLimiter(1, 1, 2, clock.NewManual(time.Unix(0, 0)))
 	rl.Allow("a") // a spends its only token
 	rl.Allow("b")
 	rl.Allow("c") // evicts a (capacity 2)

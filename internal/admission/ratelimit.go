@@ -4,7 +4,12 @@ import (
 	"container/list"
 	"sync"
 	"time"
+
+	"mcbound/internal/clock"
 )
+
+// DefaultClientCap bounds the bucket LRU of a Controller's rate limiter.
+const DefaultClientCap = 1024
 
 // RateLimiter enforces a per-client token bucket, keyed by the client
 // identity the HTTP layer extracts (X-Client-Id header or remote
@@ -15,7 +20,7 @@ type RateLimiter struct {
 	rate  float64 // tokens per second
 	burst float64 // bucket capacity
 	cap   int
-	clock func() time.Time
+	clock clock.Clock
 
 	mu  sync.Mutex
 	lru *list.List // *bucket, front = most recently used
@@ -30,7 +35,7 @@ type bucket struct {
 
 // NewRateLimiter builds a limiter granting rate tokens/second with the
 // given burst capacity over an LRU of at most clientCap buckets.
-func NewRateLimiter(rate, burst float64, clientCap int, clock func() time.Time) *RateLimiter {
+func NewRateLimiter(rate, burst float64, clientCap int, clk clock.Clock) *RateLimiter {
 	if burst <= 0 {
 		burst = rate
 	}
@@ -38,16 +43,16 @@ func NewRateLimiter(rate, burst float64, clientCap int, clock func() time.Time) 
 		burst = 1
 	}
 	if clientCap <= 0 {
-		clientCap = 1024
+		clientCap = DefaultClientCap
 	}
-	if clock == nil {
-		clock = time.Now
+	if clk == nil {
+		clk = clock.Wall{}
 	}
 	return &RateLimiter{
 		rate:  rate,
 		burst: burst,
 		cap:   clientCap,
-		clock: clock,
+		clock: clk,
 		lru:   list.New(),
 		m:     make(map[string]*list.Element),
 	}
@@ -56,7 +61,7 @@ func NewRateLimiter(rate, burst float64, clientCap int, clock func() time.Time) 
 // Allow spends one token from key's bucket. When the bucket is empty
 // it reports false and the time until the next token refills.
 func (l *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
-	now := l.clock()
+	now := l.clock.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var b *bucket

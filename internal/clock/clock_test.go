@@ -1,0 +1,179 @@
+package clock_test
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mcbound/internal/clock"
+	"mcbound/internal/stats"
+)
+
+var epoch = time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+
+// The four jitter properties every caller relies on, asserted once on
+// the one formula: band, mean, per-seed determinism, and zero-fraction
+// exactness with the 1 ms floor. Callers pin only their fraction.
+
+func TestJitterBandAndMean(t *testing.T) {
+	const n = 10_000
+	period, frac := time.Hour, 0.10
+	lo, hi := time.Duration(float64(period)*(1-frac)), time.Duration(float64(period)*(1+frac))
+	rng := stats.NewRNG(42)
+	var sum time.Duration
+	distinct := map[time.Duration]bool{}
+	for i := 0; i < n; i++ {
+		d := clock.Jitter(period, frac, rng.Float64())
+		if d < lo || d > hi {
+			t.Fatalf("draw %d = %v outside [%v, %v]", i, d, lo, hi)
+		}
+		sum += d
+		distinct[d] = true
+	}
+	// Uniform over period ± 10%: the mean stays within 1% of the period,
+	// so the long-run rate is unchanged.
+	if mean := sum / n; (mean - period).Abs() > period/100 {
+		t.Fatalf("mean interval %v drifted from period %v", mean, period)
+	}
+	if len(distinct) < n/2 {
+		t.Fatalf("only %d distinct draws over %d — jitter not spreading", len(distinct), n)
+	}
+	// The ends of the draw are the ends of the band.
+	if got := clock.Jitter(period, frac, 0); got != lo {
+		t.Fatalf("u=0 drew %v, want %v", got, lo)
+	}
+	if got := clock.Jitter(10*time.Second, 0.5, 0.5); got != 10*time.Second {
+		t.Fatalf("u=0.5 drew %v, want the period", got)
+	}
+}
+
+func TestJitterDeterministicPerSeed(t *testing.T) {
+	a, b, c := stats.NewRNG(7), stats.NewRNG(7), stats.NewRNG(8)
+	sameAsC := 0
+	for i := 0; i < 100; i++ {
+		av := clock.Jitter(time.Hour, clock.DefaultJitter, a.Float64())
+		if bv := clock.Jitter(time.Hour, clock.DefaultJitter, b.Float64()); av != bv {
+			t.Fatalf("draw %d: same seed diverged (%v vs %v)", i, av, bv)
+		}
+		if av == clock.Jitter(time.Hour, clock.DefaultJitter, c.Float64()) {
+			sameAsC++
+		}
+	}
+	if sameAsC == 100 {
+		t.Fatal("different seeds produced identical schedules")
+	}
+}
+
+func TestJitterZeroFractionIsExact(t *testing.T) {
+	rng := stats.NewRNG(1)
+	for _, frac := range []float64{0, -1} { // negative = disabled, as FollowerConfig.PollJitter spells it
+		for i := 0; i < 10; i++ {
+			if d := clock.Jitter(time.Hour, frac, rng.Float64()); d != time.Hour {
+				t.Fatalf("fraction %v drew %v, want exactly 1h", frac, d)
+			}
+		}
+	}
+}
+
+func TestJitterFloorsAndClamps(t *testing.T) {
+	if d := clock.Jitter(0, clock.DefaultJitter, 0.3); d != time.Millisecond {
+		t.Fatalf("zero period drew %v, want the 1ms floor", d)
+	}
+	// Out-of-range fractions are clamped, not propagated: 5.0 acts as 1.
+	if d := clock.Jitter(time.Second, 5.0, 0.25); d != 500*time.Millisecond {
+		t.Fatalf("clamped fraction drew %v, want 500ms", d)
+	}
+}
+
+func TestManualFiresTimersAsTheyComeDue(t *testing.T) {
+	m := clock.NewManual(epoch)
+	early, late, gone := m.NewTimer(time.Second), m.NewTimer(3*time.Second), m.NewTimer(time.Second)
+	gone.Stop()
+	m.BlockUntil(2) // returns at once: two timers are armed
+	if now := <-m.NewTimer(0).C; !now.Equal(epoch) {
+		t.Fatalf("zero timer delivered %v, want the current instant", now)
+	}
+
+	m.Advance(2 * time.Second)
+	if at := <-early.C; !at.Equal(epoch.Add(2 * time.Second)) {
+		t.Fatalf("early timer delivered %v", at)
+	}
+	select {
+	case <-late.C:
+		t.Fatal("3s timer fired after 2s")
+	case <-gone.C:
+		t.Fatal("stopped timer fired")
+	default:
+	}
+	m.Advance(time.Second)
+	<-late.C
+	if !m.Now().Equal(epoch.Add(3 * time.Second)) {
+		t.Fatalf("Now = %v after 3s of advances", m.Now())
+	}
+}
+
+func TestSleepHonoursClockAndContext(t *testing.T) {
+	m := clock.NewManual(epoch)
+	slept := make(chan error, 1)
+	go func() { slept <- clock.Sleep(context.Background(), m, time.Minute) }()
+	m.BlockUntil(1)
+	m.Advance(time.Minute)
+	if err := <-slept; err != nil {
+		t.Fatalf("Sleep = %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { slept <- clock.Sleep(ctx, m, time.Minute) }()
+	m.BlockUntil(1)
+	cancel()
+	if err := <-slept; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Sleep = %v", err)
+	}
+	m.Advance(time.Hour) // the abandoned timer was released, nothing to fire
+	if err := clock.Sleep(ctx, m, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("zero Sleep on a done context = %v", err)
+	}
+}
+
+func TestLoopStepsOnItsPeriodAndStopCutsTheStepShort(t *testing.T) {
+	m := clock.NewManual(epoch)
+	var steps atomic.Int32
+	inStep := make(chan struct{})
+	l := clock.NewLoop(m, func() time.Duration { return time.Second }, func(ctx context.Context) {
+		if steps.Add(1) == 3 {
+			close(inStep)
+			<-ctx.Done() // a step stuck on I/O: only Stop's cancel ends it
+		}
+	})
+	go l.Run(context.Background(), 5*time.Second)
+
+	m.BlockUntil(1)
+	m.Advance(4 * time.Second)
+	if n := steps.Load(); n != 0 {
+		t.Fatalf("%d steps before the first delay elapsed", n)
+	}
+	m.Advance(time.Second) // first
+	m.BlockUntil(1)
+	m.Advance(time.Second) // next()
+	m.BlockUntil(1)
+	if n := steps.Load(); n != 2 {
+		t.Fatalf("%d steps after first + one period, want 2", n)
+	}
+	m.Advance(time.Second)
+	<-inStep
+	l.Stop() // returns only once Run has
+	l.Stop()
+	if n := steps.Load(); n != 3 {
+		t.Fatalf("%d steps at Stop, want 3", n)
+	}
+}
+
+func TestLoopStopWithoutRunDoesNotWait(t *testing.T) {
+	l := clock.NewLoop(clock.Wall{}, func() time.Duration { return time.Hour }, func(context.Context) {})
+	l.Stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	l.Run(ctx, time.Hour) // a stopped loop (and a done context) returns at once
+}

@@ -92,6 +92,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// keptModelVersions is how many versions of a model stay in ModelDir
+// after a retrain: the one just published plus enough history for
+// LoadLatest to step over a corrupted newest file.
+const keptModelVersions = 5
+
 // modelState is the immutable snapshot the Inference Workflow serves
 // from. A retrain builds a whole new state and publishes it with one
 // atomic store, so readers can never observe a torn (model, version)
@@ -396,7 +401,9 @@ func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, err
 
 	// Persistence failures degrade durability, not serving: the fresh
 	// model is published either way and the error is surfaced so the
-	// operator learns the registry is unwritable.
+	// operator learns the registry is unwritable. Older versions are
+	// pruned behind the one just saved, or a daily retrain grows
+	// ModelDir by one model file a day for ever.
 	var persistErr error
 	if f.registry != nil {
 		if pm, ok := model.(persist.Model); !ok {
@@ -405,6 +412,7 @@ func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, err
 			persistErr = err
 		} else {
 			rep.ModelVersion = v
+			persistErr = f.registry.Prune(model.Name(), keptModelVersions)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -180,6 +181,41 @@ func TestPersistenceAndLoadLatest(t *testing.T) {
 	}
 	if pred.Label != job.MemoryBound {
 		t.Errorf("restored model classified %v", pred.Label)
+	}
+}
+
+// TestRetrainPrunesModelDir: every retrain saves a version, so without
+// pruning a daily cron grows ModelDir by one model file a day for ever.
+// keptModelVersions + 3 trains leave keptModelVersions files, the newest
+// among them, and that is the one a restart restores.
+func TestRetrainPrunesModelDir(t *testing.T) {
+	st := seedStore(t)
+	cfg := DefaultConfig()
+	cfg.ModelDir = t.TempDir()
+	fw := newFramework(t, cfg, st)
+	const trains = keptModelVersions + 3
+	for i := 1; i <= trains; i++ {
+		rep, err := fw.Train(context.Background(), time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC))
+		if err != nil {
+			t.Fatalf("train %d: %v", i, err)
+		}
+		if rep.ModelVersion != i {
+			t.Fatalf("train %d published version %d", i, rep.ModelVersion)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(cfg.ModelDir, "*.model"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != keptModelVersions {
+		t.Fatalf("%d trains left %d model files, want %d: %v", trains, len(files), keptModelVersions, files)
+	}
+	lrep, err := newFramework(t, cfg, st).LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lrep.Version != trains {
+		t.Fatalf("restart restored version %d, want the newest, %d", lrep.Version, trains)
 	}
 }
 

@@ -28,9 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/repl"
 	"mcbound/internal/stats"
@@ -100,8 +100,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Seed drives the election-timeout jitter and step jitter.
 	Seed uint64
-	// Now overrides time.Now (deterministic tests).
-	Now func() time.Time
+	// Clock overrides the wall clock: every lease instant and, in Run,
+	// the step timer (deterministic tests).
+	Clock clock.Clock
 	// Transport overrides the HTTP lease/ack transport (fault injection).
 	Transport Transport
 	// LeaseDir, when set, persists the lease next to the WAL's epoch
@@ -129,14 +130,10 @@ type Elector struct {
 	members cluster.Membership
 	node    *repl.Node
 	tr      Transport
-	now     func() time.Time
+	clock   clock.Clock
 	view    *cluster.View
 	logf    func(string, ...any)
-
-	stopOnce   sync.Once
-	stopCh     chan struct{}
-	doneCh     chan struct{}
-	runStarted atomic.Bool
+	loop    *clock.Loop
 
 	mu          sync.Mutex
 	rng         *stats.RNG
@@ -190,8 +187,8 @@ func New(cfg Config) (*Elector, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall{}
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = NewHTTPTransport(nil, cfg.Seed)
@@ -208,16 +205,15 @@ func New(cfg Config) (*Elector, error) {
 		members: cfg.Members,
 		node:    cfg.Node,
 		tr:      cfg.Transport,
-		now:     cfg.Now,
+		clock:   cfg.Clock,
 		view:    cluster.NewView(),
 		logf:    cfg.Logf,
-		stopCh:  make(chan struct{}),
-		doneCh:  make(chan struct{}),
 		rng:     stats.NewRNG(cfg.Seed),
 		acks:    make(map[string]time.Time),
 		ackSeqs: make(map[string]uint64),
 	}
-	now := e.now()
+	e.loop = clock.NewLoop(e.clock, e.stepDelay, e.Tick)
+	now := e.clock.Now()
 	e.start = now
 	e.lastHeard = now
 	st := cfg.Node.Status()
@@ -241,31 +237,11 @@ func New(cfg Config) (*Elector, error) {
 }
 
 // Run drives the elector until ctx is done or Stop is called.
-func (e *Elector) Run(ctx context.Context) {
-	e.runStarted.Store(true)
-	defer close(e.doneCh)
-	t := time.NewTimer(e.stepDelay())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-e.stopCh:
-			return
-		case <-t.C:
-		}
-		e.Tick(ctx)
-		t.Reset(e.stepDelay())
-	}
-}
+func (e *Elector) Run(ctx context.Context) { e.loop.Run(ctx, e.stepDelay()) }
 
-// Stop halts Run and waits for it to exit. Safe to call more than once.
-func (e *Elector) Stop() {
-	e.stopOnce.Do(func() { close(e.stopCh) })
-	if e.runStarted.Load() {
-		<-e.doneCh
-	}
-}
+// Stop halts Run, cutting a step's transport calls short, and waits for
+// it to exit. Safe to call more than once.
+func (e *Elector) Stop() { e.loop.Stop() }
 
 // stepDelay jitters the heartbeat cadence ±10% so fleet steps
 // decorrelate (the same posture as the follower WAL poll).
@@ -273,11 +249,7 @@ func (e *Elector) stepDelay() time.Duration {
 	e.mu.Lock()
 	r := e.rng.Float64()
 	e.mu.Unlock()
-	d := time.Duration(float64(e.cfg.HeartbeatEvery) * (0.9 + 0.2*r))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+	return clock.Jitter(e.cfg.HeartbeatEvery, clock.DefaultJitter, r)
 }
 
 // Tick runs one elector step (tests drive it directly with a fake
@@ -307,7 +279,7 @@ func (e *Elector) leaderStep() {
 		e.mu.Unlock()
 		return
 	}
-	now := e.now()
+	now := e.clock.Now()
 	if !e.abdicated {
 		if d := e.node.Durable(); d != nil {
 			if werr := d.WAL().Err(); werr != nil {
@@ -397,7 +369,7 @@ func (e *Elector) persistLease(term uint64) {
 		HolderID:        e.self.ID,
 		HolderURL:       e.self.URL,
 		TTLSeconds:      e.cfg.LeaseTTL.Seconds(),
-		RenewedUnixNano: e.now().UnixNano(),
+		RenewedUnixNano: e.clock.Now().UnixNano(),
 	}
 	if err := wal.WriteLease(e.cfg.FS, e.cfg.LeaseDir, l); err != nil {
 		e.logf("election: persist lease: %v", err)
@@ -412,7 +384,7 @@ func (e *Elector) persistLease(term uint64) {
 // timeout; an armed timeout that comes due runs an election.
 func (e *Elector) followerStep(ctx context.Context) {
 	e.mu.Lock()
-	now := e.now()
+	now := e.clock.Now()
 	target := e.leaderURL
 	electionDue := !e.electionAt.IsZero() && !now.Before(e.electionAt)
 	e.view.Observe(e.self.ID, e.mode.String(), e.term, e.appliedSeqLocked(), now)
@@ -446,7 +418,7 @@ func (e *Elector) followerStep(ctx context.Context) {
 	}
 
 	e.mu.Lock()
-	now = e.now()
+	now = e.clock.Now()
 	suspect := e.missed >= e.cfg.MaxMissed && now.After(e.leaseExpiry)
 	armed := !e.electionAt.IsZero()
 	e.mu.Unlock()
@@ -463,7 +435,7 @@ func (e *Elector) followerStep(ctx context.Context) {
 		e.mu.Lock()
 		if e.electionAt.IsZero() {
 			d := e.drawElectionDelayLocked()
-			e.electionAt = e.now().Add(d)
+			e.electionAt = e.clock.Now().Add(d)
 			e.logf("election: leader %s suspected (%d missed, lease expired); election armed in %v",
 				target, e.missed, d)
 		}
@@ -491,7 +463,7 @@ func (e *Elector) adoptLease(l wal.Lease, viaPeer bool) bool {
 		e.mu.Unlock()
 		return false
 	}
-	now := e.now()
+	now := e.clock.Now()
 	if l.Term > e.term {
 		e.logf("election: adopted lease term %d held by %s (%s)", l.Term, l.HolderID, l.HolderURL)
 	}
@@ -591,7 +563,7 @@ func (e *Elector) drawElectionDelayLocked() time.Duration {
 // leader's remaining durable prefix and promotes at the claimed term.
 func (e *Elector) runElection(ctx context.Context) {
 	e.mu.Lock()
-	now := e.now()
+	now := e.clock.Now()
 	if e.mode == ModeLeader || e.electionAt.IsZero() || now.Before(e.electionAt) {
 		e.mu.Unlock()
 		return
@@ -629,7 +601,7 @@ func (e *Elector) runElection(ctx context.Context) {
 
 	votes := 1 // self
 	maxDenied := claim
-	now = e.now()
+	now = e.clock.Now()
 	for resp := range results {
 		e.view.Observe(resp.NodeID, "", resp.Term, resp.AppliedSeq, now)
 		if resp.Granted {
@@ -689,7 +661,7 @@ func (e *Elector) becomeLeader(ctx context.Context, term uint64, countFailover, 
 	}
 	var persist bool
 	e.mu.Lock()
-	now := e.now()
+	now := e.clock.Now()
 	alreadyLeader := e.mode == ModeLeader
 	e.mode = ModeLeader
 	e.term = epoch
@@ -734,7 +706,7 @@ func (e *Elector) becomeLeader(ctx context.Context, term uint64, countFailover, 
 // toward quorum freshness, vote requests are judged by the election
 // rules.
 func (e *Elector) HandleAck(req AckRequest) AckResponse {
-	now := e.now()
+	now := e.clock.Now()
 	role := ""
 	if req.Claim {
 		role = "candidate"
@@ -828,7 +800,7 @@ func (e *Elector) judgeClaimLocked(req AckRequest, resp AckResponse, now time.Ti
 func (e *Elector) LeaseDoc() (wal.Lease, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.now()
+	now := e.clock.Now()
 	if e.mode == ModeLeader {
 		if e.abdicated {
 			return wal.Lease{}, ErrNoLease
@@ -857,7 +829,7 @@ func (e *Elector) CheckWritable() error {
 	if e.mode != ModeLeader {
 		return nil
 	}
-	if e.abdicated || !e.quorumFreshLocked(e.now()) {
+	if e.abdicated || !e.quorumFreshLocked(e.clock.Now()) {
 		return ErrLeaseLost
 	}
 	return nil
@@ -896,7 +868,7 @@ func (e *Elector) IsLeader() bool {
 func (e *Elector) Held() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.mode == ModeLeader && !e.abdicated && e.quorumFreshLocked(e.now())
+	return e.mode == ModeLeader && !e.abdicated && e.quorumFreshLocked(e.clock.Now())
 }
 
 // Term returns the current lease term (leader) or the term of the last
@@ -927,7 +899,7 @@ func (e *Elector) Failovers() int64 {
 func (e *Elector) HeartbeatAge() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.now().Sub(e.lastHeard).Seconds()
+	return e.clock.Now().Sub(e.lastHeard).Seconds()
 }
 
 // Members returns the configured cluster size.
@@ -944,7 +916,7 @@ func (e *Elector) LeaderURL() string {
 // Status renders the GET /v1/cluster document.
 func (e *Elector) Status() cluster.Status {
 	e.mu.Lock()
-	now := e.now()
+	now := e.clock.Now()
 	e.view.Observe(e.self.ID, e.mode.String(), e.term, e.appliedSeqLocked(), now)
 	st := cluster.Status{
 		Self:           e.self.ID,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
@@ -16,27 +17,10 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Harness: fake clock, scriptable transport
+// Harness: manual clock, scriptable transport
 
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newClock() *fakeClock {
-	return &fakeClock{t: time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+func newClock() *clock.Manual {
+	return clock.NewManual(time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC))
 }
 
 type fakeTransport struct {
@@ -108,7 +92,7 @@ func dummyFollower(t *testing.T) *repl.Follower {
 	return f
 }
 
-func testConfig(t *testing.T, m cluster.Membership, node *repl.Node, clk *fakeClock, tr Transport) Config {
+func testConfig(t *testing.T, m cluster.Membership, node *repl.Node, clk *clock.Manual, tr Transport) Config {
 	t.Helper()
 	return Config{
 		Members:         m,
@@ -119,13 +103,13 @@ func testConfig(t *testing.T, m cluster.Membership, node *repl.Node, clk *fakeCl
 		ElectionTimeout: time.Second,
 		RequestTimeout:  time.Second,
 		Seed:            42,
-		Now:             clk.Now,
+		Clock:           clk,
 		Transport:       tr,
 		Logf:            t.Logf,
 	}
 }
 
-func newTestElector(t *testing.T, m cluster.Membership, node *repl.Node, clk *fakeClock, tr Transport) *Elector {
+func newTestElector(t *testing.T, m cluster.Membership, node *repl.Node, clk *clock.Manual, tr Transport) *Elector {
 	t.Helper()
 	e, err := New(testConfig(t, m, node, clk, tr))
 	if err != nil {
@@ -736,5 +720,133 @@ func TestStatusDocument(t *testing.T) {
 	}
 	if !sawSelf || !sawAcked {
 		t.Fatalf("member rows missing self/acked entries: %+v", st.Members)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Background loops on virtual time
+
+// meshTransport carries lease polls and acks between in-process
+// electors by URL; a downed URL is unreachable, like a killed node.
+type meshTransport struct {
+	mu    sync.Mutex
+	nodes map[string]*Elector
+	down  map[string]bool
+}
+
+func (m *meshTransport) peer(url string) (*Elector, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.nodes[url]; e != nil && !m.down[url] {
+		return e, nil
+	}
+	return nil, errors.New("unreachable")
+}
+
+func (m *meshTransport) GetLease(_ context.Context, url string) (wal.Lease, error) {
+	e, err := m.peer(url)
+	if err != nil {
+		return wal.Lease{}, err
+	}
+	return e.LeaseDoc()
+}
+
+func (m *meshTransport) Ack(_ context.Context, url string, req AckRequest) (AckResponse, error) {
+	e, err := m.peer(url)
+	if err != nil {
+		return AckResponse{}, err
+	}
+	return e.HandleAck(req), nil
+}
+
+// TestRunFailoverOnVirtualTime: three electors' Run loops — not Tick —
+// on one Manual clock. The test only advances the clock and waits for
+// the loops to park again; the leader is stopped, and a successor must
+// be elected, hold its lease and be adopted by the survivor, in a
+// fraction of a wall-clock second.
+func TestRunFailoverOnVirtualTime(t *testing.T) {
+	clk := newClock()
+	mesh := &meshTransport{nodes: map[string]*Elector{}, down: map[string]bool{}}
+	electors := map[string]*Elector{}
+	for i, id := range []string{"n1", "n2", "n3"} {
+		node := repl.NewLeader(nil)
+		if id != "n1" {
+			node = repl.NewFollowerNode(dummyFollower(t), "http://n1", repl.PromotePlan{Store: store.New()})
+		}
+		cfg := testConfig(t, threeMembers(t, id), node, clk, mesh)
+		cfg.Seed += uint64(i) // one seed for all would draw one election timeout for all: a split vote every time
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		electors[id], mesh.nodes["http://"+id] = e, e
+		go e.Run(context.Background())
+		defer e.Stop()
+	}
+	// One round: every step delay is at most 1.1 heartbeats, so each
+	// running elector steps once and parks on its next timer.
+	round := func(running int) {
+		clk.Advance(550 * time.Millisecond)
+		clk.BlockUntil(running)
+	}
+	clk.BlockUntil(3)
+
+	for i := 0; i < 8; i++ { // 4.4 s: past the boot grace, on real acks
+		round(3)
+	}
+	n1, n2, n3 := electors["n1"], electors["n2"], electors["n3"]
+	if !n1.Held() || n2.IsLeader() || n3.IsLeader() {
+		t.Fatalf("steady state: n1 held=%v, n2 leader=%v, n3 leader=%v", n1.Held(), n2.IsLeader(), n3.IsLeader())
+	}
+	if n := n2.Elections() + n3.Elections(); n != 0 {
+		t.Fatalf("%d elections under a healthy leader", n)
+	}
+
+	n1.Stop()
+	mesh.mu.Lock()
+	mesh.down["http://n1"] = true
+	mesh.mu.Unlock()
+	rounds := 0
+	for !n2.IsLeader() && !n3.IsLeader() {
+		if rounds++; rounds > 40 {
+			t.Fatalf("no successor after %d rounds (22 s of virtual time)", rounds)
+		}
+		round(2)
+	}
+	winner, other := n2, n3
+	if n3.IsLeader() {
+		winner, other = n3, n2
+	}
+	// The survivor finds, adopts and acks the new lease: at once when its
+	// vote repointed it at the winner, or a lease TTL later when its poll
+	// reached the winner mid-election and was answered with the dead
+	// leader's relayed lease (which a direct poll takes at face value).
+	adopted := 0
+	for other.LeaderURL() != winner.self.URL || other.Term() != winner.Term() {
+		if adopted++; adopted > 20 {
+			t.Fatalf("survivor still follows %q at term %d after %d rounds, want %q at term %d",
+				other.LeaderURL(), other.Term(), adopted, winner.self.URL, winner.Term())
+		}
+		round(2)
+	}
+	round(2) // its ack lands
+	if other.IsLeader() {
+		t.Fatal("both survivors lead")
+	}
+	if !winner.Held() || winner.Term() < 2 || winner.Failovers() != 1 {
+		t.Fatalf("winner: held=%v term=%d failovers=%d", winner.Held(), winner.Term(), winner.Failovers())
+	}
+	t.Logf("successor after %d rounds, adopted after %d more (%v of virtual time)",
+		rounds, adopted, time.Duration(rounds+adopted)*550*time.Millisecond)
+}
+
+// The elector's fraction of the one jitter formula: ±10 % of the
+// heartbeat (the band itself is clock.Jitter's test).
+func TestStepDelayIsHeartbeatWithinTenPercent(t *testing.T) {
+	e := newTestElector(t, threeMembers(t, "n1"), repl.NewLeader(nil), newClock(), &fakeTransport{})
+	for i := 0; i < 200; i++ {
+		if d := e.stepDelay(); d < 450*time.Millisecond || d > 550*time.Millisecond {
+			t.Fatalf("step delay %v outside 500ms ± 10%%", d)
+		}
 	}
 }

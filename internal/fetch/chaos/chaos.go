@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/resilience"
@@ -132,12 +133,8 @@ func (b *Backend) inject(ctx context.Context, m Method) error {
 	b.mu.Unlock()
 
 	if p.Latency > 0 {
-		t := time.NewTimer(p.Latency)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
+		if err := clock.Sleep(ctx, clock.Wall{}, p.Latency); err != nil {
+			return err
 		}
 	}
 	switch {

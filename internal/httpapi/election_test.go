@@ -11,34 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/election"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
 	"mcbound/internal/wal"
 )
-
-// electClock is a mutable test clock shared with server goroutines.
-type electClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newElectClock() *electClock {
-	return &electClock{t: time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)}
-}
-
-func (c *electClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *electClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
@@ -61,7 +40,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 // newElectedLeaderAPI stands up a leader API whose write path runs under
 // a 3-member elector with an injectable clock.
-func newElectedLeaderAPI(t *testing.T) (*httptest.Server, *election.Elector, *electClock) {
+func newElectedLeaderAPI(t *testing.T) (*httptest.Server, *election.Elector, *clock.Manual) {
 	t.Helper()
 	lst := seedStore(t)
 	dur, err := store.OpenDurable(t.TempDir(), lst, store.DurableOptions{})
@@ -78,13 +57,13 @@ func newElectedLeaderAPI(t *testing.T) (*httptest.Server, *election.Elector, *el
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := newElectClock()
+	clk := clock.NewManual(time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC))
 	el, err := election.New(election.Config{
 		Members:        members,
 		Node:           node,
 		LeaseTTL:       3 * time.Second,
 		HeartbeatEvery: 500 * time.Millisecond,
-		Now:            clk.Now,
+		Clock:          clk,
 	})
 	if err != nil {
 		t.Fatal(err)

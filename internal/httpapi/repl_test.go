@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
@@ -340,16 +340,12 @@ func TestFollowerHealthLagging(t *testing.T) {
 	stub := httptest.NewServer(mux)
 	defer stub.Close()
 
-	// The fake clock is read from the server's handler goroutines, so it
-	// must be advanced atomically.
-	var clock atomic.Int64
-	base := time.Unix(1_700_000_000, 0)
-	clock.Store(0)
+	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
 	f, err := repl.NewFollower(repl.FollowerConfig{
 		Client: repl.NewClient(repl.ClientConfig{BaseURL: stub.URL}),
 		Apply:  func([]byte) error { return nil },
 		MaxLag: 5 * time.Second,
-		Now:    func() time.Time { return base.Add(time.Duration(clock.Load())) },
+		Clock:  clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +361,7 @@ func TestFollowerHealthLagging(t *testing.T) {
 	// 30 seconds later a round still succeeds (the leader answers) but
 	// applies nothing: recent contact, 10 records behind, MaxLag blown —
 	// that is "lagging", not "disconnected".
-	clock.Store(int64(30 * time.Second))
+	clk.Advance(30 * time.Second)
 	if err := f.SyncNow(context.Background()); err != nil {
 		t.Fatalf("second sync against stub: %v", err)
 	}

@@ -106,10 +106,9 @@ type Options struct {
 
 	// DefaultDeadline is the per-request deadline for interactive routes
 	// (batch and background routes scale it up; see guard.go). 0 selects
-	// DefaultDeadline. MaxDeadline caps client-requested timeouts; 0
-	// selects DefaultMaxDeadline.
+	// DefaultDeadline. Client-requested timeouts are capped at
+	// DefaultMaxDeadline, or at this value when it is the larger.
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
 
 	// Durable, when set, is the write-ahead-logged store behind the
 	// insert endpoint: POST /v1/jobs acknowledges only after the batch
@@ -199,12 +198,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	if opts.DefaultDeadline <= 0 {
 		opts.DefaultDeadline = DefaultDeadline
 	}
-	if opts.MaxDeadline <= 0 {
-		opts.MaxDeadline = DefaultMaxDeadline
-	}
-	if opts.MaxDeadline < opts.DefaultDeadline {
-		opts.MaxDeadline = opts.DefaultDeadline
-	}
 	if opts.StreamBatchSize <= 0 {
 		opts.StreamBatchSize = DefaultStreamBatch
 	}
@@ -225,7 +218,7 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		breaker:         opts.Breaker,
 		adm:             opts.Admission,
 		defaultDeadline: opts.DefaultDeadline,
-		maxDeadline:     opts.MaxDeadline,
+		maxDeadline:     max(DefaultMaxDeadline, opts.DefaultDeadline),
 		durable:         opts.Durable,
 		replayMgr:       opts.Replay,
 		repl:            opts.Repl,

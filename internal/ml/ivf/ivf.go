@@ -29,7 +29,7 @@ import (
 	"mcbound/internal/stats"
 )
 
-// Defaults for the build/search knobs (0 in Config selects them).
+// Build/search constants; DefaultRerank is what 0 in Config selects.
 const (
 	// DefaultKMeansIters bounds the Lloyd iterations of the coarse
 	// quantizer: assignments stabilize long before exact convergence and
@@ -47,15 +47,12 @@ const (
 // defaults scaled to the matrix: NClusters = 2√n, Rerank =
 // DefaultRerank, and NProbe calibrated at build time to the smallest
 // width whose measured recall@k on a sample of the indexed rows
-// reaches TargetRecall (default DefaultTargetRecall).
+// reaches DefaultTargetRecall.
 type Config struct {
-	NClusters    int     // coarse-quantizer cells; 0 = 2√n (clamped to [1, n])
-	NProbe       int     // cells scanned per query; 0 = recall-calibrated at build
-	Rerank       int     // exact re-rank pool per query; 0 = DefaultRerank
-	KMeansIters  int     // Lloyd iterations; 0 = DefaultKMeansIters
-	SampleSize   int     // k-means training sample; 0 = DefaultSampleSize
-	TargetRecall float64 // calibration floor when NProbe == 0; 0 = DefaultTargetRecall
-	Seed         uint64  // deterministic k-means seeding and calibration sampling
+	NClusters int    // coarse-quantizer cells; 0 = 2√n (clamped to [1, n])
+	NProbe    int    // cells scanned per query; 0 = recall-calibrated at build
+	Rerank    int    // exact re-rank pool per query; 0 = DefaultRerank
+	Seed      uint64 // deterministic k-means seeding and calibration sampling
 }
 
 // Package-wide counters: cumulative across every live index so the
@@ -146,14 +143,7 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 	if k > n {
 		k = n
 	}
-	iters := cfg.KMeansIters
-	if iters <= 0 {
-		iters = DefaultKMeansIters
-	}
-	sample := cfg.SampleSize
-	if sample <= 0 {
-		sample = DefaultSampleSize
-	}
+	sample := DefaultSampleSize
 	if sample < 4*k {
 		sample = 4 * k // enough points per cell to place centroids at all
 	}
@@ -161,7 +151,7 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 		sample = n
 	}
 
-	cents, assign := kmeans(data, dim, n, k, sample, iters, cfg.Seed)
+	cents, assign := kmeans(data, dim, n, k, sample, DefaultKMeansIters, cfg.Seed)
 
 	// Inverted lists over ALL rows, dropping empty cells so every probed
 	// cluster is guaranteed to contribute at least one candidate.
@@ -212,11 +202,7 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 	}
 	np := cfg.NProbe
 	if np <= 0 {
-		target := cfg.TargetRecall
-		if target <= 0 {
-			target = DefaultTargetRecall
-		}
-		np = ix.calibrateNProbe(target, cfg.Seed)
+		np = ix.calibrateNProbe(DefaultTargetRecall, cfg.Seed)
 	}
 	if np > kept {
 		np = kept

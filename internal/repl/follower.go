@@ -6,17 +6,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/stats"
 	"mcbound/internal/wal"
 )
-
-// DefaultPollJitter is the ± fraction of the poll cadence a follower's
-// fetch rounds are spread over (FollowerConfig.PollJitter = 0 selects
-// it; mirror of the retrain cron's DefaultRetrainJitter).
-const DefaultPollJitter = 0.10
 
 // Follower states, as /healthz reports them: a load balancer keeps "ok"
 // replicas, ejects "lagging" ones (stale model risk) and "disconnected"
@@ -49,8 +44,8 @@ type FollowerConfig struct {
 	Poll time.Duration
 	// PollJitter spreads each poll uniformly over Poll·(1±jitter) so a
 	// restarted fleet doesn't synchronize its fetch rounds against one
-	// leader (the same shape as the retrain cron's seeded jitter). 0
-	// selects DefaultPollJitter; negative disables jitter entirely.
+	// leader (clock.Jitter, as the retrain cron and the elector step). 0
+	// selects clock.DefaultJitter; negative disables jitter entirely.
 	PollJitter float64
 	// Seed drives the deterministic poll jitter.
 	Seed uint64
@@ -60,10 +55,9 @@ type FollowerConfig struct {
 	// DisconnectAfter turns /healthz "disconnected" when no sync round
 	// has succeeded for this long; <= 0 selects max(4×Poll, 2 s).
 	DisconnectAfter time.Duration
-	// ChunkBytes caps one fetch; <= 0 selects wal.MaxChunkBytes.
-	ChunkBytes int64
-	// Now overrides time.Now (deterministic tests).
-	Now func() time.Time
+	// Clock overrides the wall clock: the status ages and, in Run, the
+	// poll timer (deterministic tests).
+	Clock clock.Clock
 	// Logf, when set, receives replication state transitions.
 	Logf func(format string, args ...any)
 }
@@ -99,14 +93,9 @@ type Follower struct {
 	rng        *stats.RNG // poll jitter; Run goroutine only
 	maxLag     time.Duration
 	discAfter  time.Duration
-	chunkBytes int64
-	now        func() time.Time
+	clock      clock.Clock
 	logf       func(string, ...any)
-
-	stopOnce   sync.Once
-	stop       chan struct{}
-	done       chan struct{}
-	runStarted atomic.Bool
+	loop       *clock.Loop
 
 	// syncMu serializes whole sync rounds: SyncNow may be called while
 	// Run's loop is live, and two interleaved consume loops would apply
@@ -142,13 +131,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
-	switch {
-	case cfg.PollJitter == 0:
-		cfg.PollJitter = DefaultPollJitter
-	case cfg.PollJitter < 0:
-		cfg.PollJitter = 0
-	case cfg.PollJitter > 1:
-		cfg.PollJitter = 1
+	if cfg.PollJitter == 0 {
+		cfg.PollJitter = clock.DefaultJitter
 	}
 	if cfg.MaxLag <= 0 {
 		cfg.MaxLag = 15 * time.Second
@@ -159,11 +143,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 			cfg.DisconnectAfter = 2 * time.Second
 		}
 	}
-	if cfg.ChunkBytes <= 0 || cfg.ChunkBytes > wal.MaxChunkBytes {
-		cfg.ChunkBytes = wal.MaxChunkBytes
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall{}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -176,13 +157,11 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		rng:        stats.NewRNG(cfg.Seed),
 		maxLag:     cfg.MaxLag,
 		discAfter:  cfg.DisconnectAfter,
-		chunkBytes: cfg.ChunkBytes,
-		now:        cfg.Now,
+		clock:      cfg.Clock,
 		logf:       cfg.Logf,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
-	start := f.now()
+	f.loop = clock.NewLoop(f.clock, f.nextPoll, func(ctx context.Context) { f.syncOnce(ctx) })
+	start := f.clock.Now()
 	f.lastSync = start
 	f.lastCaughtUp = start
 	return f, nil
@@ -192,60 +171,20 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 // round drains the follower to the leader's current durable watermark,
 // so after one successful round the follower is caught up as of that
 // manifest.
-func (f *Follower) Run(ctx context.Context) {
-	f.runStarted.Store(true)
-	defer close(f.done)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		// Stop must not wait out an in-flight fetch (promotion calls it
-		// on the request path); cancel cuts the HTTP call short.
-		select {
-		case <-f.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	t := time.NewTimer(0)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-f.stop:
-			return
-		case <-t.C:
-		}
-		f.syncOnce(ctx)
-		t.Reset(f.nextPoll())
-	}
-}
+func (f *Follower) Run(ctx context.Context) { f.loop.Run(ctx, 0) }
 
 // nextPoll draws the next poll delay: uniform over poll·(1±jitter),
 // never below 1 ms. Only the Run goroutine calls it, so the RNG needs
 // no lock.
 func (f *Follower) nextPoll() time.Duration {
-	if f.pollJitter <= 0 {
-		return f.poll
-	}
-	spread := 1 - f.pollJitter + 2*f.pollJitter*f.rng.Float64()
-	d := time.Duration(float64(f.poll) * spread)
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+	return clock.Jitter(f.poll, f.pollJitter, f.rng.Float64())
 }
 
-// Stop halts the sync loop and waits for it to exit (promotion seals the
-// applied stream before the store changes owners). Safe to call more
-// than once, and a no-wait no-op when Run was never started (a follower
-// driven purely by SyncNow).
-func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	if f.runStarted.Load() {
-		<-f.done
-	}
-}
+// Stop halts the sync loop, cutting an in-flight fetch short, and waits
+// for it to exit (promotion seals the applied stream before the store
+// changes owners). Safe to call more than once, and a no-wait no-op
+// when Run was never started (a follower driven purely by SyncNow).
+func (f *Follower) Stop() { f.loop.Stop() }
 
 // SyncNow runs one synchronous sync round (tests and the bench harness;
 // the background loop uses the same body).
@@ -338,7 +277,7 @@ func (f *Follower) bootstrap(ctx context.Context, m wal.Manifest) error {
 	}
 	data := make([]byte, 0, snapSize)
 	for int64(len(data)) < snapSize {
-		chunk, epoch, err := f.cl.Chunk(ctx, snapName, int64(len(data)), f.chunkBytes)
+		chunk, epoch, err := f.cl.Chunk(ctx, snapName, int64(len(data)), wal.MaxChunkBytes)
 		f.countFetch(err)
 		if err != nil {
 			if errors.Is(err, ErrGone) {
@@ -404,8 +343,8 @@ func (f *Follower) consume(ctx context.Context, m wal.Manifest) error {
 		pos := off + buffered
 		if pos < avail {
 			want := avail - pos
-			if want > f.chunkBytes {
-				want = f.chunkBytes
+			if want > wal.MaxChunkBytes {
+				want = wal.MaxChunkBytes
 			}
 			chunk, epoch, err := f.cl.Chunk(ctx, ent.Name, pos, want)
 			f.countFetch(err)
@@ -534,7 +473,7 @@ func (f *Follower) noteError(err error) error {
 }
 
 func (f *Follower) noteSuccess(m wal.Manifest) {
-	now := f.now()
+	now := f.clock.Now()
 	f.mu.Lock()
 	f.leaderSeq = m.CommittedSeq
 	f.lastSync = now
@@ -548,7 +487,7 @@ func (f *Follower) noteSuccess(m wal.Manifest) {
 
 // Status reports replication progress and the three-way health state.
 func (f *Follower) Status() FollowerStatus {
-	now := f.now()
+	now := f.clock.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := FollowerStatus{

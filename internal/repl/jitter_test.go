@@ -20,40 +20,18 @@ func newJitterFollower(t *testing.T, jitter float64, seed uint64) *Follower {
 	return f
 }
 
+// The follower's fraction of the one jitter formula (the band, the mean
+// and the per-seed determinism are clock.Jitter's tests): PollJitter 0
+// selects ±10 %, negative disables it.
 func TestPollJitterSpreadsWithinBand(t *testing.T) {
-	f := newJitterFollower(t, 0, 42) // 0 selects the ±10% default
-	lo, hi := 90*time.Millisecond, 110*time.Millisecond
-	distinct := map[time.Duration]bool{}
+	f := newJitterFollower(t, 0, 42)
+	var lo, hi time.Duration = time.Hour, 0
 	for i := 0; i < 200; i++ {
 		d := f.nextPoll()
-		if d < lo || d > hi {
-			t.Fatalf("poll %v outside [%v, %v]", d, lo, hi)
-		}
-		distinct[d] = true
+		lo, hi = min(lo, d), max(hi, d)
 	}
-	if len(distinct) < 100 {
-		t.Fatalf("jitter produced only %d distinct delays", len(distinct))
-	}
-}
-
-func TestPollJitterDeterministicPerSeed(t *testing.T) {
-	a, b := newJitterFollower(t, 0, 7), newJitterFollower(t, 0, 7)
-	c := newJitterFollower(t, 0, 8)
-	same, diff := true, false
-	for i := 0; i < 50; i++ {
-		av := a.nextPoll()
-		if av != b.nextPoll() {
-			same = false
-		}
-		if av != c.nextPoll() {
-			diff = true
-		}
-	}
-	if !same {
-		t.Fatal("same seed produced different poll sequences")
-	}
-	if !diff {
-		t.Fatal("different seeds produced identical poll sequences")
+	if lo < 90*time.Millisecond || hi > 110*time.Millisecond || hi-lo < 15*time.Millisecond {
+		t.Fatalf("default poll jitter drew [%v, %v], want most of 100ms ± 10%%", lo, hi)
 	}
 }
 

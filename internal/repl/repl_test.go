@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
@@ -346,7 +347,7 @@ func TestFollowerHealthStates(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	clock := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	clk := clock.NewManual(time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC))
 	fst := store.New()
 	f, err := repl.NewFollower(repl.FollowerConfig{
 		Client: repl.NewClient(repl.ClientConfig{BaseURL: srv.URL, Seed: 5}),
@@ -359,7 +360,7 @@ func TestFollowerHealthStates(t *testing.T) {
 		},
 		MaxLag:          10 * time.Second,
 		DisconnectAfter: time.Minute,
-		Now:             func() time.Time { return clock },
+		Clock:           clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +379,7 @@ func TestFollowerHealthStates(t *testing.T) {
 
 	// Still behind after max-lag: lagging. Sync rounds keep succeeding,
 	// so this is not the disconnected state.
-	clock = clock.Add(30 * time.Second)
+	clk.Advance(30 * time.Second)
 	if err := f.SyncNow(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +406,86 @@ func TestFollowerHealthStates(t *testing.T) {
 
 	// Silence past the disconnect window: no successful round, state
 	// degrades to disconnected regardless of how caught up it was.
-	clock = clock.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if st = f.Status(); st.State != repl.StateDisconnected {
 		t.Fatalf("state after silent window = %s, want disconnected", st.State)
 	}
+}
+
+// TestFollowerRunOnVirtualTime drives the background loop — Run, not
+// SyncNow — on a Manual clock: a round happens when the test advances
+// the clock over a poll delay and at no other time, the default delays
+// stay inside Poll ± 10 %, and Stop cuts a fetch in flight short.
+func TestFollowerRunOnVirtualTime(t *testing.T) {
+	seed := store.New()
+	for i := 0; i < 40; i++ {
+		seed.Insert(mkJob(fmt.Sprintf("seed-%03d", i)))
+	}
+	d, err := store.OpenDurable(t.TempDir(), seed, store.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	node := repl.NewLeader(d)
+	var stalled atomic.Bool
+	arrived, release := make(chan struct{}), make(chan struct{})
+	srv := serveNode(t, func() *repl.Node {
+		if stalled.CompareAndSwap(true, false) {
+			close(arrived)
+			<-release
+		}
+		return node
+	})
+	defer close(release) // before srv.Close, which waits for the handler
+
+	clk := clock.NewManual(time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC))
+	fst := store.New()
+	f, err := repl.NewFollower(repl.FollowerConfig{
+		Client: repl.NewClient(repl.ClientConfig{BaseURL: srv.URL, Seed: 11}),
+		Apply: func(p []byte) error {
+			var j job.Job
+			if err := json.Unmarshal(p, &j); err != nil {
+				return err
+			}
+			return fst.Insert(&j)
+		},
+		Seed:  3,
+		Clock: clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go f.Run(context.Background())
+
+	// The first round needs no tick; the loop then parks on its timer.
+	clk.BlockUntil(1)
+	if fst.Len() != 40 {
+		t.Fatalf("first round applied %d jobs, want 40", fst.Len())
+	}
+	for i := 0; i < 15; i++ {
+		if err := d.Insert(mkJob(fmt.Sprintf("tail-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 250 ms ± 10 %: no delay is under 225 ms, none over 275 ms.
+	clk.Advance(224 * time.Millisecond)
+	if fst.Len() != 40 {
+		t.Fatalf("a round ran %v after the last one: %d jobs", 224*time.Millisecond, fst.Len())
+	}
+	clk.Advance(51 * time.Millisecond)
+	clk.BlockUntil(1)
+	if fst.Len() != 55 {
+		t.Fatalf("after one poll delay: %d jobs, want 55", fst.Len())
+	}
+	if st := f.Status(); st.State != repl.StateOK || st.AppliedSeq != d.CommittedSeq() || st.LastSyncAge != 0 {
+		t.Fatalf("status after the tailing round = %+v", st)
+	}
+
+	// A round stuck on a leader that never answers: Stop must not wait
+	// for it.
+	stalled.Store(true)
+	clk.Advance(275 * time.Millisecond)
+	<-arrived
+	f.Stop()
+	f.Stop()
 }

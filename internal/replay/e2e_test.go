@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/core"
 	"mcbound/internal/fetch"
 	"mcbound/internal/httpapi"
@@ -82,10 +83,18 @@ func frameworkConfig(t *testing.T) core.Config {
 	return cfg
 }
 
+// instantClock is the wall clock with every timer already fired: pacing
+// delays collapse to zero and a replay runs as fast as the target can
+// absorb it. The speed in the status document is still the configured
+// one — the simulated schedule is unchanged, only the wall clock is.
+type instantClock struct{ clock.Wall }
+
+func (c instantClock) NewTimer(time.Duration) *clock.Timer { return c.Wall.NewTimer(0) }
+
 // liveTarget wires an empty-store MCBound server plus a replay manager
 // reading from source, with the manager's traffic looping through the
 // server's full HTTP middleware stack in-process.
-func liveTarget(t *testing.T, source *store.Store, clock replay.Clock) (*httptest.Server, *replay.Manager, *core.Framework, *store.Store) {
+func liveTarget(t *testing.T, source *store.Store, clk clock.Clock) (*httptest.Server, *replay.Manager, *core.Framework, *store.Store) {
 	t.Helper()
 	serverStore := store.New()
 	fw, err := core.New(frameworkConfig(t), fetch.StoreBackend{Store: serverStore})
@@ -95,7 +104,7 @@ func liveTarget(t *testing.T, source *store.Store, clock replay.Clock) (*httptes
 	char := fw.Characterizer()
 	mgr := replay.NewManager(replay.Options{
 		Source: source,
-		Clock:  clock,
+		Clock:  clk,
 		Truth: func(j *job.Job) (job.Label, bool) {
 			pt, err := char.Characterize(j)
 			if err != nil {
@@ -159,7 +168,7 @@ func TestReplayE2EGolden(t *testing.T) {
 	source := traceStore(t)
 
 	// Live side first, so the source trace is pristine when serialized.
-	srv, mgr, _, serverStore := liveTarget(t, source, replay.InstantClock{})
+	srv, mgr, _, serverStore := liveTarget(t, source, instantClock{})
 	resp, body := postJSON(t, srv.URL+"/v1/replay", goldenWindow)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("start replay: status %d: %s", resp.StatusCode, body)
@@ -234,7 +243,7 @@ func TestReplayE2EGolden(t *testing.T) {
 // conflicts answer 409 through the HTTP surface.
 func TestReplayE2EPauseResume(t *testing.T) {
 	source := traceStore(t)
-	srv, mgr, _, serverStore := liveTarget(t, source, replay.RealClock{})
+	srv, mgr, _, serverStore := liveTarget(t, source, clock.Wall{})
 
 	warmup, _ := source.ExecutedPage(time.Time{}, goldenWindow.Start, store.Pos{}, 0)
 	expected, _ := source.ExecutedPage(time.Time{}, goldenWindow.End, store.Pos{}, 0)

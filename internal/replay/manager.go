@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/metrics"
 	"mcbound/internal/simulate"
@@ -81,13 +82,10 @@ type Options struct {
 	// reports 0 over n=0).
 	Truth func(*job.Job) (job.Label, bool)
 
-	// Clock paces the replay; nil selects RealClock. InstantClock runs
-	// the schedule as fast as the target absorbs it.
-	Clock Clock
-
-	// BatchSize caps records per streaming-insert request; 0 selects
-	// DefaultBatchSize.
-	BatchSize int
+	// Clock paces the replay; nil selects the wall clock. A clock whose
+	// timers fire at once runs the schedule as fast as the target
+	// absorbs it.
+	Clock clock.Clock
 
 	// Beta overrides the β retraining period in days; 0 queries the
 	// target's GET /v1/model.
@@ -154,10 +152,7 @@ type Manager struct {
 // NewManager builds a Manager; opts.Source is required.
 func NewManager(opts Options) *Manager {
 	if opts.Clock == nil {
-		opts.Clock = RealClock{}
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
+		opts.Clock = clock.Wall{}
 	}
 	return &Manager{opts: opts, state: StateIdle}
 }
@@ -442,7 +437,7 @@ func (m *Manager) pace(ctx context.Context, simDelta time.Duration, speed float6
 		if d > paceSlice {
 			d = paceSlice
 		}
-		if err := m.opts.Clock.Sleep(ctx, d); err != nil {
+		if err := clock.Sleep(ctx, m.opts.Clock, d); err != nil {
 			return err
 		}
 		wall -= d
@@ -554,17 +549,14 @@ type predBody struct {
 }
 
 // streamInsert replays records through POST /v1/jobs/stream in
-// BatchSize chunks, one request per chunk, checking the pause/cancel
+// DefaultBatchSize chunks, one request per chunk, checking the pause/cancel
 // checkpoint between chunks and reconciling the ack/done frames.
 func (m *Manager) streamInsert(ctx context.Context, jobs []*job.Job) error {
 	for len(jobs) > 0 {
 		if err := m.checkpoint(ctx); err != nil {
 			return err
 		}
-		n := m.opts.BatchSize
-		if n > len(jobs) {
-			n = len(jobs)
-		}
+		n := min(DefaultBatchSize, len(jobs))
 		if err := m.streamChunk(ctx, jobs[:n]); err != nil {
 			return err
 		}

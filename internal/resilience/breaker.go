@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"mcbound/internal/clock"
 )
 
 // State is the circuit breaker position.
@@ -14,7 +16,7 @@ type State int
 // mcbound_breaker_state gauge exports them directly.
 const (
 	Closed   State = 0 // calls flow, consecutive failures counted
-	HalfOpen State = 1 // cooldown elapsed, one probe in flight at a time
+	HalfOpen State = 1 // cooldown elapsed, one probe in flight; its success closes
 	Open     State = 2 // calls rejected until the cooldown elapses
 )
 
@@ -39,11 +41,8 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe; below 1ns behaves as 10 s.
 	Cooldown time.Duration
-	// HalfOpenSuccesses is how many consecutive probe successes close
-	// the breaker again; below 1 behaves as 1.
-	HalfOpenSuccesses int
-	// Clock overrides time.Now (deterministic tests).
-	Clock func() time.Time
+	// Clock overrides the wall clock (deterministic tests).
+	Clock clock.Clock
 }
 
 // Breaker is a three-state circuit breaker, safe for concurrent use.
@@ -59,7 +58,6 @@ type Breaker struct {
 	mu       sync.Mutex
 	state    State
 	fails    int       // consecutive failures while closed
-	probes   int       // consecutive successes while half-open
 	probing  bool      // a half-open probe is in flight
 	openedAt time.Time // instant of the closed/half-open → open trip
 	opens    int64     // lifetime trip count
@@ -77,11 +75,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 10 * time.Second
 	}
-	if cfg.HalfOpenSuccesses < 1 {
-		cfg.HalfOpenSuccesses = 1
-	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+		cfg.Clock = clock.Wall{}
 	}
 	return &Breaker{cfg: cfg}
 }
@@ -95,7 +90,7 @@ func (b *Breaker) Allow() error {
 	b.tickLocked()
 	switch b.state {
 	case Open:
-		wait := b.cfg.Cooldown - b.cfg.Clock().Sub(b.openedAt)
+		wait := b.cfg.Cooldown - b.cfg.Clock.Now().Sub(b.openedAt)
 		b.mu.Unlock()
 		if wait < 0 {
 			wait = 0
@@ -135,12 +130,8 @@ func (b *Breaker) Record(err error) {
 		b.probing = false
 		switch {
 		case err == nil:
-			b.probes++
-			if b.probes >= b.cfg.HalfOpenSuccesses {
-				b.state = Closed
-				b.fails = 0
-				b.probes = 0
-			}
+			b.state = Closed
+			b.fails = 0
 		case neutral:
 		default:
 			b.tripLocked()
@@ -189,7 +180,6 @@ func (b *Breaker) Reset() {
 	from := b.state
 	b.state = Closed
 	b.fails = 0
-	b.probes = 0
 	b.probing = false
 	b.mu.Unlock()
 	b.notify(from, Closed)
@@ -199,9 +189,8 @@ func (b *Breaker) Reset() {
 func (b *Breaker) tripLocked() {
 	b.state = Open
 	b.fails = 0
-	b.probes = 0
 	b.probing = false
-	b.openedAt = b.cfg.Clock()
+	b.openedAt = b.cfg.Clock.Now()
 	b.opens++
 }
 
@@ -209,9 +198,8 @@ func (b *Breaker) tripLocked() {
 // resulting transition is not reported through OnStateChange (it is a
 // read-side effect, observed by the next Allow/State caller).
 func (b *Breaker) tickLocked() {
-	if b.state == Open && b.cfg.Clock().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == Open && b.cfg.Clock.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.state = HalfOpen
-		b.probes = 0
 		b.probing = false
 	}
 }

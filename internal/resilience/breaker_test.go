@@ -6,19 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/telemetry"
 )
 
-// fakeClock is an advanceable clock for deterministic breaker tests.
-type fakeClock struct {
-	now time.Time
-}
-
-func (c *fakeClock) Now() time.Time          { return c.now }
-func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1700000000, 0)} }
-func testBreaker(c *fakeClock, th int) *Breaker {
-	return NewBreaker(BreakerConfig{FailureThreshold: th, Cooldown: 10 * time.Second, Clock: c.Now})
+func newFakeClock() *clock.Manual { return clock.NewManual(time.Unix(1700000000, 0)) }
+func testBreaker(c *clock.Manual, th int) *Breaker {
+	return NewBreaker(BreakerConfig{FailureThreshold: th, Cooldown: 10 * time.Second, Clock: c})
 }
 
 func fail(b *Breaker) error {

@@ -102,7 +102,7 @@ func TestBudgetIsConcurrencySafe(t *testing.T) {
 
 func TestRetrierStopsAtBudgetWithOriginalError(t *testing.T) {
 	sentinel := errors.New("backend down")
-	r, delays := virtualRetrier(Policy{MaxAttempts: 5}, 1)
+	r, delays := virtualRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}, 1)
 	r.WithBudget(NewBudget(BudgetConfig{Tokens: 2, Ratio: 0.1}))
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/stats"
 )
 
@@ -54,9 +55,9 @@ type Retrier struct {
 	mu  sync.Mutex
 	rng *stats.RNG
 
-	// sleep waits for d or until ctx is done (injected by tests to run
-	// backoff in virtual time).
-	sleep func(ctx context.Context, d time.Duration) error
+	// clock times the backoff (swapped by tests to run it in virtual
+	// time).
+	clock clock.Clock
 
 	// OnAttempt, when non-nil, observes every attempt outcome (telemetry
 	// hook; attempt is 1-based, err nil on success). Set before first use.
@@ -74,20 +75,7 @@ func NewRetrier(pol Policy, seed uint64) *Retrier {
 		pol.Multiplier = 2
 	}
 	pol.Jitter = math.Max(0, math.Min(1, pol.Jitter))
-	return &Retrier{
-		pol: pol,
-		rng: stats.NewRNG(seed),
-		sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		},
-	}
+	return &Retrier{pol: pol, rng: stats.NewRNG(seed), clock: clock.Wall{}}
 }
 
 // Policy returns the (normalized) policy the retrier runs under.
@@ -141,7 +129,7 @@ func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context) error) er
 			// rather than re-offering load to a struggling dependency.
 			return fmt.Errorf("%w: %w", ErrBudgetExhausted, err)
 		}
-		if serr := r.sleep(ctx, r.delay(attempt)); serr != nil {
+		if serr := clock.Sleep(ctx, r.clock, r.delay(attempt)); serr != nil {
 			return err
 		}
 	}

@@ -8,22 +8,29 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/telemetry"
 )
 
-// virtualRetrier replaces the sleeper so backoff runs in zero wall time,
-// recording the requested delays.
+// backoffClock is a Manual clock that jumps over every backoff it is
+// asked to time, recording the requested delays: retries run in zero
+// wall time.
+type backoffClock struct {
+	*clock.Manual
+	delays []time.Duration
+}
+
+func (c *backoffClock) NewTimer(d time.Duration) *clock.Timer {
+	c.delays = append(c.delays, d)
+	c.Advance(d)
+	return c.Manual.NewTimer(0)
+}
+
 func virtualRetrier(pol Policy, seed uint64) (*Retrier, *[]time.Duration) {
 	r := NewRetrier(pol, seed)
-	delays := &[]time.Duration{}
-	r.sleep = func(ctx context.Context, d time.Duration) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		*delays = append(*delays, d)
-		return nil
-	}
-	return r, delays
+	c := &backoffClock{Manual: clock.NewManual(time.Unix(1700000000, 0))}
+	r.clock = c
+	return r, &c.delays
 }
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
@@ -107,7 +114,7 @@ func TestRetryHonorsContextCancellation(t *testing.T) {
 
 func TestRetryAttemptTimeoutIsPerAttempt(t *testing.T) {
 	r := NewRetrier(Policy{MaxAttempts: 2, AttemptTimeout: 5 * time.Millisecond}, 1)
-	r.sleep = func(context.Context, time.Duration) error { return nil }
+	r.clock = &backoffClock{Manual: clock.NewManual(time.Unix(1700000000, 0))}
 	var seen []error
 	err := r.Do(context.Background(), func(ctx context.Context) error {
 		<-ctx.Done() // simulate an attempt slower than its budget

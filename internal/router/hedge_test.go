@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/cluster"
 	"mcbound/internal/resilience"
 )
 
@@ -107,9 +108,9 @@ func TestEjectAndRecoverFlapping(t *testing.T) {
 		t.Fatalf("ejections = %d, want ≥ 3 (eject → cooldown lapse → re-eject)", got)
 	}
 	// While ejected, reads must not touch the backend.
-	if !bad.ejected(rt.now()) {
+	if !bad.ejected(rt.clock.Now()) {
 		// Wait for the current streak to eject again.
-		for i := 0; i < 50 && !bad.ejected(rt.now()); i++ {
+		for i := 0; i < 50 && !bad.ejected(rt.clock.Now()); i++ {
 			get(t, front, "/v1/model", key)
 		}
 	}
@@ -117,7 +118,7 @@ func TestEjectAndRecoverFlapping(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		get(t, front, "/v1/model", key)
 	}
-	if bad.ejected(rt.now()) && n3.hitCount() != before {
+	if bad.ejected(rt.clock.Now()) && n3.hitCount() != before {
 		t.Fatal("an ejected backend still received reads")
 	}
 }
@@ -139,7 +140,7 @@ func TestEjectionFloorNeverEmptiesTheFleet(t *testing.T) {
 		resp, _ := get(t, front, "/v1/model", fmt.Sprintf("k%d", i))
 		resp.Body.Close()
 	}
-	now := rt.now()
+	now := rt.clock.Now()
 	ejected := 0
 	for _, b := range rt.backends {
 		if b.ejected(now) {
@@ -158,7 +159,28 @@ func TestEjectionFloorNeverEmptiesTheFleet(t *testing.T) {
 		resp, _ := get(t, fronts, "/v1/model", "k")
 		resp.Body.Close()
 	}
-	if rts.backends[0].ejected(rts.now()) {
+	if rts.backends[0].ejected(rts.clock.Now()) {
 		t.Fatal("the only backend was ejected")
+	}
+}
+
+// The router's fraction of the one jitter formula (clock.Jitter's tests
+// cover the band): an ejection lasts EjectCooldown × [0.5, 1.5).
+func TestEjectCooldownIsHalfToOneAndAHalfTimesBase(t *testing.T) {
+	rt, err := New(Config{
+		Backends:      []cluster.Member{{ID: "n1", URL: "http://n1"}},
+		EjectCooldown: 10 * time.Second,
+		Seed:          9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lo, hi time.Duration = time.Hour, 0
+	for i := 0; i < 200; i++ {
+		d := rt.ejectCooldown()
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	if lo < 5*time.Second || hi >= 15*time.Second || hi-lo < 8*time.Second {
+		t.Fatalf("ejection cooldowns drew [%v, %v], want most of [5s, 15s)", lo, hi)
 	}
 }

@@ -46,7 +46,7 @@ func newMetrics(reg *telemetry.Registry, rt *Router) *metrics {
 		func() float64 { return float64(len(rt.backends)) })
 	reg.GaugeFunc("mcbound_router_backends_available", "Backends alive and not ejected.", nil,
 		func() float64 {
-			now := rt.now()
+			now := rt.clock.Now()
 			n := 0
 			for _, b := range rt.backends {
 				s := b.snapshot()
@@ -58,7 +58,7 @@ func newMetrics(reg *telemetry.Registry, rt *Router) *metrics {
 		})
 	reg.GaugeFunc("mcbound_router_backends_ejected", "Backends in an ejection cooldown.", nil,
 		func() float64 {
-			now := rt.now()
+			now := rt.clock.Now()
 			n := 0
 			for _, b := range rt.backends {
 				if b.ejected(now) {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"mcbound/internal/admission"
+	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/httpapi"
 	"mcbound/internal/resilience"
@@ -127,7 +128,7 @@ type Router struct {
 	byURL    map[string]*backend
 	budget   *resilience.Budget
 	met      *metrics
-	now      func() time.Time
+	clock    clock.Clock
 
 	rngMu sync.Mutex
 	rng   *stats.RNG
@@ -195,7 +196,7 @@ func New(cfg Config) (*Router, error) {
 		hc:     hc,
 		byURL:  make(map[string]*backend, len(cfg.Backends)),
 		budget: resilience.NewBudget(cfg.RetryBudget),
-		now:    time.Now,
+		clock:  clock.Wall{},
 		rng:    stats.NewRNG(cfg.Seed),
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
@@ -246,17 +247,8 @@ func (rt *Router) logf(format string, args ...any) {
 // Run probes the fleet once immediately, then on every poll tick until
 // ctx ends.
 func (rt *Router) Run(ctx context.Context) {
-	rt.RefreshNow(ctx)
-	t := time.NewTicker(rt.cfg.PollEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rt.RefreshNow(ctx)
-		}
-	}
+	every := func() time.Duration { return rt.cfg.PollEvery }
+	clock.NewLoop(rt.clock, every, rt.RefreshNow).Run(ctx, 0)
 }
 
 // RefreshNow runs one probe round across every backend and waits for
@@ -265,7 +257,7 @@ func (rt *Router) RefreshNow(ctx context.Context) {
 	rt.refreshMu.Lock()
 	defer rt.refreshMu.Unlock()
 	rt.probeAll(ctx)
-	rt.lastRefresh = rt.now()
+	rt.lastRefresh = rt.clock.Now()
 }
 
 // refreshSoon triggers an asynchronous debounced probe round — the
@@ -278,13 +270,13 @@ func (rt *Router) refreshSoon() {
 			return // a round is already running
 		}
 		defer rt.refreshMu.Unlock()
-		if rt.now().Sub(rt.lastRefresh) < rt.cfg.PollEvery/4 {
+		if rt.clock.Now().Sub(rt.lastRefresh) < rt.cfg.PollEvery/4 {
 			return
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout())
 		defer cancel()
 		rt.probeAll(ctx)
-		rt.lastRefresh = rt.now()
+		rt.lastRefresh = rt.clock.Now()
 	}()
 }
 
@@ -304,7 +296,7 @@ func (rt *Router) probeAll(ctx context.Context) {
 	pctx, cancel := context.WithTimeout(ctx, rt.probeTimeout())
 	defer cancel()
 	var wg sync.WaitGroup
-	now := rt.now()
+	now := rt.clock.Now()
 	for _, b := range rt.backends {
 		wg.Add(1)
 		go func(b *backend) {
@@ -399,7 +391,7 @@ func clientKey(r *http.Request) string {
 // fresh: at startup optimism beats serving nothing. The list is built
 // in buf (the caller's stack, for any fleet it holds).
 func (rt *Router) readCandidates(key string, buf []*backend) (cands []*backend, stale bool, lag float64) {
-	now := rt.now()
+	now := rt.clock.Now()
 	fresh := buf[:0]
 	var scoreBuf [8]uint64
 	scores := scoreBuf[:0]
@@ -465,11 +457,11 @@ func (rt *Router) hedgeDelay(cands []*backend) time.Duration {
 	return d
 }
 
-// cooldownJitter draws the ejection cooldown multiplier in [0.5, 1.5).
-func (rt *Router) cooldownJitter() float64 {
+// ejectCooldown draws one ejection length: EjectCooldown × [0.5, 1.5).
+func (rt *Router) ejectCooldown() time.Duration {
 	rt.rngMu.Lock()
 	defer rt.rngMu.Unlock()
-	return 0.5 + rt.rng.Float64()
+	return clock.Jitter(rt.cfg.EjectCooldown, 0.5, rt.rng.Float64())
 }
 
 // noteSuccess clears a backend's failure streak.
@@ -484,7 +476,7 @@ func (rt *Router) noteFailure(b *backend) {
 	if streak < rt.cfg.EjectThreshold {
 		return
 	}
-	now := rt.now()
+	now := rt.clock.Now()
 	ejected := 0
 	for _, o := range rt.backends {
 		if o != b && o.ejected(now) {
@@ -496,7 +488,7 @@ func (rt *Router) noteFailure(b *backend) {
 		// fleet. Keep it in rotation — degraded service beats none.
 		return
 	}
-	cd := time.Duration(float64(rt.cfg.EjectCooldown) * rt.cooldownJitter())
+	cd := rt.ejectCooldown()
 	b.eject(now.Add(cd))
 	rt.met.ejections.Inc()
 	rt.logf("router: ejected %s for %v after %d consecutive failures", b.member.ID, cd.Round(time.Millisecond), streak)
@@ -540,7 +532,7 @@ func (rt *Router) retryAfterSeconds() string {
 
 // handleHealth reports the router's own view of the fleet.
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	now := rt.now()
+	now := rt.clock.Now()
 	type row struct {
 		ID       string  `json:"id"`
 		URL      string  `json:"url"`
