@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt clock-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check loc bench bench-record bench-gate bench-all
+.PHONY: all build test race vet fmt clock-lint wiring-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check loc bench bench-record bench-gate bench-all
 
 all: check
 
@@ -68,6 +68,18 @@ clock-lint:
 		| grep -vE '$(CLOCK_LINT_ALLOW)'); \
 	if [ -n "$$out" ]; then \
 		echo "clock-lint: keep time through internal/clock (see the Makefile comment):"; echo "$$out"; exit 1; \
+	fi
+
+# One assembly: a binary or an example builds a node through
+# internal/node (Config → Open → Handler/Run/Close) and wires none of
+# its layers by hand, or the order of the steps (DESIGN.md §8.10) forks
+# again. Tests and benchmark/ (its own module, moving onto node.Open in
+# a benchmark PR) are not scanned.
+wiring-lint:
+	@out=$$(grep -rnE '(httpapi\.New|election\.New|repl\.NewFollower|repl\.NewClient|store\.OpenDurable|admission\.NewController)\(' \
+		--include='*.go' --exclude='*_test.go' cmd examples); \
+	if [ -n "$$out" ]; then \
+		echo "wiring-lint: assemble nodes through internal/node (see the Makefile comment):"; echo "$$out"; exit 1; \
 	fi
 
 # Fault-injection suite: replays the online algorithm against a jobs
@@ -156,7 +168,7 @@ recall-gate:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt clock-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate bench-smoke
+check: build vet fmt clock-lint wiring-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate bench-smoke
 
 # Non-test Go outside the benchmark module: the number ROADMAP's
 # consolidation item is judged by.

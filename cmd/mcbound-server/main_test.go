@@ -1,26 +1,88 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"reflect"
 	"testing"
 	"time"
+
+	"mcbound/internal/node"
 )
 
-// The cron's fraction of the one jitter formula (clock.Jitter's tests
-// cover the band): -retrain-every ± -retrain-jitter, 0 = fixed period.
-func TestRetrainIntervalsFollowTheJitterFlag(t *testing.T) {
-	next := retrainIntervals(options{retrainEvery: time.Hour, retrainJitter: 0.25, seed: 7})
-	var lo, hi time.Duration = 24 * time.Hour, 0
-	for i := 0; i < 200; i++ {
-		d := next()
-		lo, hi = min(lo, d), max(hi, d)
+// -h must stay what it was before the flags bound into node.Config:
+// testdata/help.golden is the parent commit's output below its "Usage
+// of" line. A new flag or a changed default or help text fails here.
+func TestHelpGolden(t *testing.T) {
+	fs := flag.NewFlagSet("mcbound-server", flag.ContinueOnError)
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	bindFlags(fs, new(node.Config))
+	fs.PrintDefaults()
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lo < 45*time.Minute || hi > 75*time.Minute || hi-lo < 25*time.Minute {
-		t.Fatalf("-retrain-jitter 0.25 drew [%v, %v], want most of 1h ± 25%%", lo, hi)
+	if got.String() != string(want) {
+		t.Fatalf("-h changed:\n%s\nwant:\n%s", got.String(), want)
 	}
-	fixed := retrainIntervals(options{retrainEvery: time.Hour, seed: 7})
-	for i := 0; i < 10; i++ {
-		if d := fixed(); d != time.Hour {
-			t.Fatalf("-retrain-jitter 0 drew %v, want exactly 1h", d)
+}
+
+// Every flag lands in its own Config field: each is given a value that
+// is neither its default nor any other flag's, and the parsed Config
+// must be exactly the literal below — 47 flags, 47 fields set.
+func TestEveryFlagLandsInConfig(t *testing.T) {
+	args := []string{
+		"-trace=t.jsonl", "-generate", "-scale=0.5", "-seed=11", "-model=knn", "-index=on", "-nprobe=3",
+		"-alpha=30", "-beta=2", "-model-dir=/m", "-port=9001", "-train-at=2024-01-16T00:00:00Z",
+		"-max-body-bytes=4096", "-pprof", "-retrain-every=13h", "-shutdown-timeout=14s", "-encode-cache=15",
+		"-max-concurrency=16", "-queue-depth=17", "-default-deadline=18s", "-rate-limit=19.5",
+		"-fetch-attempts=20", "-fetch-backoff=21ms", "-breaker-threshold=22", "-breaker-cooldown=23s",
+		"-chaos-rate=0.24", "-chaos-seed=25",
+		"-data-dir=/d", "-fsync=interval", "-fsync-interval=26ms", "-segment-bytes=27", "-snapshot-every=28",
+		"-stream-batch=29", "-sse-buffer=30", "-sse-heartbeat=31s", "-replay-source=r.jsonl",
+		"-follow=http://leader:1", "-follow-poll=32ms", "-max-lag=33s", "-promote-on-start", "-retrain-jitter=0.34",
+		"-node-id=n2", "-peers=n1=http://a:1,n2=http://b:1", "-lease-ttl=35s", "-heartbeat-every=36ms",
+		"-election-timeout=37s", "-max-missed=38",
+	}
+	want := node.Config{
+		Trace: "t.jsonl", Generate: true, Scale: 0.5, Seed: 11, Model: "knn", Index: "on", NProbe: 3,
+		Alpha: 30, Beta: 2, ModelDir: "/m", Port: 9001, TrainAt: "2024-01-16T00:00:00Z",
+		MaxBody: 4096, Pprof: true, RetrainEvery: 13 * time.Hour, DrainTimeout: 14 * time.Second, EncodeCache: 15,
+		MaxConcurrency: 16, QueueDepth: 17, DefaultDeadline: 18 * time.Second, RateLimit: 19.5,
+		FetchAttempts: 20, FetchBackoff: 21 * time.Millisecond, BreakerThreshold: 22, BreakerCooldown: 23 * time.Second,
+		ChaosRate: 0.24, ChaosSeed: 25,
+		DataDir: "/d", Fsync: "interval", FsyncInterval: 26 * time.Millisecond, SegmentBytes: 27, SnapshotEvery: 28,
+		StreamBatch: 29, SSEBuffer: 30, SSEHeartbeat: 31 * time.Second, ReplaySource: "r.jsonl",
+		Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, MaxLag: 33 * time.Second, PromoteOnStart: true, RetrainJitter: 0.34,
+		NodeID: "n2", Peers: "n1=http://a:1,n2=http://b:1", LeaseTTL: 35 * time.Second, HeartbeatEvery: 36 * time.Millisecond,
+		ElectionTimeout: 37 * time.Second, MaxMissed: 38,
+	}
+	fs := flag.NewFlagSet("mcbound-server", flag.ContinueOnError)
+	var got node.Config
+	bindFlags(fs, &got)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	declared, set := 0, 0
+	fs.VisitAll(func(*flag.Flag) { declared++ })
+	fs.Visit(func(*flag.Flag) { set++ })
+	if declared != 47 || set != declared {
+		t.Fatalf("%d flags declared, %d set by this test; want 47 and 47", declared, set)
+	}
+	if got != want {
+		t.Fatalf("parsed Config\n%+v\nwant\n%+v", got, want)
+	}
+	// The literal above leaves no flag's field at its zero value, so a
+	// flag bound to another flag's field would have failed the equality.
+	filled := 0
+	for v, i := reflect.ValueOf(got), 0; i < v.NumField(); i++ {
+		if !v.Field(i).IsZero() {
+			filled++
 		}
+	}
+	if filled != declared {
+		t.Fatalf("%d Config fields set by %d flags", filled, declared)
 	}
 }

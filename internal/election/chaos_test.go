@@ -1,7 +1,8 @@
 package election_test
 
-// The election chaos suite: three real httpapi nodes on loopback, real
-// WAL shipping, real electors self-driving on wall-clock timers — then
+// The election chaos suite: three real nodes (node.Open, as the server
+// binary assembles them) on loopback, real WAL shipping, real electors
+// self-driving on wall-clock timers — then
 // seeded faults: heartbeat blackholes (symmetric and staggered), wedged
 // leader disks that die mid-group-commit or mid-compaction, hard kills,
 // and asymmetric partitions. Every scenario asserts the three failover
@@ -18,28 +19,24 @@ package election_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mcbound/internal/cluster"
-	"mcbound/internal/core"
 	"mcbound/internal/election"
-	"mcbound/internal/fetch"
-	"mcbound/internal/httpapi"
-	"mcbound/internal/job"
+	"mcbound/internal/node"
 	"mcbound/internal/repl"
-	"mcbound/internal/resilience"
 	"mcbound/internal/stats"
-	"mcbound/internal/store"
 	"mcbound/internal/wal"
 )
 
@@ -149,16 +146,11 @@ func (h *flakyFile) Sync() error {
 // Cluster harness
 
 type chaosNode struct {
-	id     string
-	url    string
-	srv    *httptest.Server
-	st     *store.Store
-	node   *repl.Node
-	el     *election.Elector
-	tr     *chaosTransport
-	fol    *repl.Follower // nil on the boot leader
-	client *repl.Client   // nil on the boot leader
-	dur    *store.Durable // boot leader only
+	*node.Node
+	id  string
+	url string
+	srv *httptest.Server
+	tr  *chaosTransport
 }
 
 type chaosCluster struct {
@@ -176,129 +168,66 @@ const (
 	chaosElectT    = 50 * time.Millisecond
 )
 
-// newChaosCluster boots one leader (node 0) and two live followers.
-// leaderFS, when non-nil, backs the leader's WAL (the wedge scenarios
-// pass a flakyFS).
+// newChaosCluster boots one leader (node 0) and two live followers, each
+// assembled by node.Open the way mcbound-server assembles it. leaderFS,
+// when non-nil, backs the leader's WAL (the wedge scenarios pass a
+// flakyFS).
 func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 	t.Helper()
 	ids := []string{"n1", "n2", "n3"}
 	srvs := make([]*httptest.Server, 3)
-	members := make([]cluster.Member, 3)
+	peers := make([]string, 3)
 	for i := range srvs {
 		srvs[i] = httptest.NewUnstartedServer(nil)
-		members[i] = cluster.Member{ID: ids[i], URL: "http://" + srvs[i].Listener.Addr().String()}
+		peers[i] = ids[i] + "=http://" + srvs[i].Listener.Addr().String()
+	}
+	// The leader starts empty: an empty trace file is its seed.
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &chaosCluster{t: t, cancel: cancel}
 	t.Cleanup(func() { c.teardown() })
 
 	for i := range ids {
-		n := &chaosNode{id: ids[i], url: members[i].URL, srv: srvs[i], tr: newChaosTransport(seed*7 + uint64(i))}
-		mem, err := cluster.New(ids[i], members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := election.Config{
-			Members:         mem,
-			LeaseTTL:        chaosTTL,
-			HeartbeatEvery:  chaosHeartbeat,
-			MaxMissed:       2,
-			ElectionTimeout: chaosElectT,
-			RequestTimeout:  400 * time.Millisecond,
-			Seed:            seed*131 + uint64(i),
-			Transport:       n.tr,
-		}
-		var opts struct {
-			durable *store.Durable
+		n := &chaosNode{id: ids[i], url: "http://" + srvs[i].Listener.Addr().String(), srv: srvs[i], tr: newChaosTransport(seed*7 + uint64(i))}
+		cfg := node.Config{
+			Model: "rf", Index: "auto", Fsync: "always",
+			NodeID: ids[i], Peers: strings.Join(peers, ","),
+			LeaseTTL: chaosTTL, HeartbeatEvery: chaosHeartbeat, MaxMissed: 2, ElectionTimeout: chaosElectT,
+			Seed:          seed*131 + uint64(i),
+			DataDir:       t.TempDir(),
+			SnapshotEvery: 48, // let compaction run mid-chaos
+			FollowPoll:    chaosHeartbeat,
+			FetchAttempts: 2, FetchBackoff: 5 * time.Millisecond,
+			Transport: n.tr,
+			HTTP:      &http.Client{Timeout: 500 * time.Millisecond},
+			Logger:    log.New(io.Discard, "", 0),
 		}
 		if i == 0 {
-			n.st = store.New()
-			dfs := leaderFS
-			if dfs == nil {
-				dfs = wal.OS
-			}
-			dur, err := store.OpenDurable(t.TempDir(), n.st, store.DurableOptions{
-				FS:            dfs,
-				SnapshotEvery: 48, // let compaction run mid-chaos
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.dur = dur
-			n.node = repl.NewLeader(dur)
-			opts.durable = dur
+			cfg.Trace, cfg.FS = empty, leaderFS
 		} else {
-			n.st = store.New()
-			fst := n.st
-			n.client = repl.NewClient(repl.ClientConfig{
-				BaseURL: members[0].URL,
-				HTTP:    &http.Client{Timeout: 500 * time.Millisecond},
-				Retry: resilience.Policy{
-					MaxAttempts: 2,
-					BaseDelay:   5 * time.Millisecond,
-					MaxDelay:    20 * time.Millisecond,
-				},
-				Seed: seed*17 + uint64(i),
-			})
-			fol, err := repl.NewFollower(repl.FollowerConfig{
-				Client: n.client,
-				Apply: func(payload []byte) error {
-					var j job.Job
-					if err := json.Unmarshal(payload, &j); err != nil {
-						return err
-					}
-					return fst.Insert(&j)
-				},
-				Poll: chaosHeartbeat,
-				Seed: seed*29 + uint64(i),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.fol = fol
-			n.node = repl.NewFollowerNode(fol, members[0].URL, repl.PromotePlan{
-				Dir:   t.TempDir(),
-				Store: fst,
-			})
-			node, client := n.node, n.client
-			cfg.OnLeaderChange = func(u string) {
-				node.SetLeaderURL(u)
-				client.Redirect(u)
-			}
-			cfg.BeforePromote = election.FinalDrain(fol, 2*time.Second)
+			// Open bootstraps the follower against the live leader.
+			cfg.Follow = c.nodes[0].url
 		}
-		cfg.Node = n.node
-		el, err := election.New(cfg)
+		nd, err := node.Open(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.el = el
-
-		fw, err := core.New(core.DefaultConfig(), fetch.StoreBackend{Store: n.st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i].Config.Handler = httpapi.New(fw, n.st, log.New(io.Discard, "", 0), httpapi.Options{
-			Durable: opts.durable,
-			Repl:    n.node,
-			Elector: el,
-		})
+		n.Node = nd
+		srvs[i].Config.Handler = nd.Handler()
 		srvs[i].Start()
 		c.nodes = append(c.nodes, n)
 	}
-	// Bootstrap followers against the live leader, then let everything
-	// self-drive.
 	for _, n := range c.nodes[1:] {
-		sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
-		if err := n.fol.SyncNow(sctx); err != nil {
-			scancel()
-			t.Fatalf("bootstrap sync: %v", err)
+		if fs := n.Repl.FollowerStatus(); fs.LastError != "" {
+			t.Fatalf("bootstrap sync: %s", fs.LastError)
 		}
-		scancel()
-		go n.fol.Run(ctx)
 	}
+	// Then let everything self-drive.
 	for _, n := range c.nodes {
-		go n.el.Run(ctx)
+		go n.Run(ctx)
 	}
 	return c
 }
@@ -306,36 +235,27 @@ func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 func (c *chaosCluster) teardown() {
 	c.cancel()
 	for _, n := range c.nodes {
-		n.el.Stop()
-		if n.fol != nil {
-			n.fol.Stop()
-		}
+		n.Close()
 	}
 	for _, n := range c.nodes {
 		n.srv.Close()
-		if n.dur != nil {
-			n.dur.Close()
-		}
-		if d := n.node.Durable(); d != nil && d != n.dur {
-			d.Close()
-		}
 	}
 }
 
-// killLeader hard-kills node 0: server gone, elector gone, nothing
-// answers — the kill -9 of the README quickstart.
+// killLeader hard-kills node 0: server gone, elector gone, log closed,
+// nothing answers — the kill -9 of the README quickstart.
 func (c *chaosCluster) killLeader() {
 	n := c.nodes[0]
 	n.srv.CloseClientConnections()
 	n.srv.Close()
-	n.el.Stop()
+	n.Close()
 }
 
 // newLeaderAmongFollowers returns the follower node that won an
 // election, nil if none has yet.
 func (c *chaosCluster) newLeaderAmongFollowers() *chaosNode {
 	for _, n := range c.nodes[1:] {
-		if n.el.IsLeader() && n.node.Role() == repl.RoleLeader {
+		if n.Elector.IsLeader() && n.Repl.Role() == repl.RoleLeader {
 			return n
 		}
 	}
@@ -346,7 +266,7 @@ func (c *chaosCluster) newLeaderAmongFollowers() *chaosNode {
 func (c *chaosCluster) heldCount() int {
 	held := 0
 	for _, n := range c.nodes {
-		if n.el.Held() {
+		if n.Elector.Held() {
 			held++
 		}
 	}
@@ -462,7 +382,7 @@ func verifyAcked(t *testing.T, leader *chaosNode, acked []string) {
 	t.Helper()
 	var missing []string
 	for _, id := range acked {
-		if _, err := leader.st.Get(id); err != nil {
+		if _, err := leader.Store.Get(id); err != nil {
 			missing = append(missing, id)
 		}
 	}
@@ -529,7 +449,7 @@ func TestElectChaosHeartbeatBlackhole(t *testing.T) {
 			waitUntil(t, 8*time.Second, "first accepted write on new leader", func() bool {
 				return postJob(winner.url, fmt.Sprintf("probe-bh%d-%d", it, time.Now().UnixNano()))
 			})
-			t.Logf("blackhole failover: new leader %s in %v (term %d)", winner.id, time.Since(faultAt), winner.el.Term())
+			t.Logf("blackhole failover: new leader %s in %v (term %d)", winner.id, time.Since(faultAt), winner.Elector.Term())
 
 			acked := stopWriters()
 			if len(acked) == 0 {
@@ -537,7 +457,7 @@ func TestElectChaosHeartbeatBlackhole(t *testing.T) {
 			}
 			// The deposed leader must not be acking: fenced with the typed
 			// lease_lost, not a leader at the data level either.
-			if c.nodes[0].el.Held() {
+			if c.nodes[0].Elector.Held() {
 				t.Fatal("old leader still holds its lease behind the blackhole")
 			}
 			if postJob(c.nodes[0].url, "must-not-ack") {
@@ -546,8 +466,8 @@ func TestElectChaosHeartbeatBlackhole(t *testing.T) {
 			if v := stopSampler(); v != 0 {
 				t.Fatalf("held-lease invariant violated %d times", v)
 			}
-			if winner.el.Failovers() != 1 {
-				t.Fatalf("winner failovers = %d, want 1", winner.el.Failovers())
+			if winner.Elector.Failovers() != 1 {
+				t.Fatalf("winner failovers = %d, want 1", winner.Elector.Failovers())
 			}
 			verifyAcked(t, winner, acked)
 		})
@@ -588,7 +508,7 @@ func TestElectChaosWedgedLeaderDisk(t *testing.T) {
 			if len(acked) == 0 {
 				t.Fatal("no writes acked before the wedge")
 			}
-			if c.nodes[0].el.Held() {
+			if c.nodes[0].Elector.Held() {
 				t.Fatal("wedged leader still holds its lease")
 			}
 			if postJob(c.nodes[0].url, "must-not-ack-wedged") {
@@ -625,10 +545,10 @@ func TestElectChaosHardKill(t *testing.T) {
 			// *dead* (not fenced) leader is bounded by replication lag. The
 			// suite pins the stronger invariant on the reachable-leader
 			// scenarios and requires catch-up before this kill.
-			leaderSeq := c.nodes[0].dur.CommittedSeq()
+			leaderSeq := c.nodes[0].Repl.Durable().CommittedSeq()
 			waitUntil(t, 5*time.Second, "followers caught up pre-kill", func() bool {
 				for _, n := range c.nodes[1:] {
-					if n.fol.Status().AppliedSeq < leaderSeq {
+					if n.Repl.FollowerStatus().AppliedSeq < leaderSeq {
 						return false
 					}
 				}
@@ -664,7 +584,7 @@ func TestElectChaosHardKill(t *testing.T) {
 				t.Fatal("winner stopped acking")
 			}
 			waitUntil(t, 5*time.Second, "survivor tails the new leader", func() bool {
-				_, err := other.st.Get(probeID)
+				_, err := other.Store.Get(probeID)
 				return err == nil
 			})
 		})
@@ -685,16 +605,16 @@ func TestElectChaosAsymmetricPartition(t *testing.T) {
 			c := newChaosCluster(t, seed, nil)
 			stopSampler := c.startHeldSampler()
 			leader := c.nodes[0]
-			termBefore := leader.el.Term()
+			termBefore := leader.Elector.Term()
 
 			c.nodes[1].tr.Block(leader.url)
 			// Hold the partition across many suspicion/election cycles.
 			deadline := time.Now().Add(800 * time.Millisecond)
 			for time.Now().Before(deadline) {
-				if !leader.el.Held() {
+				if !leader.Elector.Held() {
 					t.Fatal("healthy leader lost its lease to a one-node partition")
 				}
-				if c.nodes[1].el.IsLeader() || c.nodes[2].el.IsLeader() {
+				if c.nodes[1].Elector.IsLeader() || c.nodes[2].Elector.IsLeader() {
 					t.Fatal("partitioned minority produced a leader")
 				}
 				if !postJob(leader.url, fmt.Sprintf("part%d-%d", it, time.Now().UnixNano())) {
@@ -702,7 +622,7 @@ func TestElectChaosAsymmetricPartition(t *testing.T) {
 				}
 				time.Sleep(20 * time.Millisecond)
 			}
-			if got := leader.el.Term(); got != termBefore {
+			if got := leader.Elector.Term(); got != termBefore {
 				t.Fatalf("leader term moved %d -> %d during partition", termBefore, got)
 			}
 
@@ -710,16 +630,16 @@ func TestElectChaosAsymmetricPartition(t *testing.T) {
 			// leader and term, and its armed election dissolves.
 			c.nodes[1].tr.Unblock(leader.url)
 			waitUntil(t, 5*time.Second, "partitioned node re-adopts the leader", func() bool {
-				st := c.nodes[1].el.Status()
+				st := c.nodes[1].Elector.Status()
 				return st.Role == "follower" && st.LeaderID == leader.id && st.HeartbeatAge < chaosTTL.Seconds()
 			})
-			if got := leader.el.Term(); got != termBefore {
+			if got := leader.Elector.Term(); got != termBefore {
 				t.Fatalf("heal moved the term %d -> %d", termBefore, got)
 			}
 			if v := stopSampler(); v != 0 {
 				t.Fatalf("held-lease invariant violated %d times", v)
 			}
-			if leader.el.Failovers() != 0 || c.nodes[1].el.Failovers() != 0 || c.nodes[2].el.Failovers() != 0 {
+			if leader.Elector.Failovers() != 0 || c.nodes[1].Elector.Failovers() != 0 || c.nodes[2].Elector.Failovers() != 0 {
 				t.Fatal("a failover was counted in a scenario with no leader change")
 			}
 		})

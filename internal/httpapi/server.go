@@ -119,9 +119,9 @@ type Options struct {
 
 	// Replay, when set, mounts the /v1/replay resource backed by this
 	// manager; /healthz grows a "replay" section and the
-	// mcbound_replay_* collectors are registered. Call
-	// Manager.SetTarget(server) after New so the replay traffic loops
-	// through this handler.
+	// mcbound_replay_* collectors are registered. Its Options.Client
+	// decides where the replay traffic goes; internal/node loops it back
+	// through this handler in memory.
 	Replay *replay.Manager
 
 	// Elector, when set, is the lease-based leader elector this node runs

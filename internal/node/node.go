@@ -1,0 +1,544 @@
+// Package node assembles one MCBound node — the unit the paper deploys
+// (§III-E: a backend, a deploy script that trains once, a cronjob that
+// retrains) — from one Config. cmd/mcbound-server binds its flags into
+// a Config and serves Open's handler; the election and replay suites
+// build their clusters through the same Open, so the order of the steps
+// (DESIGN.md §8.10) is written once.
+package node
+
+import (
+	"context"
+	"fmt"
+	"log"
+	"net/http"
+	"sync"
+	"time"
+
+	"mcbound/internal/admission"
+	"mcbound/internal/clock"
+	"mcbound/internal/cluster"
+	"mcbound/internal/core"
+	"mcbound/internal/election"
+	"mcbound/internal/experiments"
+	"mcbound/internal/fetch"
+	"mcbound/internal/fetch/chaos"
+	"mcbound/internal/httpapi"
+	"mcbound/internal/job"
+	"mcbound/internal/linalg"
+	"mcbound/internal/ml/knn"
+	"mcbound/internal/repl"
+	"mcbound/internal/replay"
+	"mcbound/internal/resilience"
+	"mcbound/internal/stats"
+	"mcbound/internal/store"
+	"mcbound/internal/telemetry"
+	"mcbound/internal/wal"
+	"mcbound/internal/workload"
+)
+
+// Config is one node's whole configuration: a field per mcbound-server
+// flag (the flag's help text documents it), then the seams a test or a
+// simulation substitutes.
+type Config struct {
+	Trace, Model, Index, ModelDir, TrainAt string
+	Generate, Pprof                        bool
+	Scale                                  float64
+	Seed                                   uint64
+	NProbe, Alpha, Beta, Port, EncodeCache int
+	MaxBody                                int64
+	RetrainEvery, DrainTimeout             time.Duration
+
+	// Overload protection.
+	MaxConcurrency, QueueDepth int
+	DefaultDeadline            time.Duration
+	RateLimit                  float64
+
+	// Resilient fetch layer.
+	FetchAttempts, BreakerThreshold int
+	FetchBackoff, BreakerCooldown   time.Duration
+
+	// Fault injection (testing the degraded paths end to end).
+	ChaosRate float64
+	ChaosSeed uint64
+
+	// Durable job store (write-ahead log + snapshots).
+	DataDir, Fsync string
+	FsyncInterval  time.Duration
+	SegmentBytes   int64
+	SnapshotEvery  int
+
+	// Streaming surface + server-side replay resource.
+	StreamBatch, SSEBuffer int
+	SSEHeartbeat           time.Duration
+	ReplaySource           string
+
+	// Replication.
+	Follow             string
+	FollowPoll, MaxLag time.Duration
+	PromoteOnStart     bool
+	RetrainJitter      float64
+
+	// Leader election (self-driving failover).
+	NodeID, Peers                             string
+	LeaseTTL, HeartbeatEvery, ElectionTimeout time.Duration
+	MaxMissed                                 int
+
+	// FS backs the durable store and the persisted lease; nil is wal.OS.
+	FS wal.FS
+	// Transport carries the elector's lease reads and acks; nil is
+	// election's HTTP transport over HTTP.
+	Transport election.Transport
+	// HTTP is the client the node reaches its peers through (WAL shipping
+	// and the lease surface); nil leaves each its default client. Over a
+	// *Transport it keeps a cluster in one process.
+	HTTP *http.Client
+	// Clock times every loop, cooldown and pacing delay of the node; nil
+	// is the wall clock.
+	Clock clock.Clock
+	// Logger receives the node's log lines; nil is log.Default().
+	Logger *log.Logger
+}
+
+// finalDrainBudget bounds the sync rounds an election winner spends
+// pulling the old leader's durable prefix before it promotes.
+const finalDrainBudget = 10 * time.Second
+
+// parsed is what Validate checked, in the form Open uses.
+type parsed struct {
+	policy  wal.Policy
+	members cluster.Membership
+	trainAt time.Time // zero = newest job completion
+}
+
+// Validate reports the first flag combination the node cannot run
+// under, naming the flags.
+func (c Config) Validate() error {
+	_, err := c.parse()
+	return err
+}
+
+func (c Config) parse() (p parsed, err error) {
+	following := c.Follow != ""
+	switch {
+	case following && c.PromoteOnStart:
+		return p, fmt.Errorf("-follow and -promote-on-start are mutually exclusive: promote a running follower via POST /v1/promote, or restart without -follow")
+	case c.PromoteOnStart && c.DataDir == "":
+		return p, fmt.Errorf("-promote-on-start requires -data-dir (the inherited durable state to lead over)")
+	case following && (c.Generate || c.Trace != ""):
+		// The seed would sit on the replica beside the leader's stream:
+		// jobs its leader never had.
+		return p, fmt.Errorf("-follow excludes -trace and -generate: a follower's jobs come from its leader's log only")
+	case !following && !c.Generate && c.Trace == "":
+		return p, fmt.Errorf("either -trace, -generate or -follow is required")
+	}
+	if p.policy, err = wal.ParsePolicy(c.Fsync); err != nil {
+		return p, fmt.Errorf("bad -fsync: %w", err)
+	}
+	switch knn.IndexMode(c.Index) {
+	case "", knn.IndexAuto, knn.IndexOn, knn.IndexOff:
+	default:
+		return p, fmt.Errorf("bad -index %q (want auto, on or off)", c.Index)
+	}
+	if c.NProbe < 0 {
+		return p, fmt.Errorf("bad -nprobe %d: must be non-negative", c.NProbe)
+	}
+	if c.TrainAt != "" {
+		if p.trainAt, err = time.Parse(time.RFC3339, c.TrainAt); err != nil {
+			return p, fmt.Errorf("bad -train-at: %w", err)
+		}
+	}
+	if c.Peers == "" && c.NodeID == "" {
+		return p, nil
+	}
+	if c.Peers == "" || c.NodeID == "" {
+		return p, fmt.Errorf("-node-id and -peers go together (got node-id=%q peers=%q)", c.NodeID, c.Peers)
+	}
+	if p.members, err = cluster.ParsePeers(c.NodeID, c.Peers); err != nil {
+		return p, fmt.Errorf("bad -peers: %w", err)
+	}
+	switch {
+	case c.DataDir != "":
+	case following:
+		// An election win would promote this node to a leader with no
+		// log: nothing for the other follower to ship, no lease on disk.
+		return p, fmt.Errorf("-peers with -follow requires -data-dir: an elected follower promotes onto it")
+	default:
+		return p, fmt.Errorf("-peers requires a replication role: lead with -data-dir or follow with -follow")
+	}
+	return p, nil
+}
+
+// Node is one assembled MCBound node: Handler serves its API, Run
+// drives its background loops, Close stops them and closes its log.
+type Node struct {
+	// Store is the jobs data storage (the same one after a promotion);
+	// Repl the replication role, nil without -data-dir or -follow;
+	// Elector nil without -peers; Replay nil without -replay-source.
+	Store   *store.Store
+	Repl    *repl.Node
+	Elector *election.Elector
+	Replay  *replay.Manager
+
+	log   *log.Logger
+	clock clock.Clock
+	fw    *core.Framework
+	adm   *admission.Controller
+	api   *httpapi.Server
+	// loops run under Run; stops end them, in the same order.
+	loops []func(context.Context)
+	stops []func()
+}
+
+// Open assembles a node from c: recover the store, take the replication
+// role, arm the elector, build the fetch chain and the framework,
+// restore a persisted model, run a follower's bootstrap sync, train
+// once, then build admission and the API. Nothing runs in the
+// background until Run; a node Open returned must be Closed.
+func Open(ctx context.Context, c Config) (*Node, error) {
+	p, err := c.parse()
+	if err != nil {
+		return nil, err
+	}
+	n := &Node{log: c.Logger, clock: c.Clock}
+	if n.log == nil {
+		n.log = log.Default()
+	}
+	if n.clock == nil {
+		n.clock = clock.Wall{}
+	}
+	if err := n.assemble(ctx, c, p); err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
+	logf := n.log.Printf
+	fsys := c.FS
+	if fsys == nil {
+		fsys = wal.OS
+	}
+	following := c.Follow != ""
+
+	// Without AVX2 the KNN path runs several times slower; say so once.
+	logf("linalg distance kernels: %s", linalg.Kernel())
+
+	// A follower needs no seed: its store fills from the leader's stream.
+	st := store.New()
+	switch {
+	case c.Generate:
+		logf("generating synthetic trace (scale=%g, seed=%d)...", c.Scale, c.Seed)
+		env, err := experiments.NewEnv(workload.EvalConfig(c.Scale), c.Seed)
+		if err != nil {
+			return err
+		}
+		st = env.Store
+	case c.Trace != "":
+		logf("loading trace %s...", c.Trace)
+		if st, err = store.LoadFile(c.Trace); err != nil {
+			return err
+		}
+	}
+	logf("jobs data storage ready: %d jobs", st.Len())
+
+	reg := telemetry.NewRegistry()
+
+	// Durable job store. On the first boot the seed becomes the initial
+	// snapshot; later the durable state wins and the seed is ignored. A
+	// follower does not open the log for writing — its -data-dir is
+	// warm-start state and the promotion target.
+	var durable *store.Durable
+	durOpts := store.DurableOptions{
+		SegmentBytes: c.SegmentBytes, Policy: p.policy, Interval: c.FsyncInterval,
+		FS: c.FS, SnapshotEvery: c.SnapshotEvery, BumpEpoch: c.PromoteOnStart,
+	}
+	if c.DataDir != "" {
+		durOpts.AppendObserver = reg.Histogram("mcbound_wal_append_seconds",
+			"WAL append latency per acknowledged batch (reserve to durability point).",
+			telemetry.ExponentialBuckets(1e-5, 4, 10), nil).Observe
+	}
+	switch {
+	case c.DataDir == "":
+	case following:
+		// Warm start, read-only. The follower re-syncs from the leader
+		// either way and apply is last-writer-wins in log order, so a stale
+		// warm store only saves bootstrap bytes, never wins.
+		if _, statErr := fsys.Stat(c.DataDir); statErr == nil {
+			if warm, rec, lerr := store.LoadReadOnly(c.DataDir, fsys); lerr != nil {
+				logf("warning: warm start from %s failed, bootstrapping cold: %v", c.DataDir, lerr)
+			} else {
+				st = warm
+				logf("warm start from %s: %d jobs (recovery %s)", c.DataDir, st.Len(), rec.Outcome())
+			}
+		}
+	default:
+		if durable, err = store.OpenDurable(c.DataDir, st, durOpts); err != nil {
+			return fmt.Errorf("open durable store %s: %w", c.DataDir, err)
+		}
+		rec := durable.Recovery()
+		logf("durable store %s: recovery %s (%d snapshot + %d log records, fsync=%s, epoch=%d)",
+			c.DataDir, rec.Outcome(), rec.SnapshotRecords, rec.SegmentRecords, p.policy, durable.WAL().Epoch())
+		if rec.Failure != nil {
+			logf("warning: serving the clean prefix only — a corrupt WAL segment was quarantined: %v", rec.Failure)
+		}
+		st = durable.Store()
+		logf("durable jobs data storage ready: %d jobs", st.Len())
+	}
+	n.Store = st
+
+	// Replication role: a leader with a log ships it; a follower tails it
+	// and carries the plan to take over on promotion.
+	breaker := resilience.BreakerConfig{FailureThreshold: c.BreakerThreshold, Cooldown: c.BreakerCooldown, Clock: n.clock}
+	var follower *repl.Follower
+	var replClient *repl.Client
+	if following {
+		ccfg := repl.ClientConfig{
+			BaseURL: c.Follow,
+			HTTP:    c.HTTP,
+			Retry:   resilience.Policy{MaxAttempts: c.FetchAttempts, BaseDelay: c.FetchBackoff},
+			Breaker: breaker,
+			Seed:    c.Seed,
+			// Total retry amplification stays a fraction of the success rate.
+			Budget: resilience.NewBudget(resilience.BudgetConfig{}),
+		}
+		// The membership is the redirect allowlist: a 421 Location
+		// pointing at a non-member is refused.
+		if p.members.Size() > 0 {
+			ccfg.Allowed = p.members.ContainsURL
+		}
+		replClient = repl.NewClient(ccfg)
+		follower, err = repl.NewFollower(repl.FollowerConfig{
+			Client: replClient, Apply: st.ApplyRecord, Clock: n.clock, Logf: logf,
+			Poll: c.FollowPoll, MaxLag: c.MaxLag,
+			Seed: c.Seed, // poll jitter: a fleet must not poll in lockstep
+		})
+		if err != nil {
+			return err
+		}
+		n.Repl = repl.NewFollowerNode(follower, c.Follow, repl.PromotePlan{Dir: c.DataDir, Store: st, Options: durOpts})
+	} else if durable != nil {
+		n.Repl = repl.NewLeader(durable)
+		logf("replication leader: epoch %d, serving WAL at /v1/wal/segments", durable.WAL().Epoch())
+	}
+
+	if p.members.Size() > 0 {
+		ecfg := election.Config{
+			Members: p.members, Node: n.Repl, Seed: c.Seed, Clock: n.clock, Logf: logf,
+			LeaseTTL: c.LeaseTTL, HeartbeatEvery: c.HeartbeatEvery, MaxMissed: c.MaxMissed, ElectionTimeout: c.ElectionTimeout,
+			Transport: c.Transport, LeaseDir: c.DataDir, FS: c.FS,
+		}
+		if ecfg.Transport == nil {
+			ecfg.Transport = election.NewHTTPTransport(c.HTTP, c.Seed)
+		}
+		if follower != nil {
+			ecfg.OnLeaderChange = func(u string) {
+				n.Repl.SetLeaderURL(u)
+				replClient.Redirect(u)
+			}
+			// No acknowledged write may stay behind a fenced epoch.
+			ecfg.BeforePromote = election.FinalDrain(follower, finalDrainBudget)
+		}
+		if n.Elector, err = election.New(ecfg); err != nil {
+			return fmt.Errorf("election: %w", err)
+		}
+		logf("elector armed: node %s in %d-member cluster (quorum %d, lease %v, heartbeat %v)",
+			c.NodeID, p.members.Size(), p.members.Quorum(), c.LeaseTTL, c.HeartbeatEvery)
+	}
+
+	// Fetch chain: store → optional fault injection → retries + breaker.
+	var backend fetch.Backend = fetch.StoreBackend{Store: st}
+	if c.ChaosRate > 0 {
+		cb := chaos.New(backend, c.ChaosSeed)
+		cb.SetAll(chaos.Profile{TransientRate: c.ChaosRate})
+		backend = cb
+		logf("fault injection armed: %.0f%% transient rate, seed %d", c.ChaosRate*100, c.ChaosSeed)
+	}
+	rcfg := fetch.DefaultResilienceConfig()
+	rcfg.Retry.MaxAttempts = c.FetchAttempts
+	rcfg.Retry.BaseDelay = c.FetchBackoff
+	rcfg.Breaker = breaker
+	resilient := fetch.NewResilientBackend(backend, rcfg)
+	resilient.Instrument(reg)
+
+	cfg := core.DefaultConfig()
+	cfg.Model, cfg.Alpha, cfg.Beta, cfg.ModelDir = core.ModelKind(c.Model), c.Alpha, c.Beta, c.ModelDir
+	cfg.KNN.Index.Mode, cfg.KNN.Index.NProbe = knn.IndexMode(c.Index), c.NProbe
+	if n.fw, err = core.New(cfg, resilient); err != nil {
+		return err
+	}
+	n.fw.Encoder().SetCacheCapacity(c.EncodeCache)
+
+	// Restore a persisted model before training: if the first train
+	// fails the node still answers inference (stale beats dead).
+	if c.ModelDir != "" {
+		if lrep, err := n.fw.LoadLatest(); err != nil {
+			logf("no model restored from %s: %v", c.ModelDir, err)
+		} else {
+			if len(lrep.Quarantined) > 0 {
+				logf("warning: %d corrupted model version(s) quarantined in %s: %v",
+					len(lrep.Quarantined), c.ModelDir, lrep.Quarantined)
+			}
+			logf("restored model version %d from %s", lrep.Version, c.ModelDir)
+		}
+	}
+
+	// One sync round before the first train, so the model fits on the
+	// leader's data rather than an empty store. A failed round is not
+	// fatal: the loop keeps retrying and /healthz reports disconnected.
+	if follower != nil {
+		syncCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		if serr := follower.SyncNow(syncCtx); serr != nil {
+			logf("warning: initial replication sync failed (leader %s), serving degraded: %v", c.Follow, serr)
+		} else {
+			fs := follower.Status()
+			logf("replication bootstrap complete: %d jobs applied, epoch %d, applied_seq %d",
+				st.Len(), fs.Epoch, fs.AppliedSeq)
+		}
+		cancel()
+		n.loops = append(n.loops, follower.Run)
+		n.stops = append(n.stops, follower.Stop)
+	}
+	if n.Elector != nil {
+		n.loops = append(n.loops, n.Elector.Run)
+		n.stops = append(n.stops, n.Elector.Stop)
+	}
+
+	// Initial Training Workflow (the deploy script of §III-E). On failure
+	// the node comes up degraded — the restored model if one loaded, 503
+	// on /healthz otherwise — and the cron keeps trying.
+	at := p.trainAt
+	if at.IsZero() {
+		at = n.trainInstant()
+	}
+	rep, trainErr := n.fw.Train(ctx, at)
+	if trainErr != nil {
+		logf("warning: initial training failed, serving degraded: %v", trainErr)
+	} else {
+		logf("initial model trained: window [%s, %s), %d labeled jobs, %.3fs, version %d",
+			rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
+			rep.LabeledJobs, rep.TrainDuration.Seconds(), rep.ModelVersion)
+	}
+
+	// Admission gates every route and the cron retrain: a submission
+	// storm degrades into typed 429/503 rejections.
+	n.adm = admission.NewController(admission.Config{
+		MaxConcurrency: c.MaxConcurrency, QueueDepth: c.QueueDepth, RateLimit: c.RateLimit, Clock: n.clock,
+	})
+
+	// Replay resource: a trace driven through this node's own HTTP path,
+	// looped back in memory, and scored against the roofline
+	// characterizer — the oracle the offline simulator scores against.
+	self := NewTransport()
+	if c.ReplaySource != "" {
+		src, err := store.LoadFile(c.ReplaySource)
+		if err != nil {
+			return fmt.Errorf("load -replay-source %s: %w", c.ReplaySource, err)
+		}
+		char := n.fw.Characterizer()
+		n.Replay = replay.NewManager(replay.Options{
+			Source: src, Clock: n.clock, Log: n.log,
+			Client: &http.Client{Transport: self}, BaseURL: "http://self",
+			Truth: func(j *job.Job) (job.Label, bool) {
+				pt, cerr := char.Characterize(j)
+				return pt.Label, cerr == nil
+			},
+		})
+		logf("replay resource armed: %d trace records from %s", src.Len(), c.ReplaySource)
+	}
+
+	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
+		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, DefaultDeadline: c.DefaultDeadline,
+		Registry: reg, Breaker: resilient.Breaker(), Admission: n.adm,
+		Durable: durable, Repl: n.Repl, Elector: n.Elector, Replay: n.Replay,
+		StreamBatchSize: c.StreamBatch, SSEBufferSize: c.SSEBuffer, SSEHeartbeat: c.SSEHeartbeat,
+	})
+	self.Handle("self", n.api)
+	n.api.ObserveTrain(rep, trainErr)
+
+	// The retrain cron (§III-E), jittered: a fleet started together on one
+	// -retrain-every would otherwise train in lockstep.
+	if c.RetrainEvery > 0 {
+		next := retrainIntervals(c)
+		cron := clock.NewLoop(n.clock, next, n.retrain)
+		n.loops = append(n.loops, func(ctx context.Context) { cron.Run(ctx, next()) })
+		n.stops = append(n.stops, func() { cron.Stop(); logf("retraining ticker stopped") })
+	}
+	return nil
+}
+
+// retrainIntervals draws the cron's intervals: -retrain-every spread
+// over ± -retrain-jitter, deterministic per -seed.
+func retrainIntervals(c Config) func() time.Duration {
+	rng := stats.NewRNG(c.Seed)
+	return func() time.Duration { return clock.Jitter(c.RetrainEvery, c.RetrainJitter, rng.Float64()) }
+}
+
+// retrain is one cron trigger: the Training Workflow on the newest
+// completed data, admitted at background priority so it holds at most a
+// quarter of the concurrency budget inference runs on.
+func (n *Node) retrain(ctx context.Context) {
+	tk, err := n.adm.Admit(ctx, admission.Background, "cron")
+	if err != nil {
+		n.log.Printf("cron retraining not admitted: %v", err)
+		return
+	}
+	rep, err := n.fw.Train(ctx, n.trainInstant())
+	tk.Release()
+	n.api.ObserveTrain(rep, err)
+	if err != nil {
+		n.log.Printf("cron retraining failed: %v", err)
+		return
+	}
+	n.log.Printf("cron retraining: window [%s, %s), %d labeled jobs, version %d",
+		rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
+		rep.LabeledJobs, rep.ModelVersion)
+}
+
+// trainInstant is the newest job completion in the store, or now while
+// the store holds none.
+func (n *Node) trainInstant() time.Time {
+	newest := time.Time{}
+	for _, j := range n.Store.All() {
+		if j.EndTime.After(newest) {
+			newest = j.EndTime
+		}
+	}
+	if newest.IsZero() {
+		return n.clock.Now().UTC()
+	}
+	return newest
+}
+
+// Handler is the node's HTTP API.
+func (n *Node) Handler() http.Handler { return n.api }
+
+// Run drives the node's background loops — the follower's WAL poll, the
+// elector, the retrain cron — until ctx is done or Close is called, and
+// returns once they have all exited. It may be called once.
+func (n *Node) Run(ctx context.Context) {
+	var wg sync.WaitGroup
+	for _, loop := range n.loops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loop(ctx)
+		}()
+	}
+	wg.Wait()
+}
+
+// Close stops the background loops and waits for them, then closes the
+// durable store behind the write path: the one the node booted on, or
+// the one a promotion attached since. Safe to call more than once.
+func (n *Node) Close() error {
+	for _, stop := range n.stops {
+		stop()
+	}
+	if n.Repl != nil {
+		if d := n.Repl.Durable(); d != nil {
+			return d.Close()
+		}
+	}
+	return nil
+}

@@ -9,6 +9,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +18,8 @@ import (
 	"mcbound/internal/clock"
 	"mcbound/internal/core"
 	"mcbound/internal/fetch"
-	"mcbound/internal/httpapi"
 	"mcbound/internal/job"
+	"mcbound/internal/node"
 	"mcbound/internal/replay"
 	"mcbound/internal/simulate"
 	"mcbound/internal/store"
@@ -75,13 +77,9 @@ func traceStore(t *testing.T) *store.Store {
 	return st
 }
 
-func frameworkConfig(t *testing.T) core.Config {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Alpha, cfg.Beta = 10, 2
-	cfg.ModelDir = t.TempDir() // fresh registry: versions are 1,2,3,...
-	return cfg
-}
+// The (α, β) both sides run on, each over a fresh model registry so the
+// versions read 1, 2, 3, ...
+const goldenAlpha, goldenBeta = 10, 2
 
 // instantClock is the wall clock with every timer already fired: pacing
 // delays collapse to zero and a replay runs as fast as the target can
@@ -91,33 +89,34 @@ type instantClock struct{ clock.Wall }
 
 func (c instantClock) NewTimer(time.Duration) *clock.Timer { return c.Wall.NewTimer(0) }
 
-// liveTarget wires an empty-store MCBound server plus a replay manager
-// reading from source, with the manager's traffic looping through the
-// server's full HTTP middleware stack in-process.
-func liveTarget(t *testing.T, source *store.Store, clk clock.Clock) (*httptest.Server, *replay.Manager, *core.Framework, *store.Store) {
+// liveTarget opens an empty-store MCBound node (node.Open, as the
+// server binary assembles it) whose replay resource reads source, the
+// manager's traffic looping through the node's full HTTP middleware
+// stack in-process.
+func liveTarget(t *testing.T, source *store.Store, clk clock.Clock) (*httptest.Server, *replay.Manager, *store.Store) {
 	t.Helper()
-	serverStore := store.New()
-	fw, err := core.New(frameworkConfig(t), fetch.StoreBackend{Store: serverStore})
+	dir := t.TempDir()
+	trace, empty := filepath.Join(dir, "source.jsonl"), filepath.Join(dir, "empty.jsonl")
+	if err := source.SaveFile(trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := node.Open(context.Background(), node.Config{
+		Trace: empty, ReplaySource: trace,
+		Model: "rf", Index: "auto", Fsync: "always", Alpha: goldenAlpha, Beta: goldenBeta,
+		ModelDir: t.TempDir(),
+		Clock:    clk,
+		Logger:   log.New(io.Discard, "", 0),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	char := fw.Characterizer()
-	mgr := replay.NewManager(replay.Options{
-		Source: source,
-		Clock:  clk,
-		Truth: func(j *job.Job) (job.Label, bool) {
-			pt, err := char.Characterize(j)
-			if err != nil {
-				return job.Unknown, false
-			}
-			return pt.Label, true
-		},
-	})
-	api := httpapi.New(fw, serverStore, log.New(io.Discard, "", 0), httpapi.Options{Replay: mgr})
-	mgr.SetTarget(api)
-	srv := httptest.NewServer(api)
+	t.Cleanup(func() { n.Close() })
+	srv := httptest.NewServer(n.Handler())
 	t.Cleanup(srv.Close)
-	return srv, mgr, fw, serverStore
+	return srv, n.Replay, n.Store
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -168,7 +167,7 @@ func TestReplayE2EGolden(t *testing.T) {
 	source := traceStore(t)
 
 	// Live side first, so the source trace is pristine when serialized.
-	srv, mgr, _, serverStore := liveTarget(t, source, instantClock{})
+	srv, mgr, serverStore := liveTarget(t, source, instantClock{})
 	resp, body := postJSON(t, srv.URL+"/v1/replay", goldenWindow)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("start replay: status %d: %s", resp.StatusCode, body)
@@ -184,7 +183,9 @@ func TestReplayE2EGolden(t *testing.T) {
 	}
 
 	// Offline reference on the same trace, fresh model registry.
-	fw, err := core.New(frameworkConfig(t), fetch.StoreBackend{Store: source})
+	cfg := core.DefaultConfig()
+	cfg.Alpha, cfg.Beta, cfg.ModelDir = goldenAlpha, goldenBeta, t.TempDir()
+	fw, err := core.New(cfg, fetch.StoreBackend{Store: source})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestReplayE2EGolden(t *testing.T) {
 // conflicts answer 409 through the HTTP surface.
 func TestReplayE2EPauseResume(t *testing.T) {
 	source := traceStore(t)
-	srv, mgr, _, serverStore := liveTarget(t, source, clock.Wall{})
+	srv, mgr, serverStore := liveTarget(t, source, clock.Wall{})
 
 	warmup, _ := source.ExecutedPage(time.Time{}, goldenWindow.Start, store.Pos{}, 0)
 	expected, _ := source.ExecutedPage(time.Time{}, goldenWindow.End, store.Pos{}, 0)

@@ -28,6 +28,7 @@ import (
 	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/metrics"
+	"mcbound/internal/online"
 	"mcbound/internal/simulate"
 	"mcbound/internal/store"
 )
@@ -69,12 +70,13 @@ type Options struct {
 	// Source is the historical trace the replay reads from. Required.
 	Source *store.Store
 
-	// Client issues the replay's HTTP traffic. Usually left nil and
-	// wired via SetTarget once the API handler exists.
-	Client Doer
+	// Client issues the replay's HTTP traffic (required): a socket
+	// client for a remote target, one over an in-memory transport
+	// (node.Transport) for the node's own handler.
+	Client *http.Client
 
-	// BaseURL prefixes request paths ("" for an in-process
-	// HandlerClient, "http://host:port" for a remote target).
+	// BaseURL prefixes request paths: "http://host:port" of the target,
+	// the host being the one the in-memory transport routes by.
 	BaseURL string
 
 	// Truth returns the ground-truth label for a replayed job, used to
@@ -86,10 +88,6 @@ type Options struct {
 	// timers fire at once runs the schedule as fast as the target
 	// absorbs it.
 	Clock clock.Clock
-
-	// Beta overrides the β retraining period in days; 0 queries the
-	// target's GET /v1/model.
-	Beta int
 
 	// Log receives progress lines; nil discards them.
 	Log *log.Logger
@@ -155,16 +153,6 @@ func NewManager(opts Options) *Manager {
 		opts.Clock = clock.Wall{}
 	}
 	return &Manager{opts: opts, state: StateIdle}
-}
-
-// SetTarget points the manager at an in-process API handler. No-op if
-// an explicit Client was configured.
-func (m *Manager) SetTarget(h http.Handler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.opts.Client == nil {
-		m.opts.Client = &HandlerClient{Handler: h}
-	}
 }
 
 // Start launches a replay job. It fails with ErrConflict while another
@@ -336,8 +324,9 @@ func (m *Manager) run(ctx context.Context, cfg Config) {
 	}
 }
 
-// drive replays [cfg.Start, cfg.End) against the live API, mirroring
-// simulate.Replay.Run step for step so both produce the same timeline:
+// drive replays [cfg.Start, cfg.End) against the live API over the
+// triggers of online.Schedule — the ones simulate.Replay.Run walks, so
+// both produce the same timeline:
 //
 //  1. warm-up — stream-insert every trace record that executed before
 //     Start (the α-window history a deployed system would already hold);
@@ -347,19 +336,16 @@ func (m *Manager) run(ctx context.Context, cfg Config) {
 //     window at ×Speed, stream-insert the records that completed during
 //     the window, and retrain at the window boundary (the cron job).
 func (m *Manager) drive(ctx context.Context, cfg Config) error {
-	beta := m.opts.Beta
-	if beta <= 0 {
-		var err error
-		if beta, err = m.fetchBeta(ctx); err != nil {
-			return err
-		}
+	params, err := m.fetchParams(ctx)
+	if err != nil {
+		return err
 	}
-	total := 0
-	for now := cfg.Start; now.Before(cfg.End); now = now.AddDate(0, 0, beta) {
-		total++
+	triggers, err := online.Schedule(params, cfg.Start, cfg.End)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 	m.mu.Lock()
-	m.windowsTotal = total
+	m.windowsTotal = len(triggers)
 	m.mu.Unlock()
 
 	history, _ := m.opts.Source.ExecutedPage(time.Time{}, cfg.Start, store.Pos{}, 0)
@@ -371,15 +357,11 @@ func (m *Manager) drive(ctx context.Context, cfg Config) error {
 		return err
 	}
 
-	lastEnd := cfg.Start
-	for now := cfg.Start; now.Before(cfg.End); now = now.AddDate(0, 0, beta) {
+	for _, tr := range triggers {
 		if err := m.checkpoint(ctx); err != nil {
 			return err
 		}
-		windowEnd := now.AddDate(0, 0, beta)
-		if windowEnd.After(cfg.End) {
-			windowEnd = cfg.End
-		}
+		now, windowEnd := tr.InferStart, tr.InferEnd
 		if err := m.infer(ctx, now, windowEnd); err != nil {
 			return err
 		}
@@ -388,11 +370,10 @@ func (m *Manager) drive(ctx context.Context, cfg Config) error {
 		}
 		// The window has elapsed: its completed jobs become history the
 		// next training window may draw on.
-		completed, _ := m.opts.Source.ExecutedPage(lastEnd, windowEnd, store.Pos{}, 0)
+		completed, _ := m.opts.Source.ExecutedPage(now, windowEnd, store.Pos{}, 0)
 		if err := m.streamInsert(ctx, completed); err != nil {
 			return fmt.Errorf("replay: window insert at %v: %w", windowEnd, err)
 		}
-		lastEnd = windowEnd
 		m.mu.Lock()
 		m.simClock = windowEnd
 		m.mu.Unlock()
@@ -494,21 +475,13 @@ func (m *Manager) infer(ctx context.Context, now, windowEnd time.Time) error {
 
 // train triggers the Training Workflow at the simulated instant now.
 func (m *Manager) train(ctx context.Context, now time.Time) error {
-	body, _ := json.Marshal(map[string]string{"now": now.UTC().Format(time.RFC3339)})
-	resp, err := m.do(ctx, http.MethodPost, "/v1/train", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("replay: training at %v: %w", now, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replay: training at %v: %w", now, httpError(resp))
-	}
 	var rep struct {
 		LabeledJobs  int `json:"labeled_jobs"`
 		ModelVersion int `json:"model_version"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return fmt.Errorf("replay: training response at %v: %w", now, err)
+	in := map[string]string{"now": now.UTC().Format(time.RFC3339)}
+	if err := m.callJSON(ctx, http.MethodPost, "/v1/train", in, &rep); err != nil {
+		return fmt.Errorf("replay: training at %v: %w", now, err)
 	}
 	m.mu.Lock()
 	m.trains++
@@ -522,24 +495,9 @@ func (m *Manager) train(ctx context.Context, now time.Time) error {
 }
 
 // classify posts one window's job records to POST /v1/classify.
-func (m *Manager) classify(ctx context.Context, jobs []*job.Job) ([]predBody, error) {
-	body, err := json.Marshal(jobs)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.do(ctx, http.MethodPost, "/v1/classify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
-	}
-	var preds []predBody
-	if err := json.NewDecoder(resp.Body).Decode(&preds); err != nil {
-		return nil, fmt.Errorf("bad classify response: %w", err)
-	}
-	return preds, nil
+func (m *Manager) classify(ctx context.Context, jobs []*job.Job) (preds []predBody, err error) {
+	err = m.callJSON(ctx, http.MethodPost, "/v1/classify", jobs, &preds)
+	return preds, err
 }
 
 type predBody struct {
@@ -619,26 +577,41 @@ func (m *Manager) streamChunk(ctx context.Context, jobs []*job.Job) error {
 	return nil
 }
 
-// fetchBeta reads the retraining period from the target's model info.
-func (m *Manager) fetchBeta(ctx context.Context) (int, error) {
-	resp, err := m.do(ctx, http.MethodGet, "/v1/model", "", nil)
+// fetchParams reads the (α, β) schedule from the target's model info.
+func (m *Manager) fetchParams(ctx context.Context) (online.Params, error) {
+	var info struct {
+		AlphaDays int `json:"alpha_days"`
+		BetaDays  int `json:"beta_days"`
+	}
+	if err := m.callJSON(ctx, http.MethodGet, "/v1/model", nil, &info); err != nil {
+		return online.Params{}, fmt.Errorf("replay: fetch model info: %w", err)
+	}
+	return online.Params{Alpha: info.AlphaDays, Beta: info.BetaDays}, nil
+}
+
+// callJSON issues one JSON request and decodes the target's 200 answer
+// into out; any other status comes back as the target's typed error.
+func (m *Manager) callJSON(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	resp, err := m.do(ctx, method, path, "application/json", body)
 	if err != nil {
-		return 0, fmt.Errorf("replay: fetch model info: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("replay: fetch model info: %w", httpError(resp))
+		return httpError(resp)
 	}
-	var info struct {
-		BetaDays int `json:"beta_days"`
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("bad response: %w", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return 0, fmt.Errorf("replay: bad model info: %w", err)
-	}
-	if info.BetaDays <= 0 {
-		return 0, fmt.Errorf("replay: target reports non-positive beta %d", info.BetaDays)
-	}
-	return info.BetaDays, nil
+	return nil
 }
 
 // do issues one replay request, tagged with the replay client ID so
@@ -652,10 +625,7 @@ func (m *Manager) do(ctx context.Context, method, path, contentType string, body
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	m.mu.Lock()
-	client := m.opts.Client
-	m.mu.Unlock()
-	return client.Do(req)
+	return m.opts.Client.Do(req)
 }
 
 // httpError turns a non-2xx response into an error carrying the

@@ -19,6 +19,7 @@ import (
 
 	"mcbound/internal/core"
 	"mcbound/internal/metrics"
+	"mcbound/internal/online"
 )
 
 // EventKind tags a timeline entry.
@@ -120,10 +121,11 @@ func (r *Replay) Run(ctx context.Context, start, end time.Time) (*Timeline, erro
 	if r.Framework == nil {
 		return nil, fmt.Errorf("simulate: nil framework")
 	}
-	if !end.After(start) {
-		return nil, fmt.Errorf("simulate: end %v not after start %v", end, start)
+	cfg := r.Framework.Config()
+	triggers, err := online.Schedule(online.Params{Alpha: cfg.Alpha, Beta: cfg.Beta}, start, end)
+	if err != nil {
+		return nil, fmt.Errorf("simulate: %w", err)
 	}
-	beta := r.Framework.Config().Beta
 	tl := &Timeline{}
 
 	train := func(now time.Time) error {
@@ -147,14 +149,11 @@ func (r *Replay) Run(ctx context.Context, start, end time.Time) (*Timeline, erro
 		return nil, err
 	}
 
-	for now := start; now.Before(end); now = now.AddDate(0, 0, beta) {
+	for _, tr := range triggers {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("simulate: replay canceled: %w", err)
 		}
-		windowEnd := now.AddDate(0, 0, beta)
-		if windowEnd.After(end) {
-			windowEnd = end
-		}
+		now, windowEnd := tr.InferStart, tr.InferEnd
 		// Fetch the window's submissions once so predictions can later be
 		// reconciled index-for-index against their Roofline ground truth.
 		jobs, err := r.Framework.Fetcher().FetchSubmitted(ctx, now, windowEnd)

@@ -29,6 +29,14 @@ type DurableOptions struct {
 	BumpEpoch bool
 }
 
+// walOptions is the part of o the log itself takes.
+func (o DurableOptions) walOptions() wal.Options {
+	return wal.Options{
+		SegmentBytes: o.SegmentBytes, Policy: o.Policy, Interval: o.Interval,
+		FS: o.FS, AppendObserver: o.AppendObserver, BumpEpoch: o.BumpEpoch,
+	}
+}
+
 // Durable wraps a Store with a write-ahead log: Insert returns only
 // after the records reached the configured durability point, and
 // OpenDurable rebuilds the exact acknowledged state from the latest
@@ -53,6 +61,17 @@ type Durable struct {
 	lastSnapErr atomic.Value // string
 }
 
+// ApplyRecord decodes one logged record payload and inserts it: the one
+// apply step of crash recovery, a read-only warm start and a follower's
+// replication stream, so replay order ≡ apply order on all three.
+func (s *Store) ApplyRecord(payload []byte) error {
+	var j job.Job
+	if err := job.Unmarshal(payload, &j); err != nil {
+		return fmt.Errorf("store: replay record: %w", err)
+	}
+	return s.Insert(&j)
+}
+
 // OpenDurable replays the durable state under dir into a fresh Store
 // and returns the write-through handle. When the directory holds no
 // state yet and seed is non-empty, the seed becomes the initial
@@ -61,20 +80,7 @@ type Durable struct {
 // caller can inspect Recovery().Failure and serve degraded.
 func OpenDurable(dir string, seed *Store, opts DurableOptions) (*Durable, error) {
 	s := New()
-	w, rec, err := wal.Open(dir, wal.Options{
-		SegmentBytes:   opts.SegmentBytes,
-		Policy:         opts.Policy,
-		Interval:       opts.Interval,
-		FS:             opts.FS,
-		AppendObserver: opts.AppendObserver,
-		BumpEpoch:      opts.BumpEpoch,
-	}, func(payload []byte) error {
-		var j job.Job
-		if err := job.Unmarshal(payload, &j); err != nil {
-			return fmt.Errorf("store: replay record: %w", err)
-		}
-		return s.Insert(&j)
-	})
+	w, rec, err := wal.Open(dir, opts.walOptions(), s.ApplyRecord)
 	if err != nil {
 		return nil, err
 	}
@@ -208,14 +214,7 @@ func (d *Durable) Snapshot() error {
 // in-memory state. The promotion path uses it to turn a follower's store
 // into a durable leader store after WriteEpoch fenced the old leader.
 func AttachDurable(dir string, st *Store, baseSeq uint64, opts DurableOptions) (*Durable, error) {
-	w, rec, err := wal.Open(dir, wal.Options{
-		SegmentBytes:   opts.SegmentBytes,
-		Policy:         opts.Policy,
-		Interval:       opts.Interval,
-		FS:             opts.FS,
-		AppendObserver: opts.AppendObserver,
-		BumpEpoch:      opts.BumpEpoch,
-	}, nil)
+	w, rec, err := wal.Open(dir, opts.walOptions(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -242,13 +241,7 @@ func AttachDurable(dir string, st *Store, baseSeq uint64, opts DurableOptions) (
 // does not own.
 func LoadReadOnly(dir string, fsys wal.FS) (*Store, wal.Recovery, error) {
 	s := New()
-	w, rec, err := wal.Open(dir, wal.Options{FS: fsys, ReadOnly: true}, func(payload []byte) error {
-		var j job.Job
-		if err := job.Unmarshal(payload, &j); err != nil {
-			return fmt.Errorf("store: replay record: %w", err)
-		}
-		return s.Insert(&j)
-	})
+	w, rec, err := wal.Open(dir, wal.Options{FS: fsys, ReadOnly: true}, s.ApplyRecord)
 	if err != nil {
 		return nil, rec, err
 	}
