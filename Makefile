@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalJob$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzAppendPrediction$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=^FuzzSqDistInt8$$ -fuzztime=$(FUZZTIME) ./internal/linalg
+	$(GO) test -run=^$$ -fuzz=^FuzzDotInt8Rows$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzSqEuclidean$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzSqEuclideanRows$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 

@@ -82,6 +82,47 @@ func FuzzSqDistInt8(f *testing.F) {
 	})
 }
 
+// FuzzDotInt8Rows cuts the bytes into a query of dim values — each one
+// byte as a code or, where wide is odd, two as any int16, which reaches
+// the wrapping sums — and as many whole rows as the rest holds.
+func FuzzDotInt8Rows(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{127, 0x80, 0x80, 127}, uint8(0), uint8(2), uint8(0))
+	f.Add([]byte("0123456789abcdef0123456789ABCDEF0123456789abcdef+"), uint8(1), uint8(16), uint8(0))
+	f.Add([]byte("0123456789abcdef0123456789ABCDEF0123456789abcdefgh"), uint8(0), uint8(8), uint8(1))
+	extreme := make([]byte, 4*49+3)
+	for i := range extreme {
+		extreme[i] = 0x80
+		if i%3 == 0 {
+			extreme[i] = 127
+		}
+	}
+	f.Add(extreme, uint8(3), uint8(49), uint8(0))
+	f.Add(extreme, uint8(2), uint8(33), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, off, dim8, wide uint8) {
+		o := int(off) % (len(data) + 1)
+		data, codes := data[o:], fuzzInt8s(data)[o:]
+		dim, width := int(dim8), 1+int(wide%2)
+		if dim*width > len(data) {
+			dim = len(data) / width
+		}
+		q := make([]int16, o%4+dim)[o%4:]
+		for i := range q {
+			if width == 2 {
+				q[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
+			} else {
+				q[i] = int16(codes[i])
+			}
+		}
+		var rows []int8 // a matrix of no columns has no codes
+		if dim > 0 {
+			rows = codes[dim*width:]
+			rows = rows[:len(rows)/dim*dim]
+		}
+		checkDotRows(t, q, rows)
+	})
+}
+
 func FuzzSqEuclidean(f *testing.F) {
 	for i, s := range floatSeeds() {
 		f.Add(s, uint8(i))

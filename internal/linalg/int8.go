@@ -57,6 +57,13 @@ func QuantizeInt8(dst []int8, src []float32, scale float32) {
 // code vectors in integer arithmetic. Multiplying by scale² recovers an
 // approximation of the float32 squared distance. It panics if lengths
 // differ.
+//
+// Nothing in the program scans with it any more: the IVF index measures
+// a whole cell with DotInt8Rows and keeps this one as the definition its
+// tests recompute every scanned distance against. It stays exported and
+// vectorised only because benchmark/lab.go times it
+// (linalg.sqdist_int8_ns); once the benchmark times the rows kernel
+// instead (ROADMAP item 4) its assembly can go.
 func SqDistInt8(a, b []int8) int64 {
 	if len(a) != len(b) {
 		panic("linalg: vector length mismatch")
@@ -81,6 +88,50 @@ func sqDistInt8Generic(a, b []int8) int64 {
 	if i < n {
 		d := int32(a[i]) - int32(b[i])
 		s0 += int64(d * d)
+	}
+	return s0 + s1
+}
+
+// DotInt8Rows writes the dot product of q with each row of the
+// contiguous row-major code matrix rows (len(out) rows of len(q) codes)
+// into out. q is a code vector widened once to int16 so that a scan of
+// many rows sign-extends only the rows. With Σq² and a stored Σx² per
+// row it gives the squared distance of SqDistInt8 without a
+// subtraction per component: Σ(q−x)² = Σq² + Σx² − 2·Σq·x, an identity
+// of integers, so exact — the same int64, not an approximation of it.
+//
+// Sums are int32 and wrap like Go's. They cannot when q holds widened
+// int8 codes and len(q) ≤ 65 536 (the index's maxDim): codes lie in
+// [−128, 127], so a product is at most 128·128 = 2¹⁴ in magnitude and
+// a whole row's, or any subset's, at most 2¹⁶·2¹⁴ = 2³⁰ < 2³¹. It panics
+// if len(rows) != len(out)*len(q).
+func DotInt8Rows(q []int16, rows []int8, out []int32) {
+	if len(rows) != len(out)*len(q) {
+		panic("linalg: matrix shape mismatch")
+	}
+	dotInt8Rows(q, rows, out)
+}
+
+// dotInt8RowsGeneric is the reference kernel.
+func dotInt8RowsGeneric(q []int16, rows []int8, out []int32) {
+	dim := len(q)
+	for r := range out {
+		out[r] = dotInt8(q, rows[r*dim:(r+1)*dim])
+	}
+}
+
+// dotInt8 is one row of the reference, and the tail handler of the
+// vector kernel (wrapping integer sums are exact in any order).
+func dotInt8(q []int16, x []int8) int32 {
+	x = x[:len(q)]
+	var s0, s1 int32
+	i := 0
+	for ; i+2 <= len(q); i += 2 {
+		s0 += int32(q[i]) * int32(x[i])
+		s1 += int32(q[i+1]) * int32(x[i+1])
+	}
+	if i < len(q) {
+		s0 += int32(q[i]) * int32(x[i])
 	}
 	return s0 + s1
 }

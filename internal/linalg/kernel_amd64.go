@@ -81,6 +81,22 @@ func sqEuclideanRows(q, mat []float32, out []float64) {
 	sqEuclideanRowsEach(q, mat[rows*dim:], out[rows:])
 }
 
+func dotInt8Rows(q []int16, rows []int8, out []int32) {
+	dim := len(q)
+	done := dim &^ 15
+	if !haveAVX2 || done == 0 {
+		dotInt8RowsGeneric(q, rows, out)
+		return
+	}
+	dotInt8RowsAVX2(q[:done], rows, dim, out)
+	if done == dim {
+		return
+	}
+	for r := range out {
+		out[r] += dotInt8(q[done:], rows[r*dim+done:(r+1)*dim])
+	}
+}
+
 // sqDistInt8AVX2 returns Σ(a[i]-b[i])² over the first len(a)&^15
 // elements; len(a) ≤ int8Block, len(b) ≥ len(a).
 //
@@ -99,6 +115,14 @@ func sqEuclideanAVX2(a, b []float32) (s0, s1 float64)
 //
 //go:noescape
 func sqEuclideanRows4AVX2(q, mat []float32, out []float64)
+
+// dotInt8RowsAVX2 writes into out[r] the dot product of q with the
+// first len(q) codes of the row that starts at rows[r*stride]; len(q) is
+// a positive multiple of 16 and at most stride, and rows holds
+// len(out)*stride codes.
+//
+//go:noescape
+func dotInt8RowsAVX2(q []int16, rows []int8, stride int, out []int32)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -61,6 +61,77 @@ int8sum:
 	VZEROUPPER
 	RET
 
+// func dotInt8RowsAVX2(q []int16, rows []int8, stride int, out []int32)
+//
+// Thirty-two codes at a time: sign-extend the row to int16, VPMADDWD it
+// against the query — already int16, so a memory operand — into int32
+// lanes of adjacent pairs q·x+q'·x', add. Six instructions and two
+// port-5 shuffles where sqDistInt8AVX2 spends ten and four on the same
+// codes: the query is never widened here and nothing is subtracted. Two
+// accumulators take the two halves of a step; the rows are walked here,
+// not by the caller, so a cell of the index is one call. Lane sums wrap
+// like the reference's int32 (DotInt8Rows states when they cannot).
+// Every row load is a 16-byte VPMOVSXBW inside the first len(q) codes of
+// its row, every query load 32 bytes inside q.
+TEXT ·dotInt8RowsAVX2(SB), NOSPLIT, $0-80
+	MOVQ q_base+0(FP), R8
+	MOVQ q_len+8(FP), R9
+	MOVQ rows_base+24(FP), SI
+	MOVQ stride+48(FP), R11
+	MOVQ out_base+56(FP), DI
+	MOVQ out_len+64(FP), R10
+	SUBQ R9, R11                 // from the end of one row's codes to the next row
+	MOVQ R9, R12
+	SHRQ $5, R12                 // 32-code steps per row
+	TESTQ R10, R10
+	JZ   dotdone
+
+dotrow:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	MOVQ  R8, BX
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    dottail
+
+dotstep:
+	VPMOVSXBW (SI), Y2
+	VPMOVSXBW 16(SI), Y3
+	VPMADDWD  (BX), Y2, Y2
+	VPMADDWD  32(BX), Y3, Y3
+	VPADDD    Y2, Y0, Y0
+	VPADDD    Y3, Y1, Y1
+	ADDQ      $32, SI
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       dotstep
+
+dottail:
+	TESTQ     $16, R9
+	JZ        dotsum
+	VPMOVSXBW (SI), Y2
+	VPMADDWD  (BX), Y2, Y2
+	VPADDD    Y2, Y0, Y0
+	ADDQ      $16, SI
+
+dotsum:
+	VPADDD       Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, (DI)
+	ADDQ         R11, SI
+	ADDQ         $4, DI
+	DECQ         R10
+	JNZ          dotrow
+
+dotdone:
+	VZEROUPPER
+	RET
+
 // func sqEuclideanAVX2(a, b []float32) (s0, s1 float64)
 //
 // Four components per step: widen to float64, subtract and square all

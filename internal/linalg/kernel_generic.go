@@ -11,3 +11,5 @@ func sqDistInt8(a, b []int8) int64 { return sqDistInt8Generic(a, b) }
 func sqEuclidean(a, b []float32) float64 { return sqEuclideanFrom(a, b, 0, 0) }
 
 func sqEuclideanRows(q, mat []float32, out []float64) { sqEuclideanRowsEach(q, mat, out) }
+
+func dotInt8Rows(q []int16, rows []int8, out []int32) { dotInt8RowsGeneric(q, rows, out) }

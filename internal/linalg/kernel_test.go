@@ -10,9 +10,9 @@ import (
 
 // The tests in this file compare the exported distance kernels — the
 // AVX2 backend where Kernel() says "avx2" — against the Go reference
-// (sqDistInt8Generic, sqEuclideanFrom) on the same inputs. Under
-// -tags purego, off amd64 or on a CPU without AVX2 both sides are the
-// reference and the tests check only the Rows bookkeeping.
+// (sqDistInt8Generic, dotInt8RowsGeneric, sqEuclideanFrom) on the same
+// inputs. Under -tags purego, off amd64 or on a CPU without AVX2 both
+// sides are the reference and the tests check only the Rows bookkeeping.
 
 func TestKernelName(t *testing.T) {
 	k := Kernel()
@@ -29,6 +29,55 @@ func randInt8s(rng *stats.RNG, n int) []int8 {
 	}
 	return v
 }
+
+// widen is the query side of DotInt8Rows: int8 codes as int16.
+func widen(codes []int8) []int16 {
+	w := make([]int16, len(codes))
+	for i, c := range codes {
+		w[i] = int16(c)
+	}
+	return w
+}
+
+// checkDotRows compares DotInt8Rows over len(rows)/len(q) rows against
+// the reference and, where the sums cannot wrap (q holds codes, the rows
+// are no longer than maxExactDotDim), against the identity the index
+// scans by: Σq² + Σx² − 2·dot is SqDistInt8 of the same pair.
+func checkDotRows(t testing.TB, q []int16, rows []int8) {
+	t.Helper()
+	dim, n := len(q), 0
+	if dim > 0 {
+		n = len(rows) / dim
+	}
+	got, want := make([]int32, n), make([]int32, n)
+	DotInt8Rows(q, rows, got)
+	dotInt8RowsGeneric(q, rows, want)
+	qq, qn, exact := make([]int8, dim), int64(0), dim <= maxExactDotDim
+	for i, v := range q {
+		qq[i] = int8(v)
+		qn += int64(v) * int64(v)
+		exact = exact && int16(qq[i]) == v
+	}
+	for r := range want {
+		if got[r] != want[r] {
+			t.Fatalf("DotInt8Rows %dx%d row %d: %d, reference %d", n, dim, r, got[r], want[r])
+		}
+		if !exact {
+			continue
+		}
+		row, xn := rows[r*dim:(r+1)*dim], int64(0)
+		for _, c := range row {
+			xn += int64(c) * int64(c)
+		}
+		if d, sq := qn+xn-2*int64(got[r]), sqDistInt8Generic(qq, row); d != sq {
+			t.Fatalf("DotInt8Rows %dx%d row %d: expanded distance %d, SqDistInt8 %d", n, dim, r, d, sq)
+		}
+	}
+}
+
+// maxExactDotDim is the longest row whose dot product cannot wrap
+// (ivf's maxDim; see DotInt8Rows).
+const maxExactDotDim = 1 << 16
 
 // randFloat32s draws components of mixed magnitude so sums round.
 func randFloat32s(rng *stats.RNG, n int) []float32 {
@@ -84,6 +133,9 @@ func TestKernelsEveryLength(t *testing.T) {
 			t.Fatalf("SqDistInt8 len %d: %d, reference %d", n, got, want)
 		}
 		checkFloatKernels(t, randFloat32s(rng, n), randFloat32s(rng, n), 1+n%9)
+		for rows := 0; rows <= 9; rows++ {
+			checkDotRows(t, widen(randInt8s(rng, n)), randInt8s(rng, rows*n))
+		}
 	}
 }
 
@@ -98,6 +150,7 @@ func TestKernelsUnalignedSubSlices(t *testing.T) {
 			t.Fatalf("SqDistInt8 unaligned len %d: %d, reference %d", n, got, want)
 		}
 		checkFloatKernels(t, randFloat32s(rng, n+1)[1:], randFloat32s(rng, n+3)[3:], 5)
+		checkDotRows(t, widen(randInt8s(rng, n+1))[1:], randInt8s(rng, 5*n+3)[3:])
 	}
 }
 
@@ -123,6 +176,62 @@ func TestSqDistInt8ExtremeCodes(t *testing.T) {
 		if got, want := SqDistInt8(a, b), int64(n)*255*255; got != want {
 			t.Fatalf("len %d all extreme: %d, want %d", n, got, want)
 		}
+	}
+}
+
+// TestDotInt8RowsExtremeCodes puts each of the four extreme products at
+// every position of a row between ordinary rows, around the step sizes,
+// and fills whole rows with them.
+func TestDotInt8RowsExtremeCodes(t *testing.T) {
+	rng := stats.NewRNG(9)
+	pairs := [][2]int8{{127, 127}, {127, -128}, {-128, 127}, {-128, -128}}
+	for _, n := range []int{1, 15, 16, 17, 31, 32, 33, 48, 384, 385} {
+		for _, pr := range pairs {
+			for pos := 0; pos < n; pos++ {
+				q, rows := make([]int8, n), randInt8s(rng, 3*n)
+				q[pos] = pr[0]
+				row := rows[n : 2*n]
+				clear(row)
+				row[pos] = pr[1]
+				out := make([]int32, 3)
+				DotInt8Rows(widen(q), rows, out)
+				if want := int32(pr[0]) * int32(pr[1]); out[1] != want {
+					t.Fatalf("len %d pos %d codes %v: %d, want %d", n, pos, pr, out[1], want)
+				}
+				checkDotRows(t, widen(q), rows)
+			}
+			q, rows := make([]int8, n), make([]int8, 2*n)
+			for i := range q {
+				q[i], rows[i], rows[n+i] = pr[0], pr[1], -pr[1]-1
+			}
+			checkDotRows(t, widen(q), rows)
+		}
+	}
+}
+
+// TestDotInt8RowsAtMaxDim is the overflow bound of DotInt8Rows at its
+// edge: rows of 65 536 codes, all −128 or all 127, against queries of
+// the same. The largest sum, (−128)² · 2¹⁶ = 2³⁰, fits an int32 and so
+// does every accumulator lane on the way.
+func TestDotInt8RowsAtMaxDim(t *testing.T) {
+	const dim = maxExactDotDim
+	fill := func(c int8) []int8 {
+		v := make([]int8, dim)
+		for i := range v {
+			v[i] = c
+		}
+		return v
+	}
+	rows := append(fill(-128), fill(127)...)
+	for _, qc := range []int8{-128, 127} {
+		out := make([]int32, 2)
+		DotInt8Rows(widen(fill(qc)), rows, out)
+		for r, xc := range []int8{-128, 127} {
+			if want := int64(qc) * int64(xc) * dim; int64(out[r]) != want {
+				t.Fatalf("query %d row %d: %d, want %d", qc, xc, out[r], want)
+			}
+		}
+		checkDotRows(t, widen(fill(qc)), rows)
 	}
 }
 
@@ -199,6 +308,8 @@ func TestKernelLengthPanics(t *testing.T) {
 	const shape = "linalg: matrix shape mismatch"
 	mustPanicWith(t, shape, func() { SqEuclideanRows(make([]float32, 4), make([]float32, 15), make([]float64, 4)) })
 	mustPanicWith(t, shape, func() { SqEuclideanRows(make([]float32, 4), make([]float32, 16), make([]float64, 3)) })
+	mustPanicWith(t, shape, func() { DotInt8Rows(make([]int16, 16), make([]int8, 63), make([]int32, 4)) })
+	mustPanicWith(t, shape, func() { DotInt8Rows(make([]int16, 16), make([]int8, 64), make([]int32, 3)) })
 }
 
 func TestKernelsDoNotAllocate(t *testing.T) {
@@ -206,10 +317,12 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	qa, qb := randInt8s(rng, 384), randInt8s(rng, 384)
 	a, b := randFloat32s(rng, 384), randFloat32s(rng, 384)
 	mat, out := randFloat32s(rng, 142*384), make([]float64, 142)
+	qw, cell, dots := widen(qa), randInt8s(rng, 36*384), make([]int32, 36)
 	if n := testing.AllocsPerRun(100, func() {
 		sinkI += SqDistInt8(qa, qb)
 		sinkF += SqEuclidean(a, b)
 		SqEuclideanRows(a, mat, out)
+		DotInt8Rows(qw, cell, dots)
 	}); n != 0 {
 		t.Fatalf("distance kernels allocate %v times per call", n)
 	}
@@ -221,8 +334,9 @@ var (
 )
 
 // The benchmarks run at the serving shape (384-dim rows, the 142-cell
-// centroid table of qsub_knn_s30). "/asm" is the exported kernel, skipped
-// where it is the reference anyway; "/generic" is the reference.
+// centroid table and a 36-row mean cell of qsub_knn_s30). "/asm" is the
+// exported kernel, skipped where it is the reference anyway; "/generic"
+// is the reference.
 func benchBackends(b *testing.B, asm, generic func()) {
 	b.Run("asm", func(b *testing.B) {
 		if Kernel() == "generic" {
@@ -246,6 +360,17 @@ func BenchmarkSqDistInt8(b *testing.B) {
 		benchBackends(b,
 			func() { sinkI += SqDistInt8(x, y) },
 			func() { sinkI += sqDistInt8Generic(x, y) })
+	})
+}
+
+func BenchmarkDotInt8Rows(b *testing.B) {
+	const rows, dim = 36, 384
+	rng := stats.NewRNG(10)
+	q, cell, out := widen(randInt8s(rng, dim)), randInt8s(rng, rows*dim), make([]int32, rows)
+	b.Run(fmt.Sprintf("%dx%d", rows, dim), func(b *testing.B) {
+		benchBackends(b,
+			func() { DotInt8Rows(q, cell, out) },
+			func() { dotInt8RowsGeneric(q, cell, out) })
 	})
 }
 

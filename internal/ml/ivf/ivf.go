@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -81,14 +82,21 @@ type Stats struct {
 
 // Index is an immutable IVF index over a matrix. Safe for concurrent
 // Search; the only mutable knob is the atomic nprobe.
+//
+// The codes are cell-major: position p holds the code of row member[p],
+// so the scan of cell c reads the one contiguous block
+// codes[starts[c]*dim : starts[c+1]*dim] front to back and looks at
+// member only for the id of a candidate it keeps. (On disk they stay in
+// row order; AppendBinary and Load translate.)
 type Index struct {
 	dim    int
 	n      int
 	scale  float32   // symmetric int8 quantization scale (maxabs/127)
 	cents  []float32 // nclusters*dim centroid matrix
-	starts []int32   // per cluster: offset into members (len nclusters+1)
-	member []int32   // row ids grouped by cluster
-	codes  []int8    // n*dim quantized rows, original row order
+	starts []int32   // per cluster: offset into member, codes and norms (len nclusters+1)
+	member []int32   // position → row id, grouped by cluster
+	codes  []int8    // n*dim quantized rows, in member order
+	norms  []int32   // per position: Σ code² (derived, never serialized)
 	data   []float32 // n*dim original rows (shared with the caller)
 
 	nprobe atomic.Int32
@@ -104,6 +112,8 @@ type Index struct {
 
 type searchBuf struct {
 	qq    []int8        // quantized query
+	qw    []int16       // qq widened, the form DotInt8Rows takes
+	dots  []int32       // q·x of one cell's rows
 	cdist []float64     // centroid distances
 	probe []clusterDist // the nprobe nearest cells, nearest first
 	cand  []quantCand   // bounded top-R quantized candidates
@@ -123,8 +133,10 @@ type quantCand struct {
 // The data slice is retained for exact re-ranking and must not be
 // mutated afterwards. Build fails only on malformed arguments.
 func Build(data []float32, dim int, cfg Config) (*Index, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("ivf: dim must be positive, got %d", dim)
+	if dim <= 0 || dim > maxDim {
+		// Load refuses a wider index, and the int32 sums of the scan
+		// (norms, linalg.DotInt8Rows) are exact up to maxDim.
+		return nil, fmt.Errorf("ivf: dim must be in [1, %d], got %d", maxDim, dim)
 	}
 	if len(data) == 0 || len(data)%dim != 0 {
 		return nil, fmt.Errorf("ivf: data length %d is not a positive multiple of dim %d", len(data), dim)
@@ -186,15 +198,18 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 		next[nc]++
 	}
 
-	// int8 scalar quantization: one symmetric scale over the matrix.
+	// int8 scalar quantization: one symmetric scale over the matrix,
+	// each row quantized straight into its cell-major slot.
 	scale := linalg.MaxAbs32(data) / 127
 	codes := make([]int8, len(data))
-	linalg.QuantizeInt8(codes, data, scale)
+	for p, row := range member {
+		linalg.QuantizeInt8(codes[p*dim:(p+1)*dim], rowOf(data, dim, int(row)), scale)
+	}
 
 	ix := &Index{
 		dim: dim, n: n, scale: scale,
 		cents: cents, starts: starts, member: member,
-		codes: codes, data: data,
+		codes: codes, norms: codeNorms(codes, dim), data: data,
 		rerank: cfg.Rerank,
 	}
 	if ix.rerank <= 0 {
@@ -309,6 +324,20 @@ func (ix *Index) calibrateNProbe(target float64, seed uint64) int {
 		}
 	}
 	return hi
+}
+
+// codeNorms returns Σ code² of every row of dim codes, which Build and
+// Load derive rather than store: at most dim·128² ≤ 2³⁰ for dim ≤ maxDim.
+func codeNorms(codes []int8, dim int) []int32 {
+	norms := make([]int32, len(codes)/dim)
+	for p := range norms {
+		var s int32
+		for _, c := range codes[p*dim : (p+1)*dim] {
+			s += int32(c) * int32(c)
+		}
+		norms[p] = s
+	}
+	return norms
 }
 
 // row returns the i-th row of the indexed matrix.
@@ -495,6 +524,11 @@ func (ix *Index) Stats() Stats {
 // Search implements ml.VectorIndex: quantize the query, scan the nprobe
 // nearest cells over int8 codes keeping a bounded top-R pool, then
 // re-rank the pool with exact float32 distances and return the top k.
+//
+// The scan measures a cell in one pass: linalg.DotInt8Rows over its
+// contiguous codes, then per row Σq² + Σx² − 2·q·x with the stored norm
+// — integer for integer the Σ(q−x)² of linalg.SqDistInt8, so the pool,
+// its order and everything after it are what a row-by-row scan gives.
 func (ix *Index) Search(q []float32, k int, dst []ml.Candidate) []ml.Candidate {
 	return ix.search(q, k, int(ix.nprobe.Load()), dst, true)
 }
@@ -513,7 +547,6 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 	if k > ix.n {
 		k = ix.n
 	}
-	nclusters := ix.Clusters()
 	pool := ix.rerank
 	if pool < k {
 		pool = k
@@ -521,58 +554,15 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 
 	b, _ := ix.bufs.Get().(*searchBuf)
 	if b == nil {
-		b = &searchBuf{qq: make([]int8, ix.dim), cdist: make([]float64, nclusters)}
+		b = ix.newSearchBuf()
 	}
 	defer ix.bufs.Put(b)
 
 	// Exact centroid distances, then the nprobe nearest cells.
-	if cap(b.cdist) < nclusters {
-		b.cdist = make([]float64, nclusters)
-	}
-	cdist := b.cdist[:nclusters]
-	linalg.SqEuclideanRows(q, ix.cents, cdist)
-	b.selectNearestClusters(cdist, nprobe)
-
-	// Quantized scan of the probed cells with a bounded top-pool.
-	linalg.QuantizeInt8(b.qq, q, ix.scale)
-	if cap(b.cand) < pool {
-		b.cand = make([]quantCand, 0, pool)
-	}
-	cand := b.cand[:0]
-	worst := int64(math.MaxInt64)
-	scanned, probed := 0, 0
-	// Scan budget: cells are probed nearest-centroid first, and a query
-	// landing amid oversized cells stops at 1.25× the expected nprobe
-	// population (once k candidates exist) instead of blowing the tail
-	// latency. Calibration measures recall with the budget in force.
-	budget := nprobe * ((ix.n + nclusters - 1) / nclusters) * 5 / 4
-	for _, p := range b.probe {
-		c := p.c
-		for _, id := range ix.member[ix.starts[c]:ix.starts[c+1]] {
-			d := linalg.SqDistInt8(b.qq, ix.codes[int(id)*ix.dim:(int(id)+1)*ix.dim])
-			if len(cand) == pool && d >= worst {
-				continue
-			}
-			pos := len(cand)
-			if pos < pool {
-				cand = append(cand, quantCand{})
-			} else {
-				pos--
-			}
-			for pos > 0 && cand[pos-1].dist > d {
-				cand[pos] = cand[pos-1]
-				pos--
-			}
-			cand[pos] = quantCand{dist: d, id: id}
-			worst = cand[len(cand)-1].dist
-		}
-		scanned += int(ix.starts[c+1] - ix.starts[c])
-		probed++
-		if scanned >= budget && len(cand) >= k {
-			break
-		}
-	}
-	b.cand = cand
+	linalg.SqEuclideanRows(q, ix.cents, b.cdist)
+	b.selectNearestClusters(b.cdist, nprobe)
+	probed, scanned := ix.scan(b, q, k, pool, nprobe)
+	cand := b.cand
 
 	// Exact re-rank of the pool; bounded top-k insertion into dst.
 	for _, qc := range cand {
@@ -602,6 +592,75 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 		totalReranked.Add(int64(len(cand)))
 	}
 	return dst
+}
+
+// newSearchBuf sizes one query's scratch to this index: dots holds the
+// largest cell.
+func (ix *Index) newSearchBuf() *searchBuf {
+	nclusters, largest := ix.Clusters(), int32(0)
+	for c := 0; c < nclusters; c++ {
+		largest = max(largest, ix.starts[c+1]-ix.starts[c])
+	}
+	return &searchBuf{
+		qq: make([]int8, ix.dim), qw: make([]int16, ix.dim),
+		dots: make([]int32, largest), cdist: make([]float64, nclusters),
+	}
+}
+
+// scan is the quantized pass of a search: it leaves in b.cand the pool
+// rows of the cells in b.probe nearest to q by int8 distance, nearest
+// first (ties in scan order), and returns how many cells and code rows
+// it visited.
+func (ix *Index) scan(b *searchBuf, q []float32, k, pool, nprobe int) (probed, scanned int) {
+	linalg.QuantizeInt8(b.qq, q, ix.scale)
+	var qnorm int64
+	for i, c := range b.qq {
+		b.qw[i] = int16(c)
+		qnorm += int64(c) * int64(c)
+	}
+	if cap(b.cand) < pool {
+		b.cand = make([]quantCand, 0, pool)
+	}
+	cand := b.cand[:0]
+	worst := int64(math.MaxInt64)
+	// Scan budget: cells are probed nearest-centroid first, and a query
+	// landing amid oversized cells stops at 1.25× the expected nprobe
+	// population (once k candidates exist) instead of blowing the tail
+	// latency. Calibration measures recall with the budget in force.
+	nclusters := ix.Clusters()
+	budget := nprobe * ((ix.n + nclusters - 1) / nclusters) * 5 / 4
+	for _, p := range b.probe {
+		// One cell, one pass: its codes are adjacent, its dot products
+		// one kernel call, and Σq² + Σx² − 2·q·x is Σ(q−x)² exactly.
+		lo, hi := int(ix.starts[p.c]), int(ix.starts[p.c+1])
+		dots := b.dots[:hi-lo]
+		linalg.DotInt8Rows(b.qw, ix.codes[lo*ix.dim:hi*ix.dim], dots)
+		for j, dot := range dots {
+			d := qnorm + int64(ix.norms[lo+j]) - 2*int64(dot)
+			if len(cand) == pool && d >= worst {
+				continue
+			}
+			pos := len(cand)
+			if pos < pool {
+				cand = append(cand, quantCand{})
+			} else {
+				pos--
+			}
+			for pos > 0 && cand[pos-1].dist > d {
+				cand[pos] = cand[pos-1]
+				pos--
+			}
+			cand[pos] = quantCand{dist: d, id: ix.member[lo+j]}
+			worst = cand[len(cand)-1].dist
+		}
+		scanned += hi - lo
+		probed++
+		if scanned >= budget && len(cand) >= k {
+			break
+		}
+	}
+	b.cand = cand
+	return probed, scanned
 }
 
 // selectNearestClusters fills b.probe with the nprobe smallest
@@ -653,7 +712,7 @@ const (
 //	centroids [nclusters*dim]float32
 //	starts    [nclusters+1]int32
 //	member    [n]int32
-//	codes     [n*dim]int8
+//	codes     [n*dim]int8, in row order (row 0 first, not member[0])
 func (ix *Index) AppendBinary(buf *bytes.Buffer) {
 	w := func(v any) { binary.Write(buf, binary.LittleEndian, v) }
 	w(int32(ix.Clusters()))
@@ -663,7 +722,18 @@ func (ix *Index) AppendBinary(buf *bytes.Buffer) {
 	w(ix.cents)
 	w(ix.starts)
 	w(ix.member)
-	w(ix.codes)
+	pos := make([]int32, ix.n) // row id → position, the inverse of member
+	for p, row := range ix.member {
+		pos[row] = int32(p)
+	}
+	buf.Grow(len(ix.codes))
+	raw := make([]byte, ix.dim)
+	for _, p := range pos {
+		for i, c := range ix.codes[int(p)*ix.dim : (int(p)+1)*ix.dim] {
+			raw[i] = byte(c)
+		}
+		buf.Write(raw)
+	}
 }
 
 // Load deserializes an index section written by AppendBinary, attaching
@@ -724,21 +794,33 @@ func Load(r *bytes.Reader, data []float32, dim int) (*Index, error) {
 	if err := rd(member); err != nil {
 		return nil, fmt.Errorf("%w: truncated member list", ErrCorruptIndex)
 	}
-	seen := make([]bool, n)
-	for _, id := range member {
-		if id < 0 || int(id) >= n || seen[id] {
+	pos := make([]int32, n) // row id → position, the inverse of member
+	for i := range pos {
+		pos[i] = -1
+	}
+	for p, id := range member {
+		if id < 0 || int(id) >= n || pos[id] >= 0 {
 			return nil, fmt.Errorf("%w: bad member row id %d", ErrCorruptIndex, id)
 		}
-		seen[id] = true
+		pos[id] = int32(p)
 	}
+	// The file has the codes in row order; each row goes straight to its
+	// cell-major slot, through one row of scratch.
 	codes := make([]int8, n*dim)
-	if err := rd(codes); err != nil {
-		return nil, fmt.Errorf("%w: truncated codes", ErrCorruptIndex)
+	raw := make([]byte, dim)
+	for _, p := range pos {
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return nil, fmt.Errorf("%w: truncated codes", ErrCorruptIndex)
+		}
+		slot := codes[int(p)*dim:][:dim]
+		for i, c := range raw {
+			slot[i] = int8(c)
+		}
 	}
 	ix := &Index{
 		dim: dim, n: n, scale: scale,
 		cents: cents, starts: starts, member: member,
-		codes: codes, data: data, rerank: int(rerank),
+		codes: codes, norms: codeNorms(codes, dim), data: data, rerank: int(rerank),
 	}
 	ix.nprobe.Store(nprobe)
 	return ix, nil

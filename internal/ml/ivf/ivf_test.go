@@ -3,6 +3,7 @@ package ivf
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -48,6 +49,10 @@ func TestBuildRejectsBadArgs(t *testing.T) {
 	if _, err := Build(make([]float32, 8), 0, Config{}); err == nil {
 		t.Fatal("Build with dim 0 succeeded")
 	}
+	// Load refuses such an index: built, it could be saved and never restored.
+	if _, err := Build(make([]float32, maxDim+1), maxDim+1, Config{}); err == nil {
+		t.Fatal("Build with dim over maxDim succeeded")
+	}
 }
 
 // TestSearchExactWhenFullProbe pins the exactness limit: probing every
@@ -83,15 +88,7 @@ func TestSearchExactWhenFullProbe(t *testing.T) {
 func TestSearchRecallDefaults(t *testing.T) {
 	const n, dim, k = 2000, 16, 5
 	// Clustered data: 20 well-separated centers with small jitter.
-	rng := stats.NewRNG(7)
-	centers := randMatrix(20, dim, 50, 8)
-	data := make([]float32, n*dim)
-	for i := 0; i < n; i++ {
-		c := rng.Intn(20)
-		for d := 0; d < dim; d++ {
-			data[i*dim+d] = centers[c*dim+d] + float32(rng.Norm())
-		}
-	}
+	data := clusteredMatrix(n, 20, dim, 50, 7)
 	ix, err := Build(data, dim, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +187,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ix.AppendBinary(&buf)
+	// The section's bytes as the commit before the codes went cell-major
+	// wrote them (FNV-64a, recorded there): the layout in memory is not
+	// the layout on disk.
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0x3b427954371216f1); got != want {
+		t.Fatalf("index section hashes to %#x, want %#x: the wire format moved", got, want)
+	}
 	got, err := Load(bytes.NewReader(buf.Bytes()), data, dim)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +210,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal("second marshal differs from first")
 	}
 	// And the loaded index must answer queries identically.
-	for qi := 0; qi < 20; qi++ {
+	for qi := 0; qi < 256; qi++ {
 		q := randMatrix(1, dim, 4, uint64(200+qi))
 		a := ix.Search(q, 4, nil)
 		b := got.Search(q, 4, nil)
@@ -302,11 +307,12 @@ func TestQuantizationErrorBound(t *testing.T) {
 	}
 	bound := math.Sqrt(float64(dim)) * float64(ix.scale)
 	qq := make([]int8, dim)
+	pos := positions(ix)
 	for i := 0; i < n; i++ {
 		linalg.QuantizeInt8(qq, data[i*dim:(i+1)*dim], ix.scale)
 		for j := 0; j < n; j += 7 {
 			approx := float64(ix.scale) * float64(ix.scale) *
-				float64(linalg.SqDistInt8(qq, ix.codes[j*dim:(j+1)*dim]))
+				float64(linalg.SqDistInt8(qq, ix.codes[pos[j]*dim:(pos[j]+1)*dim]))
 			exact := linalg.SqEuclidean(data[i*dim:(i+1)*dim], data[j*dim:(j+1)*dim])
 			if diff := math.Abs(math.Sqrt(approx) - math.Sqrt(exact)); diff > bound+1e-6 {
 				t.Fatalf("rows %d,%d: |√approx−√exact| = %g exceeds bound %g", i, j, diff, bound)
@@ -315,18 +321,134 @@ func TestQuantizationErrorBound(t *testing.T) {
 	}
 }
 
+// positions inverts ix.member: where in the cell-major codes and norms
+// each row of the matrix sits.
+func positions(ix *Index) []int {
+	pos := make([]int, ix.n)
+	for p, row := range ix.member {
+		pos[row] = p
+	}
+	return pos
+}
+
+// clusteredMatrix is n rows scattered around centres points (unit
+// normal jitter on coordinates in [-r, r]): the shape of the job
+// encodings, where uniform noise makes every cell equally far and
+// calibration probes nearly all of them.
+func clusteredMatrix(n, centres, dim int, r float64, seed uint64) []float32 {
+	rng := stats.NewRNG(seed)
+	cs := randMatrix(centres, dim, r, seed+1)
+	data := make([]float32, n*dim)
+	for i := 0; i < n; i++ {
+		c := rng.Intn(centres)
+		for d := 0; d < dim; d++ {
+			data[i*dim+d] = cs[c*dim+d] + float32(rng.Norm())
+		}
+	}
+	return data
+}
+
+// TestCodesAreCellMajor pins the layout the scan relies on, on a built
+// index and on the one loaded from its bytes: position p holds the code
+// of row member[p] and norms[p] is that code's Σ c².
+func TestCodesAreCellMajor(t *testing.T) {
+	const n, dim = 400, 21
+	data := clusteredMatrix(n, 12, dim, 20, 61)
+	built, err := Build(data, dim, Config{Seed: 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	built.AppendBinary(&buf)
+	loaded, err := Load(bytes.NewReader(buf.Bytes()), data, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int8, dim)
+	for name, ix := range map[string]*Index{"built": built, "loaded": loaded} {
+		if len(ix.codes) != n*dim || len(ix.norms) != n {
+			t.Fatalf("%s: %d codes and %d norms for %d×%d", name, len(ix.codes), len(ix.norms), n, dim)
+		}
+		for p, row := range ix.member {
+			linalg.QuantizeInt8(want, data[int(row)*dim:(int(row)+1)*dim], ix.scale)
+			var norm int32
+			for i, c := range ix.codes[p*dim : (p+1)*dim] {
+				if c != want[i] {
+					t.Fatalf("%s: position %d (row %d) component %d is %d, the row quantizes to %d", name, p, row, i, c, want[i])
+				}
+				norm += int32(c) * int32(c)
+			}
+			if ix.norms[p] != norm {
+				t.Fatalf("%s: norms[%d] = %d, the code's Σc² is %d", name, p, ix.norms[p], norm)
+			}
+		}
+	}
+}
+
+// TestScanMatchesSqDistInt8 recomputes the distance of every row a scan
+// visits with linalg.SqDistInt8 on codes quantized here from the matrix:
+// with a pool as large as the index every scanned row is a candidate, so
+// the expanded form Σq² + Σx² − 2·q·x is checked row for row, on a dim
+// that leaves the vector kernel a tail (the golden test's 50) and on the
+// served 384.
+func TestScanMatchesSqDistInt8(t *testing.T) {
+	for _, shape := range []struct{ n, dim int }{{1200, 50}, {700, 384}} {
+		n, dim := shape.n, shape.dim
+		data := clusteredMatrix(n, 25, dim, 8, uint64(dim))
+		ix, err := Build(data, dim, Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := randMatrix(64, dim, 8, uint64(n))
+		copy(queries, data[:32*dim]) // half of them indexed rows: distance 0 to their own code
+		b := ix.newSearchBuf()
+		qq, code := make([]int8, dim), make([]int8, dim)
+		for qi := 0; qi < 64; qi++ {
+			q := queries[qi*dim : (qi+1)*dim]
+			nprobe := 1 + qi%ix.Clusters()
+			linalg.SqEuclideanRows(q, ix.cents, b.cdist)
+			b.selectNearestClusters(b.cdist, nprobe)
+			probed, scanned := ix.scan(b, q, n, n, nprobe)
+			if probed < 1 || probed > nprobe || scanned != len(b.cand) {
+				t.Fatalf("dim %d query %d: probed %d of %d, scanned %d, %d candidates", dim, qi, probed, nprobe, scanned, len(b.cand))
+			}
+			linalg.QuantizeInt8(qq, q, ix.scale)
+			for i, c := range b.cand {
+				linalg.QuantizeInt8(code, data[int(c.id)*dim:(int(c.id)+1)*dim], ix.scale)
+				if want := linalg.SqDistInt8(qq, code); c.dist != want {
+					t.Fatalf("dim %d query %d row %d: scanned distance %d, SqDistInt8 %d", dim, qi, c.id, c.dist, want)
+				}
+				if i > 0 && b.cand[i-1].dist > c.dist {
+					t.Fatalf("dim %d query %d: pool out of order at %d", dim, qi, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSearch runs on a matrix shaped like the served index of
+// qsub_knn_s30 — ≈ 5 000 groups around ≈ 150 centres, dim 384, ≈ 140
+// cells of which 30 are probed — queried with rows of its own: the
+// two-second proxy for the benchmark's ivf.search_p50_us. The probe
+// width is the served index's calibrated one, set here because on
+// synthetic centres calibration flips from 1 cell to nearly all of them
+// within a tenth of the centre spread, and a comparison of two commits
+// needs the same rows scanned on both sides.
 func BenchmarkSearch(b *testing.B) {
-	const n, dim, k = 20000, 384, 5
-	data := randMatrix(n, dim, 3, 51)
-	ix, err := Build(data, dim, Config{Seed: 52})
+	const n, centres, dim, k = 5000, 150, 384, 5
+	data := clusteredMatrix(n, centres, dim, 1, 51)
+	ix, err := Build(data, dim, Config{NProbe: 30, Seed: 52})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := data[:dim]
 	var dst []ml.Candidate
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = ix.Search(q, k, dst)
+		row := i * 7919 % n
+		dst = ix.Search(data[row*dim:(row+1)*dim], k, dst)
 	}
+	st := ix.Stats()
+	b.ReportMetric(float64(st.Scanned)/float64(st.Queries), "rows/op")
+	b.ReportMetric(float64(st.Scanned)/float64(st.Queries)*dim, "code-B/op")
 }

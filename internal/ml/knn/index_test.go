@@ -5,11 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"mcbound/internal/job"
+	"mcbound/internal/ml"
 	"mcbound/internal/stats"
 )
 
@@ -248,6 +254,72 @@ func TestMarshalRoundTripBitIdentical(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// corpusModel reads one checked-in FuzzIndexModel corpus file ("go test
+// fuzz v1" and a quoted []byte): model bytes as an earlier commit wrote
+// them.
+func corpusModel(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzIndexModel/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "\n")
+	lit = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(lit), "[]byte("), ")")
+	b, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(b)
+}
+
+// TestIndexedModelBytesUnchanged proves the MCBKNN03 format did not move
+// when the index's codes went cell-major in memory. The hash is of a
+// seeded indexed model as the commit before that change marshalled it;
+// the corpus files were written earlier still, by the row-order layout:
+// the valid one must be today's bytes of the same model, restore, and
+// search like a fresh build, and the two invalid ones must be refused as
+// they were.
+func TestIndexedModelBytesUnchanged(t *testing.T) {
+	x, y := trainSet(300, 10, 9)
+	c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: IndexOn, NClusters: 12, Seed: 4}})
+	if err := c.Train(x, y); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	if got, want := h.Sum64(), uint64(0x5b9f3a1dcc8a6178); got != want {
+		t.Fatalf("indexed model hashes to %#x, want %#x: the wire format moved", got, want)
+	}
+
+	old := corpusModel(t, "valid_indexed_v3")
+	fresh := fuzzSeedModel(IndexOn)
+	if now, err := fresh.MarshalBinary(); err != nil || !bytes.Equal(now, old) {
+		t.Fatalf("a fresh model does not marshal to the checked-in bytes of the same model (err %v)", err)
+	}
+	restored := New(DefaultConfig())
+	if err := restored.UnmarshalBinary(old); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []ml.Candidate
+	for i := 0; i < 256; i++ {
+		q := []float32{float32(i%24) + 0.3, float32(i % 7), float32(i%4) - 0.5, -float32(i % 29)}
+		want = fresh.VectorIndex().Search(q, 3, want)
+		got = restored.VectorIndex().Search(q, 3, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %v: restored index answers %v, fresh build %v", q, got, want)
+		}
+	}
+	for _, name := range []string{"indexed_p3_v3", "empty_v3"} {
+		if err := New(DefaultConfig()).UnmarshalBinary(corpusModel(t, name)); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: got %v, want ErrCorruptModel", name, err)
+		}
 	}
 }
 
