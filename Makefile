@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt clock-lint wiring-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate bench-smoke check loc bench bench-record bench-gate bench-all
+.PHONY: all build test race vet fmt clock-lint wiring-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-all
 
 all: check
 
@@ -14,10 +14,11 @@ test:
 # Every test runs in exactly one target of `check`: the named suites
 # below own the tests with these name prefixes (each in its own packages,
 # under -race with -count=1), and `race` runs everything else. The
-# recall sweep is pure number crunching (minutes under the detector,
-# starving the latency-asserting suites that run beside it); recall-gate
-# runs it uninstrumented.
-OWNED = RecallGateAtScale|Chaos|ReplChaos|ElectChaos|RouterChaos|Overload|AccountingIdentityUnderStress|Crash|ReplayE2E
+# recall sweep and the evaluation golden are pure number crunching
+# (minutes under the detector, starving the latency-asserting suites
+# that run beside them); recall-gate and eval-golden run them
+# uninstrumented.
+OWNED = RecallGateAtScale|EvalGolden|Chaos|ReplChaos|ElectChaos|RouterChaos|Overload|AccountingIdentityUnderStress|Crash|ReplayE2E
 
 race:
 	$(GO) test -race -skip '^Test($(OWNED))' ./...
@@ -82,12 +83,14 @@ wiring-lint:
 		echo "wiring-lint: assemble nodes through internal/node (see the Makefile comment):"; echo "$$out"; exit 1; \
 	fi
 
-# Fault-injection suite: replays the online algorithm against a jobs
-# data storage with injected transient/permanent faults (including a
-# mid-replay crash + registry restore) and checks the degraded-mode
-# accounting, under the race detector.
+# Fault-injection suite: replays a deployed core.Framework — the served
+# degraded path: a failed Training Workflow keeps the published model,
+# LoadLatest restores it after a mid-replay crash — against a jobs data
+# storage with injected transient/permanent faults and checks the
+# timeline's degraded-mode account against the fault schedule, under
+# the race detector.
 chaos:
-	$(GO) test -race -count=1 -run '^TestChaos' ./internal/online ./internal/fetch/...
+	$(GO) test -race -count=1 -run '^TestChaos' ./internal/simulate ./internal/fetch/...
 
 # Short smoke runs of every fuzz target (go allows one -fuzz pattern
 # per invocation, so one line each).
@@ -163,13 +166,22 @@ replay-e2e:
 recall-gate:
 	$(GO) test -count=1 -run '^TestRecallGateAtScale' ./internal/ml/knn
 
+# Evaluation golden: the F1, job-count and train-size columns of
+# `mcbound-eval -scale 0.02 -seed 7` (-exp baseline, alpha-plus,
+# features, one θ row per mode) must reproduce
+# internal/experiments/testdata/eval.golden byte for byte: twelve
+# month-long replays of a deployed Framework, ≈ 80 s on the one core the
+# test takes.
+eval-golden:
+	$(GO) test -count=1 -run '^TestEvalGolden' ./internal/experiments
+
 # The benchmark is a nested module (benchmark/go.mod) that the root
 # ./... patterns do not descend into; vet and test it here so API drift
 # against it fails `make check`.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt clock-lint wiring-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate bench-smoke
+check: build vet fmt clock-lint wiring-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate eval-golden bench-smoke
 
 # Non-test Go outside the benchmark module: the number ROADMAP's
 # consolidation item is judged by.

@@ -74,9 +74,10 @@ func BenchmarkFig2To5Table2Characterization(b *testing.B) {
 	}
 }
 
-// benchOnlineCell runs one online-evaluation configuration end to end
-// (trace fetch → characterize → encode → train → infer → score).
-func benchOnlineCell(b *testing.B, model experiments.ModelName, p online.Params) {
+// benchOnlineCell runs one online-evaluation configuration end to end:
+// a core.Framework deployed over the trace and replayed through the test
+// month (fetch → characterize → encode → train → classify → score).
+func benchOnlineCell(b *testing.B, model core.ModelKind, p online.Params) {
 	env := benchEnv(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -84,7 +85,7 @@ func benchOnlineCell(b *testing.B, model experiments.ModelName, p online.Params)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.TestJobs == 0 {
+		if res.Classified == 0 {
 			b.Fatal("no test jobs")
 		}
 		b.ReportMetric(res.F1, "F1")
@@ -95,17 +96,17 @@ func benchOnlineCell(b *testing.B, model experiments.ModelName, p online.Params)
 // α×β grid cell each at the per-model best settings (the full grid is
 // cmd/mcbound-eval -exp alpha-beta).
 func BenchmarkFig6KNNBestCell(b *testing.B) {
-	benchOnlineCell(b, experiments.KNN, online.Params{Alpha: 30, Beta: 1, Seed: 7})
+	benchOnlineCell(b, core.ModelKNN, online.Params{Alpha: 30, Beta: 1, Seed: 7})
 }
 
 func BenchmarkFig6RFBestCell(b *testing.B) {
-	benchOnlineCell(b, experiments.RF, online.Params{Alpha: 15, Beta: 1, Seed: 7})
+	benchOnlineCell(b, core.ModelRF, online.Params{Alpha: 15, Beta: 1, Seed: 7})
 }
 
 // BenchmarkFig6LargeBeta covers the β-axis of Fig. 6 (infrequent
 // retraining).
 func BenchmarkFig6LargeBeta(b *testing.B) {
-	benchOnlineCell(b, experiments.RF, online.Params{Alpha: 15, Beta: 10, Seed: 7})
+	benchOnlineCell(b, core.ModelRF, online.Params{Alpha: 15, Beta: 10, Seed: 7})
 }
 
 // BenchmarkFig7TrainingTime covers Fig. 7: it isolates the per-trigger
@@ -114,7 +115,7 @@ func BenchmarkFig6LargeBeta(b *testing.B) {
 func BenchmarkFig7TrainingTime(b *testing.B) {
 	for _, alpha := range []int{15, 30, 60} {
 		b.Run("alpha="+strconv.Itoa(alpha), func(b *testing.B) {
-			benchOnlineCell(b, experiments.RF, online.Params{Alpha: alpha, Beta: 5, Seed: 7})
+			benchOnlineCell(b, core.ModelRF, online.Params{Alpha: alpha, Beta: 5, Seed: 7})
 		})
 	}
 }
@@ -124,7 +125,7 @@ func BenchmarkFig7TrainingTime(b *testing.B) {
 func BenchmarkFig8InferenceTime(b *testing.B) {
 	for _, alpha := range []int{15, 30, 60} {
 		b.Run("alpha="+strconv.Itoa(alpha), func(b *testing.B) {
-			benchOnlineCell(b, experiments.KNN, online.Params{Alpha: alpha, Beta: 5, Seed: 7})
+			benchOnlineCell(b, core.ModelKNN, online.Params{Alpha: alpha, Beta: 5, Seed: 7})
 		})
 	}
 }
@@ -132,12 +133,12 @@ func BenchmarkFig8InferenceTime(b *testing.B) {
 // BenchmarkBaselineComparison covers §V.C.a: the (job name, #cores)
 // lookup baseline under the online algorithm.
 func BenchmarkBaselineComparison(b *testing.B) {
-	benchOnlineCell(b, experiments.Baseline, online.Params{Alpha: 30, Beta: 1, Seed: 7})
+	benchOnlineCell(b, core.ModelBaseline, online.Params{Alpha: 30, Beta: 1, Seed: 7})
 }
 
 // BenchmarkAlphaPlus covers §V.C.b: the growing α⁺ window.
 func BenchmarkAlphaPlusKNN(b *testing.B) {
-	benchOnlineCell(b, experiments.KNN, online.Params{Alpha: 30, Beta: 1, AlphaPlus: true, Seed: 7})
+	benchOnlineCell(b, core.ModelKNN, online.Params{Alpha: 30, Beta: 1, AlphaPlus: true, Seed: 7})
 }
 
 // BenchmarkFig9Fig10Theta covers Figs. 9–10: θ-subsampled retraining,
@@ -145,7 +146,7 @@ func BenchmarkAlphaPlusKNN(b *testing.B) {
 func BenchmarkFig9Fig10Theta(b *testing.B) {
 	for _, mode := range []online.ThetaMode{online.ThetaRandom, online.ThetaLatest} {
 		b.Run(mode.String(), func(b *testing.B) {
-			benchOnlineCell(b, experiments.RF, online.Params{
+			benchOnlineCell(b, core.ModelRF, online.Params{
 				Alpha: 15, Beta: 1, Theta: 200, ThetaMode: mode, Seed: 520,
 			})
 		})

@@ -91,7 +91,8 @@ func run(trace string, generate bool, scale float64, seed uint64, model string, 
 	if err != nil {
 		return err
 	}
+	sum := tl.Summary()
 	fmt.Printf("\ntimeline: %d trainings, %d inference triggers, %d jobs classified\n",
-		tl.Trainings(), tl.Inferences(), tl.TotalClassified())
+		sum.Trainings, sum.Inferences, sum.Classified)
 	return nil
 }

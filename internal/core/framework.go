@@ -32,8 +32,10 @@ import (
 	"mcbound/internal/ml/baseline"
 	"mcbound/internal/ml/knn"
 	"mcbound/internal/ml/rf"
+	"mcbound/internal/online"
 	"mcbound/internal/persist"
 	"mcbound/internal/roofline"
+	"mcbound/internal/stats"
 )
 
 // ErrNotTrained is the sentinel returned by inference before the first
@@ -41,13 +43,23 @@ import (
 // layer maps it to 503).
 var ErrNotTrained = errors.New("core: no trained model (run the Training Workflow first)")
 
+// ErrTrainFetch is wrapped by Train when the jobs data storage could not
+// deliver the training window: nothing was fetched, so nothing was
+// labeled or fitted, and the previous model keeps serving.
+var ErrTrainFetch = errors.New("core: training fetch")
+
 // ModelKind selects the Classification Model algorithm.
 type ModelKind string
 
-// Supported algorithms.
+// Supported algorithms. ModelBaseline is the (job name, #cores) lookup
+// table of §V.C.a: it has no vector model, so a deployment configured
+// with it serves from the lookup slot the others hold only as their
+// degraded net. It is the evaluation's comparison point, not a serving
+// option (node.Validate accepts knn and rf only), and is not persistable.
 const (
-	ModelKNN ModelKind = "knn"
-	ModelRF  ModelKind = "rf"
+	ModelKNN      ModelKind = "knn"
+	ModelRF       ModelKind = "rf"
+	ModelBaseline ModelKind = "baseline"
 )
 
 // Config configures a Framework deployment for a target system.
@@ -71,9 +83,11 @@ type Config struct {
 	// concurrency tests, which need gated or instrumented models.
 	ModelFactory func() (ml.Classifier, error)
 
-	// Alpha is the training window (days of recent executed jobs);
-	// Beta the retraining period in days.
-	Alpha, Beta int
+	// Params is the online algorithm's setting (§III-E): train on the
+	// jobs executed in the last Alpha days — or since the first Training
+	// Workflow's window start under AlphaPlus — optionally on a Theta
+	// subsample of them, once every Beta days.
+	online.Params
 
 	// ModelDir, when non-empty, enables versioned model persistence.
 	ModelDir string
@@ -87,8 +101,7 @@ func DefaultConfig() Config {
 		Model:   ModelRF,
 		KNN:     knn.DefaultConfig(),
 		RF:      rf.DefaultConfig(),
-		Alpha:   15,
-		Beta:    1,
+		Params:  online.Params{Alpha: 15, Beta: 1},
 	}
 }
 
@@ -102,16 +115,18 @@ const keptModelVersions = 5
 // atomic store, so readers can never observe a torn (model, version)
 // pair or a model that has not finished fitting.
 type modelState struct {
-	model     ml.Classifier
+	model     ml.Classifier // nil until trained, and always under ModelBaseline
 	trained   bool
 	version   int // registry version, 0 when persistence is disabled
 	trainedAt time.Time
 
-	// fallback is the (job name, #cores) lookup baseline fitted on the
-	// last labeled window while no vector model has ever trained. It is
-	// the degraded-serving net: a Training Workflow whose model fit
-	// failed still leaves the framework able to answer inference.
-	fallback ml.JobClassifier
+	// lookup is the (job name, #cores) table fitted on the last labeled
+	// window. Whenever it is set, inference answers from it: as the
+	// deployment's model under ModelBaseline (trained), and otherwise as
+	// the degraded-serving net while no vector model has ever trained —
+	// a Training Workflow whose model fit failed still leaves the
+	// framework able to answer. A trained vector snapshot carries none.
+	lookup ml.JobClassifier
 }
 
 // trainCall is one in-flight Training Workflow execution shared by
@@ -125,6 +140,7 @@ type trainCall struct {
 // Framework is a deployed MCBound instance.
 type Framework struct {
 	cfg           Config
+	name          string // the configured algorithm's, as models and the registry spell it
 	fetcher       *fetch.Fetcher
 	encoder       *encode.Encoder
 	characterizer *roofline.Characterizer
@@ -141,6 +157,13 @@ type Framework struct {
 	inflightN  atomic.Int32 // 0 or 1; sampled by the train-inflight gauge
 	coalescedN atomic.Int64 // triggers absorbed by an in-flight train
 	degradedN  atomic.Int64 // predictions served by the lookup fallback
+
+	// rng and anchor belong to the single-flighted train: one θ-random
+	// stream across every trigger of the deployment (so a period's
+	// subsamples repeat for a seed), and the window start the first
+	// Training Workflow used, which AlphaPlus never moves again.
+	rng    *stats.RNG
+	anchor time.Time
 
 	// indexOv holds runtime overrides of the KNN index switch (set via
 	// /v1/train or the -index/-nprobe flags); nil means the deployment
@@ -166,23 +189,31 @@ func New(cfg Config, backend fetch.Backend) (*Framework, error) {
 	if cfg.Beta <= 0 {
 		cfg.Beta = 1
 	}
-	f, err := fetch.New(backend)
-	if err != nil {
+	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := buildModel(cfg)
+	f, err := fetch.New(backend)
 	if err != nil {
 		return nil, err
 	}
 	fw := &Framework{
 		cfg:           cfg,
+		name:          string(ModelBaseline),
 		fetcher:       f,
 		encoder:       encode.NewEncoder(cfg.Features, nil),
 		characterizer: roofline.NewCharacterizer(roofline.ModelFor(cfg.Machine)),
+		rng:           stats.NewRNG(cfg.Seed),
 	}
-	// The pre-training state carries an unfitted instance so ModelInfo
-	// can report the algorithm name before the first swap.
-	fw.state.Store(&modelState{model: model})
+	if cfg.Model != ModelBaseline {
+		model, err := buildModel(cfg)
+		if err != nil {
+			return nil, err
+		}
+		fw.name = model.Name()
+	} else if cfg.ModelDir != "" {
+		return nil, fmt.Errorf("core: model %s is not persistable", fw.name)
+	}
+	fw.state.Store(&modelState{})
 	if cfg.ModelDir != "" {
 		reg, err := persist.NewRegistry(cfg.ModelDir)
 		if err != nil {
@@ -282,6 +313,7 @@ type TrainReport struct {
 	WindowStart, WindowEnd time.Time
 	FetchedJobs            int
 	LabeledJobs            int
+	FittedJobs             int // rows the model was fitted on: the labeled jobs, or their θ-subsample
 	SkippedJobs            int
 	QuarantinedJobs        int // jobs dropped for pathological PMU counters (NaN/Inf/negative)
 	TrainDuration          time.Duration
@@ -302,9 +334,13 @@ func (f *Framework) TrainingInFlight() bool { return f.inflightN.Load() > 0 }
 func (f *Framework) CoalescedTrains() int64 { return f.coalescedN.Load() }
 
 // Train runs the Training Workflow as of now: fetch the jobs executed in
-// the last α days, characterize them, encode them and train a fresh
+// the configured window ending now (the last α days, or everything since
+// the first trigger's window start under α⁺), characterize them, keep a
+// θ-subsample when one is configured, encode them and train a fresh
 // Classification Model instance entirely outside any lock, then publish
 // it with an atomic hot-swap, saving it to the registry when configured.
+// A trigger that fails leaves the published snapshot as it was: the
+// previous model keeps serving (stale beats dead).
 //
 // Overlapping triggers coalesce: if a train is already in flight the
 // call waits for it and returns its report with Coalesced set, so a slow
@@ -349,52 +385,69 @@ func (f *Framework) Train(ctx context.Context, now time.Time) (*TrainReport, err
 // publish.
 func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, error) {
 	start := now.AddDate(0, 0, -f.cfg.Alpha)
+	if f.cfg.AlphaPlus {
+		if f.anchor.IsZero() {
+			f.anchor = start
+		}
+		start = f.anchor
+	}
 	window, err := f.fetcher.FetchExecuted(ctx, start, now)
 	if err != nil {
-		return nil, fmt.Errorf("core: training fetch: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrTrainFetch, err)
 	}
 	rep := &TrainReport{WindowStart: start, WindowEnd: now, FetchedJobs: len(window)}
 
-	labeled, skipped, quarantined := f.characterizer.GenerateLabels(window)
-	rep.LabeledJobs, rep.SkippedJobs, rep.QuarantinedJobs = labeled, skipped, quarantined
-
-	jobs := make([]*job.Job, 0, labeled)
-	labels := make([]job.Label, 0, labeled)
-	for _, j := range window {
-		if j.TrueLabel != job.Unknown {
-			jobs = append(jobs, j)
-			labels = append(labels, j.TrueLabel)
-		}
-	}
+	rep.LabeledJobs, rep.SkippedJobs, rep.QuarantinedJobs = f.characterizer.GenerateLabels(window)
+	jobs, labels := online.FilterLabeled(window)
 	if len(jobs) == 0 {
 		return rep, fmt.Errorf("core: no characterizable jobs in [%v, %v)", start, now)
 	}
+	if idx := online.SubsampleIndices(f.cfg.Params, len(jobs), f.rng); idx != nil {
+		sj, sl := make([]*job.Job, len(idx)), make([]job.Label, len(idx))
+		for i, k := range idx {
+			sj[i], sl[i] = jobs[k], labels[k]
+		}
+		jobs, labels = sj, sl
+	}
+	rep.FittedJobs = len(jobs)
 
 	if err := ctx.Err(); err != nil {
 		return rep, fmt.Errorf("core: train canceled: %w", err)
 	}
 
-	// Before the first successful vector fit, also fit the lookup
-	// baseline on this window: if the model fit below fails, inference
-	// can still answer (degraded) instead of returning ErrNotTrained.
 	cur := f.state.Load()
-	var fallback ml.JobClassifier
+	if f.cfg.Model == ModelBaseline {
+		// The lookup table is this deployment's model, not its net.
+		t0 := time.Now()
+		lookup := baseline.New()
+		if err := lookup.TrainJobs(jobs, labels); err != nil {
+			return rep, fmt.Errorf("core: train: %w", err)
+		}
+		rep.TrainDuration = time.Since(t0)
+		f.state.Store(&modelState{lookup: lookup, trained: true, trainedAt: now})
+		return rep, nil
+	}
+
+	// Before the first successful vector fit, also fit the lookup table
+	// on this window: if the model fit below fails, inference can still
+	// answer (degraded) instead of returning ErrNotTrained.
+	var lookup ml.JobClassifier
 	if !cur.trained {
-		fb := baseline.New()
-		if err := fb.TrainJobs(jobs, labels); err == nil {
-			fallback = fb
+		lk := baseline.New()
+		if err := lk.TrainJobs(jobs, labels); err == nil {
+			lookup = lk
 		}
 	}
 
 	model, err := buildModel(f.modelConfig()) // fresh instance per trigger
 	if err != nil {
-		f.publishFallback(cur, fallback)
+		f.publishFallback(cur, lookup)
 		return rep, err
 	}
 	enc := f.encoder.Encode(jobs)
 	t0 := time.Now()
 	if err := model.Train(enc, labels); err != nil {
-		f.publishFallback(cur, fallback)
+		f.publishFallback(cur, lookup)
 		return rep, fmt.Errorf("core: train: %w", err)
 	}
 	rep.TrainDuration = time.Since(t0)
@@ -407,12 +460,12 @@ func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, err
 	var persistErr error
 	if f.registry != nil {
 		if pm, ok := model.(persist.Model); !ok {
-			persistErr = fmt.Errorf("core: model %s is not persistable", model.Name())
-		} else if v, err := f.registry.Save(model.Name(), pm); err != nil {
+			persistErr = fmt.Errorf("core: model %s is not persistable", f.name)
+		} else if v, err := f.registry.Save(f.name, pm); err != nil {
 			persistErr = err
 		} else {
 			rep.ModelVersion = v
-			persistErr = f.registry.Prune(model.Name(), keptModelVersions)
+			persistErr = f.registry.Prune(f.name, keptModelVersions)
 		}
 	}
 
@@ -423,19 +476,16 @@ func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, err
 	return rep, persistErr
 }
 
-// publishFallback installs the lookup baseline as the serving net after
-// a failed fit, but only while no vector model has ever trained — a
+// publishFallback installs the lookup table as the serving net after a
+// failed fit, but only while no vector model has ever trained — a
 // trained snapshot always beats the baseline (stale beats degraded).
-func (f *Framework) publishFallback(cur *modelState, fallback ml.JobClassifier) {
-	if cur.trained || fallback == nil {
+func (f *Framework) publishFallback(cur *modelState, lookup ml.JobClassifier) {
+	if cur.trained || lookup == nil {
 		return
 	}
 	// CAS, not Store: a concurrent LoadLatest may have restored a real
 	// model since cur was read, and that always wins over the baseline.
-	f.state.CompareAndSwap(cur, &modelState{
-		model: cur.model, fallback: fallback,
-		version: cur.version, trainedAt: cur.trainedAt,
-	})
+	f.state.CompareAndSwap(cur, &modelState{lookup: lookup})
 }
 
 // LoadReport summarizes a crash-recovery load: which version is now
@@ -459,9 +509,9 @@ func (f *Framework) LoadLatest() (*LoadReport, error) {
 		return nil, err
 	}
 	if _, ok := probe.(persist.Model); !ok {
-		return nil, fmt.Errorf("core: model %s is not persistable", probe.Name())
+		return nil, fmt.Errorf("core: model %s is not persistable", f.name)
 	}
-	loaded, v, quarantined, err := f.registry.LoadLatestValid(probe.Name(), func() (encoding.BinaryUnmarshaler, error) {
+	loaded, v, quarantined, err := f.registry.LoadLatestValid(f.name, func() (encoding.BinaryUnmarshaler, error) {
 		m, err := buildModel(f.cfg)
 		if err != nil {
 			return nil, err
@@ -472,9 +522,16 @@ func (f *Framework) LoadLatest() (*LoadReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	// The restored model is as old as its file, not as young as this
+	// process: staleness, /healthz and /v1/model keep counting from the
+	// Training Workflow that wrote it.
+	savedAt, err := f.registry.SavedAt(f.name, v)
+	if err != nil {
+		return rep, err
+	}
 	f.state.Store(&modelState{
 		model: loaded.(ml.Classifier), trained: true,
-		version: v, trainedAt: time.Now().UTC(),
+		version: v, trainedAt: savedAt,
 	})
 	return rep, nil
 }
@@ -528,14 +585,14 @@ func (f *Framework) Trained() bool { return f.state.Load().trained }
 // model or, degraded, the lookup fallback.
 func (f *Framework) Ready() bool {
 	st := f.state.Load()
-	return st.trained || st.fallback != nil
+	return st.trained || st.lookup != nil
 }
 
 // Degraded reports whether inference is being served by the lookup
 // fallback because no vector model has ever trained.
 func (f *Framework) Degraded() bool {
 	st := f.state.Load()
-	return !st.trained && st.fallback != nil
+	return !st.trained && st.lookup != nil
 }
 
 // DegradedPredictions returns how many predictions the lookup fallback
@@ -553,12 +610,13 @@ func (f *Framework) ModelAge(now time.Time) (age time.Duration, ok bool) {
 	return now.Sub(st.trainedAt), true
 }
 
-// ModelInfo describes the currently served model. The triple comes from
-// one atomic snapshot, so it is always internally consistent even while
-// a retrain is publishing.
+// ModelInfo describes the currently served model. The algorithm is the
+// deployment's; version and training instant come from one atomic
+// snapshot, so they are always consistent with each other even while a
+// retrain is publishing.
 func (f *Framework) ModelInfo() (name string, version int, trainedAt time.Time) {
 	st := f.state.Load()
-	return st.model.Name(), st.version, st.trainedAt
+	return f.name, st.version, st.trainedAt
 }
 
 // ClassifyJobs runs the Inference Workflow on explicit job records
@@ -571,25 +629,28 @@ func (f *Framework) ModelInfo() (name string, version int, trainedAt time.Time) 
 // batch comes from the same model snapshot.
 func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Prediction, error) {
 	st := f.state.Load()
-	if !st.trained && st.fallback == nil {
+	if !st.trained && st.lookup == nil {
 		return nil, ErrNotTrained
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !st.trained {
-		// Degraded mode: no vector model has ever trained; answer from
-		// the (job name, #cores) lookup baseline rather than 503.
-		labels, err := st.fallback.PredictJobs(jobs)
+	if st.lookup != nil {
+		// The (job name, #cores) table: the model of a ModelBaseline
+		// deployment, or — degraded — the net of one whose vector model
+		// has never trained, answering rather than 503.
+		labels, err := st.lookup.PredictJobs(jobs)
 		if err != nil {
-			return nil, fmt.Errorf("core: fallback predict: %w", err)
+			return nil, fmt.Errorf("core: lookup predict: %w", err)
 		}
-		f.degradedN.Add(int64(len(jobs)))
+		if !st.trained {
+			f.degradedN.Add(int64(len(jobs)))
+		}
 		out := make([]Prediction, len(jobs))
 		for i, j := range jobs {
 			out[i] = Prediction{
 				JobID: j.ID, Label: labels[i], Class: labels[i].String(),
-				Degraded: true,
+				Degraded: !st.trained,
 			}
 		}
 		return out, nil

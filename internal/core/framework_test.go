@@ -149,6 +149,42 @@ func TestUnknownModelKind(t *testing.T) {
 	}
 }
 
+func TestNewRejectsUnservableConfig(t *testing.T) {
+	for name, edit := range map[string]func(*Config){
+		"θ without a sampling mode": func(c *Config) { c.Theta = 100 },
+		"persisted lookup baseline": func(c *Config) { c.Model, c.ModelDir = ModelBaseline, t.TempDir() },
+	} {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		if _, err := New(cfg, fetch.StoreBackend{Store: store.New()}); err == nil {
+			t.Errorf("accepted %s", name)
+		}
+	}
+}
+
+// TestAlphaPlusAnchorsWindowStart: under α⁺ the window never forgets —
+// its start stays where the first Training Workflow put it while its
+// end follows the triggers.
+func TestAlphaPlusAnchorsWindowStart(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Alpha, cfg.AlphaPlus = 5, true
+	fw := newFramework(t, cfg, seedStore(t))
+	first := time.Date(2024, 1, 10, 0, 0, 0, 0, time.UTC)
+	for _, days := range []int{0, 4, 9} {
+		now := first.AddDate(0, 0, days)
+		rep, err := fw.Train(context.Background(), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := first.AddDate(0, 0, -5); !rep.WindowStart.Equal(want) || !rep.WindowEnd.Equal(now) {
+			t.Errorf("window [%v, %v), want [%v, %v)", rep.WindowStart, rep.WindowEnd, want, now)
+		}
+		if want := (5 + days) * 12; rep.FittedJobs != want {
+			t.Errorf("trigger +%dd fitted %d jobs, want %d", days, rep.FittedJobs, want)
+		}
+	}
+}
+
 func TestPersistenceAndLoadLatest(t *testing.T) {
 	st := seedStore(t)
 	cfg := DefaultConfig()
@@ -181,6 +217,35 @@ func TestPersistenceAndLoadLatest(t *testing.T) {
 	}
 	if pred.Label != job.MemoryBound {
 		t.Errorf("restored model classified %v", pred.Label)
+	}
+}
+
+// TestLoadLatestKeepsTrainingInstant: a restart does not make the model
+// young. The restored snapshot's training instant is the instant its
+// version was saved, so 23 hours into a β = 1 day the staleness gauge,
+// /healthz and /v1/model read 23 hours, not the age of the process.
+func TestLoadLatestKeepsTrainingInstant(t *testing.T) {
+	st := seedStore(t)
+	cfg := DefaultConfig()
+	cfg.ModelDir = t.TempDir()
+	if _, err := newFramework(t, cfg, st).Train(context.Background(), time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	const elapsed = 23 * time.Hour
+	savedAt := time.Now().Add(-elapsed).UTC().Truncate(time.Second)
+	if err := os.Chtimes(filepath.Join(cfg.ModelDir, "rf-v1.model"), savedAt, savedAt); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := newFramework(t, cfg, st)
+	if _, err := restarted.LoadLatest(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, at := restarted.ModelInfo(); !at.Equal(savedAt) {
+		t.Errorf("restored model trained at %v, want the save instant %v", at, savedAt)
+	}
+	if age, ok := restarted.ModelAge(time.Now()); !ok || age < elapsed {
+		t.Errorf("restored model age = %v (ok=%v), want at least the %v since it was saved", age, ok, elapsed)
 	}
 }
 

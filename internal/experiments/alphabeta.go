@@ -6,51 +6,40 @@ import (
 	"io"
 	"time"
 
-	"mcbound/internal/encode"
-	"mcbound/internal/ml/baseline"
-	"mcbound/internal/ml/knn"
-	"mcbound/internal/ml/rf"
+	"mcbound/internal/core"
+	"mcbound/internal/fetch"
 	"mcbound/internal/online"
-)
-
-// ModelName selects the classifier of an online run.
-type ModelName string
-
-// The three models of §V.
-const (
-	KNN      ModelName = "knn"
-	RF       ModelName = "rf"
-	Baseline ModelName = "baseline"
+	"mcbound/internal/simulate"
 )
 
 // RunOnline executes one online-algorithm run for the given model and
-// parameters over the paper's test month. A fresh encoder and model are
-// built per run so runtime measurements are not polluted by warm caches.
-func RunOnline(env *Env, model ModelName, p online.Params) (*online.Result, error) {
-	r := &online.Runner{
-		Fetcher:       env.Fetcher,
-		Characterizer: env.Characterizer,
+// parameters over the paper's test month.
+func RunOnline(env *Env, model core.ModelKind, p online.Params) (simulate.Summary, error) {
+	cfg := core.DefaultConfig()
+	cfg.Model, cfg.Params = model, p
+	return replayTestMonth(env, cfg)
+}
+
+// replayTestMonth deploys a Framework over the trace as a site would and
+// replays the test month through it, so every figure is measured on the
+// code the server runs. The Framework (encoder cache included) is fresh
+// per run so runtime measurements are not polluted by warm caches.
+func replayTestMonth(env *Env, cfg core.Config) (simulate.Summary, error) {
+	cfg.RF.Seed = cfg.Seed + 1
+	fw, err := core.New(cfg, fetch.StoreBackend{Store: env.Store})
+	if err != nil {
+		return simulate.Summary{}, err
 	}
-	switch model {
-	case KNN:
-		r.Encoder = encode.NewEncoder(nil, nil)
-		r.Model = knn.New(knn.DefaultConfig())
-	case RF:
-		r.Encoder = encode.NewEncoder(nil, nil)
-		cfg := rf.DefaultConfig()
-		cfg.Seed = p.Seed + 1
-		r.Model = rf.New(cfg)
-	case Baseline:
-		r.JobModel = baseline.New()
-	default:
-		return nil, fmt.Errorf("experiments: unknown model %q", model)
+	tl, err := (&simulate.Replay{Framework: fw}).Run(context.Background(), TestPeriodStart, TestPeriodEnd)
+	if err != nil {
+		return simulate.Summary{}, err
 	}
-	return r.Run(context.Background(), p, TestPeriodStart, TestPeriodEnd)
+	return tl.Summary(), nil
 }
 
 // AlphaBetaCell is one point of the Fig. 6 grids.
 type AlphaBetaCell struct {
-	Model       ModelName
+	Model       core.ModelKind
 	Alpha, Beta int
 	F1          float64
 	TrainTime   time.Duration // Fig. 7 series (β=1 rows)
@@ -60,7 +49,7 @@ type AlphaBetaCell struct {
 
 // AlphaBetaGrid sweeps α ∈ alphas × β ∈ betas for one model (Fig. 6) and
 // reports per-cell timing (Figs. 7–8 read the β=1 row).
-func AlphaBetaGrid(env *Env, model ModelName, alphas, betas []int, seed uint64) ([]AlphaBetaCell, error) {
+func AlphaBetaGrid(env *Env, model core.ModelKind, alphas, betas []int, seed uint64) ([]AlphaBetaCell, error) {
 	var out []AlphaBetaCell
 	for _, a := range alphas {
 		for _, b := range betas {
@@ -73,9 +62,9 @@ func AlphaBetaGrid(env *Env, model ModelName, alphas, betas []int, seed uint64) 
 				Alpha:       a,
 				Beta:        b,
 				F1:          res.F1,
-				TrainTime:   res.AvgTrainTime,
-				InferPerJob: res.AvgInferencePerJob,
-				TrainSize:   res.AvgTrainSize,
+				TrainTime:   res.MeanTrainTime,
+				InferPerJob: res.MeanClassifyPerJob,
+				TrainSize:   res.MeanTrainedOn,
 			})
 		}
 	}
@@ -111,9 +100,9 @@ var (
 )
 
 // BestParams returns the per-model best settings the paper converges on.
-func BestParams(m ModelName) online.Params {
+func BestParams(m core.ModelKind) online.Params {
 	switch m {
-	case RF:
+	case core.ModelRF:
 		return online.Params{Alpha: 15, Beta: 1}
 	default: // KNN and the baseline both use α=30, β=1
 		return online.Params{Alpha: 30, Beta: 1}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 	"time"
 
+	"mcbound/internal/core"
 	"mcbound/internal/online"
 	"mcbound/internal/workload"
 )
@@ -30,14 +30,10 @@ func TestNewEnvWiring(t *testing.T) {
 	if env.Characterizer.RidgePoint() < 3.2 || env.Characterizer.RidgePoint() > 3.4 {
 		t.Errorf("ridge = %g", env.Characterizer.RidgePoint())
 	}
-	// The fetcher must see the same jobs the store holds.
+	// The store must hold the test period the online runs replay.
 	day := TestPeriodStart
-	fetched, err := env.Fetcher.FetchSubmitted(context.Background(), day, day.AddDate(0, 0, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fetched) == 0 {
-		t.Error("fetcher found no jobs in the test period")
+	if len(env.Store.SubmittedBetween(day, day.AddDate(0, 0, 7))) == 0 {
+		t.Error("store holds no jobs in the test period")
 	}
 }
 
@@ -113,12 +109,12 @@ func TestMaintenanceDipVisibleInFig2(t *testing.T) {
 
 func TestRunOnlineBaselineSmoke(t *testing.T) {
 	env := tinyEnv(t)
-	res, err := RunOnline(env, Baseline, online.Params{Alpha: 10, Beta: 7, Seed: 1})
+	res, err := RunOnline(env, core.ModelBaseline, online.Params{Alpha: 10, Beta: 7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TestJobs == 0 || res.Retrainings != 5 {
-		t.Errorf("jobs %d, retrainings %d", res.TestJobs, res.Retrainings)
+	if res.Classified == 0 || res.Trainings != 5 {
+		t.Errorf("jobs %d, retrainings %d", res.Classified, res.Trainings)
 	}
 	if res.F1 <= 0.3 || res.F1 > 1 {
 		t.Errorf("baseline F1 = %g out of plausible range", res.F1)
@@ -127,16 +123,16 @@ func TestRunOnlineBaselineSmoke(t *testing.T) {
 
 func TestRunOnlineUnknownModel(t *testing.T) {
 	env := tinyEnv(t)
-	if _, err := RunOnline(env, ModelName("svm"), online.Params{Alpha: 10, Beta: 7}); err == nil {
+	if _, err := RunOnline(env, core.ModelKind("svm"), online.Params{Alpha: 10, Beta: 7}); err == nil {
 		t.Error("accepted unknown model")
 	}
 }
 
 func TestBestParams(t *testing.T) {
-	if p := BestParams(RF); p.Alpha != 15 || p.Beta != 1 {
+	if p := BestParams(core.ModelRF); p.Alpha != 15 || p.Beta != 1 {
 		t.Errorf("RF best = %+v", p)
 	}
-	if p := BestParams(KNN); p.Alpha != 30 || p.Beta != 1 {
+	if p := BestParams(core.ModelKNN); p.Alpha != 30 || p.Beta != 1 {
 		t.Errorf("KNN best = %+v", p)
 	}
 }
@@ -161,10 +157,10 @@ func TestScaledThetas(t *testing.T) {
 
 func TestWriteAlphaBetaTable(t *testing.T) {
 	cells := []AlphaBetaCell{
-		{Model: KNN, Alpha: 15, Beta: 1, F1: 0.9},
-		{Model: KNN, Alpha: 15, Beta: 2, F1: 0.88},
-		{Model: KNN, Alpha: 30, Beta: 1, F1: 0.91},
-		{Model: KNN, Alpha: 30, Beta: 2, F1: 0.89},
+		{Model: core.ModelKNN, Alpha: 15, Beta: 1, F1: 0.9},
+		{Model: core.ModelKNN, Alpha: 15, Beta: 2, F1: 0.88},
+		{Model: core.ModelKNN, Alpha: 30, Beta: 1, F1: 0.91},
+		{Model: core.ModelKNN, Alpha: 30, Beta: 2, F1: 0.89},
 	}
 	var buf bytes.Buffer
 	WriteAlphaBetaTable(&buf, cells, []int{1, 2})

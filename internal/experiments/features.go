@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
+	"mcbound/internal/core"
 	"mcbound/internal/encode"
-	"mcbound/internal/ml/rf"
-	"mcbound/internal/online"
 )
 
 // The feature-set ablation of §V-A: prior work's feature set (user name,
@@ -45,17 +43,10 @@ type FeatureAblationResult struct {
 func FeatureAblation(env *Env, seed uint64) ([]FeatureAblationResult, error) {
 	var out []FeatureAblationResult
 	for _, set := range AblationFeatureSets() {
-		r := &online.Runner{
-			Fetcher:       env.Fetcher,
-			Characterizer: env.Characterizer,
-			Encoder:       encode.NewEncoder(set.Features, nil),
-		}
-		cfg := rf.DefaultConfig()
-		cfg.Seed = seed + 1
-		r.Model = rf.New(cfg)
-		p := BestParams(RF)
-		p.Seed = seed
-		res, err := r.Run(context.Background(), p, TestPeriodStart, TestPeriodEnd)
+		cfg := core.DefaultConfig()
+		cfg.Model, cfg.Params, cfg.Features = core.ModelRF, BestParams(core.ModelRF), set.Features
+		cfg.Seed = seed
+		res, err := replayTestMonth(env, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: feature set %q: %w", set.Name, err)
 		}

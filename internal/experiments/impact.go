@@ -102,7 +102,7 @@ func testMonthImpact(env *Env) (ImpactEstimate, int, error) {
 	if _, err := fw.Train(ctx, TestPeriodStart); err != nil {
 		return ImpactEstimate{}, 0, err
 	}
-	month, err := env.Fetcher.FetchSubmitted(ctx, TestPeriodStart, TestPeriodEnd)
+	month, err := fw.Fetcher().FetchSubmitted(ctx, TestPeriodStart, TestPeriodEnd)
 	if err != nil {
 		return ImpactEstimate{}, 0, err
 	}

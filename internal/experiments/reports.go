@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mcbound/internal/core"
 	"mcbound/internal/online"
 )
 
@@ -11,7 +12,7 @@ import (
 // grids of Fig. 6 for KNN and RF, plus the β=1 timing rows of Figs. 7–8.
 func ReportAlphaBeta(w io.Writer, env *Env, seed uint64) error {
 	fmt.Fprintln(w, "== Experiment 1: α×β sweep (Fig. 6; timing rows = Figs. 7–8) ==")
-	for _, model := range []ModelName{KNN, RF} {
+	for _, model := range []core.ModelKind{core.ModelKNN, core.ModelRF} {
 		cells, err := AlphaBetaGrid(env, model, PaperAlphas, PaperBetas, seed)
 		if err != nil {
 			return err
@@ -37,7 +38,7 @@ func ReportAlphaBeta(w io.Writer, env *Env, seed uint64) error {
 func ReportBaseline(w io.Writer, env *Env, seed uint64) error {
 	fmt.Fprintln(w, "== Experiment: baseline comparison (§V.C.a; paper: 0.83 vs 0.90) ==")
 	fmt.Fprintf(w, "%-10s %-12s %8s %12s %16s\n", "model", "params", "F1", "test jobs", "infer/job")
-	for _, model := range []ModelName{Baseline, KNN, RF} {
+	for _, model := range []core.ModelKind{core.ModelBaseline, core.ModelKNN, core.ModelRF} {
 		p := BestParams(model)
 		p.Seed = seed
 		res, err := RunOnline(env, model, p)
@@ -45,7 +46,7 @@ func ReportBaseline(w io.Writer, env *Env, seed uint64) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-10s %-12s %8.4f %12d %16s\n",
-			model, p, res.F1, res.TestJobs, res.AvgInferencePerJob)
+			model, p, res.F1, res.Classified, res.MeanClassifyPerJob)
 	}
 	fmt.Fprintln(w)
 	return nil
@@ -57,7 +58,7 @@ func ReportBaseline(w io.Writer, env *Env, seed uint64) error {
 func ReportAlphaPlus(w io.Writer, env *Env, seed uint64) error {
 	fmt.Fprintln(w, "== Experiment 2: α⁺ growing window (§V.C.b) ==")
 	fmt.Fprintf(w, "%-6s %-12s %8s %14s %16s %12s\n", "model", "window", "F1", "train time", "infer/job", "train size")
-	for _, model := range []ModelName{KNN, RF} {
+	for _, model := range []core.ModelKind{core.ModelKNN, core.ModelRF} {
 		best := BestParams(model)
 		best.Seed = seed
 		fixed, err := RunOnline(env, model, best)
@@ -71,9 +72,9 @@ func ReportAlphaPlus(w io.Writer, env *Env, seed uint64) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-6s %-12s %8.4f %14s %16s %12.0f\n",
-			model, fmt.Sprintf("α=%d", best.Alpha), fixed.F1, fixed.AvgTrainTime, fixed.AvgInferencePerJob, fixed.AvgTrainSize)
+			model, fmt.Sprintf("α=%d", best.Alpha), fixed.F1, fixed.MeanTrainTime, fixed.MeanClassifyPerJob, fixed.MeanTrainedOn)
 		fmt.Fprintf(w, "%-6s %-12s %8.4f %14s %16s %12.0f\n",
-			model, "α⁺", grown.F1, grown.AvgTrainTime, grown.AvgInferencePerJob, grown.AvgTrainSize)
+			model, "α⁺", grown.F1, grown.MeanTrainTime, grown.MeanClassifyPerJob, grown.MeanTrainedOn)
 	}
 	fmt.Fprintln(w)
 	return nil
@@ -87,7 +88,7 @@ func ReportTheta(w io.Writer, env *Env, seed uint64) error {
 	ratio := float64(env.Cfg.JobsPerDay) / 18500.0
 	thetas := ScaledThetas(ratio)
 	fmt.Fprintf(w, "== Experiment 3: θ subsampling (Figs. 9–10), θ scaled by %.3g ==\n", ratio)
-	for _, model := range []ModelName{KNN, RF} {
+	for _, model := range []core.ModelKind{core.ModelKNN, core.ModelRF} {
 		pts, err := ThetaSweep(env, model, thetas)
 		if err != nil {
 			return err

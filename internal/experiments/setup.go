@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/roofline"
 	"mcbound/internal/store"
@@ -16,11 +15,12 @@ import (
 )
 
 // Env bundles the shared substrate of every experiment: the synthetic
-// trace loaded into a jobs data storage, plus the Fugaku characterizer.
+// trace loaded into a jobs data storage — every Framework an experiment
+// deploys is built over Store — plus the Fugaku characterizer of the §IV
+// analysis.
 type Env struct {
 	Cfg           workload.Config
 	Store         *store.Store
-	Fetcher       *fetch.Fetcher
 	Characterizer *roofline.Characterizer
 	Jobs          []*job.Job // submission-ordered
 }
@@ -36,14 +36,9 @@ func NewEnv(cfg workload.Config, seed uint64) (*Env, error) {
 	if err := st.Insert(jobs...); err != nil {
 		return nil, err
 	}
-	f, err := fetch.New(fetch.StoreBackend{Store: st})
-	if err != nil {
-		return nil, err
-	}
 	return &Env{
 		Cfg:           cfg,
 		Store:         st,
-		Fetcher:       f,
 		Characterizer: roofline.NewCharacterizer(roofline.ModelFor(cfg.Machine)),
 		Jobs:          jobs,
 	}, nil

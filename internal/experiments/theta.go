@@ -3,12 +3,13 @@ package experiments
 import (
 	"fmt"
 
+	"mcbound/internal/core"
 	"mcbound/internal/online"
 )
 
 // ThetaPoint is one point of the Fig. 9/10 series.
 type ThetaPoint struct {
-	Model ModelName
+	Model core.ModelKind
 	Theta int
 	Mode  online.ThetaMode
 	F1    float64 // mean over seeds for random mode
@@ -29,7 +30,7 @@ var PaperSeeds = []uint64{520, 90, 1905, 7, 22}
 // thetas values larger than the window are still run — they degenerate
 // to "all data", exactly as in the paper where θ=1e5 approaches the full
 // window size.
-func ThetaSweep(env *Env, model ModelName, thetas []int) ([]ThetaPoint, error) {
+func ThetaSweep(env *Env, model core.ModelKind, thetas []int) ([]ThetaPoint, error) {
 	base := BestParams(model)
 	var out []ThetaPoint
 	for _, th := range thetas {

@@ -46,6 +46,25 @@ func (c *Confusion) AddAll(actual, predicted []job.Label) error {
 	return nil
 }
 
+// Merge adds every observation of other (nil = none) into c, so the
+// matrix of a period is the merge of its windows' matrices.
+func (c *Confusion) Merge(other *Confusion) {
+	if other == nil {
+		return
+	}
+	for actual, row := range other.cells {
+		dst, ok := c.cells[actual]
+		if !ok {
+			dst = make(map[job.Label]int)
+			c.cells[actual] = dst
+		}
+		for predicted, n := range row {
+			dst[predicted] += n
+			c.n += n
+		}
+	}
+}
+
 // N returns the number of recorded observations.
 func (c *Confusion) N() int { return c.n }
 

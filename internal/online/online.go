@@ -1,10 +1,13 @@
-// Package online implements the MCBound online prediction algorithm
-// (paper §III, §V): a Classification Model is retrained once every β days
-// on the jobs executed in the last α days (optionally a θ-subsample,
-// random or latest), and classifies every job submitted during the
-// following β days before its execution. The Runner replays this loop
-// over a historical period and measures both prediction quality and the
-// training/inference runtime overhead the paper reports in Figs. 6–10.
+// Package online holds the arithmetic of the MCBound online prediction
+// algorithm (paper §III, §V): a Classification Model is retrained once
+// every β days on the jobs executed in the last α days (optionally a
+// θ-subsample, random or latest), and classifies every job submitted
+// during the following β days before its execution. Here live the
+// setting (Params), the trigger calendar (Schedule) and the window
+// selection (SubsampleIndices, FilterLabeled) — no loop and no model:
+// core.Framework is the one implementation of the two workflows, and
+// simulate.Replay (in process) and replay.Manager (over HTTP) are the
+// two walkers of the calendar.
 package online
 
 import (
@@ -148,6 +151,7 @@ func SubsampleIndices(p Params, n int, rng *stats.RNG) []int {
 // FilterLabeled splits a characterized window into the rows usable for
 // supervised training, dropping jobs the characterizer skipped.
 func FilterLabeled(jobs []*job.Job) (kept []*job.Job, labels []job.Label) {
+	kept, labels = make([]*job.Job, 0, len(jobs)), make([]job.Label, 0, len(jobs))
 	for _, j := range jobs {
 		if j.TrueLabel == job.Unknown {
 			continue

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"mcbound/internal/wal"
 )
@@ -132,6 +133,17 @@ func (r *Registry) Load(name string, version int, m encoding.BinaryUnmarshaler) 
 		return fmt.Errorf("persist: unmarshal %s v%d: %w", name, version, err)
 	}
 	return nil
+}
+
+// SavedAt reports when a stored version was written: its file's
+// modification time, which Save's rename leaves at the write and nothing
+// in the registry touches afterwards.
+func (r *Registry) SavedAt(name string, version int) (time.Time, error) {
+	info, err := os.Stat(r.path(name, version))
+	if err != nil {
+		return time.Time{}, fmt.Errorf("persist: %w", err)
+	}
+	return info.ModTime().UTC(), nil
 }
 
 // Versions lists the stored versions of a model, ascending.

@@ -27,7 +27,6 @@ import (
 
 	"mcbound/internal/clock"
 	"mcbound/internal/job"
-	"mcbound/internal/metrics"
 	"mcbound/internal/online"
 	"mcbound/internal/simulate"
 	"mcbound/internal/store"
@@ -440,29 +439,18 @@ func (m *Manager) infer(ctx context.Context, now, windowEnd time.Time) error {
 		if len(preds) != len(jobs) {
 			return fmt.Errorf("replay: inference at %v: %d predictions for %d jobs", now, len(preds), len(jobs))
 		}
-		ev.Classified = len(preds)
-		conf := metrics.NewConfusion()
+		labels := make([]job.Label, len(preds))
 		for i, p := range preds {
-			if p.Class == job.MemoryBound.String() {
-				ev.MemoryBound++
-			}
-			if m.opts.Truth == nil {
-				continue
-			}
-			truth, ok := m.opts.Truth(jobs[i])
-			if !ok {
-				continue // ground truth never materializes for this job
-			}
-			predicted, err := job.ParseLabel(p.Class)
-			if err != nil {
+			if labels[i], err = job.ParseLabel(p.Class); err != nil {
 				return fmt.Errorf("replay: bad class %q from target: %w", p.Class, err)
 			}
-			conf.Add(truth, predicted)
-			ev.Evaluated++
 		}
-		if ev.Evaluated > 0 {
-			ev.F1 = conf.F1Macro()
-		}
+		ev = simulate.ScoreWindow(now, labels, func(i int) (job.Label, bool) {
+			if m.opts.Truth == nil {
+				return job.Unknown, false
+			}
+			return m.opts.Truth(jobs[i]) // false: ground truth never materializes for this job
+		})
 	}
 	m.mu.Lock()
 	m.timeline.Events = append(m.timeline.Events, ev)

@@ -5,19 +5,23 @@
 // the exact sequence the deploy script + cronjob produce on a live
 // system, but deterministic and as fast as the components allow.
 //
-// Where online.Runner exists to *evaluate* the algorithm (it tracks
-// ground truth and timing for the paper's experiments), Replay exercises
-// the deployed Framework facade itself — the same code path the HTTP
-// backend serves — and records an operational timeline.
+// Replay is the only in-process walker of online.Schedule, and it
+// drives the deployed Framework facade itself — the code the HTTP
+// backend serves — so one Timeline is both the operational record of a
+// deployment and, summed up, the paper's evaluation of it (Figs. 6–10):
+// quality against Roofline ground truth, runtime overhead, and what
+// degraded mode cost when the jobs data storage or a fit failed.
 package simulate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"mcbound/internal/core"
+	"mcbound/internal/job"
 	"mcbound/internal/metrics"
 	"mcbound/internal/online"
 )
@@ -36,19 +40,56 @@ type Event struct {
 	Time time.Time
 	Kind EventKind
 
+	// Err is why the trigger did not do its work, nil when it did: a
+	// Training Workflow that failed and left the previous model serving
+	// (an error after the fit, i.e. persisting it, included), or an
+	// inference window nothing answered. FetchFailed marks the jobs data
+	// storage as the cause.
+	Err         error
+	FetchFailed bool
+
 	// Training fields.
-	TrainedOn    int // labeled jobs in the window
+	TrainedOn    int // rows the model was fitted on
 	ModelVersion int
 	TrainTime    time.Duration
 
 	// Inference fields. Evaluated counts the classified jobs whose
-	// Roofline ground truth was computable once they executed; F1 is the
-	// macro-F1 of the window's predictions against that truth (0 when
-	// nothing was evaluable) — the per-day quality series of Fig. 6.
+	// Roofline ground truth was computable once they executed; Confusion
+	// is their matrix (nil when there were none) and F1 its macro-F1 (0
+	// then) — the per-day quality series of Fig. 6.
 	Classified  int
 	MemoryBound int
 	Evaluated   int
 	F1          float64
+	Confusion   *metrics.Confusion
+
+	// How the window was served (in-process replays only): the wall time
+	// of its ClassifyJobs call, whether the lookup net answered because
+	// no vector model had ever trained, and how much older than this
+	// window's own trigger the serving model was (0 = fresh).
+	ClassifyTime time.Duration
+	Degraded     bool
+	Staleness    time.Duration
+}
+
+// ScoreWindow builds the inference event of the window starting at t
+// from its predictions, index-aligned with the window's jobs; truth
+// reports job i's ground-truth label, or false when it never arrives.
+func ScoreWindow(t time.Time, predicted []job.Label, truth func(i int) (job.Label, bool)) Event {
+	ev := Event{Time: t, Kind: EventInfer, Classified: len(predicted)}
+	conf := metrics.NewConfusion()
+	for i, p := range predicted {
+		if p == job.MemoryBound {
+			ev.MemoryBound++
+		}
+		if actual, ok := truth(i); ok {
+			conf.Add(actual, p)
+		}
+	}
+	if ev.Evaluated = conf.N(); ev.Evaluated > 0 {
+		ev.Confusion, ev.F1 = conf, conf.F1Macro()
+	}
+	return ev
 }
 
 // Timeline is the ordered record of a replay.
@@ -56,45 +97,99 @@ type Timeline struct {
 	Events []Event
 }
 
-// Trainings and Inferences count the events by kind.
-func (tl *Timeline) Trainings() int  { return tl.count(EventTrain) }
-func (tl *Timeline) Inferences() int { return tl.count(EventInfer) }
+// Summary is what a period's events add up to: the quantities of the
+// paper's evaluation and the degraded-mode account.
+type Summary struct {
+	// Quality over every evaluated prediction of the period (the
+	// paper's evaluate script), not a mean of the window F1s.
+	Confusion *metrics.Confusion
+	F1        float64
 
-func (tl *Timeline) count(k EventKind) int {
-	n := 0
-	for _, e := range tl.Events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
+	Trainings  int // Training Workflows that published a model
+	Inferences int // inference windows walked
+	Classified int // jobs classified before execution
+
+	// Runtime overhead. Train time is the fit alone (characterization
+	// and encoding excluded, paper §V-B); the per-job inference time is
+	// the whole ClassifyJobs call, encoding included.
+	MeanTrainTime      time.Duration
+	MeanTrainedOn      float64
+	MeanClassifyPerJob time.Duration
+
+	// Degraded mode: a replay over a flaky jobs data storage keeps
+	// going. A failed Training Workflow keeps the previous model, and
+	// inference before any successful fit answers from the lookup net.
+	SkippedTrainings int           // triggers that kept the previous model (failed fetch, empty window or failed fit)
+	FailedFetches    int           // train and inference fetches the storage failed
+	UnservedWindows  int           // windows with submissions but no fetch, model or net to answer them
+	FallbackWindows  int           // windows answered by the lookup net
+	StaleWindows     int           // windows answered by a model from an earlier trigger
+	MaxStaleness     time.Duration // worst such model age
 }
 
-// TotalClassified sums the classified jobs across inference triggers.
-func (tl *Timeline) TotalClassified() int {
-	n := 0
+// Summary adds the timeline up.
+func (tl *Timeline) Summary() Summary {
+	s := Summary{Confusion: metrics.NewConfusion()}
+	var trainTime, classifyTime time.Duration
+	var trainedOn int
 	for _, e := range tl.Events {
-		n += e.Classified
+		if e.FetchFailed {
+			s.FailedFetches++
+		}
+		switch {
+		case e.Kind == EventTrain && e.Err != nil:
+			s.SkippedTrainings++
+		case e.Kind == EventTrain:
+			s.Trainings++
+			trainTime += e.TrainTime
+			trainedOn += e.TrainedOn
+		case e.Err != nil:
+			s.Inferences++
+			s.UnservedWindows++
+		default:
+			s.Inferences++
+			s.Classified += e.Classified
+			s.Confusion.Merge(e.Confusion)
+			classifyTime += e.ClassifyTime
+			if e.Degraded {
+				s.FallbackWindows++
+			}
+			if e.Staleness > 0 {
+				s.StaleWindows++
+				s.MaxStaleness = max(s.MaxStaleness, e.Staleness)
+			}
+		}
 	}
-	return n
+	s.F1 = s.Confusion.F1Macro()
+	if s.Trainings > 0 {
+		s.MeanTrainTime = trainTime / time.Duration(s.Trainings)
+		s.MeanTrainedOn = float64(trainedOn) / float64(s.Trainings)
+	}
+	if s.Classified > 0 {
+		s.MeanClassifyPerJob = classifyTime / time.Duration(s.Classified)
+	}
+	return s
 }
 
 // WriteText renders the timeline one line per event in a stable,
 // duration-free format (the golden-file representation): train lines
 // carry the model version and window size, infer lines the volume,
-// memory-bound count and the per-window F1 to three decimals.
+// memory-bound count and the per-window F1 to three decimals, and a
+// trigger that failed its cause.
 func (tl *Timeline) WriteText(w io.Writer) error {
 	for _, e := range tl.Events {
 		var err error
-		switch e.Kind {
-		case EventTrain:
-			_, err = fmt.Fprintf(w, "%s train v%d on %d jobs\n",
-				e.Time.Format("2006-01-02"), e.ModelVersion, e.TrainedOn)
-		case EventInfer:
+		day := e.Time.Format("2006-01-02")
+		switch {
+		case e.Err != nil:
+			_, err = fmt.Fprintf(w, "%s %s failed: %v\n", day, e.Kind, e.Err)
+		case e.Kind == EventTrain:
+			_, err = fmt.Fprintf(w, "%s train v%d on %d jobs\n", day, e.ModelVersion, e.TrainedOn)
+		case e.Kind == EventInfer:
 			_, err = fmt.Fprintf(w, "%s infer %d classified %d memory-bound f1=%.3f n=%d\n",
-				e.Time.Format("2006-01-02"), e.Classified, e.MemoryBound, e.F1, e.Evaluated)
+				day, e.Classified, e.MemoryBound, e.F1, e.Evaluated)
 		default:
-			_, err = fmt.Fprintf(w, "%s %s\n", e.Time.Format("2006-01-02"), e.Kind)
+			_, err = fmt.Fprintf(w, "%s %s\n", day, e.Kind)
 		}
 		if err != nil {
 			return err
@@ -105,96 +200,109 @@ func (tl *Timeline) WriteText(w io.Writer) error {
 
 // Replay drives a deployed Framework through a period.
 type Replay struct {
-	// Framework is the deployed instance (its Config.Beta sets the
-	// cron period; Config.Alpha the training window).
+	// Framework is the deployed instance; its Config.Params is the
+	// schedule (β the cron period, α the training window).
 	Framework *core.Framework
 
 	// Log, when non-nil, receives one line per workflow trigger.
 	Log io.Writer
 }
 
-// Run replays [start, end): an initial Training Workflow at start (the
-// deploy script), then alternating inference-over-the-last-β-days and
-// retraining, until the period is exhausted. Canceling the context
+// Run replays [start, end): a Training Workflow at start (the deploy
+// script), then alternating inference-over-the-next-β-days and
+// retraining (the cron job) until the period is exhausted. A trigger
+// that fails — the storage is down, the window is empty, the fit is
+// refused — is recorded with its cause and the replay goes on, served
+// by whatever the Framework still publishes. Canceling the context
 // aborts the replay at the next trigger boundary.
 func (r *Replay) Run(ctx context.Context, start, end time.Time) (*Timeline, error) {
 	if r.Framework == nil {
 		return nil, fmt.Errorf("simulate: nil framework")
 	}
-	cfg := r.Framework.Config()
-	triggers, err := online.Schedule(online.Params{Alpha: cfg.Alpha, Beta: cfg.Beta}, start, end)
+	triggers, err := online.Schedule(r.Framework.Config().Params, start, end)
 	if err != nil {
 		return nil, fmt.Errorf("simulate: %w", err)
 	}
 	tl := &Timeline{}
-
-	train := func(now time.Time) error {
-		rep, err := r.Framework.Train(ctx, now)
-		if err != nil {
-			return fmt.Errorf("simulate: training at %v: %w", now, err)
-		}
-		tl.Events = append(tl.Events, Event{
-			Time: now, Kind: EventTrain,
-			TrainedOn: rep.LabeledJobs, ModelVersion: rep.ModelVersion,
-			TrainTime: rep.TrainDuration,
-		})
-		r.logf("%s train: window [%s, %s) %d jobs, %v",
-			now.Format("2006-01-02"), rep.WindowStart.Format("01-02"),
-			rep.WindowEnd.Format("01-02"), rep.LabeledJobs, rep.TrainDuration.Round(time.Millisecond))
-		return nil
-	}
-
-	// Initial deployment.
-	if err := train(start); err != nil {
-		return nil, err
-	}
-
 	for _, tr := range triggers {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("simulate: replay canceled: %w", err)
-		}
-		now, windowEnd := tr.InferStart, tr.InferEnd
-		// Fetch the window's submissions once so predictions can later be
-		// reconciled index-for-index against their Roofline ground truth.
-		jobs, err := r.Framework.Fetcher().FetchSubmitted(ctx, now, windowEnd)
-		if err != nil {
-			return nil, fmt.Errorf("simulate: inference fetch at %v: %w", now, err)
-		}
-		ev := Event{Time: now, Kind: EventInfer}
-		if len(jobs) > 0 {
-			preds, err := r.Framework.ClassifyJobs(ctx, jobs)
+		for _, step := range []func(context.Context, online.Trigger) (Event, error){r.train, r.infer} {
+			ev, err := step(ctx, tr)
+			// A trigger cut short by cancellation did not fail; the
+			// replay did not finish.
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, fmt.Errorf("simulate: replay canceled: %w", cerr)
+			}
 			if err != nil {
-				return nil, fmt.Errorf("simulate: inference at %v: %w", now, err)
-			}
-			ev.Classified = len(preds)
-			conf := metrics.NewConfusion()
-			for i, p := range preds {
-				if p.Class == "memory-bound" {
-					ev.MemoryBound++
-				}
-				pt, err := r.Framework.Characterizer().Characterize(jobs[i])
-				if err != nil {
-					continue // truth never arrives for this job
-				}
-				conf.Add(pt.Label, p.Label)
-				ev.Evaluated++
-			}
-			if ev.Evaluated > 0 {
-				ev.F1 = conf.F1Macro()
-			}
-		}
-		tl.Events = append(tl.Events, ev)
-		r.logf("%s infer: %d jobs classified (%d memory-bound, f1=%.3f over %d)",
-			now.Format("2006-01-02"), ev.Classified, ev.MemoryBound, ev.F1, ev.Evaluated)
-
-		// Cron fires at the end of the β window (skip past the period).
-		if windowEnd.Before(end) {
-			if err := train(windowEnd); err != nil {
 				return nil, err
 			}
+			tl.Events = append(tl.Events, ev)
 		}
 	}
 	return tl, nil
+}
+
+// train runs the trigger's Training Workflow; its failure is an event,
+// not an error.
+func (r *Replay) train(ctx context.Context, tr online.Trigger) (Event, error) {
+	now := tr.TrainEnd
+	ev := Event{Time: now, Kind: EventTrain}
+	rep, err := r.Framework.Train(ctx, now)
+	if err != nil {
+		ev.Err, ev.FetchFailed = err, errors.Is(err, core.ErrTrainFetch)
+		r.logf("%s train failed: %v", now.Format("2006-01-02"), err)
+		return ev, nil
+	}
+	ev.TrainedOn, ev.ModelVersion, ev.TrainTime = rep.FittedJobs, rep.ModelVersion, rep.TrainDuration
+	r.logf("%s train: window [%s, %s) %d jobs, %v",
+		now.Format("2006-01-02"), rep.WindowStart.Format("01-02"),
+		rep.WindowEnd.Format("01-02"), rep.FittedJobs, rep.TrainDuration.Round(time.Millisecond))
+	return ev, nil
+}
+
+// infer classifies the trigger's window of submissions and scores the
+// predictions against the Roofline ground truth the jobs' execution
+// later produced. A window the storage would not deliver, or that found
+// neither a model nor the lookup net, is an event; a published model
+// that fails to predict is an error.
+func (r *Replay) infer(ctx context.Context, tr online.Trigger) (Event, error) {
+	fw, now := r.Framework, tr.InferStart
+	ev := Event{Time: now, Kind: EventInfer}
+	// Fetch the window's submissions once so predictions can be
+	// reconciled index-for-index against their ground truth.
+	jobs, err := fw.Fetcher().FetchSubmitted(ctx, now, tr.InferEnd)
+	if err != nil {
+		ev.Err, ev.FetchFailed = err, true
+	} else if len(jobs) > 0 {
+		t0 := time.Now()
+		preds, err := fw.ClassifyJobs(ctx, jobs)
+		elapsed := time.Since(t0)
+		switch {
+		case errors.Is(err, core.ErrNotTrained):
+			ev.Err = err
+		case err != nil:
+			return ev, fmt.Errorf("simulate: inference at %v: %w", now, err)
+		default:
+			labels := make([]job.Label, len(preds))
+			for i, p := range preds {
+				labels[i] = p.Label
+			}
+			ev = ScoreWindow(now, labels, func(i int) (job.Label, bool) {
+				pt, err := fw.Characterizer().Characterize(jobs[i])
+				return pt.Label, err == nil
+			})
+			ev.ClassifyTime, ev.Degraded = elapsed, preds[0].Degraded
+			if age, ok := fw.ModelAge(now); ok && age > 0 {
+				ev.Staleness = age
+			}
+		}
+	}
+	if ev.Err != nil {
+		r.logf("%s infer failed: %v", now.Format("2006-01-02"), ev.Err)
+	} else {
+		r.logf("%s infer: %d jobs classified (%d memory-bound, f1=%.3f over %d)",
+			now.Format("2006-01-02"), ev.Classified, ev.MemoryBound, ev.F1, ev.Evaluated)
+	}
+	return ev, nil
 }
 
 func (r *Replay) logf(format string, args ...any) {

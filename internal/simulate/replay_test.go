@@ -3,6 +3,7 @@ package simulate
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,13 +15,13 @@ import (
 	"mcbound/internal/store"
 )
 
-// replayStore seeds 40 days of two-app jobs starting January 1st, 2024.
-func replayStore(t *testing.T) *store.Store {
+// replayStore seeds days days of two-app jobs starting January 1st, 2024.
+func replayStore(t *testing.T, days int) *store.Store {
 	t.Helper()
 	st := store.New()
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	seq := 0
-	for day := 0; day < 40; day++ {
+	for day := 0; day < days; day++ {
 		for i := 0; i < 4; i++ {
 			for _, app := range []struct {
 				name         string
@@ -59,7 +60,7 @@ func replayStore(t *testing.T) *store.Store {
 }
 
 func TestReplayTimeline(t *testing.T) {
-	st := replayStore(t)
+	st := replayStore(t, 40)
 	cfg := core.DefaultConfig()
 	cfg.Alpha, cfg.Beta = 10, 2
 	fw, err := core.New(cfg, fetch.StoreBackend{Store: st})
@@ -78,15 +79,16 @@ func TestReplayTimeline(t *testing.T) {
 
 	// 10 days at β=2: 5 inference windows; initial training + a retrain
 	// after each window except the one touching end.
-	if got := tl.Inferences(); got != 5 {
-		t.Errorf("inferences = %d, want 5", got)
+	sum := tl.Summary()
+	if sum.Inferences != 5 {
+		t.Errorf("inferences = %d, want 5", sum.Inferences)
 	}
-	if got := tl.Trainings(); got != 5 {
-		t.Errorf("trainings = %d, want 5 (initial + 4 cron)", got)
+	if sum.Trainings != 5 {
+		t.Errorf("trainings = %d, want 5 (initial + 4 cron)", sum.Trainings)
 	}
 	// Every job submitted in the period must be classified exactly once.
-	if got := tl.TotalClassified(); got != 10*8 {
-		t.Errorf("classified %d jobs, want 80", got)
+	if sum.Classified != 10*8 {
+		t.Errorf("classified %d jobs, want 80", sum.Classified)
 	}
 	// The two apps are balanced, so roughly half memory-bound.
 	mem := 0
@@ -115,7 +117,7 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := r.Run(context.Background(), now, now.Add(time.Hour)); err == nil {
 		t.Error("accepted nil framework")
 	}
-	st := replayStore(t)
+	st := replayStore(t, 40)
 	fw, err := core.New(core.DefaultConfig(), fetch.StoreBackend{Store: st})
 	if err != nil {
 		t.Fatal(err)
@@ -124,10 +126,15 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := r.Run(context.Background(), now, now); err == nil {
 		t.Error("accepted empty period")
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Run(ctx, now, now.AddDate(0, 0, 2)); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled replay returned %v, want a cancellation, not a timeline of failed triggers", err)
+	}
 }
 
 func TestReplayModelVersionsAdvance(t *testing.T) {
-	st := replayStore(t)
+	st := replayStore(t, 40)
 	cfg := core.DefaultConfig()
 	cfg.Alpha, cfg.Beta = 10, 3
 	cfg.ModelDir = t.TempDir()
@@ -151,5 +158,41 @@ func TestReplayModelVersionsAdvance(t *testing.T) {
 		if v != i+1 {
 			t.Fatalf("versions = %v, want 1,2,...", versions)
 		}
+	}
+}
+
+// TestReplayRecordsFailedTriggers: a Training Workflow with nothing to
+// train on and a window with no model to answer it are timeline events
+// with their cause, not the end of the replay; the triggers after the
+// trace begins are served as if nothing had happened before them.
+func TestReplayRecordsFailedTriggers(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Alpha, cfg.Beta = 2, 1
+	fw, err := core.New(cfg, fetch.StoreBackend{Store: replayStore(t, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trace begins January 1st: the first trigger has an empty
+	// window behind it and that day's submissions in front of it.
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	tl, err := (&Replay{Framework: fw}).Run(context.Background(), start, start.AddDate(0, 0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := tl.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(text.String()), "\n")
+	if len(lines) != 6 ||
+		!strings.HasPrefix(lines[0], "2024-01-01 train failed: core: no characterizable jobs") ||
+		!strings.HasPrefix(lines[1], "2024-01-01 infer failed: core: no trained model") ||
+		lines[2] != "2024-01-02 train v0 on 8 jobs" ||
+		lines[3] != "2024-01-02 infer 8 classified 4 memory-bound f1=1.000 n=8" {
+		t.Errorf("timeline:\n%s", text.String())
+	}
+	sum := tl.Summary()
+	if sum.SkippedTrainings != 1 || sum.UnservedWindows != 1 || sum.Trainings != 2 || sum.Classified != 16 || sum.FailedFetches != 0 {
+		t.Errorf("summary = %+v", sum)
 	}
 }
