@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt clock-lint wiring-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-all
+.PHONY: all build test race vet fmt clock-lint wiring-lint peer-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-all
 
 all: check
 
@@ -81,6 +81,23 @@ wiring-lint:
 		--include='*.go' --exclude='*_test.go' cmd examples); \
 	if [ -n "$$out" ]; then \
 		echo "wiring-lint: assemble nodes through internal/node (see the Makefile comment):"; echo "$$out"; exit 1; \
+	fi
+
+# One peer client: a request one MCBound process originates at another
+# is built, bounded and classified in internal/peer, or what a status
+# and the {error, code} envelope mean, and how much of a body is read,
+# forks again. Outside it, non-test Go builds no request (NewRequest,
+# NewRequestWithContext) and uses none of the shortcuts that build one —
+# the package-level http.Get/Post/PostForm/Head and the same methods on a
+# client, matched by the names this repo gives a *http.Client (hc,
+# client, Client, HTTP). Sending a request someone else built is not
+# originating one: the router's proxy path hands the caller's request,
+# cloned, to hc.Do and is not matched.
+peer-lint:
+	@out=$$(grep -rnE 'http\.(NewRequest|NewRequestWithContext|Get|Post|PostForm|Head)\(|\b(hc|[cC]lient|HTTP)\.(Get|Post|PostForm|Head)\(' \
+		--include='*.go' --exclude='*_test.go' --exclude-dir=peer internal cmd examples); \
+	if [ -n "$$out" ]; then \
+		echo "peer-lint: originate process-to-process requests through internal/peer (see the Makefile comment):"; echo "$$out"; exit 1; \
 	fi
 
 # Fault-injection suite: replays a deployed core.Framework — the served
@@ -181,7 +198,7 @@ eval-golden:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt clock-lint wiring-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate eval-golden bench-smoke
+check: build vet fmt clock-lint wiring-lint peer-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate eval-golden bench-smoke
 
 # Non-test Go outside the benchmark module: the number ROADMAP's
 # consolidation item is judged by.

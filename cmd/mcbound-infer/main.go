@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,6 +20,8 @@ import (
 	"net/url"
 	"os"
 	"time"
+
+	"mcbound/internal/peer"
 )
 
 func main() {
@@ -89,17 +92,7 @@ func classifyRange(client *http.Client, server, start, end string) ([]json.RawMe
 }
 
 func get(client *http.Client, target string) ([]byte, error) {
-	resp, err := client.Get(target)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, payload)
-	}
-	return payload, nil
+	// A page is at most 1000 predictions; 16 MiB is far above it.
+	payload, _, err := peer.Do(context.Background(), client, peer.Call{Method: http.MethodGet, URL: target, Limit: 16 << 20})
+	return payload, err
 }

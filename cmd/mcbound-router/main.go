@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"mcbound/internal/cluster"
 	"mcbound/internal/httpapi"
@@ -27,59 +28,58 @@ import (
 	"mcbound/internal/telemetry"
 )
 
+// listen holds the flags router.Config has no field for: where to
+// listen, how long to drain, the membership in its unparsed form.
+type listen struct {
+	port         int
+	peers        string
+	drainTimeout time.Duration
+}
+
+// bindFlags declares the router's flags on fs, each one router.Config
+// has a field for bound straight to it, the rest to the returned listen.
+func bindFlags(fs *flag.FlagSet, c *router.Config) *listen {
+	l := new(listen)
+	fs.IntVar(&l.port, "port", 8000, "port to listen on")
+	fs.StringVar(&l.peers, "peers", "", "backend fleet as id=url,id=url,... (required)")
+	fs.DurationVar(&c.MaxReadLag, "max-read-lag", router.DefaultMaxReadLag, "followers lagging more than this are excluded from reads")
+	fs.DurationVar(&c.HedgeAfterMin, "hedge-min", router.DefaultHedgeAfterMin, "floor for the adaptive hedge delay")
+	fs.IntVar(&c.MaxRetries, "max-retries", router.DefaultMaxRetries, "extra read attempts after the first (each also needs a budget token)")
+	fs.Float64Var(&c.RetryBudget.Tokens, "retry-budget", resilience.DefaultBudgetTokens, "retry budget bucket capacity")
+	fs.Float64Var(&c.RetryBudget.Ratio, "retry-budget-ratio", resilience.DefaultBudgetRatio, "tokens refilled per successful request")
+	fs.IntVar(&c.EjectThreshold, "eject-threshold", router.DefaultEjectThreshold, "consecutive failures that eject a backend")
+	fs.DurationVar(&c.EjectCooldown, "eject-cooldown", router.DefaultEjectCooldown, "base ejection cooldown (jittered ×[0.5,1.5))")
+	fs.Float64Var(&c.MaxEjectFraction, "max-eject-fraction", router.DefaultMaxEjectFraction, "cap on the ejected share of the fleet")
+	fs.DurationVar(&c.PollEvery, "poll-every", router.DefaultPollEvery, "backend health probe period")
+	fs.DurationVar(&c.ForwardTimeout, "forward-timeout", router.DefaultForwardTimeout, "per-attempt proxy deadline (streams exempt)")
+	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", router.DefaultMaxBodyBytes, "largest write body the router will buffer")
+	fs.DurationVar(&l.drainTimeout, "drain-timeout", httpapi.DefaultDrainTimeout, "graceful shutdown drain window")
+	fs.Uint64Var(&c.Seed, "seed", 1, "seed for jitter and sampling determinism")
+	return l
+}
+
 func main() {
-	if err := run(); err != nil {
+	var c router.Config
+	l := bindFlags(flag.CommandLine, &c)
+	flag.Parse()
+	if err := serve(c, l); err != nil {
 		fmt.Fprintln(os.Stderr, "mcbound-router:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		port             = flag.Int("port", 8000, "port to listen on")
-		peers            = flag.String("peers", "", "backend fleet as id=url,id=url,... (required)")
-		maxReadLag       = flag.Duration("max-read-lag", router.DefaultMaxReadLag, "followers lagging more than this are excluded from reads")
-		hedgeMin         = flag.Duration("hedge-min", router.DefaultHedgeAfterMin, "floor for the adaptive hedge delay")
-		maxRetries       = flag.Int("max-retries", router.DefaultMaxRetries, "extra read attempts after the first (each also needs a budget token)")
-		budgetTokens     = flag.Float64("retry-budget", resilience.DefaultBudgetTokens, "retry budget bucket capacity")
-		budgetRatio      = flag.Float64("retry-budget-ratio", resilience.DefaultBudgetRatio, "tokens refilled per successful request")
-		ejectThreshold   = flag.Int("eject-threshold", router.DefaultEjectThreshold, "consecutive failures that eject a backend")
-		ejectCooldown    = flag.Duration("eject-cooldown", router.DefaultEjectCooldown, "base ejection cooldown (jittered ×[0.5,1.5))")
-		maxEjectFraction = flag.Float64("max-eject-fraction", router.DefaultMaxEjectFraction, "cap on the ejected share of the fleet")
-		pollEvery        = flag.Duration("poll-every", router.DefaultPollEvery, "backend health probe period")
-		forwardTimeout   = flag.Duration("forward-timeout", router.DefaultForwardTimeout, "per-attempt proxy deadline (streams exempt)")
-		maxBodyBytes     = flag.Int64("max-body-bytes", router.DefaultMaxBodyBytes, "largest write body the router will buffer")
-		drainTimeout     = flag.Duration("drain-timeout", httpapi.DefaultDrainTimeout, "graceful shutdown drain window")
-		seed             = flag.Uint64("seed", 1, "seed for jitter and sampling determinism")
-	)
-	flag.Parse()
-
-	if *peers == "" {
+// serve builds the router over the -peers fleet and serves it on -port
+// until SIGTERM/SIGINT, then drains in-flight requests.
+func serve(c router.Config, l *listen) (err error) {
+	if l.peers == "" {
 		return fmt.Errorf("-peers is required (the router fronts an existing fleet)")
 	}
-	members, err := cluster.ParseMemberList(*peers)
-	if err != nil {
+	if c.Backends, err = cluster.ParseMemberList(l.peers); err != nil {
 		return err
 	}
-
 	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmsgprefix)
-	reg := telemetry.NewRegistry()
-	rt, err := router.New(router.Config{
-		Backends:         members,
-		MaxReadLag:       *maxReadLag,
-		HedgeAfterMin:    *hedgeMin,
-		MaxRetries:       *maxRetries,
-		RetryBudget:      resilience.BudgetConfig{Tokens: *budgetTokens, Ratio: *budgetRatio},
-		EjectThreshold:   *ejectThreshold,
-		EjectCooldown:    *ejectCooldown,
-		MaxEjectFraction: *maxEjectFraction,
-		PollEvery:        *pollEvery,
-		ForwardTimeout:   *forwardTimeout,
-		MaxBodyBytes:     *maxBodyBytes,
-		Seed:             *seed,
-		Registry:         reg,
-		Logf:             logger.Printf,
-	})
+	c.Registry, c.Logf = telemetry.NewRegistry(), logger.Printf
+	rt, err := router.New(c)
 	if err != nil {
 		return err
 	}
@@ -92,12 +92,12 @@ func run() error {
 	// server it must not set a WriteTimeout; ForwardTimeout bounds the
 	// non-streaming attempts instead.
 	srv := &http.Server{
-		Addr:              fmt.Sprintf(":%d", *port),
+		Addr:              fmt.Sprintf(":%d", l.port),
 		Handler:           rt,
 		ReadHeaderTimeout: httpapi.DefaultReadHeaderTimeout,
 		IdleTimeout:       httpapi.DefaultIdleTimeout,
 	}
 	logger.Printf("mcbound-router listening on :%d fronting %d backends (hedge ≥ %v, budget %.0f tokens, eject after %d fails)",
-		*port, len(members), *hedgeMin, *budgetTokens, *ejectThreshold)
-	return httpapi.ListenAndServe(ctx, srv, *drainTimeout)
+		l.port, len(c.Backends), c.HedgeAfterMin, c.RetryBudget.Tokens, c.EjectThreshold)
+	return httpapi.ListenAndServe(ctx, srv, l.drainTimeout)
 }

@@ -1,0 +1,65 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"reflect"
+	"testing"
+	"time"
+
+	"mcbound/internal/resilience"
+	"mcbound/internal/router"
+)
+
+// -h must stay what it was before the flags bound into router.Config:
+// testdata/help.golden is the parent commit's output below its "Usage
+// of" line. A new flag or a changed default or help text fails here.
+func TestHelpGolden(t *testing.T) {
+	fs := flag.NewFlagSet("mcbound-router", flag.ContinueOnError)
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	bindFlags(fs, new(router.Config))
+	fs.PrintDefaults()
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("-h changed:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// Every flag lands in its own field: each is given a value that is
+// neither its default nor any other flag's.
+func TestEveryFlagLandsInConfig(t *testing.T) {
+	args := []string{
+		"-port=9001", "-peers=n1=http://a:1", "-max-read-lag=2s", "-hedge-min=3ms", "-max-retries=4",
+		"-retry-budget=5.5", "-retry-budget-ratio=0.6", "-eject-threshold=7", "-eject-cooldown=8s",
+		"-max-eject-fraction=0.9", "-poll-every=10ms", "-forward-timeout=11s", "-max-body-bytes=12",
+		"-drain-timeout=13s", "-seed=14",
+	}
+	fs := flag.NewFlagSet("mcbound-router", flag.ContinueOnError)
+	var c router.Config
+	l := bindFlags(fs, &c)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	fs.VisitAll(func(*flag.Flag) { declared++ })
+	if declared != len(args) {
+		t.Fatalf("%d flags declared, %d set by this test", declared, len(args))
+	}
+	if want := (listen{port: 9001, peers: "n1=http://a:1", drainTimeout: 13 * time.Second}); *l != want {
+		t.Fatalf("parsed %+v, want %+v", *l, want)
+	}
+	want := router.Config{
+		MaxReadLag: 2 * time.Second, HedgeAfterMin: 3 * time.Millisecond, MaxRetries: 4,
+		RetryBudget:    resilience.BudgetConfig{Tokens: 5.5, Ratio: 0.6},
+		EjectThreshold: 7, EjectCooldown: 8 * time.Second, MaxEjectFraction: 0.9,
+		PollEvery: 10 * time.Millisecond, ForwardTimeout: 11 * time.Second, MaxBodyBytes: 12, Seed: 14,
+	}
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("parsed Config\n%+v\nwant\n%+v", c, want)
+	}
+}

@@ -9,14 +9,15 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"time"
+
+	"mcbound/internal/peer"
 )
 
 func main() {
@@ -36,23 +37,13 @@ func main() {
 }
 
 func run(server, now, index string, nprobe int, timeout time.Duration) error {
-	body, err := json.Marshal(map[string]any{"now": now, "index": index, "nprobe": nprobe})
+	var report json.RawMessage
+	err := peer.JSON(context.Background(), &http.Client{Timeout: timeout},
+		peer.Call{Method: http.MethodPost, URL: server + "/v1/train"},
+		map[string]any{"now": now, "index": index, "nprobe": nprobe}, &report)
 	if err != nil {
 		return err
 	}
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Post(server+"/v1/train", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server returned %s: %s", resp.Status, payload)
-	}
-	fmt.Printf("%s\n", payload)
+	fmt.Printf("%s\n", report)
 	return nil
 }

@@ -142,16 +142,6 @@ func (m Membership) ContainsURL(u string) bool {
 	return false
 }
 
-// Lookup resolves a member by ID.
-func (m Membership) Lookup(id string) (Member, bool) {
-	for _, mem := range m.all {
-		if mem.ID == id {
-			return mem, true
-		}
-	}
-	return Member{}, false
-}
-
 // MemberStatus is one row of the GET /v1/cluster document.
 type MemberStatus struct {
 	ID         string `json:"id"`

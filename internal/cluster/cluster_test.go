@@ -28,12 +28,6 @@ func TestParsePeers(t *testing.T) {
 	if len(peers) != 2 || peers[0].ID != "n1" || peers[1].ID != "n3" {
 		t.Fatalf("peers = %+v", peers)
 	}
-	if mem, ok := m.Lookup("n3"); !ok || mem.URL != "http://c:3" {
-		t.Fatalf("Lookup(n3) = %+v, %v", mem, ok)
-	}
-	if _, ok := m.Lookup("nx"); ok {
-		t.Fatal("Lookup found an unknown member")
-	}
 }
 
 func TestParsePeersRejectsBadSpecs(t *testing.T) {

@@ -1,14 +1,11 @@
 package election
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
+	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 	"mcbound/internal/wal"
 )
@@ -38,6 +35,12 @@ type AckResponse struct {
 	Reason     string     `json:"reason,omitempty"`
 	LeaderURL  string     `json:"leader_url,omitempty"`
 	Lease      *wal.Lease `json:"lease,omitempty"`
+}
+
+// LeaseDoc is the GET /v1/lease document: the leader's own lease, or a
+// follower's relay of the last one it observed.
+type LeaseDoc struct {
+	Lease wal.Lease `json:"lease"`
 }
 
 // Transport carries lease reads and acks between electors. The chaos
@@ -77,63 +80,24 @@ func NewHTTPTransport(hc *http.Client, seed uint64) *HTTPTransport {
 	}
 }
 
-// GetLease implements Transport.
+// maxResponseBytes bounds a lease or ack document.
+const maxResponseBytes = 1 << 16
+
+// GetLease implements Transport. Whatever the peer answers other than
+// its lease is one missed read, retried once like a dropped packet.
 func (t *HTTPTransport) GetLease(ctx context.Context, baseURL string) (wal.Lease, error) {
 	return resilience.Do(ctx, t.retr, func(ctx context.Context) (wal.Lease, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/lease", nil)
-		if err != nil {
-			return wal.Lease{}, resilience.Permanent(err)
-		}
-		resp, err := t.hc.Do(req)
-		if err != nil {
-			return wal.Lease{}, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if err != nil {
-			return wal.Lease{}, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return wal.Lease{}, fmt.Errorf("election: %s/v1/lease: status %d", baseURL, resp.StatusCode)
-		}
-		var doc struct {
-			Lease wal.Lease `json:"lease"`
-		}
-		if err := json.Unmarshal(body, &doc); err != nil {
-			return wal.Lease{}, fmt.Errorf("election: decode lease: %w", err)
-		}
-		return doc.Lease, nil
+		var doc LeaseDoc
+		err := peer.JSON(ctx, t.hc, peer.Call{Method: http.MethodGet, URL: baseURL + "/v1/lease", Limit: maxResponseBytes}, nil, &doc)
+		return doc.Lease, err
 	})
 }
 
 // Ack implements Transport.
 func (t *HTTPTransport) Ack(ctx context.Context, baseURL string, ar AckRequest) (AckResponse, error) {
-	payload, err := json.Marshal(ar)
-	if err != nil {
-		return AckResponse{}, err
-	}
 	return resilience.Do(ctx, t.retr, func(ctx context.Context) (AckResponse, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/lease/ack", bytes.NewReader(payload))
-		if err != nil {
-			return AckResponse{}, resilience.Permanent(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := t.hc.Do(req)
-		if err != nil {
-			return AckResponse{}, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if err != nil {
-			return AckResponse{}, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return AckResponse{}, fmt.Errorf("election: %s/v1/lease/ack: status %d", baseURL, resp.StatusCode)
-		}
 		var out AckResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			return AckResponse{}, fmt.Errorf("election: decode ack: %w", err)
-		}
-		return out, nil
+		err := peer.JSON(ctx, t.hc, peer.Call{Method: http.MethodPost, URL: baseURL + "/v1/lease/ack", Limit: maxResponseBytes}, ar, &out)
+		return out, err
 	})
 }

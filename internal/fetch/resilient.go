@@ -54,9 +54,6 @@ func NewResilientBackend(inner Backend, cfg ResilienceConfig) *ResilientBackend 
 // Breaker exposes the circuit breaker (health endpoints, telemetry).
 func (b *ResilientBackend) Breaker() *resilience.Breaker { return b.brk }
 
-// Retrier exposes the retry executor (telemetry instrumentation).
-func (b *ResilientBackend) Retrier() *resilience.Retrier { return b.retr }
-
 // Instrument exports the decorator's attempt and breaker telemetry on
 // reg under the "fetch" operation label. Call before serving.
 func (b *ResilientBackend) Instrument(reg *telemetry.Registry) {
@@ -64,46 +61,27 @@ func (b *ResilientBackend) Instrument(reg *telemetry.Registry) {
 	resilience.InstrumentBreaker(reg, "fetch", b.brk)
 }
 
-// do runs one logical query: breaker admission, then the retry loop.
-// The breaker records the post-retry outcome — a query that needed two
-// attempts but succeeded is a success.
-func do[T any](ctx context.Context, b *ResilientBackend, op func(ctx context.Context) (T, error)) (T, error) {
-	if err := b.brk.Allow(); err != nil {
-		var zero T
-		return zero, err
-	}
-	v, err := resilience.Do(ctx, b.retr, func(ctx context.Context) (T, error) {
-		v, err := op(ctx)
-		if err != nil && errors.Is(err, store.ErrNotFound) {
-			err = resilience.Permanent(err)
-		}
-		return v, err
-	})
-	if err != nil && resilience.IsPermanent(err) && errors.Is(err, store.ErrNotFound) {
-		b.brk.Record(nil) // a miss is a healthy backend answering
-	} else {
-		b.brk.Record(err)
-	}
-	return v, err
-}
+// isMiss names the one answer that is not a failure: a lookup miss is a
+// healthy storage saying "no".
+func isMiss(err error) bool { return errors.Is(err, store.ErrNotFound) }
 
 // JobByID implements Backend.
 func (b *ResilientBackend) JobByID(ctx context.Context, id string) (*job.Job, error) {
-	return do(ctx, b, func(ctx context.Context) (*job.Job, error) {
+	return resilience.Guarded(ctx, b.brk, b.retr, isMiss, func(ctx context.Context) (*job.Job, error) {
 		return b.inner.JobByID(ctx, id)
 	})
 }
 
 // ExecutedBetween implements Backend.
 func (b *ResilientBackend) ExecutedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
-	return do(ctx, b, func(ctx context.Context) ([]*job.Job, error) {
+	return resilience.Guarded(ctx, b.brk, b.retr, isMiss, func(ctx context.Context) ([]*job.Job, error) {
 		return b.inner.ExecutedBetween(ctx, start, end)
 	})
 }
 
 // SubmittedBetween implements Backend.
 func (b *ResilientBackend) SubmittedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
-	return do(ctx, b, func(ctx context.Context) ([]*job.Job, error) {
+	return resilience.Guarded(ctx, b.brk, b.retr, isMiss, func(ctx context.Context) ([]*job.Job, error) {
 		return b.inner.SubmittedBetween(ctx, start, end)
 	})
 }

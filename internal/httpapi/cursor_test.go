@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mcbound/internal/job"
+	"mcbound/internal/peer"
 	"mcbound/internal/store"
 )
 
@@ -309,7 +310,7 @@ func TestRangeRejectsBadPaging(t *testing.T) {
 		"/v1/classify" + window + "&limit=-1",
 		"/v1/characterize" + window + "&limit=x",
 	} {
-		var e ErrorBody
+		var e peer.ErrorBody
 		if code := getJSON(t, srv.URL+q, &e); code != http.StatusBadRequest || e.Code != "bad_request" {
 			t.Errorf("%s: status %d code %q, want 400 bad_request", q, code, e.Code)
 		}

@@ -19,7 +19,7 @@ func (s *Server) handleLeaseGet(w http.ResponseWriter, _ *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"lease": l})
+	s.writeJSON(w, http.StatusOK, election.LeaseDoc{Lease: l})
 }
 
 // handleLeaseAck serves POST /v1/lease/ack: heartbeat acknowledgments

@@ -17,17 +17,6 @@ import (
 	"mcbound/internal/wal"
 )
 
-// ErrorBody is the error envelope every handler returns: a human
-// message plus a stable machine-readable code. Index is set only for
-// batch-insert rejections (the offset of the first invalid record).
-// Exported so the front door (internal/router) emits the same envelope
-// for the errors it originates itself.
-type ErrorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-	Index *int   `json:"index,omitempty"`
-}
-
 // Stable error codes the front door originates on its own behalf —
 // exported because routers return them without going through
 // errToStatus (the failure never reached a backend handler).

@@ -16,6 +16,7 @@ import (
 	"mcbound/internal/admission"
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
+	"mcbound/internal/peer"
 )
 
 // laggyBackend delays single-job lookups, making GET /v1/classify/{id}
@@ -48,7 +49,7 @@ func (b *laggyBackend) JobByID(ctx context.Context, id string) (*job.Job, error)
 	return b.Backend.JobByID(ctx, id)
 }
 
-func doGet(t *testing.T, client *http.Client, url string, header map[string]string) (*http.Response, ErrorBody) {
+func doGet(t *testing.T, client *http.Client, url string, header map[string]string) (*http.Response, peer.ErrorBody) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -62,7 +63,7 @@ func doGet(t *testing.T, client *http.Client, url string, header map[string]stri
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body ErrorBody
+	var body peer.ErrorBody
 	_ = json.NewDecoder(resp.Body).Decode(&body)
 	return resp, body
 }
@@ -228,7 +229,7 @@ func TestOverloadBurst(t *testing.T) {
 			return 0, "", 0
 		}
 		defer resp.Body.Close()
-		var body ErrorBody
+		var body peer.ErrorBody
 		_ = json.NewDecoder(resp.Body).Decode(&body)
 		return resp.StatusCode, resp.Header.Get("Retry-After"), time.Since(t0)
 	}

@@ -62,6 +62,7 @@ import (
 	"mcbound/internal/core"
 	"mcbound/internal/election"
 	"mcbound/internal/job"
+	"mcbound/internal/peer"
 	"mcbound/internal/repl"
 	"mcbound/internal/replay"
 	"mcbound/internal/resilience"
@@ -363,71 +364,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	s.writeJSON(w, status, ErrorBody{Error: err.Error(), Code: code})
-}
-
-// handleHealth is the readiness probe: 200 while the framework can
-// answer inference (fresh, stale or via the lookup fallback), 503 when
-// it cannot. "degraded" flags fallback-only serving.
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	status, httpStatus := "ok", http.StatusOK
-	switch {
-	case !s.fw.Ready():
-		status, httpStatus = "unavailable", http.StatusServiceUnavailable
-	case s.fw.Degraded():
-		status = "degraded"
-	}
-	var replStatus *repl.NodeStatus
-	if s.repl != nil {
-		st := s.repl.Status()
-		replStatus = &st
-		// A lagging or disconnected follower serves a stale model; the
-		// three-way state is the top-level status so a load balancer can
-		// eject the replica on the probe alone.
-		if st.Follower != nil && st.Follower.State != repl.StateOK {
-			status, httpStatus = st.Follower.State, http.StatusServiceUnavailable
-		}
-	}
-	body := map[string]any{
-		"status":   status,
-		"trained":  s.fw.Trained(),
-		"degraded": s.fw.Degraded(),
-		"jobs":     s.store.Len(),
-	}
-	if age, ok := s.fw.ModelAge(time.Now()); ok {
-		body["staleness_seconds"] = age.Seconds()
-	}
-	if s.breaker != nil {
-		body["breaker"] = s.breaker.State().String()
-	}
-	if d := s.currentDurable(); d != nil {
-		body["durability"] = d.Health()
-	}
-	if replStatus != nil {
-		body["replication"] = replStatus
-	}
-	if s.elector != nil {
-		cst := s.elector.Status()
-		body["cluster"] = cst
-		// A leader that cannot prove its lease must fail readiness, or
-		// the front door keeps routing writes into lease_lost rejections.
-		if s.elector.IsLeader() && !cst.LeaseHeld && httpStatus == http.StatusOK {
-			status, httpStatus = "lease_lost", http.StatusServiceUnavailable
-			body["status"] = status
-		}
-	}
-	if s.replayMgr != nil {
-		st := s.replayMgr.Status()
-		body["replay"] = map[string]any{
-			"state":            st.State,
-			"sim_clock":        st.SimClock,
-			"records_replayed": st.Records,
-			"speed":            st.Speed,
-			"windows_done":     st.WindowsDone,
-			"windows_total":    st.WindowsTotal,
-		}
-	}
-	s.writeJSON(w, httpStatus, body)
+	s.writeJSON(w, status, peer.ErrorBody{Error: err.Error(), Code: code})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
@@ -527,7 +464,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) writeInvalidJob(w http.ResponseWriter, err error, index int) {
 	status, code := errToStatus(err)
-	s.writeJSON(w, status, ErrorBody{Error: err.Error(), Code: code, Index: &index})
+	s.writeJSON(w, status, peer.ErrorBody{Error: err.Error(), Code: code, Index: &index})
 }
 
 func (s *Server) handleClassifyByID(w http.ResponseWriter, r *http.Request) {

@@ -20,6 +20,7 @@ import (
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
+	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 	"mcbound/internal/store"
 )
@@ -164,7 +165,7 @@ func TestClassifyByID(t *testing.T) {
 	if pred.JobID != "s0000" || pred.Class != "memory-bound" {
 		t.Errorf("pred = %+v", pred)
 	}
-	var e ErrorBody
+	var e peer.ErrorBody
 	if code := getJSON(t, srv.URL+"/v1/classify/nope", &e); code != http.StatusNotFound {
 		t.Errorf("missing job status = %d", code)
 	}
@@ -185,7 +186,7 @@ func TestClassifyRangeEnvelope(t *testing.T) {
 			len(env.Items), env.HasMore, env.NextCursor)
 	}
 	// Missing parameters → 400 bad_request.
-	var e ErrorBody
+	var e peer.ErrorBody
 	if code := getJSON(t, srv.URL+"/v1/classify?start=2024-01-10T00:00:00Z", &e); code != http.StatusBadRequest {
 		t.Errorf("missing end status = %d", code)
 	}
@@ -228,7 +229,7 @@ func TestNotTrainedReturns503(t *testing.T) {
 	st := seedStore(t)
 	srv := httptest.NewServer(newAPI(t, st, nil, false, Options{}))
 	defer srv.Close()
-	var e ErrorBody
+	var e peer.ErrorBody
 	if code := getJSON(t, srv.URL+"/v1/classify/s0000", &e); code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", code)
 	}
@@ -261,7 +262,7 @@ func TestTrainEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e ErrorBody
+	var e peer.ErrorBody
 	json.NewDecoder(resp2.Body).Decode(&e)
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
@@ -289,7 +290,7 @@ func TestTrainIndexOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e ErrorBody
+	var e peer.ErrorBody
 	json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
@@ -371,7 +372,7 @@ func TestInsertAtomicRejection(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	var e ErrorBody
+	var e peer.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestBodyCap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var e ErrorBody
+			var e peer.ErrorBody
 			err = json.NewDecoder(resp.Body).Decode(&e)
 			resp.Body.Close()
 			if err != nil {
@@ -477,7 +478,7 @@ func TestBadPayloadsRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e ErrorBody
+		var e peer.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
@@ -508,7 +509,7 @@ func TestTrainEmptyBodyUsesWallClock(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("status %d, want 500 for an empty window", resp.StatusCode)
 	}
-	var e ErrorBody
+	var e peer.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" || e.Code != "internal" {
 		t.Errorf("error envelope wrong: %v, %+v", err, e)
 	}
@@ -715,7 +716,7 @@ func TestBreakerOpenReturns503WithRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	var e ErrorBody
+	var e peer.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}

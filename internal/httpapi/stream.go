@@ -13,6 +13,7 @@ import (
 	"mcbound/internal/admission"
 	"mcbound/internal/core"
 	"mcbound/internal/job"
+	"mcbound/internal/peer"
 )
 
 // Streaming defaults; Options override all of them.
@@ -82,32 +83,6 @@ func streamTicketFrom(ctx context.Context) *admission.Ticket {
 	return tk
 }
 
-// streamFrame is the NDJSON ingest response protocol: one typed frame
-// per line. "ack" frames carry the batch sequence number, the batch
-// size and the cumulative acked count; "error" frames carry a
-// per-record rejection (line number + the same stable code errToStatus
-// gives every other error in the API) or, with Fatal set, a
-// stream-terminating failure; the final "done" frame totals the
-// stream.
-type streamFrame struct {
-	Frame string `json:"frame"` // "ack" | "error" | "done"
-
-	// ack fields.
-	Seq   int `json:"seq,omitempty"`
-	Count int `json:"count,omitempty"`
-	Acked int `json:"acked,omitempty"`
-
-	// error fields.
-	Line  int    `json:"line,omitempty"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-	Fatal bool   `json:"fatal,omitempty"`
-
-	// done fields.
-	Rejected int `json:"rejected,omitempty"`
-	Batches  int `json:"batches,omitempty"`
-}
-
 // handleInsertStream is POST /v1/jobs/stream: NDJSON job records over
 // a long-lived request, answered by an NDJSON frame stream. Records
 // are validated one by one — an invalid record produces a typed error
@@ -130,7 +105,7 @@ func (s *Server) handleInsertStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	enc := json.NewEncoder(w)
-	writeFrame := func(f streamFrame) {
+	writeFrame := func(f peer.StreamFrame) {
 		if err := enc.Encode(f); err != nil {
 			s.log.Printf("httpapi: stream frame write: %v", err)
 		}
@@ -168,7 +143,7 @@ func (s *Server) handleInsertStream(w http.ResponseWriter, r *http.Request) {
 			// A store/WAL failure is not per-record: nothing in this
 			// batch was acked, the client replays it on a new stream.
 			_, code := errToStatus(err)
-			writeFrame(streamFrame{Frame: "error", Line: line, Error: err.Error(), Code: code, Fatal: true})
+			writeFrame(peer.StreamFrame{Frame: "error", Line: line, Error: err.Error(), Code: code, Fatal: true})
 			return err
 		}
 		if elapsed > chunkBudget {
@@ -179,7 +154,7 @@ func (s *Server) handleInsertStream(w http.ResponseWriter, r *http.Request) {
 		s.metrics.insertedJobs.Add(int64(len(batch)))
 		s.metrics.streamRecords.Add(int64(len(batch)))
 		s.metrics.streamBatches.Inc()
-		writeFrame(streamFrame{Frame: "ack", Seq: seq, Count: len(batch), Acked: acked})
+		writeFrame(peer.StreamFrame{Frame: "ack", Seq: seq, Count: len(batch), Acked: acked})
 		batch = batch[:0]
 		return nil
 	}
@@ -198,14 +173,14 @@ func (s *Server) handleInsertStream(w http.ResponseWriter, r *http.Request) {
 			rejected++
 			s.metrics.streamRejected.Inc()
 			_, code := errToStatus(badRequest(err))
-			writeFrame(streamFrame{Frame: "error", Line: line, Error: fmt.Sprintf("bad record: %v", err), Code: code})
+			writeFrame(peer.StreamFrame{Frame: "error", Line: line, Error: fmt.Sprintf("bad record: %v", err), Code: code})
 			continue
 		}
 		if err := j.Validate(); err != nil {
 			rejected++
 			s.metrics.streamRejected.Inc()
 			_, code := errToStatus(err)
-			writeFrame(streamFrame{Frame: "error", Line: line, Error: err.Error(), Code: code})
+			writeFrame(peer.StreamFrame{Frame: "error", Line: line, Error: err.Error(), Code: code})
 			continue
 		}
 		batch = append(batch, &j)
@@ -219,14 +194,14 @@ func (s *Server) handleInsertStream(w http.ResponseWriter, r *http.Request) {
 		// Oversized record or transport failure: report what we can;
 		// everything acked so far is durable.
 		_, code := errToStatus(badRequest(err))
-		writeFrame(streamFrame{Frame: "error", Line: line + 1, Error: err.Error(), Code: code, Fatal: true})
-		writeFrame(streamFrame{Frame: "done", Acked: acked, Rejected: rejected, Batches: seq})
+		writeFrame(peer.StreamFrame{Frame: "error", Line: line + 1, Error: err.Error(), Code: code, Fatal: true})
+		writeFrame(peer.StreamFrame{Frame: "done", Acked: acked, Rejected: rejected, Batches: seq})
 		return
 	}
 	if commit() != nil {
 		return
 	}
-	writeFrame(streamFrame{Frame: "done", Acked: acked, Rejected: rejected, Batches: seq})
+	writeFrame(peer.StreamFrame{Frame: "done", Acked: acked, Rejected: rejected, Batches: seq})
 }
 
 // handlePredictionStream is GET /v1/predictions/stream: every

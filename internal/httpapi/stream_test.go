@@ -15,6 +15,7 @@ import (
 
 	"mcbound/internal/core"
 	"mcbound/internal/job"
+	"mcbound/internal/peer"
 	"mcbound/internal/store"
 )
 
@@ -39,7 +40,7 @@ func ndjsonRecord(i int) string {
 
 // postStream sends raw NDJSON to /v1/jobs/stream and decodes the frame
 // protocol response.
-func postStream(t *testing.T, url, body string, hdr map[string]string) []streamFrame {
+func postStream(t *testing.T, url, body string, hdr map[string]string) []peer.StreamFrame {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs/stream", strings.NewReader(body))
 	if err != nil {
@@ -57,10 +58,10 @@ func postStream(t *testing.T, url, body string, hdr map[string]string) []streamF
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
 	}
-	var frames []streamFrame
+	var frames []peer.StreamFrame
 	dec := json.NewDecoder(resp.Body)
 	for dec.More() {
-		var f streamFrame
+		var f peer.StreamFrame
 		if err := dec.Decode(&f); err != nil {
 			t.Fatalf("decode frame: %v", err)
 		}
@@ -86,7 +87,7 @@ func TestInsertStreamFrames(t *testing.T) {
 
 	frames := postStream(t, srv.URL, b.String(), nil)
 	var acks, errs, dones int
-	var last streamFrame
+	var last peer.StreamFrame
 	cum := 0
 	for _, f := range frames {
 		switch f.Frame {

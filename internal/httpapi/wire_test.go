@@ -13,6 +13,7 @@ import (
 
 	"mcbound/internal/core"
 	"mcbound/internal/job"
+	"mcbound/internal/peer"
 )
 
 // windowJobs is a periodic-trigger body: n submissions over a handful of
@@ -30,14 +31,14 @@ func windowJobs(n int) []*job.Job {
 	return jobs
 }
 
-func postBody(t *testing.T, url string, body io.Reader) (int, ErrorBody) {
+func postBody(t *testing.T, url string, body io.Reader) (int, peer.ErrorBody) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var e ErrorBody
+	var e peer.ErrorBody
 	if resp.StatusCode != http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatalf("status %d with an undecodable error body: %v", resp.StatusCode, err)

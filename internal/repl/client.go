@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -13,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 	"mcbound/internal/wal"
 )
@@ -129,57 +129,39 @@ func (c *Client) Redirect(url string) {
 	}
 }
 
-// do runs one replication request: breaker admission, then the retry
-// loop. Permanent answers (404, 421) do not count against the breaker.
-func do[T any](ctx context.Context, c *Client, op func(ctx context.Context) (T, error)) (T, error) {
-	if err := c.brk.Allow(); err != nil {
-		var zero T
-		return zero, err
-	}
-	v, err := resilience.Do(ctx, c.retr, op)
-	if err != nil && resilience.IsPermanent(err) && (errors.Is(err, ErrGone) || errors.Is(err, ErrSourceNotLeader)) {
-		c.brk.Record(nil) // the leader answered; the answer was "no"
-	} else {
-		c.brk.Record(err)
-	}
-	return v, err
+// isAnswer names the leader's two considered answers — the file is gone,
+// ask someone else: the leader answered; the answer was "no".
+func isAnswer(err error) bool {
+	return errors.Is(err, ErrGone) || errors.Is(err, ErrSourceNotLeader)
 }
 
-// get issues one GET and classifies the status code for the retrier. A
-// 421 not_leader carrying a Location redirect is chased through the
-// shared resilience.Chase (bounded hops, loop detection, membership
-// allowlist); when the chase lands on a node that answers, that node is
-// adopted as the new base for every later request. A redirect pointing
-// outside the configured membership is a permanent ErrRedirectDenied —
-// a deposed or compromised node must not be able to steer replication
-// traffic at an arbitrary address.
+// get issues one GET and maps the peer client's typed answer to what it
+// means for replication. A 421 not_leader carrying a Location is chased
+// through the shared resilience.Chase (bounded hops, loop detection,
+// membership allowlist); when the chase lands on a node that answers,
+// that node is adopted as the new base for every later request. A
+// redirect pointing outside the configured membership is a permanent
+// ErrRedirectDenied — a deposed or compromised node must not be able to
+// steer replication traffic at an arbitrary address.
 func (c *Client) get(ctx context.Context, path string) ([]byte, http.Header, error) {
 	base := c.Base()
 	chase := resilience.NewChase(base, maxRedirectHops, c.allowed)
 	for hop := 0; ; hop++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-		if err != nil {
-			return nil, nil, resilience.Permanent(err)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return nil, nil, err
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, wal.MaxChunkBytes+4096))
-		resp.Body.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("repl: read response: %w", err)
-		}
+		body, hdr, err := peer.Do(ctx, c.hc, peer.Call{Method: http.MethodGet, URL: base + path, Limit: wal.MaxChunkBytes + 4096})
+		var answer *peer.Error
 		switch {
-		case resp.StatusCode == http.StatusOK:
+		case err == nil:
 			if hop > 0 {
 				c.Redirect(base)
 			}
-			return body, resp.Header, nil
-		case resp.StatusCode == http.StatusNotFound:
-			return nil, nil, resilience.Permanent(fmt.Errorf("%w: %s", ErrGone, path))
-		case resp.StatusCode == http.StatusMisdirectedRequest:
-			next, ok, cerr := chase.Follow(resp.Header.Get("Location"))
+			return body, hdr, nil
+		case !errors.As(err, &answer):
+			// The leader was not reached, or its body broke off: retried.
+			return nil, nil, err
+		case answer.Status == http.StatusNotFound:
+			return nil, nil, fmt.Errorf("%w: %s", ErrGone, path)
+		case answer.Status == http.StatusMisdirectedRequest:
+			next, ok, cerr := chase.Follow(answer.Location)
 			if cerr != nil {
 				return nil, nil, resilience.Permanent(fmt.Errorf("repl: %s: %w", base, cerr))
 			}
@@ -187,18 +169,18 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, http.Header, err
 				base = next
 				continue
 			}
-			return nil, nil, resilience.Permanent(fmt.Errorf("%w: %s", ErrSourceNotLeader, base))
-		case resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests:
-			return nil, nil, fmt.Errorf("repl: %s: status %d", path, resp.StatusCode)
+			return nil, nil, fmt.Errorf("%w: %s", ErrSourceNotLeader, base)
+		case answer.Retryable():
+			return nil, nil, err
 		default:
-			return nil, nil, resilience.Permanent(fmt.Errorf("repl: %s: status %d", path, resp.StatusCode))
+			return nil, nil, resilience.Permanent(err)
 		}
 	}
 }
 
 // Manifest fetches the leader's replication manifest.
 func (c *Client) Manifest(ctx context.Context) (wal.Manifest, error) {
-	return do(ctx, c, func(ctx context.Context) (wal.Manifest, error) {
+	return resilience.Guarded(ctx, c.brk, c.retr, isAnswer, func(ctx context.Context) (wal.Manifest, error) {
 		body, _, err := c.get(ctx, "/v1/wal/segments")
 		if err != nil {
 			return wal.Manifest{}, err
@@ -220,7 +202,7 @@ func (c *Client) Chunk(ctx context.Context, name string, off, max int64) ([]byte
 	}
 	path := "/v1/wal/segments/" + url.PathEscape(name) +
 		"?offset=" + strconv.FormatInt(off, 10) + "&limit=" + strconv.FormatInt(max, 10)
-	ch, err := do(ctx, c, func(ctx context.Context) (chunk, error) {
+	ch, err := resilience.Guarded(ctx, c.brk, c.retr, isAnswer, func(ctx context.Context) (chunk, error) {
 		body, hdr, err := c.get(ctx, path)
 		if err != nil {
 			return chunk{}, err

@@ -26,8 +26,10 @@ import (
 	"time"
 
 	"mcbound/internal/clock"
+	"mcbound/internal/core"
 	"mcbound/internal/job"
 	"mcbound/internal/online"
+	"mcbound/internal/peer"
 	"mcbound/internal/simulate"
 	"mcbound/internal/store"
 )
@@ -468,7 +470,7 @@ func (m *Manager) train(ctx context.Context, now time.Time) error {
 		ModelVersion int `json:"model_version"`
 	}
 	in := map[string]string{"now": now.UTC().Format(time.RFC3339)}
-	if err := m.callJSON(ctx, http.MethodPost, "/v1/train", in, &rep); err != nil {
+	if err := peer.JSON(ctx, m.opts.Client, m.call(http.MethodPost, "/v1/train"), in, &rep); err != nil {
 		return fmt.Errorf("replay: training at %v: %w", now, err)
 	}
 	m.mu.Lock()
@@ -483,15 +485,9 @@ func (m *Manager) train(ctx context.Context, now time.Time) error {
 }
 
 // classify posts one window's job records to POST /v1/classify.
-func (m *Manager) classify(ctx context.Context, jobs []*job.Job) (preds []predBody, err error) {
-	err = m.callJSON(ctx, http.MethodPost, "/v1/classify", jobs, &preds)
+func (m *Manager) classify(ctx context.Context, jobs []*job.Job) (preds []core.Prediction, err error) {
+	err = peer.JSON(ctx, m.opts.Client, m.call(http.MethodPost, "/v1/classify"), jobs, &preds)
 	return preds, err
-}
-
-type predBody struct {
-	JobID        string `json:"job_id"`
-	Class        string `json:"class"`
-	ModelVersion int    `json:"model_version"`
 }
 
 // streamInsert replays records through POST /v1/jobs/stream in
@@ -519,26 +515,16 @@ func (m *Manager) streamChunk(ctx context.Context, jobs []*job.Job) error {
 			return fmt.Errorf("encode record %s: %w", j.ID, err)
 		}
 	}
-	resp, err := m.do(ctx, http.MethodPost, "/v1/jobs/stream", "application/x-ndjson", &buf)
+	c := m.call(http.MethodPost, "/v1/jobs/stream")
+	c.Body, c.ContentType = buf.Bytes(), "application/x-ndjson"
+	frames, _, err := peer.Do(ctx, m.opts.Client, c)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError(resp)
-	}
-	dec := json.NewDecoder(resp.Body)
+	dec := json.NewDecoder(bytes.NewReader(frames))
 	var sawDone bool
 	for {
-		var f struct {
-			Frame    string `json:"frame"`
-			Acked    int    `json:"acked"`
-			Rejected int    `json:"rejected"`
-			Line     int    `json:"line"`
-			Error    string `json:"error"`
-			Code     string `json:"code"`
-			Fatal    bool   `json:"fatal"`
-		}
+		var f peer.StreamFrame
 		if err := dec.Decode(&f); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
@@ -571,63 +557,23 @@ func (m *Manager) fetchParams(ctx context.Context) (online.Params, error) {
 		AlphaDays int `json:"alpha_days"`
 		BetaDays  int `json:"beta_days"`
 	}
-	if err := m.callJSON(ctx, http.MethodGet, "/v1/model", nil, &info); err != nil {
+	if err := peer.JSON(ctx, m.opts.Client, m.call(http.MethodGet, "/v1/model"), nil, &info); err != nil {
 		return online.Params{}, fmt.Errorf("replay: fetch model info: %w", err)
 	}
 	return online.Params{Alpha: info.AlphaDays, Beta: info.BetaDays}, nil
 }
 
-// callJSON issues one JSON request and decodes the target's 200 answer
-// into out; any other status comes back as the target's typed error.
-func (m *Manager) callJSON(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(b)
-	}
-	resp, err := m.do(ctx, method, path, "application/json", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return httpError(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("bad response: %w", err)
-	}
-	return nil
-}
+// maxResponseBytes bounds one answer of the target: a window's
+// predictions, or a chunk's frames (at most an error frame a record).
+const maxResponseBytes = 16 << 20
 
-// do issues one replay request, tagged with the replay client ID so
-// the target's per-client rate accounting sees one logical client.
-func (m *Manager) do(ctx context.Context, method, path, contentType string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, m.opts.BaseURL+path, body)
-	if err != nil {
-		return nil, err
+// call is one replay request, tagged with the replay client ID so the
+// target's per-client rate accounting sees one logical client.
+func (m *Manager) call(method, path string) peer.Call {
+	return peer.Call{
+		Method: method, URL: m.opts.BaseURL + path, Limit: maxResponseBytes,
+		Header: http.Header{"X-Client-Id": {"replay"}},
 	}
-	req.Header.Set("X-Client-Id", "replay")
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	return m.opts.Client.Do(req)
-}
-
-// httpError turns a non-2xx response into an error carrying the
-// target's stable error code.
-func httpError(resp *http.Response) error {
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var eb struct {
-		Error string `json:"error"`
-		Code  string `json:"code"`
-	}
-	if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-		return fmt.Errorf("target returned %d: %s (%s)", resp.StatusCode, eb.Error, eb.Code)
-	}
-	return fmt.Errorf("target returned %d: %s", resp.StatusCode, bytes.TrimSpace(b))
 }
 
 func (m *Manager) logf(format string, args ...any) {

@@ -46,7 +46,7 @@ type BreakerConfig struct {
 }
 
 // Breaker is a three-state circuit breaker, safe for concurrent use.
-// Callers pair Allow with Record, or use Do for both.
+// Callers pair Allow with Record, or use Guarded for both.
 //
 // Classification: a nil error and a context.Canceled error are neutral
 // for the failure count (a client giving up says nothing about backend
@@ -144,14 +144,30 @@ func (b *Breaker) Record(err error) {
 	b.notify(from, to)
 }
 
-// Do is the convenience pairing of Allow, op and Record.
-func (b *Breaker) Do(ctx context.Context, op func(ctx context.Context) error) error {
+// Guarded runs op as one logical call to the dependency b guards:
+// breaker admission, then r's retry loop, then one Record of what came
+// out of it — a call that needed two attempts and succeeded is a
+// success. answered names the errors that are the dependency answering
+// "no" (a lookup miss, a redirect to the real leader): they are not
+// retried and not charged to the breaker.
+func Guarded[T any](ctx context.Context, b *Breaker, r *Retrier, answered func(error) bool, op func(ctx context.Context) (T, error)) (T, error) {
 	if err := b.Allow(); err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
-	err := op(ctx)
-	b.Record(err)
-	return err
+	v, err := Do(ctx, r, func(ctx context.Context) (T, error) {
+		v, err := op(ctx)
+		if err != nil && answered(err) {
+			err = Permanent(err)
+		}
+		return v, err
+	})
+	if err != nil && answered(err) {
+		b.Record(nil)
+	} else {
+		b.Record(err)
+	}
+	return v, err
 }
 
 // State returns the current position, applying the time-based

@@ -140,15 +140,43 @@ func TestBreakerCanceledCallsAreNeutral(t *testing.T) {
 	}
 }
 
+// Guarded records one outcome a logical call: an answer ("no") is a
+// success and is not retried, a success after a retry is a success, a
+// failure that outlasts the retries is one failure, and an open breaker
+// never runs the op.
 func TestBreakerDo(t *testing.T) {
-	clk := newFakeClock()
-	b := testBreaker(clk, 1)
-	boom := errors.New("boom")
-	if err := b.Do(context.Background(), func(context.Context) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do = %v", err)
+	b := testBreaker(newFakeClock(), 1)
+	r, _ := virtualRetrier(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}, 1)
+	miss, boom := errors.New("miss"), errors.New("boom")
+	isMiss := func(err error) bool { return errors.Is(err, miss) }
+	calls := 0
+	run := func(errs ...error) (int, error) {
+		calls = 0
+		return Guarded(context.Background(), b, r, isMiss, func(context.Context) (int, error) {
+			calls++
+			if calls <= len(errs) {
+				return 0, errs[calls-1]
+			}
+			return 7, nil
+		})
 	}
-	if err := b.Do(context.Background(), func(context.Context) error { return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("open breaker ran the op: %v", err)
+	if _, err := run(miss, miss); !errors.Is(err, miss) || !IsPermanent(err) || calls != 1 {
+		t.Fatalf("an answer: err %v after %d calls, want the miss, permanent, after 1", err, calls)
+	}
+	if b.State() != Closed {
+		t.Fatalf("an answer was charged to the breaker: %v", b.State())
+	}
+	if v, err := run(boom); err != nil || v != 7 || calls != 2 || b.State() != Closed {
+		t.Fatalf("success after a retry: %d, %v after %d calls, breaker %v", v, err, calls, b.State())
+	}
+	if _, err := run(boom, boom, boom); !errors.Is(err, boom) || calls != 3 {
+		t.Fatalf("a failure: err %v after %d calls, want boom after 3", err, calls)
+	}
+	if b.State() != Open {
+		t.Fatalf("three failed attempts of one call left the breaker %v, want one recorded failure to open it", b.State())
+	}
+	if _, err := run(); !errors.Is(err, ErrOpen) || calls != 0 {
+		t.Fatalf("open breaker ran the op %d times: %v", calls, err)
 	}
 }
 

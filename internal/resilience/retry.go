@@ -78,9 +78,6 @@ func NewRetrier(pol Policy, seed uint64) *Retrier {
 	return &Retrier{pol: pol, rng: stats.NewRNG(seed), clock: clock.Wall{}}
 }
 
-// Policy returns the (normalized) policy the retrier runs under.
-func (r *Retrier) Policy() Policy { return r.pol }
-
 // WithBudget attaches a retry budget: every retry beyond the first
 // attempt must win a token, and a denied retry returns the attempt's
 // own error wrapped with ErrBudgetExhausted. Budgets are shared — many
@@ -91,9 +88,6 @@ func (r *Retrier) WithBudget(b *Budget) *Retrier {
 	r.budget = b
 	return r
 }
-
-// Budget returns the attached retry budget (nil when unthrottled).
-func (r *Retrier) Budget() *Budget { return r.budget }
 
 // Do runs op until it succeeds, exhausts the attempt budget, returns a
 // permanent error, or the caller's context ends. The error of the last

@@ -3,7 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"net/url"
 	"strings"
@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"mcbound/internal/cluster"
+	"mcbound/internal/httpapi"
+	"mcbound/internal/peer"
 	"mcbound/internal/telemetry"
 )
 
@@ -62,59 +64,42 @@ type backend struct {
 	ejections    int64
 }
 
-// healthDoc is the slice of GET /healthz the router cares about. The
-// document is a superset (durability, breaker, replay...); everything
-// else is ignored.
-type healthDoc struct {
-	Status      string `json:"status"`
-	Replication *struct {
-		Role     string `json:"role"`
-		Leader   string `json:"leader"`
-		Follower *struct {
-			State      string  `json:"state"`
-			LagSeconds float64 `json:"replication_lag_seconds"`
-		} `json:"follower"`
-	} `json:"replication"`
-	Cluster *cluster.Status `json:"cluster"`
-}
-
 // maxProbeBody bounds how much of a health document one probe reads.
 const maxProbeBody = 1 << 20
 
 // probe polls the backend's /healthz once and folds the result into the
-// backend's state. Any HTTP answer — 200 or a degraded 503 — counts as
-// alive; only a transport failure marks the backend unreachable.
-func (b *backend) probe(ctx context.Context, hc *http.Client, now time.Time) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.member.URL+"/healthz", nil)
+// backend's state. Any HTTP answer — 200 or a degraded 503, which
+// carries the same document — counts as alive; only a failure to reach
+// the process marks the backend unreachable. An answer that cannot be
+// read as a health document (cut short, over the limit, not the schema)
+// is alive with nothing learned, so a glitchy probe neither ejects a
+// serving backend nor rewrites what the last clean probe said of it.
+func (b *backend) probe(ctx context.Context, hc *http.Client) {
+	body, _, err := peer.Do(ctx, hc, peer.Call{Method: http.MethodGet, URL: b.member.URL + "/healthz", Limit: maxProbeBody})
+	var answer *peer.Error
+	if errors.As(err, &answer) {
+		body, err = answer.Body, nil
+	}
 	if err != nil {
-		b.observeProbe(false, healthDoc{})
+		b.observeProbe(errors.Is(err, peer.ErrBody), nil)
 		return
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		b.observeProbe(false, healthDoc{})
+	var doc httpapi.Health
+	if json.Unmarshal(body, &doc) != nil {
+		b.observeProbe(true, nil)
 		return
 	}
-	var doc healthDoc
-	derr := json.NewDecoder(io.LimitReader(resp.Body, maxProbeBody)).Decode(&doc)
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxProbeBody))
-	resp.Body.Close()
-	if derr != nil {
-		// Reachable but not speaking the health schema: treat as alive
-		// with nothing learned, so a glitchy probe does not eject a
-		// serving backend by itself.
-		doc = healthDoc{}
-	}
-	b.observeProbe(true, doc)
+	b.observeProbe(true, &doc)
 }
 
-// observeProbe applies one probe outcome under the lock.
-func (b *backend) observeProbe(alive bool, doc healthDoc) {
+// observeProbe applies one probe outcome under the lock; a nil doc
+// learns nothing beyond reachability.
+func (b *backend) observeProbe(alive bool, doc *httpapi.Health) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probed = true
 	b.alive = alive
-	if !alive {
+	if !alive || doc == nil {
 		return
 	}
 	if doc.Replication != nil {

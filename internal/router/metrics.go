@@ -1,13 +1,6 @@
 package router
 
-import (
-	"encoding/json"
-
-	"mcbound/internal/telemetry"
-)
-
-// jsonMarshal aliases encoding/json for the health document.
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
+import "mcbound/internal/telemetry"
 
 // metrics is the mcbound_router_* surface. The router always has a
 // registry (New falls back to a private one), so every field is live.

@@ -12,6 +12,7 @@ package router
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -296,12 +297,11 @@ func (rt *Router) probeAll(ctx context.Context) {
 	pctx, cancel := context.WithTimeout(ctx, rt.probeTimeout())
 	defer cancel()
 	var wg sync.WaitGroup
-	now := rt.clock.Now()
 	for _, b := range rt.backends {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			b.probe(pctx, rt.hc, now)
+			b.probe(pctx, rt.hc)
 		}(b)
 	}
 	wg.Wait()
@@ -568,18 +568,10 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	fmt.Fprintf(w, `{"status":%q,"leader":%q,"available":%d,"backends":`, state, leader, available)
-	writeJSONValue(w, rows)
+	data, _ := json.Marshal(rows) // strings, booleans and lags decoded from JSON (never NaN): cannot fail
+	w.Write(data)
 	fmt.Fprintf(w, `,"retry_budget_tokens":%g,"retries_total":%d,"retries_denied_total":%d}`+"\n",
 		rt.budget.Tokens(), rt.budget.Retries(), rt.budget.Exhausted())
-}
-
-func writeJSONValue(w io.Writer, v any) {
-	data, err := jsonMarshal(v)
-	if err != nil {
-		io.WriteString(w, "null")
-		return
-	}
-	w.Write(data)
 }
 
 // --- read path ---------------------------------------------------------

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"mcbound/internal/cluster"
+	"mcbound/internal/httpapi"
+	"mcbound/internal/repl"
 )
 
 // stubBackend is a controllable stand-in for one mcbound-server node:
@@ -129,24 +131,13 @@ func (b *stubBackend) handle(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *stubBackend) writeHealth(w http.ResponseWriter, role string, lease bool, leaderURL string, lag float64) {
-	doc := map[string]any{
-		"status": "ok",
-		"replication": map[string]any{
-			"role":   role,
-			"leader": leaderURL,
-		},
-		"cluster": map[string]any{
-			"self":       b.id,
-			"role":       role,
-			"lease_held": lease,
-			"leader_url": leaderURL,
-		},
+	doc := httpapi.Health{
+		Status:      "ok",
+		Replication: &repl.NodeStatus{Role: role, Leader: leaderURL},
+		Cluster:     &cluster.Status{Self: b.id, Role: role, LeaseHeld: lease, LeaderURL: leaderURL},
 	}
 	if role == "follower" {
-		doc["replication"].(map[string]any)["follower"] = map[string]any{
-			"state":                   "ok",
-			"replication_lag_seconds": lag,
-		}
+		doc.Replication.Follower = &repl.FollowerStatus{State: repl.StateOK, LagSeconds: lag}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(doc)
