@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzIndexModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/knn
 	$(GO) test -run=^$$ -fuzz=^FuzzForestModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
 	$(GO) test -run=^$$ -fuzz=^FuzzPredictMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
+	$(GO) test -run=^$$ -fuzz=^FuzzTrainMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArray$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalJob$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzAppendPrediction$$ -fuzztime=$(FUZZTIME) ./internal/core
@@ -187,7 +188,7 @@ recall-gate:
 # `mcbound-eval -scale 0.02 -seed 7` (-exp baseline, alpha-plus,
 # features, one θ row per mode) must reproduce
 # internal/experiments/testdata/eval.golden byte for byte: twelve
-# month-long replays of a deployed Framework, ≈ 80 s on the one core the
+# month-long replays of a deployed Framework, ≈ 12 s on the one core the
 # test takes.
 eval-golden:
 	$(GO) test -count=1 -run '^TestEvalGolden' ./internal/experiments

@@ -424,6 +424,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		"window_end":       rep.WindowEnd,
 		"fetched_jobs":     rep.FetchedJobs,
 		"labeled_jobs":     rep.LabeledJobs,
+		"fitted_jobs":      rep.FittedJobs,
 		"skipped_jobs":     rep.SkippedJobs,
 		"quarantined_jobs": rep.QuarantinedJobs,
 		"train_seconds":    rep.TrainDuration.Seconds(),

@@ -20,6 +20,7 @@ import (
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
+	"mcbound/internal/online"
 	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 	"mcbound/internal/store"
@@ -239,7 +240,16 @@ func TestNotTrainedReturns503(t *testing.T) {
 }
 
 func TestTrainEndpoint(t *testing.T) {
-	srv, _ := testServer(t)
+	// θ-subsampled, so the report's two row counts differ.
+	st := seedStore(t)
+	cfg := core.DefaultConfig()
+	cfg.Theta, cfg.ThetaMode = 16, online.ThetaLatest
+	fw, err := core.New(cfg, fetch.StoreBackend{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(fw, st, log.New(io.Discard, "", 0), Options{}))
+	defer srv.Close()
 	body, _ := json.Marshal(map[string]string{"now": "2024-01-20T00:00:00Z"})
 	resp, err := http.Post(srv.URL+"/v1/train", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -253,8 +263,8 @@ func TestTrainEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep["labeled_jobs"].(float64) <= 0 {
-		t.Errorf("train report = %v", rep)
+	if labeled, fitted := rep["labeled_jobs"], rep["fitted_jobs"]; fitted != float64(16) || labeled.(float64) <= 16 {
+		t.Errorf("train report = %v, want fitted_jobs 16 of more labeled_jobs", rep)
 	}
 	// Bad timestamp → 400 bad_request.
 	resp2, err := http.Post(srv.URL+"/v1/train", "application/json",

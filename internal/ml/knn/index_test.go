@@ -91,6 +91,56 @@ func TestIndexedVoteIdenticalToBrute(t *testing.T) {
 	}
 }
 
+// TestFullProbeEqualsBruteForce pins the neighbour sets themselves, at
+// the served dimension: probing every cell, the index returns exactly
+// what scanGroups returns — the same groups in the same order at the
+// same distances, bit for bit (the re-rank and the exact scan measure a
+// row with the same summation order, under either linalg backend) — when
+// the re-rank pool holds every group, which is exact by construction,
+// and also at the default pool, which holds the k nearest only as far
+// as the int8 codes rank them near: on rows clustered like the
+// encoder's they do, for every one of these queries.
+func TestFullProbeEqualsBruteForce(t *testing.T) {
+	const rows, dim, apps, k, nclusters = 1500, 384, 150, 5, 40
+	rng := stats.NewRNG(17)
+	centres, _ := trainSet(apps, dim, 18)
+	x := make([][]float32, rows)
+	y := make([]job.Label, rows)
+	for i := range x {
+		x[i] = make([]float32, dim)
+		for d, c := range centres[i%apps] {
+			x[i][d] = c + float32(rng.Norm())
+		}
+		y[i] = job.MemoryBound
+	}
+	queries, _ := trainSet(128, dim, 19)
+	for i := 0; i < 128; i++ { // and as many next to a training row
+		q := slices.Clone(x[rng.Intn(rows)])
+		for d := range q {
+			q[d] += float32(0.1 * rng.Norm())
+		}
+		queries = append(queries, q)
+	}
+	for name, rerank := range map[string]int{"pool of every group": rows, "default pool": 0} {
+		c := New(Config{K: k, P: 2, Index: IndexConfig{
+			Mode: IndexOn, NClusters: nclusters, NProbe: nclusters, Rerank: rerank, Seed: 3,
+		}})
+		if err := c.Train(x, y); err != nil {
+			t.Fatal(err)
+		}
+		ix := c.index
+		if ix == nil || ix.NProbe() != ix.Clusters() || ix.Rerank() < k {
+			t.Fatalf("%s: index %v is not at full probe with a pool of at least k", name, ix)
+		}
+		for i, q := range queries {
+			got, want := ix.Search(q, k, nil), c.scanGroups(q, k, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, query %d: index %v, brute force %v", name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestQuantizedMatchesExactOnSeparatedClusters checks the approximate
 // regime: at default probe/rerank knobs on well-separated label
 // clusters, the int8+rerank path must agree with exact predictions.

@@ -71,12 +71,15 @@ func BenchmarkTrainBins(b *testing.B) {
 }
 
 // BenchmarkTrainSize tracks Fig. 7: training cost versus window size.
+// The n= cases are all-unique rows (a fit can share no work between
+// them); n=25000/dup=5 is the shape a node fits at s30 — sparse rows,
+// every distinct submission present five times.
 func BenchmarkTrainSize(b *testing.B) {
-	for _, n := range []int{2000, 8000, 32000} {
-		x, y := benchData(n, 384, 3)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	train := func(name string, x [][]float32, y []job.Label) {
+		b.Run(name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.NumTrees = 20
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c := New(cfg)
 				if err := c.Train(x, y); err != nil {
@@ -85,6 +88,12 @@ func BenchmarkTrainSize(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{2000, 8000, 32000} {
+		x, y := benchData(n, 384, 3)
+		train(fmt.Sprintf("n=%d", n), x, y)
+	}
+	x, y := servedData(25000, 5, 384, 3)
+	train("n=25000/dup=5", x, y)
 }
 
 // deepData is a training set whose forest has the served forest's shape
@@ -126,6 +135,25 @@ func deepData(n, dim int, seed uint64) ([][]float32, []job.Label) {
 			x[i][d] = c + float32(0.01*(rng.Float64()-0.5))
 		}
 		y[i] = label[a]
+		if rng.Intn(5) == 0 {
+			y[i] = job.MemoryBound + job.ComputeBound - y[i]
+		}
+	}
+	return x, y
+}
+
+// servedData is deepData with the trace's batch duplication: n rows over
+// n/dup distinct vectors, copies of one vector spread through the set
+// and each labeled on its own coin (the app's label, flipped one time
+// in five), so most vectors carry both labels.
+func servedData(n, dup, dim int, seed uint64) ([][]float32, []job.Label) {
+	ux, uy := deepData(n/dup, dim, seed)
+	rng := stats.NewRNG(seed + 1)
+	x := make([][]float32, n)
+	y := make([]job.Label, n)
+	for i := range x {
+		u := i % len(ux)
+		x[i], y[i] = ux[u], uy[u]
 		if rng.Intn(5) == 0 {
 			y[i] = job.MemoryBound + job.ComputeBound - y[i]
 		}

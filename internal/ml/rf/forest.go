@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
@@ -85,23 +86,24 @@ func (c *Classifier) NumTrees() int {
 	return len(c.roots)
 }
 
-// Train implements ml.Classifier: it quantizes the data once, then grows
-// each tree on an independent bootstrap sample. Trees are grown in
-// parallel across cores; every tree's randomness derives from the forest
-// seed so training is deterministic regardless of scheduling.
+// Train implements ml.Classifier: it quantizes the data once, keeping
+// each distinct binned row once (trainRows), then grows each tree on an
+// independent bootstrap sample. Trees are grown in parallel across
+// cores; every tree's randomness derives from the forest seed so
+// training is deterministic regardless of scheduling.
 func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	if err := ml.CheckTrainingData(x, y); err != nil {
 		return err
 	}
 	// Drop unlabeled rows: the characterizer may have skipped some jobs.
 	xs := make([][]float32, 0, len(x))
-	classes := make([]int8, 0, len(y))
+	classes := make([]uint8, 0, len(y))
 	for i, l := range y {
 		if l == job.Unknown {
 			continue
 		}
 		xs = append(xs, x[i])
-		classes = append(classes, int8(classIndex(l)))
+		classes = append(classes, uint8(classIndex(l)))
 	}
 	if len(xs) == 0 {
 		return fmt.Errorf("rf: no labeled training rows")
@@ -122,7 +124,7 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	}
 
 	binr := newBinner(xs, cfg.Bins)
-	binned := binr.quantize(xs)
+	rows := binr.distinct(xs, classes)
 
 	trees := make([][]node, cfg.NumTrees)
 	master := stats.NewRNG(cfg.Seed)
@@ -131,29 +133,18 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 		seeds[i] = master.Uint64()
 	}
 
+	// One builder a worker; the workers take the next tree not yet begun.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < cfg.NumTrees; t++ {
+	for w := min(runtime.GOMAXPROCS(0), cfg.NumTrees); w > 0; w-- {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer func() { <-sem; wg.Done() }()
-			rng := stats.NewRNG(seeds[t])
-			idx := make([]int, len(xs))
-			for i := range idx {
-				idx[i] = rng.Intn(len(xs)) // bootstrap with replacement
+		go func() {
+			defer wg.Done()
+			tb := newTreeBuilder(cfg, dim, rows, binr)
+			for t := int(next.Add(1)) - 1; t < cfg.NumTrees; t = int(next.Add(1)) - 1 {
+				trees[t] = tb.build(stats.NewRNG(seeds[t]))
 			}
-			tb := &treeBuilder{
-				cfg:     cfg,
-				dim:     dim,
-				binned:  binned,
-				classes: classes,
-				binr:    binr,
-				rng:     rng,
-				idx:     idx,
-			}
-			trees[t] = tb.build()
-		}(t)
+		}()
 	}
 	wg.Wait()
 

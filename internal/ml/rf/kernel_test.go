@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"runtime"
@@ -546,5 +547,326 @@ func FuzzPredictMatchesReference(f *testing.F) {
 			}
 		}
 		assertMatchesRef(t, "fuzzed", c, ref, x)
+	})
+}
+
+// The reference Train is tested against: the trainer it replaced, kept
+// as it was written — one bootstrap index per drawn sample, every sample
+// visited at every node, one histogram pass per candidate feature. It
+// shares the binner, the node encoding and the wire format with
+// forest.go and nothing of the tree builder.
+type refBuilder struct {
+	cfg     Config
+	dim     int
+	binned  []uint8 // n*dim quantized training matrix
+	classes []int8  // n training class ids
+	binr    *binner
+	rng     *stats.RNG
+
+	idx   []int // the bootstrap sample, partitioned in place during growth
+	nodes []node
+	feats []int
+	hist  []int32
+}
+
+func (tb *refBuilder) build() []node {
+	tb.feats = make([]int, tb.dim)
+	for i := range tb.feats {
+		tb.feats[i] = i
+	}
+	tb.hist = make([]int32, tb.cfg.Bins*numClasses)
+	tb.grow(0, len(tb.idx), 0)
+	return tb.nodes
+}
+
+func (tb *refBuilder) grow(lo, hi, depth int) {
+	n := hi - lo
+	counts := [numClasses]int32{}
+	for _, i := range tb.idx[lo:hi] {
+		counts[tb.classes[i]]++
+	}
+	majority := 0
+	if counts[1] > counts[0] {
+		majority = 1
+	}
+	pure := counts[0] == 0 || counts[1] == 0
+
+	leaf := func() { tb.nodes = append(tb.nodes, leafNode(majority)) }
+	if pure || n < tb.cfg.MinSamplesSplit || (tb.cfg.MaxDepth > 0 && depth >= tb.cfg.MaxDepth) {
+		leaf()
+		return
+	}
+
+	feat, splitBin, gain := tb.bestSplit(lo, hi, counts)
+	if feat < 0 || gain <= 1e-12 {
+		leaf()
+		return
+	}
+
+	mid := tb.partition(lo, hi, feat, splitBin)
+	if mid == lo || mid == hi ||
+		mid-lo < tb.cfg.MinSamplesLeaf || hi-mid < tb.cfg.MinSamplesLeaf {
+		leaf()
+		return
+	}
+
+	id := len(tb.nodes)
+	tb.nodes = append(tb.nodes, splitNode(tb.binr.threshold(feat, splitBin), int32(feat)))
+	tb.grow(lo, mid, depth+1)
+	tb.nodes[id].right = int32(len(tb.nodes))
+	tb.grow(mid, hi, depth+1)
+}
+
+func (tb *refBuilder) bestSplit(lo, hi int, total [numClasses]int32) (feat, splitBin int, gain float64) {
+	n := float64(hi - lo)
+	parentGini := giniOf(total, n)
+	feat, splitBin = -1, -1
+
+	mtry := tb.cfg.MaxFeatures
+	for k := 0; k < mtry; k++ {
+		r := k + tb.rng.Intn(tb.dim-k)
+		tb.feats[k], tb.feats[r] = tb.feats[r], tb.feats[k]
+		f := tb.feats[k]
+
+		h := tb.hist
+		for i := range h {
+			h[i] = 0
+		}
+		for _, i := range tb.idx[lo:hi] {
+			b := tb.binned[i*tb.dim+f]
+			h[int(b)*numClasses+int(tb.classes[i])]++
+		}
+
+		var left [numClasses]int32
+		for s := 0; s < tb.cfg.Bins-1; s++ {
+			left[0] += h[s*numClasses]
+			left[1] += h[s*numClasses+1]
+			nl := float64(left[0] + left[1])
+			if nl == 0 {
+				continue
+			}
+			nr := n - nl
+			if nr == 0 {
+				break
+			}
+			right := [numClasses]int32{total[0] - left[0], total[1] - left[1]}
+			g := parentGini - (nl*giniOf(left, nl)+nr*giniOf(right, nr))/n
+			if g > gain {
+				gain, feat, splitBin = g, f, s
+			}
+		}
+	}
+	return feat, splitBin, gain
+}
+
+func (tb *refBuilder) partition(lo, hi, feat, splitBin int) int {
+	i, k := lo, hi-1
+	for i <= k {
+		if int(tb.binned[tb.idx[i]*tb.dim+feat]) <= splitBin {
+			i++
+		} else {
+			tb.idx[i], tb.idx[k] = tb.idx[k], tb.idx[i]
+			k--
+		}
+	}
+	return i
+}
+
+// refTrain fits cfg's forest on (x, y) with the reference builder, one
+// tree after the other, and returns it marshaled.
+func refTrain(t testing.TB, cfg Config, x [][]float32, y []job.Label) []byte {
+	t.Helper()
+	c := New(cfg)
+	cfg = c.cfg
+	var xs [][]float32
+	var classes []int8
+	for i, l := range y {
+		if l != job.Unknown {
+			xs = append(xs, x[i])
+			classes = append(classes, int8(classIndex(l)))
+		}
+	}
+	dim := len(xs[0])
+	if cfg.MaxFeatures <= 0 || cfg.MaxFeatures > dim {
+		cfg.MaxFeatures = max(1, int(math.Sqrt(float64(dim))))
+	}
+	if cfg.MaxDepth <= 0 {
+		cfg.MaxDepth = 40
+	}
+	binr := newBinner(xs, cfg.Bins)
+	binned := make([]uint8, 0, len(xs)*dim)
+	for _, row := range xs {
+		for f, v := range row {
+			binned = append(binned, uint8(binr.binOf(f, v)))
+		}
+	}
+	master := stats.NewRNG(cfg.Seed)
+	seeds := make([]uint64, cfg.NumTrees)
+	for i := range seeds {
+		seeds[i] = master.Uint64()
+	}
+	c.dim = dim
+	for _, seed := range seeds {
+		rng := stats.NewRNG(seed)
+		idx := make([]int, len(xs))
+		for i := range idx {
+			idx[i] = rng.Intn(len(xs))
+		}
+		tb := &refBuilder{cfg: cfg, dim: dim, binned: binned, classes: classes, binr: binr, rng: rng, idx: idx}
+		base := int32(len(c.nodes))
+		c.roots = append(c.roots, base)
+		for _, nd := range tb.build() {
+			if nd.feature >= 0 {
+				nd.right += base
+			}
+			c.nodes = append(c.nodes, nd)
+		}
+	}
+	blob, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func trainBytes(t testing.TB, cfg Config, x [][]float32, y []job.Label) []byte {
+	t.Helper()
+	c := New(cfg)
+	if err := c.Train(x, y); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestWeightedBuilderMatchesReferenceTrainer is the differential test of
+// the fit: Train, which folds a bootstrap sample into weights on the
+// distinct binned rows, marshals the forest the per-sample reference
+// grows — byte for byte, over seeds (of the data and of the forest) and
+// every hyper-parameter that reads a sample count or shapes the split
+// search, on rows that are mostly duplicates (some under both labels,
+// some unlabeled), on rows that are near-duplicates, and at the two
+// ends: no two rows alike, all rows alike.
+func TestWeightedBuilderMatchesReferenceTrainer(t *testing.T) {
+	const dim = 48
+	configs := map[string]func(*Config){
+		"default":             func(*Config) {},
+		"min leaf 3, split 8": func(c *Config) { c.MinSamplesLeaf, c.MinSamplesSplit = 3, 8 },
+		"max depth 4":         func(c *Config) { c.MaxDepth = 4 },
+		"8 bins":              func(c *Config) { c.Bins = 8 },
+		"128 bins":            func(c *Config) { c.Bins = 128 },
+		"one feature a split": func(c *Config) { c.MaxFeatures = 1 },
+		"every feature":       func(c *Config) { c.MaxFeatures = dim },
+	}
+	one := make([]float32, dim)
+	one[3], one[7] = 0.5, -1
+	alike := make([][]float32, 40)
+	mixed, same := make([]job.Label, len(alike)), make([]job.Label, len(alike))
+	for i := range alike {
+		alike[i] = one
+		mixed[i], same[i] = job.MemoryBound, job.ComputeBound
+		if i%3 == 0 {
+			mixed[i] = job.ComputeBound
+		}
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		dupX, dupY := servedData(600, 5, dim, seed)
+		for i := range dupY {
+			if i%11 == 0 {
+				dupY[i] = job.Unknown
+			}
+		}
+		deepX, deepY := deepData(300, dim, seed)
+		uniqueX, uniqueY := benchData(200, dim, seed)
+		sets := []struct {
+			name string
+			x    [][]float32
+			y    []job.Label
+		}{
+			{"5x duplicates", dupX, dupY},
+			{"deepData", deepX, deepY},
+			{"all unique", uniqueX, uniqueY},
+			{"all alike, both labels", alike, mixed},
+			{"all alike, one label", alike, same},
+		}
+		for name, apply := range configs {
+			cfg := DefaultConfig()
+			cfg.NumTrees = 3
+			cfg.Seed = seed
+			apply(&cfg)
+			for _, s := range sets {
+				if got, want := trainBytes(t, cfg, s.x, s.y), refTrain(t, cfg, s.x, s.y); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d, %s, %s: Train marshals %d bytes that differ from the reference trainer's %d",
+						seed, name, s.name, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestTrainedForestBytesUnchanged pins the fit against the builder it
+// replaced: the FNV-64a of two served-dimension forests (ten trees each,
+// on the s30 shape — 25 000 sparse rows, every vector five times — and
+// on deepData), recorded from Train at the commit before the weighted
+// builder. A change that moves either moves every model file.
+func TestTrainedForestBytesUnchanged(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumTrees = 10
+	servedX, servedY := servedData(25000, 5, 384, 1)
+	deepX, deepY := deepData(10000, 384, 4)
+	for _, s := range []struct {
+		name string
+		x    [][]float32
+		y    []job.Label
+		want uint64
+	}{
+		{"served", servedX, servedY, 0x33bfdd966f90f3a9},
+		{"deep", deepX, deepY, 0x22a867a57e5a3444},
+	} {
+		h := fnv.New64a()
+		h.Write(trainBytes(t, cfg, s.x, s.y))
+		if got := h.Sum64(); got != s.want {
+			t.Errorf("%s: forest hashes to %#x, the parent's to %#x", s.name, got, s.want)
+		}
+	}
+}
+
+// FuzzTrainMatchesReference: whatever small dataset and hyper-parameters
+// the fuzzer finds — rows are drawn from a handful of values per
+// feature, so binned images collide at every rate from never to always —
+// Train marshals what the reference trainer does.
+func FuzzTrainMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(60), uint8(4), uint8(3), uint8(0), uint8(2), uint8(1), uint8(0), uint8(32))
+	f.Add(uint64(2), uint8(200), uint8(9), uint8(2), uint8(3), uint8(8), uint8(3), uint8(2), uint8(8))
+	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(1), uint8(2))
+	f.Add(uint64(4), uint8(255), uint8(16), uint8(40), uint8(0), uint8(0), uint8(0), uint8(16), uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, n, dim, levels, maxDepth, minSplit, minLeaf, maxFeatures, bins uint8) {
+		rows, d, values := 1+int(n), 1+int(dim)%16, 1+int(levels)
+		rng := stats.NewRNG(seed)
+		x := make([][]float32, rows)
+		y := make([]job.Label, rows)
+		for i := range x {
+			x[i] = make([]float32, d)
+			for f := range x[i] {
+				x[i][f] = float32(rng.Intn(values)) / float32(values)
+			}
+			y[i] = job.Label(rng.Intn(3)) // Unknown, MemoryBound or ComputeBound
+		}
+		y[0] = job.ComputeBound // at least one labeled row
+		cfg := Config{
+			NumTrees:        2,
+			MaxDepth:        int(maxDepth),
+			MinSamplesSplit: int(minSplit),
+			MinSamplesLeaf:  int(minLeaf),
+			MaxFeatures:     int(maxFeatures),
+			Bins:            int(bins),
+			Seed:            seed,
+		}
+		if got, want := trainBytes(t, cfg, x, y), refTrain(t, cfg, x, y); !bytes.Equal(got, want) {
+			t.Fatalf("Train marshals %d bytes that differ from the reference trainer's %d", len(got), len(want))
+		}
 	})
 }

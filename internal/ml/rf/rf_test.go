@@ -1,7 +1,9 @@
 package rf
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,9 +212,13 @@ func TestBinner(t *testing.T) {
 	if th := b.threshold(0, 1); th != 5 {
 		t.Errorf("threshold = %g, want 5", th)
 	}
-	q := b.quantize(x)
-	if len(q) != 6 {
-		t.Errorf("quantized length = %d", len(q))
+	// Rows 0 and 3 share a binned image; 3 carries the other class.
+	rows := b.distinct(append(x, []float32{1, 5}), []uint8{0, 0, 0, 1})
+	if want := []uint8{0, 0, 3, 0, 2, 0}; !bytes.Equal(rows.bins, want) {
+		t.Errorf("distinct binned rows = %v, want %v", rows.bins, want)
+	}
+	if want := []int32{0, 2, 4, 1}; !slices.Equal(rows.slot, want) {
+		t.Errorf("slots = %v, want %v", rows.slot, want)
 	}
 }
 

@@ -11,7 +11,9 @@
 package rf
 
 import (
+	"bytes"
 	"math"
+	"slices"
 
 	"mcbound/internal/job"
 	"mcbound/internal/stats"
@@ -151,119 +153,193 @@ func (b *binner) threshold(f, s int) float32 {
 	return b.min[f] + float32(s+1)*b.wid[f]
 }
 
-// quantize produces the row-major binned matrix.
-func (b *binner) quantize(x [][]float32) []uint8 {
+// trainRows is what a fit reads of its training set: the distinct binned
+// rows, and for every training row the weight a bootstrap draw of it
+// adds to. Training never sees a raw value, so two rows with one binned
+// image are one row drawn twice as often — the trace's batches make
+// that four rows in five — and a tree is grown on the distinct rows
+// under integer weights instead of on the samples.
+type trainRows struct {
+	distinct int
+	bins     []uint8 // distinct × dim, row-major, in order of first appearance
+	slot     []int32 // per training row: numClasses·(its distinct row) + its class
+}
+
+// distinct quantizes x row by row and keeps each binned image once:
+// hash, then byte compare, in an open-addressed table, with no per-row
+// allocation. The matrix is reserved for the case that no two rows are
+// alike and handed back if it stayed mostly empty, so a fit holds the
+// distinct rows and not a second n × dim matrix.
+func (b *binner) distinct(x [][]float32, classes []uint8) trainRows {
 	dim := len(x[0])
-	out := make([]uint8, len(x)*dim)
+	size := 1
+	for size < 2*len(x) {
+		size <<= 1
+	}
+	table := make([]int32, size) // 1 + distinct row, 0 for an empty slot
+	var hashes []uint64          // per distinct row
+	rows := trainRows{bins: make([]uint8, 0, len(x)*dim), slot: make([]int32, len(x))}
 	for i, row := range x {
-		base := i * dim
+		// The candidate is quantized into the slot behind the rows kept so
+		// far, and the matrix grows over it if it is new.
+		d := len(hashes)
+		image := rows.bins[d*dim : (d+1)*dim]
+		h := uint64(14695981039346656037) // FNV-1a over the bin bytes
 		for f, v := range row {
-			out[base+f] = uint8(b.binOf(f, v))
+			image[f] = uint8(b.binOf(f, v))
+			h = (h ^ uint64(image[f])) * 1099511628211
+		}
+		p := h & uint64(size-1)
+		for ; table[p] != 0; p = (p + 1) & uint64(size-1) {
+			if e := int(table[p] - 1); hashes[e] == h && bytes.Equal(rows.bins[e*dim:(e+1)*dim], image) {
+				d = e
+				break
+			}
+		}
+		if d == len(hashes) {
+			table[p] = int32(d + 1)
+			hashes = append(hashes, h)
+			rows.bins = rows.bins[:(d+1)*dim]
+		}
+		rows.slot[i] = int32(d*numClasses) + int32(classes[i])
+	}
+	rows.distinct = len(hashes)
+	if len(rows.bins) < cap(rows.bins)/2 {
+		rows.bins = slices.Clone(rows.bins)
+	}
+	return rows
+}
+
+// treeBuilder grows trees, one after the other, on bootstrap samples of
+// one training set; everything it allocates is reused from tree to tree.
+type treeBuilder struct {
+	cfg  Config
+	dim  int
+	rows trainRows
+	binr *binner
+	rng  *stats.RNG
+
+	w     []int32 // per distinct row and class: times the tree's bootstrap drew it
+	idx   []int32 // the distinct rows drawn at all, partitioned in place during growth
+	nodes []node
+	feats []int    // feature permutation buffer
+	hist  []uint64 // MaxFeatures class histograms of Bins entries, class 1 in the high half
+}
+
+func newTreeBuilder(cfg Config, dim int, rows trainRows, binr *binner) *treeBuilder {
+	return &treeBuilder{
+		cfg:   cfg,
+		dim:   dim,
+		rows:  rows,
+		binr:  binr,
+		w:     make([]int32, rows.distinct*numClasses),
+		idx:   make([]int32, 0, rows.distinct),
+		feats: make([]int, dim),
+		hist:  make([]uint64, cfg.MaxFeatures*cfg.Bins),
+	}
+}
+
+// build draws a bootstrap sample of the training rows from rng — one
+// index per row, with replacement — grows a tree on it and returns the
+// tree's nodes in preorder, right-child indices relative to its root.
+func (tb *treeBuilder) build(rng *stats.RNG) []node {
+	tb.rng = rng
+	clear(tb.w)
+	n := len(tb.rows.slot)
+	for range tb.rows.slot {
+		tb.w[tb.rows.slot[rng.Intn(n)]]++
+	}
+	tb.idx = tb.idx[:0]
+	var counts [numClasses]int32
+	for d := 0; d < tb.rows.distinct; d++ {
+		w0, w1 := tb.w[d*numClasses], tb.w[d*numClasses+1]
+		if w0+w1 > 0 {
+			tb.idx = append(tb.idx, int32(d))
+			counts[0] += w0
+			counts[1] += w1
 		}
 	}
-	return out
-}
-
-// treeBuilder grows one tree on a bootstrap sample.
-type treeBuilder struct {
-	cfg     Config
-	dim     int
-	binned  []uint8 // n*dim quantized training matrix (shared)
-	classes []int8  // n training class ids (shared)
-	binr    *binner
-	rng     *stats.RNG
-
-	idx   []int // the bootstrap sample, partitioned in place during growth
-	nodes []node
-	feats []int // scratch: feature permutation buffer
-	hist  []int32
-}
-
-// build grows the tree and returns its nodes in preorder, right-child
-// indices relative to the tree's own root.
-func (tb *treeBuilder) build() []node {
-	tb.feats = make([]int, tb.dim)
 	for i := range tb.feats {
 		tb.feats[i] = i
 	}
-	tb.hist = make([]int32, tb.cfg.Bins*numClasses)
-	tb.grow(0, len(tb.idx), 0)
-	return tb.nodes
+	tb.nodes = tb.nodes[:0]
+	tb.grow(0, len(tb.idx), 0, counts)
+	return slices.Clone(tb.nodes)
 }
 
 // grow appends the subtree over idx[lo:hi] at the given depth: the
-// split node, then its left subtree, then its right subtree.
-func (tb *treeBuilder) grow(lo, hi, depth int) {
-	n := hi - lo
-	counts := [numClasses]int32{}
-	for _, i := range tb.idx[lo:hi] {
-		counts[tb.classes[i]]++
-	}
+// split node, then its left subtree, then its right subtree. counts is
+// the node's samples by class — the weights of its rows, summed — and
+// every sample count the hyper-parameters speak of is read from it.
+func (tb *treeBuilder) grow(lo, hi, depth int, counts [numClasses]int32) {
 	majority := 0
 	if counts[1] > counts[0] {
 		majority = 1
 	}
 	pure := counts[0] == 0 || counts[1] == 0
-
-	leaf := func() { tb.nodes = append(tb.nodes, leafNode(majority)) }
-	if pure || n < tb.cfg.MinSamplesSplit || (tb.cfg.MaxDepth > 0 && depth >= tb.cfg.MaxDepth) {
-		leaf()
+	if pure || int(counts[0]+counts[1]) < tb.cfg.MinSamplesSplit || depth >= tb.cfg.MaxDepth {
+		tb.nodes = append(tb.nodes, leafNode(majority))
 		return
 	}
 
-	feat, splitBin, gain := tb.bestSplit(lo, hi, counts)
-	if feat < 0 || gain <= 1e-12 {
-		leaf()
+	feat, splitBin, left := tb.bestSplit(lo, hi, counts)
+	right := [numClasses]int32{counts[0] - left[0], counts[1] - left[1]}
+	if feat < 0 ||
+		int(left[0]+left[1]) < tb.cfg.MinSamplesLeaf || int(right[0]+right[1]) < tb.cfg.MinSamplesLeaf {
+		tb.nodes = append(tb.nodes, leafNode(majority))
 		return
 	}
 
 	mid := tb.partition(lo, hi, feat, splitBin)
-	if mid == lo || mid == hi ||
-		mid-lo < tb.cfg.MinSamplesLeaf || hi-mid < tb.cfg.MinSamplesLeaf {
-		leaf()
-		return
-	}
-
 	id := len(tb.nodes)
 	tb.nodes = append(tb.nodes, splitNode(tb.binr.threshold(feat, splitBin), int32(feat)))
-	tb.grow(lo, mid, depth+1)
+	tb.grow(lo, mid, depth+1, left)
 	tb.nodes[id].right = int32(len(tb.nodes))
-	tb.grow(mid, hi, depth+1)
+	tb.grow(mid, hi, depth+1, right)
 }
 
-// bestSplit evaluates mtry random features and returns the (feature,
-// bin, Gini gain) of the best "bin <= s" split, or feat = -1 if none.
-func (tb *treeBuilder) bestSplit(lo, hi int, total [numClasses]int32) (feat, splitBin int, gain float64) {
-	n := float64(hi - lo)
-	parentGini := giniOf(total, n)
-	feat, splitBin = -1, -1
-
-	mtry := tb.cfg.MaxFeatures
+// bestSplit draws mtry random features and returns the best "bin <= s"
+// split among them by Gini gain, with the class counts of its left side,
+// or feat = -1 if no split gains. The features are drawn first; then one
+// pass over the node's rows fills all their histograms (a row's bins
+// are read once a node, and the histograms — 4.9 KB at the defaults —
+// stay in L1); then the histograms are swept in draw order, a later
+// split replacing an earlier one only if it gains strictly more.
+func (tb *treeBuilder) bestSplit(lo, hi int, total [numClasses]int32) (feat, splitBin int, bestLeft [numClasses]int32) {
+	mtry, bins := tb.cfg.MaxFeatures, tb.cfg.Bins
 	// Partial Fisher–Yates: draw mtry distinct features.
 	for k := 0; k < mtry; k++ {
 		r := k + tb.rng.Intn(tb.dim-k)
 		tb.feats[k], tb.feats[r] = tb.feats[r], tb.feats[k]
-		f := tb.feats[k]
+	}
+	feats := tb.feats[:mtry]
 
-		// Per-class histogram of feature f over the node's samples.
-		h := tb.hist
-		for i := range h {
-			h[i] = 0
+	clear(tb.hist)
+	for _, d := range tb.idx[lo:hi] {
+		row := tb.rows.bins[int(d)*tb.dim : (int(d)+1)*tb.dim]
+		w := uint64(uint32(tb.w[d*numClasses])) | uint64(uint32(tb.w[d*numClasses+1]))<<32
+		for k, f := range feats {
+			tb.hist[k*bins+int(row[f])] += w
 		}
-		for _, i := range tb.idx[lo:hi] {
-			b := tb.binned[i*tb.dim+f]
-			h[int(b)*numClasses+int(tb.classes[i])]++
-		}
+	}
 
+	n := float64(total[0] + total[1])
+	parentGini := giniOf(total, n)
+	feat, splitBin = -1, -1
+	gain := 1e-12 // a split must gain more than rounding noise
+	for k, f := range feats {
+		h := tb.hist[k*bins : (k+1)*bins]
 		// Sweep split points left-to-right accumulating class counts.
 		var left [numClasses]int32
-		for s := 0; s < tb.cfg.Bins-1; s++ {
-			left[0] += h[s*numClasses]
-			left[1] += h[s*numClasses+1]
-			nl := float64(left[0] + left[1])
-			if nl == 0 {
+		for s := 0; s < bins-1; s++ {
+			if h[s] == 0 {
+				// An empty bin moves no row across: this is the previous
+				// split again (or no split yet) and gains nothing more.
 				continue
 			}
+			left[0] += int32(uint32(h[s]))
+			left[1] += int32(h[s] >> 32)
+			nl := float64(left[0] + left[1])
 			nr := n - nl
 			if nr == 0 {
 				break
@@ -271,19 +347,19 @@ func (tb *treeBuilder) bestSplit(lo, hi int, total [numClasses]int32) (feat, spl
 			right := [numClasses]int32{total[0] - left[0], total[1] - left[1]}
 			g := parentGini - (nl*giniOf(left, nl)+nr*giniOf(right, nr))/n
 			if g > gain {
-				gain, feat, splitBin = g, f, s
+				gain, feat, splitBin, bestLeft = g, f, s, left
 			}
 		}
 	}
-	return feat, splitBin, gain
+	return feat, splitBin, bestLeft
 }
 
-// partition reorders idx[lo:hi] so samples with bin(feat) <= splitBin
-// come first; returns the boundary.
+// partition reorders idx[lo:hi] so rows with bin(feat) <= splitBin come
+// first; returns the boundary.
 func (tb *treeBuilder) partition(lo, hi, feat, splitBin int) int {
 	i, k := lo, hi-1
 	for i <= k {
-		if int(tb.binned[tb.idx[i]*tb.dim+feat]) <= splitBin {
+		if int(tb.rows.bins[int(tb.idx[i])*tb.dim+feat]) <= splitBin {
 			i++
 		} else {
 			tb.idx[i], tb.idx[k] = tb.idx[k], tb.idx[i]

@@ -415,9 +415,9 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	if trainErr != nil {
 		logf("warning: initial training failed, serving degraded: %v", trainErr)
 	} else {
-		logf("initial model trained: window [%s, %s), %d labeled jobs, %.3fs, version %d",
+		logf("initial model trained: window [%s, %s), %d labeled jobs, %d fitted, %.3fs, version %d",
 			rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
-			rep.LabeledJobs, rep.TrainDuration.Seconds(), rep.ModelVersion)
+			rep.LabeledJobs, rep.FittedJobs, rep.TrainDuration.Seconds(), rep.ModelVersion)
 	}
 
 	// Admission gates every route and the cron retrain: a submission
@@ -490,9 +490,9 @@ func (n *Node) retrain(ctx context.Context) {
 		n.log.Printf("cron retraining failed: %v", err)
 		return
 	}
-	n.log.Printf("cron retraining: window [%s, %s), %d labeled jobs, version %d",
+	n.log.Printf("cron retraining: window [%s, %s), %d labeled jobs, %d fitted, version %d",
 		rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
-		rep.LabeledJobs, rep.ModelVersion)
+		rep.LabeledJobs, rep.FittedJobs, rep.ModelVersion)
 }
 
 // trainInstant is the newest job completion in the store, or now while

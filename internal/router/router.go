@@ -530,48 +530,62 @@ func (rt *Router) retryAfterSeconds() string {
 	return strconv.Itoa(s)
 }
 
+// fleetHealth is the router's own /healthz: its view of the fleet.
+type fleetHealth struct {
+	Status        string          `json:"status"`
+	Leader        string          `json:"leader"`
+	Available     int             `json:"available"`
+	Backends      []backendHealth `json:"backends"`
+	BudgetTokens  float64         `json:"retry_budget_tokens"`
+	Retries       int64           `json:"retries_total"`
+	RetriesDenied int64           `json:"retries_denied_total"`
+}
+
+type backendHealth struct {
+	ID       string  `json:"id"`
+	URL      string  `json:"url"`
+	Alive    bool    `json:"alive"`
+	Role     string  `json:"role,omitempty"`
+	Lag      float64 `json:"replication_lag_seconds"`
+	Ejected  bool    `json:"ejected"`
+	Failures int64   `json:"ejections_total"`
+}
+
 // handleHealth reports the router's own view of the fleet.
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	now := rt.clock.Now()
-	type row struct {
-		ID       string  `json:"id"`
-		URL      string  `json:"url"`
-		Alive    bool    `json:"alive"`
-		Role     string  `json:"role,omitempty"`
-		Lag      float64 `json:"replication_lag_seconds"`
-		Ejected  bool    `json:"ejected"`
-		Failures int64   `json:"ejections_total"`
+	doc := fleetHealth{
+		Status:        "ok",
+		Leader:        rt.leaderURL(),
+		Backends:      make([]backendHealth, 0, len(rt.backends)),
+		BudgetTokens:  rt.budget.Tokens(),
+		Retries:       rt.budget.Retries(),
+		RetriesDenied: rt.budget.Exhausted(),
 	}
-	rows := make([]row, 0, len(rt.backends))
-	available := 0
 	for _, b := range rt.backends {
 		s := b.snapshot()
 		ej := b.ejected(now)
 		alive := !s.probed || s.alive
 		if alive && !ej {
-			available++
+			doc.Available++
 		}
-		rows = append(rows, row{
+		doc.Backends = append(doc.Backends, backendHealth{
 			ID: b.member.ID, URL: b.member.URL,
 			Alive: alive, Role: s.role, Lag: s.lagSeconds,
 			Ejected: ej, Failures: b.ejectionCount(),
 		})
 	}
-	leader := rt.leaderURL()
 	status := http.StatusOK
-	state := "ok"
-	if available == 0 {
-		status, state = http.StatusServiceUnavailable, "no_backend"
-	} else if leader == "" {
-		state = "no_leader" // reads still served: brownout, not outage
+	if doc.Available == 0 {
+		status, doc.Status = http.StatusServiceUnavailable, "no_backend"
+	} else if doc.Leader == "" {
+		doc.Status = "no_leader" // reads still served: brownout, not outage
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"status":%q,"leader":%q,"available":%d,"backends":`, state, leader, available)
-	data, _ := json.Marshal(rows) // strings, booleans and lags decoded from JSON (never NaN): cannot fail
-	w.Write(data)
-	fmt.Fprintf(w, `,"retry_budget_tokens":%g,"retries_total":%d,"retries_denied_total":%d}`+"\n",
-		rt.budget.Tokens(), rt.budget.Retries(), rt.budget.Exhausted())
+	// Strings, booleans and lags decoded from JSON (never NaN): the
+	// encoding cannot fail, and a failed write has no one left to tell.
+	_ = json.NewEncoder(w).Encode(doc)
 }
 
 // --- read path ---------------------------------------------------------
