@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt clock-lint wiring-lint peer-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-all
+.PHONY: all build test race vet fmt clock-lint wiring-lint peer-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all
 
 all: check
 
@@ -229,6 +229,17 @@ bench-record:
 bench-gate:
 	@test -n "$(BASE)" -a -n "$(HEAD)" || { echo "usage: make bench-gate BASE=<file> HEAD=<file>"; exit 2; }
 	bash benchmark/run.sh -compare $(BASE) $(HEAD)
+
+# The paired run a performance claim rests on (bench-pairs.sh): BASE and
+# the working tree, N runs each of one contract workload, alternating
+# which side goes first; prints both spreads, the comparison and the
+# pair-by-pair table.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=window_rf_s30 [N=10] [SEED=1]
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<commit> WORKLOAD=<name> [N=10] [SEED=1]"; exit 2; }
+	bash bench-pairs.sh $(BASE) $(WORKLOAD) $(N) $(SEED)
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

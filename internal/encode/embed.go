@@ -89,7 +89,13 @@ func (e *HashingEmbedder) EmbedInto(s string, dst []float32) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	var field []float32 // lazily allocated per-field scratch
+	// Per-field scratch: on the stack at the served dimension, on the
+	// heap (lazily) for the wider ablation ones.
+	var stack [Dim]float32
+	var field []float32
+	if e.dim <= Dim {
+		field = stack[:e.dim]
+	}
 	fieldIdx := 0
 	rest := s
 	for {

@@ -84,6 +84,22 @@ func TestEmbedIntoValidation(t *testing.T) {
 	e.EmbedInto("x", make([]float32, 5))
 }
 
+// TestEmbedIntoFieldScratchOnTheStack: up to the served dimension the
+// per-field scratch of a multi-field string is a stack array; the wider
+// ablation embedders pay the one heap buffer it was.
+func TestEmbedIntoFieldScratchOnTheStack(t *testing.T) {
+	const s = "u123,cfd_prod_01,48,1,gcc/12 fftw,2000"
+	allocs := func(dim int) float64 {
+		e, dst := NewHashingEmbedderDim(dim), make([]float32, dim)
+		return testing.AllocsPerRun(100, func() { e.EmbedInto(s, dst) })
+	}
+	served, narrow, wide := allocs(Dim), allocs(64), allocs(2*Dim)
+	if served != narrow || served+1 != wide {
+		t.Errorf("EmbedInto allocates %v times at %d dims, %v at 64, %v at %d; want the first two equal and one under the third",
+			served, Dim, narrow, wide, 2*Dim)
+	}
+}
+
 func TestNewHashingEmbedderDimValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -281,11 +281,24 @@ func (p *parser) str(dst *span) bool {
 	return false
 }
 
+// zeroTime is what json.Marshal writes for time.Time{}: the start and
+// end of every record not yet run.
+const zeroTime = "0001-01-01T00:00:00Z"
+
 // time hands the literal, quotes included, to the method encoding/json
-// itself calls, so what counts as RFC 3339 is the library's decision.
+// itself calls, so what counts as RFC 3339 is the library's decision —
+// but for zeroTime, which that method parses to time.Time{} (pinned by
+// TestZeroTimeLiteralIsTheZeroTime) and which is answered here.
 func (p *parser) time(dst *time.Time) bool {
 	var lit span
-	return p.str(&lit) && dst.UnmarshalJSON(p.data[lit.start-1:lit.end+1]) == nil
+	if !p.str(&lit) {
+		return false
+	}
+	if string(p.data[lit.start:lit.end]) == zeroTime {
+		*dst = time.Time{}
+		return true
+	}
+	return dst.UnmarshalJSON(p.data[lit.start-1:lit.end+1]) == nil
 }
 
 // number scans one literal of the JSON number grammar,

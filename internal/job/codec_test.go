@@ -151,6 +151,38 @@ func dump(jobs []*Job) string {
 	return s + " ]"
 }
 
+// TestZeroTimeLiteralIsTheZeroTime pins what parser.time answers without
+// the library: the literal json.Marshal writes for time.Time{} is
+// zeroTime, and UnmarshalJSON of it is time.Time{} again — to == and to
+// reflect.DeepEqual, which the differential fuzzers compare with —
+// whatever the receiver held before.
+func TestZeroTimeLiteralIsTheZeroTime(t *testing.T) {
+	lit := mustMarshal(t, time.Time{})
+	if string(lit) != `"`+zeroTime+`"` {
+		t.Fatalf("time.Time{} marshals to %s, zeroTime is %q", lit, zeroTime)
+	}
+	for _, got := range []time.Time{{}, time.Date(2024, 2, 1, 12, 0, 0, 5, time.FixedZone("JST", 9*3600))} {
+		if err := got.UnmarshalJSON(lit); err != nil {
+			t.Fatal(err)
+		}
+		if got != (time.Time{}) || !reflect.DeepEqual(got, time.Time{}) {
+			t.Fatalf("UnmarshalJSON(%s) = %#v, want time.Time{}", lit, got)
+		}
+	}
+	filled := completedJob()
+	body := []byte(`{"submit":"` + zeroTime + `","start":"` + zeroTime + `","end":"` + zeroTime + `"}`)
+	before := Fallbacks()
+	if err := Unmarshal(body, filled); err != nil {
+		t.Fatal(err)
+	}
+	if Fallbacks() != before {
+		t.Fatal("the zero-time body left the strict path")
+	}
+	if filled.SubmitTime != (time.Time{}) || filled.StartTime != (time.Time{}) || filled.EndTime != (time.Time{}) {
+		t.Fatalf("zero-time members decoded to %v, %v, %v", filled.SubmitTime, filled.StartTime, filled.EndTime)
+	}
+}
+
 // TestStrictPathDecodesEncoderOutput: the bodies every client in this
 // repository sends — json.Marshal of records with plain names — are
 // decoded by the parser itself. Without this the differential fuzzers
@@ -202,5 +234,24 @@ func TestDecodedJobsDoNotAliasInput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(jobs, src) || !reflect.DeepEqual(&one, src[0]) {
 		t.Fatalf("records changed with the buffer:\n got %s and %+v\nwant %s", dump(jobs), one, dump(src))
+	}
+}
+
+// BenchmarkUnmarshalArray decodes the periodic trigger's body: a window
+// of 1 000 submission records (≈ 300 KB), two of whose three time
+// members are the zero time.
+func BenchmarkUnmarshalArray(b *testing.B) {
+	window := make([]*Job, 1000)
+	for i := range window {
+		window[i] = submissionJob()
+		window[i].ID = fmt.Sprintf("job-%06d", i)
+	}
+	body := mustMarshal(b, window)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if jobs, err := UnmarshalArray(body); err != nil || len(jobs) != len(window) {
+			b.Fatalf("%d jobs, %v", len(jobs), err)
+		}
 	}
 }

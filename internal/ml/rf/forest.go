@@ -206,11 +206,8 @@ const stackKeys = 512
 
 // Predict implements ml.Classifier: majority vote across trees, ties
 // resolved to memory-bound (the majority class of the domain). The
-// batch is split once across workers. A worker takes its rows a block
-// at a time: each row is mapped once to order keys (rowKey), then every
-// group of eight trees is walked by every row of the block in lockstep
-// (walk8), the trees left over one at a time. Votes are integer sums,
-// so the order in which trees are visited cannot change a prediction.
+// batch is split once across workers, and a worker takes its rows a
+// block at a time (predictBlock).
 func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -230,50 +227,97 @@ func (c *Classifier) Predict(x [][]float32) ([]job.Label, error) {
 		if n := min(hi-lo, rowBlock) * dim; n > len(keys) {
 			keys = make([]int32, n)
 		}
-		var votes [rowBlock]int32 // trees voting compute-bound, per row
 		for ; lo < hi; lo += rowBlock {
-			rows := x[lo:min(hi, lo+rowBlock)]
-			for q, row := range rows {
-				k := keys[q*dim : (q+1)*dim]
-				for f, v := range row {
-					k[f] = rowKey(v)
-				}
-			}
-			clear(votes[:len(rows)])
-			t := 0
-			for ; t+lanes <= len(roots); t += lanes {
-				group := (*[lanes]int32)(roots[t:])
-				for q := range rows {
-					votes[q] += walk8(nodes, keys[q*dim:(q+1)*dim], group)
-				}
-			}
-			for _, root := range roots[t:] {
-				for q := range rows {
-					k := keys[q*dim : (q+1)*dim]
-					i := root
-					nd := &nodes[i]
-					for nd.feature >= 0 {
-						if k[nd.feature] < nd.key {
-							i++
-						} else {
-							i = nd.right
-						}
-						nd = &nodes[i]
-					}
-					votes[q] += ^nd.feature
-				}
-			}
-			for q := range rows {
-				class := 0
-				if 2*int(votes[q]) > len(roots) {
-					class = 1
-				}
-				out[lo+q] = classLabel(class)
-			}
+			end := min(hi, lo+rowBlock)
+			predictBlock(nodes, roots, dim, keys, x[lo:end], out[lo:end])
 		}
 	})
 	return out, nil
 }
+
+// predictBlock labels at most rowBlock rows into out and returns how
+// many (row, tree) walks that took. Each row is mapped once to order
+// keys (rowKey); then every group of eight trees is walked by the rows
+// still open in lockstep (walk8), the trees left over one at a time.
+//
+// A row is open while its label can still change. The label is
+// 2·votes > trees, votes only grow, and a tree adds at most one: once a
+// row's votes pass half the forest it is compute-bound whatever the
+// other trees say, and once its votes plus the trees it has not walked
+// no longer pass half it is memory-bound (the tie included). Such a row
+// leaves the active list and the block ends when the list is empty —
+// after the last tree at the latest, since with no tree left one of the
+// two holds. The votes are the same integers summed in the same tree
+// order as a full count, so the label read off the partial sum is the
+// full count's label.
+func predictBlock(nodes []node, roots []int32, dim int, keys []int32, rows [][]float32, out []job.Label) (walks int) {
+	for q, row := range rows {
+		k := keys[q*dim : (q+1)*dim]
+		for f, v := range row {
+			k[f] = rowKey(v)
+		}
+	}
+	var votes [rowBlock]int32 // trees voting compute-bound, per row
+	var active [rowBlock]uint8
+	open := len(rows)
+	for q := range open {
+		active[q] = uint8(q)
+	}
+	half := int32(len(roots) / 2)
+	t := 0
+	for ; t+lanes <= len(roots) && open > 0; t += lanes {
+		group := (*[lanes]int32)(roots[t:])
+		left := int32(len(roots) - t - lanes)
+		walks += lanes * open
+		still := 0
+		for _, q := range active[:open] {
+			v := votes[q] + walk8(nodes, keys[int(q)*dim:(int(q)+1)*dim], group)
+			votes[q] = v
+			if undecided(v, left, half) {
+				active[still] = q
+				still++
+			}
+		}
+		open = still
+	}
+	for ; t < len(roots) && open > 0; t++ {
+		left := int32(len(roots) - t - 1)
+		walks += open
+		still := 0
+		for _, q := range active[:open] {
+			k := keys[int(q)*dim : (int(q)+1)*dim]
+			i := roots[t]
+			nd := &nodes[i]
+			for nd.feature >= 0 {
+				if k[nd.feature] < nd.key {
+					i++
+				} else {
+					i = nd.right
+				}
+				nd = &nodes[i]
+			}
+			v := votes[q] + ^nd.feature
+			votes[q] = v
+			if undecided(v, left, half) {
+				active[still] = q
+				still++
+			}
+		}
+		open = still
+	}
+	for q := range rows {
+		class := 0
+		if votes[q] > half {
+			class = 1
+		}
+		out[q] = classLabel(class)
+	}
+	return walks
+}
+
+// undecided reports whether a row with v compute-bound votes and left
+// trees to walk can still end on either side of half the forest.
+func undecided(v, left, half int32) bool { return v <= half && v+left > half }
 
 // walk8 takes one row down eight trees at once (it is written out for
 // lanes = 8) and returns how many of them vote compute-bound. Every

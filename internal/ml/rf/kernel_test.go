@@ -372,6 +372,154 @@ func TestParentBlobLoadsAndPredictsAsRecorded(t *testing.T) {
 	}
 }
 
+// voteForest is a forest of stumps whose votes are prescribed: tree t
+// votes compute-bound for a row of kind A (1, 0) exactly where ones[t]
+// is set and for a row of kind B (0, 1) exactly where it is not; a row
+// of kind C (0, 0) gets no such vote and one of kind D (1, 1) all of
+// them.
+func voteForest(ones []bool) refForest {
+	f := refForest{dim: 2, trees: make([][]refNode, len(ones))}
+	for t, one := range ones {
+		feature := int32(1)
+		if one {
+			feature = 0
+		}
+		f.trees[t] = []refNode{
+			{Feature: feature, Threshold: 0.5, Left: 1, Right: 2},
+			{Left: -1, Right: -1, Class: 0},
+			{Left: -1, Right: -1, Class: 1},
+		}
+	}
+	return f
+}
+
+// voteRows is n rows cycling through the four kinds, so that rows of one
+// block are decided at different trees.
+func voteRows(n int) [][]float32 {
+	kinds := [][]float32{{1, 0}, {0, 1}, {0, 0}, {1, 1}}
+	x := make([][]float32, n)
+	for i := range x {
+		x[i] = kinds[i%len(kinds)]
+	}
+	return x
+}
+
+// placements puts k set votes among n trees: in the first k, in the last
+// k, and spread evenly.
+func placements(n, k int) map[string][]bool {
+	first, last, spread := make([]bool, n), make([]bool, n), make([]bool, n)
+	for t := 0; t < n; t++ {
+		first[t] = t < k
+		last[t] = t >= n-k
+		spread[t] = (t+1)*k/n > t*k/n
+	}
+	return map[string][]bool{"first": first, "last": last, "interleaved": spread}
+}
+
+func loadRef(t testing.TB, ref refForest) *Classifier {
+	t.Helper()
+	c := New(DefaultConfig())
+	if err := c.UnmarshalBinary(ref.marshal()); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestDecidedVoteMatchesFullVote walks the majority's edge: forests on
+// both sides of a lane group and of an even count, compute-bound votes
+// one short of half, exactly half, one past it, none and all — placed so
+// that a row is decided at the first chance, only in the leftover trees,
+// or never before the last tree — in batches on both sides of a row
+// block. A row Predict stops walking early gets the full vote's label,
+// and the exact tie stays memory-bound.
+func TestDecidedVoteMatchesFullVote(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 99, 100, 101} {
+		for _, k := range []int{n/2 - 1, n / 2, n/2 + 1, 0, n} {
+			k = min(max(k, 0), n)
+			for place, ones := range placements(n, k) {
+				ref := voteForest(ones)
+				c := loadRef(t, ref)
+				what := fmt.Sprintf("%d trees, %d votes %s", n, k, place)
+				for _, batch := range []int{1, 63, 64, 65, 200} {
+					assertMatchesRef(t, fmt.Sprintf("%s, %d rows", what, batch), c, ref, voteRows(batch))
+				}
+				if got, _ := c.Predict(voteRows(2)); 2*k == n && (got[0] != job.MemoryBound || got[1] != job.MemoryBound) {
+					t.Fatalf("%s: a tie of %d against %d is %v, want memory-bound", what, k, n-k, got)
+				}
+			}
+		}
+	}
+}
+
+// blockWalks runs predictBlock over x a block at a time, as Predict
+// does, and returns the labels and the (row, tree) walks made.
+func blockWalks(c *Classifier, x [][]float32) ([]job.Label, int) {
+	out := make([]job.Label, len(x))
+	keys := make([]int32, rowBlock*c.dim)
+	walks := 0
+	for lo := 0; lo < len(x); lo += rowBlock {
+		hi := min(len(x), lo+rowBlock)
+		walks += predictBlock(c.nodes, c.roots, c.dim, keys, x[lo:hi], out[lo:hi])
+	}
+	return out, walks
+}
+
+// TestBlockWalksAreTheStopRule is the proof that the stop happens, and
+// where: a row of a unanimous 100-tree forest is walked down 56 trees
+// (seven groups: the first count past 50 trees), a row the forest splits
+// 50/50, the compute-bound vote first in every pair, down all 100 (with
+// one tree to go it has 50 votes and the last could be the 51st), and on
+// forests of every shape each row is walked down exactly decidedAfter
+// trees — the figure BenchmarkPredict reports as trees/row.
+func TestBlockWalksAreTheStopRule(t *testing.T) {
+	const rows = 150
+	x, a, b := voteRows(rows), [][]float32{{1, 0}}, [][]float32{{0, 1}}
+	for _, tc := range []struct {
+		name string
+		ones []bool
+		rows [][]float32
+		want int
+	}{
+		{"unanimous, compute-bound", placements(100, 100)["first"], x, 56 * rows},
+		{"unanimous, memory-bound", placements(100, 0)["first"], x, 56 * rows},
+		{"50/50", placements(100, 50)["interleaved"], b, 100},
+		{"101 trees, 50 votes first", placements(101, 50)["first"], a, 101},
+		{"101 trees, 51 votes first", placements(101, 51)["first"], a, 56},
+	} {
+		c := loadRef(t, voteForest(tc.ones))
+		if _, got := blockWalks(c, tc.rows); got != tc.want {
+			t.Errorf("%s: %d rows took %d walks, want %d", tc.name, len(tc.rows), got, tc.want)
+		}
+	}
+
+	forests := map[string]refForest{
+		"bushy, 100 trees":      randomRef(11, 8, 100, 6, "bushy"),
+		"leaves, 99 trees":      randomRef(12, 3, 99, 0, "bushy"),
+		"chains, 17 trees":      randomRef(13, 5, 17, 20, "chain"),
+		"stumps, 8 trees":       randomRef(14, 4, 8, 1, "chain"),
+		"stumps, 7 trees":       randomRef(15, 4, 7, 1, "chain"),
+		"51 of 101 votes, last": voteForest(placements(101, 51)["last"]),
+		"8 of 15 votes, spread": voteForest(placements(15, 8)["interleaved"]),
+	}
+	for name, ref := range forests {
+		c := loadRef(t, ref)
+		q := randomQueries(16, 200, ref.dim)
+		want := 0
+		for _, row := range q {
+			want += decidedAfter(c, row)
+		}
+		labels, got := blockWalks(c, q)
+		if got != want {
+			t.Errorf("%s: %d walks, the stop rule says %d (of %d)", name, got, want, len(q)*len(c.roots))
+		}
+		for i, row := range q {
+			if l := ref.predict(row); labels[i] != l {
+				t.Fatalf("%s: row %d: %v after a decided vote, %v after the full one", name, i, labels[i], l)
+			}
+		}
+	}
+}
+
 // validRef is a small forest every corruption below starts from: tree 0
 // is split(split(leaf, leaf), leaf), tree 1 a single leaf.
 func validRef() refForest {
@@ -518,6 +666,12 @@ func FuzzPredictMatchesReference(f *testing.F) {
 	f.Add(uint64(2), uint8(100), uint8(40), true, floats(0, float32(math.Copysign(0, -1))), floats(salts...))
 	f.Add(uint64(3), uint8(8), uint8(0), false, []byte{}, floats(0.3, 0.6, negNaN))
 	f.Add(uint64(4), uint8(17), uint8(12), true, floats(math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32), []byte{1, 0, 0, 0, 1, 0, 0, 128})
+	// The majority's edge: lone leaves and stumps vote on a coin, so about
+	// half of each of these forests votes either way.
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 99, 100, 101} {
+		f.Add(uint64(n), uint8(n-1), uint8(0), false, []byte{}, floats(0.3, 0.6, 0.1, 0.9))
+		f.Add(uint64(n)+200, uint8(n-1), uint8(1), true, floats(0.5), floats(0.3, 0.6, 0.1, 0.9, 0.7, 0.2, 0.8, 0.4))
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, ntrees, depth uint8, chain bool, rawThresholds, rawRows []byte) {
 		const dim = 4
 		thresholds := append([]float32(nil), coarseThresholds...)
