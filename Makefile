@@ -56,12 +56,9 @@ fmt:
 #     measured (router.try's time.Now/time.Since is elapsed time);
 #   - wal.fsyncLoop's ticker: injecting a clock would need a new
 #     wal.Options field, and the interval policy's only contract is
-#     "at most this stale on disk", which a test checks through Sync;
-#   - the SSE heartbeat in handlePredictionStream: one arm of a
-#     multi-way select over the subscriber channel and the request
-#     context; httpapi has no clock (its Options would need a field).
+#     "at most this stale on disk", which a test checks through Sync.
 # benchmark/ is its own module, outside the root and not scanned.
-CLOCK_LINT_ALLOW = ^internal/router/router\.go:[0-9]+:.*time\.AfterFunc\(hedgeAfter, race\.run\)|^internal/wal/wal\.go:[0-9]+:.*time\.NewTicker\(every\)|^internal/httpapi/stream\.go:[0-9]+:.*time\.NewTicker\(s\.sseHeartbeat\)
+CLOCK_LINT_ALLOW = ^internal/router/router\.go:[0-9]+:.*time\.AfterFunc\(hedgeAfter, race\.run\)|^internal/wal/wal\.go:[0-9]+:.*time\.NewTicker\(every\)
 
 clock-lint:
 	@out=$$(grep -rnE 'func\(\) time\.Time|time\.(NewTimer|NewTicker|After|AfterFunc|Sleep)\(' \
@@ -149,10 +146,9 @@ chaos-elect:
 	$(GO) test -race -count=1 -run '^TestElectChaos' ./internal/election
 
 # Front-door chaos suite: seeded dead-backend + 10×-slow-backend reads
-# with zero client-observed errors and a bounded p99, a leader kill
-# mid-write-stream with at most one hard failure before the 421 chase
-# re-points, a backend kill mid-SSE, and a router restart mid-SSE with
-# Last-Event-ID continuity — all under the race detector.
+# with zero client-observed errors and a bounded p99, and a leader kill
+# mid-writes with at most one hard failure before the 421 chase
+# re-points — both under the race detector.
 chaos-router:
 	$(GO) test -race -count=1 -run '^TestRouterChaos' ./internal/router
 
@@ -170,7 +166,7 @@ crash:
 	$(GO) test -race -count=1 -run '^TestCrash' ./internal/wal ./internal/store
 
 # Golden replay equivalence: a ×100 replay through the live HTTP path
-# (NDJSON ingest, classify, train) must reproduce the offline
+# (batch insert, classify, train) must reproduce the offline
 # simulator's timeline — model versions and per-day F1 to 3 decimals —
 # and a paused replay must resume without duplicating or dropping
 # records.

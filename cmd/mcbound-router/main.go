@@ -51,11 +51,17 @@ func bindFlags(fs *flag.FlagSet, c *router.Config) *listen {
 	fs.DurationVar(&c.EjectCooldown, "eject-cooldown", router.DefaultEjectCooldown, "base ejection cooldown (jittered ×[0.5,1.5))")
 	fs.Float64Var(&c.MaxEjectFraction, "max-eject-fraction", router.DefaultMaxEjectFraction, "cap on the ejected share of the fleet")
 	fs.DurationVar(&c.PollEvery, "poll-every", router.DefaultPollEvery, "backend health probe period")
-	fs.DurationVar(&c.ForwardTimeout, "forward-timeout", router.DefaultForwardTimeout, "per-attempt proxy deadline (streams exempt)")
+	fs.DurationVar(&c.ForwardTimeout, "forward-timeout", router.DefaultForwardTimeout, "per-attempt proxy deadline")
 	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", router.DefaultMaxBodyBytes, "largest write body the router will buffer")
 	fs.DurationVar(&l.drainTimeout, "drain-timeout", httpapi.DefaultDrainTimeout, "graceful shutdown drain window")
 	fs.Uint64Var(&c.Seed, "seed", 1, "seed for jitter and sampling determinism")
 	return l
+}
+
+// server is the front door's listener: the API server's bounded one
+// (every proxied exchange is one request and one response).
+func (l *listen) server(h http.Handler) *http.Server {
+	return httpapi.NewHTTPServer(fmt.Sprintf(":%d", l.port), h)
 }
 
 func main() {
@@ -88,15 +94,7 @@ func serve(c router.Config, l *listen) (err error) {
 	defer stop()
 	go rt.Run(ctx)
 
-	// The router's own server carries SSE streams, so unlike the API
-	// server it must not set a WriteTimeout; ForwardTimeout bounds the
-	// non-streaming attempts instead.
-	srv := &http.Server{
-		Addr:              fmt.Sprintf(":%d", l.port),
-		Handler:           rt,
-		ReadHeaderTimeout: httpapi.DefaultReadHeaderTimeout,
-		IdleTimeout:       httpapi.DefaultIdleTimeout,
-	}
+	srv := l.server(rt)
 	logger.Printf("mcbound-router listening on :%d fronting %d backends (hedge ≥ %v, budget %.0f tokens, eject after %d fails)",
 		l.port, len(c.Backends), c.HedgeAfterMin, c.RetryBudget.Tokens, c.EjectThreshold)
 	return httpapi.ListenAndServe(ctx, srv, l.drainTimeout)

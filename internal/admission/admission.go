@@ -292,23 +292,6 @@ type Ticket struct {
 	pri      Priority
 	granted  time.Time
 	released atomic.Bool
-
-	// streaming tickets (AdmitStream) hold their slot for a connection
-	// lifetime: their total duration says nothing about per-request
-	// service time, so Release must not feed it into the limiter —
-	// the handler reports per-chunk latencies via ObserveChunk instead.
-	streaming bool
-}
-
-// ObserveChunk feeds one chunk's service time into the adaptive
-// limiter. Streaming handlers call it once per processed unit (an
-// ingest batch, an SSE write burst) so the p95 estimate tracks the
-// work short requests actually compete with, not connection lifetimes.
-func (t *Ticket) ObserveChunk(d time.Duration) {
-	if t == nil || t.pri == Critical || t.released.Load() {
-		return
-	}
-	t.c.lim.Observe(d)
 }
 
 // Release returns the slot and records the observed service time.
@@ -320,9 +303,7 @@ func (t *Ticket) Release() {
 		return // never held a slot
 	}
 	c := t.c
-	if !t.streaming {
-		c.lim.Observe(c.clock.Now().Sub(t.granted))
-	}
+	c.lim.Observe(c.clock.Now().Sub(t.granted))
 	c.mu.Lock()
 	c.inflight--
 	if t.pri == Background {
@@ -350,28 +331,11 @@ func backgroundCap(limit int) int {
 // wait, and the request's context deadline drives doomed-request
 // shedding. On success the returned Ticket must be Released.
 func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (*Ticket, error) {
-	return c.admit(ctx, pri, clientID, false)
-}
-
-// AdmitStream admits a long-lived stream (NDJSON ingest, SSE, replay
-// feeds). The stream holds a slot like any request — capacity stays
-// bounded — but the short-request assumptions are re-scoped:
-// doomed-request shedding is skipped (a connection deadline, if any,
-// bounds the whole stream, not one service unit, so comparing it to
-// p95 would shed every stream the moment the estimator warms), and
-// Release does not report the connection lifetime as a service time.
-// Per-chunk latencies go through Ticket.ObserveChunk instead. Rate
-// limiting and queue accounting apply unchanged.
-func (c *Controller) AdmitStream(ctx context.Context, pri Priority, clientID string) (*Ticket, error) {
-	return c.admit(ctx, pri, clientID, true)
-}
-
-func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, streaming bool) (*Ticket, error) {
 	if pri == Critical {
 		// Health probes and other must-answer traffic: no slot, no
 		// queue, no shedding — only accounting.
 		c.bypassed.Add(1)
-		return &Ticket{c: c, pri: pri, granted: c.clock.Now(), streaming: streaming}, nil
+		return &Ticket{c: c, pri: pri, granted: c.clock.Now()}, nil
 	}
 	c.offered.Add(1)
 
@@ -384,11 +348,6 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 
 	now := c.clock.Now()
 	deadline, hasDeadline := ctx.Deadline()
-	if streaming {
-		// A stream's deadline bounds the connection, not a service
-		// unit; it must not feed doomed shedding here or at grant.
-		hasDeadline = false
-	}
 	p95 := c.lim.P95()
 
 	// Doomed pre-check: a request whose remaining deadline cannot cover
@@ -409,7 +368,7 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 		c.takeSlotLocked(pri)
 		c.mu.Unlock()
 		c.admitted.Add(1)
-		return &Ticket{c: c, pri: pri, granted: now, streaming: streaming}, nil
+		return &Ticket{c: c, pri: pri, granted: now}, nil
 	}
 
 	// Bounded queue: on overflow the newest waiter of the lowest tier
@@ -455,7 +414,7 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 			c.cfg.OnQueueWait(w.grantedAt.Sub(w.enqueued).Seconds())
 		}
 		c.admitted.Add(1)
-		return &Ticket{c: c, pri: pri, granted: w.grantedAt, streaming: streaming}, nil
+		return &Ticket{c: c, pri: pri, granted: w.grantedAt}, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		removed := c.queue.remove(w)
@@ -468,7 +427,7 @@ func (c *Controller) admit(ctx context.Context, pri Priority, clientID string, s
 				return nil, err
 			}
 			c.admitted.Add(1)
-			return &Ticket{c: c, pri: pri, granted: w.grantedAt, streaming: streaming}, nil
+			return &Ticket{c: c, pri: pri, granted: w.grantedAt}, nil
 		}
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			// The deadline expired while waiting: the request was doomed,

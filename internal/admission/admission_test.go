@@ -304,15 +304,15 @@ func TestCancelWhileQueuedCountsAsCanceled(t *testing.T) {
 	checkIdentity(t, s)
 }
 
-// TestStreamTicketKeepsItsFlagThroughCancelGrantRace: a stream granted
-// while its context ends must still be a stream ticket, or Release feeds
-// the connection lifetime into the limiter's p95. The race is forced,
-// not awaited: a parked background waiter at its cap keeps the queue
-// non-empty, so an AdmitStream with an already-canceled context is
-// queued and granted inside the same call and finds both its grant and
-// ctx.Done() ready — select then takes the ctx.Done() arm (the racing
-// path) about every other round.
-func TestStreamTicketKeepsItsFlagThroughCancelGrantRace(t *testing.T) {
+// TestCancelGrantRaceReturnsTicketHoldingOneSlot: a request granted while
+// its context ends must come back as a ticket holding exactly one slot
+// (or the slot leaks, or is freed twice). The race is forced, not
+// awaited: a parked background waiter at its cap keeps the queue
+// non-empty, so an Admit with an already-canceled context is queued and
+// granted inside the same call and finds both its grant and ctx.Done()
+// ready — select then takes the ctx.Done() arm (the racing path) about
+// every other round.
+func TestCancelGrantRaceReturnsTicketHoldingOneSlot(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1700000000, 0))
 	c := NewController(Config{MaxConcurrency: 4, QueueDepth: 4, AdjustEvery: 1, Clock: clk})
 	bg, err := c.Admit(context.Background(), Background, "")
@@ -330,15 +330,20 @@ func TestStreamTicketKeepsItsFlagThroughCancelGrantRace(t *testing.T) {
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 64; i++ {
-		tk, err := c.AdmitStream(gone, Interactive, "")
+		tk, err := c.Admit(gone, Interactive, "")
 		if err != nil {
-			t.Fatalf("round %d: a grantable stream was shed: %v", i, err)
+			t.Fatalf("round %d: a grantable request was shed: %v", i, err)
 		}
-		clk.Advance(time.Hour) // the connection's lifetime
+		if got := c.Inflight(); got != 2 {
+			t.Fatalf("round %d: inflight %d while held, want 2 (the background slot and this one)", i, got)
+		}
 		tk.Release()
+		if got := c.Inflight(); got != 1 {
+			t.Fatalf("round %d: inflight %d after release, want 1", i, got)
+		}
 	}
-	if n := c.Limiter().Adjustments(); n != 0 {
-		t.Fatalf("%d stream releases reached the limiter as service times (p95 now %v)", n, c.Limiter().P95())
+	if s := c.Stats(); s.Admitted != 1+64 || s.Shed() != 0 {
+		t.Fatalf("stats %+v, want 65 admitted and nothing shed", s)
 	}
 	unpark()
 	if err := <-parked; !errors.Is(err, context.Canceled) {

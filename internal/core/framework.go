@@ -549,9 +549,8 @@ type Prediction struct {
 
 // AppendJSON appends to dst the bytes json.Marshal(p) returns and
 // returns the extended slice. It is the encoder of the classify
-// responses and of the prediction stream, which render thousands of
-// these per request; json.Marshal stays the reference it is fuzzed
-// against (FuzzAppendPrediction).
+// responses, which render thousands of these per request; json.Marshal
+// stays the reference it is fuzzed against (FuzzAppendPrediction).
 func (p Prediction) AppendJSON(dst []byte) []byte {
 	dst = appendJSONString(append(dst, `{"job_id":`...), p.JobID)
 	dst = appendJSONString(append(dst, `,"class":`...), p.Class)

@@ -80,26 +80,6 @@ func BenchmarkEncodeBatchWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedderKindAblation compares the two Feature Encoder
-// back-ends of §III-B: the subword hashing embedder (SBERT substitute)
-// against the classical categorical mapping.
-func BenchmarkEmbedderKindAblation(b *testing.B) {
-	b.Run("hashing", func(b *testing.B) {
-		e := NewHashingEmbedder()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Embed(benchStrings[i%len(benchStrings)])
-		}
-	})
-	b.Run("categorical", func(b *testing.B) {
-		e := NewCategoricalEmbedder(Dim, 6)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Embed(benchStrings[i%len(benchStrings)])
-		}
-	})
-}
-
 // BenchmarkFeatureString isolates the comma-joined rendering step.
 func BenchmarkFeatureString(b *testing.B) {
 	jobs := benchJobs(64)

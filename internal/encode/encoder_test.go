@@ -261,3 +261,25 @@ func TestEncoderCustomFeatures(t *testing.T) {
 		t.Errorf("Dim = %d", e.Dim())
 	}
 }
+
+// lengthEmbedder is a second Embedder: the string's length on axis 0.
+type lengthEmbedder struct{ dim int }
+
+func (e lengthEmbedder) Dim() int { return e.dim }
+
+func (e lengthEmbedder) Embed(s string) []float32 {
+	v := make([]float32, e.dim)
+	v[0] = float32(len(s))
+	return v
+}
+
+// The Encoder must accept any Embedder implementation (the paper's "this
+// method can be modified to leverage any encoding technique").
+func TestEncoderWithCustomEmbedder(t *testing.T) {
+	e := NewEncoder(DefaultFeatures(), lengthEmbedder{dim: 8})
+	j := testJob(0)
+	v := e.EncodeJob(j)
+	if e.Dim() != 8 || len(v) != 8 || v[0] != float32(len(FeatureString(j, DefaultFeatures()))) {
+		t.Fatalf("dim %d, vector %v: not the custom embedder's", e.Dim(), v)
+	}
+}

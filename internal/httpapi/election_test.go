@@ -38,9 +38,10 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
-// newElectedLeaderAPI stands up a leader API whose write path runs under
-// a 3-member elector with an injectable clock.
-func newElectedLeaderAPI(t *testing.T) (*httptest.Server, *election.Elector, *clock.Manual) {
+// newElectedLeader builds a leader API whose write path runs under a
+// 3-member elector with an injectable clock; opts adds to the durable
+// store, replication role and elector it mounts.
+func newElectedLeader(t *testing.T, opts Options) (*Server, *election.Elector, *clock.Manual) {
 	t.Helper()
 	lst := seedStore(t)
 	dur, err := store.OpenDurable(t.TempDir(), lst, store.DurableOptions{})
@@ -68,17 +69,39 @@ func newElectedLeaderAPI(t *testing.T) (*httptest.Server, *election.Elector, *cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newAPI(t, lst, nil, true, Options{
-		Durable: dur,
-		Repl:    node,
-		Elector: el,
-	}))
-	t.Cleanup(srv.Close)
-	return srv, el, clk
+	opts.Durable, opts.Repl, opts.Elector = dur, node, el
+	return newAPI(t, lst, nil, true, opts), el, clk
+}
+
+// newElectedFollower builds a second API over p's follower replica, this
+// one under a 2-member elector (p's plain follower server stays up).
+func newElectedFollower(t *testing.T, p *replPair, opts Options) (*Server, *repl.Node, *election.Elector) {
+	t.Helper()
+	members, err := cluster.New("f1", []cluster.Member{
+		{ID: "f1", URL: p.followerSrv.URL},
+		{ID: "l1", URL: p.leaderSrv.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := repl.NewFollowerNode(p.follower, p.leaderSrv.URL, repl.PromotePlan{Store: p.followerSt})
+	el, err := election.New(election.Config{
+		Members:        members,
+		Node:           node,
+		LeaseTTL:       3 * time.Second,
+		HeartbeatEvery: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Repl, opts.Elector = node, el
+	return newAPI(t, p.followerSt, nil, true, opts), node, el
 }
 
 func TestLeaseRoutesAndWriteFencing(t *testing.T) {
-	srv, el, clk := newElectedLeaderAPI(t)
+	api, el, clk := newElectedLeader(t, Options{})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
 
 	// The lease document is served at Critical priority.
 	var leaseDoc struct {
@@ -184,26 +207,8 @@ func TestLeaseRoutesAndWriteFencing(t *testing.T) {
 // typed already_leader conflict.
 func TestConcurrentPromoteExactlyOneWinner(t *testing.T) {
 	p := newReplPair(t)
-	members, err := cluster.New("f1", []cluster.Member{
-		{ID: "f1", URL: p.followerSrv.URL},
-		{ID: "l1", URL: p.leaderSrv.URL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the follower API with an elector attached (newReplPair's
-	// plain follower server stays up; this one owns the promote path).
-	node := repl.NewFollowerNode(p.follower, p.leaderSrv.URL, repl.PromotePlan{Store: p.followerSt})
-	el, err := election.New(election.Config{
-		Members:        members,
-		Node:           node,
-		LeaseTTL:       3 * time.Second,
-		HeartbeatEvery: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newAPI(t, p.followerSt, nil, true, Options{Repl: node, Elector: el}))
+	api, node, el := newElectedFollower(t, p, Options{})
+	srv := httptest.NewServer(api)
 	defer srv.Close()
 
 	type result struct {
@@ -266,24 +271,8 @@ func TestConcurrentPromoteExactlyOneWinner(t *testing.T) {
 // answers the typed no_lease 503; /v1/cluster still works.
 func TestFollowerLeaseRelay(t *testing.T) {
 	p := newReplPair(t)
-	members, err := cluster.New("f1", []cluster.Member{
-		{ID: "f1", URL: p.followerSrv.URL},
-		{ID: "l1", URL: p.leaderSrv.URL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := repl.NewFollowerNode(p.follower, p.leaderSrv.URL, repl.PromotePlan{Store: p.followerSt})
-	el, err := election.New(election.Config{
-		Members:        members,
-		Node:           node,
-		LeaseTTL:       3 * time.Second,
-		HeartbeatEvery: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newAPI(t, p.followerSt, nil, true, Options{Repl: node, Elector: el}))
+	api, _, _ := newElectedFollower(t, p, Options{})
+	srv := httptest.NewServer(api)
 	defer srv.Close()
 
 	resp, body := postJSON(t, srv.URL+"/v1/lease/ack", election.AckRequest{})

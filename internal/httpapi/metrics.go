@@ -35,10 +35,6 @@ type appMetrics struct {
 	classifyJobs     *telemetry.Counter
 	classifyDuration *telemetry.Histogram
 	insertedJobs     *telemetry.Counter
-
-	streamRecords  *telemetry.Counter
-	streamBatches  *telemetry.Counter
-	streamRejected *telemetry.Counter
 }
 
 func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framework) *appMetrics {
@@ -120,26 +116,7 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 			"Inference Workflow latency per request.", nil, nil),
 		insertedJobs: reg.Counter("mcbound_jobs_inserted_total",
 			"Job records accepted by POST /v1/jobs.", nil),
-		streamRecords: reg.Counter("mcbound_stream_records_total",
-			"Job records acked through POST /v1/jobs/stream.", nil),
-		streamBatches: reg.Counter("mcbound_stream_batches_total",
-			"Commit groups acked on streaming ingest.", nil),
-		streamRejected: reg.Counter("mcbound_stream_rejected_total",
-			"Records rejected with per-record error frames on streaming ingest.", nil),
 	}
-}
-
-// registerStreamMetrics exposes the SSE fan-out hub's state.
-func registerStreamMetrics(reg *telemetry.Registry, hub *predHub) {
-	reg.GaugeFunc("mcbound_sse_subscribers",
-		"Prediction-stream subscribers currently connected.", nil,
-		func() float64 { return float64(hub.subscribers()) })
-	reg.CounterFunc("mcbound_sse_events_total",
-		"Prediction events published to the SSE hub.", nil,
-		func() int64 { return hub.published.Load() })
-	reg.CounterFunc("mcbound_sse_dropped_subscribers_total",
-		"Subscribers disconnected for not keeping up with the event stream.", nil,
-		func() int64 { return hub.dropped.Load() })
 }
 
 // registerReplayMetrics exposes the replay job's progress.
@@ -153,7 +130,7 @@ func registerReplayMetrics(reg *telemetry.Registry, mgr *replay.Manager) {
 			return 0
 		})
 	reg.GaugeFunc("mcbound_replay_records_replayed",
-		"Trace records the active/last replay job has streamed in.", nil,
+		"Trace records the active/last replay job has inserted.", nil,
 		func() float64 { return float64(mgr.Status().Records) })
 	reg.GaugeFunc("mcbound_replay_windows_done",
 		"Completed β windows of the active/last replay job.", nil,

@@ -7,12 +7,10 @@
 //	GET    /v1/model                     currently served model info
 //	POST   /v1/train                     trigger the Training Workflow
 //	POST   /v1/jobs                      insert job records (atomic batch)
-//	POST   /v1/jobs/stream               NDJSON streaming ingest (ack/error frames per batch)
 //	GET    /v1/classify/{id}             classify one stored job
 //	POST   /v1/classify                  classify posted job records
 //	GET    /v1/classify?start=&end=      classify jobs submitted in a range
 //	GET    /v1/characterize?start=&end=  Roofline-label executed jobs
-//	GET    /v1/predictions/stream        write-path classifications as SSE (Last-Event-ID resume)
 //	POST   /v1/replay                    start a server-side trace replay (409 if active)
 //	GET    /v1/replay                    replay job state document
 //	POST   /v1/replay/pause              suspend the replay at its next checkpoint
@@ -31,17 +29,10 @@
 // request without a cursor gets the first page. Errors carry a stable
 // machine-readable code next to the message:
 // {"error": "...", "code": "not_found"}.
-// The prediction stream carries only write-path classifications
-// (GET /v1/classify/{id}, POST /v1/classify — including replay-driven
-// inference, which posts through the latter); range reads are pure
-// reads and never republish, so polling a range cannot duplicate
-// events for subscribers.
-// Request bodies are capped (Options.MaxBodyBytes) — except the
-// streaming ingest, which is unbounded in length but caps each record —
-// and every request is tagged with an X-Request-Id, logged, counted and
-// timed per route. Long-lived routes (the two streams, replay-driven
-// traffic) are exempt from request-deadline clamping: X-Request-Timeout
-// there bounds each chunk of work, not the connection.
+// Every route answers one bounded request with one response: request
+// bodies are capped (Options.MaxBodyBytes), every request runs under a
+// deadline (the route's default or a clamped X-Request-Timeout) and is
+// tagged with an X-Request-Id, logged, counted and timed per route.
 package httpapi
 
 import (
@@ -143,18 +134,6 @@ type Options struct {
 	// mcbound_repl_* collectors are registered. On a leader, pass the
 	// same durable store in both Durable and Repl.
 	Repl *repl.Node
-
-	// StreamBatchSize groups NDJSON ingest records per commit/ack; 0
-	// selects DefaultStreamBatch.
-	StreamBatchSize int
-
-	// SSEBufferSize sizes the prediction stream's resume ring and each
-	// subscriber's channel; 0 selects DefaultSSEBuffer.
-	SSEBufferSize int
-
-	// SSEHeartbeat is the idle keep-alive period on prediction streams;
-	// 0 selects DefaultSSEHeartbeat.
-	SSEHeartbeat time.Duration
 }
 
 // Server wires a Framework and its job store into an http.Handler.
@@ -162,6 +141,7 @@ type Server struct {
 	fw              *core.Framework
 	store           *store.Store
 	mux             *http.ServeMux
+	patterns        []string // every mux pattern registered, in order (the route-table test's checklist)
 	handler         http.Handler
 	log             *log.Logger
 	reg             *telemetry.Registry
@@ -175,10 +155,6 @@ type Server struct {
 	replayMgr       *replay.Manager
 	repl            *repl.Node
 	elector         *election.Elector
-	hub             *predHub
-	streamBatch     int
-	sseBuffer       int
-	sseHeartbeat    time.Duration
 }
 
 // New builds a Server. The store must be the same one backing the
@@ -199,15 +175,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	if opts.DefaultDeadline <= 0 {
 		opts.DefaultDeadline = DefaultDeadline
 	}
-	if opts.StreamBatchSize <= 0 {
-		opts.StreamBatchSize = DefaultStreamBatch
-	}
-	if opts.SSEBufferSize <= 0 {
-		opts.SSEBufferSize = DefaultSSEBuffer
-	}
-	if opts.SSEHeartbeat <= 0 {
-		opts.SSEHeartbeat = DefaultSSEHeartbeat
-	}
 	s := &Server{
 		fw:              fw,
 		store:           st,
@@ -224,13 +191,8 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		replayMgr:       opts.Replay,
 		repl:            opts.Repl,
 		elector:         opts.Elector,
-		hub:             newPredHub(opts.SSEBufferSize),
-		streamBatch:     opts.StreamBatchSize,
-		sseBuffer:       opts.SSEBufferSize,
-		sseHeartbeat:    opts.SSEHeartbeat,
 	}
 	registerAdmissionMetrics(s.reg, s.adm)
-	registerStreamMetrics(s.reg, s.hub)
 	if s.durable != nil || s.repl != nil {
 		// The provider indirection matters on followers: the durable
 		// store only appears when a promotion attaches one.
@@ -257,10 +219,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	s.route("POST /v1/classify", s.guard(admission.Interactive, s.handleClassifyJobs))
 	s.route("GET /v1/classify", s.guard(admission.Batch, s.handleClassifyRange))
 	s.route("GET /v1/characterize", s.guard(admission.Batch, s.handleCharacterize))
-	// Long-lived routes: admitted as streams (no request deadline, no
-	// doomed-shedding; per-chunk budgets instead — see guardStream).
-	s.route("POST /v1/jobs/stream", s.guardStream(admission.Batch, s.leaderOnly(s.handleInsertStream)))
-	s.route("GET /v1/predictions/stream", s.guardStream(admission.Batch, s.handlePredictionStream))
 	if s.replayMgr != nil {
 		// Replay mutations drive inserts, so they are leader-only too;
 		// the status read stays open on every role.
@@ -285,7 +243,7 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		s.route("POST /v1/lease/ack", s.guard(admission.Critical, s.handleLeaseAck))
 		s.route("GET /v1/cluster", s.guard(admission.Interactive, s.handleClusterStatus))
 	}
-	s.mux.Handle("GET /metrics", s.reg.Handler())
+	s.handle("GET /metrics", s.reg.Handler())
 	if opts.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -313,10 +271,8 @@ func (s *Server) ObserveTrain(rep *core.TrainReport, err error) { s.metrics.obse
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // dispatch applies the body cap and routes to the instrumented mux.
-// The NDJSON ingest stream is exempt from the cap — it is unbounded in
-// length by design; the handler caps each record line instead.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
-	if r.Body != nil && !(r.Method == http.MethodPost && r.URL.Path == "/v1/jobs/stream") {
+	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
 	s.mux.ServeHTTP(w, r)
@@ -325,7 +281,13 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 // route registers an instrumented handler under the mux pattern; the
 // pattern doubles as the bounded-cardinality route label.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.mux.Handle(pattern, telemetry.Instrument(s.reg, pattern)(h))
+	s.handle(pattern, telemetry.Instrument(s.reg, pattern)(h))
+}
+
+// handle registers h on the mux and records the pattern.
+func (s *Server) handle(pattern string, h http.Handler) {
+	s.patterns = append(s.patterns, pattern)
+	s.mux.Handle(pattern, h)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -476,10 +438,7 @@ func (s *Server) handleClassifyByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeClassify(1, time.Since(t0))
-	body := append(pred.AppendJSON(make([]byte, 0, 128)), '\n')
-	event := len(body) - 1
-	s.hub.publish(body[:event:event])
-	s.writeRawJSON(w, http.StatusOK, body)
+	s.writeRawJSON(w, http.StatusOK, append(pred.AppendJSON(make([]byte, 0, 128)), '\n'))
 }
 
 func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
@@ -494,7 +453,27 @@ func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observeClassify(len(preds), time.Since(t0))
-	s.writeRawJSON(w, http.StatusOK, s.publishPredictions(preds))
+	s.writeRawJSON(w, http.StatusOK, renderPredictions(preds))
+}
+
+// renderPredictions renders the predictions of one request as the JSON
+// array [e0,e1,…]\n — byte for byte what json.Encoder writes for them,
+// newline included — into one buffer.
+func renderPredictions(preds []core.Prediction) []byte {
+	// An upper bound unless an ID needs escaping.
+	size := len("[]\n")
+	for i := range preds {
+		size += len(`{"job_id":"","class":"","model_version":2147483647,"degraded":true},`) +
+			len(preds[i].JobID) + len(preds[i].Class)
+	}
+	buf := append(make([]byte, 0, size), '[')
+	for i := range preds {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = preds[i].AppendJSON(buf)
+	}
+	return append(buf, ']', '\n')
 }
 
 // handleClassifyRange serves one cursor page of GET /v1/classify: the

@@ -481,31 +481,6 @@ func TestCharacterizeEnvelope(t *testing.T) {
 	}
 }
 
-func TestBadPayloadsRejected(t *testing.T) {
-	srv, _ := testServer(t)
-	for _, path := range []string{"/v1/classify", "/v1/jobs"} {
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte("{not json")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e peer.ErrorBody
-		json.NewDecoder(resp.Body).Decode(&e)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
-			t.Errorf("%s with bad JSON: status %d code %q", path, resp.StatusCode, e.Code)
-		}
-	}
-	for _, u := range []string{
-		"/v1/classify?start=tomorrow&end=2024-01-12T00:00:00Z",
-		"/v1/characterize?start=2024-01-10T00:00:00Z&end=never",
-		"/v1/characterize",
-	} {
-		if code := getJSON(t, srv.URL+u, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d", u, code)
-		}
-	}
-}
-
 func TestTrainEmptyBodyUsesWallClock(t *testing.T) {
 	srv, _ := testServer(t)
 	// An empty body means "train as of now"; the trace ends in January

@@ -143,6 +143,59 @@ func TestChunkedWindowBody(t *testing.T) {
 	}
 }
 
+// countingWriter is a recorder that also counts Write calls.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestClassifyBatchResponseBytes: a POSTed 1 000-job window answers, in
+// one Write, with exactly the bytes json.Encoder writes for its
+// predictions (IDs that need escaping included), in input order.
+func TestClassifyBatchResponseBytes(t *testing.T) {
+	const n = 1000
+	api := newAPI(t, seedStore(t), nil, true, Options{})
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		id := fmt.Sprintf("b%04d", i)
+		if i%7 == 0 {
+			id = fmt.Sprintf("b<%04d>\"é\x01", i) // not the append encoder's to render
+		}
+		jobs[i] = &job.Job{
+			ID: id, User: "u0001", Name: []string{"memapp", "cpuapp"}[i%2],
+			Environment: "gcc/12.2", CoresRequested: 48, NodesRequested: 1, FreqRequested: job.FreqBoost,
+		}
+	}
+	payload, _ := json.Marshal(jobs)
+	rec := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
+	api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(payload)))
+	body := rec.Body.Bytes()
+	if rec.Code != http.StatusOK || rec.writes != 1 {
+		t.Fatalf("status %d in %d writes, want 200 in 1", rec.Code, rec.writes)
+	}
+	var preds []core.Prediction
+	if err := json.Unmarshal(body, &preds); err != nil || len(preds) != n {
+		t.Fatalf("decoded %d predictions: %v", len(preds), err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(preds); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("body is not json.Encoder's encoding:\n got %.300q\nwant %.300q", body, want.Bytes())
+	}
+	for i := range preds {
+		if preds[i].JobID != jobs[i].ID {
+			t.Fatalf("row %d answers job %q, want %q", i, preds[i].JobID, jobs[i].ID)
+		}
+	}
+}
+
 // classifyAllocs counts the allocations of one POST /v1/classify through
 // the whole handler stack into a recorder, request and recorder included
 // (the measure the repo benchmark reports as httpapi.classify_handler_allocs).

@@ -67,10 +67,8 @@ type Config struct {
 	SegmentBytes   int64
 	SnapshotEvery  int
 
-	// Streaming surface + server-side replay resource.
-	StreamBatch, SSEBuffer int
-	SSEHeartbeat           time.Duration
-	ReplaySource           string
+	// Server-side replay resource.
+	ReplaySource string
 
 	// Replication.
 	Follow             string
@@ -451,7 +449,6 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, DefaultDeadline: c.DefaultDeadline,
 		Registry: reg, Breaker: resilient.Breaker(), Admission: n.adm,
 		Durable: durable, Repl: n.Repl, Elector: n.Elector, Replay: n.Replay,
-		StreamBatchSize: c.StreamBatch, SSEBufferSize: c.SSEBuffer, SSEHeartbeat: c.SSEHeartbeat,
 	})
 	self.Handle("self", n.api)
 	n.api.ObserveTrain(rep, trainErr)

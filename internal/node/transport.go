@@ -12,8 +12,8 @@ import (
 // crossing that handler's whole middleware stack without a listener. A
 // node loops its replay traffic through one; handed to several nodes as
 // Config.HTTP (and to a router as router.Config.HTTP) it is a cluster's
-// network in one process. Responses are buffered whole — every
-// replication, lease and replay call is bounded; SSE stays on sockets.
+// network in one process. Responses are buffered whole: every call
+// between processes is one bounded request and one bounded response.
 type Transport struct {
 	mu       sync.RWMutex
 	handlers map[string]http.Handler

@@ -30,32 +30,6 @@ type ErrorBody struct {
 	Index *int   `json:"index,omitempty"`
 }
 
-// StreamFrame is the NDJSON ingest response protocol of POST
-// /v1/jobs/stream: one typed frame per line. "ack" frames carry the
-// batch sequence number, the batch size and the cumulative acked
-// count; "error" frames carry a per-record rejection (line number +
-// the same stable code every other error in the API carries) or, with
-// Fatal set, a stream-terminating failure; the final "done" frame
-// totals the stream.
-type StreamFrame struct {
-	Frame string `json:"frame"` // "ack" | "error" | "done"
-
-	// ack fields.
-	Seq   int `json:"seq,omitempty"`
-	Count int `json:"count,omitempty"`
-	Acked int `json:"acked,omitempty"`
-
-	// error fields.
-	Line  int    `json:"line,omitempty"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-	Fatal bool   `json:"fatal,omitempty"`
-
-	// done fields.
-	Rejected int `json:"rejected,omitempty"`
-	Batches  int `json:"batches,omitempty"`
-}
-
 // Error is a peer's answer other than 200: the status, the envelope's
 // code and message (no code, and the raw text, when the body is not an
 // envelope), the Location a 421 not_leader names the leader in, and the

@@ -159,7 +159,7 @@ var goldenWindow = replay.Config{
 }
 
 // TestReplayE2EGolden: a ×100 replay driven through the live HTTP path
-// (streaming NDJSON inserts, classify and train requests against a
+// (batch inserts, classify and train requests against a
 // server that starts empty) must reproduce the offline simulator's
 // timeline byte for byte — same train triggers, same model versions,
 // same window volumes, same per-day F1 to three decimals.

@@ -1,9 +1,9 @@
 // Package replay drives a historical job trace through a *live* MCBound
 // server at a configurable speed-up: the server-side twin of
 // internal/simulate. Where simulate.Replay calls the Framework facade
-// in-process, the replay Manager issues real HTTP traffic — NDJSON
-// streaming inserts, classify calls, train triggers — against the v1
-// API, so a replay exercises exactly what production clients exercise
+// in-process, the replay Manager issues real HTTP traffic — batch
+// inserts, classify calls, train triggers — against the v1 API, so a
+// replay exercises exactly what production clients exercise
 // (middleware, admission, durability) while reproducing the offline
 // simulation's timeline event for event.
 //
@@ -14,12 +14,9 @@
 package replay
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -59,7 +56,7 @@ var (
 	ErrNotActive = errors.New("replay: no active replay job")
 )
 
-// DefaultBatchSize bounds one streaming-insert request.
+// DefaultBatchSize bounds one insert request.
 const DefaultBatchSize = 500
 
 // paceSlice bounds one uninterruptible pacing sleep so pause and
@@ -329,12 +326,12 @@ func (m *Manager) run(ctx context.Context, cfg Config) {
 // triggers of online.Schedule — the ones simulate.Replay.Run walks, so
 // both produce the same timeline:
 //
-//  1. warm-up — stream-insert every trace record that executed before
+//  1. warm-up — insert every trace record that executed before
 //     Start (the α-window history a deployed system would already hold);
 //  2. initial Training Workflow at Start (the deploy script);
 //  3. per β window: classify the window's submissions over POST
 //     /v1/classify, score them against ground truth, pace the simulated
-//     window at ×Speed, stream-insert the records that completed during
+//     window at ×Speed, insert the records that completed during
 //     the window, and retrain at the window boundary (the cron job).
 func (m *Manager) drive(ctx context.Context, cfg Config) error {
 	params, err := m.fetchParams(ctx)
@@ -351,7 +348,7 @@ func (m *Manager) drive(ctx context.Context, cfg Config) error {
 
 	history, _ := m.opts.Source.ExecutedPage(time.Time{}, cfg.Start, store.Pos{}, 0)
 	m.logf("replay warm-up: %d historical records", len(history))
-	if err := m.streamInsert(ctx, history); err != nil {
+	if err := m.insert(ctx, history); err != nil {
 		return fmt.Errorf("replay: warm-up insert: %w", err)
 	}
 	if err := m.train(ctx, cfg.Start); err != nil {
@@ -372,7 +369,7 @@ func (m *Manager) drive(ctx context.Context, cfg Config) error {
 		// The window has elapsed: its completed jobs become history the
 		// next training window may draw on.
 		completed, _ := m.opts.Source.ExecutedPage(now, windowEnd, store.Pos{}, 0)
-		if err := m.streamInsert(ctx, completed); err != nil {
+		if err := m.insert(ctx, completed); err != nil {
 			return fmt.Errorf("replay: window insert at %v: %w", windowEnd, err)
 		}
 		m.mu.Lock()
@@ -490,63 +487,38 @@ func (m *Manager) classify(ctx context.Context, jobs []*job.Job) (preds []core.P
 	return preds, err
 }
 
-// streamInsert replays records through POST /v1/jobs/stream in
-// DefaultBatchSize chunks, one request per chunk, checking the pause/cancel
-// checkpoint between chunks and reconciling the ack/done frames.
-func (m *Manager) streamInsert(ctx context.Context, jobs []*job.Job) error {
+// insert replays records through POST /v1/jobs, DefaultBatchSize source
+// records a request, checking the pause/cancel checkpoint between
+// requests. The route is all-or-nothing, so a record the target would
+// reject is held back here — logged and counted, not sent — and any
+// answer but 200 fails the replay.
+func (m *Manager) insert(ctx context.Context, jobs []*job.Job) error {
 	for len(jobs) > 0 {
 		if err := m.checkpoint(ctx); err != nil {
 			return err
 		}
 		n := min(DefaultBatchSize, len(jobs))
-		if err := m.streamChunk(ctx, jobs[:n]); err != nil {
-			return err
+		valid := make([]*job.Job, 0, n)
+		for _, j := range jobs[:n] {
+			if err := j.Validate(); err != nil {
+				m.logf("record rejected: %v", err)
+				continue
+			}
+			valid = append(valid, j)
 		}
+		var ack struct {
+			Inserted int `json:"inserted"`
+		}
+		if len(valid) > 0 {
+			if err := peer.JSON(ctx, m.opts.Client, m.call(http.MethodPost, "/v1/jobs"), valid, &ack); err != nil {
+				return err
+			}
+		}
+		m.mu.Lock()
+		m.records += ack.Inserted
+		m.rejected += n - len(valid)
+		m.mu.Unlock()
 		jobs = jobs[n:]
-	}
-	return nil
-}
-
-func (m *Manager) streamChunk(ctx context.Context, jobs []*job.Job) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, j := range jobs {
-		if err := enc.Encode(j); err != nil {
-			return fmt.Errorf("encode record %s: %w", j.ID, err)
-		}
-	}
-	c := m.call(http.MethodPost, "/v1/jobs/stream")
-	c.Body, c.ContentType = buf.Bytes(), "application/x-ndjson"
-	frames, _, err := peer.Do(ctx, m.opts.Client, c)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(frames))
-	var sawDone bool
-	for {
-		var f peer.StreamFrame
-		if err := dec.Decode(&f); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return fmt.Errorf("bad stream frame: %w", err)
-		}
-		switch f.Frame {
-		case "error":
-			if f.Fatal {
-				return fmt.Errorf("stream aborted at line %d: %s (%s)", f.Line, f.Error, f.Code)
-			}
-			m.logf("record rejected at line %d: %s (%s)", f.Line, f.Error, f.Code)
-		case "done":
-			sawDone = true
-			m.mu.Lock()
-			m.records += f.Acked
-			m.rejected += f.Rejected
-			m.mu.Unlock()
-		}
-	}
-	if !sawDone {
-		return fmt.Errorf("stream ended without done frame")
 	}
 	return nil
 }
@@ -563,8 +535,8 @@ func (m *Manager) fetchParams(ctx context.Context) (online.Params, error) {
 	return online.Params{Alpha: info.AlphaDays, Beta: info.BetaDays}, nil
 }
 
-// maxResponseBytes bounds one answer of the target: a window's
-// predictions, or a chunk's frames (at most an error frame a record).
+// maxResponseBytes bounds one answer of the target (the largest is a
+// window's predictions).
 const maxResponseBytes = 16 << 20
 
 // call is one replay request, tagged with the replay client ID so the

@@ -102,15 +102,14 @@ type Config struct {
 	MaxEjectFraction float64
 	// PollEvery is the health-probe period.
 	PollEvery time.Duration
-	// ForwardTimeout bounds each proxied attempt (streams are exempt).
+	// ForwardTimeout bounds each proxied attempt.
 	ForwardTimeout time.Duration
 	// MaxBodyBytes caps the buffered write body (the buffer is what
 	// makes 421 re-forwarding safe).
 	MaxBodyBytes int64
 	// Seed drives every random choice (cooldown jitter) deterministically.
 	Seed uint64
-	// HTTP overrides the backend transport. It must not set an overall
-	// Timeout (that would kill SSE streams); per-attempt deadlines come
+	// HTTP overrides the backend transport; per-attempt deadlines come
 	// from ForwardTimeout. Nil selects a plain client.
 	HTTP *http.Client
 	// Registry, when non-nil, receives the mcbound_router_* metrics.
@@ -501,10 +500,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.handleHealth(w, r)
 	case r.URL.Path == "/metrics" && r.Method == http.MethodGet && rt.cfg.Registry != nil:
 		rt.cfg.Registry.Handler().ServeHTTP(w, r)
-	case r.Method == http.MethodGet && r.URL.Path == "/v1/predictions/stream":
-		rt.forwardReadStream(w, r)
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs/stream":
-		rt.forwardWriteStream(w, r)
 	case r.Method == http.MethodGet || r.Method == http.MethodHead:
 		rt.forwardRead(w, r)
 	default:
@@ -626,7 +621,7 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
 			rt.met.staleReads.Inc()
 		}
 		rt.met.readOK.Inc()
-		rt.relay(w, res.resp, res.b.member.ID, false)
+		rt.relay(w, res.resp, res.b.member.ID)
 		res.cancel()
 		return
 	}
@@ -921,7 +916,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 			rt.met.backendRequests(b.member.ID, "error").Inc()
 			rt.met.requests("write", "upstream_5xx").Inc()
 		}
-		rt.relay(w, resp, b.member.ID, false)
+		rt.relay(w, resp, b.member.ID)
 		cancel()
 		return
 	}
@@ -941,90 +936,6 @@ func (rt *Router) brownoutWrite(w http.ResponseWriter, cause error) {
 	rt.logf("router: write browned out: %s", msg)
 }
 
-// --- streams -----------------------------------------------------------
-
-// forwardReadStream proxies the SSE prediction stream: pinned to one
-// rendezvous-chosen backend, unhedged, flushed per chunk, no attempt
-// timeout. A mid-stream backend death ends the response; the client
-// reconnects with Last-Event-ID and lands on another backend.
-func (rt *Router) forwardReadStream(w http.ResponseWriter, r *http.Request) {
-	cands, stale, lag := rt.readCandidates(clientKey(r), nil)
-	if len(cands) == 0 {
-		rt.met.requests("stream", "no_backend").Inc()
-		rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeNoBackend, "no backend can serve this stream")
-		return
-	}
-	var lastErr error
-	for i, b := range cands {
-		if i > 0 && !rt.budget.Allow() {
-			rt.met.requests("stream", "retry_budget").Inc()
-			rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeRetryBudget,
-				fmt.Sprintf("retry budget exhausted after: %v", lastErr))
-			return
-		}
-		resp, err := rt.hc.Do(rt.cloneRequest(r.Context(), r, b, nil))
-		if err != nil {
-			lastErr = err
-			rt.noteFailure(b)
-			rt.met.backendRequests(b.member.ID, "error").Inc()
-			continue
-		}
-		if resp.StatusCode >= http.StatusInternalServerError {
-			lastErr = fmt.Errorf("backend %s answered %d", b.member.ID, resp.StatusCode)
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			rt.noteFailure(b)
-			rt.met.backendRequests(b.member.ID, "error").Inc()
-			continue
-		}
-		rt.noteSuccess(b)
-		rt.budget.OnSuccess()
-		b.requestsOK.Inc()
-		rt.met.requests("stream", "ok").Inc()
-		if stale {
-			w.Header().Set(StalenessHeader, strconv.FormatFloat(lag, 'f', 3, 64))
-		}
-		rt.relay(w, resp, b.member.ID, true)
-		return
-	}
-	rt.met.requests("stream", "upstream_error").Inc()
-	rt.writeError(w, http.StatusBadGateway, httpapi.CodeUpstream,
-		fmt.Sprintf("every stream candidate failed: %v", lastErr))
-}
-
-// forwardWriteStream proxies the NDJSON ingest stream to the leader
-// unbuffered. The body is consumed as it forwards, so there is exactly
-// one attempt: no chase, no retry — a mid-stream failure surfaces to
-// the client, which owns resumption.
-func (rt *Router) forwardWriteStream(w http.ResponseWriter, r *http.Request) {
-	leader := rt.leaderURL()
-	if leader == "" {
-		rt.RefreshNow(r.Context())
-		leader = rt.leaderURL()
-	}
-	if leader == "" {
-		rt.brownoutWrite(w, nil)
-		return
-	}
-	b := rt.byURL[leader] // leaderURL names members only
-	resp, err := rt.hc.Do(rt.cloneRequest(r.Context(), r, b, r.Body))
-	if err != nil {
-		rt.noteFailure(b)
-		rt.met.requests("stream_write", "upstream_error").Inc()
-		rt.writeError(w, http.StatusBadGateway, httpapi.CodeUpstream,
-			"leader unreachable mid-ingest (a prefix may have been applied): "+err.Error())
-		return
-	}
-	if resp.StatusCode < http.StatusInternalServerError {
-		rt.noteSuccess(b)
-		rt.met.requests("stream_write", "ok").Inc()
-	} else {
-		rt.noteFailure(b)
-		rt.met.requests("stream_write", "upstream_5xx").Inc()
-	}
-	rt.relay(w, resp, b.member.ID, true)
-}
-
 // --- proxy plumbing ----------------------------------------------------
 
 // hopByHop are the connection-scoped headers a proxy must not relay.
@@ -1040,10 +951,11 @@ var hopByHop = map[string]bool{
 }
 
 // cloneRequest rebuilds r against backend b, carrying method, path and
-// query, headers (minus hop-by-hop) and the provided body. The target
-// is b's base URL — parsed once, at New — with the incoming path and
-// query put on it; nothing is rendered to a string and parsed back.
-func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend, body io.Reader) *http.Request {
+// query, headers (minus hop-by-hop) and the buffered write body (nil on
+// a read). The target is b's base URL — parsed once, at New — with the
+// incoming path and query put on it; nothing is rendered to a string and
+// parsed back.
+func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend, body *bytes.Reader) *http.Request {
 	u := *b.base
 	u.Path += r.URL.Path
 	if r.URL.RawPath != "" || u.RawPath != "" {
@@ -1055,19 +967,13 @@ func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: make(http.Header, len(r.Header)+1),
 	}).WithContext(ctx)
-	switch body := body.(type) {
-	case nil:
-	case *bytes.Reader:
-		// The buffered write body: sized, and replayable should the
-		// transport find its idle connection dead before a byte is sent.
-		if body.Len() > 0 {
-			buf := *body
-			req.ContentLength = int64(body.Len())
-			req.Body = io.NopCloser(body)
-			req.GetBody = func() (io.ReadCloser, error) { again := buf; return io.NopCloser(&again), nil }
-		}
-	default:
+	if body != nil && body.Len() > 0 {
+		// Sized, and replayable should the transport find its idle
+		// connection dead before a byte is sent.
+		buf := *body
+		req.ContentLength = int64(body.Len())
 		req.Body = io.NopCloser(body)
+		req.GetBody = func() (io.ReadCloser, error) { again := buf; return io.NopCloser(&again), nil }
 	}
 	for k, vs := range r.Header {
 		if hopByHop[http.CanonicalHeaderKey(k)] {
@@ -1087,9 +993,8 @@ func remoteHost(r *http.Request) string {
 	return host
 }
 
-// relay copies a backend response to the client. streaming relays
-// flush after every chunk so SSE events cross the proxy immediately.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backendID string, streaming bool) {
+// relay copies a backend response to the client.
+func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backendID string) {
 	defer resp.Body.Close()
 	h := w.Header()
 	for k, vs := range resp.Header {
@@ -1100,23 +1005,5 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backendID st
 	}
 	h.Set(BackendHeader, backendID)
 	w.WriteHeader(resp.StatusCode)
-	if streaming {
-		flusher, _ := w.(http.Flusher)
-		buf := make([]byte, 32*1024)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}
 	io.Copy(w, resp.Body)
 }

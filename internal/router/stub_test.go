@@ -3,11 +3,9 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +17,7 @@ import (
 
 // stubBackend is a controllable stand-in for one mcbound-server node:
 // it speaks just enough of the health and data surface for the router
-// (role, lag, lease, 421 redirects, SSE with Last-Event-ID), and every
+// (role, lag, lease, 421 redirects), and every
 // failure mode the chaos suite needs — kill, slow, 5xx — is a flag.
 type stubBackend struct {
 	id  string
@@ -108,8 +106,6 @@ func (b *stubBackend) handle(w http.ResponseWriter, r *http.Request) {
 	}
 
 	switch {
-	case r.Method == http.MethodGet && r.URL.Path == "/v1/predictions/stream":
-		b.serveSSE(w, r)
 	case r.Method == http.MethodGet || r.Method == http.MethodHead:
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{"backend": b.id, "path": r.URL.Path})
@@ -141,36 +137,6 @@ func (b *stubBackend) writeHealth(w http.ResponseWriter, role string, lease bool
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(doc)
-}
-
-// serveSSE emits numbered events forever (until the client goes away),
-// resuming after the Last-Event-ID header like the real prediction
-// stream does.
-func (b *stubBackend) serveSSE(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "no flusher", http.StatusInternalServerError)
-		return
-	}
-	next := 1
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			next = n + 1
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(2 * time.Millisecond):
-		}
-		fmt.Fprintf(w, "id: %d\nevent: prediction\ndata: {\"seq\":%d,\"from\":%q}\n\n", next, next, b.id)
-		flusher.Flush()
-		next++
-	}
 }
 
 // mkRouter builds a router over the given stubs with chaos-test-speed

@@ -70,11 +70,6 @@ func (r *ResponseRecorder) Write(b []byte) (int, error) {
 // Started reports whether any part of the response has been written.
 func (r *ResponseRecorder) Started() bool { return r.wrote }
 
-// Unwrap exposes the underlying ResponseWriter so http.ResponseController
-// can reach the real connection through the middleware chain — the
-// streaming endpoints need Flush and per-route write deadlines.
-func (r *ResponseRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
 type ctxKey int
 
 const requestIDKey ctxKey = iota
