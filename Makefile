@@ -165,13 +165,13 @@ stress:
 crash:
 	$(GO) test -race -count=1 -run '^TestCrash' ./internal/wal ./internal/store
 
-# Golden replay equivalence: a ×100 replay through the live HTTP path
-# (batch insert, classify, train) must reproduce the offline
-# simulator's timeline — model versions and per-day F1 to 3 decimals —
-# and a paused replay must resume without duplicating or dropping
-# records.
+# Golden replay equivalence: simulate.Replay driven through the live
+# HTTP path of a node that starts empty (batch insert, classify, train)
+# must reproduce its own in-process timeline on the same trace — model
+# versions and per-day F1 to 3 decimals — and insert every completed
+# trace record exactly once.
 replay-e2e:
-	$(GO) test -race -count=1 -run '^TestReplayE2E' ./internal/replay
+	$(GO) test -race -count=1 -run '^TestReplayE2E' ./internal/simulate
 
 # Recall gate of the IVF index: one exact and one indexed KNN trained on
 # identical internal/workload traces at ×1/×10/×100 (≈ 117 K jobs at

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -41,13 +42,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*trace, *generate, *scale, *seed, *model, *alpha, *beta, *from, *to); err != nil {
+	if err := run(os.Stdout, *trace, *generate, *scale, *seed, *model, *alpha, *beta, *from, *to); err != nil {
 		fmt.Fprintln(os.Stderr, "mcbound-replay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(trace string, generate bool, scale float64, seed uint64, model string, alpha, beta int, from, to string) error {
+func run(out io.Writer, trace string, generate bool, scale float64, seed uint64, model string, alpha, beta int, from, to string) error {
 	start, err := time.Parse("2006-01-02", from)
 	if err != nil {
 		return fmt.Errorf("bad -from: %w", err)
@@ -81,18 +82,19 @@ func run(trace string, generate bool, scale float64, seed uint64, model string, 
 		return err
 	}
 
-	fmt.Printf("replaying %s deployment (α=%d β=%d) over [%s, %s)\n\n",
+	fmt.Fprintf(out, "replaying %s deployment (α=%d β=%d) over [%s, %s)\n\n",
 		model, alpha, beta, from, to)
 	// Ctrl-C aborts the replay at the next trigger boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	r := &simulate.Replay{Framework: fw, Log: os.Stdout}
+	r := simulate.Over(fw)
+	r.Log = out
 	tl, err := r.Run(ctx, start, end)
 	if err != nil {
 		return err
 	}
 	sum := tl.Summary()
-	fmt.Printf("\ntimeline: %d trainings, %d inference triggers, %d jobs classified\n",
+	fmt.Fprintf(out, "\ntimeline: %d trainings, %d inference triggers, %d jobs classified\n",
 		sum.Trainings, sum.Inferences, sum.Classified)
 	return nil
 }

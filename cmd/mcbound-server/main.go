@@ -79,7 +79,6 @@ func bindFlags(fs *flag.FlagSet, c *node.Config) {
 	fs.DurationVar(&c.FsyncInterval, "fsync-interval", wal.DefaultFsyncInterval, "background fsync period (with -fsync interval)")
 	fs.Int64Var(&c.SegmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation size in bytes")
 	fs.IntVar(&c.SnapshotEvery, "snapshot-every", 50000, "snapshot+compact the WAL after this many logged records (0 = never)")
-	fs.StringVar(&c.ReplaySource, "replay-source", "", "JSONL trace file backing the /v1/replay resource (empty = replay disabled)")
 	fs.StringVar(&c.Follow, "follow", "", "leader base URL to replicate from (follower mode: read-only API, writes answer not_leader)")
 	fs.DurationVar(&c.FollowPoll, "follow-poll", 250*time.Millisecond, "manifest poll cadence in follower mode")
 	fs.DurationVar(&c.MaxLag, "max-lag", 15*time.Second, "replication lag before follower /healthz reports lagging")

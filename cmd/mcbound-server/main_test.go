@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"reflect"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,7 +32,7 @@ func TestHelpGolden(t *testing.T) {
 
 // Every flag lands in its own Config field: each is given a value that
 // is neither its default nor any other flag's, and the parsed Config
-// must be exactly the literal below — 44 flags, 44 fields set.
+// must be exactly the literal below — 43 flags, 43 fields set.
 func TestEveryFlagLandsInConfig(t *testing.T) {
 	args := []string{
 		"-trace=t.jsonl", "-generate", "-scale=0.5", "-seed=11", "-model=knn", "-index=on", "-nprobe=3",
@@ -40,7 +42,7 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		"-fetch-attempts=20", "-fetch-backoff=21ms", "-breaker-threshold=22", "-breaker-cooldown=23s",
 		"-chaos-rate=0.24", "-chaos-seed=25",
 		"-data-dir=/d", "-fsync=interval", "-fsync-interval=26ms", "-segment-bytes=27", "-snapshot-every=28",
-		"-replay-source=r.jsonl", "-follow=http://leader:1", "-follow-poll=32ms", "-max-lag=33s", "-promote-on-start", "-retrain-jitter=0.34",
+		"-follow=http://leader:1", "-follow-poll=32ms", "-max-lag=33s", "-promote-on-start", "-retrain-jitter=0.34",
 		"-node-id=n2", "-peers=n1=http://a:1,n2=http://b:1", "-lease-ttl=35s", "-heartbeat-every=36ms",
 		"-election-timeout=37s", "-max-missed=38",
 	}
@@ -52,7 +54,7 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		FetchAttempts: 20, FetchBackoff: 21 * time.Millisecond, BreakerThreshold: 22, BreakerCooldown: 23 * time.Second,
 		ChaosRate: 0.24, ChaosSeed: 25,
 		DataDir: "/d", Fsync: "interval", FsyncInterval: 26 * time.Millisecond, SegmentBytes: 27, SnapshotEvery: 28,
-		ReplaySource: "r.jsonl", Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, MaxLag: 33 * time.Second, PromoteOnStart: true, RetrainJitter: 0.34,
+		Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, MaxLag: 33 * time.Second, PromoteOnStart: true, RetrainJitter: 0.34,
 		NodeID: "n2", Peers: "n1=http://a:1,n2=http://b:1", LeaseTTL: 35 * time.Second, HeartbeatEvery: 36 * time.Millisecond,
 		ElectionTimeout: 37 * time.Second, MaxMissed: 38,
 	}
@@ -65,8 +67,8 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	declared, set := 0, 0
 	fs.VisitAll(func(*flag.Flag) { declared++ })
 	fs.Visit(func(*flag.Flag) { set++ })
-	if declared != 44 || set != declared {
-		t.Fatalf("%d flags declared, %d set by this test; want 44 and 44", declared, set)
+	if declared != 43 || set != declared {
+		t.Fatalf("%d flags declared, %d set by this test; want 43 and 43", declared, set)
 	}
 	if got != want {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", got, want)
@@ -81,5 +83,36 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	}
 	if filled != declared {
 		t.Fatalf("%d Config fields set by %d flags", filled, declared)
+	}
+}
+
+// Every flag names who needs it: DESIGN.md §8's surface table has the
+// declared flags in its flag rows (a row may hold several), each once.
+func TestEveryFlagHasASurfaceRow(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := bytes.Cut(doc, []byte("| Flag (`node.Config` field) |"))
+	if !found {
+		t.Fatal("DESIGN.md has no flag table")
+	}
+	table, _, _ = bytes.Cut(table, []byte("\n\n"))
+	var documented []string
+	flagAndField := regexp.MustCompile("`-([a-z-]+)` \\(`[A-Za-z]+`\\)")
+	for _, row := range bytes.Split(table, []byte("\n")) {
+		cell, _, _ := bytes.Cut(bytes.TrimPrefix(row, []byte("| ")), []byte(" | "))
+		for _, m := range flagAndField.FindAllSubmatch(cell, -1) {
+			documented = append(documented, string(m[1]))
+		}
+	}
+	var declared []string
+	fs := flag.NewFlagSet("mcbound-server", flag.ContinueOnError)
+	bindFlags(fs, new(node.Config))
+	fs.VisitAll(func(f *flag.Flag) { declared = append(declared, f.Name) })
+	slices.Sort(documented)
+	slices.Sort(declared)
+	if !slices.Equal(documented, declared) {
+		t.Errorf("DESIGN.md §8's flag rows name\n  %q\nthe binary declares\n  %q", documented, declared)
 	}
 }

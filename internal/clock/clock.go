@@ -3,9 +3,9 @@
 // it in production, a Manual clock tests advance by hand, and the three
 // things every layer built on top of a timer — a context-aware Sleep, a
 // period-±-fraction Jitter, and a step-on-a-period Loop with a Stop that
-// waits. Lease TTLs, WAL polling, ejection and breaker cooldowns, replay
-// pacing, retry backoff and the retrain cron all run on it, so a test
-// (or a simulation) that owns the Clock owns their schedule.
+// waits. Lease TTLs, WAL polling, ejection and breaker cooldowns, retry
+// backoff and the retrain cron all run on it, so a test (or a
+// simulation) that owns the Clock owns their schedule.
 //
 // The package imports nothing from this repository; randomness comes in
 // as the caller's own draw, so every seeded stream stays with its owner.

@@ -30,7 +30,7 @@ func replayTestMonth(env *Env, cfg core.Config) (simulate.Summary, error) {
 	if err != nil {
 		return simulate.Summary{}, err
 	}
-	tl, err := (&simulate.Replay{Framework: fw}).Run(context.Background(), TestPeriodStart, TestPeriodEnd)
+	tl, err := simulate.Over(fw).Run(context.Background(), TestPeriodStart, TestPeriodEnd)
 	if err != nil {
 		return simulate.Summary{}, err
 	}

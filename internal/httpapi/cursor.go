@@ -12,19 +12,16 @@ import (
 	"mcbound/internal/store"
 )
 
-// The v1 range endpoints paginate with opaque, resumable cursors: a
-// cursor names the (sort-time, id) key of the last record a page
-// returned, so the next page starts strictly after it regardless of
-// what was inserted meanwhile. Offset pagination re-scans from zero
+// The v1 range read (GET /v1/classify) paginates with opaque, resumable
+// cursors: a cursor names the (SubmitTime, id) key of the last record a
+// page returned, so the next page starts strictly after it regardless
+// of what was inserted meanwhile. Offset pagination re-scans from zero
 // and silently skews under concurrent inserts; cursors do neither, so
 // they are the only scheme.
 //
 // Wire format (inside the opaque base64url): "c1|<unixnano>|<id>".
 // The version prefix lets the codec evolve without breaking clients
 // that treat cursors as the opaque strings they are documented to be.
-// Which time field the key refers to is a property of the endpoint
-// that minted the cursor (SubmitTime for /v1/classify, EndTime for
-// /v1/characterize); cursors are not portable across endpoints.
 
 // ErrBadCursor is the sentinel wrapped by cursor parse failures; the
 // HTTP layer maps it to 400 with the stable code "bad_cursor".
@@ -72,23 +69,23 @@ func decodeCursor(s string) (store.Pos, error) {
 	return store.Pos{Time: time.Unix(0, nanos).UTC(), ID: parts[2]}, nil
 }
 
-// cursorEnvelope is the response of a range read.
+// cursorEnvelope is the response of the range read.
 // NextCursor is present exactly when HasMore is true; passing it back
 // as ?cursor= resumes the scan after the last returned record.
 type cursorEnvelope struct {
 	Items      any    `json:"items"`
 	NextCursor string `json:"next_cursor,omitempty"`
 	HasMore    bool   `json:"has_more"`
-	Skipped    int    `json:"skipped,omitempty"`
 }
 
-// defaultPageSize caps a page when the client sends no limit:
-// unbounded pages would defeat the point of resumable reads.
+// defaultPageSize is the size of a page when the client sends no limit,
+// and the most a limit can ask for: one request classifies at most this
+// many jobs, and a reader (mcbound-infer) bounds its read on it.
 const defaultPageSize = 1000
 
-// pageParams parses the pagination query of a range read: the opaque
+// pageParams parses the pagination query of the range read: the opaque
 // position (absent or empty = from the beginning) and the page size
-// (limit; absent or 0 = defaultPageSize).
+// (limit; absent, 0 or above defaultPageSize = defaultPageSize).
 func pageParams(r *http.Request) (after store.Pos, limit int, err error) {
 	q := r.URL.Query()
 	if q.Has("offset") {
@@ -100,7 +97,7 @@ func pageParams(r *http.Request) (after store.Pos, limit int, err error) {
 			return after, 0, badRequest(fmt.Errorf("bad limit %q: non-negative integer required", v))
 		}
 	}
-	if limit == 0 {
+	if limit == 0 || limit > defaultPageSize {
 		limit = defaultPageSize
 	}
 	after, err = decodeCursor(q.Get("cursor"))

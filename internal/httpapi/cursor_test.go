@@ -201,31 +201,6 @@ func TestClassifyCursorStableUnderInsert(t *testing.T) {
 	}
 }
 
-// TestCharacterizeCursor: the executed-jobs endpoint pages by its own
-// (EndTime, ID) keyset and reports skipped records per page.
-func TestCharacterizeCursor(t *testing.T) {
-	srv, _ := testServer(t)
-	var total int
-	cursor := ""
-	for page := 0; ; page++ {
-		u := fmt.Sprintf("%s/v1/characterize?start=%s&end=%s&limit=60&cursor=%s",
-			srv.URL, url.QueryEscape("2024-01-01T00:00:00Z"), url.QueryEscape("2024-03-01T00:00:00Z"),
-			url.QueryEscape(cursor))
-		var env envelope
-		if code := getJSON(t, u, &env); code != http.StatusOK {
-			t.Fatalf("page %d: status %d", page, code)
-		}
-		total += len(env.Items)
-		if !env.HasMore {
-			break
-		}
-		cursor = env.NextCursor
-	}
-	if total != 200 {
-		t.Fatalf("characterized %d jobs via cursor walk, want 200", total)
-	}
-}
-
 // TestCursorBadRequests: a garbage cursor answers 400 with the stable
 // bad_cursor code.
 func TestCursorBadRequests(t *testing.T) {
@@ -254,7 +229,6 @@ func TestRangeFirstPageWithoutCursor(t *testing.T) {
 		more       bool
 	}{
 		{"classify", "/v1/classify" + window + "&limit=7", 7, true},
-		{"characterize", "/v1/characterize" + window + "&limit=7", 7, true},
 		{"limit 0 is the default size", "/v1/classify" + window + "&limit=0", 200, false},
 	} {
 		var bare, explicit envelope
@@ -274,8 +248,8 @@ func TestRangeFirstPageWithoutCursor(t *testing.T) {
 		}
 	}
 
-	// Past defaultPageSize jobs in range, a request with neither cursor
-	// nor limit must not return them all.
+	// Past defaultPageSize jobs in range, a request must not return them
+	// all: not with neither cursor nor limit, and not by asking for them.
 	submit := time.Date(2024, 2, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < defaultPageSize; i++ {
 		at := submit.Add(time.Duration(i) * time.Second)
@@ -286,19 +260,28 @@ func TestRangeFirstPageWithoutCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var env envelope
-	if code := getJSON(t, srv.URL+"/v1/classify"+window, &env); code != http.StatusOK {
-		t.Fatalf("unbounded request: status %d", code)
-	}
-	if len(env.Items) != defaultPageSize || !env.HasMore || env.NextCursor == "" {
-		t.Errorf("unbounded request over %d jobs: items=%d has_more=%v, want one %d-item page with a next_cursor",
-			200+defaultPageSize, len(env.Items), env.HasMore, defaultPageSize)
+	for _, limit := range []string{"", "&limit=2000000000"} {
+		var env envelope
+		if code := getJSON(t, srv.URL+"/v1/classify"+window+limit, &env); code != http.StatusOK {
+			t.Fatalf("unbounded request %q: status %d", limit, code)
+		}
+		if len(env.Items) != defaultPageSize || !env.HasMore {
+			t.Fatalf("unbounded request %q over %d jobs: items=%d has_more=%v, want one %d-item page and more",
+				limit, 200+defaultPageSize, len(env.Items), env.HasMore, defaultPageSize)
+		}
+		last, err := st.Get(env.Items[defaultPageSize-1]["job_id"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeCursor(store.Pos{Time: last.SubmitTime, ID: last.ID}); env.NextCursor != want {
+			t.Errorf("unbounded request %q: next_cursor %q, want the page's last job %q", limit, env.NextCursor, want)
+		}
 	}
 }
 
 // TestRangeRejectsBadPaging: offset pagination is gone — the parameter
-// answers a typed 400 that points at cursor, on both range endpoints and
-// whatever it is combined with — and a malformed limit is a 400 too.
+// answers a typed 400 that points at cursor, whatever it is combined
+// with — and a malformed limit is a 400 too.
 func TestRangeRejectsBadPaging(t *testing.T) {
 	srv, _ := testServer(t)
 	const window = "?start=2024-01-10T00:00:00Z&end=2024-01-12T00:00:00Z"
@@ -306,9 +289,9 @@ func TestRangeRejectsBadPaging(t *testing.T) {
 		"/v1/classify" + window + "&offset=0",
 		"/v1/classify" + window + "&limit=5&offset=5",
 		"/v1/classify" + window + "&cursor=&offset=1",
-		"/v1/characterize" + window + "&offset=100",
+		"/v1/classify" + window + "&offset=100",
 		"/v1/classify" + window + "&limit=-1",
-		"/v1/characterize" + window + "&limit=x",
+		"/v1/classify" + window + "&limit=x",
 	} {
 		var e peer.ErrorBody
 		if code := getJSON(t, srv.URL+q, &e); code != http.StatusBadRequest || e.Code != "bad_request" {

@@ -11,7 +11,6 @@ import (
 	"mcbound/internal/election"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
-	"mcbound/internal/replay"
 	"mcbound/internal/resilience"
 	"mcbound/internal/store"
 	"mcbound/internal/wal"
@@ -43,8 +42,6 @@ const (
 	codeNotFound     = "not_found"
 	codeNotTrained   = "not_trained"
 	codeBodyTooLarge = "body_too_large"
-	codeReplayBusy   = "replay_conflict"
-	codeReplayIdle   = "replay_not_active"
 	codeNotLeader    = "not_leader"
 	codeIsLeader     = "already_leader"
 	codeNoRepl       = "replication_disabled"
@@ -100,10 +97,6 @@ func errToStatus(err error) (status int, code string) {
 		return http.StatusServiceUnavailable, codeLeaseLost
 	case errors.Is(err, election.ErrNoLease):
 		return http.StatusServiceUnavailable, codeNoLease
-	case errors.Is(err, replay.ErrConflict):
-		return http.StatusConflict, codeReplayBusy
-	case errors.Is(err, replay.ErrNotActive):
-		return http.StatusConflict, codeReplayIdle
 	case errors.Is(err, core.ErrNotTrained):
 		return http.StatusServiceUnavailable, codeNotTrained
 	case errors.Is(err, resilience.ErrOpen):

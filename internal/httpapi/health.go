@@ -6,7 +6,6 @@ import (
 
 	"mcbound/internal/cluster"
 	"mcbound/internal/repl"
-	"mcbound/internal/replay"
 	"mcbound/internal/store"
 )
 
@@ -16,7 +15,7 @@ import (
 // 200; unavailable, lagging, disconnected or lease_lost with a 503 —
 // and each subsystem the node runs adds its section: Durability with
 // -data-dir, Replication with a replication role, Cluster (the GET
-// /v1/cluster document) with -peers, Replay with -replay-source.
+// /v1/cluster document) with -peers.
 // Fields are declared in key order, the order the map this type
 // replaced was encoded in, so the bytes on the wire are unchanged.
 type Health struct {
@@ -25,22 +24,10 @@ type Health struct {
 	Degraded         bool                    `json:"degraded"`
 	Durability       *store.DurabilityHealth `json:"durability,omitempty"`
 	Jobs             int                     `json:"jobs"`
-	Replay           *ReplayHealth           `json:"replay,omitempty"`
 	Replication      *repl.NodeStatus        `json:"replication,omitempty"`
 	StalenessSeconds *float64                `json:"staleness_seconds,omitempty"`
 	Status           string                  `json:"status"`
 	Trained          bool                    `json:"trained"`
-}
-
-// ReplayHealth is the replay section of /healthz: the progress fields
-// of replay.Status an operator watches (in key order, like Health).
-type ReplayHealth struct {
-	Records      int          `json:"records_replayed"`
-	SimClock     time.Time    `json:"sim_clock"`
-	Speed        float64      `json:"speed"`
-	State        replay.State `json:"state"`
-	WindowsDone  int          `json:"windows_done"`
-	WindowsTotal int          `json:"windows_total"`
 }
 
 // handleHealth is the readiness probe: 200 while the framework can
@@ -88,13 +75,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		// the front door keeps routing writes into lease_lost rejections.
 		if s.elector.IsLeader() && !cst.LeaseHeld && httpStatus == http.StatusOK {
 			doc.Status, httpStatus = "lease_lost", http.StatusServiceUnavailable
-		}
-	}
-	if s.replayMgr != nil {
-		st := s.replayMgr.Status()
-		doc.Replay = &ReplayHealth{
-			State: st.State, SimClock: st.SimClock, Records: st.Records,
-			Speed: st.Speed, WindowsDone: st.WindowsDone, WindowsTotal: st.WindowsTotal,
 		}
 	}
 	s.writeJSON(w, httpStatus, doc)

@@ -7,7 +7,6 @@ import (
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
 	"mcbound/internal/ml/ivf"
-	"mcbound/internal/replay"
 	"mcbound/internal/store"
 	"mcbound/internal/telemetry"
 	"mcbound/internal/wal"
@@ -117,27 +116,6 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 		insertedJobs: reg.Counter("mcbound_jobs_inserted_total",
 			"Job records accepted by POST /v1/jobs.", nil),
 	}
-}
-
-// registerReplayMetrics exposes the replay job's progress.
-func registerReplayMetrics(reg *telemetry.Registry, mgr *replay.Manager) {
-	reg.GaugeFunc("mcbound_replay_active",
-		"1 while a replay job is running or paused, else 0.", nil,
-		func() float64 {
-			if mgr.Active() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("mcbound_replay_records_replayed",
-		"Trace records the active/last replay job has inserted.", nil,
-		func() float64 { return float64(mgr.Status().Records) })
-	reg.GaugeFunc("mcbound_replay_windows_done",
-		"Completed β windows of the active/last replay job.", nil,
-		func() float64 { return float64(mgr.Status().WindowsDone) })
-	reg.GaugeFunc("mcbound_replay_trains",
-		"Training Workflows the active/last replay job has triggered.", nil,
-		func() float64 { return float64(mgr.Status().Trains) })
 }
 
 // registerWALMetrics exposes the durable store's log counters. The

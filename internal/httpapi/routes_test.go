@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,25 +59,22 @@ var routeTable = []struct {
 	{req: "POST /v1/classify", body: overCap, standalone: "413 body_too_large", leader: "413 body_too_large", follower: "413 body_too_large"},
 	{req: "GET /v1/classify?start=2024-01-10T00:00:00Z&end=2024-01-12T00:00:00Z", standalone: "200", leader: "200", follower: "200"},
 	{req: "GET /v1/classify?start=tomorrow&end=2024-01-12T00:00:00Z", standalone: "400 bad_request", leader: "400 bad_request", follower: "400 bad_request"},
-	{req: "GET /v1/characterize?start=2024-01-01T00:00:00Z&end=2024-01-03T00:00:00Z", standalone: "200", leader: "200", follower: "200"},
-	{req: "GET /v1/characterize?start=2024-01-10T00:00:00Z&end=never", standalone: "400 bad_request", leader: "400 bad_request", follower: "400 bad_request"},
-	{req: "GET /v1/characterize", standalone: "400 bad_request", leader: "400 bad_request", follower: "400 bad_request"},
 
 	// The long-lived routes of PR 6 are gone: the mux's 404 at a node, and
 	// through the router one relayed 404 (a hang fails on the client's timeout).
 	{req: "GET /v1/predictions/stream", standalone: "404", leader: "404", follower: "404", routed: "404"},
 	{req: "POST /v1/jobs/stream", body: goodJob[1:len(goodJob)-1] + "\n", standalone: "404", leader: "404", follower: "404", routed: "404"},
 
-	// The replay resource, idle. A verb that never reads its body answers
-	// the same with one over the cap.
-	{req: "GET /v1/replay", standalone: "200", leader: "200", follower: "200"},
-	{req: "POST /v1/replay", body: badJSON, standalone: "400 bad_request", leader: "400 bad_request", follower: "421 not_leader"},
-	{req: "POST /v1/replay", body: overCap, standalone: "413 body_too_large", leader: "413 body_too_large", follower: "421 not_leader"},
-	{req: "POST /v1/replay/pause", standalone: "409 replay_not_active", leader: "409 replay_not_active", follower: "421 not_leader"},
-	{req: "POST /v1/replay/pause", body: overCap, standalone: "409 replay_not_active", leader: "409 replay_not_active", follower: "421 not_leader"},
-	{req: "POST /v1/replay/resume", standalone: "409 replay_not_active", leader: "409 replay_not_active", follower: "421 not_leader"},
-	{req: "POST /v1/replay/resume", body: overCap, standalone: "409 replay_not_active", leader: "409 replay_not_active", follower: "421 not_leader"},
-	{req: "DELETE /v1/replay", standalone: "409 replay_not_active", leader: "409 replay_not_active", follower: "421 not_leader"},
+	// So is GET /v1/characterize (PR 27: artifact A2 runs the characterizer
+	// in-process), and so is the server-side replay: a replay is a client
+	// of the node — simulate.Replay, or mcbound-train and mcbound-infer on
+	// a calendar — and the node hosts none.
+	{req: "GET /v1/characterize?start=2024-01-01T00:00:00Z&end=2024-01-03T00:00:00Z", standalone: "404", leader: "404", follower: "404", routed: "404"},
+	{req: "POST /v1/replay", body: `{"start":"2024-01-10T00:00:00Z","end":"2024-01-17T00:00:00Z"}`, standalone: "404", leader: "404", follower: "404", routed: "404"},
+	{req: "GET /v1/replay", standalone: "404", leader: "404", follower: "404", routed: "404"},
+	{req: "POST /v1/replay/pause", standalone: "404", leader: "404", follower: "404", routed: "404"},
+	{req: "POST /v1/replay/resume", standalone: "404", leader: "404", follower: "404", routed: "404"},
+	{req: "DELETE /v1/replay", standalone: "404", leader: "404", follower: "404", routed: "404"},
 
 	// Replication and the elector are not mounted on a standalone node.
 	{req: "GET /v1/wal/segments", standalone: "404", leader: "200", follower: "421 not_leader"},
@@ -163,5 +162,43 @@ func TestRouteTable(t *testing.T) {
 		if got := send(request(front.URL, row.req, row.body)); got != row.routed {
 			t.Errorf("routed: %s: got %s, want %s", row.req, got, row.routed)
 		}
+	}
+}
+
+// TestSurfaceTableMatchesRoutes: the route rows of DESIGN.md §8's
+// surface table — who needs each route — are the patterns the three
+// role fixtures register between them, no more and no fewer, so a route
+// cannot be added or dropped without its row.
+func TestSurfaceTableMatchesRoutes(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	inTable := false
+	for _, line := range strings.Split(string(doc), "\n") {
+		switch {
+		case strings.HasPrefix(line, "| Route |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable && strings.HasPrefix(line, "| `"):
+			cell, _, _ := strings.Cut(line[len("| `"):], "`")
+			pattern, _, _ := strings.Cut(cell, "?") // "GET /v1/classify?start=&end=" is the pattern "GET /v1/classify"
+			documented = append(documented, pattern)
+		}
+	}
+	var mounted []string
+	for _, role := range []string{"standalone", "leader", "follower"} {
+		for _, p := range httpapi.NewRoleFixture(t, role).Patterns() {
+			if !slices.Contains(mounted, p) {
+				mounted = append(mounted, p)
+			}
+		}
+	}
+	slices.Sort(documented)
+	slices.Sort(mounted)
+	if !slices.Equal(documented, mounted) {
+		t.Errorf("DESIGN.md §8's surface table has the route rows\n  %q\nthe server mounts\n  %q", documented, mounted)
 	}
 }

@@ -10,12 +10,6 @@
 //	GET    /v1/classify/{id}             classify one stored job
 //	POST   /v1/classify                  classify posted job records
 //	GET    /v1/classify?start=&end=      classify jobs submitted in a range
-//	GET    /v1/characterize?start=&end=  Roofline-label executed jobs
-//	POST   /v1/replay                    start a server-side trace replay (409 if active)
-//	GET    /v1/replay                    replay job state document
-//	POST   /v1/replay/pause              suspend the replay at its next checkpoint
-//	POST   /v1/replay/resume             continue a paused replay
-//	DELETE /v1/replay                    cancel the replay (or clear a finished one)
 //	GET    /v1/wal/segments              replication manifest (epoch, committed seq, files)
 //	GET    /v1/wal/segments/{name}       ranged segment/snapshot bytes (?offset=&limit=)
 //	POST   /v1/promote                   promote this follower to leader (fences the old epoch)
@@ -23,8 +17,8 @@
 //	POST   /v1/lease/ack                 heartbeat acknowledgment / election vote request
 //	GET    /v1/cluster                   membership, roles, terms and failover counters
 //
-// All payloads are JSON; timestamps are RFC 3339. Range endpoints
-// paginate with opaque resumable cursors (?cursor=, {items, next_cursor,
+// All payloads are JSON; timestamps are RFC 3339. The range read
+// paginates with opaque resumable cursors (?cursor=, {items, next_cursor,
 // has_more} envelopes) that stay stable under concurrent inserts; a
 // request without a cursor gets the first page. Errors carry a stable
 // machine-readable code next to the message:
@@ -55,7 +49,6 @@ import (
 	"mcbound/internal/job"
 	"mcbound/internal/peer"
 	"mcbound/internal/repl"
-	"mcbound/internal/replay"
 	"mcbound/internal/resilience"
 	"mcbound/internal/store"
 	"mcbound/internal/telemetry"
@@ -109,13 +102,6 @@ type Options struct {
 	// registered. Its Store() must be the same store passed to New.
 	Durable *store.Durable
 
-	// Replay, when set, mounts the /v1/replay resource backed by this
-	// manager; /healthz grows a "replay" section and the
-	// mcbound_replay_* collectors are registered. Its Options.Client
-	// decides where the replay traffic goes; internal/node loops it back
-	// through this handler in memory.
-	Replay *replay.Manager
-
 	// Elector, when set, is the lease-based leader elector this node runs
 	// under: the GET /v1/lease + POST /v1/lease/ack heartbeat surface and
 	// GET /v1/cluster are mounted, leader writes are additionally fenced
@@ -152,7 +138,6 @@ type Server struct {
 	defaultDeadline time.Duration
 	maxDeadline     time.Duration
 	durable         *store.Durable
-	replayMgr       *replay.Manager
 	repl            *repl.Node
 	elector         *election.Elector
 }
@@ -188,7 +173,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		defaultDeadline: opts.DefaultDeadline,
 		maxDeadline:     max(DefaultMaxDeadline, opts.DefaultDeadline),
 		durable:         opts.Durable,
-		replayMgr:       opts.Replay,
 		repl:            opts.Repl,
 		elector:         opts.Elector,
 	}
@@ -197,9 +181,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		// The provider indirection matters on followers: the durable
 		// store only appears when a promotion attaches one.
 		registerWALMetrics(s.reg, s.currentDurable)
-	}
-	if s.replayMgr != nil {
-		registerReplayMetrics(s.reg, s.replayMgr)
 	}
 	if s.repl != nil {
 		registerReplMetrics(s.reg, s.repl)
@@ -218,16 +199,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	s.route("GET /v1/classify/{id}", s.guard(admission.Interactive, s.handleClassifyByID))
 	s.route("POST /v1/classify", s.guard(admission.Interactive, s.handleClassifyJobs))
 	s.route("GET /v1/classify", s.guard(admission.Batch, s.handleClassifyRange))
-	s.route("GET /v1/characterize", s.guard(admission.Batch, s.handleCharacterize))
-	if s.replayMgr != nil {
-		// Replay mutations drive inserts, so they are leader-only too;
-		// the status read stays open on every role.
-		s.route("POST /v1/replay", s.guard(admission.Interactive, s.leaderOnly(s.handleReplayStart)))
-		s.route("GET /v1/replay", s.guard(admission.Interactive, s.handleReplayStatus))
-		s.route("POST /v1/replay/pause", s.guard(admission.Interactive, s.leaderOnly(s.handleReplayPause)))
-		s.route("POST /v1/replay/resume", s.guard(admission.Interactive, s.leaderOnly(s.handleReplayResume)))
-		s.route("DELETE /v1/replay", s.guard(admission.Interactive, s.leaderOnly(s.handleReplayCancel)))
-	}
 	if s.repl != nil {
 		// The replication surface rides at Background priority: shipping
 		// log bytes to followers must never crowd out inference.
@@ -508,60 +479,6 @@ func (s *Server) handleClassifyRange(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, env)
-}
-
-type charBody struct {
-	JobID     string  `json:"job_id"`
-	Class     string  `json:"class"`
-	GFlops    float64 `json:"gflops_per_node"`
-	GBps      float64 `json:"gbytes_per_node"`
-	Intensity float64 `json:"op_intensity"`
-}
-
-// handleCharacterize serves one cursor page of GET /v1/characterize
-// over the (EndTime, ID) keyset. Uncharacterizable jobs still advance
-// the cursor (they are part of the keyset) but are only counted in
-// skipped, never silently swallowed between pages.
-func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	start, end, err := timeRange(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	after, limit, err := pageParams(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	jobs, more := s.store.ExecutedPage(start, end, after, limit)
-	out, skipped := s.characterizeJobs(jobs)
-	env := cursorEnvelope{Items: out, HasMore: more, Skipped: skipped}
-	if more && len(jobs) > 0 {
-		last := jobs[len(jobs)-1]
-		env.NextCursor = encodeCursor(store.Pos{Time: last.EndTime, ID: last.ID})
-	}
-	s.writeJSON(w, http.StatusOK, env)
-}
-
-// characterizeJobs runs the Roofline characterizer over a page of
-// completed jobs, counting the uncharacterizable ones.
-func (s *Server) characterizeJobs(jobs []*job.Job) (out []charBody, skipped int) {
-	out = make([]charBody, 0, len(jobs))
-	for _, j := range jobs {
-		pt, err := s.fw.Characterizer().Characterize(j)
-		if err != nil {
-			skipped++
-			continue
-		}
-		out = append(out, charBody{
-			JobID:     j.ID,
-			Class:     pt.Label.String(),
-			GFlops:    pt.Performance,
-			GBps:      pt.Bandwidth,
-			Intensity: pt.Intensity,
-		})
-	}
-	return out, skipped
 }
 
 func timeRange(r *http.Request) (start, end time.Time, err error) {

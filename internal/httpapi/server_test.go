@@ -105,7 +105,6 @@ type envelope struct {
 	Items      []map[string]any `json:"items"`
 	NextCursor string           `json:"next_cursor"`
 	HasMore    bool             `json:"has_more"`
-	Skipped    int              `json:"skipped"`
 }
 
 func TestHealthz(t *testing.T) {
@@ -444,39 +443,6 @@ func TestBodyCap(t *testing.T) {
 			if want := "bad request: bad jobs payload: http: request body too large"; e.Error != want {
 				t.Errorf("%s chunked=%v: message %q, want %q", path, chunked, e.Error, want)
 			}
-		}
-	}
-}
-
-func TestCharacterizeEnvelope(t *testing.T) {
-	srv, st := testServer(t)
-	// One executed job without counters: characterization must skip it
-	// and report it instead of dropping it silently.
-	submit := time.Date(2024, 1, 2, 0, 0, 0, 0, time.UTC)
-	if err := st.Insert(&job.Job{
-		ID: "nocounters", User: "u0009", Name: "mystery", CoresRequested: 48,
-		NodesRequested: 1, NodesAllocated: 1, FreqRequested: job.FreqNormal,
-		SubmitTime: submit, StartTime: submit.Add(time.Minute), EndTime: submit.Add(time.Hour),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	u := srv.URL + "/v1/characterize?start=2024-01-01T00:00:00Z&end=2024-01-03T00:00:00Z"
-	var env envelope
-	if code := getJSON(t, u, &env); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(env.Items) != 12 || env.HasMore {
-		t.Fatalf("characterized items=%d has_more=%v, want 12 in one final page", len(env.Items), env.HasMore)
-	}
-	if env.Skipped != 1 {
-		t.Errorf("skipped = %d, want 1 (the counter-less job)", env.Skipped)
-	}
-	for _, row := range env.Items {
-		if c := row["class"]; c != "memory-bound" && c != "compute-bound" {
-			t.Errorf("row %v class %v", row["job_id"], c)
-		}
-		if row["op_intensity"].(float64) <= 0 {
-			t.Errorf("row %v intensity %v", row["job_id"], row["op_intensity"])
 		}
 	}
 }

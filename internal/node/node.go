@@ -1,9 +1,9 @@
 // Package node assembles one MCBound node — the unit the paper deploys
 // (§III-E: a backend, a deploy script that trains once, a cronjob that
 // retrains) — from one Config. cmd/mcbound-server binds its flags into
-// a Config and serves Open's handler; the election and replay suites
-// build their clusters through the same Open, so the order of the steps
-// (DESIGN.md §8.10) is written once.
+// a Config and serves Open's handler; the election suite and the replay
+// e2e gate build their nodes through the same Open, so the order of the
+// steps (DESIGN.md §8.10) is written once.
 package node
 
 import (
@@ -23,11 +23,9 @@ import (
 	"mcbound/internal/fetch"
 	"mcbound/internal/fetch/chaos"
 	"mcbound/internal/httpapi"
-	"mcbound/internal/job"
 	"mcbound/internal/linalg"
 	"mcbound/internal/ml/knn"
 	"mcbound/internal/repl"
-	"mcbound/internal/replay"
 	"mcbound/internal/resilience"
 	"mcbound/internal/stats"
 	"mcbound/internal/store"
@@ -67,9 +65,6 @@ type Config struct {
 	SegmentBytes   int64
 	SnapshotEvery  int
 
-	// Server-side replay resource.
-	ReplaySource string
-
 	// Replication.
 	Follow             string
 	FollowPoll, MaxLag time.Duration
@@ -90,8 +85,8 @@ type Config struct {
 	// and the lease surface); nil leaves each its default client. Over a
 	// *Transport it keeps a cluster in one process.
 	HTTP *http.Client
-	// Clock times every loop, cooldown and pacing delay of the node; nil
-	// is the wall clock.
+	// Clock times every loop and cooldown of the node; nil is the wall
+	// clock.
 	Clock clock.Clock
 	// Logger receives the node's log lines; nil is log.Default().
 	Logger *log.Logger
@@ -171,11 +166,10 @@ func (c Config) parse() (p parsed, err error) {
 type Node struct {
 	// Store is the jobs data storage (the same one after a promotion);
 	// Repl the replication role, nil without -data-dir or -follow;
-	// Elector nil without -peers; Replay nil without -replay-source.
+	// Elector nil without -peers.
 	Store   *store.Store
 	Repl    *repl.Node
 	Elector *election.Elector
-	Replay  *replay.Manager
 
 	log   *log.Logger
 	clock clock.Clock
@@ -424,33 +418,11 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		MaxConcurrency: c.MaxConcurrency, QueueDepth: c.QueueDepth, RateLimit: c.RateLimit, Clock: n.clock,
 	})
 
-	// Replay resource: a trace driven through this node's own HTTP path,
-	// looped back in memory, and scored against the roofline
-	// characterizer — the oracle the offline simulator scores against.
-	self := NewTransport()
-	if c.ReplaySource != "" {
-		src, err := store.LoadFile(c.ReplaySource)
-		if err != nil {
-			return fmt.Errorf("load -replay-source %s: %w", c.ReplaySource, err)
-		}
-		char := n.fw.Characterizer()
-		n.Replay = replay.NewManager(replay.Options{
-			Source: src, Clock: n.clock, Log: n.log,
-			Client: &http.Client{Transport: self}, BaseURL: "http://self",
-			Truth: func(j *job.Job) (job.Label, bool) {
-				pt, cerr := char.Characterize(j)
-				return pt.Label, cerr == nil
-			},
-		})
-		logf("replay resource armed: %d trace records from %s", src.Len(), c.ReplaySource)
-	}
-
 	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
 		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, DefaultDeadline: c.DefaultDeadline,
 		Registry: reg, Breaker: resilient.Breaker(), Admission: n.adm,
-		Durable: durable, Repl: n.Repl, Elector: n.Elector, Replay: n.Replay,
+		Durable: durable, Repl: n.Repl, Elector: n.Elector,
 	})
-	self.Handle("self", n.api)
 	n.api.ObserveTrain(rep, trainErr)
 
 	// The retrain cron (§III-E), jittered: a fleet started together on one

@@ -120,9 +120,4 @@ func TestStatusDocumentsMatchParentGolden(t *testing.T) {
 	checkStatusGolden(t, tr, "healthz_lease_lost", "http://n1/healthz", http.StatusServiceUnavailable)
 	checkStatusGolden(t, tr, "cluster_lease_lost", "http://n1/v1/cluster", http.StatusOK)
 	checkStatusGolden(t, tr, "lease_lease_lost", "http://n1/v1/lease", http.StatusOK)
-
-	armed := testConfig()
-	armed.Trace, armed.ReplaySource = trace, trace
-	tr.Handle("armed", openNode(t, armed).Handler())
-	checkStatusGolden(t, tr, "healthz_replay_armed", "http://armed/healthz", http.StatusOK)
 }

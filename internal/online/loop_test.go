@@ -91,7 +91,7 @@ func deploy(t *testing.T, st *store.Store, edit func(*core.Config)) *core.Framew
 
 func replay(t *testing.T, fw *core.Framework, start, end time.Time) simulate.Summary {
 	t.Helper()
-	tl, err := (&simulate.Replay{Framework: fw}).Run(context.Background(), start, end)
+	tl, err := simulate.Over(fw).Run(context.Background(), start, end)
 	if err != nil {
 		t.Fatalf("replay aborted: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestRunnerFallbackBaselineWhenModelNeverFits(t *testing.T) {
 		c.ModelFactory = func() (ml.Classifier, error) { return failingClassifier{}, nil }
 	})
 	start, end := testPeriod()
-	tl, err := (&simulate.Replay{Framework: fw}).Run(context.Background(), start, end)
+	tl, err := simulate.Over(fw).Run(context.Background(), start, end)
 	if err != nil {
 		t.Fatalf("failing fits aborted the replay: %v", err)
 	}

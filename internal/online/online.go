@@ -6,8 +6,8 @@
 // setting (Params), the trigger calendar (Schedule) and the window
 // selection (SubsampleIndices, FilterLabeled) — no loop and no model:
 // core.Framework is the one implementation of the two workflows, and
-// simulate.Replay (in process) and replay.Manager (over HTTP) are the
-// two walkers of the calendar.
+// simulate.Replay the one walker of the calendar, whether its target is
+// a Framework in process or a running node over HTTP.
 package online
 
 import (

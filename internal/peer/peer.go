@@ -1,7 +1,7 @@
 // Package peer is the wire contract between MCBound processes and the
 // one client that speaks it. Every request one process originates at
 // another — WAL shipping, lease reads and acks, the router's health
-// probe, the replay manager, the train and infer scripts — is built,
+// probe, the train and infer scripts — is built,
 // sent, bounded and classified here. What stays with a caller is what
 // only it knows: its retry values, its *http.Client (so its timeout),
 // and what a status means in its domain. The package imports only the

@@ -156,7 +156,7 @@ func expect(triggers []online.Trigger, executed, submitted []outcome, restoredAt
 // recorded outcomes of exactly that period's fetches imply.
 func replayAgainstSchedule(t *testing.T, fw *core.Framework, rec *recordingBackend, start, end, restoredAt time.Time) Summary {
 	t.Helper()
-	tl, err := (&Replay{Framework: fw}).Run(context.Background(), start, end)
+	tl, err := Over(fw).Run(context.Background(), start, end)
 	if err != nil {
 		t.Fatalf("chaos replay aborted: %v", err)
 	}

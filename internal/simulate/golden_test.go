@@ -90,7 +90,7 @@ func TestReplayGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Replay{Framework: fw}
+	r := Over(fw)
 	start := time.Date(2024, 1, 15, 0, 0, 0, 0, time.UTC)
 	end := time.Date(2024, 1, 29, 0, 0, 0, 0, time.UTC)
 	tl, err := r.Run(context.Background(), start, end)

@@ -5,12 +5,13 @@
 // the exact sequence the deploy script + cronjob produce on a live
 // system, but deterministic and as fast as the components allow.
 //
-// Replay is the only in-process walker of online.Schedule, and it
-// drives the deployed Framework facade itself — the code the HTTP
-// backend serves — so one Timeline is both the operational record of a
-// deployment and, summed up, the paper's evaluation of it (Figs. 6–10):
-// quality against Roofline ground truth, runtime overhead, and what
-// degraded mode cost when the jobs data storage or a fit failed.
+// Replay is the only walker of online.Schedule in the repository. It
+// drives a Target — the deployed Framework facade itself, the code the
+// HTTP backend serves, or that backend from outside through its routes —
+// so one Timeline is both the operational record of a deployment and,
+// summed up, the paper's evaluation of it (Figs. 6–10): quality against
+// Roofline ground truth, runtime overhead, and what degraded mode cost
+// when the jobs data storage or a fit failed.
 package simulate
 
 import (
@@ -21,9 +22,11 @@ import (
 	"time"
 
 	"mcbound/internal/core"
+	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/metrics"
 	"mcbound/internal/online"
+	"mcbound/internal/roofline"
 )
 
 // EventKind tags a timeline entry.
@@ -63,10 +66,10 @@ type Event struct {
 	F1          float64
 	Confusion   *metrics.Confusion
 
-	// How the window was served (in-process replays only): the wall time
-	// of its ClassifyJobs call, whether the lookup net answered because
-	// no vector model had ever trained, and how much older than this
-	// window's own trigger the serving model was (0 = fresh).
+	// How the window was served: the wall time of its ClassifyJobs call,
+	// whether the lookup net answered because no vector model had ever
+	// trained, and how much older than this window's own trigger the
+	// serving model was (0 = fresh, or a target that does not say).
 	ClassifyTime time.Duration
 	Degraded     bool
 	Staleness    time.Duration
@@ -198,14 +201,47 @@ func (tl *Timeline) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Replay drives a deployed Framework through a period.
+// Target is what a replay drives: the two workflows of paper Fig. 1 as a
+// deployed instance serves them. *core.Framework is one as it stands; a
+// running node is one through its POST /v1/train and POST /v1/classify.
+type Target interface {
+	Train(ctx context.Context, now time.Time) (*core.TrainReport, error)
+	ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]core.Prediction, error)
+}
+
+// modelAger is what a Target may have besides, as the Framework does: a
+// window it served is then recorded with its model's staleness.
+type modelAger interface {
+	ModelAge(now time.Time) (age time.Duration, ok bool)
+}
+
+// Replay drives a deployed instance through a period of a trace.
 type Replay struct {
-	// Framework is the deployed instance; its Config.Params is the
-	// schedule (β the cron period, α the training window).
-	Framework *core.Framework
+	Target Target
+
+	// The trace side. Params is the schedule (β the cron period, α the
+	// training window), Trace fetches each window's submissions and Truth
+	// labels them once they have executed. Over fills all three from the
+	// Framework it is handed.
+	Params online.Params
+	Trace  *fetch.Fetcher
+	Truth  *roofline.Characterizer
+
+	// Feed, when non-nil, hands a target whose storage starts empty the
+	// trace as time passes: every job executed before start, then each
+	// window's completions before the next Training Workflow. Its error
+	// ends the replay.
+	Feed func(ctx context.Context, executed []*job.Job) error
 
 	// Log, when non-nil, receives one line per workflow trigger.
 	Log io.Writer
+}
+
+// Over replays the trace a deployed Framework already sits on: the
+// Framework is the target, and its schedule, Data Fetcher and Job
+// Characterizer are the trace side.
+func Over(fw *core.Framework) *Replay {
+	return &Replay{Target: fw, Params: fw.Config().Params, Trace: fw.Fetcher(), Truth: fw.Characterizer()}
 }
 
 // Run replays [start, end): a Training Workflow at start (the deploy
@@ -213,17 +249,20 @@ type Replay struct {
 // retraining (the cron job) until the period is exhausted. A trigger
 // that fails — the storage is down, the window is empty, the fit is
 // refused — is recorded with its cause and the replay goes on, served
-// by whatever the Framework still publishes. Canceling the context
-// aborts the replay at the next trigger boundary.
+// by whatever the target still publishes. Canceling the context aborts
+// the replay at the next trigger boundary.
 func (r *Replay) Run(ctx context.Context, start, end time.Time) (*Timeline, error) {
-	if r.Framework == nil {
-		return nil, fmt.Errorf("simulate: nil framework")
+	if r.Target == nil || r.Trace == nil || r.Truth == nil {
+		return nil, fmt.Errorf("simulate: replay needs a target, a trace fetcher and a characterizer")
 	}
-	triggers, err := online.Schedule(r.Framework.Config().Params, start, end)
+	triggers, err := online.Schedule(r.Params, start, end)
 	if err != nil {
 		return nil, fmt.Errorf("simulate: %w", err)
 	}
 	tl := &Timeline{}
+	if err := r.feed(ctx, time.Time{}, start); err != nil {
+		return nil, err
+	}
 	for _, tr := range triggers {
 		for _, step := range []func(context.Context, online.Trigger) (Event, error){r.train, r.infer} {
 			ev, err := step(ctx, tr)
@@ -237,8 +276,28 @@ func (r *Replay) Run(ctx context.Context, start, end time.Time) (*Timeline, erro
 			}
 			tl.Events = append(tl.Events, ev)
 		}
+		// The window has elapsed: its completed jobs are history the next
+		// training window may draw on.
+		if err := r.feed(ctx, tr.InferStart, tr.InferEnd); err != nil {
+			return nil, err
+		}
 	}
 	return tl, nil
+}
+
+// feed hands Feed the trace's jobs executed in [start, end).
+func (r *Replay) feed(ctx context.Context, start, end time.Time) error {
+	if r.Feed == nil {
+		return nil
+	}
+	executed, err := r.Trace.FetchExecuted(ctx, start, end)
+	if err == nil {
+		err = r.Feed(ctx, executed)
+	}
+	if err != nil {
+		return fmt.Errorf("simulate: feed of [%v, %v): %w", start, end, err)
+	}
+	return nil
 }
 
 // train runs the trigger's Training Workflow; its failure is an event,
@@ -246,7 +305,7 @@ func (r *Replay) Run(ctx context.Context, start, end time.Time) (*Timeline, erro
 func (r *Replay) train(ctx context.Context, tr online.Trigger) (Event, error) {
 	now := tr.TrainEnd
 	ev := Event{Time: now, Kind: EventTrain}
-	rep, err := r.Framework.Train(ctx, now)
+	rep, err := r.Target.Train(ctx, now)
 	if err != nil {
 		ev.Err, ev.FetchFailed = err, errors.Is(err, core.ErrTrainFetch)
 		r.logf("%s train failed: %v", now.Format("2006-01-02"), err)
@@ -265,34 +324,38 @@ func (r *Replay) train(ctx context.Context, tr online.Trigger) (Event, error) {
 // neither a model nor the lookup net, is an event; a published model
 // that fails to predict is an error.
 func (r *Replay) infer(ctx context.Context, tr online.Trigger) (Event, error) {
-	fw, now := r.Framework, tr.InferStart
+	now := tr.InferStart
 	ev := Event{Time: now, Kind: EventInfer}
 	// Fetch the window's submissions once so predictions can be
 	// reconciled index-for-index against their ground truth.
-	jobs, err := fw.Fetcher().FetchSubmitted(ctx, now, tr.InferEnd)
+	jobs, err := r.Trace.FetchSubmitted(ctx, now, tr.InferEnd)
 	if err != nil {
 		ev.Err, ev.FetchFailed = err, true
 	} else if len(jobs) > 0 {
 		t0 := time.Now()
-		preds, err := fw.ClassifyJobs(ctx, jobs)
+		preds, err := r.Target.ClassifyJobs(ctx, jobs)
 		elapsed := time.Since(t0)
 		switch {
 		case errors.Is(err, core.ErrNotTrained):
 			ev.Err = err
 		case err != nil:
 			return ev, fmt.Errorf("simulate: inference at %v: %w", now, err)
+		case len(preds) != len(jobs):
+			return ev, fmt.Errorf("simulate: inference at %v: %d predictions for %d jobs", now, len(preds), len(jobs))
 		default:
 			labels := make([]job.Label, len(preds))
 			for i, p := range preds {
 				labels[i] = p.Label
 			}
 			ev = ScoreWindow(now, labels, func(i int) (job.Label, bool) {
-				pt, err := fw.Characterizer().Characterize(jobs[i])
+				pt, err := r.Truth.Characterize(jobs[i])
 				return pt.Label, err == nil
 			})
 			ev.ClassifyTime, ev.Degraded = elapsed, preds[0].Degraded
-			if age, ok := fw.ModelAge(now); ok && age > 0 {
-				ev.Staleness = age
+			if t, ok := r.Target.(modelAger); ok {
+				if age, ok := t.ModelAge(now); ok && age > 0 {
+					ev.Staleness = age
+				}
 			}
 		}
 	}

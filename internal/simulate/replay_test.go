@@ -68,7 +68,8 @@ func TestReplayTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logBuf bytes.Buffer
-	r := &Replay{Framework: fw, Log: &logBuf}
+	r := Over(fw)
+	r.Log = &logBuf
 
 	start := time.Date(2024, 1, 15, 0, 0, 0, 0, time.UTC)
 	end := time.Date(2024, 1, 25, 0, 0, 0, 0, time.UTC)
@@ -115,14 +116,14 @@ func TestReplayValidation(t *testing.T) {
 	r := &Replay{}
 	now := time.Now()
 	if _, err := r.Run(context.Background(), now, now.Add(time.Hour)); err == nil {
-		t.Error("accepted nil framework")
+		t.Error("accepted a replay with no target")
 	}
 	st := replayStore(t, 40)
 	fw, err := core.New(core.DefaultConfig(), fetch.StoreBackend{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r = &Replay{Framework: fw}
+	r = Over(fw)
 	if _, err := r.Run(context.Background(), now, now); err == nil {
 		t.Error("accepted empty period")
 	}
@@ -142,7 +143,7 @@ func TestReplayModelVersionsAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Replay{Framework: fw}
+	r := Over(fw)
 	start := time.Date(2024, 1, 15, 0, 0, 0, 0, time.UTC)
 	tl, err := r.Run(context.Background(), start, start.AddDate(0, 0, 9))
 	if err != nil {
@@ -175,7 +176,7 @@ func TestReplayRecordsFailedTriggers(t *testing.T) {
 	// The trace begins January 1st: the first trigger has an empty
 	// window behind it and that day's submissions in front of it.
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	tl, err := (&Replay{Framework: fw}).Run(context.Background(), start, start.AddDate(0, 0, 3))
+	tl, err := Over(fw).Run(context.Background(), start, start.AddDate(0, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +195,60 @@ func TestReplayRecordsFailedTriggers(t *testing.T) {
 	sum := tl.Summary()
 	if sum.SkippedTrainings != 1 || sum.UnservedWindows != 1 || sum.Trainings != 2 || sum.Classified != 16 || sum.FailedFetches != 0 {
 		t.Errorf("summary = %+v", sum)
+	}
+}
+
+// countingTarget counts the triggers that reach the target behind it.
+type countingTarget struct {
+	Target
+	trains, windows int
+}
+
+func (c *countingTarget) Train(ctx context.Context, now time.Time) (*core.TrainReport, error) {
+	c.trains++
+	return c.Target.Train(ctx, now)
+}
+
+func (c *countingTarget) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]core.Prediction, error) {
+	c.windows++
+	return c.Target.ClassifyJobs(ctx, jobs)
+}
+
+// TestReplayFeedErrorEndsTheRun: Feed is handed the history before
+// start, then each window's completions once the window was served; a
+// Feed that fails ends the replay with its error (records may have been
+// stored, so nothing is sent again) and no later trigger reaches the
+// target.
+func TestReplayFeedErrorEndsTheRun(t *testing.T) {
+	st := replayStore(t, 40)
+	cfg := core.DefaultConfig()
+	cfg.Alpha, cfg.Beta = 10, 2
+	fw, err := core.New(cfg, fetch.StoreBackend{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2024, 1, 15, 0, 0, 0, 0, time.UTC)
+	target := &countingTarget{Target: fw}
+	storageFull := errors.New("storage full")
+	var fed []int
+	r := Over(fw)
+	r.Target = target
+	r.Feed = func(_ context.Context, executed []*job.Job) error {
+		fed = append(fed, len(executed))
+		if len(fed) == 2 {
+			return storageFull
+		}
+		return nil
+	}
+	tl, err := r.Run(context.Background(), start, start.AddDate(0, 0, 10))
+	if !errors.Is(err, storageFull) || tl != nil {
+		t.Fatalf("Run = %v, %v; want the Feed error and no timeline", tl, err)
+	}
+	history, window := len(st.ExecutedBetween(time.Time{}, start)), len(st.ExecutedBetween(start, start.AddDate(0, 0, 2)))
+	if len(fed) != 2 || fed[0] != history || fed[1] != window || history == 0 || window == 0 {
+		t.Errorf("Feed was handed %v records; want the %d before start, then the first window's %d", fed, history, window)
+	}
+	if target.trains != 1 || target.windows != 1 {
+		t.Errorf("%d trains and %d windows reached the target, want the first trigger's only", target.trains, target.windows)
 	}
 }

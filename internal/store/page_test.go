@@ -105,33 +105,3 @@ func TestSubmittedPageStableUnderInsert(t *testing.T) {
 		t.Fatalf("walk finished in %d pages; the insert interleaving never ran", page)
 	}
 }
-
-func TestExecutedPage(t *testing.T) {
-	st := New()
-	base := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 6; i++ {
-		id := fmt.Sprintf("e%02d", i)
-		end := time.Time{}
-		if i%2 == 0 { // only even jobs completed
-			end = base.Add(time.Duration(i) * time.Hour)
-		}
-		if err := st.Insert(pageJob(id, base, end)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	items, more := st.ExecutedPage(base, base.AddDate(0, 0, 1), Pos{}, 2)
-	if len(items) != 2 || !more {
-		t.Fatalf("first page = %d items (more=%t), want 2 with more", len(items), more)
-	}
-	if items[0].ID != "e00" || items[1].ID != "e02" {
-		t.Fatalf("first page = %s,%s", items[0].ID, items[1].ID)
-	}
-	last := items[1]
-	items, more = st.ExecutedPage(base, base.AddDate(0, 0, 1), Pos{Time: last.EndTime, ID: last.ID}, 2)
-	if len(items) != 1 || more {
-		t.Fatalf("second page = %d items (more=%t), want 1 final", len(items), more)
-	}
-	if items[0].ID != "e04" {
-		t.Fatalf("second page = %s, want e04", items[0].ID)
-	}
-}

@@ -158,11 +158,9 @@ func (s *Store) submittedIndex() []*job.Job {
 	return idx
 }
 
-// Pos is a keyset position in a (time, id)-ordered scan: the sort key
-// of the last record a reader has consumed. The zero value means
-// "before everything". Which time field orders the scan depends on the
-// method the position is passed to (SubmitTime for SubmittedPage,
-// EndTime for ExecutedPage).
+// Pos is a keyset position in SubmittedPage's (SubmitTime, id)-ordered
+// scan: the sort key of the last record a reader has consumed. The zero
+// value means "before everything".
 type Pos struct {
 	Time time.Time
 	ID   string
@@ -179,23 +177,26 @@ func (p Pos) less(t time.Time, id string) bool {
 	return p.Time.Before(t)
 }
 
-// pageAfter slices one keyset page out of a (time, id)-sorted index:
-// records strictly after `after`, with key(j) in [start, end), at most
-// limit of them (limit <= 0 means no cap). more reports whether the
-// range holds records beyond the returned page. Because the position
-// names a concrete (time, id) key rather than a count, concurrent
-// inserts before the position can neither duplicate nor skip records
-// for a reader walking pages — the offset-pagination failure mode.
-func pageAfter(idx []*job.Job, key func(*job.Job) time.Time, start, end time.Time, after Pos, limit int) (items []*job.Job, more bool) {
-	lo := sort.Search(len(idx), func(i int) bool { return !key(idx[i]).Before(start) })
+// SubmittedPage returns up to limit jobs (limit <= 0 means no cap) with
+// SubmitTime in [start, end) whose (SubmitTime, ID) key lies strictly
+// after the given position, in key order. A zero Pos starts at the
+// beginning of the range. more reports whether the range holds records
+// beyond the returned page. Because the position names a concrete
+// (time, id) key rather than a count, concurrent inserts before the
+// position can neither duplicate nor skip records for a reader walking
+// pages — the offset-pagination failure mode. This is the resumable
+// scan behind the v1 cursor API.
+func (s *Store) SubmittedPage(start, end time.Time, after Pos, limit int) (items []*job.Job, more bool) {
+	idx := s.submittedIndex()
+	lo := sort.Search(len(idx), func(i int) bool { return !idx[i].SubmitTime.Before(start) })
 	if !after.IsZero() {
 		// First record strictly after the cursor position.
-		cut := sort.Search(len(idx), func(i int) bool { return after.less(key(idx[i]), idx[i].ID) })
+		cut := sort.Search(len(idx), func(i int) bool { return after.less(idx[i].SubmitTime, idx[i].ID) })
 		if cut > lo {
 			lo = cut
 		}
 	}
-	hi := sort.Search(len(idx), func(i int) bool { return !key(idx[i]).Before(end) })
+	hi := sort.Search(len(idx), func(i int) bool { return !idx[i].SubmitTime.Before(end) })
 	if lo >= hi {
 		return []*job.Job{}, false
 	}
@@ -207,23 +208,6 @@ func pageAfter(idx []*job.Job, key func(*job.Job) time.Time, start, end time.Tim
 	items = make([]*job.Job, stop-lo)
 	copy(items, idx[lo:stop])
 	return items, more
-}
-
-// SubmittedPage returns up to limit jobs with SubmitTime in
-// [start, end) whose (SubmitTime, ID) key lies strictly after the
-// given position, in key order. A zero Pos starts at the beginning of
-// the range. more reports whether another page exists. This is the
-// resumable scan behind the v1 cursor API.
-func (s *Store) SubmittedPage(start, end time.Time, after Pos, limit int) (items []*job.Job, more bool) {
-	return pageAfter(s.submittedIndex(), func(j *job.Job) time.Time { return j.SubmitTime },
-		start, end, after, limit)
-}
-
-// ExecutedPage is SubmittedPage over the completion keyset: jobs with
-// EndTime in [start, end) strictly after the (EndTime, ID) position.
-func (s *Store) ExecutedPage(start, end time.Time, after Pos, limit int) (items []*job.Job, more bool) {
-	return pageAfter(s.executedIndex(), func(j *job.Job) time.Time { return j.EndTime },
-		start, end, after, limit)
 }
 
 // ExecutedBetween returns all jobs whose EndTime lies in [start, end),
