@@ -49,16 +49,13 @@ fmt:
 # arms no timer of package time (NewTimer, NewTicker, After, AfterFunc,
 # Sleep), or its schedule is out of a test's (and item 4's simulator's)
 # hands. Reading time.Now()/time.Since() to measure how long something
-# took is not scheduling and is not linted. The exceptions, each one
-# call, matched by file and text so a second call beside it still fails:
+# took is not scheduling and is not linted. The one exception, matched
+# by file and text so a second call beside it still fails:
 #   - router.attemptRead's time.AfterFunc hedge: PR 16's measured hot
 #     path, armed on every routed read and left exactly as it was
-#     measured (router.try's time.Now/time.Since is elapsed time);
-#   - wal.fsyncLoop's ticker: injecting a clock would need a new
-#     wal.Options field, and the interval policy's only contract is
-#     "at most this stale on disk", which a test checks through Sync.
+#     measured (router.try's time.Now/time.Since is elapsed time).
 # benchmark/ is its own module, outside the root and not scanned.
-CLOCK_LINT_ALLOW = ^internal/router/router\.go:[0-9]+:.*time\.AfterFunc\(hedgeAfter, race\.run\)|^internal/wal/wal\.go:[0-9]+:.*time\.NewTicker\(every\)
+CLOCK_LINT_ALLOW = ^internal/router/router\.go:[0-9]+:.*time\.AfterFunc\(hedgeAfter, race\.run\)
 
 clock-lint:
 	@out=$$(grep -rnE 'func\(\) time\.Time|time\.(NewTimer|NewTicker|After|AfterFunc|Sleep)\(' \

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,5 +81,38 @@ func TestFrontDoorTimeoutsAreSet(t *testing.T) {
 		if d <= 0 {
 			t.Errorf("%s = %v, want a bound", name, d)
 		}
+	}
+}
+
+// Every flag names who needs it: DESIGN.md §8's router flag table has
+// the declared flags in its rows (a row may hold several), each once.
+// The three flags router.Config has no field for name their listen
+// field instead.
+func TestEveryFlagHasASurfaceRow(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := bytes.Cut(doc, []byte("| Flag (`router.Config` field) |"))
+	if !found {
+		t.Fatal("DESIGN.md has no router flag table")
+	}
+	table, _, _ = bytes.Cut(table, []byte("\n\n"))
+	var documented []string
+	flagAndField := regexp.MustCompile("`-([a-z-]+)` \\(`[A-Za-z.]+`\\)")
+	for _, row := range bytes.Split(table, []byte("\n")) {
+		cell, _, _ := bytes.Cut(bytes.TrimPrefix(row, []byte("| ")), []byte(" | "))
+		for _, m := range flagAndField.FindAllSubmatch(cell, -1) {
+			documented = append(documented, string(m[1]))
+		}
+	}
+	var declared []string
+	fs := flag.NewFlagSet("mcbound-router", flag.ContinueOnError)
+	bindFlags(fs, new(router.Config))
+	fs.VisitAll(func(f *flag.Flag) { declared = append(declared, f.Name) })
+	slices.Sort(documented)
+	slices.Sort(declared)
+	if !slices.Equal(documented, declared) {
+		t.Errorf("DESIGN.md §8's router flag rows name\n  %q\nthe binary declares\n  %q", documented, declared)
 	}
 }

@@ -53,35 +53,26 @@ func bindFlags(fs *flag.FlagSet, c *node.Config) {
 	fs.Uint64Var(&c.Seed, "seed", 7, "synthetic trace seed (with -generate)")
 	fs.StringVar(&c.Model, "model", "rf", "classification model: rf or knn")
 	fs.StringVar(&c.Index, "index", "auto", "KNN IVF index switch: auto (build above the group threshold), on, off")
-	fs.IntVar(&c.NProbe, "nprobe", 0, "IVF cells scanned per query (0 = index default)")
 	fs.IntVar(&c.Alpha, "alpha", 15, "training window in days")
 	fs.IntVar(&c.Beta, "beta", 1, "retraining period in days")
 	fs.StringVar(&c.ModelDir, "model-dir", "", "directory for versioned model files (empty = no persistence)")
 	fs.IntVar(&c.Port, "port", 8080, "listen port")
-	fs.StringVar(&c.TrainAt, "train-at", "", "reference instant (RFC 3339) for the initial training window; default = newest job completion")
 	fs.Int64Var(&c.MaxBody, "max-body-bytes", httpapi.DefaultMaxBodyBytes, "request body size cap in bytes")
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose /debug/pprof/* on the API port")
 	fs.DurationVar(&c.RetrainEvery, "retrain-every", 0, "wall-clock retraining period for the cron ticker (0 = disabled)")
 	fs.DurationVar(&c.DrainTimeout, "shutdown-timeout", httpapi.DefaultDrainTimeout, "in-flight request drain budget on shutdown")
 	fs.IntVar(&c.EncodeCache, "encode-cache", encode.DefaultCacheCapacity, "embedding cache capacity in entries (0 = disabled)")
-	fs.IntVar(&c.MaxConcurrency, "max-concurrency", 64, "hard ceiling on concurrent requests (the adaptive limit stays below it)")
+	fs.IntVar(&c.MaxConcurrency, "max-concurrency", 64, "concurrent requests admitted at once across all priority tiers")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 128, "admission wait-queue capacity across all priority tiers")
-	fs.DurationVar(&c.DefaultDeadline, "default-deadline", httpapi.DefaultDeadline, "per-request deadline for interactive routes (X-Request-Timeout overrides, clamped)")
 	fs.Float64Var(&c.RateLimit, "rate-limit", 0, "per-client admission rate in requests/second (0 = disabled)")
 	fs.IntVar(&c.FetchAttempts, "fetch-attempts", 4, "attempts per storage query (retries with jittered exponential backoff)")
 	fs.DurationVar(&c.FetchBackoff, "fetch-backoff", 50*time.Millisecond, "base backoff between storage query retries")
-	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", 5, "consecutive storage failures before the circuit breaker opens")
-	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 10*time.Second, "open-breaker cooldown before a half-open probe")
-	fs.Float64Var(&c.ChaosRate, "chaos-rate", 0, "inject transient storage faults at this rate in [0,1] (testing only)")
-	fs.Uint64Var(&c.ChaosSeed, "chaos-seed", 1, "fault-injection schedule seed (with -chaos-rate)")
 	fs.StringVar(&c.DataDir, "data-dir", "", "directory for the durable job store (WAL + snapshots); empty = in-memory only. Existing durable state wins over -trace/-generate")
-	fs.StringVar(&c.Fsync, "fsync", "always", "WAL durability point for POST /v1/jobs: always | interval | never")
-	fs.DurationVar(&c.FsyncInterval, "fsync-interval", wal.DefaultFsyncInterval, "background fsync period (with -fsync interval)")
+	fs.StringVar(&c.Fsync, "fsync", "always", "WAL durability point for POST /v1/jobs: always | never")
 	fs.Int64Var(&c.SegmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation size in bytes")
 	fs.IntVar(&c.SnapshotEvery, "snapshot-every", 50000, "snapshot+compact the WAL after this many logged records (0 = never)")
 	fs.StringVar(&c.Follow, "follow", "", "leader base URL to replicate from (follower mode: read-only API, writes answer not_leader)")
 	fs.DurationVar(&c.FollowPoll, "follow-poll", 250*time.Millisecond, "manifest poll cadence in follower mode")
-	fs.DurationVar(&c.MaxLag, "max-lag", 15*time.Second, "replication lag before follower /healthz reports lagging")
 	fs.BoolVar(&c.PromoteOnStart, "promote-on-start", false, "boot as leader over an inherited -data-dir with a bumped fencing epoch (fences the previous leader)")
 	fs.Float64Var(&c.RetrainJitter, "retrain-jitter", clock.DefaultJitter, "fraction of -retrain-every each cron interval is jittered by (seeded; 0 = fixed period)")
 	fs.StringVar(&c.NodeID, "node-id", "", "this node's stable ID in the -peers list (enables the lease-based elector)")

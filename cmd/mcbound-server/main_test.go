@@ -32,29 +32,27 @@ func TestHelpGolden(t *testing.T) {
 
 // Every flag lands in its own Config field: each is given a value that
 // is neither its default nor any other flag's, and the parsed Config
-// must be exactly the literal below — 43 flags, 43 fields set.
+// must be exactly the literal below — 34 flags, 34 fields set.
 func TestEveryFlagLandsInConfig(t *testing.T) {
 	args := []string{
-		"-trace=t.jsonl", "-generate", "-scale=0.5", "-seed=11", "-model=knn", "-index=on", "-nprobe=3",
-		"-alpha=30", "-beta=2", "-model-dir=/m", "-port=9001", "-train-at=2024-01-16T00:00:00Z",
+		"-trace=t.jsonl", "-generate", "-scale=0.5", "-seed=11", "-model=knn", "-index=on",
+		"-alpha=30", "-beta=2", "-model-dir=/m", "-port=9001",
 		"-max-body-bytes=4096", "-pprof", "-retrain-every=13h", "-shutdown-timeout=14s", "-encode-cache=15",
-		"-max-concurrency=16", "-queue-depth=17", "-default-deadline=18s", "-rate-limit=19.5",
-		"-fetch-attempts=20", "-fetch-backoff=21ms", "-breaker-threshold=22", "-breaker-cooldown=23s",
-		"-chaos-rate=0.24", "-chaos-seed=25",
-		"-data-dir=/d", "-fsync=interval", "-fsync-interval=26ms", "-segment-bytes=27", "-snapshot-every=28",
-		"-follow=http://leader:1", "-follow-poll=32ms", "-max-lag=33s", "-promote-on-start", "-retrain-jitter=0.34",
+		"-max-concurrency=16", "-queue-depth=17", "-rate-limit=19.5",
+		"-fetch-attempts=20", "-fetch-backoff=21ms",
+		"-data-dir=/d", "-fsync=never", "-segment-bytes=27", "-snapshot-every=28",
+		"-follow=http://leader:1", "-follow-poll=32ms", "-promote-on-start", "-retrain-jitter=0.34",
 		"-node-id=n2", "-peers=n1=http://a:1,n2=http://b:1", "-lease-ttl=35s", "-heartbeat-every=36ms",
 		"-election-timeout=37s", "-max-missed=38",
 	}
 	want := node.Config{
-		Trace: "t.jsonl", Generate: true, Scale: 0.5, Seed: 11, Model: "knn", Index: "on", NProbe: 3,
-		Alpha: 30, Beta: 2, ModelDir: "/m", Port: 9001, TrainAt: "2024-01-16T00:00:00Z",
+		Trace: "t.jsonl", Generate: true, Scale: 0.5, Seed: 11, Model: "knn", Index: "on",
+		Alpha: 30, Beta: 2, ModelDir: "/m", Port: 9001,
 		MaxBody: 4096, Pprof: true, RetrainEvery: 13 * time.Hour, DrainTimeout: 14 * time.Second, EncodeCache: 15,
-		MaxConcurrency: 16, QueueDepth: 17, DefaultDeadline: 18 * time.Second, RateLimit: 19.5,
-		FetchAttempts: 20, FetchBackoff: 21 * time.Millisecond, BreakerThreshold: 22, BreakerCooldown: 23 * time.Second,
-		ChaosRate: 0.24, ChaosSeed: 25,
-		DataDir: "/d", Fsync: "interval", FsyncInterval: 26 * time.Millisecond, SegmentBytes: 27, SnapshotEvery: 28,
-		Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, MaxLag: 33 * time.Second, PromoteOnStart: true, RetrainJitter: 0.34,
+		MaxConcurrency: 16, QueueDepth: 17, RateLimit: 19.5,
+		FetchAttempts: 20, FetchBackoff: 21 * time.Millisecond,
+		DataDir: "/d", Fsync: "never", SegmentBytes: 27, SnapshotEvery: 28,
+		Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, PromoteOnStart: true, RetrainJitter: 0.34,
 		NodeID: "n2", Peers: "n1=http://a:1,n2=http://b:1", LeaseTTL: 35 * time.Second, HeartbeatEvery: 36 * time.Millisecond,
 		ElectionTimeout: 37 * time.Second, MaxMissed: 38,
 	}
@@ -67,8 +65,8 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	declared, set := 0, 0
 	fs.VisitAll(func(*flag.Flag) { declared++ })
 	fs.Visit(func(*flag.Flag) { set++ })
-	if declared != 43 || set != declared {
-		t.Fatalf("%d flags declared, %d set by this test; want 43 and 43", declared, set)
+	if declared != 34 || set != declared {
+		t.Fatalf("%d flags declared, %d set by this test; want 34 and 34", declared, set)
 	}
 	if got != want {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", got, want)

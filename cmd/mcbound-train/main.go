@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -30,13 +31,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*server, *now, *index, *nprobe, *timeout); err != nil {
+	if err := run(os.Stdout, *server, *now, *index, *nprobe, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "mcbound-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run(server, now, index string, nprobe int, timeout time.Duration) error {
+// run posts one train request and prints the server's report to out.
+func run(out io.Writer, server, now, index string, nprobe int, timeout time.Duration) error {
 	var report json.RawMessage
 	err := peer.JSON(context.Background(), &http.Client{Timeout: timeout},
 		peer.Call{Method: http.MethodPost, URL: server + "/v1/train"},
@@ -44,6 +46,6 @@ func run(server, now, index string, nprobe int, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s\n", report)
-	return nil
+	_, err = fmt.Fprintf(out, "%s\n", report)
+	return err
 }

@@ -6,14 +6,13 @@
 // every client timeout and competes with retraining for the same
 // cores. This package bounds all of that, dependency-free:
 //
-//   - an adaptive concurrency limiter (AIMD on observed service
-//     latency against a moving p50 baseline, see Limiter);
+//   - a fixed concurrency limit (Config.MaxConcurrency);
 //   - a bounded, priority-tiered wait queue that sheds LIFO on
 //     overflow (newest waiter of the lowest tier loses);
 //   - deadline-aware "doomed request" shedding: a request whose
-//     remaining deadline is below the current p95 service time is
-//     rejected up front instead of burning a worker on a reply nobody
-//     will read;
+//     remaining deadline is below the current p95 service time (see
+//     Limiter) is rejected up front instead of burning a worker on a
+//     reply nobody will read;
 //   - per-client token-bucket rate limiting over an LRU of buckets.
 //
 // Every rejection is a typed error (ErrQueueFull, ErrDoomed,
@@ -115,28 +114,13 @@ func RetryAfter(err error) (time.Duration, bool) {
 
 // Config tunes a Controller. The zero value selects every default.
 type Config struct {
-	// MinConcurrency / MaxConcurrency bound the adaptive limit.
-	// Defaults 2 and 64. MaxConcurrency is the hard bound the process
-	// never exceeds regardless of adaptation.
-	MinConcurrency int
+	// MaxConcurrency is the concurrency limit: the slots held at once
+	// across the Background, Batch and Interactive tiers. Default 64.
 	MaxConcurrency int
-
-	// InitialConcurrency seeds the limit; 0 starts at MaxConcurrency
-	// (optimistic — the limiter trims on observed degradation).
-	InitialConcurrency int
 
 	// QueueDepth caps the total number of waiting requests across all
 	// tiers. Default 128.
 	QueueDepth int
-
-	// Tolerance is the latency-degradation trigger: a window p50 above
-	// Tolerance × baseline provokes a multiplicative decrease. Default 2.
-	Tolerance float64
-	// DecreaseFactor is the multiplicative decrease. Default 0.9.
-	DecreaseFactor float64
-	// AdjustEvery is the number of latency samples per adjustment
-	// window. Default 64.
-	AdjustEvery int
 
 	// RateLimit is the per-client steady admission rate in requests
 	// per second; 0 disables rate limiting. RateBurst is the bucket
@@ -149,39 +133,17 @@ type Config struct {
 	// clock.
 	Clock clock.Clock
 
-	// Seed feeds the stats.RNG behind the limiter's latency reservoir,
-	// keeping replays deterministic. Default 1.
+	// Seed feeds the stats.RNG behind the p95 window's latency
+	// reservoir, keeping replays deterministic. Default 1.
 	Seed uint64
-
-	// OnQueueWait, when set, observes the queue wait of every admitted
-	// request that had to wait (seconds) — the telemetry histogram hook.
-	OnQueueWait func(seconds float64)
 }
 
 func (c Config) withDefaults() Config {
-	if c.MinConcurrency <= 0 {
-		c.MinConcurrency = 2
-	}
 	if c.MaxConcurrency <= 0 {
 		c.MaxConcurrency = 64
 	}
-	if c.MaxConcurrency < c.MinConcurrency {
-		c.MaxConcurrency = c.MinConcurrency
-	}
-	if c.InitialConcurrency <= 0 {
-		c.InitialConcurrency = c.MaxConcurrency
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
-	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 2
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.9
-	}
-	if c.AdjustEvery <= 0 {
-		c.AdjustEvery = 64
 	}
 	if c.RateBurst <= 0 {
 		c.RateBurst = 2 * c.RateLimit
@@ -225,6 +187,10 @@ type Controller struct {
 	rl    *RateLimiter
 	clock clock.Clock
 
+	// onQueueWait, when set, observes the queue wait of every admitted
+	// request that had to wait (seconds).
+	onQueueWait func(seconds float64)
+
 	mu       sync.Mutex
 	inflight int // slots held, all tiers except Critical
 	bg       int // slots held by Background
@@ -249,13 +215,13 @@ func NewController(cfg Config) *Controller {
 	return c
 }
 
-// Limiter exposes the adaptive concurrency limiter (for gauges).
+// Limiter exposes the p95 service-time window (for gauges).
 func (c *Controller) Limiter() *Limiter { return c.lim }
 
 // SetQueueWaitHook installs the queue-wait observer (the telemetry
 // histogram). Call before the controller starts admitting traffic; the
 // hook is read without synchronization on the admit path.
-func (c *Controller) SetQueueWaitHook(fn func(seconds float64)) { c.cfg.OnQueueWait = fn }
+func (c *Controller) SetQueueWaitHook(fn func(seconds float64)) { c.onQueueWait = fn }
 
 // Inflight returns the slots currently held.
 func (c *Controller) Inflight() int {
@@ -285,8 +251,8 @@ func (c *Controller) Stats() Stats {
 }
 
 // Ticket is a held admission slot. Release must be called exactly once
-// when the request finishes; it feeds the service latency back into
-// the limiter and hands the slot to the next waiter.
+// when the request finishes; it feeds the service latency into the p95
+// window and hands the slot to the next waiter.
 type Ticket struct {
 	c        *Controller
 	pri      Priority
@@ -309,14 +275,12 @@ func (t *Ticket) Release() {
 	if t.pri == Background {
 		c.bg--
 	}
-	// grantLocked rereads the (possibly just-adjusted) limit, so a
-	// shrink is honored immediately and a grow drains extra waiters.
 	c.grantLocked()
 	c.mu.Unlock()
 }
 
 // backgroundCap is the strict ceiling on Background slots: a quarter
-// of the current limit, at least one. Retraining therefore never holds
+// of the limit, at least one. Retraining therefore never holds
 // more than ~25% of serving capacity.
 func backgroundCap(limit int) int {
 	cap := limit / 4
@@ -362,7 +326,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (
 	}
 
 	c.mu.Lock()
-	limit := c.lim.Limit()
+	limit := c.cfg.MaxConcurrency
 	// Fast path: free capacity and nobody waiting ahead of us.
 	if c.queue.len() == 0 && c.admissibleLocked(pri, limit) {
 		c.takeSlotLocked(pri)
@@ -396,7 +360,6 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (
 		done:     make(chan error, 1),
 	}
 	c.queue.push(w)
-	c.lim.NoteDemand()
 	// Drain immediately: the queue may hold only waiters ineligible for
 	// the free slots (e.g. a background request at its cap), in which
 	// case this incomer is grantable right now and must not park until
@@ -410,8 +373,8 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (
 			// Shed while waiting; already accounted by the shedder.
 			return nil, err
 		}
-		if c.cfg.OnQueueWait != nil {
-			c.cfg.OnQueueWait(w.grantedAt.Sub(w.enqueued).Seconds())
+		if c.onQueueWait != nil {
+			c.onQueueWait(w.grantedAt.Sub(w.enqueued).Seconds())
 		}
 		c.admitted.Add(1)
 		return &Ticket{c: c, pri: pri, granted: w.grantedAt}, nil
@@ -471,8 +434,8 @@ func (c *Controller) takeSlotLocked(pri Priority) {
 func (c *Controller) grantLocked() {
 	p95 := c.lim.P95()
 	now := c.clock.Now()
+	limit := c.cfg.MaxConcurrency
 	for {
-		limit := c.lim.Limit()
 		if c.inflight >= limit {
 			return
 		}

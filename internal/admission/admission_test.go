@@ -22,7 +22,7 @@ func checkIdentity(t *testing.T, s Stats) {
 }
 
 func TestAdmitFastPath(t *testing.T) {
-	c := NewController(Config{MaxConcurrency: 2, InitialConcurrency: 2})
+	c := NewController(Config{MaxConcurrency: 2})
 	tk, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -43,7 +43,7 @@ func TestAdmitFastPath(t *testing.T) {
 }
 
 func TestCriticalBypassesEverything(t *testing.T) {
-	c := NewController(Config{MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 1})
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 1})
 	// Saturate the only slot.
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
@@ -69,7 +69,7 @@ func TestCriticalBypassesEverything(t *testing.T) {
 }
 
 func TestQueueGrantsInPriorityOrder(t *testing.T) {
-	c := NewController(Config{MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 8})
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 8})
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -112,7 +112,7 @@ func TestQueueGrantsInPriorityOrder(t *testing.T) {
 }
 
 func TestQueueOverflowShedsLIFOLowestTier(t *testing.T) {
-	c := NewController(Config{MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 2})
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 2})
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -170,7 +170,7 @@ func TestEmptyTierKeepsReservedQueueSeat(t *testing.T) {
 	// A background request arriving at a queue packed with interactive
 	// waiters cannot displace anyone, but must not be locked out either:
 	// its empty tier grants one seat past the cap.
-	c := NewController(Config{MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 2})
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 2})
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -223,9 +223,9 @@ func TestEmptyTierKeepsReservedQueueSeat(t *testing.T) {
 }
 
 func TestDoomedRequestShedsUpFront(t *testing.T) {
-	c := NewController(Config{MaxConcurrency: 2, InitialConcurrency: 2, AdjustEvery: 4})
+	c := NewController(Config{MaxConcurrency: 2})
 	// Warm the p95 estimate: one full window of 50ms services.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < p95Window; i++ {
 		c.Limiter().Observe(50 * time.Millisecond)
 	}
 	if got := c.Limiter().P95(); got != 50*time.Millisecond {
@@ -258,7 +258,7 @@ func TestDoomedRequestShedsUpFront(t *testing.T) {
 }
 
 func TestDeadlineExpiryInQueueCountsAsDoomed(t *testing.T) {
-	c := NewController(Config{MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 4})
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 4})
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -279,7 +279,7 @@ func TestDeadlineExpiryInQueueCountsAsDoomed(t *testing.T) {
 }
 
 func TestCancelWhileQueuedCountsAsCanceled(t *testing.T) {
-	c := NewController(Config{MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 4})
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 4})
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -314,7 +314,7 @@ func TestCancelWhileQueuedCountsAsCanceled(t *testing.T) {
 // every other round.
 func TestCancelGrantRaceReturnsTicketHoldingOneSlot(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1700000000, 0))
-	c := NewController(Config{MaxConcurrency: 4, QueueDepth: 4, AdjustEvery: 1, Clock: clk})
+	c := NewController(Config{MaxConcurrency: 4, QueueDepth: 4, Clock: clk})
 	bg, err := c.Admit(context.Background(), Background, "")
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
@@ -356,7 +356,7 @@ func TestCancelGrantRaceReturnsTicketHoldingOneSlot(t *testing.T) {
 func TestBackgroundCappedAtQuarterOfLimit(t *testing.T) {
 	// Limit 4 → backgroundCap 1: a second retrain queues even with
 	// three free slots, and interactive traffic flows past it.
-	c := NewController(Config{MaxConcurrency: 4, InitialConcurrency: 4, QueueDepth: 8})
+	c := NewController(Config{MaxConcurrency: 4, QueueDepth: 8})
 
 	bg1, err := c.Admit(context.Background(), Background, "")
 	if err != nil {
@@ -401,7 +401,7 @@ func TestBackgroundReservedSlotPreventsStarvation(t *testing.T) {
 	// With every slot held by inference and both a background and an
 	// interactive request waiting, the first freed slot goes to the
 	// retrain: one slot is reserved for it while it waits below its cap.
-	c := NewController(Config{MaxConcurrency: 4, InitialConcurrency: 4, QueueDepth: 8})
+	c := NewController(Config{MaxConcurrency: 4, QueueDepth: 8})
 	var held []*Ticket
 	for i := 0; i < 4; i++ {
 		tk, err := c.Admit(context.Background(), Interactive, "")
@@ -479,14 +479,12 @@ func TestRateLimitedRejection(t *testing.T) {
 
 func TestQueueWaitHookFires(t *testing.T) {
 	var waits atomic.Int64
-	c := NewController(Config{
-		MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 4,
-		OnQueueWait: func(s float64) {
-			if s < 0 {
-				t.Errorf("negative queue wait %v", s)
-			}
-			waits.Add(1)
-		},
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 4})
+	c.SetQueueWaitHook(func(s float64) {
+		if s < 0 {
+			t.Errorf("negative queue wait %v", s)
+		}
+		waits.Add(1)
 	})
 	held, err := c.Admit(context.Background(), Interactive, "")
 	if err != nil {
@@ -506,7 +504,7 @@ func TestQueueWaitHookFires(t *testing.T) {
 		t.Fatalf("queued Admit: %v", err)
 	}
 	if waits.Load() != 1 {
-		t.Fatalf("OnQueueWait fired %d times, want 1", waits.Load())
+		t.Fatalf("queue-wait hook fired %d times, want 1", waits.Load())
 	}
 }
 
@@ -515,8 +513,7 @@ func TestQueueWaitHookFires(t *testing.T) {
 // books balance exactly. Run with -race.
 func TestAccountingIdentityUnderStress(t *testing.T) {
 	c := NewController(Config{
-		MaxConcurrency: 4, InitialConcurrency: 4, QueueDepth: 8,
-		AdjustEvery: 16, RateLimit: 500, RateBurst: 50,
+		MaxConcurrency: 4, QueueDepth: 8, RateLimit: 500, RateBurst: 50,
 	})
 	const (
 		workers = 16

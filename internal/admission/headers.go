@@ -3,6 +3,8 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"strconv"
 	"time"
 )
@@ -86,4 +88,18 @@ func ParseClientID(v string) string {
 		}
 	}
 	return v
+}
+
+// ClientKey names the client a request comes from: its X-Client-Id when
+// ParseClientID accepts it, the remote host otherwise — so anonymous
+// clients are told apart per source address rather than sharing one
+// key. It keys the rate limiter and the router's client affinity.
+func ClientKey(r *http.Request) string {
+	if id := ParseClientID(r.Header.Get(ClientIDHeader)); id != "" {
+		return id
+	}
+	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+		return host
+	}
+	return r.RemoteAddr
 }

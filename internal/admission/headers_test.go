@@ -2,6 +2,8 @@ package admission
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +81,27 @@ func TestParseClientID(t *testing.T) {
 	for _, tc := range cases {
 		if got := ParseClientID(tc.in); got != tc.want {
 			t.Errorf("ParseClientID(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestClientKey(t *testing.T) {
+	cases := []struct {
+		name, header, remote, want string
+	}{
+		{"valid id wins over the address", "tenant-7", "10.0.0.1:5000", "tenant-7"},
+		{"invalid id falls back to the host", "has space", "10.0.0.1:5000", "10.0.0.1"},
+		{"host:port without an id", "", "[::1]:5000", "::1"},
+		{"bare RemoteAddr", "", "pipe", "pipe"},
+	}
+	for _, tc := range cases {
+		r := httptest.NewRequest(http.MethodGet, "/", nil)
+		r.RemoteAddr = tc.remote
+		if tc.header != "" {
+			r.Header.Set(ClientIDHeader, tc.header)
+		}
+		if got := ClientKey(r); got != tc.want {
+			t.Errorf("%s: ClientKey = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cluster is the static-membership layer under the elector and
 // the HTTP front door: it parses the -peers flag into a fixed membership,
 // computes quorum sizes, and keeps a thread-safe last-observed view of
-// every member (role, term, applied sequence, freshness) that GET
-// /v1/cluster and /healthz report. It owns no I/O and no policy — the
+// every member (role, term, applied sequence, freshness) that /healthz
+// reports in its "cluster" section. It owns no I/O and no policy — the
 // elector feeds it observations, the API reads them back.
 package cluster
 
@@ -142,7 +142,7 @@ func (m Membership) ContainsURL(u string) bool {
 	return false
 }
 
-// MemberStatus is one row of the GET /v1/cluster document.
+// MemberStatus is one member row of the cluster Status.
 type MemberStatus struct {
 	ID         string `json:"id"`
 	URL        string `json:"url"`
@@ -155,7 +155,7 @@ type MemberStatus struct {
 	LastSeenSeconds float64 `json:"last_seen_seconds"`
 }
 
-// Status is the GET /v1/cluster document: the local node's view of the
+// Status is /healthz's "cluster" section: the local node's view of the
 // whole cluster. Every field is this node's observation, so two nodes
 // can disagree transiently — the doc reports a view, not the truth.
 type Status struct {
@@ -182,7 +182,7 @@ type observation struct {
 
 // View is the thread-safe last-observed state of every member. The
 // elector writes it from heartbeats, acks and vote traffic; the HTTP
-// layer reads it for /v1/cluster.
+// layer reads it for /healthz.
 type View struct {
 	mu  sync.Mutex
 	obs map[string]observation

@@ -913,7 +913,7 @@ func (e *Elector) LeaderURL() string {
 	return e.leaderURL
 }
 
-// Status renders the GET /v1/cluster document.
+// Status renders the cluster section of /healthz.
 func (e *Elector) Status() cluster.Status {
 	e.mu.Lock()
 	now := e.clock.Now()

@@ -39,13 +39,6 @@ func (s *Server) handleLeaseAck(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.elector.HandleAck(req))
 }
 
-// handleClusterStatus serves GET /v1/cluster: the membership table with
-// per-member role/term/position/last-seen, plus this node's election
-// posture — the operator's one-stop failover view.
-func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.elector.Status())
-}
-
 // registerClusterMetrics exposes the election posture.
 func registerClusterMetrics(reg *telemetry.Registry, e *election.Elector) {
 	reg.GaugeFunc("mcbound_cluster_is_leader",

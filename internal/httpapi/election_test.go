@@ -162,11 +162,11 @@ func TestLeaseRoutesAndWriteFencing(t *testing.T) {
 		t.Fatalf("insert after quorum recovery = %d: %s", resp.StatusCode, body)
 	}
 
-	// GET /v1/cluster reflects the acked member.
-	var cst cluster.Status
-	if code := getJSON(t, srv.URL+"/v1/cluster", &cst); code != http.StatusOK {
-		t.Fatal("cluster status route failed")
+	// /healthz's cluster section reflects the acked member.
+	if code := getJSON(t, srv.URL+"/healthz", &h); code != http.StatusOK || h.Cluster == nil {
+		t.Fatalf("healthz after quorum recovery = %d, cluster %v", code, h.Cluster)
 	}
+	cst := *h.Cluster
 	if cst.Role != "leader" || !cst.LeaseHeld || cst.QuorumSize != 2 || len(cst.Members) != 3 {
 		t.Fatalf("cluster status = %+v", cst)
 	}
@@ -268,7 +268,8 @@ func TestConcurrentPromoteExactlyOneWinner(t *testing.T) {
 }
 
 // TestFollowerLeaseRelay: a follower that never observed a lease
-// answers the typed no_lease 503; /v1/cluster still works.
+// answers the typed no_lease 503; /healthz still reports its cluster
+// view.
 func TestFollowerLeaseRelay(t *testing.T) {
 	p := newReplPair(t)
 	api, _, _ := newElectedFollower(t, p, Options{})
@@ -296,11 +297,11 @@ func TestFollowerLeaseRelay(t *testing.T) {
 		t.Fatalf("code = %q (%v), want no_lease", e.Code, err)
 	}
 
-	var cst cluster.Status
-	if code := getJSON(t, srv.URL+"/v1/cluster", &cst); code != http.StatusOK {
-		t.Fatal("follower cluster route failed")
+	var h struct {
+		Cluster *cluster.Status `json:"cluster"`
 	}
-	if cst.Role != "follower" || cst.Self != "f1" {
-		t.Fatalf("cluster status = %+v", cst)
+	getJSON(t, srv.URL+"/healthz", &h)
+	if h.Cluster == nil || h.Cluster.Role != "follower" || h.Cluster.Self != "f1" {
+		t.Fatalf("healthz cluster section = %+v", h.Cluster)
 	}
 }

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"net"
 	"net/http"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 	"mcbound/internal/telemetry"
 )
 
-// Per-route deadline multipliers over Options.DefaultDeadline: bulk
+// Per-route deadline multipliers over DefaultDeadline: bulk
 // endpoints scan ranges and batches, retraining walks the whole α-day
 // window — both legitimately run longer than a point lookup.
 const (
@@ -18,20 +17,16 @@ const (
 	backgroundDeadlineFactor = 10
 )
 
-// routeDeadline derives the default deadline for a priority tier,
-// clamped to the hard maximum.
-func (s *Server) routeDeadline(pri admission.Priority) time.Duration {
-	d := s.defaultDeadline
+// routeDeadline derives the default deadline for a priority tier; each
+// is below DefaultMaxDeadline.
+func routeDeadline(pri admission.Priority) time.Duration {
 	switch pri {
 	case admission.Batch:
-		d *= batchDeadlineFactor
+		return batchDeadlineFactor * DefaultDeadline
 	case admission.Background:
-		d *= backgroundDeadlineFactor
+		return backgroundDeadlineFactor * DefaultDeadline
 	}
-	if d > s.maxDeadline {
-		d = s.maxDeadline
-	}
-	return d
+	return DefaultDeadline
 }
 
 // guard is the admission middleware every route passes through:
@@ -47,7 +42,7 @@ func (s *Server) routeDeadline(pri admission.Priority) time.Duration {
 func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		timeout, err := admission.ParseTimeout(
-			r.Header.Get(admission.TimeoutHeader), s.routeDeadline(pri), s.maxDeadline)
+			r.Header.Get(admission.TimeoutHeader), routeDeadline(pri), DefaultMaxDeadline)
 		if err != nil {
 			s.writeError(w, badRequest(err))
 			return
@@ -55,7 +50,7 @@ func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerF
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 
-		tk, err := s.adm.Admit(ctx, pri, clientKey(r))
+		tk, err := s.adm.Admit(ctx, pri, admission.ClientKey(r))
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -65,27 +60,11 @@ func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerF
 	}
 }
 
-// clientKey resolves the rate-limiter key: a well-formed X-Client-Id
-// wins, otherwise the remote host (so anonymous clients are limited per
-// source address rather than sharing one global bucket).
-func clientKey(r *http.Request) string {
-	if id := admission.ParseClientID(r.Header.Get(admission.ClientIDHeader)); id != "" {
-		return id
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
-
 // registerAdmissionMetrics exposes the controller's state on /metrics:
-// limit/inflight/queue gauges, the offered/admitted counters, per-reason
+// inflight/queue/p95 gauges, the offered/admitted counters, per-reason
 // shed counters and the queue-wait histogram.
 func registerAdmissionMetrics(reg *telemetry.Registry, adm *admission.Controller) {
 	lim := adm.Limiter()
-	reg.GaugeFunc("mcbound_admission_concurrency_limit",
-		"Current adaptive concurrency limit.", nil,
-		func() float64 { return float64(lim.Limit()) })
 	reg.GaugeFunc("mcbound_admission_inflight",
 		"Requests currently holding an admission slot.", nil,
 		func() float64 { return float64(adm.Inflight()) })
@@ -93,7 +72,7 @@ func registerAdmissionMetrics(reg *telemetry.Registry, adm *admission.Controller
 		"Requests waiting in the admission queue.", nil,
 		func() float64 { return float64(adm.QueueLen()) })
 	reg.GaugeFunc("mcbound_admission_p95_service_seconds",
-		"p95 service time of the last adjustment window.", nil,
+		"p95 service time of the last 64-request window.", nil,
 		func() float64 { return lim.P95().Seconds() })
 
 	reg.CounterFunc("mcbound_admission_requests_total",

@@ -14,8 +14,8 @@ import (
 // Status is the verdict a load balancer acts on — ok or degraded with a
 // 200; unavailable, lagging, disconnected or lease_lost with a 503 —
 // and each subsystem the node runs adds its section: Durability with
-// -data-dir, Replication with a replication role, Cluster (the GET
-// /v1/cluster document) with -peers.
+// -data-dir, Replication with a replication role, Cluster (membership,
+// roles, terms and failover counters) with -peers.
 // Fields are declared in key order, the order the map this type
 // replaced was encoded in, so the bytes on the wire are unchanged.
 type Health struct {

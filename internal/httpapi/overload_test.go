@@ -107,9 +107,7 @@ func TestOverloadRateLimitedIsTyped429(t *testing.T) {
 func TestOverloadHealthzAlwaysAdmitted(t *testing.T) {
 	st := seedStore(t)
 	backend := &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: 300 * time.Millisecond}
-	adm := admission.NewController(admission.Config{
-		MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 1,
-	})
+	adm := admission.NewController(admission.Config{MaxConcurrency: 1, QueueDepth: 1})
 	srv := httptest.NewServer(newAPI(t, st, backend, true, Options{Admission: adm}))
 	t.Cleanup(srv.Close)
 
@@ -151,9 +149,7 @@ func TestOverloadHealthzAlwaysAdmitted(t *testing.T) {
 func TestOverloadQueueFullIsTyped503(t *testing.T) {
 	st := seedStore(t)
 	backend := &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: 200 * time.Millisecond}
-	adm := admission.NewController(admission.Config{
-		MinConcurrency: 1, MaxConcurrency: 1, InitialConcurrency: 1, QueueDepth: 1,
-	})
+	adm := admission.NewController(admission.Config{MaxConcurrency: 1, QueueDepth: 1})
 	srv := httptest.NewServer(newAPI(t, st, backend, true, Options{Admission: adm}))
 	t.Cleanup(srv.Close)
 
@@ -194,7 +190,7 @@ func TestOverloadBurst(t *testing.T) {
 	const (
 		maxConc    = 4
 		queueDepth = 6
-		warmN      = 32
+		warmN      = 64           // one full p95 window
 		clients    = 10 * maxConc // 10× the concurrency budget, sustained
 		perClient  = 6
 		burstN     = clients * perClient
@@ -202,13 +198,7 @@ func TestOverloadBurst(t *testing.T) {
 	)
 	st := seedStore(t)
 	backend := &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: 20 * time.Millisecond}
-	adm := admission.NewController(admission.Config{
-		MinConcurrency:     2,
-		MaxConcurrency:     maxConc,
-		InitialConcurrency: maxConc,
-		QueueDepth:         queueDepth,
-		AdjustEvery:        16,
-	})
+	adm := admission.NewController(admission.Config{MaxConcurrency: maxConc, QueueDepth: queueDepth})
 	srv := httptest.NewServer(newAPI(t, st, backend, true, Options{Admission: adm}))
 	t.Cleanup(srv.Close)
 	client := &http.Client{Timeout: 30 * time.Second}

@@ -82,7 +82,8 @@ var routeTable = []struct {
 	{req: "GET /v1/lease", standalone: "404", leader: "200", follower: "503 no_lease"},
 	{req: "POST /v1/lease/ack", body: `{}`, standalone: "404", leader: "400 bad_request", follower: "400 bad_request"},
 	{req: "POST /v1/lease/ack", body: overCap, standalone: "404", leader: "413 body_too_large", follower: "413 body_too_large"},
-	{req: "GET /v1/cluster", standalone: "404", leader: "200", follower: "200"},
+	// The membership view has no route of its own: it is /healthz's "cluster" section.
+	{req: "GET /v1/cluster", standalone: "404", leader: "404", follower: "404", routed: "404"},
 	{req: "POST /v1/promote", body: overCap, standalone: "404", leader: "409 already_leader"},
 	{req: "POST /v1/promote", standalone: "404", leader: "409 already_leader", follower: "200"},
 }

@@ -15,7 +15,6 @@
 //	POST   /v1/promote                   promote this follower to leader (fences the old epoch)
 //	GET    /v1/lease                     leadership lease document (leader's own or follower's relay)
 //	POST   /v1/lease/ack                 heartbeat acknowledgment / election vote request
-//	GET    /v1/cluster                   membership, roles, terms and failover counters
 //
 // All payloads are JSON; timestamps are RFC 3339. The range read
 // paginates with opaque resumable cursors (?cursor=, {items, next_cursor,
@@ -61,7 +60,8 @@ const DefaultMaxBodyBytes = 8 << 20
 // overload model's doomed-request shedding needs one to reason about).
 const (
 	// DefaultDeadline bounds interactive requests unless the client
-	// sends X-Request-Timeout.
+	// sends X-Request-Timeout (batch and background routes scale it up;
+	// see guard.go).
 	DefaultDeadline = 10 * time.Second
 	// DefaultMaxDeadline is the hard ceiling any client header is
 	// clamped to.
@@ -89,12 +89,6 @@ type Options struct {
 	// path is never unprotected).
 	Admission *admission.Controller
 
-	// DefaultDeadline is the per-request deadline for interactive routes
-	// (batch and background routes scale it up; see guard.go). 0 selects
-	// DefaultDeadline. Client-requested timeouts are capped at
-	// DefaultMaxDeadline, or at this value when it is the larger.
-	DefaultDeadline time.Duration
-
 	// Durable, when set, is the write-ahead-logged store behind the
 	// insert endpoint: POST /v1/jobs acknowledges only after the batch
 	// reached the configured fsync policy's durability point, /healthz
@@ -103,13 +97,13 @@ type Options struct {
 	Durable *store.Durable
 
 	// Elector, when set, is the lease-based leader elector this node runs
-	// under: the GET /v1/lease + POST /v1/lease/ack heartbeat surface and
-	// GET /v1/cluster are mounted, leader writes are additionally fenced
-	// by the lease (typed lease_lost 503 the instant quorum acks go
-	// stale), POST /v1/promote routes through the elector so manual and
-	// elected promotions serialize on one term sequence, /healthz grows a
-	// "cluster" section and the mcbound_cluster_* collectors are
-	// registered. Requires Repl (the elector drives the node's role).
+	// under: the GET /v1/lease + POST /v1/lease/ack heartbeat surface is
+	// mounted, leader writes are additionally fenced by the lease (typed
+	// lease_lost 503 the instant quorum acks go stale), POST /v1/promote
+	// routes through the elector so manual and elected promotions
+	// serialize on one term sequence, /healthz grows a "cluster" section
+	// and the mcbound_cluster_* collectors are registered. Requires Repl
+	// (the elector drives the node's role).
 	Elector *election.Elector
 
 	// Repl, when set, is this process's replication role: the manifest
@@ -124,22 +118,20 @@ type Options struct {
 
 // Server wires a Framework and its job store into an http.Handler.
 type Server struct {
-	fw              *core.Framework
-	store           *store.Store
-	mux             *http.ServeMux
-	patterns        []string // every mux pattern registered, in order (the route-table test's checklist)
-	handler         http.Handler
-	log             *log.Logger
-	reg             *telemetry.Registry
-	metrics         *appMetrics
-	maxBody         int64
-	breaker         *resilience.Breaker
-	adm             *admission.Controller
-	defaultDeadline time.Duration
-	maxDeadline     time.Duration
-	durable         *store.Durable
-	repl            *repl.Node
-	elector         *election.Elector
+	fw       *core.Framework
+	store    *store.Store
+	mux      *http.ServeMux
+	patterns []string // every mux pattern registered, in order (the route-table test's checklist)
+	handler  http.Handler
+	log      *log.Logger
+	reg      *telemetry.Registry
+	metrics  *appMetrics
+	maxBody  int64
+	breaker  *resilience.Breaker
+	adm      *admission.Controller
+	durable  *store.Durable
+	repl     *repl.Node
+	elector  *election.Elector
 }
 
 // New builds a Server. The store must be the same one backing the
@@ -157,24 +149,19 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	if opts.Admission == nil {
 		opts.Admission = admission.NewController(admission.DefaultConfig())
 	}
-	if opts.DefaultDeadline <= 0 {
-		opts.DefaultDeadline = DefaultDeadline
-	}
 	s := &Server{
-		fw:              fw,
-		store:           st,
-		mux:             http.NewServeMux(),
-		log:             logger,
-		reg:             opts.Registry,
-		metrics:         newAppMetrics(opts.Registry, st.Len, fw),
-		maxBody:         opts.MaxBodyBytes,
-		breaker:         opts.Breaker,
-		adm:             opts.Admission,
-		defaultDeadline: opts.DefaultDeadline,
-		maxDeadline:     max(DefaultMaxDeadline, opts.DefaultDeadline),
-		durable:         opts.Durable,
-		repl:            opts.Repl,
-		elector:         opts.Elector,
+		fw:      fw,
+		store:   st,
+		mux:     http.NewServeMux(),
+		log:     logger,
+		reg:     opts.Registry,
+		metrics: newAppMetrics(opts.Registry, st.Len, fw),
+		maxBody: opts.MaxBodyBytes,
+		breaker: opts.Breaker,
+		adm:     opts.Admission,
+		durable: opts.Durable,
+		repl:    opts.Repl,
+		elector: opts.Elector,
 	}
 	registerAdmissionMetrics(s.reg, s.adm)
 	if s.durable != nil || s.repl != nil {
@@ -212,7 +199,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		// is: overload must not masquerade as leader death.
 		s.route("GET /v1/lease", s.guard(admission.Critical, s.handleLeaseGet))
 		s.route("POST /v1/lease/ack", s.guard(admission.Critical, s.handleLeaseAck))
-		s.route("GET /v1/cluster", s.guard(admission.Interactive, s.handleClusterStatus))
 	}
 	s.handle("GET /metrics", s.reg.Handler())
 	if opts.EnablePprof {

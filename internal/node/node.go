@@ -21,7 +21,6 @@ import (
 	"mcbound/internal/election"
 	"mcbound/internal/experiments"
 	"mcbound/internal/fetch"
-	"mcbound/internal/fetch/chaos"
 	"mcbound/internal/httpapi"
 	"mcbound/internal/linalg"
 	"mcbound/internal/ml/knn"
@@ -38,38 +37,32 @@ import (
 // flag (the flag's help text documents it), then the seams a test or a
 // simulation substitutes.
 type Config struct {
-	Trace, Model, Index, ModelDir, TrainAt string
-	Generate, Pprof                        bool
-	Scale                                  float64
-	Seed                                   uint64
-	NProbe, Alpha, Beta, Port, EncodeCache int
-	MaxBody                                int64
-	RetrainEvery, DrainTimeout             time.Duration
+	Trace, Model, Index, ModelDir  string
+	Generate, Pprof                bool
+	Scale                          float64
+	Seed                           uint64
+	Alpha, Beta, Port, EncodeCache int
+	MaxBody                        int64
+	RetrainEvery, DrainTimeout     time.Duration
 
 	// Overload protection.
 	MaxConcurrency, QueueDepth int
-	DefaultDeadline            time.Duration
 	RateLimit                  float64
 
 	// Resilient fetch layer.
-	FetchAttempts, BreakerThreshold int
-	FetchBackoff, BreakerCooldown   time.Duration
-
-	// Fault injection (testing the degraded paths end to end).
-	ChaosRate float64
-	ChaosSeed uint64
+	FetchAttempts int
+	FetchBackoff  time.Duration
 
 	// Durable job store (write-ahead log + snapshots).
 	DataDir, Fsync string
-	FsyncInterval  time.Duration
 	SegmentBytes   int64
 	SnapshotEvery  int
 
 	// Replication.
-	Follow             string
-	FollowPoll, MaxLag time.Duration
-	PromoteOnStart     bool
-	RetrainJitter      float64
+	Follow         string
+	FollowPoll     time.Duration
+	PromoteOnStart bool
+	RetrainJitter  float64
 
 	// Leader election (self-driving failover).
 	NodeID, Peers                             string
@@ -100,7 +93,6 @@ const finalDrainBudget = 10 * time.Second
 type parsed struct {
 	policy  wal.Policy
 	members cluster.Membership
-	trainAt time.Time // zero = newest job completion
 }
 
 // Validate reports the first flag combination the node cannot run
@@ -131,14 +123,6 @@ func (c Config) parse() (p parsed, err error) {
 	case "", knn.IndexAuto, knn.IndexOn, knn.IndexOff:
 	default:
 		return p, fmt.Errorf("bad -index %q (want auto, on or off)", c.Index)
-	}
-	if c.NProbe < 0 {
-		return p, fmt.Errorf("bad -nprobe %d: must be non-negative", c.NProbe)
-	}
-	if c.TrainAt != "" {
-		if p.trainAt, err = time.Parse(time.RFC3339, c.TrainAt); err != nil {
-			return p, fmt.Errorf("bad -train-at: %w", err)
-		}
 	}
 	if c.Peers == "" && c.NodeID == "" {
 		return p, nil
@@ -242,8 +226,8 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	// warm-start state and the promotion target.
 	var durable *store.Durable
 	durOpts := store.DurableOptions{
-		SegmentBytes: c.SegmentBytes, Policy: p.policy, Interval: c.FsyncInterval,
-		FS: c.FS, SnapshotEvery: c.SnapshotEvery, BumpEpoch: c.PromoteOnStart,
+		SegmentBytes: c.SegmentBytes, Policy: p.policy, FS: c.FS,
+		SnapshotEvery: c.SnapshotEvery, BumpEpoch: c.PromoteOnStart,
 	}
 	if c.DataDir != "" {
 		durOpts.AppendObserver = reg.Histogram("mcbound_wal_append_seconds",
@@ -281,7 +265,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 
 	// Replication role: a leader with a log ships it; a follower tails it
 	// and carries the plan to take over on promotion.
-	breaker := resilience.BreakerConfig{FailureThreshold: c.BreakerThreshold, Cooldown: c.BreakerCooldown, Clock: n.clock}
+	breaker := resilience.BreakerConfig{Clock: n.clock}
 	var follower *repl.Follower
 	var replClient *repl.Client
 	if following {
@@ -302,7 +286,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		replClient = repl.NewClient(ccfg)
 		follower, err = repl.NewFollower(repl.FollowerConfig{
 			Client: replClient, Apply: st.ApplyRecord, Clock: n.clock, Logf: logf,
-			Poll: c.FollowPoll, MaxLag: c.MaxLag,
+			Poll: c.FollowPoll,
 			Seed: c.Seed, // poll jitter: a fleet must not poll in lockstep
 		})
 		if err != nil {
@@ -338,24 +322,17 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			c.NodeID, p.members.Size(), p.members.Quorum(), c.LeaseTTL, c.HeartbeatEvery)
 	}
 
-	// Fetch chain: store → optional fault injection → retries + breaker.
-	var backend fetch.Backend = fetch.StoreBackend{Store: st}
-	if c.ChaosRate > 0 {
-		cb := chaos.New(backend, c.ChaosSeed)
-		cb.SetAll(chaos.Profile{TransientRate: c.ChaosRate})
-		backend = cb
-		logf("fault injection armed: %.0f%% transient rate, seed %d", c.ChaosRate*100, c.ChaosSeed)
-	}
+	// Fetch chain: store → retries + breaker.
 	rcfg := fetch.DefaultResilienceConfig()
 	rcfg.Retry.MaxAttempts = c.FetchAttempts
 	rcfg.Retry.BaseDelay = c.FetchBackoff
 	rcfg.Breaker = breaker
-	resilient := fetch.NewResilientBackend(backend, rcfg)
+	resilient := fetch.NewResilientBackend(fetch.StoreBackend{Store: st}, rcfg)
 	resilient.Instrument(reg)
 
 	cfg := core.DefaultConfig()
 	cfg.Model, cfg.Alpha, cfg.Beta, cfg.ModelDir = core.ModelKind(c.Model), c.Alpha, c.Beta, c.ModelDir
-	cfg.KNN.Index.Mode, cfg.KNN.Index.NProbe = knn.IndexMode(c.Index), c.NProbe
+	cfg.KNN.Index.Mode = knn.IndexMode(c.Index)
 	if n.fw, err = core.New(cfg, resilient); err != nil {
 		return err
 	}
@@ -399,11 +376,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	// Initial Training Workflow (the deploy script of §III-E). On failure
 	// the node comes up degraded — the restored model if one loaded, 503
 	// on /healthz otherwise — and the cron keeps trying.
-	at := p.trainAt
-	if at.IsZero() {
-		at = n.trainInstant()
-	}
-	rep, trainErr := n.fw.Train(ctx, at)
+	rep, trainErr := n.fw.Train(ctx, n.trainInstant())
 	if trainErr != nil {
 		logf("warning: initial training failed, serving degraded: %v", trainErr)
 	} else {
@@ -419,7 +392,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	})
 
 	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
-		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, DefaultDeadline: c.DefaultDeadline,
+		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof,
 		Registry: reg, Breaker: resilient.Breaker(), Admission: n.adm,
 		Durable: durable, Repl: n.Repl, Elector: n.Elector,
 	})
@@ -445,9 +418,11 @@ func retrainIntervals(c Config) func() time.Duration {
 
 // retrain is one cron trigger: the Training Workflow on the newest
 // completed data, admitted at background priority so it holds at most a
-// quarter of the concurrency budget inference runs on.
+// quarter of the concurrency budget inference runs on. The cron is not a
+// client: it skips the per-client rate limiter, and the background cap
+// is what bounds it.
 func (n *Node) retrain(ctx context.Context) {
-	tk, err := n.adm.Admit(ctx, admission.Background, "cron")
+	tk, err := n.adm.Admit(ctx, admission.Background, "")
 	if err != nil {
 		n.log.Printf("cron retraining not admitted: %v", err)
 		return

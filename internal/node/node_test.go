@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
@@ -136,8 +137,6 @@ func TestValidate(t *testing.T) {
 		{"peers without a role", func(c *Config) { c.Generate, c.NodeID, c.Peers = true, "n1", peers }, "-peers requires a replication role"},
 		{"fsync checked without a data dir", func(c *Config) { c.Generate, c.Fsync = true, "sometimes" }, "bad -fsync"},
 		{"index checked under rf", func(c *Config) { c.Generate, c.Index = true, "maybe" }, "bad -index"},
-		{"negative nprobe", func(c *Config) { c.Generate, c.NProbe = true, -1 }, "bad -nprobe"},
-		{"train-at not RFC 3339", func(c *Config) { c.Generate, c.TrainAt = true, "yesterday" }, "bad -train-at"},
 	}
 	for _, r := range rows {
 		c := testConfig()
@@ -168,6 +167,29 @@ func TestRetrainIntervalsFollowTheJitterFlag(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if d := fixed(); d != time.Hour {
 			t.Fatalf("-retrain-jitter 0 drew %v, want exactly 1h", d)
+		}
+	}
+}
+
+// The cron is not a client: with -rate-limit on, two retrains inside
+// one bucket refill both run (the rate limiter would have admitted only
+// the first), because the in-process trigger skips the per-client limiter.
+func TestCronRetrainsAreNotRateLimited(t *testing.T) {
+	clk := clock.NewManual(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC))
+	c := testConfig()
+	// The registry numbers the versions; an hour refills 0.0036 of a token.
+	c.Trace, c.Clock, c.ModelDir = traceFile(t), clk, t.TempDir()
+	c.RetrainEvery, c.RateLimit = time.Hour, 1e-6
+	n := openNode(t, c)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go n.Run(ctx)
+	for want := 2; want <= 3; want++ {
+		clk.BlockUntil(1) // the cron is parked on its next tick
+		clk.Advance(time.Hour)
+		clk.BlockUntil(1) // ...and parked again: the tick's retrain is done
+		if _, version, _ := n.fw.ModelInfo(); version != want {
+			t.Fatalf("model version %d after cron tick %d, want %d", version, want-1, want)
 		}
 	}
 }

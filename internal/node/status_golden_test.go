@@ -109,7 +109,7 @@ func TestStatusDocumentsMatchParentGolden(t *testing.T) {
 	checkStatusGolden(t, tr, "healthz_follower", "http://follower/healthz", http.StatusOK)
 
 	// An elected leader whose two peers never ack: one lease TTL after
-	// boot its quorum is stale, and it says so on all three documents.
+	// boot its quorum is stale, and it says so on both documents.
 	clk := clock.NewManual(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC))
 	elected := testConfig()
 	elected.Trace, elected.DataDir, elected.Clock, elected.HTTP = trace, t.TempDir(), clk, hc
@@ -118,6 +118,5 @@ func TestStatusDocumentsMatchParentGolden(t *testing.T) {
 	tr.Handle("n1", openNode(t, elected).Handler())
 	clk.Advance(4 * time.Second)
 	checkStatusGolden(t, tr, "healthz_lease_lost", "http://n1/healthz", http.StatusServiceUnavailable)
-	checkStatusGolden(t, tr, "cluster_lease_lost", "http://n1/v1/cluster", http.StatusOK)
 	checkStatusGolden(t, tr, "lease_lease_lost", "http://n1/v1/lease", http.StatusOK)
 }

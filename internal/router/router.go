@@ -369,20 +369,6 @@ func (rt *Router) adopt(base string) {
 	}
 }
 
-// clientKey is the rendezvous-hash key: the sanitized X-Client-Id when
-// present, the remote host otherwise (same affinity rule as the
-// admission layer's rate limiter).
-func clientKey(r *http.Request) string {
-	if id := admission.ParseClientID(r.Header.Get(admission.ClientIDHeader)); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
 // readCandidates assembles the preference-ordered backend list for a
 // read: fresh followers by rendezvous order, then the leader as
 // fallback, and — only when that set is empty — the freshest stale
@@ -589,7 +575,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 // retries across distinct backends.
 func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
 	var buf [8]*backend
-	cands, stale, lag := rt.readCandidates(clientKey(r), buf[:0])
+	cands, stale, lag := rt.readCandidates(admission.ClientKey(r), buf[:0])
 	if len(cands) == 0 {
 		rt.met.requests("read", "no_backend").Inc()
 		rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeNoBackend,

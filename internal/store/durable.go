@@ -13,11 +13,10 @@ import (
 
 // DurableOptions configure OpenDurable.
 type DurableOptions struct {
-	// SegmentBytes, Policy, Interval, FS and AppendObserver pass through
-	// to the WAL (see wal.Options).
+	// SegmentBytes, Policy, FS and AppendObserver pass through to the
+	// WAL (see wal.Options).
 	SegmentBytes   int64
 	Policy         wal.Policy
-	Interval       time.Duration
 	FS             wal.FS
 	AppendObserver func(seconds float64)
 	// SnapshotEvery triggers a background snapshot+compaction after this
@@ -32,8 +31,8 @@ type DurableOptions struct {
 // walOptions is the part of o the log itself takes.
 func (o DurableOptions) walOptions() wal.Options {
 	return wal.Options{
-		SegmentBytes: o.SegmentBytes, Policy: o.Policy, Interval: o.Interval,
-		FS: o.FS, AppendObserver: o.AppendObserver, BumpEpoch: o.BumpEpoch,
+		SegmentBytes: o.SegmentBytes, Policy: o.Policy, FS: o.FS,
+		AppendObserver: o.AppendObserver, BumpEpoch: o.BumpEpoch,
 	}
 }
 

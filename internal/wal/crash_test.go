@@ -95,7 +95,7 @@ func TestCrashFsyncAlwaysExactPrefix(t *testing.T) {
 // policy must uphold: whatever recovery loads is a clean, duplicate-free
 // prefix of the appended sequence.
 func TestCrashAllPoliciesCleanPrefix(t *testing.T) {
-	for _, policy := range []wal.Policy{wal.FsyncAlways, wal.FsyncInterval, wal.FsyncNever} {
+	for _, policy := range []wal.Policy{wal.FsyncAlways, wal.FsyncNever} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 20; seed++ {

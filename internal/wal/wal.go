@@ -19,10 +19,6 @@ const (
 	// survives any crash. Concurrent appenders share fsyncs through
 	// group commit.
 	FsyncAlways Policy = iota
-	// FsyncInterval acknowledges once the record reaches the OS page
-	// cache and fsyncs on a background ticker: a crash loses at most the
-	// last interval.
-	FsyncInterval
 	// FsyncNever acknowledges on write and leaves fsync to segment
 	// rotation and Close: fastest, weakest (a crash loses the tail of
 	// the current segment).
@@ -34,8 +30,6 @@ func (p Policy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncInterval:
-		return "interval"
 	case FsyncNever:
 		return "never"
 	}
@@ -47,19 +41,15 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "always":
 		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "never":
 		return FsyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 }
 
-// Defaults for Options zero values.
-const (
-	DefaultSegmentBytes  = 4 << 20
-	DefaultFsyncInterval = 100 * time.Millisecond
-)
+// DefaultSegmentBytes is the rotation size a zero Options.SegmentBytes
+// selects.
+const DefaultSegmentBytes = 4 << 20
 
 // Options configure Open.
 type Options struct {
@@ -69,9 +59,6 @@ type Options struct {
 	// Policy is the durability point of Append; the zero value is
 	// FsyncAlways (safe by default).
 	Policy Policy
-	// Interval is the background fsync period under FsyncInterval; <= 0
-	// selects DefaultFsyncInterval.
-	Interval time.Duration
 	// FS substitutes the filesystem (fault injection); nil selects OS.
 	FS FS
 	// AppendObserver, when set, receives the latency of every
@@ -183,10 +170,6 @@ type WAL struct {
 	closed       bool
 	sticky       error
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	tickerWG sync.WaitGroup
-
 	appends      atomic.Int64
 	bytes        atomic.Int64
 	fsyncs       atomic.Int64
@@ -243,9 +226,6 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultFsyncInterval
-	}
 	if apply == nil {
 		apply = func([]byte) error { return nil }
 	}
@@ -267,7 +247,6 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 		policy:   opts.Policy,
 		observer: opts.AppendObserver,
 		readOnly: opts.ReadOnly,
-		stop:     make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 
@@ -317,11 +296,6 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 	}
 	w.seg = seg
 	w.segments.Store(int64(liveSegs + 1))
-
-	if w.policy == FsyncInterval {
-		w.tickerWG.Add(1)
-		go w.fsyncLoop(opts.Interval)
-	}
 	return w, rec, nil
 }
 
@@ -584,8 +558,8 @@ func (w *WAL) Reserve(payloads [][]byte) (lsn uint64, err error) {
 }
 
 // Commit blocks until every record up to lsn reached the durability
-// point of the configured policy (written for interval/never, fsynced
-// for always), flushing as the group-commit leader when no one else is.
+// point of the configured policy (written for never, fsynced for
+// always), flushing as the group-commit leader when no one else is.
 func (w *WAL) Commit(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -693,41 +667,6 @@ func (w *WAL) rotate() error {
 	w.rotations.Add(1)
 	w.segments.Add(1)
 	return nil
-}
-
-// Sync forces pending records to disk regardless of policy (the
-// background ticker body, also useful before a planned shutdown).
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.flushing {
-		w.cond.Wait()
-	}
-	if w.sticky != nil {
-		return w.sticky
-	}
-	if w.closed {
-		return ErrClosed
-	}
-	if w.durable >= w.nextLSN {
-		return nil
-	}
-	w.flushLocked(true)
-	return w.sticky
-}
-
-func (w *WAL) fsyncLoop(every time.Duration) {
-	defer w.tickerWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-			w.Sync()
-		}
-	}
 }
 
 // BeginSnapshot seals the log for a snapshot: it flushes and fsyncs
@@ -855,9 +794,6 @@ func (w *WAL) Snapshot(fill func(emit func(payload []byte) error) error) error {
 // Close flushes pending records durably and closes the active segment.
 // Further appends return ErrClosed.
 func (w *WAL) Close() error {
-	w.stopOnce.Do(func() { close(w.stop) })
-	w.tickerWG.Wait()
-
 	w.mu.Lock()
 	for w.flushing {
 		w.cond.Wait()

@@ -311,8 +311,10 @@ func TestConcurrentGroupCommit(t *testing.T) {
 	}
 }
 
+// TestIntervalAndNeverPoliciesRecover keeps its name from when an interval
+// fsync policy existed; never is the one non-always policy left.
 func TestIntervalAndNeverPoliciesRecover(t *testing.T) {
-	for _, p := range []Policy{FsyncInterval, FsyncNever} {
+	for _, p := range []Policy{FsyncNever} {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			w, _, _ := openCollect(t, dir, Options{Policy: p})
@@ -349,7 +351,7 @@ func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Policy
-	}{{"always", FsyncAlways}, {"interval", FsyncInterval}, {"never", FsyncNever}} {
+	}{{"always", FsyncAlways}, {"never", FsyncNever}} {
 		got, err := ParsePolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
@@ -358,8 +360,10 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("round trip %q -> %q", tc.in, got.String())
 		}
 	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("ParsePolicy accepted garbage")
+	for _, garbage := range []string{"sometimes", "interval"} {
+		if _, err := ParsePolicy(garbage); err == nil {
+			t.Fatalf("ParsePolicy accepted %q", garbage)
+		}
 	}
 }
 
