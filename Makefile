@@ -47,7 +47,7 @@ fmt:
 # One clock: outside internal/clock, non-test Go keeps time through
 # clock.Clock — it declares no `func() time.Time` seam of its own and
 # arms no timer of package time (NewTimer, NewTicker, After, AfterFunc,
-# Sleep), or its schedule is out of a test's (and item 4's simulator's)
+# Sleep), or its schedule is out of a test's (and item 1's simulator's)
 # hands. Reading time.Now()/time.Since() to measure how long something
 # took is not scheduling and is not linted. The one exception, matched
 # by file and text so a second call beside it still fails:
@@ -178,8 +178,8 @@ recall-gate:
 	$(GO) test -count=1 -run '^TestRecallGateAtScale' ./internal/ml/knn
 
 # Evaluation golden: the F1, job-count and train-size columns of
-# `mcbound-eval -scale 0.02 -seed 7` (-exp baseline, alpha-plus,
-# features, one θ row per mode) must reproduce
+# `mcbound eval` on its default trace (-scale 0.02 -seed 7; -exp
+# baseline, alpha-plus, features, one θ row per mode) must reproduce
 # internal/experiments/testdata/eval.golden byte for byte: twelve
 # month-long replays of a deployed Framework, ≈ 12 s on the one core the
 # test takes.

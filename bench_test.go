@@ -1,7 +1,7 @@
 // Module-level benchmarks: one per table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the experiment index). Each bench
 // regenerates the corresponding quantity on a reduced-scale trace; the
-// cmd/mcbound-characterize and cmd/mcbound-eval binaries run the same
+// `mcbound characterize` and `mcbound eval` subcommands run the same
 // drivers at full scale.
 //
 // The per-package micro-benchmarks (encode, ml/knn, ml/rf, roofline,
@@ -94,7 +94,7 @@ func benchOnlineCell(b *testing.B, model core.ModelKind, p online.Params) {
 
 // BenchmarkFig6KNNBestCell / BenchmarkFig6RFBestCell cover Fig. 6: one
 // α×β grid cell each at the per-model best settings (the full grid is
-// cmd/mcbound-eval -exp alpha-beta).
+// mcbound eval -exp alpha-beta).
 func BenchmarkFig6KNNBestCell(b *testing.B) {
 	benchOnlineCell(b, core.ModelKNN, online.Params{Alpha: 30, Beta: 1, Seed: 7})
 }

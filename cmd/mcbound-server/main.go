@@ -1,8 +1,8 @@
 // Command mcbound-server deploys the MCBound framework as an HTTP
 // backend (artifact A1, the flask equivalent). It loads a jobs data
-// storage from a JSONL trace file (or generates a synthetic one), runs
-// an initial Training Workflow, and serves the inference API; an
-// optional background ticker re-triggers the Training Workflow (the
+// storage from a JSONL trace file (`mcbound gen` writes a synthetic
+// one), runs an initial Training Workflow, and serves the inference
+// API; an optional background ticker re-triggers the Training Workflow (the
 // cronjob of §III-E). The server runs with production timeouts, request
 // telemetry on GET /metrics, capped request bodies and signal-driven
 // graceful shutdown: SIGTERM/SIGINT stop the retraining ticker, drain
@@ -11,9 +11,8 @@
 // Usage:
 //
 //	mcbound-server -trace jobs.jsonl -model rf -alpha 15 -port 8080
-//	mcbound-server -generate -scale 0.01            # demo without a trace file
-//	mcbound-server -generate -retrain-every 24h -pprof
-//	mcbound-server -generate -data-dir /var/lib/mcbound            # leader
+//	mcbound-server -trace jobs.jsonl -retrain-every 24h -pprof
+//	mcbound-server -trace jobs.jsonl -data-dir /var/lib/mcbound    # leader
 //	mcbound-server -follow http://leader:8080 -data-dir /var/lib/mcbound-f -port 8081
 //	mcbound-server -promote-on-start -data-dir /var/lib/mcbound-f  # lead over inherited state
 //
@@ -21,7 +20,7 @@
 // the leader heartbeats a quorum-acknowledged lease, followers detect
 // its death and elect a successor unassisted (see DESIGN.md §8.8):
 //
-//	mcbound-server -generate -data-dir /var/lib/m1 -node-id n1 \
+//	mcbound-server -trace jobs.jsonl -data-dir /var/lib/m1 -node-id n1 \
 //	    -peers 'n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080'
 //	mcbound-server -follow http://h1:8080 -data-dir /var/lib/m2 -node-id n2 \
 //	    -peers 'n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080'
@@ -48,9 +47,7 @@ import (
 // its node.Config field.
 func bindFlags(fs *flag.FlagSet, c *node.Config) {
 	fs.StringVar(&c.Trace, "trace", "", "JSONL trace file backing the jobs data storage")
-	fs.BoolVar(&c.Generate, "generate", false, "generate a synthetic trace instead of loading one")
-	fs.Float64Var(&c.Scale, "scale", 0.01, "synthetic trace scale (with -generate)")
-	fs.Uint64Var(&c.Seed, "seed", 7, "synthetic trace seed (with -generate)")
+	fs.Uint64Var(&c.Seed, "seed", 7, "seed of the node's jitter: retrain cron, retries, follower poll, election backoff")
 	fs.StringVar(&c.Model, "model", "rf", "classification model: rf or knn")
 	fs.StringVar(&c.Index, "index", "auto", "KNN IVF index switch: auto (build above the group threshold), on, off")
 	fs.IntVar(&c.Alpha, "alpha", 15, "training window in days")
@@ -67,7 +64,7 @@ func bindFlags(fs *flag.FlagSet, c *node.Config) {
 	fs.Float64Var(&c.RateLimit, "rate-limit", 0, "per-client admission rate in requests/second (0 = disabled)")
 	fs.IntVar(&c.FetchAttempts, "fetch-attempts", 4, "attempts per storage query (retries with jittered exponential backoff)")
 	fs.DurationVar(&c.FetchBackoff, "fetch-backoff", 50*time.Millisecond, "base backoff between storage query retries")
-	fs.StringVar(&c.DataDir, "data-dir", "", "directory for the durable job store (WAL + snapshots); empty = in-memory only. Existing durable state wins over -trace/-generate")
+	fs.StringVar(&c.DataDir, "data-dir", "", "directory for the durable job store (WAL + snapshots); empty = in-memory only. Existing durable state wins over -trace")
 	fs.StringVar(&c.Fsync, "fsync", "always", "WAL durability point for POST /v1/jobs: always | never")
 	fs.Int64Var(&c.SegmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation size in bytes")
 	fs.IntVar(&c.SnapshotEvery, "snapshot-every", 50000, "snapshot+compact the WAL after this many logged records (0 = never)")

@@ -32,10 +32,10 @@ func TestHelpGolden(t *testing.T) {
 
 // Every flag lands in its own Config field: each is given a value that
 // is neither its default nor any other flag's, and the parsed Config
-// must be exactly the literal below — 34 flags, 34 fields set.
+// must be exactly the literal below — 32 flags, 32 fields set.
 func TestEveryFlagLandsInConfig(t *testing.T) {
 	args := []string{
-		"-trace=t.jsonl", "-generate", "-scale=0.5", "-seed=11", "-model=knn", "-index=on",
+		"-trace=t.jsonl", "-seed=11", "-model=knn", "-index=on",
 		"-alpha=30", "-beta=2", "-model-dir=/m", "-port=9001",
 		"-max-body-bytes=4096", "-pprof", "-retrain-every=13h", "-shutdown-timeout=14s", "-encode-cache=15",
 		"-max-concurrency=16", "-queue-depth=17", "-rate-limit=19.5",
@@ -46,7 +46,7 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		"-election-timeout=37s", "-max-missed=38",
 	}
 	want := node.Config{
-		Trace: "t.jsonl", Generate: true, Scale: 0.5, Seed: 11, Model: "knn", Index: "on",
+		Trace: "t.jsonl", Seed: 11, Model: "knn", Index: "on",
 		Alpha: 30, Beta: 2, ModelDir: "/m", Port: 9001,
 		MaxBody: 4096, Pprof: true, RetrainEvery: 13 * time.Hour, DrainTimeout: 14 * time.Second, EncodeCache: 15,
 		MaxConcurrency: 16, QueueDepth: 17, RateLimit: 19.5,
@@ -65,8 +65,8 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	declared, set := 0, 0
 	fs.VisitAll(func(*flag.Flag) { declared++ })
 	fs.Visit(func(*flag.Flag) { set++ })
-	if declared != 34 || set != declared {
-		t.Fatalf("%d flags declared, %d set by this test; want 34 and 34", declared, set)
+	if declared != 32 || set != declared {
+		t.Fatalf("%d flags declared, %d set by this test; want 32 and 32", declared, set)
 	}
 	if got != want {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", got, want)

@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite testdata/eval.golden with curre
 var durations = regexp.MustCompile(` +([0-9.]+(ns|µs|ms|s|m|h))+`)
 
 // TestEvalGolden pins the evaluation the paper's figures are read from:
-// the F1, job-count and train-size columns of `mcbound-eval -scale 0.02
+// the F1, job-count and train-size columns of `mcbound eval -scale 0.02
 // -seed 7` for -exp baseline, alpha-plus and features, plus one
 // θ-subsampled run per mode at ten decimals. testdata/eval.golden was
 // recorded at PR 21, when online.Runner still produced these numbers,

@@ -80,7 +80,7 @@ type cursorEnvelope struct {
 
 // defaultPageSize is the size of a page when the client sends no limit,
 // and the most a limit can ask for: one request classifies at most this
-// many jobs, and a reader (mcbound-infer) bounds its read on it.
+// many jobs, and a reader (mcbound infer) bounds its read on it.
 const defaultPageSize = 1000
 
 // pageParams parses the pagination query of the range read: the opaque

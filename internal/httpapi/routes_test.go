@@ -67,7 +67,7 @@ var routeTable = []struct {
 
 	// So is GET /v1/characterize (PR 27: artifact A2 runs the characterizer
 	// in-process), and so is the server-side replay: a replay is a client
-	// of the node — simulate.Replay, or mcbound-train and mcbound-infer on
+	// of the node — simulate.Replay, or mcbound train and mcbound infer on
 	// a calendar — and the node hosts none.
 	{req: "GET /v1/characterize?start=2024-01-01T00:00:00Z&end=2024-01-03T00:00:00Z", standalone: "404", leader: "404", follower: "404", routed: "404"},
 	{req: "POST /v1/replay", body: `{"start":"2024-01-10T00:00:00Z","end":"2024-01-17T00:00:00Z"}`, standalone: "404", leader: "404", follower: "404", routed: "404"},

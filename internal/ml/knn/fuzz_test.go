@@ -3,7 +3,6 @@ package knn
 import (
 	"bytes"
 	"errors"
-	"os"
 	"testing"
 
 	"mcbound/internal/job"
@@ -29,22 +28,10 @@ func fuzzSeedModel(mode IndexMode) *Classifier {
 	return c
 }
 
-// legacyFixture is a MCBKNN02 model written by the last release that
-// had a V2 writer: fuzzSeedModel(IndexOff), no checksum.
-func legacyFixture(t testing.TB) []byte {
-	t.Helper()
-	b, err := os.ReadFile("testdata/legacy_v2.model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // FuzzIndexModel drives UnmarshalBinary with arbitrary bytes: any input
-// either loads a model that re-marshals to the exact same bytes (a
-// legacy MCBKNN02 input: to a MCBKNN03 model that does), or fails with
-// the typed ErrCorruptModel — never a panic, never an unbounded
-// allocation. Mirrors FuzzWALFrame's contract: a single flipped bit
+// either loads a model that re-marshals to the exact same bytes, or
+// fails with the typed ErrCorruptModel — never a panic, never an
+// unbounded allocation. Mirrors FuzzWALFrame's contract: a single flipped bit
 // anywhere in a valid MCBKNN03 model, indexed or not, must be caught by
 // the checksum or a structural check.
 func FuzzIndexModel(f *testing.F) {
@@ -60,17 +47,18 @@ func FuzzIndexModel(f *testing.F) {
 	f.Add(bruteBytes)
 	f.Add(indexedBytes)
 	f.Add([]byte{})
-	f.Add([]byte(marshalMagicV2))
+	// The retired MCBKNN02 magic (and, last, in front of a current body).
+	f.Add([]byte("MCBKNN02"))
 	f.Add([]byte(marshalMagic))
 	// The header shape of the historical overflow bug: groups and dim
 	// chosen so groups*dim*4 wraps int64.
-	f.Add(legacyHeader(5, 2, 1<<32, 1<<33, 1<<32, nil))
-	f.Add(legacyHeader(5, 2, 1, 1<<62, 1<<62, nil))
+	f.Add(sealV3(header(5, 2, 1<<32, 1<<33, 1<<32, nil)))
+	f.Add(sealV3(header(5, 2, 1, 1<<62, 1<<62, nil)))
 	f.Add(indexedBytes[:len(indexedBytes)/2])
 	corrupt := append([]byte(nil), indexedBytes...)
 	corrupt[len(corrupt)-1] ^= 0x01
 	f.Add(corrupt)
-	f.Add(legacyFixture(f))
+	f.Add(append([]byte("MCBKNN02"), bruteBytes[len(marshalMagic)+4:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New(DefaultConfig())
@@ -79,24 +67,13 @@ func FuzzIndexModel(f *testing.F) {
 				t.Fatalf("untyped unmarshal error: %v", err)
 			}
 		} else {
-			// Accepted input must be a fixed point of the codec, legacy
-			// input after its one upgrade to the current format.
+			// Accepted input must be a fixed point of the codec.
 			again, err := c.MarshalBinary()
 			if err != nil {
 				t.Fatalf("re-marshal of accepted model failed: %v", err)
 			}
-			want := data
-			if bytes.HasPrefix(data, []byte(marshalMagicV2)) {
-				want = again
-				if err := c.UnmarshalBinary(want); err != nil {
-					t.Fatalf("upgraded legacy model rejected: %v", err)
-				}
-				if again, err = c.MarshalBinary(); err != nil {
-					t.Fatalf("re-marshal of upgraded model failed: %v", err)
-				}
-			}
-			if !bytes.Equal(again, want) {
-				t.Fatalf("accepted model does not re-marshal to its input (%d -> %d bytes)", len(want), len(again))
+			if !bytes.Equal(again, data) {
+				t.Fatalf("accepted model does not re-marshal to its input (%d -> %d bytes)", len(data), len(again))
 			}
 		}
 
@@ -141,45 +118,5 @@ func TestIndexModelEveryBitFlip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLegacyV2ModelLoads: on-disk models from before the single
-// MCBKNN03 writer still restore, predict like a fresh train of the same
-// data, and re-marshal into the current checksummed format.
-func TestLegacyV2ModelLoads(t *testing.T) {
-	legacy := legacyFixture(t)
-	if !bytes.HasPrefix(legacy, []byte(marshalMagicV2)) {
-		t.Fatalf("fixture magic %q, want %q", legacy[:8], marshalMagicV2)
-	}
-	restored := New(DefaultConfig())
-	if err := restored.UnmarshalBinary(legacy); err != nil {
-		t.Fatal(err)
-	}
-	fresh := fuzzSeedModel(IndexOff)
-	queries := [][]float32{{0, 0, 0, 0}, {7.4, 2, 1, -7}, {23, 3, 2, -23}, {11, 1, 2, -11.5}}
-	want, err := fresh.Predict(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Predict(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("query %d: legacy model predicts %v, fresh %v", i, got[i], want[i])
-		}
-	}
-	upgraded, err := restored.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	current, err := fresh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(upgraded, current) {
-		t.Fatal("legacy model does not re-marshal to the current format of the same model")
 	}
 }

@@ -373,11 +373,11 @@ func TestIndexedModelBytesUnchanged(t *testing.T) {
 	}
 }
 
-// legacyHeader builds a MCBKNN02 byte string with arbitrary header
-// fields and payload — the shape an attacker controls on disk.
-func legacyHeader(k int64, p float64, dim, n, groups int64, payload []byte) []byte {
+// header builds a model payload with arbitrary header fields followed by
+// payload — the shape an attacker controls on disk, before sealV3 frames
+// it.
+func header(k int64, p float64, dim, n, groups int64, payload []byte) []byte {
 	var buf bytes.Buffer
-	buf.WriteString(marshalMagicV2)
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
 	w(k)
 	w(p)
@@ -414,45 +414,48 @@ func indexedWithOrder(t testing.TB, p float64) []byte {
 // groups*dim*4 overflow: header fields big enough to wrap int64 used to
 // slip past the size check and drive a huge or negative allocation.
 // Every field must now be individually capped before any multiplication,
-// and every rejection must be the typed ErrCorruptModel.
+// and every rejection must be the typed ErrCorruptModel. Each crafted
+// header is sealed with a correct checksum and must be refused by its
+// own guard, named in the error.
 func TestUnmarshalRejectsAdversarialHeaders(t *testing.T) {
 	cases := []struct {
 		name string
 		b    []byte
+		want string
 	}{
 		// 2^32 · 2^32 · 4 ≡ 0 (mod 2^64): the old multiplied check saw 0
 		// bytes needed and passed, then make([]float32, 1<<64) exploded.
-		{"overflow to zero", legacyHeader(5, 2, 1<<32, 1<<33, 1<<32, nil)},
+		{"overflow to zero", sealV3(header(5, 2, 1<<32, 1<<33, 1<<32, nil)), "dim = "},
 		// 2^62 · 1 · 4 wraps negative: "need < len(b)" was trivially true.
-		{"overflow to negative", legacyHeader(5, 2, 1, 1<<62, 1<<62, nil)},
-		{"huge dim", legacyHeader(5, 2, 1<<40, 10, 10, nil)},
-		{"huge groups", legacyHeader(5, 2, 4, 1<<40, 1<<40, nil)},
-		{"huge k", legacyHeader(1<<40, 2, 4, 1, 1, nil)},
-		{"negative k", legacyHeader(-1, 2, 4, 1, 1, nil)},
-		{"nan p", legacyHeader(5, math.NaN(), 4, 1, 1, nil)},
-		{"negative p", legacyHeader(5, -2, 4, 1, 1, nil)},
-		{"negative dim", legacyHeader(5, 2, -4, 1, 1, nil)},
-		{"negative groups", legacyHeader(5, 2, 4, 1, -1, nil)},
-		{"n below groups", legacyHeader(5, 2, 4, 1, 2, make([]byte, 100))},
-		{"truncated payload", legacyHeader(5, 2, 4, 2, 2, make([]byte, 10))},
-		// Checksum and all: it used to load, be published as trained,
-		// and fail every Predict with ml.ErrNotTrained.
-		{"empty model", sealV3(legacyHeader(5, 2, 4, 0, 0, nil)[len(marshalMagicV2):])},
+		{"overflow to negative", sealV3(header(5, 2, 1, 1<<62, 1<<62, nil)), "groups = "},
+		{"huge dim", sealV3(header(5, 2, 1<<40, 10, 10, nil)), "dim = "},
+		{"huge groups", sealV3(header(5, 2, 4, 1<<40, 1<<40, nil)), "groups = "},
+		{"huge k", sealV3(header(1<<40, 2, 4, 1, 1, nil)), "k = "},
+		{"negative k", sealV3(header(-1, 2, 4, 1, 1, nil)), "k = "},
+		{"nan p", sealV3(header(5, math.NaN(), 4, 1, 1, nil)), "minkowski order NaN"},
+		{"negative p", sealV3(header(5, -2, 4, 1, 1, nil)), "minkowski order -2"},
+		{"negative dim", sealV3(header(5, 2, -4, 1, 1, nil)), "dim = "},
+		{"negative groups", sealV3(header(5, 2, 4, 1, -1, nil)), "groups = "},
+		{"n below groups", sealV3(header(5, 2, 4, 1, 2, make([]byte, 100))), "n = 1 for 2 groups"},
+		{"truncated payload", sealV3(header(5, 2, 4, 2, 2, make([]byte, 10))), "exceed 10 payload bytes"},
+		// It used to load, be published as trained, and fail every
+		// Predict with ml.ErrNotTrained.
+		{"empty model", sealV3(header(5, 2, 4, 0, 0, nil)), "groups = 0"},
 		// It used to load, and Predict searched an L2 index for it.
-		{"index on a non-euclidean model", indexedWithOrder(t, 3)},
-		{"bad magic", []byte("MCBKNN99xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")},
-		{"short", []byte("MCB")},
-		{"empty", nil},
+		{"index on a non-euclidean model", indexedWithOrder(t, 3), "index section on a model of minkowski order 3"},
+		// The retired un-checksummed format is one more corrupt file.
+		{"MCBKNN02", append([]byte("MCBKNN02"), header(5, 2, 4, 1, 1, make([]byte, 24))...), "bad magic"},
+		{"bad magic", []byte("MCBKNN99xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"), "bad magic"},
+		{"short", []byte("MCB"), "short header"},
+		{"empty", nil, "short header"},
 	}
 	for _, tc := range cases {
-		c := New(DefaultConfig())
-		err := c.UnmarshalBinary(tc.b)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !errors.Is(err, ErrCorruptModel) {
+		err := New(DefaultConfig()).UnmarshalBinary(tc.b)
+		switch {
+		case !errors.Is(err, ErrCorruptModel):
 			t.Errorf("%s: error %v is not ErrCorruptModel", tc.name, err)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want the guard naming %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -460,11 +463,16 @@ func TestUnmarshalRejectsAdversarialHeaders(t *testing.T) {
 // TestUnmarshalRejectsCountMismatch: counts summing to something other
 // than the header's n is structural corruption, not a valid model.
 func TestUnmarshalRejectsCountMismatch(t *testing.T) {
-	// The legacy layout has no checksum in front of the structural check.
-	b := legacyFixture(t)
-	// Bump the last count (a little-endian int32 at the tail).
-	b[len(b)-4]++
-	if err := New(DefaultConfig()).UnmarshalBinary(b); !errors.Is(err, ErrCorruptModel) {
+	valid, err := fuzzSeedModel(IndexOff).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), valid[len(marshalMagic)+4:]...)
+	// Bump the last count (a little-endian int32 at the tail) and reseal,
+	// so the checksum passes and the structural check is what refuses it.
+	payload[len(payload)-4]++
+	err = New(DefaultConfig()).UnmarshalBinary(sealV3(payload))
+	if !errors.Is(err, ErrCorruptModel) || !strings.Contains(err.Error(), "counts sum to") {
 		t.Fatalf("count mismatch: got %v", err)
 	}
 }

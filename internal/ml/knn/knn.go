@@ -404,10 +404,7 @@ func equalVec(a, b []float32) bool {
 	return true
 }
 
-const (
-	marshalMagicV2 = "MCBKNN02" // legacy, read only: header + matrix + counts, no checksum
-	marshalMagic   = "MCBKNN03" // crc32 + header + matrix + counts [+ index section]
-)
+const marshalMagic = "MCBKNN03" // crc32 + header + matrix + counts [+ index section]
 
 // ErrCorruptModel is wrapped by UnmarshalBinary on every reject path —
 // bad magic, adversarial headers, truncation, checksum mismatch, or a
@@ -459,31 +456,24 @@ func (c *Classifier) MarshalBinary() ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// UnmarshalBinary restores a model serialized by MarshalBinary, or an
-// un-indexed MCBKNN02 model an earlier release wrote. Every reject path
-// returns an error wrapping ErrCorruptModel; adversarial input must
-// never panic or allocate unboundedly.
+// UnmarshalBinary restores a model serialized by MarshalBinary. Every
+// reject path returns an error wrapping ErrCorruptModel; adversarial
+// input must never panic or allocate unboundedly.
 func (c *Classifier) UnmarshalBinary(b []byte) error {
 	if len(b) < len(marshalMagic) {
 		return fmt.Errorf("%w: short header", ErrCorruptModel)
 	}
-	legacy := false
-	switch string(b[:len(marshalMagic)]) {
-	case marshalMagicV2:
-		b = b[len(marshalMagicV2):]
-		legacy = true
-	case marshalMagic:
-		rest := b[len(marshalMagic):]
-		if len(rest) < 4 {
-			return fmt.Errorf("%w: missing checksum", ErrCorruptModel)
-		}
-		want := binary.LittleEndian.Uint32(rest[:4])
-		b = rest[4:]
-		if crc32.Checksum(b, crcTable) != want {
-			return fmt.Errorf("%w: checksum mismatch", ErrCorruptModel)
-		}
-	default:
+	if string(b[:len(marshalMagic)]) != marshalMagic {
 		return fmt.Errorf("%w: bad magic", ErrCorruptModel)
+	}
+	rest := b[len(marshalMagic):]
+	if len(rest) < 4 {
+		return fmt.Errorf("%w: missing checksum", ErrCorruptModel)
+	}
+	want := binary.LittleEndian.Uint32(rest[:4])
+	b = rest[4:]
+	if crc32.Checksum(b, crcTable) != want {
+		return fmt.Errorf("%w: checksum mismatch", ErrCorruptModel)
 	}
 
 	buf := bytes.NewReader(b)
@@ -535,7 +525,7 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 
 	// Whatever follows the counts is the index section.
 	var index *ivf.Index
-	if !legacy && buf.Len() != 0 {
+	if buf.Len() != 0 {
 		// Train builds an index for the Euclidean metric only, and
 		// predictOne would search this one whatever p says.
 		if p != 2 {

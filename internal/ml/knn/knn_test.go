@@ -284,7 +284,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	if err := c.UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Error("accepted garbage")
 	}
-	if err := c.UnmarshalBinary([]byte("MCBKNN02 but short")); err == nil {
+	if err := c.UnmarshalBinary([]byte("MCBKNN03 but short")); err == nil {
 		t.Error("accepted truncated payload")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"mcbound/internal/cluster"
 	"mcbound/internal/core"
 	"mcbound/internal/election"
-	"mcbound/internal/experiments"
 	"mcbound/internal/fetch"
 	"mcbound/internal/httpapi"
 	"mcbound/internal/linalg"
@@ -30,7 +29,6 @@ import (
 	"mcbound/internal/store"
 	"mcbound/internal/telemetry"
 	"mcbound/internal/wal"
-	"mcbound/internal/workload"
 )
 
 // Config is one node's whole configuration: a field per mcbound-server
@@ -38,8 +36,7 @@ import (
 // simulation substitutes.
 type Config struct {
 	Trace, Model, Index, ModelDir  string
-	Generate, Pprof                bool
-	Scale                          float64
+	Pprof                          bool
 	Seed                           uint64
 	Alpha, Beta, Port, EncodeCache int
 	MaxBody                        int64
@@ -109,12 +106,12 @@ func (c Config) parse() (p parsed, err error) {
 		return p, fmt.Errorf("-follow and -promote-on-start are mutually exclusive: promote a running follower via POST /v1/promote, or restart without -follow")
 	case c.PromoteOnStart && c.DataDir == "":
 		return p, fmt.Errorf("-promote-on-start requires -data-dir (the inherited durable state to lead over)")
-	case following && (c.Generate || c.Trace != ""):
+	case following && c.Trace != "":
 		// The seed would sit on the replica beside the leader's stream:
 		// jobs its leader never had.
-		return p, fmt.Errorf("-follow excludes -trace and -generate: a follower's jobs come from its leader's log only")
-	case !following && !c.Generate && c.Trace == "":
-		return p, fmt.Errorf("either -trace, -generate or -follow is required")
+		return p, fmt.Errorf("-follow excludes -trace: a follower's jobs come from its leader's log only")
+	case !following && c.Trace == "":
+		return p, fmt.Errorf("either -trace or -follow is required")
 	}
 	if p.policy, err = wal.ParsePolicy(c.Fsync); err != nil {
 		return p, fmt.Errorf("bad -fsync: %w", err)
@@ -202,15 +199,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 
 	// A follower needs no seed: its store fills from the leader's stream.
 	st := store.New()
-	switch {
-	case c.Generate:
-		logf("generating synthetic trace (scale=%g, seed=%d)...", c.Scale, c.Seed)
-		env, err := experiments.NewEnv(workload.EvalConfig(c.Scale), c.Seed)
-		if err != nil {
-			return err
-		}
-		st = env.Store
-	case c.Trace != "":
+	if c.Trace != "" {
 		logf("loading trace %s...", c.Trace)
 		if st, err = store.LoadFile(c.Trace); err != nil {
 			return err

@@ -119,7 +119,7 @@ func TestValidate(t *testing.T) {
 		edit func(*Config)
 		want string // substring of the error; "" = valid
 	}{
-		{"generated leader", func(c *Config) { c.Generate = true }, ""},
+		{"trace leader", func(c *Config) { c.Trace = "t.jsonl" }, ""},
 		{"durable elected leader", func(c *Config) { c.Trace, c.DataDir, c.NodeID, c.Peers = "t.jsonl", "d", "n1", peers }, ""},
 		{"elected follower", func(c *Config) { c.Follow, c.DataDir, c.NodeID, c.Peers = "http://h1:1", "d", "n2", peers }, ""},
 		{"plain follower without a data dir", func(c *Config) { c.Follow = "http://h1:1" }, ""},
@@ -127,16 +127,15 @@ func TestValidate(t *testing.T) {
 		// log, whose WAL surface answers 409 to the surviving follower.
 		{"elected follower without a data dir", func(c *Config) { c.Follow, c.NodeID, c.Peers = "http://h1:1", "n2", peers }, "-peers with -follow requires -data-dir"},
 		// Parent accepted: the seed stayed on the replica.
-		{"follower with a generated seed", func(c *Config) { c.Follow, c.Generate = "http://h1:1", true }, "-follow excludes -trace and -generate"},
-		{"follower with a trace seed", func(c *Config) { c.Follow, c.Trace = "http://h1:1", "t.jsonl" }, "-follow excludes -trace and -generate"},
-		{"no source", func(c *Config) {}, "either -trace, -generate or -follow"},
+		{"follower with a trace seed", func(c *Config) { c.Follow, c.Trace = "http://h1:1", "t.jsonl" }, "-follow excludes -trace"},
+		{"no source", func(c *Config) {}, "either -trace or -follow"},
 		{"follow and promote", func(c *Config) { c.Follow, c.PromoteOnStart, c.DataDir = "http://h1:1", true, "d" }, "-follow and -promote-on-start"},
-		{"promote without a data dir", func(c *Config) { c.Generate, c.PromoteOnStart = true, true }, "-promote-on-start requires -data-dir"},
-		{"node id without peers", func(c *Config) { c.Generate, c.DataDir, c.NodeID = true, "d", "n1" }, "-node-id and -peers go together"},
-		{"self missing from peers", func(c *Config) { c.Generate, c.DataDir, c.NodeID, c.Peers = true, "d", "n9", peers }, "bad -peers"},
-		{"peers without a role", func(c *Config) { c.Generate, c.NodeID, c.Peers = true, "n1", peers }, "-peers requires a replication role"},
-		{"fsync checked without a data dir", func(c *Config) { c.Generate, c.Fsync = true, "sometimes" }, "bad -fsync"},
-		{"index checked under rf", func(c *Config) { c.Generate, c.Index = true, "maybe" }, "bad -index"},
+		{"promote without a data dir", func(c *Config) { c.Trace, c.PromoteOnStart = "t.jsonl", true }, "-promote-on-start requires -data-dir"},
+		{"node id without peers", func(c *Config) { c.Trace, c.DataDir, c.NodeID = "t.jsonl", "d", "n1" }, "-node-id and -peers go together"},
+		{"self missing from peers", func(c *Config) { c.Trace, c.DataDir, c.NodeID, c.Peers = "t.jsonl", "d", "n9", peers }, "bad -peers"},
+		{"peers without a role", func(c *Config) { c.Trace, c.NodeID, c.Peers = "t.jsonl", "n1", peers }, "-peers requires a replication role"},
+		{"fsync checked without a data dir", func(c *Config) { c.Trace, c.Fsync = "t.jsonl", "sometimes" }, "bad -fsync"},
+		{"index checked under rf", func(c *Config) { c.Trace, c.Index = "t.jsonl", "maybe" }, "bad -index"},
 	}
 	for _, r := range rows {
 		c := testConfig()

@@ -153,14 +153,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// FullConfig returns the full characterization period of DefaultConfig
+// with the job rate scaled by the given factor and the populations left
+// at full size: scale=1 is DefaultConfig itself.
+func FullConfig(scale float64) Config {
+	cfg := DefaultConfig()
+	cfg.JobsPerDay = max(1, int(float64(cfg.JobsPerDay)*scale))
+	return cfg
+}
+
 // EvalConfig returns the configuration of the online-evaluation period
 // (December 1st, 2023 through February 29th, 2024), scaled by the given
 // factor: scale=1 matches the paper's ≈25 K jobs/day in the test month.
 // Smaller scales keep the same per-day structure with fewer jobs.
 func EvalConfig(scale float64) Config {
-	cfg := DefaultConfig()
+	cfg := FullConfig(scale)
 	cfg.End = date(2024, 3, 1)
-	cfg.JobsPerDay = max(1, int(float64(cfg.JobsPerDay)*scale))
 	// Shrink the populations slower than the job count: users by √scale,
 	// applications by scale^0.75. This keeps the per-app submission
 	// frequency high enough that an α-day window still observes nearly

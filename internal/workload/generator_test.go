@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -226,6 +227,22 @@ func TestEvalConfigScaling(t *testing.T) {
 	}
 	if !small.End.Equal(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)) {
 		t.Errorf("eval period end = %v", small.End)
+	}
+}
+
+// The full period shrinks the job rate only: the characterization
+// keeps the paper's populations at any scale.
+func TestFullConfigScaling(t *testing.T) {
+	def := DefaultConfig()
+	if !reflect.DeepEqual(FullConfig(1), def) {
+		t.Error("FullConfig(1) differs from DefaultConfig")
+	}
+	small := FullConfig(0.01)
+	if small.JobsPerDay != 185 || small.Users != def.Users || small.InitialApps != def.InitialApps || !small.End.Equal(def.End) {
+		t.Errorf("FullConfig(0.01): %d jobs/day, %d users, %d apps, end %v", small.JobsPerDay, small.Users, small.InitialApps, small.End)
+	}
+	if FullConfig(1e-9).JobsPerDay != 1 {
+		t.Error("job rate not clamped to one a day")
 	}
 }
 
