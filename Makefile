@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzTrainMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArray$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalJob$$ -fuzztime=$(FUZZTIME) ./internal/job
+	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArrayParts$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzAppendPrediction$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=^FuzzSqDistInt8$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzDotInt8Rows$$ -fuzztime=$(FUZZTIME) ./internal/linalg

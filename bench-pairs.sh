@@ -27,15 +27,21 @@ mkdir -p "$dir/base"
 trap 'rm -rf "$dir/base"' EXIT
 git archive "$base" | tar -x -C "$dir/base"
 
-run() { # run <base|head> <checkout>: one record appended to the side's file
+# run <base|head> <checkout> <pair>: one record appended to the side's
+# file, or the script stops — a pair missing one side would misalign
+# line i of the two files from then on.
+run() {
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 25 --trace 0 \
-		-out "$dir/$1-$tag.jsonl" >/dev/null 2>>"$dir/$1-$tag.log")
+		-out "$dir/$1-$tag.jsonl" >/dev/null 2>>"$dir/$1-$tag.log") ||
+		{ echo "pair $3/$n: the $1 run failed; see $dir/$1-$tag.log" >&2; exit 1; }
 }
 for i in $(seq 1 "$n"); do
 	if ((i % 2)); then
-		run base "$dir/base" && run head "$root"
+		run base "$dir/base" "$i"
+		run head "$root" "$i"
 	else
-		run head "$root" && run base "$dir/base"
+		run head "$root" "$i"
+		run base "$dir/base" "$i"
 	fi
 	echo "pair $i/$n done" >&2
 done
@@ -47,11 +53,12 @@ done
 echo "== compare, base -> head"
 bash benchmark/run.sh -compare "$dir/base-$tag.jsonl" "$dir/head-$tag.jsonl" || true
 
-# Line i of either file is pair i's run.
-metric() { sed -E "s/.*\"$1\":\{\"value\":([^,}]+).*/\1/" "$2"; }
+# Line i of either file is pair i's run; a run without the metric is NA
+# and its pair is left out of the count.
+metric() { sed -E -e "s/.*\"$1\":\{\"value\":([^,}]+).*/\1/" -e t -e 's/.*/NA/' "$2"; }
 for m in classify_p50_us secondary_p50_ms setup_s peak_rss_mb f1_macro; do
 	echo "== pairs, $m (base head)"
 	paste -d' ' <(metric "$m" "$dir/base-$tag.jsonl") <(metric "$m" "$dir/head-$tag.jsonl") |
-		awk '{ print; if ($2 < $1) lower++; else if ($2 > $1) higher++ }
-			END { printf "head lower in %d, higher in %d of %d\n", lower, higher, NR }'
+		awk '{ print } $1 == "NA" || $2 == "NA" { next } { n++; if ($2 < $1) lower++; else if ($2 > $1) higher++ }
+			END { printf "head lower in %d, higher in %d of %d\n", lower, higher, n }'
 done

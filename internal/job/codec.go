@@ -3,11 +3,14 @@ package job
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
+
+	"mcbound/internal/linalg"
 )
 
 // The wire codec: a one-pass parser for the fixed Job/PerfCounters shape
@@ -24,6 +27,10 @@ import (
 // out (the four of one record into one allocation) and time.Time carries
 // no reference to the bytes it was parsed from, so callers may reuse the
 // buffer at once.
+//
+// A body of splitFloor bytes or more decodes on several cores at once:
+// splitArray cuts it at guessed record boundaries, and a cut counts only
+// once the part before it has landed on it; see there.
 
 var fallbacks atomic.Int64
 
@@ -36,7 +43,8 @@ func Fallbacks() int64 { return fallbacks.Load() }
 // for a nil jobs and an r that yields data: leading white space is
 // skipped and bytes after the array's closing bracket are not looked at.
 func UnmarshalArray(data []byte) ([]*Job, error) {
-	if jobs, ok := parseArray(data); ok {
+	parts := min(runtime.GOMAXPROCS(0), 2*len(data)/splitFloor)
+	if jobs, ok := parseArrayParts(data, parts); ok {
 		return jobs, nil
 	}
 	fallbacks.Add(1)
@@ -68,21 +76,108 @@ func parseArray(data []byte) ([]*Job, bool) {
 	if !p.consume('[') {
 		return nil, false
 	}
-	jobs := []*Job{} // "[]" decodes to an empty slice, not a nil one
 	p.skipSpace()
 	if p.consume(']') {
+		return []*Job{}, true // "[]" decodes to an empty slice, not a nil one
+	}
+	return p.records(-1)
+}
+
+// splitFloor is the smallest body UnmarshalArray decodes in parts, and
+// half of it the least a part gets: the size from which two cores beat
+// one in BenchmarkUnmarshalArray (EXPERIMENTS.md, "Decode").
+const splitFloor = 64 << 10
+
+// recordSep is where a cut is guessed: between two records as
+// json.Marshal writes them.
+var recordSep = []byte("},{")
+
+// parseArrayParts decodes data as parseArray does, on up to parts cores
+// when splitArray can verify its cuts and serially when it cannot, so
+// whether a body is the parser's or encoding/json's is always decided
+// by the serial parse, as for a body below the floor.
+func parseArrayParts(data []byte, parts int) ([]*Job, bool) {
+	if jobs, ok := splitArray(data, parts); ok {
 		return jobs, true
 	}
+	return parseArray(data)
+}
+
+// splitArray parses data in up to parts pieces run through
+// linalg.ParallelFor. Cut k is guessed at the first "},{" past k/parts
+// of the body, and part k runs the serial record loop from its "{". A
+// cut is proved a top-level record boundary only when part k-1's own
+// parse ends a record exactly on its comma; a decoy — the pattern
+// inside a string, after the closing bracket — makes the part before it
+// fail or overshoot, and splitArray report false.
+func splitArray(data []byte, parts int) ([]*Job, bool) {
+	if parts < 2 {
+		return nil, false
+	}
+	p := parser{data: data}
+	p.skipSpace()
+	if !p.consume('[') {
+		return nil, false
+	}
+	p.skipSpace()
+	cuts := []int{p.pos}
+	for k := 1; k < parts; k++ {
+		// From the last cut or beyond, a match starts past it: cuts rise.
+		from := max(p.pos+k*(len(data)-p.pos)/parts, cuts[len(cuts)-1])
+		i := bytes.Index(data[from:], recordSep)
+		if i < 0 {
+			break
+		}
+		cuts = append(cuts, from+i+2)
+	}
+	if len(cuts) < 2 {
+		return nil, false
+	}
+	out := make([][]*Job, len(cuts))
+	linalg.ParallelFor(len(cuts), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			land := -1 // the last part ends on the closing bracket
+			if k+1 < len(cuts) {
+				land = cuts[k+1] - 1
+			}
+			part := parser{data: data, pos: cuts[k]}
+			if jobs, ok := part.records(land); ok {
+				out[k] = jobs
+			}
+		}
+	})
+	n := 0
+	for _, part := range out {
+		if part == nil {
+			return nil, false
+		}
+		n += len(part)
+	}
+	jobs := make([]*Job, 0, n)
+	for _, part := range out {
+		jobs = append(jobs, part...)
+	}
+	return jobs, true
+}
+
+// records parses the records of an array from the first one's "{". With
+// land < 0 it ends on the closing bracket; otherwise a record must end
+// exactly at land, and the parse stops there.
+func (p *parser) records(land int) ([]*Job, bool) {
+	var jobs []*Job
 	for {
 		j := new(Job)
 		if !p.job(j) {
 			return nil, false
 		}
 		jobs = append(jobs, j)
+		if land >= 0 && p.pos >= land {
+			return jobs, p.pos == land
+		}
 		switch p.delim() {
 		case ',':
 		case ']':
-			return jobs, true
+			return jobs, land < 0
 		default:
 			return nil, false
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -237,21 +238,118 @@ func TestDecodedJobsDoNotAliasInput(t *testing.T) {
 	}
 }
 
-// BenchmarkUnmarshalArray decodes the periodic trigger's body: a window
-// of 1 000 submission records (≈ 300 KB), two of whose three time
-// members are the zero time.
-func BenchmarkUnmarshalArray(b *testing.B) {
-	window := make([]*Job, 1000)
+// windowBody is the periodic trigger's body: n submission records
+// (≈ 300 bytes each), two of whose three time members are the zero time.
+func windowBody(t testing.TB, n int) []byte {
+	window := make([]*Job, n)
 	for i := range window {
 		window[i] = submissionJob()
 		window[i].ID = fmt.Sprintf("job-%06d", i)
 	}
-	body := mustMarshal(b, window)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if jobs, err := UnmarshalArray(body); err != nil || len(jobs) != len(window) {
-			b.Fatalf("%d jobs, %v", len(jobs), err)
+	return mustMarshal(t, window)
+}
+
+// splitSeeds are the decoys of a guessed cut: "},{" where no record
+// boundary is, a boundary the guess cannot see, and arrays whose serial
+// parse fails late.
+var splitSeeds = []string{
+	`[{"id":"a","name":"p},{q"},{"id":"b"},{"id":"c","name":"},{"}]`,
+	`[{"id":"a","name":"p},{\"id\":\"z"},{"id":"b"}]`,
+	// A part from this cut parses "{}" and ends the array inside the
+	// name; only the landing check of the part before it refuses it.
+	`[{"id":"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa","name":"x},{}]"},{"id":"b"}]`,
+	`[{"id":"a"},{"id":"b"}] },{"id":"c"},{"id":"d"}`,
+	`[{"id":"a"}]},{"id":"b"},{"id":"c"}]`,
+	"[{\"id\":\"a\"} , {\"id\":\"b\"},\n{\"id\":\"c\"}\t,{\"id\":\"d\"} ]",
+	`[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d\u0041"}]`,
+	`[{"id":"a","counters":{"perf2":1},"exit":0},{"counters":{}},{"counters":{"perf3":2}},{"id":"d"}]`,
+	`[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"`,
+	`[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"},`,
+	`[{"id":"a"},{"id":"b"},{"id":"c"},{"id":"d"}`,
+}
+
+// FuzzUnmarshalArrayParts: cutting the array, wherever the guesses fall,
+// decides nothing — the parse accepts what the serial parse accepts and
+// decodes it to the same records, for every number of parts.
+func FuzzUnmarshalArrayParts(f *testing.F) {
+	_, arrays := seedBodies(f)
+	arrays = append(arrays, windowBody(f, 20))
+	for _, s := range splitSeeds {
+		arrays = append(arrays, []byte(s))
+	}
+	for _, a := range arrays {
+		f.Add(a)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantOK := parseArray(data)
+		for parts := 2; parts <= 4; parts++ {
+			got, ok := parseArrayParts(data, parts)
+			if ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d parts: ok %v, %s; serially ok %v, %s", parts, ok, dump(got), wantOK, dump(want))
+			}
 		}
+	})
+}
+
+// TestSplitLandsOnEncoderOutput: on the bodies clients send, every cut
+// is verified and the records come from the parts, not from the serial
+// re-parse — without this FuzzUnmarshalArrayParts would pass on a split
+// that never lands.
+func TestSplitLandsOnEncoderOutput(t *testing.T) {
+	body := windowBody(t, 1000)
+	want, ok := parseArray(body)
+	if !ok {
+		t.Fatal("the window body left the strict path")
+	}
+	for _, parts := range []int{2, 3, 4, 8} {
+		got, ok := splitArray(body, parts)
+		if !ok {
+			t.Fatalf("%d parts: a cut did not land", parts)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d parts: records differ from the serial parse", parts)
+		}
+	}
+}
+
+// TestUnmarshalArrayIndependentOfCores: one window body decodes to the
+// same records, on the strict path, whatever GOMAXPROCS says.
+func TestUnmarshalArrayIndependentOfCores(t *testing.T) {
+	body := windowBody(t, 1000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	before := Fallbacks()
+	var first []*Job
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		jobs, err := UnmarshalArray(body)
+		if err != nil || len(jobs) != 1000 {
+			t.Fatalf("GOMAXPROCS %d: %d jobs, %v", procs, len(jobs), err)
+		}
+		if first == nil {
+			first = jobs
+		} else if !reflect.DeepEqual(jobs, first) {
+			t.Fatalf("GOMAXPROCS %d decodes other records than GOMAXPROCS 1", procs)
+		}
+	}
+	if n := Fallbacks() - before; n != 0 {
+		t.Fatalf("%d decodes fell back to encoding/json", n)
+	}
+}
+
+// BenchmarkUnmarshalArray decodes window bodies of 100, 300 and 1 000
+// records; run with -cpu 1,2 it shows where two parts start to beat one
+// (splitFloor).
+func BenchmarkUnmarshalArray(b *testing.B) {
+	for _, n := range []int{100, 300, 1000} {
+		body := windowBody(b, n)
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if jobs, err := UnmarshalArray(body); err != nil || len(jobs) != n {
+					b.Fatalf("%d jobs, %v", len(jobs), err)
+				}
+			}
+		})
 	}
 }

@@ -9,9 +9,10 @@ import (
 // most GOMAXPROCS, never more than n) and runs f(lo, hi) on each,
 // returning when all are done; a single chunk runs on the caller's
 // goroutine. It is the single fan-out of the inference path: the batch
-// kernels (RF traversal, KNN scan, IVF build, bulk embedding) split
-// here and nowhere above, so a worker gets the largest chunk the batch
-// allows.
+// kernels (RF traversal, KNN scan, IVF build, bulk embedding) and the
+// wire decoder (job.UnmarshalArray on a body above its split floor)
+// split here and nowhere above, so a worker gets the largest chunk the
+// batch allows.
 func ParallelFor(n int, f func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
