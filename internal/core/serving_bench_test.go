@@ -85,7 +85,7 @@ func BenchmarkClassifyBatch(b *testing.B) {
 
 // BenchmarkClassifySingle splits the one-job classify cost by cache
 // temperature: cache-hit serves the embedding from the sharded LRU,
-// cold disables the cache so every call re-tokenizes and re-projects.
+// cold disables the cache so every call re-tokenizes and re-hashes.
 func BenchmarkClassifySingle(b *testing.B) {
 	run := func(b *testing.B, capacity int) {
 		fw := benchServingFramework(b)

@@ -15,9 +15,11 @@ var benchStrings = []string{
 }
 
 // BenchmarkEmbed measures the raw sentence-embedding cost — the
-// substitute for the paper's 2 ms/job SBERT encoding.
+// substitute for the paper's 2 ms/job SBERT encoding — under the served
+// field weights.
 func BenchmarkEmbed(b *testing.B) {
 	e := NewHashingEmbedder()
+	e.FieldWeights = FieldWeightsFor(DefaultFeatures())
 	dst := make([]float32, e.Dim())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -26,12 +28,14 @@ func BenchmarkEmbed(b *testing.B) {
 }
 
 // BenchmarkEmbedDim is the embedding-dimensionality ablation: the cost
-// is dominated by the per-token hashing, so it should be nearly flat in
-// the output dimension.
+// is the per-token hashing plus a walk of the coordinates the tokens
+// hit, nearly flat in the output dimension up to Dim; a wider embedder
+// also allocates its dim-wide scratch every call.
 func BenchmarkEmbedDim(b *testing.B) {
 	for _, dim := range []int{64, 128, 384, 768} {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			e := NewHashingEmbedderDim(dim)
+			e.FieldWeights = FieldWeightsFor(DefaultFeatures())
 			dst := make([]float32, dim)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

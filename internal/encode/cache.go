@@ -9,7 +9,7 @@ import (
 // The embedding cache exploits the paper's batch-duplication observation
 // (§V: "latest"-subsampled windows replicate recent samples, and live
 // submission streams repeat the same app/user feature strings): a
-// duplicate submission skips tokenize+project entirely. Sixteen shards
+// duplicate submission skips tokenizing and hashing entirely. Sixteen shards
 // each hold an independent LRU behind a private mutex, so concurrent
 // Classify batches on different keys almost never contend on the same
 // lock, while the per-key routing stays stable (one key always lands in

@@ -1,9 +1,9 @@
 package encode
 
 import (
+	"math"
+	"math/bits"
 	"strings"
-
-	"mcbound/internal/linalg"
 )
 
 // Dim is the embedding dimensionality, matching the 384-dim output of the
@@ -81,60 +81,74 @@ func (e *HashingEmbedder) Embed(s string) []float32 {
 }
 
 // EmbedInto writes the embedding of s into dst (len(dst) must equal
-// Dim()); it avoids the per-call allocation on hot paths.
+// Dim()). Up to Dim dimensions it allocates nothing; a wider ablation
+// embedder pays its two scratch buffers per call.
+//
+// A field's tokens hit only a few dozen of the dim coordinates, so every
+// step after hashing visits just those: hashField marks each coordinate
+// it touches in a bitmap, and the field's norm, its weighted sum into
+// dst and the final normalisation walk the set bits. The result has the
+// bits of the dense definition — normalise each field over all dim
+// coordinates, add it with its weight, normalise the sum — because a
+// coordinate no token hit only ever contributes exact zeros: +0 to a
+// lane of the norm, 0·inv and w·0 to dst, and no step makes a -0. (A
+// field weight so small that a norm's inverse overflows float32 would
+// break this — the dense code turns 0·Inf into NaN; no weight in use
+// comes near it.)
 func (e *HashingEmbedder) EmbedInto(s string, dst []float32) {
 	if len(dst) != e.dim {
 		panic("encode: destination length mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	// Per-field scratch: on the stack at the served dimension, on the
-	// heap (lazily) for the wider ablation ones.
-	var stack [Dim]float32
+	clear(dst)
+	// Scratch — the field accumulator (all zero between fields) and two
+	// bitmaps, the field's and the union of all fields' — on the stack at
+	// the served dimension, on the heap for the wider ablation ones.
+	words := (e.dim + 63) / 64
+	var fieldStack [Dim]float32
+	var bitStack [2 * Dim / 64]uint64
 	var field []float32
+	var bitmaps []uint64
 	if e.dim <= Dim {
-		field = stack[:e.dim]
+		field, bitmaps = fieldStack[:e.dim], bitStack[:2*words]
+	} else {
+		field, bitmaps = make([]float32, e.dim), make([]uint64, 2*words)
 	}
+	touched, union := bitmaps[:words], bitmaps[words:]
 	fieldIdx := 0
 	rest := s
 	for {
 		cut := strings.IndexByte(rest, ',')
-		var f string
-		if cut < 0 {
-			f = rest
-		} else {
+		f := rest
+		if cut >= 0 {
 			f = rest[:cut]
 		}
-		// Single-field fast path: accumulate straight into dst.
-		acc := dst
-		if cut >= 0 || fieldIdx > 0 {
-			if field == nil {
-				field = make([]float32, e.dim)
-			}
-			for i := range field {
-				field[i] = 0
-			}
-			acc = field
+		if cut < 0 && fieldIdx == 0 {
+			// A single field is not normalised on its own: accumulate
+			// straight into dst.
+			e.hashField(f, 0, dst, union)
+			break
 		}
-		e.hashField(f, uint64(fieldIdx), acc)
-		if &acc[0] != &dst[0] {
-			linalg.Normalize(acc)
-			linalg.Axpy(e.fieldWeight(fieldIdx), acc, dst)
-		}
+		e.hashField(f, uint64(fieldIdx), field, touched)
+		addField(e.fieldWeight(fieldIdx), field, touched, dst, union)
 		if cut < 0 {
 			break
 		}
 		rest = rest[cut+1:]
 		fieldIdx++
 	}
-	linalg.Normalize(dst)
+	scaleToUnit(dst, union)
 }
 
-// hashField accumulates the signed token hashes of one field into acc.
-func (e *HashingEmbedder) hashField(f string, fieldIdx uint64, acc []float32) {
+// hashField accumulates the signed token hashes of one field into acc
+// and sets the bit of every coordinate it touches in mark.
+func (e *HashingEmbedder) hashField(f string, fieldIdx uint64, acc []float32, mark []uint64) {
 	salt := e.seed ^ mix64(fieldIdx+0x51ed2701)
-	tokenize(f, func(tok []byte, word bool) {
+	toks := tokenizer{s: f}
+	for {
+		tok, word, ok := toks.next()
+		if !ok {
+			return
+		}
 		w := e.triWeight
 		if word {
 			w = e.wordWeight
@@ -143,13 +157,89 @@ func (e *HashingEmbedder) hashField(f string, fieldIdx uint64, acc []float32) {
 		for k := 0; k < e.numHashes; k++ {
 			h = mix64(h + uint64(k)*0x9e3779b97f4a7c15)
 			idx := int(h % uint64(e.dim))
+			mark[idx>>6] |= 1 << (idx & 63)
 			if h&(1<<63) != 0 {
 				acc[idx] -= w
 			} else {
 				acc[idx] += w
 			}
 		}
-	})
+	}
+}
+
+// addField adds field, normalised and scaled by w, into dst at the
+// coordinates set in touched, and moves those bits into union. It leaves
+// field all zero and touched clear for the next field.
+func addField(w float32, field []float32, touched []uint64, dst []float32, union []uint64) {
+	// n == 0 means every touched coordinate is zero: adding w·0 to dst
+	// changes nothing, and the scratch is already clear.
+	if n := math.Sqrt(sumSquares(field, touched)); n != 0 {
+		inv := float32(1 / n)
+		for wi, word := range touched {
+			for ; word != 0; word &= word - 1 {
+				i := wi*64 + bits.TrailingZeros64(word)
+				v := field[i] * inv
+				dst[i] += w * v
+				field[i] = 0
+			}
+		}
+	}
+	for wi, word := range touched {
+		union[wi] |= word
+		touched[wi] = 0
+	}
+}
+
+// scaleToUnit is linalg.Normalize for a v that is zero outside mask.
+func scaleToUnit(v []float32, mask []uint64) {
+	n := math.Sqrt(sumSquares(v, mask))
+	if n == 0 {
+		return
+	}
+	inv := float32(1 / n)
+	for wi, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			v[wi*64+bits.TrailingZeros64(word)] *= inv
+		}
+	}
+}
+
+// sumSquares returns the bits of linalg.Dot(v, v) for a v that is zero
+// outside mask, reading only the coordinates set in mask. It keeps Dot's
+// four lanes — index i in lane i&3 up to the last multiple of four, the
+// tail after it in lane 0 — each summed in increasing index order, and
+// Dot's final s0+s1+s2+s3. A word's lane-k coordinates are its bits k,
+// k+4, k+8, …, so each lane is a mask of the word.
+func sumSquares(v []float32, mask []uint64) float64 {
+	const lane0 = 0x1111111111111111
+	var s0, s1, s2, s3 float64
+	body := len(v) &^ 3
+	for wi, word := range mask {
+		base := wi * 64
+		if base+64 > body {
+			word &= 1<<(body-base) - 1 // the tail is summed below
+		}
+		s0 = addSquares(s0, v, base, word&lane0)
+		s1 = addSquares(s1, v, base, word&(lane0<<1))
+		s2 = addSquares(s2, v, base, word&(lane0<<2))
+		s3 = addSquares(s3, v, base, word&(lane0<<3))
+	}
+	for i := body; i < len(v); i++ {
+		s0 += float64(v[i]) * float64(v[i])
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// addSquares adds v[base+j]² to s for each set bit j of word, in
+// increasing j.
+func addSquares(s float64, v []float32, base int, word uint64) float64 {
+	for ; word != 0; word &= word - 1 {
+		x := v[base+bits.TrailingZeros64(word)]
+		// The same expression as Dot's lane update: a GOARCH that fuses a
+		// multiply into the add it feeds (arm64) fuses both alike.
+		s += float64(x) * float64(x)
+	}
+	return s
 }
 
 func (e *HashingEmbedder) fieldWeight(i int) float32 {
@@ -159,37 +249,45 @@ func (e *HashingEmbedder) fieldWeight(i int) float32 {
 	return 1
 }
 
-// tokenize lowercases s, emits word tokens split at non-alphanumerics,
-// and emits character trigrams within each word (subword units). The
-// callback receives a transient byte slice that must not be retained.
-func tokenize(s string, emit func(tok []byte, word bool)) {
-	var buf [64]byte
-	word := buf[:0]
-	flush := func() {
-		if len(word) == 0 {
-			return
-		}
-		emit(word, true)
-		for i := 0; i+3 <= len(word); i++ {
-			emit(word[i:i+3], false)
-		}
-		word = word[:0]
+// tokenizer lowercases s and yields its word tokens, split at
+// non-alphanumerics, each followed by the character trigrams within it
+// (subword units). A word keeps its first 64 bytes. It is a value the
+// caller steps with next, so its word buffer lives in the caller's
+// frame.
+type tokenizer struct {
+	s   string
+	pos int // next byte of s to scan
+	buf [64]byte
+	n   int // length of the current word in buf
+	tri int // start of the current word's next trigram
+}
+
+// next returns the next token and whether it is a word (rather than a
+// trigram), or ok == false when s is exhausted. The token aliases the
+// tokenizer's buffer and is valid until the following call.
+func (t *tokenizer) next() (tok []byte, word, ok bool) {
+	if t.tri+3 <= t.n {
+		t.tri++
+		return t.buf[t.tri-1 : t.tri+2], false, true
 	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	t.n, t.tri = 0, 0
+	for t.pos < len(t.s) {
+		c := t.s[t.pos]
+		t.pos++
 		switch {
 		case c >= 'A' && c <= 'Z':
 			c += 'a' - 'A'
 			fallthrough
 		case c >= 'a' && c <= 'z' || c >= '0' && c <= '9':
-			if len(word) < cap(word) {
-				word = append(word, c)
+			if t.n < len(t.buf) {
+				t.buf[t.n] = c
+				t.n++
 			}
-		default:
-			flush()
+		case t.n > 0: // a separator ends the word
+			return t.buf[:t.n], true, true
 		}
 	}
-	flush()
+	return t.buf[:t.n], true, t.n > 0
 }
 
 // fnv1a hashes b with a seed folded into the FNV offset basis.

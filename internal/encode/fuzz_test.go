@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzTokenize asserts the subword tokenizer's contract on arbitrary
-// input: it never panics, and every emitted token is a non-empty
-// lowercase-alphanumeric byte string, with non-word tokens being exactly
-// the character trigrams of a word.
+// input: it never panics, every token is a non-empty
+// lowercase-alphanumeric byte string, non-word tokens are exactly the
+// character trigrams of a word, and the sequence is the one the
+// callback tokenizer of the dense reference (embed_ref_test.go) emits.
 func FuzzTokenize(f *testing.F) {
 	f.Add("usr01,job_name,48,1,gcc/12.2,2000MHz")
 	f.Add("")
@@ -19,7 +20,15 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("日本語テキストと emoji 🎉 mixed")
 	f.Add(string([]byte{0x00, 0xff, 0xfe, ',', 'a'}))
 	f.Fuzz(func(t *testing.T, s string) {
-		tokenize(s, func(tok []byte, word bool) {
+		type token struct {
+			text string
+			word bool
+		}
+		var want []token
+		refTokenize(s, func(tok []byte, word bool) { want = append(want, token{string(tok), word}) })
+		toks := tokenizer{s: s}
+		n := 0
+		for tok, word, ok := toks.next(); ok; tok, word, ok = toks.next() {
 			if len(tok) == 0 {
 				t.Fatalf("empty token from %q", s)
 			}
@@ -31,7 +40,14 @@ func FuzzTokenize(f *testing.F) {
 					t.Fatalf("token byte %q not lowercase alphanumeric (input %q)", c, s)
 				}
 			}
-		})
+			if n >= len(want) || want[n] != (token{string(tok), word}) {
+				t.Fatalf("token %d of %q is %q (word %v); the reference tokenizer gives %v", n, s, tok, word, want)
+			}
+			n++
+		}
+		if n != len(want) {
+			t.Fatalf("%q gives %d tokens, the reference tokenizer %d", s, n, len(want))
+		}
 	})
 }
 
@@ -66,6 +82,25 @@ func FuzzEmbed(f *testing.F) {
 			if v[i] != w[i] {
 				t.Fatalf("Embed(%q) not deterministic at dim %d: %g vs %g", s, i, v[i], w[i])
 			}
+		}
+	})
+}
+
+// FuzzEmbedMatchesReference holds EmbedInto to the dense reference
+// refEmbedInto bit for bit on arbitrary input, at any width from 1 to
+// 1024 and under each weight set of refWeightSets, and sumSquares to
+// linalg.Dot on the result (see compareWithReference).
+func FuzzEmbedMatchesReference(f *testing.F) {
+	f.Add("usr01,job_name,48,1,gcc/12.2,2000MHz", uint16(Dim-1), uint8(1))
+	f.Add("", uint16(0), uint8(0))
+	f.Add(",,,,a,,", uint16(64), uint8(3))
+	f.Add("u0392,qmc_scan_77~u12,12288,256,fuji/4.8.1,2200MHz", uint16(767), uint8(2))
+	f.Add(string([]byte{0xc3, 0x28, ',', 0x00, 'Z'}), uint16(4), uint8(1))
+	f.Fuzz(func(t *testing.T, s string, width uint16, weightSet uint8) {
+		e := NewHashingEmbedderDim(1 + int(width)%1024)
+		e.FieldWeights = refWeightSets[int(weightSet)%len(refWeightSets)]
+		if msg := compareWithReference(e, s); msg != "" {
+			t.Fatalf("dim %d, weights %v: %s", e.Dim(), e.FieldWeights, msg)
 		}
 	})
 }
