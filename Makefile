@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt clock-lint wiring-lint peer-lint purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all
+.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all
 
 all: check
 
@@ -42,56 +42,6 @@ cross:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
-	fi
-
-# One clock: outside internal/clock, non-test Go keeps time through
-# clock.Clock — it declares no `func() time.Time` seam of its own and
-# arms no timer of package time (NewTimer, NewTicker, After, AfterFunc,
-# Sleep), or its schedule is out of a test's (and item 1's simulator's)
-# hands. Reading time.Now()/time.Since() to measure how long something
-# took is not scheduling and is not linted. The one exception, matched
-# by file and text so a second call beside it still fails:
-#   - router.attemptRead's time.AfterFunc hedge: PR 16's measured hot
-#     path, armed on every routed read and left exactly as it was
-#     measured (router.try's time.Now/time.Since is elapsed time).
-# benchmark/ is its own module, outside the root and not scanned.
-CLOCK_LINT_ALLOW = ^internal/router/router\.go:[0-9]+:.*time\.AfterFunc\(hedgeAfter, race\.run\)
-
-clock-lint:
-	@out=$$(grep -rnE 'func\(\) time\.Time|time\.(NewTimer|NewTicker|After|AfterFunc|Sleep)\(' \
-		--include='*.go' --exclude='*_test.go' --exclude-dir=clock internal cmd examples \
-		| grep -vE '$(CLOCK_LINT_ALLOW)'); \
-	if [ -n "$$out" ]; then \
-		echo "clock-lint: keep time through internal/clock (see the Makefile comment):"; echo "$$out"; exit 1; \
-	fi
-
-# One assembly: a binary or an example builds a node through
-# internal/node (Config → Open → Handler/Run/Close) and wires none of
-# its layers by hand, or the order of the steps (DESIGN.md §8.10) forks
-# again. Tests and benchmark/ (its own module, moving onto node.Open in
-# a benchmark PR) are not scanned.
-wiring-lint:
-	@out=$$(grep -rnE '(httpapi\.New|election\.New|repl\.NewFollower|repl\.NewClient|store\.OpenDurable|admission\.NewController)\(' \
-		--include='*.go' --exclude='*_test.go' cmd examples); \
-	if [ -n "$$out" ]; then \
-		echo "wiring-lint: assemble nodes through internal/node (see the Makefile comment):"; echo "$$out"; exit 1; \
-	fi
-
-# One peer client: a request one MCBound process originates at another
-# is built, bounded and classified in internal/peer, or what a status
-# and the {error, code} envelope mean, and how much of a body is read,
-# forks again. Outside it, non-test Go builds no request (NewRequest,
-# NewRequestWithContext) and uses none of the shortcuts that build one —
-# the package-level http.Get/Post/PostForm/Head and the same methods on a
-# client, matched by the names this repo gives a *http.Client (hc,
-# client, Client, HTTP). Sending a request someone else built is not
-# originating one: the router's proxy path hands the caller's request,
-# cloned, to hc.Do and is not matched.
-peer-lint:
-	@out=$$(grep -rnE 'http\.(NewRequest|NewRequestWithContext|Get|Post|PostForm|Head)\(|\b(hc|[cC]lient|HTTP)\.(Get|Post|PostForm|Head)\(' \
-		--include='*.go' --exclude='*_test.go' --exclude-dir=peer internal cmd examples); \
-	if [ -n "$$out" ]; then \
-		echo "peer-lint: originate process-to-process requests through internal/peer (see the Makefile comment):"; echo "$$out"; exit 1; \
 	fi
 
 # Fault-injection suite: replays a deployed core.Framework — the served
@@ -194,12 +144,13 @@ eval-golden:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt clock-lint wiring-lint peer-lint purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate eval-golden bench-smoke
+check: build vet fmt purego cross race chaos chaos-repl chaos-elect chaos-router stress crash fuzz replay-e2e recall-gate eval-golden bench-smoke
 
 # Non-test Go outside the benchmark module: the number ROADMAP's
-# consolidation item is judged by.
+# consolidation item is judged by. Go files under testdata/ are test
+# fixtures the go tool never builds (internal/arch's planted violations).
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # The repo benchmark's three contract workloads (BENCHMARK.json), one
 # 25 s run each, untraced; see benchmark/README.md for the output shape.

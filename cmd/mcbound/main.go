@@ -117,7 +117,7 @@ func bindServer(fs *flag.FlagSet) (server *string, timeout *time.Duration) {
 func train(fs *flag.FlagSet) func(io.Writer) error {
 	var (
 		server, timeout = bindServer(fs)
-		now             = fs.String("now", "", "training reference instant (RFC 3339); empty = server wall clock")
+		now             = fs.String("now", "", "training reference instant (RFC 3339); empty = the server's newest job completion, where its boot train and retrain cron train")
 		index           = fs.String("index", "", "override the KNN IVF index mode for this and future trains: auto, on, off (empty = leave server config)")
 		nprobe          = fs.Int("nprobe", 0, "IVF cells scanned per query; also applied to the live model (0 = leave)")
 	)

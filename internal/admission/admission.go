@@ -132,10 +132,6 @@ type Config struct {
 	// Clock is the time source, injectable for tests. Default the wall
 	// clock.
 	Clock clock.Clock
-
-	// Seed feeds the stats.RNG behind the p95 window's latency
-	// reservoir, keeping replays deterministic. Default 1.
-	Seed uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -150,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall{}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -206,7 +199,7 @@ func NewController(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:   cfg,
-		lim:   newLimiter(cfg),
+		lim:   newLimiter(),
 		clock: cfg.Clock,
 	}
 	if cfg.RateLimit > 0 {

@@ -2,34 +2,31 @@ package admission
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mcbound/internal/telemetry"
 )
 
 const (
 	// p95Window is how many completed requests one p95 estimate spans.
 	p95Window = 64
-	// reservoirCap bounds the window's latency sample.
-	reservoirCap = 128
+	// p95Rank is the p95's index in a sorted window (nearest rank).
+	p95Rank = (p95Window - 1) * 95 / 100
 )
 
 // Limiter estimates the p95 service time that doomed-request shedding
 // holds a request's remaining deadline against: completed requests'
-// service times are reservoir-sampled into a window of p95Window, and
-// each full window publishes its p95 and starts the next. The reservoir
-// is seeded (Config.Seed), so a replayed schedule sheds identically run
-// to run.
+// service times fill a window of p95Window, and each full window is
+// sorted, publishes its p95 and starts the next.
 type Limiter struct {
 	mu      sync.Mutex
-	window  *telemetry.Reservoir // service times of the current window (seconds)
-	p95bits atomic.Uint64        // p95 of the last full window (seconds, float bits)
+	window  []float64     // service times of the current window (seconds)
+	p95bits atomic.Uint64 // p95 of the last full window (seconds, float bits)
 }
 
-func newLimiter(cfg Config) *Limiter {
-	return &Limiter{window: telemetry.NewReservoir(reservoirCap, cfg.Seed)}
+func newLimiter() *Limiter {
+	return &Limiter{window: make([]float64, 0, p95Window)}
 }
 
 // P95 returns the p95 service time of the last full window; 0 until the
@@ -48,11 +45,11 @@ func (l *Limiter) Observe(service time.Duration) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.window.Observe(s)
-	if l.window.Count() < p95Window {
+	l.window = append(l.window, s)
+	if len(l.window) < p95Window {
 		return
 	}
-	p95, _ := l.window.Quantile(0.95)
-	l.p95bits.Store(math.Float64bits(p95))
-	l.window.Reset()
+	sort.Float64s(l.window)
+	l.p95bits.Store(math.Float64bits(l.window[p95Rank]))
+	l.window = l.window[:0]
 }

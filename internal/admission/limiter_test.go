@@ -11,7 +11,7 @@ import (
 )
 
 func TestLimiterP95ColdThenWarm(t *testing.T) {
-	l := newLimiter(DefaultConfig())
+	l := newLimiter()
 	for i := 0; i < p95Window-1; i++ {
 		l.Observe(10 * time.Millisecond)
 	}
@@ -26,7 +26,7 @@ func TestLimiterP95ColdThenWarm(t *testing.T) {
 }
 
 func TestLimiterRejectsPathologicalSamples(t *testing.T) {
-	l := newLimiter(DefaultConfig())
+	l := newLimiter()
 	l.Observe(-time.Second)
 	l.Observe(time.Duration(math.MaxInt64))
 	for _, s := range []float64{math.NaN(), math.Inf(1)} {
@@ -34,7 +34,7 @@ func TestLimiterRejectsPathologicalSamples(t *testing.T) {
 	}
 	// The longest Duration is absurd but finite and counts; the negative
 	// and non-finite ones do not.
-	if n := l.window.Count(); n != 1 {
+	if n := len(l.window); n != 1 {
 		t.Fatalf("window holds %d samples, want 1", n)
 	}
 	if got := l.P95(); got != 0 {
@@ -44,7 +44,7 @@ func TestLimiterRejectsPathologicalSamples(t *testing.T) {
 
 func TestLimiterDeterministicAcrossRuns(t *testing.T) {
 	run := func() time.Duration {
-		l := newLimiter(DefaultConfig())
+		l := newLimiter()
 		for i := 0; i < 1000; i++ {
 			l.Observe(time.Duration(1+i%17) * time.Millisecond)
 		}
@@ -55,11 +55,9 @@ func TestLimiterDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// refLimiter is the p95 window without telemetry.Reservoir: a private
-// window, copied and sorted once it is full. A window of p95Window never
-// fills the reservoir's reservoirCap slots, so no sample is ever
-// replaced and the reference needs no random draw. It is the reference
-// of TestLimiterMatchesWindowedReference.
+// refLimiter is the p95 window as a private window, copied and sorted
+// once it is full. It is the reference of
+// TestLimiterMatchesWindowedReference.
 type refLimiter struct {
 	window []float64
 	p95    float64
@@ -84,16 +82,13 @@ func (l *refLimiter) Observe(service time.Duration) {
 	l.window = l.window[:0]
 }
 
-// The p95 window on the shared reservoir must be the reference, step
-// for step: the same p95 after every one of 200 000 seeded observations per
-// seed — rejected samples mixed in, and congestion episodes that move
-// the p95 both ways.
+// The p95 window must be the reference, step for step: the same p95
+// after every one of 200 000 seeded observations per seed — rejected
+// samples mixed in, and congestion episodes that move the p95 both ways.
 func TestLimiterMatchesWindowedReference(t *testing.T) {
 	const steps = 200_000
 	for seed := uint64(1); seed <= 21; seed++ {
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		got, want := newLimiter(cfg), new(refLimiter)
+		got, want := newLimiter(), new(refLimiter)
 		in := stats.NewRNG(seed * 7919)
 		windows := 0
 		for i := 0; i < steps; i++ {

@@ -301,7 +301,8 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 
 type trainRequest struct {
 	// Now is the reference instant for the α-day window; empty means
-	// the current wall-clock time.
+	// the store's TrainInstant, the instant the node's boot train and
+	// retrain cron use.
 	Now string `json:"now,omitempty"`
 	// Index overrides the KNN index mode ("auto", "on", "off") for this
 	// and future trains; empty leaves the deployment config.
@@ -317,8 +318,10 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	now := time.Now().UTC()
-	if req.Now != "" {
+	var now time.Time
+	if req.Now == "" {
+		now = s.store.TrainInstant(time.Now().UTC())
+	} else {
 		t, err := time.Parse(time.RFC3339, req.Now)
 		if err != nil {
 			s.writeError(w, badRequest(fmt.Errorf("bad now: %w", err)))

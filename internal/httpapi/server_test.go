@@ -447,22 +447,38 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
-func TestTrainEmptyBodyUsesWallClock(t *testing.T) {
-	srv, _ := testServer(t)
-	// An empty body means "train as of now"; the trace ends in January
-	// 2024, so the wall-clock window is empty and the server reports a
-	// clean 500 with the error envelope rather than crashing.
-	resp, err := http.Post(srv.URL+"/v1/train", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+// A train that names no instant — an empty body or one without "now" —
+// trains where a node's boot train and retrain cron do: at the newest
+// completion in the store, so on a trace-served node it fits the boot
+// train's window rather than the wall clock's empty one.
+func TestTrainWithoutNowUsesTheBootInstant(t *testing.T) {
+	srv, st := testServer(t)
+	var newest time.Time
+	for _, j := range st.All() {
+		if j.EndTime.After(newest) {
+			newest = j.EndTime
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("status %d, want 500 for an empty window", resp.StatusCode)
-	}
-	var e peer.ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" || e.Code != "internal" {
-		t.Errorf("error envelope wrong: %v, %+v", err, e)
+	for _, body := range []string{"", "{}"} {
+		resp, err := http.Post(srv.URL+"/v1/train", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			WindowStart time.Time `json:"window_start"`
+			WindowEnd   time.Time `json:"window_end"`
+			FittedJobs  int       `json:"fitted_jobs"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("body %q: status %d (%v), want 200", body, resp.StatusCode, err)
+		}
+		start := newest.AddDate(0, 0, -core.DefaultConfig().Alpha)
+		if !rep.WindowEnd.Equal(newest) || !rep.WindowStart.Equal(start) || rep.FittedJobs == 0 {
+			t.Errorf("body %q: window [%v, %v) with %d fitted jobs, want [%v, %v) and a fit",
+				body, rep.WindowStart, rep.WindowEnd, rep.FittedJobs, start, newest)
+		}
 	}
 }
 

@@ -365,7 +365,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	// Initial Training Workflow (the deploy script of §III-E). On failure
 	// the node comes up degraded — the restored model if one loaded, 503
 	// on /healthz otherwise — and the cron keeps trying.
-	rep, trainErr := n.fw.Train(ctx, n.trainInstant())
+	rep, trainErr := n.fw.Train(ctx, n.Store.TrainInstant(n.clock.Now().UTC()))
 	if trainErr != nil {
 		logf("warning: initial training failed, serving degraded: %v", trainErr)
 	} else {
@@ -416,7 +416,7 @@ func (n *Node) retrain(ctx context.Context) {
 		n.log.Printf("cron retraining not admitted: %v", err)
 		return
 	}
-	rep, err := n.fw.Train(ctx, n.trainInstant())
+	rep, err := n.fw.Train(ctx, n.Store.TrainInstant(n.clock.Now().UTC()))
 	tk.Release()
 	n.api.ObserveTrain(rep, err)
 	if err != nil {
@@ -426,21 +426,6 @@ func (n *Node) retrain(ctx context.Context) {
 	n.log.Printf("cron retraining: window [%s, %s), %d labeled jobs, %d fitted, version %d",
 		rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
 		rep.LabeledJobs, rep.FittedJobs, rep.ModelVersion)
-}
-
-// trainInstant is the newest job completion in the store, or now while
-// the store holds none.
-func (n *Node) trainInstant() time.Time {
-	newest := time.Time{}
-	for _, j := range n.Store.All() {
-		if j.EndTime.After(newest) {
-			newest = j.EndTime
-		}
-	}
-	if newest.IsZero() {
-		return n.clock.Now().UTC()
-	}
-	return newest
 }
 
 // Handler is the node's HTTP API.

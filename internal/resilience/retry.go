@@ -19,18 +19,12 @@ type Policy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff; 0 means no cap.
+	// MaxDelay caps the backoff, which doubles after every attempt; 0
+	// means no cap.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts; values below 1
-	// behave as 2 (plain exponential doubling).
-	Multiplier float64
 	// Jitter spreads each delay uniformly over [d·(1−J), d·(1+J)] to
 	// decorrelate retry storms; 0 disables, values are clamped to [0, 1].
 	Jitter float64
-	// AttemptTimeout bounds each individual attempt with its own
-	// context deadline; 0 means attempts run under the caller's context
-	// alone.
-	AttemptTimeout time.Duration
 }
 
 // DefaultPolicy returns the fetch-layer defaults: 4 attempts, 50 ms
@@ -40,7 +34,6 @@ func DefaultPolicy() Policy {
 		MaxAttempts: 4,
 		BaseDelay:   50 * time.Millisecond,
 		MaxDelay:    2 * time.Second,
-		Multiplier:  2,
 		Jitter:      0.2,
 	}
 }
@@ -71,9 +64,6 @@ func NewRetrier(pol Policy, seed uint64) *Retrier {
 	if pol.MaxAttempts < 1 {
 		pol.MaxAttempts = 1
 	}
-	if pol.Multiplier < 1 {
-		pol.Multiplier = 2
-	}
 	pol.Jitter = math.Max(0, math.Min(1, pol.Jitter))
 	return &Retrier{pol: pol, rng: stats.NewRNG(seed), clock: clock.Wall{}}
 }
@@ -96,7 +86,7 @@ func (r *Retrier) WithBudget(b *Budget) *Retrier {
 func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context) error) error {
 	var err error
 	for attempt := 1; ; attempt++ {
-		err = r.attempt(ctx, op)
+		err = op(ctx)
 		if hook := r.OnAttempt; hook != nil {
 			hook(attempt, err)
 		}
@@ -143,19 +133,9 @@ func Do[T any](ctx context.Context, r *Retrier, op func(ctx context.Context) (T,
 	return out, err
 }
 
-// attempt runs op once under the per-attempt timeout, if any.
-func (r *Retrier) attempt(ctx context.Context, op func(ctx context.Context) error) error {
-	if r.pol.AttemptTimeout <= 0 {
-		return op(ctx)
-	}
-	actx, cancel := context.WithTimeout(ctx, r.pol.AttemptTimeout)
-	defer cancel()
-	return op(actx)
-}
-
 // delay computes the jittered backoff after the given 1-based attempt.
 func (r *Retrier) delay(attempt int) time.Duration {
-	d := float64(r.pol.BaseDelay) * math.Pow(r.pol.Multiplier, float64(attempt-1))
+	d := math.Ldexp(float64(r.pol.BaseDelay), attempt-1)
 	if r.pol.MaxDelay > 0 {
 		d = math.Min(d, float64(r.pol.MaxDelay))
 	}

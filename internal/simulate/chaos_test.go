@@ -73,7 +73,6 @@ func chaosChain(st *store.Store, seed uint64) (*chaos.Backend, *fetch.ResilientB
 			MaxAttempts: 6,
 			BaseDelay:   time.Microsecond,
 			MaxDelay:    10 * time.Microsecond,
-			Multiplier:  2,
 			Jitter:      0.2,
 		},
 		Breaker: resilience.BreakerConfig{FailureThreshold: 1000, Cooldown: time.Millisecond},

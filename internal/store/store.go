@@ -222,6 +222,18 @@ func (s *Store) ExecutedBetween(start, end time.Time) []*job.Job {
 	return out
 }
 
+// TrainInstant is the reference instant of every Training Workflow
+// trigger that names none — a node's boot train, its retrain cron and
+// POST /v1/train without "now": the newest completion in the store, or
+// now while the store holds no completed job.
+func (s *Store) TrainInstant(now time.Time) time.Time {
+	idx := s.executedIndex()
+	if len(idx) == 0 {
+		return now
+	}
+	return idx[len(idx)-1].EndTime
+}
+
 // SubmittedBetween returns all jobs whose SubmitTime lies in [start, end),
 // ordered by submission time. The Inference Workflow uses it to collect
 // the jobs accumulated since its last trigger.

@@ -137,6 +137,30 @@ func TestSubmittedBetween(t *testing.T) {
 	}
 }
 
+// TrainInstant is the newest completion, whatever order the jobs
+// arrived in and however late they were submitted; now stands in only
+// while no job has completed.
+func TestTrainInstant(t *testing.T) {
+	s := New()
+	now := t0.AddDate(1, 0, 0)
+	if got := s.TrainInstant(now); !got.Equal(now) {
+		t.Fatalf("empty store: %v, want now %v", got, now)
+	}
+	if err := s.Insert(mkJob("running", t0.Add(time.Hour), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TrainInstant(now); !got.Equal(now) {
+		t.Fatalf("no completion: %v, want now %v", got, now)
+	}
+	long, short := mkJob("long", t0, 600), mkJob("short", t0.Add(2*time.Hour), 5)
+	if err := s.Insert(long, short); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TrainInstant(now); !got.Equal(long.EndTime) {
+		t.Fatalf("TrainInstant = %v, want the newest completion %v", got, long.EndTime)
+	}
+}
+
 func TestAllOrdering(t *testing.T) {
 	s := New()
 	// Same submit instant: order must fall back to ID for determinism.

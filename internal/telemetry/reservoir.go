@@ -105,17 +105,6 @@ func (r *Reservoir) Count() int64 {
 	return r.n
 }
 
-// Reset drops the sample and the count, starting a new window. The
-// random stream keeps its position, so a sequence of windows under one
-// seed is as reproducible as a single one.
-func (r *Reservoir) Reset() {
-	r.mu.Lock()
-	r.vals = r.vals[:0]
-	r.sorted = r.sorted[:0]
-	r.n = 0
-	r.mu.Unlock()
-}
-
 func minInt64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -92,43 +92,27 @@ func TestReservoirQuantileMatchesSortReference(t *testing.T) {
 	}
 }
 
-// Reset starts a new window on the same random stream: after it the
-// reservoir is empty, and a run of windows — shorter and longer than the
-// capacity — retains, slot for slot, what a plain algorithm R that is
-// cleared between windows but never reseeded retains, with the mirror
-// intact throughout.
-func TestReservoirReset(t *testing.T) {
+// The sample is, slot for slot, what a plain algorithm R on the same
+// random stream retains — below the capacity, at it, and far past it —
+// with the mirror intact throughout.
+func TestReservoirMatchesAlgorithmR(t *testing.T) {
 	const capacity = 32
 	r := NewReservoir(capacity, 9)
 	refRNG := stats.NewRNG(9)
 	in := stats.NewRNG(10)
-	step := 0
-	for _, window := range []int{5, 200, capacity, 1, capacity + 1, 3000, 40} {
-		var ref []float64
-		for n := 1; n <= window; n++ {
-			v := float64(in.Intn(50)) / 8
-			r.Observe(v)
-			if len(ref) < capacity {
-				ref = append(ref, v)
-			} else if j := refRNG.Intn(n); j < capacity {
-				ref[j] = v
-			}
-			checkMirror(t, r, step)
-			step++
+	var ref []float64
+	for n := 1; n <= 3000; n++ {
+		v := float64(in.Intn(50)) / 8
+		r.Observe(v)
+		if len(ref) < capacity {
+			ref = append(ref, v)
+		} else if j := refRNG.Intn(n); j < capacity {
+			ref[j] = v
 		}
-		if r.Count() != int64(window) {
-			t.Fatalf("window of %d: Count = %d", window, r.Count())
-		}
+		checkMirror(t, r, n)
 		if !slices.Equal(r.vals, ref) {
-			t.Fatalf("window of %d: sample %v, reference on the same stream %v", window, r.vals, ref)
+			t.Fatalf("step %d: sample %v, reference on the same stream %v", n, r.vals, ref)
 		}
-		r.Reset()
-		if _, ok := r.Quantile(0.5); ok || r.Count() != 0 {
-			t.Fatalf("after Reset: Count = %d, Quantile ok = %v; want 0, false", r.Count(), ok)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { r.Reset() }); n != 0 {
-		t.Fatalf("Reset allocates %v times a call, want 0", n)
 	}
 }
 
