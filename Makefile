@@ -26,17 +26,20 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The distance kernels of internal/linalg have an assembly backend on
-# amd64. `purego` runs the packages built on them with the Go reference
-# in its place (the same golden hashes must come out), and `cross`
-# builds everything for an architecture that has only the reference and
-# vets the package there, so neither fallback can rot unnoticed.
+# The distance kernels of internal/linalg and the forest walk of
+# internal/ml/rf have an assembly backend on amd64. `purego` runs the
+# packages built on them with the Go reference in its place (the same
+# golden hashes must come out, and the same models at every core
+# count), and `cross` builds everything for an architecture that has
+# only the reference and vets both packages there, so neither fallback
+# can rot unnoticed.
 purego:
 	$(GO) test -tags purego ./internal/linalg ./internal/ml/...
+	$(GO) test -tags purego -run '^TestModelsIndependentOfCores$$' ./internal/simulate
 
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/linalg
+	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/ml/rf
 
 # gofmt -l prints offending files; fail if any.
 fmt:

@@ -38,8 +38,8 @@ func TestEvalGolden(t *testing.T) {
 	}
 	// One core: `go test ./...` runs this package beside the wall-clock
 	// chaos and overload suites, and a minute of every core would starve
-	// their latency assertions. The replays are deterministic on any
-	// number of cores.
+	// their latency assertions. That the core count moves no model is
+	// simulate's TestModelsIndependentOfCores.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const seed = 7
 	env, err := NewEnv(workload.EvalConfig(0.02), seed)

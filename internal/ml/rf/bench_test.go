@@ -174,7 +174,7 @@ func servedData(n, dup, dim int, seed uint64) ([][]float32, []job.Label) {
 // walkTree takes q down the tree rooted at node i on the float
 // thresholds and returns its leaf's class and the splits crossed.
 func walkTree(c *Classifier, i int32, q []float32) (class, steps int) {
-	for c.nodes[i].feature >= 0 {
+	for c.nodes[i].right != i {
 		if q[c.nodes[i].feature] < c.nodes[i].threshold() {
 			i++
 		} else {
@@ -182,7 +182,7 @@ func walkTree(c *Classifier, i int32, q []float32) (class, steps int) {
 		}
 		steps++
 	}
-	return int(^c.nodes[i].feature), steps
+	return int(c.nodes[i].class()), steps
 }
 
 // walkedDepth is the mean number of splits a query crosses per tree.

@@ -48,8 +48,9 @@ type Classifier struct {
 	dim int
 	// The fitted forest is one contiguous array: tree t starts at
 	// nodes[roots[t]] and runs, in preorder (see node), to the next root
-	// or the end; right-child indices are absolute. Predict trusts every
-	// index in it; Train builds it and UnmarshalBinary validates it.
+	// or the end; right-child indices are absolute, and a split's is
+	// above its own. Predict trusts every index in it; Train builds it
+	// and UnmarshalBinary validates it.
 	nodes []node
 	roots []int32
 }
@@ -162,9 +163,7 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 		roots = append(roots, base)
 		nodes = append(nodes, t...)
 		for i := base; i < int32(len(nodes)); i++ {
-			if nodes[i].feature >= 0 {
-				nodes[i].right += base
-			}
+			nodes[i].right += base
 		}
 	}
 
@@ -181,9 +180,13 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 // lanes is how many trees a row walks in lockstep. One walk is a chain
 // of dependent loads — node, then the row's key for that node's
 // feature, then the next node — that the core cannot start early;
-// several chains side by side keep it busy while each waits. 4 lanes:
-// 13.0 µs / 6.3 ms; 8: 10.4 / 5.0; 12: 10.5 / 5.1; 16: 10.9 / 5.3 — at
-// eight the core runs out of issue slots, and more lanes only spill.
+// several chains side by side keep it busy while each waits. A step of
+// the amd64 kernel is six instructions on a chain of two loads, a
+// compare and a conditional move, ≈ 12 cycles from L1 and more from L2;
+// eight lanes are 48 instructions a turn, which a four-wide core issues
+// in about as long, and their eight indices, the two base pointers and
+// four scratch registers are all fourteen general registers a function
+// may use (DESIGN.md §8.1 has the lane sweep).
 //
 // rowBlock is how many rows are keyed together and then taken through
 // one group of trees back to back, so the group (≈ 180 KB) is fetched
@@ -287,16 +290,10 @@ func predictBlock(nodes []node, roots []int32, dim int, keys []int32, rows [][]f
 		for _, q := range active[:open] {
 			k := keys[int(q)*dim : (int(q)+1)*dim]
 			i := roots[t]
-			nd := &nodes[i]
-			for nd.feature >= 0 {
-				if k[nd.feature] < nd.key {
-					i++
-				} else {
-					i = nd.right
-				}
-				nd = &nodes[i]
+			for next := step(nodes, k, i); next != i; next = step(nodes, k, i) {
+				i = next
 			}
-			v := votes[q] + ^nd.feature
+			v := votes[q] + nodes[i].class()
 			votes[q] = v
 			if undecided(v, left, half) {
 				active[still] = q
@@ -319,56 +316,58 @@ func predictBlock(nodes []node, roots []int32, dim int, keys []int32, rows [][]f
 // trees to walk can still end on either side of half the forest.
 func undecided(v, left, half int32) bool { return v <= half && v+left > half }
 
-// walk8 takes one row down eight trees at once (it is written out for
+// walk8Go takes one row down eight trees at once (it is written out for
 // lanes = 8) and returns how many of them vote compute-bound. Every
-// turn of the loop moves every lane one level; a lane that has reached
-// its leaf stays on it, and the loop ends on the turn that finds all
-// eight on leaves.
-func walk8(nodes []node, keys []int32, roots *[lanes]int32) int32 {
+// turn moves every lane one step; a lane that has reached its leaf
+// stays on it, and every fourth turn asks whether any lane moved: a
+// split always moves a lane to a higher index, so a turn in which the
+// sum of the eight indices stands still found all eight on leaves.
+// The class count is the sum of the eight leaf keys: each is leafKey +
+// class, and eight leafKeys are −2³⁴, a multiple of 2³² that int32
+// arithmetic drops.
+//
+// It is the definition of walk8: the assembly kernel on amd64
+// (walk_amd64.s) takes the same steps in the same order, and every other
+// build calls this one.
+func walk8Go(nodes []node, keys []int32, roots *[lanes]int32) int32 {
 	i0, i1, i2, i3 := roots[0], roots[1], roots[2], roots[3]
 	i4, i5, i6, i7 := roots[4], roots[5], roots[6], roots[7]
 	for {
-		var f, leaves int32 // leaves stays negative while every lane read a leaf
-		i0, leaves = step(nodes, keys, i0)
-		i1, f = step(nodes, keys, i1)
-		leaves &= f
-		i2, f = step(nodes, keys, i2)
-		leaves &= f
-		i3, f = step(nodes, keys, i3)
-		leaves &= f
-		i4, f = step(nodes, keys, i4)
-		leaves &= f
-		i5, f = step(nodes, keys, i5)
-		leaves &= f
-		i6, f = step(nodes, keys, i6)
-		leaves &= f
-		i7, f = step(nodes, keys, i7)
-		leaves &= f
-		if leaves < 0 {
-			return ^nodes[i0].feature + ^nodes[i1].feature + ^nodes[i2].feature + ^nodes[i3].feature +
-				^nodes[i4].feature + ^nodes[i5].feature + ^nodes[i6].feature + ^nodes[i7].feature
+		for range 3 {
+			i0, i1, i2, i3 = step(nodes, keys, i0), step(nodes, keys, i1), step(nodes, keys, i2), step(nodes, keys, i3)
+			i4, i5, i6, i7 = step(nodes, keys, i4), step(nodes, keys, i5), step(nodes, keys, i6), step(nodes, keys, i7)
+		}
+		before := laneSum(i0, i1, i2, i3, i4, i5, i6, i7)
+		i0, i1, i2, i3 = step(nodes, keys, i0), step(nodes, keys, i1), step(nodes, keys, i2), step(nodes, keys, i3)
+		i4, i5, i6, i7 = step(nodes, keys, i4), step(nodes, keys, i5), step(nodes, keys, i6), step(nodes, keys, i7)
+		if laneSum(i0, i1, i2, i3, i4, i5, i6, i7) == before {
+			return nodes[i0].key + nodes[i1].key + nodes[i2].key + nodes[i3].key +
+				nodes[i4].key + nodes[i5].key + nodes[i6].key + nodes[i7].key
 		}
 	}
 }
 
-// step moves one lane from node i to the child the row's key selects,
-// or nowhere if i is a leaf, and returns the feature field it read
-// there. The choice is made by masks, not by a jump: which way a split
-// sends a row depends on the row — left and right are equally common
-// over the forest — and a mispredicted jump would throw away the other
-// seven lanes' work in flight with its own. The `if` below is a flag
-// materialised as 0 or 1 (SETGE), not a jump; a conditional move on i
-// itself would be shorter, but the compiler will not emit one whose
-// result is the address of the next load.
-func step(nodes []node, keys []int32, i int32) (next, feature int32) {
+// laneSum adds eight node indices without wrapping.
+func laneSum(i0, i1, i2, i3, i4, i5, i6, i7 int32) int64 {
+	return int64(i0) + int64(i1) + int64(i2) + int64(i3) + int64(i4) + int64(i5) + int64(i6) + int64(i7)
+}
+
+// step moves one lane from node i to the child the row's key selects;
+// a leaf selects itself. Which way a split sends a row depends on the
+// row — left and right are equally common over the forest — so the
+// choice must not be a jump, whose misprediction would throw away the
+// other seven lanes' work in flight with its own. A conditional move
+// is the short way, but the Go compiler will not emit one whose result
+// is the address of the next load (the amd64 kernel is assembly for
+// that reason); here the `if` is a flag materialised as 0 or 1 (SETGE)
+// and the right child is added under its mask.
+func step(nodes []node, keys []int32, i int32) int32 {
 	nd := &nodes[i]
-	f := nd.feature
-	inner := ^(f >> 31) // all ones on a split, zero on a leaf
 	var right int32
-	if keys[f&inner] >= nd.key {
+	if keys[nd.feature] >= nd.key {
 		right = 1
 	}
-	return i + (1+(nd.right-i-1)&-right)&inner, f
+	return i + 1 + (nd.right-i-1)&-right
 }
 
 // The MCBRF001 wire format: magic, dim and tree count as int64, then per
@@ -398,12 +397,12 @@ func (c *Classifier) MarshalBinary() ([]byte, error) {
 		buf = le.AppendUint64(buf, uint64(end-base))
 		for i := base; i < end; i++ {
 			nd := c.nodes[i]
-			feature, left, right, class := nd.feature, i+1-base, nd.right-base, int32(0)
-			if nd.feature < 0 {
-				feature, left, right, class = 0, -1, -1, ^nd.feature
+			feature, threshold, left, right, class := nd.feature, nd.threshold(), i+1-base, nd.right-base, int32(0)
+			if nd.right == i {
+				feature, threshold, left, right, class = 0, 0, -1, -1, nd.class()
 			}
 			buf = le.AppendUint32(buf, uint32(feature))
-			buf = le.AppendUint32(buf, math.Float32bits(nd.threshold()))
+			buf = le.AppendUint32(buf, math.Float32bits(threshold))
 			buf = le.AppendUint32(buf, uint32(left))
 			buf = le.AppendUint32(buf, uint32(right))
 			buf = append(buf, byte(class))
@@ -417,9 +416,12 @@ func (c *Classifier) MarshalBinary() ([]byte, error) {
 // here: split features inside [0, dim), no split threshold NaN (the
 // order keys hold against every threshold but that one), leaf classes
 // binary, and every tree a strict preorder layout (left child next,
-// right child where the left subtree ends, nothing unreachable) — a
-// corrupt file is rejected at load, never discovered as a panic, a spin
-// or a wrong turn on the serving path.
+// right child where the left subtree ends, nothing unreachable, so
+// every split's children lie above it and every walk ends) — a corrupt
+// file is rejected at load, never discovered as a panic, a spin or a
+// wrong turn on the serving path, where the amd64 kernel reads the
+// array without bounds checks. A leaf becomes a node pointing to
+// itself (see node).
 func (c *Classifier) UnmarshalBinary(b []byte) error {
 	le := binary.LittleEndian
 	if len(b) < len(marshalMagic)+16 || string(b[:len(marshalMagic)]) != marshalMagic {
@@ -483,7 +485,7 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 			if next != i+1 {
 				return fmt.Errorf("rf: tree %d node %d: leaf breaks preorder", t, i)
 			}
-			nodes = append(nodes, leafNode(int(class)))
+			nodes = append(nodes, leafNode(int(class), base+i))
 		}
 	}
 	c.mu.Lock()

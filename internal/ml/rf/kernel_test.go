@@ -32,18 +32,23 @@ type refForest struct {
 	trees [][]refNode
 }
 
+// refWalk is the class of the leaf tree t sends x to.
+func refWalk(t []refNode, x []float32) int8 {
+	i := int32(0)
+	for t[i].Left >= 0 {
+		if x[t[i].Feature] < t[i].Threshold {
+			i = t[i].Left
+		} else {
+			i = t[i].Right
+		}
+	}
+	return t[i].Class
+}
+
 func (f refForest) predict(x []float32) job.Label {
 	votes := [numClasses]int{}
 	for _, t := range f.trees {
-		i := int32(0)
-		for t[i].Left >= 0 {
-			if x[t[i].Feature] < t[i].Threshold {
-				i = t[i].Left
-			} else {
-				i = t[i].Right
-			}
-		}
-		votes[t[i].Class]++
+		votes[refWalk(t, x)]++
 	}
 	if votes[1] > votes[0] {
 		return job.ComputeBound
@@ -236,18 +241,90 @@ func saltedQueries(seed uint64, n, dim int) [][]float32 {
 	return x
 }
 
+// saltRows is one row of dim copies of every salt: whole rows of NaN,
+// ±Inf, ±0 and ±MaxFloat32, where every key sits at an end of the key
+// range or on one of its folds.
+func saltRows(dim int) [][]float32 {
+	x := make([][]float32, len(salts))
+	for i, v := range salts {
+		x[i] = make([]float32, dim)
+		for d := range x[i] {
+			x[i][d] = v
+		}
+	}
+	return x
+}
+
+// assertWalksAgree holds the two walk backends to each other and to the
+// reference walker, lane by lane: every tree of c is walked in each of
+// the eight lanes by walk8 (the assembly kernel on amd64) and by
+// walk8Go, the other seven lanes parked on a leaf, and the lane's vote
+// must be the reference walker's for that tree; then every full group
+// of eight trees must count the same votes on both.
+func assertWalksAgree(t *testing.T, c *Classifier, ref refForest, x [][]float32) {
+	t.Helper()
+	park := int32(-1)
+	for i, nd := range c.nodes {
+		if nd.right == int32(i) {
+			park = int32(i)
+			break
+		}
+	}
+	if park < 0 {
+		t.Fatal("a forest without a leaf")
+	}
+	keys := make([]int32, c.dim)
+	for q, row := range x {
+		for f, v := range row {
+			keys[f] = rowKey(v)
+		}
+		var group [lanes]int32
+		for l := range group {
+			group[l] = park
+		}
+		// Seven parked lanes vote what eight do, less one park vote.
+		parked := walk8Go(c.nodes, keys, &group) - c.nodes[park].class()
+		for tr, root := range c.roots {
+			want := int32(refWalk(ref.trees[tr], row))
+			for l := range group {
+				group[l] = root
+				asm, gen := walk8(c.nodes, keys, &group)-parked, walk8Go(c.nodes, keys, &group)-parked
+				group[l] = park
+				if asm != want || gen != want {
+					t.Fatalf("row %d, tree %d in lane %d: walk8 %d, walk8Go %d, reference %d", q, tr, l, asm, gen, want)
+				}
+			}
+		}
+		for tr := 0; tr+lanes <= len(c.roots); tr += lanes {
+			g := (*[lanes]int32)(c.roots[tr:])
+			if asm, gen := walk8(c.nodes, keys, g), walk8Go(c.nodes, keys, g); asm != gen {
+				t.Fatalf("row %d, trees %d–%d: walk8 counts %d votes, walk8Go %d", q, tr, tr+lanes-1, asm, gen)
+			}
+		}
+	}
+}
+
 // TestKernelMatchesReferenceOnSaltedInputs: the order keys send every
-// row where the float compare sends it. Tree counts on both sides of a
-// lane group (and one that is all leftover), trees that are a lone
-// leaf next to trees at the depth cap so that lanes of one group finish
-// far apart, batches on both sides of one and two row blocks.
+// row where the float compare sends it, and the two walk backends agree
+// where the assembly one trusts its input most. Every tree count from 1
+// to 17 (no group, one and two, with every leftover count) and 100;
+// trees whose root is a leaf; 40-deep chains, and lone leaves beside
+// them so that lanes of one group finish far apart; a dim-1 forest,
+// whose leaves read the only key there is; batches on both sides of
+// one and two row blocks; and rows that are one salt throughout, on
+// which the walks are also compared lane by lane (assertWalksAgree).
 func TestKernelMatchesReferenceOnSaltedInputs(t *testing.T) {
 	const dim = 6
-	for _, ntrees := range []int{1, 7, 8, 9, 100} {
+	counts := []int{100}
+	for n := 1; n <= 17; n++ {
+		counts = append(counts, n)
+	}
+	for _, ntrees := range counts {
 		forests := map[string]refForest{
 			"root is a leaf": saltedRef(uint64(ntrees), dim, ntrees, 0, "bushy", saltedThresholds),
 			"bushy":          saltedRef(uint64(ntrees)+1, dim, ntrees, 7, "bushy", saltedThresholds),
 			"depth 40":       saltedRef(uint64(ntrees)+2, dim, ntrees, 40, "chain", saltedThresholds),
+			"dim 1":          saltedRef(uint64(ntrees)+4, 1, ntrees, 9, "bushy", saltedThresholds),
 		}
 		mixed := saltedRef(uint64(ntrees)+3, dim, ntrees, 40, "chain", saltedThresholds)
 		for i := range mixed.trees {
@@ -258,13 +335,13 @@ func TestKernelMatchesReferenceOnSaltedInputs(t *testing.T) {
 		forests["leaves beside depth 40"] = mixed
 		for name, ref := range forests {
 			t.Run(fmt.Sprintf("%s/trees=%d", name, ntrees), func(t *testing.T) {
-				c := New(DefaultConfig())
-				if err := c.UnmarshalBinary(ref.marshal()); err != nil {
-					t.Fatal(err)
-				}
+				c := loadRef(t, ref)
 				for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1000} {
-					assertMatchesRef(t, fmt.Sprintf("%d rows", n), c, ref, saltedQueries(uint64(n), n, dim))
+					assertMatchesRef(t, fmt.Sprintf("%d rows", n), c, ref, saltedQueries(uint64(n), n, ref.dim))
 				}
+				x := append(saltRows(ref.dim), saltedQueries(uint64(ntrees), 20, ref.dim)...)
+				assertMatchesRef(t, "rows of one salt", c, ref, x)
+				assertWalksAgree(t, c, ref, x)
 			})
 		}
 	}
@@ -315,8 +392,8 @@ func TestLoneRowKeysStayOnTheStack(t *testing.T) {
 }
 
 // TestTrainedForestMatchesReferenceWalker closes the loop over Train:
-// what a fitted forest marshals, walked by the reference, is what its
-// own kernel predicts.
+// the forest it builds is one the kernel may trust, and what it
+// marshals, walked by the reference, is what its own kernel predicts.
 func TestTrainedForestMatchesReferenceWalker(t *testing.T) {
 	rng := stats.NewRNG(8)
 	x, y := xorData(500, rng)
@@ -327,6 +404,7 @@ func TestTrainedForestMatchesReferenceWalker(t *testing.T) {
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
+	assertKernelSafe(t, c)
 	blob, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -598,10 +676,44 @@ func TestUnmarshalRejectsInvalidForest(t *testing.T) {
 	}
 }
 
+// assertKernelSafe checks, node by node, everything the amd64 kernel
+// reads without a bounds check: the roots ascend from 0 and cut the
+// array into non-empty trees; in each tree a leaf points to itself with
+// feature 0 and a leaf key, and a split has a feature inside [0, dim), a
+// key above both leaf keys and a right child above itself inside its
+// tree — so every step stays in its tree and every walk ends.
+func assertKernelSafe(t *testing.T, c *Classifier) {
+	t.Helper()
+	if len(c.roots) == 0 || c.roots[0] != 0 {
+		t.Fatalf("roots %v do not start the array", c.roots)
+	}
+	for tr, base := range c.roots {
+		end := int32(len(c.nodes))
+		if tr+1 < len(c.roots) {
+			end = c.roots[tr+1]
+		}
+		if end <= base {
+			t.Fatalf("tree %d: nodes [%d, %d)", tr, base, end)
+		}
+		for i := base; i < end; i++ {
+			nd := c.nodes[i]
+			if nd.right == i {
+				if nd.feature != 0 || (nd.key != leafKey && nd.key != leafKey+1) {
+					t.Fatalf("tree %d: leaf %d is %+v", tr, i, nd)
+				}
+			} else if nd.right <= i || nd.right >= end || nd.feature < 0 || int(nd.feature) >= c.dim || nd.key <= leafKey+1 {
+				t.Fatalf("tree %d [%d, %d): split %d is %+v", tr, base, end, i, nd)
+			}
+		}
+	}
+}
+
 // FuzzForestModel: whatever bytes arrive, UnmarshalBinary either rejects
 // them or yields a forest Predict can walk — a corrupt model file must
-// fail at load, never panic or spin on the serving path — and a forest
-// that loads survives a marshal round trip unchanged.
+// fail at load, never panic or spin on the serving path, and never
+// reach the kernel with an index it would follow out of its tree
+// (assertKernelSafe) — and a forest that loads survives a marshal round
+// trip unchanged.
 func FuzzForestModel(f *testing.F) {
 	valid, err := os.ReadFile("testdata/parent_pr12.mcbrf")
 	if err != nil {
@@ -630,6 +742,7 @@ func FuzzForestModel(f *testing.F) {
 		if c.dim > 1<<16 {
 			t.Skip("valid, but a zero query this wide is not worth allocating")
 		}
+		assertKernelSafe(t, c)
 		zero := [][]float32{make([]float32, c.dim)}
 		want, err := c.Predict(zero)
 		if err != nil {
@@ -649,10 +762,11 @@ func FuzzForestModel(f *testing.F) {
 	})
 }
 
-// FuzzPredictMatchesReference: whatever forest shape, thresholds and
-// row values the fuzzer finds — the two byte strings are read as raw
+// FuzzPredictMatchesReference: whatever forest shape, width, thresholds
+// and row values the fuzzer finds — the two byte strings are read as raw
 // float32 bit patterns, so every NaN payload, denormal and signed zero
-// is within reach — Predict answers as the reference walker does.
+// is within reach — Predict answers as the reference walker does, and
+// the two walk backends agree lane by lane (assertWalksAgree).
 func FuzzPredictMatchesReference(f *testing.F) {
 	le := binary.LittleEndian
 	floats := func(vs ...float32) []byte {
@@ -662,18 +776,36 @@ func FuzzPredictMatchesReference(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(uint64(1), uint8(9), uint8(5), false, floats(saltedThresholds...), floats(salts...))
-	f.Add(uint64(2), uint8(100), uint8(40), true, floats(0, float32(math.Copysign(0, -1))), floats(salts...))
-	f.Add(uint64(3), uint8(8), uint8(0), false, []byte{}, floats(0.3, 0.6, negNaN))
-	f.Add(uint64(4), uint8(17), uint8(12), true, floats(math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32), []byte{1, 0, 0, 0, 1, 0, 0, 128})
+	// dim is 1 + the second argument mod 8: 3 is the width of four.
+	f.Add(uint64(1), uint8(3), uint8(9), uint8(5), false, floats(saltedThresholds...), floats(salts...))
+	f.Add(uint64(2), uint8(3), uint8(100), uint8(40), true, floats(0, float32(math.Copysign(0, -1))), floats(salts...))
+	f.Add(uint64(3), uint8(3), uint8(8), uint8(0), false, []byte{}, floats(0.3, 0.6, negNaN))
+	f.Add(uint64(4), uint8(3), uint8(17), uint8(12), true, floats(math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32), []byte{1, 0, 0, 0, 1, 0, 0, 128})
 	// The majority's edge: lone leaves and stumps vote on a coin, so about
 	// half of each of these forests votes either way.
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 99, 100, 101} {
-		f.Add(uint64(n), uint8(n-1), uint8(0), false, []byte{}, floats(0.3, 0.6, 0.1, 0.9))
-		f.Add(uint64(n)+200, uint8(n-1), uint8(1), true, floats(0.5), floats(0.3, 0.6, 0.1, 0.9, 0.7, 0.2, 0.8, 0.4))
+		f.Add(uint64(n), uint8(3), uint8(n-1), uint8(0), false, []byte{}, floats(0.3, 0.6, 0.1, 0.9))
+		f.Add(uint64(n)+200, uint8(3), uint8(n-1), uint8(1), true, floats(0.5), floats(0.3, 0.6, 0.1, 0.9, 0.7, 0.2, 0.8, 0.4))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, ntrees, depth uint8, chain bool, rawThresholds, rawRows []byte) {
-		const dim = 4
+	// Where the assembly kernel trusts its input most: one feature, so a
+	// leaf reads the only key; roots that are leaves; 40-deep chains;
+	// every tree count from 1 to 17 — all on rows that are one salt
+	// throughout (saltRows), at widths 1 and 4.
+	saltBytes := func(dim int) []byte {
+		var b []byte
+		for _, row := range saltRows(dim) {
+			b = append(b, floats(row...)...)
+		}
+		return b
+	}
+	f.Add(uint64(5), uint8(0), uint8(16), uint8(9), false, floats(saltedThresholds...), saltBytes(1))
+	f.Add(uint64(6), uint8(3), uint8(16), uint8(0), false, floats(saltedThresholds...), saltBytes(4))
+	f.Add(uint64(7), uint8(3), uint8(16), uint8(40), true, floats(saltedThresholds...), saltBytes(4))
+	for n := 1; n <= 17; n++ {
+		f.Add(uint64(n)+300, uint8(3*(n%2)), uint8(n-1), uint8(6), n%3 == 0, floats(saltedThresholds...), saltBytes(1+3*(n%2)))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, width, ntrees, depth uint8, chain bool, rawThresholds, rawRows []byte) {
+		dim := 1 + int(width)%8
 		thresholds := append([]float32(nil), coarseThresholds...)
 		for ; len(rawThresholds) >= 4; rawThresholds = rawThresholds[4:] {
 			if v := math.Float32frombits(le.Uint32(rawThresholds)); v == v {
@@ -701,6 +833,7 @@ func FuzzPredictMatchesReference(f *testing.F) {
 			}
 		}
 		assertMatchesRef(t, "fuzzed", c, ref, x)
+		assertWalksAgree(t, c, ref, x[:min(len(x), 16)]) // eight walks a tree a row
 	})
 }
 
@@ -745,7 +878,7 @@ func (tb *refBuilder) grow(lo, hi, depth int) {
 	}
 	pure := counts[0] == 0 || counts[1] == 0
 
-	leaf := func() { tb.nodes = append(tb.nodes, leafNode(majority)) }
+	leaf := func() { tb.nodes = append(tb.nodes, leafNode(majority, int32(len(tb.nodes)))) }
 	if pure || n < tb.cfg.MinSamplesSplit || (tb.cfg.MaxDepth > 0 && depth >= tb.cfg.MaxDepth) {
 		leaf()
 		return
@@ -870,9 +1003,7 @@ func refTrain(t testing.TB, cfg Config, x [][]float32, y []job.Label) []byte {
 		base := int32(len(c.nodes))
 		c.roots = append(c.roots, base)
 		for _, nd := range tb.build() {
-			if nd.feature >= 0 {
-				nd.right += base
-			}
+			nd.right += base
 			c.nodes = append(c.nodes, nd)
 		}
 	}

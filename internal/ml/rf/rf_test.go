@@ -152,7 +152,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 		t.Fatalf("%d trees over %d nodes, want 3 single-node trees", len(c.roots), len(c.nodes))
 	}
 	for i, nd := range c.nodes {
-		if nd.feature >= 0 {
+		if nd.right != int32(i) {
 			t.Errorf("tree %d is not a single leaf", i)
 		}
 	}

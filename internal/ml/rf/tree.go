@@ -40,25 +40,41 @@ func classLabel(i int) job.Label {
 
 // node is one entry of the forest's preorder node array. grow appends a
 // node and then its whole left subtree, so the left child of node i is
-// always i+1 and only the right child is stored. A leaf has a negative
-// feature and carries its class in-band as ^feature. The split
-// threshold is stored as its order key (see splitKey), not as the
-// float: the kernel compares integers, and the float is recovered
-// exactly when the forest is marshaled. 12 bytes a node; the served
-// forest (100 trees, ≈ 190 K nodes) is 2.3 MB — a row's walk visits
-// ≈ 2 800 nodes scattered over L2, not L1, which is why the kernel
-// overlaps eight walks instead of waiting on one.
+// always i+1 and only the right child is stored. The split threshold is
+// stored as its order key (see splitKey), not as the float: the kernel
+// compares integers, and the float is recovered exactly when the forest
+// is marshaled.
+//
+// A leaf is a node that sends every row to itself: its right child is
+// its own index, its feature 0 and its key leafKey + class. No row key
+// is below −Inf's (rowKey), and leafKey + 1 is below that, so every row
+// goes "right" at a leaf and stays there; every split key is above both
+// leaf keys. One step — `next = i+1; if keys[feature] ≥ key { next =
+// right }` — then serves splits and leaves alike, and a walk that has
+// reached its leaf stays on it however many more steps it takes.
+//
+// 12 bytes a node; the served forest (100 trees, ≈ 190 K nodes) is
+// 2.3 MB — a row's walk visits ≈ 2 800 nodes scattered over L2, not L1,
+// which is why the kernel overlaps eight walks instead of waiting on one.
 type node struct {
-	key     int32 // splitKey of the threshold; 0 in a leaf
-	feature int32 // split feature; in a leaf, ^class
-	right   int32 // index of the right child; 0 in a leaf
+	key     int32 // splitKey of the threshold; in a leaf, leafKey + class
+	feature int32 // split feature; 0 in a leaf
+	right   int32 // index of the right child; in a leaf, its own index
 }
+
+// leafKey is the key of a memory-bound leaf; a compute-bound leaf's is
+// one above it.
+const leafKey = math.MinInt32
 
 func splitNode(threshold float32, feature int32) node {
 	return node{key: splitKey(threshold), feature: feature}
 }
 
-func leafNode(class int) node { return node{feature: ^int32(class)} }
+// leafNode is a leaf of class class at index self.
+func leafNode(class int, self int32) node { return node{key: leafKey + int32(class), right: self} }
+
+// class is a leaf's class.
+func (n node) class() int32 { return n.key - leafKey }
 
 func (n node) threshold() float32 { return math.Float32frombits(uint32(flipNegative(n.key))) }
 
@@ -78,7 +94,8 @@ func splitKey(t float32) int32 { return flipNegative(int32(math.Float32bits(t)))
 // sends the same rows left), and a NaN of either sign becomes the
 // largest key, so it is less than no threshold and always goes right —
 // provided no threshold is NaN, which UnmarshalBinary checks. For every
-// v and every non-NaN t: rowKey(v) < splitKey(t) ⇔ v < t. Written on
+// v and every non-NaN t: rowKey(v) < splitKey(t) ⇔ v < t. The smallest
+// key it returns is −Inf's, −2 139 095 041, above both leaf keys. Written on
 // the bits, without a float compare, so it compiles to conditional
 // moves: served rows are sparse, and `v == 0` would be a coin toss.
 func rowKey(v float32) int32 {
@@ -241,7 +258,8 @@ func newTreeBuilder(cfg Config, dim int, rows trainRows, binr *binner) *treeBuil
 
 // build draws a bootstrap sample of the training rows from rng — one
 // index per row, with replacement — grows a tree on it and returns the
-// tree's nodes in preorder, right-child indices relative to its root.
+// tree's nodes in preorder, right-child indices (a leaf's own index
+// included) relative to its root.
 func (tb *treeBuilder) build(rng *stats.RNG) []node {
 	tb.rng = rng
 	clear(tb.w)
@@ -278,7 +296,7 @@ func (tb *treeBuilder) grow(lo, hi, depth int, counts [numClasses]int32) {
 	}
 	pure := counts[0] == 0 || counts[1] == 0
 	if pure || int(counts[0]+counts[1]) < tb.cfg.MinSamplesSplit || depth >= tb.cfg.MaxDepth {
-		tb.nodes = append(tb.nodes, leafNode(majority))
+		tb.nodes = append(tb.nodes, leafNode(majority, int32(len(tb.nodes))))
 		return
 	}
 
@@ -286,7 +304,7 @@ func (tb *treeBuilder) grow(lo, hi, depth int, counts [numClasses]int32) {
 	right := [numClasses]int32{counts[0] - left[0], counts[1] - left[1]}
 	if feat < 0 ||
 		int(left[0]+left[1]) < tb.cfg.MinSamplesLeaf || int(right[0]+right[1]) < tb.cfg.MinSamplesLeaf {
-		tb.nodes = append(tb.nodes, leafNode(majority))
+		tb.nodes = append(tb.nodes, leafNode(majority, int32(len(tb.nodes))))
 		return
 	}
 
