@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzTokenize$$ -fuzztime=$(FUZZTIME) ./internal/encode
 	$(GO) test -run=^$$ -fuzz=^FuzzEmbed$$ -fuzztime=$(FUZZTIME) ./internal/encode
 	$(GO) test -run=^$$ -fuzz=^FuzzEmbedMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/encode
+	$(GO) test -run=^$$ -fuzz=^FuzzCacheRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/encode
 	$(GO) test -run=^$$ -fuzz=^FuzzReadJSONL$$ -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=^$$ -fuzz=^FuzzTimeoutHeader$$ -fuzztime=$(FUZZTIME) ./internal/admission
 	$(GO) test -run=^$$ -fuzz=^FuzzWALFrame$$ -fuzztime=$(FUZZTIME) ./internal/wal

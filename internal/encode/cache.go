@@ -2,6 +2,8 @@ package encode
 
 import (
 	"container/list"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -14,12 +16,20 @@ import (
 // Classify batches on different keys almost never contend on the same
 // lock, while the per-key routing stays stable (one key always lands in
 // one shard).
+//
+// An entry keeps only the coordinates the embedder set (sparseVec): the
+// hashing embedder sets about 89 of 384, so an entry's vector is ≈ 540 B
+// instead of 1 536. Every other coordinate of the vector is +0 — EmbedInto
+// makes no -0 — so scattering the stored bits into zeroed memory restores
+// the embedding bit for bit.
 const (
 	cacheShardCount = 16 // power of two: shard pick is a mask
 
-	// DefaultCacheCapacity bounds the encoder memo to ~1M entries
-	// (≈1.5 GiB of 384-dim float32 at worst), matching the pre-LRU
-	// wholesale-drop limit.
+	// DefaultCacheCapacity bounds the encoder memo to ~1M entries,
+	// matching the pre-LRU wholesale-drop limit. Full of served feature
+	// strings that is ≈ 0.9 GB (≈ 894 B an entry measured, ≈ 540 B of it
+	// the sparse vector); no vector is stored larger than its dense
+	// 1 536 B, so the vectors alone stay under 1.5 GiB at worst.
 	DefaultCacheCapacity = 1 << 20
 )
 
@@ -31,7 +41,78 @@ type CacheStats struct {
 
 type cacheEntry struct {
 	key string
-	val []float32
+	val sparseVec
+}
+
+// sparseVec is a vector of uint16-indexed coordinates in one allocation:
+// the n stored values' float32 bits, then their indices two to a word
+// (the first in the low half). Its length is n + ⌈n/2⌉, so n is
+// 2·len/3 rounded down. A vector that would take as many words as it has
+// coordinates is kept whole instead — every coordinate's bits, in order —
+// and told apart by that length, so no entry outgrows the dense vector.
+type sparseVec []uint32
+
+// maxSparseDim is the widest vector a uint16 index reaches.
+const maxSparseDim = 1 << 16
+
+// compact stores the coordinates of v set in mask — which must cover
+// every coordinate whose bits are not +0's — walking the set bits only.
+func compact(v []float32, mask []uint64) sparseVec {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	if n+(n+1)/2 >= len(v) {
+		sv := make(sparseVec, len(v))
+		for i, x := range v {
+			sv[i] = math.Float32bits(x)
+		}
+		return sv
+	}
+	sv := make(sparseVec, n+(n+1)/2)
+	vals, idx := sv[:n], sv[n:]
+	k := 0
+	for wi, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			i := wi*64 + bits.TrailingZeros64(w)
+			vals[k] = math.Float32bits(v[i])
+			idx[k>>1] |= uint32(i) << (16 * (k & 1))
+			k++
+		}
+	}
+	return sv
+}
+
+// nonzeroMask marks the coordinates of v whose bits are not +0's — the
+// mask compact takes for a vector nothing else describes (an Embedder
+// other than the hashing one). A -0 or a NaN is marked, and so kept.
+func nonzeroMask(v []float32) []uint64 {
+	mask := make([]uint64, (len(v)+63)/64)
+	for i, x := range v {
+		if math.Float32bits(x) != 0 {
+			mask[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return mask
+}
+
+// scatter writes the stored coordinates into dst, which must be zeroed
+// and as wide as the vector compacted.
+func (sv sparseVec) scatter(dst []float32) {
+	if len(sv) == len(dst) { // kept whole
+		for i, b := range sv {
+			dst[i] = math.Float32frombits(b)
+		}
+		return
+	}
+	n := 2 * len(sv) / 3
+	vals, idx := sv[:n], sv[n:]
+	for k, pair := range idx {
+		dst[uint16(pair)] = math.Float32frombits(vals[2*k])
+		if 2*k+1 < n {
+			dst[pair>>16] = math.Float32frombits(vals[2*k+1])
+		}
+	}
 }
 
 type cacheShard struct {
@@ -78,11 +159,11 @@ func shardIndex(key string) int {
 	return int(mix64(h) & (cacheShardCount - 1))
 }
 
-// get returns the cached vector for key, promoting it to most recently
-// used. The returned slice is shared and must not be mutated.
-func (c *shardedCache) get(key string) ([]float32, bool) {
+// get scatters the cached vector for key into dst (zeroed), promoting the
+// entry to most recently used, and reports whether key was cached.
+func (c *shardedCache) get(key string, dst []float32) bool {
 	s := &c.shards[shardIndex(key)]
-	var val []float32
+	var val sparseVec
 	s.mu.Lock()
 	el, ok := s.items[key]
 	if ok {
@@ -94,15 +175,20 @@ func (c *shardedCache) get(key string) ([]float32, bool) {
 	s.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return false
 	}
 	c.hits.Add(1)
-	return val, true
+	val.scatter(dst) // an entry's vector is never written once stored
+	return true
 }
+
+// storing reports whether put keeps anything: false once capacity is
+// set to 0 or below.
+func (c *shardedCache) storing() bool { return c.perShard.Load() > 0 }
 
 // put stores key→val, evicting least-recently-used entries past the
 // shard's capacity share.
-func (c *shardedCache) put(key string, val []float32) {
+func (c *shardedCache) put(key string, val sparseVec) {
 	per := c.perShard.Load()
 	if per <= 0 {
 		return

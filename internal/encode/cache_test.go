@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,16 +10,27 @@ import (
 	"mcbound/internal/job"
 )
 
+// sameBits compares bit patterns, not values: a -0 is not a +0 and a NaN
+// equals a NaN with its payload.
 func sameBits(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// putVec stores v under key as the encoder would: compacted by its bits.
+func putVec(c *shardedCache, key string, v []float32) { c.put(key, compact(v, nonzeroMask(v))) }
+
+// getVec reads key back into a fresh vector of width dim.
+func getVec(c *shardedCache, key string, dim int) ([]float32, bool) {
+	v := make([]float32, dim)
+	return v, c.get(key, v)
 }
 
 // TestCachedEmbeddingBitIdentical is the property "cached vs uncached
@@ -79,9 +91,9 @@ func TestShardRoutingStable(t *testing.T) {
 				for r := 0; r < 4; r++ {
 					for _, k := range keys {
 						if w%2 == 0 {
-							c.put(k, val(k))
+							putVec(c, k, val(k))
 						} else {
-							if v, ok := c.get(k); ok && !sameBits(v, val(k)) {
+							if v, ok := getVec(c, k, 3); ok && !sameBits(v, val(k)) {
 								panic("cache returned a foreign value")
 							}
 						}
@@ -95,7 +107,7 @@ func TestShardRoutingStable(t *testing.T) {
 			if shardIndex(k) != route[i] {
 				return false // routing drifted
 			}
-			v, ok := c.get(k)
+			v, ok := getVec(c, k, 3)
 			if !ok || !sameBits(v, val(k)) {
 				return false // entry lost or cross-contaminated
 			}
@@ -122,12 +134,12 @@ func TestCacheLRUOrder(t *testing.T) {
 			break
 		}
 	}
-	c.put(a, []float32{1})
-	c.put(b, []float32{2}) // evicts a (capacity 1 in this shard)
-	if _, ok := c.get(a); ok {
+	putVec(c, a, []float32{1})
+	putVec(c, b, []float32{2}) // evicts a (capacity 1 in this shard)
+	if _, ok := getVec(c, a, 1); ok {
 		t.Error("evicted key still resident")
 	}
-	if v, ok := c.get(b); !ok || v[0] != 2 {
+	if v, ok := getVec(c, b, 1); !ok || v[0] != 2 {
 		t.Error("most recent key missing")
 	}
 	st := c.stats()

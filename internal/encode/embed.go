@@ -96,23 +96,40 @@ func (e *HashingEmbedder) Embed(s string) []float32 {
 // break this — the dense code turns 0·Inf into NaN; no weight in use
 // comes near it.)
 func (e *HashingEmbedder) EmbedInto(s string, dst []float32) {
+	var bitStack [2 * Dim / 64]uint64
+	e.embedMarked(s, dst, e.bitmaps(bitStack[:]))
+}
+
+// bitmaps returns the two zeroed bitmaps embedMarked takes, cut from
+// stack (2·Dim/64 words) up to the served dimension and allocated for
+// the wider ablation ones.
+func (e *HashingEmbedder) bitmaps(stack []uint64) []uint64 {
+	n := 2 * ((e.dim + 63) / 64)
+	if n <= len(stack) {
+		return stack[:n]
+	}
+	return make([]uint64, n)
+}
+
+// embedMarked is EmbedInto over the caller's scratch bitmaps: 2·⌈dim/64⌉
+// zeroed words. On return the second half is the union of the
+// coordinates any token hit, and dst is +0 outside it.
+func (e *HashingEmbedder) embedMarked(s string, dst []float32, bitmaps []uint64) {
 	if len(dst) != e.dim {
 		panic("encode: destination length mismatch")
 	}
 	clear(dst)
-	// Scratch — the field accumulator (all zero between fields) and two
-	// bitmaps, the field's and the union of all fields' — on the stack at
-	// the served dimension, on the heap for the wider ablation ones.
-	words := (e.dim + 63) / 64
+	// Scratch — the field accumulator, all zero between fields — on the
+	// stack at the served dimension, on the heap for the wider ablation
+	// ones; the bitmaps are the field's and the union of all fields'.
 	var fieldStack [Dim]float32
-	var bitStack [2 * Dim / 64]uint64
 	var field []float32
-	var bitmaps []uint64
 	if e.dim <= Dim {
-		field, bitmaps = fieldStack[:e.dim], bitStack[:2*words]
+		field = fieldStack[:e.dim]
 	} else {
-		field, bitmaps = make([]float32, e.dim), make([]uint64, 2*words)
+		field = make([]float32, e.dim)
 	}
+	words := len(bitmaps) / 2
 	touched, union := bitmaps[:words], bitmaps[words:]
 	fieldIdx := 0
 	rest := s

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -161,8 +162,11 @@ func TestEncodeJobCaching(t *testing.T) {
 	j := testJob(1)
 	a := e.EncodeJob(j)
 	b := e.EncodeJob(j)
-	if &a[0] != &b[0] {
-		t.Error("identical jobs did not hit the cache")
+	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v: identical jobs did not hit the cache", st)
+	}
+	if !sameBits(a, b) {
+		t.Error("the hit differs from the miss")
 	}
 	if e.CacheSize() != 1 {
 		t.Errorf("cache size = %d", e.CacheSize())
@@ -171,6 +175,48 @@ func TestEncodeJobCaching(t *testing.T) {
 	if e.CacheSize() != 0 {
 		t.Error("ResetCache did not clear")
 	}
+}
+
+// TestReturnedVectorsAreTheCallers: writing into a vector EncodeJob,
+// Encode or EncodeDistinct returned — the miss's or a hit's — leaves the
+// next hit on the same key unchanged.
+func TestReturnedVectorsAreTheCallers(t *testing.T) {
+	e := NewEncoder(nil, nil)
+	j := testJob(1)
+	want := append([]float32(nil), e.EncodeJob(j)...)
+	scribble := func(v []float32) {
+		for i := range v {
+			v[i] = float32(math.NaN())
+		}
+	}
+	for round := 0; round < 3; round++ {
+		scribble(e.EncodeJob(j))
+		for _, v := range e.Encode([]*job.Job{j, j}) {
+			scribble(v)
+		}
+		vecs, _ := e.EncodeDistinct([]*job.Job{j, testJob(2)})
+		for _, v := range vecs {
+			scribble(v)
+		}
+		if got := e.EncodeJob(j); !sameBits(got, want) {
+			t.Fatalf("round %d: a write into a returned vector reached the cache", round)
+		}
+	}
+	if st := e.CacheStats(); st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 misses (one a key)", st)
+	}
+}
+
+// NewEncoder refuses an embedder wider than a cache entry's uint16
+// indices address, and takes the widest one they do.
+func TestNewEncoderDimBound(t *testing.T) {
+	NewEncoder(nil, lengthEmbedder{dim: 1 << 16})
+	defer func() {
+		if recover() == nil {
+			t.Error("accepted an embedder of 1<<16 + 1 dims")
+		}
+	}()
+	NewEncoder(nil, lengthEmbedder{dim: 1<<16 + 1})
 }
 
 func TestEncodeBatchMatchesSingle(t *testing.T) {
@@ -278,8 +324,9 @@ func (e lengthEmbedder) Embed(s string) []float32 {
 func TestEncoderWithCustomEmbedder(t *testing.T) {
 	e := NewEncoder(DefaultFeatures(), lengthEmbedder{dim: 8})
 	j := testJob(0)
-	v := e.EncodeJob(j)
-	if e.Dim() != 8 || len(v) != 8 || v[0] != float32(len(FeatureString(j, DefaultFeatures()))) {
-		t.Fatalf("dim %d, vector %v: not the custom embedder's", e.Dim(), v)
+	for _, v := range [][]float32{e.EncodeJob(j), e.EncodeJob(j)} { // the miss, then the hit
+		if e.Dim() != 8 || len(v) != 8 || v[0] != float32(len(FeatureString(j, DefaultFeatures()))) {
+			t.Fatalf("dim %d, vector %v: not the custom embedder's", e.Dim(), v)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package encode
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 
 	"mcbound/internal/linalg"
@@ -101,6 +103,51 @@ func FuzzEmbedMatchesReference(f *testing.F) {
 		e.FieldWeights = refWeightSets[int(weightSet)%len(refWeightSets)]
 		if msg := compareWithReference(e, s); msg != "" {
 			t.Fatalf("dim %d, weights %v: %s", e.Dim(), e.FieldWeights, msg)
+		}
+	})
+}
+
+// FuzzCacheRoundTrip holds a cache entry to the vector it was made from,
+// bit for bit: any float32 vector of width 1 to 1024 — -0, NaN payloads,
+// subnormals, all-zero and fully set vectors among them — compacted by
+// its bits, or under a wider mask as the hashing embedder's union bitmap
+// is, and scattered into zeroed memory comes back with the same bits,
+// from an entry no larger than the dense vector.
+func FuzzCacheRoundTrip(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint64(0))
+	f.Add([]byte{0, 0, 0, 0x80}, uint16(383), uint64(1))                 // -0
+	f.Add([]byte{1, 0, 0xc0, 0x7f, 1, 0, 0, 0}, uint16(9), uint64(0xff)) // a NaN payload, a subnormal
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(1023), uint64(0))       // fully set: the pattern repeats
+	f.Add([]byte{0, 0, 0, 0}, uint16(64), uint64(1<<63))                 // all zero, extra mask bits
+	f.Fuzz(func(t *testing.T, raw []byte, width uint16, extra uint64) {
+		v := make([]float32, 1+int(width)%1024)
+		if len(raw) >= 4 {
+			for i := range v {
+				o := 4 * i % (len(raw) &^ 3)
+				v[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[o:]))
+			}
+		}
+		exact := nonzeroMask(v)
+		wide := append([]uint64(nil), exact...)
+		for wi := range wide {
+			wide[wi] |= bits.RotateLeft64(extra, wi)
+		}
+		if tail := len(v) % 64; tail != 0 {
+			wide[len(wide)-1] &= 1<<tail - 1
+		}
+		for _, mask := range [][]uint64{exact, wide} {
+			sv := compact(v, mask)
+			if len(sv) > len(v) {
+				t.Fatalf("width %d: the entry takes %d words, more than the dense vector", len(v), len(sv))
+			}
+			got := make([]float32, len(v))
+			sv.scatter(got)
+			for i := range v {
+				if math.Float32bits(got[i]) != math.Float32bits(v[i]) {
+					t.Fatalf("width %d: coordinate %d comes back %#08x, stored %#08x",
+						len(v), i, math.Float32bits(got[i]), math.Float32bits(v[i]))
+				}
+			}
 		}
 	})
 }

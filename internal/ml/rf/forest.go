@@ -119,8 +119,11 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 		}
 	}
 	if cfg.MaxDepth <= 0 {
-		// "Unlimited" with a hard safety cap: beyond ~2^24 samples no
-		// real split path is longer than this.
+		// "Unlimited" with a hard cap, which real forests reach: on the
+		// served s30 forest 2.4 % of the leaves sit at depth 40 and 41.8 %
+		// of the held-out rows' tree walks end at one (DESIGN.md §7).
+		// scikit-learn grows to pure leaves; lifting the cap moves every
+		// model byte.
 		cfg.MaxDepth = 40
 	}
 
