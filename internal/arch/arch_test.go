@@ -50,7 +50,11 @@ var rules = []rule{{
 		"time.Sleep", "time.After", "time.AfterFunc", "time.NewTimer", "time.NewTicker", "time.Tick",
 		"func() time.Time",
 	},
-	allow: []string{module + "/internal/clock", "(*" + module + "/internal/router.Router).attemptRead"},
+	allow: []string{module + "/internal/clock"},
+}, {
+	name:   "clock/reads",
+	in:     clockHolders,
+	forbid: []string{"time.Now", "time.Since", "time.Until"},
 }, {
 	name: "wiring",
 	forbid: []string{
@@ -89,6 +93,14 @@ var rules = []rule{{
 		module + "/internal/job.UnmarshalArray",
 	},
 }}
+
+// clockHolders is the packages that hold a Clock: inside them a measured
+// duration can set a schedule, so the instant is read from the Clock.
+var clockHolders = []string{
+	module + "/internal/admission", module + "/internal/election", module + "/internal/httpapi",
+	module + "/internal/node", module + "/internal/repl", module + "/internal/resilience",
+	module + "/internal/router",
+}
 
 // inference is the packages of the encode → model → vote path and the
 // wire decoder in front of it, which fan out only through ParallelFor

@@ -1,5 +1,5 @@
-// The clock rule allows the router's hedge by function: attemptRead may
-// arm its AfterFunc, and the same line in any other function fails.
+// The clock rule allows no function of the router: its hedge is armed
+// on the router's clock like every other timer.
 package router
 
 import "time"
@@ -11,11 +11,6 @@ type hedgeRace struct{}
 func (*hedgeRace) run() {}
 
 func (rt *Router) attemptRead(hedgeAfter time.Duration) {
-	race := &hedgeRace{}
-	defer time.AfterFunc(hedgeAfter, race.run).Stop()
-}
-
-func (rt *Router) attemptWrite(hedgeAfter time.Duration) {
 	race := &hedgeRace{}
 	defer time.AfterFunc(hedgeAfter, race.run).Stop() // want clock
 }

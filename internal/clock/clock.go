@@ -1,11 +1,11 @@
 // Package clock is the one way the serving layers keep time: a Clock
-// to read the instant and arm a one-shot timer, the wall clock behind
-// it in production, a Manual clock tests advance by hand, and the three
+// to read the instant and run a func later, the wall clock behind it in
+// production, a Manual clock tests advance by hand, and the three
 // things every layer built on top of a timer — a context-aware Sleep, a
 // period-±-fraction Jitter, and a step-on-a-period Loop with a Stop that
 // waits. Lease TTLs, WAL polling, ejection and breaker cooldowns, retry
-// backoff and the retrain cron all run on it, so a test (or a
-// simulation) that owns the Clock owns their schedule.
+// backoff, the router's hedge and the retrain cron all run on it, so a
+// test (or a simulation) that owns the Clock owns their schedule.
 //
 // The package imports nothing from this repository; randomness comes in
 // as the caller's own draw, so every seeded stream stays with its owner.
@@ -13,29 +13,25 @@ package clock
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Clock is a time source that can also wake its caller later.
+// Clock is a time source that can also run a func later.
 type Clock interface {
 	// Now is the current instant.
 	Now() time.Time
-	// NewTimer arms a one-shot timer that delivers on C once d has
-	// elapsed on this clock (at once when d <= 0).
-	NewTimer(d time.Duration) *Timer
+	// AfterFunc runs f on its own goroutine once d has elapsed on this
+	// clock (at once when d <= 0), unless the Timer is stopped first.
+	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer is a one-shot timer armed by a Clock.
-type Timer struct {
-	C    <-chan time.Time
-	stop func()
-}
-
-// Stop disarms the timer and releases what the clock holds for it. A
-// timer that already fired is left as it is.
-func (t *Timer) Stop() { t.stop() }
+// Timer is a func armed by AfterFunc. Stop disarms it and reports
+// whether that kept f from running; false means f has been started.
+// A *time.Timer is one.
+type Timer interface{ Stop() bool }
 
 // Wall is the real clock.
 type Wall struct{}
@@ -43,11 +39,8 @@ type Wall struct{}
 // Now implements Clock.
 func (Wall) Now() time.Time { return time.Now() }
 
-// NewTimer implements Clock.
-func (Wall) NewTimer(d time.Duration) *Timer {
-	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: func() { t.Stop() }}
-}
+// AfterFunc implements Clock.
+func (Wall) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // Manual is a Clock that moves only when Advance is called. Goroutines
 // under test park on its timers; the test waits for them with
@@ -61,8 +54,9 @@ type Manual struct {
 }
 
 type manualTimer struct {
+	m  *Manual
 	at time.Time
-	ch chan time.Time
+	f  func()
 }
 
 // NewManual returns a Manual clock reading start.
@@ -79,33 +73,35 @@ func (m *Manual) Now() time.Time {
 	return m.now
 }
 
-// NewTimer implements Clock.
-func (m *Manual) NewTimer(d time.Duration) *Timer {
-	// One slot: the single send of a one-shot timer never blocks Advance.
-	t := &manualTimer{ch: make(chan time.Time, 1)}
+// AfterFunc implements Clock.
+func (m *Manual) AfterFunc(d time.Duration, f func()) Timer {
+	t := &manualTimer{m: m, f: f}
+	if d <= 0 {
+		go f()
+		return t
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if d <= 0 {
-		t.ch <- m.now
-		return &Timer{C: t.ch, stop: func() {}}
-	}
 	t.at = m.now.Add(d)
 	m.pending = append(m.pending, t)
 	m.parked.Broadcast()
-	return &Timer{C: t.ch, stop: func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for i, p := range m.pending {
-			if p == t {
-				m.pending = append(m.pending[:i], m.pending[i+1:]...)
-				return
-			}
-		}
-	}}
+	return t
 }
 
-// Advance moves the clock forward by d and fires every timer that came
-// due.
+// Stop implements Timer.
+func (t *manualTimer) Stop() bool {
+	t.m.mu.Lock()
+	defer t.m.mu.Unlock()
+	i := slices.Index(t.m.pending, t)
+	if i >= 0 {
+		t.m.pending = slices.Delete(t.m.pending, i, i+1)
+	}
+	return i >= 0
+}
+
+// Advance moves the clock forward by d and starts every func that came
+// due, each on its own goroutine: one that blocks does not hold up the
+// clock.
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -115,13 +111,13 @@ func (m *Manual) Advance(d time.Duration) {
 		if t.at.After(m.now) {
 			waiting = append(waiting, t)
 		} else {
-			t.ch <- m.now
+			go t.f()
 		}
 	}
 	m.pending = waiting
 }
 
-// BlockUntil waits until at least n timers are armed and not yet fired:
+// BlockUntil waits until at least n funcs are armed and not yet started:
 // the goroutines under test have finished their step and are parked.
 func (m *Manual) BlockUntil(n int) {
 	m.mu.Lock()
@@ -136,10 +132,10 @@ func Sleep(ctx context.Context, c Clock, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := c.NewTimer(d)
-	defer t.Stop()
+	elapsed := make(chan struct{})
+	defer c.AfterFunc(d, func() { close(elapsed) }).Stop()
 	select {
-	case <-t.C:
+	case <-elapsed:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -87,30 +87,125 @@ func TestJitterFloorsAndClamps(t *testing.T) {
 	}
 }
 
+// The timer contract, asserted on both clocks: each case gets a fresh
+// clock and the way to let time pass on it.
+var clocks = []struct {
+	name string
+	make func() (c clock.Clock, pass func(time.Duration))
+}{
+	{"wall", func() (clock.Clock, func(time.Duration)) { return clock.Wall{}, time.Sleep }},
+	{"manual", func() (clock.Clock, func(time.Duration)) {
+		m := clock.NewManual(epoch)
+		return m, m.Advance
+	}},
+}
+
+const delay = 20 * time.Millisecond
+
+func TestAfterFuncRunsOnceAfterItsDelay(t *testing.T) {
+	for _, tc := range clocks {
+		t.Run(tc.name, func(t *testing.T) {
+			c, pass := tc.make()
+			armed := c.Now()
+			var runs atomic.Int32
+			fired := make(chan time.Time, 1)
+			c.AfterFunc(delay, func() {
+				runs.Add(1)
+				fired <- c.Now()
+			})
+			pass(delay)
+			if at := <-fired; at.Sub(armed) < delay {
+				t.Fatalf("ran %v after it was armed, want at least %v", at.Sub(armed), delay)
+			}
+			pass(2 * delay)
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("ran %d times", n)
+			}
+			// A delay that has already elapsed runs at once, with no time passing.
+			for _, d := range []time.Duration{0, -time.Second} {
+				now := make(chan struct{})
+				c.AfterFunc(d, func() { close(now) })
+				<-now
+			}
+		})
+	}
+}
+
+func TestStopReportsWhetherItKeptTheFuncFromRunning(t *testing.T) {
+	for _, tc := range clocks {
+		t.Run(tc.name, func(t *testing.T) {
+			c, pass := tc.make()
+			var stoppedRan atomic.Bool
+			stopped := c.AfterFunc(delay, func() { stoppedRan.Store(true) })
+			fired := make(chan struct{})
+			later := c.AfterFunc(2*delay, func() { close(fired) })
+			if !stopped.Stop() {
+				t.Fatal("Stop before the delay = false, want true")
+			}
+			pass(2 * delay)
+			<-fired
+			if stoppedRan.Load() {
+				t.Fatal("a stopped func ran")
+			}
+			if stopped.Stop() || later.Stop() {
+				t.Fatal("Stop of a stopped or fired timer = true, want false")
+			}
+		})
+	}
+}
+
+func TestBlockUntilCountsArmedFuncs(t *testing.T) {
+	m := clock.NewManual(epoch)
+	m.AfterFunc(time.Second, func() {})
+	m.AfterFunc(time.Second, func() {}).Stop() // disarmed: not counted
+	m.AfterFunc(0, func() {})                  // started at once: not counted
+	m.BlockUntil(1)                            // returns at once: one func is armed
+	parked := make(chan struct{})
+	go func() { m.BlockUntil(2); close(parked) }()
+	select {
+	case <-parked:
+		t.Fatal("BlockUntil(2) returned with one func armed")
+	case <-time.After(delay):
+	}
+	m.AfterFunc(time.Minute, func() {})
+	<-parked
+	m.Advance(time.Second) // the first one fires; the minute one still counts
+	m.BlockUntil(1)
+}
+
 func TestManualFiresTimersAsTheyComeDue(t *testing.T) {
 	m := clock.NewManual(epoch)
-	early, late, gone := m.NewTimer(time.Second), m.NewTimer(3*time.Second), m.NewTimer(time.Second)
-	gone.Stop()
-	m.BlockUntil(2) // returns at once: two timers are armed
-	if now := <-m.NewTimer(0).C; !now.Equal(epoch) {
-		t.Fatalf("zero timer delivered %v, want the current instant", now)
-	}
+	early, late := make(chan time.Time, 1), make(chan time.Time, 1)
+	m.AfterFunc(time.Second, func() { early <- m.Now() })
+	m.AfterFunc(3*time.Second, func() { late <- m.Now() })
+	m.AfterFunc(time.Second, func() { t.Error("stopped timer fired") }).Stop()
 
 	m.Advance(2 * time.Second)
-	if at := <-early.C; !at.Equal(epoch.Add(2 * time.Second)) {
-		t.Fatalf("early timer delivered %v", at)
+	if at := <-early; !at.Equal(epoch.Add(2 * time.Second)) {
+		t.Fatalf("early timer read %v", at)
 	}
-	select {
-	case <-late.C:
-		t.Fatal("3s timer fired after 2s")
-	case <-gone.C:
-		t.Fatal("stopped timer fired")
-	default:
-	}
+	m.BlockUntil(1) // the 3s timer is still armed
 	m.Advance(time.Second)
-	<-late.C
-	if !m.Now().Equal(epoch.Add(3 * time.Second)) {
-		t.Fatalf("Now = %v after 3s of advances", m.Now())
+	if at := <-late; !at.Equal(epoch.Add(3 * time.Second)) {
+		t.Fatalf("late timer read %v after 3s of advances", at)
+	}
+}
+
+func TestManualAdvanceDoesNotWaitForTheFuncsItStarts(t *testing.T) {
+	m := clock.NewManual(epoch)
+	forever := make(chan struct{})
+	defer close(forever)
+	m.AfterFunc(time.Second, func() {
+		m.AfterFunc(time.Hour, func() {}) // the func may use its clock
+		<-forever
+	})
+	next := make(chan time.Time, 1)
+	m.AfterFunc(2*time.Second, func() { next <- m.Now() })
+	m.Advance(time.Second)
+	m.BlockUntil(2) // the blocked func re-armed on the clock
+	m.Advance(time.Second)
+	if at := <-next; !at.Equal(epoch.Add(2 * time.Second)) {
+		t.Fatalf("second func read %v", at)
 	}
 }
 

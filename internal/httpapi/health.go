@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"net/http"
-	"time"
 
 	"mcbound/internal/cluster"
 	"mcbound/internal/repl"
@@ -57,7 +56,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			doc.Status, httpStatus = st.Follower.State, http.StatusServiceUnavailable
 		}
 	}
-	if age, ok := s.fw.ModelAge(time.Now()); ok {
+	if age, ok := s.fw.ModelAge(s.clock.Now()); ok {
 		secs := age.Seconds()
 		doc.StalenessSeconds = &secs
 	}

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/core"
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
@@ -36,7 +37,7 @@ type appMetrics struct {
 	insertedJobs     *telemetry.Counter
 }
 
-func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framework) *appMetrics {
+func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framework, clk clock.Clock) *appMetrics {
 	reg.GaugeFunc("mcbound_store_jobs", "Jobs currently in the data storage.",
 		nil, func() float64 { return float64(storeLen()) })
 	reg.GaugeFunc("mcbound_train_inflight", "1 while a Training Workflow is executing, else 0.",
@@ -49,7 +50,7 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 	reg.GaugeFunc("mcbound_model_staleness_seconds",
 		"Age of the served model (seconds since its training instant); 0 until first fit.",
 		nil, func() float64 {
-			if age, ok := fw.ModelAge(time.Now()); ok {
+			if age, ok := fw.ModelAge(clk.Now()); ok {
 				return age.Seconds()
 			}
 			return 0

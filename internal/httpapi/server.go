@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"mcbound/internal/admission"
+	"mcbound/internal/clock"
 	"mcbound/internal/core"
 	"mcbound/internal/election"
 	"mcbound/internal/job"
@@ -114,6 +115,9 @@ type Options struct {
 	// mcbound_repl_* collectors are registered. On a leader, pass the
 	// same durable store in both Durable and Repl.
 	Repl *repl.Node
+
+	// Clock is what the handlers read the instant on; nil is the wall clock.
+	Clock clock.Clock
 }
 
 // Server wires a Framework and its job store into an http.Handler.
@@ -132,6 +136,7 @@ type Server struct {
 	durable  *store.Durable
 	repl     *repl.Node
 	elector  *election.Elector
+	clock    clock.Clock
 }
 
 // New builds a Server. The store must be the same one backing the
@@ -149,19 +154,23 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	if opts.Admission == nil {
 		opts.Admission = admission.NewController(admission.DefaultConfig())
 	}
+	if opts.Clock == nil {
+		opts.Clock = clock.Wall{}
+	}
 	s := &Server{
 		fw:      fw,
 		store:   st,
 		mux:     http.NewServeMux(),
 		log:     logger,
 		reg:     opts.Registry,
-		metrics: newAppMetrics(opts.Registry, st.Len, fw),
+		metrics: newAppMetrics(opts.Registry, st.Len, fw, opts.Clock),
 		maxBody: opts.MaxBodyBytes,
 		breaker: opts.Breaker,
 		adm:     opts.Admission,
 		durable: opts.Durable,
 		repl:    opts.Repl,
 		elector: opts.Elector,
+		clock:   opts.Clock,
 	}
 	registerAdmissionMetrics(s.reg, s.adm)
 	if s.durable != nil || s.repl != nil {
@@ -320,7 +329,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	}
 	var now time.Time
 	if req.Now == "" {
-		now = s.store.TrainInstant(time.Now().UTC())
+		now = s.store.TrainInstant(s.clock.Now().UTC())
 	} else {
 		t, err := time.Parse(time.RFC3339, req.Now)
 		if err != nil {
@@ -391,13 +400,13 @@ func (s *Server) writeInvalidJob(w http.ResponseWriter, err error, index int) {
 }
 
 func (s *Server) handleClassifyByID(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
+	t0 := s.clock.Now()
 	pred, err := s.fw.ClassifyByID(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.metrics.observeClassify(1, time.Since(t0))
+	s.metrics.observeClassify(1, s.clock.Now().Sub(t0))
 	s.writeRawJSON(w, http.StatusOK, append(pred.AppendJSON(make([]byte, 0, 128)), '\n'))
 }
 
@@ -406,13 +415,13 @@ func (s *Server) handleClassifyJobs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	t0 := time.Now()
+	t0 := s.clock.Now()
 	preds, err := s.fw.ClassifyJobs(r.Context(), jobs)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.metrics.observeClassify(len(preds), time.Since(t0))
+	s.metrics.observeClassify(len(preds), s.clock.Now().Sub(t0))
 	s.writeRawJSON(w, http.StatusOK, renderPredictions(preds))
 }
 
@@ -454,13 +463,13 @@ func (s *Server) handleClassifyRange(w http.ResponseWriter, r *http.Request) {
 	jobs, more := s.store.SubmittedPage(start, end, after, limit)
 	env := cursorEnvelope{Items: []core.Prediction{}, HasMore: more}
 	if len(jobs) > 0 {
-		t0 := time.Now()
+		t0 := s.clock.Now()
 		preds, err := s.fw.ClassifyJobs(r.Context(), jobs)
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
-		s.metrics.observeClassify(len(preds), time.Since(t0))
+		s.metrics.observeClassify(len(preds), s.clock.Now().Sub(t0))
 		env.Items = preds
 		if more {
 			last := jobs[len(jobs)-1]

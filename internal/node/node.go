@@ -381,7 +381,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	})
 
 	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
-		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof,
+		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, Clock: n.clock,
 		Registry: reg, Breaker: resilient.Breaker(), Admission: n.adm,
 		Durable: durable, Repl: n.Repl, Elector: n.Elector,
 	})

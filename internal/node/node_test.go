@@ -193,6 +193,25 @@ func TestCronRetrainsAreNotRateLimited(t *testing.T) {
 	}
 }
 
+// POST /v1/train {} on a store with no completed job trains at the
+// node's instant, so the empty window it names ends on the node's clock.
+func TestTrainWithoutCompletedJobsNamesTheNodesInstant(t *testing.T) {
+	queued := traceJob("queued", 0, 0, true)
+	queued.StartTime, queued.EndTime = time.Time{}, time.Time{}
+	st := store.New()
+	c := testConfig()
+	c.Trace, c.Clock = filepath.Join(t.TempDir(), "trace.jsonl"), clock.NewManual(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC))
+	if err := errors.Join(st.Insert(queued), st.SaveFile(c.Trace)); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTransport()
+	tr.Handle("n", openNode(t, c).Handler())
+	status, body := call(t, tr, http.MethodPost, "http://n/v1/train", struct{}{})
+	if status == http.StatusOK || !strings.Contains(string(body), ", 2024-03-01 00:00:00 +0000 UTC)") {
+		t.Fatalf("train on an empty store: status %d: %s; want an error naming the window [..., 2024-03-01 00:00:00)", status, body)
+	}
+}
+
 func TestOpenClassifyClose(t *testing.T) {
 	c := testConfig()
 	c.Trace = traceFile(t)

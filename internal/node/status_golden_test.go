@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +17,8 @@ import (
 
 var updateStatus = flag.Bool("update-status", false, "rewrite testdata/status/*.golden from this build's documents")
 
-// volatileKeys are the status fields that read the wall clock or a
-// temporary path: an age that has started counting is folded to "(age)"
+// volatileKeys are the status fields that read a clock or a temporary
+// path: an age that has started counting is folded to "(age)"
 // (a negative one is the "never" marker and stays), an instant to
 // "(instant)".
 var volatileKeys = map[string]string{
@@ -115,8 +117,26 @@ func TestStatusDocumentsMatchParentGolden(t *testing.T) {
 	elected.Trace, elected.DataDir, elected.Clock, elected.HTTP = trace, t.TempDir(), clk, hc
 	elected.NodeID, elected.Peers = "n1", "n1=http://n1,n2=http://n2,n3=http://n3"
 	elected.LeaseTTL, elected.HeartbeatEvery = 3*time.Second, 500*time.Millisecond
-	tr.Handle("n1", openNode(t, elected).Handler())
+	n1 := openNode(t, elected)
+	tr.Handle("n1", n1.Handler())
 	clk.Advance(4 * time.Second)
 	checkStatusGolden(t, tr, "healthz_lease_lost", "http://n1/healthz", http.StatusServiceUnavailable)
 	checkStatusGolden(t, tr, "lease_lease_lost", "http://n1/v1/lease", http.StatusOK)
+
+	// Both model ages read the node's clock: exactly its instant minus
+	// the model's training instant.
+	_, _, trainedAt := n1.fw.ModelInfo()
+	want := clk.Now().Sub(trainedAt).Seconds()
+	_, body := call(t, tr, http.MethodGet, "http://n1/healthz", nil)
+	var health struct {
+		StalenessSeconds float64 `json:"staleness_seconds"`
+	}
+	if err := json.Unmarshal(body, &health); err != nil || health.StalenessSeconds != want {
+		t.Errorf("/healthz staleness_seconds = %v (%v), want %v", health.StalenessSeconds, err, want)
+	}
+	_, body = call(t, tr, http.MethodGet, "http://n1/metrics", nil)
+	gauge := "\nmcbound_model_staleness_seconds " + strconv.FormatFloat(want, 'g', -1, 64) + "\n"
+	if !bytes.Contains(body, []byte(gauge)) {
+		t.Errorf("/metrics has no line %q", strings.TrimSpace(gauge))
+	}
 }

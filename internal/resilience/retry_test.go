@@ -20,10 +20,10 @@ type backoffClock struct {
 	delays []time.Duration
 }
 
-func (c *backoffClock) NewTimer(d time.Duration) *clock.Timer {
+func (c *backoffClock) AfterFunc(d time.Duration, f func()) clock.Timer {
 	c.delays = append(c.delays, d)
 	c.Advance(d)
-	return c.Manual.NewTimer(0)
+	return c.Manual.AfterFunc(0, f)
 }
 
 func virtualRetrier(pol Policy, seed uint64) (*Retrier, *[]time.Duration) {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/stats"
 )
@@ -41,33 +42,82 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// onManualClock puts rt on a Manual clock: the test arms nothing on the
+// wall, and fires the hedge by advancing the clock.
+func onManualClock(rt *Router) *clock.Manual {
+	clk := clock.NewManual(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC))
+	rt.clock = clk
+	return clk
+}
+
+type attemptResult struct {
+	res tryResult
+	err error
+}
+
+// goAttempt runs attemptRead on its own goroutine, so the test can move
+// the clock and open the stubs' gates while the attempt waits on them.
+func goAttempt(rt *Router, r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) <-chan attemptResult {
+	done := make(chan attemptResult, 1)
+	go func() {
+		res, err := rt.attemptRead(r, primary, hedge, hedgeAfter)
+		done <- attemptResult{res, err}
+	}()
+	return done
+}
+
+// gated makes every data request to b wait until the returned channel
+// is closed (or the request is canceled).
+func gated(b *stubBackend) chan struct{} {
+	gate := make(chan struct{})
+	b.set(func(b *stubBackend) { b.gate = gate })
+	return gate
+}
+
 // TestAttemptReadRaceOutcomes drives attemptRead itself through every
-// way a primary and its hedge can finish.
+// way a primary and its hedge can finish, on virtual time: the hedge
+// fires when the test advances the router's clock, and each backend
+// answers when the test opens its gate.
 func TestAttemptReadRaceOutcomes(t *testing.T) {
 	const hedgeAfter = 20 * time.Millisecond
 
+	// hedgeOut starts an attempt, waits for its primary to reach the
+	// primary's stub and its hedge to be armed, then fires the hedge.
+	hedgeOut := func(t *testing.T, rt *Router, ctx context.Context, primary, hedge *stubBackend) <-chan attemptResult {
+		t.Helper()
+		clk := onManualClock(rt)
+		done := goAttempt(rt, readReq(t, ctx), rt.byURL[primary.url()], rt.byURL[hedge.url()], hedgeAfter)
+		waitFor(t, "the primary to reach its backend", func() bool { return primary.hitCount() == 1 })
+		clk.BlockUntil(1)
+		clk.Advance(hedgeAfter)
+		return done
+	}
+
 	t.Run("primary wins after the hedge fired", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 80 * time.Millisecond })
-		n3.set(func(b *stubBackend) { b.delay = 2 * time.Second })
+		primaryGate := gated(n2)
+		gated(n3) // never opens
 		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
 		p, h := rt.byURL[n2.url()], rt.byURL[n3.url()]
 
-		res, err := rt.attemptRead(readReq(t, context.Background()), p, h, hedgeAfter)
-		if err != nil || res.b != p {
-			t.Fatalf("attempt = backend %v, err %v; want the primary's answer", res.b, err)
+		done := hedgeOut(t, rt, context.Background(), n2, n3)
+		waitFor(t, "the hedge to reach its backend", func() bool { return n3.hitCount() == 1 })
+		close(primaryGate)
+		a := <-done
+		if a.err != nil || a.res.b != p {
+			t.Fatalf("attempt = backend %v, err %v; want the primary's answer", a.res.b, a.err)
 		}
-		body, _ := io.ReadAll(res.resp.Body)
-		res.resp.Body.Close()
-		res.cancel()
+		body, _ := io.ReadAll(a.res.resp.Body)
+		a.res.resp.Body.Close()
+		a.res.cancel()
 		if !strings.Contains(string(body), `"n2"`) {
 			t.Fatalf("relayed body %q is not the primary's", body)
 		}
 		if rt.Hedges() != 1 || rt.met.hedgeWins.Value() != 0 {
 			t.Fatalf("hedges %d, hedge wins %d; want 1, 0", rt.Hedges(), rt.met.hedgeWins.Value())
 		}
-		// The losing hedge is canceled at once, not left to run out its 2 s,
-		// and is not a failure of its backend.
+		// The losing hedge is canceled at once, not left waiting on its
+		// gate, and is not a failure of its backend.
 		waitFor(t, "the hedge's cancellation", func() bool { return n3.canceledCount() == 1 })
 		if got := backendRequests(rt, "n3", "error"); got != 0 {
 			t.Fatalf("the canceled hedge was counted as %d backend errors", got)
@@ -79,23 +129,19 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 
 	t.Run("hedge wins", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 2 * time.Second })
+		gated(n2) // never opens: only the primary's cancellation ends it
 		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
-		p, h := rt.byURL[n2.url()], rt.byURL[n3.url()]
+		h := rt.byURL[n3.url()]
 
-		start := time.Now()
-		res, err := rt.attemptRead(readReq(t, context.Background()), p, h, hedgeAfter)
-		if err != nil || res.b != h {
-			t.Fatalf("attempt = backend %v, err %v; want the hedge's answer", res.b, err)
-		}
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("took %v: the attempt sat out the slow primary", d)
+		a := <-hedgeOut(t, rt, context.Background(), n2, n3)
+		if a.err != nil || a.res.b != h {
+			t.Fatalf("attempt = backend %v, err %v; want the hedge's answer", a.res.b, a.err)
 		}
 		// By the time attemptRead returns, the primary's context is dead
-		// and its Do has returned — on this goroutine.
+		// and its Do has returned — on the attempt's goroutine.
 		waitFor(t, "the primary's cancellation", func() bool { return n2.canceledCount() == 1 })
-		res.resp.Body.Close()
-		res.cancel()
+		a.res.resp.Body.Close()
+		a.res.cancel()
 		if rt.Hedges() != 1 || rt.met.hedgeWins.Value() != 1 {
 			t.Fatalf("hedges %d, hedge wins %d; want 1, 1", rt.Hedges(), rt.met.hedgeWins.Value())
 		}
@@ -109,14 +155,17 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 
 	t.Run("both fail, primary last", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 80 * time.Millisecond; b.failReads = true })
+		primaryGate := gated(n2)
+		n2.set(func(b *stubBackend) { b.failReads = true })
 		n3.set(func(b *stubBackend) { b.downFlag = true })
 		rt, _ := mkRouter(t, Config{EjectThreshold: 100}, n1, n2, n3)
 		p, h := rt.byURL[n2.url()], rt.byURL[n3.url()]
 
-		_, err := rt.attemptRead(readReq(t, context.Background()), p, h, hedgeAfter)
-		if err == nil || !strings.Contains(err.Error(), "backend n2 answered 500") {
-			t.Fatalf("err = %v; want the primary's 500, the later of the two failures", err)
+		done := hedgeOut(t, rt, context.Background(), n2, n3)
+		waitFor(t, "the hedge's failure", func() bool { return backendRequests(rt, "n3", "error") == 1 })
+		close(primaryGate)
+		if a := <-done; a.err == nil || !strings.Contains(a.err.Error(), "backend n2 answered 500") {
+			t.Fatalf("err = %v; want the primary's 500, the later of the two failures", a.err)
 		}
 		if p.observeFailure() != 2 || h.observeFailure() != 2 {
 			t.Fatal("both backends must carry one failure each")
@@ -128,14 +177,19 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 
 	t.Run("both fail, hedge last", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 60 * time.Millisecond; b.failReads = true })
-		n3.set(func(b *stubBackend) { b.delay = 120 * time.Millisecond; b.failReads = true })
+		primaryGate, hedgeGate := gated(n2), gated(n3)
+		n2.set(func(b *stubBackend) { b.failReads = true })
+		n3.set(func(b *stubBackend) { b.failReads = true })
 		rt, _ := mkRouter(t, Config{EjectThreshold: 100}, n1, n2, n3)
 		p, h := rt.byURL[n2.url()], rt.byURL[n3.url()]
 
-		_, err := rt.attemptRead(readReq(t, context.Background()), p, h, hedgeAfter)
-		if err == nil || !strings.Contains(err.Error(), "backend n3 answered 500") {
-			t.Fatalf("err = %v; want the hedge's 500, the later of the two failures", err)
+		done := hedgeOut(t, rt, context.Background(), n2, n3)
+		waitFor(t, "the hedge to reach its backend", func() bool { return n3.hitCount() == 1 })
+		close(primaryGate)
+		waitFor(t, "the primary's failure", func() bool { return backendRequests(rt, "n2", "error") == 1 })
+		close(hedgeGate)
+		if a := <-done; a.err == nil || !strings.Contains(a.err.Error(), "backend n3 answered 500") {
+			t.Fatalf("err = %v; want the hedge's 500, the later of the two failures", a.err)
 		}
 		if p.observeFailure() != 2 || h.observeFailure() != 2 {
 			t.Fatal("both backends must carry one failure each")
@@ -144,17 +198,22 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 
 	t.Run("primary fails, hedge answers", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 60 * time.Millisecond; b.failReads = true })
-		n3.set(func(b *stubBackend) { b.delay = 100 * time.Millisecond })
+		primaryGate, hedgeGate := gated(n2), gated(n3)
+		n2.set(func(b *stubBackend) { b.failReads = true })
 		rt, _ := mkRouter(t, Config{EjectThreshold: 100}, n1, n2, n3)
-		p, h := rt.byURL[n2.url()], rt.byURL[n3.url()]
+		h := rt.byURL[n3.url()]
 
-		res, err := rt.attemptRead(readReq(t, context.Background()), p, h, hedgeAfter)
-		if err != nil || res.b != h {
-			t.Fatalf("attempt = backend %v, err %v; want the hedge's answer", res.b, err)
+		done := hedgeOut(t, rt, context.Background(), n2, n3)
+		waitFor(t, "the hedge to reach its backend", func() bool { return n3.hitCount() == 1 })
+		close(primaryGate)
+		waitFor(t, "the primary's failure", func() bool { return backendRequests(rt, "n2", "error") == 1 })
+		close(hedgeGate)
+		a := <-done
+		if a.err != nil || a.res.b != h {
+			t.Fatalf("attempt = backend %v, err %v; want the hedge's answer", a.res.b, a.err)
 		}
-		res.resp.Body.Close()
-		res.cancel()
+		a.res.resp.Body.Close()
+		a.res.cancel()
 		if rt.met.hedgeWins.Value() != 1 || backendRequests(rt, "n2", "error") != 1 {
 			t.Fatal("want one hedge win and the primary's failure counted")
 		}
@@ -164,13 +223,15 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
 		n2.set(func(b *stubBackend) { b.failReads = true })
 		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
+		clk := onManualClock(rt)
 		before := n3.hitCount()
-		_, err := rt.attemptRead(readReq(t, context.Background()), rt.byURL[n2.url()], rt.byURL[n3.url()], 200*time.Millisecond)
+		_, err := rt.attemptRead(readReq(t, context.Background()), rt.byURL[n2.url()], rt.byURL[n3.url()], hedgeAfter)
 		if err == nil {
 			t.Fatal("a 500 from the primary must fail the attempt")
 		}
-		// The retry loop, not the hedge, owns the next candidate.
-		time.Sleep(250 * time.Millisecond)
+		// The retry loop, not the hedge, owns the next candidate: the
+		// attempt took its timer with it.
+		clk.Advance(hedgeAfter)
 		if rt.Hedges() != 0 || n3.hitCount() != before {
 			t.Fatal("a hedge was launched for an attempt that was already over")
 		}
@@ -178,19 +239,16 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 
 	t.Run("client cancels mid-attempt", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 2 * time.Second })
-		n3.set(func(b *stubBackend) { b.delay = 2 * time.Second })
+		gated(n2) // neither gate opens
+		gated(n3)
 		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
 		baseline := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
-		time.AfterFunc(60*time.Millisecond, cancel) // after the hedge is out
-		start := time.Now()
-		_, err := rt.attemptRead(readReq(t, ctx), rt.byURL[n2.url()], rt.byURL[n3.url()], hedgeAfter)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want the client's cancellation", err)
-		}
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("the attempt outlived its client by %v", d)
+		done := hedgeOut(t, rt, ctx, n2, n3)
+		waitFor(t, "the hedge to reach its backend", func() bool { return n3.hitCount() == 1 })
+		cancel()
+		if a := <-done; !errors.Is(a.err, context.Canceled) {
+			t.Fatalf("err = %v, want the client's cancellation", a.err)
 		}
 		waitFor(t, "both backends to see the cancellation", func() bool {
 			return n2.canceledCount() == 1 && n3.canceledCount() == 1
@@ -200,14 +258,19 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 
 	t.Run("no hedge candidate", func(t *testing.T) {
 		n1, n2, n3 := threeNode(t)
-		n2.set(func(b *stubBackend) { b.delay = 50 * time.Millisecond })
+		primaryGate := gated(n2)
 		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
-		res, err := rt.attemptRead(readReq(t, context.Background()), rt.byURL[n2.url()], nil, time.Millisecond)
-		if err != nil || res.b.member.ID != "n2" {
-			t.Fatalf("attempt = %v, %v; want n2's answer", res.b, err)
+		clk := onManualClock(rt)
+		done := goAttempt(rt, readReq(t, context.Background()), rt.byURL[n2.url()], nil, time.Millisecond)
+		waitFor(t, "the primary to reach its backend", func() bool { return n2.hitCount() == 1 })
+		clk.Advance(time.Hour) // far past any hedge delay
+		close(primaryGate)
+		a := <-done
+		if a.err != nil || a.res.b.member.ID != "n2" {
+			t.Fatalf("attempt = %v, %v; want n2's answer", a.res.b, a.err)
 		}
-		res.resp.Body.Close()
-		res.cancel()
+		a.res.resp.Body.Close()
+		a.res.cancel()
 		if rt.Hedges() != 0 {
 			t.Fatal("a read with nothing to hedge to launched a hedge")
 		}

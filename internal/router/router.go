@@ -635,18 +635,18 @@ func (res tryResult) answered() bool {
 // is ctx's and travels with the result: whoever ends up owning the
 // response calls it once the body is consumed.
 func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Request, b *backend) tryResult {
-	start := time.Now()
+	start := rt.clock.Now()
 	resp, err := rt.hc.Do(rt.cloneRequest(ctx, r, b, nil))
-	return tryResult{resp: resp, err: err, b: b, cancel: cancel, dur: time.Since(start)}
+	return tryResult{resp: resp, err: err, b: b, cancel: cancel, dur: rt.clock.Now().Sub(start)}
 }
 
 // attemptRead runs one read attempt: the primary on the request's own
 // goroutine, and — if hedge is non-nil and the primary has not answered
-// within hedgeAfter — a second request to hedge, raced against it. The
-// common read, whose hedge never fires, is a straight line: one timer
-// armed and stopped, no goroutine, no channel. On success the caller
-// relays the result's response and then calls its cancel; on failure
-// err is the last failed attempt's. A response ≥ 500 counts as failure.
+// within hedgeAfter on the router's clock — a second request to hedge,
+// raced against it. The common read, whose hedge never fires, is a
+// straight line: one timer armed and stopped, no goroutine, no channel.
+// On success the caller relays the result's response, then calls its
+// cancel; on failure err is the last failed attempt's (a ≥ 500 fails).
 //
 // Once the hedge is in flight the race has three outcomes. The primary
 // answers first: the hedge is canceled at once and cleans up after
@@ -660,7 +660,7 @@ func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAft
 	var race *hedgeRace
 	if hedge != nil {
 		race = &hedgeRace{rt: rt, r: r, b: hedge, cancelPrimary: cancel}
-		defer time.AfterFunc(hedgeAfter, race.run).Stop()
+		defer rt.clock.AfterFunc(hedgeAfter, race.run).Stop()
 	}
 	res := rt.try(ctx, cancel, r, primary)
 	switch race.primaryBack(res) {
@@ -850,7 +850,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 	for {
 		b := rt.byURL[leader] // leaderURL and the chase name members only
 		actx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
-		start := time.Now()
+		start := rt.clock.Now()
 		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, b, bytes.NewReader(body)))
 		if derr != nil {
 			cancel()
@@ -896,7 +896,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 			rt.budget.OnSuccess()
 			b.requestsOK.Inc()
 			rt.met.requests("write", "ok").Inc()
-			rt.met.forwardSeconds.Observe(time.Since(start).Seconds())
+			rt.met.forwardSeconds.Observe(rt.clock.Now().Sub(start).Seconds())
 		} else {
 			rt.noteFailure(b)
 			rt.met.backendRequests(b.member.ID, "error").Inc()

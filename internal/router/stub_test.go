@@ -30,9 +30,10 @@ type stubBackend struct {
 	lag       float64
 	downFlag  bool          // kill: hijack + close, a transport error
 	delay     time.Duration // added to every data request
+	gate      chan struct{} // when set, every data request waits for it to close
 	failReads bool          // 5xx every data request
 	hits      int
-	canceled  int // data requests whose context died before the delay elapsed
+	canceled  int // data requests whose context died before the delay or gate
 }
 
 func newStubBackend(t *testing.T, id string) *stubBackend {
@@ -66,7 +67,7 @@ func (b *stubBackend) canceledCount() int {
 func (b *stubBackend) handle(w http.ResponseWriter, r *http.Request) {
 	b.mu.Lock()
 	down, role, lease, leaderURL, lag := b.downFlag, b.role, b.leaseHeld, b.leaderURL, b.lag
-	delay, fail := b.delay, b.failReads
+	delay, gate, fail := b.delay, b.gate, b.failReads
 	b.mu.Unlock()
 
 	if down {
@@ -90,9 +91,14 @@ func (b *stubBackend) handle(w http.ResponseWriter, r *http.Request) {
 	b.hits++
 	b.mu.Unlock()
 
-	if delay > 0 {
+	if delay > 0 || gate != nil {
+		var elapsed <-chan time.Time // nil, never ready, without a delay
+		if delay > 0 {
+			elapsed = time.After(delay)
+		}
 		select {
-		case <-time.After(delay):
+		case <-elapsed:
+		case <-gate:
 		case <-r.Context().Done():
 			b.mu.Lock()
 			b.canceled++
