@@ -44,17 +44,14 @@ func bindFlags(fs *flag.FlagSet, c *router.Config) *listen {
 	fs.StringVar(&l.peers, "peers", "", "backend fleet as id=url,id=url,... (required)")
 	fs.DurationVar(&c.MaxReadLag, "max-read-lag", router.DefaultMaxReadLag, "followers lagging more than this are excluded from reads")
 	fs.DurationVar(&c.HedgeAfterMin, "hedge-min", router.DefaultHedgeAfterMin, "floor for the adaptive hedge delay")
-	fs.IntVar(&c.MaxRetries, "max-retries", router.DefaultMaxRetries, "extra read attempts after the first (each also needs a budget token)")
 	fs.Float64Var(&c.RetryBudget.Tokens, "retry-budget", resilience.DefaultBudgetTokens, "retry budget bucket capacity")
 	fs.Float64Var(&c.RetryBudget.Ratio, "retry-budget-ratio", resilience.DefaultBudgetRatio, "tokens refilled per successful request")
 	fs.IntVar(&c.EjectThreshold, "eject-threshold", router.DefaultEjectThreshold, "consecutive failures that eject a backend")
 	fs.DurationVar(&c.EjectCooldown, "eject-cooldown", router.DefaultEjectCooldown, "base ejection cooldown (jittered ×[0.5,1.5))")
-	fs.Float64Var(&c.MaxEjectFraction, "max-eject-fraction", router.DefaultMaxEjectFraction, "cap on the ejected share of the fleet")
 	fs.DurationVar(&c.PollEvery, "poll-every", router.DefaultPollEvery, "backend health probe period")
-	fs.DurationVar(&c.ForwardTimeout, "forward-timeout", router.DefaultForwardTimeout, "per-attempt proxy deadline")
 	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", router.DefaultMaxBodyBytes, "largest write body the router will buffer")
 	fs.DurationVar(&l.drainTimeout, "drain-timeout", httpapi.DefaultDrainTimeout, "graceful shutdown drain window")
-	fs.Uint64Var(&c.Seed, "seed", 1, "seed for jitter and sampling determinism")
+	fs.Uint64Var(&c.Seed, "seed", 1, "seed for the ejection-cooldown jitter")
 	return l
 }
 

@@ -36,10 +36,9 @@ func TestHelpGolden(t *testing.T) {
 // neither its default nor any other flag's.
 func TestEveryFlagLandsInConfig(t *testing.T) {
 	args := []string{
-		"-port=9001", "-peers=n1=http://a:1", "-max-read-lag=2s", "-hedge-min=3ms", "-max-retries=4",
+		"-port=9001", "-peers=n1=http://a:1", "-max-read-lag=2s", "-hedge-min=3ms",
 		"-retry-budget=5.5", "-retry-budget-ratio=0.6", "-eject-threshold=7", "-eject-cooldown=8s",
-		"-max-eject-fraction=0.9", "-poll-every=10ms", "-forward-timeout=11s", "-max-body-bytes=12",
-		"-drain-timeout=13s", "-seed=14",
+		"-poll-every=10ms", "-max-body-bytes=12", "-drain-timeout=13s", "-seed=14",
 	}
 	fs := flag.NewFlagSet("mcbound-router", flag.ContinueOnError)
 	var c router.Config
@@ -56,10 +55,10 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		t.Fatalf("parsed %+v, want %+v", *l, want)
 	}
 	want := router.Config{
-		MaxReadLag: 2 * time.Second, HedgeAfterMin: 3 * time.Millisecond, MaxRetries: 4,
+		MaxReadLag: 2 * time.Second, HedgeAfterMin: 3 * time.Millisecond,
 		RetryBudget:    resilience.BudgetConfig{Tokens: 5.5, Ratio: 0.6},
-		EjectThreshold: 7, EjectCooldown: 8 * time.Second, MaxEjectFraction: 0.9,
-		PollEvery: 10 * time.Millisecond, ForwardTimeout: 11 * time.Second, MaxBodyBytes: 12, Seed: 14,
+		EjectThreshold: 7, EjectCooldown: 8 * time.Second,
+		PollEvery: 10 * time.Millisecond, MaxBodyBytes: 12, Seed: 14,
 	}
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", c, want)

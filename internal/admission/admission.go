@@ -10,9 +10,9 @@
 //   - a bounded, priority-tiered wait queue that sheds LIFO on
 //     overflow (newest waiter of the lowest tier loses);
 //   - deadline-aware "doomed request" shedding: a request whose
-//     remaining deadline is below the current p95 service time (see
-//     Limiter) is rejected up front instead of burning a worker on a
-//     reply nobody will read;
+//     remaining deadline is below the current p95 service time (a
+//     telemetry.P95Window) is rejected up front instead of burning a
+//     worker on a reply nobody will read;
 //   - per-client token-bucket rate limiting over an LRU of buckets.
 //
 // Every rejection is a typed error (ErrQueueFull, ErrDoomed,
@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"mcbound/internal/clock"
+	"mcbound/internal/telemetry"
 )
 
 // Priority orders request tiers. Higher values admit first when slots
@@ -123,11 +124,9 @@ type Config struct {
 	QueueDepth int
 
 	// RateLimit is the per-client steady admission rate in requests
-	// per second; 0 disables rate limiting. RateBurst is the bucket
-	// capacity (0 selects 2×RateLimit); the bucket LRU holds
-	// DefaultClientCap clients.
+	// per second; 0 disables rate limiting. The bucket holds
+	// 2×RateLimit tokens, and its LRU holds DefaultClientCap clients.
 	RateLimit float64
-	RateBurst float64
 
 	// Clock is the time source, injectable for tests. Default the wall
 	// clock.
@@ -140,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
-	}
-	if c.RateBurst <= 0 {
-		c.RateBurst = 2 * c.RateLimit
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall{}
@@ -176,7 +172,7 @@ func (s Stats) Shed() int64 {
 // for concurrent use.
 type Controller struct {
 	cfg   Config
-	lim   *Limiter
+	p95   *telemetry.P95Window
 	rl    *RateLimiter
 	clock clock.Clock
 
@@ -199,17 +195,18 @@ func NewController(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:   cfg,
-		lim:   newLimiter(),
+		p95:   telemetry.NewP95Window(),
 		clock: cfg.Clock,
 	}
 	if cfg.RateLimit > 0 {
-		c.rl = NewRateLimiter(cfg.RateLimit, cfg.RateBurst, DefaultClientCap, cfg.Clock)
+		c.rl = NewRateLimiter(cfg.RateLimit, 2*cfg.RateLimit, DefaultClientCap, cfg.Clock)
 	}
 	return c
 }
 
-// Limiter exposes the p95 service-time window (for gauges).
-func (c *Controller) Limiter() *Limiter { return c.lim }
+// P95 is the p95 service time of the last full window of completed
+// requests; 0 while the window is cold.
+func (c *Controller) P95() time.Duration { return c.p95.P95() }
 
 // SetQueueWaitHook installs the queue-wait observer (the telemetry
 // histogram). Call before the controller starts admitting traffic; the
@@ -262,7 +259,7 @@ func (t *Ticket) Release() {
 		return // never held a slot
 	}
 	c := t.c
-	c.lim.Observe(c.clock.Now().Sub(t.granted))
+	c.p95.Observe(c.clock.Now().Sub(t.granted))
 	c.mu.Lock()
 	c.inflight--
 	if t.pri == Background {
@@ -305,7 +302,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (
 
 	now := c.clock.Now()
 	deadline, hasDeadline := ctx.Deadline()
-	p95 := c.lim.P95()
+	p95 := c.p95.P95()
 
 	// Doomed pre-check: a request whose remaining deadline cannot cover
 	// even one p95 service time will miss its deadline no matter what —
@@ -389,7 +386,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (
 			// The deadline expired while waiting: the request was doomed,
 			// we just found out late.
 			c.shedDoomed.Add(1)
-			return nil, withRetryAfter(fmt.Errorf("%w: deadline expired in queue", ErrDoomed), c.lim.P95())
+			return nil, withRetryAfter(fmt.Errorf("%w: deadline expired in queue", ErrDoomed), c.p95.P95())
 		}
 		c.shedCanceled.Add(1)
 		return nil, fmt.Errorf("admission: abandoned while queued: %w", ctx.Err())
@@ -425,7 +422,7 @@ func (c *Controller) takeSlotLocked(pri Priority) {
 // waiter whose remaining deadline dropped below p95 while queued is
 // shed as doomed instead of being granted a slot it cannot use.
 func (c *Controller) grantLocked() {
-	p95 := c.lim.P95()
+	p95 := c.p95.P95()
 	now := c.clock.Now()
 	limit := c.cfg.MaxConcurrency
 	for {

@@ -225,10 +225,10 @@ func TestEmptyTierKeepsReservedQueueSeat(t *testing.T) {
 func TestDoomedRequestShedsUpFront(t *testing.T) {
 	c := NewController(Config{MaxConcurrency: 2})
 	// Warm the p95 estimate: one full window of 50ms services.
-	for i := 0; i < p95Window; i++ {
-		c.Limiter().Observe(50 * time.Millisecond)
+	for i := 0; i < 64; i++ {
+		c.p95.Observe(50 * time.Millisecond)
 	}
-	if got := c.Limiter().P95(); got != 50*time.Millisecond {
+	if got := c.P95(); got != 50*time.Millisecond {
 		t.Fatalf("p95 = %v, want 50ms", got)
 	}
 
@@ -449,7 +449,7 @@ func TestBackgroundReservedSlotPreventsStarvation(t *testing.T) {
 }
 
 func TestRateLimitedRejection(t *testing.T) {
-	c := NewController(Config{MaxConcurrency: 4, RateLimit: 1, RateBurst: 2})
+	c := NewController(Config{MaxConcurrency: 4, RateLimit: 1})
 	for i := 0; i < 2; i++ {
 		tk, err := c.Admit(context.Background(), Interactive, "client-a")
 		if err != nil {
@@ -513,7 +513,7 @@ func TestQueueWaitHookFires(t *testing.T) {
 // books balance exactly. Run with -race.
 func TestAccountingIdentityUnderStress(t *testing.T) {
 	c := NewController(Config{
-		MaxConcurrency: 4, QueueDepth: 8, RateLimit: 500, RateBurst: 50,
+		MaxConcurrency: 4, QueueDepth: 8, RateLimit: 25,
 	})
 	const (
 		workers = 16

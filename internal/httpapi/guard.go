@@ -64,7 +64,6 @@ func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerF
 // inflight/queue/p95 gauges, the offered/admitted counters, per-reason
 // shed counters and the queue-wait histogram.
 func registerAdmissionMetrics(reg *telemetry.Registry, adm *admission.Controller) {
-	lim := adm.Limiter()
 	reg.GaugeFunc("mcbound_admission_inflight",
 		"Requests currently holding an admission slot.", nil,
 		func() float64 { return float64(adm.Inflight()) })
@@ -73,7 +72,7 @@ func registerAdmissionMetrics(reg *telemetry.Registry, adm *admission.Controller
 		func() float64 { return float64(adm.QueueLen()) })
 	reg.GaugeFunc("mcbound_admission_p95_service_seconds",
 		"p95 service time of the last 64-request window.", nil,
-		func() float64 { return lim.P95().Seconds() })
+		func() float64 { return adm.P95().Seconds() })
 
 	reg.CounterFunc("mcbound_admission_requests_total",
 		"Admission decisions by outcome.", telemetry.Labels{"outcome": "admitted"},

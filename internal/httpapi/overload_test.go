@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mcbound/internal/admission"
+	"mcbound/internal/clock"
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/peer"
@@ -79,7 +80,8 @@ func TestOverloadBadTimeoutHeaderIs400(t *testing.T) {
 
 func TestOverloadRateLimitedIsTyped429(t *testing.T) {
 	st := seedStore(t)
-	adm := admission.NewController(admission.Config{RateLimit: 0.001, RateBurst: 2})
+	// The clock never moves, so no token refills mid-test.
+	adm := admission.NewController(admission.Config{RateLimit: 1, Clock: clock.NewManual(time.Now())})
 	srv := httptest.NewServer(newAPI(t, st, nil, true, Options{Admission: adm}))
 	t.Cleanup(srv.Close)
 
@@ -236,7 +238,7 @@ func TestOverloadBurst(t *testing.T) {
 	}
 	sort.Slice(unloaded, func(i, j int) bool { return unloaded[i] < unloaded[j] })
 	unloadedP99 := unloaded[len(unloaded)*99/100]
-	if p95 := adm.Limiter().P95(); p95 <= 0 {
+	if p95 := adm.P95(); p95 <= 0 {
 		t.Fatalf("p95 estimator still cold after %d requests", warmN)
 	}
 	before := adm.Stats()

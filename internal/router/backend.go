@@ -30,9 +30,9 @@ type backend struct {
 	// looked up once instead of on every forward.
 	requestsOK *telemetry.Counter
 
-	// res samples this backend's successful-read latencies (seconds);
-	// its p95 feeds the adaptive hedge delay.
-	res *telemetry.Reservoir
+	// lat windows this backend's successful-read latencies; its p95
+	// feeds the adaptive hedge delay.
+	lat *telemetry.P95Window
 
 	mu sync.Mutex
 	// alive is false only when the last probe could not reach the

@@ -48,8 +48,8 @@ func TestRouterChaosDeadAndSlowBackends(t *testing.T) {
 		return time.Since(start), resp.StatusCode
 	}
 
-	// Healthy baseline: also fills the latency reservoirs the hedge
-	// delay adapts to.
+	// Healthy baseline: also fills the latency windows the hedge delay
+	// adapts to.
 	const warm = 200
 	healthy := make([]time.Duration, 0, warm)
 	for i := 0; i < warm; i++ {

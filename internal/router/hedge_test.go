@@ -124,7 +124,7 @@ func TestEjectAndRecoverFlapping(t *testing.T) {
 }
 
 func TestEjectionFloorNeverEmptiesTheFleet(t *testing.T) {
-	// Both backends fail every read. With MaxEjectFraction 0.5 of a
+	// Both backends fail every read. With maxEjectFraction 0.5 of a
 	// two-member fleet, at most one may be ejected — the fleet never
 	// goes fully dark by the router's own hand.
 	n1 := newStubBackend(t, "n1")
@@ -182,5 +182,55 @@ func TestEjectCooldownIsHalfToOneAndAHalfTimesBase(t *testing.T) {
 	}
 	if lo < 5*time.Second || hi >= 15*time.Second || hi-lo < 8*time.Second {
 		t.Fatalf("ejection cooldowns drew [%v, %v], want most of [5s, 15s)", lo, hi)
+	}
+}
+
+// The hedge delay is max(HedgeAfterMin, the smallest candidate p95 of a
+// full 64-read window): the floor while no candidate has filled one,
+// the fastest candidate's p95 after, and it follows that backend's
+// latest window down again — the window forgets the slower reads.
+func TestHedgeDelayFollowsTheLastFullWindow(t *testing.T) {
+	rt, err := New(Config{
+		Backends: []cluster.Member{
+			{ID: "a", URL: "http://a"}, {ID: "b", URL: "http://b"}, {ID: "c", URL: "http://c"},
+		},
+		HedgeAfterMin: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := rt.backends[0], rt.backends[1], rt.backends[2]
+	observe := func(be *backend, n int, d time.Duration) {
+		for i := 0; i < n; i++ {
+			be.lat.Observe(d)
+		}
+	}
+	steps := []struct {
+		name  string
+		feed  func()
+		cands []*backend
+		want  time.Duration
+	}{
+		{"63 reads each: the floor", func() {
+			observe(a, 63, 40*time.Millisecond)
+			observe(b, 63, 20*time.Millisecond)
+			observe(c, 63, 2*time.Millisecond)
+		}, []*backend{a, b, c}, 5 * time.Millisecond},
+		{"a full window each: the smallest p95 above the floor", func() {
+			observe(a, 1, 40*time.Millisecond)
+			observe(b, 1, 20*time.Millisecond)
+		}, []*backend{a, b, c}, 20 * time.Millisecond},
+		{"a p95 below the floor is floored", func() {
+			observe(c, 1, 2*time.Millisecond)
+		}, []*backend{a, b, c}, 5 * time.Millisecond},
+		{"one faster window: the delay falls", func() {
+			observe(b, 64, 10*time.Millisecond)
+		}, []*backend{a, b}, 10 * time.Millisecond},
+	}
+	for _, st := range steps {
+		st.feed()
+		if got := rt.hedgeDelay(st.cands); got != st.want {
+			t.Fatalf("%s: hedge delay %v, want %v", st.name, got, st.want)
+		}
 	}
 }

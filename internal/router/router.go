@@ -30,6 +30,7 @@ import (
 	"mcbound/internal/clock"
 	"mcbound/internal/cluster"
 	"mcbound/internal/httpapi"
+	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 	"mcbound/internal/stats"
 	"mcbound/internal/telemetry"
@@ -48,28 +49,25 @@ const (
 	StalenessHeader = "X-MCBound-Staleness"
 )
 
-// Defaults for the zero Config fields.
+// Defaults for the zero Config fields, and the limits no caller tunes.
 const (
-	DefaultMaxReadLag       = 5 * time.Second
-	DefaultHedgeAfterMin    = 5 * time.Millisecond
-	DefaultMaxRetries       = 2
-	DefaultEjectThreshold   = 5
-	DefaultEjectCooldown    = 10 * time.Second
-	DefaultMaxEjectFraction = 0.5
-	DefaultPollEvery        = time.Second
-	DefaultForwardTimeout   = 10 * time.Second
-	DefaultMaxBodyBytes     = 8 << 20
+	DefaultMaxReadLag     = 5 * time.Second
+	DefaultHedgeAfterMin  = 5 * time.Millisecond
+	DefaultEjectThreshold = 5
+	DefaultEjectCooldown  = 10 * time.Second
+	DefaultPollEvery      = time.Second
+	DefaultMaxBodyBytes   = 8 << 20
 	// maxWriteHops bounds the 421 Location chase on the write path,
 	// mirroring the replication client.
 	maxWriteHops = 3
-	// reservoirCap bounds each backend's latency sample.
-	reservoirCap = 512
-	// hedgeQuantile is the per-backend latency quantile the hedge delay
-	// adapts to.
-	hedgeQuantile = 0.95
-	// hedgeMinSamples gates the adaptive delay: below this many samples
-	// a backend's p95 is noise and the floor is used instead.
-	hedgeMinSamples = 20
+	// maxRetries caps extra read attempts (distinct backends) after the
+	// first; each one must also win a retry-budget token.
+	maxRetries = 2
+	// maxEjectFraction caps how much of the fleet may sit ejected at
+	// once; an ejection that would cross it is skipped.
+	maxEjectFraction = 0.5
+	// forwardTimeout bounds each proxied attempt.
+	forwardTimeout = 10 * time.Second
 )
 
 // Config tunes the front door. Backends is required; every other zero
@@ -84,9 +82,6 @@ type Config struct {
 	// HedgeAfterMin floors the adaptive hedge delay, so a quiet cluster
 	// with sub-millisecond p95s does not hedge every request.
 	HedgeAfterMin time.Duration
-	// MaxRetries caps extra read attempts (distinct backends) after the
-	// first; each one must also win a retry-budget token.
-	MaxRetries int
 	// RetryBudget configures the global token bucket shared by every
 	// retried request.
 	RetryBudget resilience.BudgetConfig
@@ -97,20 +92,15 @@ type Config struct {
 	// jittered uniformly over [0.5, 1.5)× so a fleet of routers does not
 	// re-admit a struggling backend in lockstep.
 	EjectCooldown time.Duration
-	// MaxEjectFraction caps how much of the fleet may sit ejected at
-	// once (0 < f < 1); an ejection that would cross it is skipped.
-	MaxEjectFraction float64
 	// PollEvery is the health-probe period.
 	PollEvery time.Duration
-	// ForwardTimeout bounds each proxied attempt.
-	ForwardTimeout time.Duration
 	// MaxBodyBytes caps the buffered write body (the buffer is what
 	// makes 421 re-forwarding safe).
 	MaxBodyBytes int64
 	// Seed drives every random choice (cooldown jitter) deterministically.
 	Seed uint64
 	// HTTP overrides the backend transport; per-attempt deadlines come
-	// from ForwardTimeout. Nil selects a plain client.
+	// from forwardTimeout. Nil selects a plain client.
 	HTTP *http.Client
 	// Registry, when non-nil, receives the mcbound_router_* metrics.
 	Registry *telemetry.Registry
@@ -159,25 +149,14 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HedgeAfterMin <= 0 {
 		cfg.HedgeAfterMin = DefaultHedgeAfterMin
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
 	if cfg.EjectThreshold <= 0 {
 		cfg.EjectThreshold = DefaultEjectThreshold
 	}
 	if cfg.EjectCooldown <= 0 {
 		cfg.EjectCooldown = DefaultEjectCooldown
 	}
-	if cfg.MaxEjectFraction <= 0 || cfg.MaxEjectFraction >= 1 {
-		cfg.MaxEjectFraction = DefaultMaxEjectFraction
-	}
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = DefaultPollEvery
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = DefaultForwardTimeout
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
@@ -213,11 +192,7 @@ func New(cfg Config) (*Router, error) {
 		if err != nil || base.Host == "" {
 			return nil, fmt.Errorf("router: backend %s: %q is not an absolute URL", m.ID, m.URL)
 		}
-		b := &backend{
-			member: m,
-			base:   base,
-			res:    telemetry.NewReservoir(reservoirCap, cfg.Seed+uint64(i)+1),
-		}
+		b := &backend{member: m, base: base, lat: telemetry.NewP95Window()}
 		rt.backends = append(rt.backends, b)
 		rt.byURL[m.URL] = b
 	}
@@ -421,25 +396,16 @@ func (rt *Router) readCandidates(key string, buf []*backend) (cands []*backend, 
 // p95 among the candidate backends (any of them could serve the hedge),
 // floored at HedgeAfterMin. Keying on the *fleet's* best p95 rather
 // than the primary's own means a uniformly slow backend still gets
-// hedged around — its own p95 would never fire. Every read asks, so the
-// reservoir answers from its sorted mirror: an index, not a sort.
+// hedged around — its own p95 would never fire. A backend whose first
+// window is not full yet reports 0 and is passed over.
 func (rt *Router) hedgeDelay(cands []*backend) time.Duration {
-	best := math.Inf(1)
+	var best time.Duration
 	for _, b := range cands {
-		if b.res.Count() < hedgeMinSamples {
-			continue
-		}
-		if p, ok := b.res.Quantile(hedgeQuantile); ok && p < best {
+		if p := b.lat.P95(); p > 0 && (best == 0 || p < best) {
 			best = p
 		}
 	}
-	d := rt.cfg.HedgeAfterMin
-	if !math.IsInf(best, 1) {
-		if bd := time.Duration(best * float64(time.Second)); bd > d {
-			d = bd
-		}
-	}
-	return d
+	return max(rt.cfg.HedgeAfterMin, best)
 }
 
 // ejectCooldown draws one ejection length: EjectCooldown × [0.5, 1.5).
@@ -454,7 +420,7 @@ func (rt *Router) noteSuccess(b *backend) { b.observeSuccess() }
 
 // noteFailure counts one failed forward against b and ejects it when
 // the streak crosses the threshold — unless ejecting would leave too
-// little of the fleet in service (MaxEjectFraction floor).
+// little of the fleet in service (maxEjectFraction floor).
 func (rt *Router) noteFailure(b *backend) {
 	streak := b.observeFailure()
 	rt.refreshSoon()
@@ -468,7 +434,7 @@ func (rt *Router) noteFailure(b *backend) {
 			ejected++
 		}
 	}
-	if float64(ejected+1) > rt.cfg.MaxEjectFraction*float64(len(rt.backends)) {
+	if float64(ejected+1) > maxEjectFraction*float64(len(rt.backends)) {
 		// The floor: shedding this backend would eject too much of the
 		// fleet. Keep it in rotation — degraded service beats none.
 		return
@@ -498,7 +464,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"error":%s,"code":%q}`+"\n", strconv.Quote(msg), code)
+	json.NewEncoder(w).Encode(peer.ErrorBody{Error: msg, Code: code})
 }
 
 // retryAfterSeconds is the brownout hint: roughly one poll period,
@@ -584,7 +550,7 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
 	}
 	hedgeAfter := rt.hedgeDelay(cands)
 	var lastErr error
-	for attempt := 0; attempt < len(cands) && attempt <= rt.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < len(cands) && attempt <= maxRetries; attempt++ {
 		if attempt > 0 && !rt.budget.Allow() {
 			rt.met.requests("read", "retry_budget").Inc()
 			rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeRetryBudget,
@@ -656,7 +622,7 @@ func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Re
 // failed: the failure is counted against its backend and the other
 // attempt decides alone.
 func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) (tryResult, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	var race *hedgeRace
 	if hedge != nil {
 		race = &hedgeRace{rt: rt, r: r, b: hedge, cancelPrimary: cancel}
@@ -721,7 +687,7 @@ func (h *hedgeRace) run() {
 		h.mu.Unlock()
 		return // fired as the primary came back: nothing left to hedge
 	}
-	ctx, cancel := context.WithTimeout(h.r.Context(), h.rt.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(h.r.Context(), forwardTimeout)
 	h.cancel, h.done = cancel, make(chan tryResult, 1)
 	h.mu.Unlock()
 	h.rt.hedges.Add(1)
@@ -784,7 +750,7 @@ func (rt *Router) hedgeWin(res tryResult) tryResult {
 // observeWin records a successful attempt: latency sample, streak
 // reset, per-backend metric.
 func (rt *Router) observeWin(res tryResult) {
-	res.b.res.Observe(res.dur.Seconds())
+	res.b.lat.Observe(res.dur)
 	rt.noteSuccess(res.b)
 	res.b.requestsOK.Inc()
 	rt.met.forwardSeconds.Observe(res.dur.Seconds())
@@ -849,7 +815,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 	chase := resilience.NewChase(leader, maxWriteHops, rt.isMember)
 	for {
 		b := rt.byURL[leader] // leaderURL and the chase name members only
-		actx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+		actx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 		start := rt.clock.Now()
 		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, b, bytes.NewReader(body)))
 		if derr != nil {

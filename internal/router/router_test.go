@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"mcbound/internal/httpapi"
+	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 )
 
@@ -114,24 +117,37 @@ func TestWriteChases421AndAdoptsNewLeader(t *testing.T) {
 
 func TestWriteRefusesRedirectOutsideMembership(t *testing.T) {
 	evil := newStubBackend(t, "evil") // never configured as a backend
-	n1, n2, n3 := threeNode(t)
-	_, front := mkRouter(t, Config{}, n1, n2, n3) // probes say "n1 leads"
+	for name, leader := range map[string]string{
+		"a live non-member":        evil.url(),
+		"a base that is not UTF-8": "http://h\xff",
+	} {
+		t.Run(name, func(t *testing.T) {
+			n1, n2, n3 := threeNode(t)
+			_, front := mkRouter(t, Config{}, n1, n2, n3) // probes say "n1 leads"
 
-	// n1 turns hostile (or just confused): it 421s writes at a URL that
-	// is not part of the cluster.
-	evilURL := evil.url()
-	n1.set(func(b *stubBackend) { b.role = "follower"; b.leaseHeld = false; b.leaderURL = evilURL })
+			// n1 turns hostile (or just confused): it 421s writes at a URL
+			// that is not part of the cluster.
+			n1.set(func(b *stubBackend) { b.role = "follower"; b.leaseHeld = false; b.leaderURL = leader })
 
-	resp, err := front.Client().Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`[]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502 on redirect outside membership", resp.StatusCode)
-	}
-	if evil.hitCount() != 0 {
-		t.Fatal("router contacted a non-member URL from a Location header")
+			resp, err := front.Client().Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`[]`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("status %d, want 502 on redirect outside membership", resp.StatusCode)
+			}
+			// The envelope is JSON whatever the Location held, so a peer
+			// client reads its code.
+			var e peer.ErrorBody
+			if err := json.Unmarshal(body, &e); err != nil || e.Code != httpapi.CodeUpstream {
+				t.Fatalf("body %q decodes to code %q (%v), want %q", body, e.Code, err, httpapi.CodeUpstream)
+			}
+			if evil.hitCount() != 0 {
+				t.Fatal("router contacted a non-member URL from a Location header")
+			}
+		})
 	}
 }
 

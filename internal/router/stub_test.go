@@ -160,9 +160,6 @@ func mkRouter(t *testing.T, cfg Config, stubs ...*stubBackend) (*Router, *httpte
 		// they ask for it; local httptest jitter must not trigger hedges.
 		cfg.HedgeAfterMin = 500 * time.Millisecond
 	}
-	if cfg.ForwardTimeout == 0 {
-		cfg.ForwardTimeout = 2 * time.Second
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}

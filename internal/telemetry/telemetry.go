@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,7 +125,7 @@ type Histogram struct {
 func newHistogram(bounds []float64) *Histogram {
 	bs := make([]float64, len(bounds))
 	copy(bs, bounds)
-	sort.Float64s(bs)
+	slices.Sort(bs)
 	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
 }
 
