@@ -61,7 +61,6 @@ func bindFlags(fs *flag.FlagSet, c *node.Config) {
 	fs.IntVar(&c.EncodeCache, "encode-cache", encode.DefaultCacheCapacity, "embedding cache capacity in entries (0 = disabled)")
 	fs.IntVar(&c.MaxConcurrency, "max-concurrency", 64, "concurrent requests admitted at once across all priority tiers")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 128, "admission wait-queue capacity across all priority tiers")
-	fs.Float64Var(&c.RateLimit, "rate-limit", 0, "per-client admission rate in requests/second (0 = disabled)")
 	fs.IntVar(&c.FetchAttempts, "fetch-attempts", 4, "attempts per storage query (retries with jittered exponential backoff)")
 	fs.DurationVar(&c.FetchBackoff, "fetch-backoff", 50*time.Millisecond, "base backoff between storage query retries")
 	fs.StringVar(&c.DataDir, "data-dir", "", "directory for the durable job store (WAL + snapshots); empty = in-memory only. Existing durable state wins over -trace")

@@ -32,13 +32,13 @@ func TestHelpGolden(t *testing.T) {
 
 // Every flag lands in its own Config field: each is given a value that
 // is neither its default nor any other flag's, and the parsed Config
-// must be exactly the literal below — 32 flags, 32 fields set.
+// must be exactly the literal below — 31 flags, 31 fields set.
 func TestEveryFlagLandsInConfig(t *testing.T) {
 	args := []string{
 		"-trace=t.jsonl", "-seed=11", "-model=knn", "-index=on",
 		"-alpha=30", "-beta=2", "-model-dir=/m", "-port=9001",
 		"-max-body-bytes=4096", "-pprof", "-retrain-every=13h", "-shutdown-timeout=14s", "-encode-cache=15",
-		"-max-concurrency=16", "-queue-depth=17", "-rate-limit=19.5",
+		"-max-concurrency=16", "-queue-depth=17",
 		"-fetch-attempts=20", "-fetch-backoff=21ms",
 		"-data-dir=/d", "-fsync=never", "-segment-bytes=27", "-snapshot-every=28",
 		"-follow=http://leader:1", "-follow-poll=32ms", "-promote-on-start", "-retrain-jitter=0.34",
@@ -49,7 +49,7 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 		Trace: "t.jsonl", Seed: 11, Model: "knn", Index: "on",
 		Alpha: 30, Beta: 2, ModelDir: "/m", Port: 9001,
 		MaxBody: 4096, Pprof: true, RetrainEvery: 13 * time.Hour, DrainTimeout: 14 * time.Second, EncodeCache: 15,
-		MaxConcurrency: 16, QueueDepth: 17, RateLimit: 19.5,
+		MaxConcurrency: 16, QueueDepth: 17,
 		FetchAttempts: 20, FetchBackoff: 21 * time.Millisecond,
 		DataDir: "/d", Fsync: "never", SegmentBytes: 27, SnapshotEvery: 28,
 		Follow: "http://leader:1", FollowPoll: 32 * time.Millisecond, PromoteOnStart: true, RetrainJitter: 0.34,
@@ -65,8 +65,8 @@ func TestEveryFlagLandsInConfig(t *testing.T) {
 	declared, set := 0, 0
 	fs.VisitAll(func(*flag.Flag) { declared++ })
 	fs.Visit(func(*flag.Flag) { set++ })
-	if declared != 32 || set != declared {
-		t.Fatalf("%d flags declared, %d set by this test; want 32 and 32", declared, set)
+	if declared != 31 || set != declared {
+		t.Fatalf("%d flags declared, %d set by this test; want 31 and 31", declared, set)
 	}
 	if got != want {
 		t.Fatalf("parsed Config\n%+v\nwant\n%+v", got, want)

@@ -12,14 +12,12 @@
 //   - deadline-aware "doomed request" shedding: a request whose
 //     remaining deadline is below the current p95 service time (a
 //     telemetry.P95Window) is rejected up front instead of burning a
-//     worker on a reply nobody will read;
-//   - per-client token-bucket rate limiting over an LRU of buckets.
+//     worker on a reply nobody will read.
 //
-// Every rejection is a typed error (ErrQueueFull, ErrDoomed,
-// ErrRateLimited) carrying a Retry-After hint via RetryAfter, so the
-// HTTP layer can answer 429/503 with honest back-off advice. All
-// admission decisions are accounted exactly once: for any run,
-// admitted + shed(queue_full) + shed(doomed) + shed(rate_limited) +
+// Every rejection is a typed error (ErrQueueFull, ErrDoomed) carrying a
+// Retry-After hint via RetryAfter, so the HTTP layer can answer 503 with
+// honest back-off advice. All admission decisions are accounted exactly
+// once: for any run, admitted + shed(queue_full) + shed(doomed) +
 // shed(canceled) == offered.
 package admission
 
@@ -73,8 +71,7 @@ func (p Priority) String() string {
 }
 
 // Typed rejection sentinels; branch with errors.Is. The HTTP layer maps
-// ErrRateLimited to 429 rate_limited and the other two to 503
-// overloaded, all with Retry-After.
+// both to 503 overloaded with Retry-After.
 var (
 	// ErrQueueFull rejects a request that found the wait queue at
 	// capacity with no lower-priority waiter to displace.
@@ -82,9 +79,6 @@ var (
 	// ErrDoomed rejects a request whose remaining deadline cannot cover
 	// the current p95 service time.
 	ErrDoomed = errors.New("admission: remaining deadline below p95 service time")
-	// ErrRateLimited rejects a request whose client token bucket is
-	// empty.
-	ErrRateLimited = errors.New("admission: client rate limit exceeded")
 )
 
 // retryAfterErr decorates a rejection with a back-off hint.
@@ -123,11 +117,6 @@ type Config struct {
 	// tiers. Default 128.
 	QueueDepth int
 
-	// RateLimit is the per-client steady admission rate in requests
-	// per second; 0 disables rate limiting. The bucket holds
-	// 2×RateLimit tokens, and its LRU holds DefaultClientCap clients.
-	RateLimit float64
-
 	// Clock is the time source, injectable for tests. Default the wall
 	// clock.
 	Clock clock.Clock
@@ -146,26 +135,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultConfig returns the production defaults (rate limiting off).
+// DefaultConfig returns the production defaults.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 // Stats is a consistent snapshot of the admission accounting counters.
 // Offered counts every non-critical Admit call; the identity
-// Offered == Admitted + ShedQueueFull + ShedDoomed + ShedRateLimited +
-// ShedCanceled holds at every quiescent point.
+// Offered == Admitted + ShedQueueFull + ShedDoomed + ShedCanceled holds
+// at every quiescent point.
 type Stats struct {
-	Offered         int64
-	Admitted        int64
-	Bypassed        int64 // critical-tier requests (not in Offered)
-	ShedQueueFull   int64
-	ShedDoomed      int64
-	ShedRateLimited int64
-	ShedCanceled    int64 // caller gave up while waiting (no deadline involved)
+	Offered       int64
+	Admitted      int64
+	Bypassed      int64 // critical-tier requests (not in Offered)
+	ShedQueueFull int64
+	ShedDoomed    int64
+	ShedCanceled  int64 // caller gave up while waiting (no deadline involved)
 }
 
 // Shed sums the rejection counters.
 func (s Stats) Shed() int64 {
-	return s.ShedQueueFull + s.ShedDoomed + s.ShedRateLimited + s.ShedCanceled
+	return s.ShedQueueFull + s.ShedDoomed + s.ShedCanceled
 }
 
 // Controller is the admission gate every request passes through. Safe
@@ -173,7 +161,6 @@ func (s Stats) Shed() int64 {
 type Controller struct {
 	cfg   Config
 	p95   *telemetry.P95Window
-	rl    *RateLimiter
 	clock clock.Clock
 
 	// onQueueWait, when set, observes the queue wait of every admitted
@@ -185,23 +172,18 @@ type Controller struct {
 	bg       int // slots held by Background
 	queue    waitQueue
 
-	offered, admitted, bypassed            atomic.Int64
-	shedQueueFull, shedDoomed, shedRateLtd atomic.Int64
-	shedCanceled                           atomic.Int64
+	offered, admitted, bypassed             atomic.Int64
+	shedQueueFull, shedDoomed, shedCanceled atomic.Int64
 }
 
 // NewController builds a Controller from cfg (zero value = defaults).
 func NewController(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{
+	return &Controller{
 		cfg:   cfg,
 		p95:   telemetry.NewP95Window(),
 		clock: cfg.Clock,
 	}
-	if cfg.RateLimit > 0 {
-		c.rl = NewRateLimiter(cfg.RateLimit, 2*cfg.RateLimit, DefaultClientCap, cfg.Clock)
-	}
-	return c
 }
 
 // P95 is the p95 service time of the last full window of completed
@@ -230,13 +212,12 @@ func (c *Controller) QueueLen() int {
 // Stats snapshots the accounting counters.
 func (c *Controller) Stats() Stats {
 	return Stats{
-		Offered:         c.offered.Load(),
-		Admitted:        c.admitted.Load(),
-		Bypassed:        c.bypassed.Load(),
-		ShedQueueFull:   c.shedQueueFull.Load(),
-		ShedDoomed:      c.shedDoomed.Load(),
-		ShedRateLimited: c.shedRateLtd.Load(),
-		ShedCanceled:    c.shedCanceled.Load(),
+		Offered:       c.offered.Load(),
+		Admitted:      c.admitted.Load(),
+		Bypassed:      c.bypassed.Load(),
+		ShedQueueFull: c.shedQueueFull.Load(),
+		ShedDoomed:    c.shedDoomed.Load(),
+		ShedCanceled:  c.shedCanceled.Load(),
 	}
 }
 
@@ -280,11 +261,11 @@ func backgroundCap(limit int) int {
 	return cap
 }
 
-// Admit requests a slot at the given priority. clientID keys the rate
-// limiter ("" skips it). The call blocks while queued; ctx bounds the
-// wait, and the request's context deadline drives doomed-request
-// shedding. On success the returned Ticket must be Released.
-func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (*Ticket, error) {
+// Admit requests a slot at the given priority. The third argument is
+// unused. The call blocks while queued; ctx bounds the wait, and the
+// request's context deadline drives doomed-request shedding. On success
+// the returned Ticket must be Released.
+func (c *Controller) Admit(ctx context.Context, pri Priority, _ string) (*Ticket, error) {
 	if pri == Critical {
 		// Health probes and other must-answer traffic: no slot, no
 		// queue, no shedding — only accounting.
@@ -292,13 +273,6 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, clientID string) (
 		return &Ticket{c: c, pri: pri, granted: c.clock.Now()}, nil
 	}
 	c.offered.Add(1)
-
-	if c.rl != nil && clientID != "" {
-		if ok, refill := c.rl.Allow(clientID); !ok {
-			c.shedRateLtd.Add(1)
-			return nil, withRetryAfter(fmt.Errorf("%w: client %q", ErrRateLimited, clientID), refill)
-		}
-	}
 
 	now := c.clock.Now()
 	deadline, hasDeadline := ctx.Deadline()

@@ -15,8 +15,8 @@ const (
 	// the per-request deadline: a bare integer is milliseconds, any Go
 	// duration string ("250ms", "2s") also parses.
 	TimeoutHeader = "X-Request-Timeout"
-	// ClientIDHeader identifies the caller for per-client rate
-	// limiting.
+	// ClientIDHeader identifies the caller; the router hashes it
+	// (through ClientKey) to pin a client's reads to one follower.
 	ClientIDHeader = "X-Client-Id"
 )
 
@@ -70,8 +70,8 @@ func clampTimeout(d, max time.Duration) time.Duration {
 	return d
 }
 
-// ParseClientID sanitizes an X-Client-Id header into a rate-limiter
-// key: at most 128 bytes of [A-Za-z0-9._-]. Anything else returns ""
+// ParseClientID sanitizes an X-Client-Id header into a client key: at
+// most 128 bytes of [A-Za-z0-9._-]. Anything else returns ""
 // (the caller falls back to the remote host), so a hostile header can
 // neither inflate label cardinality nor alias another client.
 func ParseClientID(v string) string {
@@ -93,7 +93,8 @@ func ParseClientID(v string) string {
 // ClientKey names the client a request comes from: its X-Client-Id when
 // ParseClientID accepts it, the remote host otherwise — so anonymous
 // clients are told apart per source address rather than sharing one
-// key. It keys the rate limiter and the router's client affinity.
+// key. Its one reader is the router's rendezvous read affinity; it lives
+// here beside the other request headers.
 func ClientKey(r *http.Request) string {
 	if id := ParseClientID(r.Header.Get(ClientIDHeader)); id != "" {
 		return id

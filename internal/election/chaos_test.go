@@ -70,9 +70,9 @@ func (c *chaosTransport) dropped(url string) bool {
 	return c.blocked[url]
 }
 
-func (c *chaosTransport) GetLease(ctx context.Context, url string) (wal.Lease, error) {
+func (c *chaosTransport) GetLease(ctx context.Context, url string) (election.Lease, error) {
 	if c.dropped(url) {
-		return wal.Lease{}, errors.New("chaos: blackholed")
+		return election.Lease{}, errors.New("chaos: blackholed")
 	}
 	return c.inner.GetLease(ctx, url)
 }
@@ -170,8 +170,9 @@ const (
 
 // newChaosCluster boots one leader (node 0) and two live followers, each
 // assembled by node.Open the way mcbound-server assembles it. leaderFS,
-// when non-nil, backs the leader's WAL (the wedge scenarios pass a
-// flakyFS).
+// when non-nil, backs the leader's durable store (the wedge scenarios
+// pass a flakyFS, whose byte budget then counts WAL bytes only:
+// segments, snapshots and the epoch file).
 func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 	t.Helper()
 	ids := []string{"n1", "n2", "n3"}

@@ -34,7 +34,6 @@ import (
 	"mcbound/internal/cluster"
 	"mcbound/internal/repl"
 	"mcbound/internal/stats"
-	"mcbound/internal/wal"
 )
 
 // ErrLeaseLost marks a write reaching a leader whose lease is not held:
@@ -71,6 +70,9 @@ func (m Mode) String() string {
 	}
 }
 
+// requestTimeout bounds each transport call (lease poll, ack, vote).
+const requestTimeout = 2 * time.Second
+
 // Config wires an Elector.
 type Config struct {
 	// Members is the static cluster membership, self included (required,
@@ -95,9 +97,6 @@ type Config struct {
 	// each armed election fires after uniform [T, 2T), re-drawn per
 	// attempt so the fleet doesn't stampede. <= 0 selects 1 s.
 	ElectionTimeout time.Duration
-	// RequestTimeout bounds each transport call (lease poll, ack, vote).
-	// <= 0 selects 2 s.
-	RequestTimeout time.Duration
 	// Seed drives the election-timeout jitter and step jitter.
 	Seed uint64
 	// Clock overrides the wall clock: every lease instant and, in Run,
@@ -105,12 +104,6 @@ type Config struct {
 	Clock clock.Clock
 	// Transport overrides the HTTP lease/ack transport (fault injection).
 	Transport Transport
-	// LeaseDir, when set, persists the lease next to the WAL's epoch
-	// file on acquisition and term change.
-	LeaseDir string
-	// FS substitutes the filesystem for lease persistence; nil selects
-	// wal.OS.
-	FS wal.FS
 	// Logf, when set, receives elector state transitions.
 	Logf func(format string, args ...any)
 	// OnLeaderChange, when set, observes every adopted leader URL (the
@@ -155,7 +148,6 @@ type Elector struct {
 	abdicated   bool
 	abdiReason  string
 	start       time.Time // boot instant: unacked peers count fresh for one TTL
-	persisted   uint64    // last lease term written to LeaseDir
 	elections   int64
 	failovers   int64
 	lastErr     string
@@ -184,17 +176,11 @@ func New(cfg Config) (*Elector, error) {
 	if cfg.ElectionTimeout <= 0 {
 		cfg.ElectionTimeout = time.Second
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 2 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall{}
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = NewHTTPTransport(nil, cfg.Seed)
-	}
-	if cfg.FS == nil {
-		cfg.FS = wal.OS
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -272,8 +258,6 @@ func (e *Elector) Tick(ctx context.Context) {
 // re-evaluates quorum freshness. Leaders make no network calls — the
 // heartbeat is pulled by followers.
 func (e *Elector) leaderStep() {
-	var persist bool
-	var persistTerm uint64
 	e.mu.Lock()
 	if e.mode != ModeLeader {
 		e.mu.Unlock()
@@ -308,15 +292,8 @@ func (e *Elector) leaderStep() {
 			e.logf("election: lease lost at term %d (quorum acks stale); writes fenced", e.term)
 		}
 	}
-	if e.cfg.LeaseDir != "" && e.persisted != e.term {
-		persist, persistTerm = true, e.term
-		e.persisted = e.term
-	}
 	e.view.Observe(e.self.ID, "leader", e.term, e.appliedSeqLocked(), now)
 	e.mu.Unlock()
-	if persist {
-		e.persistLease(persistTerm)
-	}
 }
 
 // quorumFreshLocked reports whether a majority (self included) acked
@@ -351,28 +328,13 @@ func (e *Elector) abdicateLocked(reason string) {
 }
 
 // leaseLocked renders the current lease document. Caller holds e.mu.
-func (e *Elector) leaseLocked(now time.Time) wal.Lease {
-	return wal.Lease{
+func (e *Elector) leaseLocked(now time.Time) Lease {
+	return Lease{
 		Term:            e.term,
 		HolderID:        e.leaderID,
 		HolderURL:       e.leaderURL,
 		TTLSeconds:      e.cfg.LeaseTTL.Seconds(),
 		RenewedUnixNano: now.UnixNano(),
-	}
-}
-
-// persistLease writes the lease next to the epoch file (best effort;
-// the durable copy answers "who led last", not "is the lease fresh").
-func (e *Elector) persistLease(term uint64) {
-	l := wal.Lease{
-		Term:            term,
-		HolderID:        e.self.ID,
-		HolderURL:       e.self.URL,
-		TTLSeconds:      e.cfg.LeaseTTL.Seconds(),
-		RenewedUnixNano: e.clock.Now().UnixNano(),
-	}
-	if err := wal.WriteLease(e.cfg.FS, e.cfg.LeaseDir, l); err != nil {
-		e.logf("election: persist lease: %v", err)
 	}
 }
 
@@ -396,7 +358,7 @@ func (e *Elector) followerStep(ctx context.Context) {
 	}
 
 	if target != "" && target != e.self.URL {
-		cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+		cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		lease, err := e.tr.GetLease(cctx, target)
 		cancel()
 		if err == nil && e.adoptLease(lease, false) {
@@ -448,7 +410,7 @@ func (e *Elector) followerStep(ctx context.Context) {
 // peers (viaPeer=true) must carry a strictly newer term, so a cluster
 // full of stale views of a dead leader can't keep resurrecting it.
 // Returns true when the lease was adopted.
-func (e *Elector) adoptLease(l wal.Lease, viaPeer bool) bool {
+func (e *Elector) adoptLease(l Lease, viaPeer bool) bool {
 	if l.HolderURL == "" || l.Term == 0 {
 		return false
 	}
@@ -499,7 +461,7 @@ func (e *Elector) adoptLease(l wal.Lease, viaPeer bool) bool {
 }
 
 // sendAck posts the heartbeat acknowledgment for an adopted lease.
-func (e *Elector) sendAck(ctx context.Context, l wal.Lease) {
+func (e *Elector) sendAck(ctx context.Context, l Lease) {
 	e.mu.Lock()
 	req := AckRequest{
 		NodeID:     e.self.ID,
@@ -512,7 +474,7 @@ func (e *Elector) sendAck(ctx context.Context, l wal.Lease) {
 	if target == "" {
 		return
 	}
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	if _, err := e.tr.Ack(cctx, target, req); err != nil {
 		e.mu.Lock()
@@ -528,9 +490,9 @@ func (e *Elector) discoverLeader(ctx context.Context) bool {
 	if len(peers) == 0 {
 		return false
 	}
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
-	leases := make(chan wal.Lease, len(peers))
+	leases := make(chan Lease, len(peers))
 	var wg sync.WaitGroup
 	for _, p := range peers {
 		wg.Add(1)
@@ -543,7 +505,7 @@ func (e *Elector) discoverLeader(ctx context.Context) bool {
 	}
 	wg.Wait()
 	close(leases)
-	var best wal.Lease
+	var best Lease
 	for l := range leases {
 		if l.Term > best.Term {
 			best = l
@@ -583,7 +545,7 @@ func (e *Elector) runElection(ctx context.Context) {
 
 	req := AckRequest{NodeID: e.self.ID, URL: e.self.URL, Term: claim, AppliedSeq: mySeq, Claim: true}
 	peers := e.members.Peers()
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.RequestTimeout)
+	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	results := make(chan AckResponse, len(peers))
 	var wg sync.WaitGroup
 	for _, p := range peers {
@@ -659,7 +621,6 @@ func (e *Elector) becomeLeader(ctx context.Context, term uint64, countFailover, 
 		e.logf("election: promote at term %d failed: %v", term, err)
 		return 0, err
 	}
-	var persist bool
 	e.mu.Lock()
 	now := e.clock.Now()
 	alreadyLeader := e.mode == ModeLeader
@@ -684,14 +645,7 @@ func (e *Elector) becomeLeader(ctx context.Context, term uint64, countFailover, 
 	if countFailover && !alreadyLeader {
 		e.failovers++
 	}
-	if e.cfg.LeaseDir != "" && e.persisted != epoch {
-		persist = true
-		e.persisted = epoch
-	}
 	e.mu.Unlock()
-	if persist {
-		e.persistLease(epoch)
-	}
 	e.logf("election: leading at epoch %d", epoch)
 	if e.cfg.OnLeaderChange != nil {
 		e.cfg.OnLeaderChange(e.self.URL)
@@ -797,20 +751,20 @@ func (e *Elector) judgeClaimLocked(req AckRequest, resp AckResponse, now time.Ti
 // or not — held only gates writes), a follower relays its last
 // observation so any member can answer leader discovery. Abdicated
 // ex-leaders and followers that never saw a lease answer ErrNoLease.
-func (e *Elector) LeaseDoc() (wal.Lease, error) {
+func (e *Elector) LeaseDoc() (Lease, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock.Now()
 	if e.mode == ModeLeader {
 		if e.abdicated {
-			return wal.Lease{}, ErrNoLease
+			return Lease{}, ErrNoLease
 		}
 		return e.leaseLocked(now), nil
 	}
 	if e.leaderID == "" || e.leaderURL == "" || e.term == 0 {
-		return wal.Lease{}, ErrNoLease
+		return Lease{}, ErrNoLease
 	}
-	return wal.Lease{
+	return Lease{
 		Term:            e.term,
 		HolderID:        e.leaderID,
 		HolderURL:       e.leaderURL,

@@ -13,7 +13,6 @@ import (
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
-	"mcbound/internal/wal"
 )
 
 // ---------------------------------------------------------------------
@@ -25,22 +24,22 @@ func newClock() *clock.Manual {
 
 type fakeTransport struct {
 	mu    sync.Mutex
-	lease func(url string) (wal.Lease, error)
+	lease func(url string) (Lease, error)
 	ack   func(url string, req AckRequest) (AckResponse, error)
 }
 
-func (f *fakeTransport) setLease(fn func(url string) (wal.Lease, error)) {
+func (f *fakeTransport) setLease(fn func(url string) (Lease, error)) {
 	f.mu.Lock()
 	f.lease = fn
 	f.mu.Unlock()
 }
 
-func (f *fakeTransport) GetLease(_ context.Context, url string) (wal.Lease, error) {
+func (f *fakeTransport) GetLease(_ context.Context, url string) (Lease, error) {
 	f.mu.Lock()
 	fn := f.lease
 	f.mu.Unlock()
 	if fn == nil {
-		return wal.Lease{}, errors.New("unreachable")
+		return Lease{}, errors.New("unreachable")
 	}
 	return fn(url)
 }
@@ -101,7 +100,6 @@ func testConfig(t *testing.T, m cluster.Membership, node *repl.Node, clk *clock.
 		HeartbeatEvery:  500 * time.Millisecond,
 		MaxMissed:       3,
 		ElectionTimeout: time.Second,
-		RequestTimeout:  time.Second,
 		Seed:            42,
 		Clock:           clk,
 		Transport:       tr,
@@ -506,14 +504,14 @@ func TestLosingCandidateAdoptsDenialTerm(t *testing.T) {
 func TestDiscoveryAdoptsNewerLeaseInsteadOfElecting(t *testing.T) {
 	clk := newClock()
 	tr := &fakeTransport{}
-	tr.setLease(func(url string) (wal.Lease, error) {
+	tr.setLease(func(url string) (Lease, error) {
 		if url == "http://n3" {
-			return wal.Lease{
+			return Lease{
 				Term: 7, HolderID: "n3", HolderURL: "http://n3",
 				TTLSeconds: 3, RenewedUnixNano: clk.Now().UnixNano(),
 			}, nil
 		}
-		return wal.Lease{}, errors.New("down")
+		return Lease{}, errors.New("down")
 	})
 	acked := 0
 	tr.ack = func(url string, req AckRequest) (AckResponse, error) {
@@ -565,8 +563,8 @@ func TestDiscoveryRejectsStaleRelayedLease(t *testing.T) {
 	tr := &fakeTransport{}
 	// Every peer re-serves the dead leader's old term-1 doc: discovery
 	// must not adopt it, and the election must proceed.
-	tr.setLease(func(url string) (wal.Lease, error) {
-		return wal.Lease{Term: 1, HolderID: "n2", HolderURL: "http://n2",
+	tr.setLease(func(url string) (Lease, error) {
+		return Lease{Term: 1, HolderID: "n2", HolderURL: "http://n2",
 			TTLSeconds: 3, RenewedUnixNano: clk.Now().UnixNano()}, nil
 	})
 	f := dummyFollower(t)
@@ -581,11 +579,11 @@ func TestDiscoveryRejectsStaleRelayedLease(t *testing.T) {
 	}
 
 	// Leader dies; direct polls fail but peers keep echoing the stale doc.
-	tr.setLease(func(url string) (wal.Lease, error) {
+	tr.setLease(func(url string) (Lease, error) {
 		if url == "http://n2" {
-			return wal.Lease{}, errors.New("dead")
+			return Lease{}, errors.New("dead")
 		}
-		return wal.Lease{Term: 1, HolderID: "n2", HolderURL: "http://n2",
+		return Lease{Term: 1, HolderID: "n2", HolderURL: "http://n2",
 			TTLSeconds: 3, RenewedUnixNano: clk.Now().UnixNano()}, nil
 	})
 	clk.Advance(4 * time.Second)
@@ -743,10 +741,10 @@ func (m *meshTransport) peer(url string) (*Elector, error) {
 	return nil, errors.New("unreachable")
 }
 
-func (m *meshTransport) GetLease(_ context.Context, url string) (wal.Lease, error) {
+func (m *meshTransport) GetLease(_ context.Context, url string) (Lease, error) {
 	e, err := m.peer(url)
 	if err != nil {
-		return wal.Lease{}, err
+		return Lease{}, err
 	}
 	return e.LeaseDoc()
 }

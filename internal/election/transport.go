@@ -7,8 +7,19 @@ import (
 
 	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
-	"mcbound/internal/wal"
 )
+
+// Lease is the leadership record a leader serves on GET /v1/lease and
+// echoes in its ack responses. Term equals the WAL fencing epoch the
+// holder leads under; observers compute expiry from their own receipt
+// time plus TTLSeconds, never from the holder's clock.
+type Lease struct {
+	Term            uint64  `json:"term"`
+	HolderID        string  `json:"holder_id"`
+	HolderURL       string  `json:"holder_url"`
+	TTLSeconds      float64 `json:"ttl_seconds"`
+	RenewedUnixNano int64   `json:"renewed_unix_nano"`
+}
 
 // AckRequest is the POST /v1/lease/ack body. With Claim false it is a
 // follower's heartbeat acknowledgment — proof it heard the leader's
@@ -28,19 +39,19 @@ type AckRequest struct {
 // term the responder has participated in; Lease (leaders only) carries
 // the current lease so a heartbeat ack doubles as a renewal read.
 type AckResponse struct {
-	NodeID     string     `json:"node_id"`
-	Granted    bool       `json:"granted"`
-	Term       uint64     `json:"term"`
-	AppliedSeq uint64     `json:"applied_seq"`
-	Reason     string     `json:"reason,omitempty"`
-	LeaderURL  string     `json:"leader_url,omitempty"`
-	Lease      *wal.Lease `json:"lease,omitempty"`
+	NodeID     string `json:"node_id"`
+	Granted    bool   `json:"granted"`
+	Term       uint64 `json:"term"`
+	AppliedSeq uint64 `json:"applied_seq"`
+	Reason     string `json:"reason,omitempty"`
+	LeaderURL  string `json:"leader_url,omitempty"`
+	Lease      *Lease `json:"lease,omitempty"`
 }
 
 // LeaseDoc is the GET /v1/lease document: the leader's own lease, or a
 // follower's relay of the last one it observed.
 type LeaseDoc struct {
-	Lease wal.Lease `json:"lease"`
+	Lease Lease `json:"lease"`
 }
 
 // Transport carries lease reads and acks between electors. The chaos
@@ -49,7 +60,7 @@ type LeaseDoc struct {
 // client — heartbeat loss and data-plane loss are independent failures.
 type Transport interface {
 	// GetLease fetches the lease document the node at baseURL serves.
-	GetLease(ctx context.Context, baseURL string) (wal.Lease, error)
+	GetLease(ctx context.Context, baseURL string) (Lease, error)
 	// Ack posts a heartbeat ack or vote request to the node at baseURL.
 	Ack(ctx context.Context, baseURL string, req AckRequest) (AckResponse, error)
 }
@@ -85,8 +96,8 @@ const maxResponseBytes = 1 << 16
 
 // GetLease implements Transport. Whatever the peer answers other than
 // its lease is one missed read, retried once like a dropped packet.
-func (t *HTTPTransport) GetLease(ctx context.Context, baseURL string) (wal.Lease, error) {
-	return resilience.Do(ctx, t.retr, func(ctx context.Context) (wal.Lease, error) {
+func (t *HTTPTransport) GetLease(ctx context.Context, baseURL string) (Lease, error) {
+	return resilience.Do(ctx, t.retr, func(ctx context.Context) (Lease, error) {
 		var doc LeaseDoc
 		err := peer.JSON(ctx, t.hc, peer.Call{Method: http.MethodGet, URL: baseURL + "/v1/lease", Limit: maxResponseBytes}, nil, &doc)
 		return doc.Lease, err

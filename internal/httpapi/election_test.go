@@ -16,7 +16,6 @@ import (
 	"mcbound/internal/election"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
-	"mcbound/internal/wal"
 )
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -105,7 +104,7 @@ func TestLeaseRoutesAndWriteFencing(t *testing.T) {
 
 	// The lease document is served at Critical priority.
 	var leaseDoc struct {
-		Lease wal.Lease `json:"lease"`
+		Lease election.Lease `json:"lease"`
 	}
 	if code := getJSON(t, srv.URL+"/v1/lease", &leaseDoc); code != http.StatusOK {
 		t.Fatalf("GET /v1/lease status = %d", code)

@@ -51,7 +51,6 @@ const (
 	codeDeadline     = "deadline_exceeded"
 	codeBreakerOpen  = "breaker_open"
 	codeOverloaded   = "overloaded"
-	codeRateLimited  = "rate_limited"
 	codeInternal     = "internal"
 )
 
@@ -101,8 +100,6 @@ func errToStatus(err error) (status int, code string) {
 		return http.StatusServiceUnavailable, codeNotTrained
 	case errors.Is(err, resilience.ErrOpen):
 		return http.StatusServiceUnavailable, codeBreakerOpen
-	case errors.Is(err, admission.ErrRateLimited):
-		return http.StatusTooManyRequests, codeRateLimited
 	case errors.Is(err, admission.ErrQueueFull), errors.Is(err, admission.ErrDoomed):
 		return http.StatusServiceUnavailable, codeOverloaded
 	case errors.Is(err, context.DeadlineExceeded):

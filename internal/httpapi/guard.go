@@ -38,7 +38,7 @@ func routeDeadline(pri admission.Priority) time.Duration {
 //  2. ask the admission controller for a slot at the route's priority
 //     (Critical bypasses but is still counted, so /healthz answers even
 //     at saturation);
-//  3. on rejection, answer the typed 429/503 with Retry-After.
+//  3. on rejection, answer the typed 503 with Retry-After.
 func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		timeout, err := admission.ParseTimeout(
@@ -50,7 +50,7 @@ func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerF
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 
-		tk, err := s.adm.Admit(ctx, pri, admission.ClientKey(r))
+		tk, err := s.adm.Admit(ctx, pri, "")
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -84,10 +84,9 @@ func registerAdmissionMetrics(reg *telemetry.Registry, adm *admission.Controller
 		"Admission decisions by outcome.", telemetry.Labels{"outcome": "offered"},
 		func() int64 { return adm.Stats().Offered })
 	for reason, read := range map[string]func(admission.Stats) int64{
-		"queue_full":   func(s admission.Stats) int64 { return s.ShedQueueFull },
-		"doomed":       func(s admission.Stats) int64 { return s.ShedDoomed },
-		"rate_limited": func(s admission.Stats) int64 { return s.ShedRateLimited },
-		"canceled":     func(s admission.Stats) int64 { return s.ShedCanceled },
+		"queue_full": func(s admission.Stats) int64 { return s.ShedQueueFull },
+		"doomed":     func(s admission.Stats) int64 { return s.ShedDoomed },
+		"canceled":   func(s admission.Stats) int64 { return s.ShedCanceled },
 	} {
 		read := read
 		reg.CounterFunc("mcbound_admission_shed_total",

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mcbound/internal/admission"
-	"mcbound/internal/clock"
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/peer"
@@ -75,34 +74,6 @@ func TestOverloadBadTimeoutHeaderIs400(t *testing.T) {
 		map[string]string{admission.TimeoutHeader: "soon"})
 	if resp.StatusCode != http.StatusBadRequest || body.Code != codeBadRequest {
 		t.Fatalf("status %d code %q, want 400 %q", resp.StatusCode, body.Code, codeBadRequest)
-	}
-}
-
-func TestOverloadRateLimitedIsTyped429(t *testing.T) {
-	st := seedStore(t)
-	// The clock never moves, so no token refills mid-test.
-	adm := admission.NewController(admission.Config{RateLimit: 1, Clock: clock.NewManual(time.Now())})
-	srv := httptest.NewServer(newAPI(t, st, nil, true, Options{Admission: adm}))
-	t.Cleanup(srv.Close)
-
-	for i := 0; i < 2; i++ {
-		resp, body := doGet(t, http.DefaultClient, srv.URL+"/v1/model", nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("burst request %d: status %d (%s)", i, resp.StatusCode, body.Error)
-		}
-	}
-	resp, body := doGet(t, http.DefaultClient, srv.URL+"/v1/model", nil)
-	if resp.StatusCode != http.StatusTooManyRequests || body.Code != codeRateLimited {
-		t.Fatalf("status %d code %q, want 429 %q", resp.StatusCode, body.Code, codeRateLimited)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	// A distinct client identity has its own bucket.
-	resp, _ = doGet(t, http.DefaultClient, srv.URL+"/v1/model",
-		map[string]string{admission.ClientIDHeader: "other-tenant"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("other client: status %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -185,7 +156,7 @@ func TestOverloadQueueFullIsTyped503(t *testing.T) {
 // against a small concurrency budget. It verifies that (1) the process
 // never runs more concurrent work than the configured bound, (2) the
 // p99 of admitted requests stays within 5× the unloaded p99, (3) every
-// rejection is a typed 429/503 with Retry-After, (4) the shed
+// rejection is a typed 503 with Retry-After, (4) the shed
 // accounting reconciles exactly, and (5) a retrain admitted during the
 // burst completes while inference goodput stays above zero.
 func TestOverloadBurst(t *testing.T) {
@@ -284,7 +255,7 @@ func TestOverloadBurst(t *testing.T) {
 				case http.StatusOK:
 					okN++
 					admittedLat = append(admittedLat, d)
-				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+				case http.StatusServiceUnavailable:
 					rejectedN++
 					if retryAfter == "" {
 						badReject = append(badReject, fmt.Sprintf("req %d: %d without Retry-After", i, code))
@@ -305,7 +276,7 @@ func TestOverloadBurst(t *testing.T) {
 	if okN == 0 {
 		t.Fatal("goodput dropped to zero during the burst")
 	}
-	// (3) Every rejection was a typed 429/503 with Retry-After.
+	// (3) Every rejection was a typed 503 with Retry-After.
 	for _, msg := range badReject {
 		t.Error(msg)
 	}
@@ -323,12 +294,11 @@ func TestOverloadBurst(t *testing.T) {
 	// the controller's books, and the identity holds with no cancels.
 	after := adm.Stats()
 	d := admission.Stats{
-		Offered:         after.Offered - before.Offered,
-		Admitted:        after.Admitted - before.Admitted,
-		ShedQueueFull:   after.ShedQueueFull - before.ShedQueueFull,
-		ShedDoomed:      after.ShedDoomed - before.ShedDoomed,
-		ShedRateLimited: after.ShedRateLimited - before.ShedRateLimited,
-		ShedCanceled:    after.ShedCanceled - before.ShedCanceled,
+		Offered:       after.Offered - before.Offered,
+		Admitted:      after.Admitted - before.Admitted,
+		ShedQueueFull: after.ShedQueueFull - before.ShedQueueFull,
+		ShedDoomed:    after.ShedDoomed - before.ShedDoomed,
+		ShedCanceled:  after.ShedCanceled - before.ShedCanceled,
 	}
 	if d.Offered != burstN+1 { // +1 for the retrain
 		t.Errorf("offered = %d, want %d", d.Offered, burstN+1)
@@ -336,9 +306,9 @@ func TestOverloadBurst(t *testing.T) {
 	if d.ShedCanceled != 0 {
 		t.Errorf("shed(canceled) = %d, want 0 (no client canceled)", d.ShedCanceled)
 	}
-	if got := d.Admitted + d.ShedQueueFull + d.ShedDoomed + d.ShedRateLimited; got != d.Offered {
-		t.Errorf("admitted %d + shed(queue_full) %d + shed(doomed) %d + shed(rate_limited) %d = %d, want offered %d",
-			d.Admitted, d.ShedQueueFull, d.ShedDoomed, d.ShedRateLimited, got, d.Offered)
+	if got := d.Admitted + d.ShedQueueFull + d.ShedDoomed; got != d.Offered {
+		t.Errorf("admitted %d + shed(queue_full) %d + shed(doomed) %d = %d, want offered %d",
+			d.Admitted, d.ShedQueueFull, d.ShedDoomed, got, d.Offered)
 	}
 	if d.Admitted != okN+1 { // +1: the admitted retrain
 		t.Errorf("controller admitted %d, clients saw %d successes (+1 retrain)", d.Admitted, okN)
@@ -346,9 +316,9 @@ func TestOverloadBurst(t *testing.T) {
 	if d.ShedDoomed < doomedN {
 		t.Errorf("shed(doomed) = %d, want >= %d (every 2ms probe is pre-doomed)", d.ShedDoomed, doomedN)
 	}
-	if rejectedN != d.ShedQueueFull+d.ShedDoomed+d.ShedRateLimited {
+	if rejectedN != d.ShedQueueFull+d.ShedDoomed {
 		t.Errorf("clients saw %d rejections, controller shed %d",
-			rejectedN, d.ShedQueueFull+d.ShedDoomed+d.ShedRateLimited)
+			rejectedN, d.ShedQueueFull+d.ShedDoomed)
 	}
 	t.Logf("burst: offered=%d admitted=%d shed(queue_full)=%d shed(doomed)=%d unloaded_p99=%v admitted_p99=%v",
 		d.Offered, d.Admitted, d.ShedQueueFull, d.ShedDoomed, unloadedP99, admittedP99)

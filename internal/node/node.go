@@ -44,7 +44,6 @@ type Config struct {
 
 	// Overload protection.
 	MaxConcurrency, QueueDepth int
-	RateLimit                  float64
 
 	// Resilient fetch layer.
 	FetchAttempts int
@@ -66,7 +65,7 @@ type Config struct {
 	LeaseTTL, HeartbeatEvery, ElectionTimeout time.Duration
 	MaxMissed                                 int
 
-	// FS backs the durable store and the persisted lease; nil is wal.OS.
+	// FS backs the durable store; nil is wal.OS.
 	FS wal.FS
 	// Transport carries the elector's lease reads and acks; nil is
 	// election's HTTP transport over HTTP.
@@ -291,7 +290,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		ecfg := election.Config{
 			Members: p.members, Node: n.Repl, Seed: c.Seed, Clock: n.clock, Logf: logf,
 			LeaseTTL: c.LeaseTTL, HeartbeatEvery: c.HeartbeatEvery, MaxMissed: c.MaxMissed, ElectionTimeout: c.ElectionTimeout,
-			Transport: c.Transport, LeaseDir: c.DataDir, FS: c.FS,
+			Transport: c.Transport,
 		}
 		if ecfg.Transport == nil {
 			ecfg.Transport = election.NewHTTPTransport(c.HTTP, c.Seed)
@@ -375,9 +374,9 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	}
 
 	// Admission gates every route and the cron retrain: a submission
-	// storm degrades into typed 429/503 rejections.
+	// storm degrades into typed 503 rejections.
 	n.adm = admission.NewController(admission.Config{
-		MaxConcurrency: c.MaxConcurrency, QueueDepth: c.QueueDepth, RateLimit: c.RateLimit, Clock: n.clock,
+		MaxConcurrency: c.MaxConcurrency, QueueDepth: c.QueueDepth, Clock: n.clock,
 	})
 
 	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
@@ -407,9 +406,7 @@ func retrainIntervals(c Config) func() time.Duration {
 
 // retrain is one cron trigger: the Training Workflow on the newest
 // completed data, admitted at background priority so it holds at most a
-// quarter of the concurrency budget inference runs on. The cron is not a
-// client: it skips the per-client rate limiter, and the background cap
-// is what bounds it.
+// quarter of the concurrency budget inference runs on.
 func (n *Node) retrain(ctx context.Context) {
 	tk, err := n.adm.Admit(ctx, admission.Background, "")
 	if err != nil {

@@ -170,15 +170,14 @@ func TestRetrainIntervalsFollowTheJitterFlag(t *testing.T) {
 	}
 }
 
-// The cron is not a client: with -rate-limit on, two retrains inside
-// one bucket refill both run (the rate limiter would have admitted only
-// the first), because the in-process trigger skips the per-client limiter.
-func TestCronRetrainsAreNotRateLimited(t *testing.T) {
+// The cron retrains on every tick of the node's clock: two ticks of a
+// Manual clock publish versions 2 and 3.
+func TestCronRetrainsOnEveryTick(t *testing.T) {
 	clk := clock.NewManual(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC))
 	c := testConfig()
-	// The registry numbers the versions; an hour refills 0.0036 of a token.
+	// The registry numbers the versions.
 	c.Trace, c.Clock, c.ModelDir = traceFile(t), clk, t.TempDir()
-	c.RetrainEvery, c.RateLimit = time.Hour, 1e-6
+	c.RetrainEvery = time.Hour
 	n := openNode(t, c)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -248,9 +248,7 @@ func (rt *Router) refreshSoon() {
 		if rt.clock.Now().Sub(rt.lastRefresh) < rt.cfg.PollEvery/4 {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout())
-		defer cancel()
-		rt.probeAll(ctx)
+		rt.probeAll(context.Background())
 		rt.lastRefresh = rt.clock.Now()
 	}()
 }

@@ -820,6 +820,17 @@ func (w *WAL) Close() error {
 	return err
 }
 
+// Err reports the WAL's sticky failure: nil while healthy, or the first
+// I/O error that wedged the log (every later append returns it too). The
+// elector uses this to tell "my disk died" apart from "I am fine" — a
+// wedged leader abdicates its lease so a follower can take over, while
+// its manifest keeps serving the durable prefix for the final drain.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sticky
+}
+
 // Stats snapshots the operational counters.
 func (w *WAL) Stats() Stats {
 	s := Stats{
