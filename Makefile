@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all
+.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all paper-scale
 
 all: check
 
@@ -31,15 +31,15 @@ vet:
 # packages built on them with the Go reference in its place (the same
 # golden hashes must come out, and the same models at every core
 # count), and `cross` builds everything for an architecture that has
-# only the reference and vets both packages there, so neither fallback
-# can rot unnoticed.
+# only the reference and vets both packages there, and the IVF build on
+# top of linalg's k-means filter, so no fallback can rot unnoticed.
 purego:
 	$(GO) test -tags purego ./internal/linalg ./internal/ml/...
 	$(GO) test -tags purego -run '^TestModelsIndependentOfCores$$' ./internal/simulate
 
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/ml/rf
+	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/ml/rf ./internal/ml/ivf
 
 # gofmt -l prints offending files; fail if any.
 fmt:
@@ -79,6 +79,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzDotInt8Rows$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzSqEuclidean$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzSqEuclideanRows$$ -fuzztime=$(FUZZTIME) ./internal/linalg
+	$(GO) test -run=^$$ -fuzz=^FuzzSparseSqDistCols$$ -fuzztime=$(FUZZTIME) ./internal/linalg
+	$(GO) test -run=^$$ -fuzz=^FuzzAssignMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/ivf
 
 # Replication chaos suite: a crashfs-backed leader is killed at seeded
 # byte offsets mid-group-commit, mid-compaction and mid-retrain; the
@@ -193,3 +195,16 @@ bench-pairs:
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# The paper's scale (ROADMAP item 17): the deployment replay of each
+# model over the scale-1 evaluation trace (≈ 1.6 M jobs generated in
+# process; seven β = 1 retrains on α = 30-day windows of ≈ 505 K jobs,
+# 2024-02-05 → 02-12), then the baseline evaluation at that scale. Every
+# train line carries its fit time, and each run ends with its wall time
+# and peak RSS (getrusage). Ungated and outside `check`: about four
+# minutes and 2.2 GB at peak on 2 vCPUs.
+paper-scale:
+	$(GO) build -o .bench_build/mcbound ./cmd/mcbound
+	.bench_build/mcbound replay -scale 1 -alpha 30 -model knn
+	.bench_build/mcbound replay -scale 1 -alpha 30 -model rf
+	.bench_build/mcbound eval -exp baseline -scale 1

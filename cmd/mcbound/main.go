@@ -209,6 +209,7 @@ func replay(fs *flag.FlagSet) func(io.Writer) error {
 		to          = fs.String("to", "2024-02-12", "replay end (YYYY-MM-DD)")
 	)
 	return func(out io.Writer) error {
+		began := time.Now()
 		start, err := time.Parse("2006-01-02", *from)
 		if err != nil {
 			return usageError("bad -from: " + err.Error())
@@ -254,8 +255,16 @@ func replay(fs *flag.FlagSet) func(io.Writer) error {
 		sum := tl.Summary()
 		fmt.Fprintf(out, "\ntimeline: %d trainings, %d inference triggers, %d jobs classified\n",
 			sum.Trainings, sum.Inferences, sum.Classified)
+		fmt.Fprintln(out, resources(began))
 		return nil
 	}
+}
+
+// resources is the last line replay and eval print: the command's wall
+// time since began and its peak resident set, the two numbers a run at
+// the paper's scale (make paper-scale) is recorded by.
+func resources(began time.Time) string {
+	return fmt.Sprintf("resources: wall %.1fs, peak RSS %s", time.Since(began).Seconds(), peakRSS())
 }
 
 // characterize renders Figures 2–5 and Table II over the synthetic full
@@ -341,6 +350,7 @@ func eval(fs *flag.FlagSet) func(io.Writer) error {
 		if len(selected) == 0 {
 			return usageError(fmt.Sprintf("unknown experiment %q", *exp))
 		}
+		began := time.Now()
 		fmt.Fprintf(out, "generating evaluation trace (scale=%g, seed=%d)...\n", *scale, *seed)
 		env, err := experiments.NewEnv(workload.EvalConfig(*scale), *seed)
 		if err != nil {
@@ -352,6 +362,7 @@ func eval(fs *flag.FlagSet) func(io.Writer) error {
 				return err
 			}
 		}
+		fmt.Fprintln(out, resources(began))
 		return nil
 	}
 }

@@ -213,8 +213,8 @@ func TestRangeConcatenatesAllPages(t *testing.T) {
 }
 
 // TestRunPrintsTheTimeline replays two days of a small generated trace:
-// one train and one infer line a day, in calendar order, and a summary
-// line that adds the infer lines up.
+// one train and one infer line a day, in calendar order, a summary line
+// that adds the infer lines up, and the run's wall time and peak RSS.
 func TestRunPrintsTheTimeline(t *testing.T) {
 	status, out, errOut := mcbound("replay", "-scale", "0.005", "-from", "2024-02-05", "-to", "2024-02-07")
 	if status != 0 {
@@ -230,6 +230,7 @@ func TestRunPrintsTheTimeline(t *testing.T) {
 		`^2024-02-06 infer: (\d+) jobs classified \(\d+ memory-bound, f1=[01]\.\d{3} over \d+\)$`,
 		`^$`,
 		`^timeline: 2 trainings, 2 inference triggers, (\d+) jobs classified$`,
+		`^resources: wall \d+\.\ds, peak RSS (?:\d+ MB|unknown)$`,
 	}
 	if len(lines) != len(want) {
 		t.Fatalf("%d lines, want %d:\n%s", len(lines), len(want), out)

@@ -168,3 +168,40 @@ func FuzzSqEuclideanRows(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSparseSqDistCols reads the bytes as float32 bit patterns: cols
+// column norms, then the table, one row per coordinate, and the fuzzed
+// nonzeros — coordinate i of the vector has the value of table entry
+// (i, 0) and is listed where bit i of mask is set, so special values
+// reach both the table and the vector.
+func FuzzSparseSqDistCols(f *testing.F) {
+	cols := []uint8{1, 16, 17, 3, 32, 49, 2, 48} // one per seed: both sides of the sixteen- and forty-eight-column steps
+	for i, s := range floatSeeds() {
+		f.Add(s, uint8(i), cols[i], uint64(0x5555_5555_5555_5555>>i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, off, cols8 uint8, mask uint64) {
+		v := fuzzFloat32s(data)
+		v = v[int(off)%(len(v)+1):]
+		cols := int(cols8)
+		if cols == 0 || cols > len(v) {
+			return
+		}
+		norms := make([]float64, cols)
+		for c := range norms {
+			norms[c] = float64(v[c])
+		}
+		rows := (len(v) - cols) / cols
+		table := make([]float64, rows*cols)
+		for i := range table {
+			table[i] = float64(v[cols+i])
+		}
+		var idx []int32
+		var val []float64
+		for i := 0; i < rows && i < 64; i++ {
+			if mask>>i&1 != 0 {
+				idx, val = append(idx, int32(i)), append(val, table[i*cols])
+			}
+		}
+		checkSparseCols(t, norms, idx, val, table)
+	})
+}

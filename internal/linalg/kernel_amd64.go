@@ -2,7 +2,7 @@
 
 package linalg
 
-// AVX2 backend of the two distance kernels (kernel_amd64.s), chosen
+// AVX2 backend of the distance kernels (kernel_amd64.s), chosen
 // once at package initialisation from what the CPU and the OS report.
 // There is no switch: a machine either has the instructions or runs the
 // Go reference, and both return the same bits.
@@ -97,6 +97,20 @@ func dotInt8Rows(q []int16, rows []int8, out []int32) {
 	}
 }
 
+func sparseSqDistCols(norms []float64, idx []int32, val []float64, table, out []float64) {
+	stride, done := len(out), 0
+	if haveAVX2 {
+		done = stride &^ 15
+	}
+	if done > 0 {
+		sparseSqDistCols16AVX2(norms[:done], idx, val, table, stride, out[:done])
+	}
+	if done < stride {
+		// A table of no rows (and so no nonzeros) has no columns to skip.
+		sparseSqDistColsGeneric(norms[done:], idx, val, table[min(done, len(table)):], stride, out[done:])
+	}
+}
+
 // sqDistInt8AVX2 returns Σ(a[i]-b[i])² over the first len(a)&^15
 // elements; len(a) ≤ int8Block, len(b) ≥ len(a).
 //
@@ -123,6 +137,14 @@ func sqEuclideanRows4AVX2(q, mat []float32, out []float64)
 //
 //go:noescape
 func dotInt8RowsAVX2(q []int16, rows []int8, stride int, out []int32)
+
+// sparseSqDistCols16AVX2 is SparseSqDistCols over the first len(out)
+// columns of a table whose rows start stride entries apart; len(out) is
+// a positive multiple of 16 and at most stride, and every idx[j] is a
+// row of the table.
+//
+//go:noescape
+func sparseSqDistCols16AVX2(norms []float64, idx []int32, val []float64, table []float64, stride int, out []float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

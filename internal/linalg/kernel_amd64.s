@@ -237,6 +237,148 @@ rowsdone:
 	VZEROUPPER
 	RET
 
+// func sparseSqDistCols16AVX2(norms []float64, idx []int32, val []float64, table []float64, stride int, out []float64)
+//
+// Forty-eight columns at a time, in twelve accumulators of four (then
+// sixteen at a time in four for what is left): for every nonzero j,
+// broadcast val[j], multiply it by the block's table entries in row
+// idx[j] and add each product into its column's accumulator — per
+// column one chain from +0 in the order of idx, the product rounded
+// before the add (VMULPD then VADDPD, no FMA), as the reference's. Then
+// norms − (acc + acc), stored. Twelve chains keep both FP ports busy
+// where four wait on the add's latency. Every table load is 32 bytes
+// inside the first len(out) entries of row idx[j].
+
+// SPROW points BX at the block's entries in row idx[j] (j in AX) and
+// broadcasts val[j] into Y15.
+#define SPROW \
+	MOVLQSX      (R9)(AX*4), BX; \
+	IMULQ        R13, BX; \
+	ADDQ         R12, BX; \
+	VBROADCASTSD (R11)(AX*8), Y15
+
+// SPACC adds val[j] times the four entries at off into acc.
+#define SPACC(off, acc, tmp) \
+	VMULPD off(BX), Y15, tmp; \
+	VADDPD tmp, acc, acc
+
+// SPOUT stores norms − (acc + acc) for the four columns at off.
+#define SPOUT(off, acc) \
+	VADDPD  acc, acc, acc; \
+	VMOVUPD off(R8), Y15; \
+	VSUBPD  acc, Y15, acc; \
+	VMOVUPD acc, off(DI)
+
+TEXT ·sparseSqDistCols16AVX2(SB), NOSPLIT, $0-128
+	MOVQ norms_base+0(FP), R8
+	MOVQ idx_base+24(FP), R9
+	MOVQ idx_len+32(FP), R10
+	MOVQ val_base+48(FP), R11
+	MOVQ table_base+72(FP), R12
+	MOVQ stride+96(FP), R13
+	MOVQ out_base+104(FP), DI
+	MOVQ out_len+112(FP), AX
+	SHLQ $3, R13                 // row stride in bytes
+	XORQ DX, DX
+	MOVQ $48, CX
+	DIVQ CX
+	MOVQ AX, CX                  // blocks of forty-eight columns
+	SHRQ $4, DX                  // then blocks of sixteen
+	TESTQ CX, CX
+	JZ   sp16
+
+sp48block:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ   AX, AX
+	TESTQ  R10, R10
+	JZ     sp48store
+
+sp48nz:
+	SPROW
+	SPACC(0, Y0, Y12)
+	SPACC(32, Y1, Y13)
+	SPACC(64, Y2, Y14)
+	SPACC(96, Y3, Y12)
+	SPACC(128, Y4, Y13)
+	SPACC(160, Y5, Y14)
+	SPACC(192, Y6, Y12)
+	SPACC(224, Y7, Y13)
+	SPACC(256, Y8, Y14)
+	SPACC(288, Y9, Y12)
+	SPACC(320, Y10, Y13)
+	SPACC(352, Y11, Y14)
+	INCQ AX
+	CMPQ AX, R10
+	JNE  sp48nz
+
+sp48store:
+	SPOUT(0, Y0)
+	SPOUT(32, Y1)
+	SPOUT(64, Y2)
+	SPOUT(96, Y3)
+	SPOUT(128, Y4)
+	SPOUT(160, Y5)
+	SPOUT(192, Y6)
+	SPOUT(224, Y7)
+	SPOUT(256, Y8)
+	SPOUT(288, Y9)
+	SPOUT(320, Y10)
+	SPOUT(352, Y11)
+	ADDQ $384, R8
+	ADDQ $384, R12
+	ADDQ $384, DI
+	DECQ CX
+	JNZ  sp48block
+
+sp16:
+	TESTQ DX, DX
+	JZ    spdone
+
+sp16block:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+	TESTQ  R10, R10
+	JZ     sp16store
+
+sp16nz:
+	SPROW
+	SPACC(0, Y0, Y12)
+	SPACC(32, Y1, Y13)
+	SPACC(64, Y2, Y14)
+	SPACC(96, Y3, Y12)
+	INCQ AX
+	CMPQ AX, R10
+	JNE  sp16nz
+
+sp16store:
+	SPOUT(0, Y0)
+	SPOUT(32, Y1)
+	SPOUT(64, Y2)
+	SPOUT(96, Y3)
+	ADDQ $128, R8
+	ADDQ $128, R12
+	ADDQ $128, DI
+	DECQ DX
+	JNZ  sp16block
+
+spdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

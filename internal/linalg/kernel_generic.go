@@ -13,3 +13,7 @@ func sqEuclidean(a, b []float32) float64 { return sqEuclideanFrom(a, b, 0, 0) }
 func sqEuclideanRows(q, mat []float32, out []float64) { sqEuclideanRowsEach(q, mat, out) }
 
 func dotInt8Rows(q []int16, rows []int8, out []int32) { dotInt8RowsGeneric(q, rows, out) }
+
+func sparseSqDistCols(norms []float64, idx []int32, val []float64, table, out []float64) {
+	sparseSqDistColsGeneric(norms, idx, val, table, len(out), out)
+}

@@ -287,6 +287,93 @@ func TestSqEuclideanRowsShapes(t *testing.T) {
 	checkFloatKernels(t, randFloat32s(rng, 384), randFloat32s(rng, 384), 142) // the centroid table
 }
 
+// checkSparseCols compares SparseSqDistCols against the reference on
+// the sparse vector (idx, val) and a table of cols columns.
+func checkSparseCols(t testing.TB, norms []float64, idx []int32, val, table []float64) {
+	t.Helper()
+	got, want := make([]float64, len(norms)), make([]float64, len(norms))
+	SparseSqDistCols(norms, idx, val, table, got)
+	sparseSqDistColsGeneric(norms, idx, val, table, len(want), want)
+	for c := range want {
+		if !sameBits(got[c], want[c]) {
+			t.Fatalf("SparseSqDistCols %d nonzeros, %d columns, column %d: %x (%g), reference %x (%g)",
+				len(idx), len(want), c, math.Float64bits(got[c]), got[c], math.Float64bits(want[c]), want[c])
+		}
+	}
+}
+
+// randSparse draws a table of rows×cols float32-valued entries, column
+// norms, and a float32-valued vector with every third coordinate set.
+func randSparse(rng *stats.RNG, rows, cols int) (norms []float64, idx []int32, val, table []float64) {
+	table = make([]float64, rows*cols)
+	for i, v := range randFloat32s(rng, rows*cols) {
+		table[i] = float64(v)
+	}
+	norms = make([]float64, cols)
+	for c := range norms {
+		norms[c] = float64(randFloat32s(rng, 1)[0]) + 1
+	}
+	x := randFloat32s(rng, rows)
+	for i := int(rng.Uint64() % 3); i < rows; i += 3 {
+		idx, val = append(idx, int32(i)), append(val, float64(x[i]))
+	}
+	return norms, idx, val, table
+}
+
+// TestSparseSqDistColsShapes covers column counts on both sides of the
+// forty-eight- and sixteen-column steps (the 142 and 700 cells of the
+// s30 and scale-1 centroid tables among them), nonzeros out of
+// coordinate order and repeated, a vector with none, and a table with
+// no rows.
+func TestSparseSqDistColsShapes(t *testing.T) {
+	rng := stats.NewRNG(9)
+	for _, cols := range []int{1, 4, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 96, 112, 142, 144, 700} {
+		for _, rows := range []int{1, 2, 5, 96, 384} {
+			norms, idx, val, table := randSparse(rng, rows, cols)
+			checkSparseCols(t, norms, idx, val, table)
+			checkSparseCols(t, norms, nil, nil, table)
+			rev, rval := append([]int32(nil), idx...), append([]float64(nil), val...)
+			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+				rev[i], rev[j], rval[i], rval[j] = rev[j], rev[i], rval[j], rval[i]
+			}
+			checkSparseCols(t, norms, append(rev, rev...), append(rval, rval...), table)
+		}
+		// A table of no rows: out is the norms.
+		checkSparseCols(t, make([]float64, cols), nil, nil, nil)
+	}
+}
+
+// TestSparseSqDistColsIsShiftedDistance pins what the filter computes:
+// ‖x − col c‖² − ‖x‖², which SqEuclidean measures directly, up to the
+// rounding of both sums.
+func TestSparseSqDistColsIsShiftedDistance(t *testing.T) {
+	const rows, cols = 50, 20
+	rng := stats.NewRNG(10)
+	_, idx, val, table := randSparse(rng, rows, cols)
+	x, xx := make([]float32, rows), 0.0
+	for j, i := range idx {
+		x[i] = float32(val[j])
+		xx += val[j] * val[j]
+	}
+	norms, col := make([]float64, cols), make([]float32, rows)
+	for c := range norms {
+		for i := range col {
+			col[i] = float32(table[i*cols+c])
+			norms[c] += table[i*cols+c] * table[i*cols+c]
+		}
+	}
+	out := make([]float64, cols)
+	SparseSqDistCols(norms, idx, val, table, out)
+	for c := range out {
+		for i := range col {
+			col[i] = float32(table[i*cols+c])
+		}
+		if d := SqEuclidean(x, col); math.Abs(out[c]+xx-d) > 1e-9*(1+d) {
+			t.Fatalf("column %d: filter %g + ‖x‖² %g, distance %g", c, out[c], xx, d)
+		}
+	}
+}
+
 func mustPanicWith(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {
@@ -310,6 +397,18 @@ func TestKernelLengthPanics(t *testing.T) {
 	mustPanicWith(t, shape, func() { SqEuclideanRows(make([]float32, 4), make([]float32, 16), make([]float64, 3)) })
 	mustPanicWith(t, shape, func() { DotInt8Rows(make([]int16, 16), make([]int8, 63), make([]int32, 4)) })
 	mustPanicWith(t, shape, func() { DotInt8Rows(make([]int16, 16), make([]int8, 64), make([]int32, 3)) })
+	mustPanicWith(t, msg, func() { SparseSqDistCols(make([]float64, 16), nil, nil, make([]float64, 16), make([]float64, 15)) })
+	mustPanicWith(t, msg, func() {
+		SparseSqDistCols(make([]float64, 16), []int32{0}, nil, make([]float64, 16), make([]float64, 16))
+	})
+	mustPanicWith(t, shape, func() { SparseSqDistCols(make([]float64, 16), nil, nil, make([]float64, 40), make([]float64, 16)) })
+	const coord = "linalg: coordinate out of range"
+	mustPanicWith(t, coord, func() {
+		SparseSqDistCols(make([]float64, 16), []int32{2}, []float64{1}, make([]float64, 32), make([]float64, 16))
+	})
+	mustPanicWith(t, coord, func() {
+		SparseSqDistCols(make([]float64, 16), []int32{-1}, []float64{1}, make([]float64, 32), make([]float64, 16))
+	})
 }
 
 func TestKernelsDoNotAllocate(t *testing.T) {
@@ -318,11 +417,14 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	a, b := randFloat32s(rng, 384), randFloat32s(rng, 384)
 	mat, out := randFloat32s(rng, 142*384), make([]float64, 142)
 	qw, cell, dots := widen(qa), randInt8s(rng, 36*384), make([]int32, 36)
+	norms, idx, val, table := randSparse(rng, 384, 144)
+	f := make([]float64, 144)
 	if n := testing.AllocsPerRun(100, func() {
 		sinkI += SqDistInt8(qa, qb)
 		sinkF += SqEuclidean(a, b)
 		SqEuclideanRows(a, mat, out)
 		DotInt8Rows(qw, cell, dots)
+		SparseSqDistCols(norms, idx, val, table, f)
 	}); n != 0 {
 		t.Fatalf("distance kernels allocate %v times per call", n)
 	}
@@ -396,5 +498,18 @@ func BenchmarkSqEuclideanRows(b *testing.B) {
 					out[r] = sqEuclideanFrom(q, mat[r*dim:(r+1)*dim], 0, 0)
 				}
 			})
+	})
+}
+
+// BenchmarkSparseSqDistCols is the k-means filter at the s30 shape: an
+// embedding of 128 nonzeros against the 142 centroids padded to 144.
+func BenchmarkSparseSqDistCols(b *testing.B) {
+	rng := stats.NewRNG(11)
+	norms, idx, val, table := randSparse(rng, 384, 144)
+	out := make([]float64, len(norms))
+	b.Run(fmt.Sprintf("%dnz-384x144", len(idx)), func(b *testing.B) {
+		benchBackends(b,
+			func() { SparseSqDistCols(norms, idx, val, table, out) },
+			func() { sparseSqDistColsGeneric(norms, idx, val, table, len(out), out) })
 	})
 }

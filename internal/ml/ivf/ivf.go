@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -415,11 +416,12 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 		copy(cents[c*dim:(c+1)*dim], rowOf(data, dim, int(rows[c%len(rows)])))
 	}
 
+	x := newSparseRows(data, dim)
 	sampleAssign := make([]int32, sample)
 	sums := make([]float64, k*dim)
 	counts := make([]int64, k)
 	for it := 0; it < iters; it++ {
-		assignRows(data, dim, rows, cents, sampleAssign)
+		assignRows(data, dim, x, rows, cents, sampleAssign)
 
 		for i := range sums {
 			sums[i] = 0
@@ -427,11 +429,14 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 		for c := range counts {
 			counts[c] = 0
 		}
+		// A zero adds nothing to a sum that starts at +0 (the sum never
+		// becomes −0), so only the nonzero coordinates are added: per
+		// coordinate the same adds in the same row order as a dense pass.
 		for i, c := range sampleAssign {
-			row := rowOf(data, dim, int(rows[i]))
+			idx, val := x.row(int(rows[i]))
 			s := sums[int(c)*dim : (int(c)+1)*dim]
-			for d, v := range row {
-				s[d] += float64(v)
+			for j, d := range idx {
+				s[d] += val[j]
 			}
 			counts[c]++
 		}
@@ -457,22 +462,123 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 	for i := range all {
 		all[i] = int32(i)
 	}
-	assignRows(data, dim, all, cents, assign)
+	assignRows(data, dim, x, all, cents, assign)
 	return cents, assign
 }
 
+// sparseRows lists the nonzero coordinates of every row of a matrix
+// (compressed sparse rows): row r's are idx[ptr[r]:ptr[r+1]] with their
+// values in val, in coordinate order, and sq[r] is the row's squared
+// norm. The job embeddings k-means clusters set about a quarter of
+// their coordinates.
+type sparseRows struct {
+	ptr []int32
+	idx []int32
+	val []float64 // the float32 values, widened once for the filter
+	sq  []float64
+}
+
+func newSparseRows(data []float32, dim int) *sparseRows {
+	n, nnz := len(data)/dim, 0
+	for _, v := range data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	x := &sparseRows{
+		ptr: make([]int32, n+1), idx: make([]int32, nnz),
+		val: make([]float64, nnz), sq: make([]float64, n),
+	}
+	j := 0
+	for r := 0; r < n; r++ {
+		var sq float64
+		for d, v := range rowOf(data, dim, r) {
+			if v != 0 {
+				x.idx[j], x.val[j] = int32(d), float64(v)
+				sq += float64(v) * float64(v)
+				j++
+			}
+		}
+		x.ptr[r+1], x.sq[r] = int32(j), sq
+	}
+	return x
+}
+
+func (x *sparseRows) row(r int) (idx []int32, val []float64) {
+	lo, hi := x.ptr[r], x.ptr[r+1]
+	return x.idx[lo:hi], x.val[lo:hi]
+}
+
 // assignRows writes the nearest-centroid id of each listed row into
-// out, fanned out across GOMAXPROCS workers.
-func assignRows(data []float32, dim int, rows []int32, cents []float32, out []int32) {
+// out, fanned out across GOMAXPROCS workers: the lowest c minimising
+// linalg.SqEuclidean(row, centroid c), exactly.
+//
+// It filters, then checks. The filter is linalg.SparseSqDistCols over
+// the row's nonzeros and the centroids transposed into a table (padded
+// to a multiple of sixteen columns): f(c) = ‖c‖² − 2·x·c, the distance
+// less ‖x‖², at about nnz/dim of a distance's cost per centroid. The
+// check measures with linalg.SqEuclidean only the centroids with
+// f(c) ≤ min f + margin, in ascending c with a strict <, which is the
+// dense scan's lowest-index tie rule — so the result is the dense
+// scan's whenever the margin keeps its winner.
+//
+// The margin is a bound on rounding, not a tuning knob. With
+// u = 2⁻⁵³, γ_m = m·u/(1 − m·u), f(c) and D(c) = ‖x − c‖² the exact
+// values, f̂ and D̂ the computed ones, and S(c) = (‖x‖ + ‖c‖)²:
+//
+//   - the filter's products x_i·c_i and squares c_i² of float32 values
+//     are exact in float64, so its error is that of a sum of dim squares,
+//     a sum of nnz ≤ dim products and one subtraction:
+//     eF(c) = |f̂ − f| ≤ γ_dim·‖c‖² + γ_nnz·2‖x‖‖c‖ ≤ γ_dim·S(c);
+//   - the reference rounds a difference, a square and a two-lane sum:
+//     eD(c) = |D̂ − D| ≤ γ_(dim+3)·D ≤ γ_(dim+3)·S(c), as D ≤ S(c).
+//
+// Write e = eF + eD ≤ 2γ_(dim+3)·S ≤ 2(dim+4)·u·S. For the dense
+// winner w, D̂(w) ≤ D̂(c) for every c, and f = D − ‖x‖², so
+// f̂(w) − e(w) ≤ D(w) − eD(w) − ‖x‖² ≤ D̂(w) − ‖x‖² ≤ D̂(c) − ‖x‖²
+// ≤ D(c) + eD(c) − ‖x‖² ≤ f̂(c) + e(c): w survives any margin of at
+// least e(w) + e(c) above c = argmin f̂, and 4(dim+4)·u·Smax, with
+// Smax = (‖x‖ + max‖c‖)², is one. The margin used is twice that,
+// (dim+4)·2⁻⁵⁰·Ŝmax; the factor two covers the rounding of Ŝmax and
+// of min f̂ + margin. On unit-norm embeddings it is about 10⁻¹², and one
+// centroid survives per row. A non-finite value anywhere (the bound then
+// says nothing) makes the bound non-finite, and every centroid is
+// checked.
+func assignRows(data []float32, dim int, x *sparseRows, rows []int32, cents []float32, out []int32) {
 	k := len(cents) / dim
+	cols := (k + 15) &^ 15
+	table, norms, maxNorm := make([]float64, dim*cols), make([]float64, cols), 0.0
+	for c := 0; c < k; c++ {
+		var sq float64
+		for d, v := range rowOf(cents, dim, c) {
+			table[d*cols+c] = float64(v)
+			sq += float64(v) * float64(v)
+		}
+		norms[c], maxNorm = sq, max(maxNorm, sq)
+	}
 	linalg.ParallelFor(len(rows), func(lo, hi int) {
-		cdist := make([]float64, k)
+		filter := make([]float64, cols)
 		for i := lo; i < hi; i++ {
-			linalg.SqEuclideanRows(rowOf(data, dim, int(rows[i])), cents, cdist)
+			r := int(rows[i])
+			idx, val := x.row(r)
+			linalg.SparseSqDistCols(norms, idx, val, table, filter)
+			f := filter[:k]
+			least := math.Inf(1)
+			for _, v := range f {
+				if v < least {
+					least = v
+				}
+			}
+			smax := x.sq[r] + maxNorm + 2*math.Sqrt(x.sq[r]*maxNorm)
+			bound := least + float64(dim+4)*0x1p-50*smax
+			all := !(bound <= math.MaxFloat64)
+			row := rowOf(data, dim, r)
 			best, bestD := 0, math.Inf(1)
-			for c, d := range cdist {
-				if d < bestD {
-					best, bestD = c, d
+			for c, v := range f {
+				if v <= bound || all {
+					if d := linalg.SqEuclidean(row, rowOf(cents, dim, c)); d < bestD {
+						best, bestD = c, d
+					}
 				}
 			}
 			out[i] = int32(best)
@@ -704,36 +810,51 @@ const (
 	maxClusters = 1 << 24
 )
 
-// AppendBinary serializes the index structure (everything except the
-// float32 data matrix, which the owner serializes once) onto buf.
-// Layout, all little-endian:
+// EncodedLen returns the number of bytes AppendBinary appends.
+func (ix *Index) EncodedLen() int {
+	k := ix.Clusters()
+	return 16 + 4*k*ix.dim + 4*(k+1) + 4*ix.n + ix.n*ix.dim
+}
+
+// AppendBinary appends the index structure (everything except the
+// float32 data matrix, which the owner serializes once) to b and
+// returns the extended slice, in the shape of Go 1.24's
+// encoding.BinaryAppender; it grows b at most once, by EncodedLen, and
+// never fails. Layout, all little-endian:
 //
 //	nclusters int32 | nprobe int32 | rerank int32 | scale float32
 //	centroids [nclusters*dim]float32
 //	starts    [nclusters+1]int32
 //	member    [n]int32
 //	codes     [n*dim]int8, in row order (row 0 first, not member[0])
-func (ix *Index) AppendBinary(buf *bytes.Buffer) {
-	w := func(v any) { binary.Write(buf, binary.LittleEndian, v) }
-	w(int32(ix.Clusters()))
-	w(ix.nprobe.Load())
-	w(int32(ix.rerank))
-	w(ix.scale)
-	w(ix.cents)
-	w(ix.starts)
-	w(ix.member)
+func (ix *Index) AppendBinary(b []byte) ([]byte, error) {
+	le := binary.LittleEndian
+	b = slices.Grow(b, ix.EncodedLen())
+	b = le.AppendUint32(b, uint32(ix.Clusters()))
+	b = le.AppendUint32(b, uint32(ix.nprobe.Load()))
+	b = le.AppendUint32(b, uint32(ix.rerank))
+	b = le.AppendUint32(b, math.Float32bits(ix.scale))
+	for _, v := range ix.cents {
+		b = le.AppendUint32(b, math.Float32bits(v))
+	}
+	for _, v := range ix.starts {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	for _, v := range ix.member {
+		b = le.AppendUint32(b, uint32(v))
+	}
 	pos := make([]int32, ix.n) // row id → position, the inverse of member
 	for p, row := range ix.member {
 		pos[row] = int32(p)
 	}
-	buf.Grow(len(ix.codes))
-	raw := make([]byte, ix.dim)
 	for _, p := range pos {
+		raw := b[len(b) : len(b)+ix.dim]
 		for i, c := range ix.codes[int(p)*ix.dim : (int(p)+1)*ix.dim] {
 			raw[i] = byte(c)
 		}
-		buf.Write(raw)
+		b = b[:len(b)+ix.dim]
 	}
+	return b, nil
 }
 
 // Load deserializes an index section written by AppendBinary, attaching

@@ -185,17 +185,23 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	ix.AppendBinary(&buf)
+	sect, err := ix.AppendBinary([]byte("prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(sect[:6]) != "prefix" || len(sect)-6 != ix.EncodedLen() {
+		t.Fatalf("AppendBinary appended %d bytes after its prefix, EncodedLen says %d", len(sect)-6, ix.EncodedLen())
+	}
+	sect = sect[6:]
 	// The section's bytes as the commit before the codes went cell-major
 	// wrote them (FNV-64a, recorded there): the layout in memory is not
 	// the layout on disk.
 	h := fnv.New64a()
-	h.Write(buf.Bytes())
+	h.Write(sect)
 	if got, want := h.Sum64(), uint64(0x3b427954371216f1); got != want {
 		t.Fatalf("index section hashes to %#x, want %#x: the wire format moved", got, want)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), data, dim)
+	got, err := Load(bytes.NewReader(sect), data, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +210,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			got.Clusters(), got.NProbe(), got.Rerank(), ix.Clusters(), ix.NProbe(), ix.Rerank())
 	}
 	// Re-marshaling must be bit-identical.
-	var buf2 bytes.Buffer
-	got.AppendBinary(&buf2)
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if again, _ := got.AppendBinary(nil); !bytes.Equal(sect, again) {
 		t.Fatal("second marshal differs from first")
 	}
 	// And the loaded index must answer queries identically.
@@ -234,9 +238,7 @@ func TestLoadRejectsCorruptSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	ix.AppendBinary(&buf)
-	good := buf.Bytes()
+	good, _ := ix.AppendBinary(nil)
 
 	load := func(b []byte) error {
 		_, err := Load(bytes.NewReader(b), data, dim)
@@ -358,9 +360,8 @@ func TestCodesAreCellMajor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	built.AppendBinary(&buf)
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), data, dim)
+	sect, _ := built.AppendBinary(nil)
+	loaded, err := Load(bytes.NewReader(sect), data, dim)
 	if err != nil {
 		t.Fatal(err)
 	}

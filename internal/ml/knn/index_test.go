@@ -16,6 +16,7 @@ import (
 
 	"mcbound/internal/job"
 	"mcbound/internal/ml"
+	"mcbound/internal/ml/ivf"
 	"mcbound/internal/stats"
 )
 
@@ -304,6 +305,32 @@ func TestMarshalRoundTripBitIdentical(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarshalBinaryExactSize pins the one allocation MarshalBinary
+// makes: the model is written into a slice sized for it up front, with
+// or without an index section, so nothing is copied as it grows.
+func TestMarshalBinaryExactSize(t *testing.T) {
+	// The section appends in the shape of Go 1.24's encoding.BinaryAppender.
+	var _ interface{ AppendBinary([]byte) ([]byte, error) } = (*ivf.Index)(nil)
+	x, y := trainSet(200, 9, 3)
+	// The index section adds one: AppendBinary's row → position table.
+	for mode, allocs := range map[IndexMode]float64{IndexOff: 1, IndexOn: 2} {
+		c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 5}})
+		if err := c.Train(x, y); err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != cap(b) {
+			t.Errorf("index mode %v: %d bytes in a slice of capacity %d", mode, len(b), cap(b))
+		}
+		if n := testing.AllocsPerRun(5, func() { c.MarshalBinary() }); n != allocs {
+			t.Errorf("index mode %v: MarshalBinary allocates %v times", mode, n)
+		}
 	}
 }
 

@@ -432,28 +432,35 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 func (c *Classifier) MarshalBinary() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var payload bytes.Buffer
-	w := func(v any) { binary.Write(&payload, binary.LittleEndian, v) }
-	w(int64(c.cfg.K))
-	w(c.cfg.P)
-	w(int64(c.dim))
-	w(int64(c.n))
-	w(int64(c.groups))
-	w(c.data)
-	flat := make([]int32, 0, 2*len(c.counts))
-	for _, ct := range c.counts {
-		flat = append(flat, ct[0], ct[1])
-	}
-	w(flat)
-
+	le := binary.LittleEndian
+	size := len(marshalMagic) + 4 + 5*8 + 4*len(c.data) + 8*len(c.counts)
 	if c.index != nil {
-		c.index.AppendBinary(&payload)
+		size += c.index.EncodedLen()
 	}
-	var out bytes.Buffer
-	out.WriteString(marshalMagic)
-	binary.Write(&out, binary.LittleEndian, crc32.Checksum(payload.Bytes(), crcTable))
-	out.Write(payload.Bytes())
-	return out.Bytes(), nil
+	buf := make([]byte, 0, size)
+	buf = append(buf, marshalMagic...)
+	buf = le.AppendUint32(buf, 0) // the checksum, once the payload is in
+	buf = le.AppendUint64(buf, uint64(c.cfg.K))
+	buf = le.AppendUint64(buf, math.Float64bits(c.cfg.P))
+	buf = le.AppendUint64(buf, uint64(c.dim))
+	buf = le.AppendUint64(buf, uint64(c.n))
+	buf = le.AppendUint64(buf, uint64(c.groups))
+	for _, v := range c.data {
+		buf = le.AppendUint32(buf, math.Float32bits(v))
+	}
+	for _, ct := range c.counts {
+		buf = le.AppendUint32(buf, uint32(ct[0]))
+		buf = le.AppendUint32(buf, uint32(ct[1]))
+	}
+	if c.index != nil {
+		var err error
+		if buf, err = c.index.AppendBinary(buf); err != nil {
+			return nil, err
+		}
+	}
+	payload := len(marshalMagic) + 4
+	le.PutUint32(buf[len(marshalMagic):payload], crc32.Checksum(buf[payload:], crcTable))
+	return buf, nil
 }
 
 // UnmarshalBinary restores a model serialized by MarshalBinary. Every
