@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArray$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalJob$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzUnmarshalArrayParts$$ -fuzztime=$(FUZZTIME) ./internal/job
+	$(GO) test -run=^$$ -fuzz=^FuzzAppendJSON$$ -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run=^$$ -fuzz=^FuzzAppendPrediction$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=^FuzzSqDistInt8$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzDotInt8Rows$$ -fuzztime=$(FUZZTIME) ./internal/linalg

@@ -3,6 +3,7 @@ package job
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -68,6 +69,111 @@ func Unmarshal(data []byte, j *Job) error {
 	}
 	fallbacks.Add(1)
 	return json.Unmarshal(data, j)
+}
+
+// AppendJSON appends json.Marshal(j)'s bytes to b: the encoder twin of
+// Unmarshal, which every job record written to a WAL, a snapshot or a
+// JSONL file goes through. A record inside its subset is written in one
+// pass: strings of printable ASCII without the five bytes encoding/json
+// escapes (`"`, `\`, `<`, `>`, `&`), times with a zero offset in years
+// 0–9999, finite counters. Any other record is json.Marshal's to encode,
+// its error included: a string to escape, a time Time.MarshalJSON might
+// reject, a NaN or an infinity.
+func AppendJSON(b []byte, j *Job) ([]byte, error) {
+	e := encoder{b: b, ok: true}
+	e.str(`{"id":`, j.ID)
+	e.str(`,"user":`, j.User)
+	e.str(`,"name":`, j.Name)
+	e.str(`,"env":`, j.Environment)
+	e.int(`,"cores_req":`, int64(j.CoresRequested))
+	e.int(`,"nodes_req":`, int64(j.NodesRequested))
+	e.int(`,"freq_req":`, int64(j.FreqRequested))
+	e.time(`,"submit":`, j.SubmitTime)
+	e.time(`,"start":`, j.StartTime)
+	e.time(`,"end":`, j.EndTime)
+	e.int(`,"nodes_alloc":`, int64(j.NodesAllocated))
+	e.int(`,"exit":`, int64(j.ExitCode))
+	c := &j.Counters
+	e.float(`,"counters":{"perf2":`, c.Perf2)
+	e.float(`,"perf3":`, c.Perf3)
+	e.float(`,"perf4":`, c.Perf4)
+	e.float(`,"perf5":`, c.Perf5)
+	if c.TofuBytes != 0 { // omitempty
+		e.float(`,"tofu_bytes":`, c.TofuBytes)
+	}
+	e.b = append(e.b, '}')
+	if j.TrueLabel != 0 { // omitempty
+		e.int(`,"true_label":`, int64(j.TrueLabel))
+	}
+	e.b = append(e.b, '}')
+	if e.ok {
+		return e.b, nil
+	}
+	out, err := json.Marshal(j)
+	if err != nil {
+		return b, err
+	}
+	return append(b, out...), nil
+}
+
+// encoder appends one record's members; ok turns false at the first
+// value outside AppendJSON's subset, and the bytes are then thrown away.
+type encoder struct {
+	b  []byte
+	ok bool
+}
+
+func (e *encoder) str(key, s string) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < ' ', c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			e.ok = false
+		}
+	}
+	e.b = append(append(e.b, key...), '"')
+	e.b = append(append(e.b, s...), '"')
+}
+
+func (e *encoder) int(key string, n int64) {
+	e.b = strconv.AppendInt(append(e.b, key...), n, 10)
+}
+
+// time writes what Time.MarshalJSON writes: RFC 3339 with nanoseconds.
+// That method rejects a year that is not four digits wide and an offset
+// of 24 hours or more; the subset takes only a zero offset, which the
+// format spells Z.
+func (e *encoder) time(key string, t time.Time) {
+	e.b = append(append(e.b, key...), '"')
+	if t.IsZero() {
+		e.b = append(e.b, zeroTime...)
+	} else {
+		n := len(e.b)
+		e.b = t.AppendFormat(e.b, time.RFC3339Nano)
+		if e.b[n+len("9999")] != '-' || e.b[len(e.b)-1] != 'Z' {
+			e.ok = false
+		}
+	}
+	e.b = append(e.b, '"')
+}
+
+// float writes a finite float64 as encoding/json does: ES6 number
+// formatting, an exponent only below 1e-6 or from 1e21, and that
+// exponent unpadded.
+func (e *encoder) float(key string, f float64) {
+	e.b = append(e.b, key...)
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.ok = false
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1] // e-07 → e-7
+		e.b = e.b[:n-1]
+	}
 }
 
 func parseArray(data []byte) ([]*Job, bool) {

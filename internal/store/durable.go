@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -123,16 +122,22 @@ func (d *Durable) Insert(jobs ...*job.Job) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	payloads := make([][]byte, len(jobs))
+	// The batch encodes into one buffer, and each payload is its slice.
+	var buf []byte
+	ends := make([]int, len(jobs))
 	for i, j := range jobs {
 		if j.ID == "" {
 			return fmt.Errorf("store: job with empty id")
 		}
-		b, err := json.Marshal(j)
-		if err != nil {
+		var err error
+		if buf, err = job.AppendJSON(buf, j); err != nil {
 			return fmt.Errorf("store: encode job %s: %w", j.ID, err)
 		}
-		payloads[i] = b
+		ends[i] = len(buf)
+	}
+	payloads := make([][]byte, len(jobs))
+	for i, start := 0, 0; i < len(jobs); start, i = ends[i], i+1 {
+		payloads[i] = buf[start:ends[i]]
 	}
 	t0 := time.Now()
 	d.mu.Lock()
@@ -192,9 +197,10 @@ func (d *Durable) Snapshot() error {
 	d.sinceSnap.Store(0)
 	d.mu.Unlock()
 	return d.wal.CompleteSnapshot(cover, base, func(emit func([]byte) error) error {
+		var b []byte // emit keeps nothing: one buffer serves every record
 		for _, j := range jobs {
-			b, err := json.Marshal(j)
-			if err != nil {
+			var err error
+			if b, err = job.AppendJSON(b[:0], j); err != nil {
 				return fmt.Errorf("store: encode job %s: %w", j.ID, err)
 			}
 			if err := emit(b); err != nil {

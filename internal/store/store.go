@@ -8,12 +8,14 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -112,20 +114,14 @@ func (s *Store) executedIndex() []*job.Job {
 	if s.byEnd != nil { // another writer rebuilt it first
 		return s.byEnd
 	}
-	idx = make([]*job.Job, 0, len(s.byID))
+	keys := make([]timeKey, 0, len(s.byID))
 	for _, j := range s.byID {
 		if !j.EndTime.IsZero() {
-			idx = append(idx, j)
+			keys = append(keys, keyOf(j.EndTime, j))
 		}
 	}
-	sort.Slice(idx, func(i, k int) bool {
-		if idx[i].EndTime.Equal(idx[k].EndTime) {
-			return idx[i].ID < idx[k].ID
-		}
-		return idx[i].EndTime.Before(idx[k].EndTime)
-	})
-	s.byEnd = idx
-	return idx
+	s.byEnd = sortByKey(keys)
+	return s.byEnd
 }
 
 // submittedIndex returns the current submission snapshot (every job
@@ -144,17 +140,43 @@ func (s *Store) submittedIndex() []*job.Job {
 	if s.bySubmit != nil { // another writer rebuilt it first
 		return s.bySubmit
 	}
-	idx = make([]*job.Job, 0, len(s.byID))
+	keys := make([]timeKey, 0, len(s.byID))
 	for _, j := range s.byID {
-		idx = append(idx, j)
+		keys = append(keys, keyOf(j.SubmitTime, j))
 	}
-	sort.Slice(idx, func(i, k int) bool {
-		if idx[i].SubmitTime.Equal(idx[k].SubmitTime) {
-			return idx[i].ID < idx[k].ID
+	s.bySubmit = sortByKey(keys)
+	return s.bySubmit
+}
+
+// timeKey is a record's place in a (time, ID) index with the instant
+// copied out beside it: the sort compares two integers in the key
+// itself, and follows the pointer only to break a tie on ID.
+type timeKey struct {
+	sec  int64
+	nsec int32
+	j    *job.Job
+}
+
+func keyOf(t time.Time, j *job.Job) timeKey {
+	return timeKey{t.Unix(), int32(t.Nanosecond()), j}
+}
+
+// sortByKey orders the keys by (time, ID), the order Pos.less walks, and
+// returns their records in it.
+func sortByKey(keys []timeKey) []*job.Job {
+	slices.SortFunc(keys, func(a, b timeKey) int {
+		if c := cmp.Compare(a.sec, b.sec); c != 0 {
+			return c
 		}
-		return idx[i].SubmitTime.Before(idx[k].SubmitTime)
+		if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+			return c
+		}
+		return strings.Compare(a.j.ID, b.j.ID)
 	})
-	s.bySubmit = idx
+	idx := make([]*job.Job, len(keys))
+	for i, k := range keys {
+		idx[i] = k.j
+	}
 	return idx
 }
 
@@ -255,13 +277,18 @@ func (s *Store) All() []*job.Job {
 }
 
 // WriteJSONL streams every job to w as one JSON object per line, in
-// submission order.
+// submission order: the bytes json.Encoder.Encode writes.
 func (s *Store) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for _, j := range s.All() {
-		if err := enc.Encode(j); err != nil {
+		var err error
+		if line, err = job.AppendJSON(line[:0], j); err != nil {
 			return fmt.Errorf("store: encode job %s: %w", j.ID, err)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

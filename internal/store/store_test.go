@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +175,68 @@ func TestAllOrdering(t *testing.T) {
 	if all[0].ID != "a" || all[1].ID != "b" || all[2].ID != "c" {
 		t.Errorf("All order: %s %s %s", all[0].ID, all[1].ID, all[2].ID)
 	}
+}
+
+// The indexes sort (time, ID) keys copied out of the records; the order
+// must be the one the (Equal, Before, ID) comparator over the records
+// gives, on runs of equal instants — one of them the same instant in two
+// zones — and on the zero time.
+func TestKeyedOrderMatchesComparator(t *testing.T) {
+	tokyo := time.FixedZone("JST", 9*3600)
+	var jobs []*job.Job
+	for i := 0; i < 60; i++ {
+		var at time.Time // every fifth record has no submit time
+		switch i % 5 {
+		case 1:
+			at = t0
+		case 2:
+			at = t0.In(tokyo)
+		case 3:
+			at = t0.Add(time.Duration(i%4) * time.Nanosecond)
+		case 4:
+			at = t0.Add(-time.Duration(i%3) * time.Second)
+		}
+		j := mkJob(fmt.Sprintf("k%02d", (i*37)%60), at, 0)
+		if i%2 == 0 {
+			j.EndTime = at // the zero time leaves a record out of the executed index
+		}
+		jobs = append(jobs, j)
+	}
+	s := New()
+	if err := s.Insert(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	byComparator := func(keep func(*job.Job) bool, at func(*job.Job) time.Time) []string {
+		var idx []*job.Job
+		for _, j := range jobs {
+			if keep(j) {
+				idx = append(idx, j)
+			}
+		}
+		sort.Slice(idx, func(i, k int) bool {
+			if at(idx[i]).Equal(at(idx[k])) {
+				return idx[i].ID < idx[k].ID
+			}
+			return at(idx[i]).Before(at(idx[k]))
+		})
+		return jobIDs(idx)
+	}
+	all := func(*job.Job) bool { return true }
+	if got, want := jobIDs(s.submittedIndex()), byComparator(all, func(j *job.Job) time.Time { return j.SubmitTime }); !slices.Equal(got, want) {
+		t.Fatalf("submitted index %v, comparator %v", got, want)
+	}
+	done := func(j *job.Job) bool { return !j.EndTime.IsZero() }
+	if got, want := jobIDs(s.executedIndex()), byComparator(done, func(j *job.Job) time.Time { return j.EndTime }); !slices.Equal(got, want) {
+		t.Fatalf("executed index %v, comparator %v", got, want)
+	}
+}
+
+func jobIDs(jobs []*job.Job) []string {
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
 }
 
 func TestJSONLRoundTrip(t *testing.T) {

@@ -19,6 +19,7 @@ package crashfs
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -146,18 +147,28 @@ func (f *FS) Create(name string) (wal.File, error) {
 	return &handle{fs: f, name: name, mf: mf}, nil
 }
 
-// ReadFile implements wal.FS.
-func (f *FS) ReadFile(name string) ([]byte, error) {
+// ReadAt implements wal.FS.
+func (f *FS) ReadAt(name string, p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkAlive(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	mf, ok := f.files[name]
 	if !ok {
-		return nil, fmt.Errorf("crashfs: %s: file does not exist", name)
+		return 0, fmt.Errorf("crashfs: %s: file does not exist", name)
 	}
-	return append([]byte(nil), mf.content...), nil
+	if off < 0 {
+		return 0, fmt.Errorf("crashfs: read %s at %d: negative offset", name, off)
+	}
+	n := 0
+	if off < int64(len(mf.content)) {
+		n = copy(p, mf.content[off:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Rename implements wal.FS. The new name becomes durable only after

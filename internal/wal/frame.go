@@ -60,11 +60,17 @@ func frameCRC(payload []byte) uint32 {
 // AppendFrame encodes payload as one frame appended to dst and returns
 // the extended slice.
 func AppendFrame(dst, payload []byte) []byte {
+	hdr := frameHeader(payload)
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
+}
+
+// frameHeader returns the header that precedes payload in its frame.
+func frameHeader(payload []byte) [FrameHeaderBytes]byte {
 	var hdr [FrameHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], frameCRC(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return hdr
 }
 
 // EncodeFrame returns payload wrapped in a fresh frame.

@@ -16,8 +16,10 @@ import (
 type FS interface {
 	// Create opens name for writing, truncating any previous content.
 	Create(name string) (File, error)
-	// ReadFile returns the full content of name.
-	ReadFile(name string) ([]byte, error)
+	// ReadAt reads len(p) bytes of name starting at byte off, with
+	// io.ReaderAt's contract: fewer bytes come back only with an error,
+	// io.EOF when the file ends first.
+	ReadAt(name string, p []byte, off int64) (int, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
 	// Remove deletes name.
@@ -51,7 +53,14 @@ func (osFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
+}
 
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
@@ -91,6 +100,21 @@ func (osFS) SyncDir(dir string) error {
 	// must not fail the write that already reached the file.
 	_ = d.Sync()
 	return d.Close()
+}
+
+// readFile returns the full content of name: the size Stat reports, read
+// in one ReadAt. A file that shrank in between comes back short.
+func readFile(fsys FS, name string) ([]byte, error) {
+	size, err := fsys.Stat(name)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, size)
+	n, err := fsys.ReadAt(name, data, 0)
+	if err == io.EOF {
+		err = nil
+	}
+	return data[:n], err
 }
 
 // WriteFileAtomic writes data to path with the crash-safe discipline:

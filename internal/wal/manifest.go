@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -44,7 +45,7 @@ func ReadEpoch(fsys FS, dir string) (uint64, error) {
 	if !found {
 		return 0, nil
 	}
-	data, err := fsys.ReadFile(filepath.Join(dir, epochFile))
+	data, err := readFile(fsys, filepath.Join(dir, epochFile))
 	if err != nil {
 		return 0, err
 	}
@@ -174,7 +175,8 @@ func (w *WAL) Manifest() (Manifest, error) {
 // ReadChunk serves up to max bytes of a replicable file starting at off
 // (max <= 0 or beyond MaxChunkBytes selects MaxChunkBytes). Reads at or
 // past the end return an empty slice. Only names matching the
-// segment/snapshot patterns are served.
+// segment/snapshot patterns are served. Only the chunk's own range is
+// read, so serving a file chunk by chunk reads it once.
 func (w *WAL) ReadChunk(name string, off, max int64) ([]byte, error) {
 	if _, ok := parseSeq(name, "wal-", ".seg"); !ok {
 		if _, ok := parseSeq(name, "snap-", ".snap"); !ok {
@@ -187,16 +189,19 @@ func (w *WAL) ReadChunk(name string, off, max int64) ([]byte, error) {
 	if max <= 0 || max > MaxChunkBytes {
 		max = MaxChunkBytes
 	}
-	data, err := w.fs.ReadFile(filepath.Join(w.dir, name))
+	path := filepath.Join(w.dir, name)
+	size, err := w.fs.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnknownFile, name, err)
 	}
-	if off >= int64(len(data)) {
+	if off >= size {
 		return nil, nil
 	}
-	end := off + max
-	if end > int64(len(data)) {
-		end = int64(len(data))
+	data := make([]byte, min(max, size-off))
+	n, err := w.fs.ReadAt(path, data, off)
+	if err != nil && err != io.EOF {
+		// Compacted away between Stat and ReadAt.
+		return nil, fmt.Errorf("%w: %s: %v", ErrUnknownFile, name, err)
 	}
-	return data[off:end:end], nil
+	return data[:n:n], nil
 }

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 )
 
@@ -260,6 +262,79 @@ func TestReadChunkRejectsForeignNames(t *testing.T) {
 	}
 	if _, err := w.ReadChunk("wal-0000000000000001.seg", -1, 64); err == nil {
 		t.Fatal("negative offset accepted")
+	}
+}
+
+// countingFS counts the bytes its reads hand out.
+type countingFS struct {
+	FS
+	read atomic.Int64
+}
+
+func (c *countingFS) ReadAt(name string, p []byte, off int64) (int, error) {
+	n, err := c.FS.ReadAt(name, p, off)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// A follower bootstrap reads a snapshot chunk by chunk; the leader must
+// read each byte of it once, not the whole file for every chunk.
+func TestReadChunkReadsOnlyItsRange(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &countingFS{FS: OS}
+	w, _, _ := openCollect(t, dir, Options{FS: fsys})
+	defer w.Close()
+	record := bytes.Repeat([]byte("r"), 4096)
+	err := w.Snapshot(func(emit func([]byte) error) error {
+		for i := 0; i < 800; i++ { // ≈ 3.1 MiB: four chunks, the last one short
+			if err := emit(record); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := w.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshots[0]
+	want, err := os.ReadFile(filepath.Join(dir, snap.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fsys.read.Store(0)
+	var got []byte
+	for {
+		chunk, err := w.ReadChunk(snap.Name, int64(len(got)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunk) == 0 {
+			break
+		}
+		got = append(got, chunk...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("chunks reassemble to %d bytes, the file holds %d", len(got), len(want))
+	}
+	if read := fsys.read.Load(); read != snap.Size {
+		t.Fatalf("serving a %d-byte file in %d-byte chunks read %d bytes", snap.Size, MaxChunkBytes, read)
+	}
+
+	fsys.read.Store(0)
+	chunk, err := w.ReadChunk(snap.Name, MaxChunkBytes+5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(chunk, want[MaxChunkBytes+5:MaxChunkBytes+105]) {
+		t.Fatal("a mid-file chunk is not the file's bytes at its range")
+	}
+	if read := fsys.read.Load(); read != 100 {
+		t.Fatalf("a 100-byte chunk read %d bytes", read)
 	}
 }
 

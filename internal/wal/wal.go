@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -386,7 +388,7 @@ func (w *WAL) recover(apply func([]byte) error) (Recovery, uint64, int, error) {
 			live++
 			continue
 		}
-		data, err := w.fs.ReadFile(path)
+		data, err := readFile(w.fs, path)
 		if err != nil {
 			return rec, 0, 0, fmt.Errorf("wal: read segment %s: %w", path, err)
 		}
@@ -443,7 +445,7 @@ func (w *WAL) replaySegment(data []byte, apply func([]byte) error) (records, off
 // loadSnapshot validates the whole snapshot file before returning its
 // base sequence and record payloads.
 func (w *WAL) loadSnapshot(path string) (uint64, [][]byte, error) {
-	data, err := w.fs.ReadFile(path)
+	data, err := readFile(w.fs, path)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -718,33 +720,54 @@ func (w *WAL) BeginSnapshot() (cover, base uint64, err error) {
 // cover (from BeginSnapshot, together with base) and compacts: the file
 // is written with the temp+rename+dir-fsync ritual, then obsolete
 // segments and older snapshots are deleted. fill must emit every record
-// of the captured state via emit.
+// of the captured state via emit; each frame streams to the temp file
+// as it is emitted, so emit does not keep payload and the caller may
+// reuse it at once.
 func (w *WAL) CompleteSnapshot(cover, base uint64, fill func(emit func(payload []byte) error) error) error {
 	if w.readOnly {
 		return ErrReadOnly
 	}
-	var buf []byte
-	buf = AppendFrame(buf, []byte(snapshotMagic))
-	buf = AppendFrame(buf, []byte(basePrefix+strconv.FormatUint(base, 10)))
-	count := 0
-	err := fill(func(payload []byte) error {
-		if len(payload) > MaxFramePayload {
-			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	path := filepath.Join(w.dir, snapshotName(cover))
+	err := WriteStreamAtomic(w.fs, path, func(out io.Writer) error {
+		bw := bufio.NewWriterSize(out, snapshotBufBytes)
+		write := func(payload []byte) error {
+			hdr := frameHeader(payload)
+			_, _ = bw.Write(hdr[:]) // a bufio.Writer's error sticks: the payload's Write reports it
+			_, err := bw.Write(payload)
+			return err
 		}
-		buf = AppendFrame(buf, payload)
-		count++
-		return nil
+		if err := write([]byte(snapshotMagic)); err != nil {
+			return err
+		}
+		if err := write([]byte(basePrefix + strconv.FormatUint(base, 10))); err != nil {
+			return err
+		}
+		count := 0
+		err := fill(func(payload []byte) error {
+			if len(payload) > MaxFramePayload {
+				return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+			}
+			count++
+			return write(payload)
+		})
+		if err != nil {
+			return fmt.Errorf("wal: snapshot fill: %w", err)
+		}
+		if err := write([]byte(sealPrefix + strconv.Itoa(count))); err != nil {
+			return err
+		}
+		return bw.Flush()
 	})
 	if err != nil {
-		return fmt.Errorf("wal: snapshot fill: %w", err)
-	}
-	buf = AppendFrame(buf, []byte(sealPrefix+strconv.Itoa(count)))
-	path := filepath.Join(w.dir, snapshotName(cover))
-	if err := WriteFileAtomic(w.fs, path, buf); err != nil {
 		return err
 	}
 	return w.compact(cover)
 }
+
+// snapshotBufBytes is the write buffer between a snapshot's frames and
+// its temp file: the file takes a few large writes whatever the record
+// count.
+const snapshotBufBytes = 1 << 20
 
 // compact removes segments and snapshots wholly covered by the snapshot
 // at cover. Failures are non-fatal at the caller (retried by the next
