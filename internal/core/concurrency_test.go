@@ -511,13 +511,13 @@ func dupHeavyBatch(n int) []*job.Job {
 // distinct pass: classifying a duplicate-heavy batch must equal
 // classifying each of its jobs alone — ID, label and model version, row
 // for row — for both models and whatever the embedding cache holds
-// (default, disabled, and small enough to evict in the middle of the
-// batch).
+// (large enough never to evict, the default, disabled, and small enough
+// to evict in the middle of the batch).
 func TestClassifyBatchDedupeMatchesSingles(t *testing.T) {
 	batch := dupHeavyBatch(700)
 	ctx := context.Background()
 	for _, kind := range []ModelKind{ModelKNN, ModelRF} {
-		for _, capacity := range []int{encode.DefaultCacheCapacity, 0, 32} {
+		for _, capacity := range []int{1 << 20, encode.DefaultCacheCapacity, 0, 32} {
 			t.Run(fmt.Sprintf("%s/cache=%d", kind, capacity), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Model = kind

@@ -91,6 +91,8 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 		nil, func() float64 { return float64(enc.CacheStats().Hits) })
 	reg.GaugeFunc("mcbound_encode_cache_misses", "Embedding cache misses since start.",
 		nil, func() float64 { return float64(enc.CacheStats().Misses) })
+	reg.GaugeFunc("mcbound_encode_cache_evictions", "Embeddings evicted from the cache since start.",
+		nil, func() float64 { return float64(enc.CacheStats().Evictions) })
 	reg.GaugeFunc("mcbound_encode_cache_entries", "Embeddings currently memoized.",
 		nil, func() float64 { return float64(enc.CacheStats().Entries) })
 	return &appMetrics{

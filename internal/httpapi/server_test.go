@@ -542,6 +542,57 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// metricValue reads one unlabeled sample off the server's /metrics.
+func metricValue(t *testing.T, url, name string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("metrics missing %s", name)
+	return ""
+}
+
+// TestEncodeCacheEvictionsExported: past the cache's capacity the
+// evictions the encoder counts show on /metrics.
+func TestEncodeCacheEvictionsExported(t *testing.T) {
+	api := newAPI(t, seedStore(t), nil, true, Options{})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	if got := metricValue(t, srv.URL, "mcbound_encode_cache_evictions"); got != "0" {
+		t.Fatalf("evictions before any overflow = %s, want 0", got)
+	}
+	const capacity = 16
+	api.fw.Encoder().SetCacheCapacity(capacity)
+	jobs := make([]*job.Job, 4*capacity)
+	for i := range jobs {
+		jobs[i] = &job.Job{
+			ID: fmt.Sprintf("e%d", i), User: "u0001", Name: fmt.Sprintf("oneoff%d", i), Environment: "gcc/12.2",
+			CoresRequested: 48, NodesRequested: 1, FreqRequested: job.FreqBoost, SubmitTime: time.Now().UTC(),
+		}
+	}
+	payload, _ := json.Marshal(jobs)
+	resp, err := http.Post(srv.URL+"/v1/classify", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	want := fmt.Sprint(api.fw.Encoder().CacheStats().Evictions)
+	if got := metricValue(t, srv.URL, "mcbound_encode_cache_evictions"); got == "0" || got != want {
+		t.Errorf("evictions = %s after %d one-off names into %d entries, want %s", got, len(jobs), capacity, want)
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
 	st := seedStore(t)
 	api := newAPI(t, st, &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: 300 * time.Millisecond}, true, Options{})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mcbound/internal/job"
+	"mcbound/internal/stats"
 )
 
 // fuzzSeedModel trains a small deterministic model for seeding the
@@ -119,4 +120,42 @@ func TestIndexModelEveryBitFlip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTrainAliasedMatchesCopied: whatever small training set the fuzzer
+// finds — values from a handful of levels, so equal vectors in separate
+// arrays are common, and a share of the rows (alias/256) an earlier
+// row's vector itself — Train marshals the same model from it as from
+// the rows each copied into an array of its own, with and without an
+// index.
+func FuzzTrainAliasedMatchesCopied(f *testing.F) {
+	f.Add(uint64(1), uint8(60), uint8(4), uint8(3), uint8(0), false)
+	f.Add(uint64(2), uint8(200), uint8(9), uint8(2), uint8(128), true)
+	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint8(255), false)
+	f.Add(uint64(4), uint8(255), uint8(16), uint8(40), uint8(200), true)
+	f.Fuzz(func(t *testing.T, seed uint64, n, dim, levels, alias uint8, indexed bool) {
+		rows, d, values := 1+int(n), 1+int(dim)%16, 1+int(levels)
+		rng := stats.NewRNG(seed)
+		x := make([][]float32, rows)
+		y := make([]job.Label, rows)
+		for i := range x {
+			if alias > 0 && i > 0 && rng.Intn(256) < int(alias) {
+				x[i] = x[rng.Intn(i)]
+			} else {
+				x[i] = make([]float32, d)
+				for f := range x[i] {
+					x[i][f] = float32(rng.Intn(values)) / float32(values)
+				}
+			}
+			y[i] = job.Label(rng.Intn(3)) // Unknown, MemoryBound or ComputeBound
+		}
+		y[0] = job.ComputeBound // at least one labeled row
+		cfg := Config{K: 3, P: 2, Index: IndexConfig{Mode: IndexOff}}
+		if indexed {
+			cfg.Index = IndexConfig{Mode: IndexOn, NClusters: 4, Seed: seed}
+		}
+		if got, want := trainBytes(t, cfg, x, y), trainBytes(t, cfg, deepCopy(x), y); !bytes.Equal(got, want) {
+			t.Fatalf("aliased rows marshal %d bytes that differ from the copies' %d", len(got), len(want))
+		}
+	})
 }

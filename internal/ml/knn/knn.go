@@ -138,7 +138,9 @@ func (c *Classifier) Groups() int {
 // Train implements ml.Classifier: it copies the training set into a
 // contiguous matrix of unique vectors with per-label multiplicities.
 // KNN "training" is exactly this storage step, which is why the paper
-// measures it in fractions of a second.
+// measures it in fractions of a second. Rows that share a backing array
+// — the encoder hands jobs with equal feature strings one slice — are
+// one vector: only a vector's first row is hashed and compared.
 func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	if err := ml.CheckTrainingData(x, y); err != nil {
 		return err
@@ -149,26 +151,31 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 		first  int // row index of the representative vector
 		counts [2]int32
 	}
-	byHash := make(map[uint64][]int, len(x)) // hash -> group indices
-	groups := make([]group, 0, len(x)/4)
+	byVec := map[*float32]int{}  // backing array -> group index
+	byHash := map[uint64][]int{} // hash -> group indices
+	var groups []group
 	n := 0
 	for i, row := range x {
 		if y[i] == job.Unknown {
 			continue
 		}
 		n++
-		h := hashVec(row)
-		gi := -1
-		for _, g := range byHash[h] {
-			if equalVec(x[groups[g].first], row) {
-				gi = g
-				break
+		gi, ok := byVec[&row[0]]
+		if !ok {
+			gi = -1
+			h := hashVec(row)
+			for _, g := range byHash[h] {
+				if equalVec(x[groups[g].first], row) {
+					gi = g
+					break
+				}
 			}
-		}
-		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, group{first: i})
-			byHash[h] = append(byHash[h], gi)
+			if gi < 0 {
+				gi = len(groups)
+				groups = append(groups, group{first: i})
+				byHash[h] = append(byHash[h], gi)
+			}
+			byVec[&row[0]] = gi
 		}
 		if y[i] == job.ComputeBound {
 			groups[gi].counts[1]++

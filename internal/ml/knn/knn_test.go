@@ -1,9 +1,11 @@
 package knn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -147,6 +149,64 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if err := c.Train([][]float32{{1}}, []job.Label{job.Unknown}); err == nil {
 		t.Error("accepted all-unknown training set")
+	}
+}
+
+// TestTrainRejectsZeroWidthVectors: vectors with no feature are an
+// error, not a model of empty rows.
+func TestTrainRejectsZeroWidthVectors(t *testing.T) {
+	x := [][]float32{{}, {}}
+	if err := New(DefaultConfig()).Train(x, []job.Label{job.MemoryBound, job.ComputeBound}); err == nil {
+		t.Error("Train accepted zero-width vectors")
+	}
+}
+
+// deepCopy gives every row of x a backing array of its own.
+func deepCopy(x [][]float32) [][]float32 {
+	out := make([][]float32, len(x))
+	for i, v := range x {
+		out[i] = slices.Clone(v)
+	}
+	return out
+}
+
+// trainBytes fits cfg's model on (x, y) and returns it marshaled.
+func trainBytes(t testing.TB, cfg Config, x [][]float32, y []job.Label) []byte {
+	t.Helper()
+	c := New(cfg)
+	if err := c.Train(x, y); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestAliasedRowsTrainLikeCopies is the differential test of the
+// grouping's keying by backing array: rows that share k vectors and the
+// same rows each in an array of its own marshal the same model, groups
+// and index included, with unlabeled rows and content-equal vectors in
+// separate arrays mixed in.
+func TestAliasedRowsTrainLikeCopies(t *testing.T) {
+	for _, mode := range []IndexMode{IndexOff, IndexOn} {
+		for _, k := range []int{1, 9, 400} {
+			x, y := benchData(2000, 16, 2000/k, uint64(k))
+			for i := range y {
+				if i%13 == 0 {
+					y[i] = job.Unknown
+				}
+				if i%17 == 0 { // equal content, its own array
+					x[i] = slices.Clone(x[i])
+				}
+			}
+			cfg := Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 1}}
+			if got, want := trainBytes(t, cfg, x, y), trainBytes(t, cfg, deepCopy(x), y); !bytes.Equal(got, want) {
+				t.Fatalf("index %s, %d vectors: aliased rows marshal %d bytes that differ from the copies' %d",
+					mode, k, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -31,7 +31,9 @@ var (
 )
 
 // CheckTrainingData validates the (x, y) pair every Train implementation
-// receives: non-empty, aligned, rectangular, with at least one known label.
+// receives: non-empty, aligned, rectangular with at least one feature,
+// with at least one known label. A trainer may therefore read &v[0] of
+// every vector.
 func CheckTrainingData(x [][]float32, y []job.Label) error {
 	if len(x) == 0 {
 		return ErrNoData
@@ -40,6 +42,9 @@ func CheckTrainingData(x [][]float32, y []job.Label) error {
 		return fmt.Errorf("ml: %d vectors vs %d labels", len(x), len(y))
 	}
 	dim := len(x[0])
+	if dim == 0 {
+		return fmt.Errorf("ml: vectors have no features")
+	}
 	known := false
 	for i, v := range x {
 		if len(v) != dim {

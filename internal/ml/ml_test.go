@@ -24,6 +24,9 @@ func TestCheckTrainingData(t *testing.T) {
 	if err := CheckTrainingData(ragged, labels); err == nil {
 		t.Error("accepted ragged matrix")
 	}
+	if err := CheckTrainingData([][]float32{{}, {}}, labels); err == nil {
+		t.Error("accepted zero-width vectors")
+	}
 	unknown := []job.Label{job.Unknown, job.Unknown}
 	if err := CheckTrainingData(good, unknown); err == nil {
 		t.Error("accepted all-unknown labels")

@@ -73,7 +73,9 @@ func BenchmarkTrainBins(b *testing.B) {
 // BenchmarkTrainSize tracks Fig. 7: training cost versus window size.
 // The n= cases are all-unique rows (a fit can share no work between
 // them); n=25000/dup=5 is the shape a node fits at s30 — sparse rows,
-// every distinct submission present five times.
+// every distinct submission present five times, the five one vector as
+// the encoder hands them over — and /copied is the same rows each in an
+// array of its own, which the fit can only group by content.
 func BenchmarkTrainSize(b *testing.B) {
 	train := func(name string, x [][]float32, y []job.Label) {
 		b.Run(name, func(b *testing.B) {
@@ -94,6 +96,7 @@ func BenchmarkTrainSize(b *testing.B) {
 	}
 	x, y := servedData(25000, 5, 384, 3)
 	train("n=25000/dup=5", x, y)
+	train("n=25000/dup=5/copied", deepCopy(x), y)
 }
 
 // deepData is a training set whose forest has the served forest's shape

@@ -92,25 +92,38 @@ func (c *Classifier) NumTrees() int {
 // independent bootstrap sample. Trees are grown in parallel across
 // cores; every tree's randomness derives from the forest seed so
 // training is deterministic regardless of scheduling.
+//
+// Rows that share a backing array are one vector: the encoder hands
+// jobs with equal feature strings one slice, so a window of batch
+// submissions holds far fewer vectors than rows, and only a vector's
+// first row is scanned, quantized and hashed.
 func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	if err := ml.CheckTrainingData(x, y); err != nil {
 		return err
 	}
 	// Drop unlabeled rows: the characterizer may have skipped some jobs.
-	xs := make([][]float32, 0, len(x))
+	var vecs [][]float32 // the labeled rows' vectors, in order of first appearance
+	seen := map[*float32]int32{}
+	vec := make([]int32, 0, len(x)) // per labeled row: its index in vecs
 	classes := make([]uint8, 0, len(y))
 	for i, l := range y {
 		if l == job.Unknown {
 			continue
 		}
-		xs = append(xs, x[i])
+		v, ok := seen[&x[i][0]]
+		if !ok {
+			v = int32(len(vecs))
+			seen[&x[i][0]] = v
+			vecs = append(vecs, x[i])
+		}
+		vec = append(vec, v)
 		classes = append(classes, uint8(classIndex(l)))
 	}
-	if len(xs) == 0 {
+	if len(vecs) == 0 {
 		return fmt.Errorf("rf: no labeled training rows")
 	}
 
-	dim := len(xs[0])
+	dim := len(vecs[0])
 	cfg := c.cfg
 	if cfg.MaxFeatures <= 0 || cfg.MaxFeatures > dim {
 		cfg.MaxFeatures = int(math.Sqrt(float64(dim)))
@@ -127,8 +140,8 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 		cfg.MaxDepth = 40
 	}
 
-	binr := newBinner(xs, cfg.Bins)
-	rows := binr.distinct(xs, classes)
+	binr := newBinner(vecs, cfg.Bins)
+	rows := binr.distinct(vecs, vec, classes)
 
 	trees := make([][]node, cfg.NumTrees)
 	master := stats.NewRNG(cfg.Seed)

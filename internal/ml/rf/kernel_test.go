@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mcbound/internal/job"
@@ -1119,24 +1120,99 @@ func TestTrainedForestBytesUnchanged(t *testing.T) {
 	}
 }
 
+// deepCopy gives every row of x a backing array of its own.
+func deepCopy(x [][]float32) [][]float32 {
+	out := make([][]float32, len(x))
+	for i, v := range x {
+		out[i] = slices.Clone(v)
+	}
+	return out
+}
+
+// TestAliasedRowsTrainLikeCopies is the differential test of the fit's
+// keying by backing array: rows that share k vectors — the encoder's
+// output for a window of batch submissions — and the same rows each in
+// an array of its own marshal the same forest, byte for byte, with
+// unlabeled rows and content-equal vectors in separate arrays mixed in.
+func TestAliasedRowsTrainLikeCopies(t *testing.T) {
+	const dim = 48
+	for seed := uint64(1); seed <= 5; seed++ {
+		for _, k := range []int{1, 7, 120} {
+			x, y := servedData(600, 600/k, dim, seed)
+			for i := range y {
+				if i%13 == 0 {
+					y[i] = job.Unknown
+				}
+				if i%17 == 0 { // equal content, its own array
+					x[i] = slices.Clone(x[i])
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.NumTrees = 4
+			cfg.Seed = seed
+			if got, want := trainBytes(t, cfg, x, y), trainBytes(t, cfg, deepCopy(x), y); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d vectors: aliased rows marshal %d bytes that differ from the copies' %d",
+					seed, k, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestAliasedFitAllocatesPerVector: a fit over 25 000 rows that alias
+// 5 000 vectors bins each vector once, so the whole fit allocates less
+// than one byte a row and feature — what binning every row would
+// reserve on its own.
+func TestAliasedFitAllocatesPerVector(t *testing.T) {
+	const rows, vecs, dim = 25000, 5000, 384
+	x, y := servedData(rows, rows/vecs, dim, 1)
+	cfg := DefaultConfig()
+	cfg.NumTrees = 10
+	c := New(cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := c.Train(x, y); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= rows*dim {
+		t.Errorf("fit allocated %d B, want under %d (rows × dim)", got, rows*dim)
+	}
+	t.Logf("fit allocated %d B", got)
+}
+
+// TestTrainRejectsZeroWidthVectors: vectors with no feature are an
+// error, not a panic in the split search.
+func TestTrainRejectsZeroWidthVectors(t *testing.T) {
+	x := [][]float32{{}, {}}
+	if err := New(DefaultConfig()).Train(x, []job.Label{job.MemoryBound, job.ComputeBound}); err == nil {
+		t.Error("Train accepted zero-width vectors")
+	}
+}
+
 // FuzzTrainMatchesReference: whatever small dataset and hyper-parameters
 // the fuzzer finds — rows are drawn from a handful of values per
-// feature, so binned images collide at every rate from never to always —
+// feature, so binned images collide at every rate from never to always,
+// and a share of them (alias/256) is an earlier row's vector itself —
 // Train marshals what the reference trainer does.
 func FuzzTrainMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint8(60), uint8(4), uint8(3), uint8(0), uint8(2), uint8(1), uint8(0), uint8(32))
-	f.Add(uint64(2), uint8(200), uint8(9), uint8(2), uint8(3), uint8(8), uint8(3), uint8(2), uint8(8))
-	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(1), uint8(2))
-	f.Add(uint64(4), uint8(255), uint8(16), uint8(40), uint8(0), uint8(0), uint8(0), uint8(16), uint8(255))
-	f.Fuzz(func(t *testing.T, seed uint64, n, dim, levels, maxDepth, minSplit, minLeaf, maxFeatures, bins uint8) {
+	f.Add(uint64(1), uint8(60), uint8(4), uint8(3), uint8(0), uint8(2), uint8(1), uint8(0), uint8(32), uint8(0))
+	f.Add(uint64(2), uint8(200), uint8(9), uint8(2), uint8(3), uint8(8), uint8(3), uint8(2), uint8(8), uint8(128))
+	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(1), uint8(2), uint8(255))
+	f.Add(uint64(4), uint8(255), uint8(16), uint8(40), uint8(0), uint8(0), uint8(0), uint8(16), uint8(255), uint8(200))
+	f.Fuzz(func(t *testing.T, seed uint64, n, dim, levels, maxDepth, minSplit, minLeaf, maxFeatures, bins, alias uint8) {
 		rows, d, values := 1+int(n), 1+int(dim)%16, 1+int(levels)
 		rng := stats.NewRNG(seed)
 		x := make([][]float32, rows)
 		y := make([]job.Label, rows)
 		for i := range x {
-			x[i] = make([]float32, d)
-			for f := range x[i] {
-				x[i][f] = float32(rng.Intn(values)) / float32(values)
+			if alias > 0 && i > 0 && rng.Intn(256) < int(alias) {
+				x[i] = x[rng.Intn(i)]
+			} else {
+				x[i] = make([]float32, d)
+				for f := range x[i] {
+					x[i][f] = float32(rng.Intn(values)) / float32(values)
+				}
 			}
 			y[i] = job.Label(rng.Intn(3)) // Unknown, MemoryBound or ComputeBound
 		}

@@ -212,12 +212,13 @@ func TestBinner(t *testing.T) {
 	if th := b.threshold(0, 1); th != 5 {
 		t.Errorf("threshold = %g, want 5", th)
 	}
-	// Rows 0 and 3 share a binned image; 3 carries the other class.
-	rows := b.distinct(append(x, []float32{1, 5}), []uint8{0, 0, 0, 1})
+	// Vectors 0 and 3 share a binned image; row 3 carries the other
+	// class, and row 4 is vector 1 again under it.
+	rows := b.distinct(append(x, []float32{1, 5}), []int32{0, 1, 2, 3, 1}, []uint8{0, 0, 0, 1, 1})
 	if want := []uint8{0, 0, 3, 0, 2, 0}; !bytes.Equal(rows.bins, want) {
 		t.Errorf("distinct binned rows = %v, want %v", rows.bins, want)
 	}
-	if want := []int32{0, 2, 4, 1}; !slices.Equal(rows.slot, want) {
+	if want := []int32{0, 2, 4, 1, 3}; !slices.Equal(rows.slot, want) {
 		t.Errorf("slots = %v, want %v", rows.slot, want)
 	}
 }

@@ -182,21 +182,25 @@ type trainRows struct {
 	slot     []int32 // per training row: numClasses·(its distinct row) + its class
 }
 
-// distinct quantizes x row by row and keeps each binned image once:
-// hash, then byte compare, in an open-addressed table, with no per-row
-// allocation. The matrix is reserved for the case that no two rows are
-// alike and handed back if it stayed mostly empty, so a fit holds the
-// distinct rows and not a second n × dim matrix.
-func (b *binner) distinct(x [][]float32, classes []uint8) trainRows {
-	dim := len(x[0])
+// distinct quantizes each of the training set's vectors and keeps each
+// binned image once: hash, then byte compare, in an open-addressed
+// table, with no per-vector allocation. Training row i is vecs[vec[i]]
+// under class classes[i], and vecs is in the order of the rows' first
+// appearance, so the images are numbered in that order too. The matrix
+// is reserved for the case that no two vectors bin alike and handed back
+// if it stayed mostly empty, so a fit holds the distinct rows and not a
+// second vectors × dim matrix.
+func (b *binner) distinct(vecs [][]float32, vec []int32, classes []uint8) trainRows {
+	dim := len(vecs[0])
 	size := 1
-	for size < 2*len(x) {
+	for size < 2*len(vecs) {
 		size <<= 1
 	}
-	table := make([]int32, size) // 1 + distinct row, 0 for an empty slot
-	var hashes []uint64          // per distinct row
-	rows := trainRows{bins: make([]uint8, 0, len(x)*dim), slot: make([]int32, len(x))}
-	for i, row := range x {
+	table := make([]int32, size)   // 1 + distinct row, 0 for an empty slot
+	var hashes []uint64            // per distinct row
+	of := make([]int32, len(vecs)) // per vector: its distinct row
+	rows := trainRows{bins: make([]uint8, 0, len(vecs)*dim), slot: make([]int32, len(vec))}
+	for i, row := range vecs {
 		// The candidate is quantized into the slot behind the rows kept so
 		// far, and the matrix grows over it if it is new.
 		d := len(hashes)
@@ -218,7 +222,10 @@ func (b *binner) distinct(x [][]float32, classes []uint8) trainRows {
 			hashes = append(hashes, h)
 			rows.bins = rows.bins[:(d+1)*dim]
 		}
-		rows.slot[i] = int32(d*numClasses) + int32(classes[i])
+		of[i] = int32(d)
+	}
+	for i, v := range vec {
+		rows.slot[i] = of[v]*numClasses + int32(classes[i])
 	}
 	rows.distinct = len(hashes)
 	if len(rows.bins) < cap(rows.bins)/2 {
