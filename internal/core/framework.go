@@ -80,7 +80,9 @@ type Config struct {
 	// ModelFactory, when non-nil, overrides Model/KNN/RF: every Training
 	// Workflow trigger calls it for the fresh Classifier instance it
 	// fits. It is the injection seam for custom algorithms and for the
-	// concurrency tests, which need gated or instrumented models.
+	// concurrency tests, which need gated or instrumented models. Its
+	// models' Predict must be a function of the instance and the vector:
+	// the serving path memoizes a label per (snapshot, feature string).
 	ModelFactory func() (ml.Classifier, error)
 
 	// Params is the online algorithm's setting (§III-E): train on the
@@ -120,6 +122,13 @@ type modelState struct {
 	version   int // registry version, 0 when persistence is disabled
 	trainedAt time.Time
 
+	// stamp names the labels this snapshot's model gives: fresh and
+	// nonzero for every published vector model (each Train, LoadLatest
+	// and live nprobe change), so a label noted on an embedding-cache
+	// entry under one snapshot never answers for another. 0 without a
+	// vector model.
+	stamp uint64
+
 	// lookup is the (job name, #cores) table fitted on the last labeled
 	// window. Whenever it is set, inference answers from it: as the
 	// deployment's model under ModelBaseline (trained), and otherwise as
@@ -157,6 +166,8 @@ type Framework struct {
 	inflightN  atomic.Int32 // 0 or 1; sampled by the train-inflight gauge
 	coalescedN atomic.Int64 // triggers absorbed by an in-flight train
 	degradedN  atomic.Int64 // predictions served by the lookup fallback
+	memoN      atomic.Int64 // predictions answered from an embedding-cache note
+	stamps     atomic.Uint64
 
 	// rng and anchor belong to the single-flighted train: one θ-random
 	// stream across every trigger of the deployment (so a period's
@@ -267,9 +278,21 @@ func (f *Framework) SetIndexOptions(mode string, nprobe int) error {
 		ov.nprobe = nprobe
 	}
 	f.indexOv.Store(&ov)
-	if nprobe > 0 {
-		if ix, ok := f.state.Load().model.(ml.Indexed); ok {
-			ix.SetNProbe(nprobe)
+	for nprobe > 0 {
+		cur := f.state.Load()
+		ix, ok := cur.model.(ml.Indexed)
+		if !ok {
+			break
+		}
+		ix.SetNProbe(nprobe)
+		// The served index changed in place, so the labels noted under
+		// the current stamp may not be its answers any more: republish the
+		// snapshot under a fresh one, after the change. A lost race means
+		// another publish came between; set and republish on that one.
+		next := *cur
+		next.stamp = f.stamps.Add(1)
+		if f.state.CompareAndSwap(cur, &next) {
+			break
 		}
 	}
 	return nil
@@ -472,6 +495,7 @@ func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, err
 	f.state.Store(&modelState{
 		model: model, trained: true,
 		version: rep.ModelVersion, trainedAt: now,
+		stamp: f.stamps.Add(1),
 	})
 	return rep, persistErr
 }
@@ -532,6 +556,7 @@ func (f *Framework) LoadLatest() (*LoadReport, error) {
 	f.state.Store(&modelState{
 		model: loaded.(ml.Classifier), trained: true,
 		version: v, trainedAt: savedAt,
+		stamp: f.stamps.Add(1),
 	})
 	return rep, nil
 }
@@ -598,6 +623,11 @@ func (f *Framework) Degraded() bool {
 // has served (sampled by the mcbound_classify_degraded gauge).
 func (f *Framework) DegradedPredictions() int64 { return f.degradedN.Load() }
 
+// MemoHits returns how many predictions were answered from a label noted
+// on an embedding-cache entry, with no vector and no model (sampled by
+// the mcbound_classify_memo_hits gauge).
+func (f *Framework) MemoHits() int64 { return f.memoN.Load() }
+
 // ModelAge returns the age of the served model snapshot relative to
 // now; ok is false while no model has ever trained (the
 // mcbound_model_staleness_seconds gauge then reads 0).
@@ -622,10 +652,12 @@ func (f *Framework) ModelInfo() (name string, version int, trainedAt time.Time) 
 // (e.g. just-submitted jobs pushed by the scheduler hook). The model's
 // work is done once per distinct submission: jobs with equal feature
 // strings are encoded and predicted as one row and the label is
-// scattered back, so result order matches input order. The encoder and
-// the model each split their rows across the cores themselves; the
-// context is checked before each of the two. Every prediction in the
-// batch comes from the same model snapshot.
+// scattered back, so result order matches input order. A string whose
+// cache entry carries this snapshot's label needs neither (a recurring
+// submission); the model predicts the rest. The encoder and the model
+// each split their rows across the cores themselves; the context is
+// checked before each of the two. Every prediction in the batch comes
+// from the same model snapshot.
 func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Prediction, error) {
 	st := f.state.Load()
 	if !st.trained && st.lookup == nil {
@@ -654,23 +686,71 @@ func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Predic
 		}
 		return out, nil
 	}
-	vecs, rows := f.encoder.EncodeDistinct(jobs)
+	dist, rows := f.encoder.EncodeDistinct(jobs, st.stamp)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	labels, err := st.model.Predict(vecs)
-	if err != nil {
-		return nil, fmt.Errorf("core: predict: %w", err)
+	if err := f.predictDistinct(st, dist); err != nil {
+		return nil, err
 	}
 	out := make([]Prediction, len(jobs))
+	memo := 0
 	for i, j := range jobs {
-		l := labels[rows[i]]
+		d := &dist[rows[i]]
+		if d.Vec == nil {
+			memo++
+		}
+		l := job.Label(encode.NotePayload(d.Note))
 		out[i] = Prediction{
 			JobID: j.ID, Label: l, Class: l.String(),
 			ModelVersion: st.version,
 		}
 	}
+	if memo > 0 {
+		f.memoN.Add(int64(memo))
+	}
 	return out, nil
+}
+
+// predictDistinct gives every distinct string of a batch its label under
+// st, as a note carrying st's stamp in dist[d].Note. A string already
+// noted under that stamp keeps its note; the model predicts the rest in
+// one call. A predicted label is written back onto the string's cache
+// entry only when its vector came from a cache hit — second sight — so a
+// name seen once never carries a note.
+func (f *Framework) predictDistinct(st *modelState, dist []encode.Distinct) error {
+	misses := 0
+	for k := range dist {
+		if dist[k].Vec != nil {
+			misses++
+		}
+	}
+	if misses == 0 {
+		return nil
+	}
+	x := make([][]float32, 0, misses)
+	for k := range dist {
+		if dist[k].Vec != nil {
+			x = append(x, dist[k].Vec)
+		}
+	}
+	labels, err := st.model.Predict(x)
+	if err != nil {
+		return fmt.Errorf("core: predict: %w", err)
+	}
+	m := 0
+	for k := range dist {
+		d := &dist[k]
+		if d.Vec == nil {
+			continue
+		}
+		d.Note = encode.MakeNote(st.stamp, uint8(labels[m]))
+		m++
+		if d.Hit {
+			f.encoder.SetNote(d, d.Note)
+		}
+	}
+	return nil
 }
 
 // ClassifyByID classifies a single job fetched from the data storage

@@ -22,6 +22,13 @@ import (
 // instead of 1 536. Every other coordinate of the vector is +0 — EmbedInto
 // makes no -0 — so scattering the stored bits into zeroed memory restores
 // the embedding bit for bit.
+//
+// An entry also keeps one word for its caller, the note (SetNote): the
+// serving path writes there the label the served model gave the string,
+// so a recurring submission is answered from its entry with no vector and
+// no model. The note lives and dies with its entry — it has no map, bound
+// or eviction of its own — and an entry recycled for another key starts
+// with none.
 const (
 	cacheShardCount = 16 // power of two: shard pick is a mask
 
@@ -41,10 +48,23 @@ type CacheStats struct {
 	Entries                 int
 }
 
+// cacheEntry is 48 B: the key, the vector's slice header and the note.
 type cacheEntry struct {
-	key string
-	val sparseVec
+	key  string
+	val  sparseVec
+	note uint64 // 0: none
 }
+
+// noteShift splits a note: the stamp above it, an 8-bit payload below.
+const noteShift = 8
+
+// MakeNote packs a stamp (nonzero, below 1 << 56) and a payload into the
+// word SetNote keeps on a cache entry. EncodeDistinct returns an entry's
+// note, in place of its vector, when the note's stamp is the caller's.
+func MakeNote(stamp uint64, payload uint8) uint64 { return stamp<<noteShift | uint64(payload) }
+
+// NotePayload returns the payload MakeNote packed into note.
+func NotePayload(note uint64) uint8 { return uint8(note) }
 
 // sparseVec is a vector of uint16-indexed coordinates in one allocation:
 // the n stored values' float32 bits, then their indices two to a word
@@ -161,27 +181,46 @@ func shardIndex(key string) int {
 	return int(mix64(h) & (cacheShardCount - 1))
 }
 
-// get scatters the cached vector for key into dst (zeroed), promoting the
-// entry to most recently used, and reports whether key was cached.
-func (c *shardedCache) get(key string, dst []float32) bool {
+// get looks key up, promoting its entry to most recently used, and
+// reports whether key was cached. When the entry's note carries stamp
+// (nonzero) it returns that note; otherwise note is 0 and val is the
+// cached vector, which is never written once stored (scatter it outside
+// the lock).
+func (c *shardedCache) get(key string, stamp uint64) (val sparseVec, note uint64, ok bool) {
 	s := &c.shards[shardIndex(key)]
-	var val sparseVec
 	s.mu.Lock()
 	el, ok := s.items[key]
 	if ok {
 		s.lru.MoveToFront(el)
-		// Read the vector inside the critical section: a concurrent put
-		// on the same key rebinds the entry's val field under this lock.
-		val = el.Value.(*cacheEntry).val
+		// Read inside the critical section: a concurrent put or setNote on
+		// the same key rebinds the entry's fields under this lock.
+		ent := el.Value.(*cacheEntry)
+		val = ent.val
+		if stamp != 0 && ent.note>>noteShift == stamp {
+			note = ent.note
+		}
 	}
 	s.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return false
+		return nil, 0, false
 	}
 	c.hits.Add(1)
-	val.scatter(dst) // an entry's vector is never written once stored
-	return true
+	return val, note, true
+}
+
+// setNote writes note onto key's entry, if the cache holds one; it does
+// not promote the entry.
+func (c *shardedCache) setNote(key string, note uint64) {
+	if !c.storing() {
+		return
+	}
+	s := &c.shards[shardIndex(key)]
+	s.mu.Lock()
+	if el, ok := s.items[key]; ok {
+		el.Value.(*cacheEntry).note = note
+	}
+	s.mu.Unlock()
 }
 
 // storing reports whether put keeps anything: false once capacity is
@@ -189,7 +228,9 @@ func (c *shardedCache) get(key string, dst []float32) bool {
 func (c *shardedCache) storing() bool { return c.perShard.Load() > 0 }
 
 // put stores key→val, evicting least-recently-used entries past the
-// shard's capacity share.
+// shard's capacity share. A new key in a full shard takes over the least
+// recently used entry — its list element and cacheEntry — with the note
+// cleared, so a miss past capacity allocates neither.
 func (c *shardedCache) put(key string, val sparseVec) {
 	per := c.perShard.Load()
 	if per <= 0 {
@@ -199,8 +240,15 @@ func (c *shardedCache) put(key string, val sparseVec) {
 	evicted := uint64(0)
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry).val = val // same key, same vector: the note stands
 		s.lru.MoveToFront(el)
+	} else if back := s.lru.Back(); back != nil && int64(s.lru.Len()) >= per {
+		ent := back.Value.(*cacheEntry)
+		delete(s.items, ent.key)
+		*ent = cacheEntry{key: key, val: val}
+		s.lru.MoveToFront(back)
+		s.items[key] = back
+		evicted++
 	} else {
 		s.items[key] = s.lru.PushFront(&cacheEntry{key: key, val: val})
 	}

@@ -52,16 +52,19 @@ func (e *Encoder) Dim() int { return e.embedder.Dim() }
 // identical feature string was seen before. The returned slice belongs to
 // the caller: writing into it changes no later result.
 func (e *Encoder) EncodeJob(j *job.Job) []float32 {
+	key := FeatureString(j, e.features)
 	v := make([]float32, e.embedder.Dim())
-	e.encodeInto(FeatureString(j, e.features), v)
+	val, _, hit := e.cache.get(key, 0)
+	e.fill(key, v, val, hit)
 	return v
 }
 
-// encodeInto writes key's embedding into v (zeroed): a hit scatters the
-// cached coordinates into it, a miss embeds straight into it and stores
-// its sparse copy.
-func (e *Encoder) encodeInto(key string, v []float32) {
-	if e.cache.get(key, v) {
+// fill writes key's embedding into v (zeroed): on a hit it scatters the
+// cached coordinates val into it, on a miss it embeds straight into it
+// and stores its sparse copy.
+func (e *Encoder) fill(key string, v []float32, val sparseVec, hit bool) {
+	if hit {
+		val.scatter(v)
 		return
 	}
 	// Concurrent misses on the same key may both embed; the embedding is
@@ -88,18 +91,37 @@ func (e *Encoder) encodeInto(key string, v []float32) {
 // object, slower than a vector apiece.
 const chunkBytes = 32 << 10
 
+// Distinct is one distinct feature string of an EncodeDistinct batch.
+type Distinct struct {
+	key string
+
+	// Vec is the string's embedding, the caller's; nil when Note answers
+	// for it.
+	Vec []float32
+
+	// Note is the string's cache note (MakeNote) when its stamp is the
+	// one EncodeDistinct was given, and 0 otherwise.
+	Note uint64
+
+	// Hit reports that the string was found in the cache: its vector was
+	// scattered from an entry (or its note read from one), not embedded.
+	Hit bool
+}
+
 // EncodeDistinct embeds a batch once per distinct feature string — the
 // trace's defining structure is batch submission of identical jobs, so
 // a window of submissions holds far fewer strings than jobs. It returns
-// the distinct vectors in order of first appearance, each the caller's,
-// and, for every job, the index of its vector: jobs[i] encodes to
-// vecs[rows[i]]. Keying is one serial pass; the cache lookups and
-// embeddings of the distinct strings are split across all cores. Vectors
-// are cut from shared allocations of at most chunkBytes, so one kept
-// vector keeps its chunk alive.
-func (e *Encoder) EncodeDistinct(jobs []*job.Job) (vecs [][]float32, rows []int) {
+// the distinct strings in order of first appearance and, for every job,
+// the index of its string: jobs[i] encodes to dist[rows[i]]. A string
+// whose cache entry carries a note with the caller's nonzero stamp comes
+// back with that note and no vector; stamp 0 asks for vectors only.
+// Keying is one serial pass; the cache lookups and embeddings of the
+// distinct strings are split across all cores. Vectors are cut from
+// shared allocations of at most chunkBytes, so one kept vector keeps its
+// chunk alive.
+func (e *Encoder) EncodeDistinct(jobs []*job.Job, stamp uint64) (dist []Distinct, rows []int) {
 	rows = make([]int, len(jobs))
-	keys := make([]string, 0, len(jobs))
+	dist = make([]Distinct, 0, len(jobs))
 	var seen map[string]int
 	if len(jobs) > 1 { // a lone job has nothing to collide with
 		seen = make(map[string]int, len(jobs))
@@ -109,38 +131,66 @@ func (e *Encoder) EncodeDistinct(jobs []*job.Job) (vecs [][]float32, rows []int)
 		b := appendFeatureString(buf[:0], j, e.features)
 		d, ok := seen[string(b)]
 		if !ok {
-			d = len(keys)
-			keys = append(keys, string(b))
+			d = len(dist)
+			dist = append(dist, Distinct{key: string(b)})
 			if seen != nil {
-				seen[keys[d]] = d
+				seen[dist[d].key] = d
 			}
 		}
 		rows[i] = d
 	}
-	out := make([][]float32, len(keys))
+	e.encodeAll(dist, stamp)
+	return dist, rows
+}
+
+// encodeAll runs encodeRange over dist split across the cores, or on the
+// caller's goroutine for a lone string: no worker to start and no closure
+// to allocate.
+func (e *Encoder) encodeAll(dist []Distinct, stamp uint64) {
+	if len(dist) == 1 {
+		e.encodeRange(dist, stamp)
+		return
+	}
+	linalg.ParallelFor(len(dist), func(lo, hi int) { e.encodeRange(dist[lo:hi], stamp) })
+}
+
+// encodeRange looks each of dist up in the cache, taking its note when
+// the stamp is the caller's and its vector — cut from a chunk only then —
+// otherwise.
+func (e *Encoder) encodeRange(dist []Distinct, stamp uint64) {
 	dim := e.embedder.Dim()
 	perChunk := max(1, chunkBytes/(4*dim))
-	linalg.ParallelFor(len(keys), func(lo, hi int) {
-		var chunk []float32
-		for d := lo; d < hi; d++ {
-			if len(chunk) == 0 {
-				chunk = make([]float32, min(hi-d, perChunk)*dim)
-			}
-			out[d], chunk = chunk[:dim:dim], chunk[dim:]
-			e.encodeInto(keys[d], out[d])
+	var chunk []float32
+	for k := range dist {
+		d := &dist[k]
+		val, note, hit := e.cache.get(d.key, stamp)
+		d.Hit = hit
+		if note != 0 {
+			d.Note = note
+			continue
 		}
-	})
-	return out, rows
+		if len(chunk) == 0 {
+			chunk = make([]float32, min(len(dist)-k, perChunk)*dim)
+		}
+		d.Vec, chunk = chunk[:dim:dim], chunk[dim:]
+		e.fill(d.key, d.Vec, val, hit)
+	}
 }
+
+// SetNote writes note (MakeNote; 0 clears) onto the cache entry of d's
+// string, if the cache still holds one. The note lives as long as that
+// entry — an eviction or ResetCache drops it — and at a capacity of 0
+// nothing is noted.
+func (e *Encoder) SetNote(d *Distinct, note uint64) { e.cache.setNote(d.key, note) }
 
 // Encode embeds a batch of jobs; result row i corresponds to jobs[i].
 // The vectors are the caller's; jobs with equal feature strings share
 // one.
 func (e *Encoder) Encode(jobs []*job.Job) [][]float32 {
-	vecs, rows := e.EncodeDistinct(jobs)
+	dist, rows := e.EncodeDistinct(jobs, 0)
 	out := make([][]float32, len(jobs))
 	for i, d := range rows {
-		out[i] = vecs[d]
+		out[i] = dist[d].Vec
 	}
 	return out
 }

@@ -101,7 +101,7 @@ func TestEncodeDistinct(t *testing.T) {
 	for _, capacity := range []int{DefaultCacheCapacity, 0, 16} {
 		e := NewEncoder(nil, nil)
 		e.SetCacheCapacity(capacity)
-		vecs, rows := e.EncodeDistinct(jobs)
+		dist, rows := e.EncodeDistinct(jobs, 0)
 		if len(rows) != len(jobs) {
 			t.Fatalf("capacity %d: %d rows for %d jobs", capacity, len(rows), len(jobs))
 		}
@@ -118,17 +118,17 @@ func TestEncodeDistinct(t *testing.T) {
 			}
 			want := e.EncodeJob(j)
 			for k := range want {
-				if vecs[d][k] != want[k] {
+				if dist[d].Vec[k] != want[k] {
 					t.Fatalf("capacity %d: job %d: vector differs from EncodeJob at %d", capacity, i, k)
 				}
 			}
 		}
-		if len(vecs) != len(seen) {
-			t.Fatalf("capacity %d: %d vectors for %d distinct strings", capacity, len(vecs), len(seen))
+		if len(dist) != len(seen) {
+			t.Fatalf("capacity %d: %d vectors for %d distinct strings", capacity, len(dist), len(seen))
 		}
 	}
-	if vecs, rows := NewEncoder(nil, nil).EncodeDistinct(nil); len(vecs) != 0 || len(rows) != 0 {
-		t.Errorf("empty batch: %d vectors, %d rows", len(vecs), len(rows))
+	if dist, rows := NewEncoder(nil, nil).EncodeDistinct(nil, 1); len(dist) != 0 || len(rows) != 0 {
+		t.Errorf("empty batch: %d vectors, %d rows", len(dist), len(rows))
 	}
 }
 
@@ -194,9 +194,9 @@ func TestReturnedVectorsAreTheCallers(t *testing.T) {
 		for _, v := range e.Encode([]*job.Job{j, j}) {
 			scribble(v)
 		}
-		vecs, _ := e.EncodeDistinct([]*job.Job{j, testJob(2)})
-		for _, v := range vecs {
-			scribble(v)
+		dist, _ := e.EncodeDistinct([]*job.Job{j, testJob(2)}, 0)
+		for _, d := range dist {
+			scribble(d.Vec)
 		}
 		if got := e.EncodeJob(j); !sameBits(got, want) {
 			t.Fatalf("round %d: a write into a returned vector reached the cache", round)

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -112,7 +113,12 @@ func FuzzEmbedMatchesReference(f *testing.F) {
 // subnormals, all-zero and fully set vectors among them — compacted by
 // its bits, or under a wider mask as the hashing embedder's union bitmap
 // is, and scattered into zeroed memory comes back with the same bits,
-// from an entry no larger than the dense vector.
+// from an entry no larger than the dense vector. The raw bytes then drive
+// puts, notes and lookups of 64 keys through a cache of one entry a
+// shard, where almost every new key evicts: each lookup must find exactly
+// the keys a one-slot-a-shard reference holds, with the vector stored and
+// the note last set on that key under the stamp asked — never one set on
+// the key its entry held before.
 func FuzzCacheRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint64(0))
 	f.Add([]byte{0, 0, 0, 0x80}, uint16(383), uint64(1))                 // -0
@@ -140,14 +146,59 @@ func FuzzCacheRoundTrip(f *testing.F) {
 			if len(sv) > len(v) {
 				t.Fatalf("width %d: the entry takes %d words, more than the dense vector", len(v), len(sv))
 			}
-			got := make([]float32, len(v))
-			sv.scatter(got)
-			for i := range v {
-				if math.Float32bits(got[i]) != math.Float32bits(v[i]) {
-					t.Fatalf("width %d: coordinate %d comes back %#08x, stored %#08x",
-						len(v), i, math.Float32bits(got[i]), math.Float32bits(v[i]))
+			checkScatter(t, sv, v)
+		}
+
+		c := newShardedCache(cacheShardCount)
+		sv := compact(v, exact)
+		type slot struct {
+			key  string
+			note uint64
+		}
+		var ref [cacheShardCount]slot
+		for i, b := range raw[:min(len(raw), 256)] {
+			key := fmt.Sprintf("k%d", b&63)
+			s := &ref[shardIndex(key)]
+			held := s.key == key
+			switch b >> 6 {
+			case 0:
+				c.put(key, sv)
+				if !held {
+					*s = slot{key: key}
+				}
+			case 1:
+				note := MakeNote(1+uint64(i%3), b)
+				c.setNote(key, note)
+				if held {
+					s.note = note
+				}
+			default:
+				stamp := 1 + uint64(b%3)
+				val, note, ok := c.get(key, stamp)
+				want := uint64(0)
+				if held && s.note>>noteShift == stamp {
+					want = s.note
+				}
+				if ok != held || note != want {
+					t.Fatalf("op %d: %s cached %v with note %#x, want %v with %#x", i, key, ok, note, held, want)
+				}
+				if ok {
+					checkScatter(t, val, v)
 				}
 			}
 		}
 	})
+}
+
+// checkScatter fails unless sv scatters back to v's bits.
+func checkScatter(t *testing.T, sv sparseVec, v []float32) {
+	t.Helper()
+	got := make([]float32, len(v))
+	sv.scatter(got)
+	for i := range v {
+		if math.Float32bits(got[i]) != math.Float32bits(v[i]) {
+			t.Fatalf("width %d: coordinate %d comes back %#08x, stored %#08x",
+				len(v), i, math.Float32bits(got[i]), math.Float32bits(v[i]))
+		}
+	}
 }

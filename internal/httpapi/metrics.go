@@ -58,6 +58,9 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 	reg.GaugeFunc("mcbound_degraded_predictions_total",
 		"Predictions answered by the lookup fallback instead of the vector model.",
 		nil, func() float64 { return float64(fw.DegradedPredictions()) })
+	reg.GaugeFunc("mcbound_classify_memo_hits",
+		"Predictions answered from the served model's label noted on an embedding-cache entry, with no vector and no model.",
+		nil, func() float64 { return float64(fw.MemoHits()) })
 	// IVF index counters read the ivf package's process-wide totals,
 	// which stay monotone across model hot-swaps (a per-index counter
 	// would reset on every retrain).

@@ -593,6 +593,41 @@ func TestEncodeCacheEvictionsExported(t *testing.T) {
 	}
 }
 
+// TestClassifyMemoHitsExported: a submission posted three times is
+// embedded on its first sight, predicted from its cached vector (and
+// noted) on the second, and answered from the note on the third — which
+// mcbound_classify_memo_hits counts and mcbound_encode_cache_hits still
+// counts as a hit.
+func TestClassifyMemoHitsExported(t *testing.T) {
+	api := newAPI(t, seedStore(t), nil, true, Options{})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+	payload, _ := json.Marshal([]*job.Job{{
+		ID: "m1", User: "u0001", Name: "memo_app", Environment: "gcc/12.2",
+		CoresRequested: 48, NodesRequested: 1, FreqRequested: job.FreqNormal,
+	}})
+	var bodies []string
+	for sight, want := range []struct{ memo, hits string }{{"0", "0"}, {"0", "1"}, {"1", "2"}} {
+		resp, err := http.Post(srv.URL+"/v1/classify", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sight %d: status %d", sight+1, resp.StatusCode)
+		}
+		bodies = append(bodies, string(body))
+		memo, hits := metricValue(t, srv.URL, "mcbound_classify_memo_hits"), metricValue(t, srv.URL, "mcbound_encode_cache_hits")
+		if memo != want.memo || hits != want.hits {
+			t.Errorf("sight %d: memo hits %s, cache hits %s; want %s, %s", sight+1, memo, hits, want.memo, want.hits)
+		}
+	}
+	if bodies[1] != bodies[0] || bodies[2] != bodies[0] {
+		t.Errorf("answers differ across sightings: %q", bodies)
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
 	st := seedStore(t)
 	api := newAPI(t, st, &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: 300 * time.Millisecond}, true, Options{})
