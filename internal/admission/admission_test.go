@@ -278,6 +278,47 @@ func TestDeadlineExpiryInQueueCountsAsDoomed(t *testing.T) {
 	checkIdentity(t, s)
 }
 
+// The same on virtual time: a deadline set on the controller's clock
+// expires in the queue when that clock is advanced past it — the wall
+// clock, an hour behind, plays no part — and reads as doomed, not as a
+// client that went away.
+func TestDeadlineExpiryInQueueOnVirtualTime(t *testing.T) {
+	clk := clock.NewManual(time.Now().Add(time.Hour))
+	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 4, Clock: clk})
+	held, err := c.Admit(context.Background(), Interactive, "")
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	defer held.Release()
+
+	ctx, cancel := clock.WithTimeout(context.Background(), clk, 2*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Admit(ctx, Interactive, "")
+		done <- err
+	}()
+	waitFor(t, func() bool { return c.QueueLen() == 1 })
+	clk.Advance(2*time.Second - time.Nanosecond)
+	select {
+	case err := <-done:
+		t.Fatalf("left the queue before its deadline: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	clk.Advance(time.Nanosecond)
+	if err := <-done; !errors.Is(err, ErrDoomed) {
+		t.Fatalf("got %v, want ErrDoomed", err)
+	}
+	s := c.Stats()
+	if s.ShedDoomed != 1 || s.ShedCanceled != 0 {
+		t.Fatalf("shed doomed %d, canceled %d; want 1, 0", s.ShedDoomed, s.ShedCanceled)
+	}
+	if s.Offered != s.Admitted+s.ShedQueueFull+s.ShedDoomed+s.ShedCanceled {
+		t.Fatalf("offered %d != admitted %d + queue full %d + doomed %d + canceled %d",
+			s.Offered, s.Admitted, s.ShedQueueFull, s.ShedDoomed, s.ShedCanceled)
+	}
+}
+
 func TestCancelWhileQueuedCountsAsCanceled(t *testing.T) {
 	c := NewController(Config{MaxConcurrency: 1, QueueDepth: 4})
 	held, err := c.Admit(context.Background(), Interactive, "")

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -34,9 +35,11 @@ const module = "mcbound"
 // packages or functions it allows. A use is named as the type checker
 // sees it, whatever the source calls it: a function or method by its
 // types.Func full name ("time.Sleep", "(*net/http.Client).Get"), a go
-// statement as "go", and a type expression whose type is a
-// func() time.Time as "func() time.Time". Allowed functions are named
-// the same way, so an exception is a function, never a line.
+// statement as "go", a type expression whose type is a func() time.Time
+// as "func() time.Time", and a keyed field of a struct literal, set to
+// anything but a constant zero, by its type and field
+// ("net/http.Client.Timeout"). Allowed functions are named the same
+// way, so an exception is a function, never a line.
 type rule struct {
 	name   string
 	in     []string // covered packages ("/..." takes a tree); nil covers every package
@@ -55,6 +58,16 @@ var rules = []rule{{
 	name:   "clock/reads",
 	in:     clockHolders,
 	forbid: []string{"time.Now", "time.Since", "time.Until"},
+}, {
+	name: "clock/deadlines",
+	in:   clockHolders,
+	forbid: []string{
+		"context.WithTimeout", "context.WithTimeoutCause", "context.WithDeadline", "context.WithDeadlineCause",
+		"net/http.Client.Timeout",
+	},
+	// Serve drains a real listener after its context is done: no clock
+	// reaches it, and a simulated node never listens.
+	allow: []string{module + "/internal/httpapi.Serve"},
 }, {
 	name: "wiring",
 	forbid: []string{
@@ -298,6 +311,14 @@ func uses(info *types.Info, file *ast.File, report func(what string, at ast.Node
 			if fn, ok := info.Uses[n].(*types.Func); ok {
 				report(fn.FullName(), n, enclosing(info, stack))
 			}
+		case *ast.CompositeLit:
+			if named := structName(info.Types[n].Type); named != "" {
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok && !isZero(info.Types[kv.Value]) {
+						report(named+"."+kv.Key.(*ast.Ident).Name, kv.Key, enclosing(info, stack))
+					}
+				}
+			}
 		}
 		if e, ok := n.(ast.Expr); ok && info.Types[e].IsType() && !declares(stack) {
 			if sig, ok := info.Types[e].Type.Underlying().(*types.Signature); ok && isNowFunc(sig) {
@@ -306,6 +327,37 @@ func uses(info *types.Info, file *ast.File, report func(what string, at ast.Node
 		}
 		return true
 	})
+}
+
+// structName is the package path and name of t, or of what t points
+// to, when that is a named struct type; "" otherwise.
+func structName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
+}
+
+// isZero reports whether tv is a constant zero value or nil: a keyed
+// field set to it is the same as the field left out.
+func isZero(tv types.TypeAndValue) bool {
+	switch v := tv.Value; {
+	case v == nil:
+		return tv.IsNil()
+	case v.Kind() == constant.Bool:
+		return !constant.BoolVal(v)
+	case v.Kind() == constant.String:
+		return constant.StringVal(v) == ""
+	default:
+		return constant.Sign(v) == 0
+	}
 }
 
 // isNowFunc reports whether sig is func() time.Time.

@@ -2,6 +2,9 @@
 package main
 
 import (
+	"net/http"
+	"time"
+
 	"mcbound/internal/admission"
 	"mcbound/internal/election"
 	"mcbound/internal/store"
@@ -13,3 +16,7 @@ func main() {
 	_, _ = election.New(election.Config{})          // want wiring
 	_ = admission.NewController(admission.Config{}) // want wiring/admission
 }
+
+// Negative control: a binary holds no Clock, so its client may carry
+// its own timeout.
+var client = &http.Client{Timeout: time.Minute}

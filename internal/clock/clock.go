@@ -1,10 +1,11 @@
 // Package clock is the one way the serving layers keep time: a Clock
 // to read the instant and run a func later, the wall clock behind it in
-// production, a Manual clock tests advance by hand, and the three
-// things every layer built on top of a timer — a context-aware Sleep, a
-// period-±-fraction Jitter, and a step-on-a-period Loop with a Stop that
-// waits. Lease TTLs, WAL polling, ejection and breaker cooldowns, retry
-// backoff, the router's hedge and the retrain cron all run on it, so a
+// production, a Manual clock tests advance by hand, and the four things
+// every layer built on top of a timer — a context-aware Sleep, a
+// deadline set by WithTimeout, a period-±-fraction Jitter, and a
+// step-on-a-period Loop with a Stop that waits. Lease TTLs, WAL polling,
+// ejection and breaker cooldowns, retry backoff, request and RPC
+// deadlines, the router's hedge and the retrain cron all run on it, so a
 // test (or a simulation) that owns the Clock owns their schedule.
 //
 // The package imports nothing from this repository; randomness comes in
@@ -140,6 +141,54 @@ func Sleep(ctx context.Context, c Clock, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// WithTimeout is context.WithTimeout on c, and on Wall it is exactly
+// that. On any other clock Done closes from c.AfterFunc(d, …), Err is
+// then context.DeadlineExceeded, Deadline is the earlier of ctx's and
+// c.Now()+d, a d <= 0 has expired on return, and cancel disarms the
+// timer. Admission's doomed-request check is the one reader of a
+// Deadline: it subtracts the same clock's Now. net/http does not hand a
+// request's deadline to its dialer, so a Manual deadline far from the
+// wall does not cut an HTTP call short (a bare net.Dialer's would). A
+// context the standard library derives from a fired deadline reports
+// context.Canceled, with context.DeadlineExceeded as its Cause.
+func WithTimeout(ctx context.Context, c Clock, d time.Duration) (context.Context, context.CancelFunc) {
+	if _, ok := c.(Wall); ok {
+		return context.WithTimeout(ctx, d)
+	}
+	dc := &deadlineCtx{deadline: c.Now().Add(d)}
+	if pd, ok := ctx.Deadline(); ok && pd.Before(dc.deadline) {
+		dc.deadline = pd
+	}
+	var cancel context.CancelCauseFunc
+	dc.Context, cancel = context.WithCancelCause(ctx)
+	if d <= 0 {
+		cancel(context.DeadlineExceeded)
+		return dc, func() {}
+	}
+	t := c.AfterFunc(d, func() { cancel(context.DeadlineExceeded) })
+	return dc, func() {
+		t.Stop()
+		cancel(nil)
+	}
+}
+
+// deadlineCtx is a cancelable child of the caller's context; its timer
+// cancels it with the cause context.DeadlineExceeded, which Err reports.
+type deadlineCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *deadlineCtx) Err() error {
+	err := c.Context.Err()
+	if err == context.Canceled && context.Cause(c.Context) == context.DeadlineExceeded {
+		return context.DeadlineExceeded
+	}
+	return err
 }
 
 // DefaultJitter is the fraction the fleet's own periods are spread by

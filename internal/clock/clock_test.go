@@ -272,3 +272,124 @@ func TestLoopStopWithoutRunDoesNotWait(t *testing.T) {
 	cancel()
 	l.Run(ctx, time.Hour) // a stopped loop (and a done context) returns at once
 }
+
+// The deadline contract, asserted on both clocks: WithTimeout on Wall is
+// the standard library's, and a Manual deadline must read the same.
+func TestWithTimeoutExpiresAfterItsDelay(t *testing.T) {
+	for _, tc := range clocks {
+		t.Run(tc.name, func(t *testing.T) {
+			c, pass := tc.make()
+			armed := c.Now()
+			ctx, cancel := clock.WithTimeout(context.Background(), c, delay)
+			defer cancel()
+			if dl, ok := ctx.Deadline(); !ok || dl.Before(armed.Add(delay)) || dl.After(c.Now().Add(delay)) {
+				t.Fatalf("Deadline() = %v, %v, want %v after the call", dl, ok, delay)
+			}
+			select {
+			case <-ctx.Done():
+				t.Fatal("done before its delay")
+			default:
+			}
+			if err := ctx.Err(); err != nil {
+				t.Fatalf("Err() before the delay = %v", err)
+			}
+			pass(delay)
+			<-ctx.Done()
+			if err := ctx.Err(); err != context.DeadlineExceeded {
+				t.Fatalf("Err() = %v, want context.DeadlineExceeded", err)
+			}
+			if cause := context.Cause(ctx); cause != context.DeadlineExceeded {
+				t.Fatalf("Cause() = %v, want context.DeadlineExceeded", cause)
+			}
+		})
+	}
+}
+
+func TestWithTimeoutFollowsItsParent(t *testing.T) {
+	for _, tc := range clocks {
+		t.Run(tc.name, func(t *testing.T) {
+			c, pass := tc.make()
+			// An earlier parent deadline is the child's, and its expiry
+			// reads as one.
+			parent, cancelParent := clock.WithTimeout(context.Background(), c, delay)
+			defer cancelParent()
+			ctx, cancel := clock.WithTimeout(parent, c, time.Hour)
+			defer cancel()
+			pd, _ := parent.Deadline()
+			if dl, ok := ctx.Deadline(); !ok || !dl.Equal(pd) {
+				t.Fatalf("Deadline() = %v, %v, want the parent's %v", dl, ok, pd)
+			}
+			pass(delay)
+			<-ctx.Done()
+			if err := ctx.Err(); err != context.DeadlineExceeded {
+				t.Fatalf("Err() under an expired parent = %v, want context.DeadlineExceeded", err)
+			}
+
+			// A parent's cancel reaches the child as a cancel.
+			canceled, cancelCanceled := context.WithCancel(context.Background())
+			ctx, cancel = clock.WithTimeout(canceled, c, time.Hour)
+			defer cancel()
+			cancelCanceled()
+			<-ctx.Done()
+			if err := ctx.Err(); err != context.Canceled {
+				t.Fatalf("Err() under a canceled parent = %v, want context.Canceled", err)
+			}
+
+			// So does the child's own cancel.
+			ctx, cancel = clock.WithTimeout(context.Background(), c, time.Hour)
+			cancel()
+			<-ctx.Done()
+			if err := ctx.Err(); err != context.Canceled {
+				t.Fatalf("Err() after cancel = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
+func TestWithTimeoutOfNoTimeHasExpired(t *testing.T) {
+	for _, tc := range clocks {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := tc.make()
+			for _, d := range []time.Duration{0, -time.Second} {
+				ctx, cancel := clock.WithTimeout(context.Background(), c, d)
+				select {
+				case <-ctx.Done():
+				default:
+					t.Fatalf("WithTimeout(%v) not done on return", d)
+				}
+				if err := ctx.Err(); err != context.DeadlineExceeded {
+					t.Fatalf("WithTimeout(%v).Err() = %v, want context.DeadlineExceeded", d, err)
+				}
+				cancel()
+			}
+		})
+	}
+}
+
+func TestManualDeadlineFiresOnAdvanceAndCancelDisarmsIt(t *testing.T) {
+	m := clock.NewManual(epoch)
+	ctx, cancel := clock.WithTimeout(context.Background(), m, time.Minute)
+	defer cancel()
+	if dl, _ := ctx.Deadline(); !dl.Equal(epoch.Add(time.Minute)) {
+		t.Fatalf("Deadline() = %v, want exactly Now()+1m", dl)
+	}
+	m.BlockUntil(1) // the deadline is a timer on the clock
+	m.Advance(time.Minute - time.Nanosecond)
+	if ctx.Err() != nil {
+		t.Fatal("done a nanosecond before its deadline")
+	}
+	m.Advance(time.Nanosecond)
+	<-ctx.Done()
+
+	_, cancel = clock.WithTimeout(context.Background(), m, time.Minute)
+	cancel()
+	parked := make(chan struct{})
+	go func() { m.BlockUntil(1); close(parked) }()
+	select {
+	case <-parked:
+		t.Fatal("BlockUntil counted a canceled deadline")
+	case <-time.After(delay):
+	}
+	m.AfterFunc(time.Hour, func() {})
+	<-parked
+}

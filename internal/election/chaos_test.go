@@ -56,7 +56,7 @@ type chaosTransport struct {
 
 func newChaosTransport(seed uint64) *chaosTransport {
 	return &chaosTransport{
-		inner:   election.NewHTTPTransport(&http.Client{Timeout: 300 * time.Millisecond}, seed),
+		inner:   election.NewHTTPTransport(&http.Client{Timeout: 300 * time.Millisecond}, nil, seed),
 		blocked: make(map[string]bool),
 	}
 }

@@ -99,8 +99,9 @@ type Config struct {
 	ElectionTimeout time.Duration
 	// Seed drives the election-timeout jitter and step jitter.
 	Seed uint64
-	// Clock overrides the wall clock: every lease instant and, in Run,
-	// the step timer (deterministic tests).
+	// Clock overrides the wall clock: every lease instant, each
+	// transport call's deadline and, in Run, the step timer
+	// (deterministic tests). The default transport backs off on it too.
 	Clock clock.Clock
 	// Transport overrides the HTTP lease/ack transport (fault injection).
 	Transport Transport
@@ -180,7 +181,7 @@ func New(cfg Config) (*Elector, error) {
 		cfg.Clock = clock.Wall{}
 	}
 	if cfg.Transport == nil {
-		cfg.Transport = NewHTTPTransport(nil, cfg.Seed)
+		cfg.Transport = NewHTTPTransport(nil, cfg.Clock, cfg.Seed)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -358,7 +359,7 @@ func (e *Elector) followerStep(ctx context.Context) {
 	}
 
 	if target != "" && target != e.self.URL {
-		cctx, cancel := context.WithTimeout(ctx, requestTimeout)
+		cctx, cancel := clock.WithTimeout(ctx, e.clock, requestTimeout)
 		lease, err := e.tr.GetLease(cctx, target)
 		cancel()
 		if err == nil && e.adoptLease(lease, false) {
@@ -474,7 +475,7 @@ func (e *Elector) sendAck(ctx context.Context, l Lease) {
 	if target == "" {
 		return
 	}
-	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	cctx, cancel := clock.WithTimeout(ctx, e.clock, requestTimeout)
 	defer cancel()
 	if _, err := e.tr.Ack(cctx, target, req); err != nil {
 		e.mu.Lock()
@@ -490,7 +491,7 @@ func (e *Elector) discoverLeader(ctx context.Context) bool {
 	if len(peers) == 0 {
 		return false
 	}
-	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	cctx, cancel := clock.WithTimeout(ctx, e.clock, requestTimeout)
 	defer cancel()
 	leases := make(chan Lease, len(peers))
 	var wg sync.WaitGroup
@@ -545,7 +546,7 @@ func (e *Elector) runElection(ctx context.Context) {
 
 	req := AckRequest{NodeID: e.self.ID, URL: e.self.URL, Term: claim, AppliedSeq: mySeq, Claim: true}
 	peers := e.members.Peers()
-	cctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	cctx, cancel := clock.WithTimeout(ctx, e.clock, requestTimeout)
 	results := make(chan AckResponse, len(peers))
 	var wg sync.WaitGroup
 	for _, p := range peers {
@@ -918,10 +919,10 @@ func (e *Elector) nodeEpochLocked() uint64 {
 // sequence reaches the manifest's committed sequence, two consecutive
 // rounds make no progress, or the budget elapses. With the WAL surface
 // of a wedged-but-reachable leader, this pulls every acknowledged
-// insert before the successor fences it.
-func FinalDrain(f *repl.Follower, budget time.Duration) func(context.Context) {
+// insert before the successor fences it. The budget runs on c.
+func FinalDrain(f *repl.Follower, c clock.Clock, budget time.Duration) func(context.Context) {
 	return func(ctx context.Context) {
-		ctx, cancel := context.WithTimeout(ctx, budget)
+		ctx, cancel := clock.WithTimeout(ctx, c, budget)
 		defer cancel()
 		var prev uint64
 		stalls := 0

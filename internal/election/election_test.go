@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -757,6 +758,24 @@ func (m *meshTransport) Ack(_ context.Context, url string, req AckRequest) (AckR
 	return e.HandleAck(req), nil
 }
 
+// meshClock is the mesh's clock for the electors. The mesh answers every
+// call at once, so no transport deadline ever comes due; leaving them
+// off the Manual clock keeps BlockUntil counting only the electors
+// parked between two steps, never one caught mid-step with a deadline
+// armed.
+type meshClock struct{ *clock.Manual }
+
+func (c meshClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	if d == requestTimeout {
+		return unarmed{}
+	}
+	return c.Manual.AfterFunc(d, f)
+}
+
+type unarmed struct{}
+
+func (unarmed) Stop() bool { return true }
+
 // TestRunFailoverOnVirtualTime: three electors' Run loops — not Tick —
 // on one Manual clock. The test only advances the clock and waits for
 // the loops to park again; the leader is stopped, and a successor must
@@ -772,6 +791,7 @@ func TestRunFailoverOnVirtualTime(t *testing.T) {
 			node = repl.NewFollowerNode(dummyFollower(t), "http://n1", repl.PromotePlan{Store: store.New()})
 		}
 		cfg := testConfig(t, threeMembers(t, id), node, clk, mesh)
+		cfg.Clock = meshClock{clk}
 		cfg.Seed += uint64(i) // one seed for all would draw one election timeout for all: a split vote every time
 		e, err := New(cfg)
 		if err != nil {
@@ -846,5 +866,51 @@ func TestStepDelayIsHeartbeatWithinTenPercent(t *testing.T) {
 		if d := e.stepDelay(); d < 450*time.Millisecond || d > 550*time.Millisecond {
 			t.Fatalf("step delay %v outside 500ms ± 10%%", d)
 		}
+	}
+}
+
+// silentTransport is a peer that never answers: every call waits for
+// its context.
+type silentTransport struct{}
+
+func (silentTransport) GetLease(ctx context.Context, _ string) (Lease, error) {
+	<-ctx.Done()
+	return Lease{}, ctx.Err()
+}
+
+func (silentTransport) Ack(ctx context.Context, _ string, _ AckRequest) (AckResponse, error) {
+	<-ctx.Done()
+	return AckResponse{}, ctx.Err()
+}
+
+// A lease poll to a silent leader ends on the elector's clock: at
+// requestTimeout of virtual time, and not a nanosecond before.
+func TestRPCToSilentPeerEndsOnAdvance(t *testing.T) {
+	clk := newClock()
+	node := repl.NewFollowerNode(dummyFollower(t), "http://n1", repl.PromotePlan{Store: store.New()})
+	e := newTestElector(t, threeMembers(t, "n2"), node, clk, silentTransport{})
+	stepped := make(chan struct{})
+	go func() {
+		e.Tick(context.Background())
+		close(stepped)
+	}()
+	clk.BlockUntil(1) // the poll's deadline is armed
+	clk.Advance(requestTimeout - time.Nanosecond)
+	select {
+	case <-stepped:
+		t.Fatal("the poll ended before its deadline")
+	case <-time.After(20 * time.Millisecond):
+	}
+	clk.Advance(time.Nanosecond)
+	select {
+	case <-stepped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the poll's deadline did not fire on Advance")
+	}
+	e.mu.Lock()
+	missed, lastErr := e.missed, e.lastErr
+	e.mu.Unlock()
+	if missed != 1 || !strings.Contains(lastErr, context.DeadlineExceeded.Error()) {
+		t.Fatalf("missed %d, last error %q; want one miss on the deadline", missed, lastErr)
 	}
 }

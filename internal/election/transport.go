@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 )
@@ -74,11 +75,13 @@ type HTTPTransport struct {
 	retr *resilience.Retrier
 }
 
-// NewHTTPTransport builds the production transport. A nil client
-// selects a 2 s timeout; seed drives the retry backoff jitter.
-func NewHTTPTransport(hc *http.Client, seed uint64) *HTTPTransport {
+// NewHTTPTransport builds the production transport on hc (nil is a
+// plain &http.Client{}). Every call's deadline is the caller's: the
+// elector runs each under requestTimeout on its clock. The retry backs
+// off on c (nil is the wall clock); seed drives its jitter.
+func NewHTTPTransport(hc *http.Client, c clock.Clock, seed uint64) *HTTPTransport {
 	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Second}
+		hc = &http.Client{}
 	}
 	return &HTTPTransport{
 		hc: hc,
@@ -87,7 +90,7 @@ func NewHTTPTransport(hc *http.Client, seed uint64) *HTTPTransport {
 			BaseDelay:   10 * time.Millisecond,
 			MaxDelay:    50 * time.Millisecond,
 			Jitter:      0.2,
-		}, seed),
+		}, c, seed),
 	}
 }
 

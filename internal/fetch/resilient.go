@@ -17,7 +17,8 @@ type ResilienceConfig struct {
 	// Retry is the per-query retry policy.
 	Retry resilience.Policy
 	// Breaker is the shared circuit breaker over all three query shapes
-	// (one backend = one storage system = one health state).
+	// (one backend = one storage system = one health state). Its Clock
+	// also times the retry backoff.
 	Breaker resilience.BreakerConfig
 	// Seed drives the deterministic backoff jitter.
 	Seed uint64
@@ -46,7 +47,7 @@ type ResilientBackend struct {
 func NewResilientBackend(inner Backend, cfg ResilienceConfig) *ResilientBackend {
 	return &ResilientBackend{
 		inner: inner,
-		retr:  resilience.NewRetrier(cfg.Retry, cfg.Seed),
+		retr:  resilience.NewRetrier(cfg.Retry, cfg.Breaker.Clock, cfg.Seed),
 		brk:   resilience.NewBreaker(cfg.Breaker),
 	}
 }

@@ -1,11 +1,11 @@
 package httpapi
 
 import (
-	"context"
 	"net/http"
 	"time"
 
 	"mcbound/internal/admission"
+	"mcbound/internal/clock"
 	"mcbound/internal/telemetry"
 )
 
@@ -32,9 +32,10 @@ func routeDeadline(pri admission.Priority) time.Duration {
 // guard is the admission middleware every route passes through:
 //
 //  1. resolve the request deadline — the per-route default, overridden
-//     by a clamped X-Request-Timeout header — and propagate it through
-//     the request context so handlers, the fetch layer and the breaker
-//     all see the same budget;
+//     by a clamped X-Request-Timeout header — set it on the server's
+//     clock, the one admission reads the remaining budget on, and
+//     propagate it through the request context so handlers, the fetch
+//     layer and the breaker all see the same budget;
 //  2. ask the admission controller for a slot at the route's priority
 //     (Critical bypasses but is still counted, so /healthz answers even
 //     at saturation);
@@ -47,7 +48,7 @@ func (s *Server) guard(pri admission.Priority, h http.HandlerFunc) http.HandlerF
 			s.writeError(w, badRequest(err))
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		ctx, cancel := clock.WithTimeout(r.Context(), s.clock, timeout)
 		defer cancel()
 
 		tk, err := s.adm.Admit(ctx, pri, "")

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mcbound/internal/admission"
+	"mcbound/internal/clock"
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/peer"
@@ -150,6 +151,63 @@ func TestOverloadQueueFullIsTyped503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After header")
 	}
+}
+
+// guard sets the request deadline on the server's clock: on a Manual
+// clock an hour ahead of the wall, a queued request with a 2 s budget is
+// shed as doomed when that clock crosses it, and not before.
+func TestGuardDeadlineShedsQueuedRequestOnVirtualTime(t *testing.T) {
+	st := seedStore(t)
+	clk := clock.NewManual(time.Now().Add(time.Hour))
+	backend := &laggyBackend{Backend: fetch.StoreBackend{Store: st}, delay: time.Hour}
+	adm := admission.NewController(admission.Config{MaxConcurrency: 1, QueueDepth: 1, Clock: clk})
+	api := newAPI(t, st, backend, true, Options{Admission: adm, Clock: clk})
+	serve := func(timeout string) <-chan *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/v1/classify/s0000", nil)
+		if timeout != "" {
+			req.Header.Set(admission.TimeoutHeader, timeout)
+		}
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, req)
+			done <- rec
+		}()
+		return done
+	}
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	held := serve("") // holds the one slot until its own 10 s deadline
+	until("the slot to be held", func() bool { return backend.inflight.Load() == 1 })
+	queued := serve("2s")
+	until("the second request to queue", func() bool { return adm.QueueLen() == 1 })
+	clk.Advance(2*time.Second - time.Nanosecond)
+	select {
+	case rec := <-queued:
+		t.Fatalf("answered %d before its deadline: %s", rec.Code, rec.Body)
+	case <-time.After(20 * time.Millisecond):
+	}
+	clk.Advance(time.Nanosecond)
+	select {
+	case rec := <-queued:
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), codeOverloaded) {
+			t.Fatalf("status %d: %s; want 503 %s", rec.Code, rec.Body, codeOverloaded)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the guard's deadline did not fire on Advance")
+	}
+	if s := adm.Stats(); s.ShedDoomed != 1 || s.ShedCanceled != 0 {
+		t.Fatalf("shed doomed %d, canceled %d; want 1, 0", s.ShedDoomed, s.ShedCanceled)
+	}
+	clk.Advance(DefaultDeadline) // the held request's own deadline ends it
+	<-held
 }
 
 // TestOverloadBurst is the acceptance scenario: a 10× overload burst

@@ -71,11 +71,12 @@ type Config struct {
 	// election's HTTP transport over HTTP.
 	Transport election.Transport
 	// HTTP is the client the node reaches its peers through (WAL shipping
-	// and the lease surface); nil leaves each its default client. Over a
-	// *Transport it keeps a cluster in one process.
+	// and the lease surface); nil is a plain &http.Client{}. It carries
+	// no deadline: each call's is set on Clock. Over a *Transport it
+	// keeps a cluster in one process.
 	HTTP *http.Client
-	// Clock times every loop and cooldown of the node; nil is the wall
-	// clock.
+	// Clock times every loop, cooldown, retry backoff and deadline of the
+	// node; nil is the wall clock.
 	Clock clock.Clock
 	// Logger receives the node's log lines; nil is log.Default().
 	Logger *log.Logger
@@ -293,7 +294,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			Transport: c.Transport,
 		}
 		if ecfg.Transport == nil {
-			ecfg.Transport = election.NewHTTPTransport(c.HTTP, c.Seed)
+			ecfg.Transport = election.NewHTTPTransport(c.HTTP, n.clock, c.Seed)
 		}
 		if follower != nil {
 			ecfg.OnLeaderChange = func(u string) {
@@ -301,7 +302,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 				replClient.Redirect(u)
 			}
 			// No acknowledged write may stay behind a fenced epoch.
-			ecfg.BeforePromote = election.FinalDrain(follower, finalDrainBudget)
+			ecfg.BeforePromote = election.FinalDrain(follower, n.clock, finalDrainBudget)
 		}
 		if n.Elector, err = election.New(ecfg); err != nil {
 			return fmt.Errorf("election: %w", err)
@@ -344,7 +345,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	// leader's data rather than an empty store. A failed round is not
 	// fatal: the loop keeps retrying and /healthz reports disconnected.
 	if follower != nil {
-		syncCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		syncCtx, cancel := clock.WithTimeout(ctx, n.clock, 30*time.Second)
 		if serr := follower.SyncNow(syncCtx); serr != nil {
 			logf("warning: initial replication sync failed (leader %s), serving degraded: %v", c.Follow, serr)
 		} else {

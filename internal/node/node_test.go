@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mcbound/internal/admission"
 	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
@@ -242,6 +243,35 @@ func TestOpenClassifyClose(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// A node reads a guarded request's budget on its own clock, and sets it
+// there: on a Manual clock an hour ahead of the wall, X-Request-Timeout
+// 2s is two seconds of that clock, so the request is served, not shed
+// as doomed with an hour already gone.
+func TestGuardedRequestOnAClockAheadOfTheWall(t *testing.T) {
+	c := testConfig()
+	c.Trace, c.Clock = traceFile(t), clock.NewManual(time.Now().Add(time.Hour))
+	n := openNode(t, c)
+	tr := NewTransport()
+	tr.Handle("n", n.Handler())
+	req, err := http.NewRequest(http.MethodGet, "http://n/v1/model", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(admission.TimeoutHeader, "2s")
+	resp, err := (&http.Client{Transport: tr}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/model with a 2 s budget: status %d: %s", resp.StatusCode, body)
+	}
+	if s := n.adm.Stats(); s.ShedDoomed != 0 {
+		t.Fatalf("%d requests shed as doomed, want 0", s.ShedDoomed)
 	}
 }
 

@@ -297,7 +297,7 @@ func TestClassificationThroughElectionTransport(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			f := newFleet(t, r.members)
 			r.arm(f, electLimit)
-			tr := election.NewHTTPTransport(nil, 1)
+			tr := election.NewHTTPTransport(nil, nil, 1)
 			_, err := tr.GetLease(context.Background(), f.urls[0])
 			if (err == nil) != r.electOK {
 				t.Fatalf("err %v, want ok=%t", err, r.electOK)

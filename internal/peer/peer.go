@@ -3,9 +3,10 @@
 // another — WAL shipping, lease reads and acks, the router's health
 // probe, the train and infer scripts — is built,
 // sent, bounded and classified here. What stays with a caller is what
-// only it knows: its retry values, its *http.Client (so its timeout),
-// and what a status means in its domain. The package imports only the
-// standard library, so the server that writes the envelope shares it.
+// only it knows: its retry values, its *http.Client, the deadline on
+// the context it passes (set on the caller's clock), and what a status
+// means in its domain. The package imports only the standard library,
+// so the server that writes the envelope shares it.
 package peer
 
 import (

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"mcbound/internal/clock"
 	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
 	"mcbound/internal/wal"
@@ -42,12 +43,14 @@ var ErrSourceNotLeader = errors.New("repl: source is not a leader")
 type ClientConfig struct {
 	// BaseURL is the leader's address, e.g. "http://leader:8080".
 	BaseURL string
-	// HTTP overrides the transport; nil selects a client with a 30 s
-	// overall timeout.
+	// HTTP is the client requests go out on; nil is a plain
+	// &http.Client{}. Each attempt's deadline is requestTimeout on the
+	// Breaker's clock, whatever the client.
 	HTTP *http.Client
 	// Retry is the per-request retry policy (resilience defaults apply).
 	Retry resilience.Policy
-	// Breaker guards the leader connection as one health state.
+	// Breaker guards the leader connection as one health state. Its
+	// Clock also times the retry backoff and each attempt's deadline.
 	Breaker resilience.BreakerConfig
 	// Seed drives the deterministic backoff jitter.
 	Seed uint64
@@ -69,6 +72,9 @@ type ClientConfig struct {
 // fast instead of ping-ponging.
 const maxRedirectHops = 3
 
+// requestTimeout bounds one attempt: a GET and its 421 chase.
+const requestTimeout = 30 * time.Second
+
 // Client fetches the replication surface of a leader through the same
 // retry/breaker discipline as the fetch backend: jittered exponential
 // retries per request, one circuit breaker for the whole connection.
@@ -81,6 +87,7 @@ type Client struct {
 	hc      *http.Client
 	retr    *resilience.Retrier
 	brk     *resilience.Breaker
+	clock   clock.Clock
 	allowed func(base string) bool
 }
 
@@ -88,13 +95,18 @@ type Client struct {
 func NewClient(cfg ClientConfig) *Client {
 	hc := cfg.HTTP
 	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
+		hc = &http.Client{}
+	}
+	clk := cfg.Breaker.Clock
+	if clk == nil {
+		clk = clock.Wall{}
 	}
 	return &Client{
 		base:    strings.TrimRight(cfg.BaseURL, "/"),
 		hc:      hc,
-		retr:    resilience.NewRetrier(cfg.Retry, cfg.Seed).WithBudget(cfg.Budget),
+		retr:    resilience.NewRetrier(cfg.Retry, clk, cfg.Seed).WithBudget(cfg.Budget),
 		brk:     resilience.NewBreaker(cfg.Breaker),
+		clock:   clk,
 		allowed: cfg.Allowed,
 	}
 }
@@ -142,8 +154,11 @@ func isAnswer(err error) bool {
 // that node is adopted as the new base for every later request. A
 // redirect pointing outside the configured membership is a permanent
 // ErrRedirectDenied — a deposed or compromised node must not be able to
-// steer replication traffic at an arbitrary address.
+// steer replication traffic at an arbitrary address. The whole attempt
+// runs under requestTimeout on the client's clock.
 func (c *Client) get(ctx context.Context, path string) ([]byte, http.Header, error) {
+	ctx, cancel := clock.WithTimeout(ctx, c.clock, requestTimeout)
+	defer cancel()
 	base := c.Base()
 	chase := resilience.NewChase(base, maxRedirectHops, c.allowed)
 	for hop := 0; ; hop++ {

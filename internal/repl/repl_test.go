@@ -15,6 +15,7 @@ import (
 	"mcbound/internal/clock"
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
+	"mcbound/internal/resilience"
 	"mcbound/internal/store"
 	"mcbound/internal/wal"
 )
@@ -488,4 +489,55 @@ func TestFollowerRunOnVirtualTime(t *testing.T) {
 	<-arrived
 	f.Stop()
 	f.Stop()
+}
+
+// The client backs off on its breaker's clock: after a 500, the second
+// attempt goes out only once that clock crosses the backoff, however
+// long the wall clock waits.
+func TestClientBacksOffOnItsClock(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			http.Error(w, "transient", http.StatusInternalServerError)
+			return
+		}
+		json.NewEncoder(w).Encode(wal.Manifest{Epoch: 1, CommittedSeq: 7})
+	}))
+	t.Cleanup(srv.Close)
+	const backoff = 10 * time.Second
+	clk := clock.NewManual(time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC))
+	cl := repl.NewClient(repl.ClientConfig{
+		BaseURL: srv.URL,
+		Retry:   resilience.Policy{MaxAttempts: 2, BaseDelay: backoff},
+		Breaker: resilience.BreakerConfig{Clock: clk},
+		Seed:    3,
+	})
+	type result struct {
+		m   wal.Manifest
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := cl.Manifest(context.Background())
+		done <- result{m, err}
+	}()
+	for deadline := time.Now().Add(2 * time.Second); hits.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first attempt never reached the leader")
+		}
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("Manifest returned (%v) with the backoff not yet elapsed on the client's clock", r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d attempts before the clock moved, want 1", n)
+	}
+	clk.BlockUntil(1) // parked on the backoff
+	clk.Advance(backoff)
+	r := <-done
+	if r.err != nil || r.m.CommittedSeq != 7 || hits.Load() != 2 {
+		t.Fatalf("Manifest = %+v, %v after %d attempts; want seq 7 on the second", r.m, r.err, hits.Load())
+	}
 }

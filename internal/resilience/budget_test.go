@@ -230,7 +230,7 @@ func TestRedirectTarget(t *testing.T) {
 // Budget denial must not delay the caller: the denied retry returns
 // immediately rather than sleeping first.
 func TestBudgetDenialReturnsWithoutSleeping(t *testing.T) {
-	r := NewRetrier(Policy{MaxAttempts: 4, BaseDelay: time.Hour}, 1)
+	r := NewRetrier(Policy{MaxAttempts: 4, BaseDelay: time.Hour}, nil, 1)
 	r.WithBudget(NewBudget(BudgetConfig{Tokens: 0.5, Ratio: 0.1})) // below one whole token
 	done := make(chan error, 1)
 	go func() {

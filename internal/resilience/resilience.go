@@ -7,9 +7,9 @@
 // answering from whatever model it has rather than die with the fetch.
 //
 // The package is dependency-free and fully deterministic under test:
-// jitter draws from stats.RNG (seeded), the breaker clock is
-// injectable, and the retry sleeper can be replaced so backoff tests
-// run in virtual time. Telemetry hooks (OnAttempt, OnStateChange) feed
+// jitter draws from stats.RNG (seeded), and the breaker and the retry
+// backoff run on the clock.Clock they are given, so their tests run in
+// virtual time. Telemetry hooks (OnAttempt, OnStateChange) feed
 // internal/telemetry without coupling the state machines to it.
 //
 // Error classification follows one rule: every error is retryable

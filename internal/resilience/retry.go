@@ -48,24 +48,26 @@ type Retrier struct {
 	mu  sync.Mutex
 	rng *stats.RNG
 
-	// clock times the backoff (swapped by tests to run it in virtual
-	// time).
-	clock clock.Clock
+	clock clock.Clock // times the backoff
 
 	// OnAttempt, when non-nil, observes every attempt outcome (telemetry
 	// hook; attempt is 1-based, err nil on success). Set before first use.
 	OnAttempt func(attempt int, err error)
 }
 
-// NewRetrier builds a Retrier whose jitter stream is seeded
-// deterministically from seed (all randomness flows through stats.RNG,
-// mirroring the repo-wide reproducibility rule).
-func NewRetrier(pol Policy, seed uint64) *Retrier {
+// NewRetrier builds a Retrier that backs off on c (nil is the wall
+// clock) and whose jitter stream is seeded deterministically from seed
+// (all randomness flows through stats.RNG, mirroring the repo-wide
+// reproducibility rule).
+func NewRetrier(pol Policy, c clock.Clock, seed uint64) *Retrier {
 	if pol.MaxAttempts < 1 {
 		pol.MaxAttempts = 1
 	}
 	pol.Jitter = math.Max(0, math.Min(1, pol.Jitter))
-	return &Retrier{pol: pol, rng: stats.NewRNG(seed), clock: clock.Wall{}}
+	if c == nil {
+		c = clock.Wall{}
+	}
+	return &Retrier{pol: pol, rng: stats.NewRNG(seed), clock: c}
 }
 
 // WithBudget attaches a retry budget: every retry beyond the first

@@ -27,10 +27,8 @@ func (c *backoffClock) AfterFunc(d time.Duration, f func()) clock.Timer {
 }
 
 func virtualRetrier(pol Policy, seed uint64) (*Retrier, *[]time.Duration) {
-	r := NewRetrier(pol, seed)
 	c := &backoffClock{Manual: clock.NewManual(time.Unix(1700000000, 0))}
-	r.clock = c
-	return r, &c.delays
+	return NewRetrier(pol, c, seed), &c.delays
 }
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {

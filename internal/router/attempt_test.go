@@ -263,7 +263,7 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 		clk := onManualClock(rt)
 		done := goAttempt(rt, readReq(t, context.Background()), rt.byURL[n2.url()], nil, time.Millisecond)
 		waitFor(t, "the primary to reach its backend", func() bool { return n2.hitCount() == 1 })
-		clk.Advance(time.Hour) // far past any hedge delay
+		clk.Advance(forwardTimeout - time.Nanosecond) // far past any hedge delay, short of the deadline
 		close(primaryGate)
 		a := <-done
 		if a.err != nil || a.res.b.member.ID != "n2" {
@@ -274,6 +274,31 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 		if rt.Hedges() != 0 {
 			t.Fatal("a read with nothing to hedge to launched a hedge")
 		}
+	})
+
+	t.Run("forward deadline", func(t *testing.T) {
+		n1, n2, n3 := threeNode(t)
+		gated(n2) // never opens: only the deadline ends the attempt
+		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
+		clk := onManualClock(rt)
+		done := goAttempt(rt, readReq(t, context.Background()), rt.byURL[n2.url()], nil, 0)
+		waitFor(t, "the primary to reach its backend", func() bool { return n2.hitCount() == 1 })
+		clk.Advance(forwardTimeout - time.Nanosecond)
+		select {
+		case a := <-done:
+			t.Fatalf("attempt ended before its deadline: %v", a.err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		clk.Advance(time.Nanosecond)
+		select {
+		case a := <-done:
+			if !errors.Is(a.err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want the forward deadline", a.err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("the forward deadline did not fire on Advance")
+		}
+		waitFor(t, "the backend to see the cancellation", func() bool { return n2.canceledCount() == 1 })
 	})
 }
 

@@ -100,7 +100,8 @@ type Config struct {
 	// Seed drives every random choice (cooldown jitter) deterministically.
 	Seed uint64
 	// HTTP overrides the backend transport; per-attempt deadlines come
-	// from forwardTimeout. Nil selects a plain client.
+	// from forwardTimeout on the router's clock. Nil selects a plain
+	// client.
 	HTTP *http.Client
 	// Registry, when non-nil, receives the mcbound_router_* metrics.
 	Registry *telemetry.Registry
@@ -266,7 +267,7 @@ func (rt *Router) probeTimeout() time.Duration {
 
 // probeAll polls every backend's /healthz concurrently.
 func (rt *Router) probeAll(ctx context.Context) {
-	pctx, cancel := context.WithTimeout(ctx, rt.probeTimeout())
+	pctx, cancel := clock.WithTimeout(ctx, rt.clock, rt.probeTimeout())
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, b := range rt.backends {
@@ -620,7 +621,7 @@ func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Re
 // failed: the failure is counted against its backend and the other
 // attempt decides alone.
 func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) (tryResult, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
+	ctx, cancel := clock.WithTimeout(r.Context(), rt.clock, forwardTimeout)
 	var race *hedgeRace
 	if hedge != nil {
 		race = &hedgeRace{rt: rt, r: r, b: hedge, cancelPrimary: cancel}
@@ -685,7 +686,7 @@ func (h *hedgeRace) run() {
 		h.mu.Unlock()
 		return // fired as the primary came back: nothing left to hedge
 	}
-	ctx, cancel := context.WithTimeout(h.r.Context(), forwardTimeout)
+	ctx, cancel := clock.WithTimeout(h.r.Context(), h.rt.clock, forwardTimeout)
 	h.cancel, h.done = cancel, make(chan tryResult, 1)
 	h.mu.Unlock()
 	h.rt.hedges.Add(1)
@@ -813,7 +814,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 	chase := resilience.NewChase(leader, maxWriteHops, rt.isMember)
 	for {
 		b := rt.byURL[leader] // leaderURL and the chase name members only
-		actx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
+		actx, cancel := clock.WithTimeout(r.Context(), rt.clock, forwardTimeout)
 		start := rt.clock.Now()
 		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, b, bytes.NewReader(body)))
 		if derr != nil {
