@@ -49,12 +49,13 @@ fmt:
 
 # Fault-injection suite: replays a deployed core.Framework — the served
 # degraded path: a failed Training Workflow keeps the published model,
-# LoadLatest restores it after a mid-replay crash — against a jobs data
-# storage with injected transient/permanent faults and checks the
-# timeline's degraded-mode account against the fault schedule, under
-# the race detector.
+# LoadLatest restores it after a mid-replay crash — against a seeded
+# failing fetch.Backend stub (internal/simulate/chaos_test.go) with no
+# retry layer in between, and checks the timeline's degraded-mode
+# account against the outcomes the stub recorded, under the race
+# detector.
 chaos:
-	$(GO) test -race -count=1 -run '^TestChaos' ./internal/simulate ./internal/fetch/...
+	$(GO) test -race -count=1 -run '^TestChaos' ./internal/simulate
 
 # Short smoke runs of every fuzz target (go allows one -fuzz pattern
 # per invocation, so one line each).

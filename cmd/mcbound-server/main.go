@@ -61,8 +61,8 @@ func bindFlags(fs *flag.FlagSet, c *node.Config) {
 	fs.IntVar(&c.EncodeCache, "encode-cache", encode.DefaultCacheCapacity, "embedding cache capacity in entries (0 = disabled)")
 	fs.IntVar(&c.MaxConcurrency, "max-concurrency", 64, "concurrent requests admitted at once across all priority tiers")
 	fs.IntVar(&c.QueueDepth, "queue-depth", 128, "admission wait-queue capacity across all priority tiers")
-	fs.IntVar(&c.FetchAttempts, "fetch-attempts", 4, "attempts per storage query (retries with jittered exponential backoff)")
-	fs.DurationVar(&c.FetchBackoff, "fetch-backoff", 50*time.Millisecond, "base backoff between storage query retries")
+	fs.IntVar(&c.FetchAttempts, "fetch-attempts", 4, "attempts per replication request to the leader (retries with jittered exponential backoff)")
+	fs.DurationVar(&c.FetchBackoff, "fetch-backoff", 50*time.Millisecond, "base backoff between replication request retries")
 	fs.StringVar(&c.DataDir, "data-dir", "", "directory for the durable job store (WAL + snapshots); empty = in-memory only. Existing durable state wins over -trace")
 	fs.StringVar(&c.Fsync, "fsync", "always", "WAL durability point for POST /v1/jobs: always | never")
 	fs.Int64Var(&c.SegmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation size in bytes")

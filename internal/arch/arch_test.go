@@ -1,9 +1,10 @@
 // Package arch holds TestArchitecture: the repository's structural rules
 // — who keeps time, who wires a node, who originates a request to
-// another process, who walks the calendar, who fans out — as the rows of
-// one table, checked against the type checker's view of every non-test
-// package of the module. DESIGN.md §6 (*Architecture rules*) says why
-// each rule exists. The package has no non-test code.
+// another process, who walks the calendar, who wraps the store in
+// retries, who fans out — as the rows of one table, checked against the
+// type checker's view of every non-test package of the module.
+// DESIGN.md §6 (*Architecture rules*) says why each rule exists. The
+// package has no non-test code.
 package arch
 
 import (
@@ -92,6 +93,11 @@ var rules = []rule{{
 	name:   "calendar",
 	forbid: []string{module + "/internal/online.Schedule"},
 	allow:  []string{module + "/internal/simulate"},
+}, {
+	// The store a node reads is in process: nothing to retry, no breaker
+	// to trip. benchmark/fixture, its own module, is the last caller.
+	name:   "fetch/resilient",
+	forbid: []string{module + "/internal/fetch.NewResilientBackend", module + "/internal/fetch.DefaultResilienceConfig"},
 }, {
 	name:   "fan-out",
 	in:     inference,

@@ -8,11 +8,11 @@ import (
 	"mcbound/internal/job"
 	"mcbound/internal/resilience"
 	"mcbound/internal/store"
-	"mcbound/internal/telemetry"
 )
 
 // ResilienceConfig tunes the resilient backend decorator. Zero-value
-// fields fall back to the resilience package defaults.
+// fields fall back to the resilience package defaults. Kept for
+// benchmark/fixture; ROADMAP item 12(b) deletes it with 4(a).
 type ResilienceConfig struct {
 	// Retry is the per-query retry policy.
 	Retry resilience.Policy
@@ -26,7 +26,8 @@ type ResilienceConfig struct {
 
 // DefaultResilienceConfig returns the serving defaults: 4 attempts with
 // jittered exponential backoff, breaker tripping after 5 consecutive
-// failed queries with a 10 s cooldown.
+// failed queries with a 10 s cooldown. Kept for benchmark/fixture;
+// ROADMAP item 12(b) deletes it with 4(a).
 func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{Retry: resilience.DefaultPolicy(), Seed: 1}
 }
@@ -43,7 +44,8 @@ type ResilientBackend struct {
 	brk   *resilience.Breaker
 }
 
-// NewResilientBackend wraps inner with the given policy.
+// NewResilientBackend wraps inner with the given policy. Kept for
+// benchmark/fixture; ROADMAP item 12(b) deletes it with 4(a).
 func NewResilientBackend(inner Backend, cfg ResilienceConfig) *ResilientBackend {
 	return &ResilientBackend{
 		inner: inner,
@@ -54,13 +56,6 @@ func NewResilientBackend(inner Backend, cfg ResilienceConfig) *ResilientBackend 
 
 // Breaker exposes the circuit breaker (health endpoints, telemetry).
 func (b *ResilientBackend) Breaker() *resilience.Breaker { return b.brk }
-
-// Instrument exports the decorator's attempt and breaker telemetry on
-// reg under the "fetch" operation label. Call before serving.
-func (b *ResilientBackend) Instrument(reg *telemetry.Registry) {
-	resilience.InstrumentRetrier(reg, "fetch", b.retr)
-	resilience.InstrumentBreaker(reg, "fetch", b.brk)
-}
 
 // isMiss names the one answer that is not a failure: a lookup miss is a
 // healthy storage saying "no".

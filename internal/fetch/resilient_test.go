@@ -3,6 +3,8 @@ package fetch
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,5 +117,81 @@ func TestResilientBackendBreakerTripsAndRejects(t *testing.T) {
 	}
 	if inner.calls != calls {
 		t.Errorf("open breaker still reached the backend (%d → %d calls)", calls, inner.calls)
+	}
+}
+
+// flakyBackend fails every third call with a retryable error and every
+// 17th with a permanent one, from any number of goroutines.
+type flakyBackend struct{ calls atomic.Int64 }
+
+var errFlaky = errors.New("flaky storage")
+
+func (f *flakyBackend) next() error {
+	switch n := f.calls.Add(1); {
+	case n%17 == 0:
+		return resilience.Permanent(errFlaky)
+	case n%3 == 0:
+		return errFlaky
+	}
+	return nil
+}
+
+func (f *flakyBackend) JobByID(ctx context.Context, id string) (*job.Job, error) {
+	return &job.Job{ID: id}, f.next()
+}
+
+func (f *flakyBackend) ExecutedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
+	return nil, f.next()
+}
+
+func (f *flakyBackend) SubmittedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
+	return nil, f.next()
+}
+
+// Many goroutines share one decorator over a failing backend (run it
+// under -race): each logical call resolves to exactly one of success,
+// the backend's error, or a breaker rejection.
+func TestResilientBackendConcurrent(t *testing.T) {
+	rb := NewResilientBackend(&flakyBackend{}, ResilienceConfig{
+		Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, Jitter: 0.2},
+		Breaker: resilience.BreakerConfig{FailureThreshold: 8, Cooldown: time.Millisecond},
+		Seed:    7,
+	})
+	const workers, perWorker = 8, 50
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	outcomes := map[string]int{}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var err error
+				switch i % 3 {
+				case 0:
+					_, err = rb.JobByID(context.Background(), "j1")
+				case 1:
+					_, err = rb.ExecutedBetween(context.Background(), time.Time{}, time.Time{})
+				default:
+					_, err = rb.SubmittedBetween(context.Background(), time.Time{}, time.Time{})
+				}
+				kind := "other"
+				switch {
+				case err == nil:
+					kind = "ok"
+				case errors.Is(err, resilience.ErrOpen):
+					kind = "rejected"
+				case errors.Is(err, errFlaky):
+					kind = "failed"
+				}
+				mu.Lock()
+				outcomes[kind]++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if outcomes["other"] != 0 || outcomes["ok"] == 0 {
+		t.Errorf("outcomes = %v: want no unclassified error and some successes", outcomes)
 	}
 }

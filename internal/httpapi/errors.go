@@ -99,6 +99,8 @@ func errToStatus(err error) (status int, code string) {
 	case errors.Is(err, core.ErrNotTrained):
 		return http.StatusServiceUnavailable, codeNotTrained
 	case errors.Is(err, resilience.ErrOpen):
+		// Kept for benchmark/fixture; ROADMAP item 12(b) deletes it
+		// with 4(a).
 		return http.StatusServiceUnavailable, codeBreakerOpen
 	case errors.Is(err, admission.ErrQueueFull), errors.Is(err, admission.ErrDoomed):
 		return http.StatusServiceUnavailable, codeOverloaded

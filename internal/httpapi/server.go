@@ -82,7 +82,8 @@ type Options struct {
 	EnablePprof bool
 
 	// Breaker, when set, is the fetch-layer circuit breaker whose state
-	// /healthz reports; nil omits the field.
+	// /healthz reports; nil omits the field. Kept for benchmark/fixture;
+	// ROADMAP item 12(b) deletes it with 4(a).
 	Breaker *resilience.Breaker
 
 	// Admission is the overload-protection controller every route passes

@@ -45,7 +45,7 @@ type Config struct {
 	// Overload protection.
 	MaxConcurrency, QueueDepth int
 
-	// Resilient fetch layer.
+	// Replication client retries.
 	FetchAttempts int
 	FetchBackoff  time.Duration
 
@@ -163,7 +163,7 @@ type Node struct {
 }
 
 // Open assembles a node from c: recover the store, take the replication
-// role, arm the elector, build the fetch chain and the framework,
+// role, arm the elector, build the framework over the store,
 // restore a persisted model, run a follower's bootstrap sync, train
 // once, then build admission and the API. Nothing runs in the
 // background until Run; a node Open returned must be Closed.
@@ -254,7 +254,6 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 
 	// Replication role: a leader with a log ships it; a follower tails it
 	// and carries the plan to take over on promotion.
-	breaker := resilience.BreakerConfig{Clock: n.clock}
 	var follower *repl.Follower
 	var replClient *repl.Client
 	if following {
@@ -262,7 +261,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			BaseURL: c.Follow,
 			HTTP:    c.HTTP,
 			Retry:   resilience.Policy{MaxAttempts: c.FetchAttempts, BaseDelay: c.FetchBackoff},
-			Breaker: breaker,
+			Breaker: resilience.BreakerConfig{Clock: n.clock},
 			Seed:    c.Seed,
 			// Total retry amplification stays a fraction of the success rate.
 			Budget: resilience.NewBudget(resilience.BudgetConfig{}),
@@ -311,18 +310,12 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			c.NodeID, p.members.Size(), p.members.Quorum(), c.LeaseTTL, c.HeartbeatEvery)
 	}
 
-	// Fetch chain: store → retries + breaker.
-	rcfg := fetch.DefaultResilienceConfig()
-	rcfg.Retry.MaxAttempts = c.FetchAttempts
-	rcfg.Retry.BaseDelay = c.FetchBackoff
-	rcfg.Breaker = breaker
-	resilient := fetch.NewResilientBackend(fetch.StoreBackend{Store: st}, rcfg)
-	resilient.Instrument(reg)
-
 	cfg := core.DefaultConfig()
 	cfg.Model, cfg.Alpha, cfg.Beta, cfg.ModelDir = core.ModelKind(c.Model), c.Alpha, c.Beta, c.ModelDir
 	cfg.KNN.Index.Mode = knn.IndexMode(c.Index)
-	if n.fw, err = core.New(cfg, resilient); err != nil {
+	// The store is in process: a query answers, misses or sees its
+	// context end, so there is nothing to retry and no breaker to trip.
+	if n.fw, err = core.New(cfg, fetch.StoreBackend{Store: st}); err != nil {
 		return err
 	}
 	n.fw.Encoder().SetCacheCapacity(c.EncodeCache)
@@ -382,7 +375,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 
 	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
 		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, Clock: n.clock,
-		Registry: reg, Breaker: resilient.Breaker(), Admission: n.adm,
+		Registry: reg, Admission: n.adm,
 		Durable: durable, Repl: n.Repl, Elector: n.Elector,
 	})
 	n.api.ObserveTrain(rep, trainErr)

@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -243,6 +244,48 @@ func TestOpenClassifyClose(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// A node's framework reads its store directly: no retrier or breaker
+// sits between them, so /healthz has no breaker and /metrics no
+// op="fetch" series, and a lookup miss is still the store's 404.
+func TestFetchPathIsTheStores(t *testing.T) {
+	c := testConfig()
+	c.Trace = traceFile(t)
+	tr := NewTransport()
+	tr.Handle("n", openNode(t, c).Handler())
+
+	status, body := call(t, tr, http.MethodGet, "http://n/healthz", nil)
+	var health map[string]json.RawMessage
+	if status != http.StatusOK || json.Unmarshal(body, &health) != nil {
+		t.Fatalf("healthz: status %d: %s", status, body)
+	}
+	var keys []string
+	for k := range health {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"degraded", "jobs", "staleness_seconds", "status", "trained"}; !slices.Equal(keys, want) {
+		t.Errorf("healthz keys = %v, want %v", keys, want)
+	}
+
+	status, body = call(t, tr, http.MethodGet, "http://n/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("metrics: status %d: %s", status, body)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.Contains(line, `op="fetch"`) {
+			t.Errorf("metrics has a fetch-layer series: %s", line)
+		}
+	}
+
+	status, body = call(t, tr, http.MethodGet, "http://n/v1/classify/nope", nil)
+	var env struct {
+		Code string `json:"code"`
+	}
+	if status != http.StatusNotFound || json.Unmarshal(body, &env) != nil || env.Code != "not_found" {
+		t.Errorf("classify of an unknown id: status %d: %s; want 404 not_found", status, body)
 	}
 }
 

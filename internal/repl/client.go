@@ -39,7 +39,7 @@ var ErrGone = errors.New("repl: file gone on leader")
 var ErrSourceNotLeader = errors.New("repl: source is not a leader")
 
 // ClientConfig tunes the replication client. Zero values select the
-// serving defaults (the same retry/breaker posture as the fetch stack).
+// serving defaults (resilience's retry policy and breaker).
 type ClientConfig struct {
 	// BaseURL is the leader's address, e.g. "http://leader:8080".
 	BaseURL string
@@ -75,9 +75,9 @@ const maxRedirectHops = 3
 // requestTimeout bounds one attempt: a GET and its 421 chase.
 const requestTimeout = 30 * time.Second
 
-// Client fetches the replication surface of a leader through the same
-// retry/breaker discipline as the fetch backend: jittered exponential
-// retries per request, one circuit breaker for the whole connection.
+// Client fetches the replication surface of a leader under
+// resilience.Guarded: jittered exponential retries per request, one
+// circuit breaker for the whole connection.
 // The base URL is mutable: a 421 not_leader answer carrying a Location
 // redirect is followed (bounded hops) and the working leader is adopted
 // permanently, so clients survive promotions without a restart.

@@ -12,8 +12,7 @@ import (
 // State is the circuit breaker position.
 type State int
 
-// The three breaker states. Numeric values are stable: the
-// mcbound_breaker_state gauge exports them directly.
+// The three breaker states.
 const (
 	Closed   State = 0 // calls flow, consecutive failures counted
 	HalfOpen State = 1 // cooldown elapsed, one probe in flight; its success closes
@@ -61,10 +60,6 @@ type Breaker struct {
 	probing  bool      // a half-open probe is in flight
 	openedAt time.Time // instant of the closed/half-open → open trip
 	opens    int64     // lifetime trip count
-
-	// OnStateChange, when non-nil, observes every transition (telemetry
-	// hook; called outside the breaker lock). Set before first use.
-	OnStateChange func(from, to State)
 }
 
 // NewBreaker builds a Breaker, filling config defaults.
@@ -113,7 +108,6 @@ func (b *Breaker) Allow() error {
 func (b *Breaker) Record(err error) {
 	neutral := err != nil && errors.Is(err, context.Canceled)
 	b.mu.Lock()
-	from := b.state
 	switch b.state {
 	case Closed:
 		switch {
@@ -139,9 +133,7 @@ func (b *Breaker) Record(err error) {
 	case Open:
 		// A call admitted before the trip finished late; outcome is moot.
 	}
-	to := b.state
 	b.mu.Unlock()
-	b.notify(from, to)
 }
 
 // Guarded runs op as one logical call to the dependency b guards:
@@ -193,12 +185,10 @@ func (b *Breaker) Opens() int64 {
 // so failures charged to the old endpoint do not block the new one.
 func (b *Breaker) Reset() {
 	b.mu.Lock()
-	from := b.state
 	b.state = Closed
 	b.fails = 0
 	b.probing = false
 	b.mu.Unlock()
-	b.notify(from, Closed)
 }
 
 // tripLocked moves to Open from any state. Caller holds b.mu.
@@ -211,19 +201,11 @@ func (b *Breaker) tripLocked() {
 }
 
 // tickLocked applies the cooldown expiry. Caller holds b.mu; the
-// resulting transition is not reported through OnStateChange (it is a
-// read-side effect, observed by the next Allow/State caller).
+// transition is a read-side effect, observed by the next Allow/State
+// caller.
 func (b *Breaker) tickLocked() {
 	if b.state == Open && b.cfg.Clock.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.state = HalfOpen
 		b.probing = false
-	}
-}
-
-func (b *Breaker) notify(from, to State) {
-	if from != to {
-		if hook := b.OnStateChange; hook != nil {
-			hook(from, to)
-		}
 	}
 }

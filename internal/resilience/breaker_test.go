@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mcbound/internal/clock"
-	"mcbound/internal/telemetry"
 )
 
 func newFakeClock() *clock.Manual { return clock.NewManual(time.Unix(1700000000, 0)) }
@@ -177,19 +176,5 @@ func TestBreakerDo(t *testing.T) {
 	}
 	if _, err := run(); !errors.Is(err, ErrOpen) || calls != 0 {
 		t.Fatalf("open breaker ran the op %d times: %v", calls, err)
-	}
-}
-
-func TestInstrumentBreaker(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	clk := newFakeClock()
-	b := testBreaker(clk, 1)
-	InstrumentBreaker(reg, "fetch", b)
-	if err := fail(b); err != nil {
-		t.Fatal(err)
-	}
-	opens := reg.Counter("mcbound_breaker_opens_total", "", telemetry.Labels{"op": "fetch"}).Value()
-	if opens != 1 {
-		t.Errorf("opens counter = %d", opens)
 	}
 }

@@ -9,8 +9,7 @@
 // The package is dependency-free and fully deterministic under test:
 // jitter draws from stats.RNG (seeded), and the breaker and the retry
 // backoff run on the clock.Clock they are given, so their tests run in
-// virtual time. Telemetry hooks (OnAttempt, OnStateChange) feed
-// internal/telemetry without coupling the state machines to it.
+// virtual time.
 //
 // Error classification follows one rule: every error is retryable
 // unless it is marked permanent (wrap with Permanent) or the caller's

@@ -49,10 +49,6 @@ type Retrier struct {
 	rng *stats.RNG
 
 	clock clock.Clock // times the backoff
-
-	// OnAttempt, when non-nil, observes every attempt outcome (telemetry
-	// hook; attempt is 1-based, err nil on success). Set before first use.
-	OnAttempt func(attempt int, err error)
 }
 
 // NewRetrier builds a Retrier that backs off on c (nil is the wall
@@ -89,9 +85,6 @@ func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context) error) er
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = op(ctx)
-		if hook := r.OnAttempt; hook != nil {
-			hook(attempt, err)
-		}
 		if err == nil {
 			r.budget.OnSuccess()
 			return nil

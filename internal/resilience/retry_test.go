@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mcbound/internal/clock"
-	"mcbound/internal/telemetry"
 )
 
 // backoffClock is a Manual clock that jumps over every backoff it is
@@ -150,31 +149,5 @@ func TestDoGenericReturnsValue(t *testing.T) {
 	})
 	if err != nil || v != 7 {
 		t.Errorf("Do = (%d, %v), want (7, nil)", v, err)
-	}
-}
-
-func TestInstrumentRetrierCounts(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	r, _ := virtualRetrier(Policy{MaxAttempts: 3}, 1)
-	InstrumentRetrier(reg, "fetch_executed", r)
-	calls := 0
-	_ = r.Do(context.Background(), func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("flaky")
-		}
-		return nil
-	})
-	_ = r.Do(context.Background(), func(context.Context) error { return Permanent(errors.New("gone")) })
-
-	get := func(outcome string) int64 {
-		return reg.Counter("mcbound_resilience_attempts_total", "", telemetry.Labels{"op": "fetch_executed", "outcome": outcome}).Value()
-	}
-	if get("ok") != 1 || get("transient") != 2 || get("permanent") != 1 {
-		t.Errorf("attempt counters = ok:%d transient:%d permanent:%d", get("ok"), get("transient"), get("permanent"))
-	}
-	retries := reg.Counter("mcbound_resilience_retries_total", "", telemetry.Labels{"op": "fetch_executed"}).Value()
-	if retries != 2 {
-		t.Errorf("retries = %d, want 2", retries)
 	}
 }

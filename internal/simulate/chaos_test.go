@@ -1,15 +1,16 @@
 package simulate
 
 // Chaos suite: replays a deployed Framework against a jobs data storage
-// with injected faults (30% transient rate plus periodic permanent
-// outages) behind the resilient fetch layer, and checks that the served
-// degraded mode — a failed Training Workflow keeps the published model,
-// a window with nothing to answer it goes unserved — shows in the
-// timeline exactly as the fault schedule says. Run via `make chaos`
+// whose range queries fail on a seeded schedule, with nothing between
+// the storage and the Framework, and checks that the served degraded
+// mode — a failed Training Workflow keeps the published model, a window
+// with nothing to answer it goes unserved — shows in the timeline
+// exactly as the storage's recorded outcomes say. Run via `make chaos`
 // (go test -race -run '^TestChaos').
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -18,67 +19,61 @@ import (
 
 	"mcbound/internal/core"
 	"mcbound/internal/fetch"
-	"mcbound/internal/fetch/chaos"
 	"mcbound/internal/job"
 	"mcbound/internal/online"
-	"mcbound/internal/resilience"
+	"mcbound/internal/stats"
 	"mcbound/internal/store"
 )
 
-// outcome is the logical result of one fetch as the Framework saw it,
-// i.e. after the retry/breaker layer resolved the injected faults
-// underneath.
+// The storage's fault mix: each range query fails with probability
+// chaosFailRate, and every chaosOutageEvery-th ExecutedBetween call
+// fails whatever the draw — the outage no retrain survives.
+const (
+	chaosFailRate    = 0.3
+	chaosOutageEvery = 4
+)
+
+var errStorageDown = errors.New("chaos: storage query failed")
+
+// outcome is the result of one range query as the Framework saw it.
 type outcome struct {
 	failed bool
 	jobs   int
 }
 
-// recordingBackend sits ABOVE the resilient layer and captures the
-// per-query outcomes in call order, so the test can mirror the degraded
-// mode's bookkeeping without re-deriving the retry algebra.
-type recordingBackend struct {
-	inner     fetch.Backend
-	executed  []outcome
-	submitted []outcome
+// failingBackend is the suite's jobs data storage: the store, with range
+// queries failing on the fault mix above. It records every range query's
+// outcome in call order, so the test mirrors the degraded mode's
+// bookkeeping from what the Framework was handed. Lookups by ID pass
+// through; the replay makes none.
+type failingBackend struct {
+	fetch.StoreBackend
+	rng                 *stats.RNG
+	executed, submitted []outcome
 }
 
-func (b *recordingBackend) JobByID(ctx context.Context, id string) (*job.Job, error) {
-	return b.inner.JobByID(ctx, id)
+func newFailingBackend(st *store.Store, seed uint64) *failingBackend {
+	return &failingBackend{StoreBackend: fetch.StoreBackend{Store: st}, rng: stats.NewRNG(seed)}
 }
 
-func (b *recordingBackend) ExecutedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
-	jobs, err := b.inner.ExecutedBetween(ctx, start, end)
-	b.executed = append(b.executed, outcome{failed: err != nil, jobs: len(jobs)})
+func (b *failingBackend) ExecutedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
+	outage := (len(b.executed)+1)%chaosOutageEvery == 0
+	return b.answer(&b.executed, outage, func() ([]*job.Job, error) { return b.StoreBackend.ExecutedBetween(ctx, start, end) })
+}
+
+func (b *failingBackend) SubmittedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
+	return b.answer(&b.submitted, false, func() ([]*job.Job, error) { return b.StoreBackend.SubmittedBetween(ctx, start, end) })
+}
+
+// answer draws one call's fate, runs query unless the call fails, and
+// appends what the caller gets to log.
+func (b *failingBackend) answer(log *[]outcome, outage bool, query func() ([]*job.Job, error)) ([]*job.Job, error) {
+	jobs, err := []*job.Job(nil), errStorageDown
+	if b.rng.Float64() >= chaosFailRate && !outage {
+		jobs, err = query()
+	}
+	*log = append(*log, outcome{failed: err != nil, jobs: len(jobs)})
 	return jobs, err
-}
-
-func (b *recordingBackend) SubmittedBetween(ctx context.Context, start, end time.Time) ([]*job.Job, error) {
-	jobs, err := b.inner.SubmittedBetween(ctx, start, end)
-	b.submitted = append(b.submitted, outcome{failed: err != nil, jobs: len(jobs)})
-	return jobs, err
-}
-
-// chaosChain assembles store → chaos → resilient with the suite's fault
-// mix: 30% transient faults on every method, plus a permanent outage on
-// every 4th ExecutedBetween call (counted at the chaos layer, so retry
-// attempts advance the schedule too). The breaker threshold is set far
-// above the fault run lengths so admission never perturbs the
-// accounting; the breaker is exercised on its own in resilience tests.
-func chaosChain(st *store.Store, seed uint64) (*chaos.Backend, *fetch.ResilientBackend) {
-	cb := chaos.New(fetch.StoreBackend{Store: st}, seed)
-	cb.SetAll(chaos.Profile{TransientRate: 0.3})
-	cb.Set(chaos.MethodExecuted, chaos.Profile{TransientRate: 0.3, PermanentEveryN: 4})
-	rb := fetch.NewResilientBackend(cb, fetch.ResilienceConfig{
-		Retry: resilience.Policy{
-			MaxAttempts: 6,
-			BaseDelay:   time.Microsecond,
-			MaxDelay:    10 * time.Microsecond,
-			Jitter:      0.2,
-		},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1000, Cooldown: time.Millisecond},
-		Seed:    seed,
-	})
-	return cb, rb
 }
 
 var chaosParams = online.Params{Alpha: 15, Beta: 1}
@@ -87,18 +82,17 @@ func chaosPeriod() (start, end time.Time) {
 	return time.Date(2024, 2, 1, 0, 0, 0, 0, time.UTC), time.Date(2024, 2, 15, 0, 0, 0, 0, time.UTC)
 }
 
-// recordedFramework deploys a KNN Framework over rb with the outcome
-// recorder in between, persisting into modelDir.
-func recordedFramework(t *testing.T, rb fetch.Backend, modelDir string) (*core.Framework, *recordingBackend) {
+// chaosFramework deploys a KNN Framework over fb, persisting into
+// modelDir.
+func chaosFramework(t *testing.T, fb *failingBackend, modelDir string) *core.Framework {
 	t.Helper()
-	rec := &recordingBackend{inner: rb}
 	cfg := core.DefaultConfig()
 	cfg.Model, cfg.Params, cfg.ModelDir = core.ModelKNN, chaosParams, modelDir
-	fw, err := core.New(cfg, rec)
+	fw, err := core.New(cfg, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fw, rec
+	return fw
 }
 
 // expectation mirrors the degraded mode's bookkeeping over the recorded
@@ -153,8 +147,9 @@ func expect(triggers []online.Trigger, executed, submitted []outcome, restoredAt
 // replayAgainstSchedule replays [start, end) and checks the timeline's
 // account, and the instant of the model left serving, against what the
 // recorded outcomes of exactly that period's fetches imply.
-func replayAgainstSchedule(t *testing.T, fw *core.Framework, rec *recordingBackend, start, end, restoredAt time.Time) Summary {
+func replayAgainstSchedule(t *testing.T, fw *core.Framework, fb *failingBackend, start, end, restoredAt time.Time) Summary {
 	t.Helper()
+	e0, s0 := len(fb.executed), len(fb.submitted)
 	tl, err := Over(fw).Run(context.Background(), start, end)
 	if err != nil {
 		t.Fatalf("chaos replay aborted: %v", err)
@@ -163,10 +158,11 @@ func replayAgainstSchedule(t *testing.T, fw *core.Framework, rec *recordingBacke
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.executed) != len(triggers) || len(rec.submitted) != len(triggers) {
-		t.Fatalf("recorded %d/%d fetches for %d triggers", len(rec.executed), len(rec.submitted), len(triggers))
+	executed, submitted := fb.executed[e0:], fb.submitted[s0:]
+	if len(executed) != len(triggers) || len(submitted) != len(triggers) {
+		t.Fatalf("recorded %d/%d fetches for %d triggers", len(executed), len(submitted), len(triggers))
 	}
-	got, want := tl.Summary(), expect(triggers, rec.executed, rec.submitted, restoredAt)
+	got, want := tl.Summary(), expect(triggers, executed, submitted, restoredAt)
 	if got.Trainings != want.trainings || got.SkippedTrainings != want.skipped {
 		t.Errorf("trainings = %d/%d skipped, schedule says %d/%d",
 			got.Trainings, got.SkippedTrainings, want.trainings, want.skipped)
@@ -193,26 +189,32 @@ func replayAgainstSchedule(t *testing.T, fw *core.Framework, rec *recordingBacke
 	return got
 }
 
-func TestChaosReplayDegradedAccounting(t *testing.T) {
-	cb, rb := chaosChain(replayStore(t, 60), 42)
-	fw, rec := recordedFramework(t, rb, "")
-	start, end := chaosPeriod()
-	res := replayAgainstSchedule(t, fw, rec, start, end, time.Time{})
+// degraded fails t unless the replays hurt — retrains skipped, windows
+// served stale, fetches failed — and still classified jobs.
+func degraded(t *testing.T, runs ...Summary) {
+	t.Helper()
+	var sum Summary
+	for _, r := range runs {
+		sum.SkippedTrainings += r.SkippedTrainings
+		sum.StaleWindows += r.StaleWindows
+		sum.FailedFetches += r.FailedFetches
+		sum.Trainings += r.Trainings
+		sum.Classified += r.Classified
+	}
+	if sum.SkippedTrainings == 0 || sum.StaleWindows == 0 || sum.FailedFetches == 0 {
+		t.Errorf("skipped %d retrains, %d stale windows, %d failed fetches; the suite did not exercise degradation",
+			sum.SkippedTrainings, sum.StaleWindows, sum.FailedFetches)
+	}
+	if sum.Trainings == 0 || sum.Classified == 0 {
+		t.Fatalf("nothing served: %d trainings, %d classified", sum.Trainings, sum.Classified)
+	}
+}
 
-	// The schedule must actually have hurt: injected faults at the chaos
-	// layer and at least one logical failure surviving the retry layer
-	// (the permanent outages guarantee it).
-	exec := cb.Counters(chaos.MethodExecuted)
-	if exec.Transient == 0 || exec.Permanent == 0 {
-		t.Errorf("chaos injected nothing: %+v", exec)
-	}
-	if res.SkippedTrainings == 0 || res.StaleWindows == 0 {
-		t.Errorf("skipped %d retrains, %d stale windows; the suite did not exercise degradation",
-			res.SkippedTrainings, res.StaleWindows)
-	}
-	if res.Trainings == 0 || res.Classified == 0 {
-		t.Fatalf("nothing served: %+v", res)
-	}
+func TestChaosReplayDegradedAccounting(t *testing.T) {
+	fb := newFailingBackend(replayStore(t, 60), 42)
+	start, end := chaosPeriod()
+	res := replayAgainstSchedule(t, chaosFramework(t, fb, ""), fb, start, end, time.Time{})
+	degraded(t, res)
 	// Degraded serving must not degrade quality on this separable trace:
 	// stale models answer exactly like fresh ones.
 	if res.F1 != 1 {
@@ -221,15 +223,15 @@ func TestChaosReplayDegradedAccounting(t *testing.T) {
 }
 
 func TestChaosCrashRecoveryMidReplay(t *testing.T) {
-	_, rb := chaosChain(replayStore(t, 60), 7)
+	fb := newFailingBackend(replayStore(t, 60), 7)
 	dir := t.TempDir()
 	start, end := chaosPeriod()
 	mid := start.AddDate(0, 0, 7)
 
 	// First half of the replay; the Framework checkpoints its model into
 	// the registry after each retrain.
-	fw1, rec1 := recordedFramework(t, rb, dir)
-	res1 := replayAgainstSchedule(t, fw1, rec1, start, mid, time.Time{})
+	fw1 := chaosFramework(t, fb, dir)
+	res1 := replayAgainstSchedule(t, fw1, fb, start, mid, time.Time{})
 	if res1.Trainings == 0 {
 		t.Fatal("first half never trained; cannot checkpoint")
 	}
@@ -243,21 +245,20 @@ func TestChaosCrashRecoveryMidReplay(t *testing.T) {
 
 	// "Crash": everything in memory is lost. A fresh Framework on the
 	// same ModelDir restores the newest version and the replay resumes
-	// where it stopped, against the same still-faulty storage.
-	fw2, rec2 := recordedFramework(t, rb, dir)
+	// where it stopped, against the same still-failing storage.
+	fw2 := chaosFramework(t, fb, dir)
 	if rep, err := fw2.LoadLatest(); err != nil || rep.Version != version {
 		t.Fatalf("restore = %+v, %v; want version %d", rep, err, version)
 	}
-	res2 := replayAgainstSchedule(t, fw2, rec2, mid, end, trainedAt)
+	s0 := len(fb.submitted)
+	res2 := replayAgainstSchedule(t, fw2, fb, mid, end, trainedAt)
+	degraded(t, res1, res2)
 
 	// A restored model means every inference window whose submitted
 	// fetch succeeded is served — stale where retrains were lost — so
 	// the only unserved windows are submitted-fetch failures.
-	if res2.Classified == 0 {
-		t.Fatal("restored model served nothing")
-	}
 	subFailures := 0
-	for _, sub := range rec2.submitted {
+	for _, sub := range fb.submitted[s0:] {
 		if sub.failed {
 			subFailures++
 		}

@@ -1,7 +1,7 @@
 // Package crashfs is a seeded, in-memory wal.FS for the
-// crash-consistency suite — the storage-layer sibling of
-// internal/fetch/chaos. It models the two failure mechanics a real disk
-// stack exposes:
+// crash-consistency suite — the storage-layer sibling of the seeded
+// failing fetch.Backend stub in internal/simulate's chaos suite. It
+// models the two failure mechanics a real disk stack exposes:
 //
 //   - the volatile page cache: bytes written but not fsynced may or may
 //     not survive a crash, and may survive only partially (a torn
