@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,8 +81,7 @@ func serve(c router.Config, l *listen) (err error) {
 	if c.Backends, err = cluster.ParseMemberList(l.peers); err != nil {
 		return err
 	}
-	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmsgprefix)
-	c.Registry, c.Logf = telemetry.NewRegistry(), logger.Printf
+	c.Registry, c.Logger = telemetry.NewRegistry(), slog.Default()
 	rt, err := router.New(c)
 	if err != nil {
 		return err
@@ -92,7 +92,7 @@ func serve(c router.Config, l *listen) (err error) {
 	go rt.Run(ctx)
 
 	srv := l.server(rt)
-	logger.Printf("mcbound-router listening on :%d fronting %d backends (hedge ≥ %v, budget %.0f tokens, eject after %d fails)",
+	log.Printf("mcbound-router listening on :%d fronting %d backends (hedge ≥ %v, budget %.0f tokens, eject after %d fails)",
 		l.port, len(c.Backends), c.HedgeAfterMin, c.RetryBudget.Tokens, c.EjectThreshold)
 	return httpapi.ListenAndServe(ctx, srv, l.drainTimeout)
 }

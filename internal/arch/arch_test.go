@@ -1,7 +1,7 @@
 // Package arch holds TestArchitecture: the repository's structural rules
 // — who keeps time, who wires a node, who originates a request to
 // another process, who walks the calendar, who wraps the store in
-// retries, who fans out — as the rows of one table, checked against the
+// retries, who fans out, who logs how — as the rows of one table, checked against the
 // type checker's view of every non-test package of the module.
 // DESIGN.md §6 (*Architecture rules*) says why each rule exists. The
 // package has no non-test code.
@@ -37,7 +37,8 @@ const module = "mcbound"
 // sees it, whatever the source calls it: a function or method by its
 // types.Func full name ("time.Sleep", "(*net/http.Client).Get"), a go
 // statement as "go", a type expression whose type is a func() time.Time
-// as "func() time.Time", and a keyed field of a struct literal, set to
+// or a func(string, ...any) as "func() time.Time" or "func(string, ...any)",
+// and a keyed field of a struct literal, set to
 // anything but a constant zero, by its type and field
 // ("net/http.Client.Timeout"). Allowed functions are named the same
 // way, so an exception is a function, never a line.
@@ -81,6 +82,21 @@ var rules = []rule{{
 	name:   "wiring/admission",
 	forbid: []string{module + "/internal/admission.NewController"},
 	allow:  []string{module + "/internal/node", module + "/internal/httpapi.New"},
+}, {
+	// One logger: the internal packages log through a *slog.Logger. The
+	// binaries may use package log; httpapi keeps its *log.Logger until
+	// httpapi.New takes the *slog.Logger.
+	name: "log",
+	in:   []string{module + "/internal/..."},
+	forbid: []string{
+		"log.New", "log.Default",
+		"log.Print", "log.Printf", "log.Println",
+		"log.Fatal", "log.Fatalf", "log.Fatalln",
+		"log.Panic", "log.Panicf", "log.Panicln",
+		"(*log.Logger).Print", "(*log.Logger).Printf", "(*log.Logger).Println",
+		"func(string, ...any)",
+	},
+	allow: []string{module + "/internal/httpapi"},
 }, {
 	name: "peer",
 	forbid: []string{
@@ -327,8 +343,13 @@ func uses(info *types.Info, file *ast.File, report func(what string, at ast.Node
 			}
 		}
 		if e, ok := n.(ast.Expr); ok && info.Types[e].IsType() && !declares(stack) {
-			if sig, ok := info.Types[e].Type.Underlying().(*types.Signature); ok && isNowFunc(sig) {
-				report("func() time.Time", n, enclosing(info, stack))
+			if sig, ok := info.Types[e].Type.Underlying().(*types.Signature); ok {
+				switch {
+				case isNowFunc(sig):
+					report("func() time.Time", n, enclosing(info, stack))
+				case isLogfFunc(sig):
+					report("func(string, ...any)", n, enclosing(info, stack))
+				}
 			}
 		}
 		return true
@@ -373,6 +394,21 @@ func isNowFunc(sig *types.Signature) bool {
 	}
 	named, ok := sig.Results().At(0).Type().(*types.Named)
 	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "time" && named.Obj().Name() == "Time"
+}
+
+// isLogfFunc reports whether sig is func(string, ...any), the shape of
+// a Printf-style log hook.
+func isLogfFunc(sig *types.Signature) bool {
+	if !sig.Variadic() || sig.Params().Len() != 2 || sig.Results().Len() != 0 {
+		return false
+	}
+	format, ok := sig.Params().At(0).Type().(*types.Basic)
+	args, _ := sig.Params().At(1).Type().(*types.Slice)
+	if !ok || format.Kind() != types.String || args == nil {
+		return false
+	}
+	elem, ok := args.Elem().Underlying().(*types.Interface)
+	return ok && elem.Empty()
 }
 
 // declares reports whether the function type on top of the stack is the

@@ -1,7 +1,9 @@
-// Plants for the two wiring rules, in a binary.
+// Plants for the two wiring rules, in a binary, and negative controls
+// for the rules a binary is outside of.
 package main
 
 import (
+	"log"
 	"net/http"
 	"time"
 
@@ -20,3 +22,6 @@ func main() {
 // Negative control: a binary holds no Clock, so its client may carry
 // its own timeout.
 var client = &http.Client{Timeout: time.Minute}
+
+// Negative control: a binary may log through package log.
+func fail(err error) { log.Fatal(err) }

@@ -2,7 +2,11 @@
 // function of the package may not.
 package httpapi
 
-import "mcbound/internal/admission"
+import (
+	"log"
+
+	"mcbound/internal/admission"
+)
 
 type Server struct{ adm *admission.Controller }
 
@@ -13,3 +17,7 @@ func New() *Server {
 func (s *Server) reset() {
 	s.adm = admission.NewController(admission.DefaultConfig()) // want wiring/admission
 }
+
+// Negative control: httpapi keeps its *log.Logger, the log rule's one
+// named exception.
+func (s *Server) accessLine(l *log.Logger, path string) { l.Printf("path=%s", path) }

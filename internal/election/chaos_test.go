@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -204,7 +204,7 @@ func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 			FetchAttempts: 2, FetchBackoff: 5 * time.Millisecond,
 			Transport: n.tr,
 			HTTP:      &http.Client{Timeout: 500 * time.Millisecond},
-			Logger:    log.New(io.Discard, "", 0),
+			Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 		}
 		if i == 0 {
 			cfg.Trace, cfg.FS = empty, leaderFS

@@ -27,6 +27,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -105,8 +107,9 @@ type Config struct {
 	Clock clock.Clock
 	// Transport overrides the HTTP lease/ack transport (fault injection).
 	Transport Transport
-	// Logf, when set, receives elector state transitions.
-	Logf func(format string, args ...any)
+	// Logger, when set, receives elector state transitions, each with
+	// the term it happened at.
+	Logger *slog.Logger
 	// OnLeaderChange, when set, observes every adopted leader URL (the
 	// server repoints the replication client and the not_leader redirect
 	// through it). Called outside the elector lock.
@@ -126,7 +129,7 @@ type Elector struct {
 	tr      Transport
 	clock   clock.Clock
 	view    *cluster.View
-	logf    func(string, ...any)
+	log     *slog.Logger
 	loop    *clock.Loop
 
 	mu          sync.Mutex
@@ -183,8 +186,8 @@ func New(cfg Config) (*Elector, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = NewHTTPTransport(nil, cfg.Clock, cfg.Seed)
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	e := &Elector{
 		cfg:     cfg,
@@ -194,7 +197,7 @@ func New(cfg Config) (*Elector, error) {
 		tr:      cfg.Transport,
 		clock:   cfg.Clock,
 		view:    cluster.NewView(),
-		logf:    cfg.Logf,
+		log:     cfg.Logger,
 		rng:     stats.NewRNG(cfg.Seed),
 		acks:    make(map[string]time.Time),
 		ackSeqs: make(map[string]uint64),
@@ -288,9 +291,9 @@ func (e *Elector) leaderStep() {
 	e.held = e.quorumFreshLocked(now)
 	if wasHeld != e.held {
 		if e.held {
-			e.logf("election: lease re-held at term %d (quorum acks fresh)", e.term)
+			e.log.Info("election: lease re-held (quorum acks fresh)", "term", e.term)
 		} else {
-			e.logf("election: lease lost at term %d (quorum acks stale); writes fenced", e.term)
+			e.log.Warn("election: lease lost (quorum acks stale); writes fenced", "term", e.term)
 		}
 	}
 	e.view.Observe(e.self.ID, "leader", e.term, e.appliedSeqLocked(), now)
@@ -325,7 +328,7 @@ func (e *Elector) abdicateLocked(reason string) {
 	e.abdicated = true
 	e.abdiReason = reason
 	e.held = false
-	e.logf("election: abdicating leadership at term %d: %s", e.term, reason)
+	e.log.Warn("election: abdicating leadership", "term", e.term, "reason", reason)
 }
 
 // leaseLocked renders the current lease document. Caller holds e.mu.
@@ -399,8 +402,8 @@ func (e *Elector) followerStep(ctx context.Context) {
 		if e.electionAt.IsZero() {
 			d := e.drawElectionDelayLocked()
 			e.electionAt = e.clock.Now().Add(d)
-			e.logf("election: leader %s suspected (%d missed, lease expired); election armed in %v",
-				target, e.missed, d)
+			e.log.Info("election: leader suspected (lease expired); election armed",
+				"leader", target, "missed", e.missed, "in", d, "term", e.term)
 		}
 		e.mu.Unlock()
 	}
@@ -428,7 +431,7 @@ func (e *Elector) adoptLease(l Lease, viaPeer bool) bool {
 	}
 	now := e.clock.Now()
 	if l.Term > e.term {
-		e.logf("election: adopted lease term %d held by %s (%s)", l.Term, l.HolderID, l.HolderURL)
+		e.log.Info("election: adopted lease", "term", l.Term, "holder", l.HolderID, "holder_url", l.HolderURL)
 	}
 	// Compare against the last URL actually delivered to OnLeaderChange,
 	// not e.leaderURL: granting a vote repoints leaderURL presumptively,
@@ -542,7 +545,7 @@ func (e *Elector) runElection(ctx context.Context) {
 	e.electionAt = now.Add(e.drawElectionDelayLocked())
 	mySeq := e.appliedSeqLocked()
 	e.mu.Unlock()
-	e.logf("election: claiming term %d (applied seq %d)", claim, mySeq)
+	e.log.Info("election: claiming term", "term", claim, "applied_seq", mySeq)
 
 	req := AckRequest{NodeID: e.self.ID, URL: e.self.URL, Term: claim, AppliedSeq: mySeq, Claim: true}
 	peers := e.members.Peers()
@@ -590,10 +593,10 @@ func (e *Elector) runElection(ctx context.Context) {
 		}
 		e.lastErr = fmt.Sprintf("election term %d: %d/%d votes", claim, votes, quorum)
 		e.mu.Unlock()
-		e.logf("election: term %d lost (%d/%d votes)", claim, votes, quorum)
+		e.log.Info("election: term lost", "term", claim, "votes", votes, "quorum", quorum)
 		return
 	}
-	e.logf("election: term %d won (%d/%d votes); draining and promoting", claim, votes, quorum)
+	e.log.Info("election: term won; draining and promoting", "term", claim, "votes", votes, "quorum", quorum)
 	e.becomeLeader(ctx, claim, true, true)
 }
 
@@ -619,7 +622,7 @@ func (e *Elector) becomeLeader(ctx context.Context, term uint64, countFailover, 
 		}
 		e.lastErr = "promote: " + err.Error()
 		e.mu.Unlock()
-		e.logf("election: promote at term %d failed: %v", term, err)
+		e.log.Error("election: promote failed", "term", term, "err", err)
 		return 0, err
 	}
 	e.mu.Lock()
@@ -647,7 +650,7 @@ func (e *Elector) becomeLeader(ctx context.Context, term uint64, countFailover, 
 		e.failovers++
 	}
 	e.mu.Unlock()
-	e.logf("election: leading at epoch %d", epoch)
+	e.log.Info("election: leading", "epoch", epoch)
 	if e.cfg.OnLeaderChange != nil {
 		e.cfg.OnLeaderChange(e.self.URL)
 	}
@@ -742,7 +745,7 @@ func (e *Elector) judgeClaimLocked(req AckRequest, resp AckResponse, now time.Ti
 		e.missed = 0
 		e.electionAt = time.Time{}
 	}
-	e.logf("election: granted term %d to %s (seq %d >= %d)", req.Term, req.NodeID, req.AppliedSeq, mySeq)
+	e.log.Info("election: granted term", "term", req.Term, "candidate", req.NodeID, "candidate_seq", req.AppliedSeq, "applied_seq", mySeq)
 	resp.Granted = true
 	resp.Term = req.Term
 	return resp
@@ -803,7 +806,7 @@ func (e *Elector) PromoteManual(ctx context.Context) (uint64, error) {
 	claim := e.maxTermSeen + 1
 	e.maxTermSeen = claim
 	e.mu.Unlock()
-	e.logf("election: manual promote claiming term %d", claim)
+	e.log.Info("election: manual promote claiming term", "term", claim)
 	return e.becomeLeader(ctx, claim, false, false)
 }
 

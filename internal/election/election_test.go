@@ -104,7 +104,6 @@ func testConfig(t *testing.T, m cluster.Membership, node *repl.Node, clk *clock.
 		Seed:            42,
 		Clock:           clk,
 		Transport:       tr,
-		Logf:            t.Logf,
 	}
 }
 

@@ -1,6 +1,12 @@
 package httpapi
 
-import "testing"
+import (
+	"log"
+	"net/http"
+	"testing"
+
+	"mcbound/internal/admission"
+)
 
 // What routes_test.go (package httpapi_test: it fronts a fixture with the
 // router, which imports this package) needs of the in-package helpers.
@@ -25,3 +31,13 @@ func NewRoleFixture(t *testing.T, role string) *Server {
 
 // Patterns lists the mux patterns New registered, in order.
 func (s *Server) Patterns() []string { return s.patterns }
+
+// NewPanicServer builds an untrained API logging to logger, with one
+// extra route, GET /v1/boom, whose handler panics.
+func NewPanicServer(t *testing.T, logger *log.Logger) *Server {
+	t.Helper()
+	s := newAPI(t, seedStore(t), nil, false, Options{})
+	s.log = logger
+	s.route("GET /v1/boom", admission.Interactive, func(http.ResponseWriter, *http.Request) { panic("boom") })
+	return s
+}

@@ -112,7 +112,7 @@ func TestOverloadHealthzAlwaysAdmitted(t *testing.T) {
 		t.Fatalf("healthz under saturation: status %d, want 200", resp.StatusCode)
 	}
 	if resp.Header.Get("X-Request-Id") == "" {
-		t.Fatal("healthz skipped the request-ID middleware")
+		t.Fatal("healthz skipped the request wrapper")
 	}
 	wg.Wait()
 	if s := adm.Stats(); s.Bypassed == 0 {
@@ -153,7 +153,7 @@ func TestOverloadQueueFullIsTyped503(t *testing.T) {
 	}
 }
 
-// guard sets the request deadline on the server's clock: on a Manual
+// The request wrapper sets the deadline on the server's clock: on a Manual
 // clock an hour ahead of the wall, a queued request with a 2 s budget is
 // shed as doomed when that clock crosses it, and not before.
 func TestGuardDeadlineShedsQueuedRequestOnVirtualTime(t *testing.T) {
@@ -201,7 +201,7 @@ func TestGuardDeadlineShedsQueuedRequestOnVirtualTime(t *testing.T) {
 			t.Fatalf("status %d: %s; want 503 %s", rec.Code, rec.Body, codeOverloaded)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("the guard's deadline did not fire on Advance")
+		t.Fatal("the request deadline did not fire on Advance")
 	}
 	if s := adm.Stats(); s.ShedDoomed != 1 || s.ShedCanceled != 0 {
 		t.Fatalf("shed doomed %d, canceled %d; want 1, 0", s.ShedDoomed, s.ShedCanceled)

@@ -62,7 +62,7 @@ const DefaultMaxBodyBytes = 8 << 20
 const (
 	// DefaultDeadline bounds interactive requests unless the client
 	// sends X-Request-Timeout (batch and background routes scale it up;
-	// see guard.go).
+	// see request.go).
 	DefaultDeadline = 10 * time.Second
 	// DefaultMaxDeadline is the hard ceiling any client header is
 	// clamped to.
@@ -127,7 +127,6 @@ type Server struct {
 	store    *store.Store
 	mux      *http.ServeMux
 	patterns []string // every mux pattern registered, in order (the route-table test's checklist)
-	handler  http.Handler
 	log      *log.Logger
 	reg      *telemetry.Registry
 	metrics  *appMetrics
@@ -189,26 +188,26 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	// range/batch endpoints are Batch, retraining is Background (capped
 	// so a hot-swap never starves inference), and the health probe is
 	// Critical — instrumented like everything else but always admitted.
-	s.route("GET /healthz", s.guard(admission.Critical, s.handleHealth))
-	s.route("GET /v1/model", s.guard(admission.Interactive, s.handleModel))
-	s.route("POST /v1/train", s.guard(admission.Background, s.handleTrain))
-	s.route("POST /v1/jobs", s.guard(admission.Batch, s.leaderOnly(s.handleInsert)))
-	s.route("GET /v1/classify/{id}", s.guard(admission.Interactive, s.handleClassifyByID))
-	s.route("POST /v1/classify", s.guard(admission.Interactive, s.handleClassifyJobs))
-	s.route("GET /v1/classify", s.guard(admission.Batch, s.handleClassifyRange))
+	s.route("GET /healthz", admission.Critical, s.handleHealth)
+	s.route("GET /v1/model", admission.Interactive, s.handleModel)
+	s.route("POST /v1/train", admission.Background, s.handleTrain)
+	s.route("POST /v1/jobs", admission.Batch, s.leaderOnly(s.handleInsert))
+	s.route("GET /v1/classify/{id}", admission.Interactive, s.handleClassifyByID)
+	s.route("POST /v1/classify", admission.Interactive, s.handleClassifyJobs)
+	s.route("GET /v1/classify", admission.Batch, s.handleClassifyRange)
 	if s.repl != nil {
 		// The replication surface rides at Background priority: shipping
 		// log bytes to followers must never crowd out inference.
-		s.route("GET /v1/wal/segments", s.guard(admission.Background, s.handleReplManifest))
-		s.route("GET /v1/wal/segments/{name}", s.guard(admission.Background, s.handleReplChunk))
+		s.route("GET /v1/wal/segments", admission.Background, s.handleReplManifest)
+		s.route("GET /v1/wal/segments/{name}", admission.Background, s.handleReplChunk)
 		// Promotion is the failover lever; it must work under duress.
-		s.route("POST /v1/promote", s.guard(admission.Critical, s.handlePromote))
+		s.route("POST /v1/promote", admission.Critical, s.handlePromote)
 	}
 	if s.elector != nil {
 		// The heartbeat surface is Critical for the same reason /healthz
 		// is: overload must not masquerade as leader death.
-		s.route("GET /v1/lease", s.guard(admission.Critical, s.handleLeaseGet))
-		s.route("POST /v1/lease/ack", s.guard(admission.Critical, s.handleLeaseAck))
+		s.route("GET /v1/lease", admission.Critical, s.handleLeaseGet)
+		s.route("POST /v1/lease/ack", admission.Critical, s.handleLeaseAck)
 	}
 	s.handle("GET /metrics", s.reg.Handler())
 	if opts.EnablePprof {
@@ -218,11 +217,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.handler = telemetry.Chain(http.HandlerFunc(s.dispatch),
-		telemetry.RequestID,
-		telemetry.AccessLog(logger),
-		telemetry.Recover(logger),
-	)
 	return s
 }
 
@@ -233,29 +227,6 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // ObserveTrain records a Training Workflow trigger that happened
 // outside a request handler (the cron retraining ticker).
 func (s *Server) ObserveTrain(rep *core.TrainReport, err error) { s.metrics.observeTrain(rep, err) }
-
-// ServeHTTP implements http.Handler through the middleware stack.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
-
-// dispatch applies the body cap and routes to the instrumented mux.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	s.mux.ServeHTTP(w, r)
-}
-
-// route registers an instrumented handler under the mux pattern; the
-// pattern doubles as the bounded-cardinality route label.
-func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.handle(pattern, telemetry.Instrument(s.reg, pattern)(h))
-}
-
-// handle registers h on the mux and records the pattern.
-func (s *Server) handle(pattern string, h http.Handler) {
-	s.patterns = append(s.patterns, pattern)
-	s.mux.Handle(pattern, h)
-}
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -9,7 +9,7 @@ package node
 import (
 	"context"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -78,8 +78,10 @@ type Config struct {
 	// Clock times every loop, cooldown, retry backoff and deadline of the
 	// node; nil is the wall clock.
 	Clock clock.Clock
-	// Logger receives the node's log lines; nil is log.Default().
-	Logger *log.Logger
+	// Logger receives the node's log records, its replication's and its
+	// elector's, each with the node's -node-id when it has one; nil is
+	// slog.Default(). The API's access lines reach it at level Info.
+	Logger *slog.Logger
 }
 
 // finalDrainBudget bounds the sync rounds an election winner spends
@@ -152,7 +154,7 @@ type Node struct {
 	Repl    *repl.Node
 	Elector *election.Elector
 
-	log   *log.Logger
+	log   *slog.Logger
 	clock clock.Clock
 	fw    *core.Framework
 	adm   *admission.Controller
@@ -174,7 +176,10 @@ func Open(ctx context.Context, c Config) (*Node, error) {
 	}
 	n := &Node{log: c.Logger, clock: c.Clock}
 	if n.log == nil {
-		n.log = log.Default()
+		n.log = slog.Default()
+	}
+	if c.NodeID != "" {
+		n.log = n.log.With("node", c.NodeID)
 	}
 	if n.clock == nil {
 		n.clock = clock.Wall{}
@@ -187,7 +192,7 @@ func Open(ctx context.Context, c Config) (*Node, error) {
 }
 
 func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
-	logf := n.log.Printf
+	log := n.log
 	fsys := c.FS
 	if fsys == nil {
 		fsys = wal.OS
@@ -195,17 +200,17 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	following := c.Follow != ""
 
 	// Without AVX2 the KNN path runs several times slower; say so once.
-	logf("linalg distance kernels: %s", linalg.Kernel())
+	log.Info("linalg distance kernels", "kernel", linalg.Kernel())
 
 	// A follower needs no seed: its store fills from the leader's stream.
 	st := store.New()
 	if c.Trace != "" {
-		logf("loading trace %s...", c.Trace)
+		log.Info("loading trace", "path", c.Trace)
 		if st, err = store.LoadFile(c.Trace); err != nil {
 			return err
 		}
 	}
-	logf("jobs data storage ready: %d jobs", st.Len())
+	log.Info("jobs data storage ready", "jobs", st.Len())
 
 	reg := telemetry.NewRegistry()
 
@@ -231,10 +236,10 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		// warm store only saves bootstrap bytes, never wins.
 		if _, statErr := fsys.Stat(c.DataDir); statErr == nil {
 			if warm, rec, lerr := store.LoadReadOnly(c.DataDir, fsys); lerr != nil {
-				logf("warning: warm start from %s failed, bootstrapping cold: %v", c.DataDir, lerr)
+				log.Warn("warm start failed, bootstrapping cold", "dir", c.DataDir, "err", lerr)
 			} else {
 				st = warm
-				logf("warm start from %s: %d jobs (recovery %s)", c.DataDir, st.Len(), rec.Outcome())
+				log.Info("warm start", "dir", c.DataDir, "jobs", st.Len(), "recovery", rec.Outcome())
 			}
 		}
 	default:
@@ -242,13 +247,14 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			return fmt.Errorf("open durable store %s: %w", c.DataDir, err)
 		}
 		rec := durable.Recovery()
-		logf("durable store %s: recovery %s (%d snapshot + %d log records, fsync=%s, epoch=%d)",
-			c.DataDir, rec.Outcome(), rec.SnapshotRecords, rec.SegmentRecords, p.policy, durable.WAL().Epoch())
+		log.Info("durable store opened", "dir", c.DataDir, "recovery", rec.Outcome(),
+			"snapshot_records", rec.SnapshotRecords, "log_records", rec.SegmentRecords,
+			"fsync", p.policy.String(), "epoch", durable.WAL().Epoch())
 		if rec.Failure != nil {
-			logf("warning: serving the clean prefix only — a corrupt WAL segment was quarantined: %v", rec.Failure)
+			log.Warn("serving the clean prefix only — a corrupt WAL segment was quarantined", "err", rec.Failure)
 		}
 		st = durable.Store()
-		logf("durable jobs data storage ready: %d jobs", st.Len())
+		log.Info("durable jobs data storage ready", "jobs", st.Len())
 	}
 	n.Store = st
 
@@ -273,7 +279,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		}
 		replClient = repl.NewClient(ccfg)
 		follower, err = repl.NewFollower(repl.FollowerConfig{
-			Client: replClient, Apply: st.ApplyRecord, Clock: n.clock, Logf: logf,
+			Client: replClient, Apply: st.ApplyRecord, Clock: n.clock, Logger: log,
 			Poll: c.FollowPoll,
 			Seed: c.Seed, // poll jitter: a fleet must not poll in lockstep
 		})
@@ -283,12 +289,12 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		n.Repl = repl.NewFollowerNode(follower, c.Follow, repl.PromotePlan{Dir: c.DataDir, Store: st, Options: durOpts})
 	} else if durable != nil {
 		n.Repl = repl.NewLeader(durable)
-		logf("replication leader: epoch %d, serving WAL at /v1/wal/segments", durable.WAL().Epoch())
+		log.Info("replication leader: serving WAL at /v1/wal/segments", "epoch", durable.WAL().Epoch())
 	}
 
 	if p.members.Size() > 0 {
 		ecfg := election.Config{
-			Members: p.members, Node: n.Repl, Seed: c.Seed, Clock: n.clock, Logf: logf,
+			Members: p.members, Node: n.Repl, Seed: c.Seed, Clock: n.clock, Logger: log,
 			LeaseTTL: c.LeaseTTL, HeartbeatEvery: c.HeartbeatEvery, MaxMissed: c.MaxMissed, ElectionTimeout: c.ElectionTimeout,
 			Transport: c.Transport,
 		}
@@ -306,8 +312,8 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		if n.Elector, err = election.New(ecfg); err != nil {
 			return fmt.Errorf("election: %w", err)
 		}
-		logf("elector armed: node %s in %d-member cluster (quorum %d, lease %v, heartbeat %v)",
-			c.NodeID, p.members.Size(), p.members.Quorum(), c.LeaseTTL, c.HeartbeatEvery)
+		log.Info("elector armed", "members", p.members.Size(), "quorum", p.members.Quorum(),
+			"lease", c.LeaseTTL, "heartbeat", c.HeartbeatEvery)
 	}
 
 	cfg := core.DefaultConfig()
@@ -324,13 +330,12 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	// fails the node still answers inference (stale beats dead).
 	if c.ModelDir != "" {
 		if lrep, err := n.fw.LoadLatest(); err != nil {
-			logf("no model restored from %s: %v", c.ModelDir, err)
+			log.Info("no model restored", "dir", c.ModelDir, "err", err)
 		} else {
 			if len(lrep.Quarantined) > 0 {
-				logf("warning: %d corrupted model version(s) quarantined in %s: %v",
-					len(lrep.Quarantined), c.ModelDir, lrep.Quarantined)
+				log.Warn("corrupted model versions quarantined", "dir", c.ModelDir, "files", lrep.Quarantined)
 			}
-			logf("restored model version %d from %s", lrep.Version, c.ModelDir)
+			log.Info("restored model", "version", lrep.Version, "dir", c.ModelDir)
 		}
 	}
 
@@ -340,11 +345,10 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	if follower != nil {
 		syncCtx, cancel := clock.WithTimeout(ctx, n.clock, 30*time.Second)
 		if serr := follower.SyncNow(syncCtx); serr != nil {
-			logf("warning: initial replication sync failed (leader %s), serving degraded: %v", c.Follow, serr)
+			log.Warn("initial replication sync failed, serving degraded", "leader", c.Follow, "err", serr)
 		} else {
 			fs := follower.Status()
-			logf("replication bootstrap complete: %d jobs applied, epoch %d, applied_seq %d",
-				st.Len(), fs.Epoch, fs.AppliedSeq)
+			log.Info("replication bootstrap complete", "jobs", st.Len(), "epoch", fs.Epoch, "applied_seq", fs.AppliedSeq)
 		}
 		cancel()
 		n.loops = append(n.loops, follower.Run)
@@ -360,11 +364,9 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	// on /healthz otherwise — and the cron keeps trying.
 	rep, trainErr := n.fw.Train(ctx, n.Store.TrainInstant(n.clock.Now().UTC()))
 	if trainErr != nil {
-		logf("warning: initial training failed, serving degraded: %v", trainErr)
+		log.Warn("initial training failed, serving degraded", "err", trainErr)
 	} else {
-		logf("initial model trained: window [%s, %s), %d labeled jobs, %d fitted, %.3fs, version %d",
-			rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
-			rep.LabeledJobs, rep.FittedJobs, rep.TrainDuration.Seconds(), rep.ModelVersion)
+		log.Info("initial model trained", trainAttrs(rep)...)
 	}
 
 	// Admission gates every route and the cron retrain: a submission
@@ -373,7 +375,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		MaxConcurrency: c.MaxConcurrency, QueueDepth: c.QueueDepth, Clock: n.clock,
 	})
 
-	n.api = httpapi.New(n.fw, st, n.log, httpapi.Options{
+	n.api = httpapi.New(n.fw, st, slog.NewLogLogger(n.log.Handler(), slog.LevelInfo), httpapi.Options{
 		MaxBodyBytes: c.MaxBody, EnablePprof: c.Pprof, Clock: n.clock,
 		Registry: reg, Admission: n.adm,
 		Durable: durable, Repl: n.Repl, Elector: n.Elector,
@@ -386,7 +388,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 		next := retrainIntervals(c)
 		cron := clock.NewLoop(n.clock, next, n.retrain)
 		n.loops = append(n.loops, func(ctx context.Context) { cron.Run(ctx, next()) })
-		n.stops = append(n.stops, func() { cron.Stop(); logf("retraining ticker stopped") })
+		n.stops = append(n.stops, func() { cron.Stop(); log.Info("retraining ticker stopped") })
 	}
 	return nil
 }
@@ -404,19 +406,27 @@ func retrainIntervals(c Config) func() time.Duration {
 func (n *Node) retrain(ctx context.Context) {
 	tk, err := n.adm.Admit(ctx, admission.Background, "")
 	if err != nil {
-		n.log.Printf("cron retraining not admitted: %v", err)
+		n.log.Warn("cron retraining not admitted", "err", err)
 		return
 	}
 	rep, err := n.fw.Train(ctx, n.Store.TrainInstant(n.clock.Now().UTC()))
 	tk.Release()
 	n.api.ObserveTrain(rep, err)
 	if err != nil {
-		n.log.Printf("cron retraining failed: %v", err)
+		n.log.Warn("cron retraining failed", "err", err)
 		return
 	}
-	n.log.Printf("cron retraining: window [%s, %s), %d labeled jobs, %d fitted, version %d",
-		rep.WindowStart.Format("2006-01-02"), rep.WindowEnd.Format("2006-01-02"),
-		rep.LabeledJobs, rep.FittedJobs, rep.ModelVersion)
+	n.log.Info("cron retraining", trainAttrs(rep)...)
+}
+
+// trainAttrs are a Training Workflow's log attributes: its window, what
+// it fitted and the model version it published.
+func trainAttrs(rep *core.TrainReport) []any {
+	return []any{
+		"window_start", rep.WindowStart.Format("2006-01-02"), "window_end", rep.WindowEnd.Format("2006-01-02"),
+		"labeled_jobs", rep.LabeledJobs, "fitted_jobs", rep.FittedJobs,
+		"train_seconds", rep.TrainDuration.Seconds(), "version", rep.ModelVersion,
+	}
 }
 
 // Handler is the node's HTTP API.

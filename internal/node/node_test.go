@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -27,7 +27,7 @@ import (
 func testConfig() Config {
 	return Config{
 		Model: "rf", Index: "auto", Alpha: 15, Beta: 1, Seed: 7, Fsync: "always",
-		Logger: log.New(io.Discard, "", 0),
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }
 

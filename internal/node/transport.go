@@ -9,7 +9,7 @@ import (
 
 // Transport is an in-memory http.RoundTripper: a request is served, on
 // the caller's goroutine, by the handler registered for its URL host,
-// crossing that handler's whole middleware stack without a listener.
+// crossing that handler's whole request wrapper without a listener.
 // Handed to several nodes as Config.HTTP (and to a router as
 // router.Config.HTTP) it is a cluster's network in one process. Responses are buffered whole: every call
 // between processes is one bounded request and one bounded response.

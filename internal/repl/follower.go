@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"time"
@@ -58,8 +60,9 @@ type FollowerConfig struct {
 	// Clock overrides the wall clock: the status ages and, in Run, the
 	// poll timer (deterministic tests).
 	Clock clock.Clock
-	// Logf, when set, receives replication state transitions.
-	Logf func(format string, args ...any)
+	// Logger, when set, receives replication state transitions, each
+	// with the epoch it happened at.
+	Logger *slog.Logger
 }
 
 // FollowerStatus is a point-in-time view of replication progress.
@@ -94,7 +97,7 @@ type Follower struct {
 	maxLag     time.Duration
 	discAfter  time.Duration
 	clock      clock.Clock
-	logf       func(string, ...any)
+	log        *slog.Logger
 	loop       *clock.Loop
 
 	// syncMu serializes whole sync rounds: SyncNow may be called while
@@ -146,8 +149,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall{}
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	f := &Follower{
 		cl:         cfg.Client,
@@ -158,7 +161,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		maxLag:     cfg.MaxLag,
 		discAfter:  cfg.DisconnectAfter,
 		clock:      cfg.Clock,
-		logf:       cfg.Logf,
+		log:        cfg.Logger,
 	}
 	f.loop = clock.NewLoop(f.clock, f.nextPoll, func(ctx context.Context) { f.syncOnce(ctx) })
 	start := f.clock.Now()
@@ -210,7 +213,7 @@ func (f *Follower) syncOnce(ctx context.Context) error {
 		f.bootstrapped = false
 		f.mu.Unlock()
 		if wasBootstrapped {
-			f.logf("repl: leader epoch %d -> %d, re-syncing", known, m.Epoch)
+			f.log.Info("repl: leader epoch changed, re-syncing", "from_epoch", known, "epoch", m.Epoch)
 		}
 	}
 	f.mu.Lock()
@@ -238,8 +241,9 @@ func (f *Follower) handleSyncErr(err error) error {
 			f.bootstrapped = false
 			f.resyncs++
 		}
+		epoch := f.epoch
 		f.mu.Unlock()
-		f.logf("repl: position invalidated, re-syncing from snapshot")
+		f.log.Info("repl: position invalidated, re-syncing from snapshot", "epoch", epoch)
 		return nil
 	}
 	return f.noteError(err)
@@ -312,7 +316,7 @@ func (f *Follower) bootstrap(ctx context.Context, m wal.Manifest) error {
 	f.appliedSeq = base
 	f.bootstrapped = true
 	f.mu.Unlock()
-	f.logf("repl: bootstrapped from %s (%d records, base seq %d)", snapName, len(records), base)
+	f.log.Info("repl: bootstrapped", "snapshot", snapName, "records", len(records), "base_seq", base, "epoch", m.Epoch)
 	return nil
 }
 
@@ -467,8 +471,9 @@ func (f *Follower) noteError(err error) error {
 	}
 	f.mu.Lock()
 	f.lastErr = err.Error()
+	epoch := f.epoch
 	f.mu.Unlock()
-	f.logf("repl: sync: %v", err)
+	f.log.Warn("repl: sync failed", "err", err, "epoch", epoch)
 	return err
 }
 

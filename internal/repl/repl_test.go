@@ -88,7 +88,6 @@ func newFollowerPair(t *testing.T, url string) (*repl.Follower, *store.Store) {
 			}
 			return fst.Insert(&j)
 		},
-		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,6 @@ func TestFollowerCrashMidApplyResyncFromSnapshot(t *testing.T) {
 			}
 			return fst1.Insert(&j)
 		},
-		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ type attemptResult struct {
 func goAttempt(rt *Router, r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) <-chan attemptResult {
 	done := make(chan attemptResult, 1)
 	go func() {
-		res, err := rt.attemptRead(r, primary, hedge, hedgeAfter)
+		res, err := rt.attemptRead(r, "", primary, hedge, hedgeAfter)
 		done <- attemptResult{res, err}
 	}()
 	return done
@@ -225,7 +225,7 @@ func TestAttemptReadRaceOutcomes(t *testing.T) {
 		rt, _ := mkRouter(t, Config{}, n1, n2, n3)
 		clk := onManualClock(rt)
 		before := n3.hitCount()
-		_, err := rt.attemptRead(readReq(t, context.Background()), rt.byURL[n2.url()], rt.byURL[n3.url()], hedgeAfter)
+		_, err := rt.attemptRead(readReq(t, context.Background()), "", rt.byURL[n2.url()], rt.byURL[n3.url()], hedgeAfter)
 		if err == nil {
 			t.Fatal("a 500 from the primary must fail the attempt")
 		}
@@ -417,12 +417,12 @@ func TestCloneRequestTargetsWhatTheStringDid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := rt.cloneRequest(context.Background(), r, rt.backends[0], nil)
+			got := rt.cloneRequest(context.Background(), r, "req-1", rt.backends[0], nil)
 			if got.URL.String() != want.URL.String() || got.Host != want.Host || got.URL.RequestURI() != want.URL.RequestURI() {
 				t.Errorf("%s + %s: cloned %s (host %s), the string form gave %s (host %s)",
 					base, target, got.URL, got.Host, want.URL, want.Host)
 			}
-			if got.Header.Get("Connection") != "" || got.Header.Get("X-Client-Id") != "t1" || got.Header.Get("X-Forwarded-For") == "" {
+			if got.Header.Get("Connection") != "" || got.Header.Get("X-Client-Id") != "t1" || got.Header.Get("X-Forwarded-For") == "" || got.Header.Get("X-Request-Id") != "req-1" {
 				t.Errorf("cloned headers %v", got.Header)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mcbound/internal/cluster"
+	"mcbound/internal/httpapi"
 	"mcbound/internal/resilience"
 )
 
@@ -49,6 +50,49 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 	}
 	if rt.met.hedgeWins.Value() != 1 {
 		t.Fatalf("hedge wins = %d, want 1", rt.met.hedgeWins.Value())
+	}
+}
+
+// TestHedgeCarriesOneRequestID: a read the router hedges reaches both
+// backends under one X-Request-Id — minted by the router when the client
+// sent none, the client's own otherwise — and the client gets that ID
+// back. The router's own answers carry one too.
+func TestHedgeCarriesOneRequestID(t *testing.T) {
+	n1, n2 := newStubBackend(t, "n1"), newStubBackend(t, "n2")
+	lead := n1.url()
+	n1.set(func(b *stubBackend) { b.role = "leader"; b.leaseHeld = true; b.leaderURL = lead })
+	n2.set(func(b *stubBackend) { b.leaderURL = lead; b.delay = 300 * time.Millisecond })
+	rt, front := mkRouter(t, Config{HedgeAfterMin: 15 * time.Millisecond}, n1, n2)
+
+	for i, sent := range []string{"", "client-7"} {
+		req, err := http.NewRequest(http.MethodGet, front.URL+"/v1/model", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != "" {
+			req.Header.Set(httpapi.RequestIDHeader, sent)
+		}
+		resp, err := front.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		id := resp.Header.Get(httpapi.RequestIDHeader)
+		if id == "" || sent != "" && id != sent {
+			t.Fatalf("sent %q, got back %q", sent, id)
+		}
+		if got := rt.Hedges(); got != int64(i+1) {
+			t.Fatalf("hedges = %d, want %d: the slow follower must be hedged to the leader", got, i+1)
+		}
+		for _, b := range []*stubBackend{n2, n1} { // primary, hedge
+			if ids := b.requestIDs(); len(ids) != i+1 || ids[i] != id {
+				t.Errorf("%s saw request IDs %q, want the client's %q last", b.id, ids, id)
+			}
+		}
+	}
+	// The router's own answers carry an ID too.
+	if resp, _ := get(t, front, "/healthz", ""); resp.Header.Get(httpapi.RequestIDHeader) == "" {
+		t.Error("the router's /healthz answered without an X-Request-Id")
 	}
 }
 

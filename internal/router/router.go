@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -105,9 +106,9 @@ type Config struct {
 	HTTP *http.Client
 	// Registry, when non-nil, receives the mcbound_router_* metrics.
 	Registry *telemetry.Registry
-	// Logf, when non-nil, receives routing decisions worth an operator's
-	// attention (ejections, leader re-points, brownouts).
-	Logf func(format string, args ...any)
+	// Logger, when non-nil, receives routing decisions worth an
+	// operator's attention (ejections, leader re-points, brownouts).
+	Logger *slog.Logger
 }
 
 // Router is the front door. Create with New, start the health poller
@@ -120,6 +121,7 @@ type Router struct {
 	budget   *resilience.Budget
 	met      *metrics
 	clock    clock.Clock
+	log      *slog.Logger
 
 	rngMu sync.Mutex
 	rng   *stats.RNG
@@ -178,6 +180,10 @@ func New(cfg Config) (*Router, error) {
 		budget: resilience.NewBudget(cfg.RetryBudget),
 		clock:  clock.Wall{},
 		rng:    stats.NewRNG(cfg.Seed),
+		log:    cfg.Logger,
+	}
+	if rt.log == nil {
+		rt.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	for i, m := range cfg.Backends {
@@ -212,12 +218,6 @@ func (rt *Router) Hedges() int64 { return rt.hedges.Load() }
 // be chased.
 func (rt *Router) isMember(base string) bool {
 	return rt.byURL[strings.TrimRight(base, "/")] != nil
-}
-
-func (rt *Router) logf(format string, args ...any) {
-	if rt.cfg.Logf != nil {
-		rt.cfg.Logf(format, args...)
-	}
 }
 
 // Run probes the fleet once immediately, then on every poll tick until
@@ -286,7 +286,7 @@ func (rt *Router) probeAll(ctx context.Context) {
 		if s.alive && s.isLeader() {
 			rt.leaderMu.Lock()
 			if rt.adopted != "" && rt.adopted != b.member.URL {
-				rt.logf("router: probe confirmed leader %s, dropping adopted %s", b.member.URL, rt.adopted)
+				rt.log.Info("router: probe confirmed leader, dropping adopted", "leader", b.member.URL, "adopted", rt.adopted)
 			}
 			rt.adopted = ""
 			rt.leaderMu.Unlock()
@@ -339,7 +339,7 @@ func (rt *Router) adopt(base string) {
 	rt.leaderMu.Unlock()
 	if changed {
 		rt.repoints.Add(1)
-		rt.logf("router: adopted leader %s from redirect chase", base)
+		rt.log.Info("router: adopted leader from redirect chase", "leader", base)
 	}
 }
 
@@ -441,20 +441,25 @@ func (rt *Router) noteFailure(b *backend) {
 	cd := rt.ejectCooldown()
 	b.eject(now.Add(cd))
 	rt.met.ejections.Inc()
-	rt.logf("router: ejected %s for %v after %d consecutive failures", b.member.ID, cd.Round(time.Millisecond), streak)
+	rt.log.Warn("router: ejected backend", "backend", b.member.ID, "cooldown", cd.Round(time.Millisecond), "failures", streak)
 }
 
 // ServeHTTP routes: the router's own endpoints first, then proxying.
+// The request's X-Request-Id — the client's when it sent a sane one,
+// else minted here — is on every answer, the router's own included, and
+// on every attempt sent for the request.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := httpapi.RequestID(r)
+	w.Header().Set(httpapi.RequestIDHeader, id)
 	switch {
 	case r.URL.Path == "/healthz" && r.Method == http.MethodGet:
 		rt.handleHealth(w, r)
 	case r.URL.Path == "/metrics" && r.Method == http.MethodGet && rt.cfg.Registry != nil:
 		rt.cfg.Registry.Handler().ServeHTTP(w, r)
 	case r.Method == http.MethodGet || r.Method == http.MethodHead:
-		rt.forwardRead(w, r)
+		rt.forwardRead(w, r, id)
 	default:
-		rt.forwardWrite(w, r)
+		rt.forwardWrite(w, r, id)
 	}
 }
 
@@ -538,7 +543,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // forwardRead serves GET/HEAD: candidate selection, hedging, budgeted
 // retries across distinct backends.
-func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, id string) {
 	var buf [8]*backend
 	cands, stale, lag := rt.readCandidates(admission.ClientKey(r), buf[:0])
 	if len(cands) == 0 {
@@ -561,7 +566,7 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request) {
 		if !stale && attempt+1 < len(cands) {
 			hedge = cands[attempt+1]
 		}
-		res, err := rt.attemptRead(r, primary, hedge, hedgeAfter)
+		res, err := rt.attemptRead(r, id, primary, hedge, hedgeAfter)
 		if err != nil {
 			lastErr = err
 			continue
@@ -596,12 +601,12 @@ func (res tryResult) answered() bool {
 	return res.err == nil && res.resp.StatusCode < http.StatusInternalServerError
 }
 
-// try sends r to b on ctx and waits for the response headers. cancel
-// is ctx's and travels with the result: whoever ends up owning the
-// response calls it once the body is consumed.
-func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Request, b *backend) tryResult {
+// try sends r, tagged id, to b on ctx and waits for the response
+// headers. cancel is ctx's and travels with the result: whoever ends up
+// owning the response calls it once the body is consumed.
+func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Request, id string, b *backend) tryResult {
 	start := rt.clock.Now()
-	resp, err := rt.hc.Do(rt.cloneRequest(ctx, r, b, nil))
+	resp, err := rt.hc.Do(rt.cloneRequest(ctx, r, id, b, nil))
 	return tryResult{resp: resp, err: err, b: b, cancel: cancel, dur: rt.clock.Now().Sub(start)}
 }
 
@@ -620,14 +625,14 @@ func (rt *Router) try(ctx context.Context, cancel context.CancelFunc, r *http.Re
 // and the hedge's response is relayed. Or the first one back has
 // failed: the failure is counted against its backend and the other
 // attempt decides alone.
-func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAfter time.Duration) (tryResult, error) {
+func (rt *Router) attemptRead(r *http.Request, id string, primary, hedge *backend, hedgeAfter time.Duration) (tryResult, error) {
 	ctx, cancel := clock.WithTimeout(r.Context(), rt.clock, forwardTimeout)
 	var race *hedgeRace
 	if hedge != nil {
-		race = &hedgeRace{rt: rt, r: r, b: hedge, cancelPrimary: cancel}
+		race = &hedgeRace{rt: rt, r: r, id: id, b: hedge, cancelPrimary: cancel}
 		defer rt.clock.AfterFunc(hedgeAfter, race.run).Stop()
 	}
-	res := rt.try(ctx, cancel, r, primary)
+	res := rt.try(ctx, cancel, r, id, primary)
 	switch race.primaryBack(res) {
 	case hedgeWon:
 		rt.discardLoser(res)
@@ -657,6 +662,7 @@ func (rt *Router) attemptRead(r *http.Request, primary, hedge *backend, hedgeAft
 type hedgeRace struct {
 	rt            *Router
 	r             *http.Request
+	id            string
 	b             *backend
 	cancelPrimary context.CancelFunc
 
@@ -692,7 +698,7 @@ func (h *hedgeRace) run() {
 	h.rt.hedges.Add(1)
 	h.rt.met.hedges.Inc()
 
-	res := h.rt.try(ctx, cancel, h.r, h.b)
+	res := h.rt.try(ctx, cancel, h.r, h.id, h.b)
 
 	h.mu.Lock()
 	lost := h.primaryWon
@@ -789,7 +795,7 @@ func (rt *Router) discardLoser(res tryResult) {
 // chasing 421 redirects within the membership. Transport failures are
 // never blindly retried — the write may have been applied — so the
 // client gets a typed 502 and decides.
-func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
+func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request, id string) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
 	if err != nil {
 		rt.met.requests("write", "bad_body").Inc()
@@ -808,7 +814,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 		leader = rt.leaderURL()
 	}
 	if leader == "" {
-		rt.brownoutWrite(w, nil)
+		rt.brownoutWrite(w, id, nil)
 		return
 	}
 	chase := resilience.NewChase(leader, maxWriteHops, rt.isMember)
@@ -816,7 +822,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 		b := rt.byURL[leader] // leaderURL and the chase name members only
 		actx, cancel := clock.WithTimeout(r.Context(), rt.clock, forwardTimeout)
 		start := rt.clock.Now()
-		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, b, bytes.NewReader(body)))
+		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, id, b, bytes.NewReader(body)))
 		if derr != nil {
 			cancel()
 			rt.noteFailure(b)
@@ -844,7 +850,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 				// Chased to the hop bound without finding a leader: the
 				// cluster is mid-election. Brownout.
 				rt.refreshSoon()
-				rt.brownoutWrite(w, fmt.Errorf("no member accepted the write after %d redirects", maxWriteHops))
+				rt.brownoutWrite(w, id, fmt.Errorf("no member accepted the write after %d redirects", maxWriteHops))
 				return
 			}
 			leader = next
@@ -876,7 +882,7 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request) {
 // brownoutWrite is the typed fail-fast when no leader is known: 503 +
 // Retry-After, so clients back off exactly one probe period instead of
 // hammering a leaderless cluster.
-func (rt *Router) brownoutWrite(w http.ResponseWriter, cause error) {
+func (rt *Router) brownoutWrite(w http.ResponseWriter, id string, cause error) {
 	rt.met.requests("write", "no_leader").Inc()
 	w.Header().Set("Retry-After", rt.retryAfterSeconds())
 	msg := "no leader holds the lease; writes fail fast until the cluster elects one"
@@ -884,7 +890,7 @@ func (rt *Router) brownoutWrite(w http.ResponseWriter, cause error) {
 		msg += " (" + cause.Error() + ")"
 	}
 	rt.writeError(w, http.StatusServiceUnavailable, httpapi.CodeNoLeader, msg)
-	rt.logf("router: write browned out: %s", msg)
+	rt.log.Warn("router: write browned out", "reason", msg, "request_id", id)
 }
 
 // --- proxy plumbing ----------------------------------------------------
@@ -902,11 +908,11 @@ var hopByHop = map[string]bool{
 }
 
 // cloneRequest rebuilds r against backend b, carrying method, path and
-// query, headers (minus hop-by-hop) and the buffered write body (nil on
-// a read). The target is b's base URL — parsed once, at New — with the
+// query, headers (minus hop-by-hop) with the request's ID, and the
+// buffered write body (nil on a read). The target is b's base URL — parsed once, at New — with the
 // incoming path and query put on it; nothing is rendered to a string and
 // parsed back.
-func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend, body *bytes.Reader) *http.Request {
+func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, id string, b *backend, body *bytes.Reader) *http.Request {
 	u := *b.base
 	u.Path += r.URL.Path
 	if r.URL.RawPath != "" || u.RawPath != "" {
@@ -916,7 +922,7 @@ func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend,
 	req := (&http.Request{
 		Method: r.Method, URL: &u, Host: u.Host,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header, len(r.Header)+1),
+		Header: make(http.Header, len(r.Header)+2),
 	}).WithContext(ctx)
 	if body != nil && body.Len() > 0 {
 		// Sized, and replayable should the transport find its idle
@@ -933,6 +939,7 @@ func (rt *Router) cloneRequest(ctx context.Context, r *http.Request, b *backend,
 		req.Header[k] = vs
 	}
 	req.Header.Set("X-Forwarded-For", remoteHost(r))
+	req.Header.Set(httpapi.RequestIDHeader, id)
 	return req
 }
 

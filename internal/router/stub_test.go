@@ -33,7 +33,8 @@ type stubBackend struct {
 	gate      chan struct{} // when set, every data request waits for it to close
 	failReads bool          // 5xx every data request
 	hits      int
-	canceled  int // data requests whose context died before the delay or gate
+	canceled  int      // data requests whose context died before the delay or gate
+	ids       []string // X-Request-Id of every data request, in arrival order
 }
 
 func newStubBackend(t *testing.T, id string) *stubBackend {
@@ -56,6 +57,12 @@ func (b *stubBackend) hitCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.hits
+}
+
+func (b *stubBackend) requestIDs() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]string(nil), b.ids...)
 }
 
 func (b *stubBackend) canceledCount() int {
@@ -89,6 +96,7 @@ func (b *stubBackend) handle(w http.ResponseWriter, r *http.Request) {
 
 	b.mu.Lock()
 	b.hits++
+	b.ids = append(b.ids, r.Header.Get(httpapi.RequestIDHeader))
 	b.mu.Unlock()
 
 	if delay > 0 || gate != nil {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -124,7 +124,7 @@ func TestReplayE2EGolden(t *testing.T) {
 		Trace: empty,
 		Model: "rf", Index: "auto", Fsync: "always", Alpha: goldenAlpha, Beta: goldenBeta,
 		ModelDir: t.TempDir(),
-		Logger:   log.New(io.Discard, "", 0),
+		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
