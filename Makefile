@@ -105,8 +105,8 @@ chaos-elect:
 
 # Front-door chaos suite: seeded dead-backend + 10×-slow-backend reads
 # with zero client-observed errors and a bounded p99, and a leader kill
-# mid-writes with at most one hard failure before the 421 chase
-# re-points — both under the race detector.
+# mid-writes with at most one hard failure before a probe round
+# re-points writes — both under the race detector.
 chaos-router:
 	$(GO) test -race -count=1 -run '^TestRouterChaos' ./internal/router
 

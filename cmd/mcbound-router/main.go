@@ -2,7 +2,8 @@
 // HTTP router in front of an mcbound-server fleet. Reads spread across
 // fresh followers (rendezvous-hashed per client, hedged against the
 // fleet's p95, budget-bounded retries); writes forward to the
-// lease-holding leader and chase 421 redirects within the membership.
+// lease-holding leader the health probes name, and a write that meets a
+// 421 is resent once after a fresh probe round.
 // When no leader exists, writes fail fast with a typed 503 while reads
 // keep serving from the freshest follower.
 //

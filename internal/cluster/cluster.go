@@ -125,23 +125,6 @@ func (m Membership) Size() int { return len(m.all) }
 // quorum 1, so a solo leader is always quorate.
 func (m Membership) Quorum() int { return len(m.all)/2 + 1 }
 
-// ContainsURL reports whether u names a configured member's base URL
-// (trailing slashes ignored). It is the membership allowlist behind
-// redirect chasing: a Location header pointing anywhere else must be
-// refused, not followed.
-func (m Membership) ContainsURL(u string) bool {
-	u = strings.TrimRight(u, "/")
-	if u == "" {
-		return false
-	}
-	for _, mem := range m.all {
-		if mem.URL == u {
-			return true
-		}
-	}
-	return false
-}
-
 // MemberStatus is one member row of the cluster Status.
 type MemberStatus struct {
 	ID         string `json:"id"`

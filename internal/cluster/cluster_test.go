@@ -67,21 +67,6 @@ func TestParseMemberList(t *testing.T) {
 	}
 }
 
-func TestContainsURL(t *testing.T) {
-	m, err := ParsePeers("n1", "n1=http://a:1,n2=http://b:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.ContainsURL("http://a:1") || !m.ContainsURL("http://b:2/") {
-		t.Fatal("configured member URL not recognized")
-	}
-	for _, u := range []string{"http://evil:1", "http://a:2", "", "https://a:1", "http://c:3"} {
-		if m.ContainsURL(u) {
-			t.Errorf("non-member %q admitted", u)
-		}
-	}
-}
-
 func TestQuorumSizes(t *testing.T) {
 	for n, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 7: 4} {
 		var members []Member

@@ -263,7 +263,9 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	var follower *repl.Follower
 	var replClient *repl.Client
 	if following {
-		ccfg := repl.ClientConfig{
+		// The client moves off -follow only when the elector names a new
+		// leader: a 421's Location is never followed.
+		replClient = repl.NewClient(repl.ClientConfig{
 			BaseURL: c.Follow,
 			HTTP:    c.HTTP,
 			Retry:   resilience.Policy{MaxAttempts: c.FetchAttempts, BaseDelay: c.FetchBackoff},
@@ -271,13 +273,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			Seed:    c.Seed,
 			// Total retry amplification stays a fraction of the success rate.
 			Budget: resilience.NewBudget(resilience.BudgetConfig{}),
-		}
-		// The membership is the redirect allowlist: a 421 Location
-		// pointing at a non-member is refused.
-		if p.members.Size() > 0 {
-			ccfg.Allowed = p.members.ContainsURL
-		}
-		replClient = repl.NewClient(ccfg)
+		})
 		follower, err = repl.NewFollower(repl.FollowerConfig{
 			Client: replClient, Apply: st.ApplyRecord, Clock: n.clock, Logger: log,
 			Poll: c.FollowPoll,

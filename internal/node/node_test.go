@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,6 +287,45 @@ func TestFetchPathIsTheStores(t *testing.T) {
 	}
 	if status != http.StatusNotFound || json.Unmarshal(body, &env) != nil || env.Code != "not_found" {
 		t.Errorf("classify of an unknown id: status %d: %s; want 404 not_found", status, body)
+	}
+}
+
+// A follower started with -follow and no -peers has no elector, so
+// nothing may move it off the leader it was given: a 421 whose Location
+// names a live host is not followed, neither by Open's bootstrap sync
+// nor by the polls after it.
+func TestStaticFollowerIgnoresA421Location(t *testing.T) {
+	var polled, lured atomic.Int32
+	tr := NewTransport()
+	tr.Handle("deposed", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		polled.Add(1)
+		w.Header().Set("Location", "http://lure"+r.URL.RequestURI())
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusMisdirectedRequest)
+		io.WriteString(w, `{"error":"not the leader","code":"not_leader"}`)
+	}))
+	tr.Handle("lure", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lured.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{}`)
+	}))
+	c := testConfig()
+	c.Follow, c.HTTP = "http://deposed", &http.Client{Transport: tr}
+	c.FollowPoll, c.FetchAttempts, c.FetchBackoff = 5*time.Millisecond, 2, time.Millisecond
+	n := openNode(t, c) // the bootstrap sync fails, and Open carries on
+	if got := lured.Load(); got != 0 {
+		t.Fatalf("bootstrap sync sent %d requests to the 421's Location", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { n.Run(ctx); close(done) }()
+	boot := polled.Load()
+	waitFor(t, 10*time.Second, "three polls after the bootstrap", func() bool { return polled.Load() >= boot+3 })
+	cancel()
+	<-done
+	if got := lured.Load(); got != 0 {
+		t.Fatalf("the follower sent %d requests to the 421's Location", got)
 	}
 }
 

@@ -46,10 +46,12 @@ func answer(status int, body string) http.HandlerFunc {
 }
 
 // notLeader answers like httpapi's leaderOnly guard: a 421 envelope
-// whose Location is the same path on member to.
+// whose Location is the same path on member to (none when to < 0).
 func (f *fleet) notLeader(to int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Location", f.urls[to]+r.URL.RequestURI())
+		if to >= 0 {
+			w.Header().Set("Location", f.urls[to]+r.URL.RequestURI())
+		}
 		answer(http.StatusMisdirectedRequest, `{"error":"not the leader","code":"not_leader"}`)(w, r)
 	}
 }
@@ -68,10 +70,8 @@ const (
 // the PR that moved them onto internal/peer.
 type row struct {
 	name string
-	// members is how many stubs the row needs; outside leaves the last
-	// one out of the membership allowlist.
+	// members is how many stubs the row needs.
 	members int
-	outside bool
 	arm     func(f *fleet, limit int64)
 
 	// peer.Do on member 0: ok, or an *Error with these fields, or
@@ -79,7 +79,6 @@ type row struct {
 	ok        bool
 	status    int
 	code      string
-	location  int // member the Location names; -1 for none
 	retryable bool
 	errBody   bool
 
@@ -90,7 +89,6 @@ type row struct {
 	replAttempts  int32 // requests member 0 saw
 	replPermanent bool
 	replTripped   bool
-	replAdopts    int // member the client is based at afterwards
 
 	// election.HTTPTransport.GetLease on member 0: everything but a
 	// lease is one missed read, retried once.
@@ -100,76 +98,69 @@ type row struct {
 var rows = []row{
 	{
 		name: "200", members: 1,
-		arm: func(f *fleet, _ int64) { f.handlers[0] = answer(200, `{}`) },
-		ok:  true, location: -1,
+		arm:    func(f *fleet, _ int64) { f.handlers[0] = answer(200, `{}`) },
+		ok:     true,
 		replOK: true, replAttempts: 1,
 		electOK: true,
 	},
 	{
 		name: "404", members: 1,
 		arm:    func(f *fleet, _ int64) { f.handlers[0] = answer(404, `{"error":"no such file","code":"not_found"}`) },
-		status: 404, code: "not_found", location: -1,
+		status: 404, code: "not_found",
 		replSentinel: repl.ErrGone, replAttempts: 1, replPermanent: true,
+	},
+	// A 421 is one of the leader's two answers whatever its Location
+	// names: member 1 is a live leader, and no client goes there. There
+	// is no membership to check the Location against: the stubs differ
+	// only in what the row's name says of them.
+	{
+		name: "421 without a Location", members: 2,
+		arm: func(f *fleet, _ int64) {
+			f.handlers[0], f.handlers[1] = f.notLeader(-1), answer(200, `{}`)
+		},
+		status: 421, code: "not_leader",
+		replSentinel: repl.ErrSourceNotLeader, replAttempts: 1, replPermanent: true,
 	},
 	{
 		name: "421 with Location inside the membership", members: 2,
 		arm: func(f *fleet, _ int64) {
 			f.handlers[0], f.handlers[1] = f.notLeader(1), answer(200, `{}`)
 		},
-		status: 421, code: "not_leader", location: 1,
-		replOK: true, replAttempts: 1, replAdopts: 1,
-	},
-	{
-		name: "421 with Location outside the membership", members: 2, outside: true,
-		arm: func(f *fleet, _ int64) {
-			f.handlers[0], f.handlers[1] = f.notLeader(1), answer(200, `{}`)
-		},
-		status: 421, code: "not_leader", location: 1,
-		replSentinel: repl.ErrRedirectDenied, replAttempts: 1, replPermanent: true, replTripped: true,
-	},
-	{
-		name: "421 looping", members: 2,
-		arm: func(f *fleet, _ int64) {
-			f.handlers[0], f.handlers[1] = f.notLeader(1), f.notLeader(0)
-		},
-		status: 421, code: "not_leader", location: 1,
+		status: 421, code: "not_leader",
 		replSentinel: repl.ErrSourceNotLeader, replAttempts: 1, replPermanent: true,
 	},
 	{
-		name: "421 past the hop bound", members: 5,
+		name: "421 with Location outside the membership", members: 2,
 		arm: func(f *fleet, _ int64) {
-			for i := range 4 {
-				f.handlers[i] = f.notLeader(i + 1)
-			}
-			f.handlers[4] = answer(200, `{}`)
+			f.handlers[0], f.handlers[1] = f.notLeader(1), answer(200, `{}`)
 		},
-		status: 421, code: "not_leader", location: 1,
+		status: 421, code: "not_leader",
 		replSentinel: repl.ErrSourceNotLeader, replAttempts: 1, replPermanent: true,
 	},
 	{
 		name: "429", members: 1,
 		arm:    func(f *fleet, _ int64) { f.handlers[0] = answer(429, `{"error":"slow down","code":"rate_limited"}`) },
-		status: 429, code: "rate_limited", location: -1, retryable: true,
+		status: 429, code: "rate_limited", retryable: true,
 		replAttempts: 3, replTripped: true,
 	},
 	{
 		name: "500", members: 1,
 		arm:    func(f *fleet, _ int64) { f.handlers[0] = answer(500, `{"error":"boom","code":"internal"}`) },
-		status: 500, code: "internal", location: -1, retryable: true,
+		status: 500, code: "internal", retryable: true,
 		replAttempts: 3, replTripped: true,
 	},
 	{
 		name: "503 with a typed code", members: 1,
 		arm:    func(f *fleet, _ int64) { f.handlers[0] = answer(503, `{"error":"lease lost","code":"lease_lost"}`) },
-		status: 503, code: "lease_lost", location: -1, retryable: true,
+		status: 503, code: "lease_lost", retryable: true,
 		replAttempts: 3, replTripped: true,
 	},
 	{
 		// Not a retryable status, so repl.Client gives up at once — and,
 		// not being one of the leader's two answers, it is a failure.
 		name: "an undecodable envelope", members: 1,
-		arm:    func(f *fleet, _ int64) { f.handlers[0] = answer(400, "<html>Bad Request</html>") },
-		status: 400, location: -1,
+		arm:          func(f *fleet, _ int64) { f.handlers[0] = answer(400, "<html>Bad Request</html>") },
+		status:       400,
 		replAttempts: 1, replPermanent: true, replTripped: true,
 	},
 	{
@@ -180,7 +171,7 @@ var rows = []row{
 		arm: func(f *fleet, limit int64) {
 			f.handlers[0] = answer(200, strings.Repeat(" ", int(limit)-1)+`{}`)
 		},
-		location: -1, errBody: true,
+		errBody:      true,
 		replAttempts: 3, replTripped: true,
 	},
 	{
@@ -192,7 +183,6 @@ var rows = []row{
 				}
 			}
 		},
-		location:     -1,
 		replAttempts: 3, replTripped: true,
 	},
 }
@@ -223,13 +213,9 @@ func TestClassification(t *testing.T) {
 				if !errors.As(err, &answer) {
 					t.Fatalf("err %v, want a *peer.Error", err)
 				}
-				wantLoc := ""
-				if r.location >= 0 {
-					wantLoc = f.urls[r.location] + "/v1/wal/segments"
-				}
-				if answer.Status != r.status || answer.Code != r.code || answer.Location != wantLoc || answer.Retryable() != r.retryable {
-					t.Fatalf("classified %+v (retryable %t), want status %d code %q location %q retryable %t",
-						answer, answer.Retryable(), r.status, r.code, wantLoc, r.retryable)
+				if answer.Status != r.status || answer.Code != r.code || answer.Retryable() != r.retryable {
+					t.Fatalf("classified %+v (retryable %t), want status %d code %q retryable %t",
+						answer, answer.Retryable(), r.status, r.code, r.retryable)
 				}
 				if answer.Message == "" || len(answer.Body) == 0 {
 					t.Fatalf("answer lost its text: %+v", answer)
@@ -246,22 +232,10 @@ func TestClassificationThroughReplClient(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			f := newFleet(t, r.members)
 			r.arm(f, replLimit)
-			members := f.urls
-			if r.outside {
-				members = members[:len(members)-1]
-			}
 			c := repl.NewClient(repl.ClientConfig{
 				BaseURL: f.urls[0],
 				Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 				Breaker: resilience.BreakerConfig{FailureThreshold: 1},
-				Allowed: func(base string) bool {
-					for _, m := range members {
-						if m == base {
-							return true
-						}
-					}
-					return false
-				},
 			})
 			_, err := c.Manifest(context.Background())
 			switch {
@@ -271,7 +245,7 @@ func TestClassificationThroughReplClient(t *testing.T) {
 				t.Fatal("no error")
 			case r.replSentinel != nil && !errors.Is(err, r.replSentinel):
 				t.Fatalf("err %v, want %v", err, r.replSentinel)
-			case r.replSentinel == nil && (errors.Is(err, repl.ErrGone) || errors.Is(err, repl.ErrSourceNotLeader) || errors.Is(err, repl.ErrRedirectDenied)):
+			case r.replSentinel == nil && (errors.Is(err, repl.ErrGone) || errors.Is(err, repl.ErrSourceNotLeader)):
 				t.Fatalf("err %v carries a sentinel, want none", err)
 			}
 			if got := resilience.IsPermanent(err); got != r.replPermanent {
@@ -283,8 +257,13 @@ func TestClassificationThroughReplClient(t *testing.T) {
 			if got := c.Breaker().State() == resilience.Open; got != r.replTripped {
 				t.Errorf("breaker tripped = %t, want %t", got, r.replTripped)
 			}
-			if got := c.Base(); got != f.urls[r.replAdopts] {
-				t.Errorf("based at %s afterwards, want member %d (%s)", got, r.replAdopts, f.urls[r.replAdopts])
+			for i := 1; i < r.members; i++ {
+				if got := f.hits[i].Load(); got != 0 {
+					t.Errorf("member %d saw %d requests, want none", i, got)
+				}
+			}
+			if got := c.Base(); got != f.urls[0] {
+				t.Errorf("based at %s afterwards, want member 0 (%s)", got, f.urls[0])
 			}
 		})
 	}

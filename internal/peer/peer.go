@@ -33,14 +33,13 @@ type ErrorBody struct {
 
 // Error is a peer's answer other than 200: the status, the envelope's
 // code and message (no code, and the raw text, when the body is not an
-// envelope), the Location a 421 not_leader names the leader in, and the
-// body as read — /healthz answers a degraded 503 with its document.
+// envelope), and the body as read — /healthz answers a degraded 503
+// with its document.
 type Error struct {
 	Method, URL string
 	Status      int
 	Code        string
 	Message     string
-	Location    string
 	Body        []byte
 }
 
@@ -110,7 +109,7 @@ func Do(ctx context.Context, hc *http.Client, c Call) ([]byte, http.Header, erro
 	if resp.StatusCode == http.StatusOK {
 		return body, resp.Header, nil
 	}
-	e := &Error{Method: c.Method, URL: c.URL, Status: resp.StatusCode, Location: resp.Header.Get("Location"), Body: body}
+	e := &Error{Method: c.Method, URL: c.URL, Status: resp.StatusCode, Body: body}
 	var env ErrorBody
 	if json.Unmarshal(body, &env) == nil && env.Error != "" {
 		e.Code, e.Message = env.Code, env.Error

@@ -18,11 +18,6 @@ import (
 	"mcbound/internal/wal"
 )
 
-// ErrRedirectDenied re-exports the resilience sentinel so replication
-// callers can test for an allowlist-refused redirect without importing
-// the resilience package.
-var ErrRedirectDenied = resilience.ErrRedirectDenied
-
 // EpochHeader carries the leader's fencing epoch on every replication
 // response, so a follower can reject bytes from a deposed leader even
 // when the body itself is valid.
@@ -59,36 +54,24 @@ type ClientConfig struct {
 	// fraction of successes. Share one bucket across clients to cap the
 	// process's total retry amplification. Nil leaves retries unthrottled.
 	Budget *resilience.Budget
-	// Allowed, when non-nil, is the membership allowlist for 421
-	// Location redirects: a redirect whose base fails it is a hard error,
-	// never followed. Nil admits any target (single-leader deployments
-	// without configured membership).
-	Allowed func(base string) bool
 }
 
-// maxRedirectHops bounds how many 421 Location redirects one request
-// will chase before giving up — long enough to cross a promotion chain,
-// short enough that two confused followers pointing at each other fail
-// fast instead of ping-ponging.
-const maxRedirectHops = 3
-
-// requestTimeout bounds one attempt: a GET and its 421 chase.
+// requestTimeout bounds one attempt.
 const requestTimeout = 30 * time.Second
 
 // Client fetches the replication surface of a leader under
 // resilience.Guarded: jittered exponential retries per request, one
 // circuit breaker for the whole connection.
-// The base URL is mutable: a 421 not_leader answer carrying a Location
-// redirect is followed (bounded hops) and the working leader is adopted
-// permanently, so clients survive promotions without a restart.
+// The base URL is mutable, and Redirect is the only way to move it: a
+// follower's elector calls it on every leader change, so the client
+// survives promotions without a restart.
 type Client struct {
-	mu      sync.RWMutex
-	base    string
-	hc      *http.Client
-	retr    *resilience.Retrier
-	brk     *resilience.Breaker
-	clock   clock.Clock
-	allowed func(base string) bool
+	mu    sync.RWMutex
+	base  string
+	hc    *http.Client
+	retr  *resilience.Retrier
+	brk   *resilience.Breaker
+	clock clock.Clock
 }
 
 // NewClient builds a replication client for the leader at cfg.BaseURL.
@@ -102,12 +85,11 @@ func NewClient(cfg ClientConfig) *Client {
 		clk = clock.Wall{}
 	}
 	return &Client{
-		base:    strings.TrimRight(cfg.BaseURL, "/"),
-		hc:      hc,
-		retr:    resilience.NewRetrier(cfg.Retry, clk, cfg.Seed).WithBudget(cfg.Budget),
-		brk:     resilience.NewBreaker(cfg.Breaker),
-		clock:   clk,
-		allowed: cfg.Allowed,
+		base:  strings.TrimRight(cfg.BaseURL, "/"),
+		hc:    hc,
+		retr:  resilience.NewRetrier(cfg.Retry, clk, cfg.Seed).WithBudget(cfg.Budget),
+		brk:   resilience.NewBreaker(cfg.Breaker),
+		clock: clk,
 	}
 }
 
@@ -123,8 +105,7 @@ func (c *Client) Base() string {
 
 // Redirect repoints the client at a new leader and resets the breaker,
 // so failures charged to the dead leader do not block the live one. The
-// elector calls it on leader change; get() calls it after a successful
-// 421-redirect chase.
+// elector calls it on leader change.
 func (c *Client) Redirect(url string) {
 	url = strings.TrimRight(url, "/")
 	if url == "" {
@@ -147,49 +128,31 @@ func isAnswer(err error) bool {
 	return errors.Is(err, ErrGone) || errors.Is(err, ErrSourceNotLeader)
 }
 
-// get issues one GET and maps the peer client's typed answer to what it
-// means for replication. A 421 not_leader carrying a Location is chased
-// through the shared resilience.Chase (bounded hops, loop detection,
-// membership allowlist); when the chase lands on a node that answers,
-// that node is adopted as the new base for every later request. A
-// redirect pointing outside the configured membership is a permanent
-// ErrRedirectDenied — a deposed or compromised node must not be able to
-// steer replication traffic at an arbitrary address. The whole attempt
-// runs under requestTimeout on the client's clock.
+// get issues one GET to the current base and maps the peer client's
+// typed answer to what it means for replication. A 421 not_leader is
+// ErrSourceNotLeader whatever Location it names: a node that can answer
+// a request must not be able to steer replication traffic anywhere.
+// The attempt runs under requestTimeout on the client's clock.
 func (c *Client) get(ctx context.Context, path string) ([]byte, http.Header, error) {
 	ctx, cancel := clock.WithTimeout(ctx, c.clock, requestTimeout)
 	defer cancel()
 	base := c.Base()
-	chase := resilience.NewChase(base, maxRedirectHops, c.allowed)
-	for hop := 0; ; hop++ {
-		body, hdr, err := peer.Do(ctx, c.hc, peer.Call{Method: http.MethodGet, URL: base + path, Limit: wal.MaxChunkBytes + 4096})
-		var answer *peer.Error
-		switch {
-		case err == nil:
-			if hop > 0 {
-				c.Redirect(base)
-			}
-			return body, hdr, nil
-		case !errors.As(err, &answer):
-			// The leader was not reached, or its body broke off: retried.
-			return nil, nil, err
-		case answer.Status == http.StatusNotFound:
-			return nil, nil, fmt.Errorf("%w: %s", ErrGone, path)
-		case answer.Status == http.StatusMisdirectedRequest:
-			next, ok, cerr := chase.Follow(answer.Location)
-			if cerr != nil {
-				return nil, nil, resilience.Permanent(fmt.Errorf("repl: %s: %w", base, cerr))
-			}
-			if ok {
-				base = next
-				continue
-			}
-			return nil, nil, fmt.Errorf("%w: %s", ErrSourceNotLeader, base)
-		case answer.Retryable():
-			return nil, nil, err
-		default:
-			return nil, nil, resilience.Permanent(err)
-		}
+	body, hdr, err := peer.Do(ctx, c.hc, peer.Call{Method: http.MethodGet, URL: base + path, Limit: wal.MaxChunkBytes + 4096})
+	var answer *peer.Error
+	switch {
+	case err == nil:
+		return body, hdr, nil
+	case !errors.As(err, &answer):
+		// The leader was not reached, or its body broke off: retried.
+		return nil, nil, err
+	case answer.Status == http.StatusNotFound:
+		return nil, nil, fmt.Errorf("%w: %s", ErrGone, path)
+	case answer.Status == http.StatusMisdirectedRequest:
+		return nil, nil, fmt.Errorf("%w: %s", ErrSourceNotLeader, base)
+	case answer.Retryable():
+		return nil, nil, err
+	default:
+		return nil, nil, resilience.Permanent(err)
 	}
 }
 

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mcbound/internal/repl"
+	"mcbound/internal/resilience"
 	"mcbound/internal/store"
 )
 
@@ -43,52 +47,64 @@ func newLeaderServer(t *testing.T, jobs int) (*store.Durable, *httptest.Server) 
 	return d, serveNode(t, func() *repl.Node { return node })
 }
 
-func TestClientFollowsNotLeaderRedirect(t *testing.T) {
-	d, leader := newLeaderServer(t, 5)
-	follower := serve421(t, func() string { return leader.URL })
-
-	// Pointed at a follower: the 421 Location chase lands on the leader
-	// and adopts it as the new base.
-	cl := repl.NewClient(repl.ClientConfig{BaseURL: follower.URL, Seed: 3})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	m, err := cl.Manifest(ctx)
-	if err != nil {
-		t.Fatalf("Manifest through redirect: %v", err)
-	}
-	if m.CommittedSeq != d.CommittedSeq() {
-		t.Fatalf("manifest seq %d, want %d", m.CommittedSeq, d.CommittedSeq())
-	}
-	if cl.Base() != leader.URL {
-		t.Fatalf("base after redirect = %q, want %q", cl.Base(), leader.URL)
-	}
-
-	// The adoption is permanent: chunks fetch straight from the leader.
-	if len(m.Segments) == 0 {
-		t.Fatal("manifest reported no segments")
-	}
-	if _, _, err := cl.Chunk(ctx, m.Segments[0].Name, 0, 64); err != nil {
-		t.Fatalf("chunk after redirect: %v", err)
-	}
+// hostLog is a RoundTripper that records the host of every request a
+// client sends.
+type hostLog struct {
+	mu    sync.Mutex
+	hosts []string
 }
 
-func TestClientRedirectChainIsBounded(t *testing.T) {
-	// Two followers pointing at each other: the chase must stop at the
-	// hop bound with the typed permanent error, not spin.
-	var aURL, bURL string
-	a := serve421(t, func() string { return bURL })
-	b := serve421(t, func() string { return aURL })
-	aURL, bURL = a.URL, b.URL
+func (l *hostLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.hosts = append(l.hosts, r.URL.Host)
+	l.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
 
-	cl := repl.NewClient(repl.ClientConfig{BaseURL: a.URL, Seed: 3})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, err := cl.Manifest(ctx)
-	if !errors.Is(err, repl.ErrSourceNotLeader) {
-		t.Fatalf("redirect loop: %v, want ErrSourceNotLeader", err)
-	}
-	if cl.Base() != a.URL {
-		t.Fatalf("failed chase moved the base to %q", cl.Base())
+func (l *hostLog) sent() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.hosts...)
+}
+
+// A 421 never moves the client, whatever its Location names: the live
+// leader of the cluster or a box outside it. The answer is the typed
+// ErrSourceNotLeader after one request, the base stays put, the breaker
+// is not charged, and the Location's host sees no request. Only the
+// elector's Redirect moves the client.
+func TestClient421NeverMovesTheClient(t *testing.T) {
+	_, leader := newLeaderServer(t, 2)
+	outsider := serve421(t, func() string { return "" }) // stands in for an attacker's box
+	for name, target := range map[string]string{
+		"to the leader":   leader.URL,
+		"to a non-member": outsider.URL,
+	} {
+		t.Run(name, func(t *testing.T) {
+			follower := serve421(t, func() string { return target })
+			log := &hostLog{}
+			cl := repl.NewClient(repl.ClientConfig{
+				BaseURL: follower.URL,
+				HTTP:    &http.Client{Transport: log},
+				Seed:    3,
+				Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+				Breaker: resilience.BreakerConfig{FailureThreshold: 1},
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_, err := cl.Manifest(ctx)
+			if !errors.Is(err, repl.ErrSourceNotLeader) || !resilience.IsPermanent(err) {
+				t.Fatalf("Manifest: %v, want a permanent ErrSourceNotLeader", err)
+			}
+			if got, want := log.sent(), []string{strings.TrimPrefix(follower.URL, "http://")}; !slices.Equal(got, want) {
+				t.Fatalf("requests went to %v, want only %v", got, want)
+			}
+			if cl.Base() != follower.URL {
+				t.Fatalf("a 421 moved the base to %q", cl.Base())
+			}
+			if cl.Breaker().State() != resilience.Closed {
+				t.Fatal("a 421 was charged to the breaker")
+			}
+		})
 	}
 }
 

@@ -539,3 +539,34 @@ func TestClientBacksOffOnItsClock(t *testing.T) {
 		t.Fatalf("Manifest = %+v, %v after %d attempts; want seq 7 on the second", r.m, r.err, hits.Load())
 	}
 }
+
+// A shared retry budget throttles the replication client's retries: a
+// dead leader burns the bucket once, after which further requests fail
+// fast with the original transport error still in the chain.
+func TestClientRetriesRespectSharedBudget(t *testing.T) {
+	budget := resilience.NewBudget(resilience.BudgetConfig{Tokens: 2, Ratio: 0.1})
+	cl := repl.NewClient(repl.ClientConfig{
+		BaseURL: "http://127.0.0.1:1",
+		Seed:    3,
+		Retry: resilience.Policy{
+			MaxAttempts: 4,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    2 * time.Millisecond,
+		},
+		Breaker: resilience.BreakerConfig{FailureThreshold: 1000},
+		Budget:  budget,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := cl.Manifest(ctx); !errors.Is(err, resilience.ErrBudgetExhausted) {
+		t.Fatalf("first call: %v, want ErrBudgetExhausted after 2 budgeted retries", err)
+	}
+	// The bucket is dry: the next call gets its one free attempt and no
+	// retries, so the budget denial surfaces again without sleeping.
+	if _, err := cl.Manifest(ctx); !errors.Is(err, resilience.ErrBudgetExhausted) {
+		t.Fatalf("second call: %v, want ErrBudgetExhausted", err)
+	}
+	if got := budget.Retries(); got != 2 {
+		t.Fatalf("budget admitted %d retries, want 2", got)
+	}
+}

@@ -150,83 +150,6 @@ func TestRetrierSuccessRefillsSharedBudget(t *testing.T) {
 	}
 }
 
-func TestChaseFollowsWithinMembership(t *testing.T) {
-	allowed := func(base string) bool { return base == "http://b:1" || base == "http://c:1" }
-	c := NewChase("http://a:1", 3, allowed)
-	base, ok, err := c.Follow("http://b:1/v1/jobs")
-	if err != nil || !ok || base != "http://b:1" {
-		t.Fatalf("Follow = (%q, %v, %v), want (http://b:1, true, nil)", base, ok, err)
-	}
-	// Loop back to an already-visited base: stop, no error.
-	if _, ok, err := c.Follow("http://a:1/v1/jobs"); ok || err != nil {
-		t.Fatalf("revisit = (ok=%v, err=%v), want benign stop", ok, err)
-	}
-	if _, ok, err := c.Follow("http://b:1/v1/jobs"); ok || err != nil {
-		t.Fatalf("revisit current = (ok=%v, err=%v), want benign stop", ok, err)
-	}
-}
-
-func TestChaseDeniesNonMember(t *testing.T) {
-	allowed := func(base string) bool { return base == "http://b:1" }
-	c := NewChase("http://a:1", 3, allowed)
-	_, ok, err := c.Follow("http://evil.example:80/v1/jobs")
-	if ok {
-		t.Fatal("non-member target was followed")
-	}
-	if !errors.Is(err, ErrRedirectDenied) {
-		t.Fatalf("err = %v, want ErrRedirectDenied", err)
-	}
-	// The denial does not burn a hop: a member target still works.
-	if base, ok, err := c.Follow("http://b:1/x"); err != nil || !ok || base != "http://b:1" {
-		t.Fatalf("member target after denial = (%q, %v, %v)", base, ok, err)
-	}
-}
-
-func TestChaseHopBound(t *testing.T) {
-	c := NewChase("http://n0:1", 2, nil)
-	for i := 1; ; i++ {
-		base, ok, err := c.Follow(fmt.Sprintf("http://n%d:1/path", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if i != 3 {
-				t.Fatalf("chase stopped at hop %d, want after 2 follows", i)
-			}
-			return
-		}
-		if base == "" {
-			t.Fatal("ok with empty base")
-		}
-		if i > 10 {
-			t.Fatal("chase never stopped")
-		}
-	}
-}
-
-func TestChaseIgnoresMalformedLocation(t *testing.T) {
-	c := NewChase("http://a:1", 3, nil)
-	for _, loc := range []string{"", "/relative/path", "::bad::", "mailto:x@y"} {
-		if base, ok, err := c.Follow(loc); ok || err != nil || base != "" {
-			t.Fatalf("Follow(%q) = (%q, %v, %v), want benign stop", loc, base, ok, err)
-		}
-	}
-}
-
-func TestRedirectTarget(t *testing.T) {
-	cases := map[string]string{
-		"http://h:8080/v1/jobs?x=1": "http://h:8080",
-		"https://h/":                "https://h",
-		"/v1/jobs":                  "",
-		"":                          "",
-	}
-	for loc, want := range cases {
-		if got := RedirectTarget(loc); got != want {
-			t.Errorf("RedirectTarget(%q) = %q, want %q", loc, got, want)
-		}
-	}
-}
-
 // Budget denial must not delay the caller: the denied retry returns
 // immediately rather than sleeping first.
 func TestBudgetDenialReturnsWithoutSleeping(t *testing.T) {

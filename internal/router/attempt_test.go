@@ -347,8 +347,7 @@ func TestUnhedgedReadsLeaveNoGoroutines(t *testing.T) {
 
 // TestReadRelaysBackendRedirectWithoutFollowing: a backend's 3xx goes
 // back to the caller as it is. Following it — http.Client's default —
-// would take the read outside the membership the write path's chase is
-// held to.
+// would take the read outside the membership every request is held to.
 func TestReadRelaysBackendRedirectWithoutFollowing(t *testing.T) {
 	var outsiderHits atomic.Int64
 	outsider := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -73,8 +73,6 @@ func newMetrics(reg *telemetry.Registry, rt *Router) *metrics {
 		func() int64 { return rt.budget.Retries() })
 	reg.CounterFunc("mcbound_router_retry_budget_exhausted_total", "Retries denied by the budget.", nil,
 		func() int64 { return rt.budget.Exhausted() })
-	reg.CounterFunc("mcbound_router_leader_repoints_total", "Leader changes adopted from 421 chases.", nil,
-		func() int64 { return rt.repoints.Load() })
 	return m
 }
 

@@ -58,9 +58,6 @@ const (
 	DefaultEjectCooldown  = 10 * time.Second
 	DefaultPollEvery      = time.Second
 	DefaultMaxBodyBytes   = 8 << 20
-	// maxWriteHops bounds the 421 Location chase on the write path,
-	// mirroring the replication client.
-	maxWriteHops = 3
 	// maxRetries caps extra read attempts (distinct backends) after the
 	// first; each one must also win a retry-budget token.
 	maxRetries = 2
@@ -75,7 +72,8 @@ const (
 // value selects the documented default.
 type Config struct {
 	// Backends is the static member list the router fronts (it is not
-	// itself a member). Member URLs double as the redirect allowlist.
+	// itself a member). A request goes only to one of them: a leader a
+	// member reports counts only when it names a member.
 	Backends []cluster.Member
 	// MaxReadLag is the bounded-staleness cut: followers lagging more
 	// than this are excluded from normal read routing.
@@ -96,7 +94,7 @@ type Config struct {
 	// PollEvery is the health-probe period.
 	PollEvery time.Duration
 	// MaxBodyBytes caps the buffered write body (the buffer is what
-	// makes 421 re-forwarding safe).
+	// makes resending a write after a 421 safe).
 	MaxBodyBytes int64
 	// Seed drives every random choice (cooldown jitter) deterministically.
 	Seed uint64
@@ -107,7 +105,7 @@ type Config struct {
 	// Registry, when non-nil, receives the mcbound_router_* metrics.
 	Registry *telemetry.Registry
 	// Logger, when non-nil, receives routing decisions worth an
-	// operator's attention (ejections, leader re-points, brownouts).
+	// operator's attention (ejections, brownouts).
 	Logger *slog.Logger
 }
 
@@ -127,18 +125,14 @@ type Router struct {
 	rng   *stats.RNG
 
 	// refreshMu single-flights probe rounds; lastRefresh debounces the
-	// failure-triggered ones.
+	// failure-triggered ones. rounds counts the rounds begun, so a write
+	// that met a 421 can tell whether one began after it was sent.
 	refreshMu   sync.Mutex
 	lastRefresh time.Time
+	rounds      atomic.Uint64
 
-	// adopted is the leader learned from a successful 421 chase, used
-	// until the next probe round confirms a self-identified leader.
-	leaderMu sync.Mutex
-	adopted  string
-
-	// repoints and hedges back the CounterFunc and the accessors.
-	repoints atomic.Int64
-	hedges   atomic.Int64
+	// hedges backs the Hedges accessor.
+	hedges atomic.Int64
 }
 
 // New validates cfg, applies defaults and builds the router.
@@ -166,8 +160,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	// The router's own copy of the client: a backend's 3xx is relayed to
 	// the caller, never followed — a redirect could lead outside the
-	// membership, and only the write path's 421 chase (which checks
-	// isMember) may move a request to another host.
+	// membership, and a request goes only to a member the probes name.
 	hc := &http.Client{}
 	if cfg.HTTP != nil {
 		*hc = *cfg.HTTP
@@ -214,8 +207,8 @@ func (rt *Router) Budget() *resilience.Budget { return rt.budget }
 // Hedges reports how many hedge attempts have been launched.
 func (rt *Router) Hedges() int64 { return rt.hedges.Load() }
 
-// isMember is the redirect allowlist: only configured backend URLs may
-// be chased.
+// isMember reports whether base is a configured backend's URL: a
+// member's word on where the leader lives counts only when it names one.
 func (rt *Router) isMember(base string) bool {
 	return rt.byURL[strings.TrimRight(base, "/")] != nil
 }
@@ -265,8 +258,25 @@ func (rt *Router) probeTimeout() time.Duration {
 	return d
 }
 
-// probeAll polls every backend's /healthz concurrently.
+// refreshSince runs a probe round unless one has begun since the caller
+// read round from rt.rounds: that round, which this call waits out,
+// already saw the fleet as the caller's last answer left it. So a burst
+// of 421s shares one round. The round runs on its own deadline, not
+// ctx's: other writes may be waiting on it.
+func (rt *Router) refreshSince(ctx context.Context, round uint64) {
+	rt.refreshMu.Lock()
+	defer rt.refreshMu.Unlock()
+	if rt.rounds.Load() != round {
+		return
+	}
+	rt.probeAll(context.WithoutCancel(ctx))
+	rt.lastRefresh = rt.clock.Now()
+}
+
+// probeAll polls every backend's /healthz concurrently. The caller
+// holds refreshMu.
 func (rt *Router) probeAll(ctx context.Context) {
+	rt.rounds.Add(1)
 	pctx, cancel := clock.WithTimeout(ctx, rt.clock, rt.probeTimeout())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -278,37 +288,12 @@ func (rt *Router) probeAll(ctx context.Context) {
 		}(b)
 	}
 	wg.Wait()
-	// A probe round that finds a self-identified leader supersedes any
-	// chase-adopted one; keeping the adoption would pin writes to a
-	// member the cluster may have moved past again.
-	for _, b := range rt.backends {
-		s := b.snapshot()
-		if s.alive && s.isLeader() {
-			rt.leaderMu.Lock()
-			if rt.adopted != "" && rt.adopted != b.member.URL {
-				rt.log.Info("router: probe confirmed leader, dropping adopted", "leader", b.member.URL, "adopted", rt.adopted)
-			}
-			rt.adopted = ""
-			rt.leaderMu.Unlock()
-			break
-		}
-	}
 }
 
-// leaderURL resolves the current leader. A leader adopted from a 421
-// chase wins first — it is fresher than any probe (the probe round that
-// confirms a self-identified leader clears it). Then a backend that
-// identifies itself as the lease-holding leader; then any live member's
+// leaderURL resolves the current leader from the probes: a backend that
+// identifies itself as the lease-holding leader, then any live member's
 // observation of where the leader lives — as long as it names a member.
 func (rt *Router) leaderURL() string {
-	rt.leaderMu.Lock()
-	adopted := rt.adopted
-	rt.leaderMu.Unlock()
-	if lb := rt.byURL[strings.TrimRight(adopted, "/")]; lb != nil {
-		if ls := lb.snapshot(); !ls.probed || ls.alive {
-			return adopted
-		}
-	}
 	for _, b := range rt.backends {
 		s := b.snapshot()
 		if s.probed && s.alive && s.isLeader() {
@@ -329,18 +314,6 @@ func (rt *Router) leaderURL() string {
 		}
 	}
 	return ""
-}
-
-// adopt records a leader learned from a 421 chase.
-func (rt *Router) adopt(base string) {
-	rt.leaderMu.Lock()
-	changed := rt.adopted != base
-	rt.adopted = base
-	rt.leaderMu.Unlock()
-	if changed {
-		rt.repoints.Add(1)
-		rt.log.Info("router: adopted leader from redirect chase", "leader", base)
-	}
 }
 
 // readCandidates assembles the preference-ordered backend list for a
@@ -791,10 +764,13 @@ func (rt *Router) discardLoser(res tryResult) {
 
 // --- write path --------------------------------------------------------
 
-// forwardWrite buffers the body (bounded) and forwards to the leader,
-// chasing 421 redirects within the membership. Transport failures are
-// never blindly retried — the write may have been applied — so the
-// client gets a typed 502 and decides.
+// forwardWrite buffers the body (bounded) and forwards it to the leader
+// the probes name. A 421 means the probes are behind: one round, shared
+// with every write that met a 421 meanwhile, re-resolves the leader, and
+// the write is resent once if that names a different member; otherwise
+// it browns out. Transport failures are never blindly retried — the
+// write may have been applied — so the client gets a typed 502 and
+// decides.
 func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request, id string) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
 	if err != nil {
@@ -808,18 +784,19 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request, id string
 			fmt.Sprintf("write body exceeds the router's %d-byte buffer", rt.cfg.MaxBodyBytes))
 		return
 	}
+	round := rt.rounds.Load()
 	leader := rt.leaderURL()
 	if leader == "" {
-		rt.RefreshNow(r.Context())
+		rt.refreshSince(r.Context(), round)
 		leader = rt.leaderURL()
 	}
 	if leader == "" {
 		rt.brownoutWrite(w, id, nil)
 		return
 	}
-	chase := resilience.NewChase(leader, maxWriteHops, rt.isMember)
-	for {
-		b := rt.byURL[leader] // leaderURL and the chase name members only
+	for resent := false; ; resent = true {
+		b := rt.byURL[leader] // leaderURL names members only
+		round = rt.rounds.Load()
 		actx, cancel := clock.WithTimeout(r.Context(), rt.clock, forwardTimeout)
 		start := rt.clock.Now()
 		resp, derr := rt.hc.Do(rt.cloneRequest(actx, r, id, b, bytes.NewReader(body)))
@@ -835,27 +812,20 @@ func (rt *Router) forwardWrite(w http.ResponseWriter, r *http.Request, id string
 			return
 		}
 		if resp.StatusCode == http.StatusMisdirectedRequest {
-			loc := resp.Header.Get("Location")
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			cancel()
-			next, ok, cerr := chase.Follow(loc)
-			if cerr != nil {
-				rt.met.requests("write", "redirect_denied").Inc()
-				rt.writeError(w, http.StatusBadGateway, httpapi.CodeUpstream,
-					"backend redirected outside cluster membership: "+cerr.Error())
-				return
+			if !resent {
+				rt.refreshSince(r.Context(), round)
+				if next := rt.leaderURL(); next != "" && next != leader {
+					leader = next
+					continue
+				}
 			}
-			if !ok {
-				// Chased to the hop bound without finding a leader: the
-				// cluster is mid-election. Brownout.
-				rt.refreshSoon()
-				rt.brownoutWrite(w, id, fmt.Errorf("no member accepted the write after %d redirects", maxWriteHops))
-				return
-			}
-			leader = next
-			rt.adopt(next)
-			continue
+			// The cluster is mid-election, or a member names a leader
+			// outside it. Brownout.
+			rt.brownoutWrite(w, id, fmt.Errorf("%s answered 421 not_leader", b.member.ID))
+			return
 		}
 		// 503 lease_lost (and friends) relay as-is but nudge a re-probe so
 		// the next write lands on the new leader.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -77,41 +78,89 @@ func TestWritesGoToLeader(t *testing.T) {
 	}
 }
 
-func TestWriteChases421AndAdoptsNewLeader(t *testing.T) {
-	n1, n2, n3 := threeNode(t)
-	rt, front := mkRouter(t, Config{}, n1, n2, n3) // probes now say "n1 leads"
-
-	// Leadership moves to n2 behind the router's back: its probe state
-	// is stale, and n1 answers the next write 421 with a Location
-	// naming n2.
-	n2URL := n2.url()
-	n1.set(func(b *stubBackend) { b.role = "follower"; b.leaseHeld = false; b.leaderURL = n2URL })
-	n2.set(func(b *stubBackend) { b.role = "leader"; b.leaseHeld = true; b.leaderURL = n2URL })
-	n3.set(func(b *stubBackend) { b.leaderURL = n2URL })
-
+// post sends one empty write through the front door.
+func post(t *testing.T, front *httptest.Server) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := front.Client().Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`[]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, body
+}
+
+// depose moves leadership from n1 to n2 behind the router's back: its
+// probe state is stale, and n1 answers the next write 421.
+func depose(n1, n2, n3 *stubBackend) {
+	n2URL := n2.url()
+	n1.set(func(b *stubBackend) { b.role = "follower"; b.leaseHeld = false; b.leaderURL = n2URL })
+	n2.set(func(b *stubBackend) { b.role = "leader"; b.leaseHeld = true; b.leaderURL = n2URL })
+	n3.set(func(b *stubBackend) { b.leaderURL = n2URL })
+}
+
+func TestWriteReprobesOn421(t *testing.T) {
+	n1, n2, n3 := threeNode(t)
+	_, front := mkRouter(t, Config{}, n1, n2, n3) // probes now say "n1 leads"
+	depose(n1, n2, n3)
+
+	resp, body := post(t, front)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("chased write status %d", resp.StatusCode)
+		t.Fatalf("write after a 421: status %d (%s)", resp.StatusCode, body)
 	}
 	if b := resp.Header.Get(BackendHeader); b != "n2" {
-		t.Fatalf("chased write served by %q, want n2", b)
+		t.Fatalf("write after a 421 served by %q, want n2", b)
 	}
-	if rt.repoints.Load() == 0 {
-		t.Fatal("chase adopted no leader")
-	}
-	// The adoption sticks: the next write goes straight to n2.
+	// The re-probe sticks: the next write goes straight to n2.
 	before := n1.hitCount()
-	resp2, err := front.Client().Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`[]`))
-	if err != nil {
-		t.Fatal(err)
+	if resp, _ := post(t, front); resp.Header.Get(BackendHeader) != "n2" || n1.hitCount() != before {
+		t.Fatalf("second write served by %q, deposed leader hit %d more times", resp.Header.Get(BackendHeader), n1.hitCount()-before)
 	}
-	resp2.Body.Close()
-	if n1.hitCount() != before {
-		t.Fatal("second write still visited the deposed leader")
+}
+
+// Eight writes that meet a 421 together share the probe round one of
+// them runs: each member is probed at most twice, not eight times.
+func TestConcurrent421sShareAProbeRound(t *testing.T) {
+	n1, n2, n3 := threeNode(t)
+	_, front := mkRouter(t, Config{}, n1, n2, n3)
+	depose(n1, n2, n3)
+	gate := make(chan struct{})
+	n1.set(func(b *stubBackend) { b.gate = gate }) // all eight reach n1 before any is answered
+	probed := []int{n1.probeCount(), n2.probeCount(), n3.probeCount()}
+
+	const writes = 8
+	codes := make(chan int, writes)
+	for range writes {
+		go func() {
+			resp, err := front.Client().Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`[]`))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n1.hitCount() < writes {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d writes reached n1", n1.hitCount(), writes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for range writes {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("write status %d, want 200 from the re-probed leader", code)
+		}
+	}
+	for i, s := range []*stubBackend{n1, n2, n3} {
+		if rounds := s.probeCount() - probed[i]; rounds > 2 {
+			t.Errorf("%s probed %d times for %d concurrent 421s, want at most 2", s.id, rounds, writes)
+		}
+	}
+	if got := n2.hitCount(); got != writes {
+		t.Errorf("n2 took %d writes, want %d", got, writes)
 	}
 }
 
@@ -126,26 +175,22 @@ func TestWriteRefusesRedirectOutsideMembership(t *testing.T) {
 			_, front := mkRouter(t, Config{}, n1, n2, n3) // probes say "n1 leads"
 
 			// n1 turns hostile (or just confused): it 421s writes at a URL
-			// that is not part of the cluster.
+			// that is not part of the cluster. The re-probe finds no other
+			// member to resend to, so the write browns out.
 			n1.set(func(b *stubBackend) { b.role = "follower"; b.leaseHeld = false; b.leaderURL = leader })
 
-			resp, err := front.Client().Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(`[]`))
-			if err != nil {
-				t.Fatal(err)
+			resp, body := post(t, front)
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
 			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadGateway {
-				t.Fatalf("status %d, want 502 on redirect outside membership", resp.StatusCode)
-			}
-			// The envelope is JSON whatever the Location held, so a peer
+			// The envelope is JSON whatever the member reported, so a peer
 			// client reads its code.
 			var e peer.ErrorBody
-			if err := json.Unmarshal(body, &e); err != nil || e.Code != httpapi.CodeUpstream {
-				t.Fatalf("body %q decodes to code %q (%v), want %q", body, e.Code, err, httpapi.CodeUpstream)
+			if err := json.Unmarshal(body, &e); err != nil || e.Code != httpapi.CodeNoLeader {
+				t.Fatalf("body %q decodes to code %q (%v), want %q", body, e.Code, err, httpapi.CodeNoLeader)
 			}
 			if evil.hitCount() != 0 {
-				t.Fatal("router contacted a non-member URL from a Location header")
+				t.Fatal("router contacted a non-member URL")
 			}
 		})
 	}

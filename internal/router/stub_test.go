@@ -33,6 +33,7 @@ type stubBackend struct {
 	gate      chan struct{} // when set, every data request waits for it to close
 	failReads bool          // 5xx every data request
 	hits      int
+	probes    int      // /healthz requests answered
 	canceled  int      // data requests whose context died before the delay or gate
 	ids       []string // X-Request-Id of every data request, in arrival order
 }
@@ -57,6 +58,12 @@ func (b *stubBackend) hitCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.hits
+}
+
+func (b *stubBackend) probeCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.probes
 }
 
 func (b *stubBackend) requestIDs() []string {
@@ -90,6 +97,9 @@ func (b *stubBackend) handle(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if r.URL.Path == "/healthz" {
+		b.mu.Lock()
+		b.probes++
+		b.mu.Unlock()
 		b.writeHealth(w, role, lease, leaderURL, lag)
 		return
 	}
