@@ -68,7 +68,12 @@ func Unmarshal(data []byte, j *Job) error {
 		}
 	}
 	fallbacks.Add(1)
-	return json.Unmarshal(data, j)
+	// Through a copy: handed to encoding/json, j itself would escape, and
+	// every caller's record would be allocated on the strict path too.
+	fb := *j
+	err := json.Unmarshal(data, &fb)
+	*j = fb
+	return err
 }
 
 // AppendJSON appends json.Marshal(j)'s bytes to b: the encoder twin of
@@ -269,14 +274,28 @@ func splitArray(data []byte, parts int) ([]*Job, bool) {
 // records parses the records of an array from the first one's "{". With
 // land < 0 it ends on the closing bracket; otherwise a record must end
 // exactly at land, and the parse stops there.
+//
+// The records are cut from slabs, not allocated one by one: the part's
+// length divided by its first record's guesses how many it holds, and a
+// slab of that many, at least one and at most maxSlab, is filled before
+// the next is sized the same way on what is left. A record then lives as
+// long as any record of its slab; the store copies what it keeps.
 func (p *parser) records(land int) ([]*Job, bool) {
-	var jobs []*Job
+	end := land
+	if end < 0 {
+		end = len(p.data)
+	}
+	start := p.pos
+	var first Job
+	if !p.job(&first) {
+		return nil, false
+	}
+	size := p.pos - start
+	slab := make([]Job, min(max((end-start)/size, 1), maxSlab))
+	slab[0] = first
+	jobs := make([]*Job, 1, len(slab))
+	jobs[0], slab = &slab[0], slab[1:]
 	for {
-		j := new(Job)
-		if !p.job(j) {
-			return nil, false
-		}
-		jobs = append(jobs, j)
 		if land >= 0 && p.pos >= land {
 			return jobs, p.pos == land
 		}
@@ -287,8 +306,20 @@ func (p *parser) records(land int) ([]*Job, bool) {
 		default:
 			return nil, false
 		}
+		if len(slab) == 0 {
+			slab = make([]Job, min(max((end-p.pos)/size, 1), maxSlab))
+		}
+		j := &slab[0]
+		if slab = slab[1:]; !p.job(j) {
+			return nil, false
+		}
+		jobs = append(jobs, j)
 	}
 }
+
+// maxSlab bounds a slab, so that a first record far shorter than the
+// rest ("[{},…]") cannot make a body allocate records it does not hold.
+const maxSlab = 1024
 
 // parser is a cursor over one input. Every method reports whether the
 // bytes at the cursor were in the strict subset; after a false the
@@ -299,7 +330,7 @@ type parser struct {
 }
 
 func (p *parser) skipSpace() {
-	for p.pos < len(p.data) {
+	for p.pos < len(p.data) && p.data[p.pos] <= ' ' {
 		switch p.data[p.pos] {
 		case ' ', '\t', '\r', '\n':
 			p.pos++
@@ -312,6 +343,15 @@ func (p *parser) skipSpace() {
 func (p *parser) consume(c byte) bool {
 	if p.pos < len(p.data) && p.data[p.pos] == c {
 		p.pos++
+		return true
+	}
+	return false
+}
+
+// literal consumes s if the input continues with it at the cursor.
+func (p *parser) literal(s string) bool {
+	if len(p.data)-p.pos >= len(s) && string(p.data[p.pos:p.pos+len(s)]) == s {
+		p.pos += len(s)
 		return true
 	}
 	return false
@@ -331,88 +371,115 @@ func (p *parser) delim() byte {
 	return c
 }
 
-// members walks the members of the object at the cursor, calling field
-// with each key and the cursor on the member's value. field parses the
-// value and reports the key's bit (0 for a key that is not the
-// struct's); a bit seen twice is a repeated key.
-func (p *parser) members(field func(key []byte) (bit uint16, ok bool)) bool {
-	if !p.consume('{') {
-		return false
-	}
-	p.skipSpace()
-	if p.consume('}') {
-		return true
-	}
-	var seen uint16
-	for {
+// jobKeys and counterKeys are the members of a record and of its
+// counters in the order AppendJSON writes them, each spelled with the
+// byte before it and the colon after it: `{"id":`, `,"user":` and so on.
+// A key's index is its case in the value switch of job or counters.
+var (
+	jobKeys = [...]string{`{"id":`, `,"user":`, `,"name":`, `,"env":`, `,"cores_req":`, `,"nodes_req":`, `,"freq_req":`,
+		`,"submit":`, `,"start":`, `,"end":`, `,"nodes_alloc":`, `,"exit":`, `,"counters":`, `,"true_label":`}
+	counterKeys = [...]string{`{"perf2":`, `,"perf3":`, `,"perf4":`, `,"perf5":`, `,"tofu_bytes":`}
+)
+
+// member reads what lies between an object's "{", or the end of a
+// member's value, and the next member's value: the separator, the key
+// and the colon. It returns the key's index in keys, or more false at
+// the object's closing brace. keys[next], the member AppendJSON writes
+// after the previous one, is compared at the cursor first; on a miss
+// the separator and the key are scanned and the key is looked up. The
+// first member, next 0, follows the "{", every other a comma. A key that
+// is not the struct's, or one seen before, is not the strict parser's.
+func (p *parser) member(keys []string, next int, seen *uint16) (i int, more, ok bool) {
+	i = -1
+	if next < len(keys) && p.literal(keys[next]) {
+		i = next
+		p.skipSpace()
+	} else {
+		switch c := p.delim(); {
+		case c == '{' && next == 0:
+			if p.consume('}') {
+				return 0, false, true
+			}
+		case c == ',' && next > 0:
+		case c == '}' && next > 0:
+			return 0, false, true
+		default:
+			return 0, false, false
+		}
 		if !p.consume('"') {
-			return false
+			return 0, false, false
 		}
 		// A key with an escaped quote ends early here and then matches no
 		// field name, which is what its escape calls for anyway.
 		n := bytes.IndexByte(p.data[p.pos:], '"')
 		if n < 0 {
-			return false
+			return 0, false, false
 		}
-		key := p.data[p.pos : p.pos+n]
-		p.pos += n + 1
-		if p.delim() != ':' {
-			return false
+		name := p.data[p.pos : p.pos+n]
+		if p.pos += n + 1; p.delim() != ':' {
+			return 0, false, false
 		}
-		bit, ok := field(key)
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		switch p.delim() {
-		case ',':
-		case '}':
-			return true
-		default:
-			return false
+		for k, spelled := range keys {
+			if spelled[2:len(spelled)-2] == string(name) {
+				i = k
+			}
 		}
 	}
+	if i < 0 || *seen&(1<<i) != 0 {
+		return 0, false, false
+	}
+	*seen |= 1 << i
+	return i, true, true
 }
 
 // job parses one record. Keys match exactly: encoding/json also accepts
-// them in any case, so a case variant is its to decode.
+// them in any case, so a case variant is its to decode. In the loop i is
+// the key predicted for the member and then the one read.
 func (p *parser) job(j *Job) bool {
 	var id, user, name, env span
-	ok := p.members(func(key []byte) (bit uint16, ok bool) {
-		switch string(key) {
-		case "id":
-			bit, ok = 1<<0, p.str(&id)
-		case "user":
-			bit, ok = 1<<1, p.str(&user)
-		case "name":
-			bit, ok = 1<<2, p.str(&name)
-		case "env":
-			bit, ok = 1<<3, p.str(&env)
-		case "cores_req":
-			bit, ok = 1<<4, integer(p, &j.CoresRequested, strconv.IntSize)
-		case "nodes_req":
-			bit, ok = 1<<5, integer(p, &j.NodesRequested, strconv.IntSize)
-		case "freq_req":
-			bit, ok = 1<<6, integer(p, &j.FreqRequested, 32)
-		case "submit":
-			bit, ok = 1<<7, p.time(&j.SubmitTime)
-		case "start":
-			bit, ok = 1<<8, p.time(&j.StartTime)
-		case "end":
-			bit, ok = 1<<9, p.time(&j.EndTime)
-		case "nodes_alloc":
-			bit, ok = 1<<10, integer(p, &j.NodesAllocated, strconv.IntSize)
-		case "exit":
-			bit, ok = 1<<11, integer(p, &j.ExitCode, strconv.IntSize)
-		case "counters":
-			bit, ok = 1<<12, p.counters(&j.Counters)
-		case "true_label":
-			bit, ok = 1<<13, integer(p, &j.TrueLabel, 8)
+	var seen uint16
+	for i := 0; ; i++ {
+		var more, ok bool
+		i, more, ok = p.member(jobKeys[:], i, &seen)
+		if !ok {
+			return false
 		}
-		return bit, ok
-	})
-	if !ok {
-		return false
+		if !more {
+			break
+		}
+		switch i {
+		case 0:
+			ok = p.str(&id)
+		case 1:
+			ok = p.str(&user)
+		case 2:
+			ok = p.str(&name)
+		case 3:
+			ok = p.str(&env)
+		case 4:
+			ok = integer(p, &j.CoresRequested, strconv.IntSize)
+		case 5:
+			ok = integer(p, &j.NodesRequested, strconv.IntSize)
+		case 6:
+			ok = integer(p, &j.FreqRequested, 32)
+		case 7:
+			ok = p.time(&j.SubmitTime)
+		case 8:
+			ok = p.time(&j.StartTime)
+		case 9:
+			ok = p.time(&j.EndTime)
+		case 10:
+			ok = integer(p, &j.NodesAllocated, strconv.IntSize)
+		case 11:
+			ok = integer(p, &j.ExitCode, strconv.IntSize)
+		case 12:
+			ok = p.counters(&j.Counters)
+		case 13:
+			ok = integer(p, &j.TrueLabel, 8)
+		}
+		if !ok {
+			return false
+		}
 	}
 	// The record's strings are copied out together: one allocation holds
 	// all four, which live and die with the record anyway.
@@ -432,21 +499,28 @@ func (p *parser) job(j *Job) bool {
 }
 
 func (p *parser) counters(c *PerfCounters) bool {
-	return p.members(func(key []byte) (bit uint16, ok bool) {
-		switch string(key) {
-		case "perf2":
-			bit, ok = 1<<0, p.float(&c.Perf2)
-		case "perf3":
-			bit, ok = 1<<1, p.float(&c.Perf3)
-		case "perf4":
-			bit, ok = 1<<2, p.float(&c.Perf4)
-		case "perf5":
-			bit, ok = 1<<3, p.float(&c.Perf5)
-		case "tofu_bytes":
-			bit, ok = 1<<4, p.float(&c.TofuBytes)
+	var seen uint16
+	for i := 0; ; i++ {
+		var more, ok bool
+		if i, more, ok = p.member(counterKeys[:], i, &seen); !ok || !more {
+			return ok
 		}
-		return bit, ok
-	})
+		switch i {
+		case 0:
+			ok = p.float(&c.Perf2)
+		case 1:
+			ok = p.float(&c.Perf3)
+		case 2:
+			ok = p.float(&c.Perf4)
+		case 3:
+			ok = p.float(&c.Perf5)
+		case 4:
+			ok = p.float(&c.TofuBytes)
+		}
+		if !ok {
+			return false
+		}
+	}
 }
 
 // span locates a string value's contents in the input; set tells an
@@ -458,6 +532,29 @@ type span struct {
 
 func (s span) len() int { return s.end - s.start }
 
+// The classes of a byte inside a string literal, and strClass, which
+// maps every byte to its class.
+const (
+	strPlain = iota // copied as is
+	strQuote        // ends the literal
+	strWide         // part of a multi-byte UTF-8 sequence
+	strOut          // a backslash or a control byte
+)
+
+var strClass = func() (class [256]uint8) {
+	for c := range class {
+		switch {
+		case c == '"':
+			class[c] = strQuote
+		case c == '\\' || c < ' ':
+			class[c] = strOut
+		case c >= utf8.RuneSelf:
+			class[c] = strWide
+		}
+	}
+	return class
+}()
+
 // str scans the string literal at the cursor. A backslash or a control
 // byte ends the strict parse: the first needs unquoting, the second is a
 // syntax error.
@@ -467,16 +564,22 @@ func (p *parser) str(dst *span) bool {
 	}
 	start, ascii := p.pos, true
 	for i := start; i < len(p.data); i++ {
-		switch c := p.data[i]; {
-		case c == '"':
+		for i < len(p.data) && strClass[p.data[i]] == strPlain {
+			i++
+		}
+		if i == len(p.data) {
+			break
+		}
+		switch strClass[p.data[i]] {
+		case strQuote:
 			*dst = span{start, i, true}
 			p.pos = i + 1
 			// encoding/json replaces invalid UTF-8 with U+FFFD.
 			return ascii || utf8.Valid(p.data[start:i])
-		case c == '\\' || c < ' ':
-			return false
-		case c >= utf8.RuneSelf:
+		case strWide:
 			ascii = false
+		default:
+			return false
 		}
 	}
 	return false
@@ -486,51 +589,115 @@ func (p *parser) str(dst *span) bool {
 // end of every record not yet run.
 const zeroTime = "0001-01-01T00:00:00Z"
 
-// time hands the literal, quotes included, to the method encoding/json
-// itself calls, so what counts as RFC 3339 is the library's decision —
-// but for zeroTime, which that method parses to time.Time{} (pinned by
-// TestZeroTimeLiteralIsTheZeroTime) and which is answered here.
+// time parses a time literal. One in UTC to at most the nanosecond,
+// dddd-dd-ddTdd:dd:dd[.d{1,9}]Z — every time AppendJSON writes — is
+// read in place by rfc3339; any other goes, quotes included, to the
+// method encoding/json itself calls, so what else counts as RFC 3339
+// is the library's decision. zeroTime, two of a submission's three
+// times, is compared first: that costs less than a time.Date, and
+// TestZeroTimeLiteralIsTheZeroTime pins that it decodes to time.Time{}.
 func (p *parser) time(dst *time.Time) bool {
+	if p.literal(`"` + zeroTime + `"`) {
+		*dst = time.Time{}
+		return true
+	}
+	if t, n, ok := rfc3339(p.data[p.pos:]); ok {
+		*dst, p.pos = t, p.pos+n
+		return true
+	}
 	var lit span
 	if !p.str(&lit) {
 		return false
 	}
-	if string(p.data[lit.start:lit.end]) == zeroTime {
-		*dst = time.Time{}
-		return true
-	}
 	return dst.UnmarshalJSON(p.data[lit.start-1:lit.end+1]) == nil
 }
 
+// rfc3339 reads the quoted literal at the start of b if it is in
+// time's subset, and returns the time and the literal's length. Its
+// range checks are the library parser's: a month, a day of that month
+// (leap years included), an hour below 24, a minute and a second below
+// 60.
+func rfc3339(b []byte) (time.Time, int, bool) {
+	const layout = `"dddd-dd-ddTdd:dd:dd`
+	if len(b) < len(layout)+len(`Z"`) || b[0] != '"' || b[5] != '-' || b[8] != '-' || b[11] != 'T' || b[14] != ':' || b[17] != ':' {
+		return time.Time{}, 0, false
+	}
+	year, month, day := decimal(b[1:5]), decimal(b[6:8]), decimal(b[9:11])
+	hour, minute, sec := decimal(b[12:14]), decimal(b[15:17]), decimal(b[18:20])
+	if year < 0 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		uint(hour) > 23 || uint(minute) > 59 || uint(sec) > 59 {
+		return time.Time{}, 0, false
+	}
+	i, nsec := len(layout), 0
+	if b[i] == '.' {
+		n := 1
+		for i+n < len(b) && b[i+n]-'0' <= 9 && n <= 9 {
+			nsec = nsec*10 + int(b[i+n]-'0')
+			n++
+		}
+		if n == 1 { // a tenth digit is caught where the Z is looked for
+			return time.Time{}, 0, false
+		}
+		for range 10 - n {
+			nsec *= 10
+		}
+		i += n
+	}
+	if len(b) < i+len(`Z"`) || b[i] != 'Z' || b[i+1] != '"' {
+		return time.Time{}, 0, false
+	}
+	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), i + len(`Z"`), true
+}
+
+// decimal is the value of the decimal digits b, or -1 if b holds
+// another byte.
+func decimal(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c-'0' > 9 {
+			return -1
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n
+}
+
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}
+
 // number scans one literal of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether
-// it has neither fraction nor exponent.
-func (p *parser) number() (lit []byte, integral, ok bool) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+func (p *parser) number() (lit []byte, ok bool) {
 	start := p.pos
 	p.consume('-')
 	switch {
 	case p.consume('0'):
 	case p.digits():
 	default:
-		return nil, false, false
+		return nil, false
 	}
-	integral = true
-	if p.consume('.') {
-		integral = false
-		if !p.digits() {
-			return nil, false, false
-		}
+	if p.consume('.') && !p.digits() {
+		return nil, false
 	}
 	if p.consume('e') || p.consume('E') {
-		integral = false
 		if !p.consume('+') {
 			p.consume('-')
 		}
 		if !p.digits() {
-			return nil, false, false
+			return nil, false
 		}
 	}
-	return p.data[start:p.pos], integral, true
+	return p.data[start:p.pos], true
 }
 
 // digits consumes a run of at least one decimal digit.
@@ -542,21 +709,61 @@ func (p *parser) digits() bool {
 	return p.pos > start
 }
 
-// integer parses a number into a signed field bits wide; a fraction,
-// an exponent or a value out of range is encoding/json's
-// UnmarshalTypeError to report.
-func integer[T ~int | ~int32 | ~int8](p *parser, dst *T, bits int) bool {
-	lit, integral, ok := p.number()
-	if !ok || !integral {
-		return false
+// unsigned reads the digits at the cursor, as many as there are, and
+// returns their value (meaningless past 18 of them) and their count.
+func (p *parser) unsigned() (n int64, digits int) {
+	start := p.pos
+	for p.pos < len(p.data) && p.data[p.pos]-'0' <= 9 {
+		n = n*10 + int64(p.data[p.pos]-'0')
+		p.pos++
 	}
-	n, err := strconv.ParseInt(string(lit), 10, bits)
-	*dst = T(n)
-	return err == nil
+	return n, p.pos - start
 }
 
+// fraction reports whether a fraction or an exponent follows the
+// integer digits before the cursor.
+func (p *parser) fraction() bool {
+	return p.pos < len(p.data) && (p.data[p.pos] == '.' || p.data[p.pos]|0x20 == 'e')
+}
+
+// integer parses a number into a signed field bits wide. Up to 18
+// digits, where no int64 overflows, it is read in place; a longer one
+// goes to strconv.ParseInt. A fraction, an exponent or a value out of
+// range is encoding/json's UnmarshalTypeError to report.
+func integer[T ~int | ~int32 | ~int8](p *parser, dst *T, bits int) bool {
+	start := p.pos
+	neg := p.consume('-')
+	lead := p.pos
+	n, digits := p.unsigned()
+	switch {
+	case digits == 0, digits > 1 && p.data[lead] == '0', p.fraction():
+		return false
+	case digits > 18:
+		v, err := strconv.ParseInt(string(p.data[start:p.pos]), 10, bits)
+		*dst = T(v)
+		return err == nil
+	}
+	if limit := uint64(1) << (bits - 1); uint64(n) >= limit && !(neg && uint64(n) == limit) {
+		return false
+	}
+	if neg {
+		n = -n
+	}
+	*dst = T(n)
+	return true
+}
+
+// float parses a number into a float64. A non-negative integer of up to
+// 15 digits is below 2^53, so float64 of it is exact; every other
+// literal, -0 among them, goes to strconv.ParseFloat.
 func (p *parser) float(dst *float64) bool {
-	lit, _, ok := p.number()
+	start := p.pos
+	if n, digits := p.unsigned(); digits > 0 && digits <= 15 && (digits == 1 || p.data[start] != '0') && !p.fraction() {
+		*dst = float64(n)
+		return true
+	}
+	p.pos = start
+	lit, ok := p.number()
 	if !ok {
 		return false
 	}

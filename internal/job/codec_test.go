@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,6 +17,38 @@ func stdArray(data []byte) ([]*Job, error) {
 	var jobs []*Job
 	err := json.NewDecoder(bytes.NewReader(data)).Decode(&jobs)
 	return jobs, err
+}
+
+// sameJobs is reflect.DeepEqual with every counter also compared by its
+// bits: DeepEqual compares floats with ==, to which -0 and +0 are equal,
+// so a sign-of-zero slip in a float path would pass it.
+func sameJobs(a, b []*Job) bool {
+	if !reflect.DeepEqual(a, b) {
+		return false
+	}
+	for i, j := range a {
+		if j != nil && counterBits(j.Counters) != counterBits(b[i].Counters) {
+			return false
+		}
+	}
+	return true
+}
+
+func counterBits(c PerfCounters) [5]uint64 {
+	return [5]uint64{math.Float64bits(c.Perf2), math.Float64bits(c.Perf3), math.Float64bits(c.Perf4),
+		math.Float64bits(c.Perf5), math.Float64bits(c.TofuBytes)}
+}
+
+func TestSameJobsTellsTheSignOfZero(t *testing.T) {
+	pos, neg := completedJob(), completedJob()
+	pos.Counters.Perf3, neg.Counters.Perf3 = 0, math.Copysign(0, -1)
+	if !reflect.DeepEqual(pos, neg) {
+		t.Fatal("reflect.DeepEqual tells -0 from +0; sameJobs has nothing to add")
+	}
+	same := *pos
+	if sameJobs([]*Job{pos}, []*Job{neg}) || !sameJobs([]*Job{pos, nil}, []*Job{&same, nil}) {
+		t.Fatal("sameJobs does not compare counters by their bits")
+	}
 }
 
 func errString(err error) string {
@@ -71,6 +104,37 @@ var recordSeeds = []string{
 	`{"submit":"0001-01-01T00:00:00Z"}`, `{"submit":"2024-02-30T00:00:00Z"}`, `{"submit":"2024-02-01 12:00:00"}`, `{"submit":1706788800}`, `{"submit":null}`,
 	`{"id":null}`, `{"id":"a",}`, `{"id" "a"}`, `{"id":"a"`, `{"id":"a`, `{`, ``, ` `, `null`, `nul`, `"id"`, `12`,
 	`{"id":"a"} x`, `{"id":"a"}{"id":"b"}`, "{\"id\":\"a\"}\n",
+	// The edges of the in-place fast paths. Dates: leap days of a leap
+	// year, a common year, a century and a fourth century.
+	`{"submit":"2024-02-29T00:00:00Z"}`, `{"submit":"2023-02-29T00:00:00Z"}`,
+	`{"submit":"1900-02-29T00:00:00Z"}`, `{"submit":"2000-02-29T00:00:00Z"}`,
+	`{"submit":"2024-02-01T24:00:00Z"}`, `{"submit":"2024-02-01T12:60:00Z"}`, `{"submit":"2024-02-01T12:00:60Z"}`,
+	`{"submit":"2024-02-01t12:00:00Z"}`, `{"submit":"2024-13-01T12:00:00Z"}`, `{"submit":"2024-04-31T12:00:00Z"}`,
+	`{"submit":"2024-02-01T12:00:00.5Z"}`, `{"start":"2024-02-01T12:00:00.123456789Z"}`,
+	`{"end":"2024-02-01T12:00:00.1234567891Z"}`, `{"submit":"2024-02-01T12:00:00.Z"}`,
+	`{"submit":"2024-02-01T12:00:00z"}`, `{"submit":"0000-01-01T00:00:00Z"}`, `{"submit":"2O24-02-01T12:00:00Z"}`,
+	// Integers: 18 digits, 19, 2^64+1 (a 64-bit accumulator wraps it to
+	// 1), ±2^63, and the narrow fields at ±2^31 and ±128.
+	`{"cores_req":123456789012345678}`, `{"nodes_req":-123456789012345678}`, `{"cores_req":1234567890123456789}`,
+	`{"cores_req":18446744073709551617}`,
+	`{"nodes_alloc":-9223372036854775808}`, `{"exit":-9223372036854775809}`,
+	`{"freq_req":-2147483648}`, `{"freq_req":-2147483649}`, `{"true_label":-128}`, `{"true_label":-129}`,
+	// Floats: -0, an integer float64 cannot hold, 15 and 16 digits, a
+	// leading zero, 2^64+1.
+	`{"counters":{"perf2":-0}}`, `{"counters":{"perf3":9007199254740993}}`,
+	`{"counters":{"perf4":999999999999999,"perf5":1234567890123456}}`, `{"counters":{"perf5":007}}`,
+	`{"counters":{"tofu_bytes":18446744073709551617}}`,
+	// Keys in AppendJSON's order: all of them, one missing, one repeated
+	// where the walk predicts it; then all of them in reverse.
+	`{"id":"j1","user":"u1","name":"app","env":"gcc","cores_req":48,"nodes_req":1,"freq_req":2000,` +
+		`"submit":"2024-02-01T12:00:00.5Z","start":"2024-02-01T12:00:01Z","end":"2024-02-01T13:00:00.123456789Z",` +
+		`"nodes_alloc":1,"exit":0,"counters":{"perf2":1,"perf3":2.5,"perf4":3e10,"perf5":0,"tofu_bytes":4096},"true_label":2}`,
+	`{"id":"j1","user":"u1","env":"gcc","cores_req":48,"nodes_req":1,"freq_req":2000,"submit":"2024-02-01T12:00:00Z",` +
+		`"start":"2024-02-01T12:00:01Z","end":"2024-02-01T13:00:00Z","nodes_alloc":1,"exit":0,"counters":{"perf2":1,"perf3":2,"perf5":4}}`,
+	`{"user":"u1","id":"j1","user":"u2"}`, `{"counters":{"perf3":1,"perf2":2,"perf3":3}}`,
+	`{"true_label":1,"counters":{"tofu_bytes":4096,"perf5":4,"perf4":3,"perf3":2,"perf2":1},"exit":0,"nodes_alloc":1,` +
+		`"end":"2024-02-01T13:00:00Z","start":"2024-02-01T12:00:01Z","submit":"2024-02-01T12:00:00Z","freq_req":2000,` +
+		`"nodes_req":1,"cores_req":48,"env":"gcc","name":"app","user":"u1","id":"j1"}`,
 }
 
 var arraySeeds = []string{
@@ -108,7 +172,7 @@ func FuzzUnmarshalArray(f *testing.F) {
 		if errString(gotErr) != errString(wantErr) {
 			t.Fatalf("error %q, encoding/json says %q", errString(gotErr), errString(wantErr))
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameJobs(got, want) {
 			t.Fatalf("decoded %s, encoding/json decodes %s", dump(got), dump(want))
 		}
 	})
@@ -130,7 +194,7 @@ func FuzzUnmarshalJob(f *testing.F) {
 			if errString(gotErr) != errString(wantErr) {
 				t.Fatalf("error %q, encoding/json says %q", errString(gotErr), errString(wantErr))
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !sameJobs([]*Job{&got}, []*Job{&want}) {
 				t.Fatalf("decoded %+v, encoding/json decodes %+v", got, want)
 			}
 		}
@@ -184,6 +248,24 @@ func TestZeroTimeLiteralIsTheZeroTime(t *testing.T) {
 	}
 }
 
+// TestKeyTablesFollowAppendJSON: the walk predicts each key from the
+// tables; a table out of AppendJSON's order would still decode right,
+// but by scanning every key.
+func TestKeyTablesFollowAppendJSON(t *testing.T) {
+	b, err := AppendJSON(nil, completedJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := b
+	for _, k := range append(append(jobKeys[:13:13], counterKeys[:]...), jobKeys[13:]...) {
+		i := bytes.Index(rest, []byte(k))
+		if i < 0 {
+			t.Fatalf("%s is not where AppendJSON writes it in %s", k, b)
+		}
+		rest = rest[i+len(k):]
+	}
+}
+
 // TestStrictPathDecodesEncoderOutput: the bodies every client in this
 // repository sends — json.Marshal of records with plain names — are
 // decoded by the parser itself. Without this the differential fuzzers
@@ -204,11 +286,15 @@ func TestStrictPathDecodesEncoderOutput(t *testing.T) {
 	if n := Fallbacks() - before; n != 0 {
 		t.Fatalf("%d of 4 encoder-shaped inputs fell back to encoding/json", n)
 	}
-	if _, err := UnmarshalArray([]byte(`[{"id":"a\u003cb"}]`)); err != nil {
-		t.Fatal(err)
+	// An escape; a key repeated where the walk predicts it, which
+	// encoding/json would decode to the same record.
+	for _, body := range []string{`[{"id":"a\u003cb"}]`, `[{"user":"u1","id":"a","user":"u2"}]`} {
+		if _, err := UnmarshalArray([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := Fallbacks() - before; n != 1 {
-		t.Fatalf("an escaped string moved the fallback counter by %d, want 1", n)
+	if n := Fallbacks() - before; n != 2 {
+		t.Fatalf("an escaped string and a repeated key moved the fallback counter by %d, want 2", n)
 	}
 }
 
@@ -284,7 +370,7 @@ func FuzzUnmarshalArrayParts(f *testing.F) {
 		want, wantOK := parseArray(data)
 		for parts := 2; parts <= 4; parts++ {
 			got, ok := parseArrayParts(data, parts)
-			if ok != wantOK || !reflect.DeepEqual(got, want) {
+			if ok != wantOK || !sameJobs(got, want) {
 				t.Fatalf("%d parts: ok %v, %s; serially ok %v, %s", parts, ok, dump(got), wantOK, dump(want))
 			}
 		}
@@ -336,20 +422,52 @@ func TestUnmarshalArrayIndependentOfCores(t *testing.T) {
 	}
 }
 
-// BenchmarkUnmarshalArray decodes window bodies of 100, 300 and 1 000
-// records; run with -cpu 1,2 it shows where two parts start to beat one
-// (splitFloor).
+// completedBody is the insert side's body: n completed records
+// (counters, a label, three real times), as the WAL, POST /v1/jobs and
+// follower apply carry them.
+func completedBody(t testing.TB, n int) []byte {
+	records := make([]*Job, n)
+	for i := range records {
+		records[i] = completedJob()
+		records[i].ID = fmt.Sprintf("job-%06d", i)
+	}
+	return mustMarshal(t, records)
+}
+
+// BenchmarkUnmarshalArray decodes bodies of 100, 300 and 1 000 records
+// of both shapes: the periodic trigger's window of submissions and the
+// insert side's completed records. Run with -cpu 1,2 it shows where two
+// parts start to beat one (splitFloor).
 func BenchmarkUnmarshalArray(b *testing.B) {
-	for _, n := range []int{100, 300, 1000} {
-		body := windowBody(b, n)
-		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if jobs, err := UnmarshalArray(body); err != nil || len(jobs) != n {
-					b.Fatalf("%d jobs, %v", len(jobs), err)
+	for _, shape := range []struct {
+		name string
+		body func(testing.TB, int) []byte
+	}{{"submission", windowBody}, {"completed", completedBody}} {
+		for _, n := range []int{100, 300, 1000} {
+			body := shape.body(b, n)
+			b.Run(fmt.Sprintf("%s/records=%d", shape.name, n), func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if jobs, err := UnmarshalArray(body); err != nil || len(jobs) != n {
+						b.Fatalf("%d jobs, %v", len(jobs), err)
+					}
 				}
-			}
-		})
+			})
+		}
+	}
+}
+
+// BenchmarkUnmarshalJob decodes one completed record, as store.ApplyRecord
+// and LoadJSONL do for every line they read.
+func BenchmarkUnmarshalJob(b *testing.B) {
+	record := mustMarshal(b, completedJob())
+	b.SetBytes(int64(len(record)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var j Job
+		if err := Unmarshal(record, &j); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 		sample = n
 	}
 
-	cents, assign := kmeans(data, dim, n, k, sample, DefaultKMeansIters, cfg.Seed)
+	cents, assign := kmeans(data, dim, n, k, sample, cfg.Seed)
 
 	// Inverted lists over ALL rows, dropping empty cells so every probed
 	// cluster is guaranteed to contribute at least one candidate.
@@ -218,7 +218,7 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 	}
 	np := cfg.NProbe
 	if np <= 0 {
-		np = ix.calibrateNProbe(DefaultTargetRecall, cfg.Seed)
+		np = ix.calibrateNProbe(cfg.Seed)
 	}
 	if np > kept {
 		np = kept
@@ -244,13 +244,13 @@ const (
 )
 
 // calibrateNProbe picks the smallest probe width whose measured
-// recall@k against an exact scan reaches target, on a deterministic
-// sample of the indexed rows. No fixed fraction of the cells works
+// recall@k against an exact scan reaches DefaultTargetRecall, on a
+// deterministic sample of the indexed rows. No fixed fraction of the cells works
 // across scales (small indexes need a wide probe, large ones amortize
 // it away), so the width is measured, not guessed. Cost: one exact
 // kNN pass over calibrationQueries rows (parallel across cores) plus
 // O(log nclusters) cheap probe-width evaluations.
-func (ix *Index) calibrateNProbe(target float64, seed uint64) int {
+func (ix *Index) calibrateNProbe(seed uint64) int {
 	kept := ix.Clusters()
 	if kept <= 2 {
 		return kept
@@ -258,7 +258,7 @@ func (ix *Index) calibrateNProbe(target float64, seed uint64) int {
 	// Aim halfway between the target and perfect recall: the width is
 	// fitted on a finite sample, and a width that measures exactly the
 	// target in-sample dips below it on unseen queries.
-	target += (1 - target) / 2
+	target := DefaultTargetRecall + (1-DefaultTargetRecall)/2
 	k := calibrationK
 	if k > ix.n {
 		k = ix.n
@@ -392,11 +392,11 @@ func exactTopK(data []float32, dim int, q []float32, k int) []int32 {
 	return out
 }
 
-// kmeans runs seeded Lloyd iterations on a uniform sample of the rows,
-// then assigns every row to its nearest fitted centroid. Returns the
-// centroid matrix and the per-row assignment. Deterministic in
-// (data, dim, k, sample, iters, seed).
-func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []float32, assign []int32) {
+// kmeans runs DefaultKMeansIters seeded Lloyd iterations on a uniform
+// sample of the rows, then assigns every row to its nearest fitted
+// centroid. Returns the centroid matrix and the per-row assignment.
+// Deterministic in (data, dim, k, sample, seed).
+func kmeans(data []float32, dim, n, k, sample int, seed uint64) (cents []float32, assign []int32) {
 	rng := stats.NewRNG(seed ^ 0x9e3779b97f4a7c15)
 
 	// Sample without replacement via partial Fisher-Yates.
@@ -420,7 +420,7 @@ func kmeans(data []float32, dim, n, k, sample, iters int, seed uint64) (cents []
 	sampleAssign := make([]int32, sample)
 	sums := make([]float64, k*dim)
 	counts := make([]int64, k)
-	for it := 0; it < iters; it++ {
+	for range DefaultKMeansIters {
 		assignRows(data, dim, x, rows, cents, sampleAssign)
 
 		for i := range sums {
