@@ -84,64 +84,6 @@ func (c *chaosTransport) Ack(ctx context.Context, url string, req election.AckRe
 	return c.inner.Ack(ctx, url, req)
 }
 
-// flakyFS wedges a disk after a seeded byte budget: every Write/Sync
-// past the budget fails (the WAL latches its sticky error), while reads
-// keep serving the durable prefix — a dying disk, not a dead process.
-// Depending on where the budget lands, the failure hits mid-group-commit
-// (an append frame) or mid-compaction (a snapshot stream).
-type flakyFS struct {
-	wal.FS
-	mu      sync.Mutex
-	written int64
-	budget  int64 // -1 = healthy
-}
-
-func newFlakyFS(inner wal.FS) *flakyFS { return &flakyFS{FS: inner, budget: -1} }
-
-// WedgeAfter arms the failure n bytes from now.
-func (f *flakyFS) WedgeAfter(n int64) {
-	f.mu.Lock()
-	f.budget = f.written + n
-	f.mu.Unlock()
-}
-
-func (f *flakyFS) charge(n int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.budget >= 0 && f.written >= f.budget {
-		return errors.New("flakyfs: disk wedged")
-	}
-	f.written += n
-	return nil
-}
-
-func (f *flakyFS) Create(name string) (wal.File, error) {
-	file, err := f.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{fs: f, File: file}, nil
-}
-
-type flakyFile struct {
-	fs *flakyFS
-	wal.File
-}
-
-func (h *flakyFile) Write(p []byte) (int, error) {
-	if err := h.fs.charge(int64(len(p))); err != nil {
-		return 0, err
-	}
-	return h.File.Write(p)
-}
-
-func (h *flakyFile) Sync() error {
-	if err := h.fs.charge(0); err != nil {
-		return err
-	}
-	return h.File.Sync()
-}
-
 // ---------------------------------------------------------------------
 // Cluster harness
 
@@ -171,8 +113,8 @@ const (
 // newChaosCluster boots one leader (node 0) and two live followers, each
 // assembled by node.Open the way mcbound-server assembles it. leaderFS,
 // when non-nil, backs the leader's durable store (the wedge scenarios
-// pass a flakyFS, whose byte budget then counts WAL bytes only:
-// segments, snapshots and the epoch file).
+// pass election.NewFlakyFS's FS, whose byte budget then counts WAL
+// bytes only: segments, snapshots and the epoch file).
 func newChaosCluster(t *testing.T, seed uint64, leaderFS wal.FS) *chaosCluster {
 	t.Helper()
 	ids := []string{"n1", "n2", "n3"}
@@ -487,7 +429,7 @@ func TestElectChaosWedgedLeaderDisk(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", it), func(t *testing.T) {
 			seed := uint64(2000 + it)
 			rng := stats.NewRNG(seed)
-			ffs := newFlakyFS(wal.OS)
+			ffs := election.NewFlakyFS(wal.OS)
 			c := newChaosCluster(t, seed, ffs)
 			stopSampler := c.startHeldSampler()
 			stopWriters := c.startWriters(fmt.Sprintf("wd%d", it))

@@ -14,6 +14,7 @@ import (
 	"mcbound/internal/job"
 	"mcbound/internal/repl"
 	"mcbound/internal/store"
+	"mcbound/internal/wal"
 )
 
 // ---------------------------------------------------------------------
@@ -190,7 +191,8 @@ func TestLeaderAbdicatesOverWedgedWAL(t *testing.T) {
 	clk := newClock()
 	seed := store.New()
 	seed.Insert(mkJob("wedge-001"))
-	d, err := store.OpenDurable(t.TempDir(), seed, store.DurableOptions{})
+	fs := newFlakyFS(wal.OS)
+	d, err := store.OpenDurable(t.TempDir(), seed, store.DurableOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +205,14 @@ func TestLeaderAbdicatesOverWedgedWAL(t *testing.T) {
 		t.Fatal("healthy leader not held")
 	}
 
-	// Wedge the WAL out from under the leader: the next step abdicates.
-	d.WAL().Close()
+	// Wedge the disk under the leader: the insert fails, the WAL latches
+	// its sticky error, and the next step abdicates.
+	fs.WedgeAfter(0)
 	if appendErr := d.Insert(mkJob("wedge-002")); appendErr == nil {
-		t.Fatal("insert through a closed WAL succeeded")
+		t.Fatal("insert onto a wedged disk succeeded")
 	}
 	if d.WAL().Err() == nil {
-		t.Skip("closed WAL did not latch a sticky error")
+		t.Fatal("a failed write latched no sticky error")
 	}
 	e.Tick(context.Background())
 	if err := e.CheckWritable(); !errors.Is(err, ErrLeaseLost) {

@@ -247,9 +247,11 @@ const (
 // recall@k against an exact scan reaches DefaultTargetRecall, on a
 // deterministic sample of the indexed rows. No fixed fraction of the cells works
 // across scales (small indexes need a wide probe, large ones amortize
-// it away), so the width is measured, not guessed. Cost: one exact
-// kNN pass over calibrationQueries rows (parallel across cores) plus
-// O(log nclusters) cheap probe-width evaluations.
+// it away), so the width is measured, not guessed. Cost: one ExactTopK
+// over the calibrationQueries rows (a sparse filter, then the few
+// survivors exactly) and one nearest-first walk a query, which scans
+// each cell at most once however many widths the ladder asks about
+// (see calibration); both run in parallel across the queries.
 func (ix *Index) calibrateNProbe(seed uint64) int {
 	kept := ix.Clusters()
 	if kept <= 2 {
@@ -259,10 +261,6 @@ func (ix *Index) calibrateNProbe(seed uint64) int {
 	// fitted on a finite sample, and a width that measures exactly the
 	// target in-sample dips below it on unseen queries.
 	target := DefaultTargetRecall + (1-DefaultTargetRecall)/2
-	k := calibrationK
-	if k > ix.n {
-		k = ix.n
-	}
 	nq := calibrationQueries
 	if nq > ix.n {
 		nq = ix.n
@@ -278,39 +276,13 @@ func (ix *Index) calibrateNProbe(seed uint64) int {
 		j := i + rng.Intn(ix.n-i)
 		rows[i], rows[j] = rows[j], rows[i]
 	}
-	rows = rows[:nq]
-
-	// Exact ground truth per query, parallel across cores.
-	truth := make([][]int32, nq)
-	linalg.ParallelFor(nq, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			truth[i] = exactTopK(ix.data, ix.dim, ix.row(int(rows[i])), k)
-		}
-	})
-
-	recallAt := func(np int) float64 {
-		hits, total := 0, 0
-		var dst []ml.Candidate
-		for i, r := range rows {
-			dst = ix.search(ix.row(int(r)), k, np, dst, false)
-			for _, want := range truth[i] {
-				total++
-				for _, got := range dst {
-					if int32(got.ID) == want {
-						hits++
-						break
-					}
-				}
-			}
-		}
-		return float64(hits) / float64(total)
-	}
+	cal := ix.newCalibration(rows[:nq], calibrationK)
 
 	// Geometric ladder up to the first passing width, then binary
 	// refinement between the last failing and first passing rungs.
 	lo, hi := 0, kept
 	for np := 2; np < kept; np = np*3/2 + 1 {
-		if recallAt(np) >= target {
+		if cal.recallAt(np) >= target {
 			hi = np
 			break
 		}
@@ -318,13 +290,144 @@ func (ix *Index) calibrateNProbe(seed uint64) int {
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		if recallAt(mid) >= target {
+		if cal.recallAt(mid) >= target {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	return hi
+}
+
+// calibration measures recall@k at any probe width for a fixed set of
+// query rows. A search at width np scans the np nearest cells in one
+// order (its nearest-first selection is a prefix of the full ordering,
+// ties to the lower cell, wherever no centroid distance is NaN), into one bounded pool whose contents after j
+// cells do not depend on np; it stops after cell j < np only when its
+// scan budget is spent with k candidates in the pool. So one walk a
+// query, cell by cell in that order, passes through the pool every
+// width ends with: at each cell boundary it resolves the widths whose
+// scan would stop there — width j, and every wider one whose budget
+// the rows scanned so far cover, once the pool holds k — by re-ranking
+// the pool exactly as search does. The walk goes lazily only as far as
+// the widest width asked for, and a pool row's exact distance is
+// measured once per query. recallAt(np) is then a sum of per-query
+// hits, equal to what the searches themselves would count.
+type calibration struct {
+	ix      *Index
+	k, pool int
+	walks   []walk
+}
+
+// walk is one query's pass; its buffer holds the quantized query, every
+// cell nearest first (probe) and the pool (cand).
+type walk struct {
+	q      []float32
+	truth  []ml.Candidate // the query's exact top-k
+	b      *searchBuf
+	qnorm  int64
+	cells  int            // cells scanned
+	rows   int            // code rows scanned
+	widths int            // widths 1..widths are resolved
+	hits   []int32        // hits[np-1]: true neighbours width np returns
+	ranked []ml.Candidate // the pool at the last re-rank, with exact distances
+	spare  []ml.Candidate // the next one's
+	top    []ml.Candidate // re-rank scratch
+}
+
+// newCalibration measures the exact top-k of the listed rows; the walks
+// start on the first recallAt.
+func (ix *Index) newCalibration(rows []int32, k int) *calibration {
+	k = min(k, ix.n)
+	queries := make([]float32, 0, len(rows)*ix.dim)
+	for _, r := range rows {
+		queries = append(queries, ix.row(int(r))...)
+	}
+	truth := ExactTopK(ix.data, ix.dim, queries, k)
+	c := &calibration{ix: ix, k: k, pool: max(ix.rerank, k), walks: make([]walk, len(rows))}
+	for i, r := range rows {
+		c.walks[i].q, c.walks[i].truth = ix.row(int(r)), truth[i]
+	}
+	return c
+}
+
+// recallAt returns the recall@k of a search at width np over the
+// calibration queries, walking each query as far as np needs.
+func (c *calibration) recallAt(np int) float64 {
+	linalg.ParallelFor(len(c.walks), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c.advance(&c.walks[i], np)
+		}
+	})
+	hits, total := 0, 0
+	for _, w := range c.walks {
+		hits += int(w.hits[np-1])
+		total += len(w.truth)
+	}
+	return float64(hits) / float64(total)
+}
+
+// advance walks w until width np is resolved.
+func (c *calibration) advance(w *walk, np int) {
+	ix := c.ix
+	kept := ix.Clusters()
+	if w.b == nil {
+		w.b = ix.newSearchBuf()
+		linalg.SqEuclideanRows(w.q, ix.cents, w.b.cdist)
+		w.b.selectNearestClusters(w.b.cdist, kept)
+		w.qnorm = ix.quantize(w.b, w.q, c.pool)
+		w.hits = make([]int32, kept)
+		w.ranked, w.spare = make([]ml.Candidate, 0, c.pool), make([]ml.Candidate, 0, c.pool)
+		w.top = make([]ml.Candidate, 0, c.k)
+	}
+	for w.widths < np {
+		w.rows += ix.scanCell(w.b, w.b.probe[w.cells].c, w.qnorm, c.pool)
+		w.cells++
+		upto := max(w.cells, w.widths)
+		if len(w.b.cand) >= c.k {
+			for upto < kept && ix.scanBudget(upto+1) <= w.rows {
+				upto++
+			}
+		}
+		if upto == w.widths {
+			continue
+		}
+		h := c.rerankHits(w)
+		for ; w.widths < upto; w.widths++ {
+			w.hits[w.widths] = h
+		}
+	}
+}
+
+// rerankHits re-ranks w's pool as search does and counts the true
+// neighbours among the k it keeps. A row is measured once a query: the
+// pool only ever inserts rows and drops its last, so the rows it still
+// holds from the last re-rank lead that re-rank's list in the same
+// order, and one pointer along the list finds their distances.
+func (c *calibration) rerankHits(w *walk) int32 {
+	ranked, top, j := w.spare[:0], w.top[:0], 0
+	for _, qc := range w.b.cand {
+		r := ml.Candidate{ID: int(qc.id)}
+		if j < len(w.ranked) && w.ranked[j].ID == r.ID {
+			r.Dist = w.ranked[j].Dist
+			j++
+		} else {
+			r.Dist = linalg.SqEuclidean(w.q, c.ix.row(r.ID))
+		}
+		ranked = append(ranked, r)
+		top = pushNearest(top, c.k, r)
+	}
+	w.ranked, w.spare, w.top = ranked, w.ranked, top
+	var hits int32
+	for _, want := range w.truth {
+		for _, got := range top {
+			if got.ID == want.ID {
+				hits++
+				break
+			}
+		}
+	}
+	return hits
 }
 
 // codeNorms returns Σ code² of every row of dim codes, which Build and
@@ -346,50 +449,188 @@ func (ix *Index) row(i int) []float32 {
 	return ix.data[i*ix.dim : (i+1)*ix.dim]
 }
 
-// exactBlock is how many rows of the matrix exactTopK measures per
-// SqEuclideanRows call: the distances live on the stack.
-const exactBlock = 256
+// exactBlock is how many rows of the matrix ExactTopK transposes at a
+// time: a dim × 496 float64 table a worker (1.5 MB at dim 384). Not
+// 512: a 4 KiB stride would put a row's every coordinate in one cache
+// set as it is written.
+const exactBlock = 496
 
-// exactTopK is the brute-force reference used by calibration: row ids
-// of the k nearest rows under exact squared Euclidean distance.
-func exactTopK(data []float32, dim int, q []float32, k int) []int32 {
-	type nd struct {
-		d  float64
-		id int32
+// ExactTopK returns, for each of the len(queries)/dim queries, the
+// min(k, n) rows of data (n rows of dim float32s) nearest to it under
+// linalg.SqEuclidean, nearest first, ties to the lower row id: exactly
+// what inserting every row in ascending id under pushNearest's rule
+// gives. Calibration measures recall against it. It panics on a dim
+// that does not divide both matrices.
+//
+// It filters, then checks, as assignRows does, with the query as the
+// sparse vector and the rows as the columns: linalg.SparseSqDistCols
+// measures f(r) = ‖r‖² − 2·q·r, the distance less ‖q‖², for a block of
+// rows transposed into a table, and a query keeps every row within a
+// margin of the k-th smallest f it has seen so far, in ascending id.
+// Only those rows are measured with linalg.SqEuclidean and inserted in
+// that order, under pushNearest's rule. The running k-th smallest only
+// falls, so the kept rows are a superset of those within the margin of
+// the final k-th smallest, f̂_k; the insertion gives the dense scan's
+// answer whenever every row of that answer is among them.
+//
+// The margin is assignRows' own with k candidates in place of one. With
+// its e(r) = eF(r) + eD(r) ≤ 2(dim+4)·u·Smax, for a row w of the dense
+// top-k at most k−1 rows rank before it, so of the k rows of least f̂
+// at least one, c, is w or ranks after it: D̂(w) ≤ D̂(c), and the same
+// chain gives f̂(w) ≤ f̂(c) + e(w) + e(c) ≤ f̂_k + 4(dim+4)·u·Smax. The
+// margin used is again (dim+4)·2⁻⁵⁰·Ŝmax, Smax = (‖q‖ + max‖r‖)². A
+// non-finite value in the query or in any row makes it non-finite, and
+// then every row is kept and measured: the dense scan itself.
+func ExactTopK(data []float32, dim int, queries []float32, k int) [][]ml.Candidate {
+	if dim <= 0 || len(data)%dim != 0 || len(queries)%dim != 0 {
+		panic(fmt.Sprintf("ivf: ExactTopK on %d data and %d query values of dim %d", len(data), len(queries), dim))
 	}
 	n := len(data) / dim
-	if k > n {
-		k = n
+	out := make([][]ml.Candidate, len(queries)/dim)
+	k = min(k, n)
+	if k <= 0 {
+		return out
 	}
-	top := make([]nd, 0, k)
-	worst := math.Inf(1)
-	var block [exactBlock]float64
-	for lo := 0; lo < n; lo += exactBlock {
-		dist := block[:min(exactBlock, n-lo)]
-		linalg.SqEuclideanRows(q, data[lo*dim:(lo+len(dist))*dim], dist)
-		for j, d := range dist {
-			if len(top) == k && d >= worst {
-				continue
+	norms, maxNorm := make([]float64, n), 0.0
+	for r := range norms {
+		var sq float64
+		for _, v := range rowOf(data, dim, r) {
+			sq += float64(v) * float64(v)
+		}
+		norms[r], maxNorm = sq, max(maxNorm, sq)
+	}
+	x := newSparseRows(queries, dim)
+	linalg.ParallelFor(len(out), func(lo, hi int) {
+		state := make([]exactKept, hi-lo)
+		for i := range state {
+			sq := x.sq[lo+i]
+			smax := sq + maxNorm + 2*math.Sqrt(sq*maxNorm)
+			state[i] = exactKept{k: k, margin: float64(dim+4) * 0x1p-50 * smax, least: make([]float64, 0, k)}
+		}
+		table, bnorms, filter := make([]float64, dim*exactBlock), make([]float64, exactBlock), make([]float64, exactBlock)
+		for base := 0; base < n; base += exactBlock {
+			rows := min(exactBlock, n-base)
+			cols := (rows + 15) &^ 15 // the padding columns are measured and ignored
+			t := table[:dim*cols]
+			clear(t)
+			for c := 0; c < rows; c++ {
+				for d, v := range rowOf(data, dim, base+c) {
+					if v != 0 {
+						t[d*cols+c] = float64(v)
+					}
+				}
 			}
-			pos := len(top)
-			if pos < k {
-				top = append(top, nd{})
-			} else {
-				pos--
+			copy(bnorms, norms[base:base+rows])
+			for i := range state {
+				idx, val := x.row(lo + i)
+				linalg.SparseSqDistCols(bnorms[:cols], idx, val, t, filter[:cols])
+				state[i].add(filter[:rows], base)
 			}
-			for pos > 0 && top[pos-1].d > d {
-				top[pos] = top[pos-1]
-				pos--
+		}
+		for i := range state {
+			q := rowOf(queries, dim, lo+i)
+			top := make([]ml.Candidate, 0, k)
+			for _, r := range state[i].within() {
+				top = pushNearest(top, k, ml.Candidate{ID: int(r.id), Dist: linalg.SqEuclidean(q, rowOf(data, dim, int(r.id)))})
 			}
-			top[pos] = nd{d: d, id: int32(lo + j)}
-			worst = top[len(top)-1].d
+			out[lo+i] = top
+		}
+	})
+	return out
+}
+
+// exactKept is one ExactTopK query's filter state: the k smallest
+// filter values so far, ascending, and the rows within the margin of
+// the k-th of them when they were seen, in ascending id.
+type exactKept struct {
+	k      int
+	margin float64
+	least  []float64
+	rows   []filtered
+	limit  int // len(rows) at which they are next pruned
+}
+
+type filtered struct {
+	f  float64
+	id int32
+}
+
+// bound is the filter value a row must not exceed to be kept; it is
+// non-finite, and every row kept, while fewer than k rows were seen or
+// if the margin is.
+func (e *exactKept) bound() float64 {
+	if len(e.least) < e.k {
+		return math.Inf(1)
+	}
+	return e.least[e.k-1] + e.margin
+}
+
+// add files the filter values f of rows base, base+1, ….
+func (e *exactKept) add(f []float64, base int) {
+	k, bound := e.k, e.bound()
+	for c, v := range f {
+		if v > bound { // never, for a NaN bound
+			continue
+		}
+		e.rows = append(e.rows, filtered{f: v, id: int32(base + c)})
+		if len(e.least) == k && !(v < e.least[k-1]) {
+			continue
+		}
+		pos := len(e.least)
+		if pos < k {
+			e.least = append(e.least, 0)
+		} else {
+			pos--
+		}
+		for pos > 0 && e.least[pos-1] > v {
+			e.least[pos] = e.least[pos-1]
+			pos--
+		}
+		e.least[pos] = v
+		bound = e.bound()
+	}
+	if len(e.rows) >= e.limit {
+		e.rows = e.within()
+		e.limit = max(2*len(e.rows), 64)
+	}
+}
+
+// within returns the kept rows inside the current bound, in place.
+func (e *exactKept) within() []filtered {
+	bound := e.bound()
+	if !(bound <= math.MaxFloat64) {
+		return e.rows
+	}
+	out := e.rows[:0]
+	for _, r := range e.rows {
+		if r.f <= bound {
+			out = append(out, r)
 		}
 	}
-	out := make([]int32, len(top))
-	for i, t := range top {
-		out[i] = t.id
-	}
 	return out
+}
+
+// pushNearest inserts c into top, the k ≥ 1 nearest candidates so far
+// in ascending distance, under the one rule every ranking of this
+// package shares: a candidate no nearer than the k-th is dropped, and
+// one that ties an entry goes after it, so among equal distances the
+// one offered first stays ahead.
+func pushNearest(top []ml.Candidate, k int, c ml.Candidate) []ml.Candidate {
+	if len(top) == k && c.Dist >= top[len(top)-1].Dist {
+		return top
+	}
+	pos := len(top)
+	if pos < k {
+		top = append(top, ml.Candidate{})
+	} else {
+		pos--
+	}
+	for pos > 0 && top[pos-1].Dist > c.Dist {
+		top[pos] = top[pos-1]
+		pos--
+	}
+	top[pos] = c
+	return top
 }
 
 // kmeans runs DefaultKMeansIters seeded Lloyd iterations on a uniform
@@ -672,21 +913,7 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 
 	// Exact re-rank of the pool; bounded top-k insertion into dst.
 	for _, qc := range cand {
-		d := linalg.SqEuclidean(q, ix.data[int(qc.id)*ix.dim:(int(qc.id)+1)*ix.dim])
-		if len(dst) == k && d >= dst[len(dst)-1].Dist {
-			continue
-		}
-		pos := len(dst)
-		if pos < k {
-			dst = append(dst, ml.Candidate{})
-		} else {
-			pos--
-		}
-		for pos > 0 && dst[pos-1].Dist > d {
-			dst[pos] = dst[pos-1]
-			pos--
-		}
-		dst[pos] = ml.Candidate{ID: int(qc.id), Dist: d}
+		dst = pushNearest(dst, k, ml.Candidate{ID: int(qc.id), Dist: linalg.SqEuclidean(q, ix.row(int(qc.id)))})
 	}
 
 	if count {
@@ -718,6 +945,32 @@ func (ix *Index) newSearchBuf() *searchBuf {
 // first (ties in scan order), and returns how many cells and code rows
 // it visited.
 func (ix *Index) scan(b *searchBuf, q []float32, k, pool, nprobe int) (probed, scanned int) {
+	qnorm := ix.quantize(b, q, pool)
+	// Scan budget: cells are probed nearest-centroid first, and a query
+	// landing amid oversized cells stops at the budget (once k candidates
+	// exist) instead of blowing the tail latency. Calibration measures
+	// recall with the budget in force.
+	budget := ix.scanBudget(nprobe)
+	for _, p := range b.probe {
+		scanned += ix.scanCell(b, p.c, qnorm, pool)
+		probed++
+		if scanned >= budget && len(b.cand) >= k {
+			break
+		}
+	}
+	return probed, scanned
+}
+
+// scanBudget is the code rows after which a scan of nprobe cells stops
+// early: 1.25× the expected population of nprobe cells.
+func (ix *Index) scanBudget(nprobe int) int {
+	nclusters := ix.Clusters()
+	return nprobe * ((ix.n + nclusters - 1) / nclusters) * 5 / 4
+}
+
+// quantize readies b to scan for q: the query quantized and widened,
+// the pool emptied with room for pool rows. It returns Σq².
+func (ix *Index) quantize(b *searchBuf, q []float32, pool int) int64 {
 	linalg.QuantizeInt8(b.qq, q, ix.scale)
 	var qnorm int64
 	for i, c := range b.qq {
@@ -727,46 +980,43 @@ func (ix *Index) scan(b *searchBuf, q []float32, k, pool, nprobe int) (probed, s
 	if cap(b.cand) < pool {
 		b.cand = make([]quantCand, 0, pool)
 	}
-	cand := b.cand[:0]
+	b.cand = b.cand[:0]
+	return qnorm
+}
+
+// scanCell adds the rows of cell c to the bounded pool b.cand (at most
+// pool rows, nearest first, ties in scan order) and returns how many it
+// measured. One cell, one pass: its codes are adjacent, its dot
+// products one kernel call, and Σq² + Σx² − 2·q·x is Σ(q−x)² exactly.
+func (ix *Index) scanCell(b *searchBuf, c int32, qnorm int64, pool int) int {
+	lo, hi := int(ix.starts[c]), int(ix.starts[c+1])
+	dots := b.dots[:hi-lo]
+	linalg.DotInt8Rows(b.qw, ix.codes[lo*ix.dim:hi*ix.dim], dots)
+	cand := b.cand
 	worst := int64(math.MaxInt64)
-	// Scan budget: cells are probed nearest-centroid first, and a query
-	// landing amid oversized cells stops at 1.25× the expected nprobe
-	// population (once k candidates exist) instead of blowing the tail
-	// latency. Calibration measures recall with the budget in force.
-	nclusters := ix.Clusters()
-	budget := nprobe * ((ix.n + nclusters - 1) / nclusters) * 5 / 4
-	for _, p := range b.probe {
-		// One cell, one pass: its codes are adjacent, its dot products
-		// one kernel call, and Σq² + Σx² − 2·q·x is Σ(q−x)² exactly.
-		lo, hi := int(ix.starts[p.c]), int(ix.starts[p.c+1])
-		dots := b.dots[:hi-lo]
-		linalg.DotInt8Rows(b.qw, ix.codes[lo*ix.dim:hi*ix.dim], dots)
-		for j, dot := range dots {
-			d := qnorm + int64(ix.norms[lo+j]) - 2*int64(dot)
-			if len(cand) == pool && d >= worst {
-				continue
-			}
-			pos := len(cand)
-			if pos < pool {
-				cand = append(cand, quantCand{})
-			} else {
-				pos--
-			}
-			for pos > 0 && cand[pos-1].dist > d {
-				cand[pos] = cand[pos-1]
-				pos--
-			}
-			cand[pos] = quantCand{dist: d, id: ix.member[lo+j]}
-			worst = cand[len(cand)-1].dist
+	if len(cand) > 0 {
+		worst = cand[len(cand)-1].dist
+	}
+	for j, dot := range dots {
+		d := qnorm + int64(ix.norms[lo+j]) - 2*int64(dot)
+		if len(cand) == pool && d >= worst {
+			continue
 		}
-		scanned += hi - lo
-		probed++
-		if scanned >= budget && len(cand) >= k {
-			break
+		pos := len(cand)
+		if pos < pool {
+			cand = append(cand, quantCand{})
+		} else {
+			pos--
 		}
+		for pos > 0 && cand[pos-1].dist > d {
+			cand[pos] = cand[pos-1]
+			pos--
+		}
+		cand[pos] = quantCand{dist: d, id: ix.member[lo+j]}
+		worst = cand[len(cand)-1].dist
 	}
 	b.cand = cand
-	return probed, scanned
+	return hi - lo
 }
 
 // selectNearestClusters fills b.probe with the nprobe smallest

@@ -2,14 +2,13 @@ package knn
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
 	"mcbound/internal/encode"
 	"mcbound/internal/job"
-	"mcbound/internal/linalg"
 	"mcbound/internal/ml"
+	"mcbound/internal/ml/ivf"
 	"mcbound/internal/roofline"
 	"mcbound/internal/workload"
 )
@@ -46,19 +45,6 @@ func recallTrace(t *testing.T, scale int) []*job.Job {
 	return labeled
 }
 
-// exactTopK returns the row ids of the k nearest rows of q under exact
-// squared Euclidean distance, ties to the lower id.
-func exactTopK(data []float32, dim int, q []float32, k int) []int {
-	ids := make([]int, len(data)/dim)
-	dist := make([]float64, len(ids))
-	for i := range ids {
-		ids[i] = i
-		dist[i] = linalg.SqEuclidean(q, data[i*dim:(i+1)*dim])
-	}
-	sort.SliceStable(ids, func(a, b int) bool { return dist[ids[a]] < dist[ids[b]] })
-	return ids[:min(k, len(ids))]
-}
-
 // TestRecallGateAtScale is the regression gate on the sub-linear claim
 // (`make recall-gate`, in `make check`): per scale it trains one exact
 // and one IVF-indexed classifier on the same encoded trace, lets the
@@ -69,7 +55,7 @@ func TestRecallGateAtScale(t *testing.T) {
 	for _, scale := range []int{1, 10, 100} {
 		t.Run(fmt.Sprintf("x%d", scale), func(t *testing.T) {
 			if scale == 100 && testing.Short() {
-				t.Skip("×100 (≈ 117 K jobs, ≈ 20 s) is skipped under -short")
+				t.Skip("×100 (≈ 117 K jobs, ≈ 1.5 s) is skipped under -short")
 			}
 			jobs := recallTrace(t, scale)
 			x := encode.NewEncoder(nil, nil).Encode(jobs)
@@ -91,18 +77,22 @@ func TestRecallGateAtScale(t *testing.T) {
 			}
 
 			data, dim := brute.Matrix()
+			queries := make([]float32, 0, nq*dim)
+			for i := 0; i < nq; i++ {
+				queries = append(queries, x[(i*7919)%len(x)]...)
+			}
+			truth := ivf.ExactTopK(data, dim, queries, k)
 			var hits, total int
 			var dst []ml.Candidate
-			for i := 0; i < nq; i++ {
-				q := x[(i*7919)%len(x)]
-				dst = index.Search(q, k, dst)
+			for i, want := range truth {
+				dst = index.Search(queries[i*dim:(i+1)*dim], k, dst)
 				got := make(map[int]bool, k)
 				for _, c := range dst {
 					got[c.ID] = true
 				}
-				for _, id := range exactTopK(data, dim, q, k) {
+				for _, w := range want {
 					total++
-					if got[id] {
+					if got[w.ID] {
 						hits++
 					}
 				}
