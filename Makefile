@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all paper-scale
+.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all paper-scale traffic
 
 all: check
 
@@ -199,6 +199,15 @@ bench-pairs:
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# The traffic check (ROADMAP item 23, traffic.sh): the functions of the
+# eight cluster-shell packages that no other package's test reaches,
+# marked where a traced 3 s run of each contract workload reaches them,
+# each with the reason it stays; then every test that skips on a tier-1
+# run. Ungated and outside `check`: a full test run plus three benchmark
+# runs, a few minutes; everything it writes stays under .bench_build/.
+traffic:
+	bash traffic.sh
 
 # The paper's scale (ROADMAP item 17): the deployment replay of each
 # model over the scale-1 evaluation trace (≈ 1.6 M jobs generated in

@@ -54,22 +54,6 @@ const (
 	Critical
 )
 
-// String names the tier for labels and logs.
-func (p Priority) String() string {
-	switch p {
-	case Background:
-		return "background"
-	case Batch:
-		return "batch"
-	case Interactive:
-		return "interactive"
-	case Critical:
-		return "critical"
-	default:
-		return "unknown"
-	}
-}
-
 // Typed rejection sentinels; branch with errors.Is. The HTTP layer maps
 // both to 503 overloaded with Retry-After.
 var (

@@ -863,14 +863,6 @@ func (e *Elector) HeartbeatAge() float64 {
 // Members returns the configured cluster size.
 func (e *Elector) Members() int { return e.members.Size() }
 
-// LeaderURL returns the URL of the leader as this node knows it ("" if
-// unknown).
-func (e *Elector) LeaderURL() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.leaderURL
-}
-
 // Status renders the cluster section of /healthz.
 func (e *Elector) Status() cluster.Status {
 	e.mu.Lock()

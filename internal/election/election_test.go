@@ -273,8 +273,8 @@ func TestVoteRulesOnFollower(t *testing.T) {
 	if resp := e.HandleAck(AckRequest{NodeID: "n2", Term: 6, AppliedSeq: 9, Claim: true}); resp.Granted {
 		t.Fatal("competing claim granted inside the grant's grace window")
 	}
-	if e.LeaderURL() != "http://n1" {
-		t.Fatalf("grant did not repoint leader URL: %q", e.LeaderURL())
+	if u := e.Status().LeaderURL; u != "http://n1" {
+		t.Fatalf("grant did not repoint leader URL: %q", u)
 	}
 
 	// But the presumptive leader itself may retry at a higher term.
@@ -543,8 +543,8 @@ func TestDiscoveryAdoptsNewerLeaseInsteadOfElecting(t *testing.T) {
 	if e.IsLeader() {
 		t.Fatal("elected despite a discoverable failover")
 	}
-	if e.LeaderURL() != "http://n3" {
-		t.Fatalf("leader URL = %q, want the discovered n3", e.LeaderURL())
+	if u := e.Status().LeaderURL; u != "http://n3" {
+		t.Fatalf("leader URL = %q, want the discovered n3", u)
 	}
 	if e.Term() != 7 {
 		t.Fatalf("term = %d, want the adopted 7", e.Term())
@@ -554,10 +554,6 @@ func TestDiscoveryAdoptsNewerLeaseInsteadOfElecting(t *testing.T) {
 	}
 	if e.Elections() != 0 {
 		t.Fatal("discovery path still started an election")
-	}
-	// The node-level redirect target follows the elector's adoption...
-	if node.LeaderURL() != "http://n3" {
-		t.Skipf("node leader URL = %q (wired by the server's OnLeaderChange)", node.LeaderURL())
 	}
 }
 
@@ -593,8 +589,8 @@ func TestDiscoveryRejectsStaleRelayedLease(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.Tick(ctx)
 	}
-	if e.LeaderURL() != "http://n2" {
-		t.Fatalf("stale relayed lease moved the leader URL to %q", e.LeaderURL())
+	if u := e.Status().LeaderURL; u != "http://n2" {
+		t.Fatalf("stale relayed lease moved the leader URL to %q", u)
 	}
 	clk.Advance(2 * time.Second)
 	e.Tick(ctx)
@@ -842,10 +838,10 @@ func TestRunFailoverOnVirtualTime(t *testing.T) {
 	// reached the winner mid-election and was answered with the dead
 	// leader's relayed lease (which a direct poll takes at face value).
 	adopted := 0
-	for other.LeaderURL() != winner.self.URL || other.Term() != winner.Term() {
+	for other.Status().LeaderURL != winner.self.URL || other.Term() != winner.Term() {
 		if adopted++; adopted > 20 {
 			t.Fatalf("survivor still follows %q at term %d after %d rounds, want %q at term %d",
-				other.LeaderURL(), other.Term(), adopted, winner.self.URL, winner.Term())
+				other.Status().LeaderURL, other.Term(), adopted, winner.self.URL, winner.Term())
 		}
 		round(2)
 	}

@@ -49,16 +49,27 @@ func checkAssign(t testing.TB, name string, data []float32, dim int, cents []flo
 	}
 }
 
-// embeddingMatrix embeds n job-like feature strings drawn from a few
-// users, applications and environments: unit-norm rows with about a
-// quarter of the 384 coordinates set, the matrix KNN indexes.
+// embeddingMatrix embeds n distinct feature strings of the shape KNN
+// groups by (user, name, cores, nodes, environment, frequency, with the
+// encoder's field weights): 250 users, each running a few applications
+// of their own in one of two environments. On 5000 rows Build
+// calibrates to 28 of its 140 cells, near the 30 of 142 the served s30
+// matrix calibrates to, so BenchmarkBuild weighs calibration as a
+// served build does.
 func embeddingMatrix(n int, seed uint64) []float32 {
 	rng := stats.NewRNG(seed)
 	emb := encode.NewHashingEmbedder()
+	emb.FieldWeights = encode.FieldWeightsFor(encode.DefaultFeatures())
 	data := make([]float32, 0, n*encode.Dim)
-	for i := 0; i < n; i++ {
-		s := fmt.Sprintf("u%03d app_%02d.x -n %d env=%d", rng.Intn(40), rng.Intn(25), 1<<rng.Intn(6), rng.Intn(4))
-		data = append(data, emb.Embed(s)...)
+	seen := make(map[string]bool, n)
+	for len(data) < n*encode.Dim {
+		u := rng.Intn(250)
+		s := fmt.Sprintf("u%04d,app_%03d,%d,%d,env%d/%d,%dMHz", u, (7*u+rng.Intn(4))%300,
+			12<<rng.Intn(3), 1<<rng.Intn(5), u%9, rng.Intn(2), 2000+200*rng.Intn(2))
+		if !seen[s] {
+			seen[s] = true
+			data = append(data, emb.Embed(s)...)
+		}
 	}
 	return data
 }
@@ -207,11 +218,16 @@ func BenchmarkBuild(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var ix *Index
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(bc.data, bc.dim, Config{Seed: 7}); err != nil {
+				var err error
+				if ix, err = Build(bc.data, bc.dim, Config{Seed: 7}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			// The calibrated width is what the build spent its walk on.
+			b.ReportMetric(float64(ix.NProbe()), "nprobe")
+			b.ReportMetric(float64(ix.Clusters()), "cells")
 		})
 	}
 }

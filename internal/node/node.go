@@ -193,10 +193,6 @@ func Open(ctx context.Context, c Config) (*Node, error) {
 
 func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 	log := n.log
-	fsys := c.FS
-	if fsys == nil {
-		fsys = wal.OS
-	}
 	following := c.Follow != ""
 
 	// Without AVX2 the KNN path runs several times slower; say so once.
@@ -216,8 +212,9 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 
 	// Durable job store. On the first boot the seed becomes the initial
 	// snapshot; later the durable state wins and the seed is ignored. A
-	// follower does not open the log for writing — its -data-dir is
-	// warm-start state and the promotion target.
+	// follower's store comes only from its leader: its -data-dir is the
+	// promotion target alone, which AttachDurable opens then and
+	// overwrites with a snapshot of the replica.
 	var durable *store.Durable
 	durOpts := store.DurableOptions{
 		SegmentBytes: c.SegmentBytes, Policy: p.policy, FS: c.FS,
@@ -228,21 +225,7 @@ func (n *Node) assemble(ctx context.Context, c Config, p parsed) (err error) {
 			"WAL append latency per acknowledged batch (reserve to durability point).",
 			telemetry.ExponentialBuckets(1e-5, 4, 10), nil).Observe
 	}
-	switch {
-	case c.DataDir == "":
-	case following:
-		// Warm start, read-only. The follower re-syncs from the leader
-		// either way and apply is last-writer-wins in log order, so a stale
-		// warm store only saves bootstrap bytes, never wins.
-		if _, statErr := fsys.Stat(c.DataDir); statErr == nil {
-			if warm, rec, lerr := store.LoadReadOnly(c.DataDir, fsys); lerr != nil {
-				log.Warn("warm start failed, bootstrapping cold", "dir", c.DataDir, "err", lerr)
-			} else {
-				st = warm
-				log.Info("warm start", "dir", c.DataDir, "jobs", st.Len(), "recovery", rec.Outcome())
-			}
-		}
-	default:
+	if c.DataDir != "" && !following {
 		if durable, err = store.OpenDurable(c.DataDir, st, durOpts); err != nil {
 			return fmt.Errorf("open durable store %s: %w", c.DataDir, err)
 		}

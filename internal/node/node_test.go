@@ -384,9 +384,59 @@ func TestRestartServesAckedInsertAndPromoteOnStartBumpsEpoch(t *testing.T) {
 	}
 }
 
+// A follower's store comes only from its leader. Its -data-dir is the
+// promotion target and nothing else: a job that directory holds and the
+// leader never had is neither served nor carried into the durable log
+// the promotion attaches.
+func TestFollowerServesOnlyItsLeadersJobs(t *testing.T) {
+	tr := NewTransport()
+	lc := testConfig()
+	lc.Trace, lc.DataDir = traceFile(t), t.TempDir()
+	leader := openNode(t, lc)
+	tr.Handle("leader", leader.Handler())
+
+	stale := t.TempDir()
+	d, err := store.OpenDurable(stale, nil, store.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(traceJob("ghost", 19, 0, true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fc := testConfig()
+	fc.Follow, fc.DataDir, fc.HTTP = "http://leader", stale, &http.Client{Transport: tr}
+	follower := openNode(t, fc)
+	tr.Handle("follower", follower.Handler())
+	if follower.Store.Len() != leader.Store.Len() {
+		t.Fatalf("follower holds %d jobs, its leader %d", follower.Store.Len(), leader.Store.Len())
+	}
+	if status, body := call(t, tr, http.MethodGet, "http://leader/v1/classify/ghost", nil); status != http.StatusNotFound {
+		t.Fatalf("leader classify ghost: status %d: %s", status, body)
+	}
+	if status, body := call(t, tr, http.MethodGet, "http://follower/v1/classify/ghost", nil); status != http.StatusNotFound {
+		t.Fatalf("follower classify ghost: status %d, want 404 as on its leader: %s", status, body)
+	}
+
+	if status, body := call(t, tr, http.MethodPost, "http://follower/v1/promote", nil); status != http.StatusOK {
+		t.Fatalf("promote: status %d: %s", status, body)
+	}
+	promoted := follower.Repl.Durable()
+	if promoted == nil {
+		t.Fatal("the promoted follower leads without a durable store")
+	}
+	if _, err := promoted.Store().Get("ghost"); err == nil {
+		t.Fatal("the promotion carried a job its leader never had into the durable log")
+	}
+}
+
 // Three nodes elected over the in-memory transport, no sockets: the
 // leader is stopped, a follower takes over unassisted with every acked
-// insert, and closing it closes the durable store its promotion attached.
+// insert, the other follower tails the winner, and closing the winner
+// closes the durable store its promotion attached.
 func TestElectedClusterFailoverOnInMemoryTransport(t *testing.T) {
 	tr := NewTransport()
 	ids := []string{"n1", "n2", "n3"}
@@ -452,6 +502,24 @@ func TestElectedClusterFailoverOnInMemoryTransport(t *testing.T) {
 			t.Fatalf("acked insert %s missing on the successor: %v", id, err)
 		}
 	}
+
+	// The other follower learns the winner from its elector, and its
+	// replication follows: a write on the winner reaches it.
+	loser, winnerURL := nodes[1], "http://n3"
+	if winner == nodes[1] {
+		loser, winnerURL = nodes[2], "http://n2"
+	}
+	waitFor(t, 10*time.Second, "the losing follower to name the winner", func() bool {
+		return loser.Repl.LeaderURL() == winnerURL
+	})
+	waitFor(t, 5*time.Second, "an insert on the winner acked", func() bool {
+		status, _ := call(t, tr, http.MethodPost, winnerURL+"/v1/jobs", []*job.Job{traceJob("after-failover", 22, 2, false)})
+		return status == http.StatusOK
+	})
+	waitFor(t, 10*time.Second, "the winner's insert on the losing follower", func() bool {
+		_, err := loser.Store.Get("after-failover")
+		return err == nil
+	})
 
 	promoted := winner.Repl.Durable()
 	if promoted == nil {

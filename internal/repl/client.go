@@ -93,7 +93,7 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 }
 
-// Breaker exposes the circuit breaker (health endpoints, telemetry).
+// Breaker exposes the circuit breaker (the package's tests watch it trip).
 func (c *Client) Breaker() *resilience.Breaker { return c.brk }
 
 // Base returns the current target (the leader as this client knows it).

@@ -201,7 +201,8 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Budget exposes the global retry budget (health endpoint, tests).
+// Budget exposes the global retry budget (the benchmark counts the
+// router's retries through it).
 func (rt *Router) Budget() *resilience.Budget { return rt.budget }
 
 // Hedges reports how many hedge attempts have been launched.

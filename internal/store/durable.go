@@ -12,11 +12,13 @@ import (
 
 // DurableOptions configure OpenDurable.
 type DurableOptions struct {
-	// SegmentBytes, Policy, FS and AppendObserver pass through to the
-	// WAL (see wal.Options).
-	SegmentBytes   int64
-	Policy         wal.Policy
-	FS             wal.FS
+	// SegmentBytes, Policy and FS pass through to the WAL (see
+	// wal.Options).
+	SegmentBytes int64
+	Policy       wal.Policy
+	FS           wal.FS
+	// AppendObserver, when set, receives the latency of every Insert in
+	// seconds (reserve to durability point).
 	AppendObserver func(seconds float64)
 	// SnapshotEvery triggers a background snapshot+compaction after this
 	// many records were logged since the last one; <= 0 disables
@@ -30,8 +32,7 @@ type DurableOptions struct {
 // walOptions is the part of o the log itself takes.
 func (o DurableOptions) walOptions() wal.Options {
 	return wal.Options{
-		SegmentBytes: o.SegmentBytes, Policy: o.Policy, FS: o.FS,
-		AppendObserver: o.AppendObserver, BumpEpoch: o.BumpEpoch,
+		SegmentBytes: o.SegmentBytes, Policy: o.Policy, FS: o.FS, BumpEpoch: o.BumpEpoch,
 	}
 }
 
@@ -60,8 +61,8 @@ type Durable struct {
 }
 
 // ApplyRecord decodes one logged record payload and inserts it: the one
-// apply step of crash recovery, a read-only warm start and a follower's
-// replication stream, so replay order ≡ apply order on all three.
+// apply step of crash recovery and of a follower's replication stream,
+// so replay order ≡ apply order on both.
 func (s *Store) ApplyRecord(payload []byte) error {
 	var j job.Job
 	if err := job.Unmarshal(payload, &j); err != nil {
@@ -237,21 +238,6 @@ func AttachDurable(dir string, st *Store, baseSeq uint64, opts DurableOptions) (
 		return nil, fmt.Errorf("store: attach snapshot: %w", err)
 	}
 	return d, nil
-}
-
-// LoadReadOnly replays the durable state under dir into a fresh Store
-// without mutating the directory in any way (wal read-only mode): no
-// torn-tail truncation, no quarantine renames, no fresh segment. A
-// follower uses it to warm-start from a previous leader's data dir it
-// does not own.
-func LoadReadOnly(dir string, fsys wal.FS) (*Store, wal.Recovery, error) {
-	s := New()
-	w, rec, err := wal.Open(dir, wal.Options{FS: fsys, ReadOnly: true}, s.ApplyRecord)
-	if err != nil {
-		return nil, rec, err
-	}
-	w.Close()
-	return s, rec, nil
 }
 
 // Close waits for any background snapshot and closes the log, flushing

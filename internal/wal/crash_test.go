@@ -28,7 +28,7 @@ func appendUntilKilled(t *testing.T, w *wal.WAL, maxRecords int) (acked []string
 	t.Helper()
 	for i := 0; i < maxRecords; i++ {
 		p := fmt.Sprintf("r-%05d", i)
-		if err := w.Append([]byte(p)); err != nil {
+		if err := wal.CommitRecord(w, []byte(p)); err != nil {
 			return acked
 		}
 		acked = append(acked, p)
@@ -146,7 +146,7 @@ func TestCrashDuringSnapshotKeepsOldState(t *testing.T) {
 		// Arm the kill inside the snapshot body (its ~80 record frames).
 		rng := stats.NewRNG(seed)
 		fs.KillAfterBytes(int64(rng.Intn(80 * 20)))
-		err = w.Snapshot(func(emit func([]byte) error) error {
+		err = wal.PublishSnapshot(w, func(emit func([]byte) error) error {
 			for _, p := range acked {
 				if err := emit([]byte(p)); err != nil {
 					return err

@@ -49,14 +49,14 @@ func TestWALErrReportsStickyFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Append([]byte("healthy")); err != nil {
+	if err := commit(w, []byte("healthy")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Err(); err != nil {
 		t.Fatalf("healthy WAL Err() = %v, want nil", err)
 	}
 	fsys.armed.Store(true)
-	if err := w.Append([]byte("doomed")); err == nil {
+	if err := commit(w, []byte("doomed")); err == nil {
 		t.Fatal("append over a dead disk acknowledged")
 	}
 	if err := w.Err(); err == nil {

@@ -73,11 +73,6 @@ func frameHeader(payload []byte) [FrameHeaderBytes]byte {
 	return hdr
 }
 
-// EncodeFrame returns payload wrapped in a fresh frame.
-func EncodeFrame(payload []byte) []byte {
-	return AppendFrame(make([]byte, 0, FrameHeaderBytes+len(payload)), payload)
-}
-
 // DecodeFrame reads one frame from the front of b, returning the payload
 // (aliasing b, not copied) and the remaining bytes. All failures are one
 // of the typed errors above; DecodeFrame never panics on arbitrary

@@ -34,7 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameTruncated(t *testing.T) {
-	frame := EncodeFrame([]byte("truncate me"))
+	frame := AppendFrame(nil, []byte("truncate me"))
 	for cut := 0; cut < len(frame); cut++ {
 		if _, _, err := DecodeFrame(frame[:cut]); !errors.Is(err, ErrTruncatedFrame) {
 			t.Fatalf("cut at %d: got %v, want ErrTruncatedFrame", cut, err)
@@ -43,7 +43,7 @@ func TestFrameTruncated(t *testing.T) {
 }
 
 func TestFrameBitFlipDetected(t *testing.T) {
-	base := EncodeFrame([]byte("bit flips must not pass"))
+	base := AppendFrame(nil, []byte("bit flips must not pass"))
 	for i := 0; i < len(base); i++ {
 		for bit := uint(0); bit < 8; bit++ {
 			mut := append([]byte(nil), base...)

@@ -15,15 +15,15 @@ func FuzzWALFrame(f *testing.F) {
 	f.Add([]byte("job record payload"))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(EncodeFrame([]byte("a valid frame as raw input")))
+	f.Add(AppendFrame(nil, []byte("a valid frame as raw input")))
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
-	corrupt := EncodeFrame([]byte("to be bit flipped"))
+	corrupt := AppendFrame(nil, []byte("to be bit flipped"))
 	corrupt[len(corrupt)-1] ^= 0x01
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: data as a payload round-trips.
-		frame := EncodeFrame(data)
+		frame := AppendFrame(nil, data)
 		got, rest, err := DecodeFrame(frame)
 		if err != nil {
 			t.Fatalf("own frame does not decode: %v", err)
@@ -43,7 +43,7 @@ func FuzzWALFrame(f *testing.F) {
 				}
 				break
 			}
-			reenc := EncodeFrame(payload)
+			reenc := AppendFrame(nil, payload)
 			if !bytes.Equal(reenc, rest[:len(rest)-len(r)]) {
 				t.Fatal("decoded frame does not re-encode to its input bytes")
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -80,106 +79,12 @@ func dirState(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-func TestReadOnlyOpenNeverMutates(t *testing.T) {
-	dir := t.TempDir()
-	w, _, _ := openCollect(t, dir, Options{})
-	for i := 0; i < 20; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("ro-record-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the tail: chop bytes off the active segment mid-frame, and
-	// drop a stray .tmp file — a writable open would truncate the one
-	// and remove the other.
-	var segName string
-	for name := range dirState(t, dir) {
-		if _, ok := parseSeq(name, "wal-", ".seg"); ok {
-			segName = name
-		}
-	}
-	seg := filepath.Join(dir, segName)
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000009.snap.tmp"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := dirState(t, dir)
-
-	var got []string
-	ro, rec, err := Open(dir, Options{ReadOnly: true}, func(p []byte) error {
-		got = append(got, string(p))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 19 {
-		t.Fatalf("read-only replayed %d records, want 19 (torn tail excluded)", len(got))
-	}
-	if rec.TornTailTruncations != 1 {
-		t.Fatalf("TornTailTruncations = %d, want 1 (reported, not performed)", rec.TornTailTruncations)
-	}
-	if err := ro.Append([]byte("nope")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Append on read-only log: %v, want ErrReadOnly", err)
-	}
-	if err := ro.Snapshot(func(func([]byte) error) error { return nil }); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Snapshot on read-only log: %v, want ErrReadOnly", err)
-	}
-	if err := ro.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
-		t.Fatalf("read-only open mutated the directory:\nbefore: %v\nafter:  %v", keys(before), keys(after))
-	}
-
-	// A writable reopen heals everything the read-only pass left alone.
-	rw, rec2, got2 := openCollect(t, dir, Options{})
-	defer rw.Close()
-	if len(got2) != 19 || rec2.TornTailTruncations != 1 {
-		t.Fatalf("writable reopen: %d records, %d truncations", len(got2), rec2.TornTailTruncations)
-	}
-}
-
-func TestReadOnlyOpenMissingDirFails(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "never-created")
-	if _, _, err := Open(dir, Options{ReadOnly: true}, nil); err == nil {
-		t.Fatal("read-only open created or ignored a missing directory")
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("read-only open created %s", dir)
-	}
-}
-
-func TestReadOnlyBumpEpochRejected(t *testing.T) {
-	if _, _, err := Open(t.TempDir(), Options{ReadOnly: true, BumpEpoch: true}, nil); err == nil {
-		t.Fatal("ReadOnly+BumpEpoch accepted")
-	}
-}
-
-func keys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
 func TestManifestActiveSegmentCappedAtDurableWatermark(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openCollect(t, dir, Options{Policy: FsyncNever})
 	defer w.Close()
 	for i := 0; i < 10; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("watermark-%02d", i))); err != nil {
+		if err := commit(w, []byte(fmt.Sprintf("watermark-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +112,7 @@ func TestManifestTracksCommittedAppends(t *testing.T) {
 	var want int64
 	for i := 0; i < 25; i++ {
 		p := []byte(fmt.Sprintf("committed-%02d", i))
-		if err := w.Append(p); err != nil {
+		if err := commit(w, p); err != nil {
 			t.Fatal(err)
 		}
 		want += int64(FrameHeaderBytes + len(p))
@@ -285,7 +190,7 @@ func TestReadChunkReadsOnlyItsRange(t *testing.T) {
 	w, _, _ := openCollect(t, dir, Options{FS: fsys})
 	defer w.Close()
 	record := bytes.Repeat([]byte("r"), 4096)
-	err := w.Snapshot(func(emit func([]byte) error) error {
+	err := snapshot(w, func(emit func([]byte) error) error {
 		for i := 0; i < 800; i++ { // ≈ 3.1 MiB: four chunks, the last one short
 			if err := emit(record); err != nil {
 				return err
@@ -342,14 +247,14 @@ func TestSnapshotBaseFrameRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openCollect(t, dir, Options{})
 	for i := 0; i < 7; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("pre-snap-%d", i))); err != nil {
+		if err := commit(w, []byte(fmt.Sprintf("pre-snap-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Snapshot emits fewer records than the log holds (the store
 	// deduplicated some): the base frame must still carry the covered
 	// record sequence (7), not the record count (3).
-	err := w.Snapshot(func(emit func([]byte) error) error {
+	err := snapshot(w, func(emit func([]byte) error) error {
 		for i := 0; i < 3; i++ {
 			if err := emit([]byte(fmt.Sprintf("deduped-%d", i))); err != nil {
 				return err
@@ -377,7 +282,7 @@ func TestSnapshotBaseFrameRoundTrip(t *testing.T) {
 	if base != 7 || len(records) != 3 {
 		t.Fatalf("DecodeSnapshot: base %d records %d, want 7 and 3", base, len(records))
 	}
-	if err := w.Append([]byte("post-snap")); err != nil {
+	if err := commit(w, []byte("post-snap")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

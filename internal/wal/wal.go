@@ -58,19 +58,11 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this
 	// size; <= 0 selects DefaultSegmentBytes.
 	SegmentBytes int64
-	// Policy is the durability point of Append; the zero value is
+	// Policy is the durability point of Commit; the zero value is
 	// FsyncAlways (safe by default).
 	Policy Policy
 	// FS substitutes the filesystem (fault injection); nil selects OS.
 	FS FS
-	// AppendObserver, when set, receives the latency of every
-	// AppendBatch in seconds (reserve to durability point).
-	AppendObserver func(seconds float64)
-	// ReadOnly opens the log for inspection and replay only: recovery
-	// never deletes, truncates, renames or creates anything, and every
-	// mutating method returns ErrReadOnly. Followers and operator tools
-	// use it so they cannot mutate state they do not own.
-	ReadOnly bool
 	// BumpEpoch durably increments the fencing epoch before the log
 	// accepts appends — the promotion path uses it so segments written by
 	// a deposed leader are rejected by followers of the new one.
@@ -86,9 +78,6 @@ var ErrCorruptSegment = errors.New("wal: corrupt segment")
 
 // ErrClosed is returned by appends against a closed or failed WAL.
 var ErrClosed = errors.New("wal: closed")
-
-// ErrReadOnly is returned by mutating methods of a read-only WAL.
-var ErrReadOnly = errors.New("wal: read-only")
 
 // Recovery describes what Open rebuilt from disk.
 type Recovery struct {
@@ -152,8 +141,6 @@ type WAL struct {
 	fs       FS
 	segLimit int64
 	policy   Policy
-	observer func(float64)
-	readOnly bool
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -211,7 +198,8 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 // apply is invoked once per recovered record — snapshot records first,
 // then surviving WAL records in append order — before Open returns; the
 // caller rebuilds its in-memory state inside it. A nil apply discards
-// the records (useful for inspection tools).
+// the records (a caller that already holds the state, as a promotion
+// does).
 //
 // Recovery tolerates crashes at any point of the append and snapshot
 // protocols: *.tmp leftovers are deleted, a torn tail on the newest data
@@ -231,15 +219,8 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 	if apply == nil {
 		apply = func([]byte) error { return nil }
 	}
-	if opts.ReadOnly && opts.BumpEpoch {
-		return nil, Recovery{}, fmt.Errorf("wal: BumpEpoch requires a writable log")
-	}
-	if !opts.ReadOnly {
-		// A read-only open must not mutate anything, directory creation
-		// included: opening a missing dir read-only fails in recovery.
-		if err := fsys.MkdirAll(dir); err != nil {
-			return nil, Recovery{}, fmt.Errorf("wal: mkdir %s: %w", dir, err)
-		}
+	if err := fsys.MkdirAll(dir); err != nil {
+		return nil, Recovery{}, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
 
 	w := &WAL{
@@ -247,8 +228,6 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 		fs:       fsys,
 		segLimit: opts.SegmentBytes,
 		policy:   opts.Policy,
-		observer: opts.AppendObserver,
-		readOnly: opts.ReadOnly,
 	}
 	w.cond = sync.NewCond(&w.mu)
 
@@ -263,7 +242,7 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 	if opts.BumpEpoch {
 		w.epoch++
 	}
-	if !opts.ReadOnly && w.epoch != stored {
+	if w.epoch != stored {
 		if err := WriteEpoch(fsys, dir, w.epoch); err != nil {
 			return nil, Recovery{}, fmt.Errorf("wal: write epoch: %w", err)
 		}
@@ -275,13 +254,6 @@ func Open(dir string, opts Options, apply func(payload []byte) error) (*WAL, Rec
 	}
 	w.lastRecovery = rec
 	w.recoveredSeq = rec.SnapshotBase + uint64(rec.SegmentRecords)
-
-	if opts.ReadOnly {
-		// No active segment: the log stays exactly as found on disk.
-		w.segSeq = maxSeq
-		w.segments.Store(int64(liveSegs))
-		return w, rec, nil
-	}
 
 	// Appends always start a fresh segment: recovered segments are never
 	// reopened for writing, so a truncated tail can never be overwritten
@@ -320,9 +292,7 @@ func (w *WAL) recover(apply func([]byte) error) (Recovery, uint64, int, error) {
 		full := filepath.Join(w.dir, name)
 		if strings.HasSuffix(name, ".tmp") {
 			// Interrupted atomic write; the target was never published.
-			if !w.readOnly {
-				w.fs.Remove(full)
-			}
+			w.fs.Remove(full)
 			continue
 		}
 		if seq, ok := parseSeq(name, "wal-", ".seg"); ok {
@@ -343,17 +313,14 @@ func (w *WAL) recover(apply func([]byte) error) (Recovery, uint64, int, error) {
 	sortSeqs(snapSeqs)
 
 	// Newest loadable snapshot wins; broken ones are quarantined so the
-	// next boot does not stumble over them again (in read-only mode they
-	// are reported but left untouched on disk).
+	// next boot does not stumble over them again.
 	var snapRecords [][]byte
 	for i := len(snapSeqs) - 1; i >= 0; i-- {
 		seq := snapSeqs[i]
 		path := filepath.Join(w.dir, snapshotName(seq))
 		base, records, err := w.loadSnapshot(path)
 		if err != nil {
-			if !w.readOnly {
-				w.fs.Rename(path, path+".corrupt")
-			}
+			w.fs.Rename(path, path+".corrupt")
 			rec.QuarantinedSnapshots = append(rec.QuarantinedSnapshots, snapshotName(seq))
 			continue
 		}
@@ -376,9 +343,7 @@ func (w *WAL) recover(apply func([]byte) error) (Recovery, uint64, int, error) {
 	for idx, seq := range segSeqs {
 		path := segs[seq]
 		if seq < rec.SnapshotSeq {
-			if !w.readOnly {
-				w.fs.Remove(path)
-			}
+			w.fs.Remove(path)
 			continue
 		}
 		if rec.Failure != nil {
@@ -400,21 +365,15 @@ func (w *WAL) recover(apply func([]byte) error) (Recovery, uint64, int, error) {
 		}
 		if idx == len(segSeqs)-1 {
 			// Bad frame at the very tail of the newest segment: the
-			// classic torn write. Cut it off and carry on — unless the log
-			// is read-only, where the torn bytes stay on disk for the
-			// owner to repair and replay simply stops before them.
-			if !w.readOnly {
-				if terr := w.fs.Truncate(path, int64(off)); terr != nil {
-					return rec, 0, 0, fmt.Errorf("wal: truncate torn tail of %s: %w", path, terr)
-				}
+			// classic torn write. Cut it off and carry on.
+			if terr := w.fs.Truncate(path, int64(off)); terr != nil {
+				return rec, 0, 0, fmt.Errorf("wal: truncate torn tail of %s: %w", path, terr)
 			}
 			rec.TornTailTruncations++
 			live++
 			continue
 		}
-		if !w.readOnly {
-			w.fs.Rename(path, path+".corrupt")
-		}
+		w.fs.Rename(path, path+".corrupt")
 		rec.QuarantinedSegments = append(rec.QuarantinedSegments, filepath.Base(path))
 		rec.Failure = fmt.Errorf("%w: %s at offset %d: %v", ErrCorruptSegment, filepath.Base(path), off, derr)
 	}
@@ -506,30 +465,20 @@ func sortSeqs(seqs []uint64) {
 	}
 }
 
-// Append logs one record and returns once it reached the policy's
-// durability point.
-func (w *WAL) Append(payload []byte) error {
-	return w.AppendBatch([][]byte{payload})
-}
-
-// AppendBatch logs the records as one commit unit: a single write and —
-// under FsyncAlways — a single fsync cover the whole batch, and
+// AppendBatch is Reserve followed by Commit, for a caller with no apply
+// step to order. It logs the records as one commit unit: a single write
+// and — under FsyncAlways — a single fsync cover the whole batch, and
 // concurrent batches group-commit (the first waiter flushes everyone's
 // pending frames; the rest ride along on its fsync).
 func (w *WAL) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	t0 := time.Now()
 	lsn, err := w.Reserve(payloads)
 	if err != nil {
 		return err
 	}
-	err = w.Commit(lsn)
-	if w.observer != nil {
-		w.observer(time.Since(t0).Seconds())
-	}
-	return err
+	return w.Commit(lsn)
 }
 
 // Reserve buffers the records and assigns their position in the log
@@ -540,9 +489,6 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 func (w *WAL) Reserve(payloads [][]byte) (lsn uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.readOnly {
-		return 0, ErrReadOnly
-	}
 	if w.closed {
 		return 0, ErrClosed
 	}
@@ -685,9 +631,6 @@ func (w *WAL) BeginSnapshot() (cover, base uint64, err error) {
 	for w.flushing {
 		w.cond.Wait()
 	}
-	if w.readOnly {
-		return 0, 0, ErrReadOnly
-	}
 	if w.closed {
 		return 0, 0, ErrClosed
 	}
@@ -724,9 +667,6 @@ func (w *WAL) BeginSnapshot() (cover, base uint64, err error) {
 // as it is emitted, so emit does not keep payload and the caller may
 // reuse it at once.
 func (w *WAL) CompleteSnapshot(cover, base uint64, fill func(emit func(payload []byte) error) error) error {
-	if w.readOnly {
-		return ErrReadOnly
-	}
 	path := filepath.Join(w.dir, snapshotName(cover))
 	err := WriteStreamAtomic(w.fs, path, func(out io.Writer) error {
 		bw := bufio.NewWriterSize(out, snapshotBufBytes)
@@ -801,17 +741,6 @@ func (w *WAL) compact(cover uint64) error {
 		return fmt.Errorf("wal: compact: %w", firstErr)
 	}
 	return nil
-}
-
-// Snapshot captures, publishes and compacts in one call for callers
-// without their own ordering concerns (tests, tools). fill runs after
-// the coverage point is sealed.
-func (w *WAL) Snapshot(fill func(emit func(payload []byte) error) error) error {
-	cover, base, err := w.BeginSnapshot()
-	if err != nil {
-		return err
-	}
-	return w.CompleteSnapshot(cover, base, fill)
 }
 
 // Close flushes pending records durably and closes the active segment.

@@ -26,6 +26,26 @@ func openCollect(t *testing.T, dir string, opts Options) (*WAL, Recovery, []stri
 	return w, rec, got
 }
 
+// commit logs one record the way a durable store does: Reserve assigns
+// its place in the log, Commit waits for the policy's durability point.
+func commit(w *WAL, payload []byte) error {
+	lsn, err := w.Reserve([][]byte{payload})
+	if err != nil {
+		return err
+	}
+	return w.Commit(lsn)
+}
+
+// snapshot seals the log and publishes fill's records over it: the two
+// steps a durable store's Snapshot takes around its state capture.
+func snapshot(w *WAL, fill func(emit func(payload []byte) error) error) error {
+	cover, base, err := w.BeginSnapshot()
+	if err != nil {
+		return err
+	}
+	return w.CompleteSnapshot(cover, base, fill)
+}
+
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, rec, got := openCollect(t, dir, Options{})
@@ -35,7 +55,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	var want []string
 	for i := 0; i < 100; i++ {
 		p := fmt.Sprintf("record-%03d", i)
-		if err := w.Append([]byte(p)); err != nil {
+		if err := commit(w, []byte(p)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, p)
@@ -57,7 +77,7 @@ func TestRotationAndStats(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openCollect(t, dir, Options{SegmentBytes: 256})
 	for i := 0; i < 50; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("rotating-record-%03d", i))); err != nil {
+		if err := commit(w, []byte(fmt.Sprintf("rotating-record-%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,11 +112,11 @@ func TestSnapshotCompactRecover(t *testing.T) {
 		k := fmt.Sprintf("key-%d", i%7)
 		v := fmt.Sprintf("val-%d", i)
 		state[k] = v
-		if err := w.Append([]byte(k + "=" + v)); err != nil {
+		if err := commit(w, []byte(k+"="+v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := w.Snapshot(func(emit func([]byte) error) error {
+	err := snapshot(w, func(emit func([]byte) error) error {
 		for k, v := range state {
 			if err := emit([]byte(k + "=" + v)); err != nil {
 				return err
@@ -109,7 +129,7 @@ func TestSnapshotCompactRecover(t *testing.T) {
 	}
 	// Post-snapshot appends land in segments the snapshot does not cover.
 	state["key-post"] = "after"
-	if err := w.Append([]byte("key-post=after")); err != nil {
+	if err := commit(w, []byte("key-post=after")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -152,7 +172,7 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openCollect(t, dir, Options{})
 	for i := 0; i < 10; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("good-%d", i))); err != nil {
+		if err := commit(w, []byte(fmt.Sprintf("good-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +219,7 @@ func TestMidLogCorruptionQuarantined(t *testing.T) {
 	// Two segments: corrupt the first, keep the second intact.
 	w, _, _ := openCollect(t, dir, Options{SegmentBytes: 64})
 	for i := 0; i < 20; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+		if err := commit(w, []byte(fmt.Sprintf("record-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +288,7 @@ func TestConcurrentGroupCommit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := w.Append([]byte(fmt.Sprintf("w%d-%03d", g, i))); err != nil {
+				if err := commit(w, []byte(fmt.Sprintf("w%d-%03d", g, i))); err != nil {
 					errs <- err
 					return
 				}
@@ -319,7 +339,7 @@ func TestIntervalAndNeverPoliciesRecover(t *testing.T) {
 			dir := t.TempDir()
 			w, _, _ := openCollect(t, dir, Options{Policy: p})
 			for i := 0; i < 25; i++ {
-				if err := w.Append([]byte(fmt.Sprintf("r%02d", i))); err != nil {
+				if err := commit(w, []byte(fmt.Sprintf("r%02d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -339,7 +359,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+	if err := commit(w, []byte("late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 	if err := w.Close(); err != nil {
