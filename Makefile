@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt purego cross fuzz chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all paper-scale traffic
+.PHONY: all build test race vet fmt purego cross fuzz fuzz-listed chaos chaos-repl chaos-elect chaos-router stress crash replay-e2e recall-gate eval-golden bench-smoke check loc bench bench-record bench-gate bench-pairs bench-all paper-scale traffic
 
 all: check
 
@@ -58,8 +58,9 @@ chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/simulate
 
 # Short smoke runs of every fuzz target (go allows one -fuzz pattern
-# per invocation, so one line each).
-fuzz:
+# per invocation, so one line each). fuzz-listed fails first when a
+# `func Fuzz…` under internal/ has no line here.
+fuzz: fuzz-listed
 	$(GO) test -run=^$$ -fuzz=^FuzzTokenize$$ -fuzztime=$(FUZZTIME) ./internal/encode
 	$(GO) test -run=^$$ -fuzz=^FuzzEmbed$$ -fuzztime=$(FUZZTIME) ./internal/encode
 	$(GO) test -run=^$$ -fuzz=^FuzzEmbedMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/encode
@@ -85,6 +86,11 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzSparseSqDistCols$$ -fuzztime=$(FUZZTIME) ./internal/linalg
 	$(GO) test -run=^$$ -fuzz=^FuzzAssignMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/ivf
 	$(GO) test -run=^$$ -fuzz=^FuzzExactTopKMatchesDense$$ -fuzztime=$(FUZZTIME) ./internal/ml/ivf
+
+fuzz-listed:
+	@missing=$$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | sed 's/^func //' | sort -u | \
+		while read -r f; do grep -qF -- "-fuzz=^$$f"'$$$$ ' $(firstword $(MAKEFILE_LIST)) || echo "$$f"; done); \
+	if [ -n "$$missing" ]; then echo "fuzz targets with no line under fuzz: in the Makefile:"; echo "$$missing"; exit 1; fi
 
 # Replication chaos suite: a crashfs-backed leader is killed at seeded
 # byte offsets mid-group-commit, mid-compaction and mid-retrain; the

@@ -151,8 +151,8 @@ func memoConfigs(t *testing.T) map[string]Config {
 // TestClassifyMatchesModelAcrossSnapshots is the differential test of the
 // note: ClassifyJobs on held-out jobs equals the served model's Predict
 // over a cache-off encoder's vectors, row for row, at each job's first,
-// second and third sighting (embedded; scattered from the cache, then
-// noted; answered from the note) — after a train, a retrain to another
+// second and third sighting (embedded; found in the cache, embedded
+// again and noted; answered from the note) — after a train, a retrain to another
 // window, a LoadLatest that restores the older model, an nprobe change
 // and its reversal, ResetCache, a capacity of 0 (the entries held stay,
 // and keep answering) and an emptied 16-entry cache that evicts inside
@@ -394,8 +394,8 @@ func TestFirstSightLeavesNoNote(t *testing.T) {
 
 // TestNotedClassifyAllocations is the allocation gate of the qsub path:
 // a single-job classify answered from a note allocates 4 times on RF and
-// on IVF KNN, where one that scattered its cached vector and ran the
-// model took 9 and 10. The four: the row index, the distinct list, the
+// on IVF KNN, where one that embedded its cached string again and ran
+// the model takes 9 and 10. The four: the row index, the distinct list, the
 // feature string (the cache key, which a miss stores and SetNote finds)
 // and the predictions.
 func TestNotedClassifyAllocations(t *testing.T) {
@@ -431,8 +431,8 @@ func TestNotedClassifyAllocations(t *testing.T) {
 
 // TestNotedWindowAllocatesNoVectors: a 1 000-job window whose strings
 // are all noted allocates fewer bytes than its distinct vectors alone
-// would take, where the same window scattering its vectors allocates at
-// least that — the vectors are not cut at all.
+// would take, where the same window embedding its strings again
+// allocates at least that — the vectors are not cut at all.
 func TestNotedWindowAllocatesNoVectors(t *testing.T) {
 	ctx := context.Background()
 	fw := newFramework(t, DefaultConfig(), seedStore(t))
@@ -452,8 +452,8 @@ func TestNotedWindowAllocatesNoVectors(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	if scattered := bytesPerRun(); scattered < vectorBytes { // second sight: notes them
-		t.Fatalf("a window scattering %d vectors allocated %d B, under their %d B", len(dist), scattered, vectorBytes)
+	if embedded := bytesPerRun(); embedded < vectorBytes { // second sight: notes them
+		t.Fatalf("a window embedding %d vectors allocated %d B, under their %d B", len(dist), embedded, vectorBytes)
 	}
 	if noted := bytesPerRun(); noted >= vectorBytes {
 		t.Errorf("a noted window of %d strings allocated %d B, as much as their vectors (%d B)", len(dist), noted, vectorBytes)

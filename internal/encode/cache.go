@@ -2,43 +2,35 @@ package encode
 
 import (
 	"container/list"
-	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
 // The embedding cache exploits the paper's batch-duplication observation
 // (§V: "latest"-subsampled windows replicate recent samples, and live
-// submission streams repeat the same app/user feature strings): a
-// duplicate submission skips tokenizing and hashing entirely. Sixteen shards
-// each hold an independent LRU behind a private mutex, so concurrent
-// Classify batches on different keys almost never contend on the same
-// lock, while the per-key routing stays stable (one key always lands in
-// one shard).
+// submission streams repeat the same app/user feature strings). Sixteen
+// shards each hold an independent LRU behind a private mutex, so
+// concurrent Classify batches on different keys almost never contend on
+// the same lock, while the per-key routing stays stable (one key always
+// lands in one shard).
 //
-// An entry keeps only the coordinates the embedder set (sparseVec): the
-// hashing embedder sets about 89 of 384, so an entry's vector is ≈ 540 B
-// instead of 1 536. Every other coordinate of the vector is +0 — EmbedInto
-// makes no -0 — so scattering the stored bits into zeroed memory restores
-// the embedding bit for bit.
-//
-// An entry also keeps one word for its caller, the note (SetNote): the
-// serving path writes there the label the served model gave the string,
-// so a recurring submission is answered from its entry with no vector and
-// no model. The note lives and dies with its entry — it has no map, bound
-// or eviction of its own — and an entry recycled for another key starts
-// with none.
+// An entry keeps the feature string and one word for its caller, the
+// note (SetNote), and no vector: the serving path writes there the label
+// the served model gave the string, so a recurring submission is
+// answered from its entry with no vector and no model. A string the
+// entry cannot answer for is embedded again — ≈ 3 µs, and deterministic,
+// so the vector has the bits it had at first sight. The note lives and
+// dies with its entry — it has no map, bound or eviction of its own —
+// and an entry recycled for another key starts with none.
 const (
 	cacheShardCount = 16 // power of two: shard pick is a mask
 
 	// DefaultCacheCapacity bounds the encoder memo to 65 536 entries
 	// (4 096 a shard): 2.5× the 26 455 distinct feature strings of the
-	// whole 91-day scale-1 trace, so the paper's recurring strings are
-	// never evicted, while never-repeating names cycle through the LRU at
-	// ≈ 58 MB (≈ 894 B an entry measured, ≈ 540 B of it the sparse
-	// vector) instead of piling up. No vector is stored larger than its
-	// dense 1 536 B, so the vectors alone stay under 100 MiB at worst.
+	// whole 91-day scale-1 trace, so the paper's recurring strings keep
+	// their notes, while never-repeating names cycle through the LRU at
+	// ≈ 12 MB (≈ 175 B an entry measured: the key, its map slot, list
+	// element and entry) instead of piling up.
 	DefaultCacheCapacity = 1 << 16
 )
 
@@ -48,10 +40,9 @@ type CacheStats struct {
 	Entries                 int
 }
 
-// cacheEntry is 48 B: the key, the vector's slice header and the note.
+// cacheEntry is 24 B: the key and the note.
 type cacheEntry struct {
 	key  string
-	val  sparseVec
 	note uint64 // 0: none
 }
 
@@ -66,84 +57,14 @@ func MakeNote(stamp uint64, payload uint8) uint64 { return stamp<<noteShift | ui
 // NotePayload returns the payload MakeNote packed into note.
 func NotePayload(note uint64) uint8 { return uint8(note) }
 
-// sparseVec is a vector of uint16-indexed coordinates in one allocation:
-// the n stored values' float32 bits, then their indices two to a word
-// (the first in the low half). Its length is n + ⌈n/2⌉, so n is
-// 2·len/3 rounded down. A vector that would take as many words as it has
-// coordinates is kept whole instead — every coordinate's bits, in order —
-// and told apart by that length, so no entry outgrows the dense vector.
-type sparseVec []uint32
-
-// maxSparseDim is the widest vector a uint16 index reaches.
-const maxSparseDim = 1 << 16
-
-// compact stores the coordinates of v set in mask — which must cover
-// every coordinate whose bits are not +0's — walking the set bits only.
-func compact(v []float32, mask []uint64) sparseVec {
-	n := 0
-	for _, w := range mask {
-		n += bits.OnesCount64(w)
-	}
-	if n+(n+1)/2 >= len(v) {
-		sv := make(sparseVec, len(v))
-		for i, x := range v {
-			sv[i] = math.Float32bits(x)
-		}
-		return sv
-	}
-	sv := make(sparseVec, n+(n+1)/2)
-	vals, idx := sv[:n], sv[n:]
-	k := 0
-	for wi, w := range mask {
-		for ; w != 0; w &= w - 1 {
-			i := wi*64 + bits.TrailingZeros64(w)
-			vals[k] = math.Float32bits(v[i])
-			idx[k>>1] |= uint32(i) << (16 * (k & 1))
-			k++
-		}
-	}
-	return sv
-}
-
-// nonzeroMask marks the coordinates of v whose bits are not +0's — the
-// mask compact takes for a vector nothing else describes (an Embedder
-// other than the hashing one). A -0 or a NaN is marked, and so kept.
-func nonzeroMask(v []float32) []uint64 {
-	mask := make([]uint64, (len(v)+63)/64)
-	for i, x := range v {
-		if math.Float32bits(x) != 0 {
-			mask[i>>6] |= 1 << (i & 63)
-		}
-	}
-	return mask
-}
-
-// scatter writes the stored coordinates into dst, which must be zeroed
-// and as wide as the vector compacted.
-func (sv sparseVec) scatter(dst []float32) {
-	if len(sv) == len(dst) { // kept whole
-		for i, b := range sv {
-			dst[i] = math.Float32frombits(b)
-		}
-		return
-	}
-	n := 2 * len(sv) / 3
-	vals, idx := sv[:n], sv[n:]
-	for k, pair := range idx {
-		dst[uint16(pair)] = math.Float32frombits(vals[2*k])
-		if 2*k+1 < n {
-			dst[pair>>16] = math.Float32frombits(vals[2*k+1])
-		}
-	}
-}
-
 type cacheShard struct {
 	mu    sync.Mutex
 	items map[string]*list.Element
 	lru   list.List // front = most recently used
 }
 
-// shardedCache is a fixed-shard, per-shard-LRU string→vector cache.
+// shardedCache is a fixed-shard, per-shard-LRU set of strings, each with
+// its note.
 type shardedCache struct {
 	shards   [cacheShardCount]cacheShard
 	perShard atomic.Int64 // max entries per shard; <= 0 disables storing
@@ -183,10 +104,8 @@ func shardIndex(key string) int {
 
 // get looks key up, promoting its entry to most recently used, and
 // reports whether key was cached. When the entry's note carries stamp
-// (nonzero) it returns that note; otherwise note is 0 and val is the
-// cached vector, which is never written once stored (scatter it outside
-// the lock).
-func (c *shardedCache) get(key string, stamp uint64) (val sparseVec, note uint64, ok bool) {
+// (nonzero) it returns that note; otherwise note is 0.
+func (c *shardedCache) get(key string, stamp uint64) (note uint64, ok bool) {
 	s := &c.shards[shardIndex(key)]
 	s.mu.Lock()
 	el, ok := s.items[key]
@@ -194,19 +113,17 @@ func (c *shardedCache) get(key string, stamp uint64) (val sparseVec, note uint64
 		s.lru.MoveToFront(el)
 		// Read inside the critical section: a concurrent put or setNote on
 		// the same key rebinds the entry's fields under this lock.
-		ent := el.Value.(*cacheEntry)
-		val = ent.val
-		if stamp != 0 && ent.note>>noteShift == stamp {
-			note = ent.note
+		if n := el.Value.(*cacheEntry).note; stamp != 0 && n>>noteShift == stamp {
+			note = n
 		}
 	}
 	s.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, 0, false
+		return 0, false
 	}
 	c.hits.Add(1)
-	return val, note, true
+	return note, true
 }
 
 // setNote writes note onto key's entry, if the cache holds one; it does
@@ -227,11 +144,11 @@ func (c *shardedCache) setNote(key string, note uint64) {
 // set to 0 or below.
 func (c *shardedCache) storing() bool { return c.perShard.Load() > 0 }
 
-// put stores key→val, evicting least-recently-used entries past the
-// shard's capacity share. A new key in a full shard takes over the least
-// recently used entry — its list element and cacheEntry — with the note
-// cleared, so a miss past capacity allocates neither.
-func (c *shardedCache) put(key string, val sparseVec) {
+// put stores key, evicting least-recently-used entries past the shard's
+// capacity share. A new key in a full shard takes over the least recently
+// used entry — its list element and cacheEntry — with the note cleared,
+// so a miss past capacity allocates neither.
+func (c *shardedCache) put(key string) {
 	per := c.perShard.Load()
 	if per <= 0 {
 		return
@@ -240,17 +157,16 @@ func (c *shardedCache) put(key string, val sparseVec) {
 	evicted := uint64(0)
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).val = val // same key, same vector: the note stands
-		s.lru.MoveToFront(el)
+		s.lru.MoveToFront(el) // same key: the note stands
 	} else if back := s.lru.Back(); back != nil && int64(s.lru.Len()) >= per {
 		ent := back.Value.(*cacheEntry)
 		delete(s.items, ent.key)
-		*ent = cacheEntry{key: key, val: val}
+		*ent = cacheEntry{key: key}
 		s.lru.MoveToFront(back)
 		s.items[key] = back
 		evicted++
 	} else {
-		s.items[key] = s.lru.PushFront(&cacheEntry{key: key, val: val})
+		s.items[key] = s.lru.PushFront(&cacheEntry{key: key})
 	}
 	for int64(s.lru.Len()) > per {
 		back := s.lru.Back()

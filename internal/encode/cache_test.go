@@ -24,37 +24,25 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
-// putVec stores v under key as the encoder would: compacted by its bits.
-func putVec(c *shardedCache, key string, v []float32) { c.put(key, compact(v, nonzeroMask(v))) }
-
-// getVec reads key back into a fresh vector of width dim.
-func getVec(c *shardedCache, key string, dim int) ([]float32, bool) {
-	v := make([]float32, dim)
-	val, _, ok := c.get(key, 0)
-	if ok {
-		val.scatter(v)
-	}
-	return v, ok
-}
-
 // TestCachedEmbeddingBitIdentical is the property "cached vs uncached
 // embeddings are bit-identical for any feature string": for arbitrary
-// job features, the cache-miss encoding, the cache-hit re-read and a
-// bare embedder run over the canonical feature string agree bit for bit.
+// job features, the first sight's encoding, the second's — a cache hit,
+// embedded again — and a bare embedder run over the canonical feature
+// string agree bit for bit.
 func TestCachedEmbeddingBitIdentical(t *testing.T) {
 	e := NewEncoder(nil, nil)
 	emb := NewHashingEmbedder()
 	emb.FieldWeights = FieldWeightsFor(DefaultFeatures())
 	prop := func(user, name, env string, cores, nodes uint16) bool {
-		j := &job.Job{
+		j := []*job.Job{{
 			ID: "q", User: user, Name: name, Environment: env,
 			CoresRequested: int(cores), NodesRequested: int(nodes),
 			FreqRequested: job.FreqNormal,
-		}
-		miss := e.EncodeJob(j) // first sight: computed
-		hit := e.EncodeJob(j)  // second sight: served from the cache
-		bare := emb.Embed(FeatureString(j, DefaultFeatures()))
-		return sameBits(miss, hit) && sameBits(hit, bare)
+		}}
+		miss, _ := e.EncodeDistinct(j, 0) // first sight: stored
+		hit, _ := e.EncodeDistinct(j, 0)  // second sight: found, re-embedded
+		bare := emb.Embed(FeatureString(j[0], DefaultFeatures()))
+		return !miss[0].Hit && hit[0].Hit && sameBits(miss[0].Vec, hit[0].Vec) && sameBits(hit[0].Vec, bare)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -63,10 +51,11 @@ func TestCachedEmbeddingBitIdentical(t *testing.T) {
 
 // TestShardRoutingStable is the property "shard routing is stable under
 // concurrent Get/Put": a key's shard index never changes, and after
-// arbitrary concurrent writers and readers every key still maps to
-// exactly the value that was stored for it (entries never migrate or
+// arbitrary concurrent writers and readers every key is still held with
+// exactly the note that was set on it (entries never migrate or
 // cross-contaminate between shards).
 func TestShardRoutingStable(t *testing.T) {
+	const stamp = 1
 	prop := func(rawKeys []string, salt uint8) bool {
 		keys := make([]string, 0, len(rawKeys)+1)
 		seen := map[string]bool{}
@@ -79,8 +68,8 @@ func TestShardRoutingStable(t *testing.T) {
 		keys = append(keys, fmt.Sprintf("anchor-%d", salt))
 		c := newShardedCache(16 * len(keys))
 
-		val := func(k string) []float32 {
-			return []float32{float32(len(k)), float32(salt), float32(shardIndex(k))}
+		val := func(k string) uint64 {
+			return MakeNote(stamp, uint8(len(k))^salt^uint8(shardIndex(k)))
 		}
 		route := make([]int, len(keys))
 		for i, k := range keys {
@@ -95,11 +84,10 @@ func TestShardRoutingStable(t *testing.T) {
 				for r := 0; r < 4; r++ {
 					for _, k := range keys {
 						if w%2 == 0 {
-							putVec(c, k, val(k))
-						} else {
-							if v, ok := getVec(c, k, 3); ok && !sameBits(v, val(k)) {
-								panic("cache returned a foreign value")
-							}
+							c.put(k)
+							c.setNote(k, val(k))
+						} else if note, _ := c.get(k, stamp); note != 0 && note != val(k) {
+							panic("cache returned a foreign note")
 						}
 					}
 				}
@@ -111,8 +99,7 @@ func TestShardRoutingStable(t *testing.T) {
 			if shardIndex(k) != route[i] {
 				return false // routing drifted
 			}
-			v, ok := getVec(c, k, 3)
-			if !ok || !sameBits(v, val(k)) {
+			if note, ok := c.get(k, stamp); !ok || note != val(k) {
 				return false // entry lost or cross-contaminated
 			}
 		}
@@ -138,12 +125,12 @@ func TestCacheLRUOrder(t *testing.T) {
 			break
 		}
 	}
-	putVec(c, a, []float32{1})
-	putVec(c, b, []float32{2}) // evicts a (capacity 1 in this shard)
-	if _, ok := getVec(c, a, 1); ok {
+	c.put(a)
+	c.put(b) // evicts a (capacity 1 in this shard)
+	if _, ok := c.get(a, 0); ok {
 		t.Error("evicted key still resident")
 	}
-	if v, ok := getVec(c, b, 1); !ok || v[0] != 2 {
+	if _, ok := c.get(b, 0); !ok {
 		t.Error("most recent key missing")
 	}
 	st := c.stats()
@@ -169,23 +156,17 @@ func sameShardKeys(n int) []string {
 func TestRecycledEntryDropsNote(t *testing.T) {
 	c := newShardedCache(cacheShardCount) // one entry per shard
 	keys := sameShardKeys(2)
-	putVec(c, keys[0], []float32{1})
+	c.put(keys[0])
 	const stamp = 3
 	c.setNote(keys[0], MakeNote(stamp, 7))
-	if _, note, _ := c.get(keys[0], stamp); note != MakeNote(stamp, 7) {
+	if note, _ := c.get(keys[0], stamp); note != MakeNote(stamp, 7) {
 		t.Fatalf("note %#x, want the one set", note)
 	}
-	putVec(c, keys[1], []float32{2}) // recycles keys[0]'s entry
-	val, note, ok := c.get(keys[1], stamp)
-	if !ok || note != 0 {
+	c.put(keys[1]) // recycles keys[0]'s entry
+	if note, ok := c.get(keys[1], stamp); !ok || note != 0 {
 		t.Fatalf("recycled entry: cached %v, note %#x; want cached, no note", ok, note)
 	}
-	v := make([]float32, 1)
-	val.scatter(v)
-	if v[0] != 2 {
-		t.Errorf("recycled entry holds %v, want the new key's vector", v)
-	}
-	if _, _, ok := c.get(keys[0], stamp); ok {
+	if _, ok := c.get(keys[0], stamp); ok {
 		t.Error("evicted key still resident")
 	}
 	if st := c.stats(); st.Evictions != 1 || st.Entries != 1 {
@@ -198,13 +179,12 @@ func TestRecycledEntryDropsNote(t *testing.T) {
 func TestFullShardMissAllocatesNothing(t *testing.T) {
 	c := newShardedCache(4 * cacheShardCount)
 	keys := sameShardKeys(64)
-	val := compact([]float32{1, 0, 0, 2}, nonzeroMask([]float32{1, 0, 0, 2}))
 	for _, k := range keys[:4] {
-		c.put(k, val)
+		c.put(k)
 	}
 	i := 4
 	allocs := testing.AllocsPerRun(200, func() {
-		c.put(keys[i%len(keys)], val)
+		c.put(keys[i%len(keys)])
 		i++
 	})
 	if allocs != 0 {
@@ -214,7 +194,8 @@ func TestFullShardMissAllocatesNothing(t *testing.T) {
 
 // TestEncodeDistinctNotes: a string whose entry carries a note with the
 // caller's stamp comes back with the note and no vector — still a cache
-// hit — while any other stamp, or stamp 0, gets its vector; SetNote finds
+// hit — while any other stamp, or stamp 0, gets its vector embedded
+// again; SetNote finds
 // only an entry that exists and stores nothing at capacity 0.
 func TestEncodeDistinctNotes(t *testing.T) {
 	e := NewEncoder(nil, nil)

@@ -6,8 +6,8 @@ import (
 )
 
 // Encoder is the MCBound Feature Encoder component: it filters the job
-// features, renders the comma-separated string and embeds it. Encodings
-// are memoized in a sharded LRU keyed by the canonical feature string —
+// features, renders the comma-separated string and embeds it. Feature
+// strings are memoized in a sharded LRU with the label last given them —
 // the paper caches characterizations and encodings across workflow
 // triggers to avoid redundant computation, and live submission streams
 // repeat feature strings heavily — and batch encoding is parallelized
@@ -21,8 +21,6 @@ type Encoder struct {
 // NewEncoder builds an Encoder over the given feature subset and
 // embedder. Nil features defaults to DefaultFeatures; nil embedder to the
 // hashing embedder. The embedding cache starts at DefaultCacheCapacity.
-// It panics on an embedder wider than 1 << 16, the most a cache entry's
-// uint16 indices address.
 func NewEncoder(features []Feature, embedder Embedder) *Encoder {
 	if features == nil {
 		features = DefaultFeatures()
@@ -31,9 +29,6 @@ func NewEncoder(features []Feature, embedder Embedder) *Encoder {
 		he := NewHashingEmbedder()
 		he.FieldWeights = FieldWeightsFor(features)
 		embedder = he
-	}
-	if embedder.Dim() > maxSparseDim {
-		panic("encode: embedder dim must be <= 1 << 16")
 	}
 	return &Encoder{
 		features: features,
@@ -48,47 +43,30 @@ func (e *Encoder) Features() []Feature { return e.features }
 // Dim returns the encoding dimensionality.
 func (e *Encoder) Dim() int { return e.embedder.Dim() }
 
-// EncodeJob returns the embedding of a single job, from cache when the
-// identical feature string was seen before. The returned slice belongs to
-// the caller: writing into it changes no later result.
+// EncodeJob returns the embedding of a single job. It neither reads nor
+// fills the cache: only notes are memoized, and a lone vector has no one
+// to take a note from. The returned slice belongs to the caller.
 func (e *Encoder) EncodeJob(j *job.Job) []float32 {
-	key := FeatureString(j, e.features)
 	v := make([]float32, e.embedder.Dim())
-	val, _, hit := e.cache.get(key, 0)
-	e.fill(key, v, val, hit)
+	e.embed(FeatureString(j, e.features), v)
 	return v
 }
 
-// fill writes key's embedding into v (zeroed): on a hit it scatters the
-// cached coordinates val into it, on a miss it embeds straight into it
-// and stores its sparse copy.
-func (e *Encoder) fill(key string, v []float32, val sparseVec, hit bool) {
-	if hit {
-		val.scatter(v)
+// embed writes key's embedding into v, allocating nothing through the
+// hashing embedder.
+func (e *Encoder) embed(key string, v []float32) {
+	if he, ok := e.embedder.(*HashingEmbedder); ok {
+		he.EmbedInto(key, v)
 		return
 	}
-	// Concurrent misses on the same key may both embed; the embedding is
-	// deterministic, so the duplicate work is harmless and lock-free.
-	var bitStack [2 * Dim / 64]uint64
-	var mask []uint64 // covers every coordinate of v that is not +0
-	if he, ok := e.embedder.(*HashingEmbedder); ok {
-		bitmaps := he.bitmaps(bitStack[:])
-		he.embedMarked(key, v, bitmaps)
-		mask = bitmaps[len(bitmaps)/2:] // the union of the tokens' hits
-	} else {
-		copy(v, e.embedder.Embed(key))
-		mask = nonzeroMask(v)
-	}
-	if e.cache.storing() {
-		e.cache.put(key, compact(v, mask))
-	}
+	copy(v, e.embedder.Embed(key))
 }
 
 // chunkBytes bounds the allocations EncodeDistinct cuts its vectors from.
-// A hit fills a vector of its own; cutting them 21 at a time (at Dim) from
-// allocations under Go's 32 KB large-object size halves what that costs a
-// window of cached strings. One slab for the whole batch would be a large
-// object, slower than a vector apiece.
+// Every string without a note fills a vector of its own; cutting them 21
+// at a time (at Dim) from allocations under Go's 32 KB large-object size
+// halves what that costs a window. One slab for the whole batch would be
+// a large object, slower than a vector apiece.
 const chunkBytes = 32 << 10
 
 // Distinct is one distinct feature string of an EncodeDistinct batch.
@@ -103,8 +81,9 @@ type Distinct struct {
 	// one EncodeDistinct was given, and 0 otherwise.
 	Note uint64
 
-	// Hit reports that the string was found in the cache: its vector was
-	// scattered from an entry (or its note read from one), not embedded.
+	// Hit reports that the string was found in the cache — second sight
+	// or later. Its note was read from the entry, or, when that note is
+	// not under the caller's stamp, its vector embedded again.
 	Hit bool
 }
 
@@ -155,15 +134,17 @@ func (e *Encoder) encodeAll(dist []Distinct, stamp uint64) {
 }
 
 // encodeRange looks each of dist up in the cache, taking its note when
-// the stamp is the caller's and its vector — cut from a chunk only then —
-// otherwise.
+// the stamp is the caller's and otherwise embedding it into a vector cut
+// from a chunk, and storing the key of a string the cache did not hold.
+// Concurrent misses on the same key both embed it, to the same bits, and
+// both store it: the second put finds the entry and only promotes it.
 func (e *Encoder) encodeRange(dist []Distinct, stamp uint64) {
 	dim := e.embedder.Dim()
 	perChunk := max(1, chunkBytes/(4*dim))
 	var chunk []float32
 	for k := range dist {
 		d := &dist[k]
-		val, note, hit := e.cache.get(d.key, stamp)
+		note, hit := e.cache.get(d.key, stamp)
 		d.Hit = hit
 		if note != 0 {
 			d.Note = note
@@ -173,7 +154,10 @@ func (e *Encoder) encodeRange(dist []Distinct, stamp uint64) {
 			chunk = make([]float32, min(len(dist)-k, perChunk)*dim)
 		}
 		d.Vec, chunk = chunk[:dim:dim], chunk[dim:]
-		e.fill(d.key, d.Vec, val, hit)
+		e.embed(d.key, d.Vec)
+		if !hit {
+			e.cache.put(d.key)
+		}
 	}
 }
 
@@ -206,5 +190,6 @@ func (e *Encoder) CacheStats() CacheStats { return e.cache.stats() }
 // CacheSize returns the number of memoized feature strings.
 func (e *Encoder) CacheSize() int { return e.cache.len() }
 
-// ResetCache drops every memoized encoding (counters keep accumulating).
+// ResetCache drops every memoized string and its note (counters keep
+// accumulating).
 func (e *Encoder) ResetCache() { e.cache.reset() }

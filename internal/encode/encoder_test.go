@@ -3,6 +3,7 @@ package encode
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -157,19 +158,24 @@ func TestFieldWeightsFor(t *testing.T) {
 	}
 }
 
+// TestEncodeJobCaching: EncodeJob embeds without touching the cache — no
+// hit, miss or entry — and gives the bits Encode gives at first sight
+// and at second, when the cache holds the string.
 func TestEncodeJobCaching(t *testing.T) {
 	e := NewEncoder(nil, nil)
 	j := testJob(1)
 	a := e.EncodeJob(j)
 	b := e.EncodeJob(j)
-	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v: identical jobs did not hit the cache", st)
+	if st := e.CacheStats(); st != (CacheStats{}) {
+		t.Errorf("stats = %+v: EncodeJob touched the cache", st)
 	}
-	if !sameBits(a, b) {
-		t.Error("the hit differs from the miss")
+	for sight := 1; sight <= 2; sight++ {
+		if v := e.Encode([]*job.Job{j})[0]; !sameBits(a, b) || !sameBits(a, v) {
+			t.Errorf("sight %d: Encode and EncodeJob differ", sight)
+		}
 	}
-	if e.CacheSize() != 1 {
-		t.Errorf("cache size = %d", e.CacheSize())
+	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 || e.CacheSize() != 1 {
+		t.Errorf("stats = %+v, size %d: Encode did not store, then find, the string", st, e.CacheSize())
 	}
 	e.ResetCache()
 	if e.CacheSize() != 0 {
@@ -198,7 +204,7 @@ func TestReturnedVectorsAreTheCallers(t *testing.T) {
 		for _, d := range dist {
 			scribble(d.Vec)
 		}
-		if got := e.EncodeJob(j); !sameBits(got, want) {
+		if got := e.Encode([]*job.Job{j})[0]; !sameBits(got, want) {
 			t.Fatalf("round %d: a write into a returned vector reached the cache", round)
 		}
 	}
@@ -207,16 +213,34 @@ func TestReturnedVectorsAreTheCallers(t *testing.T) {
 	}
 }
 
-// NewEncoder refuses an embedder wider than a cache entry's uint16
-// indices address, and takes the widest one they do.
-func TestNewEncoderDimBound(t *testing.T) {
-	NewEncoder(nil, lengthEmbedder{dim: 1 << 16})
-	defer func() {
-		if recover() == nil {
-			t.Error("accepted an embedder of 1<<16 + 1 dims")
-		}
-	}()
-	NewEncoder(nil, lengthEmbedder{dim: 1<<16 + 1})
+// TestCacheEntryRetainsNoVector: a cache filled to capacity with
+// never-seen strings retains under 300 B an entry — its key, map slot,
+// list element and note — where one that kept each string's sparse
+// vector held ≈ 800.
+func TestCacheEntryRetainsNoVector(t *testing.T) {
+	const capacity = 4096
+	jobs := make([]*job.Job, 3*capacity)
+	for i := range jobs {
+		jobs[i] = testJob(i)
+		jobs[i].Name = fmt.Sprintf("never_seen_%05d", i)
+	}
+	e := NewEncoder(nil, nil)
+	e.SetCacheCapacity(capacity)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	e.Encode(jobs) // the vectors are dropped: only the cache keeps anything
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(jobs) // freeing the inputs would offset what the cache holds
+	if e.CacheSize() != capacity {
+		t.Fatalf("%d entries, want the cache full at %d", e.CacheSize(), capacity)
+	}
+	perEntry := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / capacity
+	t.Logf("%d B retained an entry", perEntry)
+	if perEntry > 300 {
+		t.Errorf("the cache retains %d B an entry, budget 300", perEntry)
+	}
 }
 
 func TestEncodeBatchMatchesSingle(t *testing.T) {
@@ -248,7 +272,7 @@ func TestCacheCapacityBoundsEntries(t *testing.T) {
 	e := NewEncoder(nil, nil)
 	e.SetCacheCapacity(32)
 	for i := 0; i < 500; i++ {
-		e.EncodeJob(testJob(i))
+		e.Encode([]*job.Job{testJob(i)})
 	}
 	if n := e.CacheSize(); n > 32 {
 		t.Errorf("cache size %d exceeds capacity 32", n)
@@ -265,9 +289,9 @@ func TestCacheCapacityBoundsEntries(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	e := NewEncoder(nil, nil)
 	e.SetCacheCapacity(0)
-	j := testJob(1)
-	e.EncodeJob(j)
-	e.EncodeJob(j)
+	j := []*job.Job{testJob(1)}
+	e.Encode(j)
+	e.Encode(j)
 	if n := e.CacheSize(); n != 0 {
 		t.Errorf("disabled cache holds %d entries", n)
 	}
@@ -278,10 +302,10 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheHitMissCounters(t *testing.T) {
 	e := NewEncoder(nil, nil)
-	j := testJob(1)
-	e.EncodeJob(j)
-	e.EncodeJob(j)
-	e.EncodeJob(testJob(2))
+	j := []*job.Job{testJob(1)}
+	e.Encode(j)
+	e.Encode(j)
+	e.Encode([]*job.Job{testJob(2)})
 	st := e.CacheStats()
 	if st.Hits != 1 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 1 hit / 2 misses", st)
@@ -323,9 +347,9 @@ func (e lengthEmbedder) Embed(s string) []float32 {
 // method can be modified to leverage any encoding technique").
 func TestEncoderWithCustomEmbedder(t *testing.T) {
 	e := NewEncoder(DefaultFeatures(), lengthEmbedder{dim: 8})
-	j := testJob(0)
-	for _, v := range [][]float32{e.EncodeJob(j), e.EncodeJob(j)} { // the miss, then the hit
-		if e.Dim() != 8 || len(v) != 8 || v[0] != float32(len(FeatureString(j, DefaultFeatures()))) {
+	j := []*job.Job{testJob(0)}
+	for _, v := range [][]float32{e.EncodeJob(j[0]), e.Encode(j)[0], e.Encode(j)[0]} { // bare, the miss, then the hit
+		if e.Dim() != 8 || len(v) != 8 || v[0] != float32(len(FeatureString(j[0], DefaultFeatures()))) {
 			t.Fatalf("dim %d, vector %v: not the custom embedder's", e.Dim(), v)
 		}
 	}

@@ -94,9 +94,9 @@ func newAppMetrics(reg *telemetry.Registry, storeLen func() int, fw *core.Framew
 		nil, func() float64 { return float64(enc.CacheStats().Hits) })
 	reg.GaugeFunc("mcbound_encode_cache_misses", "Embedding cache misses since start.",
 		nil, func() float64 { return float64(enc.CacheStats().Misses) })
-	reg.GaugeFunc("mcbound_encode_cache_evictions", "Embeddings evicted from the cache since start.",
+	reg.GaugeFunc("mcbound_encode_cache_evictions", "Feature strings evicted from the embedding cache since start.",
 		nil, func() float64 { return float64(enc.CacheStats().Evictions) })
-	reg.GaugeFunc("mcbound_encode_cache_entries", "Embeddings currently memoized.",
+	reg.GaugeFunc("mcbound_encode_cache_entries", "Feature strings currently memoized in the embedding cache.",
 		nil, func() float64 { return float64(enc.CacheStats().Entries) })
 	return &appMetrics{
 		trainRuns: func(outcome string) *telemetry.Counter {
