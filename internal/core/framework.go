@@ -716,8 +716,8 @@ func (f *Framework) ClassifyJobs(ctx context.Context, jobs []*job.Job) ([]Predic
 // st, as a note carrying st's stamp in dist[d].Note. A string already
 // noted under that stamp keeps its note; the model predicts the rest in
 // one call. A predicted label is written back onto the string's cache
-// entry only when its vector came from a cache hit — second sight — so a
-// name seen once never carries a note.
+// entry only when the string was a cache hit — second sight — so a name
+// seen once never carries a note.
 func (f *Framework) predictDistinct(st *modelState, dist []encode.Distinct) error {
 	misses := 0
 	for k := range dist {
