@@ -71,6 +71,7 @@ fuzz: fuzz-listed
 	$(GO) test -run=^$$ -fuzz=^FuzzCursor$$ -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run=^$$ -fuzz=^FuzzIndexModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/knn
 	$(GO) test -run=^$$ -fuzz=^FuzzTrainAliasedMatchesCopied$$ -fuzztime=$(FUZZTIME) ./internal/ml/knn
+	$(GO) test -run=^$$ -fuzz=^FuzzWriteToMatchesMarshalBinary$$ -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run=^$$ -fuzz=^FuzzForestModel$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
 	$(GO) test -run=^$$ -fuzz=^FuzzPredictMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf
 	$(GO) test -run=^$$ -fuzz=^FuzzTrainMatchesReference$$ -fuzztime=$(FUZZTIME) ./internal/ml/rf

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -53,6 +54,10 @@ func (m *raceModel) Name() string { return "race" }
 // persist.Model round-trip so the registry can version raceModel swaps.
 func (m *raceModel) MarshalBinary() ([]byte, error) { return []byte{1}, nil }
 func (m *raceModel) UnmarshalBinary([]byte) error   { m.trained.Store(true); return nil }
+func (m *raceModel) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write([]byte{1})
+	return int64(n), err
+}
 
 // gatedModel blocks inside Train until released, simulating an
 // arbitrarily slow model fit.

@@ -467,9 +467,19 @@ func (f *Framework) train(ctx context.Context, now time.Time) (*TrainReport, err
 		f.publishFallback(cur, lookup)
 		return rep, err
 	}
-	enc := f.encoder.Encode(jobs)
+	// A KNN keeps the window's distinct vectors as its group matrix, so
+	// it is handed them once, in one slab it owns. A forest bins its
+	// vectors and drops them: it takes the shared per-string vectors.
+	var fit func() error
+	if kc, ok := model.(*knn.Classifier); ok {
+		data, row := f.encoder.EncodeMatrix(jobs)
+		fit = func() error { return kc.TrainMatrix(data, f.encoder.Dim(), row, labels) }
+	} else {
+		enc := f.encoder.Encode(jobs)
+		fit = func() error { return model.Train(enc, labels) }
+	}
 	t0 := time.Now()
-	if err := model.Train(enc, labels); err != nil {
+	if err := fit(); err != nil {
 		f.publishFallback(cur, lookup)
 		return rep, fmt.Errorf("core: train: %w", err)
 	}

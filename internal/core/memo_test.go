@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -116,6 +117,11 @@ func (m *probeModel) Name() string { return "probe" }
 
 func (m *probeModel) MarshalBinary() ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(nil, m.seed), nil
+}
+
+func (m *probeModel) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(binary.LittleEndian.AppendUint64(nil, m.seed))
+	return int64(n), err
 }
 
 func (m *probeModel) UnmarshalBinary(b []byte) error {

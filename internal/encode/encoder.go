@@ -122,6 +122,46 @@ func (e *Encoder) EncodeDistinct(jobs []*job.Job, stamp uint64) (dist []Distinct
 	return dist, rows
 }
 
+// EncodeMatrix embeds a training window once per distinct feature
+// string, into one slab: data holds the distinct strings' vectors as
+// rows of Dim, in order of first appearance, and jobs[i] encodes to row
+// row[i]. Each string meets the cache as under Encode: a lookup, and a
+// put when missing. The slab is the caller's alone, to hand to a model
+// that keeps it (knn.TrainMatrix); nothing else refers to it.
+//
+// Keying is one serial pass whose map and key list grow with what they
+// find: a window holds far fewer strings than jobs, and sizing them by
+// the jobs makes the pass slower, not faster. The embeddings are split
+// across all cores.
+func (e *Encoder) EncodeMatrix(jobs []*job.Job) (data []float32, row []int32) {
+	row = make([]int32, len(jobs))
+	seen := map[string]int32{}
+	var keys []string
+	var buf [featureStringHint]byte
+	for i, j := range jobs {
+		b := appendFeatureString(buf[:0], j, e.features)
+		r, ok := seen[string(b)]
+		if !ok {
+			r = int32(len(keys))
+			key := string(b)
+			keys = append(keys, key)
+			seen[key] = r
+		}
+		row[i] = r
+	}
+	dim := e.embedder.Dim()
+	data = make([]float32, len(keys)*dim)
+	linalg.ParallelFor(len(keys), func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			if _, hit := e.cache.get(keys[r], 0); !hit {
+				e.cache.put(keys[r])
+			}
+			e.embed(keys[r], data[r*dim:(r+1)*dim])
+		}
+	})
+	return data, row
+}
+
 // encodeAll runs encodeRange over dist split across the cores, or on the
 // caller's goroutine for a lone string: no worker to start and no closure
 // to allocate.

@@ -40,7 +40,7 @@ func checkAssign(t testing.TB, name string, data []float32, dim int, cents []flo
 		rows[i] = int32(i)
 	}
 	got := make([]int32, n)
-	assignRows(data, dim, newSparseRows(data, dim), rows, cents, got)
+	assignRows(data, dim, newSparseRows(data, dim), rows, cents, newCentroidTable(len(cents)/dim, dim), got)
 	want := denseAssign(data, dim, rows, cents)
 	for i := range want {
 		if got[i] != want[i] {
@@ -143,7 +143,7 @@ func TestAssignMatchesReference(t *testing.T) {
 		cents[18*dim+6] -= 0.5
 		checkAssign(t, "planted ties", data, dim, cents)
 		got := make([]int32, 1)
-		assignRows(data, dim, newSparseRows(data, dim), []int32{40}, cents, got)
+		assignRows(data, dim, newSparseRows(data, dim), []int32{40}, cents, newCentroidTable(len(cents)/dim, dim), got)
 		if got[0] != 17 {
 			t.Fatalf("row equidistant from centroids 17 and 18 went to %d", got[0])
 		}

@@ -658,11 +658,12 @@ func kmeans(data []float32, dim, n, k, sample int, seed uint64) (cents []float32
 	}
 
 	x := newSparseRows(data, dim)
+	table := newCentroidTable(k, dim)
 	sampleAssign := make([]int32, sample)
 	sums := make([]float64, k*dim)
 	counts := make([]int64, k)
 	for range DefaultKMeansIters {
-		assignRows(data, dim, x, rows, cents, sampleAssign)
+		assignRows(data, dim, x, rows, cents, table, sampleAssign)
 
 		for i := range sums {
 			sums[i] = 0
@@ -703,7 +704,7 @@ func kmeans(data []float32, dim, n, k, sample int, seed uint64) (cents []float32
 	for i := range all {
 		all[i] = int32(i)
 	}
-	assignRows(data, dim, x, all, cents, assign)
+	assignRows(data, dim, x, all, cents, table, assign)
 	return cents, assign
 }
 
@@ -750,18 +751,32 @@ func (x *sparseRows) row(r int) (idx []int32, val []float64) {
 	return x.idx[lo:hi], x.val[lo:hi]
 }
 
+// centroidTable holds k centroids of width dim transposed for
+// linalg.SparseSqDistCols (padded to a multiple of sixteen columns) and
+// their squared norms. One table serves every assignRows call of a
+// k-means fit: each call rewrites its k columns, and the padding stays
+// zero.
+type centroidTable struct {
+	table, norms []float64
+}
+
+func newCentroidTable(k, dim int) *centroidTable {
+	cols := (k + 15) &^ 15
+	return &centroidTable{table: make([]float64, dim*cols), norms: make([]float64, cols)}
+}
+
 // assignRows writes the nearest-centroid id of each listed row into
 // out, fanned out across GOMAXPROCS workers: the lowest c minimising
 // linalg.SqEuclidean(row, centroid c), exactly.
 //
 // It filters, then checks. The filter is linalg.SparseSqDistCols over
-// the row's nonzeros and the centroids transposed into a table (padded
-// to a multiple of sixteen columns): f(c) = ‖c‖² − 2·x·c, the distance
-// less ‖x‖², at about nnz/dim of a distance's cost per centroid. The
-// check measures with linalg.SqEuclidean only the centroids with
-// f(c) ≤ min f + margin, in ascending c with a strict <, which is the
-// dense scan's lowest-index tie rule — so the result is the dense
-// scan's whenever the margin keeps its winner.
+// the row's nonzeros and the centroids transposed into t, a table sized
+// for them: f(c) = ‖c‖² − 2·x·c, the distance less ‖x‖², at about
+// nnz/dim of a distance's cost per centroid. The check measures with
+// linalg.SqEuclidean only the centroids with f(c) ≤ min f + margin, in
+// ascending c with a strict <, which is the dense scan's lowest-index
+// tie rule — so the result is the dense scan's whenever the margin
+// keeps its winner.
 //
 // The margin is a bound on rounding, not a tuning knob. With
 // u = 2⁻⁵³, γ_m = m·u/(1 − m·u), f(c) and D(c) = ‖x − c‖² the exact
@@ -785,10 +800,10 @@ func (x *sparseRows) row(r int) (idx []int32, val []float64) {
 // centroid survives per row. A non-finite value anywhere (the bound then
 // says nothing) makes the bound non-finite, and every centroid is
 // checked.
-func assignRows(data []float32, dim int, x *sparseRows, rows []int32, cents []float32, out []int32) {
+func assignRows(data []float32, dim int, x *sparseRows, rows []int32, cents []float32, t *centroidTable, out []int32) {
 	k := len(cents) / dim
-	cols := (k + 15) &^ 15
-	table, norms, maxNorm := make([]float64, dim*cols), make([]float64, cols), 0.0
+	table, norms, maxNorm := t.table, t.norms, 0.0
+	cols := len(norms)
 	for c := 0; c < k; c++ {
 		var sq float64
 		for d, v := range rowOf(cents, dim, c) {
@@ -1078,33 +1093,40 @@ func (ix *Index) EncodedLen() int {
 //	member    [n]int32
 //	codes     [n*dim]int8, in row order (row 0 first, not member[0])
 func (ix *Index) AppendBinary(b []byte) ([]byte, error) {
+	return ix.AppendStream(slices.Grow(b, ix.EncodedLen()), nil), nil
+}
+
+// AppendStream appends the bytes of AppendBinary to b, handing b to
+// spill (ml.Spill) whenever it fills: a model streamed to disk holds
+// one buffer of the section at a time, not all of it.
+func (ix *Index) AppendStream(b []byte, spill func([]byte) []byte) []byte {
 	le := binary.LittleEndian
-	b = slices.Grow(b, ix.EncodedLen())
 	b = le.AppendUint32(b, uint32(ix.Clusters()))
 	b = le.AppendUint32(b, uint32(ix.nprobe.Load()))
 	b = le.AppendUint32(b, uint32(ix.rerank))
 	b = le.AppendUint32(b, math.Float32bits(ix.scale))
-	for _, v := range ix.cents {
-		b = le.AppendUint32(b, math.Float32bits(v))
+	for c := 0; c < ix.Clusters(); c++ {
+		b = ml.Spill(ml.AppendFloat32s(b, rowOf(ix.cents, ix.dim, c)), spill)
 	}
 	for _, v := range ix.starts {
-		b = le.AppendUint32(b, uint32(v))
+		b = ml.Spill(le.AppendUint32(b, uint32(v)), spill)
 	}
 	for _, v := range ix.member {
-		b = le.AppendUint32(b, uint32(v))
+		b = ml.Spill(le.AppendUint32(b, uint32(v)), spill)
 	}
 	pos := make([]int32, ix.n) // row id → position, the inverse of member
 	for p, row := range ix.member {
 		pos[row] = int32(p)
 	}
 	for _, p := range pos {
+		b = slices.Grow(b, ix.dim)
 		raw := b[len(b) : len(b)+ix.dim]
 		for i, c := range ix.codes[int(p)*ix.dim : (int(p)+1)*ix.dim] {
 			raw[i] = byte(c)
 		}
-		b = b[:len(b)+ix.dim]
+		b = ml.Spill(b[:len(b)+ix.dim], spill)
 	}
-	return b, nil
+	return b
 }
 
 // Load deserializes an index section written by AppendBinary, attaching

@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"mcbound/internal/job"
@@ -135,69 +137,106 @@ func (c *Classifier) Groups() int {
 	return c.groups
 }
 
-// Train implements ml.Classifier: it copies the training set into a
-// contiguous matrix of unique vectors with per-label multiplicities.
-// KNN "training" is exactly this storage step, which is why the paper
-// measures it in fractions of a second. Rows that share a backing array
-// — the encoder hands jobs with equal feature strings one slice — are
-// one vector: only a vector's first row is hashed and compared.
+// Train implements ml.Classifier. KNN "training" is storing the
+// training set as a matrix of unique vectors with per-label
+// multiplicities, which is why the paper measures it in fractions of a
+// second. Rows that share a backing array — the encoder hands jobs with
+// equal feature strings one slice — are one vector: Train copies each
+// backing array's vector once into a fresh matrix and hands it to
+// TrainMatrix, which merges equal vectors in separate arrays.
 func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	if err := ml.CheckTrainingData(x, y); err != nil {
 		return err
 	}
 	dim := len(x[0])
-
-	type group struct {
-		first  int // row index of the representative vector
-		counts [2]int32
+	byVec := map[*float32]int32{} // backing array -> matrix row
+	var firsts []int              // per matrix row, the row of x it copies
+	row := make([]int32, 0, len(x))
+	labels := make([]job.Label, 0, len(x))
+	for i, v := range x {
+		if y[i] == job.Unknown {
+			continue
+		}
+		r, ok := byVec[&v[0]]
+		if !ok {
+			r = int32(len(firsts))
+			byVec[&v[0]] = r
+			firsts = append(firsts, i)
+		}
+		row = append(row, r)
+		labels = append(labels, y[i])
 	}
-	byVec := map[*float32]int{}  // backing array -> group index
-	byHash := map[uint64][]int{} // hash -> group indices
-	var groups []group
+	data := make([]float32, len(firsts)*dim)
+	for r, i := range firsts {
+		copy(data[r*dim:(r+1)*dim], x[i])
+	}
+	return c.TrainMatrix(data, dim, row, labels)
+}
+
+// TrainMatrix fits the model on a matrix of vectors (rows of dim,
+// row-major) and, per training point, the row of its vector and its
+// label: point i is data[row[i]*dim:][:dim] with label y[i]. The model
+// takes data and keeps it as its group matrix: equal vectors are merged
+// in place, in order of their first labeled point, so when every row is
+// distinct and first labeled in row order nothing moves and no copy is
+// made. The caller must not touch data afterwards.
+func (c *Classifier) TrainMatrix(data []float32, dim int, row []int32, y []job.Label) error {
+	if len(row) == 0 {
+		return ml.ErrNoData
+	}
+	if len(row) != len(y) {
+		return fmt.Errorf("knn: %d points vs %d labels", len(row), len(y))
+	}
+	if dim <= 0 || len(data)%dim != 0 {
+		return fmt.Errorf("knn: %d values are not rows of width %d", len(data), dim)
+	}
+	rows := len(data) / dim
+	group := make([]int32, rows) // matrix row -> group + 1; 0 = not yet seen
+	byHash := map[uint64][]int32{}
+	var reps []int32 // per group, the matrix row holding its vector
+	var counts [][2]int32
 	n := 0
-	for i, row := range x {
+	for i, r := range row {
+		if r < 0 || int(r) >= rows {
+			return fmt.Errorf("knn: point %d names row %d of %d", i, r, rows)
+		}
 		if y[i] == job.Unknown {
 			continue
 		}
 		n++
-		gi, ok := byVec[&row[0]]
-		if !ok {
-			gi = -1
-			h := hashVec(row)
-			for _, g := range byHash[h] {
-				if equalVec(x[groups[g].first], row) {
-					gi = g
+		g := group[r] - 1
+		if g < 0 {
+			v := rowAt(data, dim, r)
+			h := hashVec(v)
+			for _, cand := range byHash[h] {
+				if equalVec(rowAt(data, dim, reps[cand]), v) {
+					g = cand
 					break
 				}
 			}
-			if gi < 0 {
-				gi = len(groups)
-				groups = append(groups, group{first: i})
-				byHash[h] = append(byHash[h], gi)
+			if g < 0 {
+				g = int32(len(reps))
+				reps = append(reps, r)
+				counts = append(counts, [2]int32{})
+				byHash[h] = append(byHash[h], g)
 			}
-			byVec[&row[0]] = gi
+			group[r] = g + 1
 		}
 		if y[i] == job.ComputeBound {
-			groups[gi].counts[1]++
+			counts[g][1]++
 		} else {
-			groups[gi].counts[0]++
+			counts[g][0]++
 		}
 	}
 	if n == 0 {
 		return fmt.Errorf("knn: no labeled training rows")
 	}
-
-	data := make([]float32, 0, len(groups)*dim)
-	counts := make([][2]int32, len(groups))
-	for g, gr := range groups {
-		data = append(data, x[gr.first]...)
-		counts[g] = gr.counts
-	}
+	data = compactRows(data, dim, reps)
 
 	// Sub-linear search structure over the group matrix. A build failure
 	// is not a training failure: the model falls back to the exact scan.
 	var index *ivf.Index
-	if c.cfg.Index.enabled(c.cfg.P, len(groups)) {
+	if c.cfg.Index.enabled(c.cfg.P, len(reps)) {
 		index, _ = ivf.Build(data, dim, ivf.Config{
 			NClusters: c.cfg.Index.NClusters,
 			NProbe:    c.cfg.Index.NProbe,
@@ -207,10 +246,34 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 	}
 
 	c.mu.Lock()
-	c.dim, c.n, c.groups, c.data, c.counts = dim, n, len(groups), data, counts
+	c.dim, c.n, c.groups, c.data, c.counts = dim, n, len(reps), data, counts
 	c.index = index
 	c.mu.Unlock()
 	return nil
+}
+
+// compactRows returns the matrix whose row g is data's row reps[g]. When
+// reps ascends, each row moves down over rows no later group reads, in
+// place, and rows already in place stay; otherwise (a row first labeled
+// after a later one) the rows are copied out.
+func compactRows(data []float32, dim int, reps []int32) []float32 {
+	size := len(reps) * dim
+	out := data[:size:size]
+	inPlace := slices.IsSorted(reps) // the reps are distinct
+	if !inPlace {
+		out = make([]float32, size)
+	}
+	for g, r := range reps {
+		if !inPlace || int(r) != g {
+			copy(out[g*dim:(g+1)*dim], rowAt(data, dim, r))
+		}
+	}
+	return out
+}
+
+// rowAt is row r of a row-major matrix of rows of dim.
+func rowAt(data []float32, dim int, r int32) []float32 {
+	return data[int(r)*dim : (int(r)+1)*dim]
 }
 
 // Predict implements ml.Classifier: queries fan out across cores; each
@@ -361,9 +424,10 @@ func (c *Classifier) IndexInfo() ml.IndexInfo {
 
 // SetNProbe implements ml.Indexed: it adjusts the live index's
 // accuracy/latency knob without retraining. No-op on brute-force models.
+// It waits out a WriteTo, whose two passes must read one probe width.
 func (c *Classifier) SetNProbe(n int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.index != nil {
 		c.index.SetNProbe(n)
 	}
@@ -435,39 +499,62 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // MarshalBinary serializes the trained model (encoding.BinaryMarshaler),
 // playing the role of the paper's skops model files. The MCBKNN03
 // layout prefixes a crc32 over everything after the checksum field;
-// indexed models append the IVF section after the counts.
+// indexed models append the IVF section after the counts. It fills one
+// buffer sized for the model; WriteTo streams the same bytes.
 func (c *Classifier) MarshalBinary() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	le := binary.LittleEndian
 	size := len(marshalMagic) + 4 + 5*8 + 4*len(c.data) + 8*len(c.counts)
 	if c.index != nil {
 		size += c.index.EncodedLen()
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, marshalMagic...)
-	buf = le.AppendUint32(buf, 0) // the checksum, once the payload is in
-	buf = le.AppendUint64(buf, uint64(c.cfg.K))
-	buf = le.AppendUint64(buf, math.Float64bits(c.cfg.P))
-	buf = le.AppendUint64(buf, uint64(c.dim))
-	buf = le.AppendUint64(buf, uint64(c.n))
-	buf = le.AppendUint64(buf, uint64(c.groups))
-	for _, v := range c.data {
-		buf = le.AppendUint32(buf, math.Float32bits(v))
+	buf := make([]byte, len(marshalMagic)+4, size)
+	copy(buf, marshalMagic)
+	buf = c.appendPayload(buf, nil)
+	payload := len(marshalMagic) + 4
+	binary.LittleEndian.PutUint32(buf[len(marshalMagic):payload], crc32.Checksum(buf[payload:], crcTable))
+	return buf, nil
+}
+
+// WriteTo implements io.WriterTo: it writes the bytes of MarshalBinary
+// without holding them. The checksum comes first in the file, so the
+// payload is encoded twice: once into the checksum, once to w, each
+// through one buffer of about ml.SpillBytes.
+func (c *Classifier) WriteTo(w io.Writer) (int64, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var sum uint32
+	crc := func(b []byte) []byte {
+		sum = crc32.Update(sum, crcTable, b)
+		return b[:0]
+	}
+	crc(c.appendPayload(make([]byte, 0, 2*ml.SpillBytes), crc))
+	return ml.StreamTo(w, func(b []byte, spill func([]byte) []byte) []byte {
+		b = binary.LittleEndian.AppendUint32(append(b, marshalMagic...), sum)
+		return c.appendPayload(b, spill)
+	})
+}
+
+// appendPayload appends what the checksum covers — header, matrix,
+// counts and index section — to b, through spill (ml.Spill).
+func (c *Classifier) appendPayload(b []byte, spill func([]byte) []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(c.cfg.K))
+	b = le.AppendUint64(b, math.Float64bits(c.cfg.P))
+	b = le.AppendUint64(b, uint64(c.dim))
+	b = le.AppendUint64(b, uint64(c.n))
+	b = le.AppendUint64(b, uint64(c.groups))
+	for r := 0; r < c.groups; r++ {
+		b = ml.Spill(ml.AppendFloat32s(b, c.data[r*c.dim:(r+1)*c.dim]), spill)
 	}
 	for _, ct := range c.counts {
-		buf = le.AppendUint32(buf, uint32(ct[0]))
-		buf = le.AppendUint32(buf, uint32(ct[1]))
+		b = le.AppendUint32(b, uint32(ct[0]))
+		b = ml.Spill(le.AppendUint32(b, uint32(ct[1])), spill)
 	}
 	if c.index != nil {
-		var err error
-		if buf, err = c.index.AppendBinary(buf); err != nil {
-			return nil, err
-		}
+		b = c.index.AppendStream(b, spill)
 	}
-	payload := len(marshalMagic) + 4
-	le.PutUint32(buf[len(marshalMagic):payload], crc32.Checksum(buf[payload:], crcTable))
-	return buf, nil
+	return b
 }
 
 // UnmarshalBinary restores a model serialized by MarshalBinary. Every

@@ -3,6 +3,7 @@ package rf
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -396,35 +397,50 @@ const (
 	wireNodeBytes = 17
 )
 
-// MarshalBinary serializes the trained forest.
+// MarshalBinary serializes the trained forest into one buffer sized for
+// it; WriteTo streams the same bytes.
 func (c *Classifier) MarshalBinary() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	le := binary.LittleEndian
 	buf := make([]byte, 0, len(marshalMagic)+16+8*len(c.roots)+wireNodeBytes*len(c.nodes))
-	buf = append(buf, marshalMagic...)
-	buf = le.AppendUint64(buf, uint64(c.dim))
-	buf = le.AppendUint64(buf, uint64(len(c.roots)))
+	return c.appendForest(buf, nil), nil
+}
+
+// WriteTo implements io.WriterTo: it writes the bytes of MarshalBinary
+// through one buffer of about ml.SpillBytes.
+func (c *Classifier) WriteTo(w io.Writer) (int64, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return ml.StreamTo(w, c.appendForest)
+}
+
+// appendForest appends the serialized forest to b, through spill
+// (ml.Spill).
+func (c *Classifier) appendForest(b []byte, spill func([]byte) []byte) []byte {
+	le := binary.LittleEndian
+	b = append(b, marshalMagic...)
+	b = le.AppendUint64(b, uint64(c.dim))
+	b = le.AppendUint64(b, uint64(len(c.roots)))
 	for t, base := range c.roots {
 		end := int32(len(c.nodes))
 		if t+1 < len(c.roots) {
 			end = c.roots[t+1]
 		}
-		buf = le.AppendUint64(buf, uint64(end-base))
+		b = le.AppendUint64(b, uint64(end-base))
 		for i := base; i < end; i++ {
 			nd := c.nodes[i]
 			feature, threshold, left, right, class := nd.feature, nd.threshold(), i+1-base, nd.right-base, int32(0)
 			if nd.right == i {
 				feature, threshold, left, right, class = 0, 0, -1, -1, nd.class()
 			}
-			buf = le.AppendUint32(buf, uint32(feature))
-			buf = le.AppendUint32(buf, math.Float32bits(threshold))
-			buf = le.AppendUint32(buf, uint32(left))
-			buf = le.AppendUint32(buf, uint32(right))
-			buf = append(buf, byte(class))
+			b = le.AppendUint32(b, uint32(feature))
+			b = le.AppendUint32(b, math.Float32bits(threshold))
+			b = le.AppendUint32(b, uint32(left))
+			b = le.AppendUint32(b, uint32(right))
+			b = ml.Spill(append(b, byte(class)), spill)
 		}
 	}
-	return buf, nil
+	return b
 }
 
 // UnmarshalBinary restores a forest serialized by MarshalBinary. The

@@ -8,6 +8,7 @@ import (
 	"encoding"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -20,10 +21,13 @@ import (
 )
 
 // Model is what a saved object must implement: the binary round-trip
-// contract. Both knn.Classifier and rf.Classifier satisfy it.
+// contract, and WriteTo, which Save streams a model to disk through and
+// which must write the bytes of MarshalBinary. Both knn.Classifier and
+// rf.Classifier satisfy it.
 type Model interface {
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
+	io.WriterTo
 }
 
 // Registry manages versioned model files under a directory. File layout:
@@ -45,14 +49,12 @@ func NewRegistry(dir string) (*Registry, error) {
 func (r *Registry) Dir() string { return r.dir }
 
 // Save writes a new version of the named model and returns its version
-// number. The write is atomic (temp file + rename).
-func (r *Registry) Save(name string, m encoding.BinaryMarshaler) (int, error) {
+// number. The model streams itself into the file (WriteTo), so the
+// whole of its bytes is never held at once. The write is atomic (temp
+// file + rename).
+func (r *Registry) Save(name string, m io.WriterTo) (int, error) {
 	if err := validName(name); err != nil {
 		return 0, err
-	}
-	data, err := m.MarshalBinary()
-	if err != nil {
-		return 0, fmt.Errorf("persist: marshal %s: %w", name, err)
 	}
 	versions, err := r.Versions(name)
 	if err != nil {
@@ -66,7 +68,10 @@ func (r *Registry) Save(name string, m encoding.BinaryMarshaler) (int, error) {
 	// Crash-safe publish: temp file, fsync, rename, directory fsync —
 	// so a model version either exists completely or not at all, and
 	// the rename survives power loss.
-	if err := wal.WriteFileAtomic(wal.OS, final, data); err != nil {
+	if err := wal.WriteStreamAtomic(wal.OS, final, func(w io.Writer) error {
+		_, err := m.WriteTo(w)
+		return err
+	}); err != nil {
 		return 0, fmt.Errorf("persist: %w", err)
 	}
 	return next, nil
