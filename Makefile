@@ -209,7 +209,8 @@ bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The traffic check (ROADMAP item 23, traffic.sh): the functions of the
-# eight cluster-shell packages that no other package's test reaches,
+# eight cluster-shell packages and the model layer (core, ml/knn,
+# ml/ivf) that no other package's test reaches,
 # marked where a traced 3 s run of each contract workload reaches them,
 # each with the reason it stays; then every test that skips on a tier-1
 # run. Ungated and outside `check`: a full test run plus three benchmark

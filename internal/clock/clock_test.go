@@ -68,7 +68,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 
 func TestJitterZeroFractionIsExact(t *testing.T) {
 	rng := stats.NewRNG(1)
-	for _, frac := range []float64{0, -1} { // negative = disabled, as FollowerConfig.PollJitter spells it
+	for _, frac := range []float64{0, -1} { // a negative fraction clamps to 0
 		for i := 0; i < 10; i++ {
 			if d := clock.Jitter(time.Hour, frac, rng.Float64()); d != time.Hour {
 				t.Fatalf("fraction %v drew %v, want exactly 1h", frac, d)

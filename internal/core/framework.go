@@ -123,10 +123,10 @@ type modelState struct {
 	trainedAt time.Time
 
 	// stamp names the labels this snapshot's model gives: fresh and
-	// nonzero for every published vector model (each Train, LoadLatest
-	// and live nprobe change), so a label noted on an embedding-cache
-	// entry under one snapshot never answers for another. 0 without a
-	// vector model.
+	// nonzero for every published vector model (each Train and
+	// LoadLatest; a published model never changes), so a label noted on
+	// an embedding-cache entry under one snapshot never answers for
+	// another. 0 without a vector model.
 	stamp uint64
 
 	// lookup is the (job name, #cores) table fitted on the last labeled
@@ -161,13 +161,12 @@ type Framework struct {
 	// trainMu guards inflight (the single-flight slot). It is never held
 	// while fetching, characterizing, encoding or fitting — only for the
 	// pointer bookkeeping around a trigger.
-	trainMu    sync.Mutex
-	inflight   *trainCall
-	inflightN  atomic.Int32 // 0 or 1; sampled by the train-inflight gauge
-	coalescedN atomic.Int64 // triggers absorbed by an in-flight train
-	degradedN  atomic.Int64 // predictions served by the lookup fallback
-	memoN      atomic.Int64 // predictions answered from an embedding-cache note
-	stamps     atomic.Uint64
+	trainMu   sync.Mutex
+	inflight  *trainCall
+	inflightN atomic.Int32 // 0 or 1; sampled by the train-inflight gauge
+	degradedN atomic.Int64 // predictions served by the lookup fallback
+	memoN     atomic.Int64 // predictions answered from an embedding-cache note
+	stamps    atomic.Uint64
 
 	// rng and anchor belong to the single-flighted train: one θ-random
 	// stream across every trigger of the deployment (so a period's
@@ -178,8 +177,8 @@ type Framework struct {
 
 	// indexOv holds runtime overrides of the KNN index switch (set via
 	// /v1/train or the -index/-nprobe flags); nil means the deployment
-	// config applies unchanged. Future trains merge it into their model
-	// config; the nprobe part is also applied to the live model at once.
+	// config applies unchanged. Trains merge it into their model config;
+	// a model already published keeps the options it was built with.
 	indexOv atomic.Pointer[indexOverride]
 }
 
@@ -252,11 +251,11 @@ func buildModel(cfg Config) (ml.Classifier, error) {
 // Config returns the deployment configuration.
 func (f *Framework) Config() Config { return f.cfg }
 
-// SetIndexOptions overrides the KNN index switch at runtime: mode must
-// be "", "auto", "on" or "off" ("" leaves the configured mode); nprobe
-// adjusts the cells-scanned-per-query knob (0 leaves it). The mode takes
-// effect on the next Training Workflow; nprobe is additionally applied
-// to the currently served model immediately when it carries an index.
+// SetIndexOptions overrides the KNN index options of every model a
+// Training Workflow builds from now on: mode must be "", "auto", "on" or
+// "off" ("" leaves the configured mode); nprobe sets the cells scanned
+// per query in place of the build's calibration (0 leaves it). The
+// served model keeps the options it was built with.
 func (f *Framework) SetIndexOptions(mode string, nprobe int) error {
 	switch knn.IndexMode(mode) {
 	case "", knn.IndexAuto, knn.IndexOn, knn.IndexOff:
@@ -278,23 +277,6 @@ func (f *Framework) SetIndexOptions(mode string, nprobe int) error {
 		ov.nprobe = nprobe
 	}
 	f.indexOv.Store(&ov)
-	for nprobe > 0 {
-		cur := f.state.Load()
-		ix, ok := cur.model.(ml.Indexed)
-		if !ok {
-			break
-		}
-		ix.SetNProbe(nprobe)
-		// The served index changed in place, so the labels noted under
-		// the current stamp may not be its answers any more: republish the
-		// snapshot under a fresh one, after the change. A lost race means
-		// another publish came between; set and republish on that one.
-		next := *cur
-		next.stamp = f.stamps.Add(1)
-		if f.state.CompareAndSwap(cur, &next) {
-			break
-		}
-	}
 	return nil
 }
 
@@ -352,10 +334,6 @@ type TrainReport struct {
 // executing (sampled by the mcbound_train_inflight gauge).
 func (f *Framework) TrainingInFlight() bool { return f.inflightN.Load() > 0 }
 
-// CoalescedTrains returns how many triggers were absorbed by an
-// in-flight train instead of fitting their own model.
-func (f *Framework) CoalescedTrains() int64 { return f.coalescedN.Load() }
-
 // Train runs the Training Workflow as of now: fetch the jobs executed in
 // the configured window ending now (the last α days, or everything since
 // the first trigger's window start under α⁺), characterize them, keep a
@@ -375,7 +353,6 @@ func (f *Framework) Train(ctx context.Context, now time.Time) (*TrainReport, err
 	f.trainMu.Lock()
 	if c := f.inflight; c != nil {
 		f.trainMu.Unlock()
-		f.coalescedN.Add(1)
 		select {
 		case <-c.done:
 		case <-ctx.Done():

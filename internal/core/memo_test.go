@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,20 +67,13 @@ var (
 	secondHalf = time.Date(2024, 1, 31, 0, 0, 0, 0, time.UTC) // window 16–31 January
 )
 
-// probeModel is an indexed Classifier whose every answer depends on its
-// training set and its live nprobe: a hash of both and the vector's bits,
-// one of 100 labels. A label served from a note taken under another
-// snapshot or another nprobe almost never equals it.
-type probeModel struct {
-	seed   uint64
-	nprobe atomic.Int64
-}
+// probeModel is a Classifier whose every answer depends on its training
+// set: a hash of it and the vector's bits, one of 100 labels. A label
+// served from a note taken under another snapshot almost never equals
+// it.
+type probeModel struct{ seed uint64 }
 
-func newProbeModel() (ml.Classifier, error) {
-	m := &probeModel{}
-	m.nprobe.Store(1)
-	return m, nil
-}
+func newProbeModel() (ml.Classifier, error) { return &probeModel{}, nil }
 
 func (m *probeModel) Train(x [][]float32, y []job.Label) error {
 	h := fnv.New64a()
@@ -100,13 +92,13 @@ func (m *probeModel) Train(x [][]float32, y []job.Label) error {
 func (m *probeModel) Predict(x [][]float32) ([]job.Label, error) {
 	out := make([]job.Label, len(x))
 	for i, v := range x {
-		out[i] = probeLabel(m.seed, int(m.nprobe.Load()), v)
+		out[i] = probeLabel(m.seed, v)
 	}
 	return out, nil
 }
 
-func probeLabel(seed uint64, nprobe int, v []float32) job.Label {
-	h := seed ^ uint64(nprobe)*0x9e3779b97f4a7c15
+func probeLabel(seed uint64, v []float32) job.Label {
+	h := seed
 	for _, c := range v {
 		h = (h ^ uint64(math.Float32bits(c))) * 1099511628211
 	}
@@ -132,15 +124,9 @@ func (m *probeModel) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-func (m *probeModel) IndexInfo() ml.IndexInfo {
-	return ml.IndexInfo{Enabled: true, Kind: "probe", NProbe: int(m.nprobe.Load())}
-}
-
-func (m *probeModel) SetNProbe(n int) { m.nprobe.Store(int64(n)) }
-
 // memoConfigs are the served models the note is held to: RF, KNN with
-// its IVF index on, and the probe model, under which every snapshot and
-// nprobe answers differently.
+// its IVF index on, and the probe model, under which every snapshot
+// answers differently.
 func memoConfigs(t *testing.T) map[string]Config {
 	rf := DefaultConfig()
 	rf.ModelDir = t.TempDir()
@@ -159,10 +145,10 @@ func memoConfigs(t *testing.T) map[string]Config {
 // over a cache-off encoder's vectors, row for row, at each job's first,
 // second and third sighting (embedded; found in the cache, embedded
 // again and noted; answered from the note) — after a train, a retrain to another
-// window, a LoadLatest that restores the older model, an nprobe change
-// and its reversal, ResetCache, a capacity of 0 (the entries held stay,
-// and keep answering) and an emptied 16-entry cache that evicts inside
-// the batch.
+// window, a LoadLatest that restores the older model, a train with an
+// nprobe override and a train back, ResetCache, a capacity of 0 (the
+// entries held stay, and keep answering) and an emptied 16-entry cache
+// that evicts inside the batch.
 func TestClassifyMatchesModelAcrossSnapshots(t *testing.T) {
 	ctx := context.Background()
 	held := dupHeavyBatch(300)
@@ -216,11 +202,13 @@ func TestClassifyMatchesModelAcrossSnapshots(t *testing.T) {
 			if err := fw.SetIndexOptions("", 1); err != nil {
 				t.Fatal(err)
 			}
-			check("nprobe 1")
+			train(secondHalf)
+			check("train with nprobe 1")
 			if err := fw.SetIndexOptions("", 2); err != nil {
 				t.Fatal(err)
 			}
-			check("nprobe back to 2")
+			train(secondHalf)
+			check("train back at nprobe 2")
 			fw.Encoder().ResetCache()
 			check("ResetCache")
 			fw.Encoder().SetCacheCapacity(0)
@@ -240,10 +228,9 @@ func TestClassifyMatchesModelAcrossSnapshots(t *testing.T) {
 }
 
 // TestClassifyNotesExactUnderRace classifies from several goroutines
-// while others retrain to alternating windows and flip nprobe, with
-// persistence on so that model_version names the snapshot: every
-// prediction must be what that version's model answers for the job at
-// one of the two nprobe values in play. Run under -race (make check
+// while another retrains to alternating windows, with persistence on so
+// that model_version names the snapshot: every prediction must be what
+// that version's model answers for the job. Run under -race (make check
 // does).
 func TestClassifyNotesExactUnderRace(t *testing.T) {
 	ctx := context.Background()
@@ -290,23 +277,13 @@ func TestClassifyNotesExactUnderRace(t *testing.T) {
 	got := make([][]seen, classifiers)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-start
 		for i := 0; i < 12; i++ {
 			if err := train([]time.Time{secondHalf, firstHalf}[i%2]); err != nil {
 				t.Errorf("train: %v", err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		<-start
-		for i := 0; i < 200; i++ {
-			if err := fw.SetIndexOptions("", 1+i%2); err != nil {
-				t.Errorf("set index options: %v", err)
 				return
 			}
 		}
@@ -347,10 +324,8 @@ func TestClassifyNotesExactUnderRace(t *testing.T) {
 			if !ok {
 				t.Fatalf("prediction of unknown version %d", s.version)
 			}
-			seed := seeds[w]
-			if s.label != probeLabel(seed, 1, vecs[s.row]) && s.label != probeLabel(seed, 2, vecs[s.row]) {
-				t.Fatalf("v%d job %d: got %v, the model answers %v (nprobe 1) or %v (nprobe 2)",
-					s.version, s.row, s.label, probeLabel(seed, 1, vecs[s.row]), probeLabel(seed, 2, vecs[s.row]))
+			if want := probeLabel(seeds[w], vecs[s.row]); s.label != want {
+				t.Fatalf("v%d job %d: got %v, the model answers %v", s.version, s.row, s.label, want)
 			}
 			checked++
 		}

@@ -327,7 +327,7 @@ func TestFollowerHealthAndMetrics(t *testing.T) {
 }
 
 // TestFollowerHealthLagging exercises the 503 path: a follower whose
-// last successful sync is older than MaxLag reports "lagging" on
+// last catch-up is older than its 15 s max lag reports "lagging" on
 // /healthz so a load balancer can eject it from rotation.
 func TestFollowerHealthLagging(t *testing.T) {
 	// A leader stub that promises records it never serves keeps the
@@ -344,7 +344,6 @@ func TestFollowerHealthLagging(t *testing.T) {
 	f, err := repl.NewFollower(repl.FollowerConfig{
 		Client: repl.NewClient(repl.ClientConfig{BaseURL: stub.URL}),
 		Apply:  func([]byte) error { return nil },
-		MaxLag: 5 * time.Second,
 		Clock:  clk,
 	})
 	if err != nil {
@@ -359,7 +358,7 @@ func TestFollowerHealthLagging(t *testing.T) {
 		t.Fatalf("sync against stub: %v", err)
 	}
 	// 30 seconds later a round still succeeds (the leader answers) but
-	// applies nothing: recent contact, 10 records behind, MaxLag blown —
+	// applies nothing: recent contact, 10 records behind, max lag blown —
 	// that is "lagging", not "disconnected".
 	clk.Advance(30 * time.Second)
 	if err := f.SyncNow(context.Background()); err != nil {

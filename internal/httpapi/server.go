@@ -288,8 +288,10 @@ type trainRequest struct {
 	// Index overrides the KNN index mode ("auto", "on", "off") for this
 	// and future trains; empty leaves the deployment config.
 	Index string `json:"index,omitempty"`
-	// NProbe adjusts the index's cells-scanned-per-query knob; it also
-	// applies immediately to the currently served model. 0 leaves it.
+	// NProbe sets the IVF cells scanned per query, in place of the
+	// build's calibration, for the models of this and future trains; 0
+	// leaves it. The served model keeps its width: a train that fails,
+	// or joins one already in flight, publishes nothing.
 	NProbe int `json:"nprobe,omitempty"`
 }
 

@@ -20,6 +20,8 @@ import (
 	"mcbound/internal/fetch"
 	"mcbound/internal/job"
 	"mcbound/internal/linalg"
+	"mcbound/internal/ml"
+	"mcbound/internal/ml/knn"
 	"mcbound/internal/online"
 	"mcbound/internal/peer"
 	"mcbound/internal/resilience"
@@ -334,6 +336,114 @@ func TestTrainIndexOptions(t *testing.T) {
 	if info.Model != "knn" || !info.Index.Enabled || info.Index.Kind != "ivf" ||
 		info.Index.Clusters < 1 || info.Index.NProbe < 1 {
 		t.Errorf("model info = %+v", info)
+	}
+}
+
+// TestNProbeReachesModelsOnlyThroughTrains: the nprobe of POST
+// /v1/train is an option of the models trains build, never a change to
+// the one served. A request whose train fails leaves /v1/model as it
+// was, width and version, and the served model stays its saved file of
+// that version; the next train that succeeds serves the width, and a
+// second framework restoring the model directory reads it back.
+func TestNProbeReachesModelsOnlyThroughTrains(t *testing.T) {
+	st := store.New()
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 200; i++ {
+		submit := start.Add(time.Duration(i) * 4 * time.Hour)
+		perfGF, bwGB := 50.0, 50.0
+		if i%2 == 1 {
+			perfGF, bwGB = 300, 5
+		}
+		if err := st.Insert(&job.Job{
+			ID: fmt.Sprintf("n%04d", i), User: "u0001", Name: fmt.Sprintf("app%02d", i%40), Environment: "gcc/12.2",
+			CoresRequested: 48, NodesRequested: 1, NodesAllocated: 1, FreqRequested: job.FreqBoost,
+			SubmitTime: submit, StartTime: submit.Add(time.Minute), EndTime: submit.Add(31 * time.Minute),
+			Counters: job.PerfCounters{
+				Perf2: perfGF * 1e9 * 1800,
+				Perf4: bwGB * 1e9 * 1800 * job.CoresPerCMG / job.CacheLineBytes,
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.Model = core.ModelKNN
+	cfg.ModelDir = t.TempDir()
+	cfg.KNN.Index = knn.IndexConfig{Mode: knn.IndexOn, NClusters: 8, NProbe: 1, Seed: 1}
+	fw, err := core.New(cfg, fetch.StoreBackend{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(fw, st, log.New(io.Discard, "", 0), Options{}))
+	defer srv.Close()
+
+	train := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/train", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// served is /v1/model's version and width; saved is what a second
+	// framework's LoadLatest over the same directory restores.
+	served := func() (version, nprobe int) {
+		t.Helper()
+		var info struct {
+			Version int          `json:"version"`
+			Index   ml.IndexInfo `json:"index"`
+		}
+		if code := getJSON(t, srv.URL+"/v1/model", &info); code != http.StatusOK {
+			t.Fatalf("model status %d", code)
+		}
+		return info.Version, info.Index.NProbe
+	}
+	saved := func() (version, nprobe int) {
+		t.Helper()
+		follower, err := core.New(cfg, fetch.StoreBackend{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := follower.LoadLatest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Version, follower.IndexInfo().NProbe
+	}
+
+	const now = `"now": "2024-01-20T00:00:00Z"`
+	if code := train("{" + now + "}"); code != http.StatusOK {
+		t.Fatalf("first train: status %d", code)
+	}
+	v1, np1 := served()
+	if np1 != 1 {
+		t.Fatalf("first model probes %d cells, want the configured 1", np1)
+	}
+
+	// No job ran in 2019: the train fails, and nothing served changes.
+	const n = 3
+	if code := train(fmt.Sprintf(`{"now": "2020-01-01T00:00:00Z", "nprobe": %d}`, n)); code == http.StatusOK {
+		t.Fatal("a train over an empty window succeeded")
+	}
+	if v, np := served(); v != v1 || np != np1 {
+		t.Fatalf("after a failed train /v1/model serves v%d at nprobe %d, want v%d at %d", v, np, v1, np1)
+	}
+	if v, np := saved(); v != v1 || np != np1 {
+		t.Fatalf("LoadLatest restores v%d at nprobe %d, /v1/model serves v%d at %d", v, np, v1, np1)
+	}
+
+	// The override stays for the next train.
+	if code := train("{" + now + "}"); code != http.StatusOK {
+		t.Fatalf("train after the override: status %d", code)
+	}
+	v2, np2 := served()
+	if v2 <= v1 || np2 != n {
+		t.Fatalf("next train serves v%d at nprobe %d, want a version after v%d at %d", v2, np2, v1, n)
+	}
+	if v, np := saved(); v != v2 || np != n {
+		t.Fatalf("LoadLatest restores v%d at nprobe %d, want v%d at %d", v, np, v2, n)
 	}
 }
 

@@ -101,31 +101,6 @@ func sqEuclideanRowsEach(q, mat []float32, out []float64) {
 	}
 }
 
-// Minkowski returns the order-p Minkowski distance between a and b
-// (p=1 Manhattan, p=2 Euclidean). It panics if p <= 0.
-func Minkowski(a, b []float32, p float64) float64 {
-	checkLen(a, b)
-	if p <= 0 {
-		panic("linalg: Minkowski order must be > 0")
-	}
-	switch p {
-	case 1:
-		var s float64
-		for i := range a {
-			s += math.Abs(float64(a[i]) - float64(b[i]))
-		}
-		return s
-	case 2:
-		return math.Sqrt(SqEuclidean(a, b))
-	default:
-		var s float64
-		for i := range a {
-			s += math.Pow(math.Abs(float64(a[i])-float64(b[i])), p)
-		}
-		return math.Pow(s, 1/p)
-	}
-}
-
 // Axpy computes y += alpha*x in place.
 func Axpy(alpha float32, x, y []float32) {
 	checkLen(x, y)

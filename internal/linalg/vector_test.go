@@ -44,6 +44,8 @@ func TestNorm2AndNormalize(t *testing.T) {
 	}
 }
 
+// TestSqEuclideanMatchesMinkowski2 checks SqEuclidean against the
+// order-2 Minkowski distance written out in float64.
 func TestSqEuclideanMatchesMinkowski2(t *testing.T) {
 	f := func(raw []int8) bool {
 		if len(raw) < 2 {
@@ -56,40 +58,20 @@ func TestSqEuclideanMatchesMinkowski2(t *testing.T) {
 			a[i] = float32(raw[i]) / 16
 			b[i] = float32(raw[n+i]) / 16
 		}
-		d2 := SqEuclidean(a, b)
-		dm := Minkowski(a, b, 2)
-		return math.Abs(math.Sqrt(d2)-dm) < 1e-6
+		var s float64
+		for i := range a {
+			s += math.Pow(math.Abs(float64(a[i])-float64(b[i])), 2)
+		}
+		return math.Abs(math.Sqrt(SqEuclidean(a, b))-math.Sqrt(s)) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestMinkowskiManhattan(t *testing.T) {
-	a := []float32{1, -2, 3}
-	b := []float32{0, 2, 1}
-	if got := Minkowski(a, b, 1); got != 7 {
-		t.Errorf("L1 = %g, want 7", got)
-	}
-	// Fractional order path.
-	got := Minkowski(a, b, 3)
-	want := math.Pow(1+64+8, 1.0/3)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("L3 = %g, want %g", got, want)
-	}
-}
-
-func TestMinkowskiPanicsOnBadOrder(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Minkowski accepted p = 0")
-		}
-	}()
-	Minkowski([]float32{1}, []float32{2}, 0)
-}
-
 func TestDistanceAxioms(t *testing.T) {
-	// Identity, symmetry and the triangle inequality for p in {1, 2}.
+	// Identity, symmetry and the triangle inequality of the Euclidean
+	// distance.
 	f := func(raw []int8) bool {
 		if len(raw) < 3 {
 			return true
@@ -103,17 +85,9 @@ func TestDistanceAxioms(t *testing.T) {
 			b[i] = float32(raw[n+i]) / 8
 			c[i] = float32(raw[2*n+i]) / 8
 		}
-		for _, p := range []float64{1, 2} {
-			dab := Minkowski(a, b, p)
-			dba := Minkowski(b, a, p)
-			daa := Minkowski(a, a, p)
-			dac := Minkowski(a, c, p)
-			dcb := Minkowski(c, b, p)
-			if daa != 0 || math.Abs(dab-dba) > 1e-6 || dab > dac+dcb+1e-6 {
-				return false
-			}
-		}
-		return true
+		d := func(x, y []float32) float64 { return math.Sqrt(SqEuclidean(x, y)) }
+		dab, dac, dcb := d(a, b), d(a, c), d(c, b)
+		return d(a, a) == 0 && math.Abs(dab-d(b, a)) <= 1e-6 && dab <= dac+dcb+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -35,10 +35,7 @@ type IndexInfo struct {
 }
 
 // Indexed is implemented by classifiers whose inference path can run
-// through a VectorIndex. SetNProbe adjusts the accuracy/latency knob of
-// the live model without retraining; it is a no-op while no index is
-// built.
+// through a VectorIndex.
 type Indexed interface {
 	IndexInfo() IndexInfo
-	SetNProbe(n int)
 }

@@ -62,6 +62,7 @@ type Config struct {
 var (
 	totalProbes   atomic.Int64
 	totalReranked atomic.Int64
+	totalScanned  atomic.Int64
 )
 
 // TotalProbes returns the cluster scans issued by every index in this
@@ -73,16 +74,14 @@ func TotalProbes() int64 { return totalProbes.Load() }
 // mcbound_index_rerank_candidates_total collector).
 func TotalReranked() int64 { return totalReranked.Load() }
 
-// Stats is a point-in-time snapshot of one index's query counters.
+// Stats is a point-in-time snapshot of the scan counter.
 type Stats struct {
-	Queries  int64 // Search calls answered
-	Probes   int64 // cluster scans issued
-	Reranked int64 // candidates re-ranked exactly
-	Scanned  int64 // int8 code rows visited
+	Scanned int64 // int8 code rows visited by every index in this process
 }
 
-// Index is an immutable IVF index over a matrix. Safe for concurrent
-// Search; the only mutable knob is the atomic nprobe.
+// Index is an immutable IVF index over a matrix: Build and Load set
+// every field, and nothing writes one afterwards (the per-query scratch
+// pool aside). Safe for concurrent Search.
 //
 // The codes are cell-major: position p holds the code of row member[p],
 // so the scan of cell c reads the one contiguous block
@@ -100,13 +99,8 @@ type Index struct {
 	norms  []int32   // per position: Σ code² (derived, never serialized)
 	data   []float32 // n*dim original rows (shared with the caller)
 
-	nprobe atomic.Int32
+	nprobe int
 	rerank int
-
-	queries  atomic.Int64
-	probes   atomic.Int64
-	reranked atomic.Int64
-	scanned  atomic.Int64
 
 	bufs sync.Pool // *searchBuf per-query scratch
 }
@@ -226,7 +220,7 @@ func Build(data []float32, dim int, cfg Config) (*Index, error) {
 	if np < 1 {
 		np = 1
 	}
-	ix.nprobe.Store(int32(np))
+	ix.nprobe = np
 	return ix, nil
 }
 
@@ -855,33 +849,16 @@ func (ix *Index) Dim() int { return ix.dim }
 // Clusters returns the number of (non-empty) coarse-quantizer cells.
 func (ix *Index) Clusters() int { return len(ix.starts) - 1 }
 
-// NProbe returns the current cells-per-query knob.
-func (ix *Index) NProbe() int { return int(ix.nprobe.Load()) }
-
-// SetNProbe adjusts the cells scanned per query (clamped to
-// [1, Clusters]) without rebuilding — the live accuracy/latency dial.
-func (ix *Index) SetNProbe(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if c := ix.Clusters(); n > c {
-		n = c
-	}
-	ix.nprobe.Store(int32(n))
-}
+// NProbe returns the cells scanned per query.
+func (ix *Index) NProbe() int { return ix.nprobe }
 
 // Rerank returns the exact re-rank pool size per query.
 func (ix *Index) Rerank() int { return ix.rerank }
 
-// Stats snapshots this index's query counters.
-func (ix *Index) Stats() Stats {
-	return Stats{
-		Queries:  ix.queries.Load(),
-		Probes:   ix.probes.Load(),
-		Reranked: ix.reranked.Load(),
-		Scanned:  ix.scanned.Load(),
-	}
-}
+// Stats snapshots the scan counter, which like TotalProbes counts the
+// searches of every index (benchmark/'s linalg.int8_bytes_per_query
+// reads it around a run of one index's searches).
+func (*Index) Stats() Stats { return Stats{Scanned: totalScanned.Load()} }
 
 // Search implements ml.VectorIndex: quantize the query, scan the nprobe
 // nearest cells over int8 codes keeping a bounded top-R pool, then
@@ -892,7 +869,7 @@ func (ix *Index) Stats() Stats {
 // — integer for integer the Σ(q−x)² of linalg.SqDistInt8, so the pool,
 // its order and everything after it are what a row-by-row scan gives.
 func (ix *Index) Search(q []float32, k int, dst []ml.Candidate) []ml.Candidate {
-	return ix.search(q, k, int(ix.nprobe.Load()), dst, true)
+	return ix.search(q, k, ix.nprobe, dst, true)
 }
 
 // search is Search with an explicit probe width and optional telemetry:
@@ -932,12 +909,9 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 	}
 
 	if count {
-		ix.queries.Add(1)
-		ix.probes.Add(int64(probed))
-		ix.reranked.Add(int64(len(cand)))
-		ix.scanned.Add(int64(scanned))
 		totalProbes.Add(int64(probed))
 		totalReranked.Add(int64(len(cand)))
+		totalScanned.Add(int64(scanned))
 	}
 	return dst
 }
@@ -1102,7 +1076,7 @@ func (ix *Index) AppendBinary(b []byte) ([]byte, error) {
 func (ix *Index) AppendStream(b []byte, spill func([]byte) []byte) []byte {
 	le := binary.LittleEndian
 	b = le.AppendUint32(b, uint32(ix.Clusters()))
-	b = le.AppendUint32(b, uint32(ix.nprobe.Load()))
+	b = le.AppendUint32(b, uint32(ix.nprobe))
 	b = le.AppendUint32(b, uint32(ix.rerank))
 	b = le.AppendUint32(b, math.Float32bits(ix.scale))
 	for c := 0; c < ix.Clusters(); c++ {
@@ -1213,8 +1187,8 @@ func Load(r *bytes.Reader, data []float32, dim int) (*Index, error) {
 	ix := &Index{
 		dim: dim, n: n, scale: scale,
 		cents: cents, starts: starts, member: member,
-		codes: codes, norms: codeNorms(codes, dim), data: data, rerank: int(rerank),
+		codes: codes, norms: codeNorms(codes, dim), data: data,
+		nprobe: int(nprobe), rerank: int(rerank),
 	}
-	ix.nprobe.Store(nprobe)
 	return ix, nil
 }

@@ -94,7 +94,7 @@ func BenchmarkPredictK(b *testing.B) {
 	queries, _ := benchData(16, 384, 1, 5)
 	for _, k := range []int{1, 5, 25} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			c := New(Config{K: k, P: 2})
+			c := New(Config{K: k})
 			if err := c.Train(x, y); err != nil {
 				b.Fatal(err)
 			}

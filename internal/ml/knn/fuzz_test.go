@@ -12,7 +12,7 @@ import (
 // fuzzSeedModel trains a small deterministic model for seeding the
 // corpus: 24 distinct vectors over a 4-dim grid, alternating labels.
 func fuzzSeedModel(mode IndexMode) *Classifier {
-	c := New(Config{K: 3, P: 2, Index: IndexConfig{Mode: mode, NClusters: 4, Seed: 1}})
+	c := New(Config{K: 3, Index: IndexConfig{Mode: mode, NClusters: 4, Seed: 1}})
 	var x [][]float32
 	var y []job.Label
 	for i := 0; i < 24; i++ {
@@ -150,7 +150,7 @@ func FuzzTrainAliasedMatchesCopied(f *testing.F) {
 			y[i] = job.Label(rng.Intn(3)) // Unknown, MemoryBound or ComputeBound
 		}
 		y[0] = job.ComputeBound // at least one labeled row
-		cfg := Config{K: 3, P: 2, Index: IndexConfig{Mode: IndexOff}}
+		cfg := Config{K: 3, Index: IndexConfig{Mode: IndexOff}}
 		if indexed {
 			cfg.Index = IndexConfig{Mode: IndexOn, NClusters: 4, Seed: seed}
 		}

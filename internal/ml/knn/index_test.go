@@ -52,8 +52,8 @@ func TestIndexedVoteIdenticalToBrute(t *testing.T) {
 		const rows, dim, nclusters = 160, 8, 7
 		x, y := trainSet(rows, dim, seed)
 
-		brute := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: IndexOff}})
-		indexed := New(Config{K: 5, P: 2, Index: IndexConfig{
+		brute := New(Config{K: 5, Index: IndexConfig{Mode: IndexOff}})
+		indexed := New(Config{K: 5, Index: IndexConfig{
 			Mode:      IndexOn,
 			NClusters: nclusters,
 			NProbe:    nclusters, // probe everything …
@@ -123,7 +123,7 @@ func TestFullProbeEqualsBruteForce(t *testing.T) {
 		queries = append(queries, q)
 	}
 	for name, rerank := range map[string]int{"pool of every group": rows, "default pool": 0} {
-		c := New(Config{K: k, P: 2, Index: IndexConfig{
+		c := New(Config{K: k, Index: IndexConfig{
 			Mode: IndexOn, NClusters: nclusters, NProbe: nclusters, Rerank: rerank, Seed: 3,
 		}})
 		if err := c.Train(x, y); err != nil {
@@ -165,8 +165,8 @@ func TestQuantizedMatchesExactOnSeparatedClusters(t *testing.T) {
 		x[i] = v
 	}
 
-	brute := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: IndexOff}})
-	indexed := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: IndexOn, Seed: 7}})
+	brute := New(Config{K: 5, Index: IndexConfig{Mode: IndexOff}})
+	indexed := New(Config{K: 5, Index: IndexConfig{Mode: IndexOn, Seed: 7}})
 	if err := brute.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -191,21 +191,37 @@ func TestQuantizedMatchesExactOnSeparatedClusters(t *testing.T) {
 }
 
 // TestAutoModeThreshold pins the config switch: auto builds the index
-// only at MinGroups and above, off never builds, on always does.
+// only at DefaultMinGroups and above, off never builds, on always does.
 func TestAutoModeThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		mode   IndexMode
+		groups int
+		want   bool
+	}{
+		{IndexAuto, DefaultMinGroups - 1, false},
+		{IndexAuto, DefaultMinGroups, true},
+		{"", DefaultMinGroups, true},
+		{IndexOff, DefaultMinGroups, false},
+		{IndexOn, 1, true},
+		{IndexOn, 0, false},
+	} {
+		if got := (IndexConfig{Mode: tc.mode}).enabled(tc.groups); got != tc.want {
+			t.Errorf("mode %q, %d groups: enabled = %v, want %v", tc.mode, tc.groups, got, tc.want)
+		}
+	}
+
 	x, y := trainSet(50, 6, 1)
 	cases := []struct {
 		name string
 		cfg  IndexConfig
 		want bool
 	}{
-		{"auto below threshold", IndexConfig{MinGroups: 51}, false},
-		{"auto at threshold", IndexConfig{MinGroups: 50}, true},
-		{"off", IndexConfig{Mode: IndexOff, MinGroups: 1}, false},
+		{"auto below threshold", IndexConfig{}, false},
+		{"off", IndexConfig{Mode: IndexOff}, false},
 		{"on", IndexConfig{Mode: IndexOn}, true},
 	}
 	for _, tc := range cases {
-		c := New(Config{K: 3, P: 2, Index: tc.cfg})
+		c := New(Config{K: 3, Index: tc.cfg})
 		if err := c.Train(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -215,36 +231,6 @@ func TestAutoModeThreshold(t *testing.T) {
 		if got := c.IndexInfo().Enabled; got != tc.want {
 			t.Errorf("%s: IndexInfo().Enabled = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-
-	// Non-Euclidean metrics are never indexed.
-	c := New(Config{K: 3, P: 1, Index: IndexConfig{Mode: IndexOn}})
-	if err := c.Train(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if c.VectorIndex() != nil {
-		t.Error("P=1 model built an index")
-	}
-}
-
-func TestSetNProbeOnLiveModel(t *testing.T) {
-	x, y := trainSet(100, 6, 2)
-	c := New(Config{K: 3, P: 2, Index: IndexConfig{Mode: IndexOn, NClusters: 8, Seed: 3}})
-	if err := c.Train(x, y); err != nil {
-		t.Fatal(err)
-	}
-	c.SetNProbe(8)
-	if got := c.IndexInfo().NProbe; got != 8 {
-		t.Fatalf("NProbe = %d, want 8", got)
-	}
-	// No-op on a brute-force model.
-	b := New(Config{K: 3, P: 2, Index: IndexConfig{Mode: IndexOff}})
-	if err := b.Train(x, y); err != nil {
-		t.Fatal(err)
-	}
-	b.SetNProbe(4) // must not panic
-	if b.IndexInfo().Enabled {
-		t.Fatal("brute model reports an index")
 	}
 }
 
@@ -259,7 +245,7 @@ func TestMarshalRoundTripBitIdentical(t *testing.T) {
 		if indexed {
 			mode = IndexOn
 		}
-		c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, NClusters: 6, Seed: seed}})
+		c := New(Config{K: 5, Index: IndexConfig{Mode: mode, NClusters: 6, Seed: seed}})
 		if err := c.Train(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +303,7 @@ func TestMarshalBinaryExactSize(t *testing.T) {
 	x, y := trainSet(200, 9, 3)
 	// The index section adds one: AppendBinary's row → position table.
 	for mode, allocs := range map[IndexMode]float64{IndexOff: 1, IndexOn: 2} {
-		c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 5}})
+		c := New(Config{K: 5, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 5}})
 		if err := c.Train(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +347,7 @@ func corpusModel(t *testing.T, name string) []byte {
 // they were.
 func TestIndexedModelBytesUnchanged(t *testing.T) {
 	x, y := trainSet(300, 10, 9)
-	c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: IndexOn, NClusters: 12, Seed: 4}})
+	c := New(Config{K: 5, Index: IndexConfig{Mode: IndexOn, NClusters: 12, Seed: 4}})
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +411,7 @@ func sealV3(payload []byte) []byte {
 }
 
 // indexedWithOrder is a valid indexed model whose header claims the
-// Minkowski order p: Train builds an index for p == 2 only.
+// Minkowski order p.
 func indexedWithOrder(t testing.TB, p float64) []byte {
 	t.Helper()
 	valid, err := fuzzSeedModel(IndexOn).MarshalBinary()
@@ -461,6 +447,8 @@ func TestUnmarshalRejectsAdversarialHeaders(t *testing.T) {
 		{"negative k", sealV3(header(-1, 2, 4, 1, 1, nil)), "k = "},
 		{"nan p", sealV3(header(5, math.NaN(), 4, 1, 1, nil)), "minkowski order NaN"},
 		{"negative p", sealV3(header(5, -2, 4, 1, 1, nil)), "minkowski order -2"},
+		// Every model measures p = 2: a Manhattan file is not one of ours.
+		{"p = 1", sealV3(header(5, 1, 4, 1, 1, make([]byte, 24))), "minkowski order 1"},
 		{"negative dim", sealV3(header(5, 2, -4, 1, 1, nil)), "dim = "},
 		{"negative groups", sealV3(header(5, 2, 4, 1, -1, nil)), "groups = "},
 		{"n below groups", sealV3(header(5, 2, 4, 1, 2, make([]byte, 100))), "n = 1 for 2 groups"},
@@ -469,7 +457,7 @@ func TestUnmarshalRejectsAdversarialHeaders(t *testing.T) {
 		// Predict with ml.ErrNotTrained.
 		{"empty model", sealV3(header(5, 2, 4, 0, 0, nil)), "groups = 0"},
 		// It used to load, and Predict searched an L2 index for it.
-		{"index on a non-euclidean model", indexedWithOrder(t, 3), "index section on a model of minkowski order 3"},
+		{"index on a non-euclidean model", indexedWithOrder(t, 3), "minkowski order 3"},
 		// The retired un-checksummed format is one more corrupt file.
 		{"MCBKNN02", append([]byte("MCBKNN02"), header(5, 2, 4, 1, 1, make([]byte, 24))...), "bad magic"},
 		{"bad magic", []byte("MCBKNN99xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"), "bad magic"},
@@ -514,7 +502,7 @@ func TestUnmarshalRejectsCountMismatch(t *testing.T) {
 func TestPredictAllocationBudget(t *testing.T) {
 	x, y := trainSet(600, 16, 5)
 	for _, mode := range []IndexMode{IndexOn, IndexOff} {
-		c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, Seed: 1}})
+		c := New(Config{K: 5, Index: IndexConfig{Mode: mode, Seed: 1}})
 		if err := c.Train(x, y); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Package knn implements the k-Nearest-Neighbors Classification Model of
 // MCBound: training stores the encoded data points; inference is a
-// majority vote among the k most similar points under the Minkowski
-// distance (paper §III-D). Distance scans are parallelized across cores
-// and run over a single contiguous buffer for cache locality.
+// majority vote among the k most similar points under the Euclidean
+// distance (paper §III-D; scikit-learn's Minkowski p = 2 default).
+// Distance scans are parallelized across cores and run over a single
+// contiguous buffer for cache locality.
 package knn
 
 import (
@@ -23,10 +24,11 @@ import (
 )
 
 // Config holds the KNN hyper-parameters. The defaults match
-// scikit-learn's KNeighborsClassifier defaults used by the paper.
+// scikit-learn's KNeighborsClassifier defaults used by the paper, whose
+// metric (Minkowski, p = 2) is the Euclidean distance every search here
+// measures.
 type Config struct {
 	K     int         // number of neighbors (default 5)
-	P     float64     // Minkowski order (default 2, Euclidean)
 	Index IndexConfig // sub-linear search structure (zero value = auto)
 }
 
@@ -36,10 +38,10 @@ type IndexMode string
 
 const (
 	// IndexAuto (the zero value) builds the index only when the trained
-	// group count reaches IndexConfig.MinGroups — small windows stay on
+	// group count reaches DefaultMinGroups — small windows stay on
 	// the exact scan, which is both faster and exact at that size.
 	IndexAuto IndexMode = "auto"
-	// IndexOn always builds the index (when the metric supports it).
+	// IndexOn always builds the index.
 	IndexOn IndexMode = "on"
 	// IndexOff never builds it.
 	IndexOff IndexMode = "off"
@@ -49,22 +51,19 @@ const (
 // vectors a brute-force scan beats the index's probe overhead.
 const DefaultMinGroups = 4096
 
-// IndexConfig controls the optional IVF index. Only the Euclidean
-// metric (P == 2) is indexable; other Minkowski orders always fall back
-// to brute force.
+// IndexConfig controls the optional IVF index.
 type IndexConfig struct {
 	Mode      IndexMode // ""/auto, on, off
-	MinGroups int       // auto threshold; 0 = DefaultMinGroups
 	NClusters int       // ivf.Config.NClusters
 	NProbe    int       // ivf.Config.NProbe
 	Rerank    int       // ivf.Config.Rerank
 	Seed      uint64    // ivf.Config.Seed
 }
 
-// enabled reports whether a model with the given metric and group count
-// should carry an index.
-func (ic IndexConfig) enabled(p float64, groups int) bool {
-	if p != 2 || groups < 1 {
+// enabled reports whether a model with the given group count should
+// carry an index.
+func (ic IndexConfig) enabled(groups int) bool {
+	if groups < 1 {
 		return false
 	}
 	switch ic.Mode {
@@ -73,16 +72,12 @@ func (ic IndexConfig) enabled(p float64, groups int) bool {
 	case IndexOff:
 		return false
 	default:
-		min := ic.MinGroups
-		if min <= 0 {
-			min = DefaultMinGroups
-		}
-		return groups >= min
+		return groups >= DefaultMinGroups
 	}
 }
 
 // DefaultConfig returns the scikit-learn defaults.
-func DefaultConfig() Config { return Config{K: 5, P: 2} }
+func DefaultConfig() Config { return Config{K: 5} }
 
 // Classifier is a KNN model. The zero value is unusable; use New.
 //
@@ -109,9 +104,6 @@ type Classifier struct {
 func New(cfg Config) *Classifier {
 	if cfg.K <= 0 {
 		cfg.K = DefaultConfig().K
-	}
-	if cfg.P <= 0 {
-		cfg.P = DefaultConfig().P
 	}
 	return &Classifier{cfg: cfg}
 }
@@ -236,7 +228,7 @@ func (c *Classifier) TrainMatrix(data []float32, dim int, row []int32, y []job.L
 	// Sub-linear search structure over the group matrix. A build failure
 	// is not a training failure: the model falls back to the exact scan.
 	var index *ivf.Index
-	if c.cfg.Index.enabled(c.cfg.P, len(reps)) {
+	if c.cfg.Index.enabled(len(reps)) {
 		index, _ = ivf.Build(data, dim, ivf.Config{
 			NClusters: c.cfg.Index.NClusters,
 			NProbe:    c.cfg.Index.NProbe,
@@ -323,24 +315,17 @@ func (c *Classifier) predictOne(q []float32, top []ml.Candidate) job.Label {
 const scanBlock = 256
 
 // scanGroups is the exact search: the kg groups of the model's matrix
-// nearest to q under its Minkowski distance, nearest first, in top[:0].
-// The matrix is contiguous, so the Euclidean case measures a block of
-// rows per call.
+// nearest to q, nearest first, in top[:0]. The matrix is contiguous, so
+// it measures a block of rows per call, in squared Euclidean distance
+// (monotone in the true one).
 func (c *Classifier) scanGroups(q []float32, kg int, top []ml.Candidate) []ml.Candidate {
-	data, dim, groups, p := c.data, c.dim, c.groups, c.cfg.P
+	data, dim, groups := c.data, c.dim, c.groups
 	top = top[:0]
 	worst := math.Inf(1)
 	var block [scanBlock]float64
 	for lo := 0; lo < groups; lo += scanBlock {
 		dist := block[:min(scanBlock, groups-lo)]
-		rows := data[lo*dim : (lo+len(dist))*dim]
-		if p == 2 {
-			linalg.SqEuclideanRows(q, rows, dist) // monotone in the true distance
-		} else {
-			for j := range dist {
-				dist[j] = linalg.Minkowski(q, rows[j*dim:(j+1)*dim], p)
-			}
-		}
+		linalg.SqEuclideanRows(q, data[lo*dim:(lo+len(dist))*dim], dist)
 		for j, d := range dist {
 			if len(top) == kg && d >= worst {
 				continue
@@ -422,17 +407,6 @@ func (c *Classifier) IndexInfo() ml.IndexInfo {
 	}
 }
 
-// SetNProbe implements ml.Indexed: it adjusts the live index's
-// accuracy/latency knob without retraining. No-op on brute-force models.
-// It waits out a WriteTo, whose two passes must read one probe width.
-func (c *Classifier) SetNProbe(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.index != nil {
-		c.index.SetNProbe(n)
-	}
-}
-
 // Matrix exposes the trained group matrix (rows×dim, row-major) for
 // benchmarks and recall measurement. Callers must treat it as read-only.
 func (c *Classifier) Matrix() ([]float32, int) {
@@ -476,6 +450,11 @@ func equalVec(a, b []float32) bool {
 }
 
 const marshalMagic = "MCBKNN03" // crc32 + header + matrix + counts [+ index section]
+
+// euclidean is what the header's p word (the Minkowski order) holds:
+// the layout kept the word when p stopped being a setting, so files
+// stay byte-identical, and every model measures p = 2.
+const euclidean = 2.0
 
 // ErrCorruptModel is wrapped by UnmarshalBinary on every reject path —
 // bad magic, adversarial headers, truncation, checksum mismatch, or a
@@ -540,7 +519,7 @@ func (c *Classifier) WriteTo(w io.Writer) (int64, error) {
 func (c *Classifier) appendPayload(b []byte, spill func([]byte) []byte) []byte {
 	le := binary.LittleEndian
 	b = le.AppendUint64(b, uint64(c.cfg.K))
-	b = le.AppendUint64(b, math.Float64bits(c.cfg.P))
+	b = le.AppendUint64(b, math.Float64bits(euclidean))
 	b = le.AppendUint64(b, uint64(c.dim))
 	b = le.AppendUint64(b, uint64(c.n))
 	b = le.AppendUint64(b, uint64(c.groups))
@@ -589,7 +568,7 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 	switch {
 	case k <= 0 || k > maxK:
 		return fmt.Errorf("%w: k = %d", ErrCorruptModel, k)
-	case math.IsNaN(p) || math.IsInf(p, 0) || p <= 0:
+	case p != euclidean:
 		return fmt.Errorf("%w: minkowski order %v", ErrCorruptModel, p)
 	case dim <= 0 || dim > maxDim:
 		return fmt.Errorf("%w: dim = %d", ErrCorruptModel, dim)
@@ -627,11 +606,6 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 	// Whatever follows the counts is the index section.
 	var index *ivf.Index
 	if buf.Len() != 0 {
-		// Train builds an index for the Euclidean metric only, and
-		// predictOne would search this one whatever p says.
-		if p != 2 {
-			return fmt.Errorf("%w: index section on a model of minkowski order %v", ErrCorruptModel, p)
-		}
 		var err error
 		if index, err = ivf.Load(buf, data, int(dim)); err != nil {
 			return fmt.Errorf("%w: %w", ErrCorruptModel, err)
@@ -642,7 +616,7 @@ func (c *Classifier) UnmarshalBinary(b []byte) error {
 	}
 
 	c.mu.Lock()
-	c.cfg.K, c.cfg.P = int(k), p
+	c.cfg.K = int(k)
 	c.dim, c.n, c.groups, c.data, c.counts = int(dim), int(n), int(groups), data, counts
 	c.index = index
 	c.mu.Unlock()

@@ -64,7 +64,7 @@ func TestPredictDimMismatch(t *testing.T) {
 }
 
 func TestDuplicateGrouping(t *testing.T) {
-	c := New(Config{K: 5, P: 2})
+	c := New(Config{K: 5})
 	// 100 identical memory points + 100 identical compute points: two
 	// groups, 200 stored points.
 	var x [][]float32
@@ -96,7 +96,7 @@ func TestDuplicateGrouping(t *testing.T) {
 func TestGroupMajorityVote(t *testing.T) {
 	// One group at distance 0 with mixed labels: majority must win and
 	// its multiplicity must outvote a nearer... farther group.
-	c := New(Config{K: 5, P: 2})
+	c := New(Config{K: 5})
 	x := [][]float32{{0, 0}, {0, 0}, {0, 0}, {1, 1}, {1, 1}}
 	y := []job.Label{job.ComputeBound, job.ComputeBound, job.MemoryBound, job.MemoryBound, job.MemoryBound}
 	if err := c.Train(x, y); err != nil {
@@ -114,7 +114,7 @@ func TestGroupMajorityVote(t *testing.T) {
 }
 
 func TestKOneExactMatch(t *testing.T) {
-	c := New(Config{K: 1, P: 2})
+	c := New(Config{K: 1})
 	x, y := clusters()
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestAliasedRowsTrainLikeCopies(t *testing.T) {
 					x[i] = slices.Clone(x[i])
 				}
 			}
-			cfg := Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 1}}
+			cfg := Config{K: 5, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 1}}
 			if got, want := trainBytes(t, cfg, x, y), trainBytes(t, cfg, deepCopy(x), y); !bytes.Equal(got, want) {
 				t.Fatalf("index %s, %d vectors: aliased rows marshal %d bytes that differ from the copies' %d",
 					mode, k, len(got), len(want))
@@ -212,7 +212,7 @@ func TestAliasedRowsTrainLikeCopies(t *testing.T) {
 
 func TestConfigFallbacks(t *testing.T) {
 	c := New(Config{})
-	if c.Config().K != 5 || c.Config().P != 2 {
+	if c.Config().K != 5 {
 		t.Errorf("fallback config = %+v", c.Config())
 	}
 }
@@ -264,7 +264,7 @@ func TestAgreesWithReferenceOnDistinctPoints(t *testing.T) {
 			y[i] = job.ComputeBound
 		}
 	}
-	c := New(Config{K: 5, P: 2})
+	c := New(Config{K: 5})
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -291,23 +291,8 @@ func TestAgreesWithReferenceOnDistinctPoints(t *testing.T) {
 	}
 }
 
-func TestMinkowskiP1Path(t *testing.T) {
-	c := New(Config{K: 3, P: 1})
-	x, y := clusters()
-	if err := c.Train(x, y); err != nil {
-		t.Fatal(err)
-	}
-	preds, err := c.Predict([][]float32{{0, 0}, {10, 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preds[0] != job.MemoryBound || preds[1] != job.ComputeBound {
-		t.Errorf("L1 preds = %v", preds)
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
-	c := New(Config{K: 3, P: 2})
+	c := New(Config{K: 3})
 	x, y := clusters()
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
@@ -375,7 +360,7 @@ func TestName(t *testing.T) {
 }
 
 func TestLargeKClampedToN(t *testing.T) {
-	c := New(Config{K: 100, P: 2})
+	c := New(Config{K: 100})
 	x := [][]float32{{0}, {1}, {2}}
 	y := []job.Label{job.MemoryBound, job.MemoryBound, job.ComputeBound}
 	if err := c.Train(x, y); err != nil {

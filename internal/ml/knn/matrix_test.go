@@ -40,7 +40,7 @@ func matrixJobs(n int, seed uint64) ([]*job.Job, []job.Label) {
 func TestTrainMatrixMatchesTrain(t *testing.T) {
 	jobs, y := matrixJobs(3000, 7)
 	for _, mode := range []IndexMode{IndexOff, IndexOn} {
-		cfg := Config{K: 5, P: 2, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 2}}
+		cfg := Config{K: 5, Index: IndexConfig{Mode: mode, NClusters: 8, Seed: 2}}
 		enc := encode.NewEncoder(nil, nil)
 		fromRows := New(cfg)
 		if err := fromRows.Train(enc.Encode(jobs), y); err != nil {
@@ -127,7 +127,7 @@ func TestMatrixAliasesTheSlab(t *testing.T) {
 	jobs, y := matrixJobs(500, 3)
 	enc := encode.NewEncoder(nil, nil)
 	data, row := enc.EncodeMatrix(jobs)
-	c := New(Config{K: 5, P: 2, Index: IndexConfig{Mode: IndexOn, NClusters: 4, Seed: 1}})
+	c := New(Config{K: 5, Index: IndexConfig{Mode: IndexOn, NClusters: 4, Seed: 1}})
 	if err := c.TrainMatrix(data, enc.Dim(), row, y); err != nil {
 		t.Fatal(err)
 	}

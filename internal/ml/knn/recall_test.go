@@ -63,8 +63,8 @@ func TestRecallGateAtScale(t *testing.T) {
 			for i, j := range jobs {
 				y[i] = j.TrueLabel
 			}
-			brute := New(Config{K: k, P: 2, Index: IndexConfig{Mode: IndexOff}})
-			indexed := New(Config{K: k, P: 2, Index: IndexConfig{Mode: IndexOn, Seed: 17}})
+			brute := New(Config{K: k, Index: IndexConfig{Mode: IndexOff}})
+			indexed := New(Config{K: k, Index: IndexConfig{Mode: IndexOn, Seed: 17}})
 			if err := brute.Train(x, y); err != nil {
 				t.Fatal(err)
 			}

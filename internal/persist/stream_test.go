@@ -48,7 +48,7 @@ func goldenWindow() ([][]float32, []job.Label) {
 // marshalling it into one buffer: the on-disk format must not move.
 func TestSavedModelBytesUnchanged(t *testing.T) {
 	x, y := goldenWindow()
-	kc := knn.New(knn.Config{K: 5, P: 2, Index: knn.IndexConfig{Mode: knn.IndexOn, NClusters: 8, Seed: 3}})
+	kc := knn.New(knn.Config{K: 5, Index: knn.IndexConfig{Mode: knn.IndexOn, NClusters: 8, Seed: 3}})
 	if err := kc.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func checkWriteTo(t testing.TB, name string, m Model) {
 func TestWriteToMatchesMarshalBinary(t *testing.T) {
 	x, y := goldenWindow()
 	for _, mode := range []knn.IndexMode{knn.IndexOn, knn.IndexOff} {
-		c := knn.New(knn.Config{K: 5, P: 2, Index: knn.IndexConfig{Mode: mode, NClusters: 8, Seed: 3}})
+		c := knn.New(knn.Config{K: 5, Index: knn.IndexConfig{Mode: mode, NClusters: 8, Seed: 3}})
 		if err := c.Train(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func FuzzWriteToMatchesMarshalBinary(f *testing.F) {
 			}
 			y[i] = job.Label(1 + rng.Intn(2))
 		}
-		cfg := knn.Config{K: 3, P: 2, Index: knn.IndexConfig{Mode: knn.IndexOff}}
+		cfg := knn.Config{K: 3, Index: knn.IndexConfig{Mode: knn.IndexOff}}
 		if indexed {
 			cfg.Index = knn.IndexConfig{Mode: knn.IndexOn, NClusters: 4, Seed: seed}
 		}

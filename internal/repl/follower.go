@@ -29,6 +29,10 @@ const (
 // data is rejected.
 var ErrStaleEpoch = errors.New("repl: stale leader epoch")
 
+// maxLag is how long a follower may run behind before /healthz turns
+// "lagging".
+const maxLag = 15 * time.Second
+
 // errResync is the internal signal that the follower fell behind the
 // leader's compaction horizon (or the epoch advanced) and must
 // re-bootstrap from the newest snapshot.
@@ -42,21 +46,13 @@ type FollowerConfig struct {
 	// same callback shape as crash recovery, so replay order ≡ apply
 	// order on the follower too (required).
 	Apply func(payload []byte) error
-	// Poll is the manifest poll cadence; <= 0 selects 250 ms.
-	Poll time.Duration
-	// PollJitter spreads each poll uniformly over Poll·(1±jitter) so a
+	// Poll is the manifest poll cadence; <= 0 selects 250 ms. Each poll
+	// is spread uniformly over Poll·(1 ± clock.DefaultJitter) so a
 	// restarted fleet doesn't synchronize its fetch rounds against one
-	// leader (clock.Jitter, as the retrain cron and the elector step). 0
-	// selects clock.DefaultJitter; negative disables jitter entirely.
-	PollJitter float64
+	// leader (clock.Jitter, as the retrain cron and the elector step).
+	Poll time.Duration
 	// Seed drives the deterministic poll jitter.
 	Seed uint64
-	// MaxLag is how long the follower may run behind before /healthz
-	// turns "lagging"; <= 0 selects 15 s.
-	MaxLag time.Duration
-	// DisconnectAfter turns /healthz "disconnected" when no sync round
-	// has succeeded for this long; <= 0 selects max(4×Poll, 2 s).
-	DisconnectAfter time.Duration
 	// Clock overrides the wall clock: the status ages and, in Run, the
 	// poll timer (deterministic tests).
 	Clock clock.Clock
@@ -89,16 +85,16 @@ type FollowerStatus struct {
 // compactions (re-sync from the newest snapshot) and leader changes
 // (epoch bump → full re-sync; stale epochs are rejected).
 type Follower struct {
-	cl         *Client
-	apply      func([]byte) error
-	poll       time.Duration
-	pollJitter float64
-	rng        *stats.RNG // poll jitter; Run goroutine only
-	maxLag     time.Duration
-	discAfter  time.Duration
-	clock      clock.Clock
-	log        *slog.Logger
-	loop       *clock.Loop
+	cl    *Client
+	apply func([]byte) error
+	poll  time.Duration
+	rng   *stats.RNG // poll jitter; Run goroutine only
+	// discAfter turns /healthz "disconnected" when no sync round has
+	// succeeded for this long: max(4×poll, 2 s).
+	discAfter time.Duration
+	clock     clock.Clock
+	log       *slog.Logger
+	loop      *clock.Loop
 
 	// syncMu serializes whole sync rounds: SyncNow may be called while
 	// Run's loop is live, and two interleaved consume loops would apply
@@ -134,18 +130,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
-	if cfg.PollJitter == 0 {
-		cfg.PollJitter = clock.DefaultJitter
-	}
-	if cfg.MaxLag <= 0 {
-		cfg.MaxLag = 15 * time.Second
-	}
-	if cfg.DisconnectAfter <= 0 {
-		cfg.DisconnectAfter = 4 * cfg.Poll
-		if cfg.DisconnectAfter < 2*time.Second {
-			cfg.DisconnectAfter = 2 * time.Second
-		}
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Wall{}
 	}
@@ -153,15 +137,13 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	f := &Follower{
-		cl:         cfg.Client,
-		apply:      cfg.Apply,
-		poll:       cfg.Poll,
-		pollJitter: cfg.PollJitter,
-		rng:        stats.NewRNG(cfg.Seed),
-		maxLag:     cfg.MaxLag,
-		discAfter:  cfg.DisconnectAfter,
-		clock:      cfg.Clock,
-		log:        cfg.Logger,
+		cl:        cfg.Client,
+		apply:     cfg.Apply,
+		poll:      cfg.Poll,
+		rng:       stats.NewRNG(cfg.Seed),
+		discAfter: max(4*cfg.Poll, 2*time.Second),
+		clock:     cfg.Clock,
+		log:       cfg.Logger,
 	}
 	f.loop = clock.NewLoop(f.clock, f.nextPoll, func(ctx context.Context) { f.syncOnce(ctx) })
 	start := f.clock.Now()
@@ -176,11 +158,11 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 // manifest.
 func (f *Follower) Run(ctx context.Context) { f.loop.Run(ctx, 0) }
 
-// nextPoll draws the next poll delay: uniform over poll·(1±jitter),
-// never below 1 ms. Only the Run goroutine calls it, so the RNG needs
+// nextPoll draws the next poll delay: uniform over
+// poll·(1 ± clock.DefaultJitter), never below 1 ms. Only the Run goroutine calls it, so the RNG needs
 // no lock.
 func (f *Follower) nextPoll() time.Duration {
-	return clock.Jitter(f.poll, f.pollJitter, f.rng.Float64())
+	return clock.Jitter(f.poll, clock.DefaultJitter, f.rng.Float64())
 }
 
 // Stop halts the sync loop, cutting an in-flight fetch short, and waits
@@ -515,7 +497,7 @@ func (f *Follower) Status() FollowerStatus {
 	switch {
 	case now.Sub(f.lastSync) > f.discAfter:
 		st.State = StateDisconnected
-	case !f.caughtUp && now.Sub(f.lastCaughtUp) > f.maxLag:
+	case !f.caughtUp && now.Sub(f.lastCaughtUp) > maxLag:
 		st.State = StateLagging
 	default:
 		st.State = StateOK

@@ -357,9 +357,7 @@ func TestFollowerHealthStates(t *testing.T) {
 			}
 			return fst.Insert(&j)
 		},
-		MaxLag:          10 * time.Second,
-		DisconnectAfter: time.Minute,
-		Clock:           clk,
+		Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +365,7 @@ func TestFollowerHealthStates(t *testing.T) {
 	ctx := context.Background()
 
 	// Round 1: the follower applies all 5 available records but the
-	// manifest says 10 are committed — behind, though within max-lag.
+	// manifest says 10 are committed — behind, though within max lag.
 	if err := f.SyncNow(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -376,18 +374,23 @@ func TestFollowerHealthStates(t *testing.T) {
 		t.Fatalf("fresh lag: state %s lag %d, want ok and %d", st.State, st.LagRecords, promised-5)
 	}
 
-	// Still behind after max-lag: lagging. Sync rounds keep succeeding,
-	// so this is not the disconnected state.
-	clk.Advance(30 * time.Second)
-	if err := f.SyncNow(ctx); err != nil {
-		t.Fatal(err)
+	// Behind for the whole 15 s max lag: still ok; a millisecond more
+	// is lagging. Sync rounds keep succeeding, so this is not the
+	// disconnected state.
+	for _, step := range []struct {
+		by   time.Duration
+		want string
+	}{{15 * time.Second, repl.StateOK}, {time.Millisecond, repl.StateLagging}} {
+		clk.Advance(step.by)
+		if err := f.SyncNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st = f.Status(); st.State != step.want {
+			t.Fatalf("state %.3fs behind = %s, want %s", st.LagSeconds, st.State, step.want)
+		}
 	}
-	st = f.Status()
-	if st.State != repl.StateLagging {
-		t.Fatalf("state after %v behind = %s, want lagging", 30*time.Second, st.State)
-	}
-	if st.LagSeconds < 29 {
-		t.Fatalf("replication_lag_seconds = %.1f, want >= 29", st.LagSeconds)
+	if st.LagSeconds < 15 {
+		t.Fatalf("replication_lag_seconds = %.3f, want > 15", st.LagSeconds)
 	}
 
 	// The missing records appear: one round catches up and resets to ok.
@@ -403,9 +406,14 @@ func TestFollowerHealthStates(t *testing.T) {
 		t.Fatalf("state after catch-up = %+v, want ok with zero lag", st)
 	}
 
-	// Silence past the disconnect window: no successful round, state
-	// degrades to disconnected regardless of how caught up it was.
-	clk.Advance(2 * time.Minute)
+	// Silence past the disconnect window (max(4×250 ms, 2 s)): no
+	// successful round, state degrades to disconnected regardless of how
+	// caught up it was.
+	clk.Advance(2 * time.Second)
+	if st = f.Status(); st.State != repl.StateOK {
+		t.Fatalf("state after 2 s of silence = %s, want ok", st.State)
+	}
+	clk.Advance(time.Millisecond)
 	if st = f.Status(); st.State != repl.StateDisconnected {
 		t.Fatalf("state after silent window = %s, want disconnected", st.State)
 	}

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # The traffic check (`make traffic`): which functions of the cluster
-# shell nothing but their own package's tests reach.
+# shell and the model layer nothing but their own package's tests reach.
 #
 #   (i)   the tests of every other package of the module, with coverage
-#         counted in the eight shell packages only (-coverpkg);
+#         counted in the eleven checked packages only (-coverpkg);
 #   (ii)  the benchmark built with integration coverage (go build -cover)
 #         and run once per contract workload, traced, for 3 s each;
 #   (iii) (ii)'s counters turned into (i)'s profile format, then a print,
-#         per shell package, of the functions (i) did not reach, marked
+#         per checked package, of the functions (i) did not reach, marked
 #         "bench" where (ii) did, each with the reason it stays (the table
 #         at the end of this file) or "no reason: a deletion candidate".
 #         Then every test that skips on a tier-1 run (`go test ./...`).
@@ -23,21 +23,22 @@ rm -rf "$out"
 mkdir -p "$out/covdata" "$out/tmp"
 export GOCACHE="$root/.bench_build/gocache" GOPATH="$root/.bench_build/gopath" GOFLAGS=-mod=mod GOTOOLCHAIN=local GOWORK=off TMPDIR="$out/tmp"
 
-shell_pkgs="wal router election repl admission resilience cluster peer"
+# The cluster shell, then the model layer.
+shell_pkgs="wal router election repl admission resilience cluster peer core ml/knn ml/ivf"
 shell_re="^mcbound/internal/($(tr ' ' '|' <<<"$shell_pkgs"))\$"
 coverpkg=$(for p in $shell_pkgs; do printf 'mcbound/internal/%s,' "$p"; done)
 coverpkg=${coverpkg%,}
 others=$(go list ./... | grep -v -E "$shell_re")
 shells=$(go list ./... | grep -E "$shell_re")
 
-# (i) Other packages' tests, counted in the shell; the shell's own tests
-# run uncounted, so the two runs together are one tier-1 run for the skip
-# list.
-echo "traffic: (i) other packages' tests, coverage in the shell" >&2
+# (i) Other packages' tests, counted in the checked packages; their own
+# tests run uncounted, so the two runs together are one tier-1 run for
+# the skip list.
+echo "traffic: (i) other packages' tests, coverage in the checked packages" >&2
 status=0
 # shellcheck disable=SC2086
 go test -json -coverpkg="$coverpkg" -coverprofile="$out/tests.cov" $others >"$out/tests.json" || status=$?
-echo "traffic: (i) the shell's own tests, for the skip list" >&2
+echo "traffic: (i) the checked packages' own tests, for the skip list" >&2
 # shellcheck disable=SC2086
 go test -json $shells >"$out/shell-tests.json" || status=$?
 if ((status)); then
@@ -61,12 +62,14 @@ done
 # module's internal/ lines.
 go tool covdata textfmt -i="$out/covdata" -o="$out/bench-all.cov"
 { head -1 "$out/bench-all.cov"; grep '^mcbound/internal/' "$out/bench-all.cov"; } >"$out/bench.cov"
-# func-reach PROFILE: "pkg<TAB>file:Func<TAB>reached(0|1)" per function.
+# func-reach PROFILE: "pkg<TAB>file:Func<TAB>reached(0|1)" per function,
+# pkg the path under internal/ (ml/knn).
 func_reach() {
 	go tool cover -func="$1" | awk -F'\t+' '$1 != "total:" {
-		split($1, loc, ":"); n = split(loc[1], parts, "/")
+		split($1, loc, ":"); path = loc[1]; sub(/^mcbound\/internal\//, "", path)
+		file = path; sub(/.*\//, "", file); pkg = substr(path, 1, length(path) - length(file) - 1)
 		pct = $3; sub(/%/, "", pct)
-		print parts[n-1] "\t" parts[n] ":" $2 "\t" (pct + 0 > 0 ? 1 : 0)
+		print pkg "\t" file ":" $2 "\t" (pct + 0 > 0 ? 1 : 0)
 	}'
 }
 func_reach "$out/tests.cov" | sort -u >"$out/tests.reach"
@@ -87,7 +90,7 @@ awk -F'\t' -v skips="$out/skips.txt" '
 			(key in reason) ? reason[key] : "no reason: a deletion candidate")
 	}
 	END {
-		printf "Shell functions no other package'"'"'s test reaches (i): %d; of them, reached by no contract workload either (ii): %d\n", i, n
+		printf "Checked functions no other package'"'"'s test reaches (i): %d; of them, reached by no contract workload either (ii): %d\n", i, n
 		for (a = 1; a <= k; a++) printf "\ninternal/%s\n%s", pk[a], rows[pk[a]]
 		for (r in reason) if (!(r in seen)) printf "\nstale exception (reached now, or gone): %s\n", r
 		printf "\nTests that skip on a tier-1 run:"
@@ -101,6 +104,14 @@ exit "$status"
 # EXCEPTIONS
 admission/admission.go:Shed	benchmark/ reads it for admission.shed_total
 election/election.go:abdicateLocked	failure path: a leader over a wedged WAL gives up its lease
+ml/ivf/ivf.go:AppendBinary	reference encoder: AppendStream into one buffer (encoding.BinaryAppender); ivf's layout and round-trip tests encode through it
+ml/ivf/ivf.go:Dim	ml.VectorIndex; benchmark/'s linalg.int8_bytes_per_query
+ml/ivf/ivf.go:Rerank	test seam: ivf's and knn's tests read the built re-rank pool
+ml/ivf/ivf.go:Stats	benchmark/'s linalg.int8_bytes_per_query; goes when 4(a) reads a package total
+ml/knn/knn.go:Config	benchmark/ rebuilds the served index from it for ivf.build_s
+ml/knn/knn.go:Groups	benchmark/'s knn.groups_per_row
+ml/knn/knn.go:Matrix	benchmark/'s ivf.recall_at_k and ivf.build_s read the group matrix
+ml/knn/knn.go:VectorIndex	benchmark/'s ivf.* metrics search the served index through it
 peer/peer.go:Retryable	failure path: the replication client's retry rule for 5xx and 429
 repl/client.go:Breaker	test seam: repl's tests watch the client's breaker trip
 repl/follower.go:handleSyncErr	failure path: a round that fails, or finds its position compacted
