@@ -290,8 +290,9 @@ type trainRequest struct {
 	Index string `json:"index,omitempty"`
 	// NProbe sets the IVF cells scanned per query, in place of the
 	// build's calibration, for the models of this and future trains; 0
-	// leaves it. The served model keeps its width: a train that fails,
-	// or joins one already in flight, publishes nothing.
+	// leaves it. The served model keeps its width: a train that fails
+	// publishes nothing, and one that joins a train already in flight
+	// shares that train's model, which may have been built before.
 	NProbe int `json:"nprobe,omitempty"`
 }
 
