@@ -146,15 +146,16 @@ func memoConfigs(t *testing.T) map[string]Config {
 // second and third sighting (embedded; found in the cache, embedded
 // again and noted; answered from the note) — after a train, a retrain to another
 // window, a LoadLatest that restores the older model, a train with an
-// nprobe override and a train back, ResetCache, a capacity of 0 (the
-// entries held stay, and keep answering) and an emptied 16-entry cache
-// that evicts inside the batch.
+// nprobe override and a train back, a capacity of 0 (the entries held
+// stay, and keep answering), and a restart: the newest model restored
+// under an empty 16-entry cache that evicts inside the batch.
 func TestClassifyMatchesModelAcrossSnapshots(t *testing.T) {
 	ctx := context.Background()
 	held := dupHeavyBatch(300)
 	for kind, cfg := range memoConfigs(t) {
 		t.Run(kind, func(t *testing.T) {
-			fw := newFramework(t, cfg, flipStore(t))
+			src := flipStore(t)
+			fw := newFramework(t, cfg, src)
 			ref := encode.NewEncoder(cfg.Features, nil)
 			ref.SetCacheCapacity(0)
 			refVecs := ref.Encode(held)
@@ -209,19 +210,19 @@ func TestClassifyMatchesModelAcrossSnapshots(t *testing.T) {
 			}
 			train(secondHalf)
 			check("train back at nprobe 2")
-			fw.Encoder().ResetCache()
-			check("ResetCache")
 			fw.Encoder().SetCacheCapacity(0)
 			check("capacity 0")
-			fw.Encoder().SetCacheCapacity(16) // shrinks only as shards are written:
-			fw.Encoder().ResetCache()         // start empty, so the batch evicts
-			evicted := fw.Encoder().CacheStats().Evictions
-			check("capacity 16")
-			if fw.Encoder().CacheStats().Evictions == evicted {
-				t.Error("a 16-entry cache evicted nothing")
-			}
 			if fw.MemoHits() == memo {
 				t.Error("no note answered after the first train")
+			}
+			fw = newFramework(t, cfg, src)
+			fw.Encoder().SetCacheCapacity(16)
+			if _, err := fw.LoadLatest(); err != nil {
+				t.Fatal(err)
+			}
+			check("restart, capacity 16")
+			if fw.Encoder().CacheStats().Evictions == 0 {
+				t.Error("a 16-entry cache evicted nothing")
 			}
 		})
 	}

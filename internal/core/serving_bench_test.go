@@ -38,11 +38,12 @@ func benchBatch(n int) []*job.Job {
 	return batch
 }
 
-// benchServingFramework returns a trained framework over the seed
-// trace.
-func benchServingFramework(b *testing.B) *Framework {
+// benchServingFramework returns a framework trained over the seed
+// trace with an embedding cache of the given capacity.
+func benchServingFramework(b *testing.B, capacity int) *Framework {
 	b.Helper()
 	fw := newFramework(b, DefaultConfig(), seedStore(b))
+	fw.Encoder().SetCacheCapacity(capacity) // before the train fills it
 	if _, err := fw.Train(context.Background(), time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC)); err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func BenchmarkClassifyBatch(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(bc.procs)
 			defer runtime.GOMAXPROCS(prev)
-			fw := benchServingFramework(b)
+			fw := benchServingFramework(b, encode.DefaultCacheCapacity)
 			batch := benchBatch(1000)
 			ctx := context.Background()
 			b.ReportAllocs()
@@ -88,9 +89,7 @@ func BenchmarkClassifyBatch(b *testing.B) {
 // cold disables the cache so every call re-tokenizes and re-hashes.
 func BenchmarkClassifySingle(b *testing.B) {
 	run := func(b *testing.B, capacity int) {
-		fw := benchServingFramework(b)
-		fw.Encoder().SetCacheCapacity(capacity)
-		fw.Encoder().ResetCache()
+		fw := benchServingFramework(b, capacity)
 		one := benchBatch(1)
 		ctx := context.Background()
 		if _, err := fw.ClassifyJobs(ctx, one); err != nil { // warm
@@ -112,7 +111,7 @@ func BenchmarkClassifySingle(b *testing.B) {
 // encode, fit) on the seed trace, the unit of work the hot-swap moves
 // off the serving path.
 func BenchmarkTrain(b *testing.B) {
-	fw := benchServingFramework(b)
+	fw := benchServingFramework(b, encode.DefaultCacheCapacity)
 	trainAt := time.Date(2024, 1, 20, 0, 0, 0, 0, time.UTC)
 	ctx := context.Background()
 	b.ReportAllocs()

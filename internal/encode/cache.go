@@ -192,18 +192,6 @@ func (c *shardedCache) len() int {
 	return n
 }
 
-// reset drops every entry; the hit/miss/eviction counters keep
-// accumulating (they feed monotonic telemetry).
-func (c *shardedCache) reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[string]*list.Element)
-		s.lru.Init()
-		s.mu.Unlock()
-	}
-}
-
 // stats snapshots the counters and entry count.
 func (c *shardedCache) stats() CacheStats {
 	return CacheStats{

@@ -224,11 +224,11 @@ func TestEncodeDistinctNotes(t *testing.T) {
 		}
 	}
 
-	e.ResetCache()
+	e = NewEncoder(nil, nil)
 	e.SetNote(&dist[0], MakeNote(5, 2)) // no entry: nothing to note
 	dist, _ = e.EncodeDistinct(jobs, 5)
 	if dist[0].Note != 0 || dist[0].Hit {
-		t.Errorf("after reset: note %#x, hit %v", dist[0].Note, dist[0].Hit)
+		t.Errorf("fresh encoder: note %#x, hit %v", dist[0].Note, dist[0].Hit)
 	}
 	e.SetCacheCapacity(0)
 	e.SetNote(&dist[0], MakeNote(5, 2))

@@ -37,9 +37,6 @@ func NewEncoder(features []Feature, embedder Embedder) *Encoder {
 	}
 }
 
-// Features returns the encoder's feature subset.
-func (e *Encoder) Features() []Feature { return e.features }
-
 // Dim returns the encoding dimensionality.
 func (e *Encoder) Dim() int { return e.embedder.Dim() }
 
@@ -203,7 +200,7 @@ func (e *Encoder) encodeRange(dist []Distinct, stamp uint64) {
 
 // SetNote writes note (MakeNote; 0 clears) onto the cache entry of d's
 // string, if the cache still holds one. The note lives as long as that
-// entry — an eviction or ResetCache drops it — and at a capacity of 0
+// entry — an eviction drops it — and at a capacity of 0
 // nothing is noted.
 func (e *Encoder) SetNote(d *Distinct, note uint64) { e.cache.setNote(d.key, note) }
 
@@ -226,10 +223,3 @@ func (e *Encoder) SetCacheCapacity(n int) { e.cache.setCapacity(n) }
 
 // CacheStats snapshots hit/miss/eviction counters and the entry count.
 func (e *Encoder) CacheStats() CacheStats { return e.cache.stats() }
-
-// CacheSize returns the number of memoized feature strings.
-func (e *Encoder) CacheSize() int { return e.cache.len() }
-
-// ResetCache drops every memoized string and its note (counters keep
-// accumulating).
-func (e *Encoder) ResetCache() { e.cache.reset() }

@@ -108,7 +108,7 @@ func TestEncodeDistinct(t *testing.T) {
 		}
 		seen := map[string]int{}
 		for i, j := range jobs {
-			key := FeatureString(j, e.Features())
+			key := FeatureString(j, e.features)
 			d, ok := seen[key]
 			if !ok {
 				d = len(seen)
@@ -136,14 +136,14 @@ func TestEncodeDistinct(t *testing.T) {
 func TestFeatureValueCoversAll(t *testing.T) {
 	j := testJob(3)
 	for f := Feature(0); f < numFeatures; f++ {
-		if FeatureValue(j, f) == "" {
+		if len(appendFeatureValue(nil, j, f)) == 0 {
 			t.Errorf("feature %v rendered empty", f)
 		}
 		if f.String() == "" {
 			t.Errorf("feature %d has no name", f)
 		}
 	}
-	if FeatureValue(j, Feature(99)) != "" {
+	if len(appendFeatureValue(nil, j, Feature(99))) != 0 {
 		t.Error("unknown feature should render empty")
 	}
 }
@@ -174,12 +174,8 @@ func TestEncodeJobCaching(t *testing.T) {
 			t.Errorf("sight %d: Encode and EncodeJob differ", sight)
 		}
 	}
-	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 || e.CacheSize() != 1 {
-		t.Errorf("stats = %+v, size %d: Encode did not store, then find, the string", st, e.CacheSize())
-	}
-	e.ResetCache()
-	if e.CacheSize() != 0 {
-		t.Error("ResetCache did not clear")
+	if st := e.CacheStats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v: Encode did not store, then find, the string", st)
 	}
 }
 
@@ -233,8 +229,8 @@ func TestCacheEntryRetainsNoVector(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(jobs) // freeing the inputs would offset what the cache holds
-	if e.CacheSize() != capacity {
-		t.Fatalf("%d entries, want the cache full at %d", e.CacheSize(), capacity)
+	if n := e.CacheStats().Entries; n != capacity {
+		t.Fatalf("%d entries, want the cache full at %d", n, capacity)
 	}
 	perEntry := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / capacity
 	t.Logf("%d B retained an entry", perEntry)
@@ -274,7 +270,7 @@ func TestCacheCapacityBoundsEntries(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.Encode([]*job.Job{testJob(i)})
 	}
-	if n := e.CacheSize(); n > 32 {
+	if n := e.CacheStats().Entries; n > 32 {
 		t.Errorf("cache size %d exceeds capacity 32", n)
 	}
 	st := e.CacheStats()
@@ -292,7 +288,7 @@ func TestCacheDisabled(t *testing.T) {
 	j := []*job.Job{testJob(1)}
 	e.Encode(j)
 	e.Encode(j)
-	if n := e.CacheSize(); n != 0 {
+	if n := e.CacheStats().Entries; n != 0 {
 		t.Errorf("disabled cache holds %d entries", n)
 	}
 	if st := e.CacheStats(); st.Hits != 0 {
@@ -314,8 +310,8 @@ func TestCacheHitMissCounters(t *testing.T) {
 
 func TestEncoderCustomFeatures(t *testing.T) {
 	e := NewEncoder(BaselineFeatures(), nil)
-	if len(e.Features()) != 2 {
-		t.Fatalf("features = %v", e.Features())
+	if len(e.features) != 2 {
+		t.Fatalf("features = %v", e.features)
 	}
 	// Jobs differing only in user must encode identically under the
 	// baseline feature subset.

@@ -130,11 +130,6 @@ func appendFeatureString(dst []byte, j *job.Job, feats []Feature) []byte {
 	return dst
 }
 
-// FeatureValue renders one feature of a job as a string.
-func FeatureValue(j *job.Job, f Feature) string {
-	return string(appendFeatureValue(nil, j, f))
-}
-
 // FeatureString concatenates the selected feature values into the
 // comma-separated representation the embedder consumes (paper §III-B).
 func FeatureString(j *job.Job, feats []Feature) string {

@@ -220,10 +220,6 @@ func New(fw *core.Framework, st *store.Store, logger *log.Logger, opts Options) 
 	return s
 }
 
-// Registry exposes the metrics registry (e.g. to register extra
-// collectors before serving).
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
 // ObserveTrain records a Training Workflow trigger that happened
 // outside a request handler (the cron retraining ticker).
 func (s *Server) ObserveTrain(rep *core.TrainReport, err error) { s.metrics.observeTrain(rep, err) }

@@ -147,12 +147,6 @@ type Job struct {
 // Duration returns the job execution time.
 func (j *Job) Duration() time.Duration { return j.EndTime.Sub(j.StartTime) }
 
-// Completed reports whether the job has finished executing (and therefore
-// has meaningful execution statistics and counters).
-func (j *Job) Completed(now time.Time) bool {
-	return !j.EndTime.IsZero() && !j.EndTime.After(now)
-}
-
 // ErrInvalid is the sentinel wrapped by Validate failures; callers
 // branch with errors.Is (the HTTP layer maps it to 400).
 var ErrInvalid = errors.New("invalid job record")

@@ -68,11 +68,6 @@ func (c *Confusion) Merge(other *Confusion) {
 // N returns the number of recorded observations.
 func (c *Confusion) N() int { return c.n }
 
-// Count returns the (actual, predicted) cell value.
-func (c *Confusion) Count(actual, predicted job.Label) int {
-	return c.cells[actual][predicted]
-}
-
 // Classes returns every label appearing as actual or predicted, sorted.
 func (c *Confusion) Classes() []job.Label {
 	seen := map[job.Label]bool{}

@@ -95,10 +95,3 @@ func (c *Classifier) PredictJobs(jobs []*job.Job) ([]job.Label, error) {
 	}
 	return out, nil
 }
-
-// TableSize returns the number of distinct (name, #cores) tuples stored.
-func (c *Classifier) TableSize() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.table)
-}

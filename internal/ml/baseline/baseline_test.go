@@ -24,8 +24,8 @@ func TestLookupByNameAndCores(t *testing.T) {
 	if preds[0] != job.MemoryBound || preds[1] != job.ComputeBound {
 		t.Errorf("preds = %v", preds)
 	}
-	if c.TableSize() != 2 {
-		t.Errorf("table size = %d", c.TableSize())
+	if len(c.table) != 2 {
+		t.Errorf("table size = %d", len(c.table))
 	}
 }
 
@@ -106,8 +106,8 @@ func TestUnknownLabelsIgnored(t *testing.T) {
 	if err := c.TrainJobs(jobs, []job.Label{job.MemoryBound, job.Unknown}); err != nil {
 		t.Fatal(err)
 	}
-	if c.TableSize() != 1 {
-		t.Errorf("table size = %d, want 1", c.TableSize())
+	if len(c.table) != 1 {
+		t.Errorf("table size = %d, want 1", len(c.table))
 	}
 }
 

@@ -72,10 +72,12 @@ func calibrationSample(ix *Index, seed uint64) []int32 {
 
 // searchHits is the recall numerator of one query at width np as the
 // ladder counted it before the walk: the true neighbours among what
-// search returns.
+// Search returns with ix's width set to np for the call.
 func searchHits(ix *Index, q []float32, k, np int, truth []int32) int {
+	defer func(kept int) { ix.nprobe = kept }(ix.nprobe)
+	ix.nprobe = np
 	hits := 0
-	dst := ix.search(q, k, np, nil, false)
+	dst := ix.Search(q, k, nil)
 	for _, want := range truth {
 		for _, got := range dst {
 			if int32(got.ID) == want {

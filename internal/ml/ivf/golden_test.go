@@ -52,9 +52,11 @@ func TestGoldenSearchHash(t *testing.T) {
 
 // TestSearchDoesNotAllocate pins the per-query scratch: with the pooled
 // buffer at hand, a Search into a reused dst allocates nothing. The pool
-// may lose its buffer between two queries (a GC; under the race detector
-// a quarter of all Puts), so the claim is about the cheapest of several
-// runs, not their mean.
+// may lose its buffer between two queries (a GC), so the claim is about
+// the cheapest of several runs, not their mean. Under the race detector
+// the searches run but the count is not asserted: its pool drops a
+// quarter of all Puts, and a search that finds no buffer allocates
+// one, so every run of ten can miss it.
 func TestSearchDoesNotAllocate(t *testing.T) {
 	const n, dim = 2000, 32
 	data := randMatrix(n, dim, 3, 11)
@@ -68,7 +70,7 @@ func TestSearchDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		least = min(least, testing.AllocsPerRun(10, func() { dst = ix.Search(q, 5, dst) }))
 	}
-	if least != 0 {
+	if least != 0 && !raceEnabled {
 		t.Fatalf("Search allocates %v times per query, want 0", least)
 	}
 }

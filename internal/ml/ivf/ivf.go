@@ -303,7 +303,7 @@ func (ix *Index) calibrateNProbe(seed uint64) int {
 // width ends with: at each cell boundary it resolves the widths whose
 // scan would stop there — width j, and every wider one whose budget
 // the rows scanned so far cover, once the pool holds k — by re-ranking
-// the pool exactly as search does. The walk goes lazily only as far as
+// the pool exactly as Search does. The walk goes lazily only as far as
 // the widest width asked for, and a pool row's exact distance is
 // measured once per query. recallAt(np) is then a sum of per-query
 // hits, equal to what the searches themselves would count.
@@ -393,7 +393,7 @@ func (c *calibration) advance(w *walk, np int) {
 	}
 }
 
-// rerankHits re-ranks w's pool as search does and counts the true
+// rerankHits re-ranks w's pool as Search does and counts the true
 // neighbours among the k it keeps. A row is measured once a query: the
 // pool only ever inserts rows and drops its last, so the rows it still
 // holds from the last re-rank lead that re-rank's list in the same
@@ -869,13 +869,6 @@ func (*Index) Stats() Stats { return Stats{Scanned: totalScanned.Load()} }
 // — integer for integer the Σ(q−x)² of linalg.SqDistInt8, so the pool,
 // its order and everything after it are what a row-by-row scan gives.
 func (ix *Index) Search(q []float32, k int, dst []ml.Candidate) []ml.Candidate {
-	return ix.search(q, k, ix.nprobe, dst, true)
-}
-
-// search is Search with an explicit probe width and optional telemetry:
-// build-time calibration probes candidate widths without polluting the
-// query counters.
-func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bool) []ml.Candidate {
 	dst = dst[:0]
 	if k <= 0 {
 		return dst
@@ -899,8 +892,8 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 
 	// Exact centroid distances, then the nprobe nearest cells.
 	linalg.SqEuclideanRows(q, ix.cents, b.cdist)
-	b.selectNearestClusters(b.cdist, nprobe)
-	probed, scanned := ix.scan(b, q, k, pool, nprobe)
+	b.selectNearestClusters(b.cdist, ix.nprobe)
+	probed, scanned := ix.scan(b, q, k, pool, ix.nprobe)
 	cand := b.cand
 
 	// Exact re-rank of the pool; bounded top-k insertion into dst.
@@ -908,11 +901,9 @@ func (ix *Index) search(q []float32, k, nprobe int, dst []ml.Candidate, count bo
 		dst = pushNearest(dst, k, ml.Candidate{ID: int(qc.id), Dist: linalg.SqEuclidean(q, ix.row(int(qc.id)))})
 	}
 
-	if count {
-		totalProbes.Add(int64(probed))
-		totalReranked.Add(int64(len(cand)))
-		totalScanned.Add(int64(scanned))
-	}
+	totalProbes.Add(int64(probed))
+	totalReranked.Add(int64(len(cand)))
+	totalScanned.Add(int64(scanned))
 	return dst
 }
 

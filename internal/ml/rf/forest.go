@@ -17,26 +17,24 @@ import (
 
 // Config holds the forest hyper-parameters. Defaults track the
 // scikit-learn RandomForestClassifier defaults the paper relies on
-// (100 trees, sqrt(features) per split, nodes expanded until pure),
-// with a histogram resolution knob.
+// (100 trees, nodes expanded until pure), with a histogram resolution
+// knob. The rest of scikit-learn's defaults are constants of the fit:
+// ⌊√dim⌋ features drawn a split (at least one), and a node splits
+// while it is impure (min_samples_split 2) into two non-empty sides
+// (min_samples_leaf 1).
 type Config struct {
-	NumTrees        int // default 100
-	MaxDepth        int // 0 = unlimited
-	MinSamplesSplit int // default 2
-	MinSamplesLeaf  int // default 1
-	MaxFeatures     int // 0 = floor(sqrt(dim))
-	Bins            int // histogram resolution, default 32
-	Seed            uint64
+	NumTrees int // default 100
+	MaxDepth int // 0 = unlimited
+	Bins     int // histogram resolution, default 32
+	Seed     uint64
 }
 
 // DefaultConfig returns the scikit-learn-equivalent defaults.
 func DefaultConfig() Config {
 	return Config{
-		NumTrees:        100,
-		MinSamplesSplit: 2,
-		MinSamplesLeaf:  1,
-		Bins:            32,
-		Seed:            1,
+		NumTrees: 100,
+		Bins:     32,
+		Seed:     1,
 	}
 }
 
@@ -63,12 +61,6 @@ func New(cfg Config) *Classifier {
 	if cfg.NumTrees <= 0 {
 		cfg.NumTrees = def.NumTrees
 	}
-	if cfg.MinSamplesSplit < 2 {
-		cfg.MinSamplesSplit = def.MinSamplesSplit
-	}
-	if cfg.MinSamplesLeaf <= 0 {
-		cfg.MinSamplesLeaf = def.MinSamplesLeaf
-	}
 	if cfg.Bins <= 1 || cfg.Bins > 256 {
 		cfg.Bins = def.Bins
 	}
@@ -77,16 +69,6 @@ func New(cfg Config) *Classifier {
 
 // Name implements ml.Classifier.
 func (c *Classifier) Name() string { return "rf" }
-
-// Config returns the model's hyper-parameters.
-func (c *Classifier) Config() Config { return c.cfg }
-
-// NumTrees returns the number of fitted trees (0 before training).
-func (c *Classifier) NumTrees() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.roots)
-}
 
 // Train implements ml.Classifier: it quantizes the data once, keeping
 // each distinct binned row once (trainRows), then grows each tree on an
@@ -126,12 +108,6 @@ func (c *Classifier) Train(x [][]float32, y []job.Label) error {
 
 	dim := len(vecs[0])
 	cfg := c.cfg
-	if cfg.MaxFeatures <= 0 || cfg.MaxFeatures > dim {
-		cfg.MaxFeatures = int(math.Sqrt(float64(dim)))
-		if cfg.MaxFeatures < 1 {
-			cfg.MaxFeatures = 1
-		}
-	}
 	if cfg.MaxDepth <= 0 {
 		// "Unlimited" with a hard cap, which real forests reach: on the
 		// served s30 forest 2.4 % of the leaves sit at depth 40 and 41.8 %

@@ -400,7 +400,6 @@ func TestTrainedForestMatchesReferenceWalker(t *testing.T) {
 	x, y := xorData(500, rng)
 	cfg := DefaultConfig()
 	cfg.NumTrees = 16
-	cfg.MaxFeatures = 2
 	c := New(cfg)
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
@@ -868,7 +867,6 @@ func (tb *refBuilder) build() []node {
 }
 
 func (tb *refBuilder) grow(lo, hi, depth int) {
-	n := hi - lo
 	counts := [numClasses]int32{}
 	for _, i := range tb.idx[lo:hi] {
 		counts[tb.classes[i]]++
@@ -880,7 +878,7 @@ func (tb *refBuilder) grow(lo, hi, depth int) {
 	pure := counts[0] == 0 || counts[1] == 0
 
 	leaf := func() { tb.nodes = append(tb.nodes, leafNode(majority, int32(len(tb.nodes)))) }
-	if pure || n < tb.cfg.MinSamplesSplit || (tb.cfg.MaxDepth > 0 && depth >= tb.cfg.MaxDepth) {
+	if pure || (tb.cfg.MaxDepth > 0 && depth >= tb.cfg.MaxDepth) {
 		leaf()
 		return
 	}
@@ -892,8 +890,7 @@ func (tb *refBuilder) grow(lo, hi, depth int) {
 	}
 
 	mid := tb.partition(lo, hi, feat, splitBin)
-	if mid == lo || mid == hi ||
-		mid-lo < tb.cfg.MinSamplesLeaf || hi-mid < tb.cfg.MinSamplesLeaf {
+	if mid == lo || mid == hi {
 		leaf()
 		return
 	}
@@ -910,7 +907,7 @@ func (tb *refBuilder) bestSplit(lo, hi int, total [numClasses]int32) (feat, spli
 	parentGini := giniOf(total, n)
 	feat, splitBin = -1, -1
 
-	mtry := tb.cfg.MaxFeatures
+	mtry := max(1, int(math.Sqrt(float64(tb.dim))))
 	for k := 0; k < mtry; k++ {
 		r := k + tb.rng.Intn(tb.dim-k)
 		tb.feats[k], tb.feats[r] = tb.feats[r], tb.feats[k]
@@ -975,9 +972,6 @@ func refTrain(t testing.TB, cfg Config, x [][]float32, y []job.Label) []byte {
 		}
 	}
 	dim := len(xs[0])
-	if cfg.MaxFeatures <= 0 || cfg.MaxFeatures > dim {
-		cfg.MaxFeatures = max(1, int(math.Sqrt(float64(dim))))
-	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 40
 	}
@@ -1032,20 +1026,16 @@ func trainBytes(t testing.TB, cfg Config, x [][]float32, y []job.Label) []byte {
 // the fit: Train, which folds a bootstrap sample into weights on the
 // distinct binned rows, marshals the forest the per-sample reference
 // grows — byte for byte, over seeds (of the data and of the forest) and
-// every hyper-parameter that reads a sample count or shapes the split
-// search, on rows that are mostly duplicates (some under both labels,
+// every hyper-parameter that bounds a tree or shapes the split search, on rows that are mostly duplicates (some under both labels,
 // some unlabeled), on rows that are near-duplicates, and at the two
 // ends: no two rows alike, all rows alike.
 func TestWeightedBuilderMatchesReferenceTrainer(t *testing.T) {
 	const dim = 48
 	configs := map[string]func(*Config){
-		"default":             func(*Config) {},
-		"min leaf 3, split 8": func(c *Config) { c.MinSamplesLeaf, c.MinSamplesSplit = 3, 8 },
-		"max depth 4":         func(c *Config) { c.MaxDepth = 4 },
-		"8 bins":              func(c *Config) { c.Bins = 8 },
-		"128 bins":            func(c *Config) { c.Bins = 128 },
-		"one feature a split": func(c *Config) { c.MaxFeatures = 1 },
-		"every feature":       func(c *Config) { c.MaxFeatures = dim },
+		"default":     func(*Config) {},
+		"max depth 4": func(c *Config) { c.MaxDepth = 4 },
+		"8 bins":      func(c *Config) { c.Bins = 8 },
+		"128 bins":    func(c *Config) { c.Bins = 128 },
 	}
 	one := make([]float32, dim)
 	one[3], one[7] = 0.5, -1
@@ -1196,11 +1186,11 @@ func TestTrainRejectsZeroWidthVectors(t *testing.T) {
 // and a share of them (alias/256) is an earlier row's vector itself —
 // Train marshals what the reference trainer does.
 func FuzzTrainMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint8(60), uint8(4), uint8(3), uint8(0), uint8(2), uint8(1), uint8(0), uint8(32), uint8(0))
-	f.Add(uint64(2), uint8(200), uint8(9), uint8(2), uint8(3), uint8(8), uint8(3), uint8(2), uint8(8), uint8(128))
-	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(1), uint8(2), uint8(255))
-	f.Add(uint64(4), uint8(255), uint8(16), uint8(40), uint8(0), uint8(0), uint8(0), uint8(16), uint8(255), uint8(200))
-	f.Fuzz(func(t *testing.T, seed uint64, n, dim, levels, maxDepth, minSplit, minLeaf, maxFeatures, bins, alias uint8) {
+	f.Add(uint64(1), uint8(60), uint8(4), uint8(3), uint8(0), uint8(32), uint8(0))
+	f.Add(uint64(2), uint8(200), uint8(9), uint8(2), uint8(3), uint8(8), uint8(128))
+	f.Add(uint64(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(255))
+	f.Add(uint64(4), uint8(255), uint8(16), uint8(40), uint8(0), uint8(255), uint8(200))
+	f.Fuzz(func(t *testing.T, seed uint64, n, dim, levels, maxDepth, bins, alias uint8) {
 		rows, d, values := 1+int(n), 1+int(dim)%16, 1+int(levels)
 		rng := stats.NewRNG(seed)
 		x := make([][]float32, rows)
@@ -1217,15 +1207,7 @@ func FuzzTrainMatchesReference(f *testing.F) {
 			y[i] = job.Label(rng.Intn(3)) // Unknown, MemoryBound or ComputeBound
 		}
 		y[0] = job.ComputeBound // at least one labeled row
-		cfg := Config{
-			NumTrees:        2,
-			MaxDepth:        int(maxDepth),
-			MinSamplesSplit: int(minSplit),
-			MinSamplesLeaf:  int(minLeaf),
-			MaxFeatures:     int(maxFeatures),
-			Bins:            int(bins),
-			Seed:            seed,
-		}
+		cfg := Config{NumTrees: 2, MaxDepth: int(maxDepth), Bins: int(bins), Seed: seed}
 		if got, want := trainBytes(t, cfg, x, y), refTrain(t, cfg, x, y); !bytes.Equal(got, want) {
 			t.Fatalf("Train marshals %d bytes that differ from the reference trainer's %d", len(got), len(want))
 		}

@@ -45,7 +45,6 @@ func TestForestLearnsXOR(t *testing.T) {
 	x, y := xorData(600, rng)
 	cfg := DefaultConfig()
 	cfg.NumTrees = 30
-	cfg.MaxFeatures = 2
 	c := New(cfg)
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
@@ -122,8 +121,8 @@ func TestTrainDropsUnknownLabels(t *testing.T) {
 	if err := c.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if c.NumTrees() != 5 {
-		t.Errorf("trees = %d", c.NumTrees())
+	if len(c.roots) != 5 {
+		t.Errorf("trees = %d", len(c.roots))
 	}
 	// All-unknown must fail.
 	if err := c.Train(x[:2], []job.Label{job.Unknown, job.Unknown}); err == nil {
@@ -159,9 +158,8 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 }
 
 func TestConfigFallbacks(t *testing.T) {
-	c := New(Config{NumTrees: -1, Bins: 1000, MinSamplesLeaf: 0})
-	cfg := c.Config()
-	if cfg.NumTrees != 100 || cfg.Bins != 32 || cfg.MinSamplesLeaf != 1 || cfg.MinSamplesSplit != 2 {
+	c := New(Config{NumTrees: -1, Bins: 1000})
+	if cfg := c.cfg; cfg.NumTrees != 100 || cfg.Bins != 32 {
 		t.Errorf("fallbacks = %+v", cfg)
 	}
 }
@@ -252,8 +250,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := restored.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if restored.NumTrees() != 8 {
-		t.Errorf("restored trees = %d", restored.NumTrees())
+	if len(restored.roots) != 8 {
+		t.Errorf("restored trees = %d", len(restored.roots))
 	}
 	q, _ := xorData(50, rng)
 	a, err := c.Predict(q)

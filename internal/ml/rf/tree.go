@@ -239,6 +239,7 @@ func (b *binner) distinct(vecs [][]float32, vec []int32, classes []uint8) trainR
 type treeBuilder struct {
 	cfg  Config
 	dim  int
+	mtry int // features drawn a split: ⌊√dim⌋, at least one
 	rows trainRows
 	binr *binner
 	rng  *stats.RNG
@@ -247,19 +248,21 @@ type treeBuilder struct {
 	idx   []int32 // the distinct rows drawn at all, partitioned in place during growth
 	nodes []node
 	feats []int    // feature permutation buffer
-	hist  []uint64 // MaxFeatures class histograms of Bins entries, class 1 in the high half
+	hist  []uint64 // mtry class histograms of Bins entries, class 1 in the high half
 }
 
 func newTreeBuilder(cfg Config, dim int, rows trainRows, binr *binner) *treeBuilder {
+	mtry := max(1, int(math.Sqrt(float64(dim))))
 	return &treeBuilder{
 		cfg:   cfg,
 		dim:   dim,
+		mtry:  mtry,
 		rows:  rows,
 		binr:  binr,
 		w:     make([]int32, rows.distinct*numClasses),
 		idx:   make([]int32, 0, rows.distinct),
 		feats: make([]int, dim),
-		hist:  make([]uint64, cfg.MaxFeatures*cfg.Bins),
+		hist:  make([]uint64, mtry*cfg.Bins),
 	}
 }
 
@@ -294,26 +297,27 @@ func (tb *treeBuilder) build(rng *stats.RNG) []node {
 
 // grow appends the subtree over idx[lo:hi] at the given depth: the
 // split node, then its left subtree, then its right subtree. counts is
-// the node's samples by class — the weights of its rows, summed — and
-// every sample count the hyper-parameters speak of is read from it.
+// the node's samples by class — the weights of its rows, summed. An
+// impure node holds at least two samples and bestSplit leaves none of
+// its sides empty, so a node splits whenever a split gains: scikit-learn's
+// min_samples_split of 2 and min_samples_leaf of 1.
 func (tb *treeBuilder) grow(lo, hi, depth int, counts [numClasses]int32) {
 	majority := 0
 	if counts[1] > counts[0] {
 		majority = 1
 	}
 	pure := counts[0] == 0 || counts[1] == 0
-	if pure || int(counts[0]+counts[1]) < tb.cfg.MinSamplesSplit || depth >= tb.cfg.MaxDepth {
+	if pure || depth >= tb.cfg.MaxDepth {
 		tb.nodes = append(tb.nodes, leafNode(majority, int32(len(tb.nodes))))
 		return
 	}
 
 	feat, splitBin, left := tb.bestSplit(lo, hi, counts)
-	right := [numClasses]int32{counts[0] - left[0], counts[1] - left[1]}
-	if feat < 0 ||
-		int(left[0]+left[1]) < tb.cfg.MinSamplesLeaf || int(right[0]+right[1]) < tb.cfg.MinSamplesLeaf {
+	if feat < 0 {
 		tb.nodes = append(tb.nodes, leafNode(majority, int32(len(tb.nodes))))
 		return
 	}
+	right := [numClasses]int32{counts[0] - left[0], counts[1] - left[1]}
 
 	mid := tb.partition(lo, hi, feat, splitBin)
 	id := len(tb.nodes)
@@ -331,7 +335,7 @@ func (tb *treeBuilder) grow(lo, hi, depth int, counts [numClasses]int32) {
 // stay in L1); then the histograms are swept in draw order, a later
 // split replacing an earlier one only if it gains strictly more.
 func (tb *treeBuilder) bestSplit(lo, hi int, total [numClasses]int32) (feat, splitBin int, bestLeft [numClasses]int32) {
-	mtry, bins := tb.cfg.MaxFeatures, tb.cfg.Bins
+	mtry, bins := tb.mtry, tb.cfg.Bins
 	// Partial Fisher–Yates: draw mtry distinct features.
 	for k := 0; k < mtry; k++ {
 		r := k + tb.rng.Intn(tb.dim-k)

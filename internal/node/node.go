@@ -88,19 +88,14 @@ type Config struct {
 // pulling the old leader's durable prefix before it promotes.
 const finalDrainBudget = 10 * time.Second
 
-// parsed is what Validate checked, in the form Open uses.
+// parsed is what parse checked, in the form Open uses.
 type parsed struct {
 	policy  wal.Policy
 	members cluster.Membership
 }
 
-// Validate reports the first flag combination the node cannot run
-// under, naming the flags.
-func (c Config) Validate() error {
-	_, err := c.parse()
-	return err
-}
-
+// parse reports the first flag combination the node cannot run under,
+// naming the flags, or what it checked in the form Open uses.
 func (c Config) parse() (p parsed, err error) {
 	following := c.Follow != ""
 	switch {

@@ -113,7 +113,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // The two rows marked "parent accepted" are flag combinations the
-// server booted under before Validate existed; the rest pin the checks
+// server booted under before the check existed; the rest pin the checks
 // that moved here from its run function.
 func TestValidate(t *testing.T) {
 	peers := "n1=http://h1:1,n2=http://h2:1,n3=http://h3:1"
@@ -143,7 +143,7 @@ func TestValidate(t *testing.T) {
 	for _, r := range rows {
 		c := testConfig()
 		r.edit(&c)
-		err := c.Validate()
+		_, err := c.parse()
 		switch {
 		case r.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", r.name, err)

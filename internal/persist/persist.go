@@ -45,9 +45,6 @@ func NewRegistry(dir string) (*Registry, error) {
 	return &Registry{dir: dir}, nil
 }
 
-// Dir returns the registry root.
-func (r *Registry) Dir() string { return r.dir }
-
 // Save writes a new version of the named model and returns its version
 // number. The model streams itself into the file (WriteTo), so the
 // whole of its bytes is never held at once. The write is atomic (temp
@@ -109,20 +106,6 @@ func (r *Registry) LoadLatestValid(name string, fresh func() (encoding.BinaryUnm
 		return nil, 0, nil, fmt.Errorf("%w: no saved versions of %q", ErrNoValidVersion, name)
 	}
 	return nil, 0, quarantined, fmt.Errorf("%w: all %d stored versions of %q are corrupted", ErrNoValidVersion, len(versions), name)
-}
-
-// LoadLatest reads the highest version of the named model into m and
-// returns the loaded version.
-func (r *Registry) LoadLatest(name string, m encoding.BinaryUnmarshaler) (int, error) {
-	versions, err := r.Versions(name)
-	if err != nil {
-		return 0, err
-	}
-	if len(versions) == 0 {
-		return 0, fmt.Errorf("persist: no saved versions of %q", name)
-	}
-	v := versions[len(versions)-1]
-	return v, r.Load(name, v, m)
 }
 
 // Load reads a specific version of the named model into m.

@@ -48,12 +48,11 @@ func TestSaveLoadVersions(t *testing.T) {
 	if len(versions) != 2 || versions[0] != 1 || versions[1] != 2 {
 		t.Errorf("Versions = %v", versions)
 	}
-	restored := knn.New(knn.DefaultConfig())
-	v, err := reg.LoadLatest("knn", restored)
+	loaded, v, _, err := reg.LoadLatestValid("knn", freshKNN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 || restored.TrainSize() != 2 {
+	if restored := loaded.(*knn.Classifier); v != 2 || restored.TrainSize() != 2 {
 		t.Errorf("loaded v%d, train size %d", v, restored.TrainSize())
 	}
 }
@@ -72,16 +71,6 @@ func TestLoadSpecificVersion(t *testing.T) {
 	}
 	if err := reg.Load("m", 9, restored); err == nil {
 		t.Error("loaded a version that does not exist")
-	}
-}
-
-func TestLoadLatestEmpty(t *testing.T) {
-	reg, err := NewRegistry(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.LoadLatest("never-saved", knn.New(knn.DefaultConfig())); err == nil {
-		t.Error("LoadLatest succeeded with no versions")
 	}
 }
 
@@ -148,7 +137,7 @@ func TestDifferentModelTypesCoexist(t *testing.T) {
 	}
 	// Loading the wrong type must fail on the magic header.
 	wrong := knn.New(knn.DefaultConfig())
-	if _, err := reg.LoadLatest("rf", wrong); err == nil {
+	if err := reg.Load("rf", 1, wrong); err == nil {
 		t.Error("KNN loader accepted an RF model file")
 	}
 	// No temp files left behind.

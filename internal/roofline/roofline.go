@@ -19,14 +19,6 @@ type Model struct {
 	PeakMemBWGBs float64 // per-node peak memory bandwidth, GByte/s
 }
 
-// NewModel validates and builds a Roofline model.
-func NewModel(peakGFlops, peakMemBW float64) (Model, error) {
-	if peakGFlops <= 0 || peakMemBW <= 0 {
-		return Model{}, fmt.Errorf("roofline: peaks must be positive, got %g GFlop/s, %g GB/s", peakGFlops, peakMemBW)
-	}
-	return Model{PeakGFlops: peakGFlops, PeakMemBWGBs: peakMemBW}, nil
-}
-
 // ModelFor builds the Roofline of a single node of the given machine.
 func ModelFor(spec job.MachineSpec) Model {
 	return Model{PeakGFlops: spec.PeakGFlops, PeakMemBWGBs: spec.PeakMemBWGBs}

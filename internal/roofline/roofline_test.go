@@ -12,22 +12,6 @@ import (
 
 func fugakuModel() Model { return ModelFor(job.FugakuSpec()) }
 
-func TestNewModelValidation(t *testing.T) {
-	if _, err := NewModel(0, 1024); err == nil {
-		t.Error("accepted zero peak performance")
-	}
-	if _, err := NewModel(3380, -1); err == nil {
-		t.Error("accepted negative bandwidth")
-	}
-	m, err := NewModel(3380, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.PeakGFlops != 3380 {
-		t.Errorf("peak = %g", m.PeakGFlops)
-	}
-}
-
 func TestRidgePoint(t *testing.T) {
 	m := fugakuModel()
 	ridge := m.RidgePoint()

@@ -148,15 +148,6 @@ func (h *Histogram) bin(x float64) int {
 	return lo
 }
 
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Render draws an ASCII bar chart of the histogram, width chars wide,
 // with a label formatter for the bin edges. Used by the figure drivers.
 func (h *Histogram) Render(width int, format func(lo, hi float64) string) string {

@@ -22,9 +22,8 @@ func TestCounterGauge(t *testing.T) {
 
 	g := reg.Gauge("temp", "temperature", nil)
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Errorf("gauge = %g, want 2.5", got)
 	}
 }
 
@@ -93,7 +92,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 1000; k++ {
 				reg.Counter("c_total", "", nil).Inc()
-				reg.Gauge("g", "", nil).Add(1)
+				reg.Gauge("g", "", nil).Set(float64(k))
 				reg.Histogram("h", "", []float64{1}, nil).Observe(0.5)
 			}
 		}()
@@ -102,8 +101,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := reg.Counter("c_total", "", nil).Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := reg.Gauge("g", "", nil).Value(); got != 8000 {
-		t.Errorf("gauge = %g, want 8000", got)
+	if got := reg.Gauge("g", "", nil).Value(); got != 999 {
+		t.Errorf("gauge = %g, want the last value set, 999", got)
 	}
 	if got := reg.Histogram("h", "", []float64{1}, nil).Count(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)

@@ -23,9 +23,6 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	return &Generator{cfg: cfg, seed: seed}
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Days returns the number of calendar days in the generation period.
 func (g *Generator) Days() int {
 	return int(g.cfg.End.Sub(g.cfg.Start).Hours() / 24)

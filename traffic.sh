@@ -1,16 +1,23 @@
 #!/usr/bin/env bash
-# The traffic check (`make traffic`): which functions of the cluster
-# shell and the model layer nothing but their own package's tests reach.
+# The traffic check (`make traffic`): which functions of each package
+# under internal/ nothing but that package's own tests reaches.
 #
-#   (i)   the tests of every other package of the module, with coverage
-#         counted in the eleven checked packages only (-coverpkg);
+#   (i)   every package of the module tested on its own, with coverage
+#         counted in all of internal/ (-coverpkg); each run's profile
+#         loses the lines of the package under test, and the rest are
+#         merged, so a function counts as reached when another
+#         package's test runs it;
 #   (ii)  the benchmark built with integration coverage (go build -cover)
 #         and run once per contract workload, traced, for 3 s each;
 #   (iii) (ii)'s counters turned into (i)'s profile format, then a print,
-#         per checked package, of the functions (i) did not reach, marked
+#         per package, of the functions (i) did not reach, marked
 #         "bench" where (ii) did, each with the reason it stays (the table
 #         at the end of this file) or "no reason: a deletion candidate".
 #         Then every test that skips on a tier-1 run (`go test ./...`).
+#
+# It exits non-zero when a test fails, when a listed function has no
+# reason, or when a reason names a function (or a file) the list no
+# longer holds: one now reached, or gone.
 #
 # Everything it writes stays under .bench_build/ (build cache, profiles,
 # the benchmark's own scratch files); the report is also kept in
@@ -20,29 +27,24 @@ set -euo pipefail
 root="$(pwd)"
 out="$root/.bench_build/traffic"
 rm -rf "$out"
-mkdir -p "$out/covdata" "$out/tmp"
+mkdir -p "$out/covdata" "$out/runs" "$out/tmp"
 export GOCACHE="$root/.bench_build/gocache" GOPATH="$root/.bench_build/gopath" GOFLAGS=-mod=mod GOTOOLCHAIN=local GOWORK=off TMPDIR="$out/tmp"
 
-# The cluster shell, then the model layer.
-shell_pkgs="wal router election repl admission resilience cluster peer core ml/knn ml/ivf"
-shell_re="^mcbound/internal/($(tr ' ' '|' <<<"$shell_pkgs"))\$"
-coverpkg=$(for p in $shell_pkgs; do printf 'mcbound/internal/%s,' "$p"; done)
-coverpkg=${coverpkg%,}
-others=$(go list ./... | grep -v -E "$shell_re")
-shells=$(go list ./... | grep -E "$shell_re")
-
-# (i) Other packages' tests, counted in the checked packages; their own
-# tests run uncounted, so the two runs together are one tier-1 run for
-# the skip list.
-echo "traffic: (i) other packages' tests, coverage in the checked packages" >&2
+# (i) One run per package, coverage in all of internal/. A test run
+# counts for the other packages only: its own package's lines are cut
+# from its profile before the merge.
+echo "traffic: (i) each package's tests, coverage in every other package" >&2
 status=0
-# shellcheck disable=SC2086
-go test -json -coverpkg="$coverpkg" -coverprofile="$out/tests.cov" $others >"$out/tests.json" || status=$?
-echo "traffic: (i) the checked packages' own tests, for the skip list" >&2
-# shellcheck disable=SC2086
-go test -json $shells >"$out/shell-tests.json" || status=$?
+echo "mode: set" >"$out/tests.cov"
+for p in $(go list ./...); do
+	f="$out/runs/${p//\//_}"
+	go test -json -coverpkg=mcbound/internal/... -coverprofile="$f.cov" "$p" >"$f.json" || status=$?
+	[[ -f $f.cov ]] || continue
+	awk -v own="$p" 'NR > 1 { file = $0; sub(/:.*/, "", file); sub(/\/[^\/]*$/, "", file); if (file != own) print }' \
+		"$f.cov" >>"$out/tests.cov"
+done
 if ((status)); then
-	grep -h '"Action":"fail"' "$out/tests.json" "$out/shell-tests.json" | grep '"Test":' >&2 || true
+	cat "$out"/runs/*.json | grep '"Action":"fail"' | grep '"Test":' >&2 || true
 	echo "traffic: a test failed; the reach below is still printed" >&2
 fi
 
@@ -63,73 +65,102 @@ done
 go tool covdata textfmt -i="$out/covdata" -o="$out/bench-all.cov"
 { head -1 "$out/bench-all.cov"; grep '^mcbound/internal/' "$out/bench-all.cov"; } >"$out/bench.cov"
 # func-reach PROFILE: "pkg<TAB>file:Func<TAB>reached(0|1)" per function,
-# pkg the path under internal/ (ml/knn).
+# pkg the path under internal/ (ml/knn), Func a method's Type.Name (read
+# from its declaration line, so two methods of one name stay apart). A
+# block that several runs count is merged by `go tool cover`.
 func_reach() {
-	go tool cover -func="$1" | awk -F'\t+' '$1 != "total:" {
-		split($1, loc, ":"); path = loc[1]; sub(/^mcbound\/internal\//, "", path)
+	go tool cover -func="$1" | awk -F'\t+' -v root="$root" '$1 != "total:" {
+		split($1, loc, ":"); path = loc[1]; src = path; sub(/^mcbound\//, root "/", src)
+		if (!(src in read)) { read[src] = 1; n = 0; while ((getline l < src) > 0) text[src, ++n] = l; close(src) }
+		name = $2
+		if (match(text[src, loc[2]], /^func \([^)]*\)/)) {
+			recv = substr(text[src, loc[2]], RSTART + 6, RLENGTH - 7)
+			sub(/.* /, "", recv); sub(/^\*/, "", recv); sub(/\[.*/, "", recv); name = recv "." name
+		}
+		sub(/^mcbound\/internal\//, "", path)
 		file = path; sub(/.*\//, "", file); pkg = substr(path, 1, length(path) - length(file) - 1)
 		pct = $3; sub(/%/, "", pct)
-		print pkg "\t" file ":" $2 "\t" (pct + 0 > 0 ? 1 : 0)
+		print pkg "\t" file ":" name "\t" (pct + 0 > 0 ? 1 : 0)
 	}'
 }
 func_reach "$out/tests.cov" | sort -u >"$out/tests.reach"
 func_reach "$out/bench.cov" | sort -u >"$out/bench.reach"
 
 sed -n '/^# EXCEPTIONS$/,$p' "$0" | sed '1d' | { grep -v '^$' || true; } >"$out/exceptions.tsv"
-grep -h '"Action":"skip"' "$out/tests.json" "$out/shell-tests.json" | grep '"Test":' |
-	sed -E 's/.*"Package":"mcbound\/([^"]*)","Test":"([^"]*)".*/\1:\2/' | sort -u >"$out/skips.txt" || true
+cat "$out"/runs/*.json | grep '"Action":"skip"' | grep '"Test":' |
+	sed -E 's/.*"Package":"(mcbound\/)?([^"]*)","Test":"([^"]*)".*/\2:\3/' | sort -u >"$out/skips.txt" || true
 
 awk -F'\t' -v skips="$out/skips.txt" '
 	FILENAME == ARGV[1] { reason[$1] = $2; next }
 	FILENAME == ARGV[2] { if ($3) benched[$1 "/" $2] = 1; next }
 	$3 == 0 {
-		key = $1 "/" $2; i++; seen[key] = 1
+		key = $1 "/" $2; whole = key; sub(/:.*/, ":*", whole); i++
 		if (!(key in benched)) n++
+		if (key in reason) { why = reason[key]; seen[key] = 1 }
+		else if (whole in reason) { why = reason[whole]; seen[whole] = 1 }
+		else { why = "no reason: a deletion candidate"; bare++ }
 		if (!($1 in rows)) pk[++k] = $1
-		rows[$1] = rows[$1] sprintf("  %-28s %-5s %s\n", $2, (key in benched) ? "bench" : "-",
-			(key in reason) ? reason[key] : "no reason: a deletion candidate")
+		rows[$1] = rows[$1] sprintf("  %-28s %-5s %s\n", $2, (key in benched) ? "bench" : "-", why)
 	}
 	END {
-		printf "Checked functions no other package'"'"'s test reaches (i): %d; of them, reached by no contract workload either (ii): %d\n", i, n
+		printf "Functions no other package'"'"'s test reaches (i): %d; of them, reached by no contract workload either (ii): %d\n", i, n
 		for (a = 1; a <= k; a++) printf "\ninternal/%s\n%s", pk[a], rows[pk[a]]
-		for (r in reason) if (!(r in seen)) printf "\nstale exception (reached now, or gone): %s\n", r
+		for (r in reason) if (!(r in seen)) { printf "\nstale reason (reached now, or gone): %s\n", r; stale++ }
 		printf "\nTests that skip on a tier-1 run:"
 		s = 0; while ((getline line < skips) > 0) { printf "\n  %s", line; s++ }
 		print (s ? "" : " none")
-	}' "$out/exceptions.tsv" "$out/bench.reach" "$out/tests.reach" | tee "$out/report.txt"
+		printf "\nRows without a reason: %d; stale reasons: %d\n", bare, stale
+		exit (bare + stale > 0)
+	}' "$out/exceptions.tsv" "$out/bench.reach" "$out/tests.reach" | tee "$out/report.txt" ||
+	{ echo "traffic: every listed function needs a reason, and every reason a listed function" >&2; status=1; }
 exit "$status"
 
-# The functions above that stay, keyed package/file:Func, with the reason
-# (tab-separated). A row whose function gains a caller is reported stale.
+# The functions above that stay, keyed package/file:Func, or
+# package/file:* for every listed function of a file, with the reason
+# (tab-separated). A row that lists nothing is reported stale.
 # EXCEPTIONS
-admission/admission.go:Shed	benchmark/ reads it for admission.shed_total
-election/election.go:abdicateLocked	failure path: a leader over a wedged WAL gives up its lease
-ml/ivf/ivf.go:AppendBinary	reference encoder: AppendStream into one buffer (encoding.BinaryAppender); ivf's layout and round-trip tests encode through it
-ml/ivf/ivf.go:Dim	ml.VectorIndex; benchmark/'s linalg.int8_bytes_per_query
-ml/ivf/ivf.go:Rerank	test seam: ivf's and knn's tests read the built re-rank pool
-ml/ivf/ivf.go:Stats	benchmark/'s linalg.int8_bytes_per_query; goes when 4(a) reads a package total
-ml/knn/knn.go:Config	benchmark/ rebuilds the served index from it for ivf.build_s
-ml/knn/knn.go:Groups	benchmark/'s knn.groups_per_row
-ml/knn/knn.go:Matrix	benchmark/'s ivf.recall_at_k and ivf.build_s read the group matrix
-ml/knn/knn.go:VectorIndex	benchmark/'s ivf.* metrics search the served index through it
-peer/peer.go:Retryable	failure path: the replication client's retry rule for 5xx and 429
-repl/client.go:Breaker	test seam: repl's tests watch the client's breaker trip
-repl/follower.go:handleSyncErr	failure path: a round that fails, or finds its position compacted
-resilience/breaker.go:Opens	test seam: the breaker's trip count; goes with resilience.Breaker (item 6)
-resilience/budget.go:Exhausted	router /healthz and /metrics; no test outside router reads them (item 1(a))
-resilience/budget.go:Retries	router /healthz and /metrics, and benchmark/'s router.retries
-resilience/budget.go:Tokens	router /healthz and /metrics; no test outside router reads them (item 1(a))
-router/backend.go:ejectionCount	router /healthz; no test outside router reads it (item 1(a))
-router/router.go:Budget	benchmark/ counts the router's retries through it
-router/router.go:Hedges	benchmark/'s router.hedges_per_1k
-router/router.go:Run	the probe loop; benchmark/'s routed workload runs it
-router/router.go:brownoutWrite	failure path: a write while no leader is known (item 1(a))
-router/router.go:discardLoser	the hedge, judged in item 24(c)
-router/router.go:handleHealth	router /healthz; no test outside router reads it (item 1(a))
-router/router.go:hedgeWin	the hedge, judged in item 24(c)
-router/router.go:isMember	failure path: a member names a leader the router has not probed
-router/router.go:refreshSince	failure path: a 421 from a deposed leader starts a probe round
-router/router.go:retryAfterSeconds	failure path: the brownout's Retry-After (item 1(a))
-router/router.go:run	the hedge, judged in item 24(c)
-wal/fs.go:Truncate	failure path: recovery cuts a torn tail, only after a crash
-wal/wal.go:AppendBatch	benchmark/'s wal.append_batch100_* metrics call it
+admission/admission.go:Stats.Shed	benchmark/ reads it for admission.shed_total
+election/election.go:Elector.abdicateLocked	failure path: a leader over a wedged WAL gives up its lease
+encode/encoder.go:Encoder.EncodeJob	benchmark/'s encode.embed_* metrics and its query vectors
+encode/features.go:Feature.String	fmt.Stringer: a feature prints as its trace column (usr, jnam, …)
+experiments/alphabeta.go:*	`mcbound eval -exp alpha-beta|alpha-plus|theta` (cmd/mcbound); no test outside experiments runs an evaluation
+experiments/characterize.go:*	`mcbound characterize -fig 2…5` (cmd/mcbound)
+experiments/features.go:*	`mcbound eval -exp features` (cmd/mcbound)
+experiments/reports.go:*	`mcbound eval`'s report writers (cmd/mcbound)
+experiments/theta.go:*	`mcbound eval -exp theta` (cmd/mcbound)
+fetch/resilient.go:ResilientBackend.SubmittedBetween	fetch.Backend's range read; benchmark/fixture builds the resilient backend (item 12(b))
+httpapi/serve.go:*	the listener of cmd/mcbound-server and cmd/mcbound-router
+httpapi/server.go:Server.writeInvalidJob	failure path: a POST /v1/jobs record that fails validation (400 invalid_job)
+job/job.go:Frequency.String	fmt.Stringer: a frequency prints as the paper writes it ("2.0 GHz")
+linalg/sparse.go:sparseSqDistColsGeneric	the portable kernel: -tags purego and every GOARCH but amd64 (make purego, make cross)
+metrics/metrics.go:Confusion.AddAll	F1MacroOf's fill; benchmark/'s f1_macro
+metrics/metrics.go:Confusion.Classes	Report's rows
+metrics/metrics.go:Confusion.Accuracy	Report's last row
+metrics/metrics.go:Confusion.Report	examples/quickstart prints it
+metrics/metrics.go:F1MacroOf	benchmark/'s f1_macro
+ml/baseline/baseline.go:Classifier.Name	ml.Classifier: core names a model's files by it
+ml/ivf/ivf.go:Index.AppendBinary	reference encoder: AppendStream into one buffer (encoding.BinaryAppender); ivf's layout and round-trip tests encode through it
+ml/ivf/ivf.go:Index.Dim	ml.VectorIndex; benchmark/'s linalg.int8_bytes_per_query
+ml/ivf/ivf.go:Index.Stats	benchmark/'s linalg.int8_bytes_per_query; goes when 4(a) reads a package total
+ml/knn/knn.go:Classifier.Config	benchmark/ rebuilds the served index from it for ivf.build_s
+ml/knn/knn.go:Classifier.Matrix	benchmark/'s ivf.recall_at_k and ivf.build_s read the group matrix
+ml/knn/knn.go:Classifier.VectorIndex	benchmark/'s ivf.* metrics search the served index through it
+ml/rf/forest.go:walk8Go	the portable forest walk: -tags purego and every GOARCH but amd64; the reference rf's tests hold the assembly to
+ml/rf/forest.go:laneSum	walk8Go's vote count (the same)
+node/node.go:trainAttrs	the log lines of cmd/mcbound-server's first and cron trains
+router/backend.go:backend.ejectionCount	router /healthz; no test outside router reads it (item 1(a))
+router/router.go:Router.Budget	benchmark/ counts the router's retries through it
+router/router.go:Router.Hedges	benchmark/'s router.hedges_per_1k
+router/router.go:Router.Run	the probe loop; benchmark/'s routed workload runs it
+router/router.go:Router.brownoutWrite	failure path: a write while no leader is known (item 1(a))
+router/router.go:Router.discardLoser	the hedge, judged in item 24(c)
+router/router.go:Router.handleHealth	router /healthz; no test outside router reads it (item 1(a))
+router/router.go:Router.hedgeWin	the hedge, judged in item 24(c)
+router/router.go:Router.isMember	failure path: a member names a leader the router has not probed
+router/router.go:Router.refreshSince	failure path: a 421 from a deposed leader starts a probe round
+router/router.go:Router.retryAfterSeconds	failure path: the brownout's Retry-After (item 1(a))
+router/router.go:hedgeRace.run	the hedge, judged in item 24(c)
+simulate/replay.go:Timeline.WriteText	renders simulate's replay.golden
+wal/crashfs/crashfs.go:FS.String	fmt.Stringer for a crash test's failure message; crashfs is test support
+wal/fs.go:osFS.Truncate	failure path: recovery cuts a torn tail, only after a crash
+wal/wal.go:WAL.AppendBatch	benchmark/'s wal.append_batch100_* metrics call it
